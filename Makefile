@@ -1,9 +1,12 @@
 # Developer entry points. `make test` is the tier-1 gate; `make bench`
-# records a BENCH_<date>.json snapshot of the tier-2 benchmarks.
+# records a BENCH_<date>.json snapshot of the tier-2 benchmarks. The gated
+# performance ledger is its own module under bench/ (BENCHMARK.json names
+# it): `bash bench/run.sh --workload <w>` runs one workload, `make
+# ledger-smoke` its functional checks.
 
 GO ?= go
 
-.PHONY: all build test vet fmt bench bench-smoke benchcmp chaos-smoke fleet-smoke membership-smoke slo-smoke
+.PHONY: all build test vet fmt bench bench-smoke benchcmp ledger-smoke chaos-smoke fleet-smoke membership-smoke slo-smoke
 
 all: build test
 
@@ -35,6 +38,16 @@ bench-smoke:
 # the serving/predict benchmarks (see scripts/benchcmp.sh for knobs).
 benchcmp:
 	./scripts/benchcmp.sh
+
+# Ledger smoke: the bench module's own tests (it is not part of tier-1) and
+# a ~2 s functional pass of the two workloads that cross the wire codec —
+# every verified response bit-equal to the tree-walk reference through JSON
+# and through the router, shares summing to the request's rows, the
+# duplicate hit ratio in range, zero failovers. No timing is asserted.
+ledger-smoke:
+	cd bench && $(GO) test ./...
+	bash bench/run.sh --workload http-dup --smoke
+	bash bench/run.sh --workload fleet-split --smoke
 
 # Resilience smoke: ioserve under fault injection + admission control,
 # saturated by ioload, asserting sheds happen, nothing crashes, and

@@ -34,7 +34,9 @@ import (
 // body, same error statuses (replica statuses pass through), same
 // X-Trace-Id and X-Request-Timeout-Ms headers.
 
-// maxRouterBody mirrors ioserve's predict body bound.
+// maxRouterBody is the predict body bound: ioserve's, which the shared
+// request reader applies on the router too. The replica reply bound is
+// sized from it.
 const maxRouterBody = 16 << 20
 
 // HandlerConfig tunes the router's HTTP surface.
@@ -247,43 +249,82 @@ func handleRoute(rt *Router, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req serve.PredictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRouterBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
-		return
-	}
 	// The client's deadline bounds the whole fan-out; Remote backends
 	// forward the remaining budget on X-Request-Timeout-Ms so replicas
 	// drop expired waves themselves.
-	ctx := r.Context()
-	if h := r.Header.Get(serve.DeadlineHeader); h != "" {
-		ms, err := strconv.ParseInt(h, 10, 64)
-		if err != nil || ms <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("%s must be a positive integer of milliseconds", serve.DeadlineHeader))
-			return
+	serve.HandlePredictRequest(w, r, 0, func(ctx context.Context, req *serve.PredictRequest, buf []byte) ([]byte, error) {
+		resp, err := rt.Route(ctx, req)
+		if err != nil {
+			be, ok := err.(*BackendError)
+			if !ok {
+				be = &BackendError{Status: http.StatusServiceUnavailable, Msg: err.Error()}
+			}
+			if be.RetryAfter != "" {
+				w.Header().Set("Retry-After", be.RetryAfter)
+			}
+			writeError(w, be.Status, be.Msg)
+			return buf, err
 		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
-		defer cancel()
-	}
-	resp, err := rt.Route(ctx, &req)
+		return replyRoute(rt, w, buf, resp), nil
+	})
+}
+
+// replyRoute encodes resp into buf and writes it as the 200, returning buf
+// for reuse; a response JSON cannot carry is a counted, logged 500.
+func replyRoute(rt *Router, w http.ResponseWriter, buf []byte, resp *Response) []byte {
+	buf, err := appendResponse(buf, resp)
 	if err != nil {
-		be, ok := err.(*BackendError)
-		if !ok {
-			be = &BackendError{Status: http.StatusServiceUnavailable, Msg: err.Error()}
-		}
-		if be.RetryAfter != "" {
-			w.Header().Set("Retry-After", be.RetryAfter)
-		}
-		writeError(w, be.Status, be.Msg)
-		return
+		rt.metrics.errors.Add(1)
+		rt.logger.Error("routed response not encodable", "system", resp.System, "trace_id", resp.TraceID, "err", err)
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return buf
 	}
 	if resp.TraceID != "" {
 		w.Header().Set(serve.TraceHeader, resp.TraceID)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	serve.WriteJSONBody(w, http.StatusOK, buf)
+	return buf
+}
+
+// appendResponse appends what json.NewEncoder(w).Encode(resp) emits: the
+// replica contract from the shared codec, its closing brace reopened for
+// the router's own tail.
+func appendResponse(dst []byte, resp *Response) ([]byte, error) {
+	dst, err := serve.AppendPredictResponse(dst, &resp.PredictResponse)
+	if err != nil {
+		return dst, err
+	}
+	dst = dst[:len(dst)-len("}\n")]
+	for i := range resp.Replicas {
+		sh := &resp.Replicas[i]
+		if i == 0 {
+			dst = append(dst, `,"replicas":[`...)
+		} else {
+			dst = append(dst, ',')
+		}
+		dst = serve.AppendJSONString(append(dst, `{"replica":`...), sh.Replica)
+		dst = strconv.AppendInt(append(dst, `,"rows":`...), int64(sh.Rows), 10)
+		dst = strconv.AppendInt(append(dst, `,"version":`...), int64(sh.Version), 10)
+		for k, id := range sh.TraceIDs {
+			if k == 0 {
+				dst = append(dst, `,"trace_ids":[`...)
+			} else {
+				dst = append(dst, ',')
+			}
+			dst = serve.AppendJSONString(dst, id)
+		}
+		if len(sh.TraceIDs) > 0 {
+			dst = append(dst, ']')
+		}
+		dst = append(dst, '}')
+	}
+	if len(resp.Replicas) > 0 {
+		dst = append(dst, ']')
+	}
+	if resp.MembershipEpoch != 0 {
+		dst = strconv.AppendUint(append(dst, `,"membership_epoch":`...), resp.MembershipEpoch, 10)
+	}
+	return append(dst, "}\n"...), nil
 }
 
 // maxMembershipBody bounds a registration-plane request body.
@@ -325,6 +366,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// writeError writes ioserve's uniform error body, {"error": msg}.
 func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
+	serve.WriteJSONBody(w, status, append(serve.AppendJSONString([]byte(`{"error":`), msg), "}\n"...))
 }

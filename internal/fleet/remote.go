@@ -50,9 +50,23 @@ func NewRemote(name, baseURL string, cfg RemoteConfig) *Remote {
 // Name implements Predictor.
 func (r *Remote) Name() string { return r.name }
 
-// Predict implements Predictor over POST /v1/predict.
+// maxReplicaReply bounds one replica reply. A guarded prediction is about
+// 250 bytes of JSON, so a reply outgrows its request only when rows are
+// narrower than ~20 features; four request bounds leaves real schemas
+// (theta 101 features, cori 138) an order of magnitude of room.
+const maxReplicaReply = 4 * maxRouterBody
+
+// Predict implements Predictor over POST /v1/predict, both directions
+// through the shared wire codec (serve/codec.go).
 func (r *Remote) Predict(ctx context.Context, req *serve.PredictRequest) (*serve.PredictResponse, error) {
-	body, err := json.Marshal(req)
+	// One buffer a hop, sized at 16 bytes a value. It is not pooled: the
+	// transport may still be writing it after Do returns (a replica that
+	// sheds answers before it has read the body).
+	values := len(req.Row)
+	for _, row := range req.Rows {
+		values += len(row)
+	}
+	body, err := serve.AppendPredictRequest(make([]byte, 0, 64+16*values), req)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: encoding request for %s: %w", r.name, err)
 	}
@@ -84,11 +98,20 @@ func (r *Remote) Predict(ctx context.Context, req *serve.PredictRequest) (*serve
 	if resp.StatusCode != http.StatusOK {
 		return nil, backendErrorFrom(resp)
 	}
-	var out serve.PredictResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	reply, err := serve.ReadBody(nil, io.LimitReader(resp.Body, maxReplicaReply+1), resp.ContentLength)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: replica %s: reading response body: %w", r.name, err)
+	}
+	if len(reply) > maxReplicaReply {
+		// 5xx, so it counts against the replica's breaker like any fault.
+		return nil, &BackendError{Status: http.StatusBadGateway,
+			Msg: fmt.Sprintf("replica %s reply exceeds %d bytes", r.name, maxReplicaReply)}
+	}
+	out, err := serve.DecodePredictResponse(reply)
+	if err != nil {
 		return nil, fmt.Errorf("fleet: replica %s sent a bad response body: %w", r.name, err)
 	}
-	return &out, nil
+	return out, nil
 }
 
 // backendErrorFrom converts a non-200 replica response, preserving the

@@ -1,0 +1,586 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"strconv"
+	"sync"
+	"time"
+)
+
+// The predict wire codec: the one hand-written JSON path shared by ioserve's
+// POST /v1/predict, iorouter's, and the router→replica hop between them.
+//
+// Requests are read into a pooled byte buffer and parsed straight into a
+// pooled flat []float64 block with the row headers sliced from it; responses
+// are appended into that same byte buffer and written with one Write. The
+// fast paths accept only input they decode exactly as encoding/json would:
+// the four exact keys once each, escape-free ASCII strings, plain number
+// literals. Anything else — unknown, duplicate or case-folded keys, string
+// escapes, null, a non-number token, a reply in a shape this encoder does
+// not emit — is handed, from the same buffered bytes, to the encoding/json
+// sequence the handlers ran before this codec existed, so statuses, error
+// texts and edge semantics are that sequence's. One observable difference:
+// the body is read to its end (or the bound) before parsing, where the
+// streaming decoder stopped at the value's closing brace.
+//
+// Block lifetime: Batcher.SubmitWave can return on ctx.Done() while a worker
+// is still evaluating the abandoned wave's rows, so a call's row block goes
+// back to the pool only when the request was served without error under a
+// context that never ended; otherwise it is left to the collector. That
+// decision is HandlePredictRequest's alone. Nothing downstream keeps a row:
+// the cache and the shadow mirror copy, observers only read.
+
+// maxPooledCall is the most storage (bytes) a call may take back to the pool;
+// a larger one is dropped: one 16 MiB request must not pin 16 MiB per P.
+const maxPooledCall = 1 << 20
+
+var callPool = sync.Pool{New: func() any { return new(predictCall) }}
+
+// predictCall is the pooled storage behind one POST /v1/predict.
+type predictCall struct {
+	req   PredictRequest
+	buf   []byte      // the request's bytes, then the response's
+	block []float64   // every row's values, back to back
+	rows  [][]float64 // headers into block
+}
+
+// HandlePredictRequest is the envelope of POST /v1/predict for ioserve and
+// iorouter alike: bound and read the body, decode it, apply the tighter of
+// defaultDeadline and the client's X-Request-Timeout-Ms, call serve, and
+// settle the pooled storage. A bad request is answered 400 here. serve gets
+// an empty buffer to append its response to and returns it with the error of
+// ServeRequest / Route, having written the response either way; req and its
+// rows are on loan until it returns.
+func HandlePredictRequest(w http.ResponseWriter, r *http.Request, defaultDeadline time.Duration,
+	serve func(ctx context.Context, req *PredictRequest, buf []byte) ([]byte, error)) {
+	c := callPool.Get().(*predictCall)
+	recycle := false
+	defer func() { c.release(recycle) }()
+	var readErr error
+	c.buf, readErr = ReadBody(c.buf[:0], http.MaxBytesReader(w, r.Body, maxRequestBody), r.ContentLength)
+	if readErr != nil || !c.decodeRequest(c.buf) {
+		c.req = PredictRequest{}
+		if err := decodeRequestJSON(c.buf, readErr, &c.req); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+			return
+		}
+	}
+	// Deadline propagation: the tighter of the server default and the
+	// client's header bounds the whole predict call — queue wait included,
+	// so an expired wave is dropped before evaluation, not after.
+	ctx := r.Context()
+	if h := r.Header.Get(DeadlineHeader); h != "" {
+		ms, err := strconv.ParseInt(h, 10, 64)
+		if err != nil || ms <= 0 {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("%s must be a positive integer of milliseconds", DeadlineHeader))
+			return
+		}
+		if d := time.Duration(ms) * time.Millisecond; defaultDeadline == 0 || d < defaultDeadline {
+			defaultDeadline = d
+		}
+	}
+	if defaultDeadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, defaultDeadline)
+		defer cancel()
+	}
+	var err error
+	c.buf, err = serve(ctx, &c.req, c.buf[:0])
+	// No error means every wave over the rows was consumed, unless the
+	// context ended: that is the one thing that abandons a wave mid-evaluation
+	// (and a later all-cache-hit retry can still return nil after it).
+	recycle = err == nil && ctx.Err() == nil
+}
+
+// release returns the call to the pool, with its row block only if recycle.
+func (c *predictCall) release(recycle bool) {
+	if !recycle {
+		c.block, c.rows = nil, nil
+	}
+	c.req = PredictRequest{}
+	if cap(c.buf)+8*cap(c.block)+24*cap(c.rows) <= maxPooledCall {
+		callPool.Put(c)
+	}
+}
+
+// ReadBody is io.ReadAll into a caller-owned buffer, sized up front from a
+// declared length (negative when unknown) as far as a pooled buffer goes.
+func ReadBody(buf []byte, r io.Reader, length int64) ([]byte, error) {
+	if n := max(min(length+1, maxPooledCall), 512); n > int64(cap(buf)) {
+		buf = make([]byte, 0, n)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// errReader replays the error that ended a body read.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// decodeRequestJSON is the pre-codec decode sequence over the bytes already
+// read (and the error that ended the read, if one did): the fallback of the
+// fast path and the oracle its fuzz target compares against.
+func decodeRequestJSON(data []byte, readErr error, req *PredictRequest) error {
+	var src io.Reader = bytes.NewReader(data)
+	if readErr != nil {
+		src = io.MultiReader(src, errReader{readErr})
+	}
+	dec := json.NewDecoder(src)
+	dec.DisallowUnknownFields()
+	return dec.Decode(req)
+}
+
+// cursor walks JSON text. Its token methods take only the plain forms the
+// fast paths can prove they read as encoding/json does; the first thing that
+// is anything else sets bad, after which every method is a no-op.
+type cursor struct {
+	b   []byte
+	i   int
+	bad bool
+}
+
+func (p *cursor) space() {
+	for p.i < len(p.b) && (p.b[p.i] == ' ' || p.b[p.i] == '\n' || p.b[p.i] == '\t' || p.b[p.i] == '\r') {
+		p.i++
+	}
+}
+
+// has consumes c if it is the next byte.
+func (p *cursor) has(c byte) bool {
+	if p.bad || p.i >= len(p.b) || p.b[p.i] != c {
+		return false
+	}
+	p.i++
+	return true
+}
+
+// hasLit consumes s if the text continues with it.
+func (p *cursor) hasLit(s string) bool {
+	if p.bad || len(p.b)-p.i < len(s) || string(p.b[p.i:p.i+len(s)]) != s {
+		return false
+	}
+	p.i += len(s)
+	return true
+}
+
+// want consumes s, which must come next.
+func (p *cursor) want(s string) { p.bad = !p.hasLit(s) || p.bad }
+
+// digits consumes a run of decimal digits, which must not be empty.
+func (p *cursor) digits() {
+	b, i := p.b, p.i
+	for i < len(b) && b[i]-'0' <= 9 {
+		i++
+	}
+	p.bad = p.bad || i == p.i
+	p.i = i
+}
+
+// str consumes a quoted string of printable ASCII with no escapes.
+func (p *cursor) str() []byte {
+	p.want(`"`)
+	for start := p.i; !p.bad && p.i < len(p.b); p.i++ {
+		switch c := p.b[p.i]; {
+		case c == '"':
+			p.i++
+			return p.b[start : p.i-1]
+		case c < 0x20 || c >= 0x7f || c == '\\':
+			p.bad = true
+		}
+	}
+	p.bad = true
+	return nil
+}
+
+// number consumes one JSON number literal: -?(0|[1-9][0-9]*), and with
+// fraction set, (\.[0-9]+)?([eE][+-]?[0-9]+)?. The caller checks what follows.
+func (p *cursor) number(fraction bool) []byte {
+	start := p.i
+	p.has('-')
+	first := p.i
+	p.digits()
+	p.bad = p.bad || p.b[first] == '0' && p.i-first > 1
+	if fraction && p.has('.') {
+		p.digits()
+	}
+	if fraction && (p.has('e') || p.has('E')) {
+		if !p.has('+') {
+			p.has('-')
+		}
+		p.digits()
+	}
+	if p.bad {
+		return nil
+	}
+	return p.b[start:p.i]
+}
+
+// integer converts a literal as encoding/json does for an int field.
+func (p *cursor) integer() int64 {
+	n, err := strconv.ParseInt(string(p.number(false)), 10, 64)
+	p.bad = p.bad || err != nil
+	return n
+}
+
+// float converts a literal as encoding/json does for a float64; one that
+// strconv.ParseFloat rejects (out of range) is the fallback's to report.
+func (p *cursor) float() float64 {
+	f, err := strconv.ParseFloat(string(p.number(true)), 64)
+	p.bad = p.bad || err != nil
+	return f
+}
+
+func (p *cursor) boolean() bool {
+	if p.hasLit("true") {
+		return true
+	}
+	p.want("false")
+	return false
+}
+
+// decodeRequest is the request fast path: data into c.req, rows into the
+// call's block. False means the fallback must decide.
+func (c *predictCall) decodeRequest(data []byte) bool {
+	// encoding/json decodes [] to an empty non-nil slice; slicing non-nil
+	// storage keeps that.
+	if c.block == nil {
+		c.block, c.rows = make([]float64, 0, 2048), make([][]float64, 0, 16)
+	}
+	c.block, c.rows, c.req = c.block[:0], c.rows[:0], PredictRequest{}
+	p := cursor{b: data}
+	p.space()
+	p.want("{")
+	var seen [4]bool // system, version, row, rows: a repeated key is the fallback's
+	var rowAt, rowEnd, rowsAt int
+	p.space()
+	for first := true; !p.bad && !p.has('}'); first = false {
+		if !first {
+			p.want(",")
+			p.space()
+		}
+		key := p.str()
+		p.space()
+		p.want(":")
+		p.space()
+		k := 0
+		switch string(key) {
+		case "system":
+			c.req.System = string(p.str())
+		case "version":
+			k, c.req.Version = 1, int(p.integer())
+		case "row":
+			k, rowAt = 2, len(c.block)
+			c.values(&p)
+			rowEnd = len(c.block)
+		case "rows":
+			k, rowsAt = 3, len(c.block)
+			p.want("[")
+			p.space()
+			for first := true; !p.bad && !p.has(']'); first = false {
+				if !first {
+					p.want(",")
+					p.space()
+				}
+				start := len(c.block)
+				c.values(&p)
+				c.rows = append(c.rows, c.block[start:])
+				p.space()
+			}
+		default:
+			return false
+		}
+		p.bad = p.bad || seen[k]
+		seen[k] = true
+		p.space()
+	}
+	if p.bad {
+		return false
+	}
+	// The block may have moved while it grew, so the headers are cut from
+	// where it ended up: rows lie back to back from rowsAt in arrival order.
+	if seen[2] {
+		c.req.Row = c.block[rowAt:rowEnd:rowEnd]
+	}
+	if seen[3] {
+		at := rowsAt
+		for k, r := range c.rows {
+			c.rows[k] = c.block[at : at+len(r) : at+len(r)]
+			at += len(r)
+		}
+		c.req.Rows = c.rows
+	}
+	return true
+}
+
+// values consumes one [n, n, ...] array onto the block.
+func (c *predictCall) values(p *cursor) {
+	p.want("[")
+	p.space()
+	for first := true; !p.bad && !p.has(']'); first = false {
+		if !first {
+			p.want(",")
+			p.space()
+		}
+		c.block = append(c.block, p.float())
+		p.space()
+	}
+}
+
+// finite reports whether JSON can carry f.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// appendFloat appends a finite f the way encoding/json renders a float64.
+func appendFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && (dst[n-3] == '-' || dst[n-3] == '+') && dst[n-2] == '0' {
+		// e-09 → e-9, as encoding/json cleans it up.
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// AppendJSONString appends s quoted as encoding/json quotes it. Anything it
+// would escape (HTML-unsafe bytes included) or validate goes through it.
+func AppendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(dst, q...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
+}
+
+// timingKeys are the server_timings object's keys as they appear on the
+// wire, in the order of ServerTimings.fields.
+var timingKeys = [...]string{`,"server_timings":{"total_ns":`, `,"cache_lookup_ns":`, `,"queue_wait_ns":`,
+	`,"wave_assemble_ns":`, `,"evaluate_ns":`, `,"guard_ns":`, `,"finalize_ns":`, `,"observe_ns":`}
+
+func (t *ServerTimings) fields() [len(timingKeys)]*int64 {
+	return [...]*int64{&t.TotalNs, &t.CacheLookupNs, &t.QueueWaitNs, &t.WaveAssembleNs,
+		&t.EvaluateNs, &t.GuardNs, &t.FinalizeNs, &t.ObserveNs}
+}
+
+func appendInt(dst []byte, key string, n int64) []byte {
+	return strconv.AppendInt(append(dst, key...), n, 10)
+}
+
+// AppendPredictResponse appends exactly the bytes json.NewEncoder(w).Encode
+// emits for resp, trailing newline included. A non-finite value, which JSON
+// cannot carry, is an error and leaves dst unusable.
+func AppendPredictResponse(dst []byte, resp *PredictResponse) ([]byte, error) {
+	dst = AppendJSONString(append(dst, `{"system":`...), resp.System)
+	dst = appendInt(dst, `,"version":`, int64(resp.Version))
+	dst = appendInt(dst, `,"count":`, int64(resp.Count))
+	if resp.Predictions == nil {
+		dst = append(dst, `,"predictions":null`...)
+	} else {
+		dst = append(dst, `,"predictions":[`...)
+		for i := range resp.Predictions {
+			pr := &resp.Predictions[i]
+			g := pr.Guard
+			if !finite(pr.Log10Throughput) || !finite(pr.Throughput) ||
+				g != nil && !(finite(g.EU) && finite(g.AU) && finite(g.NoiseFloorPct)) {
+				return dst, fmt.Errorf("serve: prediction %d holds a non-finite value, which JSON cannot carry", i)
+			}
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendFloat(append(dst, `{"log10_throughput":`...), pr.Log10Throughput)
+			dst = appendFloat(append(dst, `,"throughput_bytes_per_sec":`...), pr.Throughput)
+			if g != nil {
+				dst = appendFloat(append(dst, `,"guard":{"eu":`...), g.EU)
+				dst = appendFloat(append(dst, `,"au":`...), g.AU)
+				dst = strconv.AppendBool(append(dst, `,"ood":`...), g.OoD)
+				dst = strconv.AppendBool(append(dst, `,"at_noise_floor":`...), g.AtNoiseFloor)
+				if g.NoiseFloorPct != 0 {
+					dst = appendFloat(append(dst, `,"noise_floor_pct":`...), g.NoiseFloorPct)
+				}
+				dst = AppendJSONString(append(dst, `,"error_source":`...), g.ErrorSource)
+				dst = append(dst, '}')
+			}
+			dst = strconv.AppendBool(append(dst, `,"cache_hit":`...), pr.CacheHit)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	if resp.TraceID != "" {
+		dst = AppendJSONString(append(dst, `,"trace_id":`...), resp.TraceID)
+	}
+	if t := resp.ServerTimings; t != nil {
+		for i, ns := range t.fields() {
+			dst = appendInt(dst, timingKeys[i], *ns)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, "}\n"...), nil
+}
+
+// DecodePredictResponse reads a replica's reply. The fast path takes exactly
+// what AppendPredictResponse (and encoding/json before it) emits, into one
+// []PredictionResult and one []Guard block; any other shape — an older or
+// newer replica, whitespace, reordered keys — is encoding/json's to decode.
+func DecodePredictResponse(data []byte) (*PredictResponse, error) {
+	out := new(PredictResponse)
+	if decodeResponse(data, out) {
+		return out, nil
+	}
+	*out = PredictResponse{}
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+func decodeResponse(data []byte, out *PredictResponse) bool {
+	p := cursor{b: data}
+	p.want(`{"system":`)
+	system := p.str()
+	p.want(`,"version":`)
+	version := p.integer()
+	p.want(`,"count":`)
+	count := p.integer()
+	p.want(`,"predictions":[`)
+	// Both blocks are sized once from count: a guard pointer must not be
+	// left behind by a growing slice. The shortest prediction is 68 bytes,
+	// which bounds what a lying count can make this allocate.
+	if p.bad || count < 0 || count > int64(len(data)/64) {
+		return false
+	}
+	out.System, out.Version, out.Count = string(system), int(version), int(count)
+	out.Predictions = make([]PredictionResult, 0, count)
+	var guards []Guard
+	for !p.bad && !p.has(']') {
+		if len(out.Predictions) == cap(out.Predictions) {
+			return false
+		}
+		if len(out.Predictions) > 0 {
+			p.want(",")
+		}
+		var pr PredictionResult
+		p.want(`{"log10_throughput":`)
+		pr.Log10Throughput = p.float()
+		p.want(`,"throughput_bytes_per_sec":`)
+		pr.Throughput = p.float()
+		if p.hasLit(`,"guard":{"eu":`) {
+			if guards == nil {
+				guards = make([]Guard, 0, count)
+			}
+			guards = guards[:len(guards)+1]
+			g := &guards[len(guards)-1]
+			g.EU = p.float()
+			p.want(`,"au":`)
+			g.AU = p.float()
+			p.want(`,"ood":`)
+			g.OoD = p.boolean()
+			p.want(`,"at_noise_floor":`)
+			g.AtNoiseFloor = p.boolean()
+			if p.hasLit(`,"noise_floor_pct":`) {
+				g.NoiseFloorPct = p.float()
+			}
+			p.want(`,"error_source":`)
+			g.ErrorSource = string(p.str())
+			p.want("}")
+			pr.Guard = g
+		}
+		p.want(`,"cache_hit":`)
+		pr.CacheHit = p.boolean()
+		p.want("}")
+		out.Predictions = append(out.Predictions, pr)
+	}
+	if p.hasLit(`,"trace_id":`) {
+		out.TraceID = string(p.str())
+	}
+	if p.hasLit(timingKeys[0]) {
+		out.ServerTimings = new(ServerTimings)
+		for i, ns := range out.ServerTimings.fields() {
+			if i > 0 {
+				p.want(timingKeys[i])
+			}
+			*ns = p.integer()
+		}
+		p.want("}")
+	}
+	// The streaming decoder this replaces never looked past the closing
+	// brace either.
+	p.want("}")
+	return !p.bad
+}
+
+// AppendPredictRequest appends json.Marshal(req): the body of the hop from
+// router to replica. A non-finite feature value is an error, as it is to
+// json.Marshal.
+func AppendPredictRequest(dst []byte, req *PredictRequest) ([]byte, error) {
+	dst = AppendJSONString(append(dst, `{"system":`...), req.System)
+	if req.Version != 0 {
+		dst = appendInt(dst, `,"version":`, int64(req.Version))
+	}
+	var err error
+	if len(req.Row) > 0 {
+		if dst, err = appendRow(append(dst, `,"row":`...), req.Row); err != nil {
+			return dst, err
+		}
+	}
+	if len(req.Rows) > 0 {
+		dst = append(dst, `,"rows":[`...)
+		for i, row := range req.Rows {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			if dst, err = appendRow(dst, row); err != nil {
+				return dst, err
+			}
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}'), nil
+}
+
+func appendRow(dst []byte, row []float64) ([]byte, error) {
+	if row == nil {
+		return append(dst, "null"...), nil
+	}
+	dst = append(dst, '[')
+	for i, f := range row {
+		if !finite(f) {
+			return dst, fmt.Errorf("serve: feature %d is non-finite, which JSON cannot carry", i)
+		}
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendFloat(dst, f)
+	}
+	return append(dst, ']'), nil
+}
+
+// WriteJSONBody writes one already-encoded JSON body with its length.
+func WriteJSONBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body) // a client that went away is the only failure
+}

@@ -1,0 +1,500 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"iotaxo/internal/resilience"
+	"iotaxo/internal/resilience/chaos"
+)
+
+// The wire codec's contract is "byte-compatible with encoding/json", so
+// every test here compares it against encoding/json on the same input: the
+// decode sequence the handlers ran before the codec existed
+// (decodeRequestJSON, json.Decoder for replies) and json.Marshal.
+
+func sameFloats(a, b []float64) bool {
+	if (a == nil) != (b == nil) || len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameRequest is reflect.DeepEqual with floats compared by bits, so -0 is
+// not 0.
+func sameRequest(a, b *PredictRequest) bool {
+	if a.System != b.System || a.Version != b.Version || !sameFloats(a.Row, b.Row) ||
+		(a.Rows == nil) != (b.Rows == nil) || len(a.Rows) != len(b.Rows) {
+		return false
+	}
+	for i := range a.Rows {
+		if !sameFloats(a.Rows[i], b.Rows[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameResponse(a, b *PredictResponse) bool {
+	if a.System != b.System || a.Version != b.Version || a.Count != b.Count || a.TraceID != b.TraceID ||
+		(a.Predictions == nil) != (b.Predictions == nil) || len(a.Predictions) != len(b.Predictions) ||
+		(a.ServerTimings == nil) != (b.ServerTimings == nil) ||
+		(a.ServerTimings != nil && *a.ServerTimings != *b.ServerTimings) {
+		return false
+	}
+	for i := range a.Predictions {
+		x, y := a.Predictions[i], b.Predictions[i]
+		if (x.Guard == nil) != (y.Guard == nil) || x.CacheHit != y.CacheHit ||
+			!sameFloats([]float64{x.Log10Throughput, x.Throughput}, []float64{y.Log10Throughput, y.Throughput}) {
+			return false
+		}
+		if g, h := x.Guard, y.Guard; g != nil && (g.OoD != h.OoD || g.AtNoiseFloor != h.AtNoiseFloor || g.ErrorSource != h.ErrorSource ||
+			!sameFloats([]float64{g.EU, g.AU, g.NoiseFloorPct}, []float64{h.EU, h.AU, h.NoiseFloorPct})) {
+			return false
+		}
+	}
+	return true
+}
+
+// requestSeeds are the edge cases the request decoder must agree with
+// encoding/json on; the checked-in corpus adds the bench's own bodies.
+var requestSeeds = []string{
+	`{"system":"theta","row":[1,2,3]}`,
+	`{"system":"theta","version":2,"rows":[[1,2],[3,4]]}`,
+	`{"system":"theta","rows":[[-0,1e-7,1E+21,0.1e1,-1.5E-3,123456789012345678901234567890]]}`,
+	`{"system":"theta","row":[01]}`,
+	`{"system":"theta","row":[1e999]}`,
+	`{"system":"theta","row":[-]}`,
+	`{"system":"theta","row":[1.]}`,
+	`{"system":"theta","row":[.5]}`,
+	`{"system":"theta","row":[+1]}`,
+	`{"system":"theta","row":[1,]}`,
+	`{"system":"theta","row":[NaN]}`,
+	" \t\r\n{ \"system\" : \"theta\" , \"rows\" : [ [ 1 , 2 ] , [ 3 ] ] } \n",
+	`{"system":"theta","row":[1]} trailing bytes {`,
+	`{"system":"theta","row":[1]}{"system":"cori"}`,
+	`{"system":"theta","row":null}`,
+	`{"system":"theta","rows":null}`,
+	`{"system":"theta","rows":[null,[1]]}`,
+	`{"system":"theta","row":[1],"rows":[[2]]}`,
+	`{"system":"theta","rows":[[2],[3]],"row":[1]}`,
+	`{"system":"theta","row":[]}`,
+	`{"system":"theta","rows":[]}`,
+	`{"system":"theta","rows":[[],[1,2],[]]}`,
+	`{"system":"theta","rows":[[1],[2,3],[4,5,6]]}`,
+	`{}`,
+	`{"system":""}`,
+	`null`,
+	`[1]`,
+	`"theta"`,
+	`{"system":"theta","row":[1],"extra":1}`,
+	`{"System":"theta","ROW":[1]}`,
+	`{"system":"a","system":"b","row":[1],"row":[2,3]}`,
+	`{"system":"theta","row":[1]}`,
+	`{"system":"thé","row":[1]}`,
+	"{\"system\":\"a\x00b\",\"row\":[1]}",
+	"{\"system\":\"a\xffb\",\"row\":[1]}",
+	`{"system":null,"row":[1]}`,
+	`{"system":7,"row":[1]}`,
+	`{"system":"theta","version":0,"row":[1]}`,
+	`{"system":"theta","version":-0,"row":[1]}`,
+	`{"system":"theta","version":-3,"row":[1]}`,
+	`{"system":"theta","version":1.0,"row":[1]}`,
+	`{"system":"theta","version":1e2,"row":[1]}`,
+	`{"system":"theta","version":01,"row":[1]}`,
+	`{"system":"theta","version":99999999999999999999,"row":[1]}`,
+	`{"system":"theta","version":"2","row":[1]}`,
+	`{"system":"theta","row":[true]}`,
+	`{"system":"theta","row":["1"]}`,
+	`{"system":"theta","row":[[1]]}`,
+	`{"system":"theta","rows":[1]}`,
+	`{"system":"theta","row":[1]`,
+	`{"system":"theta",}`,
+	`{`,
+	``,
+}
+
+func FuzzDecodePredictRequest(f *testing.F) {
+	for _, s := range requestSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var want PredictRequest
+		wantErr := decodeRequestJSON(data, nil, &want)
+
+		// The fast path alone: whatever it accepts, it decodes as the
+		// oracle does. A call that has served before must behave like a
+		// fresh one.
+		used := new(predictCall)
+		used.decodeRequest([]byte(`{"system":"before","version":9,"row":[1],"rows":[[2,3],[4]]}`))
+		for _, c := range []*predictCall{new(predictCall), used} {
+			if c.decodeRequest(data) {
+				if wantErr != nil {
+					t.Fatalf("fast path accepted what encoding/json rejects (%v): %q", wantErr, data)
+				}
+				if !sameRequest(&c.req, &want) {
+					t.Fatalf("fast path decoded %+v, encoding/json %+v: %q", c.req, want, data)
+				}
+			}
+		}
+
+		// The whole envelope: same accept/reject, same status, same text.
+		rec := httptest.NewRecorder()
+		accepted := false
+		HandlePredictRequest(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(data)), 0,
+			func(_ context.Context, req *PredictRequest, buf []byte) ([]byte, error) {
+				accepted = true
+				if !sameRequest(req, &want) {
+					t.Fatalf("decoded %+v, encoding/json %+v: %q", req, want, data)
+				}
+				// And the hop's encoder is json.Marshal on whatever was decoded.
+				wantHop, err := json.Marshal(&want)
+				gotHop, gotErr := AppendPredictRequest(nil, req)
+				if (err == nil) != (gotErr == nil) || err == nil && !bytes.Equal(gotHop, wantHop) {
+					t.Fatalf("hop request %q (%v), json.Marshal %q (%v)", gotHop, gotErr, wantHop, err)
+				}
+				return buf, nil
+			})
+		if accepted != (wantErr == nil) {
+			t.Fatalf("accepted=%v, encoding/json error %v: %q", accepted, wantErr, data)
+		}
+		if !accepted {
+			wantBody, _ := json.Marshal(map[string]string{"error": "decoding request: " + wantErr.Error()})
+			if rec.Code != http.StatusBadRequest || rec.Body.String() != string(wantBody)+"\n" {
+				t.Fatalf("rejected with %d %q, want 400 %q", rec.Code, rec.Body.String(), wantBody)
+			}
+		}
+	})
+}
+
+func FuzzDecodePredictResponse(f *testing.F) {
+	for _, s := range []string{
+		`{"system":"theta","version":1,"count":1,"predictions":[{"log10_throughput":9.5,"throughput_bytes_per_sec":3162277660.1683793,"cache_hit":false}]}` + "\n",
+		`{"system":"theta","version":2,"count":2,"predictions":[{"log10_throughput":-0,"throughput_bytes_per_sec":1e-7,"guard":{"eu":0.1,"au":1E+21,"ood":true,"at_noise_floor":false,"noise_floor_pct":0.05,"error_source":"generalization"},"cache_hit":true},{"log10_throughput":1,"throughput_bytes_per_sec":10,"guard":{"eu":0,"au":0,"ood":false,"at_noise_floor":true,"error_source":"somethin<g> new"},"cache_hit":false}],"trace_id":"00ff","server_timings":{"total_ns":8,"cache_lookup_ns":1,"queue_wait_ns":2,"wave_assemble_ns":3,"evaluate_ns":4,"guard_ns":5,"finalize_ns":6,"observe_ns":7}}`,
+		`{"system":"theta","version":1,"count":0,"predictions":[]}`,
+		`{"system":"theta","version":1,"count":0,"predictions":null}`,
+		`{"system":"theta","version":1,"count":5,"predictions":[]}`,
+		`{"system":"theta","version":1,"count":0,"predictions":[{"log10_throughput":1,"throughput_bytes_per_sec":10,"cache_hit":false}]}`,
+		`{"system":"theta","version":1,"count":1,"predictions":[{"log10_throughput":1e999,"throughput_bytes_per_sec":10,"cache_hit":false}]}`,
+		`{"system":"theta","version":1,"count":1,"predictions":[{"log10_throughput":1,"throughput_bytes_per_sec":10,"cache_hit":false},]}`,
+		`{"system":"theta","version":1,"count":1,"predictions":[{"log10_throughput":1,"throughput_bytes_per_sec":10,"guard":null,"cache_hit":false}]}`,
+		`{"system":"theta","version":1,"count":1,"predictions":[{"log10_throughput":1,"throughput_bytes_per_sec":10,"cache_hit":false}],"trace_id":""}`,
+		`{"system":"theta","version":1,"count":1,"predictions":[{"log10_throughput":1,"throughput_bytes_per_sec":10,"cache_hit":false}],"replicas":[{"replica":"r0","rows":1,"version":1}],"membership_epoch":3}`,
+		`{"system":"theta","version":1,"count":1,"predictions":[{"log10_throughput":1,"throughput_bytes_per_sec":10,"cache_hit":false}]} trailing {`,
+		`{"count":1,"system":"theta","version":1,"predictions":[{"cache_hit":true,"log10_throughput":1,"throughput_bytes_per_sec":10}]}`,
+		` {"system": "theta", "version": 1, "count": 0, "predictions": []}`,
+		`{"error":"overloaded"}`,
+		`{"system":"theta","version":1,"count":1,"predictions":[{"log10_throughput":1`,
+		``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// What Remote.Predict ran before the codec: a streaming Decode,
+		// which (unlike json.Unmarshal) does not look past the value.
+		var want PredictResponse
+		wantErr := json.NewDecoder(bytes.NewReader(data)).Decode(&want)
+		got, err := DecodePredictResponse(data)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("error %v, encoding/json %v: %q", err, wantErr, data)
+		}
+		if err == nil && !sameResponse(got, &want) {
+			t.Fatalf("decoded %+v, encoding/json %+v: %q", got, want, data)
+		}
+		var fast PredictResponse
+		if decodeResponse(data, &fast) && (wantErr != nil || !sameResponse(&fast, &want)) {
+			t.Fatalf("fast path decoded %+v, encoding/json %+v (%v): %q", fast, want, wantErr, data)
+		}
+	})
+}
+
+func FuzzAppendPredictResponse(f *testing.F) {
+	f.Add("theta", 2, 10.5, 31622776601.683792, 0.08, 0.36, 0.027, "app/system-modeling", "00ff00ff00ff00ff", int64(123456), uint8(0xff))
+	f.Add("a<b>&\"c\\\n\t\x00\x7f", -1, math.Copysign(0, -1), 1e-7, 1e21, 1e-6, 0.0, "généralisation ", "", int64(-1), uint8(0x07))
+	f.Add("bad\xffutf8", 0, 5e-324, math.MaxFloat64, 123456789.125, 1e20, math.Copysign(0, -1), "", "id", int64(0), uint8(0x32))
+	f.Add("theta", 1, math.Inf(1), 1.0, 0.0, 0.0, 0.0, "", "", int64(0), uint8(0x03))
+	f.Add("theta", 1, 1.0, 1.0, math.NaN(), 0.0, 0.0, "", "", int64(0), uint8(0x03))
+	f.Fuzz(func(t *testing.T, system string, version int, a, b, eu, au, floor float64, source, traceID string, ns int64, shape uint8) {
+		// shape: bits 0-1 prediction count (3 = nil slice), bit 2 guard on
+		// the first prediction, bits 3-4 its booleans, bit 5 timings.
+		resp := &PredictResponse{System: system, Version: version, Count: int(shape & 3), TraceID: traceID}
+		if n := int(shape & 3); n < 3 {
+			resp.Predictions = make([]PredictionResult, n)
+			for i := range resp.Predictions {
+				resp.Predictions[i] = PredictionResult{Log10Throughput: a, Throughput: b, CacheHit: shape&8 != 0}
+				if shape&4 != 0 && i == 0 {
+					resp.Predictions[i].Guard = &Guard{EU: eu, AU: au, OoD: shape&8 != 0, AtNoiseFloor: shape&16 != 0, NoiseFloorPct: floor, ErrorSource: source}
+				}
+			}
+		}
+		if shape&32 != 0 {
+			resp.ServerTimings = &ServerTimings{TotalNs: ns, CacheLookupNs: -ns, QueueWaitNs: ns / 2, WaveAssembleNs: 1, EvaluateNs: ns, GuardNs: 0, FinalizeNs: math.MaxInt64, ObserveNs: math.MinInt64}
+		}
+		want, wantErr := json.Marshal(resp)
+		got, err := AppendPredictResponse([]byte("prefix"), resp)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("error %v, json.Marshal %v for %+v", err, wantErr, resp)
+		}
+		if err == nil && string(got) != "prefix"+string(want)+"\n" {
+			t.Fatalf("encoded\n%q\njson.Marshal\n%q", got, want)
+		}
+	})
+}
+
+func TestAppendJSONStringMatchesMarshal(t *testing.T) {
+	for _, s := range []string{"", "theta", `missing "system"`, "a\\b", "<script>&amp;", "tab\tnl\ncr\rbs\bff\fnul\x00esc\x1bdel\x7f", "é  ", "\xff\xfe"} {
+		want, _ := json.Marshal(s)
+		if got := AppendJSONString(nil, s); string(got) != string(want) {
+			t.Errorf("%q: got %s, json.Marshal %s", s, got, want)
+		}
+	}
+}
+
+// The non-finite bug: before the codec, a NaN or Inf prediction was a 200
+// with an empty body (the encoder's error was dropped after the header).
+func TestNonFinitePredictionIsA500(t *testing.T) {
+	reg := fixtureRegistry(t)
+	svc := NewService(reg, Options{})
+	t.Cleanup(svc.Close)
+	for _, bad := range []PredictionResult{
+		{Log10Throughput: math.NaN(), Throughput: 1},
+		{Log10Throughput: 400, Throughput: math.Inf(1)},
+		{Log10Throughput: 1, Throughput: 10, Guard: &Guard{EU: math.Inf(-1)}},
+		{Log10Throughput: 1, Throughput: 10, Guard: &Guard{AU: math.NaN()}},
+	} {
+		resp := &PredictResponse{System: "theta", Version: 2, Count: 2, Predictions: []PredictionResult{{Log10Throughput: 1, Throughput: 10}, bad}}
+		if _, err := AppendPredictResponse(nil, resp); err == nil || !strings.Contains(err.Error(), "prediction 1") {
+			t.Fatalf("encoder accepted %+v (err %v)", bad, err)
+		}
+		before := svc.Metrics().Errors.Load()
+		rec := httptest.NewRecorder()
+		replyPredict(svc, rec, nil, resp)
+		var body map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != http.StatusInternalServerError || !strings.Contains(body["error"], "non-finite") {
+			t.Fatalf("%+v: status %d body %q, want 500 with the uniform error body", bad, rec.Code, rec.Body.String())
+		}
+		if got := svc.Metrics().Errors.Load(); got != before+1 {
+			t.Errorf("ioserve_errors_total moved by %d, want 1", got-before)
+		}
+	}
+}
+
+// A body that overflows the bound is refused the way the streaming decoder
+// refused it, and one that completes its value first is still served.
+func TestOversizeBodyKeepsEncodingJSONSemantics(t *testing.T) {
+	post := func(body []byte) (*PredictRequest, *httptest.ResponseRecorder) {
+		rec := httptest.NewRecorder()
+		var got *PredictRequest
+		HandlePredictRequest(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)), 0,
+			func(_ context.Context, req *PredictRequest, buf []byte) ([]byte, error) {
+				got = &PredictRequest{System: req.System, Version: req.Version, Row: append([]float64(nil), req.Row...)}
+				return buf, nil
+			})
+		return got, rec
+	}
+	pad := bytes.Repeat([]byte(" "), maxRequestBody)
+	if got, rec := post(append(pad, `{"system":"theta","row":[1]}`...)); got != nil || rec.Code != http.StatusBadRequest ||
+		!strings.Contains(rec.Body.String(), "decoding request: http: request body too large") {
+		t.Fatalf("value beyond the bound: accepted=%v %d %s", got != nil, rec.Code, rec.Body.String())
+	}
+	got, rec := post(append([]byte(`{"system":"theta","row":[1]}`), pad...))
+	if got == nil {
+		t.Fatalf("value inside the bound, padding beyond it: %d %s", rec.Code, rec.Body.String())
+	}
+	if !sameRequest(got, &PredictRequest{System: "theta", Row: []float64{1}}) {
+		t.Fatalf("decoded %+v", got)
+	}
+	// The 16 MiB buffer that call grew must not have gone back to the pool.
+	if c := callPool.Get().(*predictCall); cap(c.buf) > maxPooledCall {
+		t.Fatalf("a %d-byte buffer went back to the pool", cap(c.buf))
+	}
+}
+
+// The steady state of both directions allocates one thing, the request's
+// system name: every request after the first reuses the call's buffers.
+func TestCodecSteadyStateReusesItsBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	frame, _, _ := fixture(t)
+	body, err := json.Marshal(PredictRequest{System: "theta", Rows: [][]float64{frame.Row(0), frame.Row(1), frame.Row(2), frame.Row(3)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := &PredictResponse{System: "theta", Version: 2, Count: 4, TraceID: "00ff", ServerTimings: &ServerTimings{TotalNs: 1}}
+	for i := 0; i < 4; i++ {
+		resp.Predictions = append(resp.Predictions, PredictionResult{Log10Throughput: 9.25, Throughput: 1778279410.0389228,
+			Guard: &Guard{EU: 0.08, AU: 0.3, NoiseFloorPct: 0.027, ErrorSource: SourceModeling}})
+	}
+	c := new(predictCall)
+	allocs := testing.AllocsPerRun(100, func() {
+		if !c.decodeRequest(body) {
+			t.Fatal("fast path refused a json.Marshal body")
+		}
+		if c.buf, err = AppendPredictResponse(c.buf[:0], resp); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("decode + encode allocated %.1f times per request, want at most 1", allocs)
+	}
+}
+
+// The row-block lifetime rule under fire: concurrent callers with distinct
+// rows, a third of them on a 1 ms deadline that expires while the chaos
+// latency holds their wave inside a worker. A block recycled while that
+// worker still reads it is a race report under -race, or a prediction that
+// belongs to another caller's row.
+func TestRowBlockIsNotRecycledUnderAnAbandonedWave(t *testing.T) {
+	frame, _, v2 := fixture(t)
+	inj := chaos.NewInjector(chaos.Config{Latency: 3 * time.Millisecond, LatencyProb: 1}, 1)
+	svc := NewService(fixtureRegistry(t), Options{MaxBatch: 8, Workers: 2, CacheSize: 256, Chaos: inj})
+	t.Cleanup(svc.Close)
+	ts := httptest.NewServer(Handler(svc))
+	t.Cleanup(ts.Close)
+
+	const callers, perCaller, batch = 8, 24, 3
+	var served, expired atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perCaller; i++ {
+				rows := make([][]float64, batch)
+				for k := range rows {
+					rows[k] = append([]float64(nil), frame.Row((c*perCaller+i+k)%frame.Len())...)
+					rows[k][0] += float64((c*perCaller+i)*batch + k + 1) // no two rows of the run are equal
+				}
+				body, err := json.Marshal(PredictRequest{System: "theta", Rows: rows})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/predict", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if i%3 == 0 {
+					req.Header.Set(DeadlineHeader, "1")
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var pr PredictResponse
+				err = json.NewDecoder(resp.Body).Decode(&pr)
+				resp.Body.Close()
+				switch {
+				case resp.StatusCode == http.StatusGatewayTimeout:
+					expired.Add(1)
+				case resp.StatusCode != http.StatusOK || err != nil || len(pr.Predictions) != batch:
+					t.Errorf("caller %d request %d: status %d, decode error %v, %d predictions", c, i, resp.StatusCode, err, len(pr.Predictions))
+				default:
+					served.Add(1)
+					for k, p := range pr.Predictions {
+						if want := v2.Model.Predict(rows[k]); math.Float64bits(p.Log10Throughput) != math.Float64bits(want) {
+							t.Errorf("caller %d request %d row %d: served %v, tree walk of its own row %v", c, i, k, p.Log10Throughput, want)
+						}
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if served.Load() == 0 || expired.Load() == 0 {
+		t.Fatalf("%d served, %d expired: the test needs both", served.Load(), expired.Load())
+	}
+}
+
+// The one observable difference the codec brings: a body is read to its end
+// before it is parsed, so a request whose first bytes are already malformed
+// holds its admission slot until the client has sent the rest (up to the
+// 16 MiB bound), as a well-formed body always did. Everything else is as
+// before: the slot sheds others while held and is freed by the 400, the 400
+// is encoding/json's for those bytes, and the deadline header (which never
+// covered the body read) is not consulted for a body that does not decode.
+func TestMalformedPrefixHoldsItsSlotUntilTheBodyEnds(t *testing.T) {
+	svc := NewService(fixtureRegistry(t), Options{})
+	t.Cleanup(svc.Close)
+	gate := resilience.NewGate(resilience.GateConfig{MaxInflight: 1, HardLimit: 1})
+	ts := httptest.NewServer(NewHandler(svc, HandlerConfig{Gate: gate, DefaultDeadline: time.Minute}))
+	t.Cleanup(ts.Close)
+	frame, _, _ := fixture(t)
+	good, err := json.Marshal(PredictRequest{System: "theta", Row: frame.Row(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type reply struct {
+		status int
+		text   string
+		err    error
+	}
+	post := func(body io.Reader) reply {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/predict", body)
+		if err != nil {
+			return reply{err: err}
+		}
+		req.Header.Set(DeadlineHeader, "1") // 1 ms: far less than the upload takes
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return reply{err: err}
+		}
+		defer resp.Body.Close()
+		text, err := io.ReadAll(resp.Body)
+		return reply{resp.StatusCode, string(text), err}
+	}
+
+	prefix := []byte(`{"bogus":1,"system":"theta","row":[`)
+	pr, pw := io.Pipe()
+	t.Cleanup(func() { pw.Close() }) // a failure mid-upload must not leave the server reading
+	done := make(chan reply, 1)
+	go func() { done <- post(pr) }()
+	if _, err := pw.Write(prefix); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); gate.Status().Inflight != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the upload never took its admission slot")
+		}
+	}
+	if got := post(bytes.NewReader(good)); got.err != nil || got.status != http.StatusTooManyRequests {
+		t.Fatalf("request beside the held slot: %d %s (%v), want 429", got.status, got.text, got.err)
+	}
+	rest := append(bytes.Repeat([]byte("1,"), 1<<20), "1]}"...)
+	if _, err := pw.Write(rest); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	got := <-done
+	wantErr := decodeRequestJSON(append(prefix, rest...), nil, new(PredictRequest))
+	wantBody, _ := json.Marshal(map[string]string{"error": "decoding request: " + wantErr.Error()})
+	if got.err != nil || got.status != http.StatusBadRequest || got.text != string(wantBody)+"\n" {
+		t.Fatalf("malformed upload: %d %q (%v), want 400 %q", got.status, got.text, got.err, wantBody)
+	}
+	for deadline := time.Now().Add(5 * time.Second); gate.Status().Inflight != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the 400 did not free the admission slot")
+		}
+	}
+	if c := callPool.Get().(*predictCall); cap(c.buf) > maxPooledCall {
+		t.Fatalf("the upload's %d-byte buffer went back to the pool", cap(c.buf))
+	}
+}

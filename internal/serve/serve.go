@@ -112,6 +112,10 @@ type PredictionResult struct {
 // implementations must be cheap, non-blocking, and panic-free; anything
 // expensive belongs on the observer's own queue. The drift detectors
 // (internal/drift) use this to watch the live feature distribution.
+//
+// rows is only on loan: over HTTP it is the request's pooled row block
+// (codec.go), recycled once the response is written. An observer reads it
+// during the call and keeps a copy of whatever it wants afterwards.
 type Observer interface {
 	ObserveServed(mv *ModelVersion, rows [][]float64, results []PredictionResult)
 }
@@ -387,7 +391,12 @@ func (s *Service) predict(ctx context.Context, system string, version int, rows 
 	}
 	cacheStart := time.Now()
 	for i, row := range rows {
-		key := HashKey(mv.System, mv.Version, row)
+		// Without a cache nothing reads the key, and hashing a row costs
+		// about as much as a cache probe.
+		var key uint64
+		if s.cache != nil {
+			key = HashKey(mv.System, mv.Version, row)
+		}
 		if res, ok := s.cache.Get(key, row, mv); ok {
 			setResult(i, res, true)
 			hits++

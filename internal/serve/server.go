@@ -95,11 +95,6 @@ func serverTimings(tm *obs.StageTimings) *ServerTimings {
 	}
 }
 
-// errorResponse is the uniform error body.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 // DeadlineHeader is the request header carrying a per-request deadline in
 // whole milliseconds. The effective deadline is the tighter of this and
 // HandlerConfig.DefaultDeadline; a request that exceeds it is dropped
@@ -337,58 +332,50 @@ func handlePredict(svc *Service, cfg *HandlerConfig, w http.ResponseWriter, r *h
 		admitStart := time.Now()
 		defer func() { cfg.Gate.Release(time.Since(admitStart)) }()
 	}
-	var req PredictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
-		return
-	}
-	// Deadline propagation: the tighter of the server default and the
-	// client's header bounds the whole predict call — queue wait included,
-	// so an expired wave is dropped before evaluation, not after.
-	ctx := r.Context()
-	deadline := cfg.DefaultDeadline
-	if h := r.Header.Get(DeadlineHeader); h != "" {
-		ms, err := strconv.ParseInt(h, 10, 64)
-		if err != nil || ms <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("%s must be a positive integer of milliseconds", DeadlineHeader))
-			return
+	HandlePredictRequest(w, r, cfg.DefaultDeadline, func(ctx context.Context, req *PredictRequest, buf []byte) ([]byte, error) {
+		// An upstream X-Trace-Id (the fleet router's hop identity) becomes the
+		// parent of whatever trace this replica retains, so one router-side ID
+		// finds the replica-side traces of every sub-request it fanned out.
+		if h := r.Header.Get(TraceHeader); h != "" {
+			if id, err := obs.ParseTraceID(h); err == nil {
+				ctx = obs.WithTraceParent(ctx, id)
+			}
 		}
-		if d := time.Duration(ms) * time.Millisecond; deadline == 0 || d < deadline {
-			deadline = d
+		resp, traceHex, err := svc.ServeRequest(ctx, req)
+		if traceHex != "" {
+			// Set on success and error alike: a failed request's retained trace
+			// is exactly the one an operator wants to look up.
+			w.Header().Set(TraceHeader, traceHex)
 		}
-	}
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-		defer cancel()
-	}
-	// An upstream X-Trace-Id (the fleet router's hop identity) becomes the
-	// parent of whatever trace this replica retains, so one router-side ID
-	// finds the replica-side traces of every sub-request it fanned out.
-	if h := r.Header.Get(TraceHeader); h != "" {
-		if id, err := obs.ParseTraceID(h); err == nil {
-			ctx = obs.WithTraceParent(ctx, id)
+		if err != nil {
+			status := StatusForError(err)
+			if status >= 500 {
+				svc.Logger().Error("predict failed",
+					"system", req.System,
+					"status", status, "trace_id", traceHex, "err", err)
+			}
+			writeError(w, status, err.Error())
+			return buf, err
 		}
-	}
-	resp, traceHex, err := svc.ServeRequest(ctx, &req)
-	if traceHex != "" {
-		// Set on success and error alike: a failed request's retained trace
-		// is exactly the one an operator wants to look up.
-		w.Header().Set(TraceHeader, traceHex)
-	}
+		return replyPredict(svc, w, buf, resp), nil
+	})
+}
+
+// replyPredict encodes resp into buf and writes it as the 200, returning
+// buf for reuse. The encoder runs before the header: a response JSON cannot
+// carry (a non-finite prediction) is a counted, logged 500, not a 200 with
+// an empty body.
+func replyPredict(svc *Service, w http.ResponseWriter, buf []byte, resp *PredictResponse) []byte {
+	buf, err := AppendPredictResponse(buf, resp)
 	if err != nil {
-		status := StatusForError(err)
-		if status >= 500 {
-			svc.Logger().Error("predict failed",
-				"system", req.System,
-				"status", status, "trace_id", traceHex, "err", err)
-		}
-		writeError(w, status, err.Error())
-		return
+		svc.metrics.Errors.Add(1)
+		svc.logger.Error("predict response not encodable",
+			"system", resp.System, "version", resp.Version, "trace_id", resp.TraceID, "err", err)
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return buf
 	}
-	writeJSON(w, http.StatusOK, *resp)
+	WriteJSONBody(w, http.StatusOK, buf)
+	return buf
 }
 
 // handleTraceList serves GET /v1/trace: the retained traces, newest first,
@@ -546,6 +533,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// writeError writes the uniform error body, {"error": msg}.
 func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, errorResponse{Error: msg})
+	WriteJSONBody(w, status, append(AppendJSONString([]byte(`{"error":`), msg), "}\n"...))
 }
