@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt bench bench-smoke benchcmp ledger-smoke chaos-smoke fleet-smoke membership-smoke slo-smoke
+.PHONY: all build test vet fmt loc bench bench-smoke benchcmp ledger-smoke chaos-smoke fleet-smoke membership-smoke slo-smoke
 
 all: build test
 
@@ -21,6 +21,19 @@ vet:
 
 fmt:
 	gofmt -l .
+
+# The north star's tracked number: non-test Go lines of the runtime
+# packages, as lines and as code (neither blank nor comment-only).
+# `make loc LOC_PATHS=internal/serve/cache.go` counts one file.
+LOC_PATHS ?= internal/serve internal/fleet internal/obs internal/resilience internal/drift
+
+loc:
+	@lines=0; code=0; for p in $(LOC_PATHS); do \
+		set -- $$(find $$p -name '*.go' ! -name '*_test.go' -exec cat {} + | \
+			awk '{n++} !/^[ \t]*(\/\/|$$)/ {c++} END {print n+0, c+0}'); \
+		printf '%-24s %6d lines %6d code\n' $$p $$1 $$2; \
+		lines=$$((lines+$$1)); code=$$((code+$$2)); \
+	done; printf '%-24s %6d lines %6d code\n' total $$lines $$code
 
 # Full tier-2 benchmark snapshot -> BENCH_<date>.json (see scripts/bench.sh
 # for the BENCH_PATTERN / BENCH_TIME / BENCH_OUT knobs).

@@ -1,9 +1,10 @@
 package serve
 
 import (
-	"container/list"
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Duplicate-aware prediction cache. The paper's Sec. VI finding is that a
@@ -14,10 +15,22 @@ import (
 // that skip model evaluation. The cache is sharded to keep lock contention
 // off the hot path and LRU-evicting per shard so resident entries track the
 // currently-recurring duplicate sets.
+//
+// A shard is a few flat arrays with no pointers in them: fixed-width slots
+// linked into an exact LRU by index, a key -> slot map, and the rows in
+// float64 slabs at a fixed stride. A full cache therefore costs the
+// collector nothing to scan, an insert into it allocates nothing, and an
+// entry cannot keep anything else alive — in particular not the bundle that
+// produced it, which a slot names by number.
 
 // cacheShards is the shard count (power of two; keys are well-mixed FNV
 // hashes, so low bits select shards uniformly).
 const cacheShards = 16
+
+// cacheSlabRows is the number of rows in one slab of row storage. Slabs are
+// allocated as the slots they back are first used: a cache that is built
+// and never filled costs no row memory.
+const cacheSlabRows = 256
 
 // HashKey identifies a (model version, feature vector) pair. It is an
 // FNV-1a hash over the system name, version, and the raw feature bits —
@@ -45,25 +58,53 @@ func HashKey(system string, version int, row []float64) uint64 {
 	return h
 }
 
-// cacheEntry is one resident prediction.
-type cacheEntry struct {
-	key uint64
-	row []float64 // kept to disambiguate hash collisions
-	// mv is the exact bundle that produced res. A hit requires pointer
-	// equality with the bundle being served: when a live reload replaces a
-	// version in place, the new bundle is a new pointer, so entries from
-	// the old artifacts can never answer for the new ones — even in the
-	// window before InvalidateSystem reclaims them.
-	mv  *ModelVersion
-	res Result
+// bundleIDs numbers the bundles the process has cached under.
+var bundleIDs atomic.Uint64
+
+// bundleID returns mv's process-unique number, assigned on first use and
+// never reused. The cache scopes entries by it: a bundle that replaces
+// another under the same (system, version) is a different *ModelVersion,
+// hence a different number, so entries written under the old artifacts can
+// never answer for the new ones — before or after InvalidateSystem reclaims
+// them — and no entry holds a retired bundle's trees reachable.
+func (mv *ModelVersion) bundleID() uint64 {
+	if id := mv.cacheID.Load(); id != 0 {
+		return id
+	}
+	mv.cacheID.CompareAndSwap(0, bundleIDs.Add(1))
+	return mv.cacheID.Load()
+}
+
+// cacheSlot is one resident prediction, minus its row (kept in the shard's
+// slabs to disambiguate hash collisions). It must stay free of pointers,
+// strings and slices: that is what keeps the cache out of GC mark work.
+type cacheSlot struct {
+	key        uint64
+	bundle     uint64 // producing bundle's bundleID; 0 marks a free slot
+	prev, next int32  // LRU neighbours by slot index, -1 at the ends; next also threads the free list
+	width      int32  // features in the row, at most the shard's stride
+	sys        int32  // index into the shard's systems table
+	// The Result, with its Guard flattened to a fixed-width record.
+	predLog, pred         float64
+	eu, au, noiseFloorPct float64
+	ood, atNoiseFloor     bool
+	source                uint8 // 0: no Guard; else 1 + index into errorSources
 }
 
 // cacheShard is an independently locked LRU.
 type cacheShard struct {
 	mu    sync.Mutex
 	cap   int
-	items map[uint64]*list.Element
-	order *list.List // front = most recent
+	index map[uint64]int32 // key -> slot
+	slots []cacheSlot      // grows to cap, then slots are recycled
+	// head and tail are the most and least recently used slots, free the
+	// head of the list of slots InvalidateSystem emptied; -1 when none.
+	head, tail, free int32
+	// slabs[k] holds the rows of slots [k*cacheSlabRows, (k+1)*cacheSlabRows)
+	// at stride floats each; stride is the widest row seen so far.
+	stride  int
+	slabs   [][]float64
+	systems []string // system names, indexed by cacheSlot.sys
 }
 
 // Cache is a sharded LRU keyed by HashKey.
@@ -81,9 +122,10 @@ func NewCache(capacity int) *Cache {
 	perShard := (capacity + cacheShards - 1) / cacheShards
 	c := &Cache{}
 	for i := range c.shards {
-		c.shards[i].cap = perShard
-		c.shards[i].items = make(map[uint64]*list.Element, perShard)
-		c.shards[i].order = list.New()
+		s := &c.shards[i]
+		s.cap = perShard
+		s.index = make(map[uint64]int32, perShard)
+		s.head, s.tail, s.free = -1, -1, -1
 	}
 	return c
 }
@@ -105,95 +147,190 @@ func rowsEqual(a, b []float64) bool {
 	return true
 }
 
-// Get returns the cached result for (key, row) under bundle mv and marks
-// it most recent. Entries produced by a different bundle pointer (a since-
-// replaced version) never hit.
-func (c *Cache) Get(key uint64, row []float64, mv *ModelVersion) (Result, bool) {
-	if c == nil {
-		return Result{}, false
+// slabRows is the number of rows in slab k: the last one is cut to the
+// shard's capacity.
+func (s *cacheShard) slabRows(k int) int {
+	return min(cacheSlabRows, s.cap-k*cacheSlabRows)
+}
+
+// row returns slot i's row, a window into its slab that is only valid under
+// the shard lock.
+func (s *cacheShard) row(i int32) []float64 {
+	off := int(i) % cacheSlabRows * s.stride
+	return s.slabs[int(i)/cacheSlabRows][off : off+int(s.slots[i].width)]
+}
+
+// storeRow copies row into slot i's storage, first allocating the slot's
+// slab if this is the first use of any slot in it and, in the rare case a
+// wider schema than any seen so far arrives, re-striding the resident rows
+// by copy.
+func (s *cacheShard) storeRow(i int32, row []float64) {
+	if len(row) > s.stride {
+		for k, old := range s.slabs {
+			wide := make([]float64, s.slabRows(k)*len(row))
+			for r := 0; r < s.slabRows(k); r++ {
+				copy(wide[r*len(row):], old[r*s.stride:(r+1)*s.stride])
+			}
+			s.slabs[k] = wide
+		}
+		s.stride = len(row)
 	}
+	if k := int(i) / cacheSlabRows; k == len(s.slabs) {
+		s.slabs = append(s.slabs, make([]float64, s.slabRows(k)*s.stride))
+	}
+	s.slots[i].width = int32(len(row))
+	copy(s.row(i), row)
+}
+
+// unlink takes slot i out of the LRU order.
+func (s *cacheShard) unlink(i int32) {
+	e := &s.slots[i]
+	if e.prev >= 0 {
+		s.slots[e.prev].next = e.next
+	} else {
+		s.head = e.next
+	}
+	if e.next >= 0 {
+		s.slots[e.next].prev = e.prev
+	} else {
+		s.tail = e.prev
+	}
+}
+
+// pushFront makes the unlinked slot i the most recently used.
+func (s *cacheShard) pushFront(i int32) {
+	e := &s.slots[i]
+	e.prev, e.next = -1, s.head
+	if s.head >= 0 {
+		s.slots[s.head].prev = i
+	} else {
+		s.tail = i
+	}
+	s.head = i
+}
+
+// drop removes the entry in slot i and puts the slot on the free list.
+func (s *cacheShard) drop(i int32) {
+	s.unlink(i)
+	e := &s.slots[i]
+	delete(s.index, e.key)
+	e.bundle, e.next = 0, s.free
+	s.free = i
+}
+
+// claim returns an unlinked slot for a new entry: one on the free list, the
+// next never-used one or, with the shard full, the least recently used
+// entry's.
+func (s *cacheShard) claim() int32 {
+	if s.free < 0 && len(s.slots) >= s.cap {
+		s.drop(s.tail)
+	}
+	if i := s.free; i >= 0 {
+		s.free = s.slots[i].next
+		return i
+	}
+	s.slots = append(s.slots, cacheSlot{})
+	return int32(len(s.slots) - 1)
+}
+
+// Get returns the cached result for (key, row) under bundle mv and marks
+// it most recent. Entries produced by a different bundle (a since-replaced
+// version) never hit. The result comes back by value, copied under the
+// shard lock, so nothing a caller holds aliases cache storage: its Guard
+// field is nil and the annotation is the second return value, whose
+// ErrorSource is empty when the entry has none.
+func (c *Cache) Get(key uint64, row []float64, mv *ModelVersion) (Result, Guard, bool) {
+	if c == nil {
+		return Result{}, Guard{}, false
+	}
+	bundle := mv.bundleID()
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.items[key]
-	if !ok {
-		return Result{}, false
+	i, ok := s.index[key]
+	if !ok || s.slots[i].bundle != bundle || !rowsEqual(s.row(i), row) {
+		return Result{}, Guard{}, false
 	}
-	e := el.Value.(*cacheEntry)
-	if e.mv != mv || !rowsEqual(e.row, row) {
-		return Result{}, false
+	s.unlink(i)
+	s.pushFront(i)
+	e := &s.slots[i]
+	var g Guard
+	if e.source != 0 {
+		g = Guard{
+			EU: e.eu, AU: e.au, NoiseFloorPct: e.noiseFloorPct,
+			OoD: e.ood, AtNoiseFloor: e.atNoiseFloor,
+			ErrorSource: errorSources[e.source-1],
+		}
 	}
-	s.order.MoveToFront(el)
-	return e.res, true
+	return Result{PredLog: e.predLog, Pred: e.pred}, g, true
 }
 
 // Put inserts or refreshes a result, evicting the shard's least recently
-// used entry when full.
+// used entry when full. The row and res.Guard are copied, so neither the
+// request's row block nor the evaluation batch's shared guard block is
+// retained. A Guard whose ErrorSource the code table does not know is not
+// cached at all, rather than stored as something else.
 func (c *Cache) Put(key uint64, row []float64, mv *ModelVersion, res Result) {
 	if c == nil {
 		return
 	}
-	// A miss's Guard points into its evaluation batch's shared guard
-	// block; a cache entry can outlive that batch by arbitrarily long, so
-	// retain a private copy rather than pinning the whole block for one
-	// resident row.
+	var g Guard
+	var source uint8
 	if res.Guard != nil {
-		g := *res.Guard
-		res.Guard = &g
+		g = *res.Guard
+		source = uint8(slices.Index(errorSources[:], g.ErrorSource) + 1)
+		if source == 0 {
+			return
+		}
 	}
+	bundle := mv.bundleID()
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		e := el.Value.(*cacheEntry)
-		// Replace the row as well: on a hash collision the resident entry
-		// may describe a different feature vector, and a refreshed result
-		// must stay paired with the row that produced it.
-		if !rowsEqual(e.row, row) {
-			e.row = append(e.row[:0], row...)
-		}
-		e.mv = mv
-		e.res = res
-		s.order.MoveToFront(el)
-		return
+	i, ok := s.index[key]
+	if ok {
+		s.unlink(i)
+	} else {
+		i = s.claim()
+		s.index[key] = i
 	}
-	if s.order.Len() >= s.cap {
-		oldest := s.order.Back()
-		if oldest != nil {
-			s.order.Remove(oldest)
-			delete(s.items, oldest.Value.(*cacheEntry).key)
-		}
+	s.pushFront(i)
+	sys := slices.Index(s.systems, mv.System)
+	if sys < 0 {
+		sys = len(s.systems)
+		s.systems = append(s.systems, mv.System)
 	}
-	s.items[key] = s.order.PushFront(&cacheEntry{
-		key: key,
-		row: append([]float64(nil), row...),
-		mv:  mv,
-		res: res,
-	})
+	// On a hash collision the resident entry may describe a different
+	// feature vector: the row is replaced with everything else, so a
+	// refreshed result stays paired with the row that produced it.
+	s.storeRow(i, row)
+	e := &s.slots[i]
+	e.key, e.bundle, e.sys = key, bundle, int32(sys)
+	e.predLog, e.pred = res.PredLog, res.Pred
+	e.eu, e.au, e.noiseFloorPct = g.EU, g.AU, g.NoiseFloorPct
+	e.ood, e.atNoiseFloor, e.source = g.OoD, g.AtNoiseFloor, source
 }
 
 // InvalidateSystem drops every resident entry belonging to a system,
 // returning the number removed. The reloader calls this when a system's
-// version set changes: pointer-scoped entries already cannot serve stale
-// results, so this is about promptly reclaiming memory from retired
-// bundles (and making "stale entries are gone" directly observable).
+// version set changes: bundle-scoped entries already cannot serve stale
+// results, so this is about promptly making room for the new bundle's
+// entries (and making "stale entries are gone" directly observable).
 func (c *Cache) InvalidateSystem(system string) int {
 	if c == nil {
 		return 0
 	}
 	dropped := 0
-	for i := range c.shards {
-		s := &c.shards[i]
+	for k := range c.shards {
+		s := &c.shards[k]
 		s.mu.Lock()
-		for el := s.order.Front(); el != nil; {
-			next := el.Next()
-			e := el.Value.(*cacheEntry)
-			if e.mv.System == system {
-				s.order.Remove(el)
-				delete(s.items, e.key)
-				dropped++
+		if sys := slices.Index(s.systems, system); sys >= 0 {
+			for i := range s.slots {
+				if e := &s.slots[i]; e.bundle != 0 && e.sys == int32(sys) {
+					s.drop(int32(i))
+					dropped++
+				}
 			}
-			el = next
 		}
 		s.mu.Unlock()
 	}
@@ -209,7 +346,7 @@ func (c *Cache) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += s.order.Len()
+		n += len(s.index)
 		s.mu.Unlock()
 	}
 	return n

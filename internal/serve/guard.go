@@ -31,6 +31,11 @@ const (
 	SourceUnguarded = "unguarded"
 )
 
+// errorSources lists every label above. The duplicate cache stores a
+// Guard's ErrorSource as an index into it (cache.go), and refuses to cache
+// a label that is missing here.
+var errorSources = [...]string{SourceGeneralization, SourceInherentNoise, SourceModeling, SourceUnguarded}
+
 // GuardConfig is the per-model-version guardrail calibration, computed at
 // training time and persisted in the registry manifest.
 type GuardConfig struct {

@@ -95,6 +95,10 @@ type ModelVersion struct {
 	// ModelVersion must not be copied by value — all users hold pointers.
 	flatOnce sync.Once
 	flat     *gbt.Flat
+
+	// cacheID is the number the duplicate cache knows this bundle by (see
+	// bundleID in cache.go); 0 until first cached under.
+	cacheID atomic.Uint64
 }
 
 // Flat returns the bundle's compiled inference engine, building it on

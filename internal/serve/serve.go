@@ -8,10 +8,12 @@
 //	registry  — versioned, per-system bundles of GBT model + deep
 //	            ensemble + scaler + guardrail calibration, loaded from a
 //	            directory of validated JSON artifacts (registry.go)
-//	cache     — a sharded LRU keyed on the feature-vector hash; the
-//	            paper's duplicate-dominance finding (Sec. VI: ~24% of jobs
-//	            are exact duplicates) makes this the cheapest prediction
-//	            path (cache.go)
+//	cache     — a sharded LRU keyed on the feature-vector hash, held in
+//	            flat pointer-free arrays so a full cache is neither
+//	            scanned by the collector nor allocated into; the paper's
+//	            duplicate-dominance finding (Sec. VI: ~24% of jobs are
+//	            exact duplicates) makes this the cheapest prediction path
+//	            (cache.go)
 //	batcher   — misses are coalesced into micro-batches (one wave per
 //	            request, adaptive pressure-driven flushing) and evaluated
 //	            on the bundle's compiled flat GBT engine with ensemble
@@ -348,9 +350,9 @@ func (s *Service) predict(ctx context.Context, system string, version int, rows 
 	results := make([]PredictionResult, len(rows))
 	// guardBuf backs every result's Guard annotation for this request: one
 	// amortized allocation instead of one copy per row, keeping the fully-
-	// cached request path at two heap allocations (results + guardBuf).
-	// Copying out of the cached Result is still what keeps cache entries
-	// immutable under response consumers.
+	// cached request path at two heap allocations (results + guardBuf). A
+	// hit's annotation arrives from the cache by value and is written
+	// straight into it, so no response ever points into cache storage.
 	var guardBuf []Guard
 	setResult := func(i int, res Result, cacheHit bool) {
 		pr := PredictionResult{
@@ -397,7 +399,10 @@ func (s *Service) predict(ctx context.Context, system string, version int, rows 
 		if s.cache != nil {
 			key = HashKey(mv.System, mv.Version, row)
 		}
-		if res, ok := s.cache.Get(key, row, mv); ok {
+		if res, g, ok := s.cache.Get(key, row, mv); ok {
+			if g.ErrorSource != "" {
+				res.Guard = &g
+			}
 			setResult(i, res, true)
 			hits++
 			continue
