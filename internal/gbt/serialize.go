@@ -1,15 +1,20 @@
 package gbt
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+
+	"iotaxo/internal/modelfile"
 )
 
 // Serialization: trained models round-trip through JSON so a tuned model
 // can be deployed separately from its training pipeline (the paper's
-// motivating use case is production deployment of I/O models).
+// motivating use case is production deployment of I/O models), and through
+// a binary form of the same fields (WriteBinary) that loads without parsing
+// a number. Both decoders end in build, which holds every check.
 
 // jsonNode mirrors node with exported fields.
 type jsonNode struct {
@@ -30,19 +35,33 @@ type jsonModel struct {
 	Trees    [][]jsonNode `json:"trees"`
 }
 
+// binHeader is the binary artifact's header: jsonModel with Gain and Trees
+// left nil, and each tree's node count. The body is the gain vector
+// (NFeature float64) followed by every tree's nodes in order, nodeBytes
+// each: feature, left, right as int32, then threshold and value as float64.
+type binHeader struct {
+	jsonModel
+	TreeLens []uint32 `json:"tree_lens"`
+}
+
+const (
+	binMagic  = "IOTAXGBT"
+	nodeBytes = 3*4 + 2*8
+)
+
 // serializationVersion guards format evolution.
 const serializationVersion = 1
 
+// header returns the serialized form without its bulk slices.
+func (m *Model) header() jsonModel {
+	return jsonModel{Version: serializationVersion, Params: m.params, Bias: m.bias, NFeature: m.nFeature}
+}
+
 // WriteJSON serializes the model.
 func (m *Model) WriteJSON(w io.Writer) error {
-	jm := jsonModel{
-		Version:  serializationVersion,
-		Params:   m.params,
-		Bias:     m.bias,
-		NFeature: m.nFeature,
-		Gain:     m.gain,
-		Trees:    make([][]jsonNode, len(m.trees)),
-	}
+	jm := m.header()
+	jm.Gain = m.gain
+	jm.Trees = make([][]jsonNode, len(m.trees))
 	for ti, tr := range m.trees {
 		nodes := make([]jsonNode, len(tr.nodes))
 		for ni, n := range tr.nodes {
@@ -60,18 +79,97 @@ func (m *Model) WriteJSON(w io.Writer) error {
 	return enc.Encode(jm)
 }
 
-// ReadJSON deserializes a model written by WriteJSON. Model files may come
-// from outside the training pipeline (the serving registry loads whatever is
-// on disk), so every structural invariant is checked: version match, valid
+// WriteBinary serializes the model as a modelfile artifact (see binHeader).
+// Every number is stored as its bit pattern, so the round trip is exact.
+func (m *Model) WriteBinary(w io.Writer) error {
+	h := binHeader{jsonModel: m.header(), TreeLens: make([]uint32, len(m.trees))}
+	total := 0
+	for ti, tr := range m.trees {
+		h.TreeLens[ti] = uint32(len(tr.nodes))
+		total += len(tr.nodes)
+	}
+	b, err := modelfile.Begin(binMagic, h, 8*len(m.gain)+nodeBytes*total)
+	if err != nil {
+		return fmt.Errorf("gbt: encoding model header: %w", err)
+	}
+	b = modelfile.AppendFloat64s(b, m.gain)
+	le := binary.LittleEndian
+	for _, tr := range m.trees {
+		for _, n := range tr.nodes {
+			b = le.AppendUint32(b, uint32(n.feature))
+			b = le.AppendUint32(b, uint32(n.left))
+			b = le.AppendUint32(b, uint32(n.right))
+			b = le.AppendUint64(b, math.Float64bits(n.threshold))
+			b = le.AppendUint64(b, math.Float64bits(n.value))
+		}
+	}
+	_, err = w.Write(modelfile.Seal(b))
+	return err
+}
+
+// ReadBinary deserializes a model written by WriteBinary. The checksum is
+// verified first, and the header's declared sizes must account for exactly
+// the bytes present before anything is allocated for them; what the numbers
+// say is then checked by the same build as a JSON model.
+func ReadBinary(data []byte) (*Model, error) {
+	var h binHeader
+	body, err := modelfile.Open(binMagic, data, &h)
+	if err != nil {
+		return nil, fmt.Errorf("gbt: decoding model: %w", err)
+	}
+	if h.Gain != nil || h.Trees != nil {
+		return nil, fmt.Errorf("gbt: decoding model: header carries gain or trees")
+	}
+	total := uint64(0)
+	for _, n := range h.TreeLens {
+		total += uint64(n)
+	}
+	// Said by division, so no declared size can overflow its way to a match.
+	nodeBody := -1
+	if h.NFeature > 0 && h.NFeature <= len(body)/8 {
+		nodeBody = len(body) - 8*h.NFeature
+	}
+	if nodeBody < 0 || nodeBody%nodeBytes != 0 || uint64(nodeBody/nodeBytes) != total {
+		return nil, fmt.Errorf("gbt: header declares %d features and %d nodes, body has %d bytes", h.NFeature, total, len(body))
+	}
+	h.Gain = make([]float64, h.NFeature)
+	body = modelfile.Float64s(h.Gain, body)
+	nodes := make([]jsonNode, total)
+	le := binary.LittleEndian
+	for i := range nodes {
+		rec := body[nodeBytes*i:]
+		nodes[i] = jsonNode{
+			Feature:   int32(le.Uint32(rec)),
+			Left:      int32(le.Uint32(rec[4:])),
+			Right:     int32(le.Uint32(rec[8:])),
+			Threshold: math.Float64frombits(le.Uint64(rec[12:])),
+			Value:     math.Float64frombits(le.Uint64(rec[20:])),
+		}
+	}
+	h.Trees = make([][]jsonNode, len(h.TreeLens))
+	for ti, n := range h.TreeLens {
+		h.Trees[ti], nodes = nodes[:n:n], nodes[n:]
+	}
+	return build(h.jsonModel)
+}
+
+// ReadJSON deserializes a model written by WriteJSON; anything but
+// whitespace after the value is an error.
+func ReadJSON(r io.Reader) (*Model, error) {
+	var jm jsonModel
+	if err := modelfile.DecodeJSON(r, &jm); err != nil {
+		return nil, fmt.Errorf("gbt: decoding model: %w", err)
+	}
+	return build(jm)
+}
+
+// build turns a decoded model into a usable one. Model files may come from
+// outside the training pipeline (the serving registry loads whatever is on
+// disk), so every structural invariant is checked: version match, valid
 // hyperparameters, finite numerics, gain aligned with the feature count, and
 // trees whose child indices only point forward — which rules out cycles and
 // guarantees Predict terminates.
-func ReadJSON(r io.Reader) (*Model, error) {
-	var jm jsonModel
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&jm); err != nil {
-		return nil, fmt.Errorf("gbt: decoding model: %w", err)
-	}
+func build(jm jsonModel) (*Model, error) {
 	if jm.Version != serializationVersion {
 		return nil, fmt.Errorf("gbt: unsupported model version %d (this build reads version %d)", jm.Version, serializationVersion)
 	}
@@ -81,14 +179,14 @@ func ReadJSON(r io.Reader) (*Model, error) {
 	if jm.NFeature <= 0 {
 		return nil, fmt.Errorf("gbt: model has %d features", jm.NFeature)
 	}
-	if math.IsNaN(jm.Bias) || math.IsInf(jm.Bias, 0) {
+	if !finite(jm.Bias) {
 		return nil, fmt.Errorf("gbt: non-finite bias %v", jm.Bias)
 	}
 	if jm.Gain != nil && len(jm.Gain) != jm.NFeature {
 		return nil, fmt.Errorf("gbt: gain has %d entries for %d features", len(jm.Gain), jm.NFeature)
 	}
 	for i, g := range jm.Gain {
-		if math.IsNaN(g) || math.IsInf(g, 0) || g < 0 {
+		if !finite(g) || g < 0 {
 			return nil, fmt.Errorf("gbt: invalid gain %v for feature %d", g, i)
 		}
 	}
@@ -107,12 +205,15 @@ func ReadJSON(r io.Reader) (*Model, error) {
 		}
 		tr := tree{nodes: make([]node, len(nodes))}
 		for ni, jn := range nodes {
+			// Both fields of every node: the binary form can carry what JSON
+			// cannot (an infinite threshold, a NaN in the field a node does
+			// not use), and an accepted model must be writable either way.
+			if !finite(jn.Threshold) || !finite(jn.Value) {
+				return nil, fmt.Errorf("gbt: tree %d node %d: non-finite threshold %v or value %v", ti, ni, jn.Threshold, jn.Value)
+			}
 			if jn.Feature >= 0 {
 				if int(jn.Feature) >= jm.NFeature {
 					return nil, fmt.Errorf("gbt: tree %d node %d: feature %d out of range [0,%d)", ti, ni, jn.Feature, jm.NFeature)
-				}
-				if math.IsNaN(jn.Threshold) {
-					return nil, fmt.Errorf("gbt: tree %d node %d: NaN threshold", ti, ni)
 				}
 				// The builder appends children after their parent, so valid
 				// trees have strictly forward child links; enforcing that
@@ -122,8 +223,6 @@ func ReadJSON(r io.Reader) (*Model, error) {
 					int(jn.Left) >= len(nodes) || int(jn.Right) >= len(nodes) {
 					return nil, fmt.Errorf("gbt: tree %d node %d: child indices (%d,%d) must point forward within [%d,%d)", ti, ni, jn.Left, jn.Right, ni+1, len(nodes))
 				}
-			} else if math.IsNaN(jn.Value) || math.IsInf(jn.Value, 0) {
-				return nil, fmt.Errorf("gbt: tree %d leaf %d: non-finite value %v", ti, ni, jn.Value)
 			}
 			tr.nodes[ni] = node{
 				feature:   jn.Feature,
@@ -137,3 +236,5 @@ func ReadJSON(r io.Reader) (*Model, error) {
 	}
 	return m, nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

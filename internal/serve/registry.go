@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -25,12 +26,18 @@ import (
 // ensemble's networks need, and the guardrail calibration. On-disk layout:
 //
 //	<root>/<system>/v<version>/manifest.json
-//	<root>/<system>/v<version>/model.gbt.json
-//	<root>/<system>/v<version>/member_<i>.nn.json
+//	<root>/<system>/v<version>/model.gbt.bin    (or model.gbt.json)
+//	<root>/<system>/v<version>/member_<i>.nn.bin (or member_<i>.nn.json)
 //
-// Everything under <root> is treated as untrusted input: model files go
-// through the validating gbt.ReadJSON / nn.ReadJSON decoders and the
-// manifest's schema is cross-checked against the loaded artifacts.
+// The manifest names the artifacts, and an artifact's extension names its
+// format: SaveVersion writes the binary form (internal/modelfile: the
+// model's own arrays as bit patterns under a checksum, nothing derived), a
+// name not ending in ".bin" is read as the JSON form, which bundles saved
+// before the binary form and hand-written ones use. Everything under <root>
+// is treated as untrusted input: both forms end in the same validating
+// build inside gbt and nn (a binary file's checksum and declared sizes are
+// checked before that), and the manifest's schema is cross-checked against
+// the loaded artifacts.
 
 // ErrUnknownModel is returned when a requested system or version is not
 // registered; the HTTP layer maps it to 404.
@@ -39,8 +46,9 @@ var ErrUnknownModel = errors.New("serve: unknown model")
 // manifestName and artifact names inside a version directory.
 const (
 	manifestName  = "manifest.json"
-	gbtModelName  = "model.gbt.json"
-	memberPattern = "member_%d.nn.json"
+	gbtModelName  = "model.gbt.bin"
+	memberPattern = "member_%d.nn.bin"
+	binaryExt     = ".bin"
 )
 
 // scalerJSON persists dataset.Scaler statistics in the manifest.
@@ -602,7 +610,7 @@ func loadVersionDir(dir, wantSystem string) (*ModelVersion, error) {
 	if err != nil {
 		return nil, err
 	}
-	mv.Model, err = readGBT(modelPath)
+	mv.Model, err = readArtifact(modelPath, gbt.ReadBinary, gbt.ReadJSON)
 	if err != nil {
 		return nil, err
 	}
@@ -613,7 +621,7 @@ func loadVersionDir(dir, wantSystem string) (*ModelVersion, error) {
 			if err != nil {
 				return nil, err
 			}
-			member, err := readNN(memberPath)
+			member, err := readArtifact(memberPath, nn.ReadBinary, nn.ReadJSON)
 			if err != nil {
 				return nil, err
 			}
@@ -653,28 +661,20 @@ func artifactPath(dir, rel string) (string, error) {
 	return filepath.Join(dir, rel), nil
 }
 
-func readGBT(path string) (*gbt.Model, error) {
-	f, err := os.Open(path)
+// readArtifact reads one model file whole — its size is known, so in one
+// allocation — and decodes it by its extension.
+func readArtifact[M any](path string, binary func([]byte) (M, error), text func(io.Reader) (M, error)) (m M, err error) {
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("serve: opening model %s: %w", path, err)
+		return m, fmt.Errorf("serve: reading artifact: %w", err)
 	}
-	defer f.Close()
-	m, err := gbt.ReadJSON(f)
-	if err != nil {
-		return nil, fmt.Errorf("serve: loading %s: %w", path, err)
+	if filepath.Ext(path) == binaryExt {
+		m, err = binary(raw)
+	} else {
+		m, err = text(bytes.NewReader(raw))
 	}
-	return m, nil
-}
-
-func readNN(path string) (*nn.Model, error) {
-	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("serve: opening ensemble member %s: %w", path, err)
-	}
-	defer f.Close()
-	m, err := nn.ReadJSON(f)
-	if err != nil {
-		return nil, fmt.Errorf("serve: loading %s: %w", path, err)
+		return m, fmt.Errorf("serve: loading %s: %w", path, err)
 	}
 	return m, nil
 }
@@ -701,13 +701,13 @@ func SaveVersion(root string, mv *ModelVersion) error {
 		TrainedOn: mv.TrainedOn,
 		Reference: mv.Reference,
 	}
-	if err := writeJSONFile(filepath.Join(dir, gbtModelName), mv.Model.WriteJSON); err != nil {
+	if err := writeArtifact(filepath.Join(dir, gbtModelName), mv.Model.WriteBinary); err != nil {
 		return err
 	}
 	if mv.Ensemble != nil {
 		for i, member := range mv.Ensemble.Members {
 			name := fmt.Sprintf(memberPattern, i)
-			if err := writeJSONFile(filepath.Join(dir, name), member.WriteJSON); err != nil {
+			if err := writeArtifact(filepath.Join(dir, name), member.WriteBinary); err != nil {
 				return err
 			}
 			m.Ensemble = append(m.Ensemble, name)
@@ -749,7 +749,7 @@ func writeManifestAtomic(dir string, raw []byte) error {
 	return nil
 }
 
-func writeJSONFile(path string, write func(w io.Writer) error) error {
+func writeArtifact(path string, write func(w io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("serve: creating %s: %w", path, err)

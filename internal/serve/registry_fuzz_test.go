@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"iotaxo/internal/gbt"
 )
 
 // fuzzModelJSON is a minimal valid gbt model file: one single-leaf tree
@@ -15,6 +19,20 @@ const fuzzModelJSON = `{"version":1,"params":{"NumTrees":1,"MaxDepth":1,"Learnin
 // fuzzManifestJSON matches fuzzModelJSON: two columns, no ensemble.
 const fuzzManifestJSON = `{"system":"theta","version":1,"columns":["a","b"],` +
 	`"model":"model.gbt.json","guard":{"eu_threshold":0.5}}`
+
+// fuzzModelBinary is fuzzModelJSON in the binary form.
+func fuzzModelBinary(t testing.TB) []byte {
+	t.Helper()
+	m, err := gbt.ReadJSON(strings.NewReader(fuzzModelJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
 // FuzzLoadVersionDir hardens the registry's trust boundary: version
 // directories arrive from disk (startup load and live reload), so a
@@ -34,6 +52,12 @@ func FuzzLoadVersionDir(f *testing.F) {
 	f.Add([]byte(`{"system":"theta","version":1,"columns":["a","b"],"model":"model.gbt.json",`+
 		`"ensemble":["member_0.nn.json"],"guard":{}}`), mod)
 	f.Add([]byte(`{not json`), []byte(`{not json`))
+	binMan := []byte(strings.Replace(fuzzManifestJSON, "model.gbt.json", gbtModelName, 1))
+	binMod := fuzzModelBinary(f)
+	f.Add(binMan, binMod)
+	f.Add(binMan, binMod[:len(binMod)-5])
+	f.Add(binMan, mod) // a JSON model under the binary name
+	f.Add(man, binMod) // and the reverse
 
 	f.Fuzz(func(t *testing.T, manifest, model []byte) {
 		dir := filepath.Join(t.TempDir(), "v1")
@@ -43,8 +67,12 @@ func FuzzLoadVersionDir(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, manifestName), manifest, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, gbtModelName), model, 0o644); err != nil {
-			t.Fatal(err)
+		// Under both names: the manifest picks the file, and with it the
+		// decoder.
+		for _, name := range []string{"model.gbt.json", gbtModelName} {
+			if err := os.WriteFile(filepath.Join(dir, name), model, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 		mv, err := loadVersionDir(dir, "theta")
 		if err != nil {

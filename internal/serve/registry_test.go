@@ -104,26 +104,44 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadRegistryRejectsTamperedModel(t *testing.T) {
 	_, v1, _ := fixture(t)
+	// A JSON bundle, as saved before the binary form: corrupt a child pointer
+	// into a self-loop; the hardened decoder must refuse it and the registry
+	// must refuse to come up partially.
 	dir := t.TempDir()
-	if err := SaveVersion(dir, v1); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "theta", "v1", gbtModelName)
+	path := filepath.Join(saveVersionJSON(t, dir, v1), "model.gbt.json")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt a child pointer into a self-loop; the hardened decoder must
-	// refuse it and the registry must refuse to come up partially.
+	if _, err := LoadRegistry(dir); err != nil {
+		t.Fatalf("untampered JSON bundle refused: %v", err)
+	}
 	tampered := strings.Replace(string(raw), `"l":1`, `"l":0`, 1)
 	if tampered == string(raw) {
-		t.Skip("fixture model has no node with left child 1")
+		t.Fatal("fixture model has no node with left child 1")
 	}
 	if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadRegistry(dir); err == nil {
-		t.Error("registry loaded a tampered model")
+	if _, err := LoadRegistry(dir); err == nil || !strings.Contains(err.Error(), "must point forward") {
+		t.Errorf("registry loaded a tampered JSON model: %v", err)
+	}
+	// The binary bundle SaveVersion writes: any changed byte fails the
+	// checksum before a child pointer is looked at.
+	dir = t.TempDir()
+	if err := SaveVersion(dir, v1); err != nil {
+		t.Fatal(err)
+	}
+	path = filepath.Join(dir, "theta", "v1", gbtModelName)
+	if raw, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-40] ^= 1
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadRegistry(dir); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Errorf("registry loaded a tampered binary model: %v", err)
 	}
 }
 

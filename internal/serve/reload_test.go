@@ -21,19 +21,19 @@ func removeVersionDir(t *testing.T, root, system string, version int) {
 	}
 }
 
-// writeCorruptVersionDir publishes a version directory whose manifest is
-// well-formed but whose model artifact is garbage.
+// writeCorruptVersionDir publishes a hand-written JSON version directory
+// whose manifest is well-formed but whose model artifact is garbage.
 func writeCorruptVersionDir(t *testing.T, root, system string, version int) {
 	t.Helper()
 	dir := filepath.Join(root, system, "v"+strconv.Itoa(version))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, gbtModelName), []byte("{not json"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "model.gbt.json"), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	manifest := `{"system":"` + system + `","version":` + strconv.Itoa(version) +
-		`,"columns":["a","b"],"model":"` + gbtModelName + `","guard":{"eu_threshold":0}}`
+		`,"columns":["a","b"],"model":"model.gbt.json","guard":{"eu_threshold":0}}`
 	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(manifest), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,13 @@ func TestReloaderBumpVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The bumped bundle is byte-identical except the version.
+	// The bumped bundle is byte-identical except the version: the binary
+	// artifacts are copied as they are and load under the reloader.
+	for _, v := range []string{"v1", "v2"} {
+		if _, err := os.Stat(filepath.Join(dir, "theta", v, "model.gbt.bin")); err != nil {
+			t.Fatalf("no binary model in %s: %v", v, err)
+		}
+	}
 	frame, _, _ := fixture(t)
 	if got, want := mv.Model.Predict(frame.Row(0)), v1.Model.Predict(frame.Row(0)); got != want {
 		t.Errorf("bumped model predicts %v, want %v", got, want)

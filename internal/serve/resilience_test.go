@@ -16,6 +16,35 @@ import (
 	"iotaxo/internal/resilience/chaos"
 )
 
+// expiringCtx is a context whose deadline passes when the test closes done,
+// so "expired while queued" is an ordered event, not a race against a timer.
+type expiringCtx struct {
+	context.Context
+	done chan struct{}
+}
+
+func (c expiringCtx) Done() <-chan struct{} { return c.done }
+
+func (c expiringCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
+	}
+}
+
+// waitFor polls cond: the tests below order themselves on the batcher's own
+// counters, never on a sleep standing in for one.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(20 * time.Second); !cond(); time.Sleep(200 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
 // TestBatcherDeadlineMidQueue is the regression for pooled-request
 // lifecycle under cancellation: requests whose context expires while they
 // sit in the open wave must come back with the context error, must not
@@ -25,10 +54,19 @@ import (
 func TestBatcherDeadlineMidQueue(t *testing.T) {
 	_, _, v2 := fixture(t)
 	m := &Metrics{}
-	// One worker pinned in a 40ms evaluation: everything submitted behind
-	// it queues past its own deadline, so the flush-side drop path (and the
-	// submitter-side abandon CAS) answer all of them.
-	inj := chaos.NewInjector(chaos.Config{Latency: 40 * time.Millisecond, LatencyProb: 1}, 1)
+	// One worker held inside its first evaluation (the injected latency is
+	// a gate the test opens): everything submitted behind it queues past
+	// its own deadline, so the submitter-side abandon CAS answers all of
+	// them and the flush-side drop path discards them.
+	inj := chaos.NewInjector(chaos.Config{Latency: time.Millisecond, LatencyProb: 1}, 1)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var first sync.Once
+	inj.Sleep = func(time.Duration) {
+		first.Do(func() {
+			close(entered)
+			<-release
+		})
+	}
 	b := newBatcher(64, time.Millisecond, 1, m, inj)
 	defer b.Close()
 
@@ -39,21 +77,23 @@ func TestBatcherDeadlineMidQueue(t *testing.T) {
 		defer pin.Done()
 		_, pinErr = b.Submit(context.Background(), v2, make([]float64, len(v2.Columns)))
 	}()
-	time.Sleep(10 * time.Millisecond) // let the worker enter the slow evaluation
+	<-entered
 
 	const n = 24
+	ctx := expiringCtx{context.Background(), make(chan struct{})}
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-			defer cancel()
 			_, errs[i] = b.Submit(ctx, v2, make([]float64, len(v2.Columns)))
 		}(i)
 	}
+	waitFor(t, "every submission to queue behind the held worker", func() bool { return b.InflightWaves() == 1+n })
+	close(ctx.done)
 	wg.Wait()
+	close(release)
 	pin.Wait()
 	if pinErr != nil {
 		t.Fatalf("pinning submission failed: %v", pinErr)
@@ -65,9 +105,7 @@ func TestBatcherDeadlineMidQueue(t *testing.T) {
 	}
 	// The worker discards the expired waves before evaluating anything:
 	// only the pinning request's row was ever batched.
-	if got := m.DeadlineDropped.Load(); got == 0 {
-		t.Error("no waves counted as deadline-dropped")
-	}
+	waitFor(t, "the worker to drop every expired wave", func() bool { return m.DeadlineDropped.Load() == n })
 	if got := m.BatchedRows.Load(); got != 1 {
 		t.Errorf("%d rows evaluated, want 1 (expired rows must not be)", got)
 	}
