@@ -17,7 +17,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"iotaxo/internal/core"
 	"iotaxo/internal/experiments"
@@ -356,7 +355,6 @@ func benchServe(b *testing.B, cacheSize, batchSize int, dupRate float64, traceEv
 	}
 	svc := serve.NewService(reg, serve.Options{
 		MaxBatch:   64,
-		MaxDelay:   200 * time.Microsecond,
 		CacheSize:  cacheSize,
 		TraceEvery: traceEvery,
 	})

@@ -121,7 +121,6 @@ type config struct {
 	jobs           int
 	versions       int
 	maxBatch       int
-	maxDelay       time.Duration
 	workers        int
 	cacheSize      int
 	seed           uint64
@@ -160,7 +159,6 @@ func main() {
 	flag.IntVar(&cfg.jobs, "jobs", 4000, "jobs per bootstrapped system")
 	flag.IntVar(&cfg.versions, "versions", 2, "bootstrapped versions per system")
 	flag.IntVar(&cfg.maxBatch, "max-batch", 32, "micro-batch size cap")
-	flag.DurationVar(&cfg.maxDelay, "max-delay", 2*time.Millisecond, "straggler window a lone single-row submission may wait for company")
 	flag.IntVar(&cfg.workers, "workers", 2, "micro-batch worker pool size")
 	flag.IntVar(&cfg.cacheSize, "cache", 1<<16, "duplicate cache capacity in entries (0 disables)")
 	flag.Uint64Var(&cfg.seed, "seed", 1, "bootstrap seed")
@@ -274,7 +272,6 @@ func run(cfg config) error {
 
 	svc := serve.NewService(reg, serve.Options{
 		MaxBatch:       cfg.maxBatch,
-		MaxDelay:       cfg.maxDelay,
 		Workers:        cfg.workers,
 		CacheSize:      cfg.cacheSize,
 		ShadowFraction: cfg.shadowFraction,

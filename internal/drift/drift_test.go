@@ -116,7 +116,6 @@ func newHarness(t *testing.T, cfg Config, bundles ...*serve.ModelVersion) *harne
 	}
 	svc := serve.NewService(reg, serve.Options{
 		MaxBatch:  16,
-		MaxDelay:  time.Millisecond,
 		CacheSize: 4096,
 	})
 	t.Cleanup(svc.Close)

@@ -97,7 +97,6 @@ func newE2EReplica(t *testing.T, name, dir string) *e2eReplica {
 	}
 	svc := serve.NewService(reg, serve.Options{
 		MaxBatch:  8,
-		MaxDelay:  200 * time.Microsecond,
 		Workers:   2,
 		CacheSize: 1 << 12,
 	})
@@ -430,7 +429,6 @@ func newTracedE2EReplica(t *testing.T, name, dir string) *e2eReplica {
 	}
 	svc := serve.NewService(reg, serve.Options{
 		MaxBatch:   8,
-		MaxDelay:   200 * time.Microsecond,
 		Workers:    2,
 		CacheSize:  1 << 12,
 		TraceEvery: 1,

@@ -98,8 +98,8 @@ func (m *Matrix) T() *Matrix {
 	return t
 }
 
-// Mul returns a*b. Panics on dimension mismatch. Products with at least
-// parallelThreshold result elements are computed with a goroutine per row
+// Mul returns a*b. Panics on dimension mismatch. Products of at least
+// parallelThreshold multiply-adds are computed with a goroutine per row
 // block.
 func Mul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
@@ -123,7 +123,14 @@ func MulInto(out, a, b *Matrix) {
 	mulInto(out, a, b)
 }
 
-const parallelThreshold = 1 << 16
+// parallelThreshold is the product size, in multiply-adds, from which
+// mulInto splits the rows across goroutines. A fork-join is not free (about
+// 25 µs on the 2-CPU VM this was set on, the arithmetic of some 80 000
+// multiply-adds; uq's BenchmarkMemberFanOut shows it), so the mark sits
+// where a serving batch's products (32 rows × 101 features × 56 units =
+// 181k) stay on the caller while training mini-batches and frames (128 rows
+// and up of the same shape) still fork.
+const parallelThreshold = 1 << 18
 
 // mulInto computes out = a*b, where out is already sized.
 func mulInto(out, a, b *Matrix) {

@@ -69,8 +69,11 @@ func TestMulParallelMatchesSerial(t *testing.T) {
 	// Force the parallel path with a big product and compare to a naive
 	// triple loop.
 	r := rng.New(3)
-	a := randomMatrix(r, 70, 50)
+	a := randomMatrix(r, 140, 50)
 	b := randomMatrix(r, 50, 40)
+	if a.Rows*a.Cols*b.Cols < parallelThreshold {
+		t.Fatal("product too small to take the parallel path")
+	}
 	got := Mul(a, b)
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < b.Cols; j++ {

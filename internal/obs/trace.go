@@ -19,7 +19,7 @@ const (
 	// batcher queue before a worker picked it up.
 	StageQueueWait
 	// StageWaveAssemble is the time between worker pickup and batch flush:
-	// the wave riding in a forming micro-batch (straggler waits included).
+	// the worker draining whatever else is queued into the same micro-batch.
 	StageWaveAssemble
 	// StageEvaluate is the model evaluation of the wave's group: flat GBT
 	// walk plus (for guarded bundles) the ensemble pass.

@@ -15,21 +15,19 @@ import (
 
 // Micro-batching worker pool. Concurrent predict calls are coalesced into
 // batches of up to MaxBatch rows — the standard online-serving trade of
-// amortized evaluation (one flat tree walk, one member-parallel ensemble
-// pass per batch instead of per row). Submissions travel as *waves*: all of
-// one request's miss rows in a single queue entry, so a worker picks a
-// whole request up in one channel operation and a multi-row request never
-// splits across workers.
+// amortized evaluation (one flat tree walk, one batched ensemble pass per
+// batch instead of per row). Submissions travel as *waves*: all of one
+// request's miss rows in a single queue entry, so a worker picks a whole
+// request up in one channel operation and a multi-row request never splits
+// across workers.
 //
-// Batching is adaptive, driven by queue pressure rather than a clock: a
-// worker drains every queued wave (up to MaxBatch rows) and evaluates the
-// moment the queue empties. Under load the queue refills while workers
-// evaluate, so batches grow on their own; when traffic is light nothing
-// artificial delays a request. The MaxDelay straggler window survives only
-// for the case where batching has not yet paid anything — a lone single-row
-// wave — which may wait up to MaxDelay for a partner. Batches are grouped
-// per model version before evaluation, so mixed-system traffic shares the
-// same pool.
+// Batching is driven by queue pressure, never by a clock: a worker drains
+// every queued wave (up to MaxBatch rows) and evaluates the moment the
+// queue empties, so a wave costs what its work costs. Under load the queue
+// refills while workers evaluate and batches grow on their own; when
+// traffic is light nothing delays a request — a lone single-row wave is a
+// batch of one. Batches are grouped per model version before evaluation, so
+// mixed-system traffic shares the same pool.
 
 // ErrBatcherClosed is returned for submissions after Close.
 var ErrBatcherClosed = errors.New("serve: batcher closed")
@@ -79,11 +77,11 @@ type WaveTiming struct {
 	GuardNs    int64
 }
 
-// waveResp carries the evaluated results back to the submitter. The
-// results slice is pooled; the submitter consumes it and returns it via
-// putResults.
+// waveResp carries the evaluated results back to the submitter in their
+// pooled holder (nil on error); the submitter consumes *results and returns
+// the holder via putResults.
 type waveResp struct {
-	results []Result
+	results *[]Result
 	timing  WaveTiming
 	err     error
 }
@@ -109,32 +107,37 @@ func recycleWave(req *waveReq) {
 }
 
 // resultsPool recycles the per-wave result slices that cross the response
-// channel.
+// channel. What is pooled is the holder: the *[]Result a Get hands out
+// crosses the channel and is the very pointer Put takes back, so a wave
+// round trip allocates no slice header.
 var resultsPool = sync.Pool{New: func() any { return new([]Result) }}
 
-// putResults returns a consumed response slice to the pool, cleared so an
-// idle pooled slice pins no guard blocks. Clearing len suffices: a pooled
-// slice's backing array is all-zero beyond len by induction (fresh
-// allocations are zeroed, getResults exposes only [0,n), and every put
-// re-zeroes exactly the prefix that was written).
-func putResults(rs []Result) {
-	if rs == nil {
+// putResults returns a consumed response slice to the pool through the
+// holder it came in (nil: nothing was pooled), cleared so an idle pooled
+// slice pins no guard blocks. Clearing len suffices: a pooled slice's
+// backing array is all-zero beyond len by induction (fresh allocations are
+// zeroed, getResults exposes only [0,n), and every put re-zeroes exactly
+// the prefix that was written).
+func putResults(h *[]Result) {
+	if h == nil {
 		return
 	}
+	rs := *h
 	for i := range rs {
 		rs[i] = Result{}
 	}
-	rs = rs[:0]
-	resultsPool.Put(&rs)
+	*h = rs[:0]
+	resultsPool.Put(h)
 }
 
-// getResults returns a pooled slice resized to n.
-func getResults(n int) []Result {
-	rs := *resultsPool.Get().(*[]Result)
-	if cap(rs) < n {
-		rs = make([]Result, n)
+// getResults returns a pooled holder with its slice resized to n.
+func getResults(n int) *[]Result {
+	h := resultsPool.Get().(*[]Result)
+	if cap(*h) < n {
+		*h = make([]Result, n)
 	}
-	return rs[:n]
+	*h = (*h)[:n]
+	return h
 }
 
 // Result is one model evaluation in log10 and linear space, with its
@@ -145,50 +148,16 @@ type Result struct {
 	Guard   *Guard
 }
 
-// batchTimer abstracts the straggler timer so tests can drive the lone-
-// single-row wait deterministically instead of racing a real clock. The
-// contract mirrors *time.Timer: after Reset, either the timer fires (a
-// value appears on C) or Stop returns true; Stop returning false after a
-// Reset means the value is in C and must be drained.
-type batchTimer interface {
-	Reset(d time.Duration)
-	Stop() bool
-	C() <-chan time.Time
-}
-
-// realTimer is the production batchTimer over time.Timer.
-type realTimer struct{ t *time.Timer }
-
-func (r *realTimer) Reset(d time.Duration) { r.t.Reset(d) }
-func (r *realTimer) Stop() bool            { return r.t.Stop() }
-func (r *realTimer) C() <-chan time.Time   { return r.t.C }
-
-// timerFactory builds one worker's straggler timer, returned stopped and
-// drained.
-type timerFactory func() batchTimer
-
-func newRealTimer() batchTimer {
-	t := time.NewTimer(time.Hour)
-	if !t.Stop() {
-		<-t.C
-	}
-	return &realTimer{t: t}
-}
-
 // Batcher coalesces request waves into micro-batches across a worker pool.
 type Batcher struct {
 	reqs     chan *waveReq
 	stop     chan struct{}
 	done     chan struct{}
 	maxBatch int
-	maxDelay time.Duration
 	metrics  *Metrics
 	// chaos injects faults into wave-group evaluation when wired (nil in
 	// production); see internal/resilience/chaos.
 	chaos *chaos.Injector
-	// newTimer builds each worker's straggler timer (newRealTimer in
-	// production; tests inject a hand-driven fake).
-	newTimer timerFactory
 	// inflight counts waves accepted into the queue but not yet answered;
 	// exposed (with the instantaneous queue depth) as a /metrics gauge so
 	// batching pressure is visible beyond the cumulative mean batch size.
@@ -204,43 +173,27 @@ func (b *Batcher) QueueDepth() int { return len(b.reqs) }
 func (b *Batcher) InflightWaves() int { return int(b.inflight.Load()) }
 
 // NewBatcher starts workers goroutines collecting micro-batches of up to
-// maxBatch rows; a lone single-row wave waits at most maxDelay for company
-// (multi-row waves never wait — they are already a batch). metrics may be
-// nil.
-func NewBatcher(maxBatch int, maxDelay time.Duration, workers int, metrics *Metrics) *Batcher {
-	return newBatcher(maxBatch, maxDelay, workers, metrics, nil)
+// maxBatch rows. metrics may be nil.
+func NewBatcher(maxBatch, workers int, metrics *Metrics) *Batcher {
+	return newBatcher(maxBatch, workers, metrics, nil)
 }
 
 // newBatcher additionally wires a chaos injector into wave evaluation
 // (Options.Chaos; nil injects nothing).
-func newBatcher(maxBatch int, maxDelay time.Duration, workers int, metrics *Metrics, inj *chaos.Injector) *Batcher {
-	return newBatcherClocked(maxBatch, maxDelay, workers, metrics, inj, nil)
-}
-
-// newBatcherClocked additionally injects the straggler-timer factory (nil
-// uses the real clock); batcher tests drive the lone-wave path with a fake.
-func newBatcherClocked(maxBatch int, maxDelay time.Duration, workers int, metrics *Metrics, inj *chaos.Injector, tf timerFactory) *Batcher {
+func newBatcher(maxBatch, workers int, metrics *Metrics, inj *chaos.Injector) *Batcher {
 	if maxBatch <= 0 {
 		maxBatch = 32
 	}
-	if maxDelay <= 0 {
-		maxDelay = 2 * time.Millisecond
-	}
 	if workers <= 0 {
 		workers = 2
-	}
-	if tf == nil {
-		tf = newRealTimer
 	}
 	b := &Batcher{
 		reqs:     make(chan *waveReq, workers*maxBatch),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 		maxBatch: maxBatch,
-		maxDelay: maxDelay,
 		metrics:  metrics,
 		chaos:    inj,
-		newTimer: tf,
 	}
 	running := make(chan struct{}, workers)
 	for w := 0; w < workers; w++ {
@@ -277,14 +230,15 @@ func (b *Batcher) Close() {
 
 // SubmitWave evaluates one request's rows against one model version,
 // blocking until the worker pool answers or ctx ends. The returned results
-// slice is pooled — the caller must finish with it (copying what it keeps)
-// and hand it back via putResults. The WaveTiming reports where the wave's
-// time went inside the batcher (zero on error paths that never evaluated).
+// come in their pooled holder — the caller must finish with the slice
+// (copying what it keeps) and hand the holder back via putResults. The
+// WaveTiming reports where the wave's time went inside the batcher (zero on
+// error paths that never evaluated).
 // A context that expires while the wave is queued or evaluating returns
 // ctx.Err() immediately (context.DeadlineExceeded for deadlines); the wave
 // itself is abandoned via the state CAS and recycled by whichever side
 // touches it last, so cancellation never leaks a pooled request.
-func (b *Batcher) SubmitWave(ctx context.Context, mv *ModelVersion, rows [][]float64) ([]Result, WaveTiming, error) {
+func (b *Batcher) SubmitWave(ctx context.Context, mv *ModelVersion, rows [][]float64) (*[]Result, WaveTiming, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, WaveTiming{}, err
 	}
@@ -360,20 +314,19 @@ func (b *Batcher) Submit(ctx context.Context, mv *ModelVersion, row []float64) (
 	if err != nil {
 		return Result{}, err
 	}
-	res := results[0]
+	res := (*results)[0]
 	putResults(results)
 	return res, nil
 }
 
 // workerState is one worker's reusable flush machinery: the collected
-// waves, the per-version grouping, the gathered row headers, and the
-// straggler timer all keep their backing storage across iterations, so a
-// steady-state flush allocates nothing beyond what escapes to submitters.
+// waves, the per-version grouping and the gathered row headers all keep
+// their backing storage across iterations, so a steady-state flush
+// allocates nothing beyond what escapes to submitters.
 type workerState struct {
 	waves  []*waveReq
 	groups []evalGroup
 	rows   [][]float64
-	timer  batchTimer
 }
 
 // evalGroup is one model version's slice of a micro-batch: indices into
@@ -385,11 +338,10 @@ type evalGroup struct {
 
 // worker collects and evaluates micro-batches until the batcher stops.
 // Collection is pressure-driven: drain whatever is queued (up to maxBatch
-// rows) and flush the moment the queue empties. Only a lone single-row
-// wave arms the straggler timer — any multi-row wave is already worth
-// evaluating, and waiting on a clock would just tax its latency.
+// rows) and flush the moment the queue empties. Nothing waits for company:
+// what arrives while this batch evaluates is the next batch.
 func (b *Batcher) worker() {
-	w := &workerState{timer: b.newTimer()}
+	w := &workerState{}
 	for {
 		select {
 		case <-b.stop:
@@ -406,27 +358,7 @@ func (b *Batcher) worker() {
 					w.waves = append(w.waves, req)
 					total += len(req.rows)
 				default:
-					if total > 1 {
-						break drain
-					}
-					// A lone single row: give a partner maxDelay to show.
-					w.timer.Reset(b.maxDelay)
-					select {
-					case req := <-b.reqs:
-						if !w.timer.Stop() {
-							<-w.timer.C()
-						}
-						req.pick = time.Now()
-						w.waves = append(w.waves, req)
-						total += len(req.rows)
-					case <-w.timer.C():
-						break drain
-					case <-b.stop:
-						if !w.timer.Stop() {
-							<-w.timer.C()
-						}
-						break drain
-					}
+					break drain
 				}
 			}
 			b.flush(w)
@@ -526,7 +458,7 @@ nextWave:
 				wave := w.waves[wi]
 				n := len(wave.rows)
 				rs := getResults(n)
-				copy(rs, results[off:off+n])
+				copy(*rs, results[off:off+n])
 				off += n
 				timing := shared
 				timing.QueueNs = wave.pick.Sub(wave.enq).Nanoseconds()
@@ -637,10 +569,11 @@ func evaluate(mv *ModelVersion, rows [][]float64) ([]Result, error) {
 
 // evaluateInto runs one model version over a group of rows: the GBT point
 // prediction on the bundle's compiled flat engine plus, when the bundle is
-// guarded, the deep ensemble's decomposed uncertainty (members evaluated in
-// parallel) and its taxonomy diagnosis. A guarded bundle that cannot
-// produce its guard (scaler mismatch) fails the whole group rather than
-// silently serving unguarded predictions.
+// guarded, the deep ensemble's decomposed uncertainty (members in line on
+// this goroutine for anything a batch holds; uq.PredictBatchInto) and its
+// taxonomy diagnosis. A guarded bundle that cannot produce its guard (scaler
+// mismatch) fails the whole group rather than silently serving unguarded
+// predictions.
 //
 // The returned slice is owned by s and valid until its next use; callers
 // must copy the Result values out before reusing s. Guard annotations are

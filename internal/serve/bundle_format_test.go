@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"iotaxo/internal/modelfile"
 )
@@ -206,7 +205,7 @@ func TestCorruptBinaryBundleIsRefused(t *testing.T) {
 				if err := SaveVersion(root, v1); err != nil {
 					t.Fatal(err)
 				}
-				svc, rel := diskService(t, root, Options{MaxDelay: time.Millisecond})
+				svc, rel := diskService(t, root, Options{})
 				if err := SaveVersion(root, v2); err != nil {
 					t.Fatal(err)
 				}

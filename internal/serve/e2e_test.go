@@ -38,7 +38,6 @@ func newE2EHarness(t *testing.T, interval time.Duration, shadowFraction float64)
 	}
 	svc := NewService(reg, Options{
 		MaxBatch:       16,
-		MaxDelay:       time.Millisecond,
 		CacheSize:      4096,
 		ShadowFraction: shadowFraction,
 	})

@@ -3,13 +3,12 @@ package serve
 import (
 	"context"
 	"testing"
-	"time"
 )
 
 func TestLoadGenDuplicateKnobDrivesCache(t *testing.T) {
 	frame, _, _ := fixture(t)
 	reg := fixtureRegistry(t)
-	svc := NewService(reg, Options{MaxBatch: 16, MaxDelay: time.Millisecond, CacheSize: 8192})
+	svc := NewService(reg, Options{MaxBatch: 16, CacheSize: 8192})
 	defer svc.Close()
 	gen, err := NewLoadGen(LoadSpec{
 		System:      "theta",
@@ -45,7 +44,7 @@ func TestLoadGenDuplicateKnobDrivesCache(t *testing.T) {
 func TestLoadGenOoDKnobTripsGuardrail(t *testing.T) {
 	frame, _, _ := fixture(t)
 	reg := fixtureRegistry(t)
-	svc := NewService(reg, Options{MaxBatch: 16, MaxDelay: time.Millisecond})
+	svc := NewService(reg, Options{MaxBatch: 16})
 	defer svc.Close()
 	gen, err := NewLoadGen(LoadSpec{
 		System:    "theta",

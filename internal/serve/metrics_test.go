@@ -57,7 +57,7 @@ func TestPerSystemMetrics(t *testing.T) {
 	if err := reg.Add(v1); err != nil {
 		t.Fatal(err)
 	}
-	svc := NewService(reg, Options{MaxBatch: 8, MaxDelay: time.Millisecond, CacheSize: 1 << 10})
+	svc := NewService(reg, Options{MaxBatch: 8, CacheSize: 1 << 10})
 	defer svc.Close()
 
 	row := fixtureFrame.Row(0)

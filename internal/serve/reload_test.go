@@ -62,7 +62,7 @@ func TestReloaderAddReplaceRemove(t *testing.T) {
 	if err := SaveVersion(dir, v1); err != nil {
 		t.Fatal(err)
 	}
-	svc, rel := diskService(t, dir, Options{MaxDelay: time.Millisecond, CacheSize: 1024})
+	svc, rel := diskService(t, dir, Options{CacheSize: 1024})
 
 	// No change: a poll is a no-op.
 	stats, err := rel.Poll()
@@ -150,7 +150,7 @@ func TestReloaderBumpVersion(t *testing.T) {
 	if err := SaveVersion(dir, v1); err != nil {
 		t.Fatal(err)
 	}
-	svc, rel := diskService(t, dir, Options{MaxDelay: time.Millisecond})
+	svc, rel := diskService(t, dir, Options{})
 	v, err := BumpVersion(dir, "theta")
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestConcurrentPredictDuringReloadAndPromote(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc, rel := diskService(t, dir, Options{
-		MaxBatch: 8, MaxDelay: 100 * time.Microsecond, CacheSize: 4096,
+		MaxBatch: 8, CacheSize: 4096,
 		ShadowFraction: 0.5,
 	})
 

@@ -58,16 +58,8 @@ func TestBatcherDeadlineMidQueue(t *testing.T) {
 	// a gate the test opens): everything submitted behind it queues past
 	// its own deadline, so the submitter-side abandon CAS answers all of
 	// them and the flush-side drop path discards them.
-	inj := chaos.NewInjector(chaos.Config{Latency: time.Millisecond, LatencyProb: 1}, 1)
-	entered, release := make(chan struct{}), make(chan struct{})
-	var first sync.Once
-	inj.Sleep = func(time.Duration) {
-		first.Do(func() {
-			close(entered)
-			<-release
-		})
-	}
-	b := newBatcher(64, time.Millisecond, 1, m, inj)
+	g, inj := newEvalGate()
+	b := newBatcher(64, 1, m, inj)
 	defer b.Close()
 
 	var pin sync.WaitGroup
@@ -77,7 +69,7 @@ func TestBatcherDeadlineMidQueue(t *testing.T) {
 		defer pin.Done()
 		_, pinErr = b.Submit(context.Background(), v2, make([]float64, len(v2.Columns)))
 	}()
-	<-entered
+	g.waitEntered(t)
 
 	const n = 24
 	ctx := expiringCtx{context.Background(), make(chan struct{})}
@@ -93,7 +85,7 @@ func TestBatcherDeadlineMidQueue(t *testing.T) {
 	waitFor(t, "every submission to queue behind the held worker", func() bool { return b.InflightWaves() == 1+n })
 	close(ctx.done)
 	wg.Wait()
-	close(release)
+	g.open()
 	pin.Wait()
 	if pinErr != nil {
 		t.Fatalf("pinning submission failed: %v", pinErr)
@@ -123,7 +115,7 @@ func TestBatcherPanicIsolation(t *testing.T) {
 	_, _, v2 := fixture(t)
 	m := &Metrics{}
 	inj := chaos.NewInjector(chaos.Config{PanicProb: 1}, 1)
-	b := newBatcher(8, time.Millisecond, 1, m, inj)
+	b := newBatcher(8, 1, m, inj)
 	defer b.Close()
 	// Every evaluation panics; every submission must get an error back and
 	// the worker must survive to serve the next wave.
@@ -141,7 +133,7 @@ func TestBatcherPanicIsolation(t *testing.T) {
 func TestBatcherChaosError(t *testing.T) {
 	_, _, v2 := fixture(t)
 	inj := chaos.NewInjector(chaos.Config{ErrorProb: 1}, 1)
-	b := newBatcher(8, time.Millisecond, 1, &Metrics{}, inj)
+	b := newBatcher(8, 1, &Metrics{}, inj)
 	defer b.Close()
 	_, err := b.Submit(context.Background(), v2, make([]float64, len(v2.Columns)))
 	if !errors.Is(err, chaos.ErrInjected) {
@@ -151,7 +143,7 @@ func TestBatcherChaosError(t *testing.T) {
 
 func TestServerAdmissionSheds(t *testing.T) {
 	reg := fixtureRegistry(t)
-	svc := NewService(reg, Options{MaxBatch: 16, MaxDelay: time.Millisecond})
+	svc := NewService(reg, Options{MaxBatch: 16})
 	t.Cleanup(svc.Close)
 	gate := resilience.NewGate(resilience.GateConfig{MaxInflight: 1, HardLimit: 2, RetryAfter: 2 * time.Second})
 	set := resilience.NewSet()
@@ -201,7 +193,7 @@ func TestServerDeadline(t *testing.T) {
 	// Every evaluation takes ~50ms, so millisecond deadlines expire in the
 	// queue and generous ones ride through.
 	inj := chaos.NewInjector(chaos.Config{Latency: 50 * time.Millisecond, LatencyProb: 1}, 1)
-	svc := NewService(reg, Options{MaxBatch: 16, MaxDelay: time.Millisecond, Workers: 1, CacheSize: 0, Chaos: inj})
+	svc := NewService(reg, Options{MaxBatch: 16, Workers: 1, CacheSize: 0, Chaos: inj})
 	t.Cleanup(svc.Close)
 	ts := httptest.NewServer(NewHandler(svc, HandlerConfig{DefaultDeadline: 2 * time.Second}))
 	t.Cleanup(ts.Close)
@@ -243,7 +235,13 @@ func TestServerDeadline(t *testing.T) {
 		}
 		pinDone <- err
 	}()
-	time.Sleep(10 * time.Millisecond) // let the worker enter the slow evaluation
+	// A batch is counted once it is sealed, just before it is evaluated: the
+	// second one is the pinning wave's, so whatever arrives now queues behind
+	// it. (InflightWaves cannot say so: the first request's wave is still
+	// counted for a moment after its response has been read.)
+	waitFor(t, "the worker to enter the slow evaluation", func() bool {
+		return svc.Metrics().Batches.Load() == 2 && svc.batcher.QueueDepth() == 0
+	})
 	if resp := post("5"); resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("5ms header deadline: status %d, want 504", resp.StatusCode)
 	}
@@ -283,7 +281,7 @@ func TestReloaderBreaker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := NewService(reg, Options{MaxBatch: 16, MaxDelay: time.Millisecond})
+	svc := NewService(reg, Options{MaxBatch: 16})
 	t.Cleanup(svc.Close)
 	rel, err := NewReloader(svc, dir, 0) // manual polls
 	if err != nil {
@@ -342,7 +340,7 @@ func TestReloaderBreaker(t *testing.T) {
 
 func TestResilienceEndpoint(t *testing.T) {
 	reg := fixtureRegistry(t)
-	svc := NewService(reg, Options{MaxBatch: 16, MaxDelay: time.Millisecond})
+	svc := NewService(reg, Options{MaxBatch: 16})
 	t.Cleanup(svc.Close)
 
 	set := resilience.NewSet()

@@ -16,8 +16,8 @@
 //	            (cache.go)
 //	batcher   — misses are coalesced into micro-batches (one wave per
 //	            request, adaptive pressure-driven flushing) and evaluated
-//	            on the bundle's compiled flat GBT engine with ensemble
-//	            members in parallel, all on pooled buffers (batcher.go)
+//	            on the bundle's compiled flat GBT engine and its guarding
+//	            ensemble, all on pooled buffers (batcher.go)
 //	guard     — every evaluated prediction is annotated with the taxonomy
 //	            guardrail: epistemic OoD flag and noise-floor diagnosis
 //	            (guard.go)
@@ -59,10 +59,6 @@ type Options struct {
 	// moment the queue empties — so this only matters under sustained
 	// pressure.
 	MaxBatch int
-	// MaxDelay is the straggler window a lone single-row submission may
-	// wait for company (default 2ms). Multi-row requests never wait: they
-	// arrive as a wave that is already worth evaluating.
-	MaxDelay time.Duration
 	// Workers is the micro-batch worker-pool size (default 2).
 	Workers int
 	// CacheSize is the duplicate cache capacity in entries; <= 0
@@ -151,7 +147,7 @@ func NewService(reg *Registry, opt Options) *Service {
 	s := &Service{
 		reg:     reg,
 		cache:   NewCache(opt.CacheSize),
-		batcher: newBatcher(opt.MaxBatch, opt.MaxDelay, opt.Workers, m, opt.Chaos),
+		batcher: newBatcher(opt.MaxBatch, opt.Workers, m, opt.Chaos),
 		shadow:  NewShadow(reg, opt.ShadowFraction, opt.ShadowWorkers, opt.ShadowQueue, m),
 		metrics: m,
 		logger:  opt.Logger,
@@ -456,7 +452,7 @@ func (s *Service) predict(ctx context.Context, system string, version int, rows 
 		finalizeStart := time.Now()
 		for k := range misses {
 			ms := &misses[k]
-			res := wave[k]
+			res := (*wave)[k]
 			s.cache.Put(ms.key, rows[ms.i], mv, res)
 			setResult(ms.i, res, false)
 			for _, di := range ms.dependents {

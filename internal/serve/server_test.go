@@ -7,13 +7,12 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 func newTestServer(t *testing.T, cacheSize int) (*httptest.Server, *Service) {
 	t.Helper()
 	reg := fixtureRegistry(t)
-	svc := NewService(reg, Options{MaxBatch: 16, MaxDelay: time.Millisecond, CacheSize: cacheSize})
+	svc := NewService(reg, Options{MaxBatch: 16, CacheSize: cacheSize})
 	t.Cleanup(svc.Close)
 	ts := httptest.NewServer(Handler(svc))
 	t.Cleanup(ts.Close)

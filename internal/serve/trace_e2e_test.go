@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"iotaxo/internal/obs"
 )
@@ -19,7 +18,6 @@ func newTracedServer(t *testing.T, token string) (*httptest.Server, *Service) {
 	reg := fixtureRegistry(t)
 	svc := NewService(reg, Options{
 		MaxBatch:   16,
-		MaxDelay:   time.Millisecond,
 		CacheSize:  4096,
 		TraceEvery: 1,
 	})
@@ -155,7 +153,7 @@ func TestTraceEndpointsAuthn(t *testing.T) {
 // attribution is always on) but no trace ID.
 func TestTraceEndpointsDisabled(t *testing.T) {
 	reg := fixtureRegistry(t)
-	svc := NewService(reg, Options{MaxBatch: 16, MaxDelay: time.Millisecond, CacheSize: 64})
+	svc := NewService(reg, Options{MaxBatch: 16, CacheSize: 64})
 	t.Cleanup(svc.Close)
 	ts := httptest.NewServer(Handler(svc))
 	t.Cleanup(ts.Close)

@@ -105,16 +105,17 @@ func (e *Ensemble) Predict(row []float64) Prediction {
 
 // PredictAll decomposes every row. Each member forwards the whole input in
 // batched matrix passes (nn.PredictDistAll) — one product per layer per
-// chunk instead of one per row — and members fan out across CPUs when more
-// than one is available. Results match per-row Predict bit-for-bit.
+// chunk instead of one per row — and over a frame (fanOutRows rows or more)
+// members fan out across CPUs when more than one is available. Results
+// match per-row Predict bit-for-bit.
 func (e *Ensemble) PredictAll(rows [][]float64) []Prediction {
 	return e.PredictBatch(rows)
 }
 
-// PredictBatch decomposes a batch with member-level parallelism over
-// batched member forwards. This is the serving-path kernel: the
-// micro-batcher hands it coalesced batches, and each member's pass is a
-// chunked matrix product rather than per-row network walks.
+// PredictBatch decomposes a batch over batched member forwards. This is
+// the serving-path kernel: the micro-batcher hands it coalesced batches,
+// and each member's pass is a chunked matrix product rather than per-row
+// network walks.
 func (e *Ensemble) PredictBatch(rows [][]float64) []Prediction {
 	if len(rows) == 0 {
 		return nil
@@ -136,11 +137,22 @@ type BatchScratch struct {
 	nn          []*nn.InferScratch
 }
 
+// fanOutRows is the batch size from which PredictBatchInto gives each
+// member its own goroutine. Below it the members run in line on the caller:
+// starting and joining three goroutines costs more than the forwards of a
+// few rows (and seven objects a batch), and a serving batch already runs on
+// one of a pool of workers as wide as the machine, where there is no idle
+// CPU for the fan-out to use. At 64 every batch the micro-batcher forms (32
+// rows by default) stays in line and PredictAll over a frame still fans
+// out. BenchmarkMemberFanOut measures both situations.
+const fanOutRows = 64
+
 // PredictBatchInto is PredictBatch writing into a caller-provided slice
 // (len(out) must equal len(rows)) through reusable scratch buffers: member
 // forwards run through the internal/mat axpy kernels into s's arenas
 // instead of allocating per member per call. Results are bit-identical to
-// PredictBatch and per-row Predict.
+// PredictBatch and per-row Predict at every batch size: in line or fanned
+// out, each member writes only its own planes of s.
 func (e *Ensemble) PredictBatchInto(rows [][]float64, out []Prediction, s *BatchScratch) {
 	if len(out) != len(rows) {
 		panic(fmt.Sprintf("uq: PredictBatchInto output has %d slots for %d rows", len(out), len(rows)))
@@ -161,23 +173,10 @@ func (e *Ensemble) PredictBatchInto(rows [][]float64, out []Prediction, s *Batch
 	for len(s.nn) < k {
 		s.nn = append(s.nn, new(nn.InferScratch))
 	}
-	eachMember := func(mi int) {
-		e.Members[mi].PredictDistAllScratch(rows, s.means[mi*n:(mi+1)*n], s.vars[mi*n:(mi+1)*n], s.nn[mi])
-	}
-	if runtime.GOMAXPROCS(0) > 1 {
-		var wg sync.WaitGroup
-		for mi := range e.Members {
-			wg.Add(1)
-			go func(mi int) {
-				defer wg.Done()
-				eachMember(mi)
-			}(mi)
-		}
-		wg.Wait()
+	if n < fanOutRows || runtime.GOMAXPROCS(0) == 1 {
+		e.forwardInLine(rows, s)
 	} else {
-		for mi := range e.Members {
-			eachMember(mi)
-		}
+		e.forwardFanOut(rows, s)
 	}
 	memberMeans := s.memberMeans
 	for i := range rows {
@@ -192,6 +191,33 @@ func (e *Ensemble) PredictBatchInto(rows [][]float64, out []Prediction, s *Batch
 			EU:   stats.PopVariance(memberMeans),
 		}
 	}
+}
+
+// forward runs member mi over rows into its planes of s (sized by
+// PredictBatchInto).
+func (e *Ensemble) forward(mi int, rows [][]float64, s *BatchScratch) {
+	n := len(rows)
+	e.Members[mi].PredictDistAllScratch(rows, s.means[mi*n:(mi+1)*n], s.vars[mi*n:(mi+1)*n], s.nn[mi])
+}
+
+// forwardInLine runs every member over rows on the calling goroutine.
+func (e *Ensemble) forwardInLine(rows [][]float64, s *BatchScratch) {
+	for mi := range e.Members {
+		e.forward(mi, rows, s)
+	}
+}
+
+// forwardFanOut runs every member over rows, one goroutine each.
+func (e *Ensemble) forwardFanOut(rows [][]float64, s *BatchScratch) {
+	var wg sync.WaitGroup
+	for mi := range e.Members {
+		wg.Add(1)
+		go func(mi int) {
+			defer wg.Done()
+			e.forward(mi, rows, s)
+		}(mi)
+	}
+	wg.Wait()
 }
 
 // EUs extracts the epistemic standard deviations of predictions.
