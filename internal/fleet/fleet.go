@@ -67,7 +67,9 @@ type Predictor interface {
 	Name() string
 	// Predict serves one (sub-)request. Failures that map to an HTTP
 	// status (shed 429s, client 4xx, replica 5xx) are *BackendError;
-	// anything else is a transport-level failure.
+	// anything else is a transport-level failure. req and its row headers
+	// are the router's pooled storage, on loan until Predict returns; the
+	// values the headers point at are the caller's and outlive the call.
 	Predict(ctx context.Context, req *serve.PredictRequest) (*serve.PredictResponse, error)
 	// Health reports liveness (the router's probe; also the circuit
 	// breaker's half-open trial).

@@ -4,10 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptrace"
+	"net/url"
 	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"iotaxo/internal/obs"
@@ -27,6 +33,20 @@ type Remote struct {
 	// fleet runs with admin authn. Empty is fine: FetchTrace then degrades
 	// to a missing hop rather than failing the stitch.
 	adminToken string
+
+	// base is baseURL parsed once, and parseErr why it could not be: every
+	// call then fails with it, NewRemote having no error to return. The three
+	// fixed endpoints are derived once too and shared by all their requests.
+	base                     *url.URL
+	parseErr                 error
+	predict, health, metrics endpoint
+}
+
+// endpoint is one path of the replica's surface and, when the base URL
+// parsed, its URL.
+type endpoint struct {
+	path string
+	url  *url.URL
 }
 
 // RemoteConfig tunes a Remote backend.
@@ -44,7 +64,44 @@ func NewRemote(name, baseURL string, cfg RemoteConfig) *Remote {
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
 	}
-	return &Remote{name: name, baseURL: baseURL, client: client, adminToken: cfg.AdminToken}
+	r := &Remote{name: name, baseURL: baseURL, client: client, adminToken: cfg.AdminToken}
+	base, err := url.Parse(baseURL)
+	if err != nil {
+		// Keep the cause; newRequest names the URL each call asked for.
+		var uerr *url.Error
+		if errors.As(err, &uerr) {
+			err = uerr.Err
+		}
+		r.parseErr = err
+	} else {
+		base.Host = strings.TrimSuffix(base.Host, ":") // http.NewRequest drops an empty port too
+		r.base = base
+	}
+	r.predict, r.health, r.metrics = r.endpoint("/v1/predict"), r.endpoint("/healthz"), r.endpoint("/metrics")
+	return r
+}
+
+// endpoint is path appended to the base URL's path.
+func (r *Remote) endpoint(path string) endpoint {
+	if r.base == nil {
+		return endpoint{path: path}
+	}
+	u := *r.base
+	u.Path, u.RawPath = u.Path+path, ""
+	return endpoint{path, &u}
+}
+
+// newRequest is http.NewRequestWithContext(ctx, method, baseURL+path, nil)
+// over that URL already parsed, which the request shares rather than copies:
+// nothing in net/http writes to a request's URL. A base URL that did not
+// parse fails here as the per-call parse used to.
+func (r *Remote) newRequest(ctx context.Context, method string, ep endpoint) (*http.Request, error) {
+	if r.parseErr != nil {
+		return nil, &url.Error{Op: "parse", URL: r.baseURL + ep.path, Err: r.parseErr}
+	}
+	req := http.Request{Method: method, URL: ep.url, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: make(http.Header, 3), Host: ep.url.Host}
+	return req.WithContext(ctx), nil
 }
 
 // Name implements Predictor.
@@ -56,39 +113,105 @@ func (r *Remote) Name() string { return r.name }
 // (theta 101 features, cori 138) an order of magnitude of room.
 const maxReplicaReply = 4 * maxRouterBody
 
+// hopBody is the pooled storage of one hop: the encoded request, the reply,
+// and the means of learning when net/http has finished with the former. The
+// transport may still be writing a request body after Do has returned (a
+// replica that sheds answers before it has read the body; RoundTripper allows
+// it of any implementation), and it must be handed a plain
+// io.NopCloser(*bytes.Reader): any type of ours, say one whose Close reports
+// back, is not an in-memory reader net/http knows, which makes it flush the
+// headers on their own (one more write and segment a hop) and copy the body
+// through a buffer it allocates (Go issue 22088). So the lifetime is learned
+// from a client trace instead: see release.
+type hopBody struct {
+	buf    []byte           // the request body
+	reply  []byte           // the replica's answer; the decoder copies out of it
+	bound  io.LimitedReader // over the response body while reply is read
+	reader bytes.Reader     // over buf, for the first attempt
+	body   io.ReadCloser    // io.NopCloser(&reader), boxed once
+	// getBody is the request's GetBody: a second reader over buf, for a retry
+	// that may overlap the failed attempt's last read of the first.
+	getBody func() (io.ReadCloser, error)
+	// conns counts the connections the request was handed to (a stale
+	// keep-alive connection is retried on a second one), written those that
+	// have reported their write of it over, failed or not.
+	conns, written atomic.Int32
+	trace          httptrace.ClientTrace
+}
+
+// maxPooledHop is the most storage (bytes) a hop may take back to the pool.
+const maxPooledHop = 1 << 20
+
+var hopPool = sync.Pool{New: func() any {
+	h := new(hopBody)
+	h.body = io.NopCloser(&h.reader)
+	h.getBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(h.buf)), nil }
+	h.trace = httptrace.ClientTrace{
+		GotConn:      func(httptrace.GotConnInfo) { h.conns.Add(1) },
+		WroteRequest: func(httptrace.WroteRequestInfo) { h.written.Add(1) },
+	}
+	return h
+}}
+
+// release returns h to the pool if nothing can still be reading h.buf, and
+// otherwise leaves it to the collector. It runs after Do has returned, when no
+// further connection can be handed the request: if at least one was and every
+// one that was has finished writing, no write is running or can start. Every
+// other outcome — an early 429 with the write still under way, a dial the
+// context cancelled, a caller's RoundTripper or client trace that keeps ours
+// from firing, a request that never reached Do — fails the test and costs one
+// allocation, never a torn body.
+func (h *hopBody) release() {
+	n := h.conns.Load()
+	if n == 0 || h.written.Load() != n || cap(h.buf)+cap(h.reply) > maxPooledHop {
+		return
+	}
+	h.conns.Store(0)
+	h.written.Store(0)
+	hopPool.Put(h)
+}
+
+// jsonContentType is every predict hop's Content-Type value: header values
+// are read, never written, by net/http.
+var jsonContentType = []string{"application/json"}
+
 // Predict implements Predictor over POST /v1/predict, both directions
 // through the shared wire codec (serve/codec.go).
 func (r *Remote) Predict(ctx context.Context, req *serve.PredictRequest) (*serve.PredictResponse, error) {
-	// One buffer a hop, sized at 16 bytes a value. It is not pooled: the
-	// transport may still be writing it after Do returns (a replica that
-	// sheds answers before it has read the body).
-	values := len(req.Row)
-	for _, row := range req.Rows {
-		values += len(row)
-	}
-	body, err := serve.AppendPredictRequest(make([]byte, 0, 64+16*values), req)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: encoding request for %s: %w", r.name, err)
-	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, r.baseURL+"/v1/predict", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	if id := obs.TraceParent(ctx); id != 0 {
-		httpReq.Header.Set(serve.TraceHeader, obs.FormatTraceID(id))
-	}
 	// The client's deadline minus the router time already spent is the
 	// replica's whole budget. An exhausted budget fails fast here — sending
 	// the request would only have the replica compute an answer nobody can
 	// read, and the wrapped DeadlineExceeded keeps the router from counting
 	// the client's expired budget against this replica's breaker.
-	if ms, ok := remainingBudgetMs(ctx, time.Now()); ok {
-		if ms <= 0 {
-			return nil, fmt.Errorf("fleet: replica %s: request budget exhausted before dispatch: %w",
-				r.name, context.DeadlineExceeded)
-		}
-		httpReq.Header.Set(serve.DeadlineHeader, strconv.FormatInt(ms, 10))
+	budgetMs, bounded := remainingBudgetMs(ctx, time.Now())
+	if bounded && budgetMs <= 0 {
+		return nil, fmt.Errorf("fleet: replica %s: request budget exhausted before dispatch: %w",
+			r.name, context.DeadlineExceeded)
+	}
+	h := hopPool.Get().(*hopBody)
+	defer h.release()
+	var err error
+	if h.buf, err = serve.AppendPredictRequest(h.buf[:0], req); err != nil {
+		return nil, fmt.Errorf("fleet: encoding request for %s: %w", r.name, err)
+	}
+	// A trace the caller installed would be chained into ours for good by
+	// WithClientTrace; theirs stays, and this hop's buffer is not recycled.
+	tctx := ctx
+	if httptrace.ContextClientTrace(ctx) == nil {
+		tctx = httptrace.WithClientTrace(ctx, &h.trace)
+	}
+	httpReq, err := r.newRequest(tctx, http.MethodPost, r.predict)
+	if err != nil {
+		return nil, err
+	}
+	h.reader.Reset(h.buf)
+	httpReq.Body, httpReq.GetBody, httpReq.ContentLength = h.body, h.getBody, int64(len(h.buf))
+	httpReq.Header["Content-Type"] = jsonContentType
+	if id := obs.TraceParent(ctx); id != 0 {
+		httpReq.Header[serve.TraceHeader] = []string{obs.FormatTraceID(id)}
+	}
+	if bounded {
+		httpReq.Header[serve.DeadlineHeader] = []string{strconv.FormatInt(budgetMs, 10)}
 	}
 	resp, err := r.client.Do(httpReq)
 	if err != nil {
@@ -98,16 +221,18 @@ func (r *Remote) Predict(ctx context.Context, req *serve.PredictRequest) (*serve
 	if resp.StatusCode != http.StatusOK {
 		return nil, backendErrorFrom(resp)
 	}
-	reply, err := serve.ReadBody(nil, io.LimitReader(resp.Body, maxReplicaReply+1), resp.ContentLength)
+	h.bound = io.LimitedReader{R: resp.Body, N: maxReplicaReply + 1}
+	h.reply, err = serve.ReadBody(h.reply[:0], &h.bound, resp.ContentLength)
+	h.bound.R = nil
 	if err != nil {
 		return nil, fmt.Errorf("fleet: replica %s: reading response body: %w", r.name, err)
 	}
-	if len(reply) > maxReplicaReply {
+	if len(h.reply) > maxReplicaReply {
 		// 5xx, so it counts against the replica's breaker like any fault.
 		return nil, &BackendError{Status: http.StatusBadGateway,
 			Msg: fmt.Sprintf("replica %s reply exceeds %d bytes", r.name, maxReplicaReply)}
 	}
-	out, err := serve.DecodePredictResponse(reply)
+	out, err := serve.DecodePredictReply(h.reply, req.System)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: replica %s sent a bad response body: %w", r.name, err)
 	}
@@ -137,7 +262,7 @@ func backendErrorFrom(resp *http.Response) *BackendError {
 
 // Health implements Predictor over GET /healthz.
 func (r *Remote) Health(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.baseURL+"/healthz", nil)
+	req, err := r.newRequest(ctx, http.MethodGet, r.health)
 	if err != nil {
 		return err
 	}
@@ -173,7 +298,7 @@ const maxMetricsBody = 4 << 20
 // replica's whole exposition, replacing the old two-request
 // /v1/resilience + /v1/versions stats poll.
 func (r *Remote) Metrics(ctx context.Context) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.baseURL+"/metrics", nil)
+	req, err := r.newRequest(ctx, http.MethodGet, r.metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +337,7 @@ func (r *Remote) FetchTrace(ctx context.Context, id uint64) (*obs.TraceDetail, e
 
 // getJSON fetches one replica endpoint into out.
 func (r *Remote) getJSON(ctx context.Context, path string, admin bool, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.baseURL+path, nil)
+	req, err := r.newRequest(ctx, http.MethodGet, r.endpoint(path))
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -24,17 +25,16 @@ type ringPoint struct {
 	member string
 }
 
-// Ring maps 64-bit keys to member names. Not safe for concurrent
-// mutation; the router guards it with its membership mutex.
+// Ring maps 64-bit keys to member names. It has no lock of its own: the
+// router reads and mutates it only under its membership mutex, which is also
+// what makes the slice Members returns safe to walk.
 type Ring struct {
 	points  []ringPoint // sorted by hash
-	members map[string]bool
+	members []string    // sorted; kept by Add and Remove so no reader sorts
 }
 
 // NewRing builds an empty ring.
-func NewRing() *Ring {
-	return &Ring{members: make(map[string]bool)}
-}
+func NewRing() *Ring { return &Ring{} }
 
 // vnodeHash places virtual node i of a member on the ring. Raw FNV-1a
 // over short near-identical inputs clusters badly (adjacent vnode indices
@@ -61,10 +61,11 @@ func mix64(x uint64) uint64 {
 // Add inserts a member's virtual nodes. Adding an existing member is a
 // no-op.
 func (r *Ring) Add(member string) {
-	if r.members[member] {
+	at, ok := r.index(member)
+	if ok {
 		return
 	}
-	r.members[member] = true
+	r.members = slices.Insert(r.members, at, member)
 	for i := 0; i < vnodesPerMember; i++ {
 		r.points = append(r.points, ringPoint{hash: vnodeHash(member, i), member: member})
 	}
@@ -81,10 +82,11 @@ func (r *Ring) Add(member string) {
 // Remove ejects a member's virtual nodes. Keys it owned fall to each
 // arc's clockwise successor; all other ownership is untouched.
 func (r *Ring) Remove(member string) {
-	if !r.members[member] {
+	at, ok := r.index(member)
+	if !ok {
 		return
 	}
-	delete(r.members, member)
+	r.members = slices.Delete(r.members, at, at+1)
 	kept := r.points[:0]
 	for _, p := range r.points {
 		if p.member != member {
@@ -107,21 +109,21 @@ func (r *Ring) Owner(key uint64) string {
 	return r.points[i].member
 }
 
+// index is member's position in Members, or where it would be inserted.
+func (r *Ring) index(member string) (int, bool) { return slices.BinarySearch(r.members, member) }
+
 // Has reports membership.
-func (r *Ring) Has(member string) bool { return r.members[member] }
+func (r *Ring) Has(member string) bool {
+	_, ok := r.index(member)
+	return ok
+}
 
 // Size returns the member count.
 func (r *Ring) Size() int { return len(r.members) }
 
-// Members returns the member names, sorted.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
+// Members returns the member names, sorted: the ring's own slice, which the
+// caller must not modify and which the next Add or Remove invalidates.
+func (r *Ring) Members() []string { return r.members }
 
 // String renders a compact membership view for logs.
 func (r *Ring) String() string {

@@ -7,7 +7,9 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -465,10 +467,59 @@ func (rt *Router) traceID() uint64 {
 
 // ownerGroup is one ring-owner's slice of a batch.
 type ownerGroup struct {
-	owner   string // ring owner of these rows' hashes ("" on empty ring)
-	indices []int  // positions in the original row order
+	owner   string // ring owner of these rows' hashes
+	indices []int  // positions in the original row order, ascending
 	rows    [][]float64
 }
+
+// groupResult is what dispatching one owner group came back with.
+type groupResult struct {
+	replica string
+	version int
+	traceID string
+	preds   []serve.PredictionResult
+	err     error
+}
+
+// routeScratch is the pooled working storage of one Route: what the split,
+// the fan-out and the reassembly need and the response does not keep. A
+// sub-request and its row headers are on loan to Predictor.Predict until it
+// returns, so the scratch is released only after the fan-out barrier.
+type routeScratch struct {
+	hashes  []uint64    // row i's routing hash
+	label   []int32     // row i's group
+	groupOf []int32     // position in Ring.Members → group, -1 until seen
+	counts  []int       // rows per group
+	indices []int       // every group's indices, back to back
+	rows    [][]float64 // every group's row headers, likewise
+	groups  []ownerGroup
+	subs    []serve.PredictRequest
+	results []groupResult
+	wg      sync.WaitGroup
+}
+
+// maxScratchRows is the largest request whose scratch goes back to the
+// pool: one 100k-row batch must not pin its blocks per P.
+const maxScratchRows = 4096
+
+var scratchPool = sync.Pool{New: func() any { return new(routeScratch) }}
+
+// release drops every reference into the request and the replies, then
+// returns the scratch to the pool.
+func (sc *routeScratch) release() {
+	if cap(sc.rows) > maxScratchRows {
+		return
+	}
+	clear(sc.rows)
+	clear(sc.groups)
+	clear(sc.subs)
+	clear(sc.results)
+	scratchPool.Put(sc)
+}
+
+// sized returns s with length n, reallocating only when it is too small.
+// The contents are whatever was there: callers overwrite all of it.
+func sized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // hopRecorder collects one HopSpan per replica dispatch attempt. The
 // dispatch goroutines append concurrently; Route reads the slice only
@@ -510,8 +561,10 @@ func (rt *Router) Route(ctx context.Context, req *serve.PredictRequest) (*Respon
 	}
 	// The fleet trace ID rides the context: Local replicas read it as
 	// their trace parent directly, Remote ones send it on X-Trace-Id.
+	// (A new variable: the fan-out goroutines capture it, and one that is
+	// assigned twice would be captured by reference, on the heap.)
 	fid := rt.traceID()
-	ctx = obs.WithTraceParent(ctx, fid)
+	rctx := obs.WithTraceParent(ctx, fid)
 
 	// The router-side trace (nil when tracing is off): validation above is
 	// the admit stage, then score / fanout / reassemble are stamped as the
@@ -535,8 +588,10 @@ func (rt *Router) Route(ctx context.Context, req *serve.PredictRequest) (*Respon
 		rt.tracer.Finish(ft)
 	}
 
+	sc := scratchPool.Get().(*routeScratch)
+	defer sc.release()
 	scoreStart := time.Now()
-	groups, epoch, err := rt.groupByOwner(req.System, rows)
+	groups, epoch, err := rt.groupByOwner(sc, req.System, rows)
 	if ft != nil {
 		ft.StageNs[obs.RouterStageScore] = time.Since(scoreStart).Nanoseconds()
 	}
@@ -545,30 +600,20 @@ func (rt *Router) Route(ctx context.Context, req *serve.PredictRequest) (*Respon
 		return nil, err
 	}
 
-	type groupResult struct {
-		replica string
-		version int
-		traceID string
-		preds   []serve.PredictionResult
-		err     error
-	}
+	// Every group but the last gets a goroutine; the last runs here, so a
+	// request that lands on one replica forks nothing.
 	fanoutStart := time.Now()
-	results := make([]groupResult, len(groups))
-	var wg sync.WaitGroup
-	for gi, g := range groups {
-		wg.Add(1)
-		go func(gi int, g ownerGroup) {
-			defer wg.Done()
-			sub := &serve.PredictRequest{System: req.System, Version: req.Version, Rows: g.rows}
-			name, resp, err := rt.dispatch(ctx, g.owner, sub, rec)
-			if err != nil {
-				results[gi] = groupResult{err: err}
-				return
-			}
-			results[gi] = groupResult{replica: name, version: resp.Version, traceID: resp.TraceID, preds: resp.Predictions}
-		}(gi, g)
+	sc.subs, sc.results = sized(sc.subs, len(groups)), sized(sc.results, len(groups))
+	last := len(groups) - 1
+	sc.wg.Add(last)
+	for gi := range groups[:last] {
+		go func() {
+			defer sc.wg.Done()
+			rt.dispatchGroup(rctx, req, sc, gi, rec)
+		}()
 	}
-	wg.Wait()
+	rt.dispatchGroup(rctx, req, sc, last, rec)
+	sc.wg.Wait()
 	if ft != nil {
 		ft.StageNs[obs.RouterStageFanout] = time.Since(fanoutStart).Nanoseconds()
 	}
@@ -579,9 +624,8 @@ func (rt *Router) Route(ctx context.Context, req *serve.PredictRequest) (*Respon
 		Count:       len(rows),
 		Predictions: make([]serve.PredictionResult, len(rows)),
 		TraceID:     obs.FormatTraceID(fid),
-	}, MembershipEpoch: epoch}
-	shares := make(map[string]*ReplicaShare)
-	for gi, res := range results {
+	}, Replicas: make([]ReplicaShare, 0, len(groups)), MembershipEpoch: epoch}
+	for gi, res := range sc.results {
 		if res.err != nil {
 			// One failed owner group fails the request: partial batches are
 			// not part of the predict contract. The first error (by group
@@ -604,11 +648,15 @@ func (rt *Router) Route(ctx context.Context, req *serve.PredictRequest) (*Respon
 		if res.version > out.Version {
 			out.Version = res.version
 		}
-		sh, ok := shares[res.replica]
-		if !ok {
-			sh = &ReplicaShare{Replica: res.replica, Version: res.version}
-			shares[res.replica] = sh
+		// A failover can land two groups on one replica: they share a share.
+		k := 0
+		for k < len(out.Replicas) && out.Replicas[k].Replica != res.replica {
+			k++
 		}
+		if k == len(out.Replicas) {
+			out.Replicas = append(out.Replicas, ReplicaShare{Replica: res.replica, Version: res.version})
+		}
+		sh := &out.Replicas[k]
 		sh.Rows += len(g.rows)
 		if res.version > sh.Version {
 			sh.Version = res.version
@@ -617,10 +665,7 @@ func (rt *Router) Route(ctx context.Context, req *serve.PredictRequest) (*Respon
 			sh.TraceIDs = append(sh.TraceIDs, res.traceID)
 		}
 	}
-	for _, sh := range shares {
-		out.Replicas = append(out.Replicas, *sh)
-	}
-	sort.Slice(out.Replicas, func(a, b int) bool { return out.Replicas[a].Replica < out.Replicas[b].Replica })
+	slices.SortFunc(out.Replicas, func(a, b ReplicaShare) int { return strings.Compare(a.Replica, b.Replica) })
 	if ft != nil {
 		ft.StageNs[obs.RouterStageReassemble] = time.Since(reassembleStart).Nanoseconds()
 	}
@@ -628,36 +673,73 @@ func (rt *Router) Route(ctx context.Context, req *serve.PredictRequest) (*Respon
 	return out, nil
 }
 
-// groupByOwner splits rows into ring-owner groups and stamps the
-// membership epoch the split was computed under. Routing hashes pin
-// version 0 so a row keeps its owner across model version bumps — cache
-// keys are versioned, but arc residency shouldn't churn on every publish.
-func (rt *Router) groupByOwner(system string, rows [][]float64) ([]ownerGroup, uint64, error) {
+// groupByOwner splits rows into ring-owner groups, in order of first
+// appearance with each group's indices ascending, and stamps the membership
+// epoch the split was computed under. Routing hashes pin version 0 so a row
+// keeps its owner across model version bumps — cache keys are versioned, but
+// arc residency shouldn't churn on every publish. The rows are hashed before
+// rt.mu is taken and laid out after it is dropped: under the lock, which
+// every routed request crosses, a row costs one ring search.
+func (rt *Router) groupByOwner(sc *routeScratch, system string, rows [][]float64) ([]ownerGroup, uint64, error) {
+	n := len(rows)
+	sc.hashes, sc.label = sized(sc.hashes, n), sized(sc.label, n)
+	for i, row := range rows {
+		sc.hashes[i] = serve.HashKey(system, 0, row)
+	}
+
 	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	epoch := rt.epoch.Load()
-	if rt.ring.Size() == 0 {
+	members := rt.ring.Members()
+	if len(members) == 0 {
+		rt.mu.Unlock()
 		rt.metrics.errors.Add(1)
 		return nil, epoch, &BackendError{Status: http.StatusServiceUnavailable, Msg: "no healthy replicas"}
 	}
-	byOwner := make(map[string]*ownerGroup)
-	var groups []ownerGroup
-	order := make([]string, 0, 4)
-	for i, row := range rows {
-		owner := rt.ring.Owner(serve.HashKey(system, 0, row))
-		g, ok := byOwner[owner]
-		if !ok {
-			byOwner[owner] = &ownerGroup{owner: owner}
-			g = byOwner[owner]
-			order = append(order, owner)
+	sc.groupOf, sc.counts = sized(sc.groupOf, len(members)), sized(sc.counts, len(members))[:0]
+	for m := range sc.groupOf {
+		sc.groupOf[m] = -1
+	}
+	groups := sc.groups[:0]
+	for i, h := range sc.hashes {
+		owner := rt.ring.Owner(h)
+		m, _ := rt.ring.index(owner)
+		if sc.groupOf[m] < 0 {
+			sc.groupOf[m] = int32(len(groups))
+			groups = append(groups, ownerGroup{owner: owner})
+			sc.counts = append(sc.counts, 0)
 		}
-		g.indices = append(g.indices, i)
-		g.rows = append(g.rows, row)
+		sc.label[i] = sc.groupOf[m]
+		sc.counts[sc.label[i]]++
 	}
-	for _, owner := range order {
-		groups = append(groups, *byOwner[owner])
+	rt.mu.Unlock()
+
+	// Each group gets its window of the two blocks, capped so that filling
+	// one cannot run into the next.
+	sc.indices, sc.rows = sized(sc.indices, n), sized(sc.rows, n)
+	at := 0
+	for g, c := range sc.counts {
+		groups[g].indices, groups[g].rows = sc.indices[at:at:at+c], sc.rows[at:at:at+c]
+		at += c
 	}
+	for i, row := range rows {
+		g := &groups[sc.label[i]]
+		g.indices, g.rows = append(g.indices, i), append(g.rows, row)
+	}
+	sc.groups = groups
 	return groups, epoch, nil
+}
+
+// dispatchGroup sends owner group gi of req on its way and files what came
+// back in the scratch.
+func (rt *Router) dispatchGroup(ctx context.Context, req *serve.PredictRequest, sc *routeScratch, gi int, rec *hopRecorder) {
+	sub := &sc.subs[gi]
+	*sub = serve.PredictRequest{System: req.System, Version: req.Version, Rows: sc.groups[gi].rows}
+	name, resp, err := rt.dispatch(ctx, sc.groups[gi].owner, sub, rec)
+	if err != nil {
+		sc.results[gi] = groupResult{err: err}
+		return
+	}
+	sc.results[gi] = groupResult{replica: name, version: resp.Version, traceID: resp.TraceID, preds: resp.Predictions}
 }
 
 // dispatch serves one owner group: score the live candidates, try the
@@ -668,7 +750,7 @@ func (rt *Router) groupByOwner(system string, rows [][]float64) ([]ownerGroup, u
 // router spent waiting on the replica, so the stitcher can attribute the
 // difference from the replica's own total to the network.
 func (rt *Router) dispatch(ctx context.Context, owner string, sub *serve.PredictRequest, rec *hopRecorder) (string, *serve.PredictResponse, error) {
-	tried := make(map[string]bool)
+	var tried map[string]bool // replicas that faulted: built by the first failover
 	failover := false
 	var lastErr error
 	for {
@@ -679,7 +761,6 @@ func (rt *Router) dispatch(ctx context.Context, owner string, sub *serve.Predict
 			}
 			return "", nil, lastErr
 		}
-		tried[name] = true
 		nrows := int64(len(sub.Rows))
 		rs.inflight.Add(nrows)
 		rt.metrics.dispatched(name, len(sub.Rows))
@@ -693,8 +774,12 @@ func (rt *Router) dispatch(ctx context.Context, owner string, sub *serve.Predict
 		}
 		rs.inflight.Add(-nrows)
 		if err == nil {
-			if id, perr := obs.ParseTraceID(resp.TraceID); perr == nil {
-				hop.TraceID = id
+			// A replica that kept no trace sends no ID, and parsing ""
+			// would allocate the error that says so.
+			if resp.TraceID != "" {
+				if id, perr := obs.ParseTraceID(resp.TraceID); perr == nil {
+					hop.TraceID = id
+				}
 			}
 			if resp.ServerTimings != nil {
 				hop.ReplicaTotalNs = resp.ServerTimings.TotalNs
@@ -723,6 +808,10 @@ func (rt *Router) dispatch(ctx context.Context, owner string, sub *serve.Predict
 		// Replica fault (5xx or transport): feed the breaker, eject if it
 		// trips, and fail the sub-request over to the next-best candidate.
 		failover = true
+		if tried == nil {
+			tried = make(map[string]bool)
+		}
+		tried[name] = true
 		rs.breaker.Failure()
 		rt.reconcile()
 		rt.metrics.failovers.Add(1)
@@ -778,9 +867,10 @@ func (rt *Router) StitchTrace(ctx context.Context, id uint64) (obs.StitchedTrace
 // exhausted). Scoring sees the live loads, so two owner groups dispatched
 // concurrently spread instead of dogpiling.
 func (rt *Router) pick(owner string, tried map[string]bool) (string, *replicaState) {
+	var few [8]candidate // a fleet this small is scored on the stack
+	cands := few[:0]
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	cands := make([]candidate, 0, len(rt.names))
 	for _, name := range rt.ring.Members() {
 		if tried[name] {
 			continue

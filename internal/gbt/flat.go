@@ -195,6 +195,12 @@ func (f *Flat) PredictAllInto(rows [][]float64, out []float64) {
 		}
 		out[i] = f.bias
 	}
+	// A single chunk is walked here: the closure below escapes through
+	// parallelChunks' goroutines, so merely building it is an allocation.
+	if len(rows) <= predictChunk {
+		f.predictBlock(rows, out, 0, len(rows))
+		return
+	}
 	parallelChunks(len(rows), predictChunk, func(lo, hi int) {
 		f.predictBlock(rows, out, lo, hi)
 	})

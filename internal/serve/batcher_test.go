@@ -212,9 +212,9 @@ func TestBatcherLoneWaveDoesNotWait(t *testing.T) {
 
 // TestBatcherWaveRoundTripAllocs: against a warm batcher a wave's round
 // trip — request, response channel, result slice and its holder, the
-// worker's flush — allocates nothing beyond what evaluating its rows does
-// (the flat engine's chunk closure; a guarded bundle's guard block escapes
-// to the caller, so the bundle here has none).
+// worker's flush — allocates nothing, and neither does evaluating its rows
+// (a guarded bundle's guard block escapes to the caller, so the bundle here
+// has none).
 func TestBatcherWaveRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
@@ -242,8 +242,8 @@ func TestBatcherWaveRoundTripAllocs(t *testing.T) {
 	}
 	roundTrip()
 	evaluation()
-	if wave, eval := testing.AllocsPerRun(200, roundTrip), testing.AllocsPerRun(200, evaluation); wave != eval {
-		t.Fatalf("a steady-state wave round trip allocates %.0f times, its evaluation alone %.0f", wave, eval)
+	if wave, eval := testing.AllocsPerRun(200, roundTrip), testing.AllocsPerRun(200, evaluation); wave != 0 || eval != 0 {
+		t.Fatalf("a steady-state wave round trip allocates %.0f times, its evaluation alone %.0f, want 0 and 0", wave, eval)
 	}
 }
 

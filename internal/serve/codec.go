@@ -444,7 +444,14 @@ func AppendPredictResponse(dst []byte, resp *PredictResponse) ([]byte, error) {
 // []PredictionResult and one []Guard block; any other shape — an older or
 // newer replica, whitespace, reordered keys — is encoding/json's to decode.
 func DecodePredictResponse(data []byte) (*PredictResponse, error) {
-	out := new(PredictResponse)
+	return DecodePredictReply(data, "")
+}
+
+// DecodePredictReply is DecodePredictResponse for the sender of the request:
+// a reply that names the system asked about shares that string rather than
+// holding a copy of it.
+func DecodePredictReply(data []byte, system string) (*PredictResponse, error) {
+	out := &PredictResponse{System: system}
 	if decodeResponse(data, out) {
 		return out, nil
 	}
@@ -455,6 +462,8 @@ func DecodePredictResponse(data []byte) (*PredictResponse, error) {
 	return out, nil
 }
 
+// decodeResponse is the reply fast path. out.System, if the caller set it, is
+// kept when the reply spells the same name.
 func decodeResponse(data []byte, out *PredictResponse) bool {
 	p := cursor{b: data}
 	p.want(`{"system":`)
@@ -470,7 +479,10 @@ func decodeResponse(data []byte, out *PredictResponse) bool {
 	if p.bad || count < 0 || count > int64(len(data)/64) {
 		return false
 	}
-	out.System, out.Version, out.Count = string(system), int(version), int(count)
+	if string(system) != out.System {
+		out.System = string(system)
+	}
+	out.Version, out.Count = int(version), int(count)
 	out.Predictions = make([]PredictionResult, 0, count)
 	var guards []Guard
 	for !p.bad && !p.has(']') {
@@ -502,7 +514,7 @@ func decodeResponse(data []byte, out *PredictResponse) bool {
 				g.NoiseFloorPct = p.float()
 			}
 			p.want(`,"error_source":`)
-			g.ErrorSource = string(p.str())
+			g.ErrorSource = internErrorSource(p.str())
 			p.want("}")
 			pr.Guard = g
 		}
@@ -528,6 +540,17 @@ func decodeResponse(data []byte, out *PredictResponse) bool {
 	// brace either.
 	p.want("}")
 	return !p.bad
+}
+
+// internErrorSource returns the guard label b spells: the constant itself for
+// one of errorSources, a copy for a label this build does not know.
+func internErrorSource(b []byte) string {
+	for _, s := range errorSources {
+		if string(b) == s {
+			return s
+		}
+	}
+	return string(b)
 }
 
 // AppendPredictRequest appends json.Marshal(req): the body of the hop from
