@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/binary"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -17,11 +19,13 @@ import (
 // currently-recurring duplicate sets.
 //
 // A shard is a few flat arrays with no pointers in them: fixed-width slots
-// linked into an exact LRU by index, a key -> slot map, and the rows in
-// float64 slabs at a fixed stride. A full cache therefore costs the
-// collector nothing to scan, an insert into it allocates nothing, and an
-// entry cannot keep anything else alive — in particular not the bundle that
-// produced it, which a slot names by number.
+// linked into an exact LRU by index, a key -> slot map, and the rows as
+// little-endian bit patterns in byte slabs at a fixed stride, mapped outside
+// the Go heap. A full cache therefore costs the collector nothing to scan,
+// its rows — most of its bytes — do not count towards the heap goal, an
+// insert into it allocates nothing, and an entry cannot keep anything else
+// alive — in particular not the bundle that produced it, which a slot names
+// by number.
 
 // cacheShards is the shard count (power of two; keys are well-mixed FNV
 // hashes, so low bits select shards uniformly).
@@ -31,6 +35,47 @@ const cacheShards = 16
 // allocated as the slots they back are first used: a cache that is built
 // and never filled costs no row memory.
 const cacheSlabRows = 256
+
+// cacheRowBytes is what the process holds in mapped slabs at this moment: the
+// ioserve_cache_row_bytes gauge.
+var cacheRowBytes atomic.Int64
+
+// rowSlab is the rows of cacheSlabRows slots. mapped says b came from mapRows
+// and goes back through unmapRows; the heap slice that stands in wherever a
+// mapping cannot be had never does.
+type rowSlab struct {
+	b      []byte
+	mapped bool
+}
+
+func newRowSlab(n int) rowSlab {
+	b, err := mapRows(n)
+	if err != nil {
+		return rowSlab{b: make([]byte, n)}
+	}
+	cacheRowBytes.Add(int64(n))
+	return rowSlab{b: b, mapped: true}
+}
+
+func (sl rowSlab) release() {
+	if sl.mapped {
+		_ = unmapRows(sl.b) // fails only for what is not a mapping
+		cacheRowBytes.Add(-int64(len(sl.b)))
+	}
+}
+
+// cacheRows is a cache's row storage, one slab list a shard. It is allocated
+// apart from the Cache because the cleanup that unmaps it once the Cache is
+// unreachable holds it, and must not hold the Cache.
+type cacheRows [cacheShards][]rowSlab
+
+func (rows *cacheRows) release() {
+	for _, slabs := range rows {
+		for _, sl := range slabs {
+			sl.release()
+		}
+	}
+}
 
 // HashKey identifies a (model version, feature vector) pair. It is an
 // FNV-1a hash over the system name, version, and the raw feature bits —
@@ -100,11 +145,11 @@ type cacheShard struct {
 	// head and tail are the most and least recently used slots, free the
 	// head of the list of slots InvalidateSystem emptied; -1 when none.
 	head, tail, free int32
-	// slabs[k] holds the rows of slots [k*cacheSlabRows, (k+1)*cacheSlabRows)
-	// at stride floats each; stride is the widest row seen so far.
+	// (*slabs)[k] holds the rows of slots [k*cacheSlabRows, (k+1)*cacheSlabRows)
+	// at stride bytes each; stride is the widest row seen so far.
 	stride  int
-	slabs   [][]float64
-	systems []string // system names, indexed by cacheSlot.sys
+	slabs   *[]rowSlab // this shard's entry in the cache's cacheRows
+	systems []string   // system names, indexed by cacheSlot.sys
 }
 
 // Cache is a sharded LRU keyed by HashKey.
@@ -120,13 +165,17 @@ func NewCache(capacity int) *Cache {
 		return nil
 	}
 	perShard := (capacity + cacheShards - 1) / cacheShards
-	c := &Cache{}
+	c, rows := &Cache{}, new(cacheRows)
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.cap = perShard
 		s.index = make(map[uint64]int32, perShard)
 		s.head, s.tail, s.free = -1, -1, -1
+		s.slabs = &rows[i]
 	}
+	// No Close: every access to a slab is under a shard lock whose deferred
+	// unlock keeps c reachable, so the mappings outlive their last reader.
+	runtime.AddCleanup(c, (*cacheRows).release, rows)
 	return c
 }
 
@@ -153,33 +202,52 @@ func (s *cacheShard) slabRows(k int) int {
 	return min(cacheSlabRows, s.cap-k*cacheSlabRows)
 }
 
+// rowMatches reports whether stored, a window row returned, holds exactly
+// row: as many values, each bit for bit — a duplicate job replays the exact
+// counters.
+func rowMatches(stored []byte, row []float64) bool {
+	if len(stored) != 8*len(row) {
+		return false
+	}
+	for j, v := range row {
+		if binary.LittleEndian.Uint64(stored[8*j:]) != math.Float64bits(v) {
+			return false
+		}
+	}
+	return true
+}
+
 // row returns slot i's row, a window into its slab that is only valid under
 // the shard lock.
-func (s *cacheShard) row(i int32) []float64 {
+func (s *cacheShard) row(i int32) []byte {
 	off := int(i) % cacheSlabRows * s.stride
-	return s.slabs[int(i)/cacheSlabRows][off : off+int(s.slots[i].width)]
+	return (*s.slabs)[int(i)/cacheSlabRows].b[off : off+8*int(s.slots[i].width)]
 }
 
 // storeRow copies row into slot i's storage, first allocating the slot's
 // slab if this is the first use of any slot in it and, in the rare case a
 // wider schema than any seen so far arrives, re-striding the resident rows
-// by copy.
+// by copy and releasing the narrow slabs.
 func (s *cacheShard) storeRow(i int32, row []float64) {
-	if len(row) > s.stride {
-		for k, old := range s.slabs {
-			wide := make([]float64, s.slabRows(k)*len(row))
+	if n := 8 * len(row); n > s.stride {
+		for k, old := range *s.slabs {
+			wide := newRowSlab(s.slabRows(k) * n)
 			for r := 0; r < s.slabRows(k); r++ {
-				copy(wide[r*len(row):], old[r*s.stride:(r+1)*s.stride])
+				copy(wide.b[r*n:], old.b[r*s.stride:(r+1)*s.stride])
 			}
-			s.slabs[k] = wide
+			(*s.slabs)[k] = wide
+			old.release()
 		}
-		s.stride = len(row)
+		s.stride = n
 	}
-	if k := int(i) / cacheSlabRows; k == len(s.slabs) {
-		s.slabs = append(s.slabs, make([]float64, s.slabRows(k)*s.stride))
+	if k := int(i) / cacheSlabRows; k == len(*s.slabs) {
+		*s.slabs = append(*s.slabs, newRowSlab(s.slabRows(k)*s.stride))
 	}
 	s.slots[i].width = int32(len(row))
-	copy(s.row(i), row)
+	dst := s.row(i)
+	for j, v := range row {
+		binary.LittleEndian.PutUint64(dst[8*j:], math.Float64bits(v))
+	}
 }
 
 // unlink takes slot i out of the LRU order.
@@ -248,7 +316,7 @@ func (c *Cache) Get(key uint64, row []float64, mv *ModelVersion) (Result, Guard,
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	i, ok := s.index[key]
-	if !ok || s.slots[i].bundle != bundle || !rowsEqual(s.row(i), row) {
+	if !ok || s.slots[i].bundle != bundle || !rowMatches(s.row(i), row) {
 		return Result{}, Guard{}, false
 	}
 	s.unlink(i)

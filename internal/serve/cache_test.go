@@ -192,7 +192,91 @@ func TestCacheSlotIsPointerFree(t *testing.T) {
 	index := reflect.TypeOf(cacheShard{}.index)
 	walk("index key", index.Key())
 	walk("index value", index.Elem())
-	walk("slab element", reflect.TypeOf(cacheShard{}.slabs).Elem().Elem())
+	walk("slab element", reflect.TypeOf(rowSlab{}.b).Elem())
+}
+
+// needMappedRows skips a test of the mappings where there are none: off unix,
+// and in the forced-heap run of TestCacheOnHeapSlabs.
+func needMappedRows(t *testing.T) {
+	t.Helper()
+	b, err := mapRows(1)
+	if err != nil {
+		t.Skipf("row slabs are heap slices here: %v", err)
+	}
+	unmapRows(b)
+}
+
+// filledCache returns a cache of capacity entries, every shard full, of rows
+// of width features.
+func filledCache(t *testing.T, capacity, width int) *Cache {
+	t.Helper()
+	c := NewCache(capacity)
+	rng := rand.New(rand.NewPCG(uint64(capacity), uint64(width)))
+	row := make([]float64, width)
+	for n := 0; n < 2*capacity; n++ {
+		row[0], row[width-1] = rng.Float64(), float64(n)
+		c.Put(HashKey("theta", 1, row), row, cacheBundleA, Result{PredLog: float64(n)})
+	}
+	if c.Len() != capacity {
+		t.Fatalf("cache holds %d entries after %d inserts, want %d", c.Len(), 2*capacity, capacity)
+	}
+	return c
+}
+
+// The point of mapping the rows: the default cache, full of Theta's
+// 101-feature rows, costs the Go heap its slots and index only — the 808
+// bytes a row are not in HeapAlloc, so not in the collector's goal either.
+func TestCacheRowsAreOffHeap(t *testing.T) {
+	needMappedRows(t)
+	const capacity, width = 65536, 101
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := filledCache(t, capacity, width)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perRow := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / capacity
+	t.Logf("%.0f heap bytes a resident row, %d mapped", perRow, width*8)
+	if perRow >= 200 {
+		t.Errorf("a resident row costs %.0f bytes of Go heap, want < 200 (slot + index)", perRow)
+	}
+	runtime.KeepAlive(c)
+}
+
+// Mappings are not the collector's to free. A re-stride gives the narrow
+// slabs back at once, and a cache nothing refers to any more gives back the
+// rest: no Close, and no bytes left behind.
+func TestCacheReleasesMappings(t *testing.T) {
+	needMappedRows(t)
+	// What earlier tests dropped is released first, so that the count moves
+	// only by what happens here.
+	if !awaitCleanup() || !awaitCleanup() {
+		t.Fatal("no cleanup ran in 10 s")
+	}
+	const perShard = cacheSlabRows + 44 // two slabs a shard, the second cut short
+	base := cacheRowBytes.Load()
+	func() {
+		narrow, other := filledCache(t, cacheShards*perShard, 5), filledCache(t, cacheShards*perShard, 3)
+		if got, want := cacheRowBytes.Load()-base, int64(cacheShards*perShard*(5+3)*8); got != want {
+			t.Fatalf("two full caches hold %d mapped bytes, want %d", got, want)
+		}
+		// One wider row re-strides the shard it lands in, 5 -> 7 values a row.
+		held := cacheRowBytes.Load()
+		wide := make([]float64, 7)
+		narrow.Put(HashKey("theta", 1, wide), wide, cacheBundleA, Result{})
+		if got, want := cacheRowBytes.Load()-held, int64(perShard*(7-5)*8); got != want {
+			t.Errorf("a re-stride moved the mapped bytes by %d, want %d: the narrow slabs are not unmapped at once", got, want)
+		}
+		runtime.KeepAlive(narrow)
+		runtime.KeepAlive(other)
+	}()
+	for deadline := time.Now().Add(10 * time.Second); cacheRowBytes.Load() != base; {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+		if time.Now().After(deadline) {
+			t.Fatalf("%d mapped bytes outlive the caches that were dropped", cacheRowBytes.Load()-base)
+		}
+	}
 }
 
 // A bundle that was cached under and then replaced must be collectable

@@ -487,6 +487,7 @@ func (m *Metrics) WriteText(w io.Writer) error {
 	}{
 		{"ioserve_batch_size_mean", "Mean rows per evaluated micro-batch.", m.MeanBatchSize()},
 		{"ioserve_cache_hit_ratio", "Fraction of predictions answered from cache.", m.HitRatio()},
+		{"ioserve_cache_row_bytes", "Bytes of duplicate-cache rows this process holds in mappings outside the Go heap.", float64(cacheRowBytes.Load())},
 	}
 	if m.QueueDepthFn != nil {
 		gauges = append(gauges, struct {

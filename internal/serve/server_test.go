@@ -225,6 +225,7 @@ func TestServerModelsHealthMetrics(t *testing.T) {
 		"ioserve_cache_hits_total 1",
 		"ioserve_cache_misses_total 1",
 		"ioserve_batch_size_mean",
+		"# TYPE ioserve_cache_row_bytes gauge",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, text)
