@@ -3,6 +3,8 @@ package drift
 import (
 	"context"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -331,6 +333,15 @@ func TestE2EDriftRetrainPromote(t *testing.T) {
 	}
 	if av, _ := h.svc.Registry().ActiveVersion("theta"); av != 2 {
 		t.Fatalf("candidate not auto-promoted; status %+v decisions %+v", h.status(t), h.ctl.Decisions())
+	}
+
+	// The retrain's publish carries its reference the way SaveVersion writes
+	// it: the artifact on disk, the histograms on the reloaded bundle.
+	if _, err := os.Stat(filepath.Join(h.dir, "theta", "v2", "reference.bin")); err != nil {
+		t.Errorf("published candidate has no reference artifact: %v", err)
+	}
+	if mv, err := h.svc.Registry().Get("theta", 2); err != nil || len(mv.Reference) != len(mv.Columns) {
+		t.Errorf("reloaded candidate carries no reference histograms: %v", err)
 	}
 
 	// Decisions and metrics surface the whole loop.

@@ -192,6 +192,36 @@ func TestReadBinaryChecksSizesBeforeAllocating(t *testing.T) {
 	}
 }
 
+// TestReadBinaryAllocs pins the decoder's shape by count: the header, the gain
+// vector, one node block, the tree table and the Model — no per-tree
+// allocation, so ten times the trees costs only what encoding/json spends
+// growing the header's tree_lens.
+func TestReadBinaryAllocs(t *testing.T) {
+	rows, y := synth(400, 0.05, 23)
+	allocs := map[int]float64{}
+	for _, trees := range []int{8, 80} {
+		p := DefaultParams()
+		p.NumTrees, p.MaxDepth = trees, 5
+		m, err := Train(p, rows, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := binaryOf(t, m)
+		allocs[trees] = testing.AllocsPerRun(20, func() {
+			if _, err := ReadBinary(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[80] > 24 {
+		t.Errorf("ReadBinary of an 80-tree model: %v allocations, want <= 24", allocs[80])
+	}
+	// append doubles tree_lens from 8 to 80 entries in at most four steps.
+	if allocs[80] > allocs[8]+4 {
+		t.Errorf("ReadBinary allocations grow with the trees: %v for 8, %v for 80", allocs[8], allocs[80])
+	}
+}
+
 // TestReadBinaryReachesBuild: what ReadJSON refuses, ReadBinary refuses with
 // the same located error, because both end in build; and what only a binary
 // file can say (non-finite numbers, a header carrying more than a header)

@@ -65,13 +65,7 @@ func (m *Model) WriteJSON(w io.Writer) error {
 	for ti, tr := range m.trees {
 		nodes := make([]jsonNode, len(tr.nodes))
 		for ni, n := range tr.nodes {
-			nodes[ni] = jsonNode{
-				Feature:   n.feature,
-				Threshold: n.threshold,
-				Left:      n.left,
-				Right:     n.right,
-				Value:     n.value,
-			}
+			nodes[ni] = jsonNode{Feature: n.feature, Threshold: n.threshold, Left: n.left, Right: n.right, Value: n.value}
 		}
 		jm.Trees[ti] = nodes
 	}
@@ -109,8 +103,9 @@ func (m *Model) WriteBinary(w io.Writer) error {
 
 // ReadBinary deserializes a model written by WriteBinary. The checksum is
 // verified first, and the header's declared sizes must account for exactly
-// the bytes present before anything is allocated for them; what the numbers
-// say is then checked by the same build as a JSON model.
+// the bytes present before anything is allocated for them; the records are
+// then decoded straight into the one node block the model keeps, and what
+// the numbers say is checked by the same build as a JSON model.
 func ReadBinary(data []byte) (*Model, error) {
 	var h binHeader
 	body, err := modelfile.Open(binMagic, data, &h)
@@ -134,23 +129,23 @@ func ReadBinary(data []byte) (*Model, error) {
 	}
 	h.Gain = make([]float64, h.NFeature)
 	body = modelfile.Float64s(h.Gain, body)
-	nodes := make([]jsonNode, total)
+	nodes := make([]node, total)
 	le := binary.LittleEndian
 	for i := range nodes {
 		rec := body[nodeBytes*i:]
-		nodes[i] = jsonNode{
-			Feature:   int32(le.Uint32(rec)),
-			Left:      int32(le.Uint32(rec[4:])),
-			Right:     int32(le.Uint32(rec[8:])),
-			Threshold: math.Float64frombits(le.Uint64(rec[12:])),
-			Value:     math.Float64frombits(le.Uint64(rec[20:])),
+		nodes[i] = node{
+			feature:   int32(le.Uint32(rec)),
+			left:      int32(le.Uint32(rec[4:])),
+			right:     int32(le.Uint32(rec[8:])),
+			threshold: math.Float64frombits(le.Uint64(rec[12:])),
+			value:     math.Float64frombits(le.Uint64(rec[20:])),
 		}
 	}
-	h.Trees = make([][]jsonNode, len(h.TreeLens))
+	trees := make([]tree, len(h.TreeLens))
 	for ti, n := range h.TreeLens {
-		h.Trees[ti], nodes = nodes[:n:n], nodes[n:]
+		trees[ti].nodes, nodes = nodes[:n:n], nodes[n:]
 	}
-	return build(h.jsonModel)
+	return build(h.jsonModel, trees)
 }
 
 // ReadJSON deserializes a model written by WriteJSON; anything but
@@ -160,16 +155,25 @@ func ReadJSON(r io.Reader) (*Model, error) {
 	if err := modelfile.DecodeJSON(r, &jm); err != nil {
 		return nil, fmt.Errorf("gbt: decoding model: %w", err)
 	}
-	return build(jm)
+	trees := make([]tree, len(jm.Trees))
+	for ti, jns := range jm.Trees {
+		nodes := make([]node, len(jns))
+		for ni, jn := range jns {
+			nodes[ni] = node{feature: jn.Feature, threshold: jn.Threshold, left: jn.Left, right: jn.Right, value: jn.Value}
+		}
+		trees[ti].nodes = nodes
+	}
+	return build(jm, trees)
 }
 
-// build turns a decoded model into a usable one. Model files may come from
-// outside the training pipeline (the serving registry loads whatever is on
-// disk), so every structural invariant is checked: version match, valid
-// hyperparameters, finite numerics, gain aligned with the feature count, and
-// trees whose child indices only point forward — which rules out cycles and
-// guarantees Predict terminates.
-func build(jm jsonModel) (*Model, error) {
+// build turns a decoded model — jm's scalar fields and gain, and trees, which
+// it checks in place and adopts (jm.Trees is not read) — into a usable one.
+// Model files may come from outside the training pipeline (the serving
+// registry loads whatever is on disk), so every structural invariant is
+// checked: version match, valid hyperparameters, finite numerics, gain aligned
+// with the feature count, and trees whose child indices only point forward —
+// which rules out cycles and guarantees Predict terminates.
+func build(jm jsonModel, trees []tree) (*Model, error) {
 	if jm.Version != serializationVersion {
 		return nil, fmt.Errorf("gbt: unsupported model version %d (this build reads version %d)", jm.Version, serializationVersion)
 	}
@@ -193,46 +197,38 @@ func build(jm jsonModel) (*Model, error) {
 	m := &Model{
 		params:   jm.Params,
 		bias:     jm.Bias,
+		trees:    trees,
 		nFeature: jm.NFeature,
 		gain:     jm.Gain,
 	}
 	if m.gain == nil {
 		m.gain = make([]float64, jm.NFeature)
 	}
-	for ti, nodes := range jm.Trees {
-		if len(nodes) == 0 {
+	for ti, tr := range trees {
+		if len(tr.nodes) == 0 {
 			return nil, fmt.Errorf("gbt: tree %d empty", ti)
 		}
-		tr := tree{nodes: make([]node, len(nodes))}
-		for ni, jn := range nodes {
+		for ni, n := range tr.nodes {
 			// Both fields of every node: the binary form can carry what JSON
 			// cannot (an infinite threshold, a NaN in the field a node does
 			// not use), and an accepted model must be writable either way.
-			if !finite(jn.Threshold) || !finite(jn.Value) {
-				return nil, fmt.Errorf("gbt: tree %d node %d: non-finite threshold %v or value %v", ti, ni, jn.Threshold, jn.Value)
+			if !finite(n.threshold) || !finite(n.value) {
+				return nil, fmt.Errorf("gbt: tree %d node %d: non-finite threshold %v or value %v", ti, ni, n.threshold, n.value)
 			}
-			if jn.Feature >= 0 {
-				if int(jn.Feature) >= jm.NFeature {
-					return nil, fmt.Errorf("gbt: tree %d node %d: feature %d out of range [0,%d)", ti, ni, jn.Feature, jm.NFeature)
+			if n.feature >= 0 {
+				if int(n.feature) >= jm.NFeature {
+					return nil, fmt.Errorf("gbt: tree %d node %d: feature %d out of range [0,%d)", ti, ni, n.feature, jm.NFeature)
 				}
 				// The builder appends children after their parent, so valid
 				// trees have strictly forward child links; enforcing that
 				// here makes cycles (and non-terminating Predict walks)
 				// unrepresentable.
-				if int(jn.Left) <= ni || int(jn.Right) <= ni ||
-					int(jn.Left) >= len(nodes) || int(jn.Right) >= len(nodes) {
-					return nil, fmt.Errorf("gbt: tree %d node %d: child indices (%d,%d) must point forward within [%d,%d)", ti, ni, jn.Left, jn.Right, ni+1, len(nodes))
+				if int(n.left) <= ni || int(n.right) <= ni ||
+					int(n.left) >= len(tr.nodes) || int(n.right) >= len(tr.nodes) {
+					return nil, fmt.Errorf("gbt: tree %d node %d: child indices (%d,%d) must point forward within [%d,%d)", ti, ni, n.left, n.right, ni+1, len(tr.nodes))
 				}
 			}
-			tr.nodes[ni] = node{
-				feature:   jn.Feature,
-				threshold: jn.Threshold,
-				left:      jn.Left,
-				right:     jn.Right,
-				value:     jn.Value,
-			}
 		}
-		m.trees = append(m.trees, tr)
 	}
 	return m, nil
 }

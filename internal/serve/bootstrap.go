@@ -153,8 +153,8 @@ func BumpVersion(root, system string) (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("serve: bump copying %s: %w", f.Name(), err)
 		}
-		if err := os.WriteFile(filepath.Join(dstDir, f.Name()), raw, 0o644); err != nil {
-			return 0, fmt.Errorf("serve: bump writing %s: %w", f.Name(), err)
+		if err := writeBundleFile(dstDir, f.Name(), writeBytes(raw)); err != nil {
+			return 0, err
 		}
 	}
 	raw, err := os.ReadFile(filepath.Join(srcDir, manifestName))
@@ -166,11 +166,7 @@ func BumpVersion(root, system string) (int, error) {
 		return 0, fmt.Errorf("serve: bump parsing manifest: %w", err)
 	}
 	m.Version = newVersion
-	out, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return 0, fmt.Errorf("serve: bump encoding manifest: %w", err)
-	}
-	if err := writeManifestAtomic(dstDir, append(out, '\n')); err != nil {
+	if err := writeManifest(dstDir, m); err != nil {
 		return 0, err
 	}
 	return newVersion, nil

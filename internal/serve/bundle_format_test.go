@@ -1,56 +1,71 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"iotaxo/internal/modelfile"
 )
 
-// saveVersionJSON writes mv the way SaveVersion did before the binary form:
-// every artifact as JSON, under the .json names, named by the manifest.
+// saveVersionJSON writes mv the way SaveVersion did before the binary forms:
+// every model artifact as JSON under the .json names, the reference
+// histograms inline in the manifest, no reference.bin.
 func saveVersionJSON(t testing.TB, root string, mv *ModelVersion) string {
 	t.Helper()
 	if err := SaveVersion(root, mv); err != nil {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(root, mv.System, fmt.Sprintf("v%d", mv.Version))
-	writers := map[string]func(io.Writer) error{gbtModelName: mv.Model.WriteJSON}
-	if mv.Ensemble != nil {
-		for i, member := range mv.Ensemble.Members {
-			writers[fmt.Sprintf(memberPattern, i)] = member.WriteJSON
-		}
-	}
-	for name, write := range writers {
-		if err := os.Remove(filepath.Join(dir, name)); err != nil {
-			t.Fatal(err)
-		}
-		if err := writeArtifact(filepath.Join(dir, strings.TrimSuffix(name, binaryExt)+".json"), write); err != nil {
-			t.Fatal(err)
-		}
-	}
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := strings.ReplaceAll(string(raw), binaryExt+`"`, `.json"`)
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(legacy), 0o644); err != nil {
+	var m manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	asJSON := func(name string, write func(io.Writer) error) string {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+		name = strings.TrimSuffix(name, binaryExt) + ".json"
+		if err := writeBundleFile(dir, name, write); err != nil {
+			t.Fatal(err)
+		}
+		return name
+	}
+	m.Model = asJSON(m.Model, mv.Model.WriteJSON)
+	for i, name := range m.Ensemble {
+		m.Ensemble[i] = asJSON(name, mv.Ensemble.Members[i].WriteJSON)
+	}
+	if m.ReferenceFile != "" {
+		if err := os.Remove(filepath.Join(dir, m.ReferenceFile)); err != nil {
+			t.Fatal(err)
+		}
+		m.Reference, m.ReferenceFile = mv.Reference, ""
+	}
+	if err := writeManifest(dir, m); err != nil {
 		t.Fatal(err)
 	}
 	return dir
 }
 
 // TestBundleFormatsLoadIdentical is the differential test of the two bundle
-// formats: the same bundle saved as binary and as JSON loads to models that
-// agree bit for bit with each other — tree walk, flat engine and ensemble —
-// on every fixture row. The in-memory bundle is not the reference for the
+// formats: the same bundle saved as SaveVersion writes it (binary models,
+// reference.bin) and as it was written before either (JSON models, inline
+// histograms) loads to models that agree bit for bit with each other — tree
+// walk, flat engine and ensemble — on every fixture row, and to the same
+// reference histograms. The in-memory bundle is not the reference for the
 // tree models: JSON drops the sign of a zero it omits.
 func TestBundleFormatsLoadIdentical(t *testing.T) {
 	frame, v1, v2 := fixture(t)
@@ -80,6 +95,14 @@ func TestBundleFormatsLoadIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if _, err := os.Stat(filepath.Join(binDir, referenceName)); err != nil {
+			t.Fatalf("SaveVersion wrote no reference artifact: %v", err)
+		}
+		if raw, _ := os.ReadFile(filepath.Join(binDir, manifestName)); bytes.Contains(raw, []byte(`"reference":`)) {
+			t.Fatal("SaveVersion wrote the histograms inline as well")
+		}
+		checkSameReference(t, fromBin.Reference, fromJSON.Reference)
+		checkSameReference(t, fromBin.Reference, mv.Reference)
 		flatBin, flatJSON := fromBin.Flat().PredictAll(rows), fromJSON.Flat().PredictAll(rows)
 		for i, row := range rows {
 			b, j := fromBin.Model.Predict(row), fromJSON.Model.Predict(row)
@@ -111,6 +134,87 @@ func TestBundleFormatsLoadIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkSameReference: equal histograms, cut for cut by bit pattern.
+func checkSameReference(t *testing.T, got, want []FeatureHist) {
+	t.Helper()
+	if len(got) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("reference histograms differ: %d loaded, %d wanted", len(got), len(want))
+	}
+	for i := range got {
+		for j, c := range got[i].Cuts {
+			if math.Float64bits(c) != math.Float64bits(want[i].Cuts[j]) {
+				t.Fatalf("histogram %q cut %d: %v != %v by bits", got[i].Name, j, c, want[i].Cuts[j])
+			}
+		}
+	}
+}
+
+// TestReferenceFileAtTheRegistry pins the manifest's side of reference.bin:
+// the name is confined to the version directory like any artifact's, a
+// manifest says its histograms one way only, a missing file is an error, and
+// BumpVersion carries file and key into the version it mints.
+func TestReferenceFileAtTheRegistry(t *testing.T) {
+	_, v1, _ := fixture(t)
+	root := t.TempDir()
+	if err := SaveVersion(root, v1); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(root, "theta", "v1")
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := `"reference_file": "` + referenceName + `"`
+	if !bytes.Contains(raw, []byte(key)) {
+		t.Fatalf("manifest does not name %s", referenceName)
+	}
+	inline, err := json.Marshal(v1.Reference[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct{ with, want string }{
+		"escaping path":    {`"reference_file": "../x"`, "non-local"},
+		"absolute path":    {`"reference_file": "/etc/passwd"`, "non-local"},
+		"missing file":     {`"reference_file": "gone.bin"`, "reading artifact"},
+		"inline and file":  {`"reference": ` + string(inline) + `, ` + key, "inline and in"},
+		"empty inline too": {`"reference": [], ` + key, "inline and in"},
+	} {
+		bad := bytes.Replace(raw, []byte(key), []byte(c.with), 1)
+		if err := os.WriteFile(filepath.Join(dir, manifestName), bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadVersionDir(dir, "theta"); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error naming %q", name, err, c.want)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BumpVersion(root, "theta"); err != nil {
+		t.Fatal(err)
+	}
+	v2raw, err := os.ReadFile(filepath.Join(root, "theta", "v2", manifestName))
+	if err != nil || !bytes.Contains(v2raw, []byte(key)) || bytes.Contains(v2raw, []byte(`"reference":`)) {
+		t.Fatalf("bumped manifest lost the reference file key: %v", err)
+	}
+	bumped, err := loadVersionDir(filepath.Join(root, "theta", "v2"), "theta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSameReference(t, bumped.Reference, v1.Reference)
+	// A legacy bundle is bumped as what it is: inline stays inline.
+	legacyRoot := t.TempDir()
+	saveVersionJSON(t, legacyRoot, v1)
+	if _, err := BumpVersion(legacyRoot, "theta"); err != nil {
+		t.Fatal(err)
+	}
+	bumped, err = loadVersionDir(filepath.Join(legacyRoot, "theta", "v2"), "theta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSameReference(t, bumped.Reference, v1.Reference)
 }
 
 // TestHandWrittenBundlesLoad pins the bundles the reload and fuzz tests
@@ -194,7 +298,7 @@ func TestCorruptBinaryBundleIsRefused(t *testing.T) {
 	if err := SaveVersion(staged, v2); err != nil {
 		t.Fatal(err)
 	}
-	for artifact, sizeField := range map[string]string{gbtModelName: `"tree_lens":[`, fmt.Sprintf(memberPattern, 1): `"in":`} {
+	for artifact, sizeField := range map[string]string{gbtModelName: `"tree_lens":[`, fmt.Sprintf(memberPattern, 1): `"in":`, referenceName: `"bins":[`} {
 		good, err := os.ReadFile(filepath.Join(staged, "theta", "v2", artifact))
 		if err != nil {
 			t.Fatal(err)

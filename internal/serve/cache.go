@@ -32,8 +32,8 @@ import (
 const cacheShards = 16
 
 // cacheSlabRows is the number of rows in one slab of row storage. Slabs are
-// allocated as the slots they back are first used: a cache that is built
-// and never filled costs no row memory.
+// allocated as the slots they back are first used, index and slots grow with
+// the entries: a cache that is built and never filled costs no storage.
 const cacheSlabRows = 256
 
 // cacheRowBytes is what the process holds in mapped slabs at this moment: the
@@ -141,7 +141,7 @@ type cacheShard struct {
 	mu    sync.Mutex
 	cap   int
 	index map[uint64]int32 // key -> slot
-	slots []cacheSlot      // grows to cap, then slots are recycled
+	slots []cacheSlot      // grows to exactly cap, then slots are recycled
 	// head and tail are the most and least recently used slots, free the
 	// head of the list of slots InvalidateSystem emptied; -1 when none.
 	head, tail, free int32
@@ -169,7 +169,7 @@ func NewCache(capacity int) *Cache {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.cap = perShard
-		s.index = make(map[uint64]int32, perShard)
+		s.index = make(map[uint64]int32) // no size hint: paid for by the entries that arrive
 		s.head, s.tail, s.free = -1, -1, -1
 		s.slabs = &rows[i]
 	}
@@ -296,6 +296,10 @@ func (s *cacheShard) claim() int32 {
 	if i := s.free; i >= 0 {
 		s.free = s.slots[i].next
 		return i
+	}
+	if n := len(s.slots); n == cap(s.slots) {
+		// Doubling, but never past cap, where append's policy ends 27 % over.
+		s.slots = append(make([]cacheSlot, 0, n+min(max(n, 64), s.cap-n)), s.slots...)
 	}
 	s.slots = append(s.slots, cacheSlot{})
 	return int32(len(s.slots) - 1)

@@ -380,6 +380,48 @@ func TestCacheSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestNewCacheAllocatesNoStorage: building a cache costs the Cache value and
+// sixteen empty maps — index, slots and rows are all paid for by the entries
+// that arrive — and a shard filled from nothing ends up holding exactly its
+// capacity in slots, with Put and Get as allocation-free as after a fill of
+// a pre-sized cache.
+func TestNewCacheAllocatesNoStorage(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := NewCache(1 << 16)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<10 {
+		t.Errorf("NewCache(1<<16) allocated %d bytes, want < 16 KB", got)
+	}
+	row := make([]float64, 1)
+	n := 0
+	put := func() {
+		n++
+		row[0] = float64(n)
+		c.Put(HashKey("theta", 1, row), row, cacheBundleA, Result{PredLog: 9, Pred: 1e9})
+	}
+	for n < 2<<16 { // twice the capacity: every shard is full and evicting
+		put()
+	}
+	for i := range c.shards {
+		s := &c.shards[i]
+		if len(s.slots) != s.cap || cap(s.slots) != s.cap || len(s.index) != s.cap {
+			t.Fatalf("shard %d: %d slots in an array of %d, %d indexed, capacity %d", i, len(s.slots), cap(s.slots), len(s.index), s.cap)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, put); allocs != 0 {
+		t.Errorf("Put into a cache that grew to full allocates %.0f times, want 0", allocs)
+	}
+	key := HashKey("theta", 1, row)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, _, ok := c.Get(key, row, cacheBundleA); !ok {
+			t.Fatal("resident entry missed")
+		}
+	}); allocs != 0 {
+		t.Errorf("a hit in a cache that grew to full allocates %.0f times, want 0", allocs)
+	}
+}
+
 // What the cache costs a request: nothing on a hit beyond the response
 // itself (results + guardBuf), and nothing per inserted row once the cache
 // is full — the 22 are predict's own slices and the model layers.

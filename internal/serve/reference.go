@@ -1,9 +1,14 @@
 package serve
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
+	"math/bits"
 	"sort"
+
+	"iotaxo/internal/modelfile"
 )
 
 // Reference histograms: the training-time feature distribution persisted
@@ -15,10 +20,10 @@ import (
 //
 // Each feature gets quantile-spaced cut points (so the reference mass is
 // roughly uniform across bins, the shape PSI is calibrated for) and the
-// training-set counts per bin. The histograms ride in the manifest, so
-// they survive the SaveVersion/LoadRegistry round trip and live reloads,
-// and a bundle loaded from disk can be monitored without access to its
-// training data.
+// training-set counts per bin. The histograms ride in the bundle (as
+// reference.bin, or inline in an older manifest), so they survive the
+// SaveVersion/LoadRegistry round trip and live reloads, and a bundle loaded
+// from disk can be monitored without access to its training data.
 
 // refHistMaxBins bounds the per-feature bin count accepted from manifests
 // (which are untrusted input).
@@ -80,7 +85,14 @@ func (h *FeatureHist) validate() error {
 		}
 		prev = c
 	}
-	if h.Total() == 0 {
+	// The drift thresholds are computed from the total: it must not wrap.
+	var total, carry uint64
+	for _, c := range h.Counts {
+		if total, carry = bits.Add64(total, c, 0); carry != 0 {
+			return fmt.Errorf("serve: reference histogram %q counts overflow", h.Name)
+		}
+	}
+	if total == 0 {
 		return fmt.Errorf("serve: reference histogram %q is empty", h.Name)
 	}
 	return nil
@@ -115,6 +127,73 @@ func validateReference(ref []FeatureHist, columns []string) error {
 		seen[h.Name] = true
 	}
 	return nil
+}
+
+// refHeader is reference.bin's header. The body is, per histogram in order,
+// its bins-1 cuts as float64 bit patterns, then its bins counts as uint64.
+type refHeader struct {
+	Names []string `json:"names"`
+	Bins  []uint32 `json:"bins"`
+}
+
+// writeReference serializes validated histograms as a modelfile artifact.
+func writeReference(w io.Writer, ref []FeatureHist) error {
+	h := refHeader{Names: make([]string, len(ref)), Bins: make([]uint32, len(ref))}
+	total := 0
+	for i := range ref {
+		h.Names[i], h.Bins[i] = ref[i].Name, uint32(len(ref[i].Counts))
+		total += len(ref[i].Counts)
+	}
+	b, err := modelfile.Begin(refMagic, h, 8*(2*total-len(ref)))
+	if err != nil {
+		return fmt.Errorf("serve: encoding reference header: %w", err)
+	}
+	for i := range ref {
+		b = modelfile.AppendFloat64s(b, ref[i].Cuts)
+		for _, c := range ref[i].Counts {
+			b = binary.LittleEndian.AppendUint64(b, c)
+		}
+	}
+	_, err = w.Write(modelfile.Seal(b))
+	return err
+}
+
+// readReference deserializes what writeReference wrote. The checksum is
+// verified first, and the header's bin counts — each within bounds, so their
+// sum cannot overflow — must account for exactly the bytes present before the
+// two backing arrays are allocated. What it returns has passed validate.
+func readReference(data []byte) ([]FeatureHist, error) {
+	var h refHeader
+	body, err := modelfile.Open(refMagic, data, &h)
+	if err != nil {
+		return nil, fmt.Errorf("serve: decoding reference: %w", err)
+	}
+	total := 0
+	for i, n := range h.Bins {
+		if n < 2 || n > refHistMaxBins {
+			return nil, fmt.Errorf("serve: reference header declares %d bins for histogram %d, want 2..%d", n, i, refHistMaxBins)
+		}
+		total += int(n)
+	}
+	// No histograms has two canonical headers (null and []) and no use.
+	if total == 0 || len(h.Names) != len(h.Bins) || len(body) != 8*(2*total-len(h.Bins)) {
+		return nil, fmt.Errorf("serve: reference header declares %d names, %d histograms, %d bins; body has %d bytes", len(h.Names), len(h.Bins), total, len(body))
+	}
+	cuts, counts := make([]float64, total-len(h.Bins)), make([]uint64, total)
+	ref := make([]FeatureHist, len(h.Bins))
+	for i, n := range h.Bins {
+		ref[i] = FeatureHist{Name: h.Names[i], Cuts: cuts[: n-1 : n-1], Counts: counts[:n:n]}
+		cuts, counts = cuts[n-1:], counts[n:]
+		body = modelfile.Float64s(ref[i].Cuts, body)
+		for j := range ref[i].Counts {
+			ref[i].Counts[j] = binary.LittleEndian.Uint64(body[8*j:])
+		}
+		body = body[8*n:]
+		if err := ref[i].validate(); err != nil {
+			return nil, err
+		}
+	}
+	return ref, nil
 }
 
 // BuildFeatureHists summarizes training rows into per-feature quantile

@@ -1,7 +1,17 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+
+	"iotaxo/internal/modelfile"
 )
 
 func TestBuildFeatureHists(t *testing.T) {
@@ -98,6 +108,9 @@ func TestReferenceValidation(t *testing.T) {
 		{"nan cut", []FeatureHist{{Name: "a", Cuts: []float64{nan()}, Counts: []uint64{1, 1}}}, false},
 		{"count/cut mismatch", []FeatureHist{{Name: "a", Cuts: []float64{1, 2}, Counts: []uint64{1, 1}}}, false},
 		{"empty", []FeatureHist{{Name: "a", Cuts: []float64{1}, Counts: []uint64{0, 0}}}, false},
+		{"counts wrap to a small total", []FeatureHist{{Name: "a", Cuts: []float64{1}, Counts: []uint64{math.MaxUint64, 2}}}, false},
+		{"counts wrap to zero", []FeatureHist{{Name: "a", Cuts: []float64{1, 2}, Counts: []uint64{1 << 63, 0, 1 << 63}}}, false},
+		{"largest total", []FeatureHist{{Name: "a", Cuts: []float64{1}, Counts: []uint64{math.MaxUint64 - 1, 1}}}, true},
 		{"more hists than columns", []FeatureHist{
 			{Name: "a", Cuts: []float64{1}, Counts: []uint64{1, 1}},
 			{Name: "b", Cuts: []float64{1}, Counts: []uint64{1, 1}},
@@ -110,6 +123,215 @@ func TestReferenceValidation(t *testing.T) {
 			t.Errorf("%s: err = %v, want ok=%v", tc.name, err, tc.want)
 		}
 	}
+}
+
+// TestReferenceCountOverflowIsRefusedFromBothCarriers: a histogram whose
+// counts wrap is refused whether the bundle carries it inline or in
+// reference.bin — the drift thresholds are computed from that total.
+func TestReferenceCountOverflowIsRefusedFromBothCarriers(t *testing.T) {
+	wrapped := []FeatureHist{{Name: "a", Cuts: []float64{1}, Counts: []uint64{math.MaxUint64, 2}}}
+	inline := strings.Replace(fuzzManifestJSON, `"guard"`,
+		`"reference":[{"name":"a","cuts":[1],"counts":[18446744073709551615,2]}],"guard"`, 1)
+	byFile := strings.Replace(fuzzManifestJSON, `"guard"`, `"reference_file":"reference.bin","guard"`, 1)
+	for name, manifest := range map[string]string{"inline": inline, "file": byFile} {
+		dir := filepath.Join(t.TempDir(), "v1")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		load := func(manifest string, ref []FeatureHist) (*ModelVersion, error) {
+			for file, body := range map[string][]byte{manifestName: []byte(manifest), "model.gbt.json": []byte(fuzzModelJSON), referenceName: referenceBinary(t, ref)} {
+				if err := os.WriteFile(filepath.Join(dir, file), body, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return loadVersionDir(dir, "theta")
+		}
+		if _, err := load(manifest, wrapped); err == nil || !strings.Contains(err.Error(), "overflow") {
+			t.Errorf("%s: got %v, want the overflow refused", name, err)
+		}
+		// The same bundle with a total that fits loads, so it was the sum.
+		fits := []FeatureHist{{Name: "a", Cuts: []float64{1}, Counts: []uint64{math.MaxUint64 - 2, 2}}}
+		mv, err := load(strings.Replace(manifest, "18446744073709551615", "18446744073709551613", 1), fits)
+		if err != nil || len(mv.Reference) != 1 || mv.Reference[0].Total() != math.MaxUint64 {
+			t.Errorf("%s: the largest total that fits: %v", name, err)
+		}
+	}
+}
+
+// twoHists is a reference small enough that the corruption tests can afford
+// every bit and every length of its artifact, with the values a text form
+// would be tempted to normalise: a negative zero and a subnormal cut, a
+// count past 2^53.
+func twoHists() []FeatureHist {
+	return []FeatureHist{
+		{Name: "a", Cuts: []float64{math.Copysign(0, -1), 5e-324, 1.5}, Counts: []uint64{1, 0, 1<<53 + 1, 7}},
+		{Name: "b", Cuts: []float64{-3}, Counts: []uint64{0, 9}},
+	}
+}
+
+func referenceBinary(t testing.TB, ref []FeatureHist) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := writeReference(&buf, ref); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// resealed recomputes data's checksum, so a corruption reaches the checks
+// behind it.
+func resealed(data []byte) []byte {
+	return modelfile.Seal(append([]byte(nil), data[:len(data)-4]...))
+}
+
+// checkAcceptedReference is what must hold of anything readReference
+// accepts: every histogram validates and the artifact is the one encoding
+// of what it decoded to.
+func checkAcceptedReference(t *testing.T, data []byte, ref []FeatureHist) {
+	t.Helper()
+	if len(ref) == 0 {
+		t.Fatal("accepted a reference with no histograms")
+	}
+	for i := range ref {
+		if err := ref[i].validate(); err != nil {
+			t.Fatalf("accepted an invalid histogram: %v", err)
+		}
+	}
+	if again := referenceBinary(t, ref); !bytes.Equal(again, data) {
+		t.Fatalf("accepted artifact re-encodes differently (%d bytes in, %d out)", len(data), len(again))
+	}
+}
+
+func TestReferenceBinaryRoundTrip(t *testing.T) {
+	want := twoHists()
+	data := referenceBinary(t, want)
+	got, err := readReference(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip: got %+v, want %+v", got, want)
+	}
+	for i := range want {
+		for j, c := range want[i].Cuts {
+			if math.Float64bits(got[i].Cuts[j]) != math.Float64bits(c) {
+				t.Errorf("histogram %d cut %d: bits %#x, want %#x", i, j, math.Float64bits(got[i].Cuts[j]), math.Float64bits(c))
+			}
+		}
+	}
+	// Two backing arrays, cut with capped slices: appending to one histogram
+	// cannot write into the next.
+	if cap(got[0].Cuts) != len(got[0].Cuts) || cap(got[0].Counts) != len(got[0].Counts) {
+		t.Error("a histogram's slices have capacity into its neighbour's")
+	}
+	checkAcceptedReference(t, data, got)
+}
+
+// TestReadReferenceDetectsEveryFlipAndTruncation is the corruption table's
+// row for reference.bin, as TestReadBinaryDetectsEveryFlipAndTruncation is
+// for a model: no single flipped bit and no truncated file is accepted, and
+// with the checksum recomputed over the flip the file is refused or is the
+// one encoding of a valid reference.
+func TestReadReferenceDetectsEveryFlipAndTruncation(t *testing.T) {
+	data := referenceBinary(t, twoHists())
+	for n := 0; n < len(data); n++ {
+		if ref, err := readReference(data[:n]); err == nil || ref != nil {
+			t.Fatalf("file truncated to %d of %d bytes accepted", n, len(data))
+		}
+	}
+	accepted := 0
+	for i := range data {
+		for bit := 0; bit < 8; bit++ {
+			bad := append([]byte(nil), data...)
+			bad[i] ^= 1 << bit
+			if ref, err := readReference(bad); err == nil || ref != nil {
+				t.Fatalf("bit %d of byte %d flipped: accepted", bit, i)
+			}
+			if i >= len(data)-4 {
+				continue
+			}
+			bad = resealed(bad)
+			if ref, err := readReference(bad); err == nil {
+				checkAcceptedReference(t, bad, ref)
+				accepted++
+			} else if ref != nil {
+				t.Fatalf("bit %d of byte %d flipped and resealed: histograms alongside %v", bit, i, err)
+			}
+		}
+	}
+	// A low bit of a count is a different, equally valid reference.
+	if accepted == 0 {
+		t.Error("no resealed flip was accepted: the structural checks were not reached")
+	}
+}
+
+// TestReadReferenceChecksSizesBeforeAllocating: a header may declare four
+// billion bins, or more histograms than the body holds; the decoder must
+// find that out from the lengths alone.
+func TestReadReferenceChecksSizesBeforeAllocating(t *testing.T) {
+	good := referenceBinary(t, twoHists())
+	hlen := int(binary.LittleEndian.Uint32(good[8:]))
+	header, body := string(good[12:12+hlen]), good[12+hlen:len(good)-4]
+	if !strings.Contains(header, `"bins":[4,2]`) {
+		t.Fatalf("unexpected header %s", header)
+	}
+	manyNames, manyBins := strings.Repeat(`"x",`, 500), strings.Repeat("64,", 500)
+	for name, h := range map[string]string{
+		"2^32-1 bins":         strings.Replace(header, `"bins":[4,2]`, `"bins":[4294967295,2]`, 1),
+		"2^32 bins":           strings.Replace(header, `"bins":[4,2]`, `"bins":[4294967296,2]`, 1),
+		"one bin":             strings.Replace(header, `"bins":[4,2]`, `"bins":[5,1]`, 1),
+		"one bin too many":    strings.Replace(header, `"bins":[4,2]`, `"bins":[4,3]`, 1),
+		"a histogram missing": strings.Replace(header, `"bins":[4,2]`, `"bins":[4]`, 1),
+		"500 histograms more": strings.Replace(strings.Replace(header, `"names":[`, `"names":[`+manyNames, 1),
+			`"bins":[`, `"bins":[`+manyBins, 1),
+		"no histograms":       `{"names":[],"bins":[]}`,
+		"null for histograms": `{"names":null,"bins":null}`,
+	} {
+		data := binary.LittleEndian.AppendUint32(append([]byte(nil), good[:8]...), uint32(len(h)))
+		data = modelfile.Seal(append(append(data, h...), body...))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ref, err := readReference(data)
+		runtime.ReadMemStats(&after)
+		if err == nil || ref != nil {
+			t.Errorf("%s: accepted", name)
+		}
+		// What the header's own decode costs is bounded by the file.
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+			t.Errorf("%s: %d bytes allocated before the declared size was refused", name, got)
+		}
+	}
+}
+
+// FuzzReadReference hardens the reference decoder as FuzzReadBinary does the
+// models': any input is refused with an error or is a reference
+// checkAcceptedReference holds for. Each input is tried as given and with
+// its checksum recomputed, which is how the fuzzer gets past the checksum to
+// the length arithmetic and validate. Checked-in seeds live in
+// testdata/fuzz/FuzzReadReference.
+func FuzzReadReference(f *testing.F) {
+	good := referenceBinary(f, twoHists())
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add(good[:11])
+	f.Add([]byte(refMagic))
+	f.Add(append(append([]byte(nil), good...), 0, 0, 0, 0, 0, 0, 0, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		inputs := [][]byte{data}
+		if len(data) >= 4 {
+			inputs = append(inputs, resealed(data))
+		}
+		for _, in := range inputs {
+			ref, err := readReference(in)
+			if err != nil {
+				if ref != nil {
+					t.Fatal("readReference returned histograms alongside an error")
+				}
+				continue
+			}
+			checkAcceptedReference(t, in, ref)
+		}
+	})
 }
 
 func nan() float64 {

@@ -28,12 +28,14 @@ import (
 //	<root>/<system>/v<version>/manifest.json
 //	<root>/<system>/v<version>/model.gbt.bin    (or model.gbt.json)
 //	<root>/<system>/v<version>/member_<i>.nn.bin (or member_<i>.nn.json)
+//	<root>/<system>/v<version>/reference.bin    (or "reference" in the manifest)
 //
 // The manifest names the artifacts, and an artifact's extension names its
 // format: SaveVersion writes the binary form (internal/modelfile: the
 // model's own arrays as bit patterns under a checksum, nothing derived), a
 // name not ending in ".bin" is read as the JSON form, which bundles saved
-// before the binary form and hand-written ones use. Everything under <root>
+// before the binary form and hand-written ones use (their histograms inline
+// in the manifest, never both inline and by file). Everything under <root>
 // is treated as untrusted input: both forms end in the same validating
 // build inside gbt and nn (a binary file's checksum and declared sizes are
 // checked before that), and the manifest's schema is cross-checked against
@@ -43,10 +45,12 @@ import (
 // registered; the HTTP layer maps it to 404.
 var ErrUnknownModel = errors.New("serve: unknown model")
 
-// manifestName and artifact names inside a version directory.
+// Names inside a version directory, and the reference artifact's magic.
 const (
 	manifestName  = "manifest.json"
 	gbtModelName  = "model.gbt.bin"
+	referenceName = "reference.bin"
+	refMagic      = "IOTAXREF"
 	memberPattern = "member_%d.nn.bin"
 	binaryExt     = ".bin"
 )
@@ -72,7 +76,9 @@ type manifest struct {
 	// Reference carries the training-time per-feature histograms the drift
 	// detectors compare live traffic against (reference.go); optional —
 	// bundles without it serve normally but cannot be drift-monitored.
-	Reference []FeatureHist `json:"reference,omitempty"`
+	// ReferenceFile names the artifact holding them instead; never both.
+	Reference     []FeatureHist `json:"reference,omitempty"`
+	ReferenceFile string        `json:"reference_file,omitempty"`
 }
 
 // ModelVersion is one loaded bundle.
@@ -606,22 +612,21 @@ func loadVersionDir(dir, wantSystem string) (*ModelVersion, error) {
 		TrainedOn: m.TrainedOn,
 		Reference: m.Reference,
 	}
-	modelPath, err := artifactPath(dir, m.Model)
-	if err != nil {
+	if mv.Model, err = readArtifact(dir, m.Model, gbt.ReadBinary, gbt.ReadJSON); err != nil {
 		return nil, err
 	}
-	mv.Model, err = readArtifact(modelPath, gbt.ReadBinary, gbt.ReadJSON)
-	if err != nil {
-		return nil, err
+	if m.ReferenceFile != "" {
+		if m.Reference != nil {
+			return nil, fmt.Errorf("serve: manifest in %s carries reference histograms inline and in %q", dir, m.ReferenceFile)
+		}
+		if mv.Reference, err = readArtifact(dir, m.ReferenceFile, readReference, nil); err != nil {
+			return nil, err
+		}
 	}
 	if len(m.Ensemble) > 0 {
 		ens := &uq.Ensemble{}
 		for _, rel := range m.Ensemble {
-			memberPath, err := artifactPath(dir, rel)
-			if err != nil {
-				return nil, err
-			}
-			member, err := readArtifact(memberPath, nn.ReadBinary, nn.ReadJSON)
+			member, err := readArtifact(dir, rel, nn.ReadBinary, nn.ReadJSON)
 			if err != nil {
 				return nil, err
 			}
@@ -651,24 +656,20 @@ func loadVersionDir(dir, wantSystem string) (*ModelVersion, error) {
 	return mv, nil
 }
 
-// artifactPath confines a manifest-referenced artifact to its version
-// directory: manifests are untrusted, and a relative path like
-// "../../etc/x" must not escape the registry tree.
-func artifactPath(dir, rel string) (string, error) {
+// readArtifact reads one bundle file whole — its size is known, so in one
+// allocation — and decodes it by its extension; an artifact with no JSON form
+// (text nil) is binary under any name. Manifests are untrusted, so the name
+// is confined to the version directory: "../../etc/x" must not escape it.
+func readArtifact[M any](dir, rel string, binary func([]byte) (M, error), text func(io.Reader) (M, error)) (m M, err error) {
 	if rel == "" || !filepath.IsLocal(rel) {
-		return "", fmt.Errorf("serve: manifest in %s references non-local artifact path %q", dir, rel)
+		return m, fmt.Errorf("serve: manifest in %s references non-local artifact path %q", dir, rel)
 	}
-	return filepath.Join(dir, rel), nil
-}
-
-// readArtifact reads one model file whole — its size is known, so in one
-// allocation — and decodes it by its extension.
-func readArtifact[M any](path string, binary func([]byte) (M, error), text func(io.Reader) (M, error)) (m M, err error) {
+	path := filepath.Join(dir, rel)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return m, fmt.Errorf("serve: reading artifact: %w", err)
 	}
-	if filepath.Ext(path) == binaryExt {
+	if text == nil || filepath.Ext(path) == binaryExt {
 		m, err = binary(raw)
 	} else {
 		m, err = text(bytes.NewReader(raw))
@@ -699,67 +700,57 @@ func SaveVersion(root string, mv *ModelVersion) error {
 		Model:     gbtModelName,
 		Guard:     mv.Guard,
 		TrainedOn: mv.TrainedOn,
-		Reference: mv.Reference,
 	}
-	if err := writeArtifact(filepath.Join(dir, gbtModelName), mv.Model.WriteBinary); err != nil {
+	if err := writeBundleFile(dir, gbtModelName, mv.Model.WriteBinary); err != nil {
 		return err
 	}
 	if mv.Ensemble != nil {
 		for i, member := range mv.Ensemble.Members {
 			name := fmt.Sprintf(memberPattern, i)
-			if err := writeArtifact(filepath.Join(dir, name), member.WriteBinary); err != nil {
+			if err := writeBundleFile(dir, name, member.WriteBinary); err != nil {
 				return err
 			}
 			m.Ensemble = append(m.Ensemble, name)
 		}
 		m.Scaler = &scalerJSON{Log: mv.Scaler.Log, Mean: mv.Scaler.Mean, Std: mv.Scaler.Std}
 	}
+	if len(mv.Reference) > 0 {
+		m.ReferenceFile = referenceName
+		if err := writeBundleFile(dir, referenceName, func(w io.Writer) error { return writeReference(w, mv.Reference) }); err != nil {
+			return err
+		}
+	}
+	return writeManifest(dir, m)
+}
+
+// writeManifest publishes dir's manifest, the last file of a version.
+func writeManifest(dir string, m manifest) error {
 	raw, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("serve: encoding manifest: %w", err)
 	}
-	return writeManifestAtomic(dir, append(raw, '\n'))
+	return writeBundleFile(dir, manifestName, writeBytes(append(raw, '\n')))
 }
 
-// writeManifestAtomic publishes a manifest via temp-file-and-rename, so a
-// reload poll racing the publisher can never read a half-written manifest
-// — it sees either no manifest (directory skipped) or the complete one.
-func writeManifestAtomic(dir string, raw []byte) error {
-	tmp, err := os.CreateTemp(dir, ".manifest-*")
-	if err != nil {
-		return fmt.Errorf("serve: staging manifest in %s: %w", dir, err)
-	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: staging manifest in %s: %w", dir, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: staging manifest in %s: %w", dir, err)
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: staging manifest in %s: %w", dir, err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, manifestName)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: publishing manifest in %s: %w", dir, err)
-	}
-	return nil
+func writeBytes(raw []byte) func(io.Writer) error {
+	return func(w io.Writer) error { _, err := w.Write(raw); return err }
 }
 
-func writeArtifact(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
+// writeBundleFile is how every file of a bundle reaches its directory: staged
+// under a dot-prefixed name (no loader opens one, dirFingerprint skips them)
+// and renamed, so a poll racing a publisher reads it whole or not at all.
+func writeBundleFile(dir, name string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(dir, "."+name+"-*")
 	if err != nil {
-		return fmt.Errorf("serve: creating %s: %w", path, err)
+		return fmt.Errorf("serve: staging %s in %s: %w", name, dir, err)
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		return fmt.Errorf("serve: writing %s: %w", path, err)
+	err = errors.Join(write(tmp), tmp.Chmod(0o644), tmp.Close())
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, name))
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("serve: closing %s: %w", path, err)
+	if err != nil {
+		_ = os.Remove(tmp.Name()) // best effort: err is the one to report
+		return fmt.Errorf("serve: writing %s in %s: %w", name, dir, err)
 	}
 	return nil
 }

@@ -58,6 +58,12 @@ func FuzzLoadVersionDir(f *testing.F) {
 	f.Add(binMan, binMod[:len(binMod)-5])
 	f.Add(binMan, mod) // a JSON model under the binary name
 	f.Add(man, binMod) // and the reverse
+	withRef := func(name string) []byte {
+		return []byte(strings.Replace(fuzzManifestJSON, `"guard"`, `"reference_file":"`+name+`","guard"`, 1))
+	}
+	f.Add(withRef(referenceName), mod)
+	f.Add(withRef("gone.bin"), mod) // names a file that is not there
+	refBin := referenceBinary(f, []FeatureHist{{Name: "a", Cuts: []float64{1}, Counts: []uint64{3, 4}}})
 
 	f.Fuzz(func(t *testing.T, manifest, model []byte) {
 		dir := filepath.Join(t.TempDir(), "v1")
@@ -73,6 +79,10 @@ func FuzzLoadVersionDir(f *testing.F) {
 			if err := os.WriteFile(filepath.Join(dir, name), model, 0o644); err != nil {
 				t.Fatal(err)
 			}
+		}
+		// And a reference artifact for a manifest to name.
+		if err := os.WriteFile(filepath.Join(dir, referenceName), refBin, 0o644); err != nil {
+			t.Fatal(err)
 		}
 		mv, err := loadVersionDir(dir, "theta")
 		if err != nil {

@@ -362,8 +362,8 @@ func dirFingerprint(dir string) (string, error) {
 	h := sha256.New()
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
-		// Dotfiles are excluded: writeManifestAtomic stages manifests as
-		// .manifest-* temp files, and hashing a transient file would make
+		// Dotfiles are excluded: writeBundleFile stages every file under a
+		// dot-prefixed temporary name, and hashing a transient file would make
 		// an unchanged directory look modified one poll later (spurious
 		// reload + cache invalidation).
 		if !e.IsDir() && !strings.HasPrefix(e.Name(), ".") {
