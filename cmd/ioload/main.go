@@ -136,7 +136,19 @@ func main() {
 	}
 }
 
+// transport carries every request ioload makes. run makes its idle pool as
+// deep as -concurrency before the first one: http.DefaultTransport keeps two
+// connections a host, so at eight in flight the load generator itself
+// re-dialled and the latencies it reported included handshakes.
+var transport = http.DefaultTransport.(*http.Transport).Clone()
+
+func newClient(timeout time.Duration) *http.Client {
+	return &http.Client{Transport: transport, Timeout: timeout}
+}
+
 func run(addr, sysName string, version, requests, batch int, rate, dup, ood float64, conc, poolJobs int, seed uint64, token string, churn churnSpec, dr driftSpec, retries int, expectChaos bool, expectSLO string) error {
+	transport.MaxIdleConnsPerHost = max(conc, 1) // the generator runs one at a time at <= 0
+	transport.MaxIdleConns = max(conc, transport.MaxIdleConns)
 	var cfg *system.Config
 	switch sysName {
 	case "theta":
@@ -250,7 +262,7 @@ func run(addr, sysName string, version, requests, batch int, rate, dup, ood floa
 // every objective within budget, "burning" at least one over it. A server
 // without SLO tracking (409/404) is fine unless an expectation was stated.
 func reportSLO(addr, expect string) error {
-	client := &http.Client{Timeout: 10 * time.Second}
+	client := newClient(10 * time.Second)
 	resp, err := client.Get(addr + "/v1/slo")
 	if err != nil {
 		if expect != "" {
@@ -427,7 +439,7 @@ func reportReplicaSplit(stats serve.LoadStats, tally *replicaTally) {
 // (ioserve_admission_shed_total > 0 on /metrics), and still served some
 // traffic. Any miss is a non-zero exit for the chaos-smoke harness.
 func verifyChaos(addr string, stats serve.LoadStats) error {
-	client := &http.Client{Timeout: 10 * time.Second}
+	client := newClient(10 * time.Second)
 	resp, err := client.Get(addr + "/healthz")
 	if err != nil {
 		return fmt.Errorf("expect-chaos: server did not survive the run: %w", err)
@@ -548,7 +560,7 @@ type churnResult struct {
 // prompt and the admin surface is exercised under load.
 func runChurn(ctx context.Context, churn churnSpec, addr, sysName, token string) churnResult {
 	var res churnResult
-	client := &http.Client{Timeout: 10 * time.Second}
+	client := newClient(10 * time.Second)
 	for i := 0; i < churn.bumps; i++ {
 		select {
 		case <-ctx.Done():
@@ -701,7 +713,7 @@ func (t *versionTracker) String() string {
 // Retry-After when it names a longer wait; 4xx responses other than 429 are
 // caller bugs and fail immediately.
 func httpTarget(addr, sysName string, version int, tracker *versionTracker, timings *serverTimingAgg, retries int, seed uint64, rstats *retryStats, tally *replicaTally) serve.Target {
-	client := &http.Client{Timeout: 30 * time.Second}
+	client := newClient(30 * time.Second)
 	url := addr + "/v1/predict"
 	r := rng.New(seed + 777)
 	var jitterMu sync.Mutex
@@ -797,7 +809,7 @@ func httpTarget(addr, sysName string, version int, tracker *versionTracker, timi
 // feature shift with ground-truth feedback, then a hold phase until the
 // server promotes a retrained version or the deadline passes.
 func runDriftScenario(addr, sysName, token string, requests, batch int, rate float64, seed uint64, frame *dataset.Frame, dr driftSpec) error {
-	client := &http.Client{Timeout: 30 * time.Second}
+	client := newClient(30 * time.Second)
 	r := rng.New(seed)
 	rows := frame.Rows()
 	ys := frame.Y()

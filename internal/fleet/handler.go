@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -133,20 +134,11 @@ func NewHandler(rt *Router, cfg HandlerConfig) http.Handler {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", serve.MetricsContentType)
-		if err := rt.metrics.WriteMetrics(w); err != nil {
-			return
-		}
-		if err := rt.res.WriteMetrics(w); err != nil {
-			return
-		}
-		if err := rt.tracer.WriteMetrics(w); err != nil {
-			return
-		}
-		if err := rt.memlog.WriteMetrics(w); err != nil {
-			return
-		}
-		if err := rt.scrape.WriteMetrics(w); err != nil {
-			return
+		for _, write := range []func(io.Writer) error{rt.metrics.WriteMetrics, rt.writeConnMetrics,
+			rt.res.WriteMetrics, rt.tracer.WriteMetrics, rt.memlog.WriteMetrics, rt.scrape.WriteMetrics} {
+			if write(w) != nil {
+				return
+			}
 		}
 		if cfg.SLO != nil {
 			_ = cfg.SLO.WriteMetrics("iorouter", w)

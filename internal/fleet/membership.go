@@ -280,8 +280,9 @@ func (rt *Router) expireLeases() {
 
 // removeMemberLocked forgets a member completely: ring arcs remap, the
 // per-replica metric counters and cached scrape series are dropped (no
-// ghost iorouter_replica_up series for departed members), and its breaker
-// leaves the resilience set. Callers hold rt.mu.
+// ghost iorouter_replica_up series for departed members), its breaker
+// leaves the resilience set and its idle connections are closed (one still in
+// use, by the transport's idle timeout). Callers hold rt.mu.
 func (rt *Router) removeMemberLocked(name string) {
 	rs, ok := rt.replicas[name]
 	if !ok {
@@ -300,6 +301,7 @@ func (rt *Router) removeMemberLocked(name string) {
 	rt.metrics.remove(name)
 	rt.scrape.Remove(name)
 	rt.res.RemoveBreaker(rs.breaker)
+	closeIdle(rs.backend)
 }
 
 // insertNameLocked adds name to the sorted index. Callers hold rt.mu.

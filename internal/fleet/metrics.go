@@ -136,3 +136,21 @@ func (m *routerMetrics) WriteMetrics(w io.Writer) error {
 	}
 	return nil
 }
+
+// writeConnMetrics renders iorouter_replica_connections_total for the Remote
+// members: a reused="false" count that grows with traffic is churn, hops
+// dialling again what the idle pool or the replica closed.
+func (rt *Router) writeConnMetrics(w io.Writer) error {
+	buf := []byte("# HELP iorouter_replica_connections_total Connections handed to predict hops per replica; reused=\"false\" ones were dialled.\n" +
+		"# TYPE iorouter_replica_connections_total counter\n")
+	rt.mu.Lock()
+	for _, n := range rt.names {
+		if rem, ok := rt.replicas[n].backend.(*Remote); ok {
+			buf = fmt.Appendf(buf, "iorouter_replica_connections_total{replica=%q,reused=\"false\"} %d\niorouter_replica_connections_total{replica=%q,reused=\"true\"} %d\n",
+				n, rem.dialled.Load(), n, rem.reused.Load())
+		}
+	}
+	rt.mu.Unlock()
+	_, err := w.Write(buf)
+	return err
+}

@@ -28,7 +28,13 @@ import (
 type Remote struct {
 	name    string
 	baseURL string
-	client  *http.Client
+	// transport carries every call, one RoundTrip each: the configured one, or
+	// this Remote's own (newHopTransport). hopBound is hopTimeout, a field so
+	// that a test can wait out a shorter one.
+	transport http.RoundTripper
+	hopBound  time.Duration
+	// The connections predict hops were handed: fresh from a dial, or idle.
+	dialled, reused atomic.Uint64
 	// adminToken unlocks the replica's admin-gated trace endpoints when the
 	// fleet runs with admin authn. Empty is fine: FetchTrace then degrades
 	// to a missing hop rather than failing the stitch.
@@ -40,6 +46,9 @@ type Remote struct {
 	base                     *url.URL
 	parseErr                 error
 	predict, health, metrics endpoint
+	// basicAuth is the Authorization value of a base URL with userinfo, which
+	// net/http's client derived per request and a bare transport does not.
+	basicAuth []string
 }
 
 // endpoint is one path of the replica's surface and, when the base URL
@@ -51,20 +60,52 @@ type endpoint struct {
 
 // RemoteConfig tunes a Remote backend.
 type RemoteConfig struct {
-	// Client defaults to an http.Client with a 10s timeout.
-	Client *http.Client
+	// Transport carries every call to the replica, one RoundTrip each (no
+	// redirects followed, no cookies). Nil is a transport of the Remote's own,
+	// made for the router→replica hop; one that is not net/http's HTTP/1
+	// transport costs each hop its pooled buffer (see hopBody).
+	Transport http.RoundTripper
 	// AdminToken authorizes the replica's admin-gated stats endpoints.
 	AdminToken string
+}
+
+// hopTimeout bounds one call on a replica, headers and body, so that one that
+// accepts and never answers cannot hold a deadline-free request for good.
+const hopTimeout = 10 * time.Second
+
+// errHopTimeout is the cause of a context that hopTimeout ended, which is what
+// net/http then fails the round trip or the body read with. It is no
+// context.DeadlineExceeded: the router books that as the client's clock running
+// out, and this is the replica's fault. A caller's deadline that comes first
+// ends the hop with the caller's cause.
+var errHopTimeout = errors.New("no answer within the hop's own bound")
+
+// newHopTransport is the transport of a Remote that was given none: HTTP/1.1
+// only (the hopBody recycle rule reads HTTP/1 trace events), no proxy lookup,
+// no gzip negotiation, a write buffer that takes a 16-row hop body whole (what
+// does not fit, net/http copies through a buffer it allocates per request),
+// and an idle pool that is never the cap: every concurrent hop keeps its
+// connection (http.DefaultTransport's two a host had most hops past two
+// callers a replica dial) and IdleConnTimeout alone shrinks the pool.
+func newHopTransport() *http.Transport {
+	var h1 http.Protocols
+	h1.SetHTTP1(true)
+	return &http.Transport{
+		Protocols:           &h1,
+		DisableCompression:  true,
+		WriteBufferSize:     16 << 10,
+		MaxIdleConnsPerHost: 1 << 14,
+		IdleConnTimeout:     90 * time.Second,
+	}
 }
 
 // NewRemote wraps an ioserve base URL (e.g. "http://10.0.0.7:8080") as a
 // replica backend.
 func NewRemote(name, baseURL string, cfg RemoteConfig) *Remote {
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
+	r := &Remote{name: name, baseURL: baseURL, transport: cfg.Transport, hopBound: hopTimeout, adminToken: cfg.AdminToken}
+	if r.transport == nil {
+		r.transport = newHopTransport()
 	}
-	r := &Remote{name: name, baseURL: baseURL, client: client, adminToken: cfg.AdminToken}
 	base, err := url.Parse(baseURL)
 	if err != nil {
 		// Keep the cause; newRequest names the URL each call asked for.
@@ -76,6 +117,12 @@ func NewRemote(name, baseURL string, cfg RemoteConfig) *Remote {
 	} else {
 		base.Host = strings.TrimSuffix(base.Host, ":") // http.NewRequest drops an empty port too
 		r.base = base
+		if u := base.User; u != nil {
+			pass, _ := u.Password()
+			auth := http.Request{Header: make(http.Header, 1)}
+			auth.SetBasicAuth(u.Username(), pass)
+			r.basicAuth = auth.Header["Authorization"]
+		}
 	}
 	r.predict, r.health, r.metrics = r.endpoint("/v1/predict"), r.endpoint("/healthz"), r.endpoint("/metrics")
 	return r
@@ -101,7 +148,18 @@ func (r *Remote) newRequest(ctx context.Context, method string, ep endpoint) (*h
 	}
 	req := http.Request{Method: method, URL: ep.url, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
 		Header: make(http.Header, 3), Host: ep.url.Host}
+	if r.basicAuth != nil {
+		req.Header["Authorization"] = r.basicAuth
+	}
 	return req.WithContext(ctx), nil
+}
+
+// CloseIdleConnections closes the replica connections no call is using; the
+// router calls it when the replica leaves the fleet and when it stops.
+func (r *Remote) CloseIdleConnections() {
+	if tr, ok := r.transport.(interface{ CloseIdleConnections() }); ok {
+		tr.CloseIdleConnections()
+	}
 }
 
 // Name implements Predictor.
@@ -115,7 +173,7 @@ const maxReplicaReply = 4 * maxRouterBody
 
 // hopBody is the pooled storage of one hop: the encoded request, the reply,
 // and the means of learning when net/http has finished with the former. The
-// transport may still be writing a request body after Do has returned (a
+// transport may still be writing a request body after RoundTrip has returned (a
 // replica that sheds answers before it has read the body; RoundTripper allows
 // it of any implementation), and it must be handed a plain
 // io.NopCloser(*bytes.Reader): any type of ours, say one whose Close reports
@@ -133,10 +191,11 @@ type hopBody struct {
 	// that may overlap the failed attempt's last read of the first.
 	getBody func() (io.ReadCloser, error)
 	// conns counts the connections the request was handed to (a stale
-	// keep-alive connection is retried on a second one), written those that
-	// have reported their write of it over, failed or not.
-	conns, written atomic.Int32
-	trace          httptrace.ClientTrace
+	// keep-alive connection is retried on a second one), reused those that
+	// had been idle, written those that have reported their write of it
+	// over, failed or not.
+	conns, reused, written atomic.Int32
+	trace                  httptrace.ClientTrace
 }
 
 // maxPooledHop is the most storage (bytes) a hop may take back to the pool.
@@ -147,19 +206,24 @@ var hopPool = sync.Pool{New: func() any {
 	h.body = io.NopCloser(&h.reader)
 	h.getBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(h.buf)), nil }
 	h.trace = httptrace.ClientTrace{
-		GotConn:      func(httptrace.GotConnInfo) { h.conns.Add(1) },
+		GotConn: func(info httptrace.GotConnInfo) {
+			h.conns.Add(1)
+			if info.Reused {
+				h.reused.Add(1)
+			}
+		},
 		WroteRequest: func(httptrace.WroteRequestInfo) { h.written.Add(1) },
 	}
 	return h
 }}
 
 // release returns h to the pool if nothing can still be reading h.buf, and
-// otherwise leaves it to the collector. It runs after Do has returned, when no
+// otherwise leaves it to the collector. It runs after RoundTrip has returned, when no
 // further connection can be handed the request: if at least one was and every
 // one that was has finished writing, no write is running or can start. Every
 // other outcome — an early 429 with the write still under way, a dial the
 // context cancelled, a caller's RoundTripper or client trace that keeps ours
-// from firing, a request that never reached Do — fails the test and costs one
+// from firing, a request that never reached RoundTrip — fails the test and costs one
 // allocation, never a torn body.
 func (h *hopBody) release() {
 	n := h.conns.Load()
@@ -167,6 +231,7 @@ func (h *hopBody) release() {
 		return
 	}
 	h.conns.Store(0)
+	h.reused.Store(0)
 	h.written.Store(0)
 	hopPool.Put(h)
 }
@@ -194,11 +259,13 @@ func (r *Remote) Predict(ctx context.Context, req *serve.PredictRequest) (*serve
 	if h.buf, err = serve.AppendPredictRequest(h.buf[:0], req); err != nil {
 		return nil, fmt.Errorf("fleet: encoding request for %s: %w", r.name, err)
 	}
+	hctx, cancel := context.WithTimeoutCause(ctx, r.hopBound, errHopTimeout)
+	defer cancel()
 	// A trace the caller installed would be chained into ours for good by
 	// WithClientTrace; theirs stays, and this hop's buffer is not recycled.
-	tctx := ctx
+	tctx := hctx
 	if httptrace.ContextClientTrace(ctx) == nil {
-		tctx = httptrace.WithClientTrace(ctx, &h.trace)
+		tctx = httptrace.WithClientTrace(hctx, &h.trace)
 	}
 	httpReq, err := r.newRequest(tctx, http.MethodPost, r.predict)
 	if err != nil {
@@ -213,7 +280,10 @@ func (r *Remote) Predict(ctx context.Context, req *serve.PredictRequest) (*serve
 	if bounded {
 		httpReq.Header[serve.DeadlineHeader] = []string{strconv.FormatInt(budgetMs, 10)}
 	}
-	resp, err := r.client.Do(httpReq)
+	resp, err := r.transport.RoundTrip(httpReq)
+	reused := uint64(h.reused.Load())
+	r.reused.Add(reused)
+	r.dialled.Add(uint64(h.conns.Load()) - reused)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: replica %s: %w", r.name, err)
 	}
@@ -262,20 +332,8 @@ func backendErrorFrom(resp *http.Response) *BackendError {
 
 // Health implements Predictor over GET /healthz.
 func (r *Remote) Health(ctx context.Context) error {
-	req, err := r.newRequest(ctx, http.MethodGet, r.health)
-	if err != nil {
-		return err
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("fleet: replica %s health: %w", r.name, err)
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("fleet: replica %s health: status %d", r.name, resp.StatusCode)
-	}
-	return nil
+	_, err := r.get(ctx, r.health, false, 4<<10)
+	return err
 }
 
 // remainingBudgetMs converts the context deadline into the milliseconds of
@@ -298,24 +356,7 @@ const maxMetricsBody = 4 << 20
 // replica's whole exposition, replacing the old two-request
 // /v1/resilience + /v1/versions stats poll.
 func (r *Remote) Metrics(ctx context.Context) ([]byte, error) {
-	req, err := r.newRequest(ctx, http.MethodGet, r.metrics)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: replica %s /metrics: %w", r.name, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		return nil, fmt.Errorf("fleet: replica %s /metrics: status %d", r.name, resp.StatusCode)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxMetricsBody))
-	if err != nil {
-		return nil, fmt.Errorf("fleet: replica %s /metrics: %w", r.name, err)
-	}
-	return body, nil
+	return r.get(ctx, r.metrics, false, maxMetricsBody)
 }
 
 // FetchTrace implements Predictor over the replica's admin-gated
@@ -323,34 +364,45 @@ func (r *Remote) Metrics(ctx context.Context) ([]byte, error) {
 // disabled on the replica) both mean the trace is unavailable, not that
 // the replica failed.
 func (r *Remote) FetchTrace(ctx context.Context, id uint64) (*obs.TraceDetail, error) {
-	var detail obs.TraceDetail
-	err := r.getJSON(ctx, "/v1/trace/"+obs.FormatTraceID(id), true, &detail)
+	body, err := r.get(ctx, r.endpoint("/v1/trace/"+obs.FormatTraceID(id)), true, maxMetricsBody)
 	if err != nil {
-		if be, ok := err.(*BackendError); ok &&
-			(be.Status == http.StatusNotFound || be.Status == http.StatusConflict) {
+		var be *BackendError
+		if errors.As(err, &be) && (be.Status == http.StatusNotFound || be.Status == http.StatusConflict) {
 			return nil, ErrTraceNotFound
 		}
 		return nil, err
 	}
+	var detail obs.TraceDetail
+	if err := json.Unmarshal(body, &detail); err != nil {
+		return nil, fmt.Errorf("fleet: replica %s sent a bad trace: %w", r.name, err)
+	}
 	return &detail, nil
 }
 
-// getJSON fetches one replica endpoint into out.
-func (r *Remote) getJSON(ctx context.Context, path string, admin bool, out any) error {
-	req, err := r.newRequest(ctx, http.MethodGet, r.endpoint(path))
+// get is one GET of the replica under the hop's bound: the body of a 200, at
+// most limit bytes of it, or a wrapped *BackendError for any other status.
+func (r *Remote) get(ctx context.Context, ep endpoint, admin bool, limit int64) ([]byte, error) {
+	ctx, cancel := context.WithTimeoutCause(ctx, r.hopBound, errHopTimeout)
+	defer cancel()
+	req, err := r.newRequest(ctx, http.MethodGet, ep)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if admin && r.adminToken != "" {
-		req.Header.Set("X-Admin-Token", r.adminToken)
+		req.Header["X-Admin-Token"] = []string{r.adminToken}
 	}
-	resp, err := r.client.Do(req)
+	var body []byte
+	resp, err := r.transport.RoundTrip(req)
+	if err == nil {
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			err = backendErrorFrom(resp)
+		} else {
+			body, err = io.ReadAll(io.LimitReader(resp.Body, limit))
+		}
+	}
 	if err != nil {
-		return fmt.Errorf("fleet: replica %s %s: %w", r.name, path, err)
+		return nil, fmt.Errorf("fleet: replica %s %s: %w", r.name, ep.path, err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return backendErrorFrom(resp)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return body, nil
 }

@@ -285,13 +285,27 @@ func (rt *Router) Start() {
 	rt.startOnce.Do(func() { go rt.probeLoop() })
 }
 
-// Stop halts the prober and waits for it to exit. Safe on a router that
-// was never started (tests drive ProbeOnce by hand).
+// Stop halts the prober, waits for it to exit and closes the members' idle
+// replica connections. Safe on a router that was never started (tests drive
+// ProbeOnce by hand).
 func (rt *Router) Stop() {
 	rt.stopOnce.Do(func() { close(rt.stopCh) })
 	// If Start never ran, claim the once ourselves and mark the loop done.
 	rt.startOnce.Do(func() { close(rt.doneCh) })
 	<-rt.doneCh
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	for _, rs := range rt.replicas {
+		closeIdle(rs.backend)
+	}
+}
+
+// closeIdle closes p's idle connections if it has the method for it, as
+// http.Client asks its transport (Remote has, Local keeps none).
+func closeIdle(p Predictor) {
+	if c, ok := p.(interface{ CloseIdleConnections() }); ok {
+		c.CloseIdleConnections()
+	}
 }
 
 // probeLoop health-checks every replica each interval, feeds the

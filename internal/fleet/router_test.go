@@ -471,6 +471,9 @@ func TestHandlerPredict(t *testing.T) {
 		"iorouter_replicas_healthy 3",
 		`iorouter_replica_rows_total{replica="replica-0"}`,
 		"iorouter_failovers_total 0",
+		// Stubs have no connections to count: the series is declared, and its
+		// rows are TestRemoteClosesIdleOnStop's.
+		"# TYPE iorouter_replica_connections_total counter",
 		`ioserve_breaker_state{name="replica-0"}`,
 	} {
 		if !strings.Contains(text, want) {

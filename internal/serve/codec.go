@@ -599,10 +599,14 @@ func appendRow(dst []byte, row []float64) ([]byte, error) {
 	return append(dst, ']'), nil
 }
 
+// jsonContentType is every JSON response's Content-Type value: header values
+// are read, never written, by net/http.
+var jsonContentType = []string{"application/json"}
+
 // WriteJSONBody writes one already-encoded JSON body with its length.
 func WriteJSONBody(w http.ResponseWriter, status int, body []byte) {
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
+	h["Content-Type"] = jsonContentType
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	_, _ = w.Write(body) // a client that went away is the only failure
