@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -194,19 +193,9 @@ func handleFleetTraceList(rt *Router, w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"slow_threshold_ns": slowThresholdNs(rt.tracer),
+		"slow_threshold_ns": rt.tracer.SlowThresholdNs(),
 		"traces":            summaries,
 	})
-}
-
-// slowThresholdNs reports the tracer's slow bar as 0 while unarmed, so the
-// listing never shows MaxInt64.
-func slowThresholdNs(tr *obs.RouterTracer) int64 {
-	ns := int64(tr.SlowThreshold())
-	if ns == math.MaxInt64 {
-		return 0
-	}
-	return ns
 }
 
 // handleFleetTraceGet serves GET /v1/trace/{id}: one stitched

@@ -1,20 +1,17 @@
 package obs
 
 import (
-	"fmt"
 	"io"
-	"math"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 )
 
 // fleettrace.go gives the fleet router its own tracing plane: router-side
 // stage attribution (admit, score, fan-out, reassemble), per-hop spans for
-// every replica dispatch, tail-sampled retention mirroring the replica
-// tracer's policy, and stitching — splicing the replicas' own retained
-// span trees under the router's fan-out spans into one cross-process tree
-// with per-hop network time made explicit.
+// every replica dispatch, tail-sampled retention under the replica
+// tracer's keep policy, and stitching — splicing the replicas' own
+// retained span trees under the router's fan-out spans into one
+// cross-process tree with per-hop network time made explicit.
 
 // RouterStage identifies one phase of the router's request pipeline.
 type RouterStage uint8
@@ -79,35 +76,19 @@ type FleetTrace struct {
 	Keep    string
 }
 
-// RouterTracer retains FleetTraces under the same tail-sampling policy as
-// the replica-side Tracer: errors always, slow (moving p99) always, plus a
-// 1-in-N head sample. Unlike the replica tracer it is not pooled — the
-// router path is not allocation-gated, and hop slices make by-value
-// pooling a false economy. A nil *RouterTracer is inert.
+// RouterTracer retains FleetTraces under the replica-side Tracer's keep
+// policy (the same code; a routed request is never shed, deadline-expired
+// or OoD-flagged at the router). Unlike the replica tracer it is not
+// pooled — the router path is not allocation-gated, and hop slices make
+// by-value pooling a false economy. A nil *RouterTracer is inert.
 type RouterTracer struct {
-	cfg Config
-
-	mu   sync.Mutex
-	ring []FleetTrace
-	next int
-	size int
-
-	headCtr atomic.Uint64
-	lat     *MovingP99
-	kept    [len(keepReasons)]atomic.Uint64
-	dropped atomic.Uint64
+	keepPolicy
+	ring *Ring[FleetTrace]
 }
 
 // NewRouterTracer builds a router tracer under cfg (RingSize default 256).
 func NewRouterTracer(cfg Config) *RouterTracer {
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 256
-	}
-	return &RouterTracer{
-		cfg:  cfg,
-		ring: make([]FleetTrace, cfg.RingSize),
-		lat:  NewMovingP99(0),
-	}
+	return &RouterTracer{keepPolicy: keepPolicy{cfg: cfg, lat: NewMovingP99(0)}, ring: NewRing[FleetTrace](cfg.RingSize)}
 }
 
 // Finish applies the keep policy to t and retains a deep copy when kept,
@@ -117,45 +98,15 @@ func (rt *RouterTracer) Finish(t *FleetTrace) uint64 {
 	if rt == nil || t == nil {
 		return 0
 	}
-	if rt.cfg.SlowAfter == 0 {
-		rt.lat.Observe(t.TotalNs)
-	}
-	keep := -1
-	switch {
-	case t.Err != "":
-		keep = 0 // KeepError
-	case t.TotalNs >= int64(rt.SlowThreshold()):
-		keep = 4 // KeepSlow
-	case rt.cfg.SampleEvery > 0 && rt.headCtr.Add(1)%uint64(rt.cfg.SampleEvery) == 0:
-		keep = 5 // KeepSampled
-	}
-	if keep < 0 {
-		rt.dropped.Add(1)
+	keep := rt.keep(false, false, t.Err != "", false, t.TotalNs)
+	if keep == "" {
 		return 0
 	}
-	t.Keep = keepReasons[keep]
-	rt.kept[keep].Add(1)
-
+	t.Keep = keep
 	stored := *t
-	stored.Hops = make([]HopSpan, len(t.Hops))
-	copy(stored.Hops, t.Hops)
-
-	rt.mu.Lock()
-	rt.ring[rt.next] = stored
-	rt.next = (rt.next + 1) % len(rt.ring)
-	if rt.size < len(rt.ring) {
-		rt.size++
-	}
-	rt.mu.Unlock()
+	stored.Hops = slices.Clone(t.Hops)
+	rt.ring.Push(&stored)
 	return t.ID
-}
-
-// SlowThreshold reports the slow-trace bar (MaxInt64 until armed).
-func (rt *RouterTracer) SlowThreshold() time.Duration {
-	if rt.cfg.SlowAfter > 0 {
-		return rt.cfg.SlowAfter
-	}
-	return time.Duration(rt.lat.Value())
 }
 
 // Recent returns up to limit retained traces, newest first.
@@ -163,18 +114,7 @@ func (rt *RouterTracer) Recent(limit int) []FleetTrace {
 	if rt == nil {
 		return nil
 	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	n := rt.size
-	if limit > 0 && limit < n {
-		n = limit
-	}
-	out := make([]FleetTrace, 0, n)
-	for i := 0; i < n; i++ {
-		idx := (rt.next - 1 - i + len(rt.ring)) % len(rt.ring)
-		out = append(out, rt.ring[idx])
-	}
-	return out
+	return rt.ring.Recent(limit)
 }
 
 // Get returns the retained trace with the given ID.
@@ -182,15 +122,7 @@ func (rt *RouterTracer) Get(id uint64) (FleetTrace, bool) {
 	if rt == nil {
 		return FleetTrace{}, false
 	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	for i := 0; i < rt.size; i++ {
-		idx := (rt.next - 1 - i + len(rt.ring)) % len(rt.ring)
-		if rt.ring[idx].ID == id {
-			return rt.ring[idx], true
-		}
-	}
-	return FleetTrace{}, false
+	return rt.ring.Find(func(t *FleetTrace) bool { return t.ID == id })
 }
 
 // WriteMetrics renders the router tracer's exposition series.
@@ -198,17 +130,7 @@ func (rt *RouterTracer) WriteMetrics(w io.Writer) error {
 	if rt == nil {
 		return nil
 	}
-	fmt.Fprintf(w, "# HELP iorouter_traces_kept_total Routed traces retained by tail-sampling, by reason.\n# TYPE iorouter_traces_kept_total counter\n")
-	for i, reason := range keepReasons {
-		fmt.Fprintf(w, "iorouter_traces_kept_total{reason=%q} %d\n", reason, rt.kept[i].Load())
-	}
-	fmt.Fprintf(w, "# HELP iorouter_traces_dropped_total Finished routed traces discarded by sampling.\n# TYPE iorouter_traces_dropped_total counter\niorouter_traces_dropped_total %d\n", rt.dropped.Load())
-	slow := int64(rt.SlowThreshold())
-	if slow == math.MaxInt64 {
-		slow = 0
-	}
-	_, err := fmt.Fprintf(w, "# HELP iorouter_trace_slow_threshold_seconds Moving p99 threshold above which routed traces are always retained (0 until armed).\n# TYPE iorouter_trace_slow_threshold_seconds gauge\niorouter_trace_slow_threshold_seconds %g\n", float64(slow)/1e9)
-	return err
+	return rt.writeMetrics(w, "iorouter", "routed traces")
 }
 
 // StitchedHop is one replica dispatch in a stitched cross-process trace.

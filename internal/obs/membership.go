@@ -46,20 +46,17 @@ type MembershipLog struct {
 	// Now is injectable for tests; nil uses time.Now.
 	Now func() time.Time
 
+	ring *Ring[MembershipEvent]
+	// mu guards counts and orders Record's push with its count; the ring's
+	// own mutex nests inside it as a leaf.
 	mu     sync.Mutex
-	ring   []MembershipEvent // ring buffer, len == cap once full
-	next   int               // next write position
-	filled bool
 	counts map[string]uint64
 }
 
 // NewMembershipLog retains up to capacity events (minimum 16).
 func NewMembershipLog(capacity int) *MembershipLog {
-	if capacity < 16 {
-		capacity = 16
-	}
 	return &MembershipLog{
-		ring:   make([]MembershipEvent, capacity),
+		ring:   NewRing[MembershipEvent](max(capacity, 16)),
 		counts: make(map[string]uint64, len(memberEventKinds)),
 	}
 }
@@ -74,12 +71,7 @@ func (l *MembershipLog) now() time.Time {
 // Record appends one event.
 func (l *MembershipLog) Record(member, event, detail string) {
 	l.mu.Lock()
-	l.ring[l.next] = MembershipEvent{Time: l.now(), Member: member, Event: event, Detail: detail}
-	l.next++
-	if l.next == len(l.ring) {
-		l.next = 0
-		l.filled = true
-	}
+	l.ring.Push(&MembershipEvent{Time: l.now(), Member: member, Event: event, Detail: detail})
 	l.counts[event]++
 	l.mu.Unlock()
 }
@@ -93,22 +85,7 @@ func (l *MembershipLog) Count(event string) uint64 {
 
 // Recent returns up to limit retained events, newest first (limit <= 0
 // returns all retained).
-func (l *MembershipLog) Recent(limit int) []MembershipEvent {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := l.next
-	if l.filled {
-		n = len(l.ring)
-	}
-	if limit <= 0 || limit > n {
-		limit = n
-	}
-	out := make([]MembershipEvent, 0, limit)
-	for i := 1; i <= limit; i++ {
-		out = append(out, l.ring[(l.next-i+len(l.ring))%len(l.ring)])
-	}
-	return out
-}
+func (l *MembershipLog) Recent(limit int) []MembershipEvent { return l.ring.Recent(limit) }
 
 // WriteMetrics renders the per-kind event counters. Every kind in the
 // closed set is rendered (zeros included) so rate() queries never see a

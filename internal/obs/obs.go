@@ -1,8 +1,8 @@
 // Package obs is the serving stack's zero-dependency observability layer:
-// request tracing with per-stage latency attribution, a lock-light ring
-// buffer of retained traces with tail-sampling, Go runtime health metrics
-// for the /metrics exposition, and structured logging setup shared by the
-// serving binaries.
+// request tracing with per-stage latency attribution, tail-sampled
+// retention in one generic ring, Go runtime health metrics for the
+// /metrics exposition, and structured logging setup shared by the serving
+// binaries.
 //
 // The design splits responsibilities so the hot path stays allocation-free:
 //
@@ -12,10 +12,15 @@
 //	Trace        — the pooled, completed-request record built from a
 //	               StageTimings at the end of a request; only exists when
 //	               tracing is enabled (trace.go)
-//	Tracer       — owns the trace pool, the tail-sampling policy (always
-//	               keep errors, OoD-flagged rows, and requests slower than
-//	               a moving p99 threshold; head-sample 1-in-N of the rest),
-//	               and the retained-trace ring (tracer.go, ring.go)
+//	Tracer       — owns the trace pool, the tail-sampling keep policy it
+//	               shares with RouterTracer (always keep sheds, deadline
+//	               expiries, errors, OoD-flagged rows, and requests slower
+//	               than a moving p99 threshold; head-sample 1-in-N of the
+//	               rest), and a ring of retained traces (tracer.go)
+//	Ring[T]      — the one lock-light, store-by-value ring: retained
+//	               traces, routed traces and membership events (ring.go)
+//	LatencyBuckets — the one 50µs..1s ladder the serving histograms, the
+//	               moving p99 and the SLO windows count over (p99.go)
 //	runtime      — GC pause, goroutine, and heap series rendered into the
 //	               Prometheus exposition at scrape time (runtime.go)
 //	logging      — slog construction for the binaries plus a discard

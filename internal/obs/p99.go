@@ -5,11 +5,46 @@ import (
 	"sync/atomic"
 )
 
-// MovingP99 is a lock-free windowed p99 latency estimator over the shared
-// slowBuckets ladder. Observations accumulate in per-bucket counters; every
-// window-th observation the p99 bucket bound is recomputed from the window's
-// counts and the counters reset, so the estimate tracks the *recent*
-// distribution rather than the lifetime one. Until the first window
+// LatencyBuckets is the one latency ladder: bucket upper bounds in
+// nanoseconds, 50µs .. 1s at roughly 1-2.5-5 per decade, with a +Inf
+// bucket implied after the last. The serving histograms, the moving p99
+// and the SLO windows all count over it.
+var LatencyBuckets = [...]int64{
+	50_000, 100_000, 250_000, 500_000,
+	1_000_000, 2_500_000, 5_000_000, 10_000_000,
+	25_000_000, 50_000_000, 100_000_000, 250_000_000,
+	500_000_000, 1_000_000_000,
+}
+
+// LatencyBucket returns the index of the first bucket whose bound is at
+// least ns: len(LatencyBuckets), the +Inf bucket, above the ladder.
+func LatencyBucket(ns int64) int {
+	for i, ub := range LatencyBuckets {
+		if ns <= ub {
+			return i
+		}
+	}
+	return len(LatencyBuckets)
+}
+
+// LatencyBound walks per-bucket counts (indexed like LatencyBucket)
+// cumulatively and returns the bound of the first bucket whose running
+// total reaches target; the +Inf bucket reports the ladder's top bound.
+func LatencyBound(counts []uint64, target uint64) int64 {
+	var cum uint64
+	for i, ub := range LatencyBuckets {
+		if cum += counts[i]; cum >= target {
+			return ub
+		}
+	}
+	return LatencyBuckets[len(LatencyBuckets)-1]
+}
+
+// MovingP99 is a lock-free windowed p99 latency estimator over the
+// LatencyBuckets ladder. Observations accumulate in per-bucket counters;
+// every window-th observation the p99 bucket bound is recomputed from the
+// window's counts and the counters reset, so the estimate tracks the
+// *recent* distribution rather than the lifetime one. Until the first window
 // completes the estimate is disarmed (Value reports MaxInt64, Armed is
 // false) — callers that gate on "latency above p99" must check Armed first
 // or a disarmed estimator reads as infinitely slow.
@@ -19,7 +54,7 @@ import (
 // "p99" means.
 type MovingP99 struct {
 	window uint64
-	counts [len(slowBuckets) + 1]atomic.Uint64
+	counts [len(LatencyBuckets) + 1]atomic.Uint64
 	n      atomic.Uint64
 	p99    atomic.Int64
 }
@@ -37,14 +72,7 @@ func NewMovingP99(window int) *MovingP99 {
 
 // Observe records one request latency in nanoseconds.
 func (m *MovingP99) Observe(ns int64) {
-	idx := len(slowBuckets)
-	for i, ub := range slowBuckets {
-		if ns <= ub {
-			idx = i
-			break
-		}
-	}
-	m.counts[idx].Add(1)
+	m.counts[LatencyBucket(ns)].Add(1)
 	if m.n.Add(1)%m.window != 0 {
 		return
 	}
@@ -53,7 +81,7 @@ func (m *MovingP99) Observe(ns int64) {
 	// counts between them (Swap is atomic per bucket); the loser sees a
 	// near-empty window and keeps the previous estimate — this is a
 	// sampling threshold, not an invariant.
-	var counts [len(slowBuckets) + 1]uint64
+	var counts [len(LatencyBuckets) + 1]uint64
 	var total uint64
 	for i := range counts {
 		counts[i] = m.counts[i].Swap(0)
@@ -62,17 +90,7 @@ func (m *MovingP99) Observe(ns int64) {
 	if total == 0 {
 		return
 	}
-	target := total - total/100 // ceil(0.99 * total) within one observation
-	var cum uint64
-	p := slowBuckets[len(slowBuckets)-1]
-	for i, ub := range slowBuckets {
-		cum += counts[i]
-		if cum >= target {
-			p = ub
-			break
-		}
-	}
-	m.p99.Store(p)
+	m.p99.Store(LatencyBound(counts[:], total-total/100)) // ceil(0.99 * total) within one observation
 }
 
 // Value reports the current p99 bound in nanoseconds (MaxInt64 until the

@@ -116,13 +116,13 @@ func ParseSLO(s string) ([]SLOSpec, error) {
 }
 
 // sloBucket is one time slice of an objective's good/bad counts. Latency
-// objectives also fill hist (over the shared slowBuckets ladder) so the
+// objectives also fill hist (over the shared LatencyBuckets ladder) so the
 // observed quantile can be reported alongside the target.
 type sloBucket struct {
 	start int64 // aligned unix seconds; 0 = never used
 	n     uint64
 	bad   uint64
-	hist  [len(slowBuckets) + 1]uint64
+	hist  [len(LatencyBuckets) + 1]uint64
 }
 
 type sloObjective struct {
@@ -203,14 +203,7 @@ func (s *SLO) Observe(class string, status int, d time.Duration) {
 			b.n++
 			o.totalN++
 			ns := d.Nanoseconds()
-			idx := len(slowBuckets)
-			for i, ub := range slowBuckets {
-				if ns <= ub {
-					idx = i
-					break
-				}
-			}
-			b.hist[idx]++
+			b.hist[LatencyBucket(ns)]++
 			if ns > o.spec.targetNs {
 				b.bad++
 				o.totalBad++
@@ -300,7 +293,7 @@ func (s *SLO) statusLocked(o *sloObjective, now time.Time) SLOStatus {
 }
 
 // window sums the objective's buckets newer than now-span.
-func (o *sloObjective) window(now time.Time, span time.Duration) (n, bad uint64, hist [len(slowBuckets) + 1]uint64) {
+func (o *sloObjective) window(now time.Time, span time.Duration) (n, bad uint64, hist [len(LatencyBuckets) + 1]uint64) {
 	cutoff := now.Add(-span).Unix()
 	nowSec := now.Unix()
 	for i := range o.buckets {
@@ -327,24 +320,13 @@ func burnRate(n, bad uint64, budget float64) float64 {
 }
 
 // histQuantile returns the q-quantile bucket bound in nanoseconds from a
-// slowBuckets-ladder histogram, 0 when the histogram is empty. Values in
+// LatencyBuckets-ladder histogram, 0 when the histogram is empty. Values in
 // the overflow bucket report the ladder's top bound.
-func histQuantile(hist [len(slowBuckets) + 1]uint64, total uint64, q float64) int64 {
+func histQuantile(hist [len(LatencyBuckets) + 1]uint64, total uint64, q float64) int64 {
 	if total == 0 {
 		return 0
 	}
-	target := uint64(q * float64(total))
-	if target < 1 {
-		target = 1
-	}
-	var cum uint64
-	for i, ub := range slowBuckets {
-		cum += hist[i]
-		if cum >= target {
-			return ub
-		}
-	}
-	return slowBuckets[len(slowBuckets)-1]
+	return LatencyBound(hist[:], max(uint64(q*float64(total)), 1))
 }
 
 // Handler serves GET /v1/slo: {"objectives":[...]}.

@@ -83,16 +83,19 @@ func TestSpanTreeWithMisses(t *testing.T) {
 }
 
 func TestRingWrapAndLookup(t *testing.T) {
-	r := NewRing(4)
+	r := NewRing[Trace](4)
+	if r.Len() != 0 || len(r.Recent(0)) != 0 {
+		t.Fatalf("empty ring: Len = %d, Recent = %+v", r.Len(), r.Recent(0))
+	}
 	for i := 1; i <= 6; i++ {
 		r.Push(&Trace{ID: uint64(i)})
 	}
 	if r.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", r.Len())
 	}
-	snap := r.Snapshot(0)
+	snap := r.Recent(0)
 	if len(snap) != 4 {
-		t.Fatalf("Snapshot len = %d, want 4", len(snap))
+		t.Fatalf("Recent len = %d, want 4", len(snap))
 	}
 	// Newest first: 6, 5, 4, 3. IDs 1 and 2 were overwritten.
 	for i, want := range []uint64{6, 5, 4, 3} {
@@ -100,27 +103,33 @@ func TestRingWrapAndLookup(t *testing.T) {
 			t.Errorf("snap[%d].ID = %d, want %d", i, snap[i].ID, want)
 		}
 	}
-	if got := r.Snapshot(2); len(got) != 2 || got[0].ID != 6 {
-		t.Errorf("Snapshot(2) = %+v", got)
+	if got := r.Recent(2); len(got) != 2 || got[0].ID != 6 {
+		t.Errorf("Recent(2) = %+v", got)
 	}
-	if _, ok := r.Get(2); ok {
-		t.Error("Get found an evicted trace")
+	if _, ok := r.Find(byID(2)); ok {
+		t.Error("Find found an evicted trace")
 	}
-	if tr, ok := r.Get(5); !ok || tr.ID != 5 {
-		t.Errorf("Get(5) = %+v, %v", tr, ok)
+	if tr, ok := r.Find(byID(5)); !ok || tr.ID != 5 {
+		t.Errorf("Find(5) = %+v, %v", tr, ok)
+	}
+	// Find returns the newest of several matches.
+	if tr, ok := r.Find(func(t *Trace) bool { return t.ID%2 == 1 }); !ok || tr.ID != 5 {
+		t.Errorf("Find(odd) = %+v, %v, want the newest odd ID 5", tr, ok)
 	}
 }
+
+func byID(id uint64) func(*Trace) bool { return func(t *Trace) bool { return t.ID == id } }
 
 // TestRingStoresByValue: mutating a pushed trace after Push must not alter
 // the retained copy — that is what lets the tracer recycle traces into the
 // pool immediately.
 func TestRingStoresByValue(t *testing.T) {
-	r := NewRing(2)
+	r := NewRing[Trace](2)
 	tr := &Trace{ID: 7, System: "theta", Start: time.Unix(100, 0)}
 	r.Push(tr)
 	tr.System = "clobbered"
 	tr.ID = 999
-	got, ok := r.Get(7)
+	got, ok := r.Find(byID(7))
 	if !ok || got.System != "theta" {
 		t.Fatalf("retained trace was aliased: %+v, %v", got, ok)
 	}

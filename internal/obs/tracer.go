@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,48 +38,114 @@ type Config struct {
 	SlowAfter time.Duration
 }
 
-// slowBuckets is the latency ladder the moving p99 estimate is computed
-// over (same 50µs..1s shape as the serving histograms; +Inf implicit).
-var slowBuckets = [...]int64{
-	50_000, 100_000, 250_000, 500_000,
-	1_000_000, 2_500_000, 5_000_000, 10_000_000,
-	25_000_000, 50_000_000, 100_000_000, 250_000_000,
-	500_000_000, 1_000_000_000,
-}
-
 // slowRecomputeEvery is how many finished traces elapse between p99
 // threshold refreshes; it is also the minimum sample before the adaptive
 // threshold arms (until then nothing is "slow").
 const slowRecomputeEvery = 128
+
+// keepPolicy is the tail-sampling policy both tracers embed: sheds,
+// deadline expiries, errors and OoD-flagged requests are always kept, so
+// are requests slower than the moving p99, and 1-in-N of the rest are
+// head-sampled.
+type keepPolicy struct {
+	cfg Config
+	// headCtr implements the 1-in-N head sample.
+	headCtr atomic.Uint64
+	// lat is the moving p99 estimate the adaptive slow-trace threshold is
+	// read from (unused when cfg.SlowAfter pins the threshold).
+	lat *MovingP99
+	// kept / dropped count outcomes, kept split by reason (indexed like
+	// keepReasons).
+	kept    [len(keepReasons)]atomic.Uint64
+	dropped atomic.Uint64
+}
+
+// keep classifies one finished request, in precedence order shed >
+// deadline > error > OoD > slow > sampled, counts the outcome and returns
+// the keep reason ("" when dropped). Shed and deadline-expired requests
+// never reached the model, so their latency stays out of the p99 the slow
+// threshold adapts to.
+func (p *keepPolicy) keep(shed, deadline, failed, ood bool, totalNs int64) string {
+	if !shed && !deadline && p.cfg.SlowAfter <= 0 {
+		p.lat.Observe(totalNs)
+	}
+	var i int
+	switch {
+	case shed:
+		i = 2 // KeepShed
+	case deadline:
+		i = 1 // KeepDeadline
+	case failed:
+		i = 0 // KeepError
+	case ood:
+		i = 3 // KeepOoD
+	case totalNs >= int64(p.SlowThreshold()):
+		i = 4 // KeepSlow
+	case p.cfg.SampleEvery > 0 && p.headCtr.Add(1)%uint64(p.cfg.SampleEvery) == 0:
+		i = 5 // KeepSampled
+	default:
+		p.dropped.Add(1)
+		return ""
+	}
+	p.kept[i].Add(1)
+	return keepReasons[i]
+}
+
+// SlowThreshold reports the current slow-trace bar (MaxInt64 duration
+// until the adaptive estimate arms).
+func (p *keepPolicy) SlowThreshold() time.Duration {
+	if p.cfg.SlowAfter > 0 {
+		return p.cfg.SlowAfter
+	}
+	return time.Duration(p.lat.Value())
+}
+
+// SlowThresholdNs reports the slow-trace bar in nanoseconds, 0 until the
+// adaptive estimate arms: the form the GET /v1/trace listings and the
+// threshold gauge show (MaxInt64 would wreck dashboards).
+func (p *keepPolicy) SlowThresholdNs() int64 {
+	if ns := int64(p.SlowThreshold()); ns != math.MaxInt64 {
+		return ns
+	}
+	return 0
+}
+
+// writeMetrics renders the policy's exposition series under prefix, noun
+// naming what is traced in the HELP texts. Keep reasons render in fixed
+// order so scrapes are deterministic; the series go out in one write, so
+// the writer's error is the one returned.
+func (p *keepPolicy) writeMetrics(w io.Writer, prefix, noun string) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "# HELP %[1]s_traces_kept_total %[2]s retained by tail-sampling, by reason.\n# TYPE %[1]s_traces_kept_total counter\n",
+		prefix, strings.ToUpper(noun[:1])+noun[1:])
+	for i, reason := range keepReasons {
+		fmt.Fprintf(&b, "%s_traces_kept_total{reason=%q} %d\n", prefix, reason, p.kept[i].Load())
+	}
+	fmt.Fprintf(&b, "# HELP %[1]s_traces_dropped_total Finished %[2]s discarded by sampling.\n# TYPE %[1]s_traces_dropped_total counter\n%[1]s_traces_dropped_total %[3]d\n",
+		prefix, noun, p.dropped.Load())
+	fmt.Fprintf(&b, "# HELP %[1]s_trace_slow_threshold_seconds Moving p99 threshold above which %[2]s are always retained (0 until armed).\n# TYPE %[1]s_trace_slow_threshold_seconds gauge\n%[1]s_trace_slow_threshold_seconds %[3]g\n",
+		prefix, noun, float64(p.SlowThresholdNs())/1e9)
+	_, err := io.WriteString(w, b.String())
+	return err
+}
 
 // Tracer owns the request-trace lifecycle: pooled Trace records, the
 // tail-sampling keep policy, and the retained-trace ring. A nil *Tracer is
 // inert — Start returns nil and Finish of a nil trace is a no-op — so the
 // serving path can thread one unconditionally.
 type Tracer struct {
-	cfg  Config
-	ring *Ring
+	keepPolicy
+	ring *Ring[Trace]
 	pool sync.Pool
 
 	// seq + idBase generate unique trace IDs without coordination.
 	seq    atomic.Uint64
 	idBase uint64
-	// headCtr implements the 1-in-N head sample.
-	headCtr atomic.Uint64
-
-	// lat is the moving p99 estimate the adaptive slow-trace threshold is
-	// read from (unused when cfg.SlowAfter pins the threshold).
-	lat *MovingP99
-
-	// kept / dropped count Finish outcomes, kept split by reason (indexed
-	// like keepReasons).
-	kept    [len(keepReasons)]atomic.Uint64
-	dropped atomic.Uint64
 }
 
 // NewTracer builds a tracer under cfg.
 func NewTracer(cfg Config) *Tracer {
-	tr := &Tracer{cfg: cfg, ring: NewRing(cfg.RingSize), lat: NewMovingP99(0)}
+	tr := &Tracer{keepPolicy: keepPolicy{cfg: cfg, lat: NewMovingP99(0)}, ring: NewRing[Trace](cfg.RingSize)}
 	tr.idBase = uint64(time.Now().UnixNano()) << 16
 	tr.pool.New = func() any { return new(Trace) }
 	return tr
@@ -102,82 +169,23 @@ func (tr *Tracer) Finish(t *Trace) uint64 {
 	if tr == nil || t == nil {
 		return 0
 	}
-	// Shed and deadline-expired requests never reached the model, so their
-	// latency would poison the p99 the slow threshold adapts to.
-	if !t.Shed && !t.Deadline {
-		tr.observeLatency(t.Timings.TotalNs)
+	var id uint64
+	if t.Keep = tr.keep(t.Shed, t.Deadline, t.Err != "", t.Timings.OoDFlagged > 0, t.Timings.TotalNs); t.Keep != "" {
+		id = t.ID
+		tr.ring.Push(t)
 	}
-	keep := -1
-	switch {
-	case t.Shed:
-		keep = 2 // KeepShed
-	case t.Deadline:
-		keep = 1 // KeepDeadline
-	case t.Err != "":
-		keep = 0 // KeepError
-	case t.Timings.OoDFlagged > 0:
-		keep = 3 // KeepOoD
-	case t.Timings.TotalNs >= int64(tr.SlowThreshold()):
-		keep = 4 // KeepSlow
-	case tr.cfg.SampleEvery > 0 && tr.headCtr.Add(1)%uint64(tr.cfg.SampleEvery) == 0:
-		keep = 5 // KeepSampled
-	}
-	if keep < 0 {
-		tr.dropped.Add(1)
-		tr.pool.Put(t)
-		return 0
-	}
-	t.Keep = keepReasons[keep]
-	tr.kept[keep].Add(1)
-	id := t.ID
-	tr.ring.Push(t)
 	tr.pool.Put(t)
 	return id
 }
 
-// observeLatency feeds the moving p99 estimate (skipped when the threshold
-// is pinned — a fixed bar has nothing to adapt).
-func (tr *Tracer) observeLatency(ns int64) {
-	if tr.cfg.SlowAfter > 0 {
-		return
-	}
-	tr.lat.Observe(ns)
-}
-
-// SlowThreshold reports the current slow-trace bar (MaxInt64 duration
-// until the adaptive estimate arms).
-func (tr *Tracer) SlowThreshold() time.Duration {
-	if tr.cfg.SlowAfter > 0 {
-		return tr.cfg.SlowAfter
-	}
-	return time.Duration(tr.lat.Value())
-}
-
 // Recent returns up to limit retained traces, newest first.
-func (tr *Tracer) Recent(limit int) []Trace { return tr.ring.Snapshot(limit) }
+func (tr *Tracer) Recent(limit int) []Trace { return tr.ring.Recent(limit) }
 
 // Get returns the retained trace with the given ID.
-func (tr *Tracer) Get(id uint64) (Trace, bool) { return tr.ring.Get(id) }
+func (tr *Tracer) Get(id uint64) (Trace, bool) {
+	return tr.ring.Find(func(t *Trace) bool { return t.ID == id })
+}
 
 // WriteMetrics renders the tracer's exposition series (register with
-// serve.Metrics.RegisterCollector). Keep reasons render in fixed order so
-// scrapes are deterministic.
-func (tr *Tracer) WriteMetrics(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# HELP ioserve_traces_kept_total Traces retained by tail-sampling, by reason.\n# TYPE ioserve_traces_kept_total counter\n"); err != nil {
-		return err
-	}
-	for i, reason := range keepReasons {
-		if _, err := fmt.Fprintf(w, "ioserve_traces_kept_total{reason=%q} %d\n", reason, tr.kept[i].Load()); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "# HELP ioserve_traces_dropped_total Finished traces discarded by sampling.\n# TYPE ioserve_traces_dropped_total counter\nioserve_traces_dropped_total %d\n", tr.dropped.Load()); err != nil {
-		return err
-	}
-	slow := int64(tr.SlowThreshold())
-	if slow == math.MaxInt64 {
-		slow = 0 // not yet armed; exposing MaxInt64 would wreck dashboards
-	}
-	_, err := fmt.Fprintf(w, "# HELP ioserve_trace_slow_threshold_seconds Moving p99 threshold above which traces are always retained (0 until armed).\n# TYPE ioserve_trace_slow_threshold_seconds gauge\nioserve_trace_slow_threshold_seconds %g\n", float64(slow)/1e9)
-	return err
-}
+// serve.Metrics.RegisterCollector).
+func (tr *Tracer) WriteMetrics(w io.Writer) error { return tr.writeMetrics(w, "ioserve", "traces") }

@@ -53,33 +53,63 @@ func TestSpanLifecycleAndPooling(t *testing.T) {
 	}
 }
 
-// TestTailSamplingReasons exercises the keep policy and its priority
-// order: error > ood > slow > head-sampled > dropped.
+// TestTailSamplingReasons runs the keep policy's full precedence, shed >
+// deadline > error > OoD > slow > sampled > dropped, through both tracers'
+// Finish. The router tracer has no shed, deadline or OoD input, so it runs
+// the rows that set none of them. The slow bar is pinned and the head
+// sample is a count, so no row depends on a clock.
 func TestTailSamplingReasons(t *testing.T) {
-	tr := NewTracer(Config{SampleEvery: 0, RingSize: 16, SlowAfter: time.Millisecond})
-	finish := func(mutate func(*Trace)) (uint64, string) {
-		tc := tr.Start("theta", 1, time.Now())
-		mutate(tc)
-		id := tr.Finish(tc)
-		if id == 0 {
-			return 0, ""
+	const slowNs = int64(2 * time.Millisecond)
+	for _, tc := range []struct {
+		name                     string
+		shed, deadline, err, ood bool
+		totalNs                  int64
+		sampleEvery              int
+		want                     string
+	}{
+		{"shed beats everything", true, true, true, true, slowNs, 1, KeepShed},
+		{"deadline beats error", false, true, true, true, slowNs, 1, KeepDeadline},
+		{"error beats ood", false, false, true, true, slowNs, 1, KeepError},
+		{"ood beats slow", false, false, false, true, slowNs, 1, KeepOoD},
+		{"error beats slow", false, false, true, false, slowNs, 1, KeepError},
+		{"slow beats sampled", false, false, false, false, slowNs, 1, KeepSlow},
+		{"sampled", false, false, false, false, 1000, 1, KeepSampled},
+		{"dropped", false, false, false, false, 1000, 0, ""},
+	} {
+		cfg := Config{SampleEvery: tc.sampleEvery, SlowAfter: time.Millisecond}
+		tr := NewTracer(cfg)
+		trace := tr.Start("theta", 1, time.Unix(0, 0))
+		trace.Shed, trace.Deadline, trace.Timings.TotalNs = tc.shed, tc.deadline, tc.totalNs
+		if tc.err {
+			trace.Err = "boom"
 		}
-		got, _ := tr.Get(id)
-		return id, got.Keep
-	}
-
-	if id, keep := finish(func(tc *Trace) { tc.Err = "x"; tc.Timings.OoDFlagged = 3 }); id == 0 || keep != KeepError {
-		t.Fatalf("error trace: id=%d keep=%q", id, keep)
-	}
-	if id, keep := finish(func(tc *Trace) { tc.Timings.OoDFlagged = 1 }); id == 0 || keep != KeepOoD {
-		t.Fatalf("ood trace: id=%d keep=%q", id, keep)
-	}
-	if id, keep := finish(func(tc *Trace) { tc.Timings.TotalNs = 2e6 }); id == 0 || keep != KeepSlow {
-		t.Fatalf("slow trace: id=%d keep=%q", id, keep)
-	}
-	// Fast, clean, no head sampling: dropped.
-	if id, _ := finish(func(tc *Trace) { tc.Timings.TotalNs = 1000 }); id != 0 {
-		t.Fatalf("clean trace was kept with sampling off: id=%d", id)
+		if tc.ood {
+			trace.Timings.OoDFlagged = 1
+		}
+		got := ""
+		if id := tr.Finish(trace); id != 0 {
+			kept, _ := tr.Get(id)
+			got = kept.Keep
+		}
+		if got != tc.want {
+			t.Errorf("Tracer %s: kept %q, want %q", tc.name, got, tc.want)
+		}
+		if tc.shed || tc.deadline || tc.ood {
+			continue
+		}
+		rt := NewRouterTracer(cfg)
+		ft := &FleetTrace{ID: 1, TotalNs: tc.totalNs}
+		if tc.err {
+			ft.Err = "boom"
+		}
+		got = ""
+		if rt.Finish(ft) != 0 {
+			kept, _ := rt.Get(1)
+			got = kept.Keep
+		}
+		if got != tc.want {
+			t.Errorf("RouterTracer %s: kept %q, want %q", tc.name, got, tc.want)
+		}
 	}
 
 	// Head sampling keeps 1 in 2 of otherwise-dropped traces.
@@ -164,5 +194,40 @@ func TestRecentNewestFirst(t *testing.T) {
 	recent := tr.Recent(0)
 	if len(recent) != 3 || recent[0].ID != ids[2] || recent[2].ID != ids[0] {
 		t.Fatalf("Recent = %+v, want newest first of %v", recent, ids)
+	}
+}
+
+// TestShedAndDeadlineStayOutOfP99: a window of shed or deadline-expired
+// traces at 900 ms leaves the adaptive threshold unarmed, since neither
+// measured the model; a window of errors at the same latency arms it, on
+// both tracers.
+func TestShedAndDeadlineStayOutOfP99(t *testing.T) {
+	for _, mark := range []func(*Trace){
+		func(tc *Trace) { tc.Shed = true },
+		func(tc *Trace) { tc.Deadline = true },
+	} {
+		tr := NewTracer(Config{})
+		for i := 0; i < slowRecomputeEvery; i++ {
+			tc := tr.Start("theta", 1, time.Unix(0, 0))
+			tc.Timings.TotalNs = 900_000_000
+			mark(tc)
+			tr.Finish(tc)
+		}
+		if ns := tr.SlowThresholdNs(); ns != 0 {
+			t.Fatalf("threshold armed at %d ns by traces that never reached the model", ns)
+		}
+	}
+	tr := NewTracer(Config{})
+	rt := NewRouterTracer(Config{})
+	for i := 0; i < slowRecomputeEvery; i++ {
+		tc := tr.Start("theta", 1, time.Unix(0, 0))
+		tc.Timings.TotalNs, tc.Err = 900_000_000, "boom"
+		tr.Finish(tc)
+		rt.Finish(&FleetTrace{ID: uint64(i + 1), TotalNs: 900_000_000, Err: "boom"})
+	}
+	for name, ns := range map[string]int64{"Tracer": tr.SlowThresholdNs(), "RouterTracer": rt.SlowThresholdNs()} {
+		if ns != int64(time.Second) {
+			t.Errorf("%s threshold after a window of errors = %d ns, want the 1 s bucket", name, ns)
+		}
 	}
 }

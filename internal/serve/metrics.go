@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -292,41 +293,22 @@ func (m *Metrics) ShadowSnapshots(system string) []ShadowSnapshot {
 	return out
 }
 
-// numLatencyBuckets is the finite bucket count of the latency histogram.
-const numLatencyBuckets = 14
-
-// latencyBuckets are the histogram upper bounds in nanoseconds (50µs .. 1s,
-// roughly 1-2.5-5 per decade). Prometheus convention: cumulative buckets
-// plus an implicit +Inf.
-var latencyBuckets = [numLatencyBuckets]uint64{
-	50_000, 100_000, 250_000, 500_000,
-	1_000_000, 2_500_000, 5_000_000, 10_000_000,
-	25_000_000, 50_000_000, 100_000_000, 250_000_000,
-	500_000_000, 1_000_000_000,
-}
-
-// LatencyHist is a fixed-bucket latency histogram with atomic counters.
+// LatencyHist is a fixed-bucket latency histogram with atomic counters,
+// over the obs.LatencyBuckets ladder.
 type LatencyHist struct {
-	// buckets[i] counts observations <= latencyBuckets[i]; overflow counts
-	// the +Inf remainder.
-	buckets  [numLatencyBuckets]atomic.Uint64
-	overflow atomic.Uint64
-	sumNs    atomic.Uint64
-	count    atomic.Uint64
+	// buckets[i] counts observations in obs.LatencyBucket's bucket i, the
+	// last being +Inf.
+	buckets [len(obs.LatencyBuckets) + 1]atomic.Uint64
+	sumNs   atomic.Uint64
+	count   atomic.Uint64
 }
 
 // Observe records one request duration.
 func (h *LatencyHist) Observe(d time.Duration) {
-	ns := uint64(d.Nanoseconds())
-	h.sumNs.Add(ns)
+	ns := d.Nanoseconds()
+	h.sumNs.Add(uint64(ns))
 	h.count.Add(1)
-	for i, ub := range latencyBuckets {
-		if ns <= ub {
-			h.buckets[i].Add(1)
-			return
-		}
-	}
-	h.overflow.Add(1)
+	h.buckets[obs.LatencyBucket(ns)].Add(1)
 }
 
 // Count returns the number of observations.
@@ -345,15 +327,15 @@ func (h *LatencyHist) writeText(w io.Writer, name string) error {
 // family can carry several labeled series under a single HELP/TYPE header.
 func (h *LatencyHist) writeSeries(w io.Writer, name, labels string) error {
 	var cum uint64
-	for i, ub := range latencyBuckets {
+	for i := range h.buckets {
 		cum += h.buckets[i].Load()
-		if _, err := fmt.Fprintf(w, "%s_bucket{%sle=\"%g\"} %d\n", name, labels, float64(ub)/1e9, cum); err != nil {
+		le := "+Inf"
+		if i < len(obs.LatencyBuckets) {
+			le = strconv.FormatFloat(float64(obs.LatencyBuckets[i])/1e9, 'g', -1, 64)
+		}
+		if _, err := fmt.Fprintf(w, "%s_bucket{%sle=\"%s\"} %d\n", name, labels, le, cum); err != nil {
 			return err
 		}
-	}
-	cum += h.overflow.Load()
-	if _, err := fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labels, cum); err != nil {
-		return err
 	}
 	suffix := ""
 	if labels != "" {

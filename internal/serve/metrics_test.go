@@ -40,7 +40,7 @@ func TestLatencyHistObserve(t *testing.T) {
 	// Cumulative counts must be monotone: every later bucket >= earlier.
 	prev := uint64(0)
 	var cum uint64
-	for i := range latencyBuckets {
+	for i := range h.buckets {
 		cum += h.buckets[i].Load()
 		if cum < prev {
 			t.Fatalf("bucket %d not cumulative", i)
@@ -237,5 +237,46 @@ func TestWriteTextDeterministicAndGauges(t *testing.T) {
 		if !strings.Contains(wired, want) {
 			t.Errorf("wired gauges missing %q", want)
 		}
+	}
+}
+
+// TestRequestLatencyLabels pins the 15 le labels of the request latency
+// histogram: the 50µs – 1s ladder in seconds, then +Inf.
+func TestRequestLatencyLabels(t *testing.T) {
+	var sb strings.Builder
+	if err := (&Metrics{}).WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	const prefix = `ioserve_request_latency_seconds_bucket{le="`
+	var got []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, prefix); ok {
+			got = append(got, rest[:strings.IndexByte(rest, '"')])
+		}
+	}
+	want := []string{"5e-05", "0.0001", "0.00025", "0.0005", "0.001", "0.0025", "0.005",
+		"0.01", "0.025", "0.05", "0.1", "0.25", "0.5", "1", "+Inf"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("le labels = %v, want %v", got, want)
+	}
+}
+
+// TestLatencyObserveAllocs pins the two histogram paths every request
+// runs, traced or not, at zero allocations.
+func TestLatencyObserveAllocs(t *testing.T) {
+	m := &Metrics{}
+	var tm obs.StageTimings
+	tm.CacheMisses = 1
+	tm.Ns[obs.StageEvaluate] = 60_000
+	tm.Ns[obs.StageGuard] = 20_000
+	d := time.Duration(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		d += 37 * time.Microsecond
+		m.Latency.Observe(d)
+	}); n != 0 {
+		t.Errorf("LatencyHist.Observe = %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { m.ObserveStages(&tm) }); n != 0 {
+		t.Errorf("Metrics.ObserveStages = %v allocs, want 0", n)
 	}
 }

@@ -405,7 +405,7 @@ func handleTraceList(svc *Service, w http.ResponseWriter, r *http.Request) {
 		summaries[i] = traces[i].Summary()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"slow_threshold_ns": int64(tr.SlowThreshold()),
+		"slow_threshold_ns": tr.SlowThresholdNs(),
 		"traces":            summaries,
 	})
 }

@@ -121,6 +121,28 @@ func TestE2ETracedRequest(t *testing.T) {
 	}
 }
 
+// TestTraceListingUnarmedThreshold: until the moving p99 has a window of
+// observations, the listing reports slow_threshold_ns 0 (as iorouter's
+// does), never MaxInt64.
+func TestTraceListingUnarmedThreshold(t *testing.T) {
+	ts, _ := newTracedServer(t, "")
+	frame, _, _ := fixture(t)
+	if resp, _ := postPredict(t, ts.URL, PredictRequest{System: "theta", Rows: frame.Rows()[:2]}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict status %d", resp.StatusCode)
+	}
+	var listing struct {
+		SlowThresholdNs int64              `json:"slow_threshold_ns"`
+		Traces          []obs.TraceSummary `json:"traces"`
+	}
+	getOK(t, ts.URL+"/v1/trace", "", &listing)
+	if len(listing.Traces) != 1 {
+		t.Fatalf("listing holds %d traces, want 1", len(listing.Traces))
+	}
+	if listing.SlowThresholdNs != 0 {
+		t.Fatalf("slow_threshold_ns = %d before the p99 armed, want 0", listing.SlowThresholdNs)
+	}
+}
+
 // TestTraceEndpointsAuthn: with an admin token configured, the trace
 // endpoints reject anonymous reads and accept the bearer token.
 func TestTraceEndpointsAuthn(t *testing.T) {
