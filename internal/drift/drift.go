@@ -229,7 +229,7 @@ func New(svc *serve.Service, cfg Config) *Controller {
 		done:    make(chan struct{}),
 	}
 	svc.SetObserver(c)
-	c.unregMetrics = svc.Metrics().RegisterCollector(c.WriteMetrics)
+	c.unregMetrics = svc.Metrics().RegisterCollector(c.Collect)
 	return c
 }
 

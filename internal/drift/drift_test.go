@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"iotaxo/internal/dataset"
+	"iotaxo/internal/obs"
 	"iotaxo/internal/rng"
 	"iotaxo/internal/serve"
 	"iotaxo/internal/system"
@@ -361,7 +362,7 @@ func TestE2EDriftRetrainPromote(t *testing.T) {
 			sawSignal, sawPublish, sawPromote, h.ctl.Decisions())
 	}
 	var buf strings.Builder
-	if err := h.svc.Metrics().WriteText(&buf); err != nil {
+	if err := obs.WriteFamilies(&buf, h.svc.Metrics().Collect(nil)); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()

@@ -1,10 +1,12 @@
 package drift
 
 import (
-	"fmt"
-	"io"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
+
+	"iotaxo/internal/obs"
 )
 
 // Exposition: the control plane renders its own ioserve_drift_* series
@@ -135,12 +137,12 @@ func (c *Controller) actionsSnapshot(st *systemState) map[string]uint64 {
 	return copyCounts(st.actions)
 }
 
-// WriteMetrics renders the drift series in Prometheus text format; it is
-// registered with serve.Metrics so the series appear on GET /metrics.
-func (c *Controller) WriteMetrics(w io.Writer) error {
+// Collect appends the drift series; it is registered with serve.Metrics
+// so the series appear on GET /metrics.
+func (c *Controller) Collect(dst []obs.PromFamily) []obs.PromFamily {
 	states := c.states()
 	if len(states) == 0 {
-		return nil
+		return dst
 	}
 	statuses := make([]SystemStatus, len(states))
 	actions := make([]map[string]uint64, len(states))
@@ -149,54 +151,35 @@ func (c *Controller) WriteMetrics(w io.Writer) error {
 		actions[i] = c.actionsSnapshot(st)
 	}
 
-	counters := []struct {
-		name, help string
-		val        func(SystemStatus) uint64
+	series := []struct {
+		name, help, typ string
+		val             func(SystemStatus) float64
 	}{
-		{"ioserve_drift_windows_total", "Detector windows evaluated.",
-			func(s SystemStatus) uint64 { return s.Windows }},
-		{"ioserve_drift_observed_rows_total", "Served rows binned against the reference histograms.",
-			func(s SystemStatus) uint64 { return s.ObservedRows }},
-		{"ioserve_drift_feedback_rows_total", "Ground-truth feedback rows ingested.",
-			func(s SystemStatus) uint64 { return s.FeedbackRows }},
-	}
-	for _, cn := range counters {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", cn.name, cn.help, cn.name); err != nil {
-			return err
-		}
-		for _, s := range statuses {
-			if _, err := fmt.Fprintf(w, "%s{system=%q} %d\n", cn.name, s.System, cn.val(s)); err != nil {
-				return err
-			}
-		}
-	}
-
-	gauges := []struct {
-		name, help string
-		val        func(SystemStatus) float64
-	}{
-		{"ioserve_drift_psi_max", "Largest per-feature PSI in the last closed window.",
+		{"ioserve_drift_windows_total", "Detector windows evaluated.", "counter",
+			func(s SystemStatus) float64 { return float64(s.Windows) }},
+		{"ioserve_drift_observed_rows_total", "Served rows binned against the reference histograms.", "counter",
+			func(s SystemStatus) float64 { return float64(s.ObservedRows) }},
+		{"ioserve_drift_feedback_rows_total", "Ground-truth feedback rows ingested.", "counter",
+			func(s SystemStatus) float64 { return float64(s.FeedbackRows) }},
+		{"ioserve_drift_psi_max", "Largest per-feature PSI in the last closed window.", "gauge",
 			func(s SystemStatus) float64 { return s.PSIMax }},
-		{"ioserve_drift_ks_max", "Largest per-feature KS statistic in the last closed window.",
+		{"ioserve_drift_ks_max", "Largest per-feature KS statistic in the last closed window.", "gauge",
 			func(s SystemStatus) float64 { return s.KSMax }},
-		{"ioserve_drift_error_mae_log", "Rolling feedback MAE(log10) of the active version.",
+		{"ioserve_drift_error_mae_log", "Rolling feedback MAE(log10) of the active version.", "gauge",
 			func(s SystemStatus) float64 { return s.ErrorMAELog }},
-		{"ioserve_drift_noise_mae_log", "MAE(log10) explained by the system's measured noise floor.",
+		{"ioserve_drift_noise_mae_log", "MAE(log10) explained by the system's measured noise floor.", "gauge",
 			func(s SystemStatus) float64 { return s.NoiseMAELog }},
-		{"ioserve_drift_staged_version", "Retrained candidate awaiting promotion (0 = none).",
+		{"ioserve_drift_staged_version", "Retrained candidate awaiting promotion (0 = none).", "gauge",
 			func(s SystemStatus) float64 { return float64(s.StagedVersion) }},
-		{"ioserve_drift_buffer_rows", "Feedback rows buffered for the next retrain.",
+		{"ioserve_drift_buffer_rows", "Feedback rows buffered for the next retrain.", "gauge",
 			func(s SystemStatus) float64 { return float64(s.BufferRows) }},
 	}
-	for _, g := range gauges {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", g.name, g.help, g.name); err != nil {
-			return err
-		}
+	for _, sr := range series {
+		f := obs.PromFamily{Name: sr.name, Help: sr.help, Type: sr.typ}
 		for _, s := range statuses {
-			if _, err := fmt.Fprintf(w, "%s{system=%q} %g\n", g.name, s.System, g.val(s)); err != nil {
-				return err
-			}
+			f.Add(obs.Labels("system", s.System), sr.val(s))
 		}
+		dst = append(dst, f)
 	}
 
 	labeled := []struct {
@@ -211,22 +194,14 @@ func (c *Controller) WriteMetrics(w io.Writer) error {
 			func(i int) map[string]uint64 { return actions[i] }},
 	}
 	for _, ln := range labeled {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", ln.name, ln.help, ln.name); err != nil {
-			return err
-		}
+		f := obs.PromFamily{Name: ln.name, Help: ln.help, Type: "counter"}
 		for i, s := range statuses {
 			m := ln.pick(i)
-			keys := make([]string, 0, len(m))
-			for k := range m {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				if _, err := fmt.Fprintf(w, "%s{system=%q,%s=%q} %d\n", ln.name, s.System, ln.label, k, m[k]); err != nil {
-					return err
-				}
+			for _, k := range slices.Sorted(maps.Keys(m)) {
+				f.Add(obs.Labels("system", s.System, ln.label, k), float64(m[k]))
 			}
 		}
+		dst = append(dst, f)
 	}
-	return nil
+	return dst
 }

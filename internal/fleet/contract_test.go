@@ -1,9 +1,9 @@
 package fleet
 
 import (
+	"context"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -127,15 +127,15 @@ func ioserveContractBody(t *testing.T, dir string, pool [][]float64) string {
 	t.Helper()
 	svc := contractService(t, dir, serve.Options{MaxBatch: 8, Workers: 2, CacheSize: 1 << 12, TraceEvery: 7, TraceBuffer: 16}, 1)
 	m := svc.Metrics()
-	m.RegisterCollector(obs.WriteRuntimeMetrics)
+	m.RegisterCollector(obs.CollectRuntime)
 	res := resilience.NewSet()
-	m.RegisterCollector(res.WriteMetrics)
+	m.RegisterCollector(res.Collect)
 	gate := resilience.NewGate(resilience.GateConfig{MaxInflight: 3})
 	res.SetGate(gate)
 	ctrl := drift.New(svc, drift.Config{MinWindowRows: 20, ConfirmWindows: 5})
 	t.Cleanup(ctrl.Close)
 	slo := contractSLO(t)
-	m.RegisterCollector(func(w io.Writer) error { return slo.WriteMetrics("ioserve", w) })
+	m.RegisterCollector(func(dst []obs.PromFamily) []obs.PromFamily { return slo.Collect("ioserve", dst) })
 
 	tr := svc.Tracer()
 	for i := 0; i < 60; i++ {
@@ -551,5 +551,87 @@ x_ms_total{system="theta"} 2
 		if !strings.Contains(got, want) {
 			t.Errorf("lint missed %q; it reported:\n%s", want, got)
 		}
+	}
+}
+
+// TestRemoteKeepsEscapedSystemName serves a system whose name needs label
+// escaping from a Remote replica: the router's fleet view must show the
+// name itself, not its escaped form.
+func TestRemoteKeepsEscapedSystemName(t *testing.T) {
+	dir, _ := e2eFixture(t)
+	src, err := serve.LoadRegistry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	theta, err := src.Get("theta", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const name = `a\b"c`
+	reg := serve.NewRegistry()
+	if err := reg.Add(&serve.ModelVersion{System: name, Version: 1, Columns: theta.Columns, Model: theta.Model}); err != nil {
+		t.Fatal(err)
+	}
+	svc := serve.NewService(reg, serve.Options{MaxBatch: 8, Workers: 1})
+	t.Cleanup(svc.Close)
+	ts := httptest.NewServer(serve.NewHandler(svc, serve.HandlerConfig{}))
+	t.Cleanup(ts.Close)
+
+	rt := newTestRouter(t, RouterConfig{}, NewRemote("r0", ts.URL, RemoteConfig{}))
+	rt.ProbeOnce()
+	if got := rt.View().Replicas[0].ActiveVersions; len(got) != 1 || got[name] != 1 {
+		t.Fatalf("fleet view active_versions = %v, want %q at version 1", got, name)
+	}
+}
+
+// TestGatedLocalExposesWhatGatedRemoteDoes: an admission gate handed to
+// NewLocal reaches the router as the same ioserve_admission_* families a
+// gated ioserve exports over HTTP — in the scrape, in the merged /metrics
+// and in the fleet view's gate depth.
+func TestGatedLocalExposesWhatGatedRemoteDoes(t *testing.T) {
+	dir, _ := e2eFixture(t)
+	opt := serve.Options{MaxBatch: 8, Workers: 1}
+	newGate := func() *resilience.Gate { return resilience.NewGate(resilience.GateConfig{MaxInflight: 8}) }
+	local := NewLocal("local", contractService(t, dir, opt, 1), newGate())
+
+	svc := contractService(t, dir, opt, 1)
+	set, gate := resilience.NewSet(), newGate()
+	set.SetGate(gate)
+	svc.Metrics().RegisterCollector(set.Collect)
+	ts := httptest.NewServer(serve.NewHandler(svc, serve.HandlerConfig{Gate: gate, Resilience: set}))
+	t.Cleanup(ts.Close)
+	remote := NewRemote("remote", ts.URL, RemoteConfig{})
+
+	type view struct {
+		scraped, merged string
+		gateInflight    int64
+	}
+	seen := func(p Predictor) view {
+		fams, err := p.Metrics(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v view
+		for _, f := range fams {
+			if strings.HasPrefix(f.Name, "ioserve_admission_") {
+				v.scraped += f.Name + " "
+			}
+		}
+		rt := newTestRouter(t, RouterConfig{}, p)
+		rt.ProbeOnce()
+		for _, line := range strings.Split(scrapeHandler(t, NewHandler(rt, HandlerConfig{})), "\n") {
+			if rest, ok := strings.CutPrefix(line, "# TYPE ioserve_admission_"); ok {
+				v.merged += rest + " "
+			}
+		}
+		v.gateInflight = rt.View().Replicas[0].GateInflight
+		return v
+	}
+	l, r := seen(local), seen(remote)
+	if strings.Count(r.scraped, " ") != 4 || r.merged == "" || r.gateInflight != 0 {
+		t.Fatalf("gated remote exposes %+v, want the four gate families, merged counters and an idle gate", r)
+	}
+	if l != r {
+		t.Fatalf("gated local exposes %+v, gated remote %+v", l, r)
 	}
 }

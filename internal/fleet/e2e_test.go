@@ -1,10 +1,10 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -302,25 +302,21 @@ func TestFleetE2E(t *testing.T) {
 		return len(v.Replicas) == 3
 	})
 	for _, rep := range reps {
-		body, err := rep.local.Metrics(context.Background())
+		fams, err := rep.local.Metrics(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := activeVersionFromMetrics(t, body, "theta"); got != newV {
+		if got := activeVersionFromMetrics(t, fams, "theta"); got != newV {
 			t.Fatalf("replica %s exposing v%d, want published v%d", rep.local.Name(), got, newV)
 		}
 	}
 }
 
 // activeVersionFromMetrics extracts ioserve_active_version{system=...}
-// from one replica's exposition — the series the router's single-cadence
+// from one replica's families — the series the router's single-cadence
 // scrape rebuilds the fleet version view from.
-func activeVersionFromMetrics(t *testing.T, body []byte, sys string) int {
+func activeVersionFromMetrics(t *testing.T, families []obs.PromFamily, sys string) int {
 	t.Helper()
-	families, err := obs.ParsePromText(body)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, f := range families {
 		if f.Name != "ioserve_active_version" {
 			continue
@@ -331,7 +327,7 @@ func activeVersionFromMetrics(t *testing.T, body []byte, sys string) int {
 			}
 		}
 	}
-	t.Fatalf("exposition has no ioserve_active_version{system=%q}:\n%s", sys, body)
+	t.Fatalf("families have no ioserve_active_version{system=%q}: %+v", sys, families)
 	return 0
 }
 
@@ -364,7 +360,7 @@ func TestRemoteBackend(t *testing.T) {
 	set := resilience.NewSet()
 	gate := resilience.NewGate(resilience.GateConfig{MaxInflight: 32})
 	set.SetGate(gate)
-	svc.Metrics().RegisterCollector(set.WriteMetrics)
+	svc.Metrics().RegisterCollector(set.Collect)
 	ts := httptest.NewServer(serve.NewHandler(svc, serve.HandlerConfig{Gate: gate, Resilience: set}))
 	t.Cleanup(ts.Close)
 
@@ -396,15 +392,17 @@ func TestRemoteBackend(t *testing.T) {
 
 	// One /metrics scrape replaces the old two-request stats poll: the gate
 	// gauge and the active-version series both ride the same exposition.
-	body, err := rem.Metrics(context.Background())
+	fams, err := rem.Metrics(context.Background())
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
 	}
-	if !bytes.Contains(body, []byte("ioserve_admission_inflight 0")) {
-		t.Fatalf("scrape missing idle gate gauge:\n%s", body)
+	if !slices.ContainsFunc(fams, func(f obs.PromFamily) bool {
+		return f.Name == "ioserve_admission_inflight" && len(f.Samples) == 1 && f.Samples[0].Value == 0
+	}) {
+		t.Fatalf("scrape missing idle gate gauge: %+v", fams)
 	}
-	if activeVersionFromMetrics(t, body, "theta") == 0 {
-		t.Fatalf("scrape missing active version:\n%s", body)
+	if activeVersionFromMetrics(t, fams, "theta") == 0 {
+		t.Fatalf("scrape missing active version: %+v", fams)
 	}
 
 	// A fleet router in front of a Remote replica speaks the same contract

@@ -74,11 +74,11 @@ type Predictor interface {
 	// Health reports liveness (the router's probe; also the circuit
 	// breaker's half-open trial).
 	Health(ctx context.Context) error
-	// Metrics returns the replica's full metrics exposition (text format).
-	// One scrape per probe interval feeds everything the router needs —
-	// the queue-depth scorer's gate inflight, the fleet view's active
-	// versions, and the merged fleet-wide series on the router's /metrics.
-	Metrics(ctx context.Context) ([]byte, error)
+	// Metrics returns the replica's metric families. One scrape per probe
+	// interval feeds everything the router needs — the queue-depth
+	// scorer's gate inflight, the fleet view's active versions, and the
+	// merged fleet-wide series on the router's /metrics.
+	Metrics(ctx context.Context) ([]obs.PromFamily, error)
 	// FetchTrace resolves one retained trace by ID for cross-process
 	// stitching, returning ErrTraceNotFound when the replica no longer
 	// (or never) holds it.

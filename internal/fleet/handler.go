@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -133,15 +132,13 @@ func NewHandler(rt *Router, cfg HandlerConfig) http.Handler {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", serve.MetricsContentType)
-		for _, write := range []func(io.Writer) error{rt.metrics.WriteMetrics, rt.writeConnMetrics,
-			rt.res.WriteMetrics, rt.tracer.WriteMetrics, rt.memlog.WriteMetrics, rt.scrape.WriteMetrics} {
-			if write(w) != nil {
-				return
-			}
+		var fams []obs.PromFamily
+		for _, collect := range []func([]obs.PromFamily) []obs.PromFamily{rt.metrics.collect, rt.collectConns,
+			rt.res.Collect, rt.tracer.Collect, rt.memlog.Collect, rt.scrape.Collect} {
+			fams = collect(fams)
 		}
-		if cfg.SLO != nil {
-			_ = cfg.SLO.WriteMetrics("iorouter", w)
-		}
+		// A failed write means the scraper hung up: no one is left to tell.
+		_ = obs.WriteFamilies(w, cfg.SLO.Collect("iorouter", fams))
 	})
 	return mux
 }

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync/atomic"
@@ -84,22 +83,19 @@ func (l *Local) Health(ctx context.Context) error {
 	return nil
 }
 
-// Metrics implements Predictor by rendering the in-process service's
-// exposition. An embedded replica has no HTTP /metrics endpoint wiring the
-// resilience collectors in, so the gate's inflight gauge is appended here
-// when a gate is attached and the service itself did not render one.
-func (l *Local) Metrics(ctx context.Context) ([]byte, error) {
+// Metrics implements Predictor with the in-process service's families.
+// An embedded replica has no HTTP /metrics endpoint wiring the resilience
+// collectors in, so an attached gate's families are appended here, as a
+// gated ioserve exports them; the service must not also collect that gate.
+func (l *Local) Metrics(ctx context.Context) ([]obs.PromFamily, error) {
 	if l.down.Load() {
 		return nil, l.errDown()
 	}
-	var buf bytes.Buffer
-	if err := l.svc.Metrics().WriteText(&buf); err != nil {
-		return nil, err
+	fams := l.svc.Metrics().Collect(nil)
+	if l.gate != nil {
+		fams = l.gate.Collect(fams)
 	}
-	if l.gate != nil && !bytes.Contains(buf.Bytes(), []byte("ioserve_admission_inflight")) {
-		fmt.Fprintf(&buf, "# HELP ioserve_admission_inflight Currently admitted requests.\n# TYPE ioserve_admission_inflight gauge\nioserve_admission_inflight %d\n", l.gate.Status().Inflight)
-	}
-	return buf.Bytes(), nil
+	return fams, nil
 }
 
 // FetchTrace implements Predictor from the in-process trace ring.

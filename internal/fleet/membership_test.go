@@ -252,7 +252,7 @@ func TestHeartbeatRenewsAndLeaseExpiryEjects(t *testing.T) {
 	// Its series are gone from the merged exposition (no ghost
 	// iorouter_replica_up rows), and the survivor's remain.
 	var buf bytes.Buffer
-	if err := rt.scrape.WriteMetrics(&buf); err != nil {
+	if err := obs.WriteFamilies(&buf, rt.scrape.Collect(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), `replica="r2"`) {
@@ -262,7 +262,9 @@ func TestHeartbeatRenewsAndLeaseExpiryEjects(t *testing.T) {
 		t.Fatalf("survivor missing from scrape exposition:\n%s", buf.String())
 	}
 	buf.Reset()
-	rt.metrics.WriteMetrics(&buf)
+	if err := obs.WriteFamilies(&buf, rt.metrics.collect(nil)); err != nil {
+		t.Fatal(err)
+	}
 	if strings.Contains(buf.String(), `replica="r2"`) {
 		t.Fatalf("expired member still in router metrics:\n%s", buf.String())
 	}

@@ -1,15 +1,14 @@
 package fleet
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"iotaxo/internal/obs"
 )
 
-// Router metrics, rendered in Prometheus text format at the router's
-// /metrics. Members come and go at runtime, so the per-replica series
+// Router metrics, collected into the router's /metrics. Members come and go at runtime, so the per-replica series
 // live behind a small mutex (one map lookup per dispatch); the counters
 // themselves stay atomics, and removal deletes the member's series
 // outright — a departed member must not linger as a frozen row.
@@ -89,68 +88,40 @@ func (m *routerMetrics) replicaError(name string) {
 	}
 }
 
-// WriteMetrics renders the iorouter_* series.
-func (m *routerMetrics) WriteMetrics(w io.Writer) error {
-	type scalar struct {
-		name, help, typ string
-		val             uint64
-	}
-	scalars := []scalar{
-		{"iorouter_requests_total", "Client requests routed.", "counter", m.requests.Load()},
-		{"iorouter_errors_total", "Client requests answered with an error.", "counter", m.errors.Load()},
-		{"iorouter_failovers_total", "Sub-requests retried on another replica after a fault.", "counter", m.failovers.Load()},
-		{"iorouter_ring_remaps_total", "Ring membership flips (joins, ejections, drains, expiries).", "counter", m.remaps.Load()},
-		{"iorouter_replicas_healthy", "Replicas currently on the ring.", "gauge", uint64(m.healthy.Load())},
-	}
-	for _, s := range scalars {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", s.name, s.help, s.name, s.typ, s.name, s.val); err != nil {
-			return err
-		}
-	}
-	// Snapshot the member set so rendering never races add/remove.
+// collect appends the iorouter_* series.
+func (m *routerMetrics) collect(dst []obs.PromFamily) []obs.PromFamily {
+	dst = append(dst,
+		obs.Scalar("iorouter_requests_total", "Client requests routed.", "counter", float64(m.requests.Load())),
+		obs.Scalar("iorouter_errors_total", "Client requests answered with an error.", "counter", float64(m.errors.Load())),
+		obs.Scalar("iorouter_failovers_total", "Sub-requests retried on another replica after a fault.", "counter", float64(m.failovers.Load())),
+		obs.Scalar("iorouter_ring_remaps_total", "Ring membership flips (joins, ejections, drains, expiries).", "counter", float64(m.remaps.Load())),
+		obs.Scalar("iorouter_replicas_healthy", "Replicas currently on the ring.", "gauge", float64(m.healthy.Load())))
+	requests := obs.PromFamily{Name: "iorouter_replica_requests_total", Help: "Sub-requests dispatched per replica.", Type: "counter"}
+	rows := obs.PromFamily{Name: "iorouter_replica_rows_total", Help: "Rows dispatched per replica.", Type: "counter"}
+	errors := obs.PromFamily{Name: "iorouter_replica_errors_total", Help: "Sub-request failures per replica.", Type: "counter"}
 	m.mu.Lock()
-	names := make([]string, len(m.names))
-	copy(names, m.names)
-	counters := make(map[string]*replicaCounters, len(m.perReplica))
-	for n, c := range m.perReplica {
-		counters[n] = c
+	for _, n := range m.names {
+		c, labels := m.perReplica[n], obs.Labels("replica", n)
+		requests.Add(labels, float64(c.requests.Load()))
+		rows.Add(labels, float64(c.rows.Load()))
+		errors.Add(labels, float64(c.errors.Load()))
 	}
 	m.mu.Unlock()
-	type series struct {
-		name, help string
-		get        func(*replicaCounters) uint64
-	}
-	for _, s := range []series{
-		{"iorouter_replica_requests_total", "Sub-requests dispatched per replica.", func(c *replicaCounters) uint64 { return c.requests.Load() }},
-		{"iorouter_replica_rows_total", "Rows dispatched per replica.", func(c *replicaCounters) uint64 { return c.rows.Load() }},
-		{"iorouter_replica_errors_total", "Sub-request failures per replica.", func(c *replicaCounters) uint64 { return c.errors.Load() }},
-	} {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", s.name, s.help, s.name); err != nil {
-			return err
-		}
-		for _, n := range names {
-			if _, err := fmt.Fprintf(w, "%s{replica=%q} %d\n", s.name, n, s.get(counters[n])); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return append(dst, requests, rows, errors)
 }
 
-// writeConnMetrics renders iorouter_replica_connections_total for the Remote
+// collectConns appends iorouter_replica_connections_total for the Remote
 // members: a reused="false" count that grows with traffic is churn, hops
 // dialling again what the idle pool or the replica closed.
-func (rt *Router) writeConnMetrics(w io.Writer) error {
-	buf := []byte("# HELP iorouter_replica_connections_total Connections handed to predict hops per replica; reused=\"false\" ones were dialled.\n" +
-		"# TYPE iorouter_replica_connections_total counter\n")
+func (rt *Router) collectConns(dst []obs.PromFamily) []obs.PromFamily {
+	f := obs.PromFamily{Name: "iorouter_replica_connections_total", Help: `Connections handed to predict hops per replica; reused="false" ones were dialled.`, Type: "counter"}
 	rt.mu.Lock()
 	for _, n := range rt.names {
 		if rem, ok := rt.replicas[n].backend.(*Remote); ok {
-			buf = fmt.Appendf(buf, "iorouter_replica_connections_total{replica=%q,reused=\"false\"} %d\niorouter_replica_connections_total{replica=%q,reused=\"true\"} %d\n",
-				n, rem.dialled.Load(), n, rem.reused.Load())
+			f.Add(obs.Labels("replica", n, "reused", "false"), float64(rem.dialled.Load()))
+			f.Add(obs.Labels("replica", n, "reused", "true"), float64(rem.reused.Load()))
 		}
 	}
 	rt.mu.Unlock()
-	_, err := w.Write(buf)
-	return err
+	return append(dst, f)
 }

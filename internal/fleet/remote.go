@@ -353,10 +353,14 @@ func remainingBudgetMs(ctx context.Context, now time.Time) (int64, bool) {
 const maxMetricsBody = 4 << 20
 
 // Metrics implements Predictor over GET /metrics: one plain scrape of the
-// replica's whole exposition, replacing the old two-request
-// /v1/resilience + /v1/versions stats poll.
-func (r *Remote) Metrics(ctx context.Context) ([]byte, error) {
-	return r.get(ctx, r.metrics, false, maxMetricsBody)
+// replica's whole exposition, parsed back into families — the one place
+// metric text crosses a process boundary.
+func (r *Remote) Metrics(ctx context.Context) ([]obs.PromFamily, error) {
+	body, err := r.get(ctx, r.metrics, false, maxMetricsBody)
+	if err != nil {
+		return nil, err
+	}
+	return obs.ParsePromText(body)
 }
 
 // FetchTrace implements Predictor over the replica's admin-gated

@@ -113,8 +113,8 @@ func (c *cannedReplica) Name() string { return c.name }
 func (c *cannedReplica) Predict(_ context.Context, req *serve.PredictRequest) (*serve.PredictResponse, error) {
 	return c.resps[len(req.Rows)], nil
 }
-func (c *cannedReplica) Health(context.Context) error            { return nil }
-func (c *cannedReplica) Metrics(context.Context) ([]byte, error) { return nil, nil }
+func (c *cannedReplica) Health(context.Context) error                      { return nil }
+func (c *cannedReplica) Metrics(context.Context) ([]obs.PromFamily, error) { return nil, nil }
 func (c *cannedReplica) FetchTrace(context.Context, uint64) (*obs.TraceDetail, error) {
 	return nil, ErrTraceNotFound
 }

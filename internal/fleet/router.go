@@ -367,10 +367,10 @@ func (rt *Router) ProbeOnce() {
 			rs.breaker.Success()
 			rt.noteHealthy(name, rs)
 			// One metrics scrape replaces the old two-request
-			// /v1/resilience + /v1/versions stats poll: the cached
-			// exposition feeds the queue-depth scorer, the fleet view's
-			// active versions, and the merged series on /metrics.
-			body, err := rs.backend.Metrics(ctx)
+			// /v1/resilience + /v1/versions stats poll: its families feed
+			// the queue-depth scorer, the fleet view's active versions, and
+			// (cached) the merged series on /metrics.
+			fams, err := rs.backend.Metrics(ctx)
 			if err != nil {
 				// Health passed; a scrape hiccup costs freshness, not
 				// membership. The up gauge drops, the last-good cache stays.
@@ -378,21 +378,21 @@ func (rt *Router) ProbeOnce() {
 				rt.logger.Warn("fleet metrics scrape failed", "replica", name, "err", err)
 				return
 			}
-			if err := rt.scrape.Record(name, body); err != nil {
-				rt.logger.Warn("fleet metrics scrape unparsable", "replica", name, "err", err)
-				return
-			}
-			gate := int64(-1)
-			if v, ok := rt.scrape.Gauge(name, "ioserve_admission_inflight"); ok {
-				gate = int64(v)
-			}
-			rs.gateInflight.Store(gate)
-			versions := make(map[string]int)
-			for _, s := range rt.scrape.Samples(name, "ioserve_active_version") {
-				if sys, ok := obs.LabelValue(s.Labels, "system"); ok {
-					versions[sys] = int(s.Value)
+			rt.scrape.Record(name, fams)
+			gate, versions := int64(-1), make(map[string]int)
+			for _, f := range fams {
+				for _, s := range f.Samples {
+					switch f.Name {
+					case "ioserve_admission_inflight":
+						gate = int64(s.Value)
+					case "ioserve_active_version":
+						if sys, ok := obs.LabelValue(s.Labels, "system"); ok {
+							versions[sys] = int(s.Value)
+						}
+					}
 				}
 			}
+			rs.gateInflight.Store(gate)
 			rs.mu.Lock()
 			rs.versions = versions
 			rs.mu.Unlock()

@@ -99,7 +99,7 @@ func (s *stubReplica) Health(ctx context.Context) error {
 	return nil
 }
 
-func (s *stubReplica) Metrics(ctx context.Context) ([]byte, error) {
+func (s *stubReplica) Metrics(ctx context.Context) ([]obs.PromFamily, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.down {
@@ -116,7 +116,7 @@ func (s *stubReplica) Metrics(ctx context.Context) ([]byte, error) {
 	fmt.Fprintf(&buf, "ioserve_request_latency_seconds_sum 0\nioserve_request_latency_seconds_count %d\n", s.rows)
 	fmt.Fprintf(&buf, "# HELP ioserve_admission_inflight Currently admitted requests.\n# TYPE ioserve_admission_inflight gauge\nioserve_admission_inflight %d\n", s.gateInflight)
 	fmt.Fprintf(&buf, "ioserve_active_version{system=\"theta\"} %d\n", s.version)
-	return buf.Bytes(), nil
+	return obs.ParsePromText(buf.Bytes())
 }
 
 func (s *stubReplica) FetchTrace(ctx context.Context, id uint64) (*obs.TraceDetail, error) {

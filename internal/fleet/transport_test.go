@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"iotaxo/internal/obs"
 	"iotaxo/internal/serve"
 )
 
@@ -164,7 +165,7 @@ func TestRemoteClosesIdleOnStop(t *testing.T) {
 	}
 	// One request at a time, one hop a replica in each: a connection each.
 	var metrics bytes.Buffer
-	if err := rt.writeConnMetrics(&metrics); err != nil {
+	if err := obs.WriteFamilies(&metrics, rt.collectConns(nil)); err != nil {
 		t.Fatal(err)
 	}
 	for i, tr := range trackers {

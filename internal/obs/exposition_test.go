@@ -2,7 +2,6 @@ package obs
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"time"
 )
@@ -80,14 +79,7 @@ func TestTraceExpositionGolden(t *testing.T) {
 	tr := NewTracer(Config{SampleEvery: 7, RingSize: 16})
 	rt := NewRouterTracer(Config{SampleEvery: 7, RingSize: 16})
 	finishSequence(tr, rt)
-	var sb strings.Builder
-	if err := tr.WriteMetrics(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.WriteMetrics(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if got := sb.String(); got != goldenTraceExposition {
+	if got := render(t, rt.Collect(tr.Collect(nil))); got != goldenTraceExposition {
 		t.Fatalf("trace exposition drifted:\n%s", got)
 	}
 }
@@ -110,12 +102,33 @@ func (w *failFirstWriter) Write(p []byte) (int, error) {
 func TestTracerWriteMetricsReturnsWriterError(t *testing.T) {
 	tr := NewTracer(Config{SampleEvery: 1})
 	rt := NewRouterTracer(Config{SampleEvery: 1})
-	for name, write := range map[string]func(*failFirstWriter) error{
-		"ioserve":  func(w *failFirstWriter) error { return tr.WriteMetrics(w) },
-		"iorouter": func(w *failFirstWriter) error { return rt.WriteMetrics(w) },
+	for name, fams := range map[string][]PromFamily{"ioserve": tr.Collect(nil), "iorouter": rt.Collect(nil)} {
+		if err := WriteFamilies(&failFirstWriter{}, fams); !errors.Is(err, errScrape) {
+			t.Errorf("%s tracer render = %v, want the writer's error", name, err)
+		}
+	}
+}
+
+// TestWriteFamiliesReturnsWriterError covers the two collectors whose text
+// writers used to drop every write error — the SLO and the fleet scrape —
+// and pins the one Write a render makes, whatever the family count.
+func TestWriteFamiliesReturnsWriterError(t *testing.T) {
+	specs, err := ParseSLO("predict:p99=25ms,avail=99.9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := NewFleetScrape([]string{"r1"})
+	fs.Record("r1", sampleFamilies(t))
+	for name, fams := range map[string][]PromFamily{
+		"slo":         NewSLO(specs).Collect("iorouter", nil),
+		"fleetscrape": fs.Collect(nil),
 	} {
-		if err := write(&failFirstWriter{}); !errors.Is(err, errScrape) {
-			t.Errorf("%s WriteMetrics = %v, want the writer's error", name, err)
+		w := &failFirstWriter{}
+		if err := WriteFamilies(w, fams); !errors.Is(err, errScrape) {
+			t.Errorf("%s render = %v, want the writer's error", name, err)
+		}
+		if w.writes != 1 {
+			t.Errorf("%s render made %d writes, want 1", name, w.writes)
 		}
 	}
 }

@@ -1,19 +1,15 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
 )
 
-// FleetScrape caches the most recent /metrics exposition from every fleet
-// replica on one scrape cadence and serves three consumers from that single
-// cache: the router's merged /metrics view (counters + histograms summed
-// fleet-wide), per-replica liveness/staleness gauges, and point lookups of
-// individual gauges (admission-gate depth, active versions) that used to
-// require their own admin round-trips per replica.
+// FleetScrape caches the most recent metric families from every fleet
+// replica on one scrape cadence and serves the router's /metrics from that
+// cache: per-replica liveness/staleness gauges and the counters and
+// histograms summed fleet-wide.
 type FleetScrape struct {
 	// Now is injectable for staleness tests; defaults to time.Now.
 	Now func() time.Time
@@ -48,22 +44,15 @@ func (fs *FleetScrape) now() time.Time {
 	return time.Now()
 }
 
-// Record parses and caches one successful scrape of target. Unknown targets
-// are added (replicas can appear after boot). A parse failure marks the
-// target down and keeps the previous cache.
-func (fs *FleetScrape) Record(target string, body []byte) error {
-	families, err := ParsePromText(body)
-	if err != nil {
-		fs.MarkDown(target)
-		return err
-	}
+// Record caches one successful scrape of target. Unknown targets are
+// added (replicas can appear after boot).
+func (fs *FleetScrape) Record(target string, families []PromFamily) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	t := fs.target(target)
 	t.families = families
 	t.lastOK = fs.now()
 	t.up = true
-	return nil
 }
 
 // MarkDown records a failed scrape of target: the target's up gauge drops
@@ -108,112 +97,40 @@ func (fs *FleetScrape) target(name string) *scrapeTarget {
 	return t
 }
 
-// Gauge returns the value of one unlabelled-or-exact series from target's
-// cached exposition, matching s.Name+s.Labels against series. The second
-// return is false when the target has no cache or the series is absent.
-func (fs *FleetScrape) Gauge(target, series string) (float64, bool) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	t, ok := fs.targets[target]
-	if !ok {
-		return 0, false
-	}
-	for _, f := range t.families {
-		for _, s := range f.Samples {
-			if s.Name+s.Labels == series {
-				return s.Value, true
-			}
-		}
-	}
-	return 0, false
-}
-
-// Samples returns a copy of target's cached samples for one family.
-func (fs *FleetScrape) Samples(target, family string) []PromSample {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	t, ok := fs.targets[target]
-	if !ok {
-		return nil
-	}
-	for _, f := range t.families {
-		if f.Name == family {
-			out := make([]PromSample, len(f.Samples))
-			copy(out, f.Samples)
-			return out
-		}
-	}
-	return nil
-}
-
-// Up reports whether target's most recent scrape succeeded.
-func (fs *FleetScrape) Up(target string) bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	t, ok := fs.targets[target]
-	return ok && t.up
-}
-
-// WriteMetrics renders the fleet view: per-replica up and scrape-age
-// gauges, then every counter/histogram family summed across up replicas
-// with the family HELP prefixed "Fleet-aggregated:" so a dashboard can
-// tell merged series from the router's own.
-func (fs *FleetScrape) WriteMetrics(w io.Writer) error {
+// Collect appends the fleet view: per-replica up and scrape-age gauges,
+// then every counter/histogram family summed across up replicas with the
+// family HELP prefixed "Fleet-aggregated:" so a dashboard can tell merged
+// series from the router's own.
+func (fs *FleetScrape) Collect(dst []PromFamily) []PromFamily {
+	up := PromFamily{Name: "iorouter_replica_up", Help: "Whether the most recent metrics scrape of the replica succeeded.", Type: "gauge"}
+	age := PromFamily{Name: "iorouter_replica_scrape_age_seconds", Help: "Seconds since the last successful metrics scrape of the replica (-1 before the first).", Type: "gauge"}
+	var merged [][]PromFamily
 	fs.mu.Lock()
 	now := fs.now()
-	type replicaRow struct {
-		name string
-		up   int
-		age  float64
-	}
-	rows := make([]replicaRow, 0, len(fs.names))
-	var merged [][]PromFamily
 	for _, name := range fs.names {
 		t := fs.targets[name]
-		r := replicaRow{name: name, age: -1}
+		u, a := 0.0, -1.0
 		if t.up {
-			r.up = 1
+			u = 1
 		}
 		if !t.lastOK.IsZero() {
-			r.age = now.Sub(t.lastOK).Seconds()
+			a = now.Sub(t.lastOK).Seconds()
 		}
-		rows = append(rows, r)
+		up.Add(Labels("replica", name), u)
+		age.Add(Labels("replica", name), a)
 		if t.up && t.families != nil {
 			merged = append(merged, t.families)
 		}
 	}
 	fs.mu.Unlock()
-
-	fmt.Fprintf(w, "# HELP iorouter_replica_up Whether the most recent metrics scrape of the replica succeeded.\n")
-	fmt.Fprintf(w, "# TYPE iorouter_replica_up gauge\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "iorouter_replica_up{replica=%q} %d\n", r.name, r.up)
-	}
-	fmt.Fprintf(w, "# HELP iorouter_replica_scrape_age_seconds Seconds since the last successful metrics scrape of the replica (-1 before the first).\n")
-	fmt.Fprintf(w, "# TYPE iorouter_replica_scrape_age_seconds gauge\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "iorouter_replica_scrape_age_seconds{replica=%q} %g\n", r.name, r.age)
-	}
-
+	dst = append(dst, up, age)
 	for _, f := range MergeFamilies(merged...) {
 		if f.Help != "" {
-			fmt.Fprintf(w, "# HELP %s Fleet-aggregated: %s\n", f.Name, f.Help)
+			f.Help = "Fleet-aggregated: " + f.Help
 		} else {
-			fmt.Fprintf(w, "# HELP %s Fleet-aggregated.\n", f.Name)
+			f.Help = "Fleet-aggregated."
 		}
-		fmt.Fprintf(w, "# TYPE %s %s\n", f.Name, f.Type)
-		for _, s := range f.Samples {
-			fmt.Fprintf(w, "%s%s %s\n", s.Name, s.Labels, formatPromValue(s.Value))
-		}
+		dst = append(dst, f)
 	}
-	return nil
-}
-
-// formatPromValue renders integral values without an exponent so merged
-// counters look like the per-process ones they were summed from.
-func formatPromValue(v float64) string {
-	if v == float64(int64(v)) {
-		return fmt.Sprintf("%d", int64(v))
-	}
-	return fmt.Sprintf("%g", v)
+	return dst
 }

@@ -6,24 +6,28 @@ import (
 	"time"
 )
 
+// up reads target's iorouter_replica_up gauge off the scraper's view.
+func up(fs *FleetScrape, target string) bool {
+	for _, s := range fs.Collect(nil)[0].Samples {
+		if s.Labels == Labels("replica", target) {
+			return s.Value == 1
+		}
+	}
+	return false
+}
+
 func TestFleetScrapeUpAndStaleness(t *testing.T) {
 	now := time.Unix(1000, 0)
 	fs := NewFleetScrape([]string{"r1", "r2"})
 	fs.Now = func() time.Time { return now }
 
-	if err := fs.Record("r1", []byte(sampleExposition)); err != nil {
-		t.Fatal(err)
-	}
-	if !fs.Up("r1") || fs.Up("r2") {
-		t.Fatalf("up state wrong: r1=%v r2=%v", fs.Up("r1"), fs.Up("r2"))
+	fs.Record("r1", sampleFamilies(t))
+	if !up(fs, "r1") || up(fs, "r2") {
+		t.Fatalf("up state wrong: r1=%v r2=%v", up(fs, "r1"), up(fs, "r2"))
 	}
 
 	now = now.Add(7 * time.Second)
-	var buf strings.Builder
-	if err := fs.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := render(t, fs.Collect(nil))
 	for _, want := range []string{
 		`iorouter_replica_up{replica="r1"} 1`,
 		`iorouter_replica_up{replica="r2"} 0`,
@@ -35,29 +39,23 @@ func TestFleetScrapeUpAndStaleness(t *testing.T) {
 		}
 	}
 
-	// A failed scrape drops up but keeps the cache (gauge still readable).
+	// A failed scrape drops up but keeps the last good scrape, so its age
+	// keeps growing instead of resetting to -1.
 	fs.MarkDown("r1")
-	if fs.Up("r1") {
+	if up(fs, "r1") {
 		t.Fatal("r1 still up after MarkDown")
 	}
-	if v, ok := fs.Gauge("r1", "ioserve_admission_inflight"); !ok || v != 2 {
-		t.Fatalf("cached gauge lost after MarkDown: %g %v", v, ok)
+	now = now.Add(time.Second)
+	if out := render(t, fs.Collect(nil)); !strings.Contains(out, `iorouter_replica_scrape_age_seconds{replica="r1"} 8`) {
+		t.Fatalf("last good scrape lost after MarkDown:\n%s", out)
 	}
 }
 
 func TestFleetScrapeMergedFamilies(t *testing.T) {
 	fs := NewFleetScrape([]string{"r1", "r2"})
-	if err := fs.Record("r1", []byte(sampleExposition)); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Record("r2", []byte(sampleExposition)); err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := fs.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	fs.Record("r1", sampleFamilies(t))
+	fs.Record("r2", sampleFamilies(t))
+	out := render(t, fs.Collect(nil))
 	if !strings.Contains(out, "ioserve_requests_total 20") {
 		t.Errorf("merged counter missing/wrong in:\n%s", out)
 	}
@@ -69,43 +67,22 @@ func TestFleetScrapeMergedFamilies(t *testing.T) {
 	}
 	// Down replicas are excluded from the merge.
 	fs.MarkDown("r2")
-	buf.Reset()
-	_ = fs.WriteMetrics(&buf)
-	if !strings.Contains(buf.String(), "ioserve_requests_total 10") {
-		t.Errorf("down replica still in merge:\n%s", buf.String())
+	if out := render(t, fs.Collect(nil)); !strings.Contains(out, "ioserve_requests_total 10") {
+		t.Errorf("down replica still in merge:\n%s", out)
 	}
 }
 
-func TestFleetScrapeGaugeAndSamples(t *testing.T) {
+func TestFleetScrapeLateTarget(t *testing.T) {
 	fs := NewFleetScrape(nil)
-	// Unknown target auto-registers on Record.
-	if err := fs.Record("late", []byte(sampleExposition)); err != nil {
-		t.Fatal(err)
+	// Unknown target auto-registers on Record and joins the merge.
+	fs.Record("late", sampleFamilies(t))
+	if !up(fs, "late") {
+		t.Fatal("late target not up after Record")
 	}
-	if v, ok := fs.Gauge("late", "ioserve_admission_inflight"); !ok || v != 2 {
-		t.Fatalf("Gauge = %g, %v", v, ok)
+	if out := render(t, fs.Collect(nil)); !strings.Contains(out, "ioserve_requests_total 10") {
+		t.Fatalf("late target not merged:\n%s", out)
 	}
-	if v, ok := fs.Gauge("late", `ioserve_active_version{system="theta"}`); !ok || v != 4 {
-		t.Fatalf("labelled Gauge = %g, %v", v, ok)
-	}
-	if _, ok := fs.Gauge("late", "nope"); ok {
-		t.Fatal("absent series reported present")
-	}
-	if _, ok := fs.Gauge("never", "ioserve_admission_inflight"); ok {
-		t.Fatal("unknown target reported a gauge")
-	}
-	samples := fs.Samples("late", "ioserve_active_version")
-	if len(samples) != 1 {
-		t.Fatalf("Samples = %+v", samples)
-	}
-	if sys, ok := LabelValue(samples[0].Labels, "system"); !ok || sys != "theta" {
-		t.Fatalf("sample labels = %q", samples[0].Labels)
-	}
-	// A parse failure marks the target down and errors.
-	if err := fs.Record("late", []byte("garbage here\n")); err == nil {
-		t.Fatal("bad exposition accepted")
-	}
-	if fs.Up("late") {
-		t.Fatal("target still up after failed parse")
+	if up(fs, "never") {
+		t.Fatal("unknown target reported up")
 	}
 }

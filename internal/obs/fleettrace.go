@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"io"
 	"slices"
 	"time"
 )
@@ -125,12 +124,12 @@ func (rt *RouterTracer) Get(id uint64) (FleetTrace, bool) {
 	return rt.ring.Find(func(t *FleetTrace) bool { return t.ID == id })
 }
 
-// WriteMetrics renders the router tracer's exposition series.
-func (rt *RouterTracer) WriteMetrics(w io.Writer) error {
+// Collect appends the router tracer's series.
+func (rt *RouterTracer) Collect(dst []PromFamily) []PromFamily {
 	if rt == nil {
-		return nil
+		return dst
 	}
-	return rt.writeMetrics(w, "iorouter", "routed traces")
+	return rt.collect(dst, "iorouter", "routed traces")
 }
 
 // StitchedHop is one replica dispatch in a stitched cross-process trace.

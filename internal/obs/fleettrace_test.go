@@ -87,12 +87,8 @@ func TestRouterTracerKeepPolicy(t *testing.T) {
 		t.Fatalf("ring aliases caller hops: %q", tr.Hops[0].Replica)
 	}
 
-	var buf strings.Builder
-	if err := rt.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `iorouter_traces_kept_total{reason="sampled"} 2`) {
-		t.Errorf("kept counter missing in:\n%s", buf.String())
+	if out := render(t, rt.Collect(nil)); !strings.Contains(out, `iorouter_traces_kept_total{reason="sampled"} 2`) {
+		t.Errorf("kept counter missing in:\n%s", out)
 	}
 }
 

@@ -1,8 +1,7 @@
 package obs
 
 import (
-	"fmt"
-	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -87,38 +86,23 @@ func (l *MembershipLog) Count(event string) uint64 {
 // returns all retained).
 func (l *MembershipLog) Recent(limit int) []MembershipEvent { return l.ring.Recent(limit) }
 
-// WriteMetrics renders the per-kind event counters. Every kind in the
-// closed set is rendered (zeros included) so rate() queries never see a
-// series appear from nowhere; kinds recorded outside the set (callers can
-// invent them) render after, sorted.
-func (l *MembershipLog) WriteMetrics(w io.Writer) error {
+// Collect appends the per-kind event counters. Every kind in the closed
+// set is rendered (zeros included) so rate() queries never see a series
+// appear from nowhere; kinds recorded outside the set (callers can invent
+// them) render after, sorted.
+func (l *MembershipLog) Collect(dst []PromFamily) []PromFamily {
+	f := PromFamily{Name: "iorouter_membership_events_total", Help: "Fleet membership transitions by kind.", Type: "counter"}
 	l.mu.Lock()
-	counts := make(map[string]uint64, len(l.counts))
-	for k, v := range l.counts {
-		counts[k] = v
-	}
-	l.mu.Unlock()
-	if _, err := fmt.Fprintf(w, "# HELP iorouter_membership_events_total Fleet membership transitions by kind.\n# TYPE iorouter_membership_events_total counter\n"); err != nil {
-		return err
-	}
-	known := make(map[string]bool, len(memberEventKinds))
-	for _, k := range memberEventKinds {
-		known[k] = true
-		if _, err := fmt.Fprintf(w, "iorouter_membership_events_total{event=%q} %d\n", k, counts[k]); err != nil {
-			return err
-		}
-	}
+	defer l.mu.Unlock()
 	var extra []string
-	for k := range counts {
-		if !known[k] {
+	for k := range l.counts {
+		if !slices.Contains(memberEventKinds, k) {
 			extra = append(extra, k)
 		}
 	}
 	sort.Strings(extra)
-	for _, k := range extra {
-		if _, err := fmt.Fprintf(w, "iorouter_membership_events_total{event=%q} %d\n", k, counts[k]); err != nil {
-			return err
-		}
+	for _, k := range slices.Concat(memberEventKinds, extra) {
+		f.Add(Labels("event", k), float64(l.counts[k]))
 	}
-	return nil
+	return append(dst, f)
 }

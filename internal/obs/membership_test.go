@@ -67,11 +67,7 @@ func TestMembershipLogMetricsZeros(t *testing.T) {
 	l.Record("r1", MemberEventLeaseExpired, "")
 	l.Record("r1", "custom_event", "")
 
-	var buf strings.Builder
-	if err := l.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := render(t, l.Collect(nil))
 	for _, want := range []string{
 		`iorouter_membership_events_total{event="register"} 1`,
 		`iorouter_membership_events_total{event="lease_expired"} 2`,
@@ -95,26 +91,11 @@ func TestFleetScrapeRemove(t *testing.T) {
 	// iorouter_replica_up{...} 0 rows for fleet members that left on
 	// purpose (MarkDown is for members that are down but still registered).
 	fs := NewFleetScrape([]string{"r1", "r2"})
-	if err := fs.Record("r1", []byte(sampleExposition)); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Record("r2", []byte(sampleExposition)); err != nil {
-		t.Fatal(err)
-	}
+	fs.Record("r1", sampleFamilies(t))
+	fs.Record("r2", sampleFamilies(t))
 
 	fs.Remove("r1")
-	if fs.Up("r1") {
-		t.Fatal("removed target still up")
-	}
-	if _, ok := fs.Gauge("r1", "ioserve_admission_inflight"); ok {
-		t.Fatal("removed target's cached gauge still readable")
-	}
-
-	var buf strings.Builder
-	if err := fs.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := render(t, fs.Collect(nil))
 	if strings.Contains(out, `replica="r1"`) {
 		t.Fatalf("removed replica still in exposition:\n%s", out)
 	}
@@ -129,10 +110,8 @@ func TestFleetScrapeRemove(t *testing.T) {
 	// Remove of an unknown target is a no-op, and a removed target can
 	// come back via Record (a re-registration).
 	fs.Remove("ghost")
-	if err := fs.Record("r1", []byte(sampleExposition)); err != nil {
-		t.Fatal(err)
-	}
-	if !fs.Up("r1") {
+	fs.Record("r1", sampleFamilies(t))
+	if !up(fs, "r1") {
 		t.Fatal("re-recorded target not up")
 	}
 }

@@ -2,15 +2,19 @@ package obs
 
 import (
 	"fmt"
+	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// promtext.go parses and re-renders the Prometheus text exposition format
-// (version 0.0.4) just far enough to merge counter and histogram families
-// scraped from fleet replicas. It is not a general client library: it
-// assumes the well-formed output our own metrics writers produce, and
+// promtext.go is the one in-memory form of a metric family and the one
+// text rendering of it (Prometheus exposition format 0.0.4). Every
+// /metrics collector appends PromFamily values; WriteFamilies renders
+// them; ParsePromText reads back what a replica rendered, which the
+// router merges with MergeFamilies. The parser is not a general client
+// library: it assumes the well-formed output WriteFamilies produces and
 // tolerates (by skipping) anything it does not understand.
 
 // PromSample is one series line: a metric name, its rendered label block
@@ -29,6 +33,64 @@ type PromFamily struct {
 	Help    string
 	Type    string
 	Samples []PromSample
+}
+
+// Scalar is a family of one unlabelled sample.
+func Scalar(name, help, typ string, v float64) PromFamily {
+	return PromFamily{Name: name, Help: help, Type: typ, Samples: []PromSample{{Name: name, Value: v}}}
+}
+
+// Add appends a sample named after the family.
+func (f *PromFamily) Add(labels string, v float64) {
+	f.Samples = append(f.Samples, PromSample{Name: f.Name, Labels: labels, Value: v})
+}
+
+var (
+	labelEscaper   = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	labelUnescaper = strings.NewReplacer(`\\`, `\`, `\"`, `"`, `\n`, "\n")
+)
+
+// Labels renders key/value pairs as a label block, escaping each value
+// the way the text format defines: backslash, double quote and newline,
+// and nothing else. No pairs render as "", the unlabelled block.
+func Labels(kv ...string) string {
+	if len(kv) == 0 {
+		return ""
+	}
+	b := []byte{'{'}
+	for i := 0; i+1 < len(kv); i += 2 {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(append(append(b, kv[i]...), `="`...), labelEscaper.Replace(kv[i+1])...)
+		b = append(b, '"')
+	}
+	return string(append(b, '}'))
+}
+
+// WriteFamilies renders fams into one buffer and hands it to w in one
+// Write, so w's error is the one returned.
+func WriteFamilies(w io.Writer, fams []PromFamily) error {
+	var b []byte
+	for _, f := range fams {
+		b = fmt.Appendf(b, "# HELP %s %s\n# TYPE %s %s\n", f.Name, f.Help, f.Name, f.Type)
+		for _, s := range f.Samples {
+			b = append(append(append(b, s.Name...), s.Labels...), ' ')
+			b = append(appendValue(b, s.Value), '\n')
+		}
+	}
+	_, err := w.Write(b)
+	return err
+}
+
+// appendValue is the one value rule: a value holding an integer (every
+// counter, count and bucket) renders as that integer, anything else in
+// the shortest form that parses back to the same float64.
+func appendValue(b []byte, v float64) []byte {
+	if v == math.Trunc(v) && math.Abs(v) < 1<<63 {
+		return strconv.AppendInt(b, int64(v), 10)
+	}
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // ParsePromText parses a text-format exposition body into families,
@@ -116,8 +178,8 @@ func splitSample(line string) (name, labels, value string, err error) {
 	return name, labels, value, nil
 }
 
-// LabelValue extracts the value of one key from a rendered label block
-// like `{system="theta",le="0.005"}`.
+// LabelValue extracts the unescaped value of one key from a rendered
+// label block like `{system="theta",le="0.005"}`.
 func LabelValue(labels, key string) (string, bool) {
 	inner := strings.TrimSuffix(strings.TrimPrefix(labels, "{"), "}")
 	for _, pair := range splitLabelPairs(inner) {
@@ -126,7 +188,7 @@ func LabelValue(labels, key string) (string, bool) {
 			continue
 		}
 		if len(v) >= 2 && v[0] == '"' && v[len(v)-1] == '"' {
-			return v[1 : len(v)-1], true
+			return labelUnescaper.Replace(v[1 : len(v)-1]), true
 		}
 		return v, true
 	}
@@ -136,19 +198,17 @@ func LabelValue(labels, key string) (string, bool) {
 // splitLabelPairs splits on commas outside quoted values.
 func splitLabelPairs(s string) []string {
 	var out []string
-	depth := false
+	quoted := false
 	start := 0
 	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '"':
-			if i == 0 || s[i-1] != '\\' {
-				depth = !depth
-			}
-		case ',':
-			if !depth {
-				out = append(out, s[start:i])
-				start = i + 1
-			}
+		switch {
+		case s[i] == '\\' && quoted:
+			i++ // the escaped byte cannot open, close or split
+		case s[i] == '"':
+			quoted = !quoted
+		case s[i] == ',' && !quoted:
+			out = append(out, s[start:i])
+			start = i + 1
 		}
 	}
 	if start < len(s) {

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -19,6 +22,26 @@ ioserve_stage_latency_seconds_count{stage="evaluate"} 5
 ioserve_admission_inflight 2
 ioserve_active_version{system="theta"} 4
 `
+
+// sampleFamilies is sampleExposition as a replica hands it to the scraper.
+func sampleFamilies(t *testing.T) []PromFamily {
+	t.Helper()
+	fams, err := ParsePromText([]byte(sampleExposition))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fams
+}
+
+// render is what a /metrics handler answers for fams.
+func render(t *testing.T, fams []PromFamily) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := WriteFamilies(&sb, fams); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
 
 func TestParsePromText(t *testing.T) {
 	families, err := ParsePromText([]byte(sampleExposition))
@@ -159,4 +182,76 @@ h_bucket{stage="guard",le="+Inf"} 5
 	if evalBucket != 3 || guardBucket != 5 {
 		t.Fatalf("evaluate=%g (want 3) guard=%g (want 5)", evalBucket, guardBucket)
 	}
+}
+
+// sameFamilies compares families field by field, NaN equal to NaN.
+func sameFamilies(a, b []PromFamily) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Name != b[i].Name || a[i].Help != b[i].Help || a[i].Type != b[i].Type || len(a[i].Samples) != len(b[i].Samples) {
+			return false
+		}
+		for j, s := range a[i].Samples {
+			o := b[i].Samples[j]
+			if s.Name != o.Name || s.Labels != o.Labels || s.Value != o.Value && !(math.IsNaN(s.Value) && math.IsNaN(o.Value)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// FuzzPromRoundTrip pins the two routes metric families take to the
+// router: families a collector builds survive rendering and parsing
+// (label values included, however they need escaping), and a golden
+// /metrics body parses to families that render back to the same bytes —
+// any other body at least reaches a fixed point after one round.
+func FuzzPromRoundTrip(f *testing.F) {
+	goldens, err := filepath.Glob(filepath.Join("..", "fleet", "testdata", "golden", "*.metrics"))
+	if err != nil || len(goldens) == 0 {
+		f.Fatalf("no golden bodies to seed from (%v)", err)
+	}
+	golden := map[string]bool{}
+	for _, g := range goldens {
+		b, err := os.ReadFile(g)
+		if err != nil {
+			f.Fatal(err)
+		}
+		golden[string(b)] = true
+		f.Add(b, "theta", 0.25)
+	}
+	f.Add([]byte(sampleExposition), "a\\b\"c\n\t", math.Inf(1))
+	f.Add([]byte("x 1\n"), `\`, math.NaN())
+	f.Fuzz(func(t *testing.T, body []byte, label string, v float64) {
+		hist := PromFamily{Name: "h_seconds", Help: "A histogram.", Type: "histogram", Samples: []PromSample{
+			{Name: "h_seconds_bucket", Labels: Labels("system", label, "le", "+Inf"), Value: v},
+			{Name: "h_seconds_sum", Labels: Labels("system", label), Value: v},
+			{Name: "h_seconds_count", Labels: Labels("system", label), Value: v},
+		}}
+		gauge := PromFamily{Name: "y", Help: "A labelled gauge.", Type: "gauge"}
+		gauge.Add(Labels("system", label, "role", "canary"), v)
+		fams := []PromFamily{Scalar("x_total", "A counter.", "counter", v), gauge, hist}
+		back, err := ParsePromText([]byte(render(t, fams)))
+		if err != nil || !sameFamilies(back, fams) {
+			t.Fatalf("families did not survive the round trip (%v):\n%+v\n%+v", err, fams, back)
+		}
+		if got, ok := LabelValue(back[1].Samples[0].Labels, "system"); !ok || got != label {
+			t.Fatalf("label value %q came back as %q", label, got)
+		}
+
+		parsed, err := ParsePromText(body)
+		if err != nil {
+			return
+		}
+		once := render(t, parsed)
+		if golden[string(body)] && once != string(body) {
+			t.Fatalf("golden body re-rendered differently:\n%s", once)
+		}
+		again, err := ParsePromText([]byte(once))
+		if err != nil || render(t, again) != once {
+			t.Fatalf("rendering is not a fixed point (%v):\n%s", err, once)
+		}
+	})
 }

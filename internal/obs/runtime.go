@@ -1,35 +1,21 @@
 package obs
 
-import (
-	"fmt"
-	"io"
-	"runtime"
-)
+import "runtime"
 
-// WriteRuntimeMetrics renders Go runtime health series — goroutine count,
-// heap occupancy, GC cycles and cumulative pause — in Prometheus text
-// format. Register it with serve.Metrics.RegisterCollector; the cost (a
-// ReadMemStats) is paid at scrape time, never on the predict path.
-func WriteRuntimeMetrics(w io.Writer) error {
+// CollectRuntime appends Go runtime health series — goroutine count, heap
+// occupancy, GC cycles and cumulative pause. Register it with
+// serve.Metrics.RegisterCollector; the cost (a ReadMemStats) is paid at
+// scrape time, never on the predict path.
+func CollectRuntime(dst []PromFamily) []PromFamily {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	series := []struct {
-		name, help, kind string
-		val              float64
-	}{
-		{"ioserve_go_goroutines", "Live goroutines.", "gauge", float64(runtime.NumGoroutine())},
-		{"ioserve_go_heap_alloc_bytes", "Heap bytes allocated and in use.", "gauge", float64(ms.HeapAlloc)},
-		{"ioserve_go_heap_objects", "Live heap objects.", "gauge", float64(ms.HeapObjects)},
-		{"ioserve_go_sys_bytes", "Total bytes obtained from the OS.", "gauge", float64(ms.Sys)},
-		{"ioserve_go_next_gc_bytes", "Heap size that triggers the next GC cycle.", "gauge", float64(ms.NextGC)},
-		{"ioserve_go_gc_cycles_total", "Completed GC cycles.", "counter", float64(ms.NumGC)},
-		{"ioserve_go_gc_pause_seconds_total", "Cumulative stop-the-world GC pause.", "counter", float64(ms.PauseTotalNs) / 1e9},
-	}
-	for _, s := range series {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n",
-			s.name, s.help, s.name, s.kind, s.name, s.val); err != nil {
-			return err
-		}
-	}
-	return nil
+	return append(dst,
+		Scalar("ioserve_go_goroutines", "Live goroutines.", "gauge", float64(runtime.NumGoroutine())),
+		Scalar("ioserve_go_heap_alloc_bytes", "Heap bytes allocated and in use.", "gauge", float64(ms.HeapAlloc)),
+		Scalar("ioserve_go_heap_objects", "Live heap objects.", "gauge", float64(ms.HeapObjects)),
+		Scalar("ioserve_go_sys_bytes", "Total bytes obtained from the OS.", "gauge", float64(ms.Sys)),
+		Scalar("ioserve_go_next_gc_bytes", "Heap size that triggers the next GC cycle.", "gauge", float64(ms.NextGC)),
+		Scalar("ioserve_go_gc_cycles_total", "Completed GC cycles.", "counter", float64(ms.NumGC)),
+		Scalar("ioserve_go_gc_pause_seconds_total", "Cumulative stop-the-world GC pause.", "counter", float64(ms.PauseTotalNs)/1e9),
+	)
 }

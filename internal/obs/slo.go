@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -342,65 +341,46 @@ func (s *SLO) Handler() http.Handler {
 	})
 }
 
-// WriteMetrics returns a metrics collector rendering the objectives as
-// {prefix}_slo_* series.
-func (s *SLO) WriteMetrics(prefix string, w io.Writer) error {
+// Collect appends the objectives as {prefix}_slo_* series.
+func (s *SLO) Collect(prefix string, dst []PromFamily) []PromFamily {
 	if s == nil {
-		return nil
+		return dst
 	}
 	s.mu.Lock()
 	now := s.now()
 	type row struct {
-		labels   string
-		st       SLOStatus
-		totalN   uint64
-		totalBad uint64
+		class, objective, labels string
+		st                       SLOStatus
+		totalN, totalBad         uint64
 	}
 	rows := make([]row, 0, len(s.objectives))
 	for _, o := range s.objectives {
-		rows = append(rows, row{
-			labels:   fmt.Sprintf("{class=%q,objective=%q}", o.spec.Class, o.spec.String()),
-			st:       s.statusLocked(o, now),
-			totalN:   o.totalN,
-			totalBad: o.totalBad,
-		})
+		class, objective := o.spec.Class, o.spec.String()
+		rows = append(rows, row{class, objective, Labels("class", class, "objective", objective), s.statusLocked(o, now), o.totalN, o.totalBad})
 	}
 	s.mu.Unlock()
 	sort.Slice(rows, func(i, j int) bool { return rows[i].labels < rows[j].labels })
 
-	fmt.Fprintf(w, "# HELP %s_slo_requests_total Requests observed per SLO objective.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_slo_requests_total counter\n", prefix)
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s_slo_requests_total%s %d\n", prefix, r.labels, r.totalN)
+	fams := []PromFamily{
+		{Name: prefix + "_slo_requests_total", Help: "Requests observed per SLO objective.", Type: "counter"},
+		{Name: prefix + "_slo_bad_total", Help: "SLO-violating requests per objective.", Type: "counter"},
+		{Name: prefix + "_slo_burn_rate", Help: "Error-budget burn rate per objective and window (1.0 = consuming exactly the budget).", Type: "gauge"},
+		{Name: prefix + "_slo_budget_consumed", Help: "Fraction of the slow-window error budget consumed.", Type: "gauge"},
+		{Name: prefix + "_slo_met", Help: "Whether the objective is currently met (1) or burning beyond budget (0).", Type: "gauge"},
 	}
-	fmt.Fprintf(w, "# HELP %s_slo_bad_total SLO-violating requests per objective.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_slo_bad_total counter\n", prefix)
 	for _, r := range rows {
-		fmt.Fprintf(w, "%s_slo_bad_total%s %d\n", prefix, r.labels, r.totalBad)
-	}
-	fmt.Fprintf(w, "# HELP %s_slo_burn_rate Error-budget burn rate per objective and window (1.0 = consuming exactly the budget).\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_slo_burn_rate gauge\n", prefix)
-	for _, r := range rows {
-		fast := strings.TrimSuffix(r.labels, "}") + `,window="5m"}`
-		slow := strings.TrimSuffix(r.labels, "}") + `,window="1h"}`
-		fmt.Fprintf(w, "%s_slo_burn_rate%s %g\n", prefix, fast, r.st.BurnRateFast)
-		fmt.Fprintf(w, "%s_slo_burn_rate%s %g\n", prefix, slow, r.st.BurnRateSlow)
-	}
-	fmt.Fprintf(w, "# HELP %s_slo_budget_consumed Fraction of the slow-window error budget consumed.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_slo_budget_consumed gauge\n", prefix)
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s_slo_budget_consumed%s %g\n", prefix, r.labels, r.st.BudgetConsumed)
-	}
-	fmt.Fprintf(w, "# HELP %s_slo_met Whether the objective is currently met (1) or burning beyond budget (0).\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_slo_met gauge\n", prefix)
-	for _, r := range rows {
-		met := 0
+		met := 0.0
 		if r.st.Met {
 			met = 1
 		}
-		fmt.Fprintf(w, "%s_slo_met%s %d\n", prefix, r.labels, met)
+		fams[0].Add(r.labels, float64(r.totalN))
+		fams[1].Add(r.labels, float64(r.totalBad))
+		fams[2].Add(Labels("class", r.class, "objective", r.objective, "window", "5m"), r.st.BurnRateFast)
+		fams[2].Add(Labels("class", r.class, "objective", r.objective, "window", "1h"), r.st.BurnRateSlow)
+		fams[3].Add(r.labels, r.st.BudgetConsumed)
+		fams[4].Add(r.labels, met)
 	}
-	return nil
+	return append(dst, fams...)
 }
 
 // SLOMiddleware wraps next so every response is observed against the

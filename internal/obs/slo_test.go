@@ -186,11 +186,7 @@ func TestSLOHandlerAndMetrics(t *testing.T) {
 		t.Fatalf("POST /v1/slo = %d", rr.Code)
 	}
 
-	var buf strings.Builder
-	if err := s.WriteMetrics("iorouter", &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := render(t, s.Collect("iorouter", nil))
 	for _, want := range []string{
 		"# TYPE iorouter_slo_requests_total counter",
 		`iorouter_slo_requests_total{class="predict",objective="predict:p99<=5ms"} 1`,

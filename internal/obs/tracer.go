@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"strings"
 	"sync"
@@ -110,23 +108,17 @@ func (p *keepPolicy) SlowThresholdNs() int64 {
 	return 0
 }
 
-// writeMetrics renders the policy's exposition series under prefix, noun
-// naming what is traced in the HELP texts. Keep reasons render in fixed
-// order so scrapes are deterministic; the series go out in one write, so
-// the writer's error is the one returned.
-func (p *keepPolicy) writeMetrics(w io.Writer, prefix, noun string) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# HELP %[1]s_traces_kept_total %[2]s retained by tail-sampling, by reason.\n# TYPE %[1]s_traces_kept_total counter\n",
-		prefix, strings.ToUpper(noun[:1])+noun[1:])
+// collect appends the policy's series under prefix, noun naming what is
+// traced in the HELP texts. Keep reasons go out in fixed order so scrapes
+// are deterministic.
+func (p *keepPolicy) collect(dst []PromFamily, prefix, noun string) []PromFamily {
+	kept := PromFamily{Name: prefix + "_traces_kept_total", Help: strings.ToUpper(noun[:1]) + noun[1:] + " retained by tail-sampling, by reason.", Type: "counter"}
 	for i, reason := range keepReasons {
-		fmt.Fprintf(&b, "%s_traces_kept_total{reason=%q} %d\n", prefix, reason, p.kept[i].Load())
+		kept.Add(Labels("reason", reason), float64(p.kept[i].Load()))
 	}
-	fmt.Fprintf(&b, "# HELP %[1]s_traces_dropped_total Finished %[2]s discarded by sampling.\n# TYPE %[1]s_traces_dropped_total counter\n%[1]s_traces_dropped_total %[3]d\n",
-		prefix, noun, p.dropped.Load())
-	fmt.Fprintf(&b, "# HELP %[1]s_trace_slow_threshold_seconds Moving p99 threshold above which %[2]s are always retained (0 until armed).\n# TYPE %[1]s_trace_slow_threshold_seconds gauge\n%[1]s_trace_slow_threshold_seconds %[3]g\n",
-		prefix, noun, float64(p.SlowThresholdNs())/1e9)
-	_, err := io.WriteString(w, b.String())
-	return err
+	return append(dst, kept,
+		Scalar(prefix+"_traces_dropped_total", "Finished "+noun+" discarded by sampling.", "counter", float64(p.dropped.Load())),
+		Scalar(prefix+"_trace_slow_threshold_seconds", "Moving p99 threshold above which "+noun+" are always retained (0 until armed).", "gauge", float64(p.SlowThresholdNs())/1e9))
 }
 
 // Tracer owns the request-trace lifecycle: pooled Trace records, the
@@ -186,6 +178,6 @@ func (tr *Tracer) Get(id uint64) (Trace, bool) {
 	return tr.ring.Find(func(t *Trace) bool { return t.ID == id })
 }
 
-// WriteMetrics renders the tracer's exposition series (register with
+// Collect appends the tracer's series (register with
 // serve.Metrics.RegisterCollector).
-func (tr *Tracer) WriteMetrics(w io.Writer) error { return tr.writeMetrics(w, "ioserve", "traces") }
+func (tr *Tracer) Collect(dst []PromFamily) []PromFamily { return tr.collect(dst, "ioserve", "traces") }

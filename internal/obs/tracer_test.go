@@ -162,11 +162,7 @@ func TestTracerWriteMetrics(t *testing.T) {
 	tr := NewTracer(Config{SampleEvery: 1, RingSize: 4})
 	tc := tr.Start("theta", 1, time.Now())
 	tr.Finish(tc)
-	var sb strings.Builder
-	if err := tr.WriteMetrics(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	out := render(t, tr.Collect(nil))
 	for _, want := range []string{
 		`ioserve_traces_kept_total{reason="sampled"} 1`,
 		`ioserve_traces_kept_total{reason="error"} 0`,

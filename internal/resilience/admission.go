@@ -1,8 +1,6 @@
 package resilience
 
 import (
-	"fmt"
-	"io"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -190,20 +188,16 @@ func (g *Gate) Status() GateStatus {
 	return st
 }
 
-// writeMetrics renders the ioserve_admission_* series. Shed reasons render
-// in fixed order so scrapes are deterministic.
-func (g *Gate) writeMetrics(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# HELP ioserve_admission_admitted_total Requests admitted by the gate.\n# TYPE ioserve_admission_admitted_total counter\nioserve_admission_admitted_total %d\n", g.admitted.Load()); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "# HELP ioserve_admission_shed_total Requests shed by the gate, by reason.\n# TYPE ioserve_admission_shed_total counter\n"); err != nil {
-		return err
-	}
+// Collect appends the ioserve_admission_* series. Shed reasons render in
+// fixed order so scrapes are deterministic.
+func (g *Gate) Collect(dst []obs.PromFamily) []obs.PromFamily {
+	shed := obs.PromFamily{Name: "ioserve_admission_shed_total", Help: "Requests shed by the gate, by reason.", Type: "counter"}
 	for i, r := range shedReasons {
-		if _, err := fmt.Fprintf(w, "ioserve_admission_shed_total{reason=%q} %d\n", string(r), g.shed[i].Load()); err != nil {
-			return err
-		}
+		shed.Add(obs.Labels("reason", string(r)), float64(g.shed[i].Load()))
 	}
-	_, err := fmt.Fprintf(w, "# HELP ioserve_admission_inflight Currently admitted requests.\n# TYPE ioserve_admission_inflight gauge\nioserve_admission_inflight %d\n# HELP ioserve_admission_p99_seconds Moving p99 of accepted-request latency (0 until armed).\n# TYPE ioserve_admission_p99_seconds gauge\nioserve_admission_p99_seconds %g\n", g.inflight.Load(), g.p99.Seconds())
-	return err
+	return append(dst,
+		obs.Scalar("ioserve_admission_admitted_total", "Requests admitted by the gate.", "counter", float64(g.admitted.Load())),
+		shed,
+		obs.Scalar("ioserve_admission_inflight", "Currently admitted requests.", "gauge", float64(g.inflight.Load())),
+		obs.Scalar("ioserve_admission_p99_seconds", "Moving p99 of accepted-request latency (0 until armed).", "gauge", g.p99.Seconds()))
 }

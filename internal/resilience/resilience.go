@@ -13,11 +13,12 @@ package resilience
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
 	"time"
+
+	"iotaxo/internal/obs"
 )
 
 // Set aggregates one process's resilience surfaces — at most one admission
@@ -110,52 +111,33 @@ func (s *Set) Status() Status {
 	return st
 }
 
-// WriteMetrics renders the set's exposition series (register with
+// Collect appends the set's series (register with
 // serve.Metrics.RegisterCollector). Breakers render sorted by name so
 // scrapes are deterministic.
-func (s *Set) WriteMetrics(w io.Writer) error {
+func (s *Set) Collect(dst []obs.PromFamily) []obs.PromFamily {
 	if s == nil {
-		return nil
+		return dst
 	}
 	s.mu.Lock()
 	gate, breakers := s.gate, s.breakers
 	s.mu.Unlock()
 	if gate != nil {
-		if err := gate.writeMetrics(w); err != nil {
-			return err
-		}
+		dst = gate.Collect(dst)
 	}
 	if len(breakers) == 0 {
-		return nil
+		return dst
 	}
-	if _, err := fmt.Fprintf(w, "# HELP ioserve_breaker_state Circuit breaker state (0 closed, 1 half-open, 2 open).\n# TYPE ioserve_breaker_state gauge\n"); err != nil {
-		return err
-	}
+	state := obs.PromFamily{Name: "ioserve_breaker_state", Help: "Circuit breaker state (0 closed, 1 half-open, 2 open).", Type: "gauge"}
+	trips := obs.PromFamily{Name: "ioserve_breaker_trips_total", Help: "Times each breaker transitioned closed/half-open to open.", Type: "counter"}
+	failures := obs.PromFamily{Name: "ioserve_breaker_failures_total", Help: "Operation failures observed by each breaker.", Type: "counter"}
 	for _, b := range breakers {
 		st := b.Status()
-		if _, err := fmt.Fprintf(w, "ioserve_breaker_state{name=%q} %d\n", st.Name, stateGaugeValue(st.State)); err != nil {
-			return err
-		}
+		labels := obs.Labels("name", st.Name)
+		state.Add(labels, float64(stateGaugeValue(st.State)))
+		trips.Add(labels, float64(st.Trips))
+		failures.Add(labels, float64(st.Failures))
 	}
-	if _, err := fmt.Fprintf(w, "# HELP ioserve_breaker_trips_total Times each breaker transitioned closed/half-open to open.\n# TYPE ioserve_breaker_trips_total counter\n"); err != nil {
-		return err
-	}
-	for _, b := range breakers {
-		st := b.Status()
-		if _, err := fmt.Fprintf(w, "ioserve_breaker_trips_total{name=%q} %d\n", st.Name, st.Trips); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "# HELP ioserve_breaker_failures_total Operation failures observed by each breaker.\n# TYPE ioserve_breaker_failures_total counter\n"); err != nil {
-		return err
-	}
-	for _, b := range breakers {
-		st := b.Status()
-		if _, err := fmt.Fprintf(w, "ioserve_breaker_failures_total{name=%q} %d\n", st.Name, st.Failures); err != nil {
-			return err
-		}
-	}
-	return nil
+	return append(dst, state, trips, failures)
 }
 
 func stateGaugeValue(state string) int {

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"iotaxo/internal/obs"
 )
 
 func TestGateNilIsOpen(t *testing.T) {
@@ -209,7 +211,7 @@ func TestSetMetricsAndStatus(t *testing.T) {
 	rb.Failure() // trips (threshold 1)
 
 	var buf strings.Builder
-	if err := s.WriteMetrics(&buf); err != nil {
+	if err := obs.WriteFamilies(&buf, s.Collect(nil)); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -1,8 +1,7 @@
 package serve
 
 import (
-	"fmt"
-	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -82,20 +81,20 @@ type Metrics struct {
 	// shadowStats maps ShadowKey -> *ShadowStat.
 	shadowStats sync.Map
 
-	// collectorMu guards collectors: extra exposition writers registered
-	// by subsystems outside serve (e.g. internal/drift), appended to the
+	// collectorMu guards collectors: extra families registered by
+	// subsystems outside serve (e.g. internal/drift), appended to the
 	// /metrics output after the built-in series.
 	collectorMu sync.Mutex
-	collectors  []func(io.Writer) error
+	collectors  []func([]obs.PromFamily) []obs.PromFamily
 }
 
-// RegisterCollector appends an extra Prometheus-text writer to the
-// /metrics output and returns a function that unregisters it. Collectors
-// run after the built-in series, in registration order; a collector must
-// write complete series (HELP/TYPE plus samples) under its own metric
-// names. Subsystems with a lifecycle (e.g. internal/drift) must
-// unregister on close, or a replacement would duplicate metric families.
-func (m *Metrics) RegisterCollector(c func(io.Writer) error) (unregister func()) {
+// RegisterCollector adds a collector of extra families to the /metrics
+// output and returns a function that unregisters it. Collectors run after
+// the built-in series, in registration order, and append whole families
+// under their own metric names. Subsystems with a lifecycle (e.g.
+// internal/drift) must unregister on close, or a replacement would
+// duplicate metric families.
+func (m *Metrics) RegisterCollector(c func([]obs.PromFamily) []obs.PromFamily) (unregister func()) {
 	m.collectorMu.Lock()
 	m.collectors = append(m.collectors, c)
 	idx := len(m.collectors) - 1
@@ -314,18 +313,17 @@ func (h *LatencyHist) Observe(d time.Duration) {
 // Count returns the number of observations.
 func (h *LatencyHist) Count() uint64 { return h.count.Load() }
 
-// writeText renders the histogram in Prometheus exposition format.
-func (h *LatencyHist) writeText(w io.Writer, name string) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s Predict call latency.\n# TYPE %s histogram\n", name, name); err != nil {
-		return err
-	}
-	return h.writeSeries(w, name, "")
+// family is the histogram as a family of its own.
+func (h *LatencyHist) family(name, help string) obs.PromFamily {
+	f := obs.PromFamily{Name: name, Help: help, Type: "histogram"}
+	h.appendTo(&f)
+	return f
 }
 
-// writeSeries renders the bucket/sum/count sample lines, merging extra
-// label pairs (e.g. `stage="queue_wait",`) ahead of le so one histogram
-// family can carry several labeled series under a single HELP/TYPE header.
-func (h *LatencyHist) writeSeries(w io.Writer, name, labels string) error {
+// appendTo appends the bucket/sum/count samples to the histogram family f,
+// extra label pairs (e.g. "stage", "queue_wait") ahead of le, so one
+// family can carry several labeled series.
+func (h *LatencyHist) appendTo(f *obs.PromFamily, kv ...string) {
 	var cum uint64
 	for i := range h.buckets {
 		cum += h.buckets[i].Load()
@@ -333,19 +331,12 @@ func (h *LatencyHist) writeSeries(w io.Writer, name, labels string) error {
 		if i < len(obs.LatencyBuckets) {
 			le = strconv.FormatFloat(float64(obs.LatencyBuckets[i])/1e9, 'g', -1, 64)
 		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{%sle=\"%s\"} %d\n", name, labels, le, cum); err != nil {
-			return err
-		}
+		f.Samples = append(f.Samples, obs.PromSample{Name: f.Name + "_bucket", Labels: obs.Labels(append(kv[:len(kv):len(kv)], "le", le)...), Value: float64(cum)})
 	}
-	suffix := ""
-	if labels != "" {
-		suffix = "{" + labels[:len(labels)-1] + "}"
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %g\n", name, suffix, float64(h.sumNs.Load())/1e9); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, suffix, h.count.Load())
-	return err
+	labels := obs.Labels(kv...)
+	f.Samples = append(f.Samples,
+		obs.PromSample{Name: f.Name + "_sum", Labels: labels, Value: float64(h.sumNs.Load()) / 1e9},
+		obs.PromSample{Name: f.Name + "_count", Labels: labels, Value: float64(h.count.Load())})
 }
 
 // StageHist returns the latency histogram of one pipeline stage.
@@ -370,21 +361,6 @@ func (m *Metrics) ObserveStages(tm *obs.StageTimings) {
 	}
 }
 
-// writeStageText renders the per-stage histograms as one labeled family,
-// stages in pipeline order (fixed, so scrapes are diffable).
-func (m *Metrics) writeStageText(w io.Writer) error {
-	const name = "ioserve_stage_latency_seconds"
-	if _, err := fmt.Fprintf(w, "# HELP %s Predict latency attributed to one pipeline stage.\n# TYPE %s histogram\n", name, name); err != nil {
-		return err
-	}
-	for st := obs.Stage(0); st < obs.NumStages; st++ {
-		if err := m.stages[st].writeSeries(w, name, fmt.Sprintf("stage=%q,", st.String())); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // MeanBatchSize returns evaluated rows per micro-batch (0 if none ran).
 func (m *Metrics) MeanBatchSize() float64 {
 	b := m.Batches.Load()
@@ -403,12 +379,13 @@ func (m *Metrics) HitRatio() float64 {
 	return float64(h) / float64(h+ms)
 }
 
-// WriteText renders the counters in Prometheus text exposition format: the
-// unlabeled totals, the per-system series (under their own
-// ioserve_system_* names, so aggregating either family never double
-// counts — totals also include failures that never resolved to a system),
-// then the derived gauges and the latency histogram.
-func (m *Metrics) WriteText(w io.Writer) error {
+// Collect appends the service's families: the unlabeled totals, the
+// per-system series (under their own ioserve_system_* names, so
+// aggregating either family never double counts — totals also include
+// failures that never resolved to a system), the derived gauges, the
+// shadow comparisons, the latency histograms, then every registered
+// collector's families.
+func (m *Metrics) Collect(dst []obs.PromFamily) []obs.PromFamily {
 	counters := []struct {
 		name, help string
 		val        uint64
@@ -431,9 +408,7 @@ func (m *Metrics) WriteText(w io.Writer) error {
 		{"ioserve_cache_invalidated_total", "Cache entries dropped on version bumps.", m.CacheInvalidated.Load()},
 	}
 	for _, c := range counters {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.val); err != nil {
-			return err
-		}
+		dst = append(dst, obs.Scalar(c.name, c.help, "counter", float64(c.val)))
 	}
 	systems := m.Systems()
 	perSystem := []struct {
@@ -454,70 +429,47 @@ func (m *Metrics) WriteText(w io.Writer) error {
 			func(s *SystemMetrics) *atomic.Uint64 { return &s.Errors }},
 	}
 	for _, c := range perSystem {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", c.name, c.help, c.name); err != nil {
-			return err
-		}
+		f := obs.PromFamily{Name: c.name, Help: c.help, Type: "counter"}
 		for _, name := range systems {
-			if _, err := fmt.Fprintf(w, "%s{system=%q} %d\n", c.name, name, c.pick(m.System(name)).Load()); err != nil {
-				return err
-			}
+			f.Add(obs.Labels("system", name), float64(c.pick(m.System(name)).Load()))
 		}
+		dst = append(dst, f)
 	}
-	gauges := []struct {
-		name, help string
-		val        float64
-	}{
-		{"ioserve_batch_size_mean", "Mean rows per evaluated micro-batch.", m.MeanBatchSize()},
-		{"ioserve_cache_hit_ratio", "Fraction of predictions answered from cache.", m.HitRatio()},
-		{"ioserve_cache_row_bytes", "Bytes of duplicate-cache rows this process holds in mappings outside the Go heap.", float64(cacheRowBytes.Load())},
-	}
+	dst = append(dst,
+		obs.Scalar("ioserve_batch_size_mean", "Mean rows per evaluated micro-batch.", "gauge", m.MeanBatchSize()),
+		obs.Scalar("ioserve_cache_hit_ratio", "Fraction of predictions answered from cache.", "gauge", m.HitRatio()),
+		obs.Scalar("ioserve_cache_row_bytes", "Bytes of duplicate-cache rows this process holds in mappings outside the Go heap.", "gauge", float64(cacheRowBytes.Load())))
 	if m.QueueDepthFn != nil {
-		gauges = append(gauges, struct {
-			name, help string
-			val        float64
-		}{"ioserve_batch_queue_depth", "Waves waiting in the batcher queue at scrape time.", float64(m.QueueDepthFn())})
+		dst = append(dst, obs.Scalar("ioserve_batch_queue_depth", "Waves waiting in the batcher queue at scrape time.", "gauge", float64(m.QueueDepthFn())))
 	}
 	if m.InflightWavesFn != nil {
-		gauges = append(gauges, struct {
-			name, help string
-			val        float64
-		}{"ioserve_batch_inflight_waves", "Waves enqueued but not yet answered at scrape time.", float64(m.InflightWavesFn())})
+		dst = append(dst, obs.Scalar("ioserve_batch_inflight_waves", "Waves enqueued but not yet answered at scrape time.", "gauge", float64(m.InflightWavesFn())))
 	}
-	for _, g := range gauges {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", g.name, g.help, g.name, g.name, g.val); err != nil {
-			return err
-		}
+	dst = m.collectShadow(dst)
+	dst = append(dst, m.Latency.family("ioserve_request_latency_seconds", "Predict call latency."))
+	stages := obs.PromFamily{Name: "ioserve_stage_latency_seconds", Help: "Predict latency attributed to one pipeline stage.", Type: "histogram"}
+	for st := obs.Stage(0); st < obs.NumStages; st++ { // pipeline order, so scrapes are diffable
+		m.stages[st].appendTo(&stages, "stage", st.String())
 	}
-	if err := m.writeShadowText(w); err != nil {
-		return err
-	}
-	if err := m.Latency.writeText(w, "ioserve_request_latency_seconds"); err != nil {
-		return err
-	}
-	if err := m.writeStageText(w); err != nil {
-		return err
-	}
+	dst = append(dst, stages)
 	m.collectorMu.Lock()
-	extra := append([]func(io.Writer) error(nil), m.collectors...)
+	extra := slices.Clone(m.collectors)
 	m.collectorMu.Unlock()
 	for _, c := range extra {
-		if c == nil { // unregistered
-			continue
-		}
-		if err := c(w); err != nil {
-			return err
+		if c != nil { // nil: unregistered
+			dst = c(dst)
 		}
 	}
-	return nil
+	return dst
 }
 
-// writeShadowText renders the per-comparison shadow series. Counters carry
+// collectShadow appends the per-comparison shadow series. Counters carry
 // {system, primary, target, role} labels; the derived means are gauges so
 // dashboards can plot the version delta without scraping two series.
-func (m *Metrics) writeShadowText(w io.Writer) error {
+func (m *Metrics) collectShadow(dst []obs.PromFamily) []obs.PromFamily {
 	snaps := m.ShadowSnapshots("")
 	if len(snaps) == 0 {
-		return nil
+		return dst
 	}
 	series := []struct {
 		name, help, kind string
@@ -539,15 +491,11 @@ func (m *Metrics) writeShadowText(w io.Writer) error {
 			func(s ShadowSnapshot) float64 { return s.MeanLatency }},
 	}
 	for _, sr := range series {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", sr.name, sr.help, sr.name, sr.kind); err != nil {
-			return err
-		}
+		f := obs.PromFamily{Name: sr.name, Help: sr.help, Type: sr.kind}
 		for _, s := range snaps {
-			if _, err := fmt.Fprintf(w, "%s{system=%q,primary=\"%d\",target=\"%d\",role=%q} %g\n",
-				sr.name, s.System, s.Primary, s.Target, s.Role, sr.val(s)); err != nil {
-				return err
-			}
+			f.Add(obs.Labels("system", s.System, "primary", strconv.Itoa(s.Primary), "target", strconv.Itoa(s.Target), "role", s.Role), sr.val(s))
 		}
+		dst = append(dst, f)
 	}
-	return nil
+	return dst
 }

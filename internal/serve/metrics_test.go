@@ -9,6 +9,16 @@ import (
 	"iotaxo/internal/obs"
 )
 
+// scrape renders m the way GET /metrics does.
+func scrape(t *testing.T, m *Metrics) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := obs.WriteFamilies(&sb, m.Collect(nil)); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
 // TestLatencyHistObserve checks bucket assignment, cumulative rendering,
 // and the sum/count lines.
 func TestLatencyHistObserve(t *testing.T) {
@@ -21,7 +31,7 @@ func TestLatencyHistObserve(t *testing.T) {
 		t.Fatalf("count = %d, want 4", h.Count())
 	}
 	var sb strings.Builder
-	if err := h.writeText(&sb, "x_seconds"); err != nil {
+	if err := obs.WriteFamilies(&sb, []obs.PromFamily{h.family("x_seconds", "Predict call latency.")}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -107,11 +117,7 @@ func TestPerSystemMetrics(t *testing.T) {
 		t.Errorf("latency observations = %d, want 2 (errors not timed)", got)
 	}
 
-	var sb strings.Builder
-	if err := svc.Metrics().WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	out := scrape(t, svc.Metrics())
 	for _, want := range []string{
 		`ioserve_system_requests_total{system="theta"} 3`,
 		`ioserve_system_cache_hits_total{system="theta"} 1`,
@@ -199,13 +205,7 @@ func TestWriteTextDeterministicAndGauges(t *testing.T) {
 	tm.Ns[obs.StageEvaluate] = 1000
 	m.ObserveStages(&tm)
 
-	render := func() string {
-		var sb strings.Builder
-		if err := m.WriteText(&sb); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
-	}
+	render := func() string { return scrape(t, m) }
 	first := render()
 	if first != render() {
 		t.Fatal("two scrapes of identical state differ")
@@ -243,13 +243,10 @@ func TestWriteTextDeterministicAndGauges(t *testing.T) {
 // TestRequestLatencyLabels pins the 15 le labels of the request latency
 // histogram: the 50µs – 1s ladder in seconds, then +Inf.
 func TestRequestLatencyLabels(t *testing.T) {
-	var sb strings.Builder
-	if err := (&Metrics{}).WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
+	body := scrape(t, &Metrics{})
 	const prefix = `ioserve_request_latency_seconds_bucket{le="`
 	var got []string
-	for _, line := range strings.Split(sb.String(), "\n") {
+	for _, line := range strings.Split(body, "\n") {
 		if rest, ok := strings.CutPrefix(line, prefix); ok {
 			got = append(got, rest[:strings.IndexByte(rest, '"')])
 		}

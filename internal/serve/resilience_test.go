@@ -148,7 +148,7 @@ func TestServerAdmissionSheds(t *testing.T) {
 	gate := resilience.NewGate(resilience.GateConfig{MaxInflight: 1, HardLimit: 2, RetryAfter: 2 * time.Second})
 	set := resilience.NewSet()
 	set.SetGate(gate)
-	svc.Metrics().RegisterCollector(set.WriteMetrics)
+	svc.Metrics().RegisterCollector(set.Collect)
 	ts := httptest.NewServer(NewHandler(svc, HandlerConfig{Gate: gate, Resilience: set}))
 	t.Cleanup(ts.Close)
 	frame, _, _ := fixture(t)
@@ -174,15 +174,12 @@ func TestServerAdmissionSheds(t *testing.T) {
 		t.Fatalf("handler leaked a gate slot: inflight=%d", in)
 	}
 
-	var buf strings.Builder
-	if err := svc.Metrics().WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
+	body := scrape(t, svc.Metrics())
 	for _, want := range []string{
 		`ioserve_admission_shed_total{reason="queue"} 1`,
 		"ioserve_admission_admitted_total 2",
 	} {
-		if !strings.Contains(buf.String(), want) {
+		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}

@@ -39,7 +39,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"sync/atomic"
 	"time"
@@ -157,34 +156,29 @@ func NewService(reg *Registry, opt Options) *Service {
 	}
 	m.QueueDepthFn = s.batcher.QueueDepth
 	m.InflightWavesFn = s.batcher.InflightWaves
-	m.RegisterCollector(s.writeVersionMetrics)
+	m.RegisterCollector(s.collectVersions)
 	if opt.TraceEvery > 0 {
 		s.tracer = obs.NewTracer(obs.Config{
 			SampleEvery: opt.TraceEvery,
 			RingSize:    opt.TraceBuffer,
 			SlowAfter:   opt.TraceSlowAfter,
 		})
-		m.RegisterCollector(s.tracer.WriteMetrics)
+		m.RegisterCollector(s.tracer.Collect)
 	}
 	return s
 }
 
-// writeVersionMetrics renders each system's serving-default version as a
+// collectVersions appends each system's serving-default version as a
 // gauge, so one metrics scrape carries the topology a fleet router needs —
 // publish propagation is observable without a second admin request.
-func (s *Service) writeVersionMetrics(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# HELP ioserve_active_version The serving-default model version per system.\n# TYPE ioserve_active_version gauge\n"); err != nil {
-		return err
-	}
+func (s *Service) collectVersions(dst []obs.PromFamily) []obs.PromFamily {
+	f := obs.PromFamily{Name: "ioserve_active_version", Help: "The serving-default model version per system.", Type: "gauge"}
 	for _, info := range s.reg.List() {
-		if !info.Active {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "ioserve_active_version{system=%q} %d\n", info.System, info.Version); err != nil {
-			return err
+		if info.Active {
+			f.Add(obs.Labels("system", info.System), float64(info.Version))
 		}
 	}
-	return nil
+	return append(dst, f)
 }
 
 // Close stops the reloader (if attached), the shadow mirror, and the

@@ -307,7 +307,8 @@ func NewHandler(svc *Service, cfg HandlerConfig) http.Handler {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", MetricsContentType)
-		_ = svc.Metrics().WriteText(w)
+		// A failed write means the scraper hung up: no one is left to tell.
+		_ = obs.WriteFamilies(w, svc.Metrics().Collect(nil))
 	})
 	return mux
 }
