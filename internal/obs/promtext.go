@@ -57,23 +57,41 @@ func Labels(kv ...string) string {
 	if len(kv) == 0 {
 		return ""
 	}
-	b := []byte{'{'}
+	n := 2
+	for _, s := range kv {
+		n += len(s) + 2
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteByte('{')
 	for i := 0; i+1 < len(kv); i += 2 {
 		if i > 0 {
-			b = append(b, ',')
+			b.WriteByte(',')
 		}
-		b = append(append(append(b, kv[i]...), `="`...), labelEscaper.Replace(kv[i+1])...)
-		b = append(b, '"')
+		b.WriteString(kv[i])
+		b.WriteString(`="`)
+		b.WriteString(labelEscaper.Replace(kv[i+1]))
+		b.WriteByte('"')
 	}
-	return string(append(b, '}'))
+	b.WriteByte('}')
+	return b.String()
 }
 
 // WriteFamilies renders fams into one buffer and hands it to w in one
 // Write, so w's error is the one returned.
 func WriteFamilies(w io.Writer, fams []PromFamily) error {
-	var b []byte
+	n := 0
 	for _, f := range fams {
-		b = fmt.Appendf(b, "# HELP %s %s\n# TYPE %s %s\n", f.Name, f.Help, f.Name, f.Type)
+		n += 2*len(f.Name) + len(f.Help) + len(f.Type) + 18
+		for _, s := range f.Samples {
+			n += len(s.Name) + len(s.Labels) + 26 // room for the longest value
+		}
+	}
+	b := make([]byte, 0, n)
+	for _, f := range fams {
+		b = append(append(append(append(b, "# HELP "...), f.Name...), ' '), f.Help...)
+		b = append(append(append(append(b, "\n# TYPE "...), f.Name...), ' '), f.Type...)
+		b = append(b, '\n')
 		for _, s := range f.Samples {
 			b = append(append(append(b, s.Name...), s.Labels...), ' ')
 			b = append(appendValue(b, s.Value), '\n')

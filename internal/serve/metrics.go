@@ -313,25 +313,27 @@ func (h *LatencyHist) Observe(d time.Duration) {
 // Count returns the number of observations.
 func (h *LatencyHist) Count() uint64 { return h.count.Load() }
 
-// family is the histogram as a family of its own.
-func (h *LatencyHist) family(name, help string) obs.PromFamily {
-	f := obs.PromFamily{Name: name, Help: help, Type: "histogram"}
-	h.appendTo(&f)
-	return f
-}
+// latencyLE are the ladder's le label values in seconds, +Inf last.
+var latencyLE = func() (le [len(obs.LatencyBuckets) + 1]string) {
+	for i, b := range obs.LatencyBuckets {
+		le[i] = strconv.FormatFloat(float64(b)/1e9, 'g', -1, 64)
+	}
+	le[len(obs.LatencyBuckets)] = "+Inf"
+	return le
+}()
 
 // appendTo appends the bucket/sum/count samples to the histogram family f,
 // extra label pairs (e.g. "stage", "queue_wait") ahead of le, so one
 // family can carry several labeled series.
 func (h *LatencyHist) appendTo(f *obs.PromFamily, kv ...string) {
+	f.Samples = slices.Grow(f.Samples, len(h.buckets)+2)
+	pairs := append(append(make([]string, 0, len(kv)+2), kv...), "le", "")
+	bucket := f.Name + "_bucket"
 	var cum uint64
 	for i := range h.buckets {
 		cum += h.buckets[i].Load()
-		le := "+Inf"
-		if i < len(obs.LatencyBuckets) {
-			le = strconv.FormatFloat(float64(obs.LatencyBuckets[i])/1e9, 'g', -1, 64)
-		}
-		f.Samples = append(f.Samples, obs.PromSample{Name: f.Name + "_bucket", Labels: obs.Labels(append(kv[:len(kv):len(kv)], "le", le)...), Value: float64(cum)})
+		pairs[len(kv)+1] = latencyLE[i]
+		f.Samples = append(f.Samples, obs.PromSample{Name: bucket, Labels: obs.Labels(pairs...), Value: float64(cum)})
 	}
 	labels := obs.Labels(kv...)
 	f.Samples = append(f.Samples,
@@ -446,12 +448,13 @@ func (m *Metrics) Collect(dst []obs.PromFamily) []obs.PromFamily {
 		dst = append(dst, obs.Scalar("ioserve_batch_inflight_waves", "Waves enqueued but not yet answered at scrape time.", "gauge", float64(m.InflightWavesFn())))
 	}
 	dst = m.collectShadow(dst)
-	dst = append(dst, m.Latency.family("ioserve_request_latency_seconds", "Predict call latency."))
+	latency := obs.PromFamily{Name: "ioserve_request_latency_seconds", Help: "Predict call latency.", Type: "histogram"}
+	m.Latency.appendTo(&latency)
 	stages := obs.PromFamily{Name: "ioserve_stage_latency_seconds", Help: "Predict latency attributed to one pipeline stage.", Type: "histogram"}
 	for st := obs.Stage(0); st < obs.NumStages; st++ { // pipeline order, so scrapes are diffable
 		m.stages[st].appendTo(&stages, "stage", st.String())
 	}
-	dst = append(dst, stages)
+	dst = append(dst, latency, stages)
 	m.collectorMu.Lock()
 	extra := slices.Clone(m.collectors)
 	m.collectorMu.Unlock()

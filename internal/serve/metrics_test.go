@@ -30,8 +30,10 @@ func TestLatencyHistObserve(t *testing.T) {
 	if h.Count() != 4 {
 		t.Fatalf("count = %d, want 4", h.Count())
 	}
+	f := obs.PromFamily{Name: "x_seconds", Help: "Predict call latency.", Type: "histogram"}
+	h.appendTo(&f)
 	var sb strings.Builder
-	if err := obs.WriteFamilies(&sb, []obs.PromFamily{h.family("x_seconds", "Predict call latency.")}); err != nil {
+	if err := obs.WriteFamilies(&sb, []obs.PromFamily{f}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
