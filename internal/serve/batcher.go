@@ -53,8 +53,11 @@ type waveReq struct {
 	// ctx is the submitter's request context; workers check it so a wave
 	// whose deadline already expired is dropped before evaluation instead
 	// of wasting model work.
-	ctx  context.Context
-	mv   *ModelVersion
+	ctx context.Context
+	mv  *ModelVersion
+	// rows is the wave's own copy of the submitter's row headers, so a
+	// worker still evaluating an abandoned wave never reads a slice its
+	// submitter has since reused.
 	rows [][]float64
 	out  chan waveResp
 	// state is the pending/answering/abandoned CAS described above.
@@ -97,11 +100,13 @@ var waveReqPool = sync.Pool{
 	New: func() any { return &waveReq{out: make(chan waveResp, 1)} },
 }
 
-// recycleWave clears a wave's request references and returns it to the
-// pool. The caller must own the request outright (response consumed, or
-// the CAS proved the other side will never touch it again).
+// recycleWave clears a wave's request references, row headers included,
+// and returns it to the pool. The caller must own the request outright
+// (response consumed, or the CAS proved the other side will never touch it
+// again).
 func recycleWave(req *waveReq) {
-	req.ctx, req.mv, req.rows = nil, nil, nil
+	clear(req.rows)
+	req.ctx, req.mv, req.rows = nil, nil, req.rows[:0]
 	req.state.Store(wavePending)
 	waveReqPool.Put(req)
 }
@@ -113,21 +118,12 @@ func recycleWave(req *waveReq) {
 var resultsPool = sync.Pool{New: func() any { return new([]Result) }}
 
 // putResults returns a consumed response slice to the pool through the
-// holder it came in (nil: nothing was pooled), cleared so an idle pooled
-// slice pins no guard blocks. Clearing len suffices: a pooled slice's
-// backing array is all-zero beyond len by induction (fresh allocations are
-// zeroed, getResults exposes only [0,n), and every put re-zeroes exactly
-// the prefix that was written).
+// holder it came in (nil: nothing was pooled). A Result holds no pointers,
+// so an idle pooled slice pins nothing.
 func putResults(h *[]Result) {
-	if h == nil {
-		return
+	if h != nil {
+		resultsPool.Put(h)
 	}
-	rs := *h
-	for i := range rs {
-		rs[i] = Result{}
-	}
-	*h = rs[:0]
-	resultsPool.Put(h)
 }
 
 // getResults returns a pooled holder with its slice resized to n.
@@ -141,12 +137,16 @@ func getResults(n int) *[]Result {
 }
 
 // Result is one model evaluation in log10 and linear space, with its
-// guardrail annotation (nil when the bundle has no ensemble).
+// guardrail annotation (ErrorSource empty when the bundle has no ensemble).
 type Result struct {
 	PredLog float64
 	Pred    float64
-	Guard   *Guard
+	Guard   Guard
 }
+
+// defaultMaxBatch is Options.MaxBatch's default, and the number of misses
+// a predict call tracks without a heap allocation.
+const defaultMaxBatch = 32
 
 // Batcher coalesces request waves into micro-batches across a worker pool.
 type Batcher struct {
@@ -182,7 +182,7 @@ func NewBatcher(maxBatch, workers int, metrics *Metrics) *Batcher {
 // (Options.Chaos; nil injects nothing).
 func newBatcher(maxBatch, workers int, metrics *Metrics, inj *chaos.Injector) *Batcher {
 	if maxBatch <= 0 {
-		maxBatch = 32
+		maxBatch = defaultMaxBatch
 	}
 	if workers <= 0 {
 		workers = 2
@@ -229,7 +229,9 @@ func (b *Batcher) Close() {
 }
 
 // SubmitWave evaluates one request's rows against one model version,
-// blocking until the worker pool answers or ctx ends. The returned results
+// blocking until the worker pool answers or ctx ends. The wave copies the
+// row headers, so rows is the caller's again once SubmitWave returns; the
+// row values stay on loan to an abandoned wave. The returned results
 // come in their pooled holder — the caller must finish with the slice
 // (copying what it keeps) and hand the holder back via putResults. The
 // WaveTiming reports where the wave's time went inside the batcher (zero on
@@ -243,7 +245,7 @@ func (b *Batcher) SubmitWave(ctx context.Context, mv *ModelVersion, rows [][]flo
 		return nil, WaveTiming{}, err
 	}
 	req := waveReqPool.Get().(*waveReq)
-	req.ctx, req.mv, req.rows = ctx, mv, rows
+	req.ctx, req.mv, req.rows = ctx, mv, append(req.rows[:0], rows...)
 	req.enq = time.Now()
 	select {
 	case b.reqs <- req:
@@ -470,7 +472,7 @@ nextWave:
 		// by idle workers) but keep the index array for the next flush.
 		g.mv = nil
 	}
-	s.release()
+	evalScratchPool.Put(s)
 	clearWaves(w, maxRows)
 }
 
@@ -529,10 +531,6 @@ type evalScratch struct {
 	scaled    [][]float64
 	preds     []uq.Prediction
 	results   []Result
-	// used is the result prefix written since the last release, so
-	// release's guard-pointer clear costs the last batch, not the largest
-	// batch this scratch ever held.
-	used int
 	// guardNs is the guardrail slice of the last evaluateInto call's wall
 	// time (0 for unguarded bundles), read by flush for stage attribution.
 	guardNs int64
@@ -541,25 +539,12 @@ type evalScratch struct {
 
 var evalScratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
 
-// release returns the scratch to the pool, first dropping the escaping
-// references its result buffer still holds (guard pointers into the last
-// batch's guard block) so an idle pooled scratch pins nothing beyond its
-// own arrays. Only the written prefix needs clearing — the tail is still
-// nil from the previous release.
-func (s *evalScratch) release() {
-	for i := 0; i < s.used; i++ {
-		s.results[i].Guard = nil
-	}
-	s.used = 0
-	evalScratchPool.Put(s)
-}
-
 // evaluate runs one model version over a group of rows with internally
 // pooled scratch, returning results safe to retain. The shadow mirror's
 // entry point; the batcher's hot path uses evaluateInto directly.
 func evaluate(mv *ModelVersion, rows [][]float64) ([]Result, error) {
 	s := evalScratchPool.Get().(*evalScratch)
-	defer s.release()
+	defer evalScratchPool.Put(s)
 	results, err := evaluateInto(mv, rows, s)
 	if err != nil {
 		return nil, err
@@ -576,9 +561,8 @@ func evaluate(mv *ModelVersion, rows [][]float64) ([]Result, error) {
 // predictions.
 //
 // The returned slice is owned by s and valid until its next use; callers
-// must copy the Result values out before reusing s. Guard annotations are
-// allocated fresh — they outlive the call via Result pointers and the
-// duplicate cache.
+// must copy the Result values out before reusing s. Each Result carries its
+// Guard by value, so nothing the call writes outlives s.
 func evaluateInto(mv *ModelVersion, rows [][]float64, s *evalScratch) ([]Result, error) {
 	n := len(rows)
 	if cap(s.predLogs) < n {
@@ -586,8 +570,14 @@ func evaluateInto(mv *ModelVersion, rows [][]float64, s *evalScratch) ([]Result,
 	}
 	predLogs := s.predLogs[:n]
 	mv.Flat().PredictAllInto(rows, predLogs)
+	if cap(s.results) < n {
+		s.results = make([]Result, n)
+	}
+	results := s.results[:n]
+	for i, p := range predLogs {
+		results[i] = Result{PredLog: p, Pred: math.Pow(10, p)}
+	}
 	s.guardNs = 0
-	var guards []Guard
 	if mv.Ensemble != nil {
 		guardStart := time.Now()
 		nf := len(mv.Columns)
@@ -610,29 +600,10 @@ func evaluateInto(mv *ModelVersion, rows [][]float64, s *evalScratch) ([]Result,
 		}
 		preds := s.preds[:n]
 		mv.Ensemble.PredictBatchInto(scaled, preds, &s.uq)
-		guards = make([]Guard, n)
 		for i := range preds {
-			guards[i] = mv.Guard.Diagnose(preds[i])
+			results[i].Guard = mv.Guard.Diagnose(preds[i])
 		}
 		s.guardNs = time.Since(guardStart).Nanoseconds()
-	}
-	if cap(s.results) < n {
-		s.results = make([]Result, n)
-	}
-	results := s.results[:n]
-	if n > s.used {
-		s.used = n
-	}
-	for i := range rows {
-		results[i] = Result{
-			PredLog: predLogs[i],
-			Pred:    math.Pow(10, predLogs[i]),
-		}
-		if guards != nil {
-			results[i].Guard = &guards[i]
-		} else {
-			results[i].Guard = nil
-		}
 	}
 	return results, nil
 }

@@ -26,7 +26,7 @@ func TestBatcherMatchesDirectEvaluation(t *testing.T) {
 		if res.PredLog != want {
 			t.Fatalf("row %d: batched %v != direct %v", i, res.PredLog, want)
 		}
-		if res.Guard == nil {
+		if res.Guard.ErrorSource == "" {
 			t.Fatalf("row %d: no guard on guarded bundle", i)
 		}
 	}
@@ -211,24 +211,21 @@ func TestBatcherLoneWaveDoesNotWait(t *testing.T) {
 }
 
 // TestBatcherWaveRoundTripAllocs: against a warm batcher a wave's round
-// trip — request, response channel, result slice and its holder, the
-// worker's flush — allocates nothing, and neither does evaluating its rows
-// (a guarded bundle's guard block escapes to the caller, so the bundle here
-// has none).
+// trip — request and its row headers, response channel, result slice and
+// its holder, the worker's flush — allocates nothing, and neither does
+// evaluating its rows on a guarded bundle: every Result carries its Guard
+// by value.
 func TestBatcherWaveRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
 	frame, v1, _ := fixture(t)
-	unguarded := v1.derive()
-	unguarded.Ensemble = nil
-	unguarded.Scaler = nil
 	b := NewBatcher(8, 1, nil)
 	defer b.Close()
 	rows := frame.Rows()[:4]
 	ctx := context.Background()
 	roundTrip := func() {
-		res, _, err := b.SubmitWave(ctx, unguarded, rows)
+		res, _, err := b.SubmitWave(ctx, v1, rows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +233,7 @@ func TestBatcherWaveRoundTripAllocs(t *testing.T) {
 	}
 	s := &evalScratch{}
 	evaluation := func() {
-		if _, err := evaluateInto(unguarded, rows, s); err != nil {
+		if _, err := evaluateInto(v1, rows, s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,21 +264,15 @@ func TestEvaluateFlatMatchesReference(t *testing.T) {
 		if err := v1.Scaler.TransformRow(row, scaled); err != nil {
 			t.Fatal(err)
 		}
-		ref := v1.Guard.Diagnose(v1.Ensemble.Predict(scaled))
-		g := got[i].Guard
-		if g == nil {
-			t.Fatalf("row %d: missing guard", i)
-		}
-		if g.EU != ref.EU || g.AU != ref.AU || g.OoD != ref.OoD ||
-			g.AtNoiseFloor != ref.AtNoiseFloor || g.ErrorSource != ref.ErrorSource {
-			t.Fatalf("row %d: guard %+v != reference %+v", i, *g, ref)
+		if ref := v1.Guard.Diagnose(v1.Ensemble.Predict(scaled)); got[i].Guard != ref {
+			t.Fatalf("row %d: guard %+v != reference %+v", i, got[i].Guard, ref)
 		}
 	}
 }
 
 // TestEvaluateSteadyStateAllocs: with a warm scratch, evaluating an
-// unguarded bundle must stay allocation-free (the guarded path additionally
-// allocates the escaping Guard block).
+// unguarded bundle must stay allocation-free (TestBatcherWaveRoundTripAllocs
+// pins the guarded one).
 func TestEvaluateSteadyStateAllocs(t *testing.T) {
 	frame, v1, _ := fixture(t)
 	unguarded := v1.derive()
@@ -302,6 +293,62 @@ func TestEvaluateSteadyStateAllocs(t *testing.T) {
 	// the zero-allocation contract.
 	if allocs > 1 {
 		t.Fatalf("steady-state evaluateInto allocates %.1f times per call, want <= 1", allocs)
+	}
+}
+
+// TestBatcherWaveOwnsItsRowHeaders: a submitter whose context ends while its
+// wave waits behind another group of the same micro-batch gets its header
+// slice back at once and may reuse it; the worker that still evaluates the
+// abandoned wave must read the rows as submitted. The held worker lets a v2
+// wave and the test's v1 wave queue into one batch; the v2 group parks in
+// evaluation, the v1 submitter is cancelled and overwrites its headers with
+// nil, and only then does the v1 group gather its rows. A nil row would
+// panic the evaluation.
+func TestBatcherWaveOwnsItsRowHeaders(t *testing.T) {
+	frame, v1, v2 := fixture(t)
+	m := &Metrics{}
+	g, inj := newEvalGate()
+	b := newBatcher(32, 1, m, inj)
+	defer b.Close()
+	var wg sync.WaitGroup
+	submit := func(ctx context.Context, mv *ModelVersion, rows [][]float64) {
+		defer wg.Done()
+		res, _, err := b.SubmitWave(ctx, mv, rows)
+		if err == nil {
+			putResults(res)
+		} else if ctx.Err() == nil {
+			t.Error(err)
+		}
+	}
+	wg.Add(2)
+	go submit(context.Background(), v2, frame.Rows()[:1])
+	g.waitEntered(t)
+	go submit(context.Background(), v2, frame.Rows()[1:2])
+	waitFor(t, "the v2 wave to queue", func() bool { return b.QueueDepth() == 1 })
+	ctx, cancel := context.WithCancel(context.Background())
+	rows := [][]float64{frame.Row(2), frame.Row(3)}
+	abandoned := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		submit(ctx, v1, rows)
+		close(abandoned)
+	}()
+	waitFor(t, "the v1 wave to queue", func() bool { return b.QueueDepth() == 2 && b.InflightWaves() == 3 })
+	g.step()
+	g.waitEntered(t) // the v2 group of the two-version batch
+	cancel()
+	<-abandoned
+	for i := range rows {
+		rows[i] = nil
+	}
+	g.open()
+	wg.Wait()
+	waitFor(t, "the abandoned wave to be answered", func() bool { return b.InflightWaves() == 0 })
+	if p, e := m.PanicsRecovered.Load(), m.Errors.Load(); p != 0 || e != 0 {
+		t.Fatalf("the abandoned wave's evaluation failed (%d panics, %d errors): it read the caller's reused headers", p, e)
+	}
+	if gb, gr := m.Batches.Load(), m.BatchedRows.Load(); gb != 2 || gr != 4 {
+		t.Errorf("%d batches of %d rows, want the held wave then one batch of both versions (2 of 4)", gb, gr)
 	}
 }
 

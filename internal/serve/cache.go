@@ -308,12 +308,11 @@ func (s *cacheShard) claim() int32 {
 // Get returns the cached result for (key, row) under bundle mv and marks
 // it most recent. Entries produced by a different bundle (a since-replaced
 // version) never hit. The result comes back by value, copied under the
-// shard lock, so nothing a caller holds aliases cache storage: its Guard
-// field is nil and the annotation is the second return value, whose
+// shard lock, so nothing a caller holds aliases cache storage; its Guard's
 // ErrorSource is empty when the entry has none.
-func (c *Cache) Get(key uint64, row []float64, mv *ModelVersion) (Result, Guard, bool) {
+func (c *Cache) Get(key uint64, row []float64, mv *ModelVersion) (Result, bool) {
 	if c == nil {
-		return Result{}, Guard{}, false
+		return Result{}, false
 	}
 	bundle := mv.bundleID()
 	s := c.shard(key)
@@ -321,35 +320,33 @@ func (c *Cache) Get(key uint64, row []float64, mv *ModelVersion) (Result, Guard,
 	defer s.mu.Unlock()
 	i, ok := s.index[key]
 	if !ok || s.slots[i].bundle != bundle || !rowMatches(s.row(i), row) {
-		return Result{}, Guard{}, false
+		return Result{}, false
 	}
 	s.unlink(i)
 	s.pushFront(i)
 	e := &s.slots[i]
-	var g Guard
+	res := Result{PredLog: e.predLog, Pred: e.pred}
 	if e.source != 0 {
-		g = Guard{
+		res.Guard = Guard{
 			EU: e.eu, AU: e.au, NoiseFloorPct: e.noiseFloorPct,
 			OoD: e.ood, AtNoiseFloor: e.atNoiseFloor,
 			ErrorSource: errorSources[e.source-1],
 		}
 	}
-	return Result{PredLog: e.predLog, Pred: e.pred}, g, true
+	return res, true
 }
 
 // Put inserts or refreshes a result, evicting the shard's least recently
-// used entry when full. The row and res.Guard are copied, so neither the
-// request's row block nor the evaluation batch's shared guard block is
-// retained. A Guard whose ErrorSource the code table does not know is not
-// cached at all, rather than stored as something else.
+// used entry when full. The row is copied, so the request's row block is
+// not retained. A Guard whose ErrorSource the code table does not know is
+// not cached at all, rather than stored as something else.
 func (c *Cache) Put(key uint64, row []float64, mv *ModelVersion, res Result) {
 	if c == nil {
 		return
 	}
-	var g Guard
+	g := res.Guard
 	var source uint8
-	if res.Guard != nil {
-		g = *res.Guard
+	if g.ErrorSource != "" {
 		source = uint8(slices.Index(errorSources[:], g.ErrorSource) + 1)
 		if source == 0 {
 			return

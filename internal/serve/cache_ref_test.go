@@ -90,14 +90,6 @@ func (c *refCache) Put(key uint64, row []float64, mv *ModelVersion, res Result) 
 	if c == nil {
 		return
 	}
-	// A miss's Guard points into its evaluation batch's shared guard
-	// block; a cache entry can outlive that batch by arbitrarily long, so
-	// retain a private copy rather than pinning the whole block for one
-	// resident row.
-	if res.Guard != nil {
-		g := *res.Guard
-		res.Guard = &g
-	}
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -217,7 +209,7 @@ func runCacheOps(t *testing.T, ops []byte) {
 	get := func(step, n int, mv *ModelVersion) {
 		row := diffRow(n)
 		key := HashKey(mv.System, mv.Version, row) & mask
-		got, g, ok := c.Get(key, row, mv)
+		got, ok := c.Get(key, row, mv)
 		want, wantOK := ref.Get(key, row, mv)
 		if ok != wantOK {
 			t.Fatalf("step %d: Get(row %d) hit = %v, reference %v", step, n, ok, wantOK)
@@ -225,14 +217,8 @@ func runCacheOps(t *testing.T, ops []byte) {
 		if !ok {
 			return
 		}
-		if got.Guard != nil {
-			t.Fatalf("step %d: Get returned a Guard pointer", step)
-		}
-		if got.PredLog != want.PredLog || got.Pred != want.Pred {
+		if got != want {
 			t.Fatalf("step %d: Get(row %d) = %+v, reference %+v", step, n, got, want)
-		}
-		if (want.Guard == nil) != (g.ErrorSource == "") || (want.Guard != nil && g != *want.Guard) {
-			t.Fatalf("step %d: Get(row %d) guard = %+v, reference %+v", step, n, g, want.Guard)
 		}
 	}
 
@@ -247,7 +233,7 @@ func runCacheOps(t *testing.T, ops []byte) {
 			// outlives a refresh, or answers for the wrong row, shows.
 			res := Result{PredLog: float64(step), Pred: float64(n)}
 			if step%5 != 0 {
-				res.Guard = &Guard{
+				res.Guard = Guard{
 					EU: float64(step) / 8, AU: float64(n) / 4, NoiseFloorPct: float64(sel) / 256,
 					OoD: step&1 != 0, AtNoiseFloor: step&2 != 0,
 					ErrorSource: errorSources[step%len(errorSources)],

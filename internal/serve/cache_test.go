@@ -44,16 +44,16 @@ func TestCacheHitAndMiss(t *testing.T) {
 	c := NewCache(64)
 	row := []float64{1.5, -2.25}
 	key := HashKey("theta", 1, row)
-	if _, _, ok := c.Get(key, row, cacheBundleA); ok {
+	if _, ok := c.Get(key, row, cacheBundleA); ok {
 		t.Fatal("hit on empty cache")
 	}
 	c.Put(key, row, cacheBundleA, Result{PredLog: 7})
-	res, _, ok := c.Get(key, row, cacheBundleA)
+	res, ok := c.Get(key, row, cacheBundleA)
 	if !ok || res.PredLog != 7 {
 		t.Fatalf("want hit with 7, got %v %v", res, ok)
 	}
 	// Same key, different row (synthetic collision) must miss.
-	if _, _, ok := c.Get(key, []float64{9, 9}, cacheBundleA); ok {
+	if _, ok := c.Get(key, []float64{9, 9}, cacheBundleA); ok {
 		t.Error("collision row served wrong entry")
 	}
 }
@@ -66,15 +66,15 @@ func TestCacheBundleScoped(t *testing.T) {
 	row := []float64{3, 4}
 	key := HashKey("theta", 1, row)
 	c.Put(key, row, cacheBundleA, Result{PredLog: 1})
-	if _, _, ok := c.Get(key, row, cacheBundleB); ok {
+	if _, ok := c.Get(key, row, cacheBundleB); ok {
 		t.Error("entry from a replaced bundle served for its successor")
 	}
-	if _, _, ok := c.Get(key, row, cacheBundleA); !ok {
+	if _, ok := c.Get(key, row, cacheBundleA); !ok {
 		t.Error("entry missing for its own bundle")
 	}
 	// Put under the new bundle refreshes the entry in place.
 	c.Put(key, row, cacheBundleB, Result{PredLog: 2})
-	if res, _, ok := c.Get(key, row, cacheBundleB); !ok || res.PredLog != 2 {
+	if res, ok := c.Get(key, row, cacheBundleB); !ok || res.PredLog != 2 {
 		t.Errorf("refreshed entry wrong: %v %v", res, ok)
 	}
 }
@@ -89,10 +89,10 @@ func TestCacheInvalidateSystem(t *testing.T) {
 	if dropped := c.InvalidateSystem("theta"); dropped != 1 {
 		t.Errorf("dropped %d entries, want 1", dropped)
 	}
-	if _, _, ok := c.Get(keyT, rowT, cacheBundleA); ok {
+	if _, ok := c.Get(keyT, rowT, cacheBundleA); ok {
 		t.Error("invalidated entry still resident")
 	}
-	if _, _, ok := c.Get(keyC, rowC, cacheBundleC); !ok {
+	if _, ok := c.Get(keyC, rowC, cacheBundleC); !ok {
 		t.Error("unrelated system's entry was dropped")
 	}
 	if c.Len() != 1 {
@@ -120,10 +120,10 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	c.Put(keys[0], rows[0], cacheBundleA, Result{PredLog: 1})
 	c.Put(keys[1], rows[1], cacheBundleA, Result{PredLog: 2})
-	if _, _, ok := c.Get(keys[0], rows[0], cacheBundleA); ok {
+	if _, ok := c.Get(keys[0], rows[0], cacheBundleA); ok {
 		t.Error("LRU entry not evicted from full shard")
 	}
-	if _, _, ok := c.Get(keys[1], rows[1], cacheBundleA); !ok {
+	if _, ok := c.Get(keys[1], rows[1], cacheBundleA); !ok {
 		t.Error("fresh entry missing")
 	}
 }
@@ -144,14 +144,14 @@ func TestCacheRecencyOrder(t *testing.T) {
 	}
 	c.Put(keys[0], rows[0], cacheBundleA, Result{PredLog: 1})
 	c.Put(keys[1], rows[1], cacheBundleA, Result{PredLog: 2})
-	if _, _, ok := c.Get(keys[0], rows[0], cacheBundleA); !ok { // refresh 0; 1 is now LRU
+	if _, ok := c.Get(keys[0], rows[0], cacheBundleA); !ok { // refresh 0; 1 is now LRU
 		t.Fatal("warm entry missing")
 	}
 	c.Put(keys[2], rows[2], cacheBundleA, Result{PredLog: 3})
-	if _, _, ok := c.Get(keys[0], rows[0], cacheBundleA); !ok {
+	if _, ok := c.Get(keys[0], rows[0], cacheBundleA); !ok {
 		t.Error("recently used entry evicted")
 	}
-	if _, _, ok := c.Get(keys[1], rows[1], cacheBundleA); ok {
+	if _, ok := c.Get(keys[1], rows[1], cacheBundleA); ok {
 		t.Error("least recently used entry survived")
 	}
 }
@@ -159,7 +159,7 @@ func TestCacheRecencyOrder(t *testing.T) {
 func TestNilCacheIsSafe(t *testing.T) {
 	var c *Cache
 	row := []float64{1}
-	if _, _, ok := c.Get(1, row, cacheBundleA); ok {
+	if _, ok := c.Get(1, row, cacheBundleA); ok {
 		t.Error("nil cache hit")
 	}
 	c.Put(1, row, cacheBundleA, Result{})
@@ -290,7 +290,7 @@ func TestCacheDoesNotPinRetiredBundle(t *testing.T) {
 		mv := &ModelVersion{System: "theta", Version: 1, Columns: make([]string, 1<<10)}
 		runtime.SetFinalizer(mv, func(*ModelVersion) { close(collected) })
 		row := []float64{1, 2}
-		c.Put(HashKey("theta", 1, row), row, mv, Result{PredLog: 1, Guard: &Guard{ErrorSource: SourceModeling}})
+		c.Put(HashKey("theta", 1, row), row, mv, Result{PredLog: 1, Guard: Guard{ErrorSource: SourceModeling}})
 	}()
 	if c.Len() != 1 {
 		t.Fatalf("cache holds %d entries, want 1", c.Len())
@@ -339,25 +339,24 @@ func TestCacheCarriesEveryErrorSource(t *testing.T) {
 		row := []float64{float64(i)}
 		key := HashKey("theta", 1, row)
 		want := Guard{EU: float64(i) + 0.5, AU: 0.25, OoD: i&1 != 0, AtNoiseFloor: i&2 != 0, NoiseFloorPct: 0.057, ErrorSource: src}
-		c.Put(key, row, cacheBundleA, Result{PredLog: 9, Pred: 1e9, Guard: &want})
-		res, g, ok := c.Get(key, row, cacheBundleA)
-		if !ok || g != want || res != (Result{PredLog: 9, Pred: 1e9}) {
-			t.Errorf("%s: Get = %+v %+v %v, want the Guard as Put", src, res, g, ok)
+		c.Put(key, row, cacheBundleA, Result{PredLog: 9, Pred: 1e9, Guard: want})
+		if res, ok := c.Get(key, row, cacheBundleA); !ok || res != (Result{PredLog: 9, Pred: 1e9, Guard: want}) {
+			t.Errorf("%s: Get = %+v %v, want the Guard as Put", src, res, ok)
 		}
 	}
 	// A source outside the table is not cached at all.
 	row := []float64{-1}
 	key := HashKey("theta", 1, row)
-	c.Put(key, row, cacheBundleA, Result{Guard: &Guard{ErrorSource: "cosmic-rays"}})
-	if _, g, ok := c.Get(key, row, cacheBundleA); ok {
-		t.Errorf("a Guard with an unknown error source was cached as %+v", g)
+	c.Put(key, row, cacheBundleA, Result{Guard: Guard{ErrorSource: "cosmic-rays"}})
+	if res, ok := c.Get(key, row, cacheBundleA); ok {
+		t.Errorf("a Guard with an unknown error source was cached as %+v", res.Guard)
 	}
 }
 
 func TestCacheSteadyStateAllocs(t *testing.T) {
 	c := NewCache(64 * cacheShards)
 	row := make([]float64, 16)
-	res := Result{PredLog: 9, Pred: 1e9, Guard: &Guard{EU: 0.1, AU: 0.2, ErrorSource: SourceModeling}}
+	res := Result{PredLog: 9, Pred: 1e9, Guard: Guard{EU: 0.1, AU: 0.2, ErrorSource: SourceModeling}}
 	n := 0
 	put := func() {
 		n++
@@ -372,7 +371,7 @@ func TestCacheSteadyStateAllocs(t *testing.T) {
 	}
 	key := HashKey("theta", 1, row)
 	if allocs := testing.AllocsPerRun(1000, func() {
-		if _, g, ok := c.Get(key, row, cacheBundleA); !ok || g.ErrorSource != SourceModeling {
+		if res, ok := c.Get(key, row, cacheBundleA); !ok || res.Guard.ErrorSource != SourceModeling {
 			t.Fatal("resident entry missed")
 		}
 	}); allocs != 0 {
@@ -414,7 +413,7 @@ func TestNewCacheAllocatesNoStorage(t *testing.T) {
 	}
 	key := HashKey("theta", 1, row)
 	if allocs := testing.AllocsPerRun(1000, func() {
-		if _, _, ok := c.Get(key, row, cacheBundleA); !ok {
+		if _, ok := c.Get(key, row, cacheBundleA); !ok {
 			t.Fatal("resident entry missed")
 		}
 	}); allocs != 0 {
@@ -422,9 +421,9 @@ func TestNewCacheAllocatesNoStorage(t *testing.T) {
 	}
 }
 
-// What the cache costs a request: nothing on a hit beyond the response
-// itself (results + guardBuf), and nothing per inserted row once the cache
-// is full — the 22 are predict's own slices and the model layers.
+// A Predict allocates only what it returns, results and their guard block:
+// a hit costs nothing beyond them, nor does a row inserted into the full
+// cache, nor the wave that evaluates the misses.
 func TestPredictAllocsWithCache(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -453,10 +452,8 @@ func TestPredictAllocsWithCache(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, predict); allocs != 2 {
 		t.Errorf("a fully cached 16-row Predict allocates %.0f times, want 2", allocs)
 	}
-	allocs := testing.AllocsPerRun(100, func() { fresh(); predict() })
-	t.Logf("16-miss Predict: %.0f allocations", allocs)
-	if allocs > 22 {
-		t.Errorf("a 16-miss Predict on a full cache allocates %.0f times, want <= 22", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { fresh(); predict() }); allocs != 2 {
+		t.Errorf("a 16-miss Predict on a full cache allocates %.0f times, want 2", allocs)
 	}
 	if m := svc.Metrics(); m.CacheHits.Load() != 101*16 {
 		t.Errorf("%d cache hits, want the %d rows of the cached runs only", m.CacheHits.Load(), 101*16)
@@ -474,13 +471,13 @@ func TestPredictAllocsWithCache(t *testing.T) {
 func TestCacheConcurrentHitsAreNeverTorn(t *testing.T) {
 	const rowsN, workers, steps = 48, 8, 20000
 	bundles := []*ModelVersion{cacheBundleA, cacheBundleB, cacheBundleC}
-	valueOf := func(n, b int) (Result, Guard) {
+	valueOf := func(n, b int) Result {
 		v := float64(n*len(bundles) + b)
-		return Result{PredLog: v, Pred: -v}, Guard{
+		return Result{PredLog: v, Pred: -v, Guard: Guard{
 			EU: v + 0.5, AU: v + 0.25, NoiseFloorPct: v / 1024,
 			OoD: n&1 != 0, AtNoiseFloor: n&2 != 0,
 			ErrorSource: errorSources[(n+b)%len(errorSources)],
-		}
+		}}
 	}
 	c := NewCache(2 * cacheShards)
 	var wg sync.WaitGroup
@@ -497,21 +494,20 @@ func TestCacheConcurrentHitsAreNeverTorn(t *testing.T) {
 				}
 				mv, row := bundles[b], diffRow(n)
 				key := HashKey(mv.System, mv.Version, row) & 0x1f
-				want, wantGuard := valueOf(n, b)
+				want := valueOf(n, b)
 				switch op := rng.IntN(256); {
 				case op == 0:
 					c.InvalidateSystem(mv.System)
 				case op < 128:
-					want.Guard = &wantGuard
 					c.Put(key, row, mv, want)
 				default:
-					res, g, ok := c.Get(key, row, mv)
+					res, ok := c.Get(key, row, mv)
 					if !ok {
 						continue
 					}
 					hits[w]++
-					if res != want || g != wantGuard {
-						t.Errorf("row %d bundle %d: hit returned %+v %+v, only %+v %+v was ever stored", n, b, res, g, want, wantGuard)
+					if res != want {
+						t.Errorf("row %d bundle %d: hit returned %+v, only %+v was ever stored", n, b, res, want)
 						return
 					}
 				}

@@ -48,6 +48,9 @@ type predictCall struct {
 	buf   []byte      // the request's bytes, then the response's
 	block []float64   // every row's values, back to back
 	rows  [][]float64 // headers into block
+	// system is the last system name decoded, reused while requests name
+	// the same one.
+	system string
 }
 
 // HandlePredictRequest is the envelope of POST /v1/predict for ioserve and
@@ -62,8 +65,14 @@ func HandlePredictRequest(w http.ResponseWriter, r *http.Request, defaultDeadlin
 	c := callPool.Get().(*predictCall)
 	recycle := false
 	defer func() { c.release(recycle) }()
+	// net/http already cuts a body at a declared length; only an unknown or
+	// oversized one needs the bound.
+	body := r.Body
+	if r.ContentLength < 0 || r.ContentLength > maxRequestBody {
+		body = http.MaxBytesReader(w, body, maxRequestBody)
+	}
 	var readErr error
-	c.buf, readErr = ReadBody(c.buf[:0], http.MaxBytesReader(w, r.Body, maxRequestBody), r.ContentLength)
+	c.buf, readErr = ReadBody(c.buf[:0], body, r.ContentLength)
 	if readErr != nil || !c.decodeRequest(c.buf) {
 		c.req = PredictRequest{}
 		if err := decodeRequestJSON(c.buf, readErr, &c.req); err != nil {
@@ -283,7 +292,10 @@ func (c *predictCall) decodeRequest(data []byte) bool {
 		k := 0
 		switch string(key) {
 		case "system":
-			c.req.System = string(p.str())
+			if b := p.str(); string(b) != c.system {
+				c.system = string(b)
+			}
+			c.req.System = c.system
 		case "version":
 			k, c.req.Version = 1, int(p.integer())
 		case "row":

@@ -295,12 +295,17 @@ func TestNonFinitePredictionIsA500(t *testing.T) {
 }
 
 // A body that overflows the bound is refused the way the streaming decoder
-// refused it, and one that completes its value first is still served.
+// refused it, whether its length was declared or not, and one that
+// completes its value first is still served.
 func TestOversizeBodyKeepsEncodingJSONSemantics(t *testing.T) {
-	post := func(body []byte) (*PredictRequest, *httptest.ResponseRecorder) {
+	post := func(body []byte, chunked bool) (*PredictRequest, *httptest.ResponseRecorder) {
 		rec := httptest.NewRecorder()
 		var got *PredictRequest
-		HandlePredictRequest(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)), 0,
+		r := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
+		if chunked {
+			r.ContentLength = -1
+		}
+		HandlePredictRequest(rec, r, 0,
 			func(_ context.Context, req *PredictRequest, buf []byte) ([]byte, error) {
 				got = &PredictRequest{System: req.System, Version: req.Version, Row: append([]float64(nil), req.Row...)}
 				return buf, nil
@@ -308,11 +313,13 @@ func TestOversizeBodyKeepsEncodingJSONSemantics(t *testing.T) {
 		return got, rec
 	}
 	pad := bytes.Repeat([]byte(" "), maxRequestBody)
-	if got, rec := post(append(pad, `{"system":"theta","row":[1]}`...)); got != nil || rec.Code != http.StatusBadRequest ||
-		!strings.Contains(rec.Body.String(), "decoding request: http: request body too large") {
-		t.Fatalf("value beyond the bound: accepted=%v %d %s", got != nil, rec.Code, rec.Body.String())
+	for _, chunked := range []bool{false, true} {
+		if got, rec := post(append(pad, `{"system":"theta","row":[1]}`...), chunked); got != nil || rec.Code != http.StatusBadRequest ||
+			!strings.Contains(rec.Body.String(), "decoding request: http: request body too large") {
+			t.Fatalf("value beyond the bound (chunked %v): accepted=%v %d %s", chunked, got != nil, rec.Code, rec.Body.String())
+		}
 	}
-	got, rec := post(append([]byte(`{"system":"theta","row":[1]}`), pad...))
+	got, rec := post(append([]byte(`{"system":"theta","row":[1]}`), pad...), false)
 	if got == nil {
 		t.Fatalf("value inside the bound, padding beyond it: %d %s", rec.Code, rec.Body.String())
 	}
@@ -325,8 +332,8 @@ func TestOversizeBodyKeepsEncodingJSONSemantics(t *testing.T) {
 	}
 }
 
-// The steady state of both directions allocates one thing, the request's
-// system name: every request after the first reuses the call's buffers.
+// The steady state of both directions allocates nothing: every request after
+// the first reuses the call's buffers and its system name.
 func TestCodecSteadyStateReusesItsBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
@@ -350,8 +357,8 @@ func TestCodecSteadyStateReusesItsBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 1 {
-		t.Errorf("decode + encode allocated %.1f times per request, want at most 1", allocs)
+	if allocs != 0 {
+		t.Errorf("decode + encode allocated %.1f times per request, want 0", allocs)
 	}
 }
 

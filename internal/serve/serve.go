@@ -338,11 +338,8 @@ func (s *Service) predict(ctx context.Context, system string, version int, rows 
 	}
 
 	results := make([]PredictionResult, len(rows))
-	// guardBuf backs every result's Guard annotation for this request: one
-	// amortized allocation instead of one copy per row, keeping the fully-
-	// cached request path at two heap allocations (results + guardBuf). A
-	// hit's annotation arrives from the cache by value and is written
-	// straight into it, so no response ever points into cache storage.
+	// guardBuf backs every result's Guard annotation for this request, so a
+	// request allocates exactly what it returns: results and guardBuf.
 	var guardBuf []Guard
 	setResult := func(i int, res Result, cacheHit bool) {
 		pr := PredictionResult{
@@ -350,11 +347,11 @@ func (s *Service) predict(ctx context.Context, system string, version int, rows 
 			Throughput:      res.Pred,
 			CacheHit:        cacheHit,
 		}
-		if res.Guard != nil {
+		if res.Guard.ErrorSource != "" {
 			if guardBuf == nil {
 				guardBuf = make([]Guard, len(rows))
 			}
-			guardBuf[i] = *res.Guard
+			guardBuf[i] = res.Guard
 			pr.Guard = &guardBuf[i]
 		}
 		results[i] = pr
@@ -368,9 +365,12 @@ func (s *Service) predict(ctx context.Context, system string, version int, rows 
 	}
 	// All of a request's misses travel to the worker pool as one wave, so
 	// a multi-row request is picked up by one worker in one queue
-	// operation and never splits across micro-batches.
-	var misses []miss
-	var missRows [][]float64
+	// operation and never splits across micro-batches. The wave copies the
+	// row headers, so both lists live on this frame up to defaultMaxBatch
+	// misses.
+	var missBuf [defaultMaxBatch]miss
+	var missRowBuf [defaultMaxBatch][]float64
+	misses, missRows := missBuf[:0], missRowBuf[:0]
 	var hits uint64
 	// In-request duplicate lookup: typical requests hold few misses, so a
 	// linear scan beats a per-request map — but the HTTP layer admits
@@ -389,10 +389,7 @@ func (s *Service) predict(ctx context.Context, system string, version int, rows 
 		if s.cache != nil {
 			key = HashKey(mv.System, mv.Version, row)
 		}
-		if res, g, ok := s.cache.Get(key, row, mv); ok {
-			if g.ErrorSource != "" {
-				res.Guard = &g
-			}
+		if res, ok := s.cache.Get(key, row, mv); ok {
 			setResult(i, res, true)
 			hits++
 			continue
@@ -420,10 +417,6 @@ func (s *Service) predict(ctx context.Context, system string, version int, rows 
 				hits++
 				continue
 			}
-		}
-		if misses == nil {
-			misses = make([]miss, 0, len(rows)-i)
-			missRows = make([][]float64, 0, len(rows)-i)
 		}
 		misses = append(misses, miss{i: i, key: key})
 		missRows = append(missRows, row)

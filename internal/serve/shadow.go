@@ -209,7 +209,7 @@ func (s *Shadow) run(job shadowJob) {
 		return
 	}
 	r := res[0]
-	targetOoD := r.Guard != nil && r.Guard.OoD
+	targetOoD := r.Guard.OoD
 	stat.observe(
 		math.Abs(r.PredLog-job.primLog),
 		math.Abs(r.Pred-math.Pow(10, job.primLog)),
