@@ -1,7 +1,6 @@
 package gbt
 
 import (
-	"bytes"
 	"math"
 	"sort"
 	"testing"
@@ -277,9 +276,9 @@ func TestFlatDegenerateSingleLeaf(t *testing.T) {
 	}
 }
 
-// TestFlatRoundTripSerialized: a model that went through the JSON
-// serialization (losing its training-time bin codes) must still compile to
-// a bit-identical Flat — the registry's load path.
+// TestFlatRoundTripSerialized: a model that went through its artifact
+// (losing its training-time bin codes) must still compile to a bit-identical
+// Flat — the registry's load path.
 func TestFlatRoundTripSerialized(t *testing.T) {
 	rows, y := synth(900, 0.1, 45)
 	p := TunedBase()
@@ -289,11 +288,7 @@ func TestFlatRoundTripSerialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadJSON(&buf)
+	loaded, err := ReadBinary(binaryOf(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,72 +1,17 @@
 package gbt
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 )
-
-// FuzzReadJSON hardens the model decoder against hostile or truncated
-// files: the serving registry (and its live reloader) feed whatever is on
-// disk straight into ReadJSON, so malformed input must return an error —
-// never panic, never loop — and anything the decoder accepts must be
-// safely usable. Checked-in seeds live in testdata/fuzz/FuzzReadJSON.
-func FuzzReadJSON(f *testing.F) {
-	rows, y := synth(150, 0.05, 9)
-	p := DefaultParams()
-	p.NumTrees = 6
-	m, err := Train(p, rows, y)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
-		f.Fatal(err)
-	}
-	good := buf.String()
-	f.Add(good)
-	f.Add(good[:len(good)/2]) // truncated mid-structure
-	f.Add(strings.Replace(good, `"l":`, `"l":-`, 1))
-	f.Add(strings.Replace(good, `"version":1`, `"version":2`, 1))
-	f.Add(`{not json`)
-	f.Add(`{"version":1}`)
-	f.Add(`{"version":1,"params":{"NumTrees":1,"MaxDepth":1,"LearningRate":0.1,` +
-		`"Subsample":1,"ColSample":1,"MinChildWeight":1,"Lambda":1,"NumBins":2,"Seed":1},` +
-		`"bias":0.5,"n_feature":2,"gain":[0,0],"trees":[[{"f":-1,"v":0.25}]]}`)
-	f.Add(`{"version":1,"params":{"NumTrees":1,"MaxDepth":1,"LearningRate":0.1,` +
-		`"Subsample":1,"ColSample":1,"MinChildWeight":1,"Lambda":1,"NumBins":2,"Seed":1},` +
-		`"bias":0.5,"n_feature":2,"trees":[[{"f":0,"t":0.5,"l":1,"r":1},{"f":-1,"v":1}]]}`)
-
-	f.Fuzz(func(t *testing.T, s string) {
-		m, err := ReadJSON(strings.NewReader(s))
-		if err != nil {
-			if m != nil {
-				t.Fatal("ReadJSON returned a model alongside an error")
-			}
-			return
-		}
-		// Whatever the decoder accepts must be structurally safe: Predict
-		// must terminate (forward-only child links) and stay finite on a
-		// finite row.
-		if m.NumFeatures() <= 0 {
-			t.Fatalf("accepted model has %d features", m.NumFeatures())
-		}
-		row := make([]float64, m.NumFeatures())
-		if pred := m.Predict(row); math.IsNaN(pred) {
-			t.Fatalf("accepted model predicts NaN on a zero row")
-		}
-		if imp := m.FeatureImportance(); len(imp) != m.NumFeatures() {
-			t.Fatalf("importance length %d for %d features", len(imp), m.NumFeatures())
-		}
-	})
-}
 
 // FuzzFlatCompile hardens the flat compilation round trip: any model the
 // validating decoder accepts — however degenerate or hostile its structure
 // — must compile to a Flat whose predictions are bit-identical to the
 // pointer walk, batched and single-row, including on non-finite inputs.
-// Checked-in seeds live in testdata/fuzz/FuzzFlatCompile.
+// Each input is decoded with its checksum recomputed, so the fuzzer explores
+// tree structure rather than checksum mismatches. Checked-in seeds live in
+// testdata/fuzz/FuzzFlatCompile.
 func FuzzFlatCompile(f *testing.F) {
 	rows, y := synth(200, 0.05, 11)
 	for _, trees := range []int{1, 8} {
@@ -77,18 +22,15 @@ func FuzzFlatCompile(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := m.WriteJSON(&buf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.String(), int64(3))
+		f.Add(binaryOf(f, m), int64(3))
 	}
-	f.Add(`{"version":1,"params":{"NumTrees":1,"MaxDepth":1,"LearningRate":0.1,`+
-		`"Subsample":1,"ColSample":1,"MinChildWeight":1,"Lambda":1,"NumBins":2,"Seed":1},`+
-		`"bias":0.5,"n_feature":2,"gain":[0,0],"trees":[[{"f":-1,"v":0.25}]]}`, int64(7))
+	f.Add(binaryOf(f, smallModel(f)), int64(7))
 
-	f.Fuzz(func(t *testing.T, s string, probeSeed int64) {
-		m, err := ReadJSON(strings.NewReader(s))
+	f.Fuzz(func(t *testing.T, data []byte, probeSeed int64) {
+		if len(data) < 4 {
+			return
+		}
+		m, err := ReadBinary(reseal(data))
 		if err != nil {
 			return
 		}

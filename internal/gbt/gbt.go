@@ -101,7 +101,7 @@ type node struct {
 	// bin is the split threshold in bin-code space (codes <= bin go left).
 	// Only populated by training — it lets boosting predict out-of-sample
 	// rows on uint8 bin codes — and is not serialized; models loaded from
-	// JSON predict on raw thresholds only.
+	// a file predict on raw thresholds only.
 	bin       int32
 	threshold float64
 	left      int32

@@ -2,7 +2,6 @@ package gbt
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -10,37 +9,21 @@ import (
 	"iotaxo/internal/modelfile"
 )
 
-// Serialization: trained models round-trip through JSON so a tuned model
-// can be deployed separately from its training pipeline (the paper's
-// motivating use case is production deployment of I/O models), and through
-// a binary form of the same fields (WriteBinary) that loads without parsing
-// a number. Both decoders end in build, which holds every check.
+// Serialization: a trained model is written as a modelfile artifact so a
+// tuned model can be deployed separately from its training pipeline (the
+// paper's motivating use case is production deployment of I/O models). The
+// model's own arrays are stored as bit patterns, so it loads without parsing
+// a number, and ReadBinary ends in build, which holds every check.
 
-// jsonNode mirrors node with exported fields.
-type jsonNode struct {
-	Feature   int32   `json:"f"`
-	Threshold float64 `json:"t,omitempty"`
-	Left      int32   `json:"l,omitempty"`
-	Right     int32   `json:"r,omitempty"`
-	Value     float64 `json:"v,omitempty"`
-}
-
-// jsonModel is the serialized form.
-type jsonModel struct {
-	Version  int          `json:"version"`
-	Params   Params       `json:"params"`
-	Bias     float64      `json:"bias"`
-	NFeature int          `json:"n_feature"`
-	Gain     []float64    `json:"gain"`
-	Trees    [][]jsonNode `json:"trees"`
-}
-
-// binHeader is the binary artifact's header: jsonModel with Gain and Trees
-// left nil, and each tree's node count. The body is the gain vector
-// (NFeature float64) followed by every tree's nodes in order, nodeBytes
-// each: feature, left, right as int32, then threshold and value as float64.
+// binHeader is the artifact's header: the model's scalar fields and each
+// tree's node count. The body is the gain vector (NFeature float64) followed
+// by every tree's nodes in order, nodeBytes each: feature, left, right as
+// int32, then threshold and value as float64.
 type binHeader struct {
-	jsonModel
+	Version  int      `json:"version"`
+	Params   Params   `json:"params"`
+	Bias     float64  `json:"bias"`
+	NFeature int      `json:"n_feature"`
 	TreeLens []uint32 `json:"tree_lens"`
 }
 
@@ -52,35 +35,22 @@ const (
 // serializationVersion guards format evolution.
 const serializationVersion = 1
 
-// header returns the serialized form without its bulk slices.
-func (m *Model) header() jsonModel {
-	return jsonModel{Version: serializationVersion, Params: m.params, Bias: m.bias, NFeature: m.nFeature}
-}
-
-// WriteJSON serializes the model.
-func (m *Model) WriteJSON(w io.Writer) error {
-	jm := m.header()
-	jm.Gain = m.gain
-	jm.Trees = make([][]jsonNode, len(m.trees))
+// header returns the model's header.
+func (m *Model) header() binHeader {
+	h := binHeader{Version: serializationVersion, Params: m.params, Bias: m.bias, NFeature: m.nFeature, TreeLens: make([]uint32, len(m.trees))}
 	for ti, tr := range m.trees {
-		nodes := make([]jsonNode, len(tr.nodes))
-		for ni, n := range tr.nodes {
-			nodes[ni] = jsonNode{Feature: n.feature, Threshold: n.threshold, Left: n.left, Right: n.right, Value: n.value}
-		}
-		jm.Trees[ti] = nodes
+		h.TreeLens[ti] = uint32(len(tr.nodes))
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(jm)
+	return h
 }
 
 // WriteBinary serializes the model as a modelfile artifact (see binHeader).
 // Every number is stored as its bit pattern, so the round trip is exact.
 func (m *Model) WriteBinary(w io.Writer) error {
-	h := binHeader{jsonModel: m.header(), TreeLens: make([]uint32, len(m.trees))}
+	h := m.header()
 	total := 0
-	for ti, tr := range m.trees {
-		h.TreeLens[ti] = uint32(len(tr.nodes))
-		total += len(tr.nodes)
+	for _, n := range h.TreeLens {
+		total += int(n)
 	}
 	b, err := modelfile.Begin(binMagic, h, 8*len(m.gain)+nodeBytes*total)
 	if err != nil {
@@ -105,15 +75,12 @@ func (m *Model) WriteBinary(w io.Writer) error {
 // verified first, and the header's declared sizes must account for exactly
 // the bytes present before anything is allocated for them; the records are
 // then decoded straight into the one node block the model keeps, and what
-// the numbers say is checked by the same build as a JSON model.
+// the numbers say is checked by build.
 func ReadBinary(data []byte) (*Model, error) {
 	var h binHeader
 	body, err := modelfile.Open(binMagic, data, &h)
 	if err != nil {
 		return nil, fmt.Errorf("gbt: decoding model: %w", err)
-	}
-	if h.Gain != nil || h.Trees != nil {
-		return nil, fmt.Errorf("gbt: decoding model: header carries gain or trees")
 	}
 	total := uint64(0)
 	for _, n := range h.TreeLens {
@@ -127,8 +94,8 @@ func ReadBinary(data []byte) (*Model, error) {
 	if nodeBody < 0 || nodeBody%nodeBytes != 0 || uint64(nodeBody/nodeBytes) != total {
 		return nil, fmt.Errorf("gbt: header declares %d features and %d nodes, body has %d bytes", h.NFeature, total, len(body))
 	}
-	h.Gain = make([]float64, h.NFeature)
-	body = modelfile.Float64s(h.Gain, body)
+	gain := make([]float64, h.NFeature)
+	body = modelfile.Float64s(gain, body)
 	nodes := make([]node, total)
 	le := binary.LittleEndian
 	for i := range nodes {
@@ -145,79 +112,54 @@ func ReadBinary(data []byte) (*Model, error) {
 	for ti, n := range h.TreeLens {
 		trees[ti].nodes, nodes = nodes[:n:n], nodes[n:]
 	}
-	return build(h.jsonModel, trees)
+	return build(h, gain, trees)
 }
 
-// ReadJSON deserializes a model written by WriteJSON; anything but
-// whitespace after the value is an error.
-func ReadJSON(r io.Reader) (*Model, error) {
-	var jm jsonModel
-	if err := modelfile.DecodeJSON(r, &jm); err != nil {
-		return nil, fmt.Errorf("gbt: decoding model: %w", err)
-	}
-	trees := make([]tree, len(jm.Trees))
-	for ti, jns := range jm.Trees {
-		nodes := make([]node, len(jns))
-		for ni, jn := range jns {
-			nodes[ni] = node{feature: jn.Feature, threshold: jn.Threshold, left: jn.Left, right: jn.Right, value: jn.Value}
-		}
-		trees[ti].nodes = nodes
-	}
-	return build(jm, trees)
-}
-
-// build turns a decoded model — jm's scalar fields and gain, and trees, which
-// it checks in place and adopts (jm.Trees is not read) — into a usable one.
+// build turns a decoded model — h's scalar fields (h.TreeLens is not read),
+// gain, and trees, which it checks in place and adopts — into a usable one.
 // Model files may come from outside the training pipeline (the serving
 // registry loads whatever is on disk), so every structural invariant is
 // checked: version match, valid hyperparameters, finite numerics, gain aligned
 // with the feature count, and trees whose child indices only point forward —
 // which rules out cycles and guarantees Predict terminates.
-func build(jm jsonModel, trees []tree) (*Model, error) {
-	if jm.Version != serializationVersion {
-		return nil, fmt.Errorf("gbt: unsupported model version %d (this build reads version %d)", jm.Version, serializationVersion)
+func build(h binHeader, gain []float64, trees []tree) (*Model, error) {
+	if h.Version != serializationVersion {
+		return nil, fmt.Errorf("gbt: unsupported model version %d (this build reads version %d)", h.Version, serializationVersion)
 	}
-	if err := jm.Params.Validate(); err != nil {
+	if err := h.Params.Validate(); err != nil {
 		return nil, fmt.Errorf("gbt: model file carries invalid params: %w", err)
 	}
-	if jm.NFeature <= 0 {
-		return nil, fmt.Errorf("gbt: model has %d features", jm.NFeature)
+	if h.NFeature <= 0 {
+		return nil, fmt.Errorf("gbt: model has %d features", h.NFeature)
 	}
-	if !finite(jm.Bias) {
-		return nil, fmt.Errorf("gbt: non-finite bias %v", jm.Bias)
+	if !finite(h.Bias) {
+		return nil, fmt.Errorf("gbt: non-finite bias %v", h.Bias)
 	}
-	if jm.Gain != nil && len(jm.Gain) != jm.NFeature {
-		return nil, fmt.Errorf("gbt: gain has %d entries for %d features", len(jm.Gain), jm.NFeature)
+	if len(gain) != h.NFeature {
+		return nil, fmt.Errorf("gbt: gain has %d entries for %d features", len(gain), h.NFeature)
 	}
-	for i, g := range jm.Gain {
+	for i, g := range gain {
 		if !finite(g) || g < 0 {
 			return nil, fmt.Errorf("gbt: invalid gain %v for feature %d", g, i)
 		}
 	}
-	m := &Model{
-		params:   jm.Params,
-		bias:     jm.Bias,
-		trees:    trees,
-		nFeature: jm.NFeature,
-		gain:     jm.Gain,
-	}
-	if m.gain == nil {
-		m.gain = make([]float64, jm.NFeature)
+	// No trees has two canonical headers (null and []) and no use.
+	if len(trees) == 0 {
+		return nil, fmt.Errorf("gbt: model has no trees")
 	}
 	for ti, tr := range trees {
 		if len(tr.nodes) == 0 {
 			return nil, fmt.Errorf("gbt: tree %d empty", ti)
 		}
 		for ni, n := range tr.nodes {
-			// Both fields of every node: the binary form can carry what JSON
-			// cannot (an infinite threshold, a NaN in the field a node does
-			// not use), and an accepted model must be writable either way.
+			// Both fields of every node, the one a node does not use too: an
+			// accepted model has one encoding and predicts finite values.
 			if !finite(n.threshold) || !finite(n.value) {
 				return nil, fmt.Errorf("gbt: tree %d node %d: non-finite threshold %v or value %v", ti, ni, n.threshold, n.value)
 			}
 			if n.feature >= 0 {
-				if int(n.feature) >= jm.NFeature {
-					return nil, fmt.Errorf("gbt: tree %d node %d: feature %d out of range [0,%d)", ti, ni, n.feature, jm.NFeature)
+				if int(n.feature) >= h.NFeature {
+					return nil, fmt.Errorf("gbt: tree %d node %d: feature %d out of range [0,%d)", ti, ni, n.feature, h.NFeature)
 				}
 				// The builder appends children after their parent, so valid
 				// trees have strictly forward child links; enforcing that
@@ -230,7 +172,7 @@ func build(jm jsonModel, trees []tree) (*Model, error) {
 			}
 		}
 	}
-	return m, nil
+	return &Model{params: h.Params, bias: h.Bias, trees: trees, nFeature: h.NFeature, gain: gain}, nil
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

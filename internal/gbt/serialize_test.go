@@ -1,119 +1,57 @@
 package gbt
 
 import (
-	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
 
-func TestModelJSONRoundTrip(t *testing.T) {
-	rows, y := synth(800, 0.1, 31)
-	p := DefaultParams()
-	p.NumTrees = 40
-	p.Subsample = 0.8
-	m, err := Train(p, rows, y)
-	if err != nil {
-		t.Fatal(err)
+// TestBuildRejectsHostileModels covers the malformed-but-well-typed models an
+// untrusted model directory could hold, at build, where every decoded model
+// ends: cyclic trees that would hang Predict, misaligned gain vectors,
+// out-of-range features and hyperparameters. A structural error says where
+// it is.
+func TestBuildRejectsHostileModels(t *testing.T) {
+	valid := func() (binHeader, []float64, []tree) {
+		h := binHeader{Version: serializationVersion, NFeature: 2, Params: Params{NumTrees: 1, MaxDepth: 2, LearningRate: 0.1,
+			Subsample: 1, ColSample: 1, MinChildWeight: 1, Lambda: 1, NumBins: 64, Seed: 1}}
+		split := []node{{feature: 0, threshold: 0.5, left: 1, right: 2}, {feature: -1, value: 1}, {feature: -1, value: 2}}
+		return h, []float64{0, 0}, []tree{{nodes: split}}
 	}
-	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rows {
-		if got, want := back.Predict(rows[i]), m.Predict(rows[i]); got != want {
-			t.Fatalf("row %d: %v != %v after round trip", i, got, want)
-		}
-	}
-	// Params and importances survive.
-	if back.Params() != m.Params() {
-		t.Error("params changed")
-	}
-	bi, mi := back.FeatureImportance(), m.FeatureImportance()
-	for i := range mi {
-		if bi[i] != mi[i] {
-			t.Error("importance changed")
-		}
-	}
-}
-
-func TestReadJSONRejectsCorruption(t *testing.T) {
-	rows, y := synth(100, 0, 32)
-	m, err := Train(DefaultParams(), rows, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.String()
-
-	cases := map[string]string{
-		"garbage":      "{not json",
-		"bad version":  strings.Replace(good, `"version":1`, `"version":9`, 1),
-		"zero feature": strings.Replace(good, `"n_feature":3`, `"n_feature":0`, 1),
-	}
-	for name, s := range cases {
-		if _, err := ReadJSON(strings.NewReader(s)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
-func TestReadJSONValidatesTreeStructure(t *testing.T) {
-	// Hand-craft a model with an out-of-range child pointer.
-	bad := `{"version":1,"params":{"NumTrees":1,"MaxDepth":2,"LearningRate":0.1,` +
-		`"Subsample":1,"ColSample":1,"MinChildWeight":1,"Lambda":1,"NumBins":64,"Seed":1},` +
-		`"bias":0,"n_feature":2,"gain":[0,0],` +
-		`"trees":[[{"f":0,"t":0.5,"l":5,"r":2},{"f":-1,"v":1},{"f":-1,"v":2}]]}`
-	if _, err := ReadJSON(strings.NewReader(bad)); err == nil {
-		t.Error("out-of-range child accepted")
-	}
-	badFeat := strings.Replace(bad, `"f":0`, `"f":7`, 1)
-	badFeat = strings.Replace(badFeat, `"l":5`, `"l":1`, 1)
-	if _, err := ReadJSON(strings.NewReader(badFeat)); err == nil {
-		t.Error("out-of-range feature accepted")
-	}
-	empty := `{"version":1,"params":{},"bias":0,"n_feature":2,"trees":[[]]}`
-	if _, err := ReadJSON(strings.NewReader(empty)); err == nil {
-		t.Error("empty tree accepted")
-	}
-}
-
-// TestReadJSONRejectsHostileFiles covers the malformed-but-well-typed files
-// an untrusted model directory could contain: cyclic trees that would hang
-// Predict, misaligned gain vectors, and out-of-range hyperparameters.
-func TestReadJSONRejectsHostileFiles(t *testing.T) {
-	valid := `{"version":1,"params":{"NumTrees":1,"MaxDepth":2,"LearningRate":0.1,` +
-		`"Subsample":1,"ColSample":1,"MinChildWeight":1,"Lambda":1,"NumBins":64,"Seed":1},` +
-		`"bias":0,"n_feature":2,"gain":[0,0],` +
-		`"trees":[[{"f":0,"t":0.5,"l":1,"r":2},{"f":-1,"v":1},{"f":-1,"v":2}]]}`
-	if _, err := ReadJSON(strings.NewReader(valid)); err != nil {
+	if _, err := build(valid()); err != nil {
 		t.Fatalf("valid fixture rejected: %v", err)
 	}
-	cases := map[string]string{
+	cases := map[string]struct {
+		edit func(h *binHeader, gain *[]float64, trees []tree)
+		want string
+	}{
 		// A self-loop or backward child link would make tree.predict spin
-		// forever; ReadJSON requires strictly forward links.
-		"self-loop child":    strings.Replace(valid, `"l":1,"r":2`, `"l":0,"r":2`, 1),
-		"backward child":     strings.Replace(valid, `"trees":[[{"f":0,"t":0.5,"l":1,"r":2},{"f":-1,"v":1},{"f":-1,"v":2}]]`, `"trees":[[{"f":-1,"v":0},{"f":0,"t":0.5,"l":0,"r":2},{"f":-1,"v":2}]]`, 1),
-		"gain length":        strings.Replace(valid, `"gain":[0,0]`, `"gain":[0,0,0]`, 1),
-		"negative gain":      strings.Replace(valid, `"gain":[0,0]`, `"gain":[-1,0]`, 1),
-		"zero learning rate": strings.Replace(valid, `"LearningRate":0.1`, `"LearningRate":0`, 1),
-		"hostile depth":      strings.Replace(valid, `"MaxDepth":2`, `"MaxDepth":4000`, 1),
-		"future version":     strings.Replace(valid, `"version":1`, `"version":2`, 1),
+		// forever; build requires strictly forward links.
+		"self-loop child": {func(_ *binHeader, _ *[]float64, tr []tree) { tr[0].nodes[0].left = 0 }, "tree 0 node 0"},
+		"backward child": {func(_ *binHeader, _ *[]float64, tr []tree) {
+			tr[0].nodes[0], tr[0].nodes[1] = tr[0].nodes[1], node{feature: 0, threshold: 0.5, left: 0, right: 2}
+		}, "tree 0 node 1"},
+		"out-of-range child": {func(_ *binHeader, _ *[]float64, tr []tree) { tr[0].nodes[0].left = 5 }, "tree 0 node 0"},
+		"feature range":      {func(_ *binHeader, _ *[]float64, tr []tree) { tr[0].nodes[0].feature = 7 }, "feature 7 out of range"},
+		"empty tree":         {func(_ *binHeader, _ *[]float64, tr []tree) { tr[0].nodes = nil }, "tree 0 empty"},
+		"gain length":        {func(_ *binHeader, g *[]float64, _ []tree) { *g = []float64{0, 0, 0} }, "gain has 3 entries"},
+		"negative gain":      {func(_ *binHeader, g *[]float64, _ []tree) { (*g)[0] = -1 }, "invalid gain"},
+		"infinite value":     {func(_ *binHeader, _ *[]float64, tr []tree) { tr[0].nodes[2].value = math.Inf(1) }, "tree 0 node 2"},
+		"zero learning rate": {func(h *binHeader, _ *[]float64, _ []tree) { h.Params.LearningRate = 0 }, "invalid params"},
+		"hostile depth":      {func(h *binHeader, _ *[]float64, _ []tree) { h.Params.MaxDepth = 4000 }, "invalid params"},
+		"future version":     {func(h *binHeader, _ *[]float64, _ []tree) { h.Version = 2 }, "version"},
+		"zero features":      {func(h *binHeader, _ *[]float64, _ []tree) { h.NFeature = 0 }, "0 features"},
+		"NaN bias":           {func(h *binHeader, _ *[]float64, _ []tree) { h.Bias = math.NaN() }, "bias"},
 	}
-	for name, s := range cases {
-		if _, err := ReadJSON(strings.NewReader(s)); err == nil {
-			t.Errorf("%s: accepted", name)
+	for name, c := range cases {
+		h, gain, trees := valid()
+		c.edit(&h, &gain, trees)
+		if m, err := build(h, gain, trees); err == nil || m != nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error naming %q", name, err, c.want)
 		}
 	}
-	// The error for a structural defect should say where it is.
-	_, err := ReadJSON(strings.NewReader(strings.Replace(valid, `"l":1,"r":2`, `"l":0,"r":2`, 1)))
-	if err == nil || !strings.Contains(err.Error(), "tree 0 node 0") {
-		t.Errorf("structural error not located: %v", err)
+	h, gain, _ := valid()
+	if _, err := build(h, gain, nil); err == nil || !strings.Contains(err.Error(), "no trees") {
+		t.Errorf("no trees: %v", err)
 	}
 }

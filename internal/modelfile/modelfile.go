@@ -1,5 +1,6 @@
-// Package modelfile is the container gbt and nn persist their binary
-// artifacts in, and the strict JSON read their JSON forms share:
+// Package modelfile is the one container every file of a serving bundle is
+// sealed in — the gbt and nn models, the reference histograms and the
+// manifest that names and pins them:
 //
 //	magic[8] | uint32 header length | header (JSON) | body | CRC-32C
 //
@@ -15,25 +16,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// DecodeJSON reads exactly one JSON value from r into v: anything but
-// whitespace after the value is an error, where a bare Decoder.Decode would
-// stop at the closing brace and accept a file with trailing garbage.
-func DecodeJSON(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("trailing data after the JSON value")
-	}
-	return nil
-}
 
 // Begin starts an artifact — the 8-byte magic, the header's length and its
 // JSON — with room for bodyBytes and the checksum. The caller appends the

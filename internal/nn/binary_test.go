@@ -49,21 +49,13 @@ func reseal(data []byte) []byte {
 	return modelfile.Seal(append([]byte(nil), data[:len(data)-4]...))
 }
 
-// checkAccepted is what must hold of anything ReadBinary accepts: it is the
-// one encoding of its model, and the JSON form of the same model predicts
-// the same bits.
+// checkAccepted is what must hold of anything ReadBinary accepts: it
+// re-encodes to the same bytes (one model, one encoding) and predicts finite
+// values on finite rows.
 func checkAccepted(t *testing.T, data []byte, m *Model) {
 	t.Helper()
 	if again := binaryOf(t, m); !bytes.Equal(again, data) {
 		t.Fatalf("accepted artifact re-encodes differently (%d bytes in, %d out)", len(data), len(again))
-	}
-	var js bytes.Buffer
-	if err := m.WriteJSON(&js); err != nil {
-		t.Fatalf("accepted model cannot be written as JSON: %v", err)
-	}
-	viaJSON, err := ReadJSON(&js)
-	if err != nil {
-		t.Fatalf("accepted model is refused by the JSON path: %v", err)
 	}
 	r := rng.New(9)
 	for i := 0; i < 20; i++ {
@@ -71,10 +63,10 @@ func checkAccepted(t *testing.T, data []byte, m *Model) {
 		for j := range row {
 			row[j] = r.Norm()
 		}
-		mu, v := m.PredictDist(row)
-		jmu, jv := viaJSON.PredictDist(row)
-		if math.Float64bits(mu) != math.Float64bits(jmu) || math.Float64bits(v) != math.Float64bits(jv) {
-			t.Fatalf("row %d: binary (%v,%v), JSON (%v,%v)", i, mu, v, jmu, jv)
+		// The variance head may overflow to +Inf on a hostile weight; the
+		// mean must not, and neither may be NaN.
+		if mu, v := m.PredictDist(row); math.IsNaN(mu) || math.IsNaN(v) {
+			t.Fatalf("row %d: accepted model predicts (%v,%v) on a finite row", i, mu, v)
 		}
 	}
 }
@@ -142,7 +134,7 @@ func TestReadBinaryDetectsEveryFlipAndTruncation(t *testing.T) {
 }
 
 // craft seals a hand-made header over body.
-func craft(t *testing.T, h jsonNN, body []byte) []byte {
+func craft(t *testing.T, h binHeader, body []byte) []byte {
 	t.Helper()
 	b, err := modelfile.Begin(binMagic, h, len(body))
 	if err != nil {
@@ -157,7 +149,7 @@ func craft(t *testing.T, h jsonNN, body []byte) []byte {
 func TestReadBinaryChecksSizesBeforeAllocating(t *testing.T) {
 	m, _ := smallModel(t)
 	good := binaryOf(t, m)
-	h := m.serialized(false)
+	h := m.header()
 	body := good[len(good)-4-8*17 : len(good)-4]
 	if _, err := ReadBinary(craft(t, h, body)); err != nil {
 		t.Fatalf("hand-made artifact refused: %v", err)
@@ -170,7 +162,7 @@ func TestReadBinaryChecksSizesBeforeAllocating(t *testing.T) {
 		"zero width":          {2, 0},
 	}
 	for name, shape := range shapes {
-		bad := m.serialized(false)
+		bad := m.header()
 		bad.Layers[0].In, bad.Layers[0].Out = shape[0], shape[1]
 		data := craft(t, bad, body)
 		var before, after runtime.MemStats
@@ -189,9 +181,10 @@ func TestReadBinaryChecksSizesBeforeAllocating(t *testing.T) {
 	}
 }
 
-// TestReadBinaryReachesBuild: what ReadJSON refuses, ReadBinary refuses,
-// because both end in build; and what only a binary file can say (a NaN
-// weight, a header carrying weights) is refused too.
+// TestReadBinaryReachesBuild: what build refuses reaches it through a file
+// (TestBuildRejectsMalformedModels has the whole list), and a header that
+// carries a key it no longer has — the retired per-layer weights — is not
+// the one encoding of its fields.
 func TestReadBinaryReachesBuild(t *testing.T) {
 	m, _ := smallModel(t)
 	good := binaryOf(t, m)
@@ -209,48 +202,29 @@ func TestReadBinaryReachesBuild(t *testing.T) {
 		"infinite bias": {reseal(infBias), "non-finite bias"},
 		"other magic":   {reseal(append([]byte("IOTAXGBT"), good[8:]...)), "artifact"},
 	}
-	edit := func(f func(h *jsonNN)) []byte {
-		h := m.serialized(false)
+	edit := func(f func(h *binHeader)) []byte {
+		h := m.header()
 		f(&h)
 		return craft(t, h, body)
 	}
-	add := func(name, want string, f func(h *jsonNN)) {
+	add := func(name, want string, f func(h *binHeader)) {
 		cases[name] = refusal{edit(f), want}
 	}
-	add("future version", "version", func(h *jsonNN) { h.Version++ })
-	add("zero y std", "target statistics", func(h *jsonNN) { h.YStd = 0 })
-	add("bad params", "params", func(h *jsonNN) { h.Params.Epochs = 0 })
-	add("weights in header", "header", func(h *jsonNN) { h.Layers[1].Bias = []float64{0, 0} })
+	add("future version", "version", func(h *binHeader) { h.Version++ })
+	add("zero y std", "target statistics", func(h *binHeader) { h.YStd = 0 })
+	add("bad params", "params", func(h *binHeader) { h.Params.Epochs = 0 })
 	// 2-3-2 re-cut as 2-1-7: the same 17 numbers, a broken chain.
-	add("topology", "layer 0 is", func(h *jsonNN) {
+	add("topology", "layer 0 is", func(h *binHeader) {
 		h.Layers[0].Out, h.Layers[1].In, h.Layers[1].Out = 1, 1, 7
 	})
+	hlen := int(binary.LittleEndian.Uint32(good[8:]))
+	hdr := strings.Replace(string(good[12:12+hlen]), `"out":2}`, `"out":2,"w":null,"b":null}`, 1)
+	retired := append([]byte(binMagic), binary.LittleEndian.AppendUint32(nil, uint32(len(hdr)))...)
+	cases["retired weight keys"] = refusal{modelfile.Seal(append(append(retired, hdr...), body...)), "canonical"}
 	for name, c := range cases {
 		_, err := ReadBinary(c.data)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want an error naming %q", name, err, c.want)
-		}
-	}
-}
-
-// The trailing-garbage bug: Decoder.Decode stops at the closing brace, so a
-// model file followed by anything used to load.
-func TestReadJSONRejectsTrailingData(t *testing.T) {
-	m, _ := smallModel(t)
-	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.String()
-	if !strings.HasSuffix(good, "\n") {
-		t.Fatal("WriteJSON no longer ends in a newline")
-	}
-	if _, err := ReadJSON(strings.NewReader(good + " \n\t")); err != nil {
-		t.Fatalf("trailing whitespace refused: %v", err)
-	}
-	for _, tail := range []string{"x", "{}", "}", `{"version":1}`, "0"} {
-		if m, err := ReadJSON(strings.NewReader(good + tail)); err == nil || m != nil {
-			t.Errorf("model followed by %q accepted", tail)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -10,72 +9,60 @@ import (
 	"iotaxo/internal/modelfile"
 )
 
-// Serialization: trained networks round-trip through JSON so deep-ensemble
-// members can be deployed to the serving registry alongside the GBT models
-// they guard. Only inference state is kept — Adam moments are training-time
-// scratch and are dropped; a deserialized model predicts identically but
-// cannot resume training. WriteBinary persists the same fields with the
-// weights as bit patterns; both decoders end in build, which holds every
-// check.
+// Serialization: a trained network is written as a modelfile artifact so
+// deep-ensemble members can be deployed to the serving registry alongside
+// the GBT models they guard. Only inference state is kept — Adam moments are
+// training-time scratch and are dropped; a deserialized model predicts
+// identically but cannot resume training. The weights are stored as bit
+// patterns, and ReadBinary ends in build, which holds every check.
 
-// jsonLayer is one dense layer's inference state.
-type jsonLayer struct {
-	In     int       `json:"in"`
-	Out    int       `json:"out"`
-	Weight []float64 `json:"w"` // row-major In x Out
-	Bias   []float64 `json:"b"`
+// layerShape is one dense layer's shape in the header.
+type layerShape struct {
+	In  int `json:"in"`
+	Out int `json:"out"`
 }
 
-// jsonNN is the serialized form of a Model.
-type jsonNN struct {
-	Version int         `json:"version"`
-	Params  Params      `json:"params"`
-	NIn     int         `json:"n_in"`
-	YMean   float64     `json:"y_mean"`
-	YStd    float64     `json:"y_std"`
-	Layers  []jsonLayer `json:"layers"`
+// binHeader is the artifact's header; the body is, layer by layer, the
+// In*Out weights (row-major) then the Out biases as float64.
+type binHeader struct {
+	Version int          `json:"version"`
+	Params  Params       `json:"params"`
+	NIn     int          `json:"n_in"`
+	YMean   float64      `json:"y_mean"`
+	YStd    float64      `json:"y_std"`
+	Layers  []layerShape `json:"layers"`
 }
 
 // nnSerializationVersion guards format evolution.
 const nnSerializationVersion = 1
 
-// binMagic opens a binary artifact. Its header is jsonNN with every layer's
-// Weight and Bias left nil; the body is, layer by layer, the In*Out weights
-// then the Out biases as float64.
+// binMagic opens an artifact.
 const binMagic = "IOTAX_NN"
 
-// serialized returns the serialized form, with or without the weights.
-func (m *Model) serialized(weights bool) jsonNN {
-	jm := jsonNN{
+// header returns the model's header.
+func (m *Model) header() binHeader {
+	h := binHeader{
 		Version: nnSerializationVersion,
 		Params:  m.params,
 		NIn:     m.nIn,
 		YMean:   m.yMean,
 		YStd:    m.yStd,
-		Layers:  make([]jsonLayer, len(m.layers)),
+		Layers:  make([]layerShape, len(m.layers)),
 	}
 	for i, l := range m.layers {
-		jm.Layers[i] = jsonLayer{In: l.w.Rows, Out: l.w.Cols}
-		if weights {
-			jm.Layers[i].Weight, jm.Layers[i].Bias = l.w.Data, l.b
-		}
+		h.Layers[i] = layerShape{In: l.w.Rows, Out: l.w.Cols}
 	}
-	return jm
-}
-
-// WriteJSON serializes the model's inference state.
-func (m *Model) WriteJSON(w io.Writer) error {
-	return json.NewEncoder(w).Encode(m.serialized(true))
+	return h
 }
 
 // WriteBinary serializes the model's inference state as a modelfile
-// artifact (see binMagic); the round trip is bit-exact.
+// artifact (see binHeader); the round trip is bit-exact.
 func (m *Model) WriteBinary(w io.Writer) error {
 	n := 0
 	for _, l := range m.layers {
 		n += len(l.w.Data) + len(l.b)
 	}
-	b, err := modelfile.Begin(binMagic, m.serialized(false), 8*n)
+	b, err := modelfile.Begin(binMagic, m.header(), 8*n)
 	if err != nil {
 		return fmt.Errorf("nn: encoding model header: %w", err)
 	}
@@ -89,91 +76,74 @@ func (m *Model) WriteBinary(w io.Writer) error {
 // ReadBinary deserializes a model written by WriteBinary. The checksum is
 // verified first, and each layer's declared shape must fit in the bytes
 // still unread before its weights are allocated; the layer chain and the
-// values are then checked by the same build as a JSON model.
+// values are then checked by build.
 func ReadBinary(data []byte) (*Model, error) {
-	var jm jsonNN
-	body, err := modelfile.Open(binMagic, data, &jm)
+	var h binHeader
+	body, err := modelfile.Open(binMagic, data, &h)
 	if err != nil {
 		return nil, fmt.Errorf("nn: decoding model: %w", err)
 	}
-	for i := range jm.Layers {
-		l := &jm.Layers[i]
-		if l.Weight != nil || l.Bias != nil {
-			return nil, fmt.Errorf("nn: decoding model: header carries layer %d's weights", i)
-		}
+	layers := make([]layer, len(h.Layers))
+	for i, s := range h.Layers {
 		// (In+1)*Out floats must be present, said without multiplying.
-		if l.In <= 0 || l.Out <= 0 || l.In >= len(body)/8/l.Out {
-			return nil, fmt.Errorf("nn: layer %d declares %dx%d, %d bytes left", i, l.In, l.Out, len(body))
+		if s.In <= 0 || s.Out <= 0 || s.In >= len(body)/8/s.Out {
+			return nil, fmt.Errorf("nn: layer %d declares %dx%d, %d bytes left", i, s.In, s.Out, len(body))
 		}
-		l.Weight, l.Bias = make([]float64, l.In*l.Out), make([]float64, l.Out)
-		body = modelfile.Float64s(l.Bias, modelfile.Float64s(l.Weight, body))
+		l := layer{w: &mat.Matrix{Rows: s.In, Cols: s.Out, Data: make([]float64, s.In*s.Out)}, b: make([]float64, s.Out)}
+		body = modelfile.Float64s(l.b, modelfile.Float64s(l.w.Data, body))
+		layers[i] = l
 	}
 	if len(body) != 0 {
 		return nil, fmt.Errorf("nn: %d bytes after the last layer", len(body))
 	}
-	return build(jm)
+	return build(h, layers)
 }
 
-// ReadJSON deserializes a model written by WriteJSON; anything but
-// whitespace after the value is an error.
-func ReadJSON(r io.Reader) (*Model, error) {
-	var jm jsonNN
-	if err := modelfile.DecodeJSON(r, &jm); err != nil {
-		return nil, fmt.Errorf("nn: decoding model: %w", err)
+// build turns a decoded header and its layers, which it checks and adopts,
+// into a usable model (h.Layers is not read), validating the layer topology
+// against the recorded hyperparameters: the hidden widths, input width, and
+// head width must chain correctly and every weight must be finite, since
+// model files may come from an untrusted serving directory.
+func build(h binHeader, layers []layer) (*Model, error) {
+	if h.Version != nnSerializationVersion {
+		return nil, fmt.Errorf("nn: unsupported model version %d (this build reads version %d)", h.Version, nnSerializationVersion)
 	}
-	return build(jm)
-}
-
-// build turns a decoded model into a usable one, validating the layer
-// topology against the recorded hyperparameters: the hidden widths, input
-// width, and head width must chain correctly and every weight must be
-// finite, since model files may come from an untrusted serving directory.
-func build(jm jsonNN) (*Model, error) {
-	if jm.Version != nnSerializationVersion {
-		return nil, fmt.Errorf("nn: unsupported model version %d (this build reads version %d)", jm.Version, nnSerializationVersion)
-	}
-	if err := jm.Params.Validate(); err != nil {
+	if err := h.Params.Validate(); err != nil {
 		return nil, fmt.Errorf("nn: model file carries invalid params: %w", err)
 	}
-	if jm.NIn <= 0 {
-		return nil, fmt.Errorf("nn: model has %d inputs", jm.NIn)
+	if h.NIn <= 0 {
+		return nil, fmt.Errorf("nn: model has %d inputs", h.NIn)
 	}
-	if jm.YStd <= 0 || math.IsNaN(jm.YStd) || math.IsInf(jm.YStd, 0) ||
-		math.IsNaN(jm.YMean) || math.IsInf(jm.YMean, 0) {
-		return nil, fmt.Errorf("nn: invalid target statistics (mean %v, std %v)", jm.YMean, jm.YStd)
+	if h.YStd <= 0 || math.IsNaN(h.YStd) || math.IsInf(h.YStd, 0) ||
+		math.IsNaN(h.YMean) || math.IsInf(h.YMean, 0) {
+		return nil, fmt.Errorf("nn: invalid target statistics (mean %v, std %v)", h.YMean, h.YStd)
 	}
 	// The layer chain must be nIn -> Hidden... -> outDim.
-	wantSizes := append([]int{jm.NIn}, jm.Params.Hidden...)
-	wantSizes = append(wantSizes, jm.Params.outDim())
-	if len(jm.Layers) != len(wantSizes)-1 {
-		return nil, fmt.Errorf("nn: %d layers for %d hidden widths", len(jm.Layers), len(jm.Params.Hidden))
+	wantSizes := append([]int{h.NIn}, h.Params.Hidden...)
+	wantSizes = append(wantSizes, h.Params.outDim())
+	if len(layers) != len(wantSizes)-1 {
+		return nil, fmt.Errorf("nn: %d layers for %d hidden widths", len(layers), len(h.Params.Hidden))
 	}
-	m := &Model{params: jm.Params, nIn: jm.NIn, yMean: jm.YMean, yStd: jm.YStd}
-	for i, jl := range jm.Layers {
-		if jl.In != wantSizes[i] || jl.Out != wantSizes[i+1] {
-			return nil, fmt.Errorf("nn: layer %d is %dx%d, want %dx%d", i, jl.In, jl.Out, wantSizes[i], wantSizes[i+1])
+	for i, l := range layers {
+		if l.w.Rows != wantSizes[i] || l.w.Cols != wantSizes[i+1] {
+			return nil, fmt.Errorf("nn: layer %d is %dx%d, want %dx%d", i, l.w.Rows, l.w.Cols, wantSizes[i], wantSizes[i+1])
 		}
-		if len(jl.Weight) != jl.In*jl.Out {
-			return nil, fmt.Errorf("nn: layer %d has %d weights for %dx%d", i, len(jl.Weight), jl.In, jl.Out)
+		if len(l.w.Data) != l.w.Rows*l.w.Cols {
+			return nil, fmt.Errorf("nn: layer %d has %d weights for %dx%d", i, len(l.w.Data), l.w.Rows, l.w.Cols)
 		}
-		if len(jl.Bias) != jl.Out {
-			return nil, fmt.Errorf("nn: layer %d has %d biases for width %d", i, len(jl.Bias), jl.Out)
+		if len(l.b) != l.w.Cols {
+			return nil, fmt.Errorf("nn: layer %d has %d biases for width %d", i, len(l.b), l.w.Cols)
 		}
-		for _, v := range jl.Weight {
+		for _, v := range l.w.Data {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return nil, fmt.Errorf("nn: layer %d has a non-finite weight", i)
 			}
 		}
-		for _, v := range jl.Bias {
+		for _, v := range l.b {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return nil, fmt.Errorf("nn: layer %d has a non-finite bias", i)
 			}
 		}
-		l := layer{
-			w: &mat.Matrix{Rows: jl.In, Cols: jl.Out, Data: append([]float64(nil), jl.Weight...)},
-			b: append([]float64(nil), jl.Bias...),
-		}
-		m.layers = append(m.layers, l)
 	}
-	return m, nil
+	return &Model{params: h.Params, nIn: h.NIn, yMean: h.YMean, yStd: h.YStd, layers: layers}, nil
 }

@@ -1,10 +1,11 @@
 package nn
 
 import (
-	"bytes"
+	"math"
 	"strings"
 	"testing"
 
+	"iotaxo/internal/mat"
 	"iotaxo/internal/rng"
 )
 
@@ -31,65 +32,43 @@ func serializeFixture(t *testing.T) (*Model, [][]float64) {
 	return m, rows
 }
 
-func TestModelJSONRoundTrip(t *testing.T) {
-	m, rows := serializeFixture(t)
-	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rows {
-		mu, v := m.PredictDist(rows[i])
-		bmu, bv := back.PredictDist(rows[i])
-		if mu != bmu || v != bv {
-			t.Fatalf("row %d: (%v,%v) != (%v,%v) after round trip", i, mu, v, bmu, bv)
-		}
-	}
-	if back.Params().Heteroscedastic != m.Params().Heteroscedastic {
-		t.Error("params changed")
-	}
-}
-
-func TestReadJSONRejectsMalformed(t *testing.T) {
+// TestBuildRejectsMalformedModels covers the well-typed but malformed models
+// an untrusted serving directory could hold, at build, where every decoded
+// model ends.
+func TestBuildRejectsMalformedModels(t *testing.T) {
 	m, _ := serializeFixture(t)
-	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
+	if _, err := build(m.header(), m.layers); err != nil {
+		t.Fatalf("trained model rejected: %v", err)
 	}
-	good := buf.String()
-	cases := map[string]string{
-		"garbage":        "{not json",
-		"future version": strings.Replace(good, `"version":1`, `"version":3`, 1),
-		"zero inputs":    strings.Replace(good, `"n_in":2`, `"n_in":0`, 1),
-		"zero y std":     strings.Replace(good, `"y_std":`, `"y_std":0,"y_was":`, 1),
-		"topology":       strings.Replace(good, `"in":2,"out":16`, `"in":3,"out":16`, 1),
-		"bad params":     strings.Replace(good, `"Epochs":8`, `"Epochs":0`, 1),
+	cases := map[string]struct {
+		edit func(h *binHeader, layers []layer)
+		want string
+	}{
+		"future version": {func(h *binHeader, _ []layer) { h.Version = 3 }, "version"},
+		"zero inputs":    {func(h *binHeader, _ []layer) { h.NIn = 0 }, "0 inputs"},
+		"zero y std":     {func(h *binHeader, _ []layer) { h.YStd = 0 }, "target statistics"},
+		"NaN y mean":     {func(h *binHeader, _ []layer) { h.YMean = math.NaN() }, "target statistics"},
+		"bad params":     {func(h *binHeader, _ []layer) { h.Params.Epochs = 0 }, "invalid params"},
+		"layer count":    {func(h *binHeader, _ []layer) { h.Params.Hidden = []int{16, 16} }, "2 layers for 2 hidden widths"},
+		"layer chain":    {func(h *binHeader, _ []layer) { h.NIn = 3 }, "layer 0 is 2x16, want 3x16"},
+		"weight count": {func(_ *binHeader, l []layer) {
+			l[0].w = &mat.Matrix{Rows: l[0].w.Rows, Cols: l[0].w.Cols, Data: l[0].w.Data[1:]}
+		}, "layer 0 has 31 weights for 2x16"},
+		"bias count":      {func(_ *binHeader, l []layer) { l[1].b = l[1].b[:1] }, "layer 1 has 1 biases"},
+		"infinite weight": {func(_ *binHeader, l []layer) { l[1].w = infAt(l[1].w) }, "layer 1 has a non-finite weight"},
 	}
-	for name, s := range cases {
-		if _, err := ReadJSON(strings.NewReader(s)); err == nil {
-			t.Errorf("%s: accepted", name)
+	for name, c := range cases {
+		h, layers := m.header(), append([]layer(nil), m.layers...)
+		c.edit(&h, layers)
+		if got, err := build(h, layers); err == nil || got != nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error naming %q", name, err, c.want)
 		}
 	}
 }
 
-func TestReadJSONRejectsWrongWeightCount(t *testing.T) {
-	m, _ := serializeFixture(t)
-	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Truncate the first layer's weights.
-	s := buf.String()
-	i := strings.Index(s, `"w":[`)
-	if i < 0 {
-		t.Fatal("no weights in serialized form")
-	}
-	j := strings.Index(s[i:], ",")
-	bad := s[:i+5] + s[i+j+1:] // drop the first weight value
-	if _, err := ReadJSON(strings.NewReader(bad)); err == nil {
-		t.Error("truncated weights accepted")
-	}
+// infAt returns a copy of w with its last weight +Inf.
+func infAt(w *mat.Matrix) *mat.Matrix {
+	data := append([]float64(nil), w.Data...)
+	data[len(data)-1] = math.Inf(1)
+	return &mat.Matrix{Rows: w.Rows, Cols: w.Cols, Data: data}
 }

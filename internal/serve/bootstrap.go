@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -105,14 +104,14 @@ func Bootstrap(cfg BootstrapConfig, dir string) (*Registry, error) {
 	return reg, nil
 }
 
-// BumpVersion copies a system's highest on-disk version directory to
-// v(N+1), rewriting the manifest's version field, and returns the new
-// version number. The artifacts are byte-identical — only the version
-// changes — which makes it the cheap way to mint a "new" model version for
-// reload demos and the version-churn load scenario (`ioload -churn`)
-// without retraining. Files are written artifacts-first, manifest last, so
-// a concurrent reload poll never sees a publishable half-written
-// directory.
+// BumpVersion republishes a system's highest on-disk version as v(N+1) and
+// returns the new version number. The bundle is loaded and saved again;
+// every artifact has one encoding, so the new directory's artifacts are
+// byte-identical and only the manifest's version changes — the cheap way to
+// mint a "new" model version for reload demos and the version-churn load
+// scenario (`ioload -churn`) without retraining. SaveVersion writes the
+// manifest last, so a concurrent reload poll never sees a publishable
+// half-written directory.
 func BumpVersion(root, system string) (int, error) {
 	sysDir := filepath.Join(root, system)
 	entries, err := os.ReadDir(sysDir)
@@ -135,41 +134,15 @@ func BumpVersion(root, system string) (int, error) {
 	if highest == 0 {
 		return 0, fmt.Errorf("serve: bump found no versions under %s", sysDir)
 	}
-	srcDir := filepath.Join(sysDir, fmt.Sprintf("v%d", highest))
-	newVersion := highest + 1
-	dstDir := filepath.Join(sysDir, fmt.Sprintf("v%d", newVersion))
-	if err := os.MkdirAll(dstDir, 0o755); err != nil {
-		return 0, fmt.Errorf("serve: bump creating %s: %w", dstDir, err)
-	}
-	files, err := os.ReadDir(srcDir)
+	mv, err := loadVersionDir(filepath.Join(sysDir, fmt.Sprintf("v%d", highest)), system)
 	if err != nil {
-		return 0, fmt.Errorf("serve: bump reading %s: %w", srcDir, err)
-	}
-	for _, f := range files {
-		if f.IsDir() || f.Name() == manifestName {
-			continue
-		}
-		raw, err := os.ReadFile(filepath.Join(srcDir, f.Name()))
-		if err != nil {
-			return 0, fmt.Errorf("serve: bump copying %s: %w", f.Name(), err)
-		}
-		if err := writeBundleFile(dstDir, f.Name(), writeBytes(raw)); err != nil {
-			return 0, err
-		}
-	}
-	raw, err := os.ReadFile(filepath.Join(srcDir, manifestName))
-	if err != nil {
-		return 0, fmt.Errorf("serve: bump reading manifest: %w", err)
-	}
-	var m manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return 0, fmt.Errorf("serve: bump parsing manifest: %w", err)
-	}
-	m.Version = newVersion
-	if err := writeManifest(dstDir, m); err != nil {
 		return 0, err
 	}
-	return newVersion, nil
+	mv.Version = highest + 1
+	if err := SaveVersion(root, mv); err != nil {
+		return 0, err
+	}
+	return mv.Version, nil
 }
 
 // BuildVersion trains one serving bundle from a frame. Higher versions get

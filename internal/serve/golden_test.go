@@ -64,12 +64,11 @@ func checkGoldenWire(t *testing.T, h http.Handler, path string) {
 // exact on any platform and no retraining can move the files.
 func goldenService(t *testing.T) *serve.Service {
 	t.Helper()
-	f, err := os.Open("testdata/golden/model.gbt.json")
+	raw, err := os.ReadFile("testdata/golden/model.gbt.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	model, err := gbt.ReadJSON(f)
+	model, err := gbt.ReadBinary(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,13 +20,13 @@ import (
 //
 // Each feature gets quantile-spaced cut points (so the reference mass is
 // roughly uniform across bins, the shape PSI is calibrated for) and the
-// training-set counts per bin. The histograms ride in the bundle (as
-// reference.bin, or inline in an older manifest), so they survive the
+// training-set counts per bin. The histograms ride in the bundle as
+// reference.bin, which the manifest names and pins, so they survive the
 // SaveVersion/LoadRegistry round trip and live reloads, and a bundle loaded
 // from disk can be monitored without access to its training data.
 
-// refHistMaxBins bounds the per-feature bin count accepted from manifests
-// (which are untrusted input).
+// refHistMaxBins bounds the per-feature bin count accepted from a bundle
+// (which is untrusted input).
 const refHistMaxBins = 64
 
 // defaultRefBins is the bin count BuildFeatureHists uses by default; ten
@@ -39,9 +39,9 @@ const defaultRefBins = 10
 // is (-inf, Cuts[0]], bin i is (Cuts[i-1], Cuts[i]], the last bin is
 // (Cuts[len-1], +inf).
 type FeatureHist struct {
-	Name   string    `json:"name"`
-	Cuts   []float64 `json:"cuts"`
-	Counts []uint64  `json:"counts"`
+	Name   string
+	Cuts   []float64
+	Counts []uint64
 }
 
 // NumBins returns the bin count.
@@ -64,7 +64,7 @@ func (h *FeatureHist) BinIndex(v float64) int {
 	return sort.Search(len(h.Cuts), func(i int) bool { return h.Cuts[i] >= v })
 }
 
-// validate checks a (possibly hostile, manifest-sourced) histogram.
+// validate checks a (possibly hostile, disk-sourced) histogram.
 func (h *FeatureHist) validate() error {
 	if h.Name == "" {
 		return fmt.Errorf("serve: reference histogram has no feature name")

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
-	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -125,36 +124,25 @@ func TestReferenceValidation(t *testing.T) {
 	}
 }
 
-// TestReferenceCountOverflowIsRefusedFromBothCarriers: a histogram whose
-// counts wrap is refused whether the bundle carries it inline or in
-// reference.bin — the drift thresholds are computed from that total.
-func TestReferenceCountOverflowIsRefusedFromBothCarriers(t *testing.T) {
-	wrapped := []FeatureHist{{Name: "a", Cuts: []float64{1}, Counts: []uint64{math.MaxUint64, 2}}}
-	inline := strings.Replace(fuzzManifestJSON, `"guard"`,
-		`"reference":[{"name":"a","cuts":[1],"counts":[18446744073709551615,2]}],"guard"`, 1)
-	byFile := strings.Replace(fuzzManifestJSON, `"guard"`, `"reference_file":"reference.bin","guard"`, 1)
-	for name, manifest := range map[string]string{"inline": inline, "file": byFile} {
-		dir := filepath.Join(t.TempDir(), "v1")
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		load := func(manifest string, ref []FeatureHist) (*ModelVersion, error) {
-			for file, body := range map[string][]byte{manifestName: []byte(manifest), "model.gbt.json": []byte(fuzzModelJSON), referenceName: referenceBinary(t, ref)} {
-				if err := os.WriteFile(filepath.Join(dir, file), body, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return loadVersionDir(dir, "theta")
-		}
-		if _, err := load(manifest, wrapped); err == nil || !strings.Contains(err.Error(), "overflow") {
-			t.Errorf("%s: got %v, want the overflow refused", name, err)
-		}
-		// The same bundle with a total that fits loads, so it was the sum.
-		fits := []FeatureHist{{Name: "a", Cuts: []float64{1}, Counts: []uint64{math.MaxUint64 - 2, 2}}}
-		mv, err := load(strings.Replace(manifest, "18446744073709551615", "18446744073709551613", 1), fits)
-		if err != nil || len(mv.Reference) != 1 || mv.Reference[0].Total() != math.MaxUint64 {
-			t.Errorf("%s: the largest total that fits: %v", name, err)
-		}
+// TestReferenceCountOverflowIsRefused: a histogram whose counts wrap is
+// refused at the registry — the drift thresholds are computed from that
+// total.
+func TestReferenceCountOverflowIsRefused(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "v1")
+	m := fuzzManifest()
+	m.ReferenceFile = &artifactRef{Name: referenceName}
+	load := func(counts ...uint64) (*ModelVersion, error) {
+		ref := []FeatureHist{{Name: "a", Cuts: []float64{1}, Counts: counts}}
+		writeBundle(t, dir, m, map[string][]byte{gbtModelName: fuzzModel(t), referenceName: referenceBinary(t, ref)})
+		return loadVersionDir(dir, "theta")
+	}
+	if _, err := load(math.MaxUint64, 2); err == nil || !strings.Contains(err.Error(), "overflow") {
+		t.Errorf("got %v, want the overflow refused", err)
+	}
+	// The same bundle with a total that fits loads, so it was the sum.
+	mv, err := load(math.MaxUint64-2, 2)
+	if err != nil || len(mv.Reference) != 1 || mv.Reference[0].Total() != math.MaxUint64 {
+		t.Errorf("the largest total that fits: %v", err)
 	}
 }
 

@@ -2,7 +2,7 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -16,6 +16,7 @@ import (
 
 	"iotaxo/internal/dataset"
 	"iotaxo/internal/gbt"
+	"iotaxo/internal/modelfile"
 	"iotaxo/internal/nn"
 	"iotaxo/internal/uq"
 )
@@ -26,59 +27,60 @@ import (
 // ensemble's networks need, and the guardrail calibration. On-disk layout:
 //
 //	<root>/<system>/v<version>/manifest.json
-//	<root>/<system>/v<version>/model.gbt.bin    (or model.gbt.json)
-//	<root>/<system>/v<version>/member_<i>.nn.bin (or member_<i>.nn.json)
-//	<root>/<system>/v<version>/reference.bin    (or "reference" in the manifest)
+//	<root>/<system>/v<version>/model.gbt.bin
+//	<root>/<system>/v<version>/member_<i>.nn.bin
+//	<root>/<system>/v<version>/reference.bin
 //
-// The manifest names the artifacts, and an artifact's extension names its
-// format: SaveVersion writes the binary form (internal/modelfile: the
-// model's own arrays as bit patterns under a checksum, nothing derived), a
-// name not ending in ".bin" is read as the JSON form, which bundles saved
-// before the binary form and hand-written ones use (their histograms inline
-// in the manifest, never both inline and by file). Everything under <root>
-// is treated as untrusted input: both forms end in the same validating
-// build inside gbt and nn (a binary file's checksum and declared sizes are
-// checked before that), and the manifest's schema is cross-checked against
-// the loaded artifacts.
+// Every file is a sealed internal/modelfile artifact: its own arrays as bit
+// patterns under a CRC-32C, nothing derived. The manifest keeps its JSON
+// name but is sealed too; it names each artifact and pins its checksum, so
+// a file from another version, or one rewritten since the manifest was, is
+// refused before it is decoded. Everything under <root> is treated as
+// untrusted input: checksums and declared sizes are checked first, then the
+// validating build inside gbt and nn, and the manifest's schema is
+// cross-checked against the loaded artifacts.
 
 // ErrUnknownModel is returned when a requested system or version is not
 // registered; the HTTP layer maps it to 404.
 var ErrUnknownModel = errors.New("serve: unknown model")
 
-// Names inside a version directory, and the reference artifact's magic.
+// Names inside a version directory, and the magics of its own artifacts.
 const (
 	manifestName  = "manifest.json"
+	manifestMagic = "IOTAXMAN"
 	gbtModelName  = "model.gbt.bin"
 	referenceName = "reference.bin"
 	refMagic      = "IOTAXREF"
 	memberPattern = "member_%d.nn.bin"
-	binaryExt     = ".bin"
 )
 
-// scalerJSON persists dataset.Scaler statistics in the manifest.
-type scalerJSON struct {
-	Log  bool      `json:"log"`
-	Mean []float64 `json:"mean"`
-	Std  []float64 `json:"std"`
+// artifactRef names one file of a bundle and pins its CRC-32C, which is the
+// file's own 4-byte trailer.
+type artifactRef struct {
+	Name  string `json:"name"`
+	CRC32 uint32 `json:"crc32c"`
 }
 
-// manifest is the version directory's self-description.
+// manifest is the version directory's self-description, sealed like every
+// file it names. The header holds the fields below; the body is the scaler's
+// mean then its std, len(Columns) float64 each, for a bundle with an
+// ensemble (whose networks need the scaler), and empty for one without.
 type manifest struct {
-	System   string      `json:"system"`
-	Version  int         `json:"version"`
-	Columns  []string    `json:"columns"`
-	Model    string      `json:"model"`
-	Ensemble []string    `json:"ensemble,omitempty"`
-	Scaler   *scalerJSON `json:"scaler,omitempty"`
-	Guard    GuardConfig `json:"guard"`
+	System   string        `json:"system"`
+	Version  int           `json:"version"`
+	Columns  []string      `json:"columns"`
+	Model    artifactRef   `json:"model"`
+	Ensemble []artifactRef `json:"ensemble,omitempty"`
+	// ReferenceFile names the training-time per-feature histograms the
+	// drift detectors compare live traffic against (reference.go); optional
+	// — bundles without it serve normally but cannot be drift-monitored.
+	ReferenceFile *artifactRef `json:"reference_file,omitempty"`
+	ScalerLog     bool         `json:"scaler_log,omitempty"`
+	Guard         GuardConfig  `json:"guard"`
 	// TrainedOn records the training-set size (informational).
 	TrainedOn int `json:"trained_on,omitempty"`
-	// Reference carries the training-time per-feature histograms the drift
-	// detectors compare live traffic against (reference.go); optional —
-	// bundles without it serve normally but cannot be drift-monitored.
-	// ReferenceFile names the artifact holding them instead; never both.
-	Reference     []FeatureHist `json:"reference,omitempty"`
-	ReferenceFile string        `json:"reference_file,omitempty"`
+
+	mean, std []float64 // the body
 }
 
 // ModelVersion is one loaded bundle.
@@ -586,13 +588,9 @@ func LoadRegistry(root string) (*Registry, error) {
 
 // loadVersionDir loads one bundle directory.
 func loadVersionDir(dir, wantSystem string) (*ModelVersion, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	m, err := readManifest(dir)
 	if err != nil {
-		return nil, fmt.Errorf("serve: reading manifest in %s: %w", dir, err)
-	}
-	var m manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("serve: parsing manifest in %s: %w", dir, err)
+		return nil, err
 	}
 	if m.System != wantSystem {
 		return nil, fmt.Errorf("serve: manifest in %s names system %q, directory says %q", dir, m.System, wantSystem)
@@ -610,36 +608,26 @@ func loadVersionDir(dir, wantSystem string) (*ModelVersion, error) {
 		Columns:   m.Columns,
 		Guard:     m.Guard,
 		TrainedOn: m.TrainedOn,
-		Reference: m.Reference,
 	}
-	if mv.Model, err = readArtifact(dir, m.Model, gbt.ReadBinary, gbt.ReadJSON); err != nil {
+	if mv.Model, err = readArtifact(dir, m.Model, gbt.ReadBinary); err != nil {
 		return nil, err
 	}
-	if m.ReferenceFile != "" {
-		if m.Reference != nil {
-			return nil, fmt.Errorf("serve: manifest in %s carries reference histograms inline and in %q", dir, m.ReferenceFile)
-		}
-		if mv.Reference, err = readArtifact(dir, m.ReferenceFile, readReference, nil); err != nil {
+	if m.ReferenceFile != nil {
+		if mv.Reference, err = readArtifact(dir, *m.ReferenceFile, readReference); err != nil {
 			return nil, err
 		}
 	}
 	if len(m.Ensemble) > 0 {
 		ens := &uq.Ensemble{}
-		for _, rel := range m.Ensemble {
-			member, err := readArtifact(dir, rel, nn.ReadBinary, nn.ReadJSON)
+		for _, ref := range m.Ensemble {
+			member, err := readArtifact(dir, ref, nn.ReadBinary)
 			if err != nil {
 				return nil, err
 			}
 			ens.Members = append(ens.Members, member)
 		}
 		mv.Ensemble = ens
-		if m.Scaler == nil {
-			return nil, fmt.Errorf("serve: manifest in %s has an ensemble but no scaler", dir)
-		}
-	}
-	if m.Scaler != nil {
-		mv.Scaler, err = dataset.NewScaler(m.Scaler.Log, m.Scaler.Mean, m.Scaler.Std)
-		if err != nil {
+		if mv.Scaler, err = dataset.NewScaler(m.ScalerLog, m.mean, m.std); err != nil {
 			return nil, fmt.Errorf("serve: manifest in %s: %w", dir, err)
 		}
 	}
@@ -656,25 +644,49 @@ func loadVersionDir(dir, wantSystem string) (*ModelVersion, error) {
 	return mv, nil
 }
 
-// readArtifact reads one bundle file whole — its size is known, so in one
-// allocation — and decodes it by its extension; an artifact with no JSON form
-// (text nil) is binary under any name. Manifests are untrusted, so the name
-// is confined to the version directory: "../../etc/x" must not escape it.
-func readArtifact[M any](dir, rel string, binary func([]byte) (M, error), text func(io.Reader) (M, error)) (m M, err error) {
-	if rel == "" || !filepath.IsLocal(rel) {
-		return m, fmt.Errorf("serve: manifest in %s references non-local artifact path %q", dir, rel)
+// readManifest opens dir's manifest: the checksum first, then a canonical
+// header, then a body holding exactly the scaler the header implies.
+func readManifest(dir string) (m manifest, err error) {
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		return m, fmt.Errorf("serve: reading manifest in %s: %w", dir, err)
 	}
-	path := filepath.Join(dir, rel)
+	body, err := modelfile.Open(manifestMagic, raw, &m)
+	if err != nil && !bytes.HasPrefix(raw, []byte(manifestMagic)) {
+		err = fmt.Errorf("%w: the bundle predates the sealed bundle format; re-save it with SaveVersion (ioserve -bootstrap writes a fresh registry)", err)
+	}
+	if err != nil {
+		return m, fmt.Errorf("serve: manifest in %s: %w", dir, err)
+	}
+	n := 0
+	if len(m.Ensemble) > 0 {
+		n = len(m.Columns)
+	}
+	if len(body) != 16*n || (m.ScalerLog && n == 0) {
+		return m, fmt.Errorf("serve: manifest in %s: %d body bytes and scaler_log %v for %d ensemble members over %d columns", dir, len(body), m.ScalerLog, len(m.Ensemble), len(m.Columns))
+	}
+	m.mean, m.std = make([]float64, n), make([]float64, n)
+	modelfile.Float64s(m.std, modelfile.Float64s(m.mean, body))
+	return m, nil
+}
+
+// readArtifact reads the bundle file ref names whole — its size is known, so
+// in one allocation — refuses it unless its checksum trailer is the one the
+// manifest pins, and decodes it. Manifests are untrusted, so the name is
+// confined to the version directory: "../../etc/x" must not escape it.
+func readArtifact[M any](dir string, ref artifactRef, decode func([]byte) (M, error)) (m M, err error) {
+	if ref.Name == "" || !filepath.IsLocal(ref.Name) {
+		return m, fmt.Errorf("serve: manifest in %s references non-local artifact path %q", dir, ref.Name)
+	}
+	path := filepath.Join(dir, ref.Name)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return m, fmt.Errorf("serve: reading artifact: %w", err)
 	}
-	if text == nil || filepath.Ext(path) == binaryExt {
-		m, err = binary(raw)
-	} else {
-		m, err = text(bytes.NewReader(raw))
+	if len(raw) < 4 || binary.LittleEndian.Uint32(raw[len(raw)-4:]) != ref.CRC32 {
+		return m, fmt.Errorf("serve: %s is not the artifact the manifest pins (crc32c %08x)", path, ref.CRC32)
 	}
-	if err != nil {
+	if m, err = decode(raw); err != nil {
 		return m, fmt.Errorf("serve: loading %s: %w", path, err)
 	}
 	return m, nil
@@ -684,7 +696,9 @@ func readArtifact[M any](dir, rel string, binary func([]byte) (M, error), text f
 // <root>/<system>/v<version>/ and its manifest and artifacts. The manifest
 // is written last: LoadRegistry and the reloader skip directories without a
 // manifest, so its appearance is what publishes the version — a concurrent
-// reload poll never loads a half-written directory.
+// reload poll never loads a half-written directory. A version rewritten in
+// place is never loaded half old, half new either: until the new manifest
+// lands, the old one's checksum pins refuse the new artifacts.
 func SaveVersion(root string, mv *ModelVersion) error {
 	if err := mv.validate(); err != nil {
 		return err
@@ -697,54 +711,65 @@ func SaveVersion(root string, mv *ModelVersion) error {
 		System:    mv.System,
 		Version:   mv.Version,
 		Columns:   mv.Columns,
-		Model:     gbtModelName,
 		Guard:     mv.Guard,
 		TrainedOn: mv.TrainedOn,
 	}
-	if err := writeBundleFile(dir, gbtModelName, mv.Model.WriteBinary); err != nil {
+	var err error
+	if m.Model, err = writeArtifact(dir, gbtModelName, mv.Model.WriteBinary); err != nil {
 		return err
 	}
 	if mv.Ensemble != nil {
 		for i, member := range mv.Ensemble.Members {
-			name := fmt.Sprintf(memberPattern, i)
-			if err := writeBundleFile(dir, name, member.WriteBinary); err != nil {
+			ref, err := writeArtifact(dir, fmt.Sprintf(memberPattern, i), member.WriteBinary)
+			if err != nil {
 				return err
 			}
-			m.Ensemble = append(m.Ensemble, name)
+			m.Ensemble = append(m.Ensemble, ref)
 		}
-		m.Scaler = &scalerJSON{Log: mv.Scaler.Log, Mean: mv.Scaler.Mean, Std: mv.Scaler.Std}
+		m.ScalerLog, m.mean, m.std = mv.Scaler.Log, mv.Scaler.Mean, mv.Scaler.Std
 	}
 	if len(mv.Reference) > 0 {
-		m.ReferenceFile = referenceName
-		if err := writeBundleFile(dir, referenceName, func(w io.Writer) error { return writeReference(w, mv.Reference) }); err != nil {
+		ref, err := writeArtifact(dir, referenceName, func(w io.Writer) error { return writeReference(w, mv.Reference) })
+		if err != nil {
 			return err
 		}
+		m.ReferenceFile = &ref
 	}
 	return writeManifest(dir, m)
 }
 
-// writeManifest publishes dir's manifest, the last file of a version.
+// writeArtifact writes one sealed bundle file and returns the manifest's
+// reference to it, pinned to the checksum it was sealed with.
+func writeArtifact(dir, name string, write func(io.Writer) error) (artifactRef, error) {
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		return artifactRef{}, fmt.Errorf("serve: encoding %s: %w", name, err)
+	}
+	b := buf.Bytes()
+	return artifactRef{Name: name, CRC32: binary.LittleEndian.Uint32(b[len(b)-4:])}, writeBundleFile(dir, name, b)
+}
+
+// writeManifest seals m and publishes it as dir's manifest, the last file of
+// a version.
 func writeManifest(dir string, m manifest) error {
-	raw, err := json.MarshalIndent(m, "", "  ")
+	b, err := modelfile.Begin(manifestMagic, m, 16*len(m.mean))
 	if err != nil {
 		return fmt.Errorf("serve: encoding manifest: %w", err)
 	}
-	return writeBundleFile(dir, manifestName, writeBytes(append(raw, '\n')))
-}
-
-func writeBytes(raw []byte) func(io.Writer) error {
-	return func(w io.Writer) error { _, err := w.Write(raw); return err }
+	b = modelfile.AppendFloat64s(modelfile.AppendFloat64s(b, m.mean), m.std)
+	return writeBundleFile(dir, manifestName, modelfile.Seal(b))
 }
 
 // writeBundleFile is how every file of a bundle reaches its directory: staged
 // under a dot-prefixed name (no loader opens one, dirFingerprint skips them)
 // and renamed, so a poll racing a publisher reads it whole or not at all.
-func writeBundleFile(dir, name string, write func(io.Writer) error) error {
+func writeBundleFile(dir, name string, data []byte) error {
 	tmp, err := os.CreateTemp(dir, "."+name+"-*")
 	if err != nil {
 		return fmt.Errorf("serve: staging %s in %s: %w", name, dir, err)
 	}
-	err = errors.Join(write(tmp), tmp.Chmod(0o644), tmp.Close())
+	_, err = tmp.Write(data)
+	err = errors.Join(err, tmp.Chmod(0o644), tmp.Close())
 	if err == nil {
 		err = os.Rename(tmp.Name(), filepath.Join(dir, name))
 	}

@@ -1,106 +1,225 @@
 package serve
 
 import (
-	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
-	"iotaxo/internal/gbt"
+	"iotaxo/internal/modelfile"
 )
 
-// fuzzModelJSON is a minimal valid gbt model file: one single-leaf tree
-// over two features.
-const fuzzModelJSON = `{"version":1,"params":{"NumTrees":1,"MaxDepth":1,"LearningRate":0.1,` +
+// fuzzModelHeader is the header of a minimal valid gbt artifact: one
+// single-leaf tree over two features.
+const fuzzModelHeader = `{"version":1,"params":{"NumTrees":1,"MaxDepth":1,"LearningRate":0.1,` +
 	`"Subsample":1,"ColSample":1,"MinChildWeight":1,"Lambda":1,"NumBins":2,"Seed":1},` +
-	`"bias":0.5,"n_feature":2,"gain":[0,0],"trees":[[{"f":-1,"v":0.25}]]}`
+	`"bias":0.5,"n_feature":2,"tree_lens":[1]}`
 
-// fuzzManifestJSON matches fuzzModelJSON: two columns, no ensemble.
-const fuzzManifestJSON = `{"system":"theta","version":1,"columns":["a","b"],` +
-	`"model":"model.gbt.json","guard":{"eu_threshold":0.5}}`
-
-// fuzzModelBinary is fuzzModelJSON in the binary form.
-func fuzzModelBinary(t testing.TB) []byte {
+// fuzzModel is that artifact: gain 0, 0 and a leaf of 0.25, so it predicts
+// 0.5 + 0.1·0.25 on any row.
+func fuzzModel(t testing.TB) []byte {
 	t.Helper()
-	m, err := gbt.ReadJSON(strings.NewReader(fuzzModelJSON))
+	b, err := modelfile.Begin("IOTAXGBT", json.RawMessage(fuzzModelHeader), 2*8+28)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := m.WriteBinary(&buf); err != nil {
+	b = modelfile.AppendFloat64s(b, []float64{0, 0})
+	b = binary.LittleEndian.AppendUint32(b, math.MaxUint32) // feature -1: a leaf
+	b = append(b, make([]byte, 4+4+8)...)                   // left, right, threshold
+	return modelfile.Seal(modelfile.AppendFloat64s(b, []float64{0.25}))
+}
+
+// fuzzManifest matches fuzzModel: two columns, no ensemble.
+func fuzzManifest() manifest {
+	return manifest{System: "theta", Version: 1, Columns: []string{"a", "b"},
+		Model: artifactRef{Name: gbtModelName}, Guard: GuardConfig{EUThreshold: 0.5}}
+}
+
+// pinArtifacts pins each artifact m names to the checksum trailer of the
+// file of that name in dir, where there is one.
+func pinArtifacts(dir string, m *manifest) {
+	refs := []*artifactRef{&m.Model, m.ReferenceFile}
+	for i := range m.Ensemble {
+		refs = append(refs, &m.Ensemble[i])
+	}
+	for _, ref := range refs {
+		if ref == nil || !filepath.IsLocal(ref.Name) {
+			continue
+		}
+		if raw, err := os.ReadFile(filepath.Join(dir, ref.Name)); err == nil && len(raw) >= 4 {
+			ref.CRC32 = binary.LittleEndian.Uint32(raw[len(raw)-4:])
+		}
+	}
+}
+
+// sealManifest publishes m as dir's manifest, its artifacts pinned to the
+// files in dir: how a test writes a bundle by hand, or re-pins one whose
+// artifact it has edited.
+func sealManifest(t testing.TB, dir string, m manifest) {
+	t.Helper()
+	pinArtifacts(dir, &m)
+	if err := writeManifest(dir, m); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+}
+
+// repin re-seals dir's manifest with edit applied (nil for none), its pins
+// taken from the artifacts now in dir: a hostile manifest that still passes
+// its checksum, or one re-pinned to an artifact a test has edited.
+func repin(t testing.TB, dir string, edit func(m *manifest)) {
+	t.Helper()
+	m, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edit != nil {
+		edit(&m)
+	}
+	sealManifest(t, dir, m)
+}
+
+// writeBundle writes files into dir and then m, sealed over them.
+func writeBundle(t testing.TB, dir string, m manifest, files map[string][]byte) {
+	t.Helper()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sealManifest(t, dir, m)
+}
+
+// sealedManifest is m as the bytes of a manifest file, pinned to the files
+// in dir.
+func sealedManifest(t testing.TB, dir string, m manifest) []byte {
+	t.Helper()
+	out := t.TempDir()
+	pinArtifacts(dir, &m)
+	if err := writeManifest(out, m); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(out, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// repinned is the manifest file raw with its artifact pins taken from the
+// files in dir and its checksum recomputed, so a fuzzed manifest reaches the
+// checks behind both. A header that does not decode as a manifest is only
+// resealed; one that does is re-encoded canonically under raw's magic.
+func repinned(raw []byte, dir string) []byte {
+	if len(raw) < 4 {
+		return raw
+	}
+	var m manifest
+	if len(raw) < 16 || uint64(binary.LittleEndian.Uint32(raw[8:])) > uint64(len(raw)-16) {
+		return resealed(raw)
+	}
+	hlen := int(binary.LittleEndian.Uint32(raw[8:]))
+	if json.Unmarshal(raw[12:12+hlen], &m) != nil {
+		return resealed(raw)
+	}
+	pinArtifacts(dir, &m)
+	b, err := modelfile.Begin(string(raw[:8]), m, 0)
+	if err != nil {
+		return resealed(raw)
+	}
+	return modelfile.Seal(append(b, raw[12+hlen:len(raw)-4]...))
 }
 
 // FuzzLoadVersionDir hardens the registry's trust boundary: version
 // directories arrive from disk (startup load and live reload), so a
 // truncated or hostile manifest/model pair must produce an error — never a
-// panic, and never a bundle that fails validation. Checked-in seeds live
-// in testdata/fuzz/FuzzLoadVersionDir.
+// panic, and never a bundle that fails validation. Each input is tried as
+// given and resealed: the model's checksum, the manifest's pins and its
+// checksum recomputed, as FuzzReadBinary does, so the fuzzer reaches the
+// checks behind them. Checked-in seeds live in
+// testdata/fuzz/FuzzLoadVersionDir.
 func FuzzLoadVersionDir(f *testing.F) {
-	man := []byte(fuzzManifestJSON)
-	mod := []byte(fuzzModelJSON)
+	mod := fuzzModel(f)
+	refBin := referenceBinary(f, []FeatureHist{{Name: "a", Cuts: []float64{1}, Counts: []uint64{3, 4}}})
+	files := f.TempDir()
+	for name, body := range map[string][]byte{gbtModelName: mod, referenceName: refBin} {
+		if err := os.WriteFile(filepath.Join(files, name), body, 0o644); err != nil {
+			f.Fatal(err)
+		}
+	}
+	seal := func(edit func(m *manifest)) []byte {
+		m := fuzzManifest()
+		edit(&m)
+		return sealedManifest(f, files, m)
+	}
+	man := seal(func(*manifest) {})
 	f.Add(man, mod)
 	f.Add(man[:len(man)/2], mod) // truncated manifest
 	f.Add(man, mod[:len(mod)/2]) // truncated model
-	f.Add([]byte(`{"system":"theta","version":1,"columns":["a","b"],"model":"../../etc/passwd","guard":{}}`), mod)
-	f.Add([]byte(`{"system":"cori","version":1,"columns":["a","b"],"model":"model.gbt.json","guard":{}}`), mod)
-	f.Add([]byte(`{"system":"theta","version":7,"columns":["a","b"],"model":"model.gbt.json","guard":{}}`), mod)
-	f.Add([]byte(`{"system":"theta","version":1,"columns":["a"],"model":"model.gbt.json","guard":{}}`), mod)
-	f.Add([]byte(`{"system":"theta","version":1,"columns":["a","b"],"model":"model.gbt.json",`+
-		`"ensemble":["member_0.nn.json"],"guard":{}}`), mod)
+	f.Add(seal(func(m *manifest) { m.Model.Name = "../../etc/passwd" }), mod)
+	f.Add(seal(func(m *manifest) { m.System = "cori" }), mod)
+	f.Add(seal(func(m *manifest) { m.Version = 7 }), mod)
+	f.Add(seal(func(m *manifest) { m.Columns = []string{"a"} }), mod)
+	f.Add(seal(func(m *manifest) {
+		m.Ensemble = []artifactRef{{Name: "member_0.nn.bin"}}
+		m.mean, m.std = []float64{0, 0}, []float64{1, 1}
+	}), mod)
 	f.Add([]byte(`{not json`), []byte(`{not json`))
-	binMan := []byte(strings.Replace(fuzzManifestJSON, "model.gbt.json", gbtModelName, 1))
-	binMod := fuzzModelBinary(f)
-	f.Add(binMan, binMod)
-	f.Add(binMan, binMod[:len(binMod)-5])
-	f.Add(binMan, mod) // a JSON model under the binary name
-	f.Add(man, binMod) // and the reverse
-	withRef := func(name string) []byte {
-		return []byte(strings.Replace(fuzzManifestJSON, `"guard"`, `"reference_file":"`+name+`","guard"`, 1))
-	}
-	f.Add(withRef(referenceName), mod)
-	f.Add(withRef("gone.bin"), mod) // names a file that is not there
-	refBin := referenceBinary(f, []FeatureHist{{Name: "a", Cuts: []float64{1}, Counts: []uint64{3, 4}}})
+	// The manifest as it was written before it was sealed.
+	f.Add([]byte(`{"system":"theta","version":1,"columns":["a","b"],"model":"model.gbt.bin","guard":{}}`), mod)
+	flipped := append([]byte(nil), man...)
+	flipped[len(flipped)/2] ^= 1
+	f.Add(flipped, mod)
+	f.Add(seal(func(m *manifest) { m.ReferenceFile = &artifactRef{Name: referenceName} }), mod)
+	f.Add(seal(func(m *manifest) { m.ReferenceFile = &artifactRef{Name: "gone.bin"} }), mod)
+	f.Add(seal(func(m *manifest) { m.ScalerLog = true }), mod) // a scaler with no ensemble
+	f.Add(man, refBin)                                         // another artifact under the model's name
 
-	f.Fuzz(func(t *testing.T, manifest, model []byte) {
+	f.Fuzz(func(t *testing.T, manifestRaw, model []byte) {
 		dir := filepath.Join(t.TempDir(), "v1")
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, manifestName), manifest, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		// Under both names: the manifest picks the file, and with it the
-		// decoder.
-		for _, name := range []string{"model.gbt.json", gbtModelName} {
-			if err := os.WriteFile(filepath.Join(dir, name), model, 0o644); err != nil {
+		// The model under its name, and a reference artifact for a manifest
+		// to name.
+		for name, body := range map[string][]byte{gbtModelName: model, referenceName: refBin} {
+			if err := os.WriteFile(filepath.Join(dir, name), body, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// And a reference artifact for a manifest to name.
-		if err := os.WriteFile(filepath.Join(dir, referenceName), refBin, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		mv, err := loadVersionDir(dir, "theta")
-		if err != nil {
-			if mv != nil {
-				t.Fatal("loadVersionDir returned a bundle alongside an error")
+		try := func(manifestRaw []byte) {
+			if err := os.WriteFile(filepath.Join(dir, manifestName), manifestRaw, 0o644); err != nil {
+				t.Fatal(err)
 			}
-			return
+			mv, err := loadVersionDir(dir, "theta")
+			if err != nil {
+				if mv != nil {
+					t.Fatal("loadVersionDir returned a bundle alongside an error")
+				}
+				return
+			}
+			// The loader is the trust boundary: anything it accepts must pass
+			// full validation and be registrable.
+			if verr := mv.validate(); verr != nil {
+				t.Fatalf("loadVersionDir accepted an invalid bundle: %v", verr)
+			}
+			if mv.System != "theta" || mv.Version != 1 {
+				t.Fatalf("accepted bundle claims %s v%d from theta/v1", mv.System, mv.Version)
+			}
+			if err := NewRegistry().Add(mv); err != nil {
+				t.Fatalf("accepted bundle rejected by registry: %v", err)
+			}
 		}
-		// The loader is the trust boundary: anything it accepts must pass
-		// full validation and be registrable.
-		if verr := mv.validate(); verr != nil {
-			t.Fatalf("loadVersionDir accepted an invalid bundle: %v", verr)
+		try(manifestRaw)
+		if len(model) >= 4 {
+			if err := os.WriteFile(filepath.Join(dir, gbtModelName), resealed(model), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if mv.System != "theta" || mv.Version != 1 {
-			t.Fatalf("accepted bundle claims %s v%d from theta/v1", mv.System, mv.Version)
-		}
-		if err := NewRegistry().Add(mv); err != nil {
-			t.Fatalf("accepted bundle rejected by registry: %v", err)
-		}
+		try(repinned(manifestRaw, dir))
 	})
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -104,44 +105,42 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadRegistryRejectsTamperedModel(t *testing.T) {
 	_, v1, _ := fixture(t)
-	// A JSON bundle, as saved before the binary form: corrupt a child pointer
-	// into a self-loop; the hardened decoder must refuse it and the registry
-	// must refuse to come up partially.
 	dir := t.TempDir()
-	path := filepath.Join(saveVersionJSON(t, dir, v1), "model.gbt.json")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadRegistry(dir); err != nil {
-		t.Fatalf("untampered JSON bundle refused: %v", err)
-	}
-	tampered := strings.Replace(string(raw), `"l":1`, `"l":0`, 1)
-	if tampered == string(raw) {
-		t.Fatal("fixture model has no node with left child 1")
-	}
-	if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadRegistry(dir); err == nil || !strings.Contains(err.Error(), "must point forward") {
-		t.Errorf("registry loaded a tampered JSON model: %v", err)
-	}
-	// The binary bundle SaveVersion writes: any changed byte fails the
-	// checksum before a child pointer is looked at.
-	dir = t.TempDir()
 	if err := SaveVersion(dir, v1); err != nil {
 		t.Fatal(err)
 	}
-	path = filepath.Join(dir, "theta", "v1", gbtModelName)
-	if raw, err = os.ReadFile(path); err != nil {
+	vdir := filepath.Join(dir, "theta", "v1")
+	path := filepath.Join(vdir, gbtModelName)
+	good, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
+	// Any changed byte fails the checksum before a child pointer is looked
+	// at.
+	raw := append([]byte(nil), good...)
 	raw[len(raw)-40] ^= 1
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadRegistry(dir); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Errorf("registry loaded a tampered binary model: %v", err)
+		t.Errorf("registry loaded a tampered model: %v", err)
+	}
+	// Corrupt the first node's left child into a self-loop, then reseal the
+	// model and re-pin the manifest: the hardened decoder must still refuse
+	// it, and the registry must refuse to come up partially.
+	hlen := int(binary.LittleEndian.Uint32(good[8:]))
+	left := 12 + hlen + 8*len(v1.Columns) + 4
+	if binary.LittleEndian.Uint32(good[left:]) != 1 {
+		t.Fatal("fixture's first node has no left child 1")
+	}
+	raw = append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(raw[left:], 0)
+	if err := os.WriteFile(path, resealed(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	repin(t, vdir, nil)
+	if _, err := LoadRegistry(dir); err == nil || !strings.Contains(err.Error(), "must point forward") {
+		t.Errorf("registry loaded a self-looping model: %v", err)
 	}
 }
 
@@ -151,17 +150,9 @@ func TestLoadRegistryRejectsManifestMismatch(t *testing.T) {
 	if err := SaveVersion(dir, v1); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "theta", "v1", manifestName)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tampered := strings.Replace(string(raw), `"version": 1`, `"version": 3`, 1)
-	if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadRegistry(dir); err == nil {
-		t.Error("registry accepted manifest/directory version mismatch")
+	repin(t, filepath.Join(dir, "theta", "v1"), func(m *manifest) { m.Version = 3 })
+	if _, err := LoadRegistry(dir); err == nil || !strings.Contains(err.Error(), "claims version 3") {
+		t.Errorf("registry accepted manifest/directory version mismatch: %v", err)
 	}
 }
 
@@ -171,22 +162,10 @@ func TestLoadRegistryRejectsEscapingArtifactPath(t *testing.T) {
 	if err := SaveVersion(dir, v1); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "theta", "v1", manifestName)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A hostile manifest must not be able to read outside its version
 	// directory.
-	tampered := strings.Replace(string(raw), `"model": "`+gbtModelName+`"`,
-		`"model": "../../../../etc/passwd"`, 1)
-	if tampered == string(raw) {
-		t.Fatal("manifest model path not found for tampering")
-	}
-	if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = LoadRegistry(dir)
+	repin(t, filepath.Join(dir, "theta", "v1"), func(m *manifest) { m.Model.Name = "../../../../etc/passwd" })
+	_, err := LoadRegistry(dir)
 	if err == nil || !strings.Contains(err.Error(), "non-local artifact path") {
 		t.Errorf("escaping artifact path not rejected: %v", err)
 	}

@@ -214,18 +214,13 @@ func (r *Reloader) Poll() (ReloadStats, error) {
 		if fp, ok := r.known[key]; ok && fp == ent.fingerprint {
 			continue
 		}
+		// A bundle that loads is one manifest's — every artifact matched its
+		// pin — so a publisher rewriting the directory mid-load cannot get a
+		// mix registered; the next poll's fingerprint picks up where it went.
 		mv, err := loadVersionDir(ent.dir, ent.system)
 		if err != nil {
 			stats.Failed++
 			errs = append(errs, err)
-			continue
-		}
-		// Stability check: if the directory changed while we were loading
-		// it (a publisher rewriting artifacts in place), the bundle may
-		// mix old and new files — don't publish it; the next poll loads
-		// the settled state.
-		if fp, err := dirFingerprint(ent.dir); err != nil || fp != ent.fingerprint {
-			stats.Failed++
 			continue
 		}
 		replaced, err := r.svc.reg.AddOrReplace(mv)

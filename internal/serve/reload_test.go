@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,22 +22,14 @@ func removeVersionDir(t *testing.T, root, system string, version int) {
 	}
 }
 
-// writeCorruptVersionDir publishes a hand-written JSON version directory
-// whose manifest is well-formed but whose model artifact is garbage.
+// writeCorruptVersionDir publishes a version directory whose manifest is
+// sealed and pins its model, but whose model artifact is garbage: the load
+// fails on the model, not on the manifest.
 func writeCorruptVersionDir(t *testing.T, root, system string, version int) {
 	t.Helper()
-	dir := filepath.Join(root, system, "v"+strconv.Itoa(version))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "model.gbt.json"), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	manifest := `{"system":"` + system + `","version":` + strconv.Itoa(version) +
-		`,"columns":["a","b"],"model":"model.gbt.json","guard":{"eu_threshold":0}}`
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(manifest), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	m := fuzzManifest()
+	m.System, m.Version = system, version
+	writeBundle(t, filepath.Join(root, system, "v"+strconv.Itoa(version)), m, map[string][]byte{gbtModelName: []byte("{not a model")})
 }
 
 // diskService loads a SaveVersion'd registry from dir into a fresh service
@@ -89,9 +82,9 @@ func TestReloaderAddReplaceRemove(t *testing.T) {
 		t.Fatalf("latest after add: %v %v", mv, err)
 	}
 
-	// Replace: rewrite v2's directory in place (same version number, new
-	// artifacts — here just rewritten bytes); the bundle pointer must
-	// change and cached v2 entries must be invalidated.
+	// Replace: republish v2 in place (same version number, a new manifest —
+	// here one more training row on record); the bundle pointer must change
+	// and cached v2 entries must be invalidated.
 	before := mv
 	frame, _, _ := fixture(t)
 	if _, _, err := svc.Predict(context.Background(), "theta", 0, [][]float64{frame.Row(0)}); err != nil {
@@ -100,13 +93,11 @@ func TestReloaderAddReplaceRemove(t *testing.T) {
 	if svc.cache.Len() == 0 {
 		t.Fatal("expected a cached v2 entry")
 	}
-	// Force a new mtime so the fingerprint flips even on coarse clocks.
-	mpath := filepath.Join(dir, "theta", "v2", manifestName)
-	raw, err := os.ReadFile(mpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(mpath, append(raw, '\n'), 0o644); err != nil {
+	// The manifest's bytes change, so the fingerprint flips even on coarse
+	// clocks.
+	republished := v2.derive()
+	republished.TrainedOn++
+	if err := SaveVersion(dir, republished); err != nil {
 		t.Fatal(err)
 	}
 	stats, err = rel.Poll()
@@ -141,6 +132,49 @@ func TestReloaderAddReplaceRemove(t *testing.T) {
 	}
 	if _, err := svc.Registry().Get("theta", 2); !errors.Is(err, ErrUnknownModel) {
 		t.Errorf("retired version still resolvable: %v", err)
+	}
+}
+
+// TestInPlaceRewriteNeverServesAMixedBundle: SaveVersion rewrites a version
+// in place artifacts first, manifest last. A poll between the two finds the
+// new model under the old manifest; the manifest's checksum pin refuses that
+// mix and the old bundle keeps serving, and once the manifest lands the next
+// poll swaps the whole new bundle in.
+func TestInPlaceRewriteNeverServesAMixedBundle(t *testing.T) {
+	frame, v1, v2 := fixture(t)
+	dir := t.TempDir()
+	if err := SaveVersion(dir, v1); err != nil {
+		t.Fatal(err)
+	}
+	svc, rel := diskService(t, dir, Options{})
+	old, err := svc.Registry().Get("theta", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewrite := v2.derive()
+	rewrite.Version = 1
+	vdir := filepath.Join(dir, "theta", "v1")
+	if _, err := writeArtifact(vdir, gbtModelName, rewrite.Model.WriteBinary); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rel.Poll(); err == nil || !strings.Contains(err.Error(), "manifest pins") {
+		t.Fatalf("poll between the model and the manifest: %v, want the pin to refuse the mix", err)
+	}
+	row := [][]float64{frame.Row(0)}
+	if res, mv, err := svc.Predict(context.Background(), "theta", 1, row); err != nil || mv != old ||
+		res[0].Log10Throughput != v1.Model.Predict(row[0]) {
+		t.Fatalf("after the refused poll: %v, bundle replaced %v", err, mv != old)
+	}
+	if err := SaveVersion(dir, rewrite); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := rel.Poll()
+	if err != nil || stats.Replaced != 1 {
+		t.Fatalf("poll after the manifest landed: %+v %v", stats, err)
+	}
+	res, mv, err := svc.Predict(context.Background(), "theta", 1, row)
+	if err != nil || mv == old || res[0].Log10Throughput != v2.Model.Predict(row[0]) || mv.Guard != v2.Guard {
+		t.Fatalf("the rewritten bundle is not serving whole: %v", err)
 	}
 }
 

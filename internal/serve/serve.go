@@ -7,7 +7,7 @@
 //
 //	registry  — versioned, per-system bundles of GBT model + deep
 //	            ensemble + scaler + guardrail calibration, loaded from a
-//	            directory of validated JSON artifacts (registry.go)
+//	            directory of sealed, checksum-pinned artifacts (registry.go)
 //	cache     — a sharded LRU keyed on the feature-vector hash, held in
 //	            flat pointer-free arrays so a full cache is neither
 //	            scanned by the collector nor allocated into; the paper's
