@@ -1,12 +1,12 @@
-# Developer entry points. `make test` is the tier-1 gate; `make bench`
-# records a BENCH_<date>.json snapshot of the tier-2 benchmarks. The gated
+# Developer entry points. `make test` is the tier-1 gate. The one
 # performance ledger is its own module under bench/ (BENCHMARK.json names
 # it): `bash bench/run.sh --workload <w>` runs one workload, `make
-# ledger-smoke` its functional checks.
+# ledger-smoke` its functional checks. The paper's figure timings are
+# `go test -bench 'Fig|Table|ModelZoo' -run '^$' .`.
 
 GO ?= go
 
-.PHONY: all build test vet fmt loc bench bench-smoke benchcmp ledger-smoke chaos-smoke fleet-smoke membership-smoke slo-smoke
+.PHONY: all build test vet fmt loc ledger-smoke chaos-smoke fleet-smoke membership-smoke slo-smoke
 
 all: build test
 
@@ -34,23 +34,6 @@ loc:
 		printf '%-24s %6d lines %6d code\n' $$p $$1 $$2; \
 		lines=$$((lines+$$1)); code=$$((code+$$2)); \
 	done; printf '%-24s %6d lines %6d code\n' total $$lines $$code
-
-# Full tier-2 benchmark snapshot -> BENCH_<date>.json (see scripts/bench.sh
-# for the BENCH_PATTERN / BENCH_TIME / BENCH_OUT knobs).
-bench:
-	./scripts/bench.sh
-
-# Cheap benchmarks as a CI smoke signal: two fast figure benchmarks prove
-# the harness and the JSON recorder still work, and the serving trio runs
-# with -benchmem so benchcmp can gate the hot path's ns/op and allocs/op
-# against the committed snapshot.
-bench-smoke:
-	BENCH_PATTERN='^(BenchmarkFig1b|BenchmarkTableT1|BenchmarkServeDupHeavyCacheOn|BenchmarkServeDupHeavyCacheOff|BenchmarkServeBatch16)$$' ./scripts/bench.sh
-
-# Diff the two newest BENCH_*.json snapshots; fails on >10% regression in
-# the serving/predict benchmarks (see scripts/benchcmp.sh for knobs).
-benchcmp:
-	./scripts/benchcmp.sh
 
 # Ledger smoke: the bench module's own tests (it is not part of tier-1) and
 # a ~2 s functional pass of the two workloads that cross the wire codec —

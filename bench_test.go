@@ -12,16 +12,13 @@ package iotaxo
 // are asserted in the package tests and recorded in EXPERIMENTS.md.
 
 import (
-	"context"
 	"io"
-	"slices"
 	"sync"
 	"testing"
 
 	"iotaxo/internal/core"
 	"iotaxo/internal/experiments"
 	"iotaxo/internal/gbt"
-	"iotaxo/internal/serve"
 )
 
 // benchJobs is the dataset size used by the benchmarks. Large enough for
@@ -308,141 +305,6 @@ func BenchmarkWorkloadMap(b *testing.B) {
 		b.ReportMetric(res.Purity, "app_purity")
 	}
 }
-
-// Serving benchmarks: the online path of internal/serve. The headline
-// comparison is the duplicate-aware cache on a duplicate-heavy workload
-// (the paper's Sec. VI finding at serving time): CacheOn must beat
-// CacheOff on ns/row while answering most rows from cache.
-
-var (
-	serveOnce   sync.Once
-	serveBundle *serve.ModelVersion
-	serveRows   [][]float64
-	serveErr    error
-)
-
-// serveFixture trains one bench-scale serving bundle (theta, ensemble of
-// three) once for all serving benchmarks.
-func serveFixture(b *testing.B) (*serve.ModelVersion, [][]float64) {
-	b.Helper()
-	serveOnce.Do(func() {
-		frame, err := Generate(ThetaLike(1500))
-		if err != nil {
-			serveErr = err
-			return
-		}
-		cfg := serve.BootstrapConfig{
-			Jobs: 1500, Trees: 60, Depth: 6,
-			EnsembleSize: 3, Epochs: 6, Seed: 1, Versions: 1,
-		}
-		serveBundle, serveErr = serve.BuildVersion("theta", 1, frame, cfg)
-		serveRows = frame.Rows()
-	})
-	if serveErr != nil {
-		b.Fatal(serveErr)
-	}
-	return serveBundle, serveRows
-}
-
-// benchServe pushes a pre-generated workload through an in-process service
-// and reports per-row cost plus the cache hit ratio. traceEvery > 0 turns
-// request tracing on (1-in-N head sampling) to price the tracing path.
-func benchServe(b *testing.B, cacheSize, batchSize int, dupRate float64, traceEvery int) {
-	mv, pool := serveFixture(b)
-	reg := serve.NewRegistry()
-	if err := reg.Add(mv); err != nil {
-		b.Fatal(err)
-	}
-	svc := serve.NewService(reg, serve.Options{
-		MaxBatch:   64,
-		CacheSize:  cacheSize,
-		TraceEvery: traceEvery,
-	})
-	defer svc.Close()
-	gen, err := serve.NewLoadGen(serve.LoadSpec{
-		System: "theta", Requests: 1, BatchSize: batchSize,
-		DupRate: dupRate, Seed: 7,
-	}, pool)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// With the cache on and no duplicates asked for, cycling the 256
-	// requests would turn every row into a hit from the second lap on. Such
-	// a run instead numbers its rows in an integer feature (as bench/ does),
-	// moves a request's numbers past every other in the cycle each time it
-	// comes round again, and fills the cache before the timer starts: what
-	// is timed is hash + Put + evict, at a 0 % hit ratio.
-	unique := cacheSize > 0 && dupRate == 0
-	col := slices.Index(mv.Columns, "posix_max_access_size")
-	// Pre-generate the request stream outside the timer.
-	const nReqs = 256
-	reqs := make([][][]float64, nReqs)
-	for i := range reqs {
-		reqs[i] = gen.NextRows()
-		if unique {
-			for j, row := range reqs[i] {
-				row[col] += float64(i*batchSize + j)
-			}
-		}
-	}
-	next := func(i int) [][]float64 {
-		req := reqs[i%nReqs]
-		if unique && i >= nReqs {
-			for _, row := range req {
-				row[col] += nReqs * float64(batchSize)
-			}
-		}
-		return req
-	}
-	ctx := context.Background()
-	issued := 0
-	if unique {
-		for ; issued*batchSize < 2*cacheSize; issued++ {
-			if _, _, err := svc.Predict(ctx, "theta", 0, next(issued)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	// Serving-path heap traffic is a tracked regression axis (benchcmp
-	// tripwires on allocs/op), so these benchmarks always report it.
-	b.ReportAllocs()
-	b.ResetTimer()
-	rows := 0
-	for i := 0; i < b.N; i++ {
-		if _, _, err := svc.Predict(ctx, "theta", 0, next(issued+i)); err != nil {
-			b.Fatal(err)
-		}
-		rows += batchSize
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
-	b.ReportMetric(100*svc.Metrics().HitRatio(), "cache_hit_%")
-	b.ReportMetric(svc.Metrics().MeanBatchSize(), "rows/eval_batch")
-}
-
-// BenchmarkServeDupHeavyCacheOn/Off is the acceptance comparison: an 80%
-// duplicate workload with and without the duplicate-aware cache.
-func BenchmarkServeDupHeavyCacheOn(b *testing.B)  { benchServe(b, 1<<16, 8, 0.8, 0) }
-func BenchmarkServeDupHeavyCacheOff(b *testing.B) { benchServe(b, 0, 8, 0.8, 0) }
-
-// BenchmarkServeUniqueCacheOn bounds the cache's overhead when nothing
-// repeats: every row is new (cache_hit_% 0), so each one is hashed, misses,
-// is evaluated and then inserted into a full cache, evicting another. The
-// cache is kept to 4096 entries so that filling it before the timer stays
-// cheap.
-func BenchmarkServeUniqueCacheOn(b *testing.B) { benchServe(b, 1<<12, 8, 0, 0) }
-
-// Batch-size sweep (uncached): amortization of the micro-batch path.
-func BenchmarkServeBatch1(b *testing.B)  { benchServe(b, 0, 1, 0, 0) }
-func BenchmarkServeBatch16(b *testing.B) { benchServe(b, 0, 16, 0, 0) }
-func BenchmarkServeBatch64(b *testing.B) { benchServe(b, 0, 64, 0, 0) }
-
-// BenchmarkServeBatch16Traced prices the tracing path: every request is
-// head-sampled into the trace ring (the worst case — production samples a
-// small fraction). Informational: not in the committed snapshot, so
-// benchcmp's regression gate never keys on it; compare against
-// ServeBatch16 by eye to see what a retained trace costs.
-func BenchmarkServeBatch16Traced(b *testing.B) { benchServe(b, 0, 16, 0, 1) }
 
 func BenchmarkTableT3(b *testing.B) {
 	theta, cori := benchFrames(b)

@@ -47,25 +47,25 @@ func (c *Controller) Handler(adminToken string) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/drift", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "GET only")
+			serve.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 			return
 		}
-		writeJSON(w, http.StatusOK, c.Status())
+		serve.WriteJSON(w, http.StatusOK, c.Status())
 	})
 	mux.HandleFunc("/v1/drift/retrain", serve.RequireAdmin(adminToken, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "POST only")
+			serve.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
 		var req retrainRequest
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+			serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 			return
 		}
 		if req.System == "" {
-			writeError(w, http.StatusBadRequest, "missing \"system\"")
+			serve.WriteError(w, http.StatusBadRequest, "missing \"system\"")
 			return
 		}
 		if err := c.ForceRetrain(req.System); err != nil {
@@ -73,25 +73,25 @@ func (c *Controller) Handler(adminToken string) http.Handler {
 			if errors.Is(err, serve.ErrUnknownModel) {
 				status = http.StatusNotFound
 			}
-			writeError(w, status, err.Error())
+			serve.WriteError(w, status, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusAccepted, map[string]any{"system": req.System, "status": "retraining"})
+		serve.WriteJSON(w, http.StatusAccepted, map[string]any{"system": req.System, "status": "retraining"})
 	}))
 	mux.HandleFunc("/v1/feedback", serve.RequireAdmin(adminToken, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "POST only")
+			serve.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
 		var req FeedbackRequest
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxFeedbackBody))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+			serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 			return
 		}
 		if req.System == "" {
-			writeError(w, http.StatusBadRequest, "missing \"system\"")
+			serve.WriteError(w, http.StatusBadRequest, "missing \"system\"")
 			return
 		}
 		res, err := c.Feedback(r.Context(), req.System, req.Rows, req.Actual)
@@ -100,20 +100,10 @@ func (c *Controller) Handler(adminToken string) http.Handler {
 			if errors.Is(err, serve.ErrUnknownModel) {
 				status = http.StatusNotFound
 			}
-			writeError(w, status, err.Error())
+			serve.WriteError(w, status, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
+		serve.WriteJSON(w, http.StatusOK, res)
 	}))
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
 }

@@ -13,38 +13,27 @@ import (
 	"iotaxo/internal/serve"
 )
 
-// The router's tail on the shared response encoder is json.Marshal's.
-func TestAppendResponseMatchesMarshal(t *testing.T) {
-	pred := serve.PredictResponse{System: "theta", Version: 2, Count: 1, TraceID: "00ff",
-		Predictions: []serve.PredictionResult{{Log10Throughput: 9.5, Throughput: 3162277660.1683793,
-			Guard: &serve.Guard{EU: 0.1, AU: 0.2, NoiseFloorPct: 0.05, ErrorSource: serve.SourceModeling}}}}
-	for name, resp := range map[string]*Response{
-		"bare":    {PredictResponse: pred},
-		"shares":  {PredictResponse: pred, Replicas: []ReplicaShare{{Replica: "r0", Rows: 5, Version: 1}, {Replica: "r<1>", Rows: 11, Version: 2}}},
-		"traced":  {PredictResponse: pred, Replicas: []ReplicaShare{{Replica: "r0", Rows: 1, Version: 1, TraceIDs: []string{"0a"}}, {Replica: "r1", Rows: 2, TraceIDs: []string{"0b", "0c"}}}, MembershipEpoch: 7},
-		"epoch":   {PredictResponse: pred, MembershipEpoch: math.MaxUint64},
-		"no rows": {PredictResponse: serve.PredictResponse{System: "é"}, Replicas: []ReplicaShare{}},
-	} {
-		want, err := json.Marshal(resp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := appendResponse([]byte("prefix"), resp)
-		if err != nil || string(got) != "prefix"+string(want)+"\n" {
-			t.Errorf("%s: encoded (%v)\n%s\njson.Marshal\n%s", name, err, got, want)
-		}
+// infReplica is a stub whose every prediction is +Inf bytes/s.
+type infReplica struct{ *stubReplica }
+
+func (s infReplica) Predict(ctx context.Context, req *serve.PredictRequest) (*serve.PredictResponse, error) {
+	resp, err := s.stubReplica.Predict(ctx, req)
+	if err != nil {
+		return nil, err
 	}
+	for i := range resp.Predictions {
+		resp.Predictions[i].Throughput = math.Inf(1)
+	}
+	return resp, nil
 }
 
 // A routed response JSON cannot carry is a counted 500 with the uniform
 // error body, not a 200 cut short.
 func TestNonFiniteRoutedResponseIsA500(t *testing.T) {
-	rt := newTestRouter(t, RouterConfig{}, newStub("replica-0"))
-	resp := &Response{PredictResponse: serve.PredictResponse{System: "theta", Count: 1,
-		Predictions: []serve.PredictionResult{{Log10Throughput: 400, Throughput: math.Inf(1)}}}}
+	rt := newTestRouter(t, RouterConfig{}, infReplica{newStub("replica-0")})
 	before := rt.metrics.errors.Load()
 	rec := httptest.NewRecorder()
-	replyRoute(rt, rec, nil, resp)
+	Handler(rt).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(`{"system":"theta","row":[400]}`)))
 	var body map[string]string
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != http.StatusInternalServerError || !strings.Contains(body["error"], "non-finite") {
 		t.Fatalf("status %d body %q, want 500 with the uniform error body", rec.Code, rec.Body.String())

@@ -60,10 +60,10 @@ func NewHandler(rt *Router, cfg HandlerConfig) http.Handler {
 	mux.Handle("/v1/predict", obs.SLOMiddleware(cfg.SLO, func(r *http.Request) string { return "predict" }, predict))
 	mux.HandleFunc("/v1/fleet", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "GET only")
+			serve.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 			return
 		}
-		writeJSON(w, http.StatusOK, rt.View())
+		serve.WriteJSON(w, http.StatusOK, rt.View())
 	})
 	// The registration plane. Admin-gated: membership changes are control
 	// actions, and the agent sends the same token it uses for its own
@@ -78,7 +78,7 @@ func NewHandler(rt *Router, cfg HandlerConfig) http.Handler {
 			writeMembershipError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		serve.WriteJSON(w, http.StatusOK, resp)
 	}))
 	mux.HandleFunc("/v1/fleet/heartbeat", serve.RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
 		var req HeartbeatRequest
@@ -90,7 +90,7 @@ func NewHandler(rt *Router, cfg HandlerConfig) http.Handler {
 			writeMembershipError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		serve.WriteJSON(w, http.StatusOK, resp)
 	}))
 	mux.HandleFunc("/v1/fleet/deregister", serve.RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
 		var req DeregisterRequest
@@ -102,7 +102,7 @@ func NewHandler(rt *Router, cfg HandlerConfig) http.Handler {
 			writeMembershipError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		serve.WriteJSON(w, http.StatusOK, resp)
 	}))
 	mux.HandleFunc("/v1/trace", serve.RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
 		handleFleetTraceList(rt, w, r)
@@ -112,7 +112,7 @@ func NewHandler(rt *Router, cfg HandlerConfig) http.Handler {
 	}))
 	mux.HandleFunc("/v1/slo", func(w http.ResponseWriter, r *http.Request) {
 		if cfg.SLO == nil {
-			writeError(w, http.StatusConflict, "SLO tracking disabled (start iorouter with -slo)")
+			serve.WriteError(w, http.StatusConflict, "SLO tracking disabled (start iorouter with -slo)")
 			return
 		}
 		cfg.SLO.Handler().ServeHTTP(w, r)
@@ -124,7 +124,7 @@ func NewHandler(rt *Router, cfg HandlerConfig) http.Handler {
 		if view.Healthy == 0 {
 			status, state = http.StatusServiceUnavailable, "no healthy replicas"
 		}
-		writeJSON(w, status, map[string]any{
+		serve.WriteJSON(w, status, map[string]any{
 			"status":   state,
 			"healthy":  view.Healthy,
 			"replicas": len(view.Replicas),
@@ -159,18 +159,18 @@ type FleetTraceSummary struct {
 // newest first, capped by ?limit=.
 func handleFleetTraceList(rt *Router, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	if rt.tracer == nil {
-		writeError(w, http.StatusConflict, "tracing disabled (start iorouter with -trace-sample)")
+		serve.WriteError(w, http.StatusConflict, "tracing disabled (start iorouter with -trace-sample)")
 		return
 	}
 	limit := 0
 	if s := r.URL.Query().Get("limit"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "limit must be a non-negative integer")
+			serve.WriteError(w, http.StatusBadRequest, "limit must be a non-negative integer")
 			return
 		}
 		limit = n
@@ -189,7 +189,7 @@ func handleFleetTraceList(rt *Router, w http.ResponseWriter, r *http.Request) {
 			Error:   t.Err,
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"slow_threshold_ns": rt.tracer.SlowThresholdNs(),
 		"traces":            summaries,
 	})
@@ -201,38 +201,39 @@ func handleFleetTraceList(rt *Router, w http.ResponseWriter, r *http.Request) {
 // marker instead of failing the stitch.
 func handleFleetTraceGet(rt *Router, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	if rt.tracer == nil {
-		writeError(w, http.StatusConflict, "tracing disabled (start iorouter with -trace-sample)")
+		serve.WriteError(w, http.StatusConflict, "tracing disabled (start iorouter with -trace-sample)")
 		return
 	}
 	idHex := strings.TrimPrefix(r.URL.Path, "/v1/trace/")
 	id, err := obs.ParseTraceID(idHex)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad trace id %q", idHex))
+		serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad trace id %q", idHex))
 		return
 	}
 	st, ok := rt.StitchTrace(r.Context(), id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("trace %s not retained (evicted or never kept)", idHex))
+		serve.WriteError(w, http.StatusNotFound, fmt.Sprintf("trace %s not retained (evicted or never kept)", idHex))
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	serve.WriteJSON(w, http.StatusOK, st)
 }
 
 func handleRoute(rt *Router, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	// The client's deadline bounds the whole fan-out; Remote backends
 	// forward the remaining budget on X-Request-Timeout-Ms so replicas
 	// drop expired waves themselves.
-	serve.HandlePredictRequest(w, r, 0, func(ctx context.Context, req *serve.PredictRequest, buf []byte) ([]byte, error) {
-		resp, err := rt.Route(ctx, req)
-		if err != nil {
+	var resp *Response
+	err := serve.HandlePredictRequest(w, r, 0, func(ctx context.Context, req *serve.PredictRequest) (any, error) {
+		var err error
+		if resp, err = rt.Route(ctx, req); err != nil {
 			be, ok := err.(*BackendError)
 			if !ok {
 				be = &BackendError{Status: http.StatusServiceUnavailable, Msg: err.Error()}
@@ -240,69 +241,20 @@ func handleRoute(rt *Router, w http.ResponseWriter, r *http.Request) {
 			if be.RetryAfter != "" {
 				w.Header().Set("Retry-After", be.RetryAfter)
 			}
-			writeError(w, be.Status, be.Msg)
-			return buf, err
+			serve.WriteError(w, be.Status, be.Msg)
+			return nil, err
 		}
-		return replyRoute(rt, w, buf, resp), nil
+		if resp.TraceID != "" {
+			w.Header().Set(serve.TraceHeader, resp.TraceID)
+		}
+		return resp, nil
 	})
-}
-
-// replyRoute encodes resp into buf and writes it as the 200, returning buf
-// for reuse; a response JSON cannot carry is a counted, logged 500.
-func replyRoute(rt *Router, w http.ResponseWriter, buf []byte, resp *Response) []byte {
-	buf, err := appendResponse(buf, resp)
 	if err != nil {
+		// The envelope answered 500: a response JSON cannot carry is counted
+		// and logged.
 		rt.metrics.errors.Add(1)
 		rt.logger.Error("routed response not encodable", "system", resp.System, "trace_id", resp.TraceID, "err", err)
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return buf
 	}
-	if resp.TraceID != "" {
-		w.Header().Set(serve.TraceHeader, resp.TraceID)
-	}
-	serve.WriteJSONBody(w, http.StatusOK, buf)
-	return buf
-}
-
-// appendResponse appends what json.NewEncoder(w).Encode(resp) emits: the
-// replica contract from the shared codec, its closing brace reopened for
-// the router's own tail.
-func appendResponse(dst []byte, resp *Response) ([]byte, error) {
-	dst, err := serve.AppendPredictResponse(dst, &resp.PredictResponse)
-	if err != nil {
-		return dst, err
-	}
-	dst = dst[:len(dst)-len("}\n")]
-	for i := range resp.Replicas {
-		sh := &resp.Replicas[i]
-		if i == 0 {
-			dst = append(dst, `,"replicas":[`...)
-		} else {
-			dst = append(dst, ',')
-		}
-		dst = serve.AppendJSONString(append(dst, `{"replica":`...), sh.Replica)
-		dst = strconv.AppendInt(append(dst, `,"rows":`...), int64(sh.Rows), 10)
-		dst = strconv.AppendInt(append(dst, `,"version":`...), int64(sh.Version), 10)
-		for k, id := range sh.TraceIDs {
-			if k == 0 {
-				dst = append(dst, `,"trace_ids":[`...)
-			} else {
-				dst = append(dst, ',')
-			}
-			dst = serve.AppendJSONString(dst, id)
-		}
-		if len(sh.TraceIDs) > 0 {
-			dst = append(dst, ']')
-		}
-		dst = append(dst, '}')
-	}
-	if len(resp.Replicas) > 0 {
-		dst = append(dst, ']')
-	}
-	if resp.MembershipEpoch != 0 {
-		dst = strconv.AppendUint(append(dst, `,"membership_epoch":`...), resp.MembershipEpoch, 10)
-	}
-	return append(dst, "}\n"...), nil
 }
 
 // maxMembershipBody bounds a registration-plane request body.
@@ -312,13 +264,13 @@ const maxMembershipBody = 1 << 20
 // answering the error itself (false) when the method or body is bad.
 func decodeMembership(w http.ResponseWriter, r *http.Request, req any) bool {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return false
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMembershipBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+		serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return false
 	}
 	return true
@@ -328,23 +280,12 @@ func decodeMembership(w http.ResponseWriter, r *http.Request, req any) bool {
 // is 404 (the agent's re-register signal), BackendError carries its own.
 func writeMembershipError(w http.ResponseWriter, err error) {
 	if errors.Is(err, ErrUnknownMember) {
-		writeError(w, http.StatusNotFound, err.Error())
+		serve.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	if be, ok := err.(*BackendError); ok {
-		writeError(w, be.Status, be.Msg)
+		serve.WriteError(w, be.Status, be.Msg)
 		return
 	}
-	writeError(w, http.StatusInternalServerError, err.Error())
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeError writes ioserve's uniform error body, {"error": msg}.
-func writeError(w http.ResponseWriter, status int, msg string) {
-	serve.WriteJSONBody(w, status, append(serve.AppendJSONString([]byte(`{"error":`), msg), "}\n"...))
+	serve.WriteError(w, http.StatusInternalServerError, err.Error())
 }

@@ -81,8 +81,7 @@ func answerEmptyPredictions(w http.ResponseWriter, body []byte) {
 		return
 	}
 	resp := &serve.PredictResponse{System: req.System, Version: 1, Count: len(req.Rows), Predictions: make([]serve.PredictionResult, len(req.Rows))}
-	out, _ := serve.AppendPredictResponse(nil, resp)
-	serve.WriteJSONBody(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
 // newTrackedReplica starts a replica that answers every predict with one

@@ -13,21 +13,23 @@ import (
 	"time"
 )
 
-// The predict wire codec: the one hand-written JSON path shared by ioserve's
-// POST /v1/predict, iorouter's, and the router→replica hop between them.
+// The predict wire codec shared by ioserve's POST /v1/predict, iorouter's,
+// and the router→replica hop between them.
 //
 // Requests are read into a pooled byte buffer and parsed straight into a
-// pooled flat []float64 block with the row headers sliced from it; responses
-// are appended into that same byte buffer and written with one Write. The
-// fast paths accept only input they decode exactly as encoding/json would:
-// the four exact keys once each, escape-free ASCII strings, plain number
-// literals. Anything else — unknown, duplicate or case-folded keys, string
-// escapes, null, a non-number token, a reply in a shape this encoder does
-// not emit — is handed, from the same buffered bytes, to the encoding/json
-// sequence the handlers ran before this codec existed, so statuses, error
-// texts and edge semantics are that sequence's. One observable difference:
-// the body is read to its end (or the bound) before parsing, where the
-// streaming decoder stopped at the value's closing brace.
+// pooled flat []float64 block with the row headers sliced from it; replies
+// are encoded by encoding/json into the call's own buffer and written with
+// one Write. The hand-written paths are the decoders and the hop's request
+// encoder. The decoders accept only input they decode exactly as
+// encoding/json would: the four exact keys once each, escape-free ASCII
+// strings, plain number literals, and for a reply the shape encoding/json
+// emits. Anything else — unknown, duplicate or case-folded keys, string
+// escapes, null, a non-number token, reordered or spaced reply keys — is
+// handed, from the same buffered bytes, to the encoding/json sequence the
+// handlers ran before this codec existed, so statuses, error texts and edge
+// semantics are that sequence's. One observable difference: the body is read
+// to its end (or the bound) before parsing, where the streaming decoder
+// stopped at the value's closing brace.
 //
 // Block lifetime: Batcher.SubmitWave can return on ctx.Done() while a worker
 // is still evaluating the abandoned wave's rows, so a call's row block goes
@@ -45,9 +47,10 @@ var callPool = sync.Pool{New: func() any { return new(predictCall) }}
 // predictCall is the pooled storage behind one POST /v1/predict.
 type predictCall struct {
 	req   PredictRequest
-	buf   []byte      // the request's bytes, then the response's
-	block []float64   // every row's values, back to back
-	rows  [][]float64 // headers into block
+	buf   []byte       // the request's bytes
+	out   bytes.Buffer // the reply's bytes
+	block []float64    // every row's values, back to back
+	rows  [][]float64  // headers into block
 	// system is the last system name decoded, reused while requests name
 	// the same one.
 	system string
@@ -55,13 +58,14 @@ type predictCall struct {
 
 // HandlePredictRequest is the envelope of POST /v1/predict for ioserve and
 // iorouter alike: bound and read the body, decode it, apply the tighter of
-// defaultDeadline and the client's X-Request-Timeout-Ms, call serve, and
-// settle the pooled storage. A bad request is answered 400 here. serve gets
-// an empty buffer to append its response to and returns it with the error of
-// ServeRequest / Route, having written the response either way; req and its
-// rows are on loan until it returns.
+// defaultDeadline and the client's X-Request-Timeout-Ms, call serve, write
+// the value it returns as the 200, and settle the pooled storage. A bad
+// request is answered 400 here. serve returns its reply, or the error of
+// ServeRequest / Route having written that error's reply itself; req and its
+// rows are on loan until it returns. The error returned is the reply's own:
+// a value JSON cannot carry, answered 500 here, for the caller to count.
 func HandlePredictRequest(w http.ResponseWriter, r *http.Request, defaultDeadline time.Duration,
-	serve func(ctx context.Context, req *PredictRequest, buf []byte) ([]byte, error)) {
+	serve func(ctx context.Context, req *PredictRequest) (any, error)) error {
 	c := callPool.Get().(*predictCall)
 	recycle := false
 	defer func() { c.release(recycle) }()
@@ -76,8 +80,8 @@ func HandlePredictRequest(w http.ResponseWriter, r *http.Request, defaultDeadlin
 	if readErr != nil || !c.decodeRequest(c.buf) {
 		c.req = PredictRequest{}
 		if err := decodeRequestJSON(c.buf, readErr, &c.req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
-			return
+			WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+			return nil
 		}
 	}
 	// Deadline propagation: the tighter of the server default and the
@@ -87,8 +91,8 @@ func HandlePredictRequest(w http.ResponseWriter, r *http.Request, defaultDeadlin
 	if h := r.Header.Get(DeadlineHeader); h != "" {
 		ms, err := strconv.ParseInt(h, 10, 64)
 		if err != nil || ms <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("%s must be a positive integer of milliseconds", DeadlineHeader))
-			return
+			WriteError(w, http.StatusBadRequest, fmt.Sprintf("%s must be a positive integer of milliseconds", DeadlineHeader))
+			return nil
 		}
 		if d := time.Duration(ms) * time.Millisecond; defaultDeadline == 0 || d < defaultDeadline {
 			defaultDeadline = d
@@ -99,12 +103,15 @@ func HandlePredictRequest(w http.ResponseWriter, r *http.Request, defaultDeadlin
 		ctx, cancel = context.WithTimeout(ctx, defaultDeadline)
 		defer cancel()
 	}
-	var err error
-	c.buf, err = serve(ctx, &c.req, c.buf[:0])
+	reply, err := serve(ctx, &c.req)
 	// No error means every wave over the rows was consumed, unless the
 	// context ended: that is the one thing that abandons a wave mid-evaluation
 	// (and a later all-cache-hit retry can still return nil after it).
 	recycle = err == nil && ctx.Err() == nil
+	if err != nil {
+		return nil
+	}
+	return writeReply(w, &c.out, http.StatusOK, reply)
 }
 
 // release returns the call to the pool, with its row block only if recycle.
@@ -113,7 +120,7 @@ func (c *predictCall) release(recycle bool) {
 		c.block, c.rows = nil, nil
 	}
 	c.req = PredictRequest{}
-	if cap(c.buf)+8*cap(c.block)+24*cap(c.rows) <= maxPooledCall {
+	if cap(c.buf)+c.out.Cap()+8*cap(c.block)+24*cap(c.rows) <= maxPooledCall {
 		callPool.Put(c)
 	}
 }
@@ -374,9 +381,9 @@ func appendFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-// AppendJSONString appends s quoted as encoding/json quotes it. Anything it
+// appendJSONString appends s quoted as encoding/json quotes it. Anything it
 // would escape (HTML-unsafe bytes included) or validate goes through it.
-func AppendJSONString(dst []byte, s string) []byte {
+func appendJSONString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			q, _ := json.Marshal(s) // a string always marshals
@@ -396,72 +403,12 @@ func (t *ServerTimings) fields() [len(timingKeys)]*int64 {
 		&t.EvaluateNs, &t.GuardNs, &t.FinalizeNs, &t.ObserveNs}
 }
 
-func appendInt(dst []byte, key string, n int64) []byte {
-	return strconv.AppendInt(append(dst, key...), n, 10)
-}
-
-// AppendPredictResponse appends exactly the bytes json.NewEncoder(w).Encode
-// emits for resp, trailing newline included. A non-finite value, which JSON
-// cannot carry, is an error and leaves dst unusable.
-func AppendPredictResponse(dst []byte, resp *PredictResponse) ([]byte, error) {
-	dst = AppendJSONString(append(dst, `{"system":`...), resp.System)
-	dst = appendInt(dst, `,"version":`, int64(resp.Version))
-	dst = appendInt(dst, `,"count":`, int64(resp.Count))
-	if resp.Predictions == nil {
-		dst = append(dst, `,"predictions":null`...)
-	} else {
-		dst = append(dst, `,"predictions":[`...)
-		for i := range resp.Predictions {
-			pr := &resp.Predictions[i]
-			g := pr.Guard
-			if !finite(pr.Log10Throughput) || !finite(pr.Throughput) ||
-				g != nil && !(finite(g.EU) && finite(g.AU) && finite(g.NoiseFloorPct)) {
-				return dst, fmt.Errorf("serve: prediction %d holds a non-finite value, which JSON cannot carry", i)
-			}
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendFloat(append(dst, `{"log10_throughput":`...), pr.Log10Throughput)
-			dst = appendFloat(append(dst, `,"throughput_bytes_per_sec":`...), pr.Throughput)
-			if g != nil {
-				dst = appendFloat(append(dst, `,"guard":{"eu":`...), g.EU)
-				dst = appendFloat(append(dst, `,"au":`...), g.AU)
-				dst = strconv.AppendBool(append(dst, `,"ood":`...), g.OoD)
-				dst = strconv.AppendBool(append(dst, `,"at_noise_floor":`...), g.AtNoiseFloor)
-				if g.NoiseFloorPct != 0 {
-					dst = appendFloat(append(dst, `,"noise_floor_pct":`...), g.NoiseFloorPct)
-				}
-				dst = AppendJSONString(append(dst, `,"error_source":`...), g.ErrorSource)
-				dst = append(dst, '}')
-			}
-			dst = strconv.AppendBool(append(dst, `,"cache_hit":`...), pr.CacheHit)
-			dst = append(dst, '}')
-		}
-		dst = append(dst, ']')
-	}
-	if resp.TraceID != "" {
-		dst = AppendJSONString(append(dst, `,"trace_id":`...), resp.TraceID)
-	}
-	if t := resp.ServerTimings; t != nil {
-		for i, ns := range t.fields() {
-			dst = appendInt(dst, timingKeys[i], *ns)
-		}
-		dst = append(dst, '}')
-	}
-	return append(dst, "}\n"...), nil
-}
-
-// DecodePredictResponse reads a replica's reply. The fast path takes exactly
-// what AppendPredictResponse (and encoding/json before it) emits, into one
-// []PredictionResult and one []Guard block; any other shape — an older or
-// newer replica, whitespace, reordered keys — is encoding/json's to decode.
-func DecodePredictResponse(data []byte) (*PredictResponse, error) {
-	return DecodePredictReply(data, "")
-}
-
-// DecodePredictReply is DecodePredictResponse for the sender of the request:
-// a reply that names the system asked about shares that string rather than
-// holding a copy of it.
+// DecodePredictReply reads a replica's reply to a request about system. The
+// fast path takes exactly what encoding/json emits for a PredictResponse, into
+// one []PredictionResult and one []Guard block, and a reply that names system
+// shares that string rather than holding a copy of it; any other shape — an
+// older or newer replica, whitespace, reordered keys — is encoding/json's to
+// decode.
 func DecodePredictReply(data []byte, system string) (*PredictResponse, error) {
 	out := &PredictResponse{System: system}
 	if decodeResponse(data, out) {
@@ -569,9 +516,9 @@ func internErrorSource(b []byte) string {
 // router to replica. A non-finite feature value is an error, as it is to
 // json.Marshal.
 func AppendPredictRequest(dst []byte, req *PredictRequest) ([]byte, error) {
-	dst = AppendJSONString(append(dst, `{"system":`...), req.System)
+	dst = appendJSONString(append(dst, `{"system":`...), req.System)
 	if req.Version != 0 {
-		dst = appendInt(dst, `,"version":`, int64(req.Version))
+		dst = strconv.AppendInt(append(dst, `,"version":`...), int64(req.Version), 10)
 	}
 	var err error
 	if len(req.Row) > 0 {
@@ -614,6 +561,38 @@ func appendRow(dst []byte, row []float64) ([]byte, error) {
 // jsonContentType is every JSON response's Content-Type value: header values
 // are read, never written, by net/http.
 var jsonContentType = []string{"application/json"}
+
+// errorBody is the uniform error reply, {"error": msg}.
+type errorBody struct {
+	Error string `json:"error"`
+}
+
+// WriteJSON writes v as the JSON reply with status (see writeReply). A value
+// that does not encode has been answered 500 by then; only the predict paths
+// count that error.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	_ = writeReply(w, new(bytes.Buffer), status, v)
+}
+
+// WriteError writes the uniform error reply.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, errorBody{msg})
+}
+
+// writeReply is every JSON reply's one writer: encode v into buf, then write it
+// with its length. A value JSON cannot carry (NaN, ±Inf) is therefore found
+// before any header goes out, and is answered 500 with the uniform error body
+// instead of a 200 cut short; that error is returned.
+func writeReply(w http.ResponseWriter, buf *bytes.Buffer, status int, v any) error {
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		err = fmt.Errorf("serve: reply is not encodable (JSON cannot carry a non-finite number): %w", err)
+		_ = writeReply(w, buf, http.StatusInternalServerError, errorBody{err.Error()}) // a string always encodes
+		return err
+	}
+	WriteJSONBody(w, status, buf.Bytes())
+	return nil
+}
 
 // WriteJSONBody writes one already-encoded JSON body with its length.
 func WriteJSONBody(w http.ResponseWriter, status int, body []byte) {

@@ -157,7 +157,7 @@ func FuzzDecodePredictRequest(f *testing.F) {
 		rec := httptest.NewRecorder()
 		accepted := false
 		HandlePredictRequest(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(data)), 0,
-			func(_ context.Context, req *PredictRequest, buf []byte) ([]byte, error) {
+			func(_ context.Context, req *PredictRequest) (any, error) {
 				accepted = true
 				if !sameRequest(req, &want) {
 					t.Fatalf("decoded %+v, encoding/json %+v: %q", req, want, data)
@@ -168,7 +168,7 @@ func FuzzDecodePredictRequest(f *testing.F) {
 				if (err == nil) != (gotErr == nil) || err == nil && !bytes.Equal(gotHop, wantHop) {
 					t.Fatalf("hop request %q (%v), json.Marshal %q (%v)", gotHop, gotErr, wantHop, err)
 				}
-				return buf, nil
+				return nil, nil
 			})
 		if accepted != (wantErr == nil) {
 			t.Fatalf("accepted=%v, encoding/json error %v: %q", accepted, wantErr, data)
@@ -209,7 +209,7 @@ func FuzzDecodePredictResponse(f *testing.F) {
 		// which (unlike json.Unmarshal) does not look past the value.
 		var want PredictResponse
 		wantErr := json.NewDecoder(bytes.NewReader(data)).Decode(&want)
-		got, err := DecodePredictResponse(data)
+		got, err := DecodePredictReply(data, "")
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("error %v, encoding/json %v: %q", err, wantErr, data)
 		}
@@ -223,69 +223,47 @@ func FuzzDecodePredictResponse(f *testing.F) {
 	})
 }
 
-func FuzzAppendPredictResponse(f *testing.F) {
-	f.Add("theta", 2, 10.5, 31622776601.683792, 0.08, 0.36, 0.027, "app/system-modeling", "00ff00ff00ff00ff", int64(123456), uint8(0xff))
-	f.Add("a<b>&\"c\\\n\t\x00\x7f", -1, math.Copysign(0, -1), 1e-7, 1e21, 1e-6, 0.0, "généralisation ", "", int64(-1), uint8(0x07))
-	f.Add("bad\xffutf8", 0, 5e-324, math.MaxFloat64, 123456789.125, 1e20, math.Copysign(0, -1), "", "id", int64(0), uint8(0x32))
-	f.Add("theta", 1, math.Inf(1), 1.0, 0.0, 0.0, 0.0, "", "", int64(0), uint8(0x03))
-	f.Add("theta", 1, 1.0, 1.0, math.NaN(), 0.0, 0.0, "", "", int64(0), uint8(0x03))
-	f.Fuzz(func(t *testing.T, system string, version int, a, b, eu, au, floor float64, source, traceID string, ns int64, shape uint8) {
-		// shape: bits 0-1 prediction count (3 = nil slice), bit 2 guard on
-		// the first prediction, bits 3-4 its booleans, bit 5 timings.
-		resp := &PredictResponse{System: system, Version: version, Count: int(shape & 3), TraceID: traceID}
-		if n := int(shape & 3); n < 3 {
-			resp.Predictions = make([]PredictionResult, n)
-			for i := range resp.Predictions {
-				resp.Predictions[i] = PredictionResult{Log10Throughput: a, Throughput: b, CacheHit: shape&8 != 0}
-				if shape&4 != 0 && i == 0 {
-					resp.Predictions[i].Guard = &Guard{EU: eu, AU: au, OoD: shape&8 != 0, AtNoiseFloor: shape&16 != 0, NoiseFloorPct: floor, ErrorSource: source}
-				}
-			}
-		}
-		if shape&32 != 0 {
-			resp.ServerTimings = &ServerTimings{TotalNs: ns, CacheLookupNs: -ns, QueueWaitNs: ns / 2, WaveAssembleNs: 1, EvaluateNs: ns, GuardNs: 0, FinalizeNs: math.MaxInt64, ObserveNs: math.MinInt64}
-		}
-		want, wantErr := json.Marshal(resp)
-		got, err := AppendPredictResponse([]byte("prefix"), resp)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("error %v, json.Marshal %v for %+v", err, wantErr, resp)
-		}
-		if err == nil && string(got) != "prefix"+string(want)+"\n" {
-			t.Fatalf("encoded\n%q\njson.Marshal\n%q", got, want)
-		}
-	})
-}
-
 func TestAppendJSONStringMatchesMarshal(t *testing.T) {
 	for _, s := range []string{"", "theta", `missing "system"`, "a\\b", "<script>&amp;", "tab\tnl\ncr\rbs\bff\fnul\x00esc\x1bdel\x7f", "é  ", "\xff\xfe"} {
 		want, _ := json.Marshal(s)
-		if got := AppendJSONString(nil, s); string(got) != string(want) {
+		if got := appendJSONString(nil, s); string(got) != string(want) {
 			t.Errorf("%q: got %s, json.Marshal %s", s, got, want)
 		}
 	}
 }
 
+// poisonObserver overwrites the last result of every served request: the
+// fault injection behind the non-finite tests (observers are read-only by
+// contract; this one breaks it on purpose).
+type poisonObserver struct{ bad PredictionResult }
+
+func (o poisonObserver) ObserveServed(_ *ModelVersion, _ [][]float64, results []PredictionResult) {
+	results[len(results)-1] = o.bad
+}
+
 // The non-finite bug: before the codec, a NaN or Inf prediction was a 200
 // with an empty body (the encoder's error was dropped after the header).
 func TestNonFinitePredictionIsA500(t *testing.T) {
-	reg := fixtureRegistry(t)
-	svc := NewService(reg, Options{})
+	frame, _, _ := fixture(t)
+	svc := NewService(fixtureRegistry(t), Options{})
 	t.Cleanup(svc.Close)
+	h := Handler(svc)
+	body, err := json.Marshal(PredictRequest{System: "theta", Rows: [][]float64{frame.Row(0), frame.Row(1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, bad := range []PredictionResult{
 		{Log10Throughput: math.NaN(), Throughput: 1},
 		{Log10Throughput: 400, Throughput: math.Inf(1)},
 		{Log10Throughput: 1, Throughput: 10, Guard: &Guard{EU: math.Inf(-1)}},
 		{Log10Throughput: 1, Throughput: 10, Guard: &Guard{AU: math.NaN()}},
 	} {
-		resp := &PredictResponse{System: "theta", Version: 2, Count: 2, Predictions: []PredictionResult{{Log10Throughput: 1, Throughput: 10}, bad}}
-		if _, err := AppendPredictResponse(nil, resp); err == nil || !strings.Contains(err.Error(), "prediction 1") {
-			t.Fatalf("encoder accepted %+v (err %v)", bad, err)
-		}
+		svc.SetObserver(poisonObserver{bad})
 		before := svc.Metrics().Errors.Load()
 		rec := httptest.NewRecorder()
-		replyPredict(svc, rec, nil, resp)
-		var body map[string]string
-		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != http.StatusInternalServerError || !strings.Contains(body["error"], "non-finite") {
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
+		var reply map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil || rec.Code != http.StatusInternalServerError || !strings.Contains(reply["error"], "non-finite") {
 			t.Fatalf("%+v: status %d body %q, want 500 with the uniform error body", bad, rec.Code, rec.Body.String())
 		}
 		if got := svc.Metrics().Errors.Load(); got != before+1 {
@@ -306,9 +284,9 @@ func TestOversizeBodyKeepsEncodingJSONSemantics(t *testing.T) {
 			r.ContentLength = -1
 		}
 		HandlePredictRequest(rec, r, 0,
-			func(_ context.Context, req *PredictRequest, buf []byte) ([]byte, error) {
+			func(_ context.Context, req *PredictRequest) (any, error) {
 				got = &PredictRequest{System: req.System, Version: req.Version, Row: append([]float64(nil), req.Row...)}
-				return buf, nil
+				return nil, nil
 			})
 		return got, rec
 	}
@@ -332,8 +310,22 @@ func TestOversizeBodyKeepsEncodingJSONSemantics(t *testing.T) {
 	}
 }
 
-// The steady state of both directions allocates nothing: every request after
-// the first reuses the call's buffers and its system name.
+// discardWriter is a ResponseWriter that keeps nothing but its header map.
+type discardWriter struct{ h http.Header }
+
+func (d discardWriter) Header() http.Header         { return d.h }
+func (d discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d discardWriter) WriteHeader(int)             {}
+
+// rewindBody is a request body that can be read again after a Reset.
+type rewindBody struct{ *bytes.Reader }
+
+func (rewindBody) Close() error { return nil }
+
+// The steady state of the envelope allocates nothing of its own: every request
+// after the first takes a pooled call, decodes into its block, reuses its
+// system name, and encodes the reply into its buffer. What is left is
+// WriteJSONBody's header values, measured on their own.
 func TestCodecSteadyStateReusesItsBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
@@ -348,17 +340,63 @@ func TestCodecSteadyStateReusesItsBuffers(t *testing.T) {
 		resp.Predictions = append(resp.Predictions, PredictionResult{Log10Throughput: 9.25, Throughput: 1778279410.0389228,
 			Guard: &Guard{EU: 0.08, AU: 0.3, NoiseFloorPct: 0.027, ErrorSource: SourceModeling}})
 	}
-	c := new(predictCall)
+	w := discardWriter{http.Header{}}
+	r := httptest.NewRequest(http.MethodPost, "/v1/predict", nil)
+	rd := bytes.NewReader(nil)
+	r.Body, r.ContentLength = rewindBody{rd}, int64(len(body))
 	allocs := testing.AllocsPerRun(100, func() {
-		if !c.decodeRequest(body) {
-			t.Fatal("fast path refused a json.Marshal body")
-		}
-		if c.buf, err = AppendPredictResponse(c.buf[:0], resp); err != nil {
+		rd.Reset(body)
+		err := HandlePredictRequest(w, r, 0, func(_ context.Context, req *PredictRequest) (any, error) {
+			if len(req.Rows) != 4 {
+				t.Fatalf("decoded %d rows, want 4", len(req.Rows))
+			}
+			return resp, nil
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
-		t.Errorf("decode + encode allocated %.1f times per request, want 0", allocs)
+	reply, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	headers := testing.AllocsPerRun(100, func() { WriteJSONBody(w, http.StatusOK, reply) })
+	if allocs != headers {
+		t.Errorf("a warm predict call allocated %.1f times, its header values alone %.1f: want no more", allocs, headers)
+	}
+}
+
+// The reply shape the hop's fast path reads is encoding/json's rendering of
+// PredictResponse: a guarded, traced, timed 16-row reply from ioserve's own
+// handler must decode without the fallback. A renamed tag or a reordered
+// field makes decodeResponse refuse it and fails this test.
+func TestHandlerReplyTakesTheHopFastPath(t *testing.T) {
+	frame, _, _ := fixture(t)
+	svc := NewService(fixtureRegistry(t), Options{MaxBatch: 16, TraceEvery: 1})
+	t.Cleanup(svc.Close)
+	body, err := json.Marshal(PredictRequest{System: "theta", Rows: frame.Rows()[:16]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	Handler(svc).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	var fast, want PredictResponse
+	if !decodeResponse(rec.Body.Bytes(), &fast) {
+		t.Fatalf("the hop's fast path refused ioserve's reply: %s", rec.Body.String())
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &want); err != nil || !sameResponse(&fast, &want) {
+		t.Fatalf("fast path decoded %+v, encoding/json %+v (%v)", fast, want, err)
+	}
+	if fast.Count != 16 || len(fast.Predictions) != 16 || fast.TraceID == "" || fast.ServerTimings == nil {
+		t.Fatalf("want a traced, timed 16-row reply, got %d rows, trace %q, timings %v", len(fast.Predictions), fast.TraceID, fast.ServerTimings)
+	}
+	for i, p := range fast.Predictions {
+		if p.Guard == nil || p.Guard.NoiseFloorPct == 0 || p.Guard.ErrorSource == "" {
+			t.Fatalf("prediction %d is not fully guarded: %+v", i, p.Guard)
+		}
 	}
 }
 

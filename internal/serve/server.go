@@ -144,7 +144,7 @@ func RequireAdmin(token string, next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !AdminAuthorized(r, token) {
 			w.Header().Set("WWW-Authenticate", "Bearer")
-			writeError(w, http.StatusUnauthorized, "admin token required")
+			WriteError(w, http.StatusUnauthorized, "admin token required")
 			return
 		}
 		next(w, r)
@@ -233,22 +233,22 @@ func NewHandler(svc *Service, cfg HandlerConfig) http.Handler {
 		mux.Handle("/v1/resilience", RequireAdmin(cfg.AdminToken, cfg.Resilience.Handler().ServeHTTP))
 	} else {
 		mux.HandleFunc("/v1/resilience", func(w http.ResponseWriter, r *http.Request) {
-			writeError(w, http.StatusConflict, "resilience layer not configured (start ioserve with -admission-max-inflight or -reload-interval)")
+			WriteError(w, http.StatusConflict, "resilience layer not configured (start ioserve with -admission-max-inflight or -reload-interval)")
 		})
 	}
 	mux.HandleFunc("/v1/models", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "GET only")
+			WriteError(w, http.StatusMethodNotAllowed, "GET only")
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"models": svc.Registry().List()})
+		WriteJSON(w, http.StatusOK, map[string]any{"models": svc.Registry().List()})
 	})
 	mux.HandleFunc("/v1/versions", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "GET only")
+			WriteError(w, http.StatusMethodNotAllowed, "GET only")
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"systems": systemVersions(svc)})
+		WriteJSON(w, http.StatusOK, map[string]any{"systems": systemVersions(svc)})
 	})
 	mux.HandleFunc("/v1/versions/promote", RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
 		handleVersionAction(svc, w, r, func(req versionActionRequest) (int, error) {
@@ -268,12 +268,12 @@ func NewHandler(svc *Service, cfg HandlerConfig) http.Handler {
 	}))
 	mux.HandleFunc("/v1/versions/reload", RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "POST only")
+			WriteError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
 		rel := svc.Reloader()
 		if rel == nil {
-			writeError(w, http.StatusConflict, "no reloader attached (start ioserve with -reload-interval)")
+			WriteError(w, http.StatusConflict, "no reloader attached (start ioserve with -reload-interval)")
 			return
 		}
 		stats, err := rel.Poll()
@@ -290,7 +290,7 @@ func NewHandler(svc *Service, cfg HandlerConfig) http.Handler {
 				status = http.StatusInternalServerError
 			}
 		}
-		writeJSON(w, status, body)
+		WriteJSON(w, status, body)
 	}))
 	mux.HandleFunc("/v1/trace", RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
 		handleTraceList(svc, w, r)
@@ -299,7 +299,7 @@ func NewHandler(svc *Service, cfg HandlerConfig) http.Handler {
 		handleTraceGet(svc, w, r)
 	}))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
+		WriteJSON(w, http.StatusOK, map[string]any{
 			"status":   "ok",
 			"systems":  svc.Registry().Systems(),
 			"versions": svc.Registry().NumVersions(),
@@ -315,7 +315,7 @@ func NewHandler(svc *Service, cfg HandlerConfig) http.Handler {
 
 func handlePredict(svc *Service, cfg *HandlerConfig, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	// Admission runs before the body is read: a shed request must cost the
@@ -327,13 +327,14 @@ func handlePredict(svc *Service, cfg *HandlerConfig, w http.ResponseWriter, r *h
 			if id := svc.TraceShed("", string(reason)); id != 0 {
 				w.Header().Set("X-Trace-Id", obs.FormatTraceID(id))
 			}
-			writeError(w, http.StatusTooManyRequests, fmt.Sprintf("overloaded (%s): retry later", reason))
+			WriteError(w, http.StatusTooManyRequests, fmt.Sprintf("overloaded (%s): retry later", reason))
 			return
 		}
 		admitStart := time.Now()
 		defer func() { cfg.Gate.Release(time.Since(admitStart)) }()
 	}
-	HandlePredictRequest(w, r, cfg.DefaultDeadline, func(ctx context.Context, req *PredictRequest, buf []byte) ([]byte, error) {
+	var resp *PredictResponse
+	err := HandlePredictRequest(w, r, cfg.DefaultDeadline, func(ctx context.Context, req *PredictRequest) (any, error) {
 		// An upstream X-Trace-Id (the fleet router's hop identity) becomes the
 		// parent of whatever trace this replica retains, so one router-side ID
 		// finds the replica-side traces of every sub-request it fanned out.
@@ -342,7 +343,9 @@ func handlePredict(svc *Service, cfg *HandlerConfig, w http.ResponseWriter, r *h
 				ctx = obs.WithTraceParent(ctx, id)
 			}
 		}
-		resp, traceHex, err := svc.ServeRequest(ctx, req)
+		var traceHex string
+		var err error
+		resp, traceHex, err = svc.ServeRequest(ctx, req)
 		if traceHex != "" {
 			// Set on success and error alike: a failed request's retained trace
 			// is exactly the one an operator wants to look up.
@@ -355,47 +358,37 @@ func handlePredict(svc *Service, cfg *HandlerConfig, w http.ResponseWriter, r *h
 					"system", req.System,
 					"status", status, "trace_id", traceHex, "err", err)
 			}
-			writeError(w, status, err.Error())
-			return buf, err
+			WriteError(w, status, err.Error())
+			return nil, err
 		}
-		return replyPredict(svc, w, buf, resp), nil
+		return resp, nil
 	})
-}
-
-// replyPredict encodes resp into buf and writes it as the 200, returning
-// buf for reuse. The encoder runs before the header: a response JSON cannot
-// carry (a non-finite prediction) is a counted, logged 500, not a 200 with
-// an empty body.
-func replyPredict(svc *Service, w http.ResponseWriter, buf []byte, resp *PredictResponse) []byte {
-	buf, err := AppendPredictResponse(buf, resp)
 	if err != nil {
+		// The envelope answered 500: a reply JSON cannot carry (a non-finite
+		// prediction) is counted and logged.
 		svc.metrics.Errors.Add(1)
 		svc.logger.Error("predict response not encodable",
 			"system", resp.System, "version", resp.Version, "trace_id", resp.TraceID, "err", err)
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return buf
 	}
-	WriteJSONBody(w, http.StatusOK, buf)
-	return buf
 }
 
 // handleTraceList serves GET /v1/trace: the retained traces, newest first,
 // capped by ?limit=.
 func handleTraceList(svc *Service, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	tr := svc.Tracer()
 	if tr == nil {
-		writeError(w, http.StatusConflict, "tracing disabled (start ioserve with -trace-sample)")
+		WriteError(w, http.StatusConflict, "tracing disabled (start ioserve with -trace-sample)")
 		return
 	}
 	limit := 0
 	if s := r.URL.Query().Get("limit"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "limit must be a non-negative integer")
+			WriteError(w, http.StatusBadRequest, "limit must be a non-negative integer")
 			return
 		}
 		limit = n
@@ -405,7 +398,7 @@ func handleTraceList(svc *Service, w http.ResponseWriter, r *http.Request) {
 	for i := range traces {
 		summaries[i] = traces[i].Summary()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"slow_threshold_ns": tr.SlowThresholdNs(),
 		"traces":            summaries,
 	})
@@ -414,26 +407,26 @@ func handleTraceList(svc *Service, w http.ResponseWriter, r *http.Request) {
 // handleTraceGet serves GET /v1/trace/{id}: one trace's span tree.
 func handleTraceGet(svc *Service, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	tr := svc.Tracer()
 	if tr == nil {
-		writeError(w, http.StatusConflict, "tracing disabled (start ioserve with -trace-sample)")
+		WriteError(w, http.StatusConflict, "tracing disabled (start ioserve with -trace-sample)")
 		return
 	}
 	idHex := strings.TrimPrefix(r.URL.Path, "/v1/trace/")
 	id, err := obs.ParseTraceID(idHex)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad trace id %q", idHex))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad trace id %q", idHex))
 		return
 	}
 	t, ok := tr.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("trace %s not retained (evicted or never kept)", idHex))
+		WriteError(w, http.StatusNotFound, fmt.Sprintf("trace %s not retained (evicted or never kept)", idHex))
 		return
 	}
-	writeJSON(w, http.StatusOK, t.Detail())
+	WriteJSON(w, http.StatusOK, t.Detail())
 }
 
 // SystemVersions is one system's lifecycle view at GET /v1/versions.
@@ -491,18 +484,18 @@ func (e badRequestError) Error() string { return string(e) }
 // with the system's refreshed lifecycle view.
 func handleVersionAction(svc *Service, w http.ResponseWriter, r *http.Request, apply func(versionActionRequest) (int, error)) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req versionActionRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return
 	}
 	if req.System == "" {
-		writeError(w, http.StatusBadRequest, "missing \"system\"")
+		WriteError(w, http.StatusBadRequest, "missing \"system\"")
 		return
 	}
 	active, err := apply(req)
@@ -515,26 +508,15 @@ func handleVersionAction(svc *Service, w http.ResponseWriter, r *http.Request, a
 		case errors.As(err, &bad):
 			status = http.StatusBadRequest
 		}
-		writeError(w, status, err.Error())
+		WriteError(w, status, err.Error())
 		return
 	}
 	for _, sv := range systemVersions(svc) {
 		if sv.System == req.System {
-			writeJSON(w, http.StatusOK, sv)
+			WriteJSON(w, http.StatusOK, sv)
 			return
 		}
 	}
 	// Unreachable unless the system vanished between apply and listing.
-	writeJSON(w, http.StatusOK, map[string]any{"system": req.System, "active": active})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeError writes the uniform error body, {"error": msg}.
-func writeError(w http.ResponseWriter, status int, msg string) {
-	WriteJSONBody(w, status, append(AppendJSONString([]byte(`{"error":`), msg), "}\n"...))
+	WriteJSON(w, http.StatusOK, map[string]any{"system": req.System, "active": active})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -169,6 +170,24 @@ func TestServerOoDGuardrail(t *testing.T) {
 	}
 	if flagged > 8 {
 		t.Errorf("%d/32 in-distribution rows flagged OoD", flagged)
+	}
+}
+
+// An admin reply goes through the predict path's writer: encoded before its
+// header, so it declares its length (a recorder computes none of its own).
+func TestAdminReplyDeclaresItsLength(t *testing.T) {
+	svc := NewService(fixtureRegistry(t), Options{})
+	t.Cleanup(svc.Close)
+	rec := httptest.NewRecorder()
+	Handler(svc).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/models", nil))
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Length") != strconv.Itoa(rec.Body.Len()) {
+		t.Fatalf("GET /v1/models: status %d, Content-Length %q for a %d-byte body", rec.Code, rec.Header().Get("Content-Length"), rec.Body.Len())
+	}
+	var listing struct {
+		Models []VersionInfo `json:"models"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &listing); err != nil || len(listing.Models) != 2 {
+		t.Fatalf("listing %+v (%v)", listing, err)
 	}
 }
 
