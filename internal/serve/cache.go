@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"runtime"
@@ -19,28 +20,46 @@ import (
 // currently-recurring duplicate sets.
 //
 // A shard is a few flat arrays with no pointers in them: fixed-width slots
-// linked into an exact LRU by index, a key -> slot map, and the rows as
-// little-endian bit patterns in byte slabs at a fixed stride, mapped outside
-// the Go heap. A full cache therefore costs the collector nothing to scan,
-// its rows — most of its bytes — do not count towards the heap goal, an
-// insert into it allocates nothing, and an entry cannot keep anything else
-// alive — in particular not the bundle that produced it, which a slot names
-// by number.
+// linked into an exact LRU by index, a key -> slot map, and the rows in byte
+// slabs mapped outside the Go heap. A full cache therefore costs the
+// collector nothing to scan, its rows — most of its bytes — do not count
+// towards the heap goal, an insert into it allocates nothing, and an entry
+// cannot keep anything else alive — in particular not the bundle that
+// produced it, which a slot names by number.
+//
+// A row is stored zero-suppressed: ceil(width/64) bitmap words, bit j set
+// when feature j's bit pattern is not all zeros, then the non-zero bit
+// patterns in order. Most of a Darshan row's counters are unused (40 % of a
+// Theta row's values are exactly zero), and the encoding is lossless bit for
+// bit: -0, NaN payloads and subnormals are non-zero patterns like any other,
+// so Get still compares every bit. The words fill fixed 128-byte chunks
+// carved from the slabs. Word 0 of a chunk links to the row's next chunk, a
+// slot names its first, and the chunks of a dropped row go on a per-shard
+// free list threaded through the same links. Links are the one index the
+// cache reads back from row storage, so none is followed unless it names a
+// chunk the shard has handed out, and no walk goes further than a row of
+// its width can fill.
 
 // cacheShards is the shard count (power of two; keys are well-mixed FNV
 // hashes, so low bits select shards uniformly).
 const cacheShards = 16
 
-// cacheSlabRows is the number of rows in one slab of row storage. Slabs are
-// allocated as the slots they back are first used, index and slots grow with
-// the entries: a cache that is built and never filled costs no storage.
-const cacheSlabRows = 256
+const (
+	// cacheChunkBytes is the unit of row storage: a link word and
+	// chunkWords words of the row.
+	cacheChunkBytes = 128
+	chunkWords      = cacheChunkBytes/8 - 1
+	// cacheSlabChunks is the number of chunks in one slab. Slabs are mapped
+	// as their chunks are first needed, index and slots grow with the
+	// entries: a cache that is built and never filled costs no storage.
+	cacheSlabChunks = 256
+)
 
 // cacheRowBytes is what the process holds in mapped slabs at this moment: the
 // ioserve_cache_row_bytes gauge.
 var cacheRowBytes atomic.Int64
 
-// rowSlab is the rows of cacheSlabRows slots. mapped says b came from mapRows
+// rowSlab is cacheSlabChunks chunks of rows. mapped says b came from mapRows
 // and goes back through unmapRows; the heap slice that stands in wherever a
 // mapping cannot be had never does.
 type rowSlab struct {
@@ -121,17 +140,18 @@ func (mv *ModelVersion) bundleID() uint64 {
 }
 
 // cacheSlot is one resident prediction, minus its row (kept in the shard's
-// slabs to disambiguate hash collisions). It must stay free of pointers,
+// chunks to disambiguate hash collisions). It must stay free of pointers,
 // strings and slices: that is what keeps the cache out of GC mark work.
 type cacheSlot struct {
 	key        uint64
 	bundle     uint64 // producing bundle's bundleID; 0 marks a free slot
 	prev, next int32  // LRU neighbours by slot index, -1 at the ends; next also threads the free list
-	width      int32  // features in the row, at most the shard's stride
+	width      int32  // features in the row
 	sys        int32  // index into the shard's systems table
 	// The Result, with its Guard flattened to a fixed-width record.
 	predLog, pred         float64
 	eu, au, noiseFloorPct float64
+	first                 int32 // the row's first chunk, -1 when it has none; beside the bools, it fills the padding
 	ood, atNoiseFloor     bool
 	source                uint8 // 0: no Guard; else 1 + index into errorSources
 }
@@ -145,11 +165,13 @@ type cacheShard struct {
 	// head and tail are the most and least recently used slots, free the
 	// head of the list of slots InvalidateSystem emptied; -1 when none.
 	head, tail, free int32
-	// (*slabs)[k] holds the rows of slots [k*cacheSlabRows, (k+1)*cacheSlabRows)
-	// at stride bytes each; stride is the widest row seen so far.
-	stride  int
-	slabs   *[]rowSlab // this shard's entry in the cache's cacheRows
-	systems []string   // system names, indexed by cacheSlot.sys
+	// (*slabs)[k] holds chunks [k*cacheSlabChunks, (k+1)*cacheSlabChunks).
+	// The first chunks of them have been handed out; spare heads the list of
+	// those dropped rows gave back, -1 when empty.
+	chunks, spare int32
+	slabs         *[]rowSlab // this shard's entry in the cache's cacheRows
+	systems       []string   // system names, indexed by cacheSlot.sys
+	enc           []byte     // the stored form of the row being put or looked up
 }
 
 // Cache is a sharded LRU keyed by HashKey.
@@ -170,7 +192,7 @@ func NewCache(capacity int) *Cache {
 		s := &c.shards[i]
 		s.cap = perShard
 		s.index = make(map[uint64]int32) // no size hint: paid for by the entries that arrive
-		s.head, s.tail, s.free = -1, -1, -1
+		s.head, s.tail, s.free, s.spare = -1, -1, -1, -1
 		s.slabs = &rows[i]
 	}
 	// No Close: every access to a slab is under a shard lock whose deferred
@@ -196,58 +218,114 @@ func rowsEqual(a, b []float64) bool {
 	return true
 }
 
-// slabRows is the number of rows in slab k: the last one is cut to the
-// shard's capacity.
-func (s *cacheShard) slabRows(k int) int {
-	return min(cacheSlabRows, s.cap-k*cacheSlabRows)
+// appendStored appends row's stored form to dst: the bitmap words, then the
+// non-zero bit patterns, each little-endian.
+func appendStored(dst []byte, row []float64) []byte {
+	for k := 0; k < len(row); k += 64 {
+		var bitmap uint64
+		for j, v := range row[k:min(k+64, len(row))] {
+			if math.Float64bits(v) != 0 {
+				bitmap |= 1 << j
+			}
+		}
+		dst = binary.LittleEndian.AppendUint64(dst, bitmap)
+	}
+	for _, v := range row {
+		if bits := math.Float64bits(v); bits != 0 {
+			dst = binary.LittleEndian.AppendUint64(dst, bits)
+		}
+	}
+	return dst
 }
 
-// rowMatches reports whether stored, a window row returned, holds exactly
-// row: as many values, each bit for bit — a duplicate job replays the exact
-// counters.
-func rowMatches(stored []byte, row []float64) bool {
-	if len(stored) != 8*len(row) {
+// chunk returns chunk c, a window into its slab that is only valid under the
+// shard lock, or nil if the shard has handed out no chunk c: a link read back
+// from storage goes through here before it is followed.
+func (s *cacheShard) chunk(c uint64) []byte {
+	if c >= uint64(s.chunks) {
+		return nil
+	}
+	off := int(c) % cacheSlabChunks * cacheChunkBytes
+	return (*s.slabs)[int(c)/cacheSlabChunks].b[off : off+cacheChunkBytes]
+}
+
+// takeChunk returns a chunk for a row being stored: a dropped row's if there
+// is one, else the next never used, mapping a new slab when the last is full.
+func (s *cacheShard) takeChunk() (int32, []byte) {
+	if c, b := s.spare, s.chunk(uint64(s.spare)); b != nil {
+		s.spare = -1
+		if next := binary.LittleEndian.Uint64(b); s.chunk(next) != nil {
+			s.spare = int32(next)
+		}
+		return c, b
+	}
+	if int(s.chunks) == len(*s.slabs)*cacheSlabChunks {
+		*s.slabs = append(*s.slabs, newRowSlab(cacheSlabChunks*cacheChunkBytes))
+	}
+	s.chunks++
+	return s.chunks - 1, s.chunk(uint64(s.chunks - 1))
+}
+
+// freeRow gives slot e's chunks back to the shard. The walk to the last of
+// them ends at a link out of range, and at the most chunks a row of e's
+// width can fill whatever the links say.
+func (s *cacheShard) freeRow(e *cacheSlot) {
+	last := s.chunk(uint64(e.first))
+	if last == nil {
+		return
+	}
+	for n := ((int(e.width)+63)/64 + int(e.width) + chunkWords - 1) / chunkWords; n > 1; n-- {
+		next := s.chunk(binary.LittleEndian.Uint64(last))
+		if next == nil {
+			break
+		}
+		last = next
+	}
+	binary.LittleEndian.PutUint64(last, uint64(s.spare))
+	s.spare, e.first = e.first, -1
+}
+
+// storeRow gives back the chunks slot e holds and writes row's stored form
+// into new ones, the last chunk's link out of range.
+func (s *cacheShard) storeRow(e *cacheSlot, row []float64) {
+	s.freeRow(e)
+	e.width = int32(len(row))
+	s.enc = appendStored(s.enc[:0], row)
+	var prev []byte
+	for rest := s.enc; len(rest) > 0; {
+		c, b := s.takeChunk()
+		if prev == nil {
+			e.first = c
+		} else {
+			binary.LittleEndian.PutUint64(prev, uint64(c))
+		}
+		binary.LittleEndian.PutUint64(b, math.MaxUint64)
+		rest = rest[copy(b[8:], rest):]
+		prev = b
+	}
+}
+
+// rowMatches reports whether slot e holds exactly row: as many values, each
+// bit for bit — a duplicate job replays the exact counters. It reads no more
+// chunks than row's own stored form fills, and a link out of range is a
+// mismatch.
+func (s *cacheShard) rowMatches(e *cacheSlot, row []float64) bool {
+	if int(e.width) != len(row) {
 		return false
 	}
-	for j, v := range row {
-		if binary.LittleEndian.Uint64(stored[8*j:]) != math.Float64bits(v) {
+	s.enc = appendStored(s.enc[:0], row)
+	b := s.chunk(uint64(e.first))
+	for rest := s.enc; len(rest) > 0; b = s.chunk(binary.LittleEndian.Uint64(b)) {
+		if b == nil {
 			return false
 		}
+		n := min(len(rest), 8*chunkWords)
+		if !bytes.Equal(b[8:8+n], rest[:n]) {
+			return false
+		}
+		rest = rest[n:]
 	}
 	return true
-}
-
-// row returns slot i's row, a window into its slab that is only valid under
-// the shard lock.
-func (s *cacheShard) row(i int32) []byte {
-	off := int(i) % cacheSlabRows * s.stride
-	return (*s.slabs)[int(i)/cacheSlabRows].b[off : off+8*int(s.slots[i].width)]
-}
-
-// storeRow copies row into slot i's storage, first allocating the slot's
-// slab if this is the first use of any slot in it and, in the rare case a
-// wider schema than any seen so far arrives, re-striding the resident rows
-// by copy and releasing the narrow slabs.
-func (s *cacheShard) storeRow(i int32, row []float64) {
-	if n := 8 * len(row); n > s.stride {
-		for k, old := range *s.slabs {
-			wide := newRowSlab(s.slabRows(k) * n)
-			for r := 0; r < s.slabRows(k); r++ {
-				copy(wide.b[r*n:], old.b[r*s.stride:(r+1)*s.stride])
-			}
-			(*s.slabs)[k] = wide
-			old.release()
-		}
-		s.stride = n
-	}
-	if k := int(i) / cacheSlabRows; k == len(*s.slabs) {
-		*s.slabs = append(*s.slabs, newRowSlab(s.slabRows(k)*s.stride))
-	}
-	s.slots[i].width = int32(len(row))
-	dst := s.row(i)
-	for j, v := range row {
-		binary.LittleEndian.PutUint64(dst[8*j:], math.Float64bits(v))
-	}
 }
 
 // unlink takes slot i out of the LRU order.
@@ -282,6 +360,7 @@ func (s *cacheShard) drop(i int32) {
 	s.unlink(i)
 	e := &s.slots[i]
 	delete(s.index, e.key)
+	s.freeRow(e)
 	e.bundle, e.next = 0, s.free
 	s.free = i
 }
@@ -301,7 +380,7 @@ func (s *cacheShard) claim() int32 {
 		// Doubling, but never past cap, where append's policy ends 27 % over.
 		s.slots = append(make([]cacheSlot, 0, n+min(max(n, 64), s.cap-n)), s.slots...)
 	}
-	s.slots = append(s.slots, cacheSlot{})
+	s.slots = append(s.slots, cacheSlot{first: -1})
 	return int32(len(s.slots) - 1)
 }
 
@@ -319,7 +398,7 @@ func (c *Cache) Get(key uint64, row []float64, mv *ModelVersion) (Result, bool) 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	i, ok := s.index[key]
-	if !ok || s.slots[i].bundle != bundle || !rowMatches(s.row(i), row) {
+	if !ok || s.slots[i].bundle != bundle || !s.rowMatches(&s.slots[i], row) {
 		return Result{}, false
 	}
 	s.unlink(i)
@@ -372,8 +451,8 @@ func (c *Cache) Put(key uint64, row []float64, mv *ModelVersion, res Result) {
 	// On a hash collision the resident entry may describe a different
 	// feature vector: the row is replaced with everything else, so a
 	// refreshed result stays paired with the row that produced it.
-	s.storeRow(i, row)
 	e := &s.slots[i]
+	s.storeRow(e, row)
 	e.key, e.bundle, e.sys = key, bundle, int32(sys)
 	e.predLog, e.pred = res.PredLog, res.Pred
 	e.eu, e.au, e.noiseFloorPct = g.EU, g.AU, g.NoiseFloorPct

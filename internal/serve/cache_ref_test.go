@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"encoding/binary"
+	"math"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -182,16 +183,42 @@ var (
 	diffCapacity  = [...]int{cacheShards, 3 * cacheShards, 40 * cacheShards, 300 * cacheShards}
 	diffUniverse  = [...]int{24, 300, 6000}
 	diffKeyMask   = [...]uint64{^uint64(0), 0xff, 0x1f} // fewer bits: forced collisions
-	diffRowWidths = [...]int{2, 0, 5, 3}
+	diffRowWidths = [...]int{2, 0, 5, 3, 64, 65, 101, 138}
 )
 
 // diffRow is row number n: its width depends on n alone, so rows of all
-// widths share shards, and the numbers divisible by four are the narrow
-// ones a scenario can fill a shard with before anything wider arrives.
+// widths share shards, and the multiples of eight are the narrow ones a
+// scenario can fill a shard with before anything wider arrives. The four
+// wide widths end at, and just past, a bitmap word, and span chunks; their
+// rows are mostly zeros, as Darshan rows are. Of three rows 8 apart, the
+// second carries the first's non-zero values (a subnormal and a NaN payload
+// among them) at the same places with -0 for +0, and the third one place
+// along.
 func diffRow(n int) []float64 {
 	row := make([]float64, diffRowWidths[n%len(diffRowWidths)])
+	if len(row) < 64 {
+		for j := range row {
+			row[j] = float64(n*7 + j)
+		}
+		return row
+	}
+	g := n / len(diffRowWidths)
+	variant, id, k := g%3, g/3, 0
 	for j := range row {
-		row[j] = float64(n*7 + j)
+		if (j+variant/2)%(2+id%3) != 0 {
+			if variant == 1 {
+				row[j] = math.Copysign(0, -1)
+			}
+			continue
+		}
+		switch k++; k % 7 {
+		case 3:
+			row[j] = math.Float64frombits(uint64(id*64 + k))
+		case 5:
+			row[j] = math.Float64frombits(0x7ff8_0000_0000_0000 | uint64(id*64+k))
+		default:
+			row[j] = float64(id*7 + k)
+		}
 	}
 	return row
 }
@@ -261,41 +288,57 @@ func runCacheOps(t *testing.T, ops []byte) {
 	}
 }
 
-// diffOps builds a seeded run of n operations. While narrow holds, only rows
-// of the narrowest non-empty width are drawn, so that the first wider row
-// arrives in shards that already hold entries.
-func diffOps(seed uint64, header [3]byte, n int, narrow func(step int) bool) []byte {
+// diffOps builds a seeded run of n operations, passing each drawn row number
+// through pick when it is set.
+func diffOps(seed uint64, header [3]byte, n int, pick func(step int, row uint16) uint16) []byte {
 	rng := rand.New(rand.NewPCG(seed, 17))
 	ops := header[:]
 	for step := 0; step < n; step++ {
 		row := uint16(rng.UintN(1 << 16))
-		if narrow != nil && narrow(step) {
-			row &^= 3
+		if pick != nil {
+			row = pick(step, row)
 		}
 		ops = append(ops, byte(rng.UintN(256)), byte(row>>8), byte(row), byte(rng.UintN(256)))
 	}
 	return ops
 }
 
+// narrowUntil draws only rows of the narrowest non-empty width before step
+// from, so that the first wider row arrives in shards that already hold
+// entries.
+func narrowUntil(from int) func(int, uint16) uint16 {
+	return func(step int, row uint16) uint16 {
+		if step < from {
+			return row &^ 7
+		}
+		return row
+	}
+}
+
+// wideOnly draws only the zero-heavy rows.
+func wideOnly(_ int, row uint16) uint16 { return row | 4 }
+
 var diffScenarios = []struct {
 	name   string
 	header [3]byte // indexes into diffCapacity, diffUniverse, diffKeyMask
 	n      int
-	narrow func(step int) bool
+	pick   func(step int, row uint16) uint16
 }{
 	{"one entry per shard", [3]byte{0, 0, 0}, 4000, nil},
 	{"one entry per shard, colliding keys", [3]byte{0, 1, 2}, 4000, nil},
 	{"small shards, colliding keys", [3]byte{1, 1, 1}, 6000, nil},
 	{"no eviction", [3]byte{2, 1, 0}, 6000, nil},
-	{"wider row after the shards fill", [3]byte{1, 1, 0}, 4000, func(step int) bool { return step < 2000 }},
-	{"several slabs, wider row late", [3]byte{3, 2, 0}, 40000, func(step int) bool { return step < 30000 }},
+	{"wider row after the shards fill", [3]byte{1, 1, 0}, 4000, narrowUntil(2000)},
+	{"several slabs, wider row late", [3]byte{3, 2, 0}, 40000, narrowUntil(30000)},
+	{"zero-heavy wide rows", [3]byte{2, 2, 0}, 6000, wideOnly},
+	{"zero-heavy wide rows, colliding keys", [3]byte{1, 1, 2}, 6000, wideOnly},
 }
 
 func TestCacheMatchesReference(t *testing.T) {
 	for _, sc := range diffScenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
-				runCacheOps(t, diffOps(seed, sc.header, sc.n, sc.narrow))
+				runCacheOps(t, diffOps(seed, sc.header, sc.n, sc.pick))
 			}
 		})
 	}
@@ -303,7 +346,7 @@ func TestCacheMatchesReference(t *testing.T) {
 
 func FuzzCacheOps(f *testing.F) {
 	for _, sc := range diffScenarios {
-		f.Add(diffOps(1, sc.header, 64, sc.narrow))
+		f.Add(diffOps(1, sc.header, 64, sc.pick))
 	}
 	f.Fuzz(runCacheOps)
 }

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"runtime"
@@ -13,6 +15,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
+
+	"iotaxo/internal/dataset"
 )
 
 // Distinct bundle identities for cache tests — entries are scoped to the
@@ -52,9 +57,17 @@ func TestCacheHitAndMiss(t *testing.T) {
 	if !ok || res.PredLog != 7 {
 		t.Fatalf("want hit with 7, got %v %v", res, ok)
 	}
-	// Same key, different row (synthetic collision) must miss.
-	if _, ok := c.Get(key, []float64{9, 9}, cacheBundleA); ok {
-		t.Error("collision row served wrong entry")
+	// Same key, different row (synthetic collision) must miss: also a row
+	// with the same non-zero values at other places, or with -0 for +0.
+	for _, other := range [][]float64{{9, 9}, {1.5, -2.25, 0}, {0, 1.5, -2.25}} {
+		if _, ok := c.Get(key, other, cacheBundleA); ok {
+			t.Errorf("collision row %v served the entry for %v", other, row)
+		}
+	}
+	zero := []float64{0, 1.5}
+	c.Put(key, zero, cacheBundleA, Result{PredLog: 8})
+	if _, ok := c.Get(key, []float64{math.Copysign(0, -1), 1.5}, cacheBundleA); ok {
+		t.Error("a row with -0 served the entry for the same row with +0")
 	}
 }
 
@@ -193,6 +206,9 @@ func TestCacheSlotIsPointerFree(t *testing.T) {
 	walk("index key", index.Key())
 	walk("index value", index.Elem())
 	walk("slab element", reflect.TypeOf(rowSlab{}.b).Elem())
+	if size := unsafe.Sizeof(cacheSlot{}); size != 80 {
+		t.Errorf("cacheSlot is %d bytes, want 80: a field is no longer packed into padding", size)
+	}
 }
 
 // needMappedRows skips a test of the mappings where there are none: off unix,
@@ -223,29 +239,62 @@ func filledCache(t *testing.T, capacity, width int) *Cache {
 	return c
 }
 
-// The point of mapping the rows: the default cache, full of Theta's
-// 101-feature rows, costs the Go heap its slots and index only — the 808
-// bytes a row are not in HeapAlloc, so not in the collector's goal either.
+// thetaRow writes into dst the fixture's row n mod its length, with n+1
+// added to feature 0 so that no two n give one row, and returns it.
+func thetaRow(frame *dataset.Frame, n int, dst []float64) []float64 {
+	dst = append(dst[:0], frame.Row(n%frame.Len())...)
+	dst[0] += float64(n + 1)
+	return dst
+}
+
+// The point of mapping the rows, and of storing them zero-suppressed: the
+// default cache, full of the fixture's real Theta rows, costs the Go heap its
+// slots and index only, and its chunk slabs hold no more than 640 bytes a
+// resident row, where the 101 values at full width take 808.
 func TestCacheRowsAreOffHeap(t *testing.T) {
 	needMappedRows(t)
-	const capacity, width = 65536, 101
+	frame, _, _ := fixture(t)
+	const capacity = 65536
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	c := filledCache(t, capacity, width)
+	c := NewCache(capacity)
+	var row []float64
+	values, zeros := 0, 0
+	for n := 0; n < 2*capacity; n++ {
+		row = thetaRow(frame, n, row)
+		c.Put(HashKey("theta", 1, row), row, cacheBundleA, Result{PredLog: float64(n)})
+		for _, v := range row {
+			values++
+			if v == 0 {
+				zeros++
+			}
+		}
+	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
+	if c.Len() != capacity {
+		t.Fatalf("cache holds %d entries after %d inserts, want %d", c.Len(), 2*capacity, capacity)
+	}
+	mapped := 0
+	for i := range c.shards {
+		mapped += len(*c.shards[i].slabs) * cacheSlabChunks * cacheChunkBytes
+	}
 	perRow := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / capacity
-	t.Logf("%.0f heap bytes a resident row, %d mapped", perRow, width*8)
+	t.Logf("%.0f heap bytes a resident row, %.0f mapped; %d-feature rows, %.1f %% of values zero",
+		perRow, float64(mapped)/capacity, len(row), 100*float64(zeros)/float64(values))
 	if perRow >= 200 {
 		t.Errorf("a resident row costs %.0f bytes of Go heap, want < 200 (slot + index)", perRow)
+	}
+	if perMapped := float64(mapped) / capacity; perMapped > 640 {
+		t.Errorf("a resident row costs %.0f mapped bytes, want <= 640 (at full width it is %d)", perMapped, 8*len(row))
 	}
 	runtime.KeepAlive(c)
 }
 
-// Mappings are not the collector's to free. A re-stride gives the narrow
-// slabs back at once, and a cache nothing refers to any more gives back the
-// rest: no Close, and no bytes left behind.
+// Mappings are not the collector's to free. A full cache maps exactly the
+// slabs its chunks need, and a cache nothing refers to any more gives them
+// back: no Close, and no bytes left behind.
 func TestCacheReleasesMappings(t *testing.T) {
 	needMappedRows(t)
 	// What earlier tests dropped is released first, so that the count moves
@@ -253,19 +302,14 @@ func TestCacheReleasesMappings(t *testing.T) {
 	if !awaitCleanup() || !awaitCleanup() {
 		t.Fatal("no cleanup ran in 10 s")
 	}
-	const perShard = cacheSlabRows + 44 // two slabs a shard, the second cut short
+	// filledCache's rows have two non-zero values, so each takes one chunk:
+	// two slabs a shard, the second part used.
+	const perShard = cacheSlabChunks + 44
 	base := cacheRowBytes.Load()
 	func() {
 		narrow, other := filledCache(t, cacheShards*perShard, 5), filledCache(t, cacheShards*perShard, 3)
-		if got, want := cacheRowBytes.Load()-base, int64(cacheShards*perShard*(5+3)*8); got != want {
+		if got, want := cacheRowBytes.Load()-base, int64(2*cacheShards*2*cacheSlabChunks*cacheChunkBytes); got != want {
 			t.Fatalf("two full caches hold %d mapped bytes, want %d", got, want)
-		}
-		// One wider row re-strides the shard it lands in, 5 -> 7 values a row.
-		held := cacheRowBytes.Load()
-		wide := make([]float64, 7)
-		narrow.Put(HashKey("theta", 1, wide), wide, cacheBundleA, Result{})
-		if got, want := cacheRowBytes.Load()-held, int64(perShard*(7-5)*8); got != want {
-			t.Errorf("a re-stride moved the mapped bytes by %d, want %d: the narrow slabs are not unmapped at once", got, want)
 		}
 		runtime.KeepAlive(narrow)
 		runtime.KeepAlive(other)
@@ -275,6 +319,71 @@ func TestCacheReleasesMappings(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		if time.Now().After(deadline) {
 			t.Fatalf("%d mapped bytes outlive the caches that were dropped", cacheRowBytes.Load()-base)
+		}
+	}
+}
+
+// Chunk links are the one index the cache reads back from row storage. Every
+// bit of one stored row's chunks is flipped in turn: a Get must then miss or
+// return exactly what was stored, for that row and every other in its shard,
+// and never panic. A flip in a word of the row must miss, and one outside
+// what the row uses must not.
+func TestCacheSurvivesFlippedChunks(t *testing.T) {
+	type entry struct {
+		key uint64
+		row []float64
+		res Result
+	}
+	c := NewCache(8 * cacheShards)
+	var entries []entry
+	for n := 7; len(entries) < 8; n += len(diffRowWidths) { // 138-wide rows
+		row := diffRow(n)
+		if key := HashKey("theta", 1, row); key&(cacheShards-1) == 0 {
+			res := Result{PredLog: float64(n), Pred: -float64(n)}
+			c.Put(key, row, cacheBundleA, res)
+			entries = append(entries, entry{key, row, res})
+		}
+	}
+	s, target := &c.shards[0], entries[0]
+	words := len(appendStored(nil, target.row)) / 8
+	var chain [][]byte
+	for b := s.chunk(uint64(s.slots[s.index[target.key]].first)); b != nil; b = s.chunk(binary.LittleEndian.Uint64(b)) {
+		chain = append(chain, b)
+	}
+	if len(chain) != (words+chunkWords-1)/chunkWords || len(chain) < 2 {
+		t.Fatalf("the row's %d words are in %d chunks", words, len(chain))
+	}
+	misses := 0
+	for k, b := range chain {
+		for bit := 0; bit < 8*cacheChunkBytes; bit++ {
+			b[bit/8] ^= 1 << (bit % 8)
+			for _, e := range entries {
+				res, ok := c.Get(e.key, e.row, cacheBundleA)
+				if ok && res != e.res {
+					t.Fatalf("chunk %d bit %d flipped: Get returned %+v for a row stored with %+v", k, bit, res, e.res)
+				}
+				if e.key != target.key {
+					continue
+				}
+				word := bit / 64
+				inRow := word > 0 && k*chunkWords+word-1 < words
+				isLink := word == 0 && k < len(chain)-1
+				switch {
+				case inRow && ok:
+					t.Fatalf("chunk %d bit %d flipped: a row word changed and Get still hit", k, bit)
+				case !inRow && !isLink && !ok:
+					t.Fatalf("chunk %d bit %d flipped: a bit the row does not use made Get miss", k, bit)
+				case !ok:
+					misses++
+				}
+			}
+			b[bit/8] ^= 1 << (bit % 8)
+		}
+	}
+	t.Logf("%d flips in %d chunks, %d misses", 8*cacheChunkBytes*len(chain), len(chain), misses)
+	for _, e := range entries {
+		if res, ok := c.Get(e.key, e.row, cacheBundleA); !ok || res != e.res {
+			t.Errorf("after the flips were undone: Get = %+v %v, want %+v", res, ok, e.res)
 		}
 	}
 }
@@ -461,11 +570,11 @@ func TestPredictAllocsWithCache(t *testing.T) {
 }
 
 // Torn reads. Goroutines Put, Get and invalidate over a few dozen rows whose
-// keys are cut to five bits, in a cache small enough that slots are recycled
-// constantly and rows of four widths keep re-striding the slabs. The stored
+// keys are cut to five bits, in a cache small enough that slots and chunks
+// are recycled constantly. The stored
 // result is a pure function of (row, bundle), so every hit must carry
 // exactly that function's value in every field; a Get that returned a window
-// into a slab, or read its slot after unlocking, would sooner or later
+// into a chunk, or read its slot after unlocking, would sooner or later
 // return one entry's prediction with another's guard (and is a race report
 // under -race).
 func TestCacheConcurrentHitsAreNeverTorn(t *testing.T) {
@@ -521,5 +630,53 @@ func TestCacheConcurrentHitsAreNeverTorn(t *testing.T) {
 	}
 	if total < steps/10 {
 		t.Errorf("only %d hits in %d operations: the test is not exercising the hit path", total, workers*steps)
+	}
+}
+
+// fullThetaCache returns a default-sized cache, full and evicting, of the
+// fixture's Theta rows, and the number of the next row thetaRow makes.
+func fullThetaCache(b *testing.B) (*Cache, *dataset.Frame, int) {
+	frame, _, _ := fixture(b)
+	const capacity = 65536
+	c := NewCache(capacity)
+	var row []float64
+	n := 0
+	for ; n < 2*capacity; n++ {
+		row = thetaRow(frame, n, row)
+		c.Put(HashKey("theta", 1, row), row, cacheBundleA, Result{PredLog: float64(n)})
+	}
+	return c, frame, n
+}
+
+// BenchmarkCachePut is one row the cache has not seen, keyed and inserted
+// into a full cache, as Service.Predict does on a miss.
+func BenchmarkCachePut(b *testing.B) {
+	c, frame, n := fullThetaCache(b)
+	var row []float64
+	b.ReportAllocs()
+	for b.Loop() {
+		row = thetaRow(frame, n, row)
+		c.Put(HashKey("theta", 1, row), row, cacheBundleA, Result{PredLog: float64(n)})
+		n++
+	}
+}
+
+// BenchmarkCacheGetHit is a hit on one of 4 096 resident rows, the key
+// already computed.
+func BenchmarkCacheGetHit(b *testing.B) {
+	c, frame, n := fullThetaCache(b)
+	rows := make([][]float64, 4096)
+	keys := make([]uint64, len(rows))
+	for i := range rows {
+		rows[i] = thetaRow(frame, n-1-i, nil)
+		keys[i] = HashKey("theta", 1, rows[i])
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if _, ok := c.Get(keys[i], rows[i], cacheBundleA); !ok {
+			b.Fatal("resident row missed")
+		}
+		i = (i + 1) % len(rows)
 	}
 }
