@@ -29,16 +29,16 @@ import (
 //
 // A row is stored zero-suppressed: ceil(width/64) bitmap words, bit j set
 // when feature j's bit pattern is not all zeros, then the non-zero bit
-// patterns in order. Most of a Darshan row's counters are unused (40 % of a
-// Theta row's values are exactly zero), and the encoding is lossless bit for
-// bit: -0, NaN payloads and subnormals are non-zero patterns like any other,
-// so Get still compares every bit. The words fill fixed 128-byte chunks
-// carved from the slabs. Word 0 of a chunk links to the row's next chunk, a
-// slot names its first, and the chunks of a dropped row go on a per-shard
-// free list threaded through the same links. Links are the one index the
-// cache reads back from row storage, so none is followed unless it names a
-// chunk the shard has handed out, and no walk goes further than a row of
-// its width can fill.
+// patterns in order. Most of a Darshan row's counters are unused (about 40 %
+// of a Theta row's values are exactly zero), and the encoding is lossless bit
+// for bit: -0, NaN payloads and subnormals are non-zero patterns like any
+// other, so Get still compares every bit. The words fill fixed 128-byte
+// chunks carved from the slabs. Word 0 of a chunk links to the row's next
+// chunk, a slot names its first, and the chunks of a dropped row go on a
+// per-shard free list threaded through the same links. Links are the one
+// index the cache reads back from row storage, so none is followed unless it
+// names a chunk the shard has handed out, and no walk goes further than a
+// row of its width can fill.
 
 // cacheShards is the shard count (power of two; keys are well-mixed FNV
 // hashes, so low bits select shards uniformly).
@@ -165,13 +165,13 @@ type cacheShard struct {
 	// head and tail are the most and least recently used slots, free the
 	// head of the list of slots InvalidateSystem emptied; -1 when none.
 	head, tail, free int32
-	// (*slabs)[k] holds chunks [k*cacheSlabChunks, (k+1)*cacheSlabChunks).
-	// The first chunks of them have been handed out; spare heads the list of
+	// (*slabs)[k] holds chunks [k*cacheSlabChunks, (k+1)*cacheSlabChunks),
+	// of which chunks have been handed out so far; spare heads the list of
 	// those dropped rows gave back, -1 when empty.
 	chunks, spare int32
 	slabs         *[]rowSlab // this shard's entry in the cache's cacheRows
 	systems       []string   // system names, indexed by cacheSlot.sys
-	enc           []byte     // the stored form of the row being put or looked up
+	enc           []byte     // the stored form of the row being put or looked up, encoded once
 }
 
 // Cache is a sharded LRU keyed by HashKey.

@@ -78,7 +78,7 @@ func TestCacheOnHeapSlabs(t *testing.T) {
 	for _, want := range []string{
 		"--- PASS: TestCacheMatchesReference/wider_row_after_the_shards_fill",
 		"--- PASS: TestCacheMatchesReference/several_slabs,_wider_row_late",
-		"--- PASS: TestCacheMatchesReference/zero-heavy_wide_rows",
+		"--- PASS: TestCacheMatchesReference/zero-heavy_wide_rows (",
 		"--- PASS: TestCacheMatchesReference/zero-heavy_wide_rows,_colliding_keys",
 		"--- PASS: FuzzCacheOps/widen-after-fill",
 		"--- PASS: TestCacheConcurrentHitsAreNeverTorn",

@@ -223,6 +223,26 @@ func diffRow(n int) []float64 {
 	return row
 }
 
+// diffEntry is row number n with its key under each of diffBundles.
+type diffEntry struct {
+	row  []float64
+	keys [len(diffBundles)]uint64
+}
+
+// diffEntries holds every row number a run can draw, built once: making and
+// hashing the wide rows afresh was most of a run's time, and the fuzzer
+// needs many runs a second.
+var diffEntries = sync.OnceValue(func() []diffEntry {
+	es := make([]diffEntry, diffUniverse[len(diffUniverse)-1])
+	for n := range es {
+		es[n].row = diffRow(n)
+		for b, mv := range diffBundles {
+			es[n].keys[b] = HashKey(mv.System, mv.Version, es[n].row)
+		}
+	}
+	return es
+})
+
 func runCacheOps(t *testing.T, ops []byte) {
 	t.Helper()
 	if len(ops) < 3 {
@@ -233,9 +253,9 @@ func runCacheOps(t *testing.T, ops []byte) {
 	mask := diffKeyMask[int(ops[2])%len(diffKeyMask)]
 	c, ref := NewCache(capacity), newRefCache(capacity)
 
-	get := func(step, n int, mv *ModelVersion) {
-		row := diffRow(n)
-		key := HashKey(mv.System, mv.Version, row) & mask
+	entries := diffEntries()
+	get := func(step, n, b int) {
+		row, key, mv := entries[n].row, entries[n].keys[b]&mask, diffBundles[b]
 		got, ok := c.Get(key, row, mv)
 		want, wantOK := ref.Get(key, row, mv)
 		if ok != wantOK {
@@ -253,7 +273,7 @@ func runCacheOps(t *testing.T, ops []byte) {
 	for ops = ops[3:]; len(ops) >= 4; ops, step = ops[4:], step+1 {
 		n := int(binary.BigEndian.Uint16(ops[1:3])) % universe
 		sel := int(ops[3])
-		mv := diffBundles[sel%len(diffBundles)]
+		b := sel % len(diffBundles)
 		switch kind := ops[0]; {
 		case kind < 112:
 			// The stored result is a function of the step, so an entry that
@@ -266,12 +286,11 @@ func runCacheOps(t *testing.T, ops []byte) {
 					ErrorSource: errorSources[step%len(errorSources)],
 				}
 			}
-			row := diffRow(n)
-			key := HashKey(mv.System, mv.Version, row) & mask
+			row, key, mv := entries[n].row, entries[n].keys[b]&mask, diffBundles[b]
 			c.Put(key, row, mv, res)
 			ref.Put(key, row, mv, res)
 		case kind < 255:
-			get(step, n, mv)
+			get(step, n, b)
 		default:
 			system := diffSystems[sel%len(diffSystems)]
 			if got, want := c.InvalidateSystem(system), ref.InvalidateSystem(system); got != want {
@@ -284,7 +303,7 @@ func runCacheOps(t *testing.T, ops []byte) {
 	}
 	// What is left resident, and in which order it would be evicted.
 	for n := 0; n < min(universe, 600); n++ {
-		get(step, n, diffBundles[n%len(diffBundles)])
+		get(step, n, n%len(diffBundles))
 	}
 }
 

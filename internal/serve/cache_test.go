@@ -15,7 +15,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-	"unsafe"
 
 	"iotaxo/internal/dataset"
 )
@@ -206,7 +205,7 @@ func TestCacheSlotIsPointerFree(t *testing.T) {
 	walk("index key", index.Key())
 	walk("index value", index.Elem())
 	walk("slab element", reflect.TypeOf(rowSlab{}.b).Elem())
-	if size := unsafe.Sizeof(cacheSlot{}); size != 80 {
+	if size := reflect.TypeOf(cacheSlot{}).Size(); size != 80 {
 		t.Errorf("cacheSlot is %d bytes, want 80: a field is no longer packed into padding", size)
 	}
 }
@@ -302,17 +301,17 @@ func TestCacheReleasesMappings(t *testing.T) {
 	if !awaitCleanup() || !awaitCleanup() {
 		t.Fatal("no cleanup ran in 10 s")
 	}
-	// filledCache's rows have two non-zero values, so each takes one chunk:
-	// two slabs a shard, the second part used.
+	// filledCache's rows have at most two non-zero values, so each takes one
+	// chunk: two slabs a shard, the second part used.
 	const perShard = cacheSlabChunks + 44
 	base := cacheRowBytes.Load()
 	func() {
-		narrow, other := filledCache(t, cacheShards*perShard, 5), filledCache(t, cacheShards*perShard, 3)
+		five, three := filledCache(t, cacheShards*perShard, 5), filledCache(t, cacheShards*perShard, 3)
 		if got, want := cacheRowBytes.Load()-base, int64(2*cacheShards*2*cacheSlabChunks*cacheChunkBytes); got != want {
 			t.Fatalf("two full caches hold %d mapped bytes, want %d", got, want)
 		}
-		runtime.KeepAlive(narrow)
-		runtime.KeepAlive(other)
+		runtime.KeepAlive(five)
+		runtime.KeepAlive(three)
 	}()
 	for deadline := time.Now().Add(10 * time.Second); cacheRowBytes.Load() != base; {
 		runtime.GC()
