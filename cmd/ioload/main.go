@@ -823,18 +823,27 @@ func runDriftScenario(addr, sysName, token string, requests, batch int, rate flo
 	fmt.Fprintf(os.Stderr, "ioload: drift scenario -> %s (%s, %d requests, ramp to %.1fx after %.0f%%, starting from v%d)\n",
 		addr, sysName, requests, 1+dr.ramp, 100*dr.rampAfter, initialMax)
 
+	// Jobs are drawn without replacement, cycling through a permutation:
+	// a job drawn twice would reach the window as the same job sent again.
+	// Each carries its start and app, so a retrain measures the noise floor
+	// on the window instead of carrying the incumbent's.
+	perm, next := r.Perm(len(rows)), 0
 	// sendOne issues one predict+feedback pair at the given shift factor.
 	sendOne := func(factor float64) error {
 		reqRows := make([][]float64, batch)
 		actual := make([]float64, batch)
+		starts := make([]float64, batch)
+		apps := make([]string, batch)
 		for i := range reqRows {
-			j := r.Intn(len(rows))
+			j := perm[next%len(perm)]
+			next++
 			row := append([]float64(nil), rows[j]...)
 			for k := range row {
 				row[k] *= factor
 			}
 			reqRows[i] = row
 			actual[i] = ys[j]
+			starts[i], apps[i] = frame.Meta(j).Start, frame.Meta(j).App
 		}
 		body, _ := json.Marshal(serve.PredictRequest{System: sysName, Rows: reqRows})
 		predStart := time.Now()
@@ -856,7 +865,7 @@ func runDriftScenario(addr, sysName, token string, requests, batch int, rate flo
 		// authenticates like the admin endpoints and a rejection aborts
 		// the scenario instead of being counted as a served error.
 		return adminPost(client, addr, "/v1/feedback",
-			token, drift.FeedbackRequest{System: sysName, Rows: reqRows, Actual: actual})
+			token, drift.FeedbackRequest{System: sysName, Rows: reqRows, Actual: actual, Start: starts, App: apps})
 	}
 	pace := func() {
 		if rate > 0 {

@@ -274,11 +274,13 @@ func TestDeltaTBins(t *testing.T) {
 
 func TestGroupByStart(t *testing.T) {
 	f := dataset.MustNewFrame([]string{"posix_a"})
-	starts := []float64{100, 100.5, 200, 200.2, 500}
+	// Rows 5–7 carry no start (0) or a negative one: unknown, so they join
+	// no group, not even one with each other.
+	starts := []float64{100, 100.5, 200, 200.2, 500, 0, 0, -1}
 	for i, s := range starts {
 		_ = f.Append([]float64{1}, 1e9, dataset.Meta{JobID: i, App: "x", Start: s, ConfigKey: 1})
 	}
-	groups := groupByStart(f, []int{0, 1, 2, 3, 4}, nil, 1)
+	groups := groupByStart(f, []int{0, 1, 2, 3, 4, 5, 6, 7}, nil, 1)
 	if len(groups) != 3 {
 		t.Fatalf("groups = %d, want 3", len(groups))
 	}

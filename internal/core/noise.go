@@ -125,11 +125,13 @@ func EstimateNoise(f *dataset.Frame, oodFlags []bool, tolSec float64) (NoiseEsti
 }
 
 // groupByStart splits a duplicate set's rows into groups whose start times
-// agree within tol, skipping OoD rows.
+// agree within tol, skipping OoD rows. A start that is not positive (0, or
+// NaN) is unknown, not concurrent with other unknowns, so such a row joins
+// no group.
 func groupByStart(f *dataset.Frame, rows []int, oodFlags []bool, tol float64) [][]int {
 	kept := make([]int, 0, len(rows))
 	for _, ri := range rows {
-		if oodFlags != nil && oodFlags[ri] {
+		if oodFlags != nil && oodFlags[ri] || !(f.Meta(ri).Start > 0) {
 			continue
 		}
 		kept = append(kept, ri)

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"sync"
 
+	"iotaxo/internal/dataset"
+	"iotaxo/internal/obs"
 	"iotaxo/internal/serve"
 )
 
@@ -22,7 +24,7 @@ import (
 //     candidate is staged or a fresh promotion is watched, by the
 //     comparison version) so the window yields rolling MAE(log) for both
 //     sides of the champion/challenger pair. Feedback rows also fill the
-//     retraining buffer.
+//     retraining window.
 //
 // Error alone never alarms below the noise floor: the taxonomy's litmus
 // test 4 bounds what a perfect model could achieve, so the detector
@@ -71,11 +73,8 @@ type systemState struct {
 	// compareVersion is the version Feedback additionally evaluates.
 	compareVersion int
 
-	// Retraining buffer: a ring of feedback rows with targets.
-	bufRows [][]float64
-	bufY    []float64
-	bufNext int
-	bufFull bool
+	// feedback is the retraining window: the newest RetrainWindow rows.
+	feedback *obs.Ring[feedbackRow]
 
 	// Lifecycle.
 	phase      string
@@ -104,7 +103,7 @@ type systemState struct {
 
 	// Counters surfaced at /metrics.
 	signals  map[string]uint64 // kind -> count ("psi", "error")
-	retrains map[string]uint64 // outcome -> count ("started", "published", "failed", "skipped")
+	retrains map[string]uint64 // outcome -> count ("started", "published", "sigma_carried", "failed", "skipped", "suppressed")
 	actions  map[string]uint64 // decision action -> count
 }
 
@@ -112,8 +111,7 @@ func newSystemState(system string, cfg Config) *systemState {
 	return &systemState{
 		system:     system,
 		phase:      PhaseStable,
-		bufRows:    make([][]float64, 0, cfg.RetrainWindow),
-		bufY:       make([]float64, 0, cfg.RetrainWindow),
+		feedback:   obs.NewRing[feedbackRow](cfg.RetrainWindow),
 		rejected:   make(map[int]bool),
 		signals:    make(map[string]uint64),
 		retrains:   make(map[string]uint64),
@@ -126,46 +124,13 @@ func sortStates(states []*systemState) {
 	sort.Slice(states, func(a, b int) bool { return states[a].system < states[b].system })
 }
 
-// bufferLen returns the number of buffered feedback rows. Caller holds mu.
-func (st *systemState) bufferLen() int { return len(st.bufRows) }
-
-// bufferAppend adds one feedback row (already copied) to the ring.
-// Caller holds mu.
-func (st *systemState) bufferAppend(row []float64, y float64, capacity int) {
-	if len(st.bufRows) < capacity {
-		st.bufRows = append(st.bufRows, row)
-		st.bufY = append(st.bufY, y)
-		return
-	}
-	st.bufRows[st.bufNext] = row
-	st.bufY[st.bufNext] = y
-	st.bufNext = (st.bufNext + 1) % capacity
-	st.bufFull = true
-}
-
-// bufferSnapshot copies the buffered rows in arrival order (oldest first).
-// Caller holds mu.
-func (st *systemState) bufferSnapshot() ([][]float64, []float64) {
-	n := len(st.bufRows)
-	rows := make([][]float64, 0, n)
-	ys := make([]float64, 0, n)
-	appendAt := func(i int) {
-		rows = append(rows, st.bufRows[i])
-		ys = append(ys, st.bufY[i])
-	}
-	if st.bufFull {
-		for i := st.bufNext; i < n; i++ {
-			appendAt(i)
-		}
-		for i := 0; i < st.bufNext; i++ {
-			appendAt(i)
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			appendAt(i)
-		}
-	}
-	return rows, ys
+// feedbackRow is one entry of the retraining window: a feedback row (a
+// copy), its measured throughput, and the job's start and app as the
+// noise estimators read them.
+type feedbackRow struct {
+	row  []float64
+	y    float64
+	meta dataset.Meta
 }
 
 // setReference swaps the binning reference to a bundle's histograms and
@@ -251,25 +216,46 @@ type FeedbackResult struct {
 	ActiveMAELog   float64 `json:"active_mae_log"`
 	CompareVersion int     `json:"compare_version,omitempty"`
 	CompareMAELog  float64 `json:"compare_mae_log,omitempty"`
-	// BufferRows is the retraining buffer's fill after this batch.
+	// BufferRows is the retraining window's fill after this batch.
 	BufferRows int `json:"buffer_rows"`
 }
 
+// maxAppLen bounds a feedback row's app name: the window keeps up to
+// RetrainWindow of them.
+const maxAppLen = 256
+
 // Feedback ingests delayed ground truth: the actual throughput (bytes/s,
 // > 0) measured for jobs whose features were previously (or are now)
-// predicted. Each row is evaluated by the active version — and by the
-// comparison version while one is staged or watched — and joins the
-// retraining buffer. Evaluation goes through the quiet predict path:
-// scoring feedback must not read as live traffic (no serving metrics, no
-// shadow mirroring, no traffic-window counts), or backfilled ground
-// truth alone could fabricate a drift signal.
-func (c *Controller) Feedback(ctx context.Context, system string, rows [][]float64, actual []float64) (FeedbackResult, error) {
+// predicted, optionally with each job's start time and app. Each row is
+// evaluated by the active version — and by the comparison version while
+// one is staged or watched — and joins the retraining window. Evaluation
+// goes through the quiet predict path: scoring feedback must not read as
+// live traffic (no serving metrics, no shadow mirroring, no traffic-window
+// counts), or backfilled ground truth alone could fabricate a drift signal.
+func (c *Controller) Feedback(ctx context.Context, req FeedbackRequest) (FeedbackResult, error) {
+	system, rows, actual := req.System, req.Rows, req.Actual
 	if len(rows) == 0 || len(rows) != len(actual) {
 		return FeedbackResult{}, fmt.Errorf("drift: feedback needs equal, non-empty rows and actuals (got %d rows, %d actuals)", len(rows), len(actual))
 	}
+	if (req.Start != nil && len(req.Start) != len(rows)) || (req.App != nil && len(req.App) != len(rows)) {
+		return FeedbackResult{}, fmt.Errorf("drift: feedback start and app must be absent or one per row (got %d rows, %d starts, %d apps)", len(rows), len(req.Start), len(req.App))
+	}
+	metas := make([]dataset.Meta, len(rows))
 	for i, a := range actual {
 		if !(a > 0) || math.IsInf(a, 0) {
 			return FeedbackResult{}, fmt.Errorf("drift: feedback actual %d must be a positive finite throughput, got %v", i, a)
+		}
+		if req.Start != nil {
+			if s := req.Start[i]; !(s > 0) || math.IsInf(s, 0) {
+				return FeedbackResult{}, fmt.Errorf("drift: feedback start %d must be a positive finite unix time, got %v", i, s)
+			}
+			metas[i].Start = req.Start[i]
+		}
+		if req.App != nil {
+			if len(req.App[i]) > maxAppLen {
+				return FeedbackResult{}, fmt.Errorf("drift: feedback app %d is %d bytes, limit %d", i, len(req.App[i]), maxAppLen)
+			}
+			metas[i].App = req.App[i]
 		}
 	}
 	results, mv, err := c.svc.PredictQuiet(ctx, system, 0, rows)
@@ -304,7 +290,7 @@ func (c *Controller) Feedback(ctx context.Context, system string, rows [][]float
 			st.cmpErr.add(cmpAbs)
 			cmpSum += cmpAbs
 		}
-		st.bufferAppend(append([]float64(nil), rows[i]...), actual[i], c.cfg.RetrainWindow)
+		st.feedback.Push(&feedbackRow{row: append([]float64(nil), rows[i]...), y: actual[i], meta: metas[i]})
 	}
 	st.feedbackTotal += uint64(len(rows))
 	out.ActiveMAELog = actSum / float64(len(rows))
@@ -312,7 +298,7 @@ func (c *Controller) Feedback(ctx context.Context, system string, rows [][]float
 		out.CompareVersion = cmpVersion
 		out.CompareMAELog = cmpSum / float64(len(rows))
 	}
-	out.BufferRows = st.bufferLen()
+	out.BufferRows = st.feedback.Len()
 	return out, nil
 }
 

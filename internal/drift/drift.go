@@ -13,15 +13,15 @@
 //	               absolute log-error tracked against the system's
 //	               measured noise floor — error is only alarmed when it
 //	               exceeds what irreducible noise explains (detector.go)
-//	orchestrator — on confirmed drift, assembles a training frame from the
-//	               accumulated feedback window, retrains with the PR-2
-//	               fast path (gbt.Bin + a warm-started hpo.GBTGridSearch
-//	               sweep), rebuilds the guardrail ensemble, and publishes
-//	               the new version through the manifest temp-file+rename
-//	               protocol so the live Reloader swaps it in with zero
-//	               downtime; the incumbent is pinned first, so the
-//	               candidate stages as a shadow-evaluated canary rather
-//	               than serving untested (retrain.go)
+//	orchestrator — on confirmed drift, turns the accumulated feedback
+//	               window into a training frame, hands it to serve.Build
+//	               (the bootstrap's own builder, here sweeping a small
+//	               warm-started GBT grid and measuring the noise floor on
+//	               the window), and publishes the new version through the
+//	               manifest temp-file+rename protocol so the live Reloader
+//	               swaps it in with zero downtime; the incumbent is pinned
+//	               first, so the candidate stages as a shadow-evaluated
+//	               canary rather than serving untested (retrain.go)
 //	policy       — watches the staged candidate's evidence (champion/
 //	               challenger error on feedback rows, canary shadow
 //	               deltas) and auto-promotes after k consecutive clean
@@ -59,21 +59,6 @@ const (
 	// comparing it against its predecessor for auto-rollback.
 	PhaseWatching = "watching"
 )
-
-// RetrainConfig sizes the automated retraining runs.
-type RetrainConfig struct {
-	// Trees / Depth bound the GBT sweep (the grid tries Depth and a
-	// shallower alternative, with the tree axis warm-started).
-	Trees, Depth int
-	// EnsembleSize / Epochs size the replacement guardrail ensemble.
-	EnsembleSize, Epochs int
-	// Bins is the histogram resolution shared by the sweep.
-	Bins int
-	// Workers bounds sweep and ensemble parallelism (0 = GOMAXPROCS).
-	Workers int
-	// Seed drives training determinism.
-	Seed uint64
-}
 
 // Config tunes the control plane. The zero value of every field selects a
 // sensible default (see withDefaults); AutoPromote/AutoRollback default to
@@ -131,8 +116,11 @@ type Config struct {
 	// rows of shadow evidence per window for promote/rollback verdicts
 	// (set it when the server runs with -shadow-fraction > 0).
 	MinMirrored int
-	// Retrain sizes the automated training runs.
-	Retrain RetrainConfig
+	// Retrain sizes the automated training runs with the bundle builder's
+	// own knobs (trees, depth, ensemble size, epochs, workers, seed); zero
+	// fields take serve.Build's defaults, and the systems, jobs and
+	// versions fields are unused.
+	Retrain serve.BootstrapConfig
 	// Breaker, when non-nil, circuit-breaks the retrain→publish→promote
 	// chain: consecutive retrain failures trip it, suppressing further
 	// automatic launches until a cooldown probe (ForceRetrain bypasses it —
@@ -180,15 +168,7 @@ func (c Config) withDefaults() Config {
 	deff(&c.PromoteSlack, 1.0)
 	deff(&c.RegressFactor, 1.5)
 	deff(&c.RollbackMAELog, 0.5)
-	def(&c.Retrain.Trees, 80)
-	def(&c.Retrain.Depth, 7)
-	def(&c.Retrain.EnsembleSize, 3)
-	def(&c.Retrain.Epochs, 8)
-	def(&c.Retrain.Bins, 64)
 	def(&c.PublishRetries, 3)
-	if c.Retrain.Seed == 0 {
-		c.Retrain.Seed = 1
-	}
 	if c.Logger == nil {
 		c.Logger = obs.NopLogger()
 	}
@@ -322,7 +302,7 @@ func (c *Controller) ForceRetrain(system string) error {
 	if st.phase == PhaseRetraining {
 		return fmt.Errorf("drift: %s is already retraining", system)
 	}
-	if n := st.bufferLen(); n < c.cfg.MinRetrainRows {
+	if n := st.feedback.Len(); n < c.cfg.MinRetrainRows {
 		return fmt.Errorf("drift: %s has %d buffered feedback rows, need >= %d", system, n, c.cfg.MinRetrainRows)
 	}
 	c.launchRetrainLocked(st, "forced")

@@ -148,7 +148,7 @@ func (h *harness) feedWindow(t *testing.T, rows [][]float64, actual []float64) {
 		if _, _, err := h.svc.Predict(ctx, "theta", 0, rows[i:end]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.ctl.Feedback(ctx, "theta", rows[i:end], actual[i:end]); err != nil {
+		if _, err := h.ctl.Feedback(ctx, FeedbackRequest{System: "theta", Rows: rows[i:end], Actual: actual[i:end]}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -211,8 +211,8 @@ func testConfig() Config {
 		RollbackAfter:    2,
 		WatchWindows:     50,
 		PromoteSlack:     1.2,
-		Retrain: RetrainConfig{
-			Trees: 24, Depth: 5, EnsembleSize: 2, Epochs: 3, Bins: 32, Seed: 9,
+		Retrain: serve.BootstrapConfig{
+			Trees: 24, Depth: 5, EnsembleSize: 2, Epochs: 3, Seed: 9,
 		},
 	}
 }
@@ -241,7 +241,7 @@ func TestNoFalseAlarm(t *testing.T) {
 			// Ground truth = prediction + noise at the measured floor: the
 			// irreducible error a perfect model would still show.
 			actual := math.Pow(10, res[0].Log10Throughput+r.NormAt(0, sigma))
-			if _, err := h.ctl.Feedback(ctx, "theta", [][]float64{row}, []float64{actual}); err != nil {
+			if _, err := h.ctl.Feedback(ctx, FeedbackRequest{System: "theta", Rows: [][]float64{row}, Actual: []float64{actual}}); err != nil {
 				t.Fatal(err)
 			}
 		}

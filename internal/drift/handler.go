@@ -14,8 +14,9 @@ import (
 //	GET  /v1/drift          — status report: per-system detector state,
 //	                          streaks, staged candidate, decision log
 //	POST /v1/drift/retrain  — force a retrain ({"system":...}); admin
-//	POST /v1/feedback       — ground-truth ingestion:
-//	                          {"system","rows",[[...]],"actual":[...]}; admin
+//	POST /v1/feedback       — ground-truth ingestion: {"system","rows":
+//	                          [[...]],"actual":[...]}, optionally with
+//	                          "start":[...] and "app":[...]; admin
 //
 // The forced retrain and feedback are admin actions sharing the serving
 // token (serve.RequireAdmin); only the status report is open. Feedback
@@ -34,6 +35,12 @@ type FeedbackRequest struct {
 	Rows   [][]float64 `json:"rows"`
 	// Actual holds the measured throughputs (bytes/s), aligned with Rows.
 	Actual []float64 `json:"actual"`
+	// Start (unix seconds, > 0) and App are optional, each absent or
+	// aligned with Rows. With them a retrain measures the noise floor on
+	// its window (litmus test 4 groups duplicate jobs by app and start
+	// time); without them it carries the incumbent's floor.
+	Start []float64 `json:"start,omitempty"`
+	App   []string  `json:"app,omitempty"`
 }
 
 // retrainRequest is the POST /v1/drift/retrain body.
@@ -94,7 +101,7 @@ func (c *Controller) Handler(adminToken string) http.Handler {
 			serve.WriteError(w, http.StatusBadRequest, "missing \"system\"")
 			return
 		}
-		res, err := c.Feedback(r.Context(), req.System, req.Rows, req.Actual)
+		res, err := c.Feedback(r.Context(), req)
 		if err != nil {
 			status := http.StatusBadRequest
 			if errors.Is(err, serve.ErrUnknownModel) {

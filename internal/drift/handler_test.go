@@ -3,9 +3,14 @@ package drift
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
+
+	"iotaxo/internal/dataset"
+	"iotaxo/internal/serve"
 )
 
 // HTTP surface: status is open; feedback and the forced retrain are
@@ -126,4 +131,99 @@ func TestHandler(t *testing.T) {
 	if av, _ := h.svc.Registry().ActiveVersion("theta"); av != 1 {
 		t.Errorf("forced retrain went live uninvited: active v%d", av)
 	}
+}
+
+// FuzzFeedbackRequest drives arbitrary bodies through POST /v1/feedback.
+// Every body gets a 200 or a 400 (a 404 only when it names a system the
+// registry does not serve), never a panic, and a start that is not a
+// positive finite unix time, or not one per row, never reaches the
+// retraining window.
+func FuzzFeedbackRequest(f *testing.F) {
+	// A two-feature bundle keeps the fuzz worker's setup to milliseconds
+	// under coverage instrumentation; the schema is all Feedback checks.
+	frame, err := dataset.NewFrame([]string{"posix_a", "posix_b"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		a, b := float64(i%8+1), float64(i/8+1)
+		if err := frame.Append([]float64{a, b}, 1e6*a*b, dataset.Meta{JobID: i}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	mv, err := serve.BuildVersion("theta", 1, frame, serve.BootstrapConfig{Trees: 3, Depth: 2, EnsembleSize: 2, Epochs: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	reg := serve.NewRegistry()
+	if err := reg.Add(mv); err != nil {
+		f.Fatal(err)
+	}
+	svc := serve.NewService(reg, serve.Options{MaxBatch: 16})
+	f.Cleanup(svc.Close)
+	ctl := New(svc, Config{Interval: time.Hour, RetrainWindow: 64})
+	f.Cleanup(ctl.Close)
+	handler := ctl.Handler("")
+
+	rows := [][]float64{{1, 2}, {3, 4}}
+	actual := []float64{2e6, 12e6}
+	start := []float64{1.6e9, 1.6e9 + 0.5}
+	app := []string{"ior", "ior"}
+	for _, req := range []FeedbackRequest{
+		{System: "theta", Rows: rows, Actual: actual},
+		{System: "theta", Rows: rows, Actual: actual, Start: start, App: app},
+		{System: "theta", Rows: rows, Actual: actual, Start: start[:1]},
+		{System: "theta", Rows: rows, Actual: actual, Start: []float64{0, -5}},
+		{System: "theta", Rows: rows, Actual: actual, Start: []float64{}, App: app[:1]},
+		{System: "theta", Rows: rows[:1], Actual: actual[:1], Start: start[:1], App: []string{""}},
+	} {
+		raw, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Add([]byte(`{"system":"theta","rows":[[1]],"actual":[1],"start":[1e400]}`))
+	f.Add([]byte(`{"system":"theta","rows":[],"actual":[],"start":["1"]}`))
+	f.Add([]byte(`{"system":"theta","rows":[[1]],"actual":[1],"start":null,"app":[1]}`))
+
+	post := func(body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/feedback", bytes.NewReader(body)))
+		return rec
+	}
+	// The valid seed with start and app is taken whole.
+	raw, _ := json.Marshal(FeedbackRequest{System: "theta", Rows: rows, Actual: actual, Start: start, App: app})
+	if rec := post(raw); rec.Code != http.StatusOK {
+		f.Fatalf("valid feedback: status %d: %s", rec.Code, rec.Body)
+	}
+	if w := ctl.state("theta").feedback.Recent(0); len(w) != 2 || w[0].meta.Start != start[1] || w[1].meta.App != app[0] {
+		f.Fatalf("window after valid feedback: %+v", w)
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := post(body)
+		var req FeedbackRequest
+		switch rec.Code {
+		case http.StatusOK:
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Fatalf("200 for a body encoding/json rejects (%v): %q", err, body)
+			}
+			if req.Start != nil && len(req.Start) != len(req.Rows) {
+				t.Fatalf("200 for %d starts on %d rows: %q", len(req.Start), len(req.Rows), body)
+			}
+		case http.StatusBadRequest:
+		case http.StatusNotFound:
+			if json.Unmarshal(body, &req) == nil && req.System == "theta" {
+				t.Fatalf("404 for a served system: %s", rec.Body)
+			}
+		default:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		for _, fr := range ctl.state("theta").feedback.Recent(0) {
+			if s := fr.meta.Start; s != 0 && !(s > 0 && !math.IsInf(s, 0)) {
+				t.Fatalf("start %v reached the window", s)
+			}
+		}
+	})
 }

@@ -91,7 +91,7 @@ func (c *Controller) systemStatus(st *systemState) SystemStatus {
 		ObservedRows:     st.observedTotal,
 		FeedbackRows:     st.feedbackTotal,
 		WindowRows:       st.rowsObserved,
-		BufferRows:       st.bufferLen(),
+		BufferRows:       st.feedback.Len(),
 		PSIMax:           st.psiMax,
 		PSIMaxFeature:    st.psiMaxFeature,
 		KSMax:            st.ksMax,

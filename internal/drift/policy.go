@@ -212,7 +212,7 @@ func (c *Controller) maybeRetrain(st *systemState, rep windowReport) {
 	}
 	st.signals[kind]++
 	reason := driftReason(kind, rep)
-	if st.bufferLen() < c.cfg.MinRetrainRows {
+	if st.feedback.Len() < c.cfg.MinRetrainRows {
 		// Confirmed drift but not enough labeled rows to retrain from —
 		// keep signalling (the metrics series climbs) and re-check next
 		// window as feedback accumulates.

@@ -2,62 +2,55 @@ package drift
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
 
-	"iotaxo/internal/core"
 	"iotaxo/internal/dataset"
-	"iotaxo/internal/gbt"
-	"iotaxo/internal/hpo"
-	"iotaxo/internal/nn"
 	"iotaxo/internal/resilience"
 	"iotaxo/internal/serve"
-	"iotaxo/internal/uq"
 )
 
-// Retraining orchestrator. A confirmed drift signal hands the accumulated
-// feedback window to a background retrain that mirrors what the offline
-// pipeline would do, on the PR-2 fast path:
+// Retraining orchestrator. A confirmed drift signal hands the feedback
+// window to a background retrain:
 //
-//  1. the window is split temporally (newest quarter validates — drift
-//     means the newest rows are the distribution that matters);
-//  2. the training slice is quantized once (gbt.Bin) and a small
-//     hyperparameter grid is swept with hpo.GBTGridSearch, whose
-//     warm-started tree axis scores every NumTrees candidate from one
-//     trained chain;
-//  3. the winning configuration trains the final model on the full
-//     window, a fresh guardrail ensemble is fitted, the EU threshold is
-//     recalibrated, and the window's feature distribution becomes the new
-//     bundle's reference histograms;
-//  4. the incumbent is pinned (so the candidate cannot serve untested),
+//  1. the window becomes a training frame in arrival order, each job once
+//     (windowFrame);
+//  2. serve.Build, the builder bootstrap uses too, sweeps a small
+//     warm-started GBT grid validated on the newest quarter (drift means
+//     the newest rows are the distribution that matters), refits the
+//     winner on the whole window, fits the guardrail ensemble, EU
+//     threshold and reference histograms, and measures the noise floor
+//     (litmus test 4) on the same window;
+//  3. the incumbent is pinned (so the candidate cannot serve untested),
 //     and the bundle is published with serve.SaveVersion — artifacts
 //     first, manifest last via temp-file+rename — for the live Reloader
 //     to pick up; with no on-disk root it is registered directly.
 //
-// The noise-floor calibration (NoiseSigmaLog/NoiseFloorPct) is carried
-// over from the incumbent: measuring it needs concurrent-duplicate timing
-// metadata that online feedback does not carry, and the floor is a
-// property of the system, not of the model.
+// A window whose rows carry no start times, or too few concurrent
+// duplicates, cannot measure the floor: the candidate then keeps the
+// incumbent's, the publish Decision says so, and the retrain is counted
+// as outcome "sigma_carried".
 
 // launchRetrainLocked transitions the system into PhaseRetraining and
 // starts the background retrain. Caller holds st.mu.
 func (c *Controller) launchRetrainLocked(st *systemState, reason string) {
-	rows, ys := st.bufferSnapshot()
+	window := st.feedback.Recent(0)
 	st.phase = PhaseRetraining
 	st.retrains["started"]++
 	c.retrains.Add(1)
 	go func() {
 		defer c.retrains.Done()
-		c.retrain(st, rows, ys, reason)
+		c.retrain(st, window, reason)
 	}()
 }
 
 // retrain runs one full retrain-and-publish cycle off the tick loop. The
 // outcome feeds the retrain breaker: consecutive failures trip it (pausing
 // automatic launches), any success closes it.
-func (c *Controller) retrain(st *systemState, rows [][]float64, ys []float64, reason string) {
-	staged, err := c.trainAndPublish(st.system, rows, ys)
+func (c *Controller) retrain(st *systemState, window []feedbackRow, reason string) {
+	mv, carried, err := c.trainAndPublish(st.system, window)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if err != nil {
@@ -70,136 +63,77 @@ func (c *Controller) retrain(st *systemState, rows [][]float64, ys []float64, re
 	}
 	c.cfg.Breaker.Success()
 	st.retrains["published"]++
-	c.record(st, Decision{
-		Action:  ActionPublish,
-		Version: staged,
-		Reason:  "retrained on " + fmtInt(len(rows)) + " feedback rows (" + reason + ")",
-		Applied: true,
-	})
+	reason = "retrained on " + fmtInt(mv.TrainedOn) + " feedback rows (" + reason + ")"
+	if carried != "" {
+		st.retrains["sigma_carried"]++
+		reason += "; " + carried
+	}
+	c.record(st, Decision{Action: ActionPublish, Version: mv.Version, Reason: reason, Applied: true})
 	// The publish pinned the incumbent, so the candidate stages as a
 	// canary; track it through promotion. If a reload raced us and the
 	// candidate is not registered yet, evalStaged keeps waiting for it via
 	// versionRegistered on the next ticks.
 	st.phase = PhaseStaged
-	st.staged = staged
+	st.staged = mv.Version
 	st.stageLeft = c.cfg.WatchWindows
-	st.compareVersion = staged
+	st.compareVersion = mv.Version
 	st.cleanStreak = 0
 }
 
-// trainAndPublish trains a candidate bundle from the feedback window and
-// publishes it, returning the new version number.
-func (c *Controller) trainAndPublish(system string, rows [][]float64, ys []float64) (int, error) {
+// trainAndPublish builds a candidate bundle from the feedback window
+// (newest first, as the ring returns it) and publishes it. carried is
+// non-empty when the window could not measure the noise floor and the
+// incumbent's was kept, and says why.
+func (c *Controller) trainAndPublish(system string, window []feedbackRow) (mv *serve.ModelVersion, carried string, err error) {
 	reg := c.svc.Registry()
 	active, err := reg.ActiveVersion(system)
 	if err != nil {
-		return 0, err
+		return nil, "", err
 	}
 	incumbent, err := reg.Get(system, active)
 	if err != nil {
-		return 0, err
+		return nil, "", err
 	}
-	cols := incumbent.Columns
-	for i, r := range rows {
-		if len(r) != len(cols) {
-			return 0, fmt.Errorf("drift: buffered row %d has %d features, schema wants %d", i, len(r), len(cols))
-		}
-	}
-	yLog := make([]float64, len(ys))
-	for i, y := range ys {
-		yLog[i] = math.Log10(y)
-	}
-
-	model, err := c.sweepGBT(rows, yLog)
+	frame, err := windowFrame(incumbent.Columns, window)
 	if err != nil {
-		return 0, err
-	}
-
-	// Guardrail ensemble + calibration, the way bootstrap does it.
-	frame, err := dataset.NewFrame(cols)
-	if err != nil {
-		return 0, err
-	}
-	for i := range rows {
-		if err := frame.Append(rows[i], ys[i], dataset.Meta{JobID: i}); err != nil {
-			return 0, err
-		}
-	}
-	scaler := dataset.FitScaler(frame, true)
-	scaled, err := scaler.Transform(frame)
-	if err != nil {
-		return 0, err
-	}
-	rc := c.cfg.Retrain
-	paramSets := make([]nn.Params, rc.EnsembleSize)
-	for i := range paramSets {
-		np := nn.DefaultParams()
-		np.Hidden = []int{24 + 16*i}
-		np.Epochs = rc.Epochs
-		np.Seed = rc.Seed + uint64(1000+i)
-		paramSets[i] = np
-	}
-	ensemble, err := uq.TrainEnsemble(paramSets, scaled, yLog, rc.Workers)
-	if err != nil {
-		return 0, fmt.Errorf("drift: retraining %s ensemble: %w", system, err)
-	}
-	preds := ensemble.PredictAll(scaled)
-	rep := core.EvaluatePredictions(model.PredictAll(rows), ys)
-	guard := serve.GuardConfig{
-		EUThreshold:   uq.StableThreshold(preds, rep.AbsLogErrors),
-		NoiseSigmaLog: incumbent.Guard.NoiseSigmaLog,
-		NoiseFloorPct: incumbent.Guard.NoiseFloorPct,
-	}
-	ref, err := serve.BuildFeatureHists(cols, rows, 0)
-	if err != nil {
-		return 0, err
+		return nil, "", err
 	}
 
 	// Version: one past the highest registered for this system.
-	newVersion := 0
+	version := 0
 	for _, info := range reg.List() {
-		if info.System == system && info.Version > newVersion {
-			newVersion = info.Version
+		if info.System == system && info.Version > version {
+			version = info.Version
 		}
 	}
-	newVersion++
+	version++
 
-	mv := &serve.ModelVersion{
-		System:    system,
-		Version:   newVersion,
-		Columns:   cols,
-		Model:     model,
-		Ensemble:  ensemble,
-		Scaler:    scaler,
-		Guard:     guard,
-		TrainedOn: len(rows),
-		Reference: ref,
+	mv, sets, err := serve.Build(system, version, frame, c.cfg.Retrain.SweepGrid(version), c.cfg.Retrain)
+	if err != nil {
+		return nil, "", fmt.Errorf("drift: retraining %s: %w", system, err)
 	}
-	// Compile the candidate's flat engine off the serving path, before
-	// publication: direct registration (no on-disk root) hands the bundle
-	// to shadow/canary traffic immediately, and the save path re-compiles
-	// in loadVersionDir when the reloader picks the directory up — either
-	// way no request ever pays the compilation inline.
-	mv.Flat()
+	if sets < serve.MinNoiseSets {
+		mv.Guard.NoiseSigmaLog = incumbent.Guard.NoiseSigmaLog
+		mv.Guard.NoiseFloorPct = incumbent.Guard.NoiseFloorPct
+		carried = "noise floor carried from v" + fmtInt(active) + ": the window holds " + fmtInt(sets) +
+			" concurrent duplicate sets, fewer than " + fmtInt(serve.MinNoiseSets)
+	}
 
 	// Pin the incumbent before the candidate becomes loadable: auto-track
 	// must not put an unevaluated model into the serving path.
 	if cur, err := reg.ActiveVersion(system); err == nil {
 		if err := reg.Promote(system, cur); err != nil {
-			return 0, fmt.Errorf("drift: pinning incumbent %s v%d: %w", system, cur, err)
+			return nil, "", fmt.Errorf("drift: pinning incumbent %s v%d: %w", system, cur, err)
 		}
 		st := c.state(system)
 		st.mu.Lock()
 		c.record(st, Decision{Action: ActionPin, Version: cur,
-			Reason: "incumbent pinned; candidate v" + fmtInt(newVersion) + " stages as canary", Applied: true})
+			Reason: "incumbent pinned; candidate v" + fmtInt(version) + " stages as canary", Applied: true})
 		st.mu.Unlock()
 	}
 
 	if c.cfg.Root == "" {
-		if err := reg.Add(mv); err != nil {
-			return 0, err
-		}
-		return newVersion, nil
+		return mv, carried, reg.Add(mv)
 	}
 	// The training work above is minutes; the publish is an fsync. Retry a
 	// transient registry-root hiccup instead of discarding the model.
@@ -207,7 +141,7 @@ func (c *Controller) trainAndPublish(system string, rows [][]float64, ys []float
 	if err := resilience.Retry(context.Background(), c.cfg.PublishRetries, publish, func() error {
 		return serve.SaveVersion(c.cfg.Root, mv)
 	}); err != nil {
-		return 0, err
+		return nil, "", err
 	}
 	// Nudge the reloader so the candidate is registered within this tick
 	// rather than one poll later; a failed poll just means the regular
@@ -215,62 +149,40 @@ func (c *Controller) trainAndPublish(system string, rows [][]float64, ys []float
 	if rel := c.svc.Reloader(); rel != nil {
 		_, _ = rel.Poll()
 	}
-	return newVersion, nil
+	return mv, carried, nil
 }
 
-// sweepGBT runs the warm-started grid over the feedback window and trains
-// the winner on the full window.
-func (c *Controller) sweepGBT(rows [][]float64, yLog []float64) (*gbt.Model, error) {
-	rc := c.cfg.Retrain
-	nVal := len(rows) / 4
-	if nVal < 1 {
-		return nil, fmt.Errorf("drift: %d rows cannot be split for validation", len(rows))
-	}
-	trainRows, trainY := rows[:len(rows)-nVal], yLog[:len(rows)-nVal]
-	valRows, valY := rows[len(rows)-nVal:], yLog[len(rows)-nVal:]
-
-	base := gbt.TunedBase()
-	base.NumBins = rc.Bins
-	base.Seed = rc.Seed
-	shallow := rc.Depth - 2
-	if shallow < 2 {
-		shallow = 2
-	}
-	var grid []gbt.Params
-	for _, depth := range []int{shallow, rc.Depth} {
-		for _, trees := range []int{rc.Trees / 2, rc.Trees} {
-			if trees < 1 {
-				trees = 1
-			}
-			p := base
-			p.MaxDepth = depth
-			p.NumTrees = trees
-			grid = append(grid, p)
-		}
-	}
-	bd, err := gbt.Bin(trainRows, base.NumBins)
+// windowFrame turns the window (newest first) into a training frame in
+// arrival order. A row whose feature bits, start, app and actual all equal
+// an earlier row's is the same job sent again — a retried POST, a loader
+// sampling with replacement — and is kept once: trained twice it would
+// weigh double, and as its own zero-spread duplicate it would shrink σ.
+func windowFrame(cols []string, window []feedbackRow) (*dataset.Frame, error) {
+	frame, err := dataset.NewFrame(cols)
 	if err != nil {
 		return nil, err
 	}
-	score := func(valPred []float64) (float64, error) {
-		var sum float64
-		for i := range valPred {
-			sum += math.Abs(valPred[i] - valY[i])
+	seen := make(map[string]bool, len(window))
+	var key []byte
+	put := func(v float64) { key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v)) }
+	for i := len(window) - 1; i >= 0; i-- {
+		fr := window[i]
+		key = key[:0]
+		for _, v := range fr.row {
+			put(v)
 		}
-		return sum / float64(len(valPred)), nil
+		put(fr.meta.Start)
+		put(fr.y)
+		key = append(key, fr.meta.App...)
+		if seen[string(key)] {
+			continue
+		}
+		seen[string(key)] = true
+		meta := fr.meta
+		meta.JobID = frame.Len()
+		if err := frame.Append(fr.row, fr.y, meta); err != nil {
+			return nil, fmt.Errorf("drift: feedback row %d: %w", frame.Len(), err)
+		}
 	}
-	_, best, err := hpo.GBTGridSearch(grid, bd, trainY, valRows, score, rc.Workers)
-	if err != nil {
-		return nil, fmt.Errorf("drift: hyperparameter sweep: %w", err)
-	}
-
-	bdAll, err := gbt.Bin(rows, base.NumBins)
-	if err != nil {
-		return nil, err
-	}
-	model, err := gbt.TrainBinned(best.Candidate, bdAll, yLog)
-	if err != nil {
-		return nil, fmt.Errorf("drift: final training: %w", err)
-	}
-	return model, nil
+	return frame, nil
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -9,6 +10,7 @@ import (
 	"iotaxo/internal/core"
 	"iotaxo/internal/dataset"
 	"iotaxo/internal/gbt"
+	"iotaxo/internal/hpo"
 	"iotaxo/internal/nn"
 	"iotaxo/internal/system"
 	"iotaxo/internal/uq"
@@ -145,16 +147,25 @@ func BumpVersion(root, system string) (int, error) {
 	return mv.Version, nil
 }
 
-// BuildVersion trains one serving bundle from a frame. Higher versions get
-// progressively more regularized hyperparameters, mimicking the paper's
-// Step 2.2 tuning trajectory (defaults overfit; tuning closes the gap).
-func BuildVersion(name string, version int, frame *dataset.Frame, cfg BootstrapConfig) (*ModelVersion, error) {
-	if frame.Len() == 0 {
-		return nil, fmt.Errorf("serve: empty frame for %s", name)
-	}
-	yLog := dataset.TargetTransform{}.ForwardAll(frame.Y())
-	rows := frame.Rows()
+// MinNoiseSets is the fewest concurrent duplicate sets a frame must hold
+// for Build to measure the noise floor from it (litmus test 4). Rows
+// without a start time are never concurrent, so a frame of them measures
+// nothing; σ is then reported as not measured, never guessed.
+const MinNoiseSets = 8
 
+// BuildVersion trains one serving bundle from a frame with the version
+// ladder's one GBT candidate (see gbtParams).
+func BuildVersion(name string, version int, frame *dataset.Frame, cfg BootstrapConfig) (*ModelVersion, error) {
+	mv, _, err := Build(name, version, frame, []gbt.Params{cfg.gbtParams(version)}, cfg)
+	return mv, err
+}
+
+// gbtParams is version's GBT candidate: gbt.TunedBase at cfg's trees and
+// depth (80 and 7 when unset). Higher versions of a multi-version bootstrap
+// get the tuned regime, v1 the aggressive defaults, mimicking the paper's
+// Step 2.2 tuning trajectory (defaults overfit; tuning closes the gap), so
+// /v1/models shows a meaningful history.
+func (cfg BootstrapConfig) gbtParams(version int) gbt.Params {
 	p := gbt.TunedBase()
 	p.NumTrees = cfg.Trees
 	if p.NumTrees <= 0 {
@@ -165,21 +176,54 @@ func BuildVersion(name string, version int, frame *dataset.Frame, cfg BootstrapC
 		p.MaxDepth = 7
 	}
 	p.Seed = cfg.Seed + uint64(version)
-	// Version ladder: v1 ships the aggressive defaults regime, later
-	// versions the tuned one — so /v1/models shows a meaningful history.
 	if version == 1 && cfg.Versions > 1 {
 		p.LearningRate = 0.3
 		p.MinChildWeight = 1
 	}
-	model, err := gbt.Train(p, rows, yLog)
+	return p
+}
+
+// SweepGrid is the candidate list a retrain hands Build for version:
+// cfg's depth and one two levels shallower, each at cfg's trees and half
+// of them. The tree axis is warm-started, so the four cost two chains.
+func (cfg BootstrapConfig) SweepGrid(version int) []gbt.Params {
+	base := cfg.gbtParams(version)
+	var grid []gbt.Params
+	for _, depth := range []int{max(base.MaxDepth-2, 2), base.MaxDepth} {
+		for _, trees := range []int{max(base.NumTrees/2, 1), base.NumTrees} {
+			p := base
+			p.MaxDepth, p.NumTrees = depth, trees
+			grid = append(grid, p)
+		}
+	}
+	return grid
+}
+
+// Build trains one serving bundle from frame; it is the one build path,
+// for bootstrap and retrain alike. One GBT candidate is trained on the
+// whole frame. Several are swept with the warm-started hpo.GBTGridSearch,
+// validating on the newest quarter of the frame (rows are in time order),
+// and the winner is refitted on the whole frame. The scaler, the guarding
+// ensemble, the EU threshold, the reference histograms and the noise floor
+// all come from the same frame. noiseSets is how many concurrent duplicate
+// sets the floor was measured from; below MinNoiseSets the guard's
+// NoiseSigmaLog and NoiseFloorPct stay zero.
+func Build(name string, version int, frame *dataset.Frame, candidates []gbt.Params, cfg BootstrapConfig) (mv *ModelVersion, noiseSets int, err error) {
+	if frame.Len() == 0 {
+		return nil, 0, fmt.Errorf("serve: empty frame for %s", name)
+	}
+	yLog := dataset.TargetTransform{}.ForwardAll(frame.Y())
+	rows := frame.Rows()
+
+	model, err := trainGBT(candidates, rows, yLog, cfg.Workers)
 	if err != nil {
-		return nil, fmt.Errorf("serve: training %s v%d: %w", name, version, err)
+		return nil, 0, fmt.Errorf("serve: training %s v%d: %w", name, version, err)
 	}
 
 	scaler := dataset.FitScaler(frame, true)
 	scaled, err := scaler.Transform(frame)
 	if err != nil {
-		return nil, fmt.Errorf("serve: scaling %s: %w", name, err)
+		return nil, 0, fmt.Errorf("serve: scaling %s: %w", name, err)
 	}
 	ensembleSize := cfg.EnsembleSize
 	if ensembleSize < 2 {
@@ -199,7 +243,7 @@ func BuildVersion(name string, version int, frame *dataset.Frame, cfg BootstrapC
 	}
 	ensemble, err := uq.TrainEnsemble(paramSets, scaled, yLog, cfg.Workers)
 	if err != nil {
-		return nil, fmt.Errorf("serve: training %s v%d ensemble: %w", name, version, err)
+		return nil, 0, fmt.Errorf("serve: training %s v%d ensemble: %w", name, version, err)
 	}
 
 	// Calibrate the guardrail exactly as the offline litmus tests would.
@@ -208,18 +252,21 @@ func BuildVersion(name string, version int, frame *dataset.Frame, cfg BootstrapC
 	rep := core.EvaluatePredictions(gbtPreds, frame.Y())
 	guard := GuardConfig{EUThreshold: uq.StableThreshold(preds, rep.AbsLogErrors)}
 	if noise, err := core.EstimateNoise(frame, nil, 1.0); err == nil {
-		guard.NoiseSigmaLog = noise.SigmaLog
-		guard.NoiseFloorPct = noise.FloorPct
+		noiseSets = noise.Sets
+		if noiseSets >= MinNoiseSets {
+			guard.NoiseSigmaLog = noise.SigmaLog
+			guard.NoiseFloorPct = noise.FloorPct
+		}
 	}
 
 	// Persist the training-time feature distribution so the bundle can be
 	// drift-monitored after any number of save/load round trips.
 	ref, err := BuildFeatureHists(frame.Columns(), rows, 0)
 	if err != nil {
-		return nil, fmt.Errorf("serve: reference histograms for %s v%d: %w", name, version, err)
+		return nil, 0, fmt.Errorf("serve: reference histograms for %s v%d: %w", name, version, err)
 	}
 
-	mv := &ModelVersion{
+	mv = &ModelVersion{
 		System:    name,
 		Version:   version,
 		Columns:   frame.Columns(),
@@ -230,9 +277,38 @@ func BuildVersion(name string, version int, frame *dataset.Frame, cfg BootstrapC
 		TrainedOn: frame.Len(),
 		Reference: ref,
 	}
-	// Compile at build time: bundles handed straight to benchmarks or an
-	// in-process service (no registry insert) still serve on the flat
-	// engine from the first request.
+	// Compile at build time: bundles handed straight to benchmarks, an
+	// in-process service or a retrain's publish still serve on the flat
+	// engine from the first request, and no request pays the compilation.
 	mv.Flat()
-	return mv, nil
+	return mv, noiseSets, nil
+}
+
+// trainGBT trains the one candidate on every row, or sweeps several with
+// the newest quarter held out and refits the winner on every row.
+func trainGBT(candidates []gbt.Params, rows [][]float64, yLog []float64, workers int) (*gbt.Model, error) {
+	if len(candidates) == 1 {
+		return gbt.Train(candidates[0], rows, yLog)
+	}
+	nVal := len(rows) / 4
+	if nVal < 1 {
+		return nil, fmt.Errorf("%d rows cannot be split for validation", len(rows))
+	}
+	cut := len(rows) - nVal
+	bd, err := gbt.Bin(rows[:cut], candidates[0].NumBins)
+	if err != nil {
+		return nil, err
+	}
+	score := func(valPred []float64) (float64, error) {
+		var sum float64
+		for i, p := range valPred {
+			sum += math.Abs(p - yLog[cut+i])
+		}
+		return sum / float64(len(valPred)), nil
+	}
+	_, best, err := hpo.GBTGridSearch(candidates, bd, yLog[:cut], rows[cut:], score, workers)
+	if err != nil {
+		return nil, fmt.Errorf("hyperparameter sweep: %w", err)
+	}
+	return gbt.Train(best.Candidate, rows, yLog)
 }
