@@ -107,9 +107,7 @@ func (rt *Router) Register(req RegisterRequest) (RegisterResponse, error) {
 	if rs, ok := rt.replicas[name]; ok {
 		// Known member re-announcing: the replica bounced faster than its
 		// lease, or a partition healed. Refresh what it told us.
-		if rs.lease != nil {
-			rs.lease.Renew()
-		}
+		rs.lease.Renew()
 		rs.capabilities = req.Capabilities
 		rt.memlog.Record(name, obs.MemberEventReRegister, "")
 		rt.saveSnapshotLocked()
@@ -174,9 +172,7 @@ func (rt *Router) Heartbeat(name string) (HeartbeatResponse, error) {
 	if !ok {
 		return HeartbeatResponse{}, ErrUnknownMember
 	}
-	if rs.lease != nil {
-		rs.lease.Renew()
-	}
+	rs.lease.Renew()
 	return HeartbeatResponse{
 		State:      rs.state,
 		LeaseTTLMs: rs.lease.TTL().Milliseconds(),

@@ -31,15 +31,6 @@ type routerMetrics struct {
 	perReplica map[string]*replicaCounters
 }
 
-func (m *routerMetrics) init(names []string) {
-	m.perReplica = make(map[string]*replicaCounters, len(names))
-	for _, n := range names {
-		m.perReplica[n] = &replicaCounters{}
-		m.names = append(m.names, n)
-	}
-	sort.Strings(m.names)
-}
-
 // add creates the member's counter series (no-op when present: a
 // re-registering member keeps its counts).
 func (m *routerMetrics) add(name string) {

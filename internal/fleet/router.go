@@ -231,6 +231,7 @@ func NewRouter(cfg RouterConfig, replicas ...Predictor) (*Router, error) {
 		statePath:     cfg.StatePath,
 		ring:          NewRing(),
 		replicas:      make(map[string]*replicaState, len(replicas)),
+		metrics:       routerMetrics{perReplica: make(map[string]*replicaCounters, len(replicas))},
 		flaps:         make(map[string][]time.Time),
 		memlog:        obs.NewMembershipLog(cfg.MembershipEvents),
 		idBase:        uint64(time.Now().UnixNano()) << 8,
@@ -257,9 +258,9 @@ func NewRouter(cfg RouterConfig, replicas ...Predictor) (*Router, error) {
 		rt.replicas[name].gateInflight.Store(-1)
 		rt.names = append(rt.names, name)
 		rt.ring.Add(name)
+		rt.metrics.add(name)
 	}
 	sort.Strings(rt.names)
-	rt.metrics.init(rt.names)
 	rt.scrape = obs.NewFleetScrape(rt.names)
 	if cfg.TraceEvery > 0 {
 		rt.tracer = obs.NewRouterTracer(obs.Config{
@@ -953,12 +954,10 @@ func (rt *Router) View() FleetView {
 			Flaps:          rt.flapCountLocked(name),
 			BaseURL:        rs.baseURL,
 			Capabilities:   rs.capabilities,
+			Leased:         rs.lease != nil,
 		}
-		if rs.lease != nil {
-			rv.Leased = true
-			if rem := rs.lease.Remaining(); rem > 0 {
-				rv.LeaseRemainingMs = rem.Milliseconds()
-			}
+		if rem := rs.lease.Remaining(); rem > 0 {
+			rv.LeaseRemainingMs = rem.Milliseconds()
 		}
 		v.Replicas = append(v.Replicas, rv)
 	}

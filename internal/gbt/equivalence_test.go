@@ -228,10 +228,7 @@ func TestFlatMatchesModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fl := m.Compile()
-		if !fl.Quantized() {
-			t.Fatalf("trial %d: compiled model not quantized (bins %d)", trial, p.NumBins)
-		}
+		fl := compile(t, m)
 		if fl.NumTrees() != m.NumTrees() || fl.NumFeatures() != m.NumFeatures() {
 			t.Fatalf("trial %d: shape mismatch", trial)
 		}
@@ -267,7 +264,7 @@ func TestFlatDegenerateSingleLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := m.Compile()
+	fl := compile(t, m)
 	bitEqual(t, "single-leaf preds", m.PredictAll(rows), fl.PredictAll(rows))
 	for _, tr := range m.trees {
 		if len(tr.nodes) != 1 || tr.nodes[0].feature >= 0 {
@@ -292,7 +289,7 @@ func TestFlatRoundTripSerialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := loaded.Compile()
+	fl := compile(t, loaded)
 	bitEqual(t, "serialized flat preds", m.PredictAll(rows), fl.PredictAll(rows))
 }
 
@@ -306,7 +303,7 @@ func TestFlatNaNRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := m.Compile()
+	fl := compile(t, m)
 	row := append([]float64(nil), rows[0]...)
 	row[1] = math.NaN()
 	batch := [][]float64{row, rows[1], row}
@@ -323,7 +320,7 @@ func TestFlatPredictAllIntoValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := m.Compile()
+	fl := compile(t, m)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("short output accepted")

@@ -1,6 +1,7 @@
 package gbt
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -15,45 +16,60 @@ import (
 //
 // On top of the packed layout, Compile builds a serve-time quantization of
 // the model's own split thresholds: per feature, the sorted distinct
-// thresholds used anywhere in the ensemble (at most NumBins-1 <= 255 of
-// them, so a uint8 code suffices). A batch is then encoded once — one
-// binary search per feature per row — and every tree traversal compares
-// uint8 codes instead of float64s. Because code(edges, v) <= cut exactly
-// when v <= edges[cut] (the same lower-bound identity binned.go relies on),
-// the quantized walk lands in the identical leaf, making predictions
-// bit-identical to Model.Predict / Model.PredictAll: same leaves, same
-// float64 leaf values, same accumulation order (bias, then trees ascending).
+// thresholds used anywhere in the ensemble (at most 255 of them, so a uint8
+// code suffices; Compile refuses a model with more). A batch is then encoded
+// once — one binary search per feature per row — and every tree traversal
+// compares uint8 codes instead of float64s. Because code(edges, v) <= cut
+// exactly when v <= edges[cut] (the same lower-bound identity binned.go
+// relies on), the quantized walk lands in the identical leaf, making
+// predictions bit-identical to Model.Predict / Model.PredictAll: same
+// leaves, same float64 leaf values, same accumulation order (bias, then
+// trees ascending).
+//
+// Every walk is bounded: each link must point past the node it leaves, and
+// no walk takes more steps than the deepest tree has levels. A link that
+// breaks either rule (only corrupt arrays have one) panics with
+// ErrWalkBound instead of spinning or landing on an earlier node.
 //
 // A Flat is immutable after Compile and safe for concurrent use.
 type Flat struct {
 	bias     float64
 	lr       float64
 	nFeature int
+	// depth is the deepest tree's depth, the step bound of every walk.
+	depth int32
 	// roots[t] is tree t's root index into the node arrays below.
 	roots []int32
 	// feature[i] < 0 marks a leaf.
 	feature []int32
-	// thr[i] is the split threshold of an internal node, or the leaf value
-	// of a leaf node (the two never coexist, so they share one array).
-	thr []float64
+	// leaf[i] is the value of a leaf node (0 at internal nodes).
+	leaf []float64
 	// left / right are absolute child indices.
 	left, right []int32
-	// cut[i] is the quantized threshold: the index of thr[i] in
-	// edges[feature[i]]. Valid only when quantized.
+	// cut[i] is an internal node's split threshold as its index in
+	// edges[feature[i]].
 	cut []uint8
 	// edges[f] is feature f's sorted distinct split thresholds.
 	edges [][]float64
-	// quantized is false when some feature uses more than 255 distinct
-	// thresholds (possible only for hand-built or hostile models); the
-	// float fallback path is then used, still over the packed layout.
-	quantized bool
 }
 
-// Compile flattens the model into its packed serving representation.
-func (m *Model) Compile() *Flat {
-	total := 0
+// ErrTooManyThresholds is Compile's refusal of a model whose cuts on some
+// feature do not fit the walk's uint8 codes (possible only for hand-built
+// or hostile models: NumBins <= 256 gives a trained one at most 255).
+var ErrTooManyThresholds = errors.New("gbt: too many distinct split thresholds for the flat walk")
+
+// ErrWalkBound is what a walk's panic wraps when it meets a link pointing
+// backward or deeper than the model's depth: the compiled arrays are
+// corrupt.
+var ErrWalkBound = errors.New("gbt: flat walk left its bound")
+
+// Compile flattens the model into its packed serving representation. It
+// refuses a model with more than 255 distinct thresholds on a feature.
+func (m *Model) Compile() (*Flat, error) {
+	total, widest := 0, 0
 	for i := range m.trees {
 		total += len(m.trees[i].nodes)
+		widest = max(widest, len(m.trees[i].nodes))
 	}
 	f := &Flat{
 		bias:     m.bias,
@@ -61,61 +77,55 @@ func (m *Model) Compile() *Flat {
 		nFeature: m.nFeature,
 		roots:    make([]int32, len(m.trees)),
 		feature:  make([]int32, total),
-		thr:      make([]float64, total),
+		leaf:     make([]float64, total),
 		left:     make([]int32, total),
 		right:    make([]int32, total),
+		cut:      make([]uint8, total),
 		edges:    make([][]float64, m.nFeature),
 	}
+	// level[i] is the depth of the tree's node i. Links point forward (build
+	// enforces it), so every parent of a node, and there may be several,
+	// precedes it.
+	level := make([]int32, widest)
 	base := int32(0)
 	for t := range m.trees {
 		f.roots[t] = base
-		for _, n := range m.trees[t].nodes {
-			at := base
-			f.feature[at] = n.feature
+		clear(level)
+		for i, n := range m.trees[t].nodes {
+			f.feature[base] = n.feature
 			if n.feature < 0 {
-				f.thr[at] = n.value
+				f.leaf[base] = n.value
+				f.depth = max(f.depth, level[i])
 			} else {
-				f.thr[at] = n.threshold
-				f.left[at] = f.roots[t] + n.left
-				f.right[at] = f.roots[t] + n.right
+				f.left[base] = f.roots[t] + n.left
+				f.right[base] = f.roots[t] + n.right
+				level[n.left] = max(level[n.left], level[i]+1)
+				level[n.right] = max(level[n.right], level[i]+1)
+				f.edges[n.feature] = append(f.edges[n.feature], n.threshold)
 			}
 			base++
 		}
 	}
-	f.quantize()
-	return f
-}
-
-// quantize builds the per-feature threshold tables and per-node cut codes.
-func (f *Flat) quantize() {
-	for i, ft := range f.feature {
-		if ft < 0 {
-			continue
-		}
-		f.edges[ft] = append(f.edges[ft], f.thr[i])
-	}
 	for ft := range f.edges {
 		f.edges[ft] = sortedDistinct(f.edges[ft])
-		if len(f.edges[ft]) > 255 {
-			// Codes would not fit a uint8 (and a cut of 255 must stay
-			// reserved for the always-right NaN code); fall back to the
-			// float path for the whole model.
-			f.quantized = false
-			f.cut = nil
-			return
+		// A cut of 255 must stay free for the always-right NaN code.
+		if n := len(f.edges[ft]); n > 255 {
+			return nil, fmt.Errorf("%w: feature %d has %d, at most 255 fit a uint8 code", ErrTooManyThresholds, ft, n)
 		}
 	}
-	f.cut = make([]uint8, len(f.feature))
-	for i, ft := range f.feature {
-		if ft < 0 {
-			continue
+	at := 0
+	for t := range m.trees {
+		for _, n := range m.trees[t].nodes {
+			if n.feature >= 0 {
+				// code returns the lower bound: the count of edges strictly
+				// below the threshold, which is in the table, so that count
+				// is exactly its index.
+				f.cut[at] = code(f.edges[n.feature], n.threshold)
+			}
+			at++
 		}
-		f.cut[i] = code(f.edges[ft], f.thr[i])
-		// code returns the lower bound: the count of edges strictly below
-		// thr. The threshold itself is in the table, so that count is
-		// exactly its index.
 	}
-	f.quantized = true
+	return f, nil
 }
 
 // sortedDistinct sorts xs ascending and removes exact duplicates in place.
@@ -139,31 +149,12 @@ func (f *Flat) NumFeatures() int { return f.nFeature }
 // NumTrees returns the packed tree count.
 func (f *Flat) NumTrees() int { return len(f.roots) }
 
-// NumNodes returns the total packed node count.
-func (f *Flat) NumNodes() int { return len(f.feature) }
-
-// Quantized reports whether the uint8-coded traversal is in use.
-func (f *Flat) Quantized() bool { return f.quantized }
-
 // Predict returns the prediction for one feature row, bit-identical to
-// Model.Predict.
+// Model.Predict: a one-row PredictAllInto.
 func (f *Flat) Predict(row []float64) float64 {
-	if len(row) != f.nFeature {
-		panic(fmt.Sprintf("gbt: predict row has %d features, model trained on %d", len(row), f.nFeature))
-	}
-	s := f.bias
-	for _, root := range f.roots {
-		i := root
-		for f.feature[i] >= 0 {
-			if row[f.feature[i]] <= f.thr[i] {
-				i = f.left[i]
-			} else {
-				i = f.right[i]
-			}
-		}
-		s += f.lr * f.thr[i]
-	}
-	return s
+	var out [1]float64
+	f.PredictAllInto([][]float64{row}, out[:])
+	return out[0]
 }
 
 // PredictAll predicts every row (see PredictAllInto).
@@ -210,10 +201,6 @@ func (f *Flat) PredictAllInto(rows [][]float64, out []float64) {
 // each tree's nodes stay hot across the chunk (the same blocking as
 // Model.predictBlock).
 func (f *Flat) predictBlock(rows [][]float64, out []float64, lo, hi int) {
-	if !f.quantized {
-		f.predictBlockFloat(rows, out, lo, hi)
-		return
-	}
 	nf := f.nFeature
 	bufp := codesPool.Get().(*[]uint8)
 	if cap(*bufp) < predictChunk*nf {
@@ -251,40 +238,17 @@ func (f *Flat) predictBlock(rows [][]float64, out []float64, lo, hi int) {
 			for ri := range chunk {
 				rc := codes[ri*nf : ri*nf+nf]
 				i := root
-				for f.feature[i] >= 0 {
+				for d := f.depth; f.feature[i] >= 0; d-- {
+					next := f.right[i]
 					if rc[f.feature[i]] <= f.cut[i] {
-						i = f.left[i]
-					} else {
-						i = f.right[i]
+						next = f.left[i]
 					}
-				}
-				acc[ri] += f.lr * f.thr[i]
-			}
-		}
-	}
-}
-
-// predictBlockFloat is the unquantized fallback: packed-layout traversal on
-// raw thresholds.
-func (f *Flat) predictBlockFloat(rows [][]float64, out []float64, lo, hi int) {
-	for clo := lo; clo < hi; clo += predictChunk {
-		chi := clo + predictChunk
-		if chi > hi {
-			chi = hi
-		}
-		chunk := rows[clo:chi]
-		acc := out[clo:chi]
-		for _, root := range f.roots {
-			for ri, r := range chunk {
-				i := root
-				for f.feature[i] >= 0 {
-					if r[f.feature[i]] <= f.thr[i] {
-						i = f.left[i]
-					} else {
-						i = f.right[i]
+					if next <= i || d == 0 {
+						panic(fmt.Errorf("%w: node %d links to node %d", ErrWalkBound, i, next))
 					}
+					i = next
 				}
-				acc[ri] += f.lr * f.thr[i]
+				acc[ri] += f.lr * f.leaf[i]
 			}
 		}
 	}

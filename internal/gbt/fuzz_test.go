@@ -8,7 +8,9 @@ import (
 // FuzzFlatCompile hardens the flat compilation round trip: any model the
 // validating decoder accepts — however degenerate or hostile its structure
 // — must compile to a Flat whose predictions are bit-identical to the
-// pointer walk, batched and single-row, including on non-finite inputs.
+// pointer walk, batched and single-row, including on non-finite inputs. The
+// one model Compile may refuse has more than 255 distinct thresholds on a
+// feature.
 // Each input is decoded with its checksum recomputed, so the fuzzer explores
 // tree structure rather than checksum mismatches. Checked-in seeds live in
 // testdata/fuzz/FuzzFlatCompile.
@@ -34,7 +36,13 @@ func FuzzFlatCompile(f *testing.F) {
 		if err != nil {
 			return
 		}
-		fl := m.Compile()
+		fl, err := m.Compile()
+		if err != nil {
+			if _, n := mostThresholds(m); n <= 255 {
+				t.Fatalf("compile refused a model with at most %d thresholds a feature: %v", n, err)
+			}
+			return
+		}
 		if fl.NumTrees() != m.NumTrees() || fl.NumFeatures() != m.NumFeatures() {
 			t.Fatal("compiled shape diverges from the source model")
 		}

@@ -117,7 +117,9 @@ func (m *Model) PredictStages(rows [][]float64, stages []int) ([][]float64, erro
 }
 
 // parallelChunks splits [0, n) into chunk-aligned spans across CPUs and
-// runs fn on each; on a single CPU (or small n) it just runs fn inline.
+// runs fn on each; on a single CPU (or small n) it just runs fn inline. A
+// panic in a forked span is re-raised here once every span has returned, so
+// the caller's recover sees it on either path instead of the process dying.
 func parallelChunks(n, chunk int, fn func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
 	spans := (n + chunk - 1) / chunk
@@ -129,17 +131,29 @@ func parallelChunks(n, chunk int, fn func(lo, hi int)) {
 		return
 	}
 	per := ((spans + workers - 1) / workers) * chunk
-	var wg sync.WaitGroup
+	var fork struct {
+		wg     sync.WaitGroup
+		once   sync.Once
+		caught any
+	}
 	for lo := 0; lo < n; lo += per {
 		hi := lo + per
 		if hi > n {
 			hi = n
 		}
-		wg.Add(1)
+		fork.wg.Add(1)
 		go func(lo, hi int) {
-			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					fork.once.Do(func() { fork.caught = r })
+				}
+				fork.wg.Done()
+			}()
 			fn(lo, hi)
 		}(lo, hi)
 	}
-	wg.Wait()
+	fork.wg.Wait()
+	if fork.caught != nil {
+		panic(fork.caught)
+	}
 }

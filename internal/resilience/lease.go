@@ -30,8 +30,12 @@ func NewLease(ttl time.Duration, now func() time.Time) *Lease {
 	return l
 }
 
-// Renew extends the lease by its TTL from now (heartbeat received).
+// Renew extends the lease by its TTL from now (heartbeat received). A nil
+// lease has nothing to extend.
 func (l *Lease) Renew() {
+	if l == nil {
+		return
+	}
 	l.mu.Lock()
 	l.expiry = l.now().Add(l.ttl)
 	l.mu.Unlock()

@@ -72,9 +72,10 @@ func TestLeaseRenew(t *testing.T) {
 }
 
 func TestLeaseNilSafety(t *testing.T) {
-	// Static members carry a nil lease: it never expires and reports
-	// zero remaining/TTL.
+	// Static members carry a nil lease: renewing it is a no-op, it never
+	// expires and reports zero remaining/TTL.
 	var l *Lease
+	l.Renew()
 	if l.Expired() {
 		t.Fatal("nil lease expired")
 	}

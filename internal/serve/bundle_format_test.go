@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"iotaxo/internal/gbt"
 	"iotaxo/internal/modelfile"
 )
 
@@ -155,6 +157,31 @@ func TestHandWrittenBundlesLoad(t *testing.T) {
 		saved, err := os.ReadFile(filepath.Join(root, "theta", "v1", name))
 		if err != nil || !bytes.Equal(hand, saved) {
 			t.Errorf("%s: SaveVersion wrote %d bytes, the hand-written bundle has %d (%v)", name, len(saved), len(hand), err)
+		}
+	}
+}
+
+// TestUnquantizableBundleIsRefused: a gbt artifact with 256 distinct
+// thresholds on one feature decodes, but the flat walk cannot code its
+// cuts, so loadVersionDir and Registry.Add both refuse it with gbt's error.
+// Its 255-threshold twin loads.
+func TestUnquantizableBundleIsRefused(t *testing.T) {
+	for _, n := range []int{255, 256} {
+		dir := filepath.Join(t.TempDir(), "v1")
+		writeBundle(t, dir, fuzzManifest(), map[string][]byte{gbtModelName: stumpsModel(t, n)})
+		_, loadErr := loadVersionDir(dir, "theta")
+		model, err := gbt.ReadBinary(stumpsModel(t, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		addErr := NewRegistry().Add(&ModelVersion{System: "theta", Version: 1, Columns: []string{"a", "b"}, Model: model})
+		for name, err := range map[string]error{"loadVersionDir": loadErr, "Registry.Add": addErr} {
+			if n == 255 && err != nil {
+				t.Errorf("%s refused 255 thresholds: %v", name, err)
+			}
+			if n == 256 && (!errors.Is(err, gbt.ErrTooManyThresholds) || !strings.Contains(err.Error(), "feature 0 has 256")) {
+				t.Errorf("%s: got %v, want gbt.ErrTooManyThresholds naming feature 0", name, err)
+			}
 		}
 	}
 }

@@ -104,13 +104,13 @@ type ModelVersion struct {
 	// required for drift monitoring, see internal/drift).
 	Reference []FeatureHist
 
-	// flat caches the compiled inference engine for Model. It is built at
-	// most once per bundle (registration and the load paths compile
-	// eagerly; Flat() covers bundles evaluated without registration) and
-	// shared by every request the bundle serves. Guarded by flatOnce, so
+	// flat caches the compiled inference engine for Model (flatErr: why it
+	// has none). It is built at most once per bundle, by validate or Flat(),
+	// and shared by every request the bundle serves. Guarded by flatOnce, so
 	// ModelVersion must not be copied by value — all users hold pointers.
 	flatOnce sync.Once
 	flat     *gbt.Flat
+	flatErr  error
 
 	// cacheID is the number the duplicate cache knows this bundle by (see
 	// bundleID in cache.go); 0 until first cached under.
@@ -120,10 +120,19 @@ type ModelVersion struct {
 // Flat returns the bundle's compiled inference engine, building it on
 // first use. Predictions are bit-identical to Model.PredictAll (pinned by
 // the gbt equivalence suite), so the serving path always walks the
-// flattened representation.
+// flattened representation. It panics with the compile error, which only a
+// bundle that skipped validate can reach.
 func (mv *ModelVersion) Flat() *gbt.Flat {
-	mv.flatOnce.Do(func() { mv.flat = mv.Model.Compile() })
+	if err := mv.compile(); err != nil {
+		panic(err)
+	}
 	return mv.flat
+}
+
+// compile builds the flat engine once and returns Compile's refusal, if any.
+func (mv *ModelVersion) compile() error {
+	mv.flatOnce.Do(func() { mv.flat, mv.flatErr = mv.Model.Compile() })
+	return mv.flatErr
 }
 
 // derive returns a field-wise copy of mv with a fresh compilation slot —
@@ -143,7 +152,9 @@ func (mv *ModelVersion) derive() *ModelVersion {
 	}
 }
 
-// validate cross-checks the bundle's internal consistency.
+// validate cross-checks the bundle's internal consistency, then compiles
+// its flat engine: registration and the load paths hand on a bundle whose
+// first request pays no compilation.
 func (mv *ModelVersion) validate() error {
 	if mv.System == "" {
 		return fmt.Errorf("serve: model version has no system name")
@@ -171,6 +182,9 @@ func (mv *ModelVersion) validate() error {
 		}
 	}
 	if err := validateReference(mv.Reference, mv.Columns); err != nil {
+		return fmt.Errorf("serve: model %s v%d: %w", mv.System, mv.Version, err)
+	}
+	if err := mv.compile(); err != nil {
 		return fmt.Errorf("serve: model %s v%d: %w", mv.System, mv.Version, err)
 	}
 	return nil
@@ -296,10 +310,6 @@ func (r *Registry) insert(mv *ModelVersion, replace bool) (bool, error) {
 	if err := mv.validate(); err != nil {
 		return false, err
 	}
-	// Compile outside the registry lock's reader path: the first request
-	// against a fresh bundle must find the flat engine already built, not
-	// pay the compilation (or contend on the once) inline.
-	mv.Flat()
 	r.writeMu.Lock()
 	defer r.writeMu.Unlock()
 	snap := r.snap.Load().clone()
@@ -637,10 +647,6 @@ func loadVersionDir(dir, wantSystem string) (*ModelVersion, error) {
 	if err := mv.validate(); err != nil {
 		return nil, fmt.Errorf("serve: manifest in %s: %w", dir, err)
 	}
-	// Compile on the load path (startup and live reload alike): a freshly
-	// swapped-in version serves its first request on the flat engine
-	// without an inline compilation stall.
-	mv.Flat()
 	return mv, nil
 }
 

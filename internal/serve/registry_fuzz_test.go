@@ -3,9 +3,11 @@ package serve
 import (
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"iotaxo/internal/modelfile"
@@ -29,6 +31,32 @@ func fuzzModel(t testing.TB) []byte {
 	b = binary.LittleEndian.AppendUint32(b, math.MaxUint32) // feature -1: a leaf
 	b = append(b, make([]byte, 4+4+8)...)                   // left, right, threshold
 	return modelfile.Seal(modelfile.AppendFloat64s(b, []float64{0.25}))
+}
+
+// stumpsModel is a gbt artifact over fuzzManifest's two columns with n
+// one-split trees, tree k splitting column a at k: n distinct thresholds on
+// one feature, one more than the flat walk codes when n is 256.
+func stumpsModel(t testing.TB, n int) []byte {
+	t.Helper()
+	lens := strings.TrimSuffix(strings.Repeat("3,", n), ",")
+	header := strings.Replace(strings.Replace(fuzzModelHeader, `"NumTrees":1`, fmt.Sprintf(`"NumTrees":%d`, n), 1),
+		`"tree_lens":[1]`, `"tree_lens":[`+lens+`]`, 1)
+	b, err := modelfile.Begin("IOTAXGBT", json.RawMessage(header), 2*8+3*28*n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = modelfile.AppendFloat64s(b, []float64{0, 0})
+	le := binary.LittleEndian
+	for k := 0; k < n; k++ {
+		b = le.AppendUint32(le.AppendUint32(le.AppendUint32(b, 0), 1), 2) // column a, children 1 and 2
+		b = modelfile.AppendFloat64s(b, []float64{float64(k), 0})
+		for _, v := range []float64{0.25, -0.25} {
+			b = le.AppendUint32(b, math.MaxUint32) // a leaf
+			b = append(b, make([]byte, 4+4)...)
+			b = modelfile.AppendFloat64s(b, []float64{0, v})
+		}
+	}
+	return modelfile.Seal(b)
 }
 
 // fuzzManifest matches fuzzModel: two columns, no ensemble.
@@ -178,6 +206,7 @@ func FuzzLoadVersionDir(f *testing.F) {
 	f.Add(seal(func(m *manifest) { m.ReferenceFile = &artifactRef{Name: "gone.bin"} }), mod)
 	f.Add(seal(func(m *manifest) { m.ScalerLog = true }), mod) // a scaler with no ensemble
 	f.Add(man, refBin)                                         // another artifact under the model's name
+	f.Add(man, stumpsModel(f, 256))                            // more thresholds than the flat walk codes
 
 	f.Fuzz(func(t *testing.T, manifestRaw, model []byte) {
 		dir := filepath.Join(t.TempDir(), "v1")
