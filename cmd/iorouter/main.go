@@ -1,6 +1,6 @@
 // Command iorouter is the fleet front end: it routes POST /v1/predict
-// traffic across N shared-nothing ioserve replicas under a pluggable
-// scoring policy, with health-checked membership and per-replica circuit
+// traffic across N shared-nothing ioserve replicas by duplicate-cache
+// affinity, with health-checked membership and per-replica circuit
 // breakers. Membership is dynamic: -replicas is optional (a router may
 // boot with zero replicas), ioserve replicas self-register over the
 // lease-based registration plane and are ejected on lease expiry, and
@@ -12,8 +12,6 @@
 //	iorouter -replicas http://127.0.0.1:8081,http://127.0.0.1:8082,http://127.0.0.1:8083
 //	iorouter                                     # zero replicas; fleet self-assembles
 //	iorouter -fleet-state /var/lib/iorouter/membership.json -lease-ttl 3s
-//	iorouter -flap-window 1m -flap-threshold 3 -damp-hold 10s
-//	iorouter -replicas ... -policy 'dup-affinity:3,queue-depth:2'
 //	iorouter -replicas ... -health-interval 500ms -breaker-threshold 2 -breaker-cooldown 3s
 //	iorouter -replicas ... -admin-token $IOSERVE_ADMIN_TOKEN   # unlock replica trace views
 //	iorouter -replicas ... -trace-sample 0.01 -slo 'predict:p99=25ms,avail=99.9'
@@ -46,10 +44,12 @@
 // Routing: each row's feature-vector hash is looked up on a consistent-
 // hash ring (so exact duplicate jobs — the workload mass the paper's
 // Sec. VI measures — chase the replica whose prediction cache already
-// holds them), then the -policy weighted scorers pick between the ring
-// owner and less-loaded peers. A replica that fails health checks or
-// trips its breaker is ejected and its hash arcs remapped minimally;
-// failed sub-requests fail over to the next-best replica.
+// holds them), and each row goes to that ring owner. A replica that fails
+// health checks or trips its breaker is ejected and its hash arcs remapped
+// minimally; a sub-request its owner faults on fails over to the
+// least-loaded untried replica. A member with 3 involuntary exits inside a
+// minute is damped: held off the ring for 10s before a healthy probe may
+// readmit it.
 //
 // Observability: -trace-sample enables router tracing — each routed
 // request's admit/score/fanout/reassemble split plus one hop span per
@@ -91,7 +91,6 @@ import (
 type config struct {
 	addr             string
 	replicas         string
-	policy           string
 	healthInterval   time.Duration
 	probeTimeout     time.Duration
 	breakerThreshold int
@@ -105,11 +104,8 @@ type config struct {
 	logFormat        string
 	logLevel         string
 
-	statePath     string
-	leaseTTL      time.Duration
-	flapWindow    time.Duration
-	flapThreshold int
-	dampHold      time.Duration
+	statePath string
+	leaseTTL  time.Duration
 }
 
 func main() {
@@ -117,8 +113,6 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", ":8070", "listen address")
 	flag.StringVar(&cfg.replicas, "replicas", "",
 		"comma-separated static replica base URLs, e.g. http://10.0.0.7:8080,http://10.0.0.8:8080 (optional: replicas can self-register via POST /v1/fleet/register instead)")
-	flag.StringVar(&cfg.policy, "policy", fleet.DefaultPolicy,
-		"routing policy as 'scorer[:weight],...'; scorers: dup-affinity (consistent-hash cache affinity), queue-depth (inverse load)")
 	flag.DurationVar(&cfg.healthInterval, "health-interval", time.Second,
 		"replica health/stats probe period")
 	flag.DurationVar(&cfg.probeTimeout, "probe-timeout", 2*time.Second,
@@ -144,12 +138,6 @@ func main() {
 		"path for persisted membership snapshots; a restarted router rebuilds its ring from it, quarantining entries behind a health probe (empty disables persistence)")
 	flag.DurationVar(&cfg.leaseTTL, "lease-ttl", 3*time.Second,
 		"heartbeat lease granted to self-registered replicas; a member silent for a full TTL is ejected")
-	flag.DurationVar(&cfg.flapWindow, "flap-window", time.Minute,
-		"sliding window over which involuntary member exits count as flaps")
-	flag.IntVar(&cfg.flapThreshold, "flap-threshold", 3,
-		"involuntary exits within -flap-window after which a member's readmission is damped")
-	flag.DurationVar(&cfg.dampHold, "damp-hold", 10*time.Second,
-		"how long a flapping member is held off the ring before a healthy probe may readmit it")
 	flag.Parse()
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "iorouter:", err)
@@ -171,10 +159,6 @@ func traceEvery(sample float64) int {
 
 func run(cfg config) error {
 	logger, err := obs.NewLogger(os.Stderr, cfg.logFormat, cfg.logLevel)
-	if err != nil {
-		return err
-	}
-	policy, err := fleet.ParsePolicy(cfg.policy)
 	if err != nil {
 		return err
 	}
@@ -206,7 +190,6 @@ func run(cfg config) error {
 		}
 	}
 	rt, err := fleet.NewRouter(fleet.RouterConfig{
-		Policy:           policy,
 		HealthInterval:   cfg.healthInterval,
 		ProbeTimeout:     cfg.probeTimeout,
 		BreakerThreshold: cfg.breakerThreshold,
@@ -215,9 +198,6 @@ func run(cfg config) error {
 		TraceBuffer:      cfg.traceBuffer,
 		Logger:           logger,
 		LeaseTTL:         cfg.leaseTTL,
-		FlapWindow:       cfg.flapWindow,
-		FlapThreshold:    cfg.flapThreshold,
-		DampHold:         cfg.dampHold,
 		StatePath:        cfg.statePath,
 		// Self-registered replicas dial back over HTTP with the same admin
 		// token as static ones.
@@ -246,7 +226,7 @@ func run(cfg config) error {
 	rt.Start()
 	defer rt.Stop()
 	logger.Info("fleet routing on",
-		"static_replicas", len(backends), "policy", rt.Policy(),
+		"static_replicas", len(backends),
 		"health_interval", cfg.healthInterval, "lease_ttl", cfg.leaseTTL,
 		"breaker_threshold", cfg.breakerThreshold, "breaker_cooldown", cfg.breakerCooldown)
 	if cfg.traceSample > 0 {

@@ -143,9 +143,9 @@ func TestFleetE2E(t *testing.T) {
 		return resp.Replicas[0].Replica, nil
 	}
 
-	// Baseline assignment over a probe set of distinct rows. At the
-	// affinity-dominant default policy the assignment is deterministic, so
-	// it doubles as the remap oracle.
+	// Baseline assignment over a probe set of distinct rows. Every row goes
+	// to its ring owner, so the assignment is deterministic and doubles as
+	// the remap oracle.
 	probe := pool[:120]
 	before := make([]string, len(probe))
 	for i, row := range probe {

@@ -1,7 +1,7 @@
 // Package fleet turns the single-node serving stack into a horizontally
 // sharded fleet: a front-end router dispatches predict traffic to N
-// shared-nothing ioserve replicas, with pluggable scoring policies that
-// monetize the paper's duplicate-dominance finding at fleet scale.
+// shared-nothing ioserve replicas by duplicate-cache affinity, which
+// monetizes the paper's duplicate-dominance finding at fleet scale.
 //
 // The pieces:
 //
@@ -11,10 +11,9 @@
 //	          LRU cache already holds their prediction — the same shape
 //	          prefix-affinity routing takes in LLM serving stacks
 //	          (ring.go)
-//	policy  — the -policy 'dup-affinity:3,queue-depth:2' scorer syntax:
-//	          a weighted sum of per-replica scores (ring ownership,
-//	          inverse load) picks the destination, so operators dial the
-//	          affinity-vs-balance trade without code (policy.go)
+//	policy  — the routing rule: a row group goes to its ring owner, and
+//	          only when the owner has faulted does load pick the
+//	          destination, the least-loaded untried replica (policy.go)
 //	backends— the transport-neutral Predictor interface: Local wraps an
 //	          in-process serve.Service (fleet tests, embedded replicas),
 //	          Remote speaks the existing ioserve HTTP surface; both are
@@ -24,7 +23,7 @@
 //	          breaker (internal/resilience): a dead replica is ejected
 //	          and its hash arcs remapped minimally (every other
 //	          replica's keys stay put), failed sub-requests fail over to
-//	          the next-best replica, and a recovered replica is probed
+//	          the least-loaded survivor, and a recovered replica is probed
 //	          half-open before its arcs return (router.go)
 //	handler — the router's HTTP surface: POST /v1/predict (the ioserve
 //	          contract, plus a per-replica share split in the response),
@@ -75,8 +74,8 @@ type Predictor interface {
 	// breaker's half-open trial).
 	Health(ctx context.Context) error
 	// Metrics returns the replica's metric families. One scrape per probe
-	// interval feeds everything the router needs — the queue-depth
-	// scorer's gate inflight, the fleet view's active versions, and the
+	// interval feeds everything the router needs — the gate inflight
+	// that orders failover, the fleet view's active versions, and the
 	// merged fleet-wide series on the router's /metrics.
 	Metrics(ctx context.Context) ([]obs.PromFamily, error)
 	// FetchTrace resolves one retained trace by ID for cross-process

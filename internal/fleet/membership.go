@@ -34,6 +34,21 @@ import (
 // stale snapshot entry or a premature registration never takes ring arcs
 // it cannot serve.
 
+// Flap damping: a member with flapThreshold involuntary exits (lease expiry,
+// breaker ejection) inside flapWindow is damped — held off the ring for
+// dampHold and readmitted only by a healthy probe after the hold — so a
+// partitioning network cannot thrash the ring.
+const (
+	flapWindow    = time.Minute
+	flapThreshold = 3
+	dampHold      = 10 * time.Second
+	// drainWait bounds how long Deregister waits for a draining member's
+	// in-flight rows when the caller brought no deadline.
+	drainWait = 10 * time.Second
+	// membershipEvents is the retained membership-event ring capacity.
+	membershipEvents = 64
+)
+
 // Member lifecycle states, as shown in the fleet view.
 const (
 	MemberJoining  = "joining"  // registered, awaiting first successful health probe
@@ -123,11 +138,11 @@ func (rt *Router) Register(req RegisterRequest) (RegisterResponse, error) {
 	}
 	rs := rt.newMemberLocked(name, be, req.BaseURL, req.Capabilities)
 	rt.memlog.Record(name, obs.MemberEventRegister, req.BaseURL)
-	if rt.flapCountLocked(name) >= rt.flapThreshold {
+	if rt.flapCountLocked(name) >= flapThreshold {
 		rs.state = MemberDamped
-		rs.dampedUntil = rt.now().Add(rt.dampHold)
+		rs.dampedUntil = rt.now().Add(dampHold)
 		rt.memlog.Record(name, obs.MemberEventFlapDamped,
-			fmt.Sprintf("%d involuntary exits within %s", rt.flapCountLocked(name), rt.flapWindow))
+			fmt.Sprintf("%d involuntary exits within %s", rt.flapCountLocked(name), flapWindow))
 	}
 	rt.saveSnapshotLocked()
 	return rt.grantLocked(rs), nil
@@ -227,7 +242,7 @@ func (rt *Router) awaitHandoff(ctx context.Context, rs *replicaState) bool {
 	}
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rt.drainWait)
+		ctx, cancel = context.WithTimeout(ctx, drainWait)
 		defer cancel()
 	}
 	tick := time.NewTicker(2 * time.Millisecond)
@@ -333,7 +348,7 @@ func (rt *Router) recordFlapLocked(name string) {
 	now := rt.now()
 	kept := rt.flaps[name][:0]
 	for _, t := range rt.flaps[name] {
-		if now.Sub(t) < rt.flapWindow {
+		if now.Sub(t) < flapWindow {
 			kept = append(kept, t)
 		}
 	}
@@ -344,7 +359,7 @@ func (rt *Router) flapCountLocked(name string) int {
 	now := rt.now()
 	n := 0
 	for _, t := range rt.flaps[name] {
-		if now.Sub(t) < rt.flapWindow {
+		if now.Sub(t) < flapWindow {
 			n++
 		}
 	}

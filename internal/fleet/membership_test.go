@@ -71,7 +71,7 @@ func (f *stubFleet) factory(name, baseURL string) (Predictor, error) {
 }
 
 // newMembershipRouter builds a zero-replica router with a fake clock, a
-// stub backend factory, and test-sized lease/damping knobs.
+// stub backend factory, and a 3s lease unless cfg sets one.
 func newMembershipRouter(t *testing.T, clk *memClock, fl *stubFleet, cfg RouterConfig) *Router {
 	t.Helper()
 	cfg.Now = clk.now
@@ -80,15 +80,6 @@ func newMembershipRouter(t *testing.T, clk *memClock, fl *stubFleet, cfg RouterC
 	}
 	if cfg.LeaseTTL == 0 {
 		cfg.LeaseTTL = 3 * time.Second
-	}
-	if cfg.FlapWindow == 0 {
-		cfg.FlapWindow = time.Minute
-	}
-	if cfg.FlapThreshold == 0 {
-		cfg.FlapThreshold = 3
-	}
-	if cfg.DampHold == 0 {
-		cfg.DampHold = 10 * time.Second
 	}
 	return newTestRouter(t, cfg)
 }
@@ -273,9 +264,7 @@ func TestHeartbeatRenewsAndLeaseExpiryEjects(t *testing.T) {
 func TestFlapDamping(t *testing.T) {
 	clk := newMemClock()
 	fl := newStubFleet()
-	rt := newMembershipRouter(t, clk, fl, RouterConfig{
-		LeaseTTL: time.Second, FlapWindow: time.Minute, FlapThreshold: 3, DampHold: 10 * time.Second,
-	})
+	rt := newMembershipRouter(t, clk, fl, RouterConfig{LeaseTTL: time.Second})
 
 	// Three involuntary exits (register, go silent, lease expires) inside
 	// the flap window...

@@ -1,99 +1,14 @@
 package fleet
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strconv"
-	"strings"
-)
+// The routing rule. A row group goes to the consistent-hash owner of its
+// feature hash, the replica whose duplicate cache already holds the group's
+// repeats (the paper's Sec. VI finding: most jobs repeat a known
+// configuration). Load decides only when the owner is not a candidate —
+// it faulted on this group, or the ring has no owner — and then the
+// least-loaded untried member takes the group, ties going to the smaller
+// name so failover is deterministic.
 
-// Scoring policies. The router picks a destination replica by weighted
-// sum over named scorers, configured as -policy 'dup-affinity:3,queue-depth:2':
-//
-//	score(r) = Σ_s  weight_s × s(r)
-//
-// with each scorer returning a value in [0,1]. dup-affinity scores 1 for
-// the consistent-hash owner of the request's feature hash and 0 for
-// everyone else; queue-depth scores inverse load, 1 − L(r)/(1+Lmax). The
-// weights are the operator's affinity-vs-balance dial: at
-// dup-affinity:3,queue-depth:2 the owner wins unless it is pinned at the
-// fleet's max load while an idle peer exists; at 1:3 a moderately loaded
-// owner already loses. Ties break lexicographically by replica name so
-// routing is deterministic under equal scores.
-
-// Known scorer names.
-const (
-	ScorerDupAffinity = "dup-affinity"
-	ScorerQueueDepth  = "queue-depth"
-)
-
-// ScorerSpec is one parsed "name:weight" policy entry.
-type ScorerSpec struct {
-	Name   string  `json:"name"`
-	Weight float64 `json:"weight"`
-}
-
-// DefaultPolicy is the router's out-of-the-box policy: affinity-dominant
-// (duplicates stick to their cache arc) with a load escape hatch.
-const DefaultPolicy = "dup-affinity:3,queue-depth:2"
-
-// ParsePolicy parses 'name[:weight],name[:weight],...' into scorer specs.
-// An omitted weight defaults to 1. Unknown scorers, duplicate entries,
-// empty entries, and non-positive or non-finite weights are rejected with
-// errors naming the offending entry.
-func ParsePolicy(s string) ([]ScorerSpec, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, fmt.Errorf("fleet: empty policy (want e.g. %q)", DefaultPolicy)
-	}
-	known := map[string]bool{ScorerDupAffinity: true, ScorerQueueDepth: true}
-	seen := map[string]bool{}
-	var specs []ScorerSpec
-	for _, entry := range strings.Split(s, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			return nil, fmt.Errorf("fleet: policy %q has an empty entry", s)
-		}
-		name, weightStr, hasWeight := strings.Cut(entry, ":")
-		name = strings.TrimSpace(name)
-		if !known[name] {
-			names := make([]string, 0, len(known))
-			for k := range known {
-				names = append(names, k)
-			}
-			sort.Strings(names)
-			return nil, fmt.Errorf("fleet: unknown scorer %q (known: %s)", name, strings.Join(names, ", "))
-		}
-		if seen[name] {
-			return nil, fmt.Errorf("fleet: scorer %q listed twice", name)
-		}
-		seen[name] = true
-		weight := 1.0
-		if hasWeight {
-			w, err := strconv.ParseFloat(strings.TrimSpace(weightStr), 64)
-			if err != nil {
-				return nil, fmt.Errorf("fleet: scorer %q has bad weight %q: %v", name, weightStr, err)
-			}
-			weight = w
-		}
-		if weight <= 0 || math.IsInf(weight, 0) || math.IsNaN(weight) {
-			return nil, fmt.Errorf("fleet: scorer %q weight must be a positive finite number, got %v", name, weight)
-		}
-		specs = append(specs, ScorerSpec{Name: name, Weight: weight})
-	}
-	return specs, nil
-}
-
-// PolicyString renders specs back to the canonical flag syntax.
-func PolicyString(specs []ScorerSpec) string {
-	parts := make([]string, len(specs))
-	for i, sp := range specs {
-		parts[i] = fmt.Sprintf("%s:%g", sp.Name, sp.Weight)
-	}
-	return strings.Join(parts, ",")
-}
-
-// candidate is one replica's inputs to the scorers.
+// candidate is one untried ring member as pickReplica sees it.
 type candidate struct {
 	name string
 	// load is the replica's inflight estimate (router-tracked dispatches
@@ -101,35 +16,17 @@ type candidate struct {
 	load int64
 }
 
-// pickReplica scores the candidates under specs and returns the winner's
-// index: argmax of the weighted sum, ties broken by name ascending.
-// owner is the ring owner of the request's feature hash ("" when the ring
-// is empty — dup-affinity then scores 0 everywhere and load decides).
-func pickReplica(specs []ScorerSpec, cands []candidate, owner string) int {
-	if len(cands) == 0 {
-		return -1
-	}
-	var maxLoad int64
-	for _, c := range cands {
-		if c.load > maxLoad {
-			maxLoad = c.load
-		}
-	}
-	best, bestScore := 0, math.Inf(-1)
+// pickReplica returns the index of the candidate a row group goes to: the
+// owner when it is among cands, otherwise the one with the least load, ties
+// broken by name ascending; -1 when cands is empty.
+func pickReplica(cands []candidate, owner string) int {
+	best := -1
 	for i, c := range cands {
-		score := 0.0
-		for _, sp := range specs {
-			switch sp.Name {
-			case ScorerDupAffinity:
-				if c.name == owner {
-					score += sp.Weight
-				}
-			case ScorerQueueDepth:
-				score += sp.Weight * (1 - float64(c.load)/float64(1+maxLoad))
-			}
+		if c.name == owner {
+			return i
 		}
-		if score > bestScore || (score == bestScore && c.name < cands[best].name) {
-			best, bestScore = i, score
+		if best < 0 || c.load < cands[best].load || (c.load == cands[best].load && c.name < cands[best].name) {
+			best = i
 		}
 	}
 	return best

@@ -3,148 +3,48 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 
 	"iotaxo/internal/rng"
 	"iotaxo/internal/serve"
 )
 
-// TestParsePolicy is the table over the -policy flag grammar.
-func TestParsePolicy(t *testing.T) {
-	cases := []struct {
-		name   string
-		in     string
-		want   []ScorerSpec
-		errHas string // substring of the expected error; "" = success
-	}{
-		{
-			name: "canonical",
-			in:   "dup-affinity:3,queue-depth:2",
-			want: []ScorerSpec{{ScorerDupAffinity, 3}, {ScorerQueueDepth, 2}},
-		},
-		{
-			name: "single scorer",
-			in:   "queue-depth:1.5",
-			want: []ScorerSpec{{ScorerQueueDepth, 1.5}},
-		},
-		{
-			name: "omitted weight defaults to 1",
-			in:   "dup-affinity,queue-depth:4",
-			want: []ScorerSpec{{ScorerDupAffinity, 1}, {ScorerQueueDepth, 4}},
-		},
-		{
-			name: "whitespace tolerated",
-			in:   " dup-affinity : 2 , queue-depth ",
-			want: []ScorerSpec{{ScorerDupAffinity, 2}, {ScorerQueueDepth, 1}},
-		},
-		{
-			name: "fractional weights",
-			in:   "dup-affinity:0.75,queue-depth:0.25",
-			want: []ScorerSpec{{ScorerDupAffinity, 0.75}, {ScorerQueueDepth, 0.25}},
-		},
-		{name: "empty policy", in: "", errHas: "empty policy"},
-		{name: "blank policy", in: "   ", errHas: "empty policy"},
-		{name: "empty entry", in: "dup-affinity:3,,queue-depth:2", errHas: "empty entry"},
-		{name: "trailing comma", in: "dup-affinity:3,", errHas: "empty entry"},
-		{name: "unknown scorer", in: "prefix-affinity:3", errHas: `unknown scorer "prefix-affinity"`},
-		{name: "duplicate scorer", in: "queue-depth:1,queue-depth:2", errHas: "listed twice"},
-		{name: "zero weight", in: "dup-affinity:0", errHas: "positive finite"},
-		{name: "negative weight", in: "queue-depth:-2", errHas: "positive finite"},
-		{name: "non-numeric weight", in: "dup-affinity:lots", errHas: "bad weight"},
-		{name: "infinite weight", in: "dup-affinity:1e999", errHas: "bad weight"},
-		{name: "empty weight", in: "dup-affinity:", errHas: "bad weight"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := ParsePolicy(tc.in)
-			if tc.errHas != "" {
-				if err == nil {
-					t.Fatalf("ParsePolicy(%q) = %v, want error containing %q", tc.in, got, tc.errHas)
-				}
-				if !strings.Contains(err.Error(), tc.errHas) {
-					t.Fatalf("ParsePolicy(%q) error %q, want it to contain %q", tc.in, err, tc.errHas)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("ParsePolicy(%q): %v", tc.in, err)
-			}
-			if len(got) != len(tc.want) {
-				t.Fatalf("ParsePolicy(%q) = %+v, want %+v", tc.in, got, tc.want)
-			}
-			for i := range got {
-				if got[i] != tc.want[i] {
-					t.Fatalf("ParsePolicy(%q)[%d] = %+v, want %+v", tc.in, i, got[i], tc.want[i])
-				}
-			}
-		})
-	}
-}
-
-func TestPolicyStringRoundTrip(t *testing.T) {
-	specs, err := ParsePolicy(DefaultPolicy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := PolicyString(specs); got != DefaultPolicy {
-		t.Fatalf("round trip: %q -> %q", DefaultPolicy, got)
-	}
-}
-
-// TestPickReplica covers the weighted argmax: affinity dominance, the
-// load escape hatch, and the deterministic tie-break.
+// TestPickReplica covers the routing rule: the owner wins whatever its
+// load, load decides only without an owner, and ties break by name.
 func TestPickReplica(t *testing.T) {
-	affinityHeavy := []ScorerSpec{{ScorerDupAffinity, 3}, {ScorerQueueDepth, 2}}
-	loadHeavy := []ScorerSpec{{ScorerDupAffinity, 1}, {ScorerQueueDepth, 3}}
 	cases := []struct {
 		name  string
-		specs []ScorerSpec
 		cands []candidate
 		owner string
 		want  string
 	}{
 		{
 			name:  "idle owner wins under affinity",
-			specs: affinityHeavy,
 			cands: []candidate{{"a", 0}, {"b", 0}, {"c", 0}},
 			owner: "b",
 			want:  "b",
 		},
 		{
 			name:  "loaded owner still wins at 3:2",
-			specs: affinityHeavy,
 			cands: []candidate{{"a", 0}, {"b", 100}, {"c", 50}},
 			owner: "b",
-			// dup weight 3 exceeds the queue scorer's max differential 2,
-			// so affinity-dominant weights never abandon the cache arc.
+			// The owner keeps its cache arc however loaded it is.
 			want: "b",
 		},
 		{
-			name:  "loaded owner loses at 1:3",
-			specs: loadHeavy,
-			cands: []candidate{{"a", 0}, {"b", 100}, {"c", 50}},
-			owner: "b",
-			// owner: 1 + 3*(1-100/101) ≈ 1.03; idle peer "a": 3.
-			want: "a",
-		},
-		{
 			name:  "no owner falls back to least loaded",
-			specs: affinityHeavy,
 			cands: []candidate{{"a", 9}, {"b", 2}, {"c", 5}},
 			owner: "",
 			want:  "b",
 		},
 		{
 			name:  "equal scores tie-break by name",
-			specs: affinityHeavy,
 			cands: []candidate{{"c", 4}, {"a", 4}, {"b", 4}},
 			owner: "",
 			want:  "a",
 		},
 		{
 			name:  "owner not a candidate (already tried)",
-			specs: affinityHeavy,
 			cands: []candidate{{"a", 7}, {"c", 1}},
 			owner: "b",
 			want:  "c",
@@ -152,7 +52,7 @@ func TestPickReplica(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			i := pickReplica(tc.specs, tc.cands, tc.owner)
+			i := pickReplica(tc.cands, tc.owner)
 			if i < 0 {
 				t.Fatalf("pickReplica returned none, want %q", tc.want)
 			}
@@ -161,7 +61,7 @@ func TestPickReplica(t *testing.T) {
 			}
 		})
 	}
-	if i := pickReplica(affinityHeavy, nil, "a"); i != -1 {
+	if i := pickReplica(nil, "a"); i != -1 {
 		t.Fatalf("pickReplica with no candidates = %d, want -1", i)
 	}
 }

@@ -29,7 +29,8 @@ func ringOf(members ...string) *Ring {
 
 // TestRingBalance: with 128 vnodes per member, 1k synthetic feature
 // hashes spread across the fleet within a 2x-of-fair-share bound per
-// replica — the skew the queue-depth scorer then smooths at runtime.
+// replica. Routing keeps that skew: a row goes to its owner whatever the
+// load.
 func TestRingBalance(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 8} {
 		members := make([]string, n)

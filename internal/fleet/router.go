@@ -20,28 +20,22 @@ import (
 )
 
 // Router is the fleet front end: it owns the membership ring, one circuit
-// breaker per replica, the health/stats prober, and the scored dispatch
-// path. Requests are split per-row by ring ownership (so a duplicate row
-// always chases its cache arc), each owner group is scored once under the
-// policy, sub-requests fan out in parallel, and failures fail over to the
-// next-best replica — a request is lost only when every live replica has
-// refused it.
+// breaker per replica, the health/stats prober, and the dispatch path.
+// Requests are split per-row by ring ownership (so a duplicate row always
+// chases its cache arc), each owner group goes to its owner, sub-requests
+// fan out in parallel, and failures fail over to the least-loaded untried
+// replica — a request is lost only when every live replica has refused it.
 type Router struct {
-	policy  []ScorerSpec
 	logger  *slog.Logger
 	res     *resilience.Set
 	probeTO time.Duration
 
 	// Membership knobs (fixed at construction).
-	now           func() time.Time
-	backend       func(name, baseURL string) (Predictor, error)
-	breakerCfg    resilience.BreakerConfig
-	leaseTTL      time.Duration
-	flapWindow    time.Duration
-	flapThreshold int
-	dampHold      time.Duration
-	drainWait     time.Duration
-	statePath     string
+	now        func() time.Time
+	backend    func(name, baseURL string) (Predictor, error)
+	breakerCfg resilience.BreakerConfig
+	leaseTTL   time.Duration
+	statePath  string
 
 	mu       sync.Mutex
 	ring     *Ring
@@ -61,8 +55,9 @@ type Router struct {
 
 	metrics routerMetrics
 	// scrape caches each replica's /metrics exposition, refreshed by the
-	// prober on one cadence; it feeds the queue-depth scorer, the fleet
-	// view's versions, and the merged series on the router's /metrics.
+	// prober on one cadence; it feeds the failover order's gate inflight,
+	// the fleet view's versions, and the merged series on the router's
+	// /metrics.
 	scrape *obs.FleetScrape
 	// tracer retains routed-request traces (nil when tracing is off).
 	tracer *obs.RouterTracer
@@ -82,7 +77,7 @@ type replicaState struct {
 	backend Predictor
 	breaker *resilience.Breaker
 	// inflight counts rows dispatched by this router and not yet answered
-	// (the router-side component of the queue-depth score).
+	// (the router-side component of load).
 	inflight atomic.Int64
 	// gateInflight is the replica's last polled admission-gate inflight
 	// (-1 when unknown or ungated).
@@ -102,8 +97,8 @@ type replicaState struct {
 	ejected      bool      // currently off-ring due to its breaker
 }
 
-// load is the queue-depth scorer's input: router-tracked inflight rows
-// plus the replica's own gate inflight when known.
+// load orders the failover candidates: router-tracked inflight rows plus
+// the replica's own gate inflight when known.
 func (rs *replicaState) load() int64 {
 	l := rs.inflight.Load()
 	if g := rs.gateInflight.Load(); g > 0 {
@@ -114,9 +109,6 @@ func (rs *replicaState) load() int64 {
 
 // RouterConfig tunes a Router.
 type RouterConfig struct {
-	// Policy is the parsed scorer list (ParsePolicy). Empty defaults to
-	// DefaultPolicy.
-	Policy []ScorerSpec
 	// HealthInterval paces the health/stats prober (default 1s).
 	HealthInterval time.Duration
 	// ProbeTimeout bounds one health or stats probe (default 2s).
@@ -149,24 +141,10 @@ type RouterConfig struct {
 	// LeaseTTL is the heartbeat lease granted to dynamic members (default
 	// 3s). A member that misses every beat for a full TTL is ejected.
 	LeaseTTL time.Duration
-	// FlapWindow / FlapThreshold / DampHold tune flap damping: a member
-	// with FlapThreshold involuntary exits (lease expiry, breaker
-	// ejection) inside FlapWindow is damped — held off the ring for
-	// DampHold and readmitted only by a healthy probe after the hold —
-	// so a partitioning network cannot thrash the ring. Defaults 60s/3/10s.
-	FlapWindow    time.Duration
-	FlapThreshold int
-	DampHold      time.Duration
-	// DrainWait bounds how long Deregister waits for a draining member's
-	// in-flight rows when the caller brought no deadline (default 10s).
-	DrainWait time.Duration
 	// StatePath, when set, persists membership snapshots (temp-file +
 	// rename) on every membership change so a restarted router rebuilds
 	// its ring without operator input.
 	StatePath string
-	// MembershipEvents is the retained membership-event ring capacity
-	// (default 64).
-	MembershipEvents int
 }
 
 // NewRouter builds a router over the given static replicas — possibly
@@ -177,10 +155,6 @@ type RouterConfig struct {
 // lease; dynamic members are quarantined behind a first successful health
 // probe and must heartbeat to stay.
 func NewRouter(cfg RouterConfig, replicas ...Predictor) (*Router, error) {
-	policy := cfg.Policy
-	if len(policy) == 0 {
-		policy, _ = ParsePolicy(DefaultPolicy)
-	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -197,23 +171,7 @@ func NewRouter(cfg RouterConfig, replicas ...Predictor) (*Router, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 3 * time.Second
 	}
-	if cfg.FlapWindow <= 0 {
-		cfg.FlapWindow = time.Minute
-	}
-	if cfg.FlapThreshold <= 0 {
-		cfg.FlapThreshold = 3
-	}
-	if cfg.DampHold <= 0 {
-		cfg.DampHold = 10 * time.Second
-	}
-	if cfg.DrainWait <= 0 {
-		cfg.DrainWait = 10 * time.Second
-	}
-	if cfg.MembershipEvents <= 0 {
-		cfg.MembershipEvents = 64
-	}
 	rt := &Router{
-		policy:  policy,
 		logger:  logger,
 		res:     resilience.NewSet(),
 		probeTO: cfg.ProbeTimeout,
@@ -223,21 +181,17 @@ func NewRouter(cfg RouterConfig, replicas ...Predictor) (*Router, error) {
 			Threshold: cfg.BreakerThreshold,
 			Cooldown:  cfg.BreakerCooldown,
 		},
-		leaseTTL:      cfg.LeaseTTL,
-		flapWindow:    cfg.FlapWindow,
-		flapThreshold: cfg.FlapThreshold,
-		dampHold:      cfg.DampHold,
-		drainWait:     cfg.DrainWait,
-		statePath:     cfg.StatePath,
-		ring:          NewRing(),
-		replicas:      make(map[string]*replicaState, len(replicas)),
-		metrics:       routerMetrics{perReplica: make(map[string]*replicaCounters, len(replicas))},
-		flaps:         make(map[string][]time.Time),
-		memlog:        obs.NewMembershipLog(cfg.MembershipEvents),
-		idBase:        uint64(time.Now().UnixNano()) << 8,
-		healthEvery:   cfg.HealthInterval,
-		stopCh:        make(chan struct{}),
-		doneCh:        make(chan struct{}),
+		leaseTTL:    cfg.LeaseTTL,
+		statePath:   cfg.StatePath,
+		ring:        NewRing(),
+		replicas:    make(map[string]*replicaState, len(replicas)),
+		metrics:     routerMetrics{perReplica: make(map[string]*replicaCounters, len(replicas))},
+		flaps:       make(map[string][]time.Time),
+		memlog:      obs.NewMembershipLog(membershipEvents),
+		idBase:      uint64(time.Now().UnixNano()) << 8,
+		healthEvery: cfg.HealthInterval,
+		stopCh:      make(chan struct{}),
+		doneCh:      make(chan struct{}),
 	}
 	rt.memlog.Now = cfg.Now
 	for _, rep := range replicas {
@@ -274,9 +228,6 @@ func NewRouter(cfg RouterConfig, replicas ...Predictor) (*Router, error) {
 	rt.reconcile()
 	return rt, nil
 }
-
-// Policy returns the canonical policy string.
-func (rt *Router) Policy() string { return PolicyString(rt.policy) }
 
 // Resilience exposes the per-replica breaker set (metrics, admin view).
 func (rt *Router) Resilience() *resilience.Set { return rt.res }
@@ -369,8 +320,8 @@ func (rt *Router) ProbeOnce() {
 			rt.noteHealthy(name, rs)
 			// One metrics scrape replaces the old two-request
 			// /v1/resilience + /v1/versions stats poll: its families feed
-			// the queue-depth scorer, the fleet view's active versions, and
-			// (cached) the merged series on /metrics.
+			// the failover order's gate inflight, the fleet view's active
+			// versions, and (cached) the merged series on /metrics.
 			fams, err := rs.backend.Metrics(ctx)
 			if err != nil {
 				// Health passed; a scrape hiccup costs freshness, not
@@ -420,13 +371,13 @@ func (rt *Router) reconcile() {
 		wantRing := closed && rs.state == MemberActive
 		switch {
 		case wantRing && !rt.ring.Has(name):
-			if rs.ejected && rt.flapCountLocked(name) >= rt.flapThreshold {
+			if rs.ejected && rt.flapCountLocked(name) >= flapThreshold {
 				rs.state = MemberDamped
-				rs.dampedUntil = rt.now().Add(rt.dampHold)
+				rs.dampedUntil = rt.now().Add(dampHold)
 				rs.ejected = false
 				rt.memlog.Record(name, obs.MemberEventFlapDamped,
-					fmt.Sprintf("%d involuntary exits within %s", rt.flapCountLocked(name), rt.flapWindow))
-				rt.logger.Warn("fleet member damped", "replica", name, "hold", rt.dampHold)
+					fmt.Sprintf("%d involuntary exits within %s", rt.flapCountLocked(name), flapWindow))
+				rt.logger.Warn("fleet member damped", "replica", name, "hold", dampHold)
 				continue
 			}
 			rt.ringAddLocked(name)
@@ -757,9 +708,9 @@ func (rt *Router) dispatchGroup(ctx context.Context, req *serve.PredictRequest, 
 	sc.results[gi] = groupResult{replica: name, version: resp.Version, traceID: resp.TraceID, preds: resp.Predictions}
 }
 
-// dispatch serves one owner group: score the live candidates, try the
-// winner, and on replica fault fail over to the next-best until the
-// candidates are exhausted. Client errors and sheds are returned as-is
+// dispatch serves one owner group: try the owner, and on replica fault fail
+// over to the least-loaded untried member until the candidates are
+// exhausted. Client errors and sheds are returned as-is
 // (they would fail identically anywhere); only faults burn a candidate.
 // Each attempt lands one HopSpan on rec (nil-safe) with the wall time the
 // router spent waiting on the replica, so the stitcher can attribute the
@@ -821,7 +772,7 @@ func (rt *Router) dispatch(ctx context.Context, owner string, sub *serve.Predict
 			return "", nil, be
 		}
 		// Replica fault (5xx or transport): feed the breaker, eject if it
-		// trips, and fail the sub-request over to the next-best candidate.
+		// trips, and fail the sub-request over to the next candidate.
 		failover = true
 		if tried == nil {
 			tried = make(map[string]bool)
@@ -878,11 +829,11 @@ func (rt *Router) StitchTrace(ctx context.Context, id uint64) (obs.StitchedTrace
 	return st, true
 }
 
-// pick scores the untried ring members and returns the best (nil when
-// exhausted). Scoring sees the live loads, so two owner groups dispatched
-// concurrently spread instead of dogpiling.
+// pick returns the untried ring member a group goes to under pickReplica
+// (nil when exhausted). Failover sees the live loads, so two groups whose
+// owners faulted spread over the survivors instead of dogpiling.
 func (rt *Router) pick(owner string, tried map[string]bool) (string, *replicaState) {
-	var few [8]candidate // a fleet this small is scored on the stack
+	var few [8]candidate // a fleet this small is picked from on the stack
 	cands := few[:0]
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -892,7 +843,7 @@ func (rt *Router) pick(owner string, tried map[string]bool) (string, *replicaSta
 		}
 		cands = append(cands, candidate{name: name, load: rt.replicas[name].load()})
 	}
-	i := pickReplica(rt.policy, cands, owner)
+	i := pickReplica(cands, owner)
 	if i < 0 {
 		return "", nil
 	}
@@ -920,7 +871,6 @@ type ReplicaView struct {
 
 // FleetView is the GET /v1/fleet body.
 type FleetView struct {
-	Policy   string                `json:"policy"`
 	Healthy  int                   `json:"healthy"`
 	Epoch    uint64                `json:"epoch"`
 	Replicas []ReplicaView         `json:"replicas"`
@@ -934,7 +884,7 @@ const viewEvents = 32
 func (rt *Router) View() FleetView {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	v := FleetView{Policy: PolicyString(rt.policy), Healthy: rt.ring.Size(), Epoch: rt.epoch.Load()}
+	v := FleetView{Healthy: rt.ring.Size(), Epoch: rt.epoch.Load()}
 	for _, name := range rt.names {
 		rs := rt.replicas[name]
 		rs.mu.Lock()

@@ -206,6 +206,22 @@ func TestRouterFailover(t *testing.T) {
 	if got := routeRow(t, rt, row); got != owner {
 		t.Fatalf("recovered owner %s not serving its row (got %s)", owner, got)
 	}
+
+	// Failover is load-aware: once a probe has read a busy admission gate
+	// on the lower-named survivor, which wins a tie by name, the owner's
+	// next fault sends the row to the other survivor.
+	var others []*stubReplica // in name order, as reps is
+	for _, s := range reps {
+		if s != ownerStub {
+			others = append(others, s)
+		}
+	}
+	others[0].gateInflight = 5
+	rt.ProbeOnce()
+	ownerStub.setFail(&BackendError{Status: http.StatusInternalServerError, Msg: "boom"})
+	if got := routeRow(t, rt, row); got != others[1].name {
+		t.Fatalf("owner fault failed over to %s, want %s (%s reports gate inflight 5)", got, others[1].name, others[0].name)
+	}
 }
 
 // TestRouterEjectionMinimalRemap: enough faults trip the breaker, the
@@ -441,7 +457,7 @@ func TestHandlerPredict(t *testing.T) {
 	if err := json.NewDecoder(fleetResp.Body).Decode(&view); err != nil {
 		t.Fatal(err)
 	}
-	if view.Healthy != 3 || len(view.Replicas) != 3 || view.Policy != DefaultPolicy {
+	if view.Healthy != 3 || len(view.Replicas) != 3 {
 		t.Fatalf("fleet view %+v", view)
 	}
 
@@ -541,7 +557,7 @@ func fetchText(t *testing.T, url string) (int, string) {
 // TestHandlerFleetMetrics: after one probe sweep, the router's /metrics
 // carries the per-replica up/staleness gauges and the fleet-merged replica
 // series — counters summed across replicas, from the same single-cadence
-// scrape that feeds the queue-depth policy and the version view.
+// scrape that feeds the failover order and the version view.
 func TestHandlerFleetMetrics(t *testing.T) {
 	reps := []*stubReplica{newStub("replica-0"), newStub("replica-1"), newStub("replica-2")}
 	reps[1].gateInflight = 5
@@ -581,7 +597,7 @@ func TestHandlerFleetMetrics(t *testing.T) {
 		t.Fatal("per-replica gauge leaked into the fleet merge")
 	}
 
-	// The same scrape feeds the queue-depth policy input and the versions.
+	// The same scrape feeds the failover order's load and the versions.
 	view := rt.View()
 	for _, r := range view.Replicas {
 		wantGate := int64(0)

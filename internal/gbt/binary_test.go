@@ -198,6 +198,9 @@ func TestReadBinaryChecksSizesBeforeAllocating(t *testing.T) {
 // allocation, so ten times the trees costs only what encoding/json spends
 // growing the header's tree_lens.
 func TestReadBinaryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
 	rows, y := synth(400, 0.05, 23)
 	allocs := map[int]float64{}
 	for _, trees := range []int{8, 80} {
