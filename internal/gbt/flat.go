@@ -3,7 +3,8 @@ package gbt
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 )
 
@@ -65,6 +66,13 @@ var ErrWalkBound = errors.New("gbt: flat walk left its bound")
 
 // Compile flattens the model into its packed serving representation. It
 // refuses a model with more than 255 distinct thresholds on a feature.
+//
+// The threshold tables take linear passes: a counting pass buckets the
+// internal nodes by feature; per feature, a small open-addressing table
+// numbers the distinct thresholds in first-seen order, only those (at most
+// 255) are sorted, and each node's cut is rewritten from its threshold's
+// first-seen number to its rank, with no per-node search. Every edges[f] is
+// a slice of one exactly-sized array.
 func (m *Model) Compile() (*Flat, error) {
 	total, widest := 0, 0
 	for i := range m.trees {
@@ -87,6 +95,9 @@ func (m *Model) Compile() (*Flat, error) {
 	// enforces it), so every parent of a node, and there may be several,
 	// precedes it.
 	level := make([]int32, widest)
+	// Feature ft's split thresholds go to thr[start[ft]:start[ft+1]], their
+	// nodes' flat indices to the same places of at.
+	start := make([]int32, m.nFeature+1)
 	base := int32(0)
 	for t := range m.trees {
 		f.roots[t] = base
@@ -97,50 +108,94 @@ func (m *Model) Compile() (*Flat, error) {
 				f.leaf[base] = n.value
 				f.depth = max(f.depth, level[i])
 			} else {
+				f.leaf[base] = n.threshold // until it is bucketed below
 				f.left[base] = f.roots[t] + n.left
 				f.right[base] = f.roots[t] + n.right
 				level[n.left] = max(level[n.left], level[i]+1)
 				level[n.right] = max(level[n.right], level[i]+1)
-				f.edges[n.feature] = append(f.edges[n.feature], n.threshold)
+				start[n.feature+1]++
 			}
 			base++
 		}
 	}
-	for ft := range f.edges {
-		f.edges[ft] = sortedDistinct(f.edges[ft])
-		// A cut of 255 must stay free for the always-right NaN code.
-		if n := len(f.edges[ft]); n > 255 {
-			return nil, fmt.Errorf("%w: feature %d has %d, at most 255 fit a uint8 code", ErrTooManyThresholds, ft, n)
+	for ft := range m.nFeature {
+		start[ft+1] += start[ft]
+	}
+	thr, at := make([]float64, start[m.nFeature]), make([]int32, start[m.nFeature])
+	next := slices.Clone(start)
+	for i, ft := range f.feature {
+		if ft >= 0 {
+			thr[next[ft]], at[next[ft]], f.leaf[i] = f.leaf[i], int32(i), 0
+			next[ft]++
 		}
 	}
-	at := 0
-	for t := range m.trees {
-		for _, n := range m.trees[t].nodes {
-			if n.feature >= 0 {
-				// code returns the lower bound: the count of edges strictly
-				// below the threshold, which is in the table, so that count
-				// is exactly its index.
-				f.cut[at] = code(f.edges[n.feature], n.threshold)
+	// Per feature, cut holds a first-seen number until the ranks are known,
+	// and the sorted distinct thresholds are packed at the front of thr.
+	var tab numbering
+	var rank [255]uint8 // a first-seen number's sorted position
+	packed := 0
+	for ft := range m.nFeature {
+		lo, hi := start[ft], start[ft+1]
+		clear(tab.slots[:])
+		n := uint8(0)
+		for k := lo; k < hi; k++ {
+			h := tab.slot(thr[k])
+			if tab.slots[h] == 0 {
+				// A cut of 255 must stay free for the always-right NaN code.
+				if n == 255 {
+					// thr[lo:k] holds only values tab has numbered, so the
+					// feature's distinct thresholds are tab's and thr[k:hi]'s.
+					rest := append(tab.first[:], thr[k:hi]...)
+					slices.Sort(rest)
+					return nil, fmt.Errorf("%w: feature %d has %d, at most 255 fit a uint8 code", ErrTooManyThresholds, ft, len(slices.Compact(rest)))
+				}
+				tab.first[n] = thr[k]
+				n++
+				tab.slots[h] = n
 			}
-			at++
+			f.cut[at[k]] = tab.slots[h] - 1
 		}
+		// packed <= lo: no feature has more distinct thresholds than splits.
+		sorted := thr[packed : packed+int(n)]
+		copy(sorted, tab.first[:n])
+		slices.Sort(sorted)
+		for r, v := range sorted {
+			rank[tab.slots[tab.slot(v)]-1] = uint8(r)
+		}
+		for _, i := range at[lo:hi] {
+			f.cut[i] = rank[f.cut[i]]
+		}
+		f.edges[ft] = sorted
+		packed += int(n)
+	}
+	// Move the tables out of the scratch into one exactly-sized array.
+	backing := slices.Clone(thr[:packed])
+	for ft, e := range f.edges {
+		f.edges[ft], backing = backing[:len(e):len(e)], backing[len(e):]
 	}
 	return f, nil
 }
 
-// sortedDistinct sorts xs ascending and removes exact duplicates in place.
-func sortedDistinct(xs []float64) []float64 {
-	if len(xs) == 0 {
-		return xs
+// numbering is Compile's table of one feature's distinct thresholds: first
+// lists them in first-seen order, and slots is an open-addressing hash
+// table over them, sized well above the 255 it may hold so that probe runs
+// stay short.
+type numbering struct {
+	slots [1 << 10]uint8 // a first-seen number + 1; 0 is free
+	first [255]float64
+}
+
+// slot returns the slot that numbers v, or the free slot v would take:
+// linear probing from a Fibonacci hash of the key into the table's 10-bit
+// index. The key is v+0's bits, which folds -0 onto +0 (the two compare
+// equal, so they are one threshold) and lets a NaN find itself.
+func (t *numbering) slot(v float64) int {
+	key := math.Float64bits(v + 0)
+	h := int(key * 0x9e3779b97f4a7c15 >> (64 - 10))
+	for t.slots[h] != 0 && math.Float64bits(t.first[t.slots[h]-1]+0) != key {
+		h = (h + 1) % len(t.slots)
 	}
-	sort.Float64s(xs)
-	out := xs[:1]
-	for _, v := range xs[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	return h
 }
 
 // NumFeatures returns the feature-row width the source model was trained on.

@@ -8,9 +8,9 @@ import (
 // FuzzFlatCompile hardens the flat compilation round trip: any model the
 // validating decoder accepts — however degenerate or hostile its structure
 // — must compile to a Flat whose predictions are bit-identical to the
-// pointer walk, batched and single-row, including on non-finite inputs. The
-// one model Compile may refuse has more than 255 distinct thresholds on a
-// feature.
+// pointer walk, batched and single-row, including on non-finite inputs,
+// through threshold tables that checkCodes accepts. The one model Compile
+// may refuse has more than 255 distinct thresholds on a feature.
 // Each input is decoded with its checksum recomputed, so the fuzzer explores
 // tree structure rather than checksum mismatches. Checked-in seeds live in
 // testdata/fuzz/FuzzFlatCompile.
@@ -46,6 +46,7 @@ func FuzzFlatCompile(f *testing.F) {
 		if fl.NumTrees() != m.NumTrees() || fl.NumFeatures() != m.NumFeatures() {
 			t.Fatal("compiled shape diverges from the source model")
 		}
+		checkCodes(t, "fuzzed model", m, fl)
 		probe, _ := synth(140, 0.2, uint64(probeSeed))
 		batch := make([][]float64, len(probe))
 		for i := range probe {

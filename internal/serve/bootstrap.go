@@ -277,10 +277,6 @@ func Build(name string, version int, frame *dataset.Frame, candidates []gbt.Para
 		TrainedOn: frame.Len(),
 		Reference: ref,
 	}
-	// Compile at build time: bundles handed straight to benchmarks, an
-	// in-process service or a retrain's publish still serve on the flat
-	// engine from the first request, and no request pays the compilation.
-	mv.Flat()
 	return mv, noiseSets, nil
 }
 
