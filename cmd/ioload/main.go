@@ -71,6 +71,7 @@ import (
 	"iotaxo/internal/rng"
 	"iotaxo/internal/serve"
 	"iotaxo/internal/system"
+	"iotaxo/internal/workload"
 )
 
 // churnSpec configures the version-churn scenario; registry == "" disables.
@@ -170,7 +171,7 @@ func run(addr, sysName string, version, requests, batch int, rate, dup, ood floa
 	if dr.ramp > 0 {
 		return runDriftScenario(addr, sysName, token, requests, batch, rate, seed, frame, dr)
 	}
-	gen, err := serve.NewLoadGen(serve.LoadSpec{
+	gen, err := workload.NewLoadGen(workload.LoadSpec{
 		System:      sysName,
 		Requests:    requests,
 		BatchSize:   batch,
@@ -419,7 +420,7 @@ func formatSplit(split map[string]int) string {
 // split). The combined line always prints; when the run observed more
 // than one membership epoch, a per-epoch breakdown follows so skew is
 // judged within each membership era rather than across the churn.
-func reportReplicaSplit(stats serve.LoadStats, tally *replicaTally) {
+func reportReplicaSplit(stats workload.LoadStats, tally *replicaTally) {
 	if len(stats.PerReplica) == 0 {
 		return
 	}
@@ -438,7 +439,7 @@ func reportReplicaSplit(stats serve.LoadStats, tally *replicaTally) {
 // injected faults and overload (live /healthz), actually shed load
 // (ioserve_admission_shed_total > 0 on /metrics), and still served some
 // traffic. Any miss is a non-zero exit for the chaos-smoke harness.
-func verifyChaos(addr string, stats serve.LoadStats) error {
+func verifyChaos(addr string, stats workload.LoadStats) error {
 	client := newClient(10 * time.Second)
 	resp, err := client.Get(addr + "/healthz")
 	if err != nil {
@@ -586,7 +587,7 @@ func runChurn(ctx context.Context, churn churnSpec, addr, sysName, token string)
 
 // latencyRecorder accumulates per-request predict latencies for the drift
 // scenario, whose report would otherwise carry no tail percentiles (the
-// steady and churn scenarios get p50/p95/p99 from serve.LoadStats) —
+// steady and churn scenarios get p50/p95/p99 from workload.LoadStats) —
 // serving-path regressions show up in p95/p99 long before they move the
 // mean.
 type latencyRecorder struct {
@@ -712,7 +713,7 @@ func (t *versionTracker) String() string {
 // `retries` times with capped jittered backoff, honoring the server's
 // Retry-After when it names a longer wait; 4xx responses other than 429 are
 // caller bugs and fail immediately.
-func httpTarget(addr, sysName string, version int, tracker *versionTracker, timings *serverTimingAgg, retries int, seed uint64, rstats *retryStats, tally *replicaTally) serve.Target {
+func httpTarget(addr, sysName string, version int, tracker *versionTracker, timings *serverTimingAgg, retries int, seed uint64, rstats *retryStats, tally *replicaTally) workload.Target {
 	client := newClient(30 * time.Second)
 	url := addr + "/v1/predict"
 	r := rng.New(seed + 777)

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Duplicate-aware prediction cache. The paper's Sec. VI finding is that a
@@ -20,11 +22,13 @@ import (
 // currently-recurring duplicate sets.
 //
 // A shard is a few flat arrays with no pointers in them: fixed-width slots
-// linked into an exact LRU by index, a key -> slot map, and the rows in byte
-// slabs mapped outside the Go heap. A full cache therefore costs the
-// collector nothing to scan, its rows — most of its bytes — do not count
-// towards the heap goal, an insert into it allocates nothing, and an entry
-// cannot keep anything else alive — in particular not the bundle that
+// linked into an exact LRU by index, a bucket table that chains them by key
+// through one link in each slot, and the rows in byte slabs. All of it is
+// mapped outside the Go heap — every shard's slots and buckets in one mapping
+// a cache, made at full capacity, whose pages are touched only as entries
+// arrive. A full cache therefore costs the collector nothing to scan and
+// nothing towards the heap goal, an insert into it allocates nothing, and an
+// entry cannot keep anything else alive — in particular not the bundle that
 // produced it, which a slot names by number.
 //
 // A row is stored zero-suppressed: ceil(width/64) bitmap words, bit j set
@@ -35,10 +39,11 @@ import (
 // other, so Get still compares every bit. The words fill fixed 128-byte
 // chunks carved from the slabs. Word 0 of a chunk links to the row's next
 // chunk, a slot names its first, and the chunks of a dropped row go on a
-// per-shard free list threaded through the same links. Links are the one
-// index the cache reads back from row storage, so none is followed unless it
-// names a chunk the shard has handed out, and no walk goes further than a
-// row of its width can fill.
+// per-shard free list threaded through the same links. Chunk links, bucket
+// words and the slots' chain links are indexes the cache reads back from
+// mapped memory, so none is followed unless it names a chunk or slot the
+// shard has handed out, and no walk goes further than a row of its width can
+// fill or the shard has slots.
 
 // cacheShards is the shard count (power of two; keys are well-mixed FNV
 // hashes, so low bits select shards uniformly).
@@ -50,8 +55,9 @@ const (
 	cacheChunkBytes = 128
 	chunkWords      = cacheChunkBytes/8 - 1
 	// cacheSlabChunks is the number of chunks in one slab. Slabs are mapped
-	// as their chunks are first needed, index and slots grow with the
-	// entries: a cache that is built and never filled costs no storage.
+	// as their chunks are first needed, and the pages of the slot and bucket
+	// mapping as entries arrive: a cache that is built and never filled
+	// costs no storage.
 	cacheSlabChunks = 256
 )
 
@@ -83,17 +89,42 @@ func (sl rowSlab) release() {
 	}
 }
 
-// cacheRows is a cache's row storage, one slab list a shard. It is allocated
-// apart from the Cache because the cleanup that unmaps it once the Cache is
-// unreachable holds it, and must not hold the Cache.
-type cacheRows [cacheShards][]rowSlab
+// cacheRows is a cache's mapped storage: one slab list a shard, and meta,
+// the mapping that holds every shard's slots and buckets (nil when they are
+// heap arrays; it is not row storage, so cacheRowBytes does not count it).
+// It is allocated apart from the Cache because the cleanup that unmaps it
+// once the Cache is unreachable holds it, and must not hold the Cache.
+type cacheRows struct {
+	slabs [cacheShards][]rowSlab
+	meta  []byte
+}
 
 func (rows *cacheRows) release() {
-	for _, slabs := range rows {
+	for _, slabs := range rows.slabs {
 		for _, sl := range slabs {
 			sl.release()
 		}
 	}
+	if rows.meta != nil {
+		_ = unmapRows(rows.meta) // fails only for what is not a mapping
+	}
+}
+
+// metaArray returns n zeroed Ts from the front of meta, and the bytes after
+// them; with meta nil — no mapping could be had — a plain heap array. This is
+// the module's one conversion through unsafe.Pointer, and it is safe because
+// a T holds no pointer the collector would have to find
+// (TestCacheSlotIsPointerFree walks both types that come through here), a T
+// at the front of a mapping or after whole cacheSlots is aligned, and the
+// cleanup unmaps meta only once the Cache, under whose shard locks every
+// access is made, is unreachable.
+func metaArray[T any](meta []byte, n int) ([]T, []byte) {
+	if meta == nil {
+		return make([]T, n), nil
+	}
+	var t T
+	size := n * int(unsafe.Sizeof(t))
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(meta[:size]))), n), meta[size:]
 }
 
 // HashKey identifies a (model version, feature vector) pair. It is an
@@ -151,17 +182,23 @@ type cacheSlot struct {
 	// The Result, with its Guard flattened to a fixed-width record.
 	predLog, pred         float64
 	eu, au, noiseFloorPct float64
-	first                 int32 // the row's first chunk, -1 when it has none; beside the bools, it fills the padding
+	first                 int32 // the row's first chunk, -1 when it has none
+	chain                 int32 // 1 + the next slot in this key's bucket, 0 at the end
 	ood, atNoiseFloor     bool
 	source                uint8 // 0: no Guard; else 1 + index into errorSources
 }
 
 // cacheShard is an independently locked LRU.
 type cacheShard struct {
-	mu    sync.Mutex
-	cap   int
-	index map[uint64]int32 // key -> slot
-	slots []cacheSlot      // grows to exactly cap, then slots are recycled
+	mu sync.Mutex
+	// slots is the shard's capacity in slots, of which used have been
+	// handed out and resident hold entries. buckets is a power-of-two table
+	// of chains, each word 1 + the chain's first slot, 0 when empty; a key's
+	// bucket is the top bits of its Fibonacci product, shift says how many.
+	slots          []cacheSlot
+	buckets        []int32
+	shift          uint8
+	used, resident int32
 	// head and tail are the most and least recently used slots, free the
 	// head of the list of slots InvalidateSystem emptied; -1 when none.
 	head, tail, free int32
@@ -169,7 +206,7 @@ type cacheShard struct {
 	// of which chunks have been handed out so far; spare heads the list of
 	// those dropped rows gave back, -1 when empty.
 	chunks, spare int32
-	slabs         *[]rowSlab // this shard's entry in the cache's cacheRows
+	slabs         *[]rowSlab // this shard's entry in the cache's cacheRows.slabs
 	systems       []string   // system names, indexed by cacheSlot.sys
 	enc           []byte     // the stored form of the row being put or looked up, encoded once
 }
@@ -187,16 +224,26 @@ func NewCache(capacity int) *Cache {
 		return nil
 	}
 	perShard := (capacity + cacheShards - 1) / cacheShards
+	log2 := bits.Len(uint(perShard - 1))
+	buckets := 1 << log2
 	c, rows := &Cache{}, new(cacheRows)
+	meta, err := mapRows(cacheShards * (perShard*int(unsafe.Sizeof(cacheSlot{})) + buckets*4))
+	if err == nil {
+		rows.meta = meta
+	}
+	slots, rest := metaArray[cacheSlot](rows.meta, cacheShards*perShard)
+	index, _ := metaArray[int32](rest, cacheShards*buckets)
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.cap = perShard
-		s.index = make(map[uint64]int32) // no size hint: paid for by the entries that arrive
+		s.slots = slots[i*perShard : (i+1)*perShard : (i+1)*perShard]
+		s.buckets = index[i*buckets : (i+1)*buckets : (i+1)*buckets]
+		s.shift = uint8(64 - log2)
 		s.head, s.tail, s.free, s.spare = -1, -1, -1, -1
-		s.slabs = &rows[i]
+		s.slabs = &rows.slabs[i]
 	}
-	// No Close: every access to a slab is under a shard lock whose deferred
-	// unlock keeps c reachable, so the mappings outlive their last reader.
+	// No Close: every access to a slot or slab is under a shard lock whose
+	// deferred unlock keeps c reachable, so the mappings outlive their last
+	// reader.
 	runtime.AddCleanup(c, (*cacheRows).release, rows)
 	return c
 }
@@ -328,6 +375,59 @@ func (s *cacheShard) rowMatches(e *cacheSlot, row []float64) bool {
 	return true
 }
 
+// slot returns the slot a bucket word or chain link names, or -1: for 0, the
+// end of a chain, and for any word that names no slot the shard has handed
+// out.
+func (s *cacheShard) slot(w int32) int32 {
+	if w <= 0 || w > s.used {
+		return -1
+	}
+	return w - 1
+}
+
+// bucket returns the word that heads key's chain: Fibonacci hashing, by
+// 2^64/φ, so that the bucket depends on every bit of the key.
+func (s *cacheShard) bucket(key uint64) *int32 {
+	return &s.buckets[key*0x9e3779b97f4a7c15>>s.shift]
+}
+
+// find returns the slot of key's entry, or -1. The walk visits no more slots
+// than the shard has, whatever the links say.
+func (s *cacheShard) find(key uint64) int32 {
+	i := s.slot(*s.bucket(key))
+	for n := len(s.slots); i >= 0 && n > 0; n-- {
+		if e := &s.slots[i]; e.key == key && e.bundle != 0 {
+			return i
+		}
+		i = s.slot(s.slots[i].chain)
+	}
+	return -1
+}
+
+// index puts slot i at the head of its key's chain.
+func (s *cacheShard) index(i int32) {
+	b := s.bucket(s.slots[i].key)
+	s.slots[i].chain, *b = *b, i+1
+}
+
+// unindex takes slot i out of its key's chain. A chain that does not reach i
+// within as many steps as the shard has slots is left as it is: whatever a
+// lookup then reaches through it, it compares key, bundle and row as ever.
+func (s *cacheShard) unindex(i int32) {
+	p := s.bucket(s.slots[i].key)
+	for n := len(s.slots); n > 0; n-- {
+		switch j := s.slot(*p); j {
+		case -1:
+			return
+		case i:
+			*p = s.slots[i].chain
+			return
+		default:
+			p = &s.slots[j].chain
+		}
+	}
+}
+
 // unlink takes slot i out of the LRU order.
 func (s *cacheShard) unlink(i int32) {
 	e := &s.slots[i]
@@ -358,30 +458,29 @@ func (s *cacheShard) pushFront(i int32) {
 // drop removes the entry in slot i and puts the slot on the free list.
 func (s *cacheShard) drop(i int32) {
 	s.unlink(i)
+	s.unindex(i)
 	e := &s.slots[i]
-	delete(s.index, e.key)
 	s.freeRow(e)
 	e.bundle, e.next = 0, s.free
 	s.free = i
+	s.resident--
 }
 
 // claim returns an unlinked slot for a new entry: one on the free list, the
 // next never-used one or, with the shard full, the least recently used
 // entry's.
 func (s *cacheShard) claim() int32 {
-	if s.free < 0 && len(s.slots) >= s.cap {
+	if s.free < 0 && int(s.used) == len(s.slots) {
 		s.drop(s.tail)
 	}
+	s.resident++
 	if i := s.free; i >= 0 {
 		s.free = s.slots[i].next
 		return i
 	}
-	if n := len(s.slots); n == cap(s.slots) {
-		// Doubling, but never past cap, where append's policy ends 27 % over.
-		s.slots = append(make([]cacheSlot, 0, n+min(max(n, 64), s.cap-n)), s.slots...)
-	}
-	s.slots = append(s.slots, cacheSlot{first: -1})
-	return int32(len(s.slots) - 1)
+	s.slots[s.used].first = -1
+	s.used++
+	return s.used - 1
 }
 
 // Get returns the cached result for (key, row) under bundle mv and marks
@@ -397,8 +496,8 @@ func (c *Cache) Get(key uint64, row []float64, mv *ModelVersion) (Result, bool) 
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i, ok := s.index[key]
-	if !ok || s.slots[i].bundle != bundle || !s.rowMatches(&s.slots[i], row) {
+	i := s.find(key)
+	if i < 0 || s.slots[i].bundle != bundle || !s.rowMatches(&s.slots[i], row) {
 		return Result{}, false
 	}
 	s.unlink(i)
@@ -435,12 +534,13 @@ func (c *Cache) Put(key uint64, row []float64, mv *ModelVersion, res Result) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i, ok := s.index[key]
-	if ok {
+	i := s.find(key)
+	if i >= 0 {
 		s.unlink(i)
 	} else {
 		i = s.claim()
-		s.index[key] = i
+		s.slots[i].key = key
+		s.index(i)
 	}
 	s.pushFront(i)
 	sys := slices.Index(s.systems, mv.System)
@@ -453,7 +553,7 @@ func (c *Cache) Put(key uint64, row []float64, mv *ModelVersion, res Result) {
 	// refreshed result stays paired with the row that produced it.
 	e := &s.slots[i]
 	s.storeRow(e, row)
-	e.key, e.bundle, e.sys = key, bundle, int32(sys)
+	e.bundle, e.sys = bundle, int32(sys)
 	e.predLog, e.pred = res.PredLog, res.Pred
 	e.eu, e.au, e.noiseFloorPct = g.EU, g.AU, g.NoiseFloorPct
 	e.ood, e.atNoiseFloor, e.source = g.OoD, g.AtNoiseFloor, source
@@ -473,7 +573,7 @@ func (c *Cache) InvalidateSystem(system string) int {
 		s := &c.shards[k]
 		s.mu.Lock()
 		if sys := slices.Index(s.systems, system); sys >= 0 {
-			for i := range s.slots {
+			for i := range s.slots[:s.used] {
 				if e := &s.slots[i]; e.bundle != 0 && e.sys == int32(sys) {
 					s.drop(int32(i))
 					dropped++
@@ -494,7 +594,7 @@ func (c *Cache) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += len(s.index)
+		n += int(s.resident)
 		s.mu.Unlock()
 	}
 	return n

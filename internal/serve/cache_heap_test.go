@@ -12,13 +12,14 @@ import (
 	"time"
 )
 
-// The forced-heap run. Row slabs normally live in anonymous mappings, which
-// the race detector does not instrument, and the make([]byte, n) that stands
-// in when a mapping cannot be had is otherwise reached only off unix. So the
-// cache's tests run a second time in a child process of the same test binary
-// in which every mapping fails: the container/list oracle, the fuzz corpus
-// and the torn-read test then work on heap slabs, where -race sees every
-// access, and the child fails if anything was ever handed to unmapRows.
+// The forced-heap run. Row slabs, slots and buckets normally live in
+// anonymous mappings, which the race detector does not instrument, and the
+// heap arrays that stand in when a mapping cannot be had are otherwise
+// reached only off unix. So the cache's tests run a second time in a child
+// process of the same test binary in which every mapping fails: the
+// container/list oracle, the fuzz corpus and the torn-read test then work on
+// the heap, where -race sees every access, and the child fails if anything
+// was ever handed to unmapRows.
 
 // heapSlabsEnv marks the child. The hooks are swapped in TestMain, before any
 // test or cleanup can read them.
@@ -81,10 +82,12 @@ func TestCacheOnHeapSlabs(t *testing.T) {
 		"--- PASS: TestCacheMatchesReference/zero-heavy_wide_rows (",
 		"--- PASS: TestCacheMatchesReference/zero-heavy_wide_rows,_colliding_keys",
 		"--- PASS: FuzzCacheOps/widen-after-fill",
+		"--- PASS: FuzzCacheOps/shared-bucket-middle-deletes",
 		"--- PASS: TestCacheConcurrentHitsAreNeverTorn",
 		"--- PASS: TestCacheDoesNotPinRetiredBundle",
 		"--- PASS: TestCacheCarriesEveryErrorSource",
 		"--- PASS: TestCacheSurvivesFlippedChunks",
+		"--- PASS: TestCacheSurvivesFlippedIndex",
 		"--- SKIP: TestCacheRowsAreOffHeap",
 	} {
 		if !strings.Contains(string(out), want) {

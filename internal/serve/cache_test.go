@@ -3,11 +3,13 @@ package serve
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"math"
 	"math/rand/v2"
+	"os"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -183,8 +185,10 @@ func TestNilCacheIsSafe(t *testing.T) {
 	}
 }
 
-// The cache's memory claims rest on its slots, and the map that indexes
-// them, holding nothing the collector has to follow.
+// The cache's memory claims rest on its slots and the bucket words that
+// index them holding nothing the collector has to follow: both live in a
+// mapping the collector never scans, reached through metaArray's unsafe.Slice,
+// so a pointer stored in either would be one the collector cannot see.
 func TestCacheSlotIsPointerFree(t *testing.T) {
 	var walk func(path string, ty reflect.Type)
 	walk = func(path string, ty reflect.Type) {
@@ -201,12 +205,10 @@ func TestCacheSlotIsPointerFree(t *testing.T) {
 		}
 	}
 	walk("cacheSlot", reflect.TypeOf(cacheSlot{}))
-	index := reflect.TypeOf(cacheShard{}.index)
-	walk("index key", index.Key())
-	walk("index value", index.Elem())
+	walk("bucket", reflect.TypeOf(cacheShard{}.buckets).Elem())
 	walk("slab element", reflect.TypeOf(rowSlab{}.b).Elem())
-	if size := reflect.TypeOf(cacheSlot{}).Size(); size != 80 {
-		t.Errorf("cacheSlot is %d bytes, want 80: a field is no longer packed into padding", size)
+	if size := reflect.TypeOf(cacheSlot{}).Size(); size != 88 {
+		t.Errorf("cacheSlot is %d bytes, want 88: a field is no longer packed into padding", size)
 	}
 }
 
@@ -246,10 +248,11 @@ func thetaRow(frame *dataset.Frame, n int, dst []float64) []float64 {
 	return dst
 }
 
-// The point of mapping the rows, and of storing them zero-suppressed: the
-// default cache, full of the fixture's real Theta rows, costs the Go heap its
-// slots and index only, and its chunk slabs hold no more than 640 bytes a
-// resident row, where the 101 values at full width take 808.
+// The point of mapping the cache, and of storing its rows zero-suppressed:
+// the default cache, full of the fixture's real Theta rows, costs the Go heap
+// next to nothing a resident row, its slots and buckets take no more than 96
+// mapped bytes a row, and its chunk slabs no more than 640, where the 101
+// values at full width take 808.
 func TestCacheRowsAreOffHeap(t *testing.T) {
 	needMappedRows(t)
 	frame, _, _ := fixture(t)
@@ -275,15 +278,20 @@ func TestCacheRowsAreOffHeap(t *testing.T) {
 	if c.Len() != capacity {
 		t.Fatalf("cache holds %d entries after %d inserts, want %d", c.Len(), 2*capacity, capacity)
 	}
-	mapped := 0
+	mapped, meta := 0, 0
 	for i := range c.shards {
-		mapped += len(*c.shards[i].slabs) * cacheSlabChunks * cacheChunkBytes
+		s := &c.shards[i]
+		mapped += len(*s.slabs) * cacheSlabChunks * cacheChunkBytes
+		meta += len(s.slots)*int(reflect.TypeOf(cacheSlot{}).Size()) + 4*len(s.buckets)
 	}
 	perRow := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / capacity
-	t.Logf("%.0f heap bytes a resident row, %.0f mapped; %d-feature rows, %.1f %% of values zero",
-		perRow, float64(mapped)/capacity, len(row), 100*float64(zeros)/float64(values))
-	if perRow >= 200 {
-		t.Errorf("a resident row costs %.0f bytes of Go heap, want < 200 (slot + index)", perRow)
+	t.Logf("%.1f heap bytes a resident row, %.0f mapped in slots and buckets, %.0f in chunks; %d-feature rows, %.1f %% of values zero",
+		perRow, float64(meta)/capacity, float64(mapped)/capacity, len(row), 100*float64(zeros)/float64(values))
+	if perRow >= 16 {
+		t.Errorf("a resident row costs %.1f bytes of Go heap, want < 16", perRow)
+	}
+	if perMeta := float64(meta) / capacity; perMeta > 96 {
+		t.Errorf("a resident row costs %.0f mapped bytes of slot and buckets, want <= 96", perMeta)
 	}
 	if perMapped := float64(mapped) / capacity; perMapped > 640 {
 		t.Errorf("a resident row costs %.0f mapped bytes, want <= 640 (at full width it is %d)", perMapped, 8*len(row))
@@ -293,7 +301,7 @@ func TestCacheRowsAreOffHeap(t *testing.T) {
 
 // Mappings are not the collector's to free. A full cache maps exactly the
 // slabs its chunks need, and a cache nothing refers to any more gives them
-// back: no Close, and no bytes left behind.
+// and its slot and bucket mapping back: no Close, and no bytes left behind.
 func TestCacheReleasesMappings(t *testing.T) {
 	needMappedRows(t)
 	// What earlier tests dropped is released first, so that the count moves
@@ -305,14 +313,27 @@ func TestCacheReleasesMappings(t *testing.T) {
 	// chunk: two slabs a shard, the second part used.
 	const perShard = cacheSlabChunks + 44
 	base := cacheRowBytes.Load()
+	var metas [][2]uintptr // each cache's slot and bucket mapping: first and last byte
 	func() {
 		five, three := filledCache(t, cacheShards*perShard, 5), filledCache(t, cacheShards*perShard, 3)
 		if got, want := cacheRowBytes.Load()-base, int64(2*cacheShards*2*cacheSlabChunks*cacheChunkBytes); got != want {
 			t.Fatalf("two full caches hold %d mapped bytes, want %d", got, want)
 		}
+		for _, c := range []*Cache{five, three} {
+			last := c.shards[cacheShards-1].buckets
+			metas = append(metas, [2]uintptr{
+				reflect.ValueOf(c.shards[0].slots).Pointer(),
+				reflect.ValueOf(last).Pointer() + uintptr(4*len(last)-1),
+			})
+		}
 		runtime.KeepAlive(five)
 		runtime.KeepAlive(three)
 	}()
+	for _, m := range metas {
+		if in, ok := inMapping(t, m); ok && !in {
+			t.Fatalf("a live cache's slots and buckets at %#x are not in a mapping", m[0])
+		}
+	}
 	for deadline := time.Now().Add(10 * time.Second); cacheRowBytes.Load() != base; {
 		runtime.GC()
 		time.Sleep(10 * time.Millisecond)
@@ -320,6 +341,34 @@ func TestCacheReleasesMappings(t *testing.T) {
 			t.Fatalf("%d mapped bytes outlive the caches that were dropped", cacheRowBytes.Load()-base)
 		}
 	}
+	// One cleanup released each cache's slabs and its metadata together.
+	for _, m := range metas {
+		if in, _ := inMapping(t, m); in {
+			t.Errorf("a dropped cache's slots and buckets at %#x are still mapped", m[0])
+		}
+	}
+}
+
+// inMapping reports whether any byte of the range r, first and last byte, is
+// in one of the process's mappings, and whether /proc/self/maps could tell.
+func inMapping(t *testing.T, r [2]uintptr) (in, ok bool) {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		return false, false
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(maps)), "\n") {
+		lo, hi, _ := strings.Cut(strings.Fields(line)[0], "-")
+		start, err1 := strconv.ParseUint(lo, 16, 64)
+		end, err2 := strconv.ParseUint(hi, 16, 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("unreadable /proc/self/maps line %q", line)
+		}
+		if uint64(r[0]) < end && uint64(r[1]) >= start {
+			return true, true
+		}
+	}
+	return false, true
 }
 
 // Chunk links are the one index the cache reads back from row storage. Every
@@ -346,7 +395,7 @@ func TestCacheSurvivesFlippedChunks(t *testing.T) {
 	s, target := &c.shards[0], entries[0]
 	words := len(appendStored(nil, target.row)) / 8
 	var chain [][]byte
-	for b := s.chunk(uint64(s.slots[s.index[target.key]].first)); b != nil; b = s.chunk(binary.LittleEndian.Uint64(b)) {
+	for b := s.chunk(uint64(s.slots[s.find(target.key)].first)); b != nil; b = s.chunk(binary.LittleEndian.Uint64(b)) {
 		chain = append(chain, b)
 	}
 	if len(chain) != (words+chunkWords-1)/chunkWords || len(chain) < 2 {
@@ -385,6 +434,96 @@ func TestCacheSurvivesFlippedChunks(t *testing.T) {
 			t.Errorf("after the flips were undone: Get = %+v %v, want %+v", res, ok, e.res)
 		}
 	}
+}
+
+// Bucket words and chain links are read back from mapped memory as well.
+// Every bit of one full shard's index words — its buckets, then each slot's
+// chain link — is flipped in turn, in a fresh cache each time. Get of every
+// resident row must then miss or return exactly what was stored for it; so
+// must it after a second round of Puts has evicted every first entry through
+// the corrupt chains, and InvalidateSystem must still empty the cache, also
+// once the emptied slots have been filled again.
+func TestCacheSurvivesFlippedIndex(t *testing.T) {
+	const perShard = 8
+	type entry struct {
+		key uint64
+		row []float64
+		res Result
+	}
+	var entries []entry // shard 0's: the first perShard fill it, the rest evict them
+	for n := 0; len(entries) < 2*perShard; n++ {
+		row := []float64{float64(n), 1}
+		if key := HashKey("theta", 1, row); key&(cacheShards-1) == 0 {
+			entries = append(entries, entry{key, row, Result{PredLog: float64(n), Pred: -float64(n)}})
+		}
+	}
+	first, second := entries[:perShard], entries[perShard:]
+	build := func() (*Cache, []*int32) {
+		c := NewCache(perShard * cacheShards)
+		for _, e := range first {
+			c.Put(e.key, e.row, cacheBundleA, e.res)
+		}
+		s := &c.shards[0]
+		var words []*int32
+		for i := range s.buckets {
+			words = append(words, &s.buckets[i])
+		}
+		for i := range s.slots {
+			words = append(words, &s.slots[i].chain)
+		}
+		return c, words
+	}
+	misses := 0
+	check := func(c *Cache, es []entry, flip string) {
+		for _, e := range es {
+			res, ok := c.Get(e.key, e.row, cacheBundleA)
+			if ok && res != e.res {
+				t.Fatalf("%s: Get returned %+v for a row stored with %+v", flip, res, e.res)
+			}
+			if !ok {
+				misses++
+			}
+		}
+	}
+	c, words := build()
+	chained := 0
+	for _, w := range words[len(c.shards[0].buckets):] {
+		if *w != 0 {
+			chained++
+		}
+	}
+	if c.Len() != perShard || chained == 0 {
+		t.Fatalf("%d entries, %d of them chained behind another: the flips would not reach a chain link", c.Len(), chained)
+	}
+	for w := range words {
+		for bit := 0; bit < 32; bit++ {
+			flip := fmt.Sprintf("index word %d bit %d flipped", w, bit)
+			c, words := build()
+			*words[w] ^= 1 << bit
+			check(c, first, flip)
+			for _, e := range second {
+				c.Put(e.key, e.row, cacheBundleA, e.res)
+			}
+			check(c, second, flip)
+			check(c, first, flip)
+			if n := c.Len(); n > perShard {
+				t.Fatalf("%s: the cache holds %d entries, more than shard 0 can", flip, n)
+			}
+			// Emptied slots keep their keys: a Put must never take one
+			// reached through a corrupt link for a resident entry.
+			for round := 0; round < 2; round++ {
+				c.InvalidateSystem("theta")
+				if n := c.Len(); n != 0 {
+					t.Fatalf("%s: %d entries survive InvalidateSystem", flip, n)
+				}
+				for _, e := range second {
+					c.Put(e.key, e.row, cacheBundleA, e.res)
+				}
+				check(c, second, flip)
+			}
+		}
+	}
+	t.Logf("%d flips in %d index words (%d chain links in use), %d misses", 32*len(words), len(words), chained, misses)
 }
 
 // A bundle that was cached under and then replaced must be collectable
@@ -487,12 +626,12 @@ func TestCacheSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestNewCacheAllocatesNoStorage: building a cache costs the Cache value and
-// sixteen empty maps — index, slots and rows are all paid for by the entries
-// that arrive — and a shard filled from nothing ends up holding exactly its
-// capacity in slots, with Put and Get as allocation-free as after a fill of
-// a pre-sized cache.
+// TestNewCacheAllocatesNoStorage: building a cache costs the Go heap the
+// Cache value and its slab table — slots and buckets are mapped, and rows
+// are paid for by the entries that arrive — and Put and Get into a cache
+// filled from nothing are allocation-free.
 func TestNewCacheAllocatesNoStorage(t *testing.T) {
+	needMappedRows(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	c := NewCache(1 << 16)
@@ -510,11 +649,8 @@ func TestNewCacheAllocatesNoStorage(t *testing.T) {
 	for n < 2<<16 { // twice the capacity: every shard is full and evicting
 		put()
 	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		if len(s.slots) != s.cap || cap(s.slots) != s.cap || len(s.index) != s.cap {
-			t.Fatalf("shard %d: %d slots in an array of %d, %d indexed, capacity %d", i, len(s.slots), cap(s.slots), len(s.index), s.cap)
-		}
+	if c.Len() != 1<<16 {
+		t.Fatalf("cache holds %d entries after %d inserts, want %d", c.Len(), n, 1<<16)
 	}
 	if allocs := testing.AllocsPerRun(1000, put); allocs != 0 {
 		t.Errorf("Put into a cache that grew to full allocates %.0f times, want 0", allocs)

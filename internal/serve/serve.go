@@ -30,9 +30,9 @@
 //
 // server.go exposes the service over HTTP (POST /v1/predict, GET
 // /v1/models, GET /v1/versions plus its promote/rollback/reload admin
-// actions, /healthz, /metrics); loadgen.go generates Poisson traffic with
-// duplicate- and OoD-rate knobs; bootstrap.go trains and exports demo
-// registries so `ioserve -bootstrap` starts from nothing.
+// actions, /healthz, /metrics); bootstrap.go trains and exports demo
+// registries so `ioserve -bootstrap` starts from nothing. Poisson traffic
+// with duplicate- and OoD-rate knobs comes from internal/workload.
 package serve
 
 import (

@@ -1,4 +1,13 @@
-package serve
+// Package workload is the load generator behind cmd/ioload. Traffic is
+// shaped along the three axes the taxonomy says matter at serving time:
+// arrival intensity (Poisson process at Rate req/s), duplicate mass (DupRate
+// — the paper's Sec. VI finding that most jobs repeat known configurations,
+// which is what the prediction cache monetizes), and novelty (OoDRate — rows
+// pushed outside the training support, which the guardrail must flag). The
+// generator is transport-agnostic: it calls a Target function per request,
+// so one spec drives an in-process serve.Service as well as the HTTP
+// endpoint.
+package workload
 
 import (
 	"context"
@@ -8,17 +17,8 @@ import (
 	"time"
 
 	"iotaxo/internal/rng"
+	"iotaxo/internal/serve"
 )
-
-// Workload-spec-driven load generator. Traffic is shaped along the three
-// axes the taxonomy says matter at serving time: arrival intensity (Poisson
-// process at Rate req/s), duplicate mass (DupRate — the paper's Sec. VI
-// finding that most jobs repeat known configurations, which is what the
-// prediction cache monetizes), and novelty (OoDRate — rows pushed outside
-// the training support, which the guardrail must flag). The generator is
-// transport-agnostic: it calls a Target function per request, so the same
-// spec drives the in-process service in benchmarks and the HTTP endpoint
-// from cmd/ioload.
 
 // LoadSpec describes one synthetic serving workload.
 type LoadSpec struct {
@@ -47,19 +47,19 @@ type LoadSpec struct {
 func (s LoadSpec) Validate() error {
 	switch {
 	case s.Requests <= 0:
-		return fmt.Errorf("serve: loadgen Requests must be positive, got %d", s.Requests)
+		return fmt.Errorf("workload: Requests must be positive, got %d", s.Requests)
 	case s.BatchSize <= 0:
-		return fmt.Errorf("serve: loadgen BatchSize must be positive, got %d", s.BatchSize)
+		return fmt.Errorf("workload: BatchSize must be positive, got %d", s.BatchSize)
 	case s.DupRate < 0 || s.DupRate > 1:
-		return fmt.Errorf("serve: loadgen DupRate %v out of [0,1]", s.DupRate)
+		return fmt.Errorf("workload: DupRate %v out of [0,1]", s.DupRate)
 	case s.OoDRate < 0 || s.OoDRate > 1:
-		return fmt.Errorf("serve: loadgen OoDRate %v out of [0,1]", s.OoDRate)
+		return fmt.Errorf("workload: OoDRate %v out of [0,1]", s.OoDRate)
 	}
 	return nil
 }
 
 // Target executes one request of rows and reports the per-row outcomes.
-type Target func(ctx context.Context, rows [][]float64) ([]PredictionResult, error)
+type Target func(ctx context.Context, rows [][]float64) ([]serve.PredictionResult, error)
 
 // LoadStats summarizes one load-generation run.
 type LoadStats struct {
@@ -104,7 +104,7 @@ func NewLoadGen(spec LoadSpec, pool [][]float64) (*LoadGen, error) {
 		return nil, err
 	}
 	if len(pool) == 0 {
-		return nil, fmt.Errorf("serve: loadgen needs a non-empty row pool")
+		return nil, fmt.Errorf("workload: the row pool is empty")
 	}
 	if spec.Concurrency <= 0 {
 		spec.Concurrency = 1
@@ -213,12 +213,4 @@ func (g *LoadGen) Run(ctx context.Context, target Target) (LoadStats, error) {
 		stats.P50, stats.P95, stats.P99 = pick(0.50), pick(0.95), pick(0.99)
 	}
 	return stats, nil
-}
-
-// ServiceTarget adapts an in-process Service to a load-generator target.
-func ServiceTarget(svc *Service, system string, version int) Target {
-	return func(ctx context.Context, rows [][]float64) ([]PredictionResult, error) {
-		results, _, err := svc.Predict(ctx, system, version, rows)
-		return results, err
-	}
 }

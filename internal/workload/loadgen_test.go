@@ -1,14 +1,67 @@
-package serve
+package workload
 
 import (
 	"context"
+	"sync"
 	"testing"
+
+	"iotaxo/internal/dataset"
+	"iotaxo/internal/serve"
+	"iotaxo/internal/system"
 )
 
+// fixture is a small Theta-like frame and a registry holding one bundle
+// trained on it, built once for every test.
+var fixture = sync.OnceValues(func() (*fixtureSet, error) {
+	cfg := system.ThetaLike(500)
+	cfg.Seed = 11
+	m, err := system.Generate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	frame, err := m.Frame()
+	if err != nil {
+		return nil, err
+	}
+	mv, err := serve.BuildVersion("theta", 1, frame, serve.BootstrapConfig{
+		Systems: []string{"theta"}, Jobs: 500, Versions: 1,
+		Trees: 16, Depth: 4, EnsembleSize: 3, Epochs: 4, Seed: 11,
+	})
+	if err != nil {
+		return nil, err
+	}
+	reg := serve.NewRegistry()
+	if err := reg.Add(mv); err != nil {
+		return nil, err
+	}
+	return &fixtureSet{frame, reg}, nil
+})
+
+type fixtureSet struct {
+	frame *dataset.Frame
+	reg   *serve.Registry
+}
+
+func loadFixture(t *testing.T) (*dataset.Frame, *serve.Registry) {
+	t.Helper()
+	f, err := fixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.frame, f.reg
+}
+
+// serviceTarget adapts an in-process Service to a load-generator target.
+func serviceTarget(svc *serve.Service, system string, version int) Target {
+	return func(ctx context.Context, rows [][]float64) ([]serve.PredictionResult, error) {
+		results, _, err := svc.Predict(ctx, system, version, rows)
+		return results, err
+	}
+}
+
 func TestLoadGenDuplicateKnobDrivesCache(t *testing.T) {
-	frame, _, _ := fixture(t)
-	reg := fixtureRegistry(t)
-	svc := NewService(reg, Options{MaxBatch: 16, CacheSize: 8192})
+	frame, reg := loadFixture(t)
+	svc := serve.NewService(reg, serve.Options{MaxBatch: 16, CacheSize: 8192})
 	defer svc.Close()
 	gen, err := NewLoadGen(LoadSpec{
 		System:      "theta",
@@ -21,7 +74,7 @@ func TestLoadGenDuplicateKnobDrivesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := gen.Run(context.Background(), ServiceTarget(svc, "theta", 0))
+	stats, err := gen.Run(context.Background(), serviceTarget(svc, "theta", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +95,8 @@ func TestLoadGenDuplicateKnobDrivesCache(t *testing.T) {
 }
 
 func TestLoadGenOoDKnobTripsGuardrail(t *testing.T) {
-	frame, _, _ := fixture(t)
-	reg := fixtureRegistry(t)
-	svc := NewService(reg, Options{MaxBatch: 16})
+	frame, reg := loadFixture(t)
+	svc := serve.NewService(reg, serve.Options{MaxBatch: 16})
 	defer svc.Close()
 	gen, err := NewLoadGen(LoadSpec{
 		System:    "theta",
@@ -56,7 +108,7 @@ func TestLoadGenOoDKnobTripsGuardrail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := gen.Run(context.Background(), ServiceTarget(svc, "theta", 0))
+	stats, err := gen.Run(context.Background(), serviceTarget(svc, "theta", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +121,7 @@ func TestLoadGenOoDKnobTripsGuardrail(t *testing.T) {
 }
 
 func TestLoadGenPoissonPacing(t *testing.T) {
-	frame, _, _ := fixture(t)
+	frame, _ := loadFixture(t)
 	gen, err := NewLoadGen(LoadSpec{
 		System:    "theta",
 		Requests:  20,
@@ -81,9 +133,9 @@ func TestLoadGenPoissonPacing(t *testing.T) {
 		t.Fatal(err)
 	}
 	var calls int
-	stats, err := gen.Run(context.Background(), func(ctx context.Context, rows [][]float64) ([]PredictionResult, error) {
+	stats, err := gen.Run(context.Background(), func(ctx context.Context, rows [][]float64) ([]serve.PredictionResult, error) {
 		calls++
-		return make([]PredictionResult, len(rows)), nil
+		return make([]serve.PredictionResult, len(rows)), nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +149,7 @@ func TestLoadGenPoissonPacing(t *testing.T) {
 }
 
 func TestLoadGenValidation(t *testing.T) {
-	frame, _, _ := fixture(t)
+	frame, _ := loadFixture(t)
 	bad := []LoadSpec{
 		{Requests: 0, BatchSize: 1},
 		{Requests: 1, BatchSize: 0},
