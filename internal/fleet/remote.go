@@ -1,15 +1,20 @@
 package fleet
 
 import (
-	"bytes"
+	"bufio"
+	"cmp"
 	"context"
+	"crypto/tls"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
+	"net"
 	"net/http"
-	"net/http/httptrace"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,14 +30,16 @@ import (
 // X-Trace-Id (the replica records it as its trace parent) and the
 // remaining context deadline on X-Request-Timeout-Ms (the replica drops
 // expired waves itself instead of computing answers nobody will read).
+//
+// Every call is one HTTP/1.1 exchange on a keep-alive connection of the
+// Remote's own pool: the request written whole, then the reply read through
+// net/http's own ReadResponse. No redirect is followed.
 type Remote struct {
 	name    string
 	baseURL string
-	// transport carries every call, one RoundTrip each: the configured one, or
-	// this Remote's own (newHopTransport). hopBound is hopTimeout, a field so
-	// that a test can wait out a shorter one.
-	transport http.RoundTripper
-	hopBound  time.Duration
+	// hopBound is hopTimeout and idleBound idleTimeout, fields so that a test
+	// can wait out shorter ones.
+	hopBound, idleBound time.Duration
 	// The connections predict hops were handed: fresh from a dial, or idle.
 	dialled, reused atomic.Uint64
 	// adminToken unlocks the replica's admin-gated trace endpoints when the
@@ -40,126 +47,72 @@ type Remote struct {
 	// to a missing hop rather than failing the stitch.
 	adminToken string
 
-	// base is baseURL parsed once, and parseErr why it could not be: every
-	// call then fails with it, NewRemote having no error to return. The three
-	// fixed endpoints are derived once too and shared by all their requests.
-	base                     *url.URL
+	// What baseURL says, worked out once: the address to dial, the Host
+	// header, the path every endpoint is appended to, the Authorization value
+	// of a base URL with userinfo, and for https the TLS client config.
+	// parseErr is why baseURL says none of it: every call then fails with it,
+	// NewRemote having no error to return.
+	addr, host, prefix, auth string
+	tlsConf                  *tls.Config
 	parseErr                 error
-	predict, health, metrics endpoint
-	// basicAuth is the Authorization value of a base URL with userinfo, which
-	// net/http's client derived per request and a bare transport does not.
-	basicAuth []string
-}
 
-// endpoint is one path of the replica's surface and, when the base URL
-// parsed, its URL.
-type endpoint struct {
-	path string
-	url  *url.URL
+	mu sync.Mutex
+	// idle is the pool, last in first out, so idle[0] has waited longest;
+	// pruner closes what has waited idleBound, and is armed whenever idle is
+	// not empty.
+	idle   []*hopConn
+	pruner *time.Timer
 }
 
 // RemoteConfig tunes a Remote backend.
 type RemoteConfig struct {
-	// Transport carries every call to the replica, one RoundTrip each (no
-	// redirects followed, no cookies). Nil is a transport of the Remote's own,
-	// made for the router→replica hop; one that is not net/http's HTTP/1
-	// transport costs each hop its pooled buffer (see hopBody).
-	Transport http.RoundTripper
 	// AdminToken authorizes the replica's admin-gated stats endpoints.
 	AdminToken string
 }
 
-// hopTimeout bounds one call on a replica, headers and body, so that one that
-// accepts and never answers cannot hold a deadline-free request for good.
-const hopTimeout = 10 * time.Second
+const (
+	// hopTimeout bounds one call on a replica, dial, request and reply, so
+	// that one that accepts and never answers cannot hold a deadline-free
+	// request for good.
+	hopTimeout = 10 * time.Second
+	// idleTimeout is how long a pooled connection may wait for its next call.
+	idleTimeout = 90 * time.Second
+	// maxReplyHeader bounds what a reply's status line and headers may take.
+	maxReplyHeader = 1 << 20
+)
 
-// errHopTimeout is the cause of a context that hopTimeout ended, which is what
-// net/http then fails the round trip or the body read with. It is no
+// errHopTimeout is how a call that hopTimeout ended fails. It is no
 // context.DeadlineExceeded: the router books that as the client's clock running
 // out, and this is the replica's fault. A caller's deadline that comes first
-// ends the hop with the caller's cause.
+// ends the call with the caller's cause.
 var errHopTimeout = errors.New("no answer within the hop's own bound")
-
-// newHopTransport is the transport of a Remote that was given none: HTTP/1.1
-// only (the hopBody recycle rule reads HTTP/1 trace events), no proxy lookup,
-// no gzip negotiation, a write buffer that takes a 16-row hop body whole (what
-// does not fit, net/http copies through a buffer it allocates per request),
-// and an idle pool that is never the cap: every concurrent hop keeps its
-// connection (http.DefaultTransport's two a host had most hops past two
-// callers a replica dial) and IdleConnTimeout alone shrinks the pool.
-func newHopTransport() *http.Transport {
-	var h1 http.Protocols
-	h1.SetHTTP1(true)
-	return &http.Transport{
-		Protocols:           &h1,
-		DisableCompression:  true,
-		WriteBufferSize:     16 << 10,
-		MaxIdleConnsPerHost: 1 << 14,
-		IdleConnTimeout:     90 * time.Second,
-	}
-}
 
 // NewRemote wraps an ioserve base URL (e.g. "http://10.0.0.7:8080") as a
 // replica backend.
 func NewRemote(name, baseURL string, cfg RemoteConfig) *Remote {
-	r := &Remote{name: name, baseURL: baseURL, transport: cfg.Transport, hopBound: hopTimeout, adminToken: cfg.AdminToken}
-	if r.transport == nil {
-		r.transport = newHopTransport()
-	}
+	r := &Remote{name: name, baseURL: baseURL, hopBound: hopTimeout, idleBound: idleTimeout, adminToken: cfg.AdminToken}
+	r.pruner = time.AfterFunc(idleTimeout, func() { r.closeIdle(r.idleBound) })
+	r.pruner.Stop()
 	base, err := url.Parse(baseURL)
-	if err != nil {
-		// Keep the cause; newRequest names the URL each call asked for.
-		var uerr *url.Error
-		if errors.As(err, &uerr) {
-			err = uerr.Err
-		}
-		r.parseErr = err
-	} else {
-		base.Host = strings.TrimSuffix(base.Host, ":") // http.NewRequest drops an empty port too
-		r.base = base
-		if u := base.User; u != nil {
-			pass, _ := u.Password()
-			auth := http.Request{Header: make(http.Header, 1)}
-			auth.SetBasicAuth(u.Username(), pass)
-			r.basicAuth = auth.Header["Authorization"]
-		}
+	if err == nil && (base.Scheme != "http" && base.Scheme != "https" || base.Hostname() == "") {
+		err = errors.New("not an http:// or https:// URL with a host")
 	}
-	r.predict, r.health, r.metrics = r.endpoint("/v1/predict"), r.endpoint("/healthz"), r.endpoint("/metrics")
+	if uerr := (*url.Error)(nil); errors.As(err, &uerr) {
+		err = uerr.Err // each call names the URL it asked for
+	}
+	if r.parseErr = err; err != nil {
+		return r
+	}
+	r.host, r.prefix = strings.TrimSuffix(base.Host, ":"), base.EscapedPath()
+	r.addr = net.JoinHostPort(base.Hostname(), cmp.Or(base.Port(), map[string]string{"http": "80", "https": "443"}[base.Scheme]))
+	if base.Scheme == "https" {
+		r.tlsConf = &tls.Config{ServerName: base.Hostname(), NextProtos: []string{"http/1.1"}}
+	}
+	if u := base.User; u != nil {
+		pass, _ := u.Password()
+		r.auth = "Basic " + base64.StdEncoding.EncodeToString([]byte(u.Username()+":"+pass))
+	}
 	return r
-}
-
-// endpoint is path appended to the base URL's path.
-func (r *Remote) endpoint(path string) endpoint {
-	if r.base == nil {
-		return endpoint{path: path}
-	}
-	u := *r.base
-	u.Path, u.RawPath = u.Path+path, ""
-	return endpoint{path, &u}
-}
-
-// newRequest is http.NewRequestWithContext(ctx, method, baseURL+path, nil)
-// over that URL already parsed, which the request shares rather than copies:
-// nothing in net/http writes to a request's URL. A base URL that did not
-// parse fails here as the per-call parse used to.
-func (r *Remote) newRequest(ctx context.Context, method string, ep endpoint) (*http.Request, error) {
-	if r.parseErr != nil {
-		return nil, &url.Error{Op: "parse", URL: r.baseURL + ep.path, Err: r.parseErr}
-	}
-	req := http.Request{Method: method, URL: ep.url, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-		Header: make(http.Header, 3), Host: ep.url.Host}
-	if r.basicAuth != nil {
-		req.Header["Authorization"] = r.basicAuth
-	}
-	return req.WithContext(ctx), nil
-}
-
-// CloseIdleConnections closes the replica connections no call is using; the
-// router calls it when the replica leaves the fleet and when it stops.
-func (r *Remote) CloseIdleConnections() {
-	if tr, ok := r.transport.(interface{ CloseIdleConnections() }); ok {
-		tr.CloseIdleConnections()
-	}
 }
 
 // Name implements Predictor.
@@ -171,74 +124,36 @@ func (r *Remote) Name() string { return r.name }
 // (theta 101 features, cori 138) an order of magnitude of room.
 const maxReplicaReply = 4 * maxRouterBody
 
-// hopBody is the pooled storage of one hop: the encoded request, the reply,
-// and the means of learning when net/http has finished with the former. The
-// transport may still be writing a request body after RoundTrip has returned (a
-// replica that sheds answers before it has read the body; RoundTripper allows
-// it of any implementation), and it must be handed a plain
-// io.NopCloser(*bytes.Reader): any type of ours, say one whose Close reports
-// back, is not an in-memory reader net/http knows, which makes it flush the
-// headers on their own (one more write and segment a hop) and copy the body
-// through a buffer it allocates (Go issue 22088). So the lifetime is learned
-// from a client trace instead: see release.
+// hopBody is the storage of one call: the encoded predict request, the whole
+// request as it goes on the wire, and the reply's body. A call returns only
+// once its write has ended, so a predict hop's is pooled.
 type hopBody struct {
-	buf    []byte           // the request body
-	reply  []byte           // the replica's answer; the decoder copies out of it
-	bound  io.LimitedReader // over the response body while reply is read
-	reader bytes.Reader     // over buf, for the first attempt
-	body   io.ReadCloser    // io.NopCloser(&reader), boxed once
-	// getBody is the request's GetBody: a second reader over buf, for a retry
-	// that may overlap the failed attempt's last read of the first.
-	getBody func() (io.ReadCloser, error)
-	// conns counts the connections the request was handed to (a stale
-	// keep-alive connection is retried on a second one), reused those that
-	// had been idle, written those that have reported their write of it
-	// over, failed or not.
-	conns, reused, written atomic.Int32
-	trace                  httptrace.ClientTrace
+	body  []byte           // the predict request's JSON
+	req   []byte           // request line, headers and body
+	reply []byte           // the reply's body; the decoder copies out of it
+	bound io.LimitedReader // over the reply's body while reply is read
 }
 
 // maxPooledHop is the most storage (bytes) a hop may take back to the pool.
 const maxPooledHop = 1 << 20
 
-var hopPool = sync.Pool{New: func() any {
-	h := new(hopBody)
-	h.body = io.NopCloser(&h.reader)
-	h.getBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(h.buf)), nil }
-	h.trace = httptrace.ClientTrace{
-		GotConn: func(info httptrace.GotConnInfo) {
-			h.conns.Add(1)
-			if info.Reused {
-				h.reused.Add(1)
-			}
-		},
-		WroteRequest: func(httptrace.WroteRequestInfo) { h.written.Add(1) },
-	}
-	return h
-}}
+var hopPool = sync.Pool{New: func() any { return new(hopBody) }}
 
-// release returns h to the pool if nothing can still be reading h.buf, and
-// otherwise leaves it to the collector. It runs after RoundTrip has returned, when no
-// further connection can be handed the request: if at least one was and every
-// one that was has finished writing, no write is running or can start. Every
-// other outcome — an early 429 with the write still under way, a dial the
-// context cancelled, a caller's RoundTripper or client trace that keeps ours
-// from firing, a request that never reached RoundTrip — fails the test and costs one
-// allocation, never a torn body.
-func (h *hopBody) release() {
-	n := h.conns.Load()
-	if n == 0 || h.written.Load() != n || cap(h.buf)+cap(h.reply) > maxPooledHop {
-		return
+// appendHead appends the request line and the headers every call sends, in
+// the order net/http's client wrote them: Host, User-Agent, Content-Length
+// (a body of n bytes; none when n < 0), Authorization. The caller appends
+// the rest, in key order, and the blank line.
+func (r *Remote) appendHead(b []byte, method, path string, n int) []byte {
+	b = append(append(append(append(append(b, method...), ' '), r.prefix...), path...), " HTTP/1.1\r\nHost: "...)
+	b = append(append(b, r.host...), "\r\nUser-Agent: Go-http-client/1.1\r\n"...)
+	if n >= 0 {
+		b = append(strconv.AppendInt(append(b, "Content-Length: "...), int64(n), 10), "\r\n"...)
 	}
-	h.conns.Store(0)
-	h.reused.Store(0)
-	h.written.Store(0)
-	hopPool.Put(h)
+	if r.auth != "" {
+		b = append(append(append(b, "Authorization: "...), r.auth...), "\r\n"...)
+	}
+	return b
 }
-
-// jsonContentType is every predict hop's Content-Type value: header values
-// are read, never written, by net/http.
-var jsonContentType = []string{"application/json"}
 
 // Predict implements Predictor over POST /v1/predict, both directions
 // through the shared wire codec (serve/codec.go).
@@ -254,53 +169,27 @@ func (r *Remote) Predict(ctx context.Context, req *serve.PredictRequest) (*serve
 			r.name, context.DeadlineExceeded)
 	}
 	h := hopPool.Get().(*hopBody)
-	defer h.release()
+	defer func() {
+		if cap(h.body)+cap(h.req)+cap(h.reply) <= maxPooledHop {
+			hopPool.Put(h)
+		}
+	}()
 	var err error
-	if h.buf, err = serve.AppendPredictRequest(h.buf[:0], req); err != nil {
+	if h.body, err = serve.AppendPredictRequest(h.body[:0], req); err != nil {
 		return nil, fmt.Errorf("fleet: encoding request for %s: %w", r.name, err)
 	}
-	hctx, cancel := context.WithTimeoutCause(ctx, r.hopBound, errHopTimeout)
-	defer cancel()
-	// A trace the caller installed would be chained into ours for good by
-	// WithClientTrace; theirs stays, and this hop's buffer is not recycled.
-	tctx := hctx
-	if httptrace.ContextClientTrace(ctx) == nil {
-		tctx = httptrace.WithClientTrace(hctx, &h.trace)
-	}
-	httpReq, err := r.newRequest(tctx, http.MethodPost, r.predict)
-	if err != nil {
-		return nil, err
-	}
-	h.reader.Reset(h.buf)
-	httpReq.Body, httpReq.GetBody, httpReq.ContentLength = h.body, h.getBody, int64(len(h.buf))
-	httpReq.Header["Content-Type"] = jsonContentType
-	if id := obs.TraceParent(ctx); id != 0 {
-		httpReq.Header[serve.TraceHeader] = []string{obs.FormatTraceID(id)}
-	}
+	b := append(r.appendHead(h.req[:0], http.MethodPost, "/v1/predict", len(h.body)), "Content-Type: application/json\r\n"...)
 	if bounded {
-		httpReq.Header[serve.DeadlineHeader] = []string{strconv.FormatInt(budgetMs, 10)}
+		b = append(strconv.AppendInt(append(b, serve.DeadlineHeader+": "...), budgetMs, 10), "\r\n"...)
 	}
-	resp, err := r.transport.RoundTrip(httpReq)
-	reused := uint64(h.reused.Load())
-	r.reused.Add(reused)
-	r.dialled.Add(uint64(h.conns.Load()) - reused)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: replica %s: %w", r.name, err)
+	if id := obs.TraceParent(ctx); id != 0 {
+		const padded = serve.TraceHeader + ": 0000000000000000" // obs.FormatTraceID's 16 digits
+		b = append(b, padded[:len(padded)-(bits.Len64(id)+3)/4]...)
+		b = append(strconv.AppendUint(b, id, 16), "\r\n"...)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, backendErrorFrom(resp)
-	}
-	h.bound = io.LimitedReader{R: resp.Body, N: maxReplicaReply + 1}
-	h.reply, err = serve.ReadBody(h.reply[:0], &h.bound, resp.ContentLength)
-	h.bound.R = nil
-	if err != nil {
-		return nil, fmt.Errorf("fleet: replica %s: reading response body: %w", r.name, err)
-	}
-	if len(h.reply) > maxReplicaReply {
-		// 5xx, so it counts against the replica's breaker like any fault.
-		return nil, &BackendError{Status: http.StatusBadGateway,
-			Msg: fmt.Sprintf("replica %s reply exceeds %d bytes", r.name, maxReplicaReply)}
+	h.req = append(append(b, "\r\n"...), h.body...)
+	if err := r.roundTrip(ctx, h, "/v1/predict", maxReplicaReply, true); err != nil {
+		return nil, err
 	}
 	out, err := serve.DecodePredictReply(h.reply, req.System)
 	if err != nil {
@@ -309,30 +198,191 @@ func (r *Remote) Predict(ctx context.Context, req *serve.PredictRequest) (*serve
 	return out, nil
 }
 
-// backendErrorFrom converts a non-200 replica response, preserving the
-// status and any Retry-After advice.
-func backendErrorFrom(resp *http.Response) *BackendError {
+// hopConn is one pooled connection. Its reads go through in, whose N is
+// what the reply being read may still take off the wire, which also says
+// whether the replica has answered anything at all.
+type hopConn struct {
+	net.Conn
+	in     io.LimitedReader // over Conn
+	br     *bufio.Reader    // over in
+	abort  func()           // ends the exchange under way: a past deadline
+	idleAt time.Time
+}
+
+// roundTrip sends h.req, a call to path, on a pooled connection or a new one
+// and reads the reply into h.reply: the body of a 200, or a *BackendError for
+// any other status (and for a body of more than limit bytes). It ends at the
+// caller's deadline or hopBound, whichever comes first, or when ctx is done.
+// predict says to count the connection in dialled or reused.
+func (r *Remote) roundTrip(ctx context.Context, h *hopBody, path string, limit int64, predict bool) error {
+	if r.parseErr != nil {
+		return &url.Error{Op: "parse", URL: r.baseURL + path, Err: r.parseErr}
+	}
+	deadline, own := time.Now().Add(r.hopBound), true
+	if dl, ok := ctx.Deadline(); ok && dl.Before(deadline) {
+		deadline, own = dl, false
+	}
+	for retried := false; ; retried = true {
+		c, reused, err := r.conn(ctx, deadline)
+		if err != nil {
+			return fmt.Errorf("fleet: replica %s %s: %w", r.name, path, hopError(ctx, own, err))
+		}
+		switch {
+		case predict && reused:
+			r.reused.Add(1)
+		case predict:
+			r.dialled.Add(1)
+		}
+		c.SetDeadline(deadline) // before the AfterFunc, which must win
+		stop := context.AfterFunc(ctx, c.abort)
+		keep, err := c.exchange(h, limit)
+		if stop() && keep {
+			r.put(c)
+		} else {
+			c.Close()
+		}
+		if _, answered := err.(*BackendError); err == nil || answered {
+			return err
+		}
+		// A keep-alive connection the replica closed while it sat idle
+		// answers nothing: the request goes once more, on a new one.
+		if !reused || retried || c.in.N != limit+maxReplyHeader || ctx.Err() != nil || !time.Now().Before(deadline) {
+			return fmt.Errorf("fleet: replica %s %s: %w", r.name, path, hopError(ctx, own, err))
+		}
+	}
+}
+
+// exchange writes h.req on c and reads the reply, its body into h.reply (at
+// most limit bytes of a 200's, 4 KB of any other's, which is a
+// *BackendError). keep says whether c is ready for another call: the reply
+// read to its end, nothing after it, and no word that the replica will close.
+func (c *hopConn) exchange(h *hopBody, limit int64) (keep bool, err error) {
+	c.in.N = limit + maxReplyHeader
+	_, werr := c.Write(h.req)
+	// A replica that sheds may answer, and close, before it has read the
+	// whole body: its answer stands, not the write that then broke.
+	resp, err := http.ReadResponse(c.br, nil)
+	for n := 0; err == nil && resp.StatusCode/100 == 1 && resp.StatusCode != http.StatusSwitchingProtocols && n < 5; n++ {
+		resp, err = http.ReadResponse(c.br, nil) // 1xx: the answer is yet to come
+	}
+	switch {
+	case err != nil:
+		return false, cmp.Or(werr, err)
+	case resp.StatusCode < 200 || resp.StatusCode > 599:
+		return false, fmt.Errorf("replica answered with status %q", resp.Status)
+	case resp.StatusCode != http.StatusOK:
+		limit = 4 << 10
+	}
+	h.bound = io.LimitedReader{R: resp.Body, N: limit + 1}
+	h.reply, err = serve.ReadBody(h.reply[:0], &h.bound, resp.ContentLength)
+	h.bound.R = nil
+	keep = h.bound.N > 0 && werr == nil && !resp.Close && c.br.Buffered() == 0
+	switch {
+	case err != nil:
+		return false, fmt.Errorf("reading the reply body: %w", err)
+	case resp.StatusCode != http.StatusOK:
+		return keep, backendError(resp.StatusCode, resp.Header.Get("Retry-After"), h.reply[:min(int64(len(h.reply)), limit)])
+	case h.bound.N == 0:
+		// 5xx, so it counts against the replica's breaker like any fault.
+		return false, &BackendError{Status: http.StatusBadGateway, Msg: fmt.Sprintf("reply exceeds %d bytes", limit)}
+	}
+	return keep, nil
+}
+
+// hopError is the error a call that failed with err returns: the caller's
+// own when its context has ended, context.DeadlineExceeded when its deadline
+// was the connection's, errHopTimeout when the hop's bound was.
+func hopError(ctx context.Context, own bool, err error) error {
+	var ne net.Error
+	switch {
+	case ctx.Err() != nil:
+		return fmt.Errorf("%w (%v)", ctx.Err(), err)
+	case !errors.As(err, &ne) || !ne.Timeout():
+		return err
+	case own:
+		return fmt.Errorf("%w (%v)", errHopTimeout, err)
+	}
+	return fmt.Errorf("%w (%v)", context.DeadlineExceeded, err)
+}
+
+// conn is the most recently pooled connection, or a new one dialled by
+// deadline.
+func (r *Remote) conn(ctx context.Context, deadline time.Time) (*hopConn, bool, error) {
+	r.mu.Lock()
+	if n := len(r.idle); n > 0 {
+		c := r.idle[n-1]
+		r.idle = slices.Delete(r.idle, n-1, n)
+		r.mu.Unlock()
+		return c, true, nil
+	}
+	r.mu.Unlock()
+	d := net.Dialer{Deadline: deadline}
+	nc, err := d.DialContext(ctx, "tcp", r.addr)
+	if err != nil {
+		return nil, false, err
+	}
+	if r.tlsConf != nil {
+		nc = tls.Client(nc, r.tlsConf)
+	}
+	c := &hopConn{Conn: nc, in: io.LimitedReader{R: nc}, abort: func() { nc.SetDeadline(time.Unix(1, 0)) }}
+	c.br = bufio.NewReader(&c.in)
+	return c, false, nil
+}
+
+// put pools c for the next call.
+func (r *Remote) put(c *hopConn) {
+	c.idleAt = time.Now()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.idle) == 0 {
+		r.pruner.Reset(r.idleBound)
+	}
+	r.idle = append(r.idle, c)
+}
+
+// closeIdle closes the pooled connections that have been idle for age and
+// arms pruner for the next to get to idleBound.
+func (r *Remote) closeIdle(age time.Duration) {
+	r.mu.Lock()
+	now, n := time.Now(), 0
+	for n < len(r.idle) && now.Sub(r.idle[n].idleAt) >= age {
+		n++
+	}
+	expired := slices.Clone(r.idle[:n])
+	r.idle = slices.Delete(r.idle, 0, n)
+	if len(r.idle) > 0 {
+		r.pruner.Reset(r.idle[0].idleAt.Add(r.idleBound).Sub(now))
+	}
+	r.mu.Unlock()
+	for _, c := range expired {
+		c.Close()
+	}
+}
+
+// CloseIdleConnections closes the replica connections no call is using; the
+// router calls it when the replica leaves the fleet and when it stops.
+func (r *Remote) CloseIdleConnections() { r.closeIdle(0) }
+
+// backendError converts a non-200 replica reply, preserving the status and
+// any Retry-After advice.
+func backendError(status int, retryAfter string, body []byte) *BackendError {
 	msg := "(no body)"
-	if b, err := io.ReadAll(io.LimitReader(resp.Body, 4<<10)); err == nil && len(b) > 0 {
+	if len(body) > 0 {
 		var e struct {
 			Error string `json:"error"`
 		}
-		if json.Unmarshal(b, &e) == nil && e.Error != "" {
+		if json.Unmarshal(body, &e) == nil && e.Error != "" {
 			msg = e.Error
 		} else {
-			msg = string(b)
+			msg = string(body)
 		}
 	}
-	return &BackendError{
-		Status:     resp.StatusCode,
-		RetryAfter: resp.Header.Get("Retry-After"),
-		Msg:        msg,
-	}
+	return &BackendError{Status: status, RetryAfter: retryAfter, Msg: msg}
 }
 
 // Health implements Predictor over GET /healthz.
 func (r *Remote) Health(ctx context.Context) error {
-	_, err := r.get(ctx, r.health, false, 4<<10)
+	_, err := r.get(ctx, "/healthz", false, 4<<10)
 	return err
 }
 
@@ -356,7 +406,7 @@ const maxMetricsBody = 4 << 20
 // replica's whole exposition, parsed back into families — the one place
 // metric text crosses a process boundary.
 func (r *Remote) Metrics(ctx context.Context) ([]obs.PromFamily, error) {
-	body, err := r.get(ctx, r.metrics, false, maxMetricsBody)
+	body, err := r.get(ctx, "/metrics", false, maxMetricsBody)
 	if err != nil {
 		return nil, err
 	}
@@ -368,7 +418,7 @@ func (r *Remote) Metrics(ctx context.Context) ([]obs.PromFamily, error) {
 // disabled on the replica) both mean the trace is unavailable, not that
 // the replica failed.
 func (r *Remote) FetchTrace(ctx context.Context, id uint64) (*obs.TraceDetail, error) {
-	body, err := r.get(ctx, r.endpoint("/v1/trace/"+obs.FormatTraceID(id)), true, maxMetricsBody)
+	body, err := r.get(ctx, "/v1/trace/"+obs.FormatTraceID(id), true, maxMetricsBody)
 	if err != nil {
 		var be *BackendError
 		if errors.As(err, &be) && (be.Status == http.StatusNotFound || be.Status == http.StatusConflict) {
@@ -384,29 +434,13 @@ func (r *Remote) FetchTrace(ctx context.Context, id uint64) (*obs.TraceDetail, e
 }
 
 // get is one GET of the replica under the hop's bound: the body of a 200, at
-// most limit bytes of it, or a wrapped *BackendError for any other status.
-func (r *Remote) get(ctx context.Context, ep endpoint, admin bool, limit int64) ([]byte, error) {
-	ctx, cancel := context.WithTimeoutCause(ctx, r.hopBound, errHopTimeout)
-	defer cancel()
-	req, err := r.newRequest(ctx, http.MethodGet, ep)
-	if err != nil {
-		return nil, err
-	}
+// most limit bytes of it, or a *BackendError for any other status.
+func (r *Remote) get(ctx context.Context, path string, admin bool, limit int64) ([]byte, error) {
+	h := &hopBody{req: r.appendHead(nil, http.MethodGet, path, -1)}
 	if admin && r.adminToken != "" {
-		req.Header["X-Admin-Token"] = []string{r.adminToken}
+		h.req = append(append(append(h.req, "X-Admin-Token: "...), r.adminToken...), "\r\n"...)
 	}
-	var body []byte
-	resp, err := r.transport.RoundTrip(req)
-	if err == nil {
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			err = backendErrorFrom(resp)
-		} else {
-			body, err = io.ReadAll(io.LimitReader(resp.Body, limit))
-		}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("fleet: replica %s %s: %w", r.name, ep.path, err)
-	}
-	return body, nil
+	h.req = append(h.req, "\r\n"...)
+	err := r.roundTrip(ctx, h, path, limit, false)
+	return h.reply, err
 }

@@ -11,11 +11,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"iotaxo/internal/serve"
 )
@@ -85,10 +84,8 @@ func (l *errorLog) all() []error {
 
 // earlyShedder is a raw-TCP replica that sheds the way net/http's own server
 // does when a handler answers without reading a large body: 429 with
-// Connection: close the moment it has the headers, the body read only then.
-// The client is let go with its write of the body still running, and the
-// transport, which would wait for that write before reusing the connection,
-// has no reason to. Every body is checked as far as it arrives.
+// Connection: close the moment it has the headers. Only then does it read the
+// body, a few hundred bytes at a time, checking it as far as it arrives.
 type earlyShedder struct {
 	lis    net.Listener
 	conns  sync.WaitGroup
@@ -129,8 +126,16 @@ func (s *earlyShedder) serve(c net.Conn) {
 	if _, err := fmt.Fprintf(c, "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\nRetry-After: 1\r\nConnection: close\r\nContent-Length: %d\r\n\r\n%s", len(reply), reply); err != nil {
 		return
 	}
-	body, err := io.ReadAll(req.Body) // the client hangs up once it has its answer
-	s.add(checkSelfDescribing(body, err != nil))
+	var body []byte
+	piece := make([]byte, 300)
+	for {
+		runtime.Gosched() // a slow reader: let the client's side run between pieces
+		n, err := req.Body.Read(piece)
+		if body = append(body, piece[:n]...); err != nil {
+			s.add(checkSelfDescribing(body, err != io.EOF))
+			break
+		}
+	}
 	s.bodies.Add(1)
 }
 
@@ -163,153 +168,62 @@ func hammer(t *testing.T, rem *Remote, hops, requests, rows, width int) {
 }
 
 // TestRemoteHopBodyNeverRecycledMidWrite: a hop's pooled request buffer is
-// not handed to another hop while the transport can still be writing it. The
-// replica answers before it reads, eight hops share one Remote, and every
-// body must be of one request, where it arrives and wherever the link looks
-// at it on the way. With the "written" condition deleted from
-// hopBody.release this fails: always under -race, where the link's read of a
-// buffer the next hop is encoding into is a reported race whether or not the
-// two overlap, and in most runs without.
+// not handed to another hop while it is still being sent. The replica answers
+// before it reads and then reads slowly, eight hops share one Remote, and
+// every body must be whole and of one request.
 func TestRemoteHopBodyNeverRecycledMidWrite(t *testing.T) {
 	const hops, requests = 8, 500
-	t.Run("transport", func(t *testing.T) {
-		stub := newEarlyShedder(t)
-		var link errorLog
-		dial := func(ctx context.Context, network, addr string) (net.Conn, error) {
-			c, err := new(net.Dialer).DialContext(ctx, network, addr)
-			return slowConn{c, &link}, err
-		}
-		rem := NewRemote("shedder", "http://"+stub.lis.Addr().String(),
-			RemoteConfig{Transport: &http.Transport{DialContext: dial}})
-		hammer(t, rem, hops, requests, 32, 64) // 2048 values, ~10 KB a body
-		for _, err := range append(stub.close(), link.all()...) {
-			t.Error(err)
-		}
-		if got := stub.bodies.Load(); got != hops*requests {
-			t.Errorf("the replica read %d bodies, want %d", got, hops*requests)
-		}
-	})
-
-	// A RoundTripper may read the body after RoundTrip has returned, and one
-	// that is not net/http's fires no trace hook: nothing then says when the
-	// buffer is free, so it must never reach the pool.
-	t.Run("custom RoundTripper", func(t *testing.T) {
-		runtime.GC()
-		runtime.GC() // twice empties a sync.Pool, victims included
-		late := &lateReader{}
-		rem := NewRemote("late", "http://replica.invalid", RemoteConfig{Transport: late})
-		hammer(t, rem, hops, requests, 16, 16)
-		late.readers.Wait()
-		for _, err := range late.all() {
-			t.Error(err)
-		}
-		if raceEnabled {
-			return // the pool drops at random under -race: emptiness proves nothing
-		}
-		for i := 0; i < 4*hops; i++ {
-			if h := hopPool.Get().(*hopBody); h.buf != nil {
-				t.Fatalf("a hop through a RoundTripper that fires no trace hook was pooled (%d-byte buffer)", cap(h.buf))
-			}
-		}
-	})
-}
-
-// slowConn is a link slower than loopback that looks at what it carries: a
-// body goes out 1 KB at a time, each piece after a pause and a check that the
-// buffer it is cut from still holds one request. Loopback's socket buffers swallow a body of any size a
-// test can afford long before the replica's answer is back (and stall on
-// window probes when shrunk); this write is still under way then, and its
-// next read of the buffer comes after the hop has returned.
-type slowConn struct {
-	net.Conn
-	torn *errorLog
-}
-
-func (c slowConn) Write(p []byte) (int, error) {
-	headers := bytes.HasPrefix(p, []byte("POST ")) // with them, the body's first piece
-	for done := 0; done < len(p); {
-		piece := p[done:min(done+1<<10, len(p))]
-		time.Sleep(200 * time.Microsecond)
-		if !headers {
-			c.torn.add(checkSelfDescribing(p, true)) // all of it: a re-encoding may be over by now
-		}
-		n, err := c.Conn.Write(piece)
-		if done += n; err != nil {
-			return done, err
-		}
+	stub := newEarlyShedder(t)
+	rem := NewRemote("shedder", "http://"+stub.lis.Addr().String(), RemoteConfig{})
+	hammer(t, rem, hops, requests, 32, 64) // 2048 values, ~10 KB a body
+	for _, err := range stub.close() {
+		t.Error(err)
 	}
-	return len(p), nil
-}
-
-// lateReader answers 429 at once and reads the request body afterwards, on
-// its own goroutine, as the RoundTripper contract allows.
-type lateReader struct {
-	readers sync.WaitGroup
-	errorLog
-}
-
-func (l *lateReader) RoundTrip(req *http.Request) (*http.Response, error) {
-	l.readers.Add(1)
-	go func() {
-		defer l.readers.Done()
-		runtime.Gosched() // let the hop return, and the next one encode, first
-		body, err := io.ReadAll(req.Body)
-		req.Body.Close()
-		if err == nil {
-			err = checkSelfDescribing(body, false)
-		}
-		l.add(err)
-	}()
-	return &http.Response{
-		StatusCode: http.StatusTooManyRequests, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-		Header:  http.Header{"Retry-After": {"1"}},
-		Body:    io.NopCloser(strings.NewReader(`{"error":"overloaded (test): retry later"}`)),
-		Request: req,
-	}, nil
-}
-
-// staleConn is a connection whose writes start failing on command while its
-// reads stay blocked: what a keep-alive connection the replica has closed
-// looks like to a transport that has not yet heard.
-type staleConn struct {
-	net.Conn
-	stale *atomic.Bool
-}
-
-func (c staleConn) Write(p []byte) (int, error) {
-	if c.stale.Load() {
-		return 0, errors.New("write: broken pipe (test: replica closed the idle connection)")
+	if got := stub.bodies.Load(); got != hops*requests {
+		t.Errorf("the replica read %d bodies, want %d", got, hops*requests)
 	}
-	return c.Conn.Write(p)
 }
 
-// TestRemoteRetriesOnStaleConn: a hop that draws a dead keep-alive connection
-// is replayed by net/http on a fresh one through the request's GetBody, so
-// the router sees one success: no failover, no breaker failure, and the body
-// the replica got is whole.
+// closingListener hands out connections the test can close from the
+// replica's side, as a replica does with a keep-alive connection left idle.
+type closingListener struct {
+	net.Listener
+	mu       sync.Mutex
+	accepted []net.Conn
+}
+
+func (l *closingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.accepted = append(l.accepted, c)
+		l.mu.Unlock()
+	}
+	return c, err
+}
+
+func (l *closingListener) conns() []net.Conn {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.accepted)
+}
+
+// TestRemoteRetriesOnStaleConn: a hop that draws a keep-alive connection the
+// replica has closed is sent again on a fresh one, so the router sees one
+// success: no failover, no breaker failure, and the body the replica got is
+// whole.
 func TestRemoteRetriesOnStaleConn(t *testing.T) {
 	var bodies [][]byte
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
 		bodies = append(bodies, body) // one request at a time
 		answerEmptyPredictions(w, body)
 	}))
+	lis := &closingListener{Listener: ts.Listener}
+	ts.Listener = lis
+	ts.Start()
 	defer ts.Close()
-
-	var dials atomic.Int32
-	var stale []*atomic.Bool
-	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
-		c, err := new(net.Dialer).DialContext(ctx, network, addr)
-		if err != nil {
-			return nil, err
-		}
-		dials.Add(1)
-		flag := new(atomic.Bool)
-		stale = append(stale, flag) // dials here are sequential
-		return staleConn{c, flag}, nil
-	}}
-	defer tr.CloseIdleConnections()
-	rem := NewRemote("r0", ts.URL, RemoteConfig{Transport: tr})
+	rem := NewRemote("r0", ts.URL, RemoteConfig{})
 	rt := newTestRouter(t, RouterConfig{}, rem)
 
 	route := func(k int) {
@@ -320,13 +234,13 @@ func TestRemoteRetriesOnStaleConn(t *testing.T) {
 		}
 	}
 	route(1111)
-	if dials.Load() != 1 {
-		t.Fatalf("%d dials after one request, want 1", dials.Load())
+	if n := len(lis.conns()); n != 1 {
+		t.Fatalf("%d dials after one request, want 1", n)
 	}
-	stale[0].Store(true)
+	lis.conns()[0].Close()
 	route(2222)
-	if dials.Load() != 2 {
-		t.Fatalf("%d dials, want 2: the second request was not replayed on a new connection", dials.Load())
+	if n := len(lis.conns()); n != 2 {
+		t.Fatalf("%d dials, want 2: the second request was not replayed on a new connection", n)
 	}
 	if len(bodies) != 2 {
 		t.Fatalf("the replica saw %d requests, want 2", len(bodies))
@@ -343,7 +257,10 @@ func TestRemoteRetriesOnStaleConn(t *testing.T) {
 	if n := rt.metrics.failovers.Load(); n != 0 || st.Failures != 0 || st.Successes != 2 {
 		t.Errorf("%d failovers, breaker %d failures %d successes; want 0, 0, 2", n, st.Failures, st.Successes)
 	}
-	route(3333) // the replayed hop's storage, pooled or not, serves the next
+	if d, r := rem.dialled.Load(), rem.reused.Load(); d != 2 || r != 1 {
+		t.Errorf("hops were handed %d dialled and %d reused connections, want 2 and 1", d, r)
+	}
+	route(3333) // the replayed hop's storage serves the next
 	if err := checkSelfDescribing(bodies[2], false); err != nil || !bytes.Contains(bodies[2], []byte("3333")) {
 		t.Errorf("third body: %v, %.60s", err, bodies[2])
 	}
@@ -374,12 +291,9 @@ func TestRemoteMalformedBaseURL(t *testing.T) {
 	}
 }
 
-// TestRemotePredictAllocs bounds what a hop allocates beyond a bare RoundTrip
-// of the same body on the same transport: the difference is the reply's
-// decoded form, the hop's two contexts and little else, whatever this Go
-// version's net/http costs by itself. It also bounds the hop outright, so
-// that a transport whose write buffer no longer takes a 16-row body whole
-// fails here and not in a benchmark.
+// TestRemotePredictAllocs bounds what a 16-row hop allocates, this test's
+// server included, so that a hop that starts copying its body or building
+// contexts again fails here and not in a benchmark.
 func TestRemotePredictAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
@@ -398,8 +312,7 @@ func TestRemotePredictAllocs(t *testing.T) {
 		canned.Predictions[i] = serve.PredictionResult{Log10Throughput: 9.5, Throughput: 3162277660.1683793,
 			Guard: &serve.Guard{EU: 0.1, AU: 0.2, NoiseFloorPct: 0.05, ErrorSource: serve.SourceModeling}}
 	}
-	// Encoded once by the production writer and replayed: the bound on a hop
-	// below counts this server's allocations too.
+	// Encoded once by the production writer and replayed.
 	canned200 := httptest.NewRecorder()
 	serve.WriteJSON(canned200, http.StatusOK, canned)
 	reply := canned200.Body.Bytes()
@@ -412,11 +325,8 @@ func TestRemotePredictAllocs(t *testing.T) {
 	}))
 	defer ts.Close()
 	rem := NewRemote("r0", ts.URL, RemoteConfig{})
+	defer rem.CloseIdleConnections()
 	ctx := context.Background()
-	body, err := serve.AppendPredictRequest(nil, req)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	hop := func() {
 		resp, err := rem.Predict(ctx, req)
@@ -424,52 +334,23 @@ func TestRemotePredictAllocs(t *testing.T) {
 			t.Fatalf("predict: %v", err)
 		}
 	}
-	bare := func() {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/predict", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		resp, err := rem.transport.RoundTrip(hreq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for n, err := 1, error(nil); n > 0 && err == nil; {
-			n, err = resp.Body.Read(sink)
-		}
-		resp.Body.Close()
-	}
-	bytesPerRun := func(f func()) float64 {
-		const runs = 200
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			f()
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / runs
-	}
+	const runs = 200
 	hop()
-	bare()
-	hopObjects, hopBytes := testing.AllocsPerRun(200, hop), bytesPerRun(hop)
-	objects, size := hopObjects-testing.AllocsPerRun(200, bare), hopBytes-bytesPerRun(bare)
-	t.Logf("a hop of %d body bytes allocates %.0f objects and %.0f bytes, %.0f and %.0f more than a bare RoundTrip",
-		len(body), hopObjects, hopBytes, objects, size)
-	// Measured: 6 objects and 1.9 to 2.2 KB more. The decoded reply is four
-	// objects and ~1.5 KB at 16 guarded rows, the trace context one more and the
-	// hop's own timeout context five (context, timer, its closure, the cancel
-	// function, the Done channel); the hand-built request spares
-	// http.NewRequest's URL parse, body reader and GetBody closure, which pays
-	// for four of them. The bounds leave room for a pool refill after a
-	// collection and for stack growth, which the byte count includes.
-	if objects > 8 || size > 4096 {
-		t.Errorf("a hop allocates %.0f objects and %.0f bytes more than a bare RoundTrip of its body, want at most 8 and 4096", objects, size)
+	objects := testing.AllocsPerRun(runs, hop)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		hop()
 	}
-	// Measured: 85 objects and 8.5 KB a hop, this test's server included (101
-	// and 22.3 KB through http.DefaultTransport: past its 4 KB write buffer
-	// net/http copies what is left of the 15 KB body through a buffer of that
-	// size, allocated per request; an 8 KB buffer reads 16.8 KB here).
-	if hopBytes > 11<<10 {
-		t.Errorf("a hop allocates %.0f bytes, want at most %d: is its request body being copied through a buffer of its own size?", hopBytes, 11<<10)
+	runtime.ReadMemStats(&after)
+	size := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("a hop of %d rows allocates %.0f objects and %.0f bytes, the server's included", rows, objects, size)
+	// Measured: 43 objects and 5.0 KB, of which the decoded reply is four
+	// objects and ~1.5 KB, ReadResponse's on each side ~10 and the server's
+	// request and response state most of the rest. The bounds leave room for a
+	// pool refill after a collection and for stack growth, which the byte
+	// count includes.
+	if objects > 48 || size > 6<<10 {
+		t.Errorf("a hop allocates %.0f objects and %.0f bytes, want at most 48 and %d", objects, size, 6<<10)
 	}
 }

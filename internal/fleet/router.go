@@ -757,11 +757,12 @@ func (rt *Router) dispatch(ctx context.Context, owner string, sub *serve.Predict
 		hop.Err = err.Error()
 		rec.add(hop)
 		rt.metrics.replicaError(name)
-		if errors.Is(err, context.DeadlineExceeded) {
+		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			// The client's budget ran out, either before dispatch (fail-fast
-			// in Remote.Predict) or mid-flight. That is the client's clock
-			// expiring, not a replica fault: no breaker penalty, no failover
-			// (a retry elsewhere starts with even less budget).
+			// in Remote.Predict) or mid-flight, or the client went away. That
+			// is the client's clock or choice, not a replica fault: no breaker
+			// penalty, no failover (a retry elsewhere starts with even less
+			// budget).
 			return "", nil, &BackendError{Status: http.StatusGatewayTimeout,
 				Msg: fmt.Sprintf("request deadline exhausted at replica %s: %v", name, err)}
 		}

@@ -1,14 +1,17 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -294,4 +297,324 @@ func TestHungReplicaIsAReplicaFault(t *testing.T) {
 			}
 		})
 	}
+}
+
+// idleConns is how many connections rem has pooled.
+func idleConns(rem *Remote) int {
+	rem.mu.Lock()
+	defer rem.mu.Unlock()
+	return len(rem.idle)
+}
+
+// ownedRow is a one-row request that the ring of rt sends to name.
+func ownedRow(rt *Router, name string) *serve.PredictRequest {
+	req := &serve.PredictRequest{System: "theta"}
+	for i := 0; req.Row == nil; i++ {
+		if row := []float64{float64(i), 3}; rt.ring.Owner(serve.HashKey("theta", 0, row)) == name {
+			req.Row = row
+		}
+	}
+	return req
+}
+
+// TestRemoteOverTLS: an https:// replica is reached over TLS, verified
+// against the roots the Remote trusts, with HTTP/1.1 negotiated, and its
+// connections are pooled as plain ones are.
+func TestRemoteOverTLS(t *testing.T) {
+	var plain atomic.Int32
+	ts := httptest.NewTLSServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.TLS == nil || r.TLS.NegotiatedProtocol != "http/1.1" || r.ProtoMajor != 1 {
+			plain.Add(1)
+		}
+		if body, _ := io.ReadAll(r.Body); r.URL.Path == "/v1/predict" {
+			answerEmptyPredictions(w, body)
+		}
+	}))
+	defer ts.Close()
+	untrusted := NewRemote("r0", ts.URL, RemoteConfig{})
+	if _, err := untrusted.Predict(context.Background(), distinctRows(2)); err == nil {
+		t.Fatal("a replica whose certificate no trusted root signed was reached")
+	}
+	rem := NewRemote("r0", ts.URL, RemoteConfig{})
+	rem.tlsConf.RootCAs = ts.Client().Transport.(*http.Transport).TLSClientConfig.RootCAs
+	defer rem.CloseIdleConnections()
+	for i := 0; i < 3; i++ {
+		if resp, err := rem.Predict(context.Background(), distinctRows(2)); err != nil || resp.Count != 2 {
+			t.Fatalf("hop %d: %v", i, err)
+		}
+	}
+	if err := rem.Health(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := plain.Load(); n != 0 {
+		t.Errorf("%d requests arrived without TLS and HTTP/1.1", n)
+	}
+	if d, r := rem.dialled.Load(), rem.reused.Load(); d != 1 || r != 2 {
+		t.Errorf("hops were handed %d dialled and %d reused connections, want 1 and 2", d, r)
+	}
+}
+
+// TestRemoteCallerCancelEndsTheHop: a caller that gives up ends its hop on a
+// hung replica at once, not at the hop's bound, with context.Canceled; and
+// through the router that is the client's doing, not a replica fault.
+func TestRemoteCallerCancelEndsTheHop(t *testing.T) {
+	entered, release := make(chan struct{}, 2), make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		entered <- struct{}{}
+		<-release
+	}))
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() { close(release) }) // first: Close waits for the handlers
+	hung := NewRemote("hung", ts.URL, RemoteConfig{})
+	rt := newTestRouter(t, RouterConfig{}, hung, newStub("spare"))
+	req := ownedRow(rt, "hung")
+	cancelled := func() context.Context {
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			<-entered
+			cancel()
+		}()
+		return ctx
+	}
+
+	start := time.Now()
+	_, err := hung.Predict(cancelled(), req)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("a cancelled hop: %v, want context.Canceled", err)
+	}
+	if took := time.Since(start); took > hung.hopBound/2 {
+		t.Fatalf("a cancelled hop took %v, want well inside the hop's %v bound", took, hung.hopBound)
+	}
+	if _, err := rt.Route(cancelled(), req); err == nil {
+		t.Fatal("a cancelled request was answered")
+	}
+	if failovers, failures := rt.metrics.failovers.Load(), rt.replicas["hung"].breaker.Status().Failures; failovers != 0 || failures != 0 {
+		t.Errorf("the client's cancel cost the replica %d failovers and %d breaker failures, want 0 and 0", failovers, failures)
+	}
+}
+
+// TestRemoteShedBeforeTheBodyIsA429: a replica that answers 429 without
+// reading a 4 MB body, and closes, breaks the hop's write; its answer
+// stands, and it is a shed, not a fault.
+func TestRemoteShedBeforeTheBodyIsA429(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "1")
+		serve.WriteError(w, http.StatusTooManyRequests, "overloaded (test): retry later")
+	}))
+	defer ts.Close()
+	rem := NewRemote("r0", ts.URL, RemoteConfig{})
+	req := selfDescribing(4444, 1024, 800) // 5 bytes a value
+	_, err := rem.Predict(context.Background(), req)
+	if be, ok := err.(*BackendError); !ok || be.Status != http.StatusTooManyRequests || be.RetryAfter != "1" {
+		t.Fatalf("%v, want the replica's 429", err)
+	}
+}
+
+// TestRemoteNeverPoolsAnUnfinishedConn: a connection is pooled only when its
+// reply was read to the end and the replica did not say it would close.
+func TestRemoteNeverPoolsAnUnfinishedConn(t *testing.T) {
+	replies := map[string]func(http.ResponseWriter, []byte){
+		"Connection: close": func(w http.ResponseWriter, body []byte) {
+			w.Header().Set("Connection", "close")
+			answerEmptyPredictions(w, body)
+		},
+		"short body": func(w http.ResponseWriter, body []byte) {
+			w.Header().Set("Content-Length", "4096")
+			io.WriteString(w, `{"system":"theta","predictions":[`)
+		},
+	}
+	for name, reply := range replies {
+		t.Run(name, func(t *testing.T) {
+			tracker := &connTracker{drained: make(chan struct{}, 1)}
+			ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				body, _ := io.ReadAll(r.Body)
+				reply(w, body)
+			}))
+			ts.Config.ConnState = tracker.hook
+			ts.Start()
+			defer ts.Close()
+			rem := NewRemote("r0", ts.URL, RemoteConfig{})
+			for i := 0; i < 2; i++ {
+				rem.Predict(context.Background(), distinctRows(2))
+			}
+			if n := idleConns(rem); n != 0 {
+				t.Errorf("%d connections pooled, want 0", n)
+			}
+			if opened, _ := tracker.counts(); opened != 2 {
+				t.Errorf("two hops dialled %d connections, want 2", opened)
+			}
+			tracker.waitClosed(t, "after the hops")
+		})
+	}
+}
+
+// TestRemoteClosesIdleConnsPastTheirBound: a pooled connection that waits
+// out the idle bound is closed, and the next hop dials.
+func TestRemoteClosesIdleConnsPastTheirBound(t *testing.T) {
+	ts, tracker := newTrackedReplica(t)
+	rem := NewRemote("r0", ts.URL, RemoteConfig{})
+	rem.idleBound = 20 * time.Millisecond
+	for i := 0; i < 2; i++ {
+		if _, err := rem.Predict(context.Background(), distinctRows(2)); err != nil {
+			t.Fatal(err)
+		}
+		tracker.waitClosed(t, "past the idle bound")
+		if n := idleConns(rem); n != 0 {
+			t.Fatalf("%d connections still pooled past the idle bound", n)
+		}
+	}
+	if opened, _ := tracker.counts(); opened != 2 || rem.dialled.Load() != 2 {
+		t.Errorf("the replica accepted %d connections and hops dialled %d, want 2 and 2", opened, rem.dialled.Load())
+	}
+}
+
+// rawReplica is a TCP replica that reads one request a connection, records
+// its bytes, writes reply as its whole answer and resets the connection.
+type rawReplica struct {
+	lis   net.Listener
+	reply atomic.Pointer[[]byte]
+	// got receives each request's bytes once the replica has closed its side.
+	got chan []byte
+}
+
+func newRawReplica(t testing.TB) *rawReplica {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &rawReplica{lis: lis, got: make(chan []byte, 1)}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			c, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			var seen bytes.Buffer
+			if req, err := http.ReadRequest(bufio.NewReader(io.TeeReader(c, &seen))); err == nil {
+				io.Copy(io.Discard, req.Body)
+			}
+			c.Write(*s.reply.Load())
+			c.(*net.TCPConn).SetLinger(0) // a reset, not TIME_WAIT: a fuzz run dials ~10⁵ times
+			c.Close()
+			s.got <- seen.Bytes()
+		}
+	}()
+	t.Cleanup(func() {
+		lis.Close()
+		<-done
+	})
+	return s
+}
+
+// TestRemoteWritesWhatNetHTTPWrote: every call's request is, byte for byte,
+// what net/http's client writes for it, so replicas see what they always did.
+func TestRemoteWritesWhatNetHTTPWrote(t *testing.T) {
+	stub := newRawReplica(t)
+	ok := []byte("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}")
+	stub.reply.Store(&ok)
+	addr := stub.lis.Addr().String()
+	rem := NewRemote("r0", "http://fleet:s3cret@"+addr+"/base", RemoteConfig{AdminToken: "t0k"})
+	req := distinctRows(3)
+	body, err := serve.AppendPredictRequest(nil, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(obs.WithTraceParent(context.Background(), 0xab), time.Minute)
+	defer cancel()
+	calls := []struct {
+		call   func()
+		method string
+		path   string
+		header http.Header
+	}{
+		{func() { rem.Predict(ctx, req) }, http.MethodPost, "/v1/predict",
+			http.Header{"Content-Type": {"application/json"}, serve.TraceHeader: {"00000000000000ab"}}},
+		{func() { rem.Health(ctx) }, http.MethodGet, "/healthz", http.Header{}},
+		{func() { rem.FetchTrace(ctx, 0xcd) }, http.MethodGet, "/v1/trace/00000000000000cd", http.Header{"X-Admin-Token": {"t0k"}}},
+	}
+	for _, c := range calls {
+		c.call()
+		got := <-stub.got
+		var want bytes.Buffer
+		wreq, err := http.NewRequest(c.method, "http://"+addr+"/base"+c.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.method == http.MethodPost {
+			wreq, _ = http.NewRequest(c.method, wreq.URL.String(), bytes.NewReader(body))
+			parsed, err := http.ReadRequest(bufio.NewReader(bytes.NewReader(got)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.header.Set(serve.DeadlineHeader, parsed.Header.Get(serve.DeadlineHeader)) // a clock reading
+		}
+		wreq.Header = c.header
+		wreq.SetBasicAuth("fleet", "s3cret")
+		if err := wreq.Write(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s %s sent\n%q\nnet/http writes\n%q", c.method, c.path, got, want.Bytes())
+		}
+	}
+}
+
+// oneRowReply is a replica's answer to distinctRows(1).
+const oneRowReply = `{"system":"theta","version":1,"count":1,"predictions":[{"log10_throughput":1,"throughput_bytes_per_sec":10,"cache_hit":false}]}`
+
+// TestRemoteReadsFramedReplies: informational answers ahead of the reply are
+// skipped and a chunked body is read whole, as net/http's client did.
+func TestRemoteReadsFramedReplies(t *testing.T) {
+	stub := newRawReplica(t)
+	for name, reply := range map[string]string{
+		"1xx first": fmt.Sprintf("HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </x>\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s", len(oneRowReply), oneRowReply),
+		"chunked":   fmt.Sprintf("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n9\r\n%s\r\n%x\r\n%s\r\n0\r\n\r\n", oneRowReply[:9], len(oneRowReply)-9, oneRowReply[9:]),
+	} {
+		b := []byte(reply)
+		stub.reply.Store(&b)
+		resp, err := NewRemote("r0", "http://"+stub.lis.Addr().String(), RemoteConfig{}).Predict(context.Background(), distinctRows(1))
+		<-stub.got
+		if err != nil || resp.Count != 1 || len(resp.Predictions) != 1 {
+			t.Errorf("%s: %v, %+v; want the one-row reply", name, err, resp)
+		}
+	}
+}
+
+// FuzzRemoteReply: whatever a replica answers, a hop returns either a decoded
+// reply or an error, never panics, and never pools a connection that has
+// bytes left to read.
+func FuzzRemoteReply(f *testing.F) {
+	const ok = oneRowReply
+	f.Add([]byte(fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(ok), ok)))
+	f.Add([]byte(fmt.Sprintf("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n0\r\n\r\n", len(ok), ok)))
+	f.Add([]byte(fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s", len(ok)-9, ok)))
+	f.Add([]byte(fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s", len(ok)+9, ok)))
+	f.Add([]byte("HTTP/1.1 2OO OK\r\nContent-Length: 0\r\n\r\n"))
+	f.Add([]byte(fmt.Sprintf("HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s", len(ok), ok)))
+	f.Add([]byte("HTTP/1.1 429 Too Many Requests\r\nRetry-After: 1\r\nContent-Length: 13\r\n\r\n{\"error\":\"x\"}"))
+	stub := newRawReplica(f)
+	f.Fuzz(func(t *testing.T, reply []byte) {
+		stub.reply.Store(&reply)
+		rem := NewRemote("r0", "http://"+stub.lis.Addr().String(), RemoteConfig{})
+		defer rem.CloseIdleConnections()
+		resp, err := rem.Predict(context.Background(), distinctRows(1))
+		if (resp == nil) == (err == nil) {
+			t.Fatalf("a hop returned %v and %v", resp, err)
+		}
+		if rem.dialled.Load() == 0 {
+			return // the replica was never reached
+		}
+		<-stub.got // the replica has closed: what a pooled connection holds is all it will get
+		rem.mu.Lock()
+		idle := slices.Clone(rem.idle)
+		rem.mu.Unlock()
+		for _, c := range idle {
+			c.SetReadDeadline(time.Now().Add(10 * time.Second))
+			if n, err := c.br.Read(make([]byte, 1)); n != 0 || err == nil {
+				t.Fatalf("a pooled connection had more to read: %d bytes, %v", n, err)
+			}
+		}
+	})
 }

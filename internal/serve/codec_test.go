@@ -366,6 +366,35 @@ func TestCodecSteadyStateReusesItsBuffers(t *testing.T) {
 	}
 }
 
+// An untraced replica does not read an upstream X-Trace-Id: no trace would
+// keep the parent it names, so the router's header costs the hop nothing.
+func TestUntracedHandlerIgnoresTraceParent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	frame, _, _ := fixture(t)
+	svc := NewService(fixtureRegistry(t), Options{MaxBatch: 16, CacheSize: 64})
+	t.Cleanup(svc.Close)
+	body, err := json.Marshal(PredictRequest{System: "theta", Rows: frame.Rows()[:4]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, w := Handler(svc), discardWriter{http.Header{}}
+	r := httptest.NewRequest(http.MethodPost, "/v1/predict", nil)
+	rd := bytes.NewReader(nil)
+	r.Body, r.ContentLength = rewindBody{rd}, int64(len(body))
+	serve := func() {
+		rd.Reset(body)
+		h.ServeHTTP(w, r)
+	}
+	serve() // the rows are cached from here on
+	without := testing.AllocsPerRun(100, serve)
+	r.Header.Set(TraceHeader, "00000000000000ab")
+	if with := testing.AllocsPerRun(100, serve); with != without {
+		t.Errorf("an untraced predict allocated %.1f times with an upstream trace ID, %.1f without: want the same", with, without)
+	}
+}
+
 // The reply shape the hop's fast path reads is encoding/json's rendering of
 // PredictResponse: a guarded, traced, timed 16-row reply from ioserve's own
 // handler must decode without the fallback. A renamed tag or a reordered

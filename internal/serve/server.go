@@ -338,7 +338,8 @@ func handlePredict(svc *Service, cfg *HandlerConfig, w http.ResponseWriter, r *h
 		// An upstream X-Trace-Id (the fleet router's hop identity) becomes the
 		// parent of whatever trace this replica retains, so one router-side ID
 		// finds the replica-side traces of every sub-request it fanned out.
-		if h := r.Header.Get(TraceHeader); h != "" {
+		// Without a tracer nothing is retained and nothing reads it.
+		if h := r.Header.Get(TraceHeader); h != "" && svc.Tracer() != nil {
 			if id, err := obs.ParseTraceID(h); err == nil {
 				ctx = obs.WithTraceParent(ctx, id)
 			}

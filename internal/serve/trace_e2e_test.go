@@ -104,6 +104,27 @@ func TestE2ETracedRequest(t *testing.T) {
 		t.Fatalf("trace %s not in /v1/trace listing (%d traces)", pr.TraceID, len(listing.Traces))
 	}
 
+	// An upstream X-Trace-Id, a router's hop, is the parent of the trace kept.
+	raw, err := json.Marshal(PredictRequest{System: "theta", Rows: frame.Rows()[8:9]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hop, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/predict", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hop.Header.Set(TraceHeader, "00000000000000ab")
+	hopResp, err := http.DefaultClient.Do(hop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hopResp.Body.Close()
+	var child obs.TraceDetail
+	getOK(t, ts.URL+"/v1/trace/"+hopResp.Header.Get(TraceHeader), "", &child)
+	if child.ParentID != "00000000000000ab" {
+		t.Errorf("a hop's trace has parent %q, want the upstream 00000000000000ab", child.ParentID)
+	}
+
 	// Stage histograms made it to /metrics with the labeled family, and the
 	// batcher gauges render.
 	metrics := getText(t, ts.URL+"/metrics")
