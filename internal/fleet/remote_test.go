@@ -173,15 +173,17 @@ func hammer(t *testing.T, rem *Remote, hops, requests, rows, width int) {
 // every body must be whole and of one request.
 func TestRemoteHopBodyNeverRecycledMidWrite(t *testing.T) {
 	const hops, requests = 8, 500
-	stub := newEarlyShedder(t)
-	rem := NewRemote("shedder", "http://"+stub.lis.Addr().String(), RemoteConfig{})
-	hammer(t, rem, hops, requests, 32, 64) // 2048 values, ~10 KB a body
-	for _, err := range stub.close() {
-		t.Error(err)
-	}
-	if got := stub.bodies.Load(); got != hops*requests {
-		t.Errorf("the replica read %d bodies, want %d", got, hops*requests)
-	}
+	t.Run("transport", func(t *testing.T) {
+		stub := newEarlyShedder(t)
+		rem := NewRemote("shedder", "http://"+stub.lis.Addr().String(), RemoteConfig{})
+		hammer(t, rem, hops, requests, 32, 64) // 2048 values, ~10 KB a body
+		for _, err := range stub.close() {
+			t.Error(err)
+		}
+		if got := stub.bodies.Load(); got != hops*requests {
+			t.Errorf("the replica read %d bodies, want %d", got, hops*requests)
+		}
+	})
 }
 
 // closingListener hands out connections the test can close from the
