@@ -91,7 +91,7 @@ var errHopTimeout = errors.New("no answer within the hop's own bound")
 // replica backend.
 func NewRemote(name, baseURL string, cfg RemoteConfig) *Remote {
 	r := &Remote{name: name, baseURL: baseURL, hopBound: hopTimeout, idleBound: idleTimeout, adminToken: cfg.AdminToken}
-	r.pruner = time.AfterFunc(idleTimeout, func() { r.closeIdle(r.idleBound) })
+	r.pruner = time.AfterFunc(idleTimeout, func() { r.closeIdle(time.Now().Add(-r.idleBound)) })
 	r.pruner.Stop()
 	base, err := url.Parse(baseURL)
 	if err == nil && (base.Scheme != "http" && base.Scheme != "https" || base.Hostname() == "") {
@@ -132,6 +132,8 @@ type hopBody struct {
 	req   []byte           // request line, headers and body
 	reply []byte           // the reply's body; the decoder copies out of it
 	bound io.LimitedReader // over the reply's body while reply is read
+	// The connections the call was handed: fresh from a dial, or pooled.
+	dialled, reused uint64
 }
 
 // maxPooledHop is the most storage (bytes) a hop may take back to the pool.
@@ -187,8 +189,11 @@ func (r *Remote) Predict(ctx context.Context, req *serve.PredictRequest) (*serve
 		b = append(b, padded[:len(padded)-(bits.Len64(id)+3)/4]...)
 		b = append(strconv.AppendUint(b, id, 16), "\r\n"...)
 	}
-	h.req = append(append(b, "\r\n"...), h.body...)
-	if err := r.roundTrip(ctx, h, "/v1/predict", maxReplicaReply, true); err != nil {
+	h.req, h.dialled, h.reused = append(append(b, "\r\n"...), h.body...), 0, 0
+	err = r.roundTrip(ctx, h, "/v1/predict", maxReplicaReply)
+	r.dialled.Add(h.dialled)
+	r.reused.Add(h.reused)
+	if err != nil {
 		return nil, err
 	}
 	out, err := serve.DecodePredictReply(h.reply, req.System)
@@ -206,15 +211,14 @@ type hopConn struct {
 	in     io.LimitedReader // over Conn
 	br     *bufio.Reader    // over in
 	abort  func()           // ends the exchange under way: a past deadline
-	idleAt time.Time
+	idleAt time.Time        // when it was last pooled
 }
 
 // roundTrip sends h.req, a call to path, on a pooled connection or a new one
 // and reads the reply into h.reply: the body of a 200, or a *BackendError for
 // any other status (and for a body of more than limit bytes). It ends at the
 // caller's deadline or hopBound, whichever comes first, or when ctx is done.
-// predict says to count the connection in dialled or reused.
-func (r *Remote) roundTrip(ctx context.Context, h *hopBody, path string, limit int64, predict bool) error {
+func (r *Remote) roundTrip(ctx context.Context, h *hopBody, path string, limit int64) error {
 	if r.parseErr != nil {
 		return &url.Error{Op: "parse", URL: r.baseURL + path, Err: r.parseErr}
 	}
@@ -222,16 +226,15 @@ func (r *Remote) roundTrip(ctx context.Context, h *hopBody, path string, limit i
 	if dl, ok := ctx.Deadline(); ok && dl.Before(deadline) {
 		deadline, own = dl, false
 	}
-	for retried := false; ; retried = true {
-		c, reused, err := r.conn(ctx, deadline)
+	for fresh := false; ; fresh = true {
+		c, reused, err := r.conn(ctx, deadline, fresh)
 		if err != nil {
 			return fmt.Errorf("fleet: replica %s %s: %w", r.name, path, hopError(ctx, own, err))
 		}
-		switch {
-		case predict && reused:
-			r.reused.Add(1)
-		case predict:
-			r.dialled.Add(1)
+		if reused {
+			h.reused++
+		} else {
+			h.dialled++
 		}
 		c.SetDeadline(deadline) // before the AfterFunc, which must win
 		stop := context.AfterFunc(ctx, c.abort)
@@ -245,10 +248,13 @@ func (r *Remote) roundTrip(ctx context.Context, h *hopBody, path string, limit i
 			return err
 		}
 		// A keep-alive connection the replica closed while it sat idle
-		// answers nothing: the request goes once more, on a new one.
-		if !reused || retried || c.in.N != limit+maxReplyHeader || ctx.Err() != nil || !time.Now().Before(deadline) {
+		// answers nothing, and those that have sat longer are as likely gone
+		// (a restarted replica closed them all): they are closed, and the
+		// request goes once more, on a new connection.
+		if !reused || c.in.N != limit+maxReplyHeader || ctx.Err() != nil || !time.Now().Before(deadline) {
 			return fmt.Errorf("fleet: replica %s %s: %w", r.name, path, hopError(ctx, own, err))
 		}
+		r.closeIdle(c.idleAt)
 	}
 }
 
@@ -262,9 +268,6 @@ func (c *hopConn) exchange(h *hopBody, limit int64) (keep bool, err error) {
 	// A replica that sheds may answer, and close, before it has read the
 	// whole body: its answer stands, not the write that then broke.
 	resp, err := http.ReadResponse(c.br, nil)
-	for n := 0; err == nil && resp.StatusCode/100 == 1 && resp.StatusCode != http.StatusSwitchingProtocols && n < 5; n++ {
-		resp, err = http.ReadResponse(c.br, nil) // 1xx: the answer is yet to come
-	}
 	switch {
 	case err != nil:
 		return false, cmp.Or(werr, err)
@@ -305,11 +308,11 @@ func hopError(ctx context.Context, own bool, err error) error {
 	return fmt.Errorf("%w (%v)", context.DeadlineExceeded, err)
 }
 
-// conn is the most recently pooled connection, or a new one dialled by
-// deadline.
-func (r *Remote) conn(ctx context.Context, deadline time.Time) (*hopConn, bool, error) {
+// conn is the most recently pooled connection, or if there is none or fresh
+// is set, a new one dialled by deadline.
+func (r *Remote) conn(ctx context.Context, deadline time.Time, fresh bool) (*hopConn, bool, error) {
 	r.mu.Lock()
-	if n := len(r.idle); n > 0 {
+	if n := len(r.idle); n > 0 && !fresh {
 		c := r.idle[n-1]
 		r.idle = slices.Delete(r.idle, n-1, n)
 		r.mu.Unlock()
@@ -340,18 +343,18 @@ func (r *Remote) put(c *hopConn) {
 	r.idle = append(r.idle, c)
 }
 
-// closeIdle closes the pooled connections that have been idle for age and
-// arms pruner for the next to get to idleBound.
-func (r *Remote) closeIdle(age time.Duration) {
+// closeIdle closes the pooled connections that have been idle since cutoff or
+// before, and arms pruner for the next to get to idleBound.
+func (r *Remote) closeIdle(cutoff time.Time) {
 	r.mu.Lock()
-	now, n := time.Now(), 0
-	for n < len(r.idle) && now.Sub(r.idle[n].idleAt) >= age {
+	n := 0
+	for n < len(r.idle) && !r.idle[n].idleAt.After(cutoff) {
 		n++
 	}
 	expired := slices.Clone(r.idle[:n])
 	r.idle = slices.Delete(r.idle, 0, n)
 	if len(r.idle) > 0 {
-		r.pruner.Reset(r.idle[0].idleAt.Add(r.idleBound).Sub(now))
+		r.pruner.Reset(time.Until(r.idle[0].idleAt.Add(r.idleBound)))
 	}
 	r.mu.Unlock()
 	for _, c := range expired {
@@ -361,7 +364,7 @@ func (r *Remote) closeIdle(age time.Duration) {
 
 // CloseIdleConnections closes the replica connections no call is using; the
 // router calls it when the replica leaves the fleet and when it stops.
-func (r *Remote) CloseIdleConnections() { r.closeIdle(0) }
+func (r *Remote) CloseIdleConnections() { r.closeIdle(time.Now()) }
 
 // backendError converts a non-200 replica reply, preserving the status and
 // any Retry-After advice.
@@ -441,6 +444,6 @@ func (r *Remote) get(ctx context.Context, path string, admin bool, limit int64) 
 		h.req = append(append(append(h.req, "X-Admin-Token: "...), r.adminToken...), "\r\n"...)
 	}
 	h.req = append(h.req, "\r\n"...)
-	err := r.roundTrip(ctx, h, path, limit, false)
+	err := r.roundTrip(ctx, h, path, limit)
 	return h.reply, err
 }

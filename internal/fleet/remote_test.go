@@ -268,6 +268,72 @@ func TestRemoteRetriesOnStaleConn(t *testing.T) {
 	}
 }
 
+// TestRemoteDropsAStalePoolAtOnce: a replica that closes every pooled
+// connection at once, as one restarted on the same address has, costs no
+// request. The hop that draws the first stale connection closes the others,
+// which sat idle longer, and is replayed on a new one: no failover, no breaker
+// failure, and one dial in all.
+func TestRemoteDropsAStalePoolAtOnce(t *testing.T) {
+	const pooled = 4
+	var arrived atomic.Int32
+	var together sync.WaitGroup
+	together.Add(pooled)
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		if arrived.Add(1) <= pooled { // held until all are in, so each has its own connection
+			together.Done()
+			together.Wait()
+		}
+		answerEmptyPredictions(w, body)
+	}))
+	lis := &closingListener{Listener: ts.Listener}
+	ts.Listener = lis
+	ts.Start()
+	defer ts.Close()
+	rem := NewRemote("r0", ts.URL, RemoteConfig{})
+	rt := newTestRouter(t, RouterConfig{}, rem)
+	route := func(k int) error {
+		resp, err := rt.Route(context.Background(), selfDescribing(k, 8, 32))
+		if err == nil && resp.Count != 8 {
+			err = fmt.Errorf("%d predictions, want 8", resp.Count)
+		}
+		return err
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < pooled; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := route(1000 + i); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := idleConns(rem); n != pooled {
+		t.Fatalf("%d connections pooled, want %d", n, pooled)
+	}
+	for _, c := range lis.conns() {
+		c.Close()
+	}
+	for i := 0; i < pooled; i++ {
+		if err := route(2000 + i); err != nil {
+			t.Fatalf("request %d after the replica closed its connections: %v", i, err)
+		}
+	}
+	st := rt.replicas["r0"].breaker.Status()
+	if n := rt.metrics.failovers.Load(); n != 0 || st.Failures != 0 {
+		t.Errorf("%d failovers and %d breaker failures, want 0 and 0", n, st.Failures)
+	}
+	if n, idle := len(lis.conns()), idleConns(rem); n != pooled+1 || idle != 1 {
+		t.Errorf("the replica accepted %d connections and %d are pooled, want %d and 1", n, idle, pooled+1)
+	}
+	if d, r := rem.dialled.Load(), rem.reused.Load(); d != pooled+1 || r != pooled {
+		t.Errorf("hops were handed %d dialled and %d reused connections, want %d and %d", d, r, pooled+1, pooled)
+	}
+}
+
 // TestRemoteMalformedBaseURL: NewRemote cannot fail, so a base URL that does
 // not parse fails every call, with the error parsing it per call gave.
 func TestRemoteMalformedBaseURL(t *testing.T) {

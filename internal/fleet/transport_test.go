@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -564,19 +565,23 @@ func TestRemoteWritesWhatNetHTTPWrote(t *testing.T) {
 // oneRowReply is a replica's answer to distinctRows(1).
 const oneRowReply = `{"system":"theta","version":1,"count":1,"predictions":[{"log10_throughput":1,"throughput_bytes_per_sec":10,"cache_hit":false}]}`
 
-// TestRemoteReadsFramedReplies: informational answers ahead of the reply are
-// skipped and a chunked body is read whole, as net/http's client did.
+// TestRemoteReadsFramedReplies: a chunked body is read whole, as net/http's
+// client did. An informational answer ahead of the reply, which a hop never
+// asks for (it sends no Expect) and ioserve never sends, is an error.
 func TestRemoteReadsFramedReplies(t *testing.T) {
 	stub := newRawReplica(t)
 	for name, reply := range map[string]string{
-		"1xx first": fmt.Sprintf("HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </x>\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s", len(oneRowReply), oneRowReply),
+		"1xx first": fmt.Sprintf("HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s", len(oneRowReply), oneRowReply),
 		"chunked":   fmt.Sprintf("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n9\r\n%s\r\n%x\r\n%s\r\n0\r\n\r\n", oneRowReply[:9], len(oneRowReply)-9, oneRowReply[9:]),
 	} {
 		b := []byte(reply)
 		stub.reply.Store(&b)
 		resp, err := NewRemote("r0", "http://"+stub.lis.Addr().String(), RemoteConfig{}).Predict(context.Background(), distinctRows(1))
 		<-stub.got
-		if err != nil || resp.Count != 1 || len(resp.Predictions) != 1 {
+		switch {
+		case name == "1xx first" && (err == nil || !strings.Contains(err.Error(), `status "100 Continue"`)):
+			t.Errorf("%s: %v, %+v; want an error naming the status", name, err, resp)
+		case name == "chunked" && (err != nil || resp.Count != 1 || len(resp.Predictions) != 1):
 			t.Errorf("%s: %v, %+v; want the one-row reply", name, err, resp)
 		}
 	}
