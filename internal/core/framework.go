@@ -179,18 +179,12 @@ func RunFramework(name string, f *dataset.Frame, cfg FrameworkConfig) (*Framewor
 		res.WithLMT = &rep
 	}
 
-	// Step 4: OoD attribution via a deep ensemble from a NAS run.
-	oodRep, frameFlags, err := runOoDStep(cfg, appFrame, split, goldenModel, goldenSplit)
+	// Steps 4-5: OoD attribution via a deep ensemble from a NAS run, then
+	// contention + noise from concurrent duplicates, with the ensemble's
+	// frame-wide OoD flags excluded.
+	res.OoD, res.Noise, err = runOoDStep(cfg, f, appFrame, split, goldenModel, goldenSplit)
 	if err != nil {
 		return nil, fmt.Errorf("core: OoD step: %w", err)
-	}
-	res.OoD = oodRep
-
-	// Step 5: contention + noise from concurrent duplicates, with the
-	// ensemble's frame-wide OoD flags excluded.
-	res.Noise, err = EstimateNoise(f, frameFlags, cfg.NoiseTolSec)
-	if err != nil {
-		return nil, fmt.Errorf("core: noise estimate: %w", err)
 	}
 
 	res.Breakdown = buildBreakdown(res)
@@ -291,25 +285,54 @@ func trainTunedOn(frame *dataset.Frame, cfg FrameworkConfig, tt dataset.TargetTr
 	return m, split, err
 }
 
-// runOoDStep runs the NAS, builds the deep ensemble, attributes OoD error
-// on the test split, and classifies the WHOLE frame (the noise litmus must
-// exclude OoD jobs everywhere). The golden model supplies the per-job
-// errors being attributed; goldenSplit's random permutation matches
-// split's because both use the framework seed.
-func runOoDStep(cfg FrameworkConfig, appFrame *dataset.Frame, split dataset.Split, golden *gbt.Model, goldenSplit dataset.Split) (OoDReport, []bool, error) {
+// Calibration is what litmus tests 3 and 4 hand a guard: the EU threshold,
+// the frame rows above it, and the noise floor measured without those rows.
+type Calibration struct {
+	Threshold float64
+	Flags     []bool
+	Noise     NoiseEstimate
+}
+
+// Calibrate is the one calibration of an ensemble guard, for RunFramework's
+// steps 4-5 and for a serving bundle alike. preds are the ensemble's
+// predictions on the calibration rows and absErrs the model's absolute log10
+// errors on them; a threshold <= 0 is picked from them by
+// uq.StableThreshold. framePreds are the ensemble's predictions on every row
+// of f: those above the threshold are flagged OoD and left out of
+// EstimateNoise. Past the length check, a returned error is EstimateNoise's
+// and Threshold and Flags are set regardless.
+func Calibrate(f *dataset.Frame, preds []uq.Prediction, absErrs []float64, threshold float64, framePreds []uq.Prediction, tolSec float64) (Calibration, error) {
+	if len(preds) != len(absErrs) {
+		return Calibration{}, fmt.Errorf("core: %d predictions vs %d errors", len(preds), len(absErrs))
+	}
+	if threshold <= 0 {
+		threshold = uq.StableThreshold(preds, absErrs)
+	}
+	c := Calibration{Threshold: threshold, Flags: uq.ClassifyOoD(framePreds, threshold)}
+	var err error
+	c.Noise, err = EstimateNoise(f, c.Flags, tolSec)
+	return c, err
+}
+
+// runOoDStep runs the NAS, builds the deep ensemble, calibrates it on the
+// test split, classifies the WHOLE frame (the noise litmus must exclude OoD
+// jobs everywhere), and attributes OoD error on the test split. The golden
+// model supplies the per-job errors being attributed; goldenSplit's random
+// permutation matches split's because both use the framework seed.
+func runOoDStep(cfg FrameworkConfig, f, appFrame *dataset.Frame, split dataset.Split, golden *gbt.Model, goldenSplit dataset.Split) (OoDReport, NoiseEstimate, error) {
 	tt := dataset.TargetTransform{}
 	scaler := dataset.FitScaler(split.Train, true)
 	trainRows, err := scaler.Transform(split.Train)
 	if err != nil {
-		return OoDReport{}, nil, err
+		return OoDReport{}, NoiseEstimate{}, err
 	}
 	valRows, err := scaler.Transform(split.Val)
 	if err != nil {
-		return OoDReport{}, nil, err
+		return OoDReport{}, NoiseEstimate{}, err
 	}
 	testRows, err := scaler.Transform(split.Test)
 	if err != nil {
-		return OoDReport{}, nil, err
+		return OoDReport{}, NoiseEstimate{}, err
 	}
 	trainY := tt.ForwardAll(split.Train.Y())
 	valY := split.Val.Y()
@@ -334,7 +357,7 @@ func runOoDStep(cfg FrameworkConfig, appFrame *dataset.Frame, split dataset.Spli
 	}
 	results, _, err := hpo.Evolve(evCfg, hpo.SampleNN, hpo.MutateNN, evalNN)
 	if err != nil {
-		return OoDReport{}, nil, err
+		return OoDReport{}, NoiseEstimate{}, err
 	}
 
 	top := hpo.TopK(results, cfg.EnsembleSize)
@@ -346,26 +369,25 @@ func runOoDStep(cfg FrameworkConfig, appFrame *dataset.Frame, split dataset.Spli
 	}
 	ens, err := uq.TrainEnsemble(paramSets, trainRows, trainY, cfg.Workers)
 	if err != nil {
-		return OoDReport{}, nil, err
+		return OoDReport{}, NoiseEstimate{}, err
 	}
 
 	preds := ens.PredictAll(testRows)
 	absErrs := Evaluate(golden, goldenSplit.Test).AbsLogErrors
+	allRows, err := scaler.Transform(appFrame)
+	if err != nil {
+		return OoDReport{}, NoiseEstimate{}, err
+	}
+	cal, err := Calibrate(f, preds, absErrs, cfg.EUThreshold, ens.PredictAll(allRows), cfg.NoiseTolSec)
+	if err != nil {
+		return OoDReport{}, NoiseEstimate{}, fmt.Errorf("noise estimate: %w", err)
+	}
 	truth := make([]bool, split.Test.Len())
 	for i := range truth {
 		truth[i] = split.Test.Meta(i).OoD
 	}
-	rep, err := AttributeOoD(preds, absErrs, cfg.EUThreshold, truth)
-	if err != nil {
-		return OoDReport{}, nil, err
-	}
-
-	allRows, err := scaler.Transform(appFrame)
-	if err != nil {
-		return OoDReport{}, nil, err
-	}
-	frameFlags := uq.ClassifyOoD(ens.PredictAll(allRows), rep.Threshold)
-	return rep, frameFlags, nil
+	rep, err := AttributeOoD(preds, absErrs, cal.Threshold, truth)
+	return rep, cal.Noise, err
 }
 
 func hasPrefix(f *dataset.Frame, prefix string) bool {

@@ -10,7 +10,7 @@ import (
 )
 
 // NoiseEstimate is the result of litmus test 4 (Sec. IX): the combined
-// contention + inherent-noise level of a system, estimated from duplicate
+// contention + inherent noise level of a system, estimated from duplicate
 // jobs that ran at the same instant (∆t = 0). These jobs share application
 // behavior and global system state; only contention placement and noise
 // differ, so their spread lower-bounds any model's achievable error and

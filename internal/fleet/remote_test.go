@@ -378,7 +378,7 @@ func TestRemotePredictAllocs(t *testing.T) {
 		ServerTimings: &serve.ServerTimings{TotalNs: 1}}
 	for i := range canned.Predictions {
 		canned.Predictions[i] = serve.PredictionResult{Log10Throughput: 9.5, Throughput: 3162277660.1683793,
-			Guard: &serve.Guard{EU: 0.1, AU: 0.2, NoiseFloorPct: 0.05, ErrorSource: serve.SourceModeling}}
+			Guard: &serve.Guard{EU: 0.1, AU: 0.2, ErrorSource: serve.SourceModeling}}
 	}
 	// Encoded once by the production writer and replayed.
 	canned200 := httptest.NewRecorder()

@@ -205,9 +205,10 @@ func (cfg BootstrapConfig) SweepGrid(version int) []gbt.Params {
 // validating on the newest quarter of the frame (rows are in time order),
 // and the winner is refitted on the whole frame. The scaler, the guarding
 // ensemble, the EU threshold, the reference histograms and the noise floor
-// all come from the same frame. noiseSets is how many concurrent duplicate
-// sets the floor was measured from; below MinNoiseSets the guard's
-// NoiseSigmaLog and NoiseFloorPct stay zero.
+// (without the rows the threshold flags) all come from the same frame.
+// noiseSets is how many concurrent duplicate sets the floor was measured
+// from; below MinNoiseSets the guard's NoiseSigmaLog and NoiseFloorPct stay
+// zero.
 func Build(name string, version int, frame *dataset.Frame, candidates []gbt.Params, cfg BootstrapConfig) (mv *ModelVersion, noiseSets int, err error) {
 	if frame.Len() == 0 {
 		return nil, 0, fmt.Errorf("serve: empty frame for %s", name)
@@ -246,16 +247,17 @@ func Build(name string, version int, frame *dataset.Frame, candidates []gbt.Para
 		return nil, 0, fmt.Errorf("serve: training %s v%d ensemble: %w", name, version, err)
 	}
 
-	// Calibrate the guardrail exactly as the offline litmus tests would.
+	// Calibrate as the litmus tests do, on the GBT's in-sample errors: a
+	// held-out quarter traded recall for precision (README, "Online serving").
 	preds := ensemble.PredictAll(scaled)
-	gbtPreds := model.PredictAll(rows)
-	rep := core.EvaluatePredictions(gbtPreds, frame.Y())
-	guard := GuardConfig{EUThreshold: uq.StableThreshold(preds, rep.AbsLogErrors)}
-	if noise, err := core.EstimateNoise(frame, nil, 1.0); err == nil {
-		noiseSets = noise.Sets
+	rep := core.EvaluatePredictions(model.PredictAll(rows), frame.Y())
+	cal, err := core.Calibrate(frame, preds, rep.AbsLogErrors, 0, preds, 1.0)
+	guard := GuardConfig{EUThreshold: cal.Threshold}
+	if err == nil {
+		noiseSets = cal.Noise.Sets
 		if noiseSets >= MinNoiseSets {
-			guard.NoiseSigmaLog = noise.SigmaLog
-			guard.NoiseFloorPct = noise.FloorPct
+			guard.NoiseSigmaLog = cal.Noise.SigmaLog
+			guard.NoiseFloorPct = cal.Noise.FloorPct
 		}
 	}
 

@@ -180,12 +180,11 @@ type cacheSlot struct {
 	width      int32  // features in the row
 	sys        int32  // index into the shard's systems table
 	// The Result, with its Guard flattened to a fixed-width record.
-	predLog, pred         float64
-	eu, au, noiseFloorPct float64
-	first                 int32 // the row's first chunk, -1 when it has none
-	chain                 int32 // 1 + the next slot in this key's bucket, 0 at the end
-	ood, atNoiseFloor     bool
-	source                uint8 // 0: no Guard; else 1 + index into errorSources
+	predLog, pred float64
+	eu, au        float64
+	first         int32 // the row's first chunk, -1 when it has none
+	chain         int32 // 1 + the next slot in this key's bucket, 0 at the end
+	guarded, ood  bool  // the label is errorSource(ood)
 }
 
 // cacheShard is an independently locked LRU.
@@ -504,31 +503,18 @@ func (c *Cache) Get(key uint64, row []float64, mv *ModelVersion) (Result, bool) 
 	s.pushFront(i)
 	e := &s.slots[i]
 	res := Result{PredLog: e.predLog, Pred: e.pred}
-	if e.source != 0 {
-		res.Guard = Guard{
-			EU: e.eu, AU: e.au, NoiseFloorPct: e.noiseFloorPct,
-			OoD: e.ood, AtNoiseFloor: e.atNoiseFloor,
-			ErrorSource: errorSources[e.source-1],
-		}
+	if e.guarded {
+		res.Guard = Guard{EU: e.eu, AU: e.au, OoD: e.ood, ErrorSource: errorSource(e.ood)}
 	}
 	return res, true
 }
 
 // Put inserts or refreshes a result, evicting the shard's least recently
 // used entry when full. The row is copied, so the request's row block is
-// not retained. A Guard whose ErrorSource the code table does not know is
-// not cached at all, rather than stored as something else.
+// not retained.
 func (c *Cache) Put(key uint64, row []float64, mv *ModelVersion, res Result) {
 	if c == nil {
 		return
-	}
-	g := res.Guard
-	var source uint8
-	if g.ErrorSource != "" {
-		source = uint8(slices.Index(errorSources[:], g.ErrorSource) + 1)
-		if source == 0 {
-			return
-		}
 	}
 	bundle := mv.bundleID()
 	s := c.shard(key)
@@ -555,8 +541,8 @@ func (c *Cache) Put(key uint64, row []float64, mv *ModelVersion, res Result) {
 	s.storeRow(e, row)
 	e.bundle, e.sys = bundle, int32(sys)
 	e.predLog, e.pred = res.PredLog, res.Pred
-	e.eu, e.au, e.noiseFloorPct = g.EU, g.AU, g.NoiseFloorPct
-	e.ood, e.atNoiseFloor, e.source = g.OoD, g.AtNoiseFloor, source
+	g := res.Guard
+	e.eu, e.au, e.guarded, e.ood = g.EU, g.AU, g.ErrorSource != "", g.OoD
 }
 
 // InvalidateSystem drops every resident entry belonging to a system,

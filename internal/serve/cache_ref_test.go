@@ -280,11 +280,8 @@ func runCacheOps(t *testing.T, ops []byte) {
 			// outlives a refresh, or answers for the wrong row, shows.
 			res := Result{PredLog: float64(step), Pred: float64(n)}
 			if step%5 != 0 {
-				res.Guard = Guard{
-					EU: float64(step) / 8, AU: float64(n) / 4, NoiseFloorPct: float64(sel) / 256,
-					OoD: step&1 != 0, AtNoiseFloor: step&2 != 0,
-					ErrorSource: errorSources[step%len(errorSources)],
-				}
+				ood := step&1 != 0
+				res.Guard = Guard{EU: float64(step) / 8, AU: float64(n) / 4, OoD: ood, ErrorSource: errorSource(ood)}
 			}
 			row, key, mv := entries[n].row, entries[n].keys[b]&mask, diffBundles[b]
 			c.Put(key, row, mv, res)

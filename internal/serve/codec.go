@@ -408,7 +408,8 @@ func (t *ServerTimings) fields() [len(timingKeys)]*int64 {
 // one []PredictionResult and one []Guard block, and a reply that names system
 // shares that string rather than holding a copy of it; any other shape — an
 // older or newer replica, whitespace, reordered keys — is encoding/json's to
-// decode.
+// decode. Either way each guard's label is the one its ood flag implies, so
+// a label that contradicts the flag beside it is never passed on.
 func DecodePredictReply(data []byte, system string) (*PredictResponse, error) {
 	out := &PredictResponse{System: system}
 	if decodeResponse(data, out) {
@@ -417,6 +418,11 @@ func DecodePredictReply(data []byte, system string) (*PredictResponse, error) {
 	*out = PredictResponse{}
 	if err := json.NewDecoder(bytes.NewReader(data)).Decode(out); err != nil {
 		return nil, err
+	}
+	for _, pr := range out.Predictions {
+		if pr.Guard != nil {
+			pr.Guard.ErrorSource = errorSource(pr.Guard.OoD)
+		}
 	}
 	return out, nil
 }
@@ -466,15 +472,13 @@ func decodeResponse(data []byte, out *PredictResponse) bool {
 			p.want(`,"au":`)
 			g.AU = p.float()
 			p.want(`,"ood":`)
-			g.OoD = p.boolean()
-			p.want(`,"at_noise_floor":`)
-			g.AtNoiseFloor = p.boolean()
-			if p.hasLit(`,"noise_floor_pct":`) {
-				g.NoiseFloorPct = p.float()
+			// One literal per label: building one per row would allocate.
+			if g.OoD = p.boolean(); g.OoD {
+				p.want(`,"error_source":"` + SourceGeneralization + `"}`)
+			} else {
+				p.want(`,"error_source":"` + SourceModeling + `"}`)
 			}
-			p.want(`,"error_source":`)
-			g.ErrorSource = internErrorSource(p.str())
-			p.want("}")
+			g.ErrorSource = errorSource(g.OoD)
 			pr.Guard = g
 		}
 		p.want(`,"cache_hit":`)
@@ -499,17 +503,6 @@ func decodeResponse(data []byte, out *PredictResponse) bool {
 	// brace either.
 	p.want("}")
 	return !p.bad
-}
-
-// internErrorSource returns the guard label b spells: the constant itself for
-// one of errorSources, a copy for a label this build does not know.
-func internErrorSource(b []byte) string {
-	for _, s := range errorSources {
-		if string(b) == s {
-			return s
-		}
-	}
-	return string(b)
 }
 
 // AppendPredictRequest appends json.Marshal(req): the body of the hop from

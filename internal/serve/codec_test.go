@@ -63,8 +63,8 @@ func sameResponse(a, b *PredictResponse) bool {
 			!sameFloats([]float64{x.Log10Throughput, x.Throughput}, []float64{y.Log10Throughput, y.Throughput}) {
 			return false
 		}
-		if g, h := x.Guard, y.Guard; g != nil && (g.OoD != h.OoD || g.AtNoiseFloor != h.AtNoiseFloor || g.ErrorSource != h.ErrorSource ||
-			!sameFloats([]float64{g.EU, g.AU, g.NoiseFloorPct}, []float64{h.EU, h.AU, h.NoiseFloorPct})) {
+		if g, h := x.Guard, y.Guard; g != nil && (g.OoD != h.OoD || g.ErrorSource != h.ErrorSource ||
+			!sameFloats([]float64{g.EU, g.AU}, []float64{h.EU, h.AU})) {
 			return false
 		}
 	}
@@ -185,8 +185,10 @@ func FuzzDecodePredictRequest(f *testing.F) {
 func FuzzDecodePredictResponse(f *testing.F) {
 	for _, s := range []string{
 		`{"system":"theta","version":1,"count":1,"predictions":[{"log10_throughput":9.5,"throughput_bytes_per_sec":3162277660.1683793,"cache_hit":false}]}` + "\n",
-		`{"system":"theta","version":2,"count":2,"predictions":[{"log10_throughput":-0,"throughput_bytes_per_sec":1e-7,"guard":{"eu":0.1,"au":1E+21,"ood":true,"at_noise_floor":false,"noise_floor_pct":0.05,"error_source":"generalization"},"cache_hit":true},{"log10_throughput":1,"throughput_bytes_per_sec":10,"guard":{"eu":0,"au":0,"ood":false,"at_noise_floor":true,"error_source":"somethin<g> new"},"cache_hit":false}],"trace_id":"00ff","server_timings":{"total_ns":8,"cache_lookup_ns":1,"queue_wait_ns":2,"wave_assemble_ns":3,"evaluate_ns":4,"guard_ns":5,"finalize_ns":6,"observe_ns":7}}`,
+		`{"system":"theta","version":2,"count":2,"predictions":[{"log10_throughput":-0,"throughput_bytes_per_sec":1e-7,"guard":{"eu":0.1,"au":1E+21,"ood":true,"error_source":"generalization"},"cache_hit":true},{"log10_throughput":1,"throughput_bytes_per_sec":10,"guard":{"eu":0,"au":0,"ood":false,"error_source":"somethin<g> new"},"cache_hit":false}],"trace_id":"00ff","server_timings":{"total_ns":8,"cache_lookup_ns":1,"queue_wait_ns":2,"wave_assemble_ns":3,"evaluate_ns":4,"guard_ns":5,"finalize_ns":6,"observe_ns":7}}`,
 		`{"system":"theta","version":1,"count":0,"predictions":[]}`,
+		// Labels that contradict the ood flag beside them.
+		`{"system":"theta","version":1,"count":2,"predictions":[{"log10_throughput":1,"throughput_bytes_per_sec":10,"guard":{"eu":0.5,"au":0.1,"ood":true,"error_source":"app/system-modeling"},"cache_hit":false},{"log10_throughput":1,"throughput_bytes_per_sec":10,"guard":{"eu":0,"au":0,"ood":false,"error_source":"generalization"},"cache_hit":false}]}`,
 		`{"system":"theta","version":1,"count":0,"predictions":null}`,
 		`{"system":"theta","version":1,"count":5,"predictions":[]}`,
 		`{"system":"theta","version":1,"count":0,"predictions":[{"log10_throughput":1,"throughput_bytes_per_sec":10,"cache_hit":false}]}`,
@@ -207,8 +209,14 @@ func FuzzDecodePredictResponse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// What Remote.Predict ran before the codec: a streaming Decode,
 		// which (unlike json.Unmarshal) does not look past the value.
+		// Each guard's label is the one its ood flag implies.
 		var want PredictResponse
 		wantErr := json.NewDecoder(bytes.NewReader(data)).Decode(&want)
+		for _, pr := range want.Predictions {
+			if pr.Guard != nil {
+				pr.Guard.ErrorSource = errorSource(pr.Guard.OoD)
+			}
+		}
 		got, err := DecodePredictReply(data, "")
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("error %v, encoding/json %v: %q", err, wantErr, data)
@@ -338,7 +346,7 @@ func TestCodecSteadyStateReusesItsBuffers(t *testing.T) {
 	resp := &PredictResponse{System: "theta", Version: 2, Count: 4, TraceID: "00ff", ServerTimings: &ServerTimings{TotalNs: 1}}
 	for i := 0; i < 4; i++ {
 		resp.Predictions = append(resp.Predictions, PredictionResult{Log10Throughput: 9.25, Throughput: 1778279410.0389228,
-			Guard: &Guard{EU: 0.08, AU: 0.3, NoiseFloorPct: 0.027, ErrorSource: SourceModeling}})
+			Guard: &Guard{EU: 0.08, AU: 0.3, ErrorSource: errorSource(false)}})
 	}
 	w := discardWriter{http.Header{}}
 	r := httptest.NewRequest(http.MethodPost, "/v1/predict", nil)
@@ -423,7 +431,7 @@ func TestHandlerReplyTakesTheHopFastPath(t *testing.T) {
 		t.Fatalf("want a traced, timed 16-row reply, got %d rows, trace %q, timings %v", len(fast.Predictions), fast.TraceID, fast.ServerTimings)
 	}
 	for i, p := range fast.Predictions {
-		if p.Guard == nil || p.Guard.NoiseFloorPct == 0 || p.Guard.ErrorSource == "" {
+		if p.Guard == nil || p.Guard.ErrorSource != errorSource(p.Guard.OoD) {
 			t.Fatalf("prediction %d is not fully guarded: %+v", i, p.Guard)
 		}
 	}

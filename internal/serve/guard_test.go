@@ -15,36 +15,22 @@ func TestDiagnoseGeneralization(t *testing.T) {
 	if g.EU < 0.29 || g.EU > 0.31 {
 		t.Errorf("EU sd wrong: %v", g.EU)
 	}
-	if g.NoiseFloorPct != 0.057 {
-		t.Errorf("noise floor not echoed: %v", g.NoiseFloorPct)
-	}
-}
-
-func TestDiagnoseInherentNoise(t *testing.T) {
-	cfg := GuardConfig{EUThreshold: 0.2, NoiseSigmaLog: 0.02}
-	// EU sd 0.1 (in-distribution), AU sd 0.025 <= 1.5*0.02.
-	g := cfg.Diagnose(uq.Prediction{EU: 0.01, AU: 0.000625})
-	if g.OoD {
-		t.Errorf("in-distribution row flagged OoD: %+v", g)
-	}
-	if !g.AtNoiseFloor || g.ErrorSource != SourceInherentNoise {
-		t.Errorf("at-floor prediction not diagnosed as inherent noise: %+v", g)
-	}
 }
 
 func TestDiagnoseModeling(t *testing.T) {
 	cfg := GuardConfig{EUThreshold: 0.2, NoiseSigmaLog: 0.02}
-	// In-distribution, spread well above the floor.
-	g := cfg.Diagnose(uq.Prediction{EU: 0.01, AU: 0.04}) // AU sd = 0.2
-	if g.OoD || g.AtNoiseFloor || g.ErrorSource != SourceModeling {
-		t.Errorf("reducible-error prediction misdiagnosed: %+v", g)
+	// In-distribution, whatever the spread: AU sd 0.2, then 0.025.
+	for _, au := range []float64{0.04, 0.000625} {
+		if g := cfg.Diagnose(uq.Prediction{EU: 0.01, AU: au}); g.OoD || g.ErrorSource != SourceModeling {
+			t.Errorf("in-distribution prediction misdiagnosed: %+v", g)
+		}
 	}
 }
 
 func TestDiagnoseUncalibrated(t *testing.T) {
-	// Zero thresholds disable both signals: nothing is flagged.
+	// A zero threshold disables the signal: nothing is flagged.
 	g := GuardConfig{}.Diagnose(uq.Prediction{EU: 100, AU: 100})
-	if g.OoD || g.AtNoiseFloor {
+	if g.OoD {
 		t.Errorf("uncalibrated guard flagged: %+v", g)
 	}
 	if g.ErrorSource != SourceModeling {
