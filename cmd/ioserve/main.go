@@ -119,7 +119,6 @@ type config struct {
 	bootstrap      bool
 	jobs           int
 	versions       int
-	maxBatch       int
 	workers        int
 	cacheSize      int
 	seed           uint64
@@ -157,8 +156,7 @@ func main() {
 	flag.BoolVar(&cfg.bootstrap, "bootstrap", false, "train demo bundles into -models before serving")
 	flag.IntVar(&cfg.jobs, "jobs", 4000, "jobs per bootstrapped system")
 	flag.IntVar(&cfg.versions, "versions", 2, "bootstrapped versions per system")
-	flag.IntVar(&cfg.maxBatch, "max-batch", 32, "micro-batch size cap")
-	flag.IntVar(&cfg.workers, "workers", 2, "micro-batch worker pool size")
+	flag.IntVar(&cfg.workers, "workers", 2, "how many requests evaluate their cache misses at once")
 	flag.IntVar(&cfg.cacheSize, "cache", 1<<16, "duplicate cache capacity in entries (0 disables)")
 	flag.Uint64Var(&cfg.seed, "seed", 1, "bootstrap seed")
 	flag.DurationVar(&cfg.reloadInterval, "reload-interval", 0,
@@ -270,7 +268,6 @@ func run(cfg config) error {
 	}
 
 	svc := serve.NewService(reg, serve.Options{
-		MaxBatch:       cfg.maxBatch,
 		Workers:        cfg.workers,
 		CacheSize:      cfg.cacheSize,
 		ShadowFraction: cfg.shadowFraction,
@@ -516,8 +513,8 @@ func run(cfg config) error {
 	}
 	// Step 2 (or the whole drain when not fleet-registered): stop
 	// accepting, let in-flight requests finish within the grace window,
-	// then the deferred Close calls stop the drift loop, reloader, and
-	// batcher workers.
+	// then the deferred Close calls stop the drift loop and the reloader and
+	// wait out any running evaluation.
 	if psrv != nil {
 		_ = psrv.Shutdown(sctx)
 	}

@@ -107,6 +107,12 @@ type harness struct {
 
 func newHarness(t *testing.T, cfg Config, bundles ...*serve.ModelVersion) *harness {
 	t.Helper()
+	return newHarnessWith(t, cfg, serve.Options{CacheSize: 4096}, bundles...)
+}
+
+// newHarnessWith is newHarness over a service built with opt.
+func newHarnessWith(t *testing.T, cfg Config, opt serve.Options, bundles ...*serve.ModelVersion) *harness {
+	t.Helper()
 	dir := t.TempDir()
 	for _, mv := range bundles {
 		if err := serve.SaveVersion(dir, mv); err != nil {
@@ -117,10 +123,7 @@ func newHarness(t *testing.T, cfg Config, bundles ...*serve.ModelVersion) *harne
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := serve.NewService(reg, serve.Options{
-		MaxBatch:  16,
-		CacheSize: 4096,
-	})
+	svc := serve.NewService(reg, opt)
 	t.Cleanup(svc.Close)
 	rel, err := serve.NewReloader(svc, dir, 0) // manual polls
 	if err != nil {
@@ -460,6 +463,99 @@ func TestE2EDegradedRollback(t *testing.T) {
 	if av, _ := h.svc.Registry().ActiveVersion("theta"); av != 1 {
 		t.Errorf("rejected v2 came back: active v%d", av)
 	}
+}
+
+// TestShadowRollsBackAnUnlabelledRegression pins the one case in which
+// shadow evidence changes a verdict, and so the reason the mirror is kept: a
+// degraded version goes live by reload auto-tracking and no ground truth
+// arrives. Its model was trained on targets shifted by +1 log10, so every
+// prediction is a decade high. Without the mirror the policy has no
+// evidence, and the watch runs out into "keep". With every row mirrored to
+// the predecessor, the divergence (about 1 log10, against RollbackMAELog
+// 0.5) rolls it back after RollbackAfter windows. Each tick waits for the
+// mirror to have evaluated every row served before it, counted, not timed.
+func TestShadowRollsBackAnUnlabelledRegression(t *testing.T) {
+	frame, v1, _ := fixture(t)
+	shifted, err := dataset.NewFrame(frame.Columns())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < frame.Len(); i++ {
+		if err := shifted.Append(frame.Row(i), 10*frame.Y()[i], frame.Meta(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	highV2, err := serve.BuildVersion("theta", 2, shifted, fixtureCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	rows := frame.Rows()
+	const window, minMirrored = 40, 16
+	verdict := func(shadow bool) (Decision, int) {
+		cfg := testConfig()
+		cfg.WatchWindows = 6
+		opt := serve.Options{CacheSize: 4096}
+		if shadow {
+			opt.ShadowFraction = 1
+			cfg.MinMirrored = minMirrored
+		}
+		h := newHarnessWith(t, cfg, opt, v1)
+		h.ctl.Tick() // anchor on v1
+		if err := serve.SaveVersion(h.dir, highV2); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.rel.Poll(); err != nil {
+			t.Fatal(err)
+		}
+		if av, _ := h.svc.Registry().ActiveVersion("theta"); av != 2 {
+			t.Fatalf("shifted v2 not auto-tracked live: active v%d", av)
+		}
+		for w := 1; w <= 2*cfg.WatchWindows; w++ {
+			for i := 0; i < window; i += 10 {
+				at := (w*window + i) % (len(rows) - 10)
+				if _, _, err := h.svc.Predict(ctx, "theta", 0, rows[at:at+10]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if shadow {
+				want := uint64(w * window)
+				for deadline := time.Now().Add(20 * time.Second); mirrored(h.svc, 2, 1) < want; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("window %d: %d rows mirrored, want %d", w, mirrored(h.svc, 2, 1), want)
+					}
+				}
+			}
+			h.ctl.Tick()
+			for _, d := range h.ctl.Decisions() {
+				if d.Version == 2 && (d.Action == ActionKeep || d.Action == ActionRollback) {
+					return d, w
+				}
+			}
+		}
+		t.Fatalf("shadow %v: no verdict on v2; decisions %+v", shadow, h.ctl.Decisions())
+		return Decision{}, 0
+	}
+	off, offAt := verdict(false)
+	on, onAt := verdict(true)
+	t.Logf("without the mirror: %s at window %d; with it: %s at window %d (%s)", off.Action, offAt, on.Action, onAt, on.Reason)
+	if off.Action != ActionKeep {
+		t.Errorf("without the mirror: %s (%s), want keep: there is no evidence", off.Action, off.Reason)
+	}
+	if on.Action != ActionRollback || !on.Applied {
+		t.Errorf("with the mirror: %s applied=%v (%s), want an applied rollback", on.Action, on.Applied, on.Reason)
+	}
+}
+
+// mirrored is how many rows served by primary the mirror has evaluated on
+// target.
+func mirrored(svc *serve.Service, primary, target int) uint64 {
+	for _, s := range svc.Metrics().ShadowSnapshots("theta") {
+		if s.Primary == primary && s.Target == target && s.Role == serve.RoleShadow {
+			return s.Mirrored
+		}
+	}
+	return 0
 }
 
 // TestStagedAbandonAndWatchExpiry pins the evaluation-phase budgets: a

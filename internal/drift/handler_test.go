@@ -159,7 +159,7 @@ func FuzzFeedbackRequest(f *testing.F) {
 	if err := reg.Add(mv); err != nil {
 		f.Fatal(err)
 	}
-	svc := serve.NewService(reg, serve.Options{MaxBatch: 16})
+	svc := serve.NewService(reg, serve.Options{})
 	f.Cleanup(svc.Close)
 	ctl := New(svc, Config{Interval: time.Hour, RetrainWindow: 64})
 	f.Cleanup(ctl.Close)

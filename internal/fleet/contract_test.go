@@ -125,7 +125,7 @@ func contractSLO(t *testing.T) *obs.SLO {
 // returns its GET /metrics body.
 func ioserveContractBody(t *testing.T, dir string, pool [][]float64) string {
 	t.Helper()
-	svc := contractService(t, dir, serve.Options{MaxBatch: 8, Workers: 2, CacheSize: 1 << 12, TraceEvery: 7, TraceBuffer: 16}, 1)
+	svc := contractService(t, dir, serve.Options{Workers: 2, CacheSize: 1 << 12, TraceEvery: 7, TraceBuffer: 16}, 1)
 	m := svc.Metrics()
 	m.RegisterCollector(obs.CollectRuntime)
 	res := resilience.NewSet()
@@ -179,7 +179,7 @@ func iorouterContractBody(t *testing.T, dir string) string {
 	t.Helper()
 	var locals []Predictor
 	for i, name := range []string{"r0", "r1"} {
-		svc := contractService(t, dir, serve.Options{MaxBatch: 8, Workers: 2, CacheSize: 1 << 12}, uint64(i+1))
+		svc := contractService(t, dir, serve.Options{Workers: 2, CacheSize: 1 << 12}, uint64(i+1))
 		locals = append(locals, NewLocal(name, svc, nil))
 	}
 	rt, err := NewRouter(RouterConfig{TraceEvery: 7, TraceBuffer: 16, Now: contractNow}, locals...)
@@ -572,7 +572,7 @@ func TestRemoteKeepsEscapedSystemName(t *testing.T) {
 	if err := reg.Add(&serve.ModelVersion{System: name, Version: 1, Columns: theta.Columns, Model: theta.Model}); err != nil {
 		t.Fatal(err)
 	}
-	svc := serve.NewService(reg, serve.Options{MaxBatch: 8, Workers: 1})
+	svc := serve.NewService(reg, serve.Options{Workers: 1})
 	t.Cleanup(svc.Close)
 	ts := httptest.NewServer(serve.NewHandler(svc, serve.HandlerConfig{}))
 	t.Cleanup(ts.Close)
@@ -590,7 +590,7 @@ func TestRemoteKeepsEscapedSystemName(t *testing.T) {
 // and in the fleet view's gate depth.
 func TestGatedLocalExposesWhatGatedRemoteDoes(t *testing.T) {
 	dir, _ := e2eFixture(t)
-	opt := serve.Options{MaxBatch: 8, Workers: 1}
+	opt := serve.Options{Workers: 1}
 	newGate := func() *resilience.Gate { return resilience.NewGate(resilience.GateConfig{MaxInflight: 8}) }
 	local := NewLocal("local", contractService(t, dir, opt, 1), newGate())
 

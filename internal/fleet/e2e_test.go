@@ -17,9 +17,9 @@ import (
 )
 
 // End-to-end fleet harness: three real in-process replicas (full serve
-// stack — batcher, cache, guardrails, reloader) over one shared registry
-// tree, a router in front, and a kill/restart in the middle of concurrent
-// load. Run under -race; the CI race job does.
+// stack — cache, evaluation slots, guardrails, reloader) over one shared
+// registry tree, a router in front, and a kill/restart in the middle of
+// concurrent load. Run under -race; the CI race job does.
 
 var (
 	e2eOnce sync.Once
@@ -96,7 +96,6 @@ func newE2EReplica(t *testing.T, name, dir string) *e2eReplica {
 		t.Fatal(err)
 	}
 	svc := serve.NewService(reg, serve.Options{
-		MaxBatch:  8,
 		Workers:   2,
 		CacheSize: 1 << 12,
 	})
@@ -117,7 +116,15 @@ func newE2EReplica(t *testing.T, name, dir string) *e2eReplica {
 // restored on rejoin, and a drift-published version visible on every
 // replica.
 func TestFleetE2E(t *testing.T) {
-	dir, pool := e2eFixture(t)
+	shared, pool := e2eFixture(t)
+	// The drift publish below writes v2 into the tree. It gets its own copy,
+	// so that the shared tree stays at v1 for every later test of the
+	// package (TestMetricsContractGolden pins the active version), in this
+	// run and with -count above 1.
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(shared)); err != nil {
+		t.Fatal(err)
+	}
 	reps := []*e2eReplica{
 		newE2EReplica(t, "replica-0", dir),
 		newE2EReplica(t, "replica-1", dir),
@@ -355,7 +362,7 @@ func TestRemoteBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := serve.NewService(reg, serve.Options{MaxBatch: 8, Workers: 2})
+	svc := serve.NewService(reg, serve.Options{Workers: 2})
 	t.Cleanup(svc.Close)
 	set := resilience.NewSet()
 	gate := resilience.NewGate(resilience.GateConfig{MaxInflight: 32})
@@ -426,7 +433,6 @@ func newTracedE2EReplica(t *testing.T, name, dir string) *e2eReplica {
 		t.Fatal(err)
 	}
 	svc := serve.NewService(reg, serve.Options{
-		MaxBatch:   8,
 		Workers:    2,
 		CacheSize:  1 << 12,
 		TraceEvery: 1,

@@ -229,7 +229,7 @@ func handleRoute(rt *Router, w http.ResponseWriter, r *http.Request) {
 	}
 	// The client's deadline bounds the whole fan-out; Remote backends
 	// forward the remaining budget on X-Request-Timeout-Ms so replicas
-	// drop expired waves themselves.
+	// drop expired requests themselves.
 	var resp *Response
 	err := serve.HandlePredictRequest(w, r, 0, func(ctx context.Context, req *serve.PredictRequest) (any, error) {
 		var err error

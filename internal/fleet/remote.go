@@ -29,7 +29,7 @@ import (
 // the existing serving surface. The router's trace ID travels on
 // X-Trace-Id (the replica records it as its trace parent) and the
 // remaining context deadline on X-Request-Timeout-Ms (the replica drops
-// expired waves itself instead of computing answers nobody will read).
+// expired requests itself instead of computing answers nobody will read).
 //
 // Every call is one HTTP/1.1 exchange on a keep-alive connection of the
 // Remote's own pool: the request written whole, then the reply read through

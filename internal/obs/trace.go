@@ -15,14 +15,17 @@ const (
 	// StageCacheLookup is the duplicate-cache scan over the request's rows
 	// (hits answered, in-request duplicates deduplicated).
 	StageCacheLookup Stage = iota
-	// StageQueueWait is the time the request's miss wave sat in the
-	// batcher queue before a worker picked it up.
+	// StageQueueWait is the time the request waited for an evaluation
+	// slot before evaluating its cache misses.
 	StageQueueWait
-	// StageWaveAssemble is the time between worker pickup and batch flush:
-	// the worker draining whatever else is queued into the same micro-batch.
+	// StageWaveAssemble is always 0 in serve, which evaluates a request's
+	// misses on their own, with nothing to assemble (it gathered queued
+	// requests into one micro-batch when serve had a batching queue). It
+	// stays so that stage-indexed readers and the metric family keep their
+	// shape.
 	StageWaveAssemble
-	// StageEvaluate is the model evaluation of the wave's group: flat GBT
-	// walk plus (for guarded bundles) the ensemble pass.
+	// StageEvaluate is the model evaluation of the request's misses: flat
+	// GBT walk plus (for guarded bundles) the ensemble pass.
 	StageEvaluate
 	// StageGuard is the guardrail slice of StageEvaluate: scaling, the
 	// deep-ensemble uncertainty pass, and the taxonomy diagnosis. Rendered
@@ -203,8 +206,8 @@ func (t *Trace) Detail() TraceDetail {
 func (t *Trace) SpanTree() SpanNode {
 	root := SpanNode{Name: "request", DurationNs: t.Timings.TotalNs}
 	ran := func(s Stage) bool {
-		// Batcher stages ran whenever rows missed the cache, even if the
-		// measured duration rounded to zero (an immediately drained wave).
+		// Evaluation stages ran whenever rows missed the cache, even if the
+		// measured duration rounded to zero (a slot that was free at once).
 		switch s {
 		case StageQueueWait, StageWaveAssemble, StageEvaluate, StageFinalize:
 			return t.Timings.CacheMisses > 0

@@ -38,7 +38,7 @@ func TestStageString(t *testing.T) {
 }
 
 // TestSpanTreeFullyCached: a request answered entirely from cache shows
-// cache_lookup (and observe, if it ran) but none of the batcher stages.
+// cache_lookup (and observe, if it ran) but none of the evaluation stages.
 func TestSpanTreeFullyCached(t *testing.T) {
 	tr := Trace{Timings: StageTimings{TotalNs: 5000, Rows: 4, CacheHits: 4}}
 	tr.Timings.Ns[StageCacheLookup] = 3000
@@ -51,13 +51,13 @@ func TestSpanTreeFullyCached(t *testing.T) {
 	}
 }
 
-// TestSpanTreeWithMisses: batcher stages appear whenever rows missed the
+// TestSpanTreeWithMisses: evaluation stages appear whenever rows missed the
 // cache — including stages whose measured duration rounded to zero (an
-// immediately drained wave) — and guard nests under evaluate.
+// slot that was free at once) — and guard nests under evaluate.
 func TestSpanTreeWithMisses(t *testing.T) {
 	tr := Trace{Timings: StageTimings{TotalNs: 100_000, Rows: 4, CacheMisses: 4}}
 	tr.Timings.Ns[StageCacheLookup] = 1000
-	tr.Timings.Ns[StageQueueWait] = 0 // drained immediately: still a span
+	tr.Timings.Ns[StageQueueWait] = 0 // a free slot: still a span
 	tr.Timings.Ns[StageWaveAssemble] = 2000
 	tr.Timings.Ns[StageEvaluate] = 60_000
 	tr.Timings.Ns[StageGuard] = 20_000

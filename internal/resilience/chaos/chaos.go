@@ -1,13 +1,13 @@
 // Package chaos is the serving stack's fault-injection harness: seeded,
-// probability-gated faults (evaluation latency, evaluation errors, worker
-// panics, registry-dir corruption) that the batcher and ioserve consult at
-// the points where real faults would land. It exists to *test* the
-// resilience layer — admission shedding under injected latency, panic
-// isolation in workers, the reloader's corrupt-dir policy — so nothing in
-// it should ever be enabled outside a chaos run.
+// probability-gated faults (evaluation latency, evaluation errors,
+// evaluation panics, registry-dir corruption) that serve's evaluation and
+// ioserve consult at the points where real faults would land. It exists to
+// *test* the resilience layer — admission shedding under injected latency,
+// panic isolation in evaluation, the reloader's corrupt-dir policy — so
+// nothing in it should ever be enabled outside a chaos run.
 //
-// The package depends on nothing else in the repo; serve threads an
-// *Injector through the batcher and a nil Injector injects nothing, so the
+// The package depends on nothing else in the repo; serve.Service holds an
+// *Injector for its evaluations and a nil Injector injects nothing, so the
 // hot path pays one nil check when chaos is off.
 package chaos
 
@@ -29,14 +29,14 @@ var ErrInjected = errors.New("chaos: injected fault")
 
 // Config is one chaos specification, parsed from the -chaos flag.
 type Config struct {
-	// Latency/LatencyProb: sleep Latency before evaluating a wave group,
+	// Latency/LatencyProb: sleep Latency before evaluating a request's rows,
 	// with probability LatencyProb.
 	Latency     time.Duration
 	LatencyProb float64
-	// ErrorProb: fail a wave group's evaluation with ErrInjected.
+	// ErrorProb: fail a request's evaluation with ErrInjected.
 	ErrorProb float64
-	// PanicProb: panic inside a wave group's evaluation (the batcher's
-	// recover must contain it).
+	// PanicProb: panic inside a request's evaluation (serve's recover must
+	// contain it).
 	PanicProb float64
 	// CorruptProb: on each corruption tick, write a garbage version dir
 	// into the registry with this probability (exercises the reloader's
@@ -156,7 +156,8 @@ func (in *Injector) hit(p float64) bool {
 }
 
 // EvalDelay blocks for the configured injected latency when the draw
-// hits; the batcher calls it at the top of each wave-group evaluation.
+// hits; serve calls it at the top of each evaluation, while the caller
+// holds its evaluation slot.
 func (in *Injector) EvalDelay() {
 	if in == nil || in.cfg.Latency <= 0 || !in.hit(in.cfg.LatencyProb) {
 		return
@@ -176,11 +177,11 @@ func (in *Injector) EvalError() error {
 	return nil
 }
 
-// EvalPanic panics when the draw hits — inside the batcher's recover
-// region, proving worker panics fail one wave, not the process.
+// EvalPanic panics when the draw hits — inside serve's recover region,
+// proving an evaluation panic fails one request, not the process.
 func (in *Injector) EvalPanic() {
 	if in != nil && in.hit(in.cfg.PanicProb) {
-		panic("chaos: injected worker panic")
+		panic("chaos: injected evaluation panic")
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package resilience is the serving stack's fault-tolerance layer: a
-// bounded admission gate with load shedding in front of the batcher,
+// bounded admission gate with load shedding in front of evaluation,
 // circuit breakers and jittered backoff for the control plane (reloader,
 // drift retraining), and the glue that exposes all of it on /metrics and
 // the /v1/resilience admin endpoint.

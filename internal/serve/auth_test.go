@@ -14,7 +14,7 @@ import (
 func TestAdminTokenAuth(t *testing.T) {
 	const token = "s3cr3t-token"
 	frame, _, _ := fixture(t)
-	svc := NewService(fixtureRegistry(t), Options{MaxBatch: 8, CacheSize: 64})
+	svc := NewService(fixtureRegistry(t), Options{CacheSize: 64})
 	t.Cleanup(svc.Close)
 	ts := httptest.NewServer(NewHandler(svc, HandlerConfig{AdminToken: token}))
 	t.Cleanup(ts.Close)

@@ -660,7 +660,7 @@ func TestNewCacheAllocatesNoStorage(t *testing.T) {
 
 // A Predict allocates only what it returns, results and their guard block:
 // a hit costs nothing beyond them, nor does a row inserted into the full
-// cache, nor the wave that evaluates the misses.
+// cache, nor the evaluation of the misses.
 func TestPredictAllocsWithCache(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")

@@ -30,13 +30,6 @@ import (
 // semantics are that sequence's. One observable difference: the body is read
 // to its end (or the bound) before parsing, where the streaming decoder
 // stopped at the value's closing brace.
-//
-// Block lifetime: Batcher.SubmitWave can return on ctx.Done() while a worker
-// is still evaluating the abandoned wave's rows, so a call's row block goes
-// back to the pool only when the request was served without error under a
-// context that never ended; otherwise it is left to the collector. That
-// decision is HandlePredictRequest's alone. Nothing downstream keeps a row:
-// the cache and the shadow mirror copy, observers only read.
 
 // maxPooledCall is the most storage (bytes) a call may take back to the pool;
 // a larger one is dropped: one 16 MiB request must not pin 16 MiB per P.
@@ -67,8 +60,7 @@ type predictCall struct {
 func HandlePredictRequest(w http.ResponseWriter, r *http.Request, defaultDeadline time.Duration,
 	serve func(ctx context.Context, req *PredictRequest) (any, error)) error {
 	c := callPool.Get().(*predictCall)
-	recycle := false
-	defer func() { c.release(recycle) }()
+	defer c.release()
 	// net/http already cuts a body at a declared length; only an unknown or
 	// oversized one needs the bound.
 	body := r.Body
@@ -85,8 +77,9 @@ func HandlePredictRequest(w http.ResponseWriter, r *http.Request, defaultDeadlin
 		}
 	}
 	// Deadline propagation: the tighter of the server default and the
-	// client's header bounds the whole predict call — queue wait included,
-	// so an expired wave is dropped before evaluation, not after.
+	// client's header bounds the whole predict call — the wait for an
+	// evaluation slot included, so an expired request is dropped before
+	// evaluation, not after.
 	ctx := r.Context()
 	if h := r.Header.Get(DeadlineHeader); h != "" {
 		ms, err := strconv.ParseInt(h, 10, 64)
@@ -104,21 +97,16 @@ func HandlePredictRequest(w http.ResponseWriter, r *http.Request, defaultDeadlin
 		defer cancel()
 	}
 	reply, err := serve(ctx, &c.req)
-	// No error means every wave over the rows was consumed, unless the
-	// context ended: that is the one thing that abandons a wave mid-evaluation
-	// (and a later all-cache-hit retry can still return nil after it).
-	recycle = err == nil && ctx.Err() == nil
 	if err != nil {
 		return nil
 	}
 	return writeReply(w, &c.out, http.StatusOK, reply)
 }
 
-// release returns the call to the pool, with its row block only if recycle.
-func (c *predictCall) release(recycle bool) {
-	if !recycle {
-		c.block, c.rows = nil, nil
-	}
+// release returns the call to the pool, row block included: nothing that
+// read the rows outlives serve (the cache and the shadow mirror copy them,
+// observers only read).
+func (c *predictCall) release() {
 	c.req = PredictRequest{}
 	if cap(c.buf)+c.out.Cap()+8*cap(c.block)+24*cap(c.rows) <= maxPooledCall {
 		callPool.Put(c)

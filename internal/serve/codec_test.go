@@ -381,7 +381,7 @@ func TestUntracedHandlerIgnoresTraceParent(t *testing.T) {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
 	frame, _, _ := fixture(t)
-	svc := NewService(fixtureRegistry(t), Options{MaxBatch: 16, CacheSize: 64})
+	svc := NewService(fixtureRegistry(t), Options{CacheSize: 64})
 	t.Cleanup(svc.Close)
 	body, err := json.Marshal(PredictRequest{System: "theta", Rows: frame.Rows()[:4]})
 	if err != nil {
@@ -409,7 +409,7 @@ func TestUntracedHandlerIgnoresTraceParent(t *testing.T) {
 // field makes decodeResponse refuse it and fails this test.
 func TestHandlerReplyTakesTheHopFastPath(t *testing.T) {
 	frame, _, _ := fixture(t)
-	svc := NewService(fixtureRegistry(t), Options{MaxBatch: 16, TraceEvery: 1})
+	svc := NewService(fixtureRegistry(t), Options{TraceEvery: 1})
 	t.Cleanup(svc.Close)
 	body, err := json.Marshal(PredictRequest{System: "theta", Rows: frame.Rows()[:16]})
 	if err != nil {
@@ -437,15 +437,17 @@ func TestHandlerReplyTakesTheHopFastPath(t *testing.T) {
 	}
 }
 
-// The row-block lifetime rule under fire: concurrent callers with distinct
-// rows, a third of them on a 1 ms deadline that expires while the chaos
-// latency holds their wave inside a worker. A block recycled while that
-// worker still reads it is a race report under -race, or a prediction that
-// belongs to another caller's row.
-func TestRowBlockIsNotRecycledUnderAnAbandonedWave(t *testing.T) {
+// The row-block lifetime rule under fire: every call's row block goes back
+// to the pool (release keeps it unconditionally), including the calls whose
+// 1 ms deadline expires while they wait for a slot or while the chaos
+// latency holds them inside their evaluation. Concurrent callers with
+// distinct rows reuse those blocks at once, so a block still read after its
+// call returned is a race report under -race, or a prediction that belongs
+// to another caller's row.
+func TestRowBlockIsRecycledUnderExpiringDeadlines(t *testing.T) {
 	frame, _, v2 := fixture(t)
 	inj := chaos.NewInjector(chaos.Config{Latency: 3 * time.Millisecond, LatencyProb: 1}, 1)
-	svc := NewService(fixtureRegistry(t), Options{MaxBatch: 8, Workers: 2, CacheSize: 256, Chaos: inj})
+	svc := NewService(fixtureRegistry(t), Options{Workers: 2, CacheSize: 256, Chaos: inj})
 	t.Cleanup(svc.Close)
 	ts := httptest.NewServer(Handler(svc))
 	t.Cleanup(ts.Close)

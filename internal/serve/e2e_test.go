@@ -37,7 +37,6 @@ func newE2EHarness(t *testing.T, interval time.Duration, shadowFraction float64)
 		t.Fatal(err)
 	}
 	svc := NewService(reg, Options{
-		MaxBatch:       16,
 		CacheSize:      4096,
 		ShadowFraction: shadowFraction,
 	})

@@ -18,8 +18,8 @@ const MetricsContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // Metrics are the service's counters, exposed at GET /metrics in the
 // Prometheus text exposition format. All fields are cumulative; rates and
-// ratios are left to the scraper except the two derived gauges (mean batch
-// size, cache hit ratio) that the acceptance benchmarks read directly.
+// ratios are left to the scraper except the two derived gauges (rows per
+// evaluation, cache hit ratio) that the acceptance benchmarks read directly.
 //
 // Counters exist at two granularities: the unlabeled totals below, and
 // per-system series (System) rendered with a {system="..."} label, so a
@@ -37,18 +37,18 @@ type Metrics struct {
 	CacheMisses atomic.Uint64
 	// OoDFlagged counts rows whose guardrail raised the ood flag.
 	OoDFlagged atomic.Uint64
-	// Batches / BatchedRows describe micro-batching efficacy: BatchedRows
-	// over Batches is the mean evaluated batch size.
+	// Batches counts evaluations (one per request with cache misses);
+	// BatchedRows the rows they evaluated.
 	Batches     atomic.Uint64
 	BatchedRows atomic.Uint64
 	// Errors counts failed predict calls.
 	Errors atomic.Uint64
-	// DeadlineDropped counts waves answered with their context error and
-	// dropped from a micro-batch before evaluation (the deadline expired
-	// while the wave was queued — no model work was spent on it).
+	// DeadlineDropped counts requests answered with their context error
+	// before evaluation (it ended while they waited for an evaluation slot;
+	// no model work was spent on them).
 	DeadlineDropped atomic.Uint64
-	// PanicsRecovered counts panics recovered inside wave-group evaluation
-	// (the wave failed; the worker and process survived).
+	// PanicsRecovered counts panics recovered inside evaluation (the
+	// request failed; the process survived).
 	PanicsRecovered atomic.Uint64
 	// LatencyNs accumulates predict-path wall time in nanoseconds.
 	LatencyNs atomic.Uint64
@@ -68,12 +68,12 @@ type Metrics struct {
 	Latency LatencyHist
 	// stages are the per-stage latency histograms (one labeled family,
 	// ioserve_stage_latency_seconds{stage=...}), fed by ObserveStages so a
-	// p99 regression can be split into queue wait vs wave assembly vs
-	// evaluate vs guard work.
+	// p99 regression can be split into slot wait vs evaluate vs guard
+	// work.
 	stages [obs.NumStages]LatencyHist
-	// QueueDepthFn / InflightWavesFn report the batcher's instantaneous
-	// queue depth and unanswered-wave count at scrape time (wired by
-	// NewService; nil leaves the gauges out of the exposition).
+	// QueueDepthFn / InflightWavesFn report the callers waiting for an
+	// evaluation slot, and those waiting or evaluating, at scrape time
+	// (wired by NewService; nil leaves the gauges out of the exposition).
 	QueueDepthFn    func() int
 	InflightWavesFn func() int
 	// perSystem maps system name -> *SystemMetrics.
@@ -345,11 +345,11 @@ func (h *LatencyHist) appendTo(f *obs.PromFamily, kv ...string) {
 func (m *Metrics) StageHist(st obs.Stage) *LatencyHist { return &m.stages[st] }
 
 // ObserveStages records one request's per-stage split. cache_lookup and
-// observe record on every request; the batcher stages record whenever the
-// request had cache misses — explicitly including waves whose queue wait
-// rounded to zero because a worker drained them immediately, so the
-// queue-wait histogram reflects every queued wave, not just the delayed
-// ones. guard records only when a guarded bundle actually ran it.
+// observe record on every request; the evaluation stages record whenever
+// the request had cache misses — including those whose slot wait rounded to
+// zero, so the queue-wait histogram reflects every evaluation, not just the
+// delayed ones (wave_assemble, which has no work left, records 0). guard
+// records only when a guarded bundle actually ran it.
 func (m *Metrics) ObserveStages(tm *obs.StageTimings) {
 	m.stages[obs.StageCacheLookup].Observe(time.Duration(tm.Ns[obs.StageCacheLookup]))
 	m.stages[obs.StageObserve].Observe(time.Duration(tm.Ns[obs.StageObserve]))
@@ -363,7 +363,7 @@ func (m *Metrics) ObserveStages(tm *obs.StageTimings) {
 	}
 }
 
-// MeanBatchSize returns evaluated rows per micro-batch (0 if none ran).
+// MeanBatchSize returns rows per evaluation (0 if none ran).
 func (m *Metrics) MeanBatchSize() float64 {
 	b := m.Batches.Load()
 	if b == 0 {
@@ -397,11 +397,11 @@ func (m *Metrics) Collect(dst []obs.PromFamily) []obs.PromFamily {
 		{"ioserve_cache_hits_total", "Predictions answered from the duplicate cache.", m.CacheHits.Load()},
 		{"ioserve_cache_misses_total", "Predictions evaluated by a model.", m.CacheMisses.Load()},
 		{"ioserve_ood_flagged_total", "Predictions flagged out-of-distribution.", m.OoDFlagged.Load()},
-		{"ioserve_batches_total", "Micro-batches evaluated.", m.Batches.Load()},
-		{"ioserve_batched_rows_total", "Rows evaluated through micro-batches.", m.BatchedRows.Load()},
+		{"ioserve_batches_total", "Evaluations of a request's cache misses.", m.Batches.Load()},
+		{"ioserve_batched_rows_total", "Rows evaluated.", m.BatchedRows.Load()},
 		{"ioserve_errors_total", "Failed predict calls.", m.Errors.Load()},
-		{"ioserve_deadline_dropped_waves_total", "Waves dropped from micro-batches before evaluation because their deadline expired.", m.DeadlineDropped.Load()},
-		{"ioserve_eval_panics_recovered_total", "Panics recovered inside wave-group evaluation.", m.PanicsRecovered.Load()},
+		{"ioserve_deadline_dropped_waves_total", "Requests dropped before evaluation because their context ended while they waited for an evaluation slot.", m.DeadlineDropped.Load()},
+		{"ioserve_eval_panics_recovered_total", "Panics recovered inside evaluation.", m.PanicsRecovered.Load()},
 		{"ioserve_latency_ns_total", "Cumulative predict latency in nanoseconds.", m.LatencyNs.Load()},
 		{"ioserve_reload_polls_total", "Registry reload polls.", m.ReloadPolls.Load()},
 		{"ioserve_reloads_applied_total", "Reload polls that changed the live version set.", m.ReloadApplied.Load()},
@@ -438,14 +438,14 @@ func (m *Metrics) Collect(dst []obs.PromFamily) []obs.PromFamily {
 		dst = append(dst, f)
 	}
 	dst = append(dst,
-		obs.Scalar("ioserve_batch_size_mean", "Mean rows per evaluated micro-batch.", "gauge", m.MeanBatchSize()),
+		obs.Scalar("ioserve_batch_size_mean", "Mean rows per evaluation.", "gauge", m.MeanBatchSize()),
 		obs.Scalar("ioserve_cache_hit_ratio", "Fraction of predictions answered from cache.", "gauge", m.HitRatio()),
 		obs.Scalar("ioserve_cache_row_bytes", "Bytes of duplicate-cache rows this process holds in mappings outside the Go heap.", "gauge", float64(cacheRowBytes.Load())))
 	if m.QueueDepthFn != nil {
-		dst = append(dst, obs.Scalar("ioserve_batch_queue_depth", "Waves waiting in the batcher queue at scrape time.", "gauge", float64(m.QueueDepthFn())))
+		dst = append(dst, obs.Scalar("ioserve_batch_queue_depth", "Requests waiting for an evaluation slot at scrape time.", "gauge", float64(m.QueueDepthFn())))
 	}
 	if m.InflightWavesFn != nil {
-		dst = append(dst, obs.Scalar("ioserve_batch_inflight_waves", "Waves enqueued but not yet answered at scrape time.", "gauge", float64(m.InflightWavesFn())))
+		dst = append(dst, obs.Scalar("ioserve_batch_inflight_waves", "Requests waiting for or holding an evaluation slot at scrape time.", "gauge", float64(m.InflightWavesFn())))
 	}
 	dst = m.collectShadow(dst)
 	latency := obs.PromFamily{Name: "ioserve_request_latency_seconds", Help: "Predict call latency.", Type: "histogram"}

@@ -69,7 +69,7 @@ func TestPerSystemMetrics(t *testing.T) {
 	if err := reg.Add(v1); err != nil {
 		t.Fatal(err)
 	}
-	svc := NewService(reg, Options{MaxBatch: 8, CacheSize: 1 << 10})
+	svc := NewService(reg, Options{CacheSize: 1 << 10})
 	defer svc.Close()
 
 	row := fixtureFrame.Row(0)
@@ -160,8 +160,8 @@ func TestPruneShadowDropsRetiredComparisons(t *testing.T) {
 }
 
 // TestObserveStages pins the recording rules: cache_lookup and observe on
-// every request, batcher stages only when rows missed the cache (and then
-// even at zero duration — an immediately drained wave still counts a
+// every request, evaluation stages only when rows missed the cache (and then
+// even at zero duration — a slot that was free at once still counts a
 // queue-wait observation), guard only when it ran.
 func TestObserveStages(t *testing.T) {
 	m := &Metrics{}
@@ -194,7 +194,7 @@ func TestObserveStages(t *testing.T) {
 
 // TestWriteTextDeterministicAndGauges: two consecutive scrapes of the same
 // state render byte-identically (sorted per-system and per-shadow series,
-// fixed stage order), and the batcher gauges appear only when wired.
+// fixed stage order), and the evaluation-slot gauges appear only when wired.
 func TestWriteTextDeterministicAndGauges(t *testing.T) {
 	m := &Metrics{}
 	// Touch systems and shadows in non-sorted order.

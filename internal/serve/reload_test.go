@@ -230,7 +230,7 @@ func TestConcurrentPredictDuringReloadAndPromote(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc, rel := diskService(t, dir, Options{
-		MaxBatch: 8, CacheSize: 4096,
+		CacheSize:      4096,
 		ShadowFraction: 0.5,
 	})
 

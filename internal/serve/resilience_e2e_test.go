@@ -25,10 +25,10 @@ import (
 // are logged, not asserted.
 func TestOverloadShedsAndBoundsTail(t *testing.T) {
 	reg := fixtureRegistry(t)
-	// Injected evaluation latency makes queueing real with one worker; the
-	// cache is off so repeated rows cannot bypass the batcher.
+	// Injected evaluation latency makes waiting real with one evaluation
+	// slot; the cache is off so repeated rows cannot bypass evaluation.
 	inj := chaos.NewInjector(chaos.Config{Latency: 2 * time.Millisecond, LatencyProb: 1}, 1)
-	svc := NewService(reg, Options{MaxBatch: 4, Workers: 1, CacheSize: 0, Chaos: inj})
+	svc := NewService(reg, Options{Workers: 1, CacheSize: 0, Chaos: inj})
 	t.Cleanup(svc.Close)
 	gate := resilience.NewGate(resilience.GateConfig{MaxInflight: 4})
 	ts := httptest.NewServer(NewHandler(svc, HandlerConfig{Gate: gate}))

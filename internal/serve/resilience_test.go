@@ -34,7 +34,7 @@ func (c expiringCtx) Err() error {
 	}
 }
 
-// waitFor polls cond: the tests below order themselves on the batcher's own
+// waitFor polls cond: the tests below order themselves on the service's own
 // counters, never on a sleep standing in for one.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -45,30 +45,25 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestBatcherDeadlineMidQueue is the regression for pooled-request
-// lifecycle under cancellation: requests whose context expires while they
-// sit in the open wave must come back with the context error, must not
-// leak pooled waveReqs or deliver into an abandoned channel (the race
-// detector guards that half), and must leave the batcher fully
+// TestBatcherDeadlineMidQueue: callers whose deadline expires while they
+// wait for the one evaluation slot get context.DeadlineExceeded, evaluate
+// nothing, are counted in DeadlineDropped, and leave the service fully
 // serviceable.
 func TestBatcherDeadlineMidQueue(t *testing.T) {
-	_, _, v2 := fixture(t)
-	m := &Metrics{}
-	// One worker held inside its first evaluation (the injected latency is
-	// a gate the test opens): everything submitted behind it queues past
-	// its own deadline, so the submitter-side abandon CAS answers all of
-	// them and the flush-side drop path discards them.
+	frame, _, v2 := fixture(t)
 	g, inj := newEvalGate()
-	b := newBatcher(64, 1, m, inj)
-	defer b.Close()
+	svc := NewService(fixtureRegistry(t), Options{Workers: 1, Chaos: inj})
+	t.Cleanup(svc.Close)
+	t.Cleanup(g.open) // before Close, which waits for a parked evaluation
+	m := svc.Metrics()
+	predict := func(ctx context.Context, i int) error {
+		_, _, err := svc.Predict(ctx, "theta", 2, [][]float64{frame.Row(i)})
+		return err
+	}
 
-	var pin sync.WaitGroup
-	pin.Add(1)
-	var pinErr error
-	go func() {
-		defer pin.Done()
-		_, pinErr = b.Submit(context.Background(), v2, make([]float64, len(v2.Columns)))
-	}()
+	// The pinning request holds the slot inside its evaluation.
+	pinErr := make(chan error, 1)
+	go func() { pinErr <- predict(context.Background(), 0) }()
 	g.waitEntered(t)
 
 	const n = 24
@@ -79,63 +74,66 @@ func TestBatcherDeadlineMidQueue(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = b.Submit(ctx, v2, make([]float64, len(v2.Columns)))
+			errs[i] = predict(ctx, 1+i)
 		}(i)
 	}
-	waitFor(t, "every submission to queue behind the held worker", func() bool { return b.InflightWaves() == 1+n })
+	waitFor(t, "every caller to wait for the held slot", func() bool {
+		return m.QueueDepthFn() == n && m.InflightWavesFn() == 1+n
+	})
 	close(ctx.done)
 	wg.Wait()
-	g.open()
-	pin.Wait()
-	if pinErr != nil {
-		t.Fatalf("pinning submission failed: %v", pinErr)
-	}
 	for i, err := range errs {
 		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("submit %d: err = %v, want context.DeadlineExceeded", i, err)
+			t.Fatalf("caller %d: err = %v, want context.DeadlineExceeded", i, err)
 		}
 	}
-	// The worker discards the expired waves before evaluating anything:
-	// only the pinning request's row was ever batched.
-	waitFor(t, "the worker to drop every expired wave", func() bool { return m.DeadlineDropped.Load() == n })
+	if got := m.DeadlineDropped.Load(); got != n {
+		t.Errorf("DeadlineDropped = %d, want %d", got, n)
+	}
+	g.open()
+	if err := <-pinErr; err != nil {
+		t.Fatalf("pinning request failed: %v", err)
+	}
+	// Only the pinning request's row was ever evaluated.
 	if got := m.BatchedRows.Load(); got != 1 {
 		t.Errorf("%d rows evaluated, want 1 (expired rows must not be)", got)
 	}
-	// Recycled waveReqs must be clean: a fresh submission still works.
-	res, err := b.Submit(context.Background(), v2, make([]float64, len(v2.Columns)))
+	res, _, err := svc.Predict(context.Background(), "theta", 2, [][]float64{frame.Row(n + 1)})
 	if err != nil {
-		t.Fatalf("batcher unserviceable after deadline storm: %v", err)
+		t.Fatalf("service unserviceable after deadline storm: %v", err)
 	}
-	if res.PredLog != v2.Model.Predict(make([]float64, len(v2.Columns))) {
+	if res[0].Log10Throughput != v2.Model.Predict(frame.Row(n+1)) {
 		t.Error("post-storm prediction does not match direct evaluation")
+	}
+	if q, b := m.QueueDepthFn(), m.InflightWavesFn(); q != 0 || b != 0 {
+		t.Errorf("%d callers waiting, %d waiting or evaluating after the storm, want 0 and 0", q, b)
 	}
 }
 
+// TestBatcherPanicIsolation: every evaluation panics; every request gets
+// ErrEvalPanic back, and its slot is returned: the one slot serves the next.
 func TestBatcherPanicIsolation(t *testing.T) {
-	_, _, v2 := fixture(t)
-	m := &Metrics{}
+	frame, _, _ := fixture(t)
 	inj := chaos.NewInjector(chaos.Config{PanicProb: 1}, 1)
-	b := newBatcher(8, 1, m, inj)
-	defer b.Close()
-	// Every evaluation panics; every submission must get an error back and
-	// the worker must survive to serve the next wave.
+	svc := NewService(fixtureRegistry(t), Options{Workers: 1, Chaos: inj})
+	t.Cleanup(svc.Close)
 	for i := 0; i < 3; i++ {
-		_, err := b.Submit(context.Background(), v2, make([]float64, len(v2.Columns)))
+		_, _, err := svc.Predict(context.Background(), "theta", 2, [][]float64{frame.Row(i)})
 		if !errors.Is(err, ErrEvalPanic) {
-			t.Fatalf("submit %d: err = %v, want ErrEvalPanic", i, err)
+			t.Fatalf("request %d: err = %v, want ErrEvalPanic", i, err)
 		}
 	}
-	if got := m.PanicsRecovered.Load(); got < 3 {
-		t.Errorf("PanicsRecovered = %d, want >= 3", got)
+	if got := svc.Metrics().PanicsRecovered.Load(); got != 3 {
+		t.Errorf("PanicsRecovered = %d, want 3", got)
 	}
 }
 
 func TestBatcherChaosError(t *testing.T) {
-	_, _, v2 := fixture(t)
+	frame, _, _ := fixture(t)
 	inj := chaos.NewInjector(chaos.Config{ErrorProb: 1}, 1)
-	b := newBatcher(8, 1, &Metrics{}, inj)
-	defer b.Close()
-	_, err := b.Submit(context.Background(), v2, make([]float64, len(v2.Columns)))
+	svc := NewService(fixtureRegistry(t), Options{Workers: 1, Chaos: inj})
+	t.Cleanup(svc.Close)
+	_, _, err := svc.Predict(context.Background(), "theta", 2, [][]float64{frame.Row(0)})
 	if !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("err = %v, want chaos.ErrInjected", err)
 	}
@@ -143,7 +141,7 @@ func TestBatcherChaosError(t *testing.T) {
 
 func TestServerAdmissionSheds(t *testing.T) {
 	reg := fixtureRegistry(t)
-	svc := NewService(reg, Options{MaxBatch: 16})
+	svc := NewService(reg, Options{})
 	t.Cleanup(svc.Close)
 	gate := resilience.NewGate(resilience.GateConfig{MaxInflight: 1, HardLimit: 2, RetryAfter: 2 * time.Second})
 	set := resilience.NewSet()
@@ -187,10 +185,10 @@ func TestServerAdmissionSheds(t *testing.T) {
 
 func TestServerDeadline(t *testing.T) {
 	reg := fixtureRegistry(t)
-	// Every evaluation takes ~50ms, so millisecond deadlines expire in the
-	// queue and generous ones ride through.
+	// Every evaluation takes ~50ms, so millisecond deadlines expire while
+	// waiting for the one slot and generous ones ride through.
 	inj := chaos.NewInjector(chaos.Config{Latency: 50 * time.Millisecond, LatencyProb: 1}, 1)
-	svc := NewService(reg, Options{MaxBatch: 16, Workers: 1, CacheSize: 0, Chaos: inj})
+	svc := NewService(reg, Options{Workers: 1, CacheSize: 0, Chaos: inj})
 	t.Cleanup(svc.Close)
 	ts := httptest.NewServer(NewHandler(svc, HandlerConfig{DefaultDeadline: 2 * time.Second}))
 	t.Cleanup(ts.Close)
@@ -220,9 +218,9 @@ func TestServerDeadline(t *testing.T) {
 	if resp := post(""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("default deadline: status %d", resp.StatusCode)
 	}
-	// Pin the lone worker in a slow evaluation, then send a request whose
-	// 5ms header deadline expires while it queues behind it: the wave is
-	// dropped before evaluation and the request answered 504.
+	// Pin the one slot in a slow evaluation, then send a request whose 5ms
+	// header deadline expires while it waits for that slot: it is dropped
+	// before evaluation and answered 504.
 	pinDone := make(chan error, 1)
 	go func() {
 		raw, _ := json.Marshal(PredictRequest{System: "theta", Rows: row})
@@ -232,12 +230,12 @@ func TestServerDeadline(t *testing.T) {
 		}
 		pinDone <- err
 	}()
-	// A batch is counted once it is sealed, just before it is evaluated: the
-	// second one is the pinning wave's, so whatever arrives now queues behind
-	// it. (InflightWaves cannot say so: the first request's wave is still
-	// counted for a moment after its response has been read.)
-	waitFor(t, "the worker to enter the slow evaluation", func() bool {
-		return svc.Metrics().Batches.Load() == 2 && svc.batcher.QueueDepth() == 0
+	// An evaluation is counted once its caller holds the slot, just before
+	// it runs: the second one is the pinning request's, so whatever arrives
+	// now waits behind it. (InflightWavesFn cannot say so: the first request
+	// is still counted for a moment after its response has been read.)
+	waitFor(t, "the pinning request to enter the slow evaluation", func() bool {
+		return svc.Metrics().Batches.Load() == 2
 	})
 	if resp := post("5"); resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("5ms header deadline: status %d, want 504", resp.StatusCode)
@@ -245,14 +243,11 @@ func TestServerDeadline(t *testing.T) {
 	if err := <-pinDone; err != nil {
 		t.Fatalf("pinning request failed: %v", err)
 	}
-	// One more served request: the queue is FIFO, so by the time its
-	// response arrives the worker has drained (and dropped) the expired
-	// wave sitting ahead of it.
+	if got := svc.Metrics().DeadlineDropped.Load(); got != 1 {
+		t.Errorf("DeadlineDropped = %d, want the expired request's 1", got)
+	}
 	if resp := post(""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-expiry predict: status %d", resp.StatusCode)
-	}
-	if got := svc.Metrics().DeadlineDropped.Load(); got == 0 {
-		t.Error("expired request was not dropped from its wave")
 	}
 	// Malformed header values are a client error, not a served request.
 	if resp := post("soon"); resp.StatusCode != http.StatusBadRequest {
@@ -278,7 +273,7 @@ func TestReloaderBreaker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := NewService(reg, Options{MaxBatch: 16})
+	svc := NewService(reg, Options{})
 	t.Cleanup(svc.Close)
 	rel, err := NewReloader(svc, dir, 0) // manual polls
 	if err != nil {
@@ -337,7 +332,7 @@ func TestReloaderBreaker(t *testing.T) {
 
 func TestResilienceEndpoint(t *testing.T) {
 	reg := fixtureRegistry(t)
-	svc := NewService(reg, Options{MaxBatch: 16})
+	svc := NewService(reg, Options{})
 	t.Cleanup(svc.Close)
 
 	set := resilience.NewSet()

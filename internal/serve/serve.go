@@ -14,13 +14,13 @@
 //	            duplicate-dominance finding (Sec. VI: ~24% of jobs are
 //	            exact duplicates) makes this the cheapest prediction path
 //	            (cache.go)
-//	batcher   — misses are coalesced into micro-batches (one wave per
-//	            request, adaptive pressure-driven flushing) and evaluated
-//	            on the bundle's compiled flat GBT engine and its guarding
-//	            ensemble, all on pooled buffers (batcher.go)
+//	evaluate  — a request's misses are evaluated on its own goroutine,
+//	            once it holds one of Options.Workers slots, on the bundle's
+//	            compiled flat GBT engine and its guarding ensemble, all on
+//	            pooled buffers (evaluate.go)
 //	guard     — every evaluated prediction is annotated with the taxonomy
-//	            guardrail: epistemic OoD flag and noise-floor diagnosis
-//	            (guard.go)
+//	            guardrail: the epistemic OoD flag and the error source it
+//	            implies (guard.go)
 //	reload    — the registry root is watched by polling; new or rewritten
 //	            version directories are loaded, swapped in atomically, and
 //	            the bumped system's cache entries invalidated (reload.go)
@@ -49,16 +49,9 @@ import (
 
 // Options tune the serving pipeline.
 type Options struct {
-	// MaxBatch bounds cross-request coalescing: a worker stops collecting
-	// further waves once its batch holds at least this many rows (default
-	// 32). A single request's wave is never split, so one request larger
-	// than MaxBatch is still evaluated whole (the evaluation kernels
-	// chunk internally), and the last wave collected may overshoot the
-	// bound by its own size. Batching is adaptive — workers flush the
-	// moment the queue empties — so this only matters under sustained
-	// pressure.
-	MaxBatch int
-	// Workers is the micro-batch worker-pool size (default 2).
+	// Workers bounds how many requests evaluate their cache misses at once
+	// (default 2). A request waits for one of these slots, then evaluates
+	// on its own goroutine (evaluate.go).
 	Workers int
 	// CacheSize is the duplicate cache capacity in entries; <= 0
 	// disables caching.
@@ -82,7 +75,7 @@ type Options struct {
 	// TraceSlowAfter pins the slow-trace keep threshold instead of the
 	// moving p99 estimate (mainly tests; 0 keeps the adaptive threshold).
 	TraceSlowAfter time.Duration
-	// Chaos wires the fault-injection harness into wave evaluation
+	// Chaos wires the fault-injection harness into evaluation
 	// (internal/resilience/chaos, the ioserve -chaos flag). Nil — the
 	// production default — injects nothing.
 	Chaos *chaos.Injector
@@ -120,12 +113,21 @@ type Observer interface {
 // observerBox wraps the interface so it can live in an atomic.Pointer.
 type observerBox struct{ obs Observer }
 
-// Service ties registry, cache, batcher, shadow, and metrics into the
-// predict path.
+// Service ties registry, cache, evaluation slots, shadow, and metrics into
+// the predict path.
 type Service struct {
-	reg     *Registry
-	cache   *Cache
-	batcher *Batcher
+	reg   *Registry
+	cache *Cache
+	// slots holds one token per evaluation in progress (cap
+	// Options.Workers); closed is closed by Close.
+	slots  chan struct{}
+	closed chan struct{}
+	// waiting counts callers waiting for a slot; busy, those waiting or
+	// evaluating. Both are /metrics gauges.
+	waiting, busy atomic.Int64
+	// chaos injects faults into evaluation when wired (nil in production);
+	// see internal/resilience/chaos.
+	chaos   *chaos.Injector
 	shadow  *Shadow
 	metrics *Metrics
 	// tracer owns request traces; nil when Options.TraceEvery <= 0, and a
@@ -143,10 +145,15 @@ type Service struct {
 // NewService wires a service over a loaded registry.
 func NewService(reg *Registry, opt Options) *Service {
 	m := &Metrics{}
+	if opt.Workers <= 0 {
+		opt.Workers = 2
+	}
 	s := &Service{
 		reg:     reg,
 		cache:   NewCache(opt.CacheSize),
-		batcher: newBatcher(opt.MaxBatch, opt.Workers, m, opt.Chaos),
+		slots:   make(chan struct{}, opt.Workers),
+		closed:  make(chan struct{}),
+		chaos:   opt.Chaos,
 		shadow:  NewShadow(reg, opt.ShadowFraction, opt.ShadowWorkers, opt.ShadowQueue, m),
 		metrics: m,
 		logger:  opt.Logger,
@@ -154,8 +161,8 @@ func NewService(reg *Registry, opt Options) *Service {
 	if s.logger == nil {
 		s.logger = obs.NopLogger()
 	}
-	m.QueueDepthFn = s.batcher.QueueDepth
-	m.InflightWavesFn = s.batcher.InflightWaves
+	m.QueueDepthFn = func() int { return int(s.waiting.Load()) }
+	m.InflightWavesFn = func() int { return int(s.busy.Load()) }
 	m.RegisterCollector(s.collectVersions)
 	if opt.TraceEvery > 0 {
 		s.tracer = obs.NewTracer(obs.Config{
@@ -181,12 +188,16 @@ func (s *Service) collectVersions(dst []obs.PromFamily) []obs.PromFamily {
 	return append(dst, f)
 }
 
-// Close stops the reloader (if attached), the shadow mirror, and the
-// worker pool.
+// Close stops the reloader (if attached) and the shadow mirror, and waits
+// for running evaluations to end. Requests that still have misses to
+// evaluate then get ErrBatcherClosed.
 func (s *Service) Close() {
 	s.reloader.Load().Close()
 	s.shadow.Close()
-	s.batcher.Close()
+	close(s.closed)
+	for range cap(s.slots) {
+		s.slots <- struct{}{}
+	}
 }
 
 // Registry exposes the model registry (for listings).
@@ -221,8 +232,8 @@ func (s *Service) SetObserver(o Observer) {
 // registered one), returning the results and the bundle that produced
 // them.
 // Rows must match the bundle's feature schema. Rows that hit the duplicate
-// cache are answered immediately; the rest go through the micro-batcher in
-// one wave, so a multi-row request coalesces naturally.
+// cache are answered immediately; the rest are evaluated together, on the
+// caller's goroutine, once it holds an evaluation slot.
 func (s *Service) Predict(ctx context.Context, system string, version int, rows [][]float64) ([]PredictionResult, *ModelVersion, error) {
 	results, mv, _, _, err := s.PredictTraced(ctx, system, version, rows)
 	return results, mv, err
@@ -301,7 +312,7 @@ func (s *Service) TraceShed(system string, reason string) uint64 {
 }
 
 // PredictQuiet evaluates rows exactly like Predict — same registry
-// resolution, duplicate cache, micro-batcher, and guardrails — but
+// resolution, duplicate cache, evaluation slots, and guardrails — but
 // records nothing: no serving metrics, no shadow mirroring, no observer
 // notification. Control-plane evaluations (e.g. internal/drift scoring
 // ground-truth feedback against model versions) use it so backfilled
@@ -312,7 +323,7 @@ func (s *Service) PredictQuiet(ctx context.Context, system string, version int, 
 }
 
 // predict is the shared serving path. tm (never nil) accumulates the
-// request's stage attribution as it flows through cache, batcher, and
+// request's stage attribution as it flows through cache, evaluation, and
 // finalization; the caller decides whether those timings reach /metrics or
 // a retained trace.
 func (s *Service) predict(ctx context.Context, system string, version int, rows [][]float64, quiet bool, tm *obs.StageTimings) ([]PredictionResult, *ModelVersion, error) {
@@ -363,14 +374,14 @@ func (s *Service) predict(ctx context.Context, system string, version int, rows 
 		// feature vector; they ride on this evaluation as cache hits.
 		dependents []int
 	}
-	// All of a request's misses travel to the worker pool as one wave, so
-	// a multi-row request is picked up by one worker in one queue
-	// operation and never splits across micro-batches. The wave copies the
-	// row headers, so both lists live on this frame up to defaultMaxBatch
-	// misses.
-	var missBuf [defaultMaxBatch]miss
-	var missRowBuf [defaultMaxBatch][]float64
-	misses, missRows := missBuf[:0], missRowBuf[:0]
+	// All of a request's misses are one evaluation. Their bookkeeping lives
+	// on this frame up to missesOnStack. Their row headers go into the
+	// pooled scratch the evaluation runs on, taken at the first miss: a
+	// stack array of headers handed to the evaluation would escape.
+	const missesOnStack = 32
+	var missBuf [missesOnStack]miss
+	misses := missBuf[:0]
+	var sc *evalScratch
 	var hits uint64
 	// In-request duplicate lookup: typical requests hold few misses, so a
 	// linear scan beats a per-request map — but the HTTP layer admits
@@ -419,7 +430,10 @@ func (s *Service) predict(ctx context.Context, system string, version int, rows 
 			}
 		}
 		misses = append(misses, miss{i: i, key: key})
-		missRows = append(missRows, row)
+		if sc == nil {
+			sc = evalScratchPool.Get().(*evalScratch)
+		}
+		sc.rows = append(sc.rows, row)
 		if pending != nil {
 			pending[key] = len(misses) - 1
 		}
@@ -427,26 +441,23 @@ func (s *Service) predict(ctx context.Context, system string, version int, rows 
 	tm.Add(obs.StageCacheLookup, time.Since(cacheStart).Nanoseconds())
 	tm.CacheHits = int(hits)
 	tm.CacheMisses = len(misses)
-	if len(misses) > 0 {
-		wave, wt, err := s.batcher.SubmitWave(ctx, mv, missRows)
+	if sc != nil {
+		evaluated, err := s.evaluateMisses(ctx, mv, sc, tm)
 		if err != nil {
+			sc.release()
 			return nil, mv, err
 		}
-		tm.Add(obs.StageQueueWait, wt.QueueNs)
-		tm.Add(obs.StageWaveAssemble, wt.AssembleNs)
-		tm.Add(obs.StageEvaluate, wt.EvalNs)
-		tm.Add(obs.StageGuard, wt.GuardNs)
 		finalizeStart := time.Now()
 		for k := range misses {
 			ms := &misses[k]
-			res := (*wave)[k]
+			res := evaluated[k]
 			s.cache.Put(ms.key, rows[ms.i], mv, res)
 			setResult(ms.i, res, false)
 			for _, di := range ms.dependents {
 				setResult(di, res, true)
 			}
 		}
-		putResults(wave)
+		sc.release()
 		tm.Add(obs.StageFinalize, time.Since(finalizeStart).Nanoseconds())
 	}
 

@@ -38,7 +38,7 @@ import (
 // HandlerConfig.AdminToken; the read and predict paths are never gated.
 
 // maxRequestBody bounds predict request bodies (16 MiB ~ 100k-row batches
-// of 20 features; far above anything the batcher wants in one request).
+// of 20 features; far above what one evaluation should carry).
 const maxRequestBody = 16 << 20
 
 // PredictRequest is the POST /v1/predict body.
@@ -97,8 +97,8 @@ func serverTimings(tm *obs.StageTimings) *ServerTimings {
 
 // DeadlineHeader is the request header carrying a per-request deadline in
 // whole milliseconds. The effective deadline is the tighter of this and
-// HandlerConfig.DefaultDeadline; a request that exceeds it is dropped
-// (from the batcher queue if it hasn't evaluated yet) and answered 504.
+// HandlerConfig.DefaultDeadline; a request that exceeds it is answered 504,
+// and one that is still waiting for an evaluation slot is dropped unevaluated.
 const DeadlineHeader = "X-Request-Timeout-Ms"
 
 // HandlerConfig tunes the HTTP layer.

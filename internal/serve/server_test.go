@@ -13,7 +13,7 @@ import (
 func newTestServer(t *testing.T, cacheSize int) (*httptest.Server, *Service) {
 	t.Helper()
 	reg := fixtureRegistry(t)
-	svc := NewService(reg, Options{MaxBatch: 16, CacheSize: cacheSize})
+	svc := NewService(reg, Options{CacheSize: cacheSize})
 	t.Cleanup(svc.Close)
 	ts := httptest.NewServer(Handler(svc))
 	t.Cleanup(ts.Close)

@@ -17,7 +17,6 @@ func newTracedServer(t *testing.T, token string) (*httptest.Server, *Service) {
 	t.Helper()
 	reg := fixtureRegistry(t)
 	svc := NewService(reg, Options{
-		MaxBatch:   16,
 		CacheSize:  4096,
 		TraceEvery: 1,
 	})
@@ -126,7 +125,7 @@ func TestE2ETracedRequest(t *testing.T) {
 	}
 
 	// Stage histograms made it to /metrics with the labeled family, and the
-	// batcher gauges render.
+	// evaluation-slot gauges render.
 	metrics := getText(t, ts.URL+"/metrics")
 	for _, want := range []string{
 		`ioserve_stage_latency_seconds_bucket{stage="queue_wait",le=`,
@@ -196,7 +195,7 @@ func TestTraceEndpointsAuthn(t *testing.T) {
 // attribution is always on) but no trace ID.
 func TestTraceEndpointsDisabled(t *testing.T) {
 	reg := fixtureRegistry(t)
-	svc := NewService(reg, Options{MaxBatch: 16, CacheSize: 64})
+	svc := NewService(reg, Options{CacheSize: 64})
 	t.Cleanup(svc.Close)
 	ts := httptest.NewServer(Handler(svc))
 	t.Cleanup(ts.Close)

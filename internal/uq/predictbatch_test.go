@@ -69,15 +69,16 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 // forwards of one batch in line on the caller against one goroutine per
 // member, on members shaped like a served bundle's (101 features, hidden
 // widths 24/40/56). "alone" is one caller on an otherwise idle machine,
-// "full" one caller per CPU — a serving worker's situation, since the pool
-// is as wide as the machine. Run with -cpu 2 or more; README "Lone waves"
-// has the table from the 2-CPU box the constant was set on. In short: the
-// fan-out costs 7 objects a batch and in line allocates nothing; below 12
+// "full" one caller per CPU — a serving evaluation's situation when the
+// evaluation slots (two by default) keep every CPU busy. Run with -cpu 2 or
+// more; README "Evaluation slots" has the table from the 2-CPU box the
+// constant was set on. In short: the fan-out costs 7 objects a batch and in
+// line allocates nothing; below 12
 // rows in line is quicker either way (1 row 4.9 against 6.7 µs, 4 rows 17
 // against 27); from 16 rows a caller alone is 10-20 % quicker fanned out,
 // while on a full machine in line is level or ahead at every size through
 // 256 — what the fan-out can win is bounded by the CPUs left idle. Hence
-// 64: every batch the micro-batcher forms stays in line, a frame does not.
+// 64: a predict request's misses stay in line, a frame does not.
 //
 // One layer down mat.mulInto has its own fan-out, part of both sides here:
 // mat.parallelThreshold is set so that no product of an in-line serving

@@ -113,9 +113,9 @@ func (e *Ensemble) PredictAll(rows [][]float64) []Prediction {
 }
 
 // PredictBatch decomposes a batch over batched member forwards. This is
-// the serving-path kernel: the micro-batcher hands it coalesced batches,
-// and each member's pass is a chunked matrix product rather than per-row
-// network walks.
+// the serving-path kernel: a predict call hands it the rows of its cache
+// misses, and each member's pass is a chunked matrix product rather than
+// per-row network walks.
 func (e *Ensemble) PredictBatch(rows [][]float64) []Prediction {
 	if len(rows) == 0 {
 		return nil
@@ -140,11 +140,11 @@ type BatchScratch struct {
 // fanOutRows is the batch size from which PredictBatchInto gives each
 // member its own goroutine. Below it the members run in line on the caller:
 // starting and joining three goroutines costs more than the forwards of a
-// few rows (and seven objects a batch), and a serving batch already runs on
-// one of a pool of workers as wide as the machine, where there is no idle
-// CPU for the fan-out to use. At 64 every batch the micro-batcher forms (32
-// rows by default) stays in line and PredictAll over a frame still fans
-// out. BenchmarkMemberFanOut measures both situations.
+// few rows (and seven objects a batch), and serving evaluations already run
+// side by side in the service's evaluation slots, leaving no idle CPU for
+// the fan-out to use. At 64 a predict request's misses (16
+// rows on the ledger's workloads) stay in line and PredictAll over a frame
+// still fans out. BenchmarkMemberFanOut measures both situations.
 const fanOutRows = 64
 
 // PredictBatchInto is PredictBatch writing into a caller-provided slice

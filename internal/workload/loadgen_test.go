@@ -61,7 +61,7 @@ func serviceTarget(svc *serve.Service, system string, version int) Target {
 
 func TestLoadGenDuplicateKnobDrivesCache(t *testing.T) {
 	frame, reg := loadFixture(t)
-	svc := serve.NewService(reg, serve.Options{MaxBatch: 16, CacheSize: 8192})
+	svc := serve.NewService(reg, serve.Options{CacheSize: 8192})
 	defer svc.Close()
 	gen, err := NewLoadGen(LoadSpec{
 		System:      "theta",
@@ -96,7 +96,7 @@ func TestLoadGenDuplicateKnobDrivesCache(t *testing.T) {
 
 func TestLoadGenOoDKnobTripsGuardrail(t *testing.T) {
 	frame, reg := loadFixture(t)
-	svc := serve.NewService(reg, serve.Options{MaxBatch: 16})
+	svc := serve.NewService(reg, serve.Options{})
 	defer svc.Close()
 	gen, err := NewLoadGen(LoadSpec{
 		System:    "theta",
