@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
 	"context"
 	"crypto/tls"
@@ -13,6 +14,7 @@ import (
 	"math/bits"
 	"net"
 	"net/http"
+	"net/http/httputil"
 	"net/url"
 	"slices"
 	"strconv"
@@ -32,8 +34,10 @@ import (
 // expired requests itself instead of computing answers nobody will read).
 //
 // Every call is one HTTP/1.1 exchange on a keep-alive connection of the
-// Remote's own pool: the request written whole, then the reply read through
-// net/http's own ReadResponse. No redirect is followed.
+// Remote's own pool: the request written whole, then the reply's head read
+// by readHead, which keeps net/http's ReadResponse rules for the status,
+// framing, closing and Retry-After it reads and builds nothing else, and
+// the body by its framing. No redirect is followed.
 type Remote struct {
 	name    string
 	baseURL string
@@ -128,10 +132,12 @@ const maxReplicaReply = 4 * maxRouterBody
 // request as it goes on the wire, and the reply's body. A call returns only
 // once its write has ended, so a predict hop's is pooled.
 type hopBody struct {
-	body  []byte           // the predict request's JSON
-	req   []byte           // request line, headers and body
-	reply []byte           // the reply's body; the decoder copies out of it
-	bound io.LimitedReader // over the reply's body while reply is read
+	body  []byte // the predict request's JSON
+	req   []byte // request line, headers and body
+	reply []byte // the reply's body; the decoder copies out of it
+	// While reply is read: bound over the body, and framed over the
+	// connection, at the body's Content-Length.
+	bound, framed io.LimitedReader
 	// The connections the call was handed: fresh from a dial, or pooled.
 	dialled, reused uint64
 }
@@ -267,30 +273,183 @@ func (c *hopConn) exchange(h *hopBody, limit int64) (keep bool, err error) {
 	_, werr := c.Write(h.req)
 	// A replica that sheds may answer, and close, before it has read the
 	// whole body: its answer stands, not the write that then broke.
-	resp, err := http.ReadResponse(c.br, nil)
-	switch {
-	case err != nil:
+	var head replyHead
+	if err := readHead(c.br, &head); err != nil {
 		return false, cmp.Or(werr, err)
-	case resp.StatusCode < 200 || resp.StatusCode > 599:
-		return false, fmt.Errorf("replica answered with status %q", resp.Status)
-	case resp.StatusCode != http.StatusOK:
+	}
+	if head.status != http.StatusOK {
 		limit = 4 << 10
 	}
-	h.bound = io.LimitedReader{R: resp.Body, N: limit + 1}
-	h.reply, err = serve.ReadBody(h.reply[:0], &h.bound, resp.ContentLength)
-	h.bound.R = nil
-	keep = h.bound.N > 0 && werr == nil && !resp.Close && c.br.Buffered() == 0
-	switch {
-	case err != nil:
+	if err := h.readBody(c.br, &head, limit); err != nil {
 		return false, fmt.Errorf("reading the reply body: %w", err)
-	case resp.StatusCode != http.StatusOK:
-		return keep, backendError(resp.StatusCode, resp.Header.Get("Retry-After"), h.reply[:min(int64(len(h.reply)), limit)])
+	}
+	keep = h.bound.N > 0 && werr == nil && !head.close && c.br.Buffered() == 0
+	switch {
+	case head.status != http.StatusOK:
+		return keep, backendError(head.status, head.retryAfter, h.reply[:min(int64(len(h.reply)), limit)])
 	case h.bound.N == 0:
 		// 5xx, so it counts against the replica's breaker like any fault.
 		return false, &BackendError{Status: http.StatusBadGateway, Msg: fmt.Sprintf("reply exceeds %d bytes", limit)}
 	}
 	return keep, nil
 }
+
+// readBody reads the body head frames off br into h.reply, stopping past
+// limit bytes with h.bound.N at 0. A chunked body's trailer is read and
+// dropped; a body short of its Content-Length is io.ErrUnexpectedEOF.
+func (h *hopBody) readBody(br *bufio.Reader, head *replyHead, limit int64) error {
+	h.framed = io.LimitedReader{R: br, N: head.length}
+	var body io.Reader = &h.framed
+	switch {
+	case head.chunked:
+		body = httputil.NewChunkedReader(br)
+	case head.length < 0:
+		body = br
+	}
+	h.bound = io.LimitedReader{R: body, N: limit + 1}
+	var err error
+	h.reply, err = serve.ReadBody(h.reply[:0], &h.bound, head.length)
+	h.bound.R, h.framed.R = nil, nil
+	switch {
+	case err != nil || h.bound.N == 0:
+		return err
+	case h.framed.N > 0:
+		return io.ErrUnexpectedEOF
+	}
+	for head.chunked { // the trailer, to its blank line
+		if line, err := headLine(br); err != nil || len(line) == 0 {
+			return err
+		}
+	}
+	return nil
+}
+
+// replyHead is what a hop reads of a reply's status line and headers.
+type replyHead struct {
+	status     int
+	length     int64 // of the body; -1 when chunked or read to the close
+	chunked    bool
+	close      bool // the replica closes the connection after this reply
+	retryAfter string
+}
+
+// What readHead refuses and ReadResponse reads. ioserve sends neither, and
+// FuzzReplyHead holds that there is no other difference.
+var (
+	errLongHeadLine = errors.New("a reply head line outgrows the read buffer")
+	errFoldedHeader = errors.New("a reply header is folded onto a second line")
+)
+
+// readHead reads a reply's status line and headers off br into h by the rules
+// net/http's ReadResponse keeps for what h holds, and refuses a status
+// outside 200–599. It allocates only for a Retry-After value and on failure.
+func readHead(br *bufio.Reader, h *replyHead) error {
+	line, err := headLine(br)
+	if err != nil {
+		return err
+	}
+	proto, status, ok := bytes.Cut(line, []byte(" "))
+	status = bytes.TrimLeft(status, " ")
+	code, _, _ := bytes.Cut(status, []byte(" "))
+	major, minor, okProto := http.ParseHTTPVersion(string(proto))
+	h.status, err = strconv.Atoi(string(code))
+	switch {
+	case !ok || len(code) != 3 || err != nil || !okProto:
+		return fmt.Errorf("malformed reply status line %q", line)
+	case h.status < 200 || h.status > 599:
+		return fmt.Errorf("replica answered with status %q", status)
+	}
+	var lengths, digits, encodings int
+	var chunked, closing, keepAlive, sawRetryAfter, badTrailer bool
+	for {
+		if line, err = headLine(br); err != nil || len(line) == 0 {
+			break
+		}
+		if line[0] == ' ' || line[0] == '\t' {
+			return errFoldedHeader
+		}
+		key, v, ok := bytes.Cut(bytes.TrimRight(line, " \t"), []byte(":"))
+		if !ok || !validHeader(key, v) {
+			return fmt.Errorf("malformed reply header line %q", line)
+		}
+		switch v = bytes.TrimLeft(v, " \t"); {
+		case equalFold(key, "Content-Length"):
+			// Digit strings of one length are one number only if they are
+			// one string, which ReadResponse asks of repeated values.
+			n, err := strconv.ParseUint(string(v), 10, 63)
+			if err != nil || lengths > 0 && (int64(n) != h.length || len(v) != digits) {
+				return fmt.Errorf("malformed or differing reply Content-Length %q", v)
+			}
+			lengths, digits, h.length = lengths+1, len(v), int64(n)
+		case equalFold(key, "Transfer-Encoding"):
+			encodings, chunked = encodings+1, equalFold(v, "chunked")
+		case equalFold(key, "Connection"):
+			closing, keepAlive = closing || hasToken(v, "close"), keepAlive || hasToken(v, "keep-alive")
+		case equalFold(key, "Retry-After") && !sawRetryAfter:
+			h.retryAfter, sawRetryAfter = string(v), true
+		case equalFold(key, "Trailer"):
+			badTrailer = badTrailer || hasToken(v, "Content-Length") || hasToken(v, "Transfer-Encoding") || hasToken(v, "Trailer")
+		}
+	}
+	// Transfer-Encoding counts from HTTP/1.1 on, and net/http takes HTTP/0.0
+	// for HTTP/1.1 there.
+	h.chunked = encodings > 0 && (major > 1 || major == 1 && minor >= 1 || major == 0 && minor == 0)
+	switch {
+	case err != nil:
+		return err
+	case h.chunked && (encodings != 1 || !chunked):
+		return errors.New("reply has a transfer coding other than chunked")
+	case h.chunked && badTrailer:
+		return errors.New("reply declares a framing header as a trailer")
+	case h.status == http.StatusNoContent || h.status == http.StatusNotModified:
+		h.length, h.chunked = 0, false
+	case h.chunked || lengths == 0:
+		h.length = -1
+	}
+	h.close = major < 1 || closing || major == 1 && minor == 0 && !keepAlive || h.length < 0 && !h.chunked
+	return nil
+}
+
+// headLine is the next line of a reply's head without its line end: a view
+// of br's buffer that the next read overwrites.
+func headLine(br *bufio.Reader) ([]byte, error) {
+	switch line, err := br.ReadSlice('\n'); err {
+	case nil:
+		return bytes.TrimSuffix(line[:len(line)-1], []byte("\r")), nil
+	case bufio.ErrBufferFull:
+		return nil, errLongHeadLine
+	case io.EOF:
+		return nil, io.ErrUnexpectedEOF
+	default:
+		return nil, err
+	}
+}
+
+// validHeader keeps net/textproto's rules: a name of token characters or
+// spaces (a space makes a name nothing matches), a value with no control
+// characters.
+func validHeader(key, v []byte) bool {
+	for _, c := range key {
+		if !('a' <= c|0x20 && c|0x20 <= 'z' || '0' <= c && c <= '9' || strings.IndexByte(" !#$%&'*+-.^_`|~", c) >= 0) {
+			return false
+		}
+	}
+	return len(key) > 0 && !bytes.ContainsFunc(v, func(r rune) bool { return r < ' ' && r != '\t' || r == 0x7f })
+}
+
+// hasToken says whether the comma-separated list v holds token.
+func hasToken(v []byte, token string) bool {
+	for elem := range bytes.SplitSeq(v, []byte(",")) {
+		if equalFold(bytes.Trim(elem, " \t"), token) {
+			return true
+		}
+	}
+	return false
+}
+
+// equalFold is net/http's ASCII case folding: a string folds onto an ASCII
+// one of its length only if it is ASCII too.
+func equalFold(b []byte, s string) bool { return len(b) == len(s) && bytes.EqualFold(b, []byte(s)) }
 
 // hopError is the error a call that failed with err returns: the caller's
 // own when its context has ended, context.DeadlineExceeded when its deadline

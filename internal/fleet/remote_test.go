@@ -413,12 +413,12 @@ func TestRemotePredictAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	size := float64(after.TotalAlloc-before.TotalAlloc) / runs
 	t.Logf("a hop of %d rows allocates %.0f objects and %.0f bytes, the server's included", rows, objects, size)
-	// Measured: 43 objects and 5.0 KB, of which the decoded reply is four
-	// objects and ~1.5 KB, ReadResponse's on each side ~10 and the server's
-	// request and response state most of the rest. The bounds leave room for a
-	// pool refill after a collection and for stack growth, which the byte
-	// count includes.
-	if objects > 48 || size > 6<<10 {
-		t.Errorf("a hop allocates %.0f objects and %.0f bytes, want at most 48 and %d", objects, size, 6<<10)
+	// Measured: 32 objects and 4.1 KB. The decoded reply is three objects and
+	// ~1.5 KB, the hop's reading of the reply none (TestReplyReadAllocatesNothing),
+	// and the server's ReadRequest and its request and response state most of
+	// the rest. The bounds leave room for a pool refill after a collection
+	// and for stack growth, which the byte count includes.
+	if objects > 37 || size > 5<<10 {
+		t.Errorf("a hop allocates %.0f objects and %.0f bytes, want at most 37 and %d", objects, size, 5<<10)
 	}
 }

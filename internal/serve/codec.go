@@ -397,10 +397,15 @@ func (t *ServerTimings) fields() [len(timingKeys)]*int64 {
 // shares that string rather than holding a copy of it; any other shape — an
 // older or newer replica, whitespace, reordered keys — is encoding/json's to
 // decode. Either way each guard's label is the one its ood flag implies, so
-// a label that contradicts the flag beside it is never passed on.
+// a label that contradicts the flag beside it is never passed on. The reply
+// and its server_timings are one allocation.
 func DecodePredictReply(data []byte, system string) (*PredictResponse, error) {
-	out := &PredictResponse{System: system}
-	if decodeResponse(data, out) {
+	reply := &struct {
+		out     PredictResponse
+		timings ServerTimings
+	}{out: PredictResponse{System: system}}
+	out := &reply.out
+	if decodeResponse(data, out, &reply.timings) {
 		return out, nil
 	}
 	*out = PredictResponse{}
@@ -416,8 +421,9 @@ func DecodePredictReply(data []byte, system string) (*PredictResponse, error) {
 }
 
 // decodeResponse is the reply fast path. out.System, if the caller set it, is
-// kept when the reply spells the same name.
-func decodeResponse(data []byte, out *PredictResponse) bool {
+// kept when the reply spells the same name; a reply's server_timings go into
+// timings, at which out.ServerTimings then points.
+func decodeResponse(data []byte, out *PredictResponse, timings *ServerTimings) bool {
 	p := cursor{b: data}
 	p.want(`{"system":`)
 	system := p.str()
@@ -478,7 +484,7 @@ func decodeResponse(data []byte, out *PredictResponse) bool {
 		out.TraceID = string(p.str())
 	}
 	if p.hasLit(timingKeys[0]) {
-		out.ServerTimings = new(ServerTimings)
+		out.ServerTimings = timings
 		for i, ns := range out.ServerTimings.fields() {
 			if i > 0 {
 				p.want(timingKeys[i])

@@ -225,7 +225,7 @@ func FuzzDecodePredictResponse(f *testing.F) {
 			t.Fatalf("decoded %+v, encoding/json %+v: %q", got, want, data)
 		}
 		var fast PredictResponse
-		if decodeResponse(data, &fast) && (wantErr != nil || !sameResponse(&fast, &want)) {
+		if decodeResponse(data, &fast, new(ServerTimings)) && (wantErr != nil || !sameResponse(&fast, &want)) {
 			t.Fatalf("fast path decoded %+v, encoding/json %+v (%v): %q", fast, want, wantErr, data)
 		}
 	})
@@ -421,7 +421,7 @@ func TestHandlerReplyTakesTheHopFastPath(t *testing.T) {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
 	var fast, want PredictResponse
-	if !decodeResponse(rec.Body.Bytes(), &fast) {
+	if !decodeResponse(rec.Body.Bytes(), &fast, new(ServerTimings)) {
 		t.Fatalf("the hop's fast path refused ioserve's reply: %s", rec.Body.String())
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &want); err != nil || !sameResponse(&fast, &want) {

@@ -49,17 +49,23 @@ func (s *Service) evaluateMisses(ctx context.Context, mv *ModelVersion, sc *eval
 	start := time.Now()
 	s.busy.Add(1)
 	defer s.busy.Add(-1)
-	s.waiting.Add(1)
+	// A free slot is taken without a select on ctx.Done(), which would have
+	// net/http's request context make its channel for every request.
 	select {
 	case s.slots <- struct{}{}:
-		s.waiting.Add(-1)
-	case <-ctx.Done():
-		s.waiting.Add(-1)
-		s.metrics.DeadlineDropped.Add(1)
-		return nil, ctx.Err()
-	case <-s.closed:
-		s.waiting.Add(-1)
-		return nil, ErrBatcherClosed
+	default:
+		s.waiting.Add(1)
+		select {
+		case s.slots <- struct{}{}:
+			s.waiting.Add(-1)
+		case <-ctx.Done():
+			s.waiting.Add(-1)
+			s.metrics.DeadlineDropped.Add(1)
+			return nil, ctx.Err()
+		case <-s.closed:
+			s.waiting.Add(-1)
+			return nil, ErrBatcherClosed
+		}
 	}
 	defer func() { <-s.slots }()
 	evalStart := time.Now()

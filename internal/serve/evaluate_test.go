@@ -134,6 +134,39 @@ func TestBatcherWaveRoundTripAllocs(t *testing.T) {
 	}
 }
 
+// TestFreeSlotMakesNoDoneChannel: a request whose context can be cancelled,
+// as net/http's always can, takes a free slot without asking for the
+// context's Done channel, which the context would make on the heap for it.
+// A fresh context each run costs what making and cancelling it costs, and
+// the path nothing more.
+func TestFreeSlotMakesNoDoneChannel(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	frame, v1, _ := fixture(t)
+	svc := NewService(fixtureRegistry(t), Options{Workers: 1})
+	t.Cleanup(svc.Close)
+	sc := &evalScratch{rows: frame.Rows()[:4]}
+	var tm obs.StageTimings
+	var ctxErr error
+	path := func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		if _, err := svc.evaluateMisses(ctx, v1, sc, &tm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctxAlone := func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		ctxErr = ctx.Err()
+	}
+	path()
+	if slot, alone := testing.AllocsPerRun(200, path), testing.AllocsPerRun(200, ctxAlone); slot != alone || ctxErr != nil {
+		t.Fatalf("taking a free slot under a cancellable context allocates %.0f times, the context alone %.0f", slot, alone)
+	}
+}
+
 // TestEvaluateFlatMatchesReference pins the zero-allocation evaluation
 // path against the reference computation it replaced: Model.PredictAll for
 // the point prediction and per-row Ensemble.Predict + Diagnose for the
