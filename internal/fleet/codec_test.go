@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -16,21 +18,23 @@ import (
 // infReplica is a stub whose every prediction is +Inf bytes/s.
 type infReplica struct{ *stubReplica }
 
-func (s infReplica) Predict(ctx context.Context, req *serve.PredictRequest) (*serve.PredictResponse, error) {
-	resp, err := s.stubReplica.Predict(ctx, req)
-	if err != nil {
-		return nil, err
+func (s infReplica) Predict(ctx context.Context, req *serve.PredictRequest, out *serve.PredictResponse) error {
+	if err := s.stubReplica.Predict(ctx, req, out); err != nil {
+		return err
 	}
-	for i := range resp.Predictions {
-		resp.Predictions[i].Throughput = math.Inf(1)
+	for i := range out.Predictions {
+		out.Predictions[i].Throughput = math.Inf(1)
 	}
-	return resp, nil
+	return nil
 }
 
 // A routed response JSON cannot carry is a counted 500 with the uniform
 // error body, not a 200 cut short.
 func TestNonFiniteRoutedResponseIsA500(t *testing.T) {
-	rt := newTestRouter(t, RouterConfig{}, infReplica{newStub("replica-0")})
+	var logged bytes.Buffer
+	stub := newStub("replica-0")
+	stub.version = 7
+	rt := newTestRouter(t, RouterConfig{Logger: slog.New(slog.NewTextHandler(&logged, nil))}, infReplica{stub})
 	before := rt.metrics.errors.Load()
 	rec := httptest.NewRecorder()
 	Handler(rt).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(`{"system":"theta","row":[400]}`)))
@@ -40,6 +44,12 @@ func TestNonFiniteRoutedResponseIsA500(t *testing.T) {
 	}
 	if got := rt.metrics.errors.Load(); got != before+1 {
 		t.Errorf("iorouter_errors_total moved by %d, want 1", got-before)
+	}
+	// Logged from the reply that failed, read before its storage went back
+	// to the pool.
+	if line := logged.String(); !strings.Contains(line, "routed response not encodable") ||
+		!strings.Contains(line, "system=theta") || !strings.Contains(line, "version=7") {
+		t.Errorf("logged %q, want the failing reply's system and version", line)
 	}
 }
 
@@ -57,7 +67,7 @@ func TestRemoteBoundsTheReplicaReply(t *testing.T) {
 	t.Cleanup(ts.Close)
 	rem := NewRemote("runaway", ts.URL, RemoteConfig{})
 	req := &serve.PredictRequest{System: "theta", Row: []float64{1}}
-	_, err := rem.Predict(context.Background(), req)
+	_, err := predict(context.Background(), rem, req)
 	be, ok := err.(*BackendError)
 	if !ok || be.Status != http.StatusBadGateway || !be.Fault() {
 		t.Fatalf("err = %v, want a 502 BackendError that is a replica fault", err)

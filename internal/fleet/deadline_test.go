@@ -71,7 +71,7 @@ func TestRemoteForwardsRemainingBudget(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	time.Sleep(100 * time.Millisecond)
-	if _, err := rem.Predict(ctx, &serve.PredictRequest{System: "theta", Row: []float64{1}}); err != nil {
+	if _, err := predict(ctx, rem, &serve.PredictRequest{System: "theta", Row: []float64{1}}); err != nil {
 		t.Fatal(err)
 	}
 	ms := gotBudget.Load()
@@ -92,7 +92,7 @@ func TestRemoteFailsFastOnExhaustedBudget(t *testing.T) {
 
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
-	_, err := rem.Predict(ctx, &serve.PredictRequest{System: "theta", Row: []float64{1}})
+	_, err := predict(ctx, rem, &serve.PredictRequest{System: "theta", Row: []float64{1}})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want wrapped context.DeadlineExceeded", err)
 	}

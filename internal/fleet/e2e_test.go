@@ -378,7 +378,7 @@ func TestRemoteBackend(t *testing.T) {
 	if err := rem.Health(context.Background()); err != nil {
 		t.Fatalf("health: %v", err)
 	}
-	resp, err := rem.Predict(context.Background(), &serve.PredictRequest{System: "theta", Rows: pool[:4]})
+	resp, err := predict(context.Background(), rem, &serve.PredictRequest{System: "theta", Rows: pool[:4]})
 	if err != nil {
 		t.Fatalf("predict: %v", err)
 	}
@@ -388,7 +388,7 @@ func TestRemoteBackend(t *testing.T) {
 
 	// Replica-side statuses surface as BackendError with the same code the
 	// replica answered.
-	_, err = rem.Predict(context.Background(), &serve.PredictRequest{System: "nope", Row: pool[0]})
+	_, err = predict(context.Background(), rem, &serve.PredictRequest{System: "nope", Row: pool[0]})
 	be, ok := err.(*BackendError)
 	if !ok || be.Status != 404 {
 		t.Fatalf("unknown system: %v, want 404", err)

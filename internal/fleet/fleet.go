@@ -64,12 +64,14 @@ type Predictor interface {
 	// Name identifies the replica on the ring, in metrics labels, and in
 	// response shares. Stable and unique within a fleet.
 	Name() string
-	// Predict serves one (sub-)request. Failures that map to an HTTP
-	// status (shed 429s, client 4xx, replica 5xx) are *BackendError;
-	// anything else is a transport-level failure. req and its row headers
-	// are the router's pooled storage, on loan until Predict returns; the
-	// values the headers point at are the caller's and outlive the call.
-	Predict(ctx context.Context, req *serve.PredictRequest) (*serve.PredictResponse, error)
+	// Predict serves one (sub-)request into out, reusing its Predictions
+	// block and ServerTimings; out is the reply only when Predict returns
+	// nil. Failures that map to an HTTP status (shed 429s, client 4xx,
+	// replica 5xx) are *BackendError; anything else is a transport-level
+	// failure. req, its row headers and out are the router's pooled storage,
+	// on loan until Predict returns; the values the headers point at are the
+	// caller's and outlive the call.
+	Predict(ctx context.Context, req *serve.PredictRequest, out *serve.PredictResponse) error
 	// Health reports liveness (the router's probe; also the circuit
 	// breaker's half-open trial).
 	Health(ctx context.Context) error

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"iotaxo/internal/obs"
@@ -229,11 +230,12 @@ func handleRoute(rt *Router, w http.ResponseWriter, r *http.Request) {
 	}
 	// The client's deadline bounds the whole fan-out; Remote backends
 	// forward the remaining budget on X-Request-Timeout-Ms so replicas
-	// drop expired requests themselves.
-	var resp *Response
-	err := serve.HandlePredictRequest(w, r, 0, func(ctx context.Context, req *serve.PredictRequest) (any, error) {
-		var err error
-		if resp, err = rt.Route(ctx, req); err != nil {
+	// drop expired requests themselves. The reply is built in pooled
+	// storage, taken back once it is written and logged.
+	out := responsePool.Get().(*Response)
+	defer out.release()
+	err := serve.HandlePredictRequest(w, r, 0, func(ctx context.Context, req *serve.PredictRequest, _ *serve.PredictResponse) (any, error) {
+		if err := rt.route(ctx, req, out); err != nil {
 			be, ok := err.(*BackendError)
 			if !ok {
 				be = &BackendError{Status: http.StatusServiceUnavailable, Msg: err.Error()}
@@ -244,16 +246,27 @@ func handleRoute(rt *Router, w http.ResponseWriter, r *http.Request) {
 			serve.WriteError(w, be.Status, be.Msg)
 			return nil, err
 		}
-		if resp.TraceID != "" {
-			w.Header().Set(serve.TraceHeader, resp.TraceID)
+		if out.TraceID != "" {
+			w.Header().Set(serve.TraceHeader, out.TraceID)
 		}
-		return resp, nil
+		return out, nil
 	})
 	if err != nil {
 		// The envelope answered 500: a response JSON cannot carry is counted
 		// and logged.
 		rt.metrics.errors.Add(1)
-		rt.logger.Error("routed response not encodable", "system", resp.System, "trace_id", resp.TraceID, "err", err)
+		rt.logger.Error("routed response not encodable",
+			"system", out.System, "version", out.Version, "trace_id", out.TraceID, "err", err)
+	}
+}
+
+var responsePool = sync.Pool{New: func() any { return new(Response) }}
+
+// release returns a routed reply's storage to the pool, unless its
+// predictions outgrew maxScratchRows. route overwrites all of it.
+func (out *Response) release() {
+	if cap(out.Predictions) <= maxScratchRows {
+		responsePool.Put(out)
 	}
 }
 

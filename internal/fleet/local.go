@@ -48,15 +48,16 @@ func (l *Local) errDown() error {
 	return fmt.Errorf("fleet: replica %s: connection refused (down)", l.name)
 }
 
-// Predict implements Predictor over the in-process serve core.
-func (l *Local) Predict(ctx context.Context, req *serve.PredictRequest) (*serve.PredictResponse, error) {
+// Predict implements Predictor over the in-process serve core, serving
+// into out.
+func (l *Local) Predict(ctx context.Context, req *serve.PredictRequest, out *serve.PredictResponse) error {
 	if l.down.Load() {
-		return nil, l.errDown()
+		return l.errDown()
 	}
 	if l.gate != nil {
 		ok, reason := l.gate.Admit(resilience.ClassPredict)
 		if !ok {
-			return nil, &BackendError{
+			return &BackendError{
 				Status:     429,
 				RetryAfter: l.gate.RetryAfterHeader(),
 				Msg:        fmt.Sprintf("overloaded (%s): retry later", reason),
@@ -65,13 +66,12 @@ func (l *Local) Predict(ctx context.Context, req *serve.PredictRequest) (*serve.
 		start := time.Now()
 		defer func() { l.gate.Release(time.Since(start)) }()
 	}
-	resp, _, err := l.svc.ServeRequest(ctx, req)
-	if err != nil {
+	if _, err := l.svc.ServeRequest(ctx, req, out); err != nil {
 		// Map through the same error->status table the HTTP layer uses, so
 		// the router classifies a local failure exactly as a remote one.
-		return nil, &BackendError{Status: serve.StatusForError(err), Msg: err.Error()}
+		return &BackendError{Status: serve.StatusForError(err), Msg: err.Error()}
 	}
-	return resp, nil
+	return nil
 }
 
 // Health implements Predictor: an in-process service is healthy iff it is

@@ -371,14 +371,14 @@ func newGatedStub(name string) *gatedStub {
 	}
 }
 
-func (g *gatedStub) Predict(ctx context.Context, req *serve.PredictRequest) (*serve.PredictResponse, error) {
+func (g *gatedStub) Predict(ctx context.Context, req *serve.PredictRequest, out *serve.PredictResponse) error {
 	g.started <- struct{}{}
 	select {
 	case <-g.release:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
-	return g.stubReplica.Predict(ctx, req)
+	return g.stubReplica.Predict(ctx, req, out)
 }
 
 func TestDeregisterCoordinatedDrain(t *testing.T) {

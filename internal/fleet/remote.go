@@ -164,8 +164,8 @@ func (r *Remote) appendHead(b []byte, method, path string, n int) []byte {
 }
 
 // Predict implements Predictor over POST /v1/predict, both directions
-// through the shared wire codec (serve/codec.go).
-func (r *Remote) Predict(ctx context.Context, req *serve.PredictRequest) (*serve.PredictResponse, error) {
+// through the shared wire codec (serve/codec.go), the reply decoded into out.
+func (r *Remote) Predict(ctx context.Context, req *serve.PredictRequest, out *serve.PredictResponse) error {
 	// The client's deadline minus the router time already spent is the
 	// replica's whole budget. An exhausted budget fails fast here — sending
 	// the request would only have the replica compute an answer nobody can
@@ -173,7 +173,7 @@ func (r *Remote) Predict(ctx context.Context, req *serve.PredictRequest) (*serve
 	// the client's expired budget against this replica's breaker.
 	budgetMs, bounded := remainingBudgetMs(ctx, time.Now())
 	if bounded && budgetMs <= 0 {
-		return nil, fmt.Errorf("fleet: replica %s: request budget exhausted before dispatch: %w",
+		return fmt.Errorf("fleet: replica %s: request budget exhausted before dispatch: %w",
 			r.name, context.DeadlineExceeded)
 	}
 	h := hopPool.Get().(*hopBody)
@@ -184,7 +184,7 @@ func (r *Remote) Predict(ctx context.Context, req *serve.PredictRequest) (*serve
 	}()
 	var err error
 	if h.body, err = serve.AppendPredictRequest(h.body[:0], req); err != nil {
-		return nil, fmt.Errorf("fleet: encoding request for %s: %w", r.name, err)
+		return fmt.Errorf("fleet: encoding request for %s: %w", r.name, err)
 	}
 	b := append(r.appendHead(h.req[:0], http.MethodPost, "/v1/predict", len(h.body)), "Content-Type: application/json\r\n"...)
 	if bounded {
@@ -200,13 +200,13 @@ func (r *Remote) Predict(ctx context.Context, req *serve.PredictRequest) (*serve
 	r.dialled.Add(h.dialled)
 	r.reused.Add(h.reused)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out, err := serve.DecodePredictReply(h.reply, req.System)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: replica %s sent a bad response body: %w", r.name, err)
+	out.System = req.System // a reply that names it shares this string
+	if err := serve.DecodePredictReply(h.reply, out); err != nil {
+		return fmt.Errorf("fleet: replica %s sent a bad response body: %w", r.name, err)
 	}
-	return out, nil
+	return nil
 }
 
 // hopConn is one pooled connection. Its reads go through in, whose N is

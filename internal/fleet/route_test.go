@@ -1,10 +1,14 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"iotaxo/internal/obs"
@@ -110,8 +114,11 @@ func newCanned(name string, maxRows int) *cannedReplica {
 }
 
 func (c *cannedReplica) Name() string { return c.name }
-func (c *cannedReplica) Predict(_ context.Context, req *serve.PredictRequest) (*serve.PredictResponse, error) {
-	return c.resps[len(req.Rows)], nil
+func (c *cannedReplica) Predict(_ context.Context, req *serve.PredictRequest, out *serve.PredictResponse) error {
+	canned := c.resps[len(req.Rows)]
+	*out = serve.PredictResponse{System: canned.System, Version: canned.Version, Count: canned.Count,
+		Predictions: append(out.Predictions[:0], canned.Predictions...)}
+	return nil
 }
 func (c *cannedReplica) Health(context.Context) error                      { return nil }
 func (c *cannedReplica) Metrics(context.Context) ([]obs.PromFamily, error) { return nil, nil }
@@ -141,5 +148,70 @@ func TestRouteAllocs(t *testing.T) {
 	const want = 8
 	if got := testing.AllocsPerRun(200, route); got != want {
 		t.Fatalf("Route allocates %.0f times a 16-row request over three replicas, want %d", got, want)
+	}
+}
+
+// statusWriter is a ResponseWriter that keeps its header map and the status,
+// and drops the body.
+type statusWriter struct {
+	h      http.Header
+	status int
+}
+
+func (w *statusWriter) Header() http.Header         { return w.h }
+func (w *statusWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *statusWriter) WriteHeader(status int)      { w.status = status }
+
+// TestRoutedPredictAllocs pins what one warm 16-row request costs the
+// router's whole predict path: NewHandler's envelope, routing, and three
+// in-process replicas serving their groups from cache, the reply written into
+// a writer that drops it.
+func TestRoutedPredictAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	dir, pool := e2eFixture(t)
+	var reps []Predictor
+	for i := range 3 {
+		reg, err := serve.LoadRegistry(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := serve.NewService(reg, serve.Options{CacheSize: 1 << 12})
+		t.Cleanup(svc.Close)
+		reps = append(reps, NewLocal(fmt.Sprintf("r%d", i), svc, nil))
+	}
+	h := NewHandler(newTestRouter(t, RouterConfig{}, reps...), HandlerConfig{})
+	body, err := json.Marshal(serve.PredictRequest{System: "theta", Rows: pool[:16]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
+	var first Response
+	if err := json.Unmarshal(rec.Body.Bytes(), &first); err != nil || rec.Code != http.StatusOK || len(first.Replicas) != 3 {
+		t.Fatalf("status %d, %d shares (%v): want a 200 over three replicas: %s", rec.Code, len(first.Replicas), err, rec.Body.Bytes())
+	}
+	w := &statusWriter{h: http.Header{}}
+	r := httptest.NewRequest(http.MethodPost, "/v1/predict", nil)
+	rd := bytes.NewReader(nil)
+	r.Body, r.ContentLength = io.NopCloser(rd), int64(len(body))
+	routed := func() {
+		rd.Reset(body)
+		w.status = 0
+		h.ServeHTTP(w, r)
+		if w.status != http.StatusOK {
+			t.Fatalf("status %d", w.status)
+		}
+	}
+	routed()
+	// The routed reply's trace ID and its X-Trace-Id header value, the trace
+	// parent on the context (the value node and the boxed ID), a closure for
+	// each of the two groups that do not run on the caller's goroutine, and
+	// the Content-Length digits. The replicas serve into the route scratch and
+	// allocate nothing; the routed reply, its blocks and the call are pooled.
+	const want = 7
+	if got := testing.AllocsPerRun(200, routed); got != want {
+		t.Fatalf("a warm routed 16-row request allocates %.0f times, want %d", got, want)
 	}
 }

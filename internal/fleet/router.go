@@ -438,19 +438,17 @@ type ownerGroup struct {
 	rows    [][]float64
 }
 
-// groupResult is what dispatching one owner group came back with.
+// groupResult is which replica served one owner group, or why none did.
 type groupResult struct {
 	replica string
-	version int
-	traceID string
-	preds   []serve.PredictionResult
 	err     error
 }
 
 // routeScratch is the pooled working storage of one Route: what the split,
 // the fan-out and the reassembly need and the response does not keep. A
-// sub-request and its row headers are on loan to Predictor.Predict until it
-// returns, so the scratch is released only after the fan-out barrier.
+// sub-request, its row headers and its reply are on loan to
+// Predictor.Predict until it returns, so the scratch is released only after
+// the fan-out barrier.
 type routeScratch struct {
 	hashes  []uint64    // row i's routing hash
 	label   []int32     // row i's group
@@ -460,20 +458,27 @@ type routeScratch struct {
 	rows    [][]float64 // every group's row headers, likewise
 	groups  []ownerGroup
 	subs    []serve.PredictRequest
+	replies []serve.PredictResponse // group g's reply, decoded or served into its reused blocks
 	results []groupResult
 	wg      sync.WaitGroup
 }
 
-// maxScratchRows is the largest request whose scratch goes back to the
-// pool: one 100k-row batch must not pin its blocks per P.
+// maxScratchRows is the most rows a scratch's row headers, or its reply
+// blocks together, or a routed reply, may hold and go back to the pool: one
+// 100k-row batch must not pin its blocks per P.
 const maxScratchRows = 4096
 
 var scratchPool = sync.Pool{New: func() any { return new(routeScratch) }}
 
-// release drops every reference into the request and the replies, then
-// returns the scratch to the pool.
+// release drops every reference into the request, then returns the scratch
+// to the pool. The replies keep their blocks: every Predict overwrites its
+// reply whole.
 func (sc *routeScratch) release() {
-	if cap(sc.rows) > maxScratchRows {
+	replyRows := 0
+	for _, r := range sc.replies[:cap(sc.replies)] {
+		replyRows += cap(r.Predictions)
+	}
+	if cap(sc.rows) > maxScratchRows || replyRows > maxScratchRows {
 		return
 	}
 	clear(sc.rows)
@@ -510,20 +515,30 @@ func (h *hopRecorder) add(hop obs.HopSpan) {
 // non-nil, is a *BackendError carrying the HTTP status the handler must
 // answer with (transport-level detail is folded into 503s).
 func (rt *Router) Route(ctx context.Context, req *serve.PredictRequest) (*Response, error) {
+	out := new(Response)
+	if err := rt.route(ctx, req, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// route is Route building the reply in out, whose Predictions and Replicas
+// blocks it reuses; out is the reply only when route returns nil.
+func (rt *Router) route(ctx context.Context, req *serve.PredictRequest, out *Response) error {
 	start := time.Now()
 	rt.metrics.requests.Add(1)
 	if req.System == "" {
-		return nil, &BackendError{Status: http.StatusBadRequest, Msg: "missing \"system\""}
+		return &BackendError{Status: http.StatusBadRequest, Msg: "missing \"system\""}
 	}
 	rows := req.Rows
 	if req.Row != nil {
 		if rows != nil {
-			return nil, &BackendError{Status: http.StatusBadRequest, Msg: "set \"row\" or \"rows\", not both"}
+			return &BackendError{Status: http.StatusBadRequest, Msg: "set \"row\" or \"rows\", not both"}
 		}
 		rows = [][]float64{req.Row}
 	}
 	if len(rows) == 0 {
-		return nil, &BackendError{Status: http.StatusBadRequest, Msg: "no rows to predict"}
+		return &BackendError{Status: http.StatusBadRequest, Msg: "no rows to predict"}
 	}
 	// The fleet trace ID rides the context: Local replicas read it as
 	// their trace parent directly, Remote ones send it on X-Trace-Id.
@@ -563,13 +578,14 @@ func (rt *Router) Route(ctx context.Context, req *serve.PredictRequest) (*Respon
 	}
 	if err != nil {
 		finish(err)
-		return nil, err
+		return err
 	}
 
 	// Every group but the last gets a goroutine; the last runs here, so a
 	// request that lands on one replica forks nothing.
 	fanoutStart := time.Now()
 	sc.subs, sc.results = sized(sc.subs, len(groups)), sized(sc.results, len(groups))
+	sc.replies = sized(sc.replies, len(groups))
 	last := len(groups) - 1
 	sc.wg.Add(last)
 	for gi := range groups[:last] {
@@ -585,12 +601,14 @@ func (rt *Router) Route(ctx context.Context, req *serve.PredictRequest) (*Respon
 	}
 
 	reassembleStart := time.Now()
-	out := &Response{PredictResponse: serve.PredictResponse{
+	// Every row is one group's, so every prediction is set below.
+	out.PredictResponse = serve.PredictResponse{
 		System:      req.System,
 		Count:       len(rows),
-		Predictions: make([]serve.PredictionResult, len(rows)),
+		Predictions: sized(out.Predictions, len(rows)),
 		TraceID:     obs.FormatTraceID(fid),
-	}, Replicas: make([]ReplicaShare, 0, len(groups)), MembershipEpoch: epoch}
+	}
+	out.Replicas, out.MembershipEpoch = slices.Grow(out.Replicas[:0], len(groups)), epoch
 	for gi, res := range sc.results {
 		if res.err != nil {
 			// One failed owner group fails the request: partial batches are
@@ -598,21 +616,21 @@ func (rt *Router) Route(ctx context.Context, req *serve.PredictRequest) (*Respon
 			// order, deterministic) wins; sheds keep their Retry-After.
 			rt.metrics.errors.Add(1)
 			finish(res.err)
-			return nil, res.err
+			return res.err
 		}
-		g := groups[gi]
-		if len(res.preds) != len(g.rows) {
+		g, reply := groups[gi], &sc.replies[gi]
+		if len(reply.Predictions) != len(g.rows) {
 			rt.metrics.errors.Add(1)
 			err := &BackendError{Status: http.StatusBadGateway,
-				Msg: fmt.Sprintf("replica %s answered %d predictions for %d rows", res.replica, len(res.preds), len(g.rows))}
+				Msg: fmt.Sprintf("replica %s answered %d predictions for %d rows", res.replica, len(reply.Predictions), len(g.rows))}
 			finish(err)
-			return nil, err
+			return err
 		}
 		for i, idx := range g.indices {
-			out.Predictions[idx] = res.preds[i]
+			out.Predictions[idx] = reply.Predictions[i]
 		}
-		if res.version > out.Version {
-			out.Version = res.version
+		if reply.Version > out.Version {
+			out.Version = reply.Version
 		}
 		// A failover can land two groups on one replica: they share a share.
 		k := 0
@@ -620,15 +638,15 @@ func (rt *Router) Route(ctx context.Context, req *serve.PredictRequest) (*Respon
 			k++
 		}
 		if k == len(out.Replicas) {
-			out.Replicas = append(out.Replicas, ReplicaShare{Replica: res.replica, Version: res.version})
+			out.Replicas = append(out.Replicas, ReplicaShare{Replica: res.replica, Version: reply.Version})
 		}
 		sh := &out.Replicas[k]
 		sh.Rows += len(g.rows)
-		if res.version > sh.Version {
-			sh.Version = res.version
+		if reply.Version > sh.Version {
+			sh.Version = reply.Version
 		}
-		if res.traceID != "" {
-			sh.TraceIDs = append(sh.TraceIDs, res.traceID)
+		if reply.TraceID != "" {
+			sh.TraceIDs = append(sh.TraceIDs, reply.TraceID)
 		}
 	}
 	slices.SortFunc(out.Replicas, func(a, b ReplicaShare) int { return strings.Compare(a.Replica, b.Replica) })
@@ -636,7 +654,7 @@ func (rt *Router) Route(ctx context.Context, req *serve.PredictRequest) (*Respon
 		ft.StageNs[obs.RouterStageReassemble] = time.Since(reassembleStart).Nanoseconds()
 	}
 	finish(nil)
-	return out, nil
+	return nil
 }
 
 // groupByOwner splits rows into ring-owner groups, in order of first
@@ -700,22 +718,18 @@ func (rt *Router) groupByOwner(sc *routeScratch, system string, rows [][]float64
 func (rt *Router) dispatchGroup(ctx context.Context, req *serve.PredictRequest, sc *routeScratch, gi int, rec *hopRecorder) {
 	sub := &sc.subs[gi]
 	*sub = serve.PredictRequest{System: req.System, Version: req.Version, Rows: sc.groups[gi].rows}
-	name, resp, err := rt.dispatch(ctx, sc.groups[gi].owner, sub, rec)
-	if err != nil {
-		sc.results[gi] = groupResult{err: err}
-		return
-	}
-	sc.results[gi] = groupResult{replica: name, version: resp.Version, traceID: resp.TraceID, preds: resp.Predictions}
+	name, err := rt.dispatch(ctx, sc.groups[gi].owner, sub, &sc.replies[gi], rec)
+	sc.results[gi] = groupResult{replica: name, err: err}
 }
 
-// dispatch serves one owner group: try the owner, and on replica fault fail
-// over to the least-loaded untried member until the candidates are
-// exhausted. Client errors and sheds are returned as-is
+// dispatch serves one owner group into out: try the owner, and on replica
+// fault fail over to the least-loaded untried member until the candidates
+// are exhausted. Client errors and sheds are returned as-is
 // (they would fail identically anywhere); only faults burn a candidate.
 // Each attempt lands one HopSpan on rec (nil-safe) with the wall time the
 // router spent waiting on the replica, so the stitcher can attribute the
 // difference from the replica's own total to the network.
-func (rt *Router) dispatch(ctx context.Context, owner string, sub *serve.PredictRequest, rec *hopRecorder) (string, *serve.PredictResponse, error) {
+func (rt *Router) dispatch(ctx context.Context, owner string, sub *serve.PredictRequest, out *serve.PredictResponse, rec *hopRecorder) (string, error) {
 	var tried map[string]bool // replicas that faulted: built by the first failover
 	failover := false
 	var lastErr error
@@ -725,13 +739,13 @@ func (rt *Router) dispatch(ctx context.Context, owner string, sub *serve.Predict
 			if lastErr == nil {
 				lastErr = &BackendError{Status: http.StatusServiceUnavailable, Msg: "no healthy replicas"}
 			}
-			return "", nil, lastErr
+			return "", lastErr
 		}
 		nrows := int64(len(sub.Rows))
 		rs.inflight.Add(nrows)
 		rt.metrics.dispatched(name, len(sub.Rows))
 		hopStart := time.Now()
-		resp, err := rs.backend.Predict(ctx, sub)
+		err := rs.backend.Predict(ctx, sub, out)
 		hop := obs.HopSpan{
 			Replica:    name,
 			Rows:       len(sub.Rows),
@@ -742,17 +756,17 @@ func (rt *Router) dispatch(ctx context.Context, owner string, sub *serve.Predict
 		if err == nil {
 			// A replica that kept no trace sends no ID, and parsing ""
 			// would allocate the error that says so.
-			if resp.TraceID != "" {
-				if id, perr := obs.ParseTraceID(resp.TraceID); perr == nil {
+			if out.TraceID != "" {
+				if id, perr := obs.ParseTraceID(out.TraceID); perr == nil {
 					hop.TraceID = id
 				}
 			}
-			if resp.ServerTimings != nil {
-				hop.ReplicaTotalNs = resp.ServerTimings.TotalNs
+			if out.ServerTimings != nil {
+				hop.ReplicaTotalNs = out.ServerTimings.TotalNs
 			}
 			rec.add(hop)
 			rs.breaker.Success()
-			return name, resp, nil
+			return name, nil
 		}
 		hop.Err = err.Error()
 		rec.add(hop)
@@ -763,14 +777,14 @@ func (rt *Router) dispatch(ctx context.Context, owner string, sub *serve.Predict
 			// is the client's clock or choice, not a replica fault: no breaker
 			// penalty, no failover (a retry elsewhere starts with even less
 			// budget).
-			return "", nil, &BackendError{Status: http.StatusGatewayTimeout,
+			return "", &BackendError{Status: http.StatusGatewayTimeout,
 				Msg: fmt.Sprintf("request deadline exhausted at replica %s: %v", name, err)}
 		}
 		if be, ok := err.(*BackendError); ok && !be.Fault() {
 			// 429 (replica protecting itself) and 4xx (the request is the
 			// problem): failing over would just repeat the answer. Hand the
 			// status straight back; the breaker stays untouched.
-			return "", nil, be
+			return "", be
 		}
 		// Replica fault (5xx or transport): feed the breaker, eject if it
 		// trips, and fail the sub-request over to the next candidate.

@@ -61,14 +61,14 @@ func (s *stubReplica) parent() uint64 {
 	return s.lastParent
 }
 
-func (s *stubReplica) Predict(ctx context.Context, req *serve.PredictRequest) (*serve.PredictResponse, error) {
+func (s *stubReplica) Predict(ctx context.Context, req *serve.PredictRequest, out *serve.PredictResponse) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.down {
-		return nil, fmt.Errorf("stub %s: connection refused", s.name)
+		return fmt.Errorf("stub %s: connection refused", s.name)
 	}
 	if s.fail != nil {
-		return nil, s.fail
+		return s.fail
 	}
 	rows := req.Rows
 	if req.Row != nil {
@@ -76,18 +76,22 @@ func (s *stubReplica) Predict(ctx context.Context, req *serve.PredictRequest) (*
 	}
 	s.rows += len(rows)
 	s.lastParent = obs.TraceParent(ctx)
-	preds := make([]serve.PredictionResult, len(rows))
-	for i, row := range rows {
+	*out = serve.PredictResponse{System: req.System, Version: s.version, Count: len(rows), Predictions: out.Predictions[:0]}
+	for _, row := range rows {
 		// Echo the first feature back, so reassembly-order tests can match
 		// predictions to their rows.
-		preds[i] = serve.PredictionResult{Log10Throughput: row[0]}
+		out.Predictions = append(out.Predictions, serve.PredictionResult{Log10Throughput: row[0]})
 	}
-	return &serve.PredictResponse{
-		System:      req.System,
-		Version:     s.version,
-		Count:       len(preds),
-		Predictions: preds,
-	}, nil
+	return nil
+}
+
+// predict calls p.Predict into a reply of its own.
+func predict(ctx context.Context, p Predictor, req *serve.PredictRequest) (*serve.PredictResponse, error) {
+	out := new(serve.PredictResponse)
+	if err := p.Predict(ctx, req, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func (s *stubReplica) Health(ctx context.Context) error {

@@ -129,7 +129,7 @@ func TestRemoteReusesConnectionsUnderFanIn(t *testing.T) {
 			defer wg.Done()
 			req := distinctRows(4)
 			for i := 0; i < hops; i++ {
-				if resp, err := rem.Predict(context.Background(), req); err != nil || resp.Count != 4 {
+				if resp, err := predict(context.Background(), rem, req); err != nil || resp.Count != 4 {
 					t.Errorf("hop %d: %v", i, err)
 					return
 				}
@@ -209,7 +209,7 @@ func TestRemoteDoesNotFollowRedirects(t *testing.T) {
 	defer ts.Close()
 	rem := NewRemote("r0", ts.URL, RemoteConfig{})
 	defer rem.CloseIdleConnections()
-	_, err := rem.Predict(context.Background(), distinctRows(2))
+	_, err := predict(context.Background(), rem, distinctRows(2))
 	if be, ok := err.(*BackendError); !ok || be.Status != http.StatusTemporaryRedirect {
 		t.Errorf("predict: %v, want the replica's 307", err)
 	}
@@ -333,14 +333,14 @@ func TestRemoteOverTLS(t *testing.T) {
 	}))
 	defer ts.Close()
 	untrusted := NewRemote("r0", ts.URL, RemoteConfig{})
-	if _, err := untrusted.Predict(context.Background(), distinctRows(2)); err == nil {
+	if _, err := predict(context.Background(), untrusted, distinctRows(2)); err == nil {
 		t.Fatal("a replica whose certificate no trusted root signed was reached")
 	}
 	rem := NewRemote("r0", ts.URL, RemoteConfig{})
 	rem.tlsConf.RootCAs = ts.Client().Transport.(*http.Transport).TLSClientConfig.RootCAs
 	defer rem.CloseIdleConnections()
 	for i := 0; i < 3; i++ {
-		if resp, err := rem.Predict(context.Background(), distinctRows(2)); err != nil || resp.Count != 2 {
+		if resp, err := predict(context.Background(), rem, distinctRows(2)); err != nil || resp.Count != 2 {
 			t.Fatalf("hop %d: %v", i, err)
 		}
 	}
@@ -379,7 +379,7 @@ func TestRemoteCallerCancelEndsTheHop(t *testing.T) {
 	}
 
 	start := time.Now()
-	_, err := hung.Predict(cancelled(), req)
+	_, err := predict(cancelled(), hung, req)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("a cancelled hop: %v, want context.Canceled", err)
 	}
@@ -405,7 +405,7 @@ func TestRemoteShedBeforeTheBodyIsA429(t *testing.T) {
 	defer ts.Close()
 	rem := NewRemote("r0", ts.URL, RemoteConfig{})
 	req := selfDescribing(4444, 1024, 800) // 5 bytes a value
-	_, err := rem.Predict(context.Background(), req)
+	_, err := predict(context.Background(), rem, req)
 	if be, ok := err.(*BackendError); !ok || be.Status != http.StatusTooManyRequests || be.RetryAfter != "1" {
 		t.Fatalf("%v, want the replica's 429", err)
 	}
@@ -436,7 +436,7 @@ func TestRemoteNeverPoolsAnUnfinishedConn(t *testing.T) {
 			defer ts.Close()
 			rem := NewRemote("r0", ts.URL, RemoteConfig{})
 			for i := 0; i < 2; i++ {
-				rem.Predict(context.Background(), distinctRows(2))
+				predict(context.Background(), rem, distinctRows(2))
 			}
 			if n := idleConns(rem); n != 0 {
 				t.Errorf("%d connections pooled, want 0", n)
@@ -456,7 +456,7 @@ func TestRemoteClosesIdleConnsPastTheirBound(t *testing.T) {
 	rem := NewRemote("r0", ts.URL, RemoteConfig{})
 	rem.idleBound = 20 * time.Millisecond
 	for i := 0; i < 2; i++ {
-		if _, err := rem.Predict(context.Background(), distinctRows(2)); err != nil {
+		if _, err := predict(context.Background(), rem, distinctRows(2)); err != nil {
 			t.Fatal(err)
 		}
 		tracker.waitClosed(t, "past the idle bound")
@@ -530,7 +530,7 @@ func TestRemoteWritesWhatNetHTTPWrote(t *testing.T) {
 		path   string
 		header http.Header
 	}{
-		{func() { rem.Predict(ctx, req) }, http.MethodPost, "/v1/predict",
+		{func() { predict(ctx, rem, req) }, http.MethodPost, "/v1/predict",
 			http.Header{"Content-Type": {"application/json"}, serve.TraceHeader: {"00000000000000ab"}}},
 		{func() { rem.Health(ctx) }, http.MethodGet, "/healthz", http.Header{}},
 		{func() { rem.FetchTrace(ctx, 0xcd) }, http.MethodGet, "/v1/trace/00000000000000cd", http.Header{"X-Admin-Token": {"t0k"}}},
@@ -576,7 +576,7 @@ func TestRemoteReadsFramedReplies(t *testing.T) {
 	} {
 		b := []byte(reply)
 		stub.reply.Store(&b)
-		resp, err := NewRemote("r0", "http://"+stub.lis.Addr().String(), RemoteConfig{}).Predict(context.Background(), distinctRows(1))
+		resp, err := predict(context.Background(), NewRemote("r0", "http://"+stub.lis.Addr().String(), RemoteConfig{}), distinctRows(1))
 		<-stub.got
 		switch {
 		case name == "1xx first" && (err == nil || !strings.Contains(err.Error(), `status "100 Continue"`)):
@@ -604,7 +604,7 @@ func FuzzRemoteReply(f *testing.F) {
 		stub.reply.Store(&reply)
 		rem := NewRemote("r0", "http://"+stub.lis.Addr().String(), RemoteConfig{})
 		defer rem.CloseIdleConnections()
-		resp, err := rem.Predict(context.Background(), distinctRows(1))
+		resp, err := predict(context.Background(), rem, distinctRows(1))
 		if (resp == nil) == (err == nil) {
 			t.Fatalf("a hop returned %v and %v", resp, err)
 		}

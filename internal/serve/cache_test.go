@@ -658,9 +658,9 @@ func TestNewCacheAllocatesNoStorage(t *testing.T) {
 	}
 }
 
-// A Predict allocates only what it returns, results and their guard block:
-// a hit costs nothing beyond them, nor does a row inserted into the full
-// cache, nor the evaluation of the misses.
+// A Predict allocates only what it returns, its results, guards included by
+// value: a hit costs nothing beyond them, nor does a row inserted into the
+// full cache, nor the evaluation of the misses.
 func TestPredictAllocsWithCache(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -686,11 +686,11 @@ func TestPredictAllocsWithCache(t *testing.T) {
 		fresh()
 		predict()
 	}
-	if allocs := testing.AllocsPerRun(100, predict); allocs != 2 {
-		t.Errorf("a fully cached 16-row Predict allocates %.0f times, want 2", allocs)
+	if allocs := testing.AllocsPerRun(100, predict); allocs != 1 {
+		t.Errorf("a fully cached 16-row Predict allocates %.0f times, want 1", allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { fresh(); predict() }); allocs != 2 {
-		t.Errorf("a 16-miss Predict on a full cache allocates %.0f times, want 2", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { fresh(); predict() }); allocs != 1 {
+		t.Errorf("a 16-miss Predict on a full cache allocates %.0f times, want 1", allocs)
 	}
 	if m := svc.Metrics(); m.CacheHits.Load() != 101*16 {
 		t.Errorf("%d cache hits, want the %d rows of the cached runs only", m.CacheHits.Load(), 101*16)

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"sync"
 	"time"
+	"unsafe"
 )
 
 // The predict wire codec shared by ioserve's POST /v1/predict, iorouter's,
@@ -40,10 +41,11 @@ var callPool = sync.Pool{New: func() any { return new(predictCall) }}
 // predictCall is the pooled storage behind one POST /v1/predict.
 type predictCall struct {
 	req   PredictRequest
-	buf   []byte       // the request's bytes
-	out   bytes.Buffer // the reply's bytes
-	block []float64    // every row's values, back to back
-	rows  [][]float64  // headers into block
+	buf   []byte          // the request's bytes
+	reply PredictResponse // the reply a replica serves into, results block and timings included
+	out   replyBuf        // the reply's bytes
+	block []float64       // every row's values, back to back
+	rows  [][]float64     // headers into block
 	// system is the last system name decoded, reused while requests name
 	// the same one.
 	system string
@@ -55,10 +57,12 @@ type predictCall struct {
 // the value it returns as the 200, and settle the pooled storage. A bad
 // request is answered 400 here. serve returns its reply, or the error of
 // ServeRequest / Route having written that error's reply itself; req and its
-// rows are on loan until it returns. The error returned is the reply's own:
-// a value JSON cannot carry, answered 500 here, for the caller to count.
+// rows are on loan until it returns, and out, the call's own reply storage
+// for ServeRequest to fill, until this returns. The error returned is the
+// reply's own: a value JSON cannot carry, answered 500 here, for the caller
+// to count; whatever the caller logs of the reply it reads inside serve.
 func HandlePredictRequest(w http.ResponseWriter, r *http.Request, defaultDeadline time.Duration,
-	serve func(ctx context.Context, req *PredictRequest) (any, error)) error {
+	serve func(ctx context.Context, req *PredictRequest, out *PredictResponse) (any, error)) error {
 	c := callPool.Get().(*predictCall)
 	defer c.release()
 	// net/http already cuts a body at a declared length; only an unknown or
@@ -69,6 +73,11 @@ func HandlePredictRequest(w http.ResponseWriter, r *http.Request, defaultDeadlin
 	}
 	var readErr error
 	c.buf, readErr = ReadBody(c.buf[:0], body, r.ContentLength)
+	if readErr == nil {
+		// Read to its end and closed, the body leaves net/http nothing to
+		// discard after the handler.
+		r.Body.Close()
+	}
 	if readErr != nil || !c.decodeRequest(c.buf) {
 		c.req = PredictRequest{}
 		if err := decodeRequestJSON(c.buf, readErr, &c.req); err != nil {
@@ -96,19 +105,20 @@ func HandlePredictRequest(w http.ResponseWriter, r *http.Request, defaultDeadlin
 		ctx, cancel = context.WithTimeout(ctx, defaultDeadline)
 		defer cancel()
 	}
-	reply, err := serve(ctx, &c.req)
+	reply, err := serve(ctx, &c.req, &c.reply)
 	if err != nil {
 		return nil
 	}
 	return writeReply(w, &c.out, http.StatusOK, reply)
 }
 
-// release returns the call to the pool, row block included: nothing that
-// read the rows outlives serve (the cache and the shadow mirror copy them,
-// observers only read).
+// release returns the call to the pool, row block and reply storage
+// included: nothing that read the rows outlives serve (the cache and the
+// shadow mirror copy them, observers only read), the reply has been
+// written, and ServeRequest overwrites all of it.
 func (c *predictCall) release() {
 	c.req = PredictRequest{}
-	if cap(c.buf)+c.out.Cap()+8*cap(c.block)+24*cap(c.rows) <= maxPooledCall {
+	if cap(c.buf)+c.out.Cap()+8*cap(c.block)+24*cap(c.rows)+int(unsafe.Sizeof(PredictionResult{}))*cap(c.reply.Predictions) <= maxPooledCall {
 		callPool.Put(c)
 	}
 }
@@ -391,39 +401,53 @@ func (t *ServerTimings) fields() [len(timingKeys)]*int64 {
 		&t.EvaluateNs, &t.GuardNs, &t.FinalizeNs, &t.ObserveNs}
 }
 
-// DecodePredictReply reads a replica's reply to a request about system. The
-// fast path takes exactly what encoding/json emits for a PredictResponse, into
-// one []PredictionResult and one []Guard block, and a reply that names system
-// shares that string rather than holding a copy of it; any other shape — an
-// older or newer replica, whitespace, reordered keys — is encoding/json's to
-// decode. Either way each guard's label is the one its ood flag implies, so
-// a label that contradicts the flag beside it is never passed on. The reply
-// and its server_timings are one allocation.
-func DecodePredictReply(data []byte, system string) (*PredictResponse, error) {
-	reply := &struct {
-		out     PredictResponse
-		timings ServerTimings
-	}{out: PredictResponse{System: system}}
-	out := &reply.out
-	if decodeResponse(data, out, &reply.timings) {
-		return out, nil
+// DecodePredictReply reads a replica's reply into out, reusing its
+// Predictions block and ServerTimings. The fast path takes exactly what
+// encoding/json emits for a PredictResponse, and a reply that names the
+// system out already holds shares that string rather than holding a copy of
+// it; any other shape — an older or newer replica, whitespace, reordered
+// keys — is encoding/json's to decode. Either way each guard's label is the
+// one its ood flag implies, so a label that contradicts the flag beside it
+// is never passed on, and a guard object the reply carries is kept even when
+// every field of it is zero.
+func DecodePredictReply(data []byte, out *PredictResponse) error {
+	if decodeResponse(data, out) {
+		return nil
 	}
-	*out = PredictResponse{}
-	if err := json.NewDecoder(bytes.NewReader(data)).Decode(out); err != nil {
-		return nil, err
+	var reply replyJSON
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&reply); err != nil {
+		return err
 	}
-	for _, pr := range out.Predictions {
+	*out = reply.PredictResponse // its own predictions are shadowed, so nil
+	if reply.Predictions != nil {
+		out.Predictions = make([]PredictionResult, len(reply.Predictions))
+	}
+	for i, pr := range reply.Predictions {
+		out.Predictions[i] = pr.PredictionResult
 		if pr.Guard != nil {
-			pr.Guard.ErrorSource = errorSource(pr.Guard.OoD)
+			out.Predictions[i].Guard = *pr.Guard
+			out.Predictions[i].Guard.ErrorSource = errorSource(pr.Guard.OoD)
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// decodeResponse is the reply fast path. out.System, if the caller set it, is
-// kept when the reply spells the same name; a reply's server_timings go into
-// timings, at which out.ServerTimings then points.
-func decodeResponse(data []byte, out *PredictResponse, timings *ServerTimings) bool {
+// replyJSON is a PredictResponse as the encoding/json fallback decodes it:
+// each guard through a pointer, so that one the reply carries is told from
+// one it leaves out even when all its fields are zero. The outer fields
+// shadow the embedded ones of the same JSON name.
+type replyJSON struct {
+	PredictResponse
+	Predictions []struct {
+		PredictionResult
+		Guard *Guard `json:"guard"`
+	} `json:"predictions"`
+}
+
+// decodeResponse is the reply fast path into out, whose Predictions block
+// and ServerTimings it reuses. out.System is kept when the reply spells the
+// same name.
+func decodeResponse(data []byte, out *PredictResponse) bool {
 	p := cursor{b: data}
 	p.want(`{"system":`)
 	system := p.str()
@@ -432,9 +456,8 @@ func decodeResponse(data []byte, out *PredictResponse, timings *ServerTimings) b
 	p.want(`,"count":`)
 	count := p.integer()
 	p.want(`,"predictions":[`)
-	// Both blocks are sized once from count: a guard pointer must not be
-	// left behind by a growing slice. The shortest prediction is 68 bytes,
-	// which bounds what a lying count can make this allocate.
+	// The block is sized once from count. The shortest prediction is 68
+	// bytes, which bounds what a lying count can make this allocate.
 	if p.bad || count < 0 || count > int64(len(data)/64) {
 		return false
 	}
@@ -442,10 +465,13 @@ func decodeResponse(data []byte, out *PredictResponse, timings *ServerTimings) b
 		out.System = string(system)
 	}
 	out.Version, out.Count = int(version), int(count)
-	out.Predictions = make([]PredictionResult, 0, count)
-	var guards []Guard
+	// encoding/json decodes [] to an empty non-nil slice.
+	if out.Predictions == nil || cap(out.Predictions) < int(count) {
+		out.Predictions = make([]PredictionResult, 0, count)
+	}
+	out.Predictions = out.Predictions[:0]
 	for !p.bad && !p.has(']') {
-		if len(out.Predictions) == cap(out.Predictions) {
+		if len(out.Predictions) == int(count) {
 			return false
 		}
 		if len(out.Predictions) > 0 {
@@ -457,11 +483,7 @@ func decodeResponse(data []byte, out *PredictResponse, timings *ServerTimings) b
 		p.want(`,"throughput_bytes_per_sec":`)
 		pr.Throughput = p.float()
 		if p.hasLit(`,"guard":{"eu":`) {
-			if guards == nil {
-				guards = make([]Guard, 0, count)
-			}
-			guards = guards[:len(guards)+1]
-			g := &guards[len(guards)-1]
+			g := &pr.Guard
 			g.EU = p.float()
 			p.want(`,"au":`)
 			g.AU = p.float()
@@ -473,18 +495,20 @@ func decodeResponse(data []byte, out *PredictResponse, timings *ServerTimings) b
 				p.want(`,"error_source":"` + SourceModeling + `"}`)
 			}
 			g.ErrorSource = errorSource(g.OoD)
-			pr.Guard = g
 		}
 		p.want(`,"cache_hit":`)
 		pr.CacheHit = p.boolean()
 		p.want("}")
 		out.Predictions = append(out.Predictions, pr)
 	}
+	out.TraceID = ""
 	if p.hasLit(`,"trace_id":`) {
 		out.TraceID = string(p.str())
 	}
 	if p.hasLit(timingKeys[0]) {
-		out.ServerTimings = timings
+		if out.ServerTimings == nil {
+			out.ServerTimings = new(ServerTimings)
+		}
 		for i, ns := range out.ServerTimings.fields() {
 			if i > 0 {
 				p.want(timingKeys[i])
@@ -492,6 +516,8 @@ func decodeResponse(data []byte, out *PredictResponse, timings *ServerTimings) b
 			*ns = p.integer()
 		}
 		p.want("}")
+	} else {
+		out.ServerTimings = nil
 	}
 	// The streaming decoder this replaces never looked past the closing
 	// brace either.
@@ -554,11 +580,20 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// replyBuf is the storage one JSON reply is written from: its bytes and its
+// Content-Length value. net/http copies a handler's header values when the
+// header is written, so a pooled call can own the value slice as it owns
+// the bytes.
+type replyBuf struct {
+	bytes.Buffer
+	length [1]string
+}
+
 // WriteJSON writes v as the JSON reply with status (see writeReply). A value
 // that does not encode has been answered 500 by then; only the predict paths
 // count that error.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	_ = writeReply(w, new(bytes.Buffer), status, v)
+	_ = writeReply(w, new(replyBuf), status, v)
 }
 
 // WriteError writes the uniform error reply.
@@ -570,22 +605,18 @@ func WriteError(w http.ResponseWriter, status int, msg string) {
 // with its length. A value JSON cannot carry (NaN, ±Inf) is therefore found
 // before any header goes out, and is answered 500 with the uniform error body
 // instead of a 200 cut short; that error is returned.
-func writeReply(w http.ResponseWriter, buf *bytes.Buffer, status int, v any) error {
+func writeReply(w http.ResponseWriter, buf *replyBuf, status int, v any) error {
 	buf.Reset()
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		err = fmt.Errorf("serve: reply is not encodable (JSON cannot carry a non-finite number): %w", err)
 		_ = writeReply(w, buf, http.StatusInternalServerError, errorBody{err.Error()}) // a string always encodes
 		return err
 	}
-	WriteJSONBody(w, status, buf.Bytes())
-	return nil
-}
-
-// WriteJSONBody writes one already-encoded JSON body with its length.
-func WriteJSONBody(w http.ResponseWriter, status int, body []byte) {
 	h := w.Header()
 	h["Content-Type"] = jsonContentType
-	h.Set("Content-Length", strconv.Itoa(len(body)))
+	buf.length[0] = strconv.Itoa(buf.Len())
+	h["Content-Length"] = buf.length[:]
 	w.WriteHeader(status)
-	_, _ = w.Write(body) // a client that went away is the only failure
+	_, _ = w.Write(buf.Bytes()) // a client that went away is the only failure
+	return nil
 }

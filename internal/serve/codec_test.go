@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -59,12 +60,12 @@ func sameResponse(a, b *PredictResponse) bool {
 	}
 	for i := range a.Predictions {
 		x, y := a.Predictions[i], b.Predictions[i]
-		if (x.Guard == nil) != (y.Guard == nil) || x.CacheHit != y.CacheHit ||
+		if x.CacheHit != y.CacheHit ||
 			!sameFloats([]float64{x.Log10Throughput, x.Throughput}, []float64{y.Log10Throughput, y.Throughput}) {
 			return false
 		}
-		if g, h := x.Guard, y.Guard; g != nil && (g.OoD != h.OoD || g.ErrorSource != h.ErrorSource ||
-			!sameFloats([]float64{g.EU, g.AU}, []float64{h.EU, h.AU})) {
+		if g, h := x.Guard, y.Guard; g.OoD != h.OoD || g.ErrorSource != h.ErrorSource ||
+			!sameFloats([]float64{g.EU, g.AU}, []float64{h.EU, h.AU}) {
 			return false
 		}
 	}
@@ -157,7 +158,7 @@ func FuzzDecodePredictRequest(f *testing.F) {
 		rec := httptest.NewRecorder()
 		accepted := false
 		HandlePredictRequest(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(data)), 0,
-			func(_ context.Context, req *PredictRequest) (any, error) {
+			func(_ context.Context, req *PredictRequest, _ *PredictResponse) (any, error) {
 				accepted = true
 				if !sameRequest(req, &want) {
 					t.Fatalf("decoded %+v, encoding/json %+v: %q", req, want, data)
@@ -195,6 +196,7 @@ func FuzzDecodePredictResponse(f *testing.F) {
 		`{"system":"theta","version":1,"count":1,"predictions":[{"log10_throughput":1e999,"throughput_bytes_per_sec":10,"cache_hit":false}]}`,
 		`{"system":"theta","version":1,"count":1,"predictions":[{"log10_throughput":1,"throughput_bytes_per_sec":10,"cache_hit":false},]}`,
 		`{"system":"theta","version":1,"count":1,"predictions":[{"log10_throughput":1,"throughput_bytes_per_sec":10,"guard":null,"cache_hit":false}]}`,
+		`{"system":"theta","version":1,"count":1,"predictions":[{"guard":{"error_source":"","ood":false,"au":0,"eu":0},"log10_throughput":1,"throughput_bytes_per_sec":10,"cache_hit":false}]}`,
 		`{"system":"theta","version":1,"count":1,"predictions":[{"log10_throughput":1,"throughput_bytes_per_sec":10,"cache_hit":false}],"trace_id":""}`,
 		`{"system":"theta","version":1,"count":1,"predictions":[{"log10_throughput":1,"throughput_bytes_per_sec":10,"cache_hit":false}],"replicas":[{"replica":"r0","rows":1,"version":1}],"membership_epoch":3}`,
 		`{"system":"theta","version":1,"count":1,"predictions":[{"log10_throughput":1,"throughput_bytes_per_sec":10,"cache_hit":false}]} trailing {`,
@@ -207,28 +209,86 @@ func FuzzDecodePredictResponse(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// What Remote.Predict ran before the codec: a streaming Decode,
-		// which (unlike json.Unmarshal) does not look past the value.
-		// Each guard's label is the one its ood flag implies.
-		var want PredictResponse
-		wantErr := json.NewDecoder(bytes.NewReader(data)).Decode(&want)
-		for _, pr := range want.Predictions {
-			if pr.Guard != nil {
-				pr.Guard.ErrorSource = errorSource(pr.Guard.OoD)
+		want, wantErr := decodeReplyJSON(data)
+		// A reply decoded into storage that held another must come out as
+		// one decoded into nothing.
+		used := PredictResponse{System: "cori", TraceID: "ab", Predictions: make([]PredictionResult, 3, 64), ServerTimings: &ServerTimings{TotalNs: 9}}
+		used.Predictions[0].Guard.ErrorSource = SourceGeneralization
+		for _, got := range []*PredictResponse{new(PredictResponse), &used} {
+			err := DecodePredictReply(data, got)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("error %v, encoding/json %v: %q", err, wantErr, data)
+			}
+			if err == nil && !sameResponse(got, &want) {
+				t.Fatalf("decoded %+v, encoding/json %+v: %q", got, want, data)
 			}
 		}
-		got, err := DecodePredictReply(data, "")
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("error %v, encoding/json %v: %q", err, wantErr, data)
-		}
-		if err == nil && !sameResponse(got, &want) {
-			t.Fatalf("decoded %+v, encoding/json %+v: %q", got, want, data)
-		}
 		var fast PredictResponse
-		if decodeResponse(data, &fast, new(ServerTimings)) && (wantErr != nil || !sameResponse(&fast, &want)) {
+		if decodeResponse(data, &fast) && (wantErr != nil || !sameResponse(&fast, &want)) {
 			t.Fatalf("fast path decoded %+v, encoding/json %+v (%v): %q", fast, want, wantErr, data)
 		}
 	})
+}
+
+// decodeReplyJSON is the oracle of the reply decoders: what Remote.Predict
+// ran before the codec, a streaming Decode (which, unlike json.Unmarshal,
+// does not look past the value) into the reply type of the time, whose
+// guards were pointers, so that a guard object the reply carries is one
+// even when all its fields are zero. Each guard's label is the one its ood
+// flag implies.
+func decodeReplyJSON(data []byte) (PredictResponse, error) {
+	var old struct {
+		System      string `json:"system"`
+		Version     int    `json:"version"`
+		Count       int    `json:"count"`
+		Predictions []struct {
+			Log10Throughput float64 `json:"log10_throughput"`
+			Throughput      float64 `json:"throughput_bytes_per_sec"`
+			Guard           *Guard  `json:"guard,omitempty"`
+			CacheHit        bool    `json:"cache_hit"`
+		} `json:"predictions"`
+		TraceID       string         `json:"trace_id,omitempty"`
+		ServerTimings *ServerTimings `json:"server_timings,omitempty"`
+	}
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&old); err != nil {
+		return PredictResponse{}, err
+	}
+	resp := PredictResponse{System: old.System, Version: old.Version, Count: old.Count, TraceID: old.TraceID, ServerTimings: old.ServerTimings}
+	if old.Predictions != nil {
+		resp.Predictions = make([]PredictionResult, len(old.Predictions))
+	}
+	for i, pr := range old.Predictions {
+		resp.Predictions[i] = PredictionResult{Log10Throughput: pr.Log10Throughput, Throughput: pr.Throughput, CacheHit: pr.CacheHit}
+		if pr.Guard != nil {
+			resp.Predictions[i].Guard = *pr.Guard
+			resp.Predictions[i].Guard.ErrorSource = errorSource(pr.Guard.OoD)
+		}
+	}
+	return resp, nil
+}
+
+// A guard object whose every field is zero is still a guard: the fallback
+// labels it as the fast path labels the literal, and a router passes it on.
+// Its keys are reordered, so the fast path refuses it.
+func TestFallbackKeepsAnAllZeroGuard(t *testing.T) {
+	for name, reply := range map[string]string{
+		"all-zero guard, reordered keys": `{"system":"theta","version":1,"count":1,"predictions":[{"guard":{"error_source":"","ood":false,"au":0,"eu":0},"log10_throughput":1,"throughput_bytes_per_sec":10,"cache_hit":false}]}`,
+		"empty guard object":             `{"system":"theta","version":1,"count":1,"predictions":[{"log10_throughput":1,"throughput_bytes_per_sec":10,"guard":{},"cache_hit":false}]}`,
+	} {
+		if decodeResponse([]byte(reply), new(PredictResponse)) {
+			t.Fatalf("%s: the fast path took it", name)
+		}
+		var got PredictResponse
+		if err := DecodePredictReply([]byte(reply), &got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if g := got.Predictions[0].Guard; g != (Guard{ErrorSource: SourceModeling}) {
+			t.Errorf("%s: guard %+v, want a zero guard labelled %q", name, g, SourceModeling)
+		}
+		if enc, _ := json.Marshal(got.Predictions[0]); !strings.Contains(string(enc), `"guard":`) {
+			t.Errorf("%s: re-encoded without its guard: %s", name, enc)
+		}
+	}
 }
 
 func TestAppendJSONStringMatchesMarshal(t *testing.T) {
@@ -253,7 +313,8 @@ func (o poisonObserver) ObserveServed(_ *ModelVersion, _ [][]float64, results []
 // with an empty body (the encoder's error was dropped after the header).
 func TestNonFinitePredictionIsA500(t *testing.T) {
 	frame, _, _ := fixture(t)
-	svc := NewService(fixtureRegistry(t), Options{})
+	var logged bytes.Buffer
+	svc := NewService(fixtureRegistry(t), Options{Logger: slog.New(slog.NewTextHandler(&logged, nil))})
 	t.Cleanup(svc.Close)
 	h := Handler(svc)
 	body, err := json.Marshal(PredictRequest{System: "theta", Rows: [][]float64{frame.Row(0), frame.Row(1)}})
@@ -263,10 +324,11 @@ func TestNonFinitePredictionIsA500(t *testing.T) {
 	for _, bad := range []PredictionResult{
 		{Log10Throughput: math.NaN(), Throughput: 1},
 		{Log10Throughput: 400, Throughput: math.Inf(1)},
-		{Log10Throughput: 1, Throughput: 10, Guard: &Guard{EU: math.Inf(-1)}},
-		{Log10Throughput: 1, Throughput: 10, Guard: &Guard{AU: math.NaN()}},
+		{Log10Throughput: 1, Throughput: 10, Guard: Guard{EU: math.Inf(-1)}},
+		{Log10Throughput: 1, Throughput: 10, Guard: Guard{AU: math.NaN()}},
 	} {
 		svc.SetObserver(poisonObserver{bad})
+		logged.Reset()
 		before := svc.Metrics().Errors.Load()
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
@@ -276,6 +338,12 @@ func TestNonFinitePredictionIsA500(t *testing.T) {
 		}
 		if got := svc.Metrics().Errors.Load(); got != before+1 {
 			t.Errorf("ioserve_errors_total moved by %d, want 1", got-before)
+		}
+		// Logged from the reply that failed, read before its storage went
+		// back to the pool.
+		if line := logged.String(); !strings.Contains(line, "predict response not encodable") ||
+			!strings.Contains(line, "system=theta") || !strings.Contains(line, "version=2") {
+			t.Errorf("%+v: logged %q, want the failing reply's system and version", bad, line)
 		}
 	}
 }
@@ -292,7 +360,7 @@ func TestOversizeBodyKeepsEncodingJSONSemantics(t *testing.T) {
 			r.ContentLength = -1
 		}
 		HandlePredictRequest(rec, r, 0,
-			func(_ context.Context, req *PredictRequest) (any, error) {
+			func(_ context.Context, req *PredictRequest, _ *PredictResponse) (any, error) {
 				got = &PredictRequest{System: req.System, Version: req.Version, Row: append([]float64(nil), req.Row...)}
 				return nil, nil
 			})
@@ -332,8 +400,9 @@ func (rewindBody) Close() error { return nil }
 
 // The steady state of the envelope allocates nothing of its own: every request
 // after the first takes a pooled call, decodes into its block, reuses its
-// system name, and encodes the reply into its buffer. What is left is
-// WriteJSONBody's header values, measured on their own.
+// system name, encodes the reply into its buffer and puts the Content-Length
+// value in its slice. What is left is that value's digits: the reply is
+// longer than 99 bytes, so strconv.Itoa allocates them.
 func TestCodecSteadyStateReusesItsBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
@@ -346,7 +415,7 @@ func TestCodecSteadyStateReusesItsBuffers(t *testing.T) {
 	resp := &PredictResponse{System: "theta", Version: 2, Count: 4, TraceID: "00ff", ServerTimings: &ServerTimings{TotalNs: 1}}
 	for i := 0; i < 4; i++ {
 		resp.Predictions = append(resp.Predictions, PredictionResult{Log10Throughput: 9.25, Throughput: 1778279410.0389228,
-			Guard: &Guard{EU: 0.08, AU: 0.3, ErrorSource: errorSource(false)}})
+			Guard: Guard{EU: 0.08, AU: 0.3, ErrorSource: errorSource(false)}})
 	}
 	w := discardWriter{http.Header{}}
 	r := httptest.NewRequest(http.MethodPost, "/v1/predict", nil)
@@ -354,7 +423,7 @@ func TestCodecSteadyStateReusesItsBuffers(t *testing.T) {
 	r.Body, r.ContentLength = rewindBody{rd}, int64(len(body))
 	allocs := testing.AllocsPerRun(100, func() {
 		rd.Reset(body)
-		err := HandlePredictRequest(w, r, 0, func(_ context.Context, req *PredictRequest) (any, error) {
+		err := HandlePredictRequest(w, r, 0, func(_ context.Context, req *PredictRequest, _ *PredictResponse) (any, error) {
 			if len(req.Rows) != 4 {
 				t.Fatalf("decoded %d rows, want 4", len(req.Rows))
 			}
@@ -364,13 +433,8 @@ func TestCodecSteadyStateReusesItsBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	reply, err := json.Marshal(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	headers := testing.AllocsPerRun(100, func() { WriteJSONBody(w, http.StatusOK, reply) })
-	if allocs != headers {
-		t.Errorf("a warm predict call allocated %.1f times, its header values alone %.1f: want no more", allocs, headers)
+	if allocs != 1 {
+		t.Errorf("a warm predict call allocated %.1f times, want 1 (the Content-Length digits)", allocs)
 	}
 }
 
@@ -421,7 +485,7 @@ func TestHandlerReplyTakesTheHopFastPath(t *testing.T) {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
 	var fast, want PredictResponse
-	if !decodeResponse(rec.Body.Bytes(), &fast, new(ServerTimings)) {
+	if !decodeResponse(rec.Body.Bytes(), &fast) {
 		t.Fatalf("the hop's fast path refused ioserve's reply: %s", rec.Body.String())
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &want); err != nil || !sameResponse(&fast, &want) {
@@ -431,7 +495,7 @@ func TestHandlerReplyTakesTheHopFastPath(t *testing.T) {
 		t.Fatalf("want a traced, timed 16-row reply, got %d rows, trace %q, timings %v", len(fast.Predictions), fast.TraceID, fast.ServerTimings)
 	}
 	for i, p := range fast.Predictions {
-		if p.Guard == nil || p.Guard.ErrorSource != errorSource(p.Guard.OoD) {
+		if p.Guard.ErrorSource != errorSource(p.Guard.OoD) {
 			t.Fatalf("prediction %d is not fully guarded: %+v", i, p.Guard)
 		}
 	}

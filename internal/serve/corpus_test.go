@@ -62,7 +62,7 @@ func TestGuardCorpus(t *testing.T) {
 			var c struct{ tp, fp, fn, noise int }
 			for i, r := range res {
 				meta := served.Meta(i)
-				switch flagged := r.Guard != nil && r.Guard.OoD; {
+				switch flagged := r.Guard.OoD; {
 				case flagged && meta.OoD:
 					c.tp++
 				case flagged:

@@ -29,7 +29,7 @@ func TestBatcherMatchesDirectEvaluation(t *testing.T) {
 		if res[0].Log10Throughput != want {
 			t.Fatalf("row %d: served %v != direct %v", i, res[0].Log10Throughput, want)
 		}
-		if res[0].Guard == nil {
+		if res[0].Guard == (Guard{}) {
 			t.Fatalf("row %d: no guard on guarded bundle", i)
 		}
 	}

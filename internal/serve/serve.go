@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -90,9 +91,9 @@ type PredictionResult struct {
 	Log10Throughput float64 `json:"log10_throughput"`
 	// Throughput is the same prediction in bytes/s.
 	Throughput float64 `json:"throughput_bytes_per_sec"`
-	// Guard is the taxonomy guardrail annotation; absent when the bundle
-	// has no ensemble.
-	Guard *Guard `json:"guard,omitempty"`
+	// Guard is the taxonomy guardrail annotation; zero, and absent from the
+	// wire, when the bundle has no ensemble (Diagnose always sets a label).
+	Guard Guard `json:"guard,omitzero"`
 	// CacheHit reports whether the duplicate cache answered this row.
 	CacheHit bool `json:"cache_hit"`
 }
@@ -245,6 +246,12 @@ func (s *Service) Predict(ctx context.Context, system string, version int, rows 
 // to ship server-side timings and X-Trace-Id back to callers; embedders
 // that don't care call Predict.
 func (s *Service) PredictTraced(ctx context.Context, system string, version int, rows [][]float64) ([]PredictionResult, *ModelVersion, obs.StageTimings, uint64, error) {
+	return s.predictTraced(ctx, system, version, rows, nil)
+}
+
+// predictTraced is PredictTraced building the results in dst's storage,
+// which grows only when it is short.
+func (s *Service) predictTraced(ctx context.Context, system string, version int, rows [][]float64, dst []PredictionResult) ([]PredictionResult, *ModelVersion, obs.StageTimings, uint64, error) {
 	start := time.Now()
 	s.metrics.Requests.Add(1)
 	// tm lives on this frame: stage attribution costs no allocation, and
@@ -255,7 +262,7 @@ func (s *Service) PredictTraced(ctx context.Context, system string, version int,
 	// registry resolves the system — a flood of bogus system names must
 	// not grow the metrics map (and /metrics cardinality) without bound;
 	// such failures count only toward the unlabeled totals.
-	results, mv, err := s.predict(ctx, system, version, rows, false, &tm)
+	results, mv, err := s.predict(ctx, system, version, rows, false, &tm, dst)
 	tm.TotalNs = time.Since(start).Nanoseconds()
 	if err != nil {
 		s.metrics.Errors.Add(1)
@@ -319,14 +326,15 @@ func (s *Service) TraceShed(system string, reason string) uint64 {
 // feedback never reads as live traffic or double-counts served rows.
 func (s *Service) PredictQuiet(ctx context.Context, system string, version int, rows [][]float64) ([]PredictionResult, *ModelVersion, error) {
 	var tm obs.StageTimings // measured then discarded: quiet calls stay invisible
-	return s.predict(ctx, system, version, rows, true, &tm)
+	return s.predict(ctx, system, version, rows, true, &tm, nil)
 }
 
 // predict is the shared serving path. tm (never nil) accumulates the
 // request's stage attribution as it flows through cache, evaluation, and
 // finalization; the caller decides whether those timings reach /metrics or
-// a retained trace.
-func (s *Service) predict(ctx context.Context, system string, version int, rows [][]float64, quiet bool, tm *obs.StageTimings) ([]PredictionResult, *ModelVersion, error) {
+// a retained trace. The results are built in dst's storage, grown only when
+// it is short.
+func (s *Service) predict(ctx context.Context, system string, version int, rows [][]float64, quiet bool, tm *obs.StageTimings, dst []PredictionResult) ([]PredictionResult, *ModelVersion, error) {
 	if len(rows) == 0 {
 		return nil, nil, fmt.Errorf("serve: empty request")
 	}
@@ -348,24 +356,15 @@ func (s *Service) predict(ctx context.Context, system string, version int, rows 
 		}
 	}
 
-	results := make([]PredictionResult, len(rows))
-	// guardBuf backs every result's Guard annotation for this request, so a
-	// request allocates exactly what it returns: results and guardBuf.
-	var guardBuf []Guard
+	// Every row's result is set below, so what dst held does not matter.
+	results := slices.Grow(dst[:0], len(rows))[:len(rows)]
 	setResult := func(i int, res Result, cacheHit bool) {
-		pr := PredictionResult{
+		results[i] = PredictionResult{
 			Log10Throughput: res.PredLog,
 			Throughput:      res.Pred,
+			Guard:           res.Guard,
 			CacheHit:        cacheHit,
 		}
-		if res.Guard.ErrorSource != "" {
-			if guardBuf == nil {
-				guardBuf = make([]Guard, len(rows))
-			}
-			guardBuf[i] = res.Guard
-			pr.Guard = &guardBuf[i]
-		}
-		results[i] = pr
 	}
 	type miss struct {
 		i   int
@@ -463,7 +462,7 @@ func (s *Service) predict(ctx context.Context, system string, version int, rows 
 
 	var ood uint64
 	for _, r := range results {
-		if r.Guard != nil && r.Guard.OoD {
+		if r.Guard.OoD {
 			ood++
 		}
 	}

@@ -65,6 +65,9 @@ type PredictResponse struct {
 	// ServerTimings is the server-side latency split, so clients (cmd/ioload)
 	// can separate queue wait from compute without guessing.
 	ServerTimings *ServerTimings `json:"server_timings,omitempty"`
+	// row is the header of a "row" request's one row while ServeRequest
+	// serves it into this reply.
+	row [1][]float64
 }
 
 // ServerTimings is the server-side stage split shipped in PredictResponse.
@@ -82,8 +85,8 @@ type ServerTimings struct {
 }
 
 // serverTimings converts the internal stage attribution to the wire form.
-func serverTimings(tm *obs.StageTimings) *ServerTimings {
-	return &ServerTimings{
+func serverTimings(tm *obs.StageTimings) ServerTimings {
+	return ServerTimings{
 		TotalNs:        tm.TotalNs,
 		CacheLookupNs:  tm.Ns[obs.StageCacheLookup],
 		QueueWaitNs:    tm.Ns[obs.StageQueueWait],
@@ -187,40 +190,42 @@ func StatusForError(err error) int {
 // ServeRequest is the transport-neutral predict core: request validation,
 // the traced predict call, and response assembly, with no HTTP anywhere.
 // The HTTP handler and the fleet's in-process replica backend share it, so
-// a router-local replica serves exactly what a remote one would. The
-// returned trace hex is non-empty when tail-sampling retained the request
-// (set on success and error alike — a failed request's trace is exactly
-// the one an operator wants to look up).
-func (s *Service) ServeRequest(ctx context.Context, req *PredictRequest) (*PredictResponse, string, error) {
+// a router-local replica serves exactly what a remote one would. The reply
+// is built in out, whose Predictions block and ServerTimings are reused
+// (grown or allocated only when missing); out is meaningful only on
+// success. The returned trace hex is non-empty when tail-sampling retained
+// the request (set on success and error alike — a failed request's trace
+// is exactly the one an operator wants to look up).
+func (s *Service) ServeRequest(ctx context.Context, req *PredictRequest, out *PredictResponse) (string, error) {
 	if req.System == "" {
-		return nil, "", errBadRequest("missing \"system\"")
+		return "", errBadRequest("missing \"system\"")
 	}
 	rows := req.Rows
 	if req.Row != nil {
 		if rows != nil {
-			return nil, "", errBadRequest("set \"row\" or \"rows\", not both")
+			return "", errBadRequest("set \"row\" or \"rows\", not both")
 		}
-		rows = [][]float64{req.Row}
+		out.row[0] = req.Row
+		rows = out.row[:]
 	}
 	if len(rows) == 0 {
-		return nil, "", errBadRequest("no rows to predict")
+		return "", errBadRequest("no rows to predict")
 	}
-	results, mv, tm, traceID, err := s.PredictTraced(ctx, req.System, req.Version, rows)
+	results, mv, tm, traceID, err := s.predictTraced(ctx, req.System, req.Version, rows, out.Predictions)
+	out.row[0] = nil
 	traceHex := ""
 	if traceID != 0 {
 		traceHex = obs.FormatTraceID(traceID)
 	}
 	if err != nil {
-		return nil, traceHex, err
+		return traceHex, err
 	}
-	return &PredictResponse{
-		System:        req.System,
-		Version:       mv.Version,
-		Count:         len(results),
-		Predictions:   results,
-		TraceID:       traceHex,
-		ServerTimings: serverTimings(&tm),
-	}, traceHex, nil
+	if out.ServerTimings == nil {
+		out.ServerTimings = new(ServerTimings)
+	}
+	*out.ServerTimings = serverTimings(&tm)
+	out.System, out.Version, out.Count, out.Predictions, out.TraceID = req.System, mv.Version, len(results), results, traceHex
+	return traceHex, nil
 }
 
 // NewHandler wraps a Service as an http.Handler under the given config.
@@ -333,8 +338,11 @@ func handlePredict(svc *Service, cfg *HandlerConfig, w http.ResponseWriter, r *h
 		admitStart := time.Now()
 		defer func() { cfg.Gate.Release(time.Since(admitStart)) }()
 	}
-	var resp *PredictResponse
-	err := HandlePredictRequest(w, r, cfg.DefaultDeadline, func(ctx context.Context, req *PredictRequest) (any, error) {
+	// The reply is the call's storage, released when HandlePredictRequest
+	// returns: what the log below names is read out of it before that.
+	var system, traceHex string
+	var version int
+	err := HandlePredictRequest(w, r, cfg.DefaultDeadline, func(ctx context.Context, req *PredictRequest, out *PredictResponse) (any, error) {
 		// An upstream X-Trace-Id (the fleet router's hop identity) becomes the
 		// parent of whatever trace this replica retains, so one router-side ID
 		// finds the replica-side traces of every sub-request it fanned out.
@@ -344,9 +352,8 @@ func handlePredict(svc *Service, cfg *HandlerConfig, w http.ResponseWriter, r *h
 				ctx = obs.WithTraceParent(ctx, id)
 			}
 		}
-		var traceHex string
 		var err error
-		resp, traceHex, err = svc.ServeRequest(ctx, req)
+		traceHex, err = svc.ServeRequest(ctx, req, out)
 		if traceHex != "" {
 			// Set on success and error alike: a failed request's retained trace
 			// is exactly the one an operator wants to look up.
@@ -362,14 +369,15 @@ func handlePredict(svc *Service, cfg *HandlerConfig, w http.ResponseWriter, r *h
 			WriteError(w, status, err.Error())
 			return nil, err
 		}
-		return resp, nil
+		system, version = out.System, out.Version
+		return out, nil
 	})
 	if err != nil {
 		// The envelope answered 500: a reply JSON cannot carry (a non-finite
 		// prediction) is counted and logged.
 		svc.metrics.Errors.Add(1)
 		svc.logger.Error("predict response not encodable",
-			"system", resp.System, "version", resp.Version, "trace_id", resp.TraceID, "err", err)
+			"system", system, "version", version, "trace_id", traceHex, "err", err)
 	}
 }
 

@@ -60,7 +60,7 @@ func TestServerPredictBatch(t *testing.T) {
 			t.Errorf("row %d: non-positive linear throughput", i)
 		}
 		// Acceptance: every response row carries the guardrail fields.
-		if p.Guard == nil {
+		if p.Guard == (Guard{}) {
 			t.Fatalf("row %d: no guard annotation", i)
 		}
 		if p.Guard.EU < 0 || p.Guard.ErrorSource == "" {
@@ -147,7 +147,7 @@ func TestServerOoDGuardrail(t *testing.T) {
 	}
 	flagged := 0
 	for _, p := range pr.Predictions {
-		if p.Guard != nil && p.Guard.OoD {
+		if p.Guard.OoD {
 			flagged++
 			if p.Guard.ErrorSource != SourceGeneralization {
 				t.Errorf("OoD row diagnosed as %q", p.Guard.ErrorSource)
@@ -270,7 +270,7 @@ func TestServerCacheAcrossRequests(t *testing.T) {
 	if first.Predictions[0].Log10Throughput != second.Predictions[0].Log10Throughput {
 		t.Error("cached prediction differs")
 	}
-	if g1, g2 := first.Predictions[0].Guard, second.Predictions[0].Guard; g1 == nil || g2 == nil || *g1 != *g2 {
+	if g1, g2 := first.Predictions[0].Guard, second.Predictions[0].Guard; g1 == (Guard{}) || g1 != g2 {
 		t.Error("cached guard differs")
 	}
 	if svc.Metrics().CacheHits.Load() != 1 {

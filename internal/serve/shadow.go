@@ -158,7 +158,7 @@ func (s *Shadow) Mirror(mv *ModelVersion, rows [][]float64, results []Prediction
 				target:  target,
 				row:     rowCopy,
 				primLog: results[i].Log10Throughput,
-				primOoD: results[i].Guard != nil && results[i].Guard.OoD,
+				primOoD: results[i].Guard.OoD,
 			}
 			select {
 			case s.jobs <- job:

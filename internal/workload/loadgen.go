@@ -193,7 +193,7 @@ func (g *LoadGen) Run(ctx context.Context, target Target) (LoadStats, error) {
 				if res.CacheHit {
 					stats.CacheHits++
 				}
-				if res.Guard != nil && res.Guard.OoD {
+				if res.Guard.OoD {
 					stats.OoDFlagged++
 				}
 			}
