@@ -247,7 +247,8 @@ func handleRoute(rt *Router, w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		if out.TraceID != "" {
-			w.Header().Set(serve.TraceHeader, out.TraceID)
+			out.traceHdr[0] = out.TraceID
+			w.Header()[serve.TraceHeader] = out.traceHdr[:]
 		}
 		return out, nil
 	})

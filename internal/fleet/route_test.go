@@ -205,12 +205,12 @@ func TestRoutedPredictAllocs(t *testing.T) {
 		}
 	}
 	routed()
-	// The routed reply's trace ID and its X-Trace-Id header value, the trace
-	// parent on the context (the value node and the boxed ID), a closure for
-	// each of the two groups that do not run on the caller's goroutine, and
-	// the Content-Length digits. The replicas serve into the route scratch and
-	// allocate nothing; the routed reply, its blocks and the call are pooled.
-	const want = 7
+	// The routed reply's trace ID, the trace parent on the context (the value
+	// node and the boxed ID), a closure for each of the two groups that do
+	// not run on the caller's goroutine, and the Content-Length digits. The
+	// replicas serve into the route scratch and allocate nothing; the routed
+	// reply, its blocks, its X-Trace-Id header value and the call are pooled.
+	const want = 6
 	if got := testing.AllocsPerRun(200, routed); got != want {
 		t.Fatalf("a warm routed 16-row request allocates %.0f times, want %d", got, want)
 	}

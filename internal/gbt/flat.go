@@ -102,7 +102,9 @@ func (m *Model) Compile() (*Flat, error) {
 	for t := range m.trees {
 		f.roots[t] = base
 		clear(level)
-		for i, n := range m.trees[t].nodes {
+		nodes := m.trees[t].nodes
+		for i := range nodes {
+			n := &nodes[i]
 			f.feature[base] = n.feature
 			if n.feature < 0 {
 				f.leaf[base] = n.value

@@ -3,9 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
-	"strconv"
 
 	"iotaxo/internal/core"
 	"iotaxo/internal/dataset"
@@ -116,22 +114,20 @@ func Bootstrap(cfg BootstrapConfig, dir string) (*Registry, error) {
 // half-written directory.
 func BumpVersion(root, system string) (int, error) {
 	sysDir := filepath.Join(root, system)
-	entries, err := os.ReadDir(sysDir)
-	if err != nil {
-		return 0, fmt.Errorf("serve: bump reading %s: %w", sysDir, err)
-	}
 	highest := 0
-	for _, e := range entries {
-		sub := versionDirPattern.FindStringSubmatch(e.Name())
-		if !e.IsDir() || sub == nil {
-			continue
+	err := walkVersionDirs(root, func(sys string, err error) error {
+		if sys != system {
+			return nil
 		}
-		if _, err := os.Stat(filepath.Join(sysDir, e.Name(), manifestName)); err != nil {
-			continue
+		return fmt.Errorf("serve: bump reading %s: %w", sysDir, err)
+	}, func(sys string, version int, _ string) error {
+		if sys == system {
+			highest = max(highest, version)
 		}
-		if v, _ := strconv.Atoi(sub[1]); v > highest {
-			highest = v
-		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	if highest == 0 {
 		return 0, fmt.Errorf("serve: bump found no versions under %s", sysDir)

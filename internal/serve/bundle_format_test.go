@@ -15,6 +15,7 @@ import (
 
 	"iotaxo/internal/gbt"
 	"iotaxo/internal/modelfile"
+	"iotaxo/internal/system"
 )
 
 // TestSavedBundleLoadsBitIdentical: a bundle saved by SaveVersion loads to
@@ -183,6 +184,71 @@ func TestUnquantizableBundleIsRefused(t *testing.T) {
 				t.Errorf("%s: got %v, want gbt.ErrTooManyThresholds naming feature 0", name, err)
 			}
 		}
+	}
+}
+
+// TestLoadErrorPrecedence: loadVersionDir decodes the model on the calling
+// goroutine and the guard's artifacts on a second one, yet a bundle with two
+// bad artifacts is refused for the one a serial load reaches first — the
+// model, then the reference, then the members in order — and a bad member
+// before a model the flat walk cannot code. The refusal is exactly the one
+// the bundle gives with only that artifact bad. CI runs it under -race,
+// twenty times.
+func TestLoadErrorPrecedence(t *testing.T) {
+	_, _, v2 := fixture(t)
+	staged := t.TempDir()
+	if err := SaveVersion(staged, v2); err != nil {
+		t.Fatal(err)
+	}
+	flipped := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join(staged, "theta", "v2", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(b)/2] ^= 0x10
+		return b
+	}
+	member := func(i int) string { return fmt.Sprintf(memberPattern, i) }
+	unquantizable := stumpsOver(t, 256, len(v2.Columns))
+	// load saves v2 under root afresh, writes bad over it, re-pins it and
+	// loads it.
+	load := func(root string, bad map[string][]byte) error {
+		if err := SaveVersion(root, v2); err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.Join(root, "theta", "v2")
+		for name, data := range bad {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		repin(t, dir, nil)
+		mv, err := loadVersionDir(dir, "theta")
+		if err == nil || mv != nil {
+			t.Fatalf("%d bad artifacts accepted", len(bad))
+		}
+		return err
+	}
+	for name, c := range map[string]struct{ first, second string }{
+		"corrupt model and member":     {gbtModelName, member(1)},
+		"corrupt reference and member": {referenceName, member(0)},
+		"corrupt members 0 and 2":      {member(0), member(2)},
+		"bad member, unquantizable":    {member(2), gbtModelName},
+	} {
+		t.Run(name, func(t *testing.T) {
+			bad := map[string][]byte{c.first: flipped(c.first), c.second: flipped(c.second)}
+			if c.second == gbtModelName {
+				bad[c.second] = unquantizable
+			}
+			root := t.TempDir()
+			want := load(root, map[string][]byte{c.first: bad[c.first]})
+			if alone := load(root, map[string][]byte{c.second: bad[c.second]}); alone.Error() == want.Error() {
+				t.Fatalf("%s and %s are refused alike: %v", c.first, c.second, alone)
+			}
+			if got := load(root, bad); got.Error() != want.Error() {
+				t.Fatalf("refused with %v, want the serial load's %v", got, want)
+			}
+		})
 	}
 }
 
@@ -399,21 +465,47 @@ func TestManifestDetectsEveryFlipAndTruncation(t *testing.T) {
 }
 
 // BenchmarkLoadVersionDir is the layer number behind the README's bundle
-// format table: one loadVersionDir (manifest, model, three ensemble members,
-// reference, validation, flat compilation) of the fixture's v2.
+// load rows: one loadVersionDir (manifest, model, three ensemble members,
+// reference, validation, flat compilation). "binary" loads the test
+// fixture's v2 (24 trees of depth 5); "bootstrap" loads a bundle of
+// DefaultBootstrap's shape (80 trees of depth 7 over 4 000 Theta jobs, the
+// bundle bench/ serves), so that it is at the scale of the ledger's
+// setup.load_registry_s. Training it takes a few seconds; epochs do not
+// change what is loaded, so it trains one.
 func BenchmarkLoadVersionDir(b *testing.B) {
 	_, _, v2 := fixture(b)
-	root := b.TempDir()
-	if err := SaveVersion(root, v2); err != nil {
-		b.Fatal(err)
-	}
-	dir := filepath.Join(root, "theta", "v2")
-	b.Run("binary", func(b *testing.B) {
+	load := func(b *testing.B, mv *ModelVersion) {
+		root := b.TempDir()
+		if err := SaveVersion(root, mv); err != nil {
+			b.Fatal(err)
+		}
+		dir := filepath.Join(root, mv.System, fmt.Sprintf("v%d", mv.Version))
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := loadVersionDir(dir, "theta"); err != nil {
+			if _, err := loadVersionDir(dir, mv.System); err != nil {
 				b.Fatal(err)
 			}
 		}
+	}
+	b.Run("binary", func(b *testing.B) { load(b, v2) })
+	b.Run("bootstrap", func(b *testing.B) {
+		cfg := DefaultBootstrap()
+		cfg.Versions, cfg.Epochs = 1, 1
+		sysCfg := system.ThetaLike(cfg.Jobs)
+		sysCfg.Seed = cfg.Seed
+		m, err := system.Generate(sysCfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		frame, err := m.Frame()
+		if err != nil {
+			b.Fatal(err)
+		}
+		mv, err := BuildVersion("theta", 1, frame, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		load(b, mv)
 	})
 }

@@ -554,41 +554,61 @@ func (s *registrySnap) systemNames() []string {
 // versionDirPattern matches v<N> directories.
 var versionDirPattern = regexp.MustCompile(`^v([0-9]+)$`)
 
-// LoadRegistry walks root and loads every <system>/v<N>/manifest.json it
-// finds. Directories without a manifest are skipped silently (so a registry
-// root can hold unrelated files); a manifest that fails to load is an error
-// — a serving fleet must not come up with a partial model set.
-func LoadRegistry(root string) (*Registry, error) {
+// walkVersionDirs calls visit for every published version directory under
+// a registry root — <root>/<system>/v<N> holding a manifest — in name
+// order; directories without a manifest are skipped silently, so a root can
+// hold unrelated files. A system directory that cannot be listed goes to
+// unlisted instead. The walk stops at the first error either returns.
+func walkVersionDirs(root string, unlisted func(system string, err error) error, visit func(system string, version int, dir string) error) error {
 	entries, err := os.ReadDir(root)
 	if err != nil {
-		return nil, fmt.Errorf("serve: reading registry root: %w", err)
+		return fmt.Errorf("serve: reading registry root %s: %w", root, err)
 	}
-	reg := NewRegistry()
 	for _, sys := range entries {
 		if !sys.IsDir() {
 			continue
 		}
-		sysDir := filepath.Join(root, sys.Name())
-		vdirs, err := os.ReadDir(sysDir)
+		vdirs, err := os.ReadDir(filepath.Join(root, sys.Name()))
 		if err != nil {
-			return nil, fmt.Errorf("serve: reading %s: %w", sysDir, err)
+			if err := unlisted(sys.Name(), err); err != nil {
+				return err
+			}
+			continue
 		}
 		for _, vd := range vdirs {
-			if !vd.IsDir() || !versionDirPattern.MatchString(vd.Name()) {
+			sub := versionDirPattern.FindStringSubmatch(vd.Name())
+			if !vd.IsDir() || sub == nil {
 				continue
 			}
-			dir := filepath.Join(sysDir, vd.Name())
+			dir := filepath.Join(root, sys.Name(), vd.Name())
 			if _, err := os.Stat(filepath.Join(dir, manifestName)); errors.Is(err, os.ErrNotExist) {
 				continue
 			}
-			mv, err := loadVersionDir(dir, sys.Name())
-			if err != nil {
-				return nil, err
-			}
-			if err := reg.Add(mv); err != nil {
-				return nil, err
+			version, _ := strconv.Atoi(sub[1])
+			if err := visit(sys.Name(), version, dir); err != nil {
+				return err
 			}
 		}
+	}
+	return nil
+}
+
+// LoadRegistry loads every version directory walkVersionDirs finds under
+// root. A system directory it cannot list or a manifest that fails to load
+// is an error — a serving fleet must not come up with a partial model set.
+func LoadRegistry(root string) (*Registry, error) {
+	reg := NewRegistry()
+	err := walkVersionDirs(root, func(system string, err error) error {
+		return fmt.Errorf("serve: reading %s: %w", filepath.Join(root, system), err)
+	}, func(system string, _ int, dir string) error {
+		mv, err := loadVersionDir(dir, system)
+		if err != nil {
+			return err
+		}
+		return reg.Add(mv)
+	})
+	if err != nil {
+		return nil, err
 	}
 	if reg.NumVersions() == 0 {
 		return nil, fmt.Errorf("serve: no model bundles under %s", root)
@@ -619,27 +639,20 @@ func loadVersionDir(dir, wantSystem string) (*ModelVersion, error) {
 		Guard:     m.Guard,
 		TrainedOn: m.TrainedOn,
 	}
-	if mv.Model, err = readArtifact(dir, m.Model, gbt.ReadBinary); err != nil {
+	// The guard's artifacts decode on a second goroutine while this one
+	// decodes the model and compiles its flat engine (validate reports a
+	// compile refusal in its place). Errors keep the serial order: the
+	// model's first, then the reference, each member and the scaler.
+	guardErr := make(chan error, 1)
+	go func() { guardErr <- loadGuardArtifacts(dir, m, mv) }()
+	if mv.Model, err = readArtifact(dir, m.Model, gbt.ReadBinary); err == nil {
+		_ = mv.compile()
+	}
+	if gerr := <-guardErr; err == nil {
+		err = gerr
+	}
+	if err != nil {
 		return nil, err
-	}
-	if m.ReferenceFile != nil {
-		if mv.Reference, err = readArtifact(dir, *m.ReferenceFile, readReference); err != nil {
-			return nil, err
-		}
-	}
-	if len(m.Ensemble) > 0 {
-		ens := &uq.Ensemble{}
-		for _, ref := range m.Ensemble {
-			member, err := readArtifact(dir, ref, nn.ReadBinary)
-			if err != nil {
-				return nil, err
-			}
-			ens.Members = append(ens.Members, member)
-		}
-		mv.Ensemble = ens
-		if mv.Scaler, err = dataset.NewScaler(m.ScalerLog, m.mean, m.std); err != nil {
-			return nil, fmt.Errorf("serve: manifest in %s: %w", dir, err)
-		}
 	}
 	// Validate here, not just at registration: loadVersionDir is the trust
 	// boundary for on-disk input (including live-reloaded directories), so
@@ -648,6 +661,32 @@ func loadVersionDir(dir, wantSystem string) (*ModelVersion, error) {
 		return nil, fmt.Errorf("serve: manifest in %s: %w", dir, err)
 	}
 	return mv, nil
+}
+
+// loadGuardArtifacts decodes what m names besides the model into mv: the
+// reference, the ensemble members and the scaler, in that order.
+func loadGuardArtifacts(dir string, m manifest, mv *ModelVersion) (err error) {
+	if m.ReferenceFile != nil {
+		if mv.Reference, err = readArtifact(dir, *m.ReferenceFile, readReference); err != nil {
+			return err
+		}
+	}
+	if len(m.Ensemble) == 0 {
+		return nil
+	}
+	ens := &uq.Ensemble{}
+	for _, ref := range m.Ensemble {
+		member, err := readArtifact(dir, ref, nn.ReadBinary)
+		if err != nil {
+			return err
+		}
+		ens.Members = append(ens.Members, member)
+	}
+	mv.Ensemble = ens
+	if mv.Scaler, err = dataset.NewScaler(m.ScalerLog, m.mean, m.std); err != nil {
+		return fmt.Errorf("serve: manifest in %s: %w", dir, err)
+	}
+	return nil
 }
 
 // readManifest opens dir's manifest: the checksum first, then a canonical

@@ -36,19 +36,22 @@ func fuzzModel(t testing.TB) []byte {
 // stumpsModel is a gbt artifact over fuzzManifest's two columns with n
 // one-split trees, tree k splitting column a at k: n distinct thresholds on
 // one feature, one more than the flat walk codes when n is 256.
-func stumpsModel(t testing.TB, n int) []byte {
+func stumpsModel(t testing.TB, n int) []byte { return stumpsOver(t, n, 2) }
+
+// stumpsOver is stumpsModel over a schema of features columns.
+func stumpsOver(t testing.TB, n, features int) []byte {
 	t.Helper()
 	lens := strings.TrimSuffix(strings.Repeat("3,", n), ",")
-	header := strings.Replace(strings.Replace(fuzzModelHeader, `"NumTrees":1`, fmt.Sprintf(`"NumTrees":%d`, n), 1),
-		`"tree_lens":[1]`, `"tree_lens":[`+lens+`]`, 1)
-	b, err := modelfile.Begin("IOTAXGBT", json.RawMessage(header), 2*8+3*28*n)
+	header := strings.NewReplacer(`"NumTrees":1`, fmt.Sprintf(`"NumTrees":%d`, n),
+		`"n_feature":2`, fmt.Sprintf(`"n_feature":%d`, features), `"tree_lens":[1]`, `"tree_lens":[`+lens+`]`).Replace(fuzzModelHeader)
+	b, err := modelfile.Begin("IOTAXGBT", json.RawMessage(header), 8*features+3*28*n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b = modelfile.AppendFloat64s(b, []float64{0, 0})
+	b = modelfile.AppendFloat64s(b, make([]float64, features))
 	le := binary.LittleEndian
 	for k := 0; k < n; k++ {
-		b = le.AppendUint32(le.AppendUint32(le.AppendUint32(b, 0), 1), 2) // column a, children 1 and 2
+		b = le.AppendUint32(le.AppendUint32(le.AppendUint32(b, 0), 1), 2) // column 0, children 1 and 2
 		b = modelfile.AppendFloat64s(b, []float64{float64(k), 0})
 		for _, v := range []float64{0.25, -0.25} {
 			b = le.AppendUint32(b, math.MaxUint32) // a leaf

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -76,7 +75,7 @@ type Reloader struct {
 	// mu serializes polls (ticker loop, forced polls via the admin
 	// endpoint, and tests calling Poll directly).
 	mu    sync.Mutex
-	known map[string]string // "system/vN" -> fingerprint
+	known map[string]scanEntry // "system/vN" -> what was loaded from it
 
 	startOnce sync.Once
 	closeOnce sync.Once
@@ -104,7 +103,7 @@ func NewReloader(svc *Service, root string, interval time.Duration) (*Reloader, 
 		svc:      svc,
 		root:     root,
 		interval: interval,
-		known:    make(map[string]string),
+		known:    make(map[string]scanEntry),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -115,7 +114,7 @@ func NewReloader(svc *Service, root string, interval time.Duration) (*Reloader, 
 	}
 	for key, ent := range scan {
 		if _, err := svc.reg.Get(ent.system, ent.version); err == nil {
-			r.known[key] = ent.fingerprint
+			r.known[key] = ent
 		}
 	}
 	svc.attachReloader(r)
@@ -211,7 +210,7 @@ func (r *Reloader) Poll() (ReloadStats, error) {
 	var errs []error
 	bumped := make(map[string]bool)
 	for key, ent := range scan {
-		if fp, ok := r.known[key]; ok && fp == ent.fingerprint {
+		if k, ok := r.known[key]; ok && k.fingerprint == ent.fingerprint {
 			continue
 		}
 		// A bundle that loads is one manifest's — every artifact matched its
@@ -229,7 +228,7 @@ func (r *Reloader) Poll() (ReloadStats, error) {
 			errs = append(errs, err)
 			continue
 		}
-		r.known[key] = ent.fingerprint
+		r.known[key] = ent
 		bumped[ent.system] = true
 		if replaced {
 			stats.Replaced++
@@ -241,24 +240,16 @@ func (r *Reloader) Poll() (ReloadStats, error) {
 	// present but momentarily unreadable (a publisher racing the poll) is
 	// NOT retired — the loaded bundle keeps serving and the next poll
 	// settles it.
-	for key := range r.known {
-		if _, ok := scan[key]; ok {
+	for key, k := range r.known {
+		if _, ok := scan[key]; ok || unreadable[key] {
 			continue
 		}
-		if unreadable[key] {
-			continue
-		}
-		system, version, err := splitVersionKey(key)
-		if err != nil {
-			delete(r.known, key)
-			continue
-		}
-		if err := r.svc.reg.Remove(system, version); err != nil && !errors.Is(err, ErrUnknownModel) {
+		if err := r.svc.reg.Remove(k.system, k.version); err != nil && !errors.Is(err, ErrUnknownModel) {
 			errs = append(errs, err)
 			continue
 		}
 		delete(r.known, key)
-		bumped[system] = true
+		bumped[k.system] = true
 		stats.Removed++
 	}
 
@@ -295,54 +286,29 @@ func (r *Reloader) Poll() (ReloadStats, error) {
 // publisher racing the scan) are reported in unreadable rather than
 // silently omitted, so Poll can distinguish "gone" from "mid-write".
 func (r *Reloader) scan() (map[string]scanEntry, map[string]bool, error) {
-	entries, err := os.ReadDir(r.root)
-	if err != nil {
-		return nil, nil, fmt.Errorf("serve: reload scanning %s: %w", r.root, err)
-	}
 	out := make(map[string]scanEntry)
 	unreadable := make(map[string]bool)
-	for _, sys := range entries {
-		if !sys.IsDir() {
-			continue
-		}
-		sysDir := filepath.Join(r.root, sys.Name())
-		vdirs, err := os.ReadDir(sysDir)
-		if err != nil {
-			// One broken system directory must not starve every other
-			// system's reloads (or retire this system's live versions):
-			// mark everything known under it unreadable and move on.
-			for key := range r.known {
-				if strings.HasPrefix(key, sys.Name()+"/") {
-					unreadable[key] = true
-				}
-			}
-			continue
-		}
-		for _, vd := range vdirs {
-			sub := versionDirPattern.FindStringSubmatch(vd.Name())
-			if !vd.IsDir() || sub == nil {
-				continue
-			}
-			dir := filepath.Join(sysDir, vd.Name())
-			key := sys.Name() + "/" + vd.Name()
-			if _, err := os.Stat(filepath.Join(dir, manifestName)); errors.Is(err, os.ErrNotExist) {
-				continue
-			}
-			fp, err := dirFingerprint(dir)
-			if err != nil {
+	err := walkVersionDirs(r.root, func(system string, _ error) error {
+		// One broken system directory must not starve every other system's
+		// reloads (or retire this system's live versions): mark everything
+		// known under it unreadable and move on.
+		for key, k := range r.known {
+			if k.system == system {
 				unreadable[key] = true
-				continue
-			}
-			version, _ := strconv.Atoi(sub[1])
-			out[key] = scanEntry{
-				dir:         dir,
-				system:      sys.Name(),
-				version:     version,
-				fingerprint: fp,
 			}
 		}
-	}
-	return out, unreadable, nil
+		return nil
+	}, func(system string, version int, dir string) error {
+		key := system + "/" + filepath.Base(dir)
+		fp, err := dirFingerprint(dir)
+		if err != nil {
+			unreadable[key] = true
+			return nil
+		}
+		out[key] = scanEntry{dir: dir, system: system, version: version, fingerprint: fp}
+		return nil
+	})
+	return out, unreadable, err
 }
 
 // dirFingerprint identifies a version directory's contents: the manifest's
@@ -379,18 +345,4 @@ func dirFingerprint(dir string) (string, error) {
 	}
 	h.Write(raw)
 	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// splitVersionKey parses a "system/vN" scan key.
-func splitVersionKey(key string) (string, int, error) {
-	system, vdir := filepath.Split(key)
-	sub := versionDirPattern.FindStringSubmatch(vdir)
-	if len(system) == 0 || sub == nil {
-		return "", 0, fmt.Errorf("serve: malformed version key %q", key)
-	}
-	version, err := strconv.Atoi(sub[1])
-	if err != nil {
-		return "", 0, err
-	}
-	return filepath.Clean(system), version, nil
 }
