@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt loc ledger-smoke chaos-smoke fleet-smoke membership-smoke slo-smoke
+.PHONY: all build test vet fmt loc ledger-smoke
 
 all: build test
 
@@ -45,30 +45,10 @@ ledger-smoke:
 	bash bench/run.sh --workload http-dup --smoke
 	bash bench/run.sh --workload fleet-split --smoke
 
-# Resilience smoke: ioserve under fault injection + admission control,
-# saturated by ioload, asserting sheds happen, nothing crashes, and
-# SIGTERM drains cleanly (see scripts/chaos_smoke.sh for knobs).
-chaos-smoke:
-	./scripts/chaos_smoke.sh
-
-# Fleet smoke: iorouter over three ioserve replicas sharing one registry
-# tree — kill a replica mid-run and assert clean ejection with zero
-# request errors, rejoin on restart, and a graceful router drain (see
-# scripts/fleet_smoke.sh for knobs).
-fleet-smoke:
-	./scripts/fleet_smoke.sh
-
-# Membership smoke: the self-healing fleet lifecycle — zero-replica router
-# boot, three replicas self-register, kill -9 → lease-expiry ejection,
-# SIGTERM under load → coordinated drain with zero lost requests, router
-# restart → snapshot recovery, drain to a clean final state (see
-# scripts/membership_smoke.sh for knobs).
-membership-smoke:
-	./scripts/membership_smoke.sh
-
-# Observability smoke: iorouter with SLO tracking and tracing over a traced
-# ioserve replica — nominal load must meet the objectives, a stitched
-# cross-process trace must be retrievable, and a latency-chaos replica must
-# burn the error budget (see scripts/slo_smoke.sh for knobs).
-slo-smoke:
-	./scripts/slo_smoke.sh
+# Process smokes: `make chaos-smoke`, `fleet-smoke`, `membership-smoke` and
+# `slo-smoke` each run scripts/<name>_smoke.sh (its header says what the
+# scenario asserts) on the shared harness scripts/lib.sh. A pattern rule is
+# never applied to a .PHONY target, so these four are not listed there; the
+# script prerequisite keeps a mistyped name an error.
+%-smoke: scripts/%_smoke.sh
+	bash $<

@@ -162,6 +162,15 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
+	// Static -replicas and self-registered members are built by this one
+	// factory: both dial over HTTP(S) with the same admin token.
+	backend := func(name, baseURL string) (fleet.Predictor, error) {
+		u := strings.TrimRight(strings.TrimSpace(baseURL), "/")
+		if !strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
+			return nil, fmt.Errorf("replica %q: want an http(s) base URL, got %q", name, baseURL)
+		}
+		return fleet.NewRemote(name, u, fleet.RemoteConfig{AdminToken: cfg.adminToken}), nil
+	}
 	var backends []fleet.Predictor
 	if strings.TrimSpace(cfg.replicas) != "" {
 		for _, raw := range strings.Split(cfg.replicas, ",") {
@@ -169,13 +178,13 @@ func run(cfg config) error {
 			if u == "" {
 				return fmt.Errorf("-replicas has an empty entry")
 			}
-			if !strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
-				return fmt.Errorf("replica %q: want an http(s) base URL", u)
-			}
 			// The host:port part names the replica in the ring, metrics, and
 			// response shares.
-			name := strings.TrimPrefix(strings.TrimPrefix(u, "http://"), "https://")
-			backends = append(backends, fleet.NewRemote(name, u, fleet.RemoteConfig{AdminToken: cfg.adminToken}))
+			b, err := backend(strings.TrimPrefix(strings.TrimPrefix(u, "http://"), "https://"), u)
+			if err != nil {
+				return err
+			}
+			backends = append(backends, b)
 		}
 	}
 	var slo *obs.SLO
@@ -199,15 +208,7 @@ func run(cfg config) error {
 		Logger:           logger,
 		LeaseTTL:         cfg.leaseTTL,
 		StatePath:        cfg.statePath,
-		// Self-registered replicas dial back over HTTP with the same admin
-		// token as static ones.
-		Backend: func(name, baseURL string) (fleet.Predictor, error) {
-			u := strings.TrimRight(strings.TrimSpace(baseURL), "/")
-			if !strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
-				return nil, fmt.Errorf("member %q: want an http(s) base URL, got %q", name, baseURL)
-			}
-			return fleet.NewRemote(name, u, fleet.RemoteConfig{AdminToken: cfg.adminToken}), nil
-		},
+		Backend:          backend,
 	}, backends...)
 	if err != nil {
 		return err

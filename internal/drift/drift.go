@@ -213,9 +213,6 @@ func New(svc *serve.Service, cfg Config) *Controller {
 	return c
 }
 
-// Config returns the effective (defaulted) configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // Start launches the tick loop (idempotent).
 func (c *Controller) Start() {
 	c.startOnce.Do(func() {

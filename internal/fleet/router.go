@@ -229,9 +229,6 @@ func NewRouter(cfg RouterConfig, replicas ...Predictor) (*Router, error) {
 	return rt, nil
 }
 
-// Resilience exposes the per-replica breaker set (metrics, admin view).
-func (rt *Router) Resilience() *resilience.Set { return rt.res }
-
 // Start launches the health/stats prober. Stop with Stop.
 func (rt *Router) Start() {
 	rt.startOnce.Do(func() { go rt.probeLoop() })

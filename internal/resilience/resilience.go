@@ -44,16 +44,6 @@ func (s *Set) SetGate(g *Gate) {
 	s.mu.Unlock()
 }
 
-// Gate returns the attached admission gate (nil when none).
-func (s *Set) Gate() *Gate {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gate
-}
-
 // NewBreaker creates a named breaker under cfg and registers it with the
 // set. Names appear as the {name=...} label on breaker metrics and in the
 // /v1/resilience status, so keep them short and stable ("reload",

@@ -295,21 +295,27 @@ func NewRegistry() *Registry {
 // Add registers a bundle after validation. Duplicate (system, version)
 // pairs are rejected.
 func (r *Registry) Add(mv *ModelVersion) error {
+	if err := mv.validate(); err != nil {
+		return err
+	}
 	_, err := r.insert(mv, false)
 	return err
 }
 
-// AddOrReplace registers a bundle, swapping out any existing bundle with
-// the same (system, version) — the reloader's path when a version directory
-// is rewritten in place. Reports whether an existing bundle was replaced.
+// AddOrReplace registers a bundle after validation, swapping out any
+// existing bundle with the same (system, version). Reports whether an
+// existing bundle was replaced.
 func (r *Registry) AddOrReplace(mv *ModelVersion) (bool, error) {
-	return r.insert(mv, true)
-}
-
-func (r *Registry) insert(mv *ModelVersion, replace bool) (bool, error) {
 	if err := mv.validate(); err != nil {
 		return false, err
 	}
+	return r.insert(mv, true)
+}
+
+// insert registers a bundle that is already validated: Add and AddOrReplace
+// validate first, and loadVersionDir has validated everything it returns,
+// so the two loaders call insert directly.
+func (r *Registry) insert(mv *ModelVersion, replace bool) (bool, error) {
 	r.writeMu.Lock()
 	defer r.writeMu.Unlock()
 	snap := r.snap.Load().clone()
@@ -605,7 +611,8 @@ func LoadRegistry(root string) (*Registry, error) {
 		if err != nil {
 			return err
 		}
-		return reg.Add(mv)
+		_, err = reg.insert(mv, false)
+		return err
 	})
 	if err != nil {
 		return nil, err

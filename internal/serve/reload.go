@@ -151,9 +151,6 @@ func (r *Reloader) Close() {
 	}
 }
 
-// Interval reports the polling interval (0 when manual-only).
-func (r *Reloader) Interval() time.Duration { return r.interval }
-
 func (r *Reloader) loop() {
 	defer close(r.done)
 	delay := r.interval
@@ -222,7 +219,7 @@ func (r *Reloader) Poll() (ReloadStats, error) {
 			errs = append(errs, err)
 			continue
 		}
-		replaced, err := r.svc.reg.AddOrReplace(mv)
+		replaced, err := r.svc.reg.insert(mv, true)
 		if err != nil {
 			stats.Failed++
 			errs = append(errs, err)

@@ -4,91 +4,33 @@
 # injected latency/errors/panics/registry corruption produce load shedding
 # and retries but NO crash, and SIGTERM drains to a clean exit.
 #
-# Knobs (env): CHAOS_SPEC, REQUESTS, CONCURRENCY, ADDR.
-set -euo pipefail
-cd "$(dirname "$0")/.."
+# Knob (env): ADDR.
+source "$(dirname "$0")/lib.sh"
 
 ADDR="${ADDR:-127.0.0.1:18080}"
-CHAOS_SPEC="${CHAOS_SPEC:-latency=5ms:0.5,error=0.05,panic=0.02,corrupt=0.2}"
-REQUESTS="${REQUESTS:-400}"
-CONCURRENCY="${CONCURRENCY:-16}"
+CHAOS_SPEC="latency=5ms:0.5,error=0.05,panic=0.02,corrupt=0.2"
+REQUESTS=400
+CONCURRENCY=16
 
-workdir="$(mktemp -d)"
-trap 'rm -rf "$workdir"' EXIT
+build ioserve ioload
 
-echo "chaos-smoke: building binaries"
-go build -o "$workdir/ioserve" ./cmd/ioserve
-go build -o "$workdir/ioload" ./cmd/ioload
-
-echo "chaos-smoke: starting ioserve with -chaos '$CHAOS_SPEC'"
-"$workdir/ioserve" \
-  -addr "$ADDR" \
-  -bootstrap -models "$workdir/registry" -jobs 800 -versions 1 \
+say "starting ioserve with -chaos '$CHAOS_SPEC'"
+start_ioserve "$ADDR" "$workdir/ioserve.log" \
+  -bootstrap -jobs 800 -versions 1 \
   -chaos "$CHAOS_SPEC" \
   -admission-max-inflight 2 \
   -default-deadline 2s \
-  -reload-interval 1s \
-  -shutdown-grace 10s \
-  -workers 1 \
-  >"$workdir/ioserve.log" 2>&1 &
-server_pid=$!
+  -workers 1
+server_pid="${pids[-1]}"
+# Bootstrap trains models, so the health check's window is generous.
+wait_healthz "$ADDR" "ioserve" "$workdir/ioserve.log"
 
-cleanup_server() {
-  kill -9 "$server_pid" 2>/dev/null || true
-}
-trap 'cleanup_server; rm -rf "$workdir"' EXIT
-
-# Bootstrap trains models, so give the health check a generous window.
-echo "chaos-smoke: waiting for /healthz"
-for i in $(seq 1 120); do
-  if curl -fsS "http://$ADDR/healthz" >/dev/null 2>&1; then
-    break
-  fi
-  if ! kill -0 "$server_pid" 2>/dev/null; then
-    echo "chaos-smoke: ioserve died during startup" >&2
-    cat "$workdir/ioserve.log" >&2
-    exit 1
-  fi
-  sleep 1
-done
-curl -fsS "http://$ADDR/healthz" >/dev/null
-
-echo "chaos-smoke: driving $REQUESTS requests at concurrency $CONCURRENCY"
+say "driving $REQUESTS requests at concurrency $CONCURRENCY"
 # -rate 0 is a closed loop: saturation is the point. -expect-chaos makes
 # ioload itself assert sheds > 0, a live server, and some served traffic.
-"$workdir/ioload" \
-  -addr "http://$ADDR" \
-  -system theta \
-  -requests "$REQUESTS" \
-  -concurrency "$CONCURRENCY" \
-  -rate 0 \
-  -retries 3 \
-  -expect-chaos
+run_load "$workdir/load.txt" -addr "http://$ADDR" -rate 0 -expect-chaos
 
-echo "chaos-smoke: asking for graceful shutdown"
-kill -TERM "$server_pid"
-shutdown_ok=1
-for i in $(seq 1 20); do
-  if ! kill -0 "$server_pid" 2>/dev/null; then
-    shutdown_ok=0
-    break
-  fi
-  sleep 1
-done
-if [ "$shutdown_ok" -ne 0 ]; then
-  echo "chaos-smoke: ioserve did not exit within 20s of SIGTERM" >&2
-  cat "$workdir/ioserve.log" >&2
-  exit 1
-fi
-wait "$server_pid" || {
-  echo "chaos-smoke: ioserve exited non-zero after SIGTERM" >&2
-  cat "$workdir/ioserve.log" >&2
-  exit 1
-}
-if ! grep -q "shutdown complete" "$workdir/ioserve.log"; then
-  echo "chaos-smoke: no clean-shutdown marker in the server log" >&2
-  cat "$workdir/ioserve.log" >&2
-  exit 1
-fi
+say "asking for graceful shutdown"
+term_clean "$server_pid" "$workdir/ioserve.log"
 
-echo "chaos-smoke: OK (faults injected, load shed, zero crashes, clean drain)"
+say "OK (faults injected, load shed, zero crashes, clean drain)"

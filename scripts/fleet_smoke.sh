@@ -5,176 +5,59 @@
 # request errors (the survivors absorb its arcs), a restart rejoins it,
 # and SIGTERM drains the router to a clean exit.
 #
-# Knobs (env): REQUESTS, CONCURRENCY, ROUTER_ADDR, REPLICA_BASE_PORT.
-set -euo pipefail
-cd "$(dirname "$0")/.."
+# Knobs (env): ROUTER_ADDR, REPLICA_BASE_PORT.
+source "$(dirname "$0")/lib.sh"
 
 ROUTER_ADDR="${ROUTER_ADDR:-127.0.0.1:18070}"
 BASE_PORT="${REPLICA_BASE_PORT:-18081}"
-REQUESTS="${REQUESTS:-150}"
-CONCURRENCY="${CONCURRENCY:-8}"
-
 R1="127.0.0.1:$BASE_PORT"
 R2="127.0.0.1:$((BASE_PORT + 1))"
 R3="127.0.0.1:$((BASE_PORT + 2))"
 
-workdir="$(mktemp -d)"
-pids=()
-cleanup() {
-  for pid in "${pids[@]:-}"; do
-    # The braced wait keeps bash from printing "Killed" job notices.
-    { kill -9 "$pid" && wait "$pid"; } 2>/dev/null || true
-  done
-  rm -rf "$workdir"
-}
-trap cleanup EXIT
-
-echo "fleet-smoke: building binaries"
-go build -o "$workdir/ioserve" ./cmd/ioserve
-go build -o "$workdir/iorouter" ./cmd/iorouter
-go build -o "$workdir/ioload" ./cmd/ioload
-
-wait_healthz() { # addr name log
-  for i in $(seq 1 120); do
-    if curl -fsS "http://$1/healthz" >/dev/null 2>&1; then
-      return 0
-    fi
-    sleep 1
-  done
-  echo "fleet-smoke: $2 never became healthy" >&2
-  cat "$3" >&2
-  exit 1
-}
-
-start_replica() { # addr logfile
-  "$workdir/ioserve" \
-    -addr "$1" \
-    -models "$workdir/registry" \
-    -reload-interval 1s \
-    -shutdown-grace 10s \
-    >"$2" 2>&1 &
-  pids+=($!)
-}
+build ioserve iorouter ioload
 
 # Replica 1 bootstraps the shared tree; 2 and 3 load it once it exists.
-echo "fleet-smoke: bootstrapping the shared registry via replica 1 ($R1)"
-"$workdir/ioserve" \
-  -addr "$R1" \
-  -bootstrap -models "$workdir/registry" -jobs 600 -versions 1 \
-  -reload-interval 1s \
-  -shutdown-grace 10s \
-  >"$workdir/replica1.log" 2>&1 &
-pids+=($!)
+say "bootstrapping the shared registry via replica 1 ($R1)"
+start_ioserve "$R1" "$workdir/replica1.log" -bootstrap -jobs 600 -versions 1
 wait_healthz "$R1" "replica 1" "$workdir/replica1.log"
 
-echo "fleet-smoke: starting replicas 2 ($R2) and 3 ($R3) over the same tree"
-start_replica "$R2" "$workdir/replica2.log"
+say "starting replicas 2 ($R2) and 3 ($R3) over the same tree"
+start_ioserve "$R2" "$workdir/replica2.log"
 replica2_pid="${pids[-1]}"
-start_replica "$R3" "$workdir/replica3.log"
+start_ioserve "$R3" "$workdir/replica3.log"
 wait_healthz "$R2" "replica 2" "$workdir/replica2.log"
 wait_healthz "$R3" "replica 3" "$workdir/replica3.log"
 
-echo "fleet-smoke: starting iorouter on $ROUTER_ADDR"
-"$workdir/iorouter" \
-  -addr "$ROUTER_ADDR" \
+say "starting iorouter on $ROUTER_ADDR"
+start_iorouter "$workdir/iorouter.log" \
   -replicas "http://$R1,http://$R2,http://$R3" \
-  -health-interval 250ms \
-  -breaker-threshold 2 \
-  -breaker-cooldown 2s \
-  -shutdown-grace 10s \
-  >"$workdir/iorouter.log" 2>&1 &
-router_pid=$!
-pids+=("$router_pid")
-wait_healthz "$ROUTER_ADDR" "iorouter" "$workdir/iorouter.log"
+  -breaker-threshold 2 -breaker-cooldown 2s
+wait_healthz "$ROUTER_ADDR" "iorouter" "$router_log"
 
-wait_fleet_healthy() { # want
-  for i in $(seq 1 60); do
-    if curl -fsS "http://$ROUTER_ADDR/v1/fleet" 2>/dev/null | grep -q "\"healthy\":$1"; then
-      return 0
-    fi
-    sleep 1
-  done
-  echo "fleet-smoke: fleet never reached $1 healthy replicas" >&2
-  curl -fsS "http://$ROUTER_ADDR/v1/fleet" >&2 || true
-  cat "$workdir/iorouter.log" >&2
-  exit 1
-}
-
-assert_zero_errors() { # report
-  if ! grep -Eq "^requests +[0-9]+ \(0 errors\)$" "$1"; then
-    echo "fleet-smoke: load run reported request errors" >&2
-    cat "$1" >&2
-    exit 1
-  fi
-}
-
-echo "fleet-smoke: phase 1 — $REQUESTS requests across the full fleet"
-"$workdir/ioload" \
-  -addr "http://$ROUTER_ADDR" \
-  -system theta \
-  -requests "$REQUESTS" \
-  -concurrency "$CONCURRENCY" \
-  -rate 0 -dup 0.7 \
-  -retries 3 \
-  | tee "$workdir/phase1.txt"
+say "phase 1 — $REQUESTS requests across the full fleet"
+run_load "$workdir/phase1.txt" -addr "http://$ROUTER_ADDR" -rate 0 -dup 0.7
 assert_zero_errors "$workdir/phase1.txt"
 for r in "$R1" "$R2" "$R3"; do
-  if ! grep -q "$r" "$workdir/phase1.txt"; then
-    echo "fleet-smoke: replica $r served no rows in phase 1" >&2
-    cat "$workdir/phase1.txt" >&2
-    exit 1
-  fi
+  grep -q "$r" "$workdir/phase1.txt" || fail "replica $r served no rows in phase 1" "$workdir/phase1.txt"
 done
 
-echo "fleet-smoke: killing replica 2 ($R2)"
+say "killing replica 2 ($R2)"
 { kill -9 "$replica2_pid" && wait "$replica2_pid"; } 2>/dev/null || true
 wait_fleet_healthy 2
 
-echo "fleet-smoke: phase 2 — $REQUESTS requests against the degraded fleet"
-"$workdir/ioload" \
-  -addr "http://$ROUTER_ADDR" \
-  -system theta \
-  -requests "$REQUESTS" \
-  -concurrency "$CONCURRENCY" \
-  -rate 0 -dup 0.7 \
-  -retries 3 \
-  | tee "$workdir/phase2.txt"
+say "phase 2 — $REQUESTS requests against the degraded fleet"
+run_load "$workdir/phase2.txt" -addr "http://$ROUTER_ADDR" -rate 0 -dup 0.7
 assert_zero_errors "$workdir/phase2.txt"
 if grep "^replica rows" "$workdir/phase2.txt" | grep -q "$R2"; then
-  echo "fleet-smoke: the ejected replica $R2 still received rows" >&2
-  cat "$workdir/phase2.txt" >&2
-  exit 1
+  fail "the ejected replica $R2 still received rows" "$workdir/phase2.txt"
 fi
 
-echo "fleet-smoke: restarting replica 2 and waiting for rejoin"
-start_replica "$R2" "$workdir/replica2b.log"
+say "restarting replica 2 and waiting for rejoin"
+start_ioserve "$R2" "$workdir/replica2b.log"
 wait_healthz "$R2" "restarted replica 2" "$workdir/replica2b.log"
 wait_fleet_healthy 3
 
-echo "fleet-smoke: asking the router for graceful shutdown"
-kill -TERM "$router_pid"
-shutdown_ok=1
-for i in $(seq 1 20); do
-  if ! kill -0 "$router_pid" 2>/dev/null; then
-    shutdown_ok=0
-    break
-  fi
-  sleep 1
-done
-if [ "$shutdown_ok" -ne 0 ]; then
-  echo "fleet-smoke: iorouter did not exit within 20s of SIGTERM" >&2
-  cat "$workdir/iorouter.log" >&2
-  exit 1
-fi
-wait "$router_pid" || {
-  echo "fleet-smoke: iorouter exited non-zero after SIGTERM" >&2
-  cat "$workdir/iorouter.log" >&2
-  exit 1
-}
-if ! grep -q "shutdown complete" "$workdir/iorouter.log"; then
-  echo "fleet-smoke: no clean-shutdown marker in the router log" >&2
-  cat "$workdir/iorouter.log" >&2
-  exit 1
-fi
+say "asking the router for graceful shutdown"
+term_clean "$router_pid" "$router_log"
 
-echo "fleet-smoke: OK (fleet spread, clean ejection, zero errors, rejoin, clean drain)"
+say "OK (fleet spread, clean ejection, zero errors, rejoin, clean drain)"

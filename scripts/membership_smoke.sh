@@ -10,296 +10,107 @@
 # and require it to rebuild the surviving member from its membership
 # snapshot, then drain everything to a clean final state.
 #
-# Knobs (env): REQUESTS, CONCURRENCY, ROUTER_ADDR, REPLICA_BASE_PORT.
-set -euo pipefail
-cd "$(dirname "$0")/.."
+# Knobs (env): ROUTER_ADDR, REPLICA_BASE_PORT.
+source "$(dirname "$0")/lib.sh"
 
 ROUTER_ADDR="${ROUTER_ADDR:-127.0.0.1:18170}"
 BASE_PORT="${REPLICA_BASE_PORT:-18181}"
-REQUESTS="${REQUESTS:-150}"
-CONCURRENCY="${CONCURRENCY:-8}"
-ADMIN_TOKEN="membership-smoke-token"
-
 R1="127.0.0.1:$BASE_PORT"
 R2="127.0.0.1:$((BASE_PORT + 1))"
 R3="127.0.0.1:$((BASE_PORT + 2))"
 
-workdir="$(mktemp -d)"
-pids=()
-cleanup() {
-  for pid in "${pids[@]:-}"; do
-    { kill -9 "$pid" && wait "$pid"; } 2>/dev/null || true
-  done
-  rm -rf "$workdir"
-}
-trap cleanup EXIT
+build ioserve iorouter ioload
 
-echo "membership-smoke: building binaries"
-go build -o "$workdir/ioserve" ./cmd/ioserve
-go build -o "$workdir/iorouter" ./cmd/iorouter
-go build -o "$workdir/ioload" ./cmd/ioload
-
-wait_healthz() { # addr name log
-  for i in $(seq 1 120); do
-    if curl -fsS "http://$1/healthz" >/dev/null 2>&1; then
-      return 0
-    fi
-    sleep 1
-  done
-  echo "membership-smoke: $2 never became healthy" >&2
-  cat "$3" >&2
-  exit 1
+start_router() { # log
+  start_iorouter "$1" -fleet-state "$workdir/membership.json" -lease-ttl 2s \
+    -breaker-threshold 2 -breaker-cooldown 2s -admin-token "$ADMIN_TOKEN"
+  # /healthz is a readiness probe, 503 while the ring is empty, so router
+  # liveness is checked on the fleet view instead.
+  poll 120 in_fleet '"healthy":' || fail "iorouter never came up" "$1"
 }
 
-fleet_view() {
-  curl -fsS -H "X-Admin-Token: $ADMIN_TOKEN" "http://$ROUTER_ADDR/v1/fleet" 2>/dev/null || true
-}
-
-# The router's /healthz is a readiness probe: 503 while the ring is empty.
-# A zero-replica boot is exactly that state, so router liveness is checked
-# on the fleet view instead.
-wait_router_up() { # name log
-  for i in $(seq 1 120); do
-    if fleet_view | grep -q '"healthy":'; then
-      return 0
-    fi
-    sleep 1
-  done
-  echo "membership-smoke: $1 never came up" >&2
-  cat "$2" >&2
-  exit 1
-}
-
-wait_fleet_healthy() { # want
-  for i in $(seq 1 60); do
-    if fleet_view | grep -q "\"healthy\":$1"; then
-      return 0
-    fi
-    sleep 1
-  done
-  echo "membership-smoke: fleet never reached $1 healthy replicas" >&2
-  fleet_view >&2
-  cat "$workdir/iorouter.log" >&2
-  exit 1
-}
-
-wait_member_gone() { # name
-  for i in $(seq 1 60); do
-    if ! fleet_view | grep -q "\"name\":\"$1\""; then
-      return 0
-    fi
-    sleep 1
-  done
-  echo "membership-smoke: member $1 never left the fleet view" >&2
-  fleet_view >&2
-  exit 1
-}
-
-assert_zero_errors() { # report
-  if ! grep -Eq "^requests +[0-9]+ \(0 errors\)$" "$1"; then
-    echo "membership-smoke: load run reported request errors" >&2
-    cat "$1" >&2
-    exit 1
-  fi
-}
-
-start_router() { # logfile
-  "$workdir/iorouter" \
-    -addr "$ROUTER_ADDR" \
-    -fleet-state "$workdir/membership.json" \
-    -lease-ttl 2s \
-    -health-interval 250ms \
-    -breaker-threshold 2 \
-    -breaker-cooldown 2s \
-    -admin-token "$ADMIN_TOKEN" \
-    -shutdown-grace 10s \
-    >"$1" 2>&1 &
-  pids+=($!)
-}
-
-start_replica() { # addr logfile extra-args...
-  local addr="$1" logfile="$2"
+start_member() { # addr log args...
+  local addr=$1 log=$2
   shift 2
-  "$workdir/ioserve" \
-    -addr "$addr" \
-    -models "$workdir/registry" \
-    -reload-interval 1s \
-    -router "http://$ROUTER_ADDR" \
-    -admin-token "$ADMIN_TOKEN" \
-    -heartbeat-interval 500ms \
-    -shutdown-grace 10s \
-    "$@" \
-    >"$logfile" 2>&1 &
-  pids+=($!)
+  start_ioserve "$addr" "$log" -router "http://$ROUTER_ADDR" \
+    -admin-token "$ADMIN_TOKEN" -heartbeat-interval 500ms "$@"
+  wait_healthz "$addr" "replica $addr" "$log"
 }
 
-echo "membership-smoke: booting iorouter with ZERO replicas"
+gone() { ! in_fleet "\"name\":\"$1\""; }
+
+wait_member_gone() { # addr
+  poll 60 gone "$1" || { fleet_view >&2; fail "member $1 never left the fleet view"; }
+}
+
+router_event() { # event — the membership event must have been counted once
+  curl -fsS "http://$ROUTER_ADDR/metrics" >"$workdir/metrics.txt"
+  grep -q "iorouter_membership_events_total{event=\"$1\"} 1" "$workdir/metrics.txt" ||
+    fail "no $1 membership event counted" "$workdir/metrics.txt"
+}
+
+say "booting iorouter with ZERO replicas"
 start_router "$workdir/iorouter.log"
-router_pid="${pids[-1]}"
-wait_router_up "iorouter" "$workdir/iorouter.log"
-if ! fleet_view | grep -q '"healthy":0'; then
-  echo "membership-smoke: zero-replica router does not report an empty fleet" >&2
-  fleet_view >&2
-  exit 1
-fi
+in_fleet '"healthy":0' || { fleet_view >&2; fail "zero-replica router does not report an empty fleet"; }
 
-echo "membership-smoke: replica 1 ($R1) bootstraps the registry and self-registers"
-"$workdir/ioserve" \
-  -addr "$R1" \
-  -bootstrap -models "$workdir/registry" -jobs 600 -versions 1 \
-  -reload-interval 1s \
-  -router "http://$ROUTER_ADDR" \
-  -admin-token "$ADMIN_TOKEN" \
-  -heartbeat-interval 500ms \
-  -shutdown-grace 10s \
-  >"$workdir/replica1.log" 2>&1 &
-pids+=($!)
+say "replica 1 ($R1) bootstraps the registry and self-registers"
+start_member "$R1" "$workdir/replica1.log" -bootstrap -jobs 600 -versions 1
 replica1_pid="${pids[-1]}"
-wait_healthz "$R1" "replica 1" "$workdir/replica1.log"
 
-echo "membership-smoke: replicas 2 ($R2) and 3 ($R3) join the fleet"
-start_replica "$R2" "$workdir/replica2.log"
+say "replicas 2 ($R2) and 3 ($R3) join the fleet"
+start_member "$R2" "$workdir/replica2.log"
 replica2_pid="${pids[-1]}"
-start_replica "$R3" "$workdir/replica3.log"
+start_member "$R3" "$workdir/replica3.log"
 replica3_pid="${pids[-1]}"
-wait_healthz "$R2" "replica 2" "$workdir/replica2.log"
-wait_healthz "$R3" "replica 3" "$workdir/replica3.log"
 wait_fleet_healthy 3
 
-echo "membership-smoke: phase 1 — $REQUESTS requests across the self-registered fleet"
-"$workdir/ioload" \
-  -addr "http://$ROUTER_ADDR" \
-  -system theta \
-  -requests "$REQUESTS" \
-  -concurrency "$CONCURRENCY" \
-  -rate 0 -dup 0.7 \
-  -retries 3 \
-  | tee "$workdir/phase1.txt"
+say "phase 1 — $REQUESTS requests across the self-registered fleet"
+run_load "$workdir/phase1.txt" -addr "http://$ROUTER_ADDR" -rate 0 -dup 0.7
 assert_zero_errors "$workdir/phase1.txt"
 for r in "$R1" "$R2" "$R3"; do
-  if ! grep -q "$r" "$workdir/phase1.txt"; then
-    echo "membership-smoke: replica $r served no rows in phase 1" >&2
-    cat "$workdir/phase1.txt" >&2
-    exit 1
-  fi
+  grep -q "$r" "$workdir/phase1.txt" || fail "replica $r served no rows in phase 1" "$workdir/phase1.txt"
 done
 
-echo "membership-smoke: kill -9 replica 2 ($R2) — lease expiry must forget it"
+say "kill -9 replica 2 ($R2) — lease expiry must forget it"
 { kill -9 "$replica2_pid" && wait "$replica2_pid"; } 2>/dev/null || true
 wait_member_gone "$R2"
 wait_fleet_healthy 2
-if fleet_view | grep -q "\"name\":\"$R2\""; then
-  echo "membership-smoke: expired member still in the fleet view" >&2
-  fleet_view >&2
-  exit 1
-fi
-metrics="$(curl -fsS "http://$ROUTER_ADDR/metrics")"
-if grep "iorouter_replica_up" <<<"$metrics" | grep -q "$R2"; then
-  echo "membership-smoke: ghost iorouter_replica_up series for the expired member" >&2
-  exit 1
-fi
-if ! grep -q 'iorouter_membership_events_total{event="lease_expired"} 1' <<<"$metrics"; then
-  echo "membership-smoke: no lease_expired membership event counted" >&2
-  grep iorouter_membership <<<"$metrics" >&2 || true
-  exit 1
+gone "$R2" || { fleet_view >&2; fail "expired member still in the fleet view"; }
+router_event lease_expired
+if grep "iorouter_replica_up" "$workdir/metrics.txt" | grep -q "$R2"; then
+  fail "ghost iorouter_replica_up series for the expired member"
 fi
 
-echo "membership-smoke: phase 2 — SIGTERM replica 3 ($R3) under live load (coordinated drain)"
-"$workdir/ioload" \
-  -addr "http://$ROUTER_ADDR" \
-  -system theta \
-  -requests "$REQUESTS" \
-  -concurrency "$CONCURRENCY" \
-  -rate 100 -dup 0.7 \
-  -retries 3 \
-  >"$workdir/phase2.txt" 2>&1 &
+say "phase 2 — SIGTERM replica 3 ($R3) under live load (coordinated drain)"
+run_load "$workdir/phase2.txt" -addr "http://$ROUTER_ADDR" -rate 100 -dup 0.7 &
 load_pid=$!
 sleep 1
-kill -TERM "$replica3_pid"
-wait "$load_pid" || {
-  echo "membership-smoke: load run failed during the graceful drain" >&2
-  cat "$workdir/phase2.txt" >&2
-  exit 1
-}
-cat "$workdir/phase2.txt"
+term_clean "$replica3_pid" "$workdir/replica3.log"
+wait "$load_pid" || fail "load run failed during the graceful drain" "$workdir/phase2.txt"
 assert_zero_errors "$workdir/phase2.txt"
-wait "$replica3_pid" 2>/dev/null || true
-if ! grep -q "fleet drain confirmed" "$workdir/replica3.log"; then
-  echo "membership-smoke: replica 3 never confirmed its drain handshake" >&2
-  cat "$workdir/replica3.log" >&2
-  exit 1
-fi
-if ! grep -q "shutdown complete" "$workdir/replica3.log"; then
-  echo "membership-smoke: replica 3 did not shut down cleanly" >&2
-  cat "$workdir/replica3.log" >&2
-  exit 1
-fi
+grep -q "fleet drain confirmed" "$workdir/replica3.log" ||
+  fail "replica 3 never confirmed its drain handshake" "$workdir/replica3.log"
 wait_member_gone "$R3"
 wait_fleet_healthy 1
-metrics="$(curl -fsS "http://$ROUTER_ADDR/metrics")"
-if ! grep -q 'iorouter_membership_events_total{event="deregister"} 1' <<<"$metrics"; then
-  echo "membership-smoke: no deregister membership event counted" >&2
-  grep iorouter_membership <<<"$metrics" >&2 || true
-  exit 1
-fi
+router_event deregister
 
-echo "membership-smoke: restarting the router — snapshot must rebuild the survivor"
-kill -TERM "$router_pid"
-for i in $(seq 1 20); do
-  kill -0 "$router_pid" 2>/dev/null || break
-  sleep 1
-done
-wait "$router_pid" 2>/dev/null || true
-if ! grep -q "shutdown complete" "$workdir/iorouter.log"; then
-  echo "membership-smoke: router did not shut down cleanly" >&2
-  cat "$workdir/iorouter.log" >&2
-  exit 1
-fi
-if ! grep -q "\"$R1\"" "$workdir/membership.json"; then
-  echo "membership-smoke: snapshot does not record the surviving member" >&2
-  cat "$workdir/membership.json" >&2
-  exit 1
-fi
+say "restarting the router — snapshot must rebuild the survivor"
+term_clean "$router_pid" "$router_log"
+grep -q "\"$R1\"" "$workdir/membership.json" ||
+  fail "snapshot does not record the surviving member" "$workdir/membership.json"
 start_router "$workdir/iorouter2.log"
-router_pid="${pids[-1]}"
-wait_router_up "restarted iorouter" "$workdir/iorouter2.log"
-if ! grep -q "from snapshot" "$workdir/iorouter2.log"; then
-  echo "membership-smoke: restarted router did not restore from its snapshot" >&2
-  cat "$workdir/iorouter2.log" >&2
-  exit 1
-fi
+grep -q "from snapshot" "$router_log" || fail "restarted router did not restore from its snapshot" "$router_log"
 wait_fleet_healthy 1
 
-echo "membership-smoke: phase 3 — $REQUESTS requests against the rebuilt fleet"
-"$workdir/ioload" \
-  -addr "http://$ROUTER_ADDR" \
-  -system theta \
-  -requests "$REQUESTS" \
-  -concurrency "$CONCURRENCY" \
-  -rate 0 -dup 0.7 \
-  -retries 3 \
-  | tee "$workdir/phase3.txt"
+say "phase 3 — $REQUESTS requests against the rebuilt fleet"
+run_load "$workdir/phase3.txt" -addr "http://$ROUTER_ADDR" -rate 0 -dup 0.7
 assert_zero_errors "$workdir/phase3.txt"
 
-echo "membership-smoke: draining to a clean final state"
-kill -TERM "$replica1_pid"
-wait "$replica1_pid" 2>/dev/null || true
-if ! grep -q "fleet drain confirmed" "$workdir/replica1.log"; then
-  echo "membership-smoke: replica 1 never confirmed its final drain" >&2
-  cat "$workdir/replica1.log" >&2
-  exit 1
-fi
+say "draining to a clean final state"
+term_clean "$replica1_pid" "$workdir/replica1.log"
+grep -q "fleet drain confirmed" "$workdir/replica1.log" ||
+  fail "replica 1 never confirmed its final drain" "$workdir/replica1.log"
 wait_fleet_healthy 0
-kill -TERM "$router_pid"
-for i in $(seq 1 20); do
-  kill -0 "$router_pid" 2>/dev/null || break
-  sleep 1
-done
-wait "$router_pid" 2>/dev/null || true
-if ! grep -q "shutdown complete" "$workdir/iorouter2.log"; then
-  echo "membership-smoke: restarted router did not exit cleanly" >&2
-  cat "$workdir/iorouter2.log" >&2
-  exit 1
-fi
+term_clean "$router_pid" "$router_log"
 
-echo "membership-smoke: OK (zero-replica boot, self-registration, lease-expiry ejection, zero-lost drain, snapshot recovery, clean final state)"
+say "OK (zero-replica boot, self-registration, lease-expiry ejection, zero-lost drain, snapshot recovery, clean final state)"

@@ -6,163 +6,56 @@
 # replica's own spans spliced in, and swapping the replica for one with
 # injected latency burns the error budget (ioload -expect-slo burning).
 #
-# Knobs (env): REQUESTS, CONCURRENCY, ROUTER_ADDR, REPLICA_PORT, SLO_SPEC.
-set -euo pipefail
-cd "$(dirname "$0")/.."
+# Knobs (env): ROUTER_ADDR, REPLICA_PORT.
+source "$(dirname "$0")/lib.sh"
 
 ROUTER_ADDR="${ROUTER_ADDR:-127.0.0.1:18090}"
 REPLICA="127.0.0.1:${REPLICA_PORT:-18091}"
-REQUESTS="${REQUESTS:-150}"
-CONCURRENCY="${CONCURRENCY:-4}"
+CONCURRENCY=4
 # p99 target generous enough that loopback predicts never breach it, tight
 # enough that the chaos phase's injected 500ms latency always does.
-SLO_SPEC="${SLO_SPEC:-predict:p99=150ms,avail=99}"
+SLO_SPEC="predict:p99=150ms,avail=99"
 
-workdir="$(mktemp -d)"
-pids=()
-cleanup() {
-  for pid in "${pids[@]:-}"; do
-    { kill -9 "$pid" && wait "$pid"; } 2>/dev/null || true
-  done
-  rm -rf "$workdir"
-}
-trap cleanup EXIT
+build ioserve iorouter ioload
 
-echo "slo-smoke: building binaries"
-go build -o "$workdir/ioserve" ./cmd/ioserve
-go build -o "$workdir/iorouter" ./cmd/iorouter
-go build -o "$workdir/ioload" ./cmd/ioload
-
-wait_healthz() { # addr name log
-  for i in $(seq 1 120); do
-    if curl -fsS "http://$1/healthz" >/dev/null 2>&1; then
-      return 0
-    fi
-    sleep 1
-  done
-  echo "slo-smoke: $2 never became healthy" >&2
-  cat "$3" >&2
-  exit 1
-}
-
-wait_fleet_healthy() { # want
-  for i in $(seq 1 60); do
-    if curl -fsS "http://$ROUTER_ADDR/v1/fleet" 2>/dev/null | grep -q "\"healthy\":$1"; then
-      return 0
-    fi
-    sleep 1
-  done
-  echo "slo-smoke: fleet never reached $1 healthy replicas" >&2
-  curl -fsS "http://$ROUTER_ADDR/v1/fleet" >&2 || true
-  cat "$workdir/iorouter.log" >&2
-  exit 1
-}
-
-echo "slo-smoke: bootstrapping replica $REPLICA with tracing on"
-"$workdir/ioserve" \
-  -addr "$REPLICA" \
-  -bootstrap -models "$workdir/registry" -jobs 600 -versions 1 \
-  -trace-sample 1 \
-  -reload-interval 1s \
-  -shutdown-grace 10s \
-  >"$workdir/replica.log" 2>&1 &
-pids+=($!)
+say "bootstrapping replica $REPLICA with tracing on"
+start_ioserve "$REPLICA" "$workdir/replica.log" -bootstrap -jobs 600 -versions 1 -trace-sample 1
 replica_pid="${pids[-1]}"
 wait_healthz "$REPLICA" "replica" "$workdir/replica.log"
 
-echo "slo-smoke: starting iorouter on $ROUTER_ADDR with -slo '$SLO_SPEC'"
-"$workdir/iorouter" \
-  -addr "$ROUTER_ADDR" \
-  -replicas "http://$REPLICA" \
-  -health-interval 250ms \
-  -slo "$SLO_SPEC" \
-  -trace-sample 1 \
-  -shutdown-grace 10s \
-  >"$workdir/iorouter.log" 2>&1 &
-router_pid=$!
-pids+=("$router_pid")
-wait_healthz "$ROUTER_ADDR" "iorouter" "$workdir/iorouter.log"
+say "starting iorouter on $ROUTER_ADDR with -slo '$SLO_SPEC'"
+start_iorouter "$workdir/iorouter.log" -replicas "http://$REPLICA" -slo "$SLO_SPEC" -trace-sample 1
+wait_healthz "$ROUTER_ADDR" "iorouter" "$router_log"
 wait_fleet_healthy 1
 
-echo "slo-smoke: phase 1 — $REQUESTS nominal requests, objectives must be met"
-"$workdir/ioload" \
-  -addr "http://$ROUTER_ADDR" \
-  -system theta \
-  -requests "$REQUESTS" \
-  -concurrency "$CONCURRENCY" \
-  -rate 0 -dup 0.5 \
-  -retries 3 \
-  -expect-slo met \
-  | tee "$workdir/phase1.txt"
+say "phase 1 — $REQUESTS nominal requests, objectives must be met"
+run_load "$workdir/phase1.txt" -addr "http://$ROUTER_ADDR" -rate 0 -dup 0.5 -expect-slo met
 
-echo "slo-smoke: fetching a stitched cross-process trace"
-trace_id="$(curl -fsS "http://$ROUTER_ADDR/v1/trace?limit=1" \
-  | sed -n 's/.*"trace_id":"\([0-9a-f]\{16\}\)".*/\1/p' | head -n 1)"
-if [ -z "$trace_id" ]; then
-  echo "slo-smoke: router retained no traces despite -trace-sample 1" >&2
-  curl -fsS "http://$ROUTER_ADDR/v1/trace" >&2 || true
-  exit 1
-fi
-stitched="$(curl -fsS "http://$ROUTER_ADDR/v1/trace/$trace_id")"
+say "fetching a stitched cross-process trace"
+curl -fsS "http://$ROUTER_ADDR/v1/trace?limit=1" >"$workdir/traces.json"
+trace_id="$(sed -n 's/.*"trace_id":"\([0-9a-f]\{16\}\)".*/\1/p' "$workdir/traces.json" | head -n 1)"
+[ -n "$trace_id" ] || fail "router retained no traces despite -trace-sample 1" "$workdir/traces.json"
+curl -fsS "http://$ROUTER_ADDR/v1/trace/$trace_id" >"$workdir/stitched.json"
 for want in '"network"' '"replica request ' '"fanout"'; do
-  if ! printf '%s' "$stitched" | grep -qF "$want"; then
-    echo "slo-smoke: stitched trace $trace_id is missing $want" >&2
-    printf '%s\n' "$stitched" >&2
-    exit 1
-  fi
+  grep -qF "$want" "$workdir/stitched.json" || fail "stitched trace $trace_id is missing $want" "$workdir/stitched.json"
 done
-echo "slo-smoke: trace $trace_id stitched with replica spans and network time"
+say "trace $trace_id stitched with replica spans and network time"
 
-echo "slo-smoke: SLO series must be on the router's /metrics"
-if ! curl -fsS "http://$ROUTER_ADDR/metrics" | grep -q '^iorouter_slo_requests_total'; then
-  echo "slo-smoke: /metrics lacks iorouter_slo_requests_total" >&2
-  exit 1
-fi
+say "SLO series must be on the router's /metrics"
+curl -fsS "http://$ROUTER_ADDR/metrics" | grep -q '^iorouter_slo_requests_total' ||
+  fail "/metrics lacks iorouter_slo_requests_total"
 
-echo "slo-smoke: swapping in a replica with 500ms injected latency"
+say "swapping in a replica with 500ms injected latency"
 { kill -9 "$replica_pid" && wait "$replica_pid"; } 2>/dev/null || true
 wait_fleet_healthy 0
-"$workdir/ioserve" \
-  -addr "$REPLICA" \
-  -models "$workdir/registry" \
-  -chaos 'latency=500ms:1' \
-  -reload-interval 1s \
-  -shutdown-grace 10s \
-  >"$workdir/replica-chaos.log" 2>&1 &
-pids+=($!)
+start_ioserve "$REPLICA" "$workdir/replica-chaos.log" -chaos 'latency=500ms:1'
 wait_healthz "$REPLICA" "chaotic replica" "$workdir/replica-chaos.log"
 wait_fleet_healthy 1
 
-echo "slo-smoke: phase 2 — slow requests must burn the error budget"
-"$workdir/ioload" \
-  -addr "http://$ROUTER_ADDR" \
-  -system theta \
-  -requests 40 \
-  -concurrency "$CONCURRENCY" \
-  -rate 0 -dup 0.5 \
-  -retries 3 \
-  -expect-slo burning \
-  | tee "$workdir/phase2.txt"
+say "phase 2 — slow requests must burn the error budget"
+run_load "$workdir/phase2.txt" -addr "http://$ROUTER_ADDR" -requests 40 -rate 0 -dup 0.5 -expect-slo burning
 
-echo "slo-smoke: asking the router for graceful shutdown"
-kill -TERM "$router_pid"
-shutdown_ok=1
-for i in $(seq 1 20); do
-  if ! kill -0 "$router_pid" 2>/dev/null; then
-    shutdown_ok=0
-    break
-  fi
-  sleep 1
-done
-if [ "$shutdown_ok" -ne 0 ]; then
-  echo "slo-smoke: iorouter did not exit within 20s of SIGTERM" >&2
-  cat "$workdir/iorouter.log" >&2
-  exit 1
-fi
-wait "$router_pid" || {
-  echo "slo-smoke: iorouter exited non-zero after SIGTERM" >&2
-  cat "$workdir/iorouter.log" >&2
-  exit 1
-}
+say "asking the router for graceful shutdown"
+term_clean "$router_pid" "$router_log"
 
-echo "slo-smoke: OK (objectives met, stitched trace, budget burn detected, clean drain)"
+say "OK (objectives met, stitched trace, budget burn detected, clean drain)"
