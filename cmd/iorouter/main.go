@@ -5,7 +5,12 @@
 // boot with zero replicas), ioserve replicas self-register over the
 // lease-based registration plane and are ejected on lease expiry, and
 // -fleet-state persists membership snapshots so a restarted router
-// rebuilds its fleet without waiting for re-registrations.
+// rebuilds its fleet without waiting for re-registrations. A -replicas
+// member is the same member record as a registered one, except that it
+// starts active on the ring with no lease, so it never expires. The router
+// restores the -fleet-state snapshot as it starts: a missing file is a
+// first boot, a corrupt one is logged and ignored, and restored members
+// wait for a healthy probe.
 //
 // Usage:
 //
@@ -162,7 +167,7 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
-	// Static -replicas and self-registered members are built by this one
+	// -replicas and self-registered members are built by this one
 	// factory: both dial over HTTP(S) with the same admin token.
 	backend := func(name, baseURL string) (fleet.Predictor, error) {
 		u := strings.TrimRight(strings.TrimSpace(baseURL), "/")
@@ -212,17 +217,6 @@ func run(cfg config) error {
 	}, backends...)
 	if err != nil {
 		return err
-	}
-	if cfg.statePath != "" {
-		snap, err := fleet.LoadSnapshot(cfg.statePath)
-		if err != nil {
-			// A corrupt snapshot must not keep the fleet down: log and let
-			// re-registrations rebuild membership.
-			logger.Warn("fleet membership snapshot unreadable; starting empty", "path", cfg.statePath, "err", err)
-		} else if n := rt.Restore(snap); n > 0 {
-			logger.Info("fleet membership recovered from snapshot",
-				"path", cfg.statePath, "members", n, "saved_at", snap.SavedAt)
-		}
 	}
 	rt.Start()
 	defer rt.Stop()

@@ -191,9 +191,11 @@ func iorouterContractBody(t *testing.T, dir string) string {
 	rt.metrics.errors.Add(1)
 	rt.metrics.failovers.Add(2)
 	for i := 0; i < 30; i++ {
-		rt.metrics.dispatched([]string{"r0", "r1"}[i%2], 8+i%3)
+		rs := rt.replicas[[]string{"r0", "r1"}[i%2]]
+		rs.requests.Add(1)
+		rs.rows.Add(uint64(8 + i%3))
 	}
-	rt.metrics.replicaError("r1")
+	rt.replicas["r1"].errors.Add(1)
 	for i := 0; i < 50; i++ {
 		ft := &obs.FleetTrace{ID: uint64(i + 1), System: "theta", TotalNs: int64(90_000 * (1 + i%17))}
 		if i%13 == 0 {

@@ -134,8 +134,8 @@ func NewHandler(rt *Router, cfg HandlerConfig) http.Handler {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", serve.MetricsContentType)
 		var fams []obs.PromFamily
-		for _, collect := range []func([]obs.PromFamily) []obs.PromFamily{rt.metrics.collect, rt.collectConns,
-			rt.res.Collect, rt.tracer.Collect, rt.memlog.Collect, rt.scrape.Collect} {
+		for _, collect := range []func([]obs.PromFamily) []obs.PromFamily{rt.collect, rt.res.Collect,
+			rt.tracer.Collect, rt.memlog.Collect, rt.scrape.Collect} {
 			fams = collect(fams)
 		}
 		// A failed write means the scraper hung up: no one is left to tell.

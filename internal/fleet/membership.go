@@ -28,11 +28,11 @@ import (
 //	active/joining/damped ──(lease expiry)──────> removed   [flap recorded]
 //	any ──(deregister)──> draining ──(inflight drains)──> removed
 //
-// Static members (boot-time -replicas) carry a nil lease — they never
-// expire — and start active, trusting the operator; dynamic members are
-// quarantined as "joining" until the first successful health probe, so a
-// stale snapshot entry or a premature registration never takes ring arcs
-// it cannot serve.
+// Boot members (-replicas) are the same record with a nil lease — they
+// never expire — and start active on the epoch-0 ring, trusting the
+// operator; registered and snapshot-restored members are quarantined as
+// "joining" until the first successful health probe, so a stale snapshot
+// entry or a premature registration never takes ring arcs it cannot serve.
 
 // Flap damping: a member with flapThreshold involuntary exits (lease expiry,
 // breaker ejection) inside flapWindow is damped — held off the ring for
@@ -148,8 +148,10 @@ func (rt *Router) Register(req RegisterRequest) (RegisterResponse, error) {
 	return rt.grantLocked(rs), nil
 }
 
-// newMemberLocked builds the bookkeeping for a dynamically registered
-// member (state joining, fresh lease) and indexes it. Callers hold rt.mu.
+// newMemberLocked builds a member's record (state joining, fresh lease) and
+// indexes it; every member enters here, and removeMemberLocked is its one
+// way out. NewRouter makes its boot members active with no lease. Callers
+// hold rt.mu.
 func (rt *Router) newMemberLocked(name string, be Predictor, baseURL string, caps map[string]string) *replicaState {
 	rs := &replicaState{
 		backend:      be,
@@ -164,7 +166,6 @@ func (rt *Router) newMemberLocked(name string, be Predictor, baseURL string, cap
 	rs.gateInflight.Store(-1)
 	rt.replicas[name] = rs
 	rt.insertNameLocked(name)
-	rt.metrics.add(name)
 	return rs
 }
 
@@ -216,7 +217,6 @@ func (rt *Router) Deregister(ctx context.Context, name string) (DeregisterRespon
 	if rt.ring.Has(name) {
 		rt.ringRemoveLocked(name)
 	}
-	rt.metrics.healthy.Store(int64(rt.ring.Size()))
 	rt.mu.Unlock()
 
 	drained := rt.awaitHandoff(ctx, rs)
@@ -284,16 +284,15 @@ func (rt *Router) expireLeases() {
 		rt.removeMemberLocked(name)
 	}
 	if len(expired) > 0 {
-		rt.metrics.healthy.Store(int64(rt.ring.Size()))
 		rt.saveSnapshotLocked()
 	}
 }
 
-// removeMemberLocked forgets a member completely: ring arcs remap, the
-// per-replica metric counters and cached scrape series are dropped (no
-// ghost iorouter_replica_up series for departed members), its breaker
-// leaves the resilience set and its idle connections are closed (one still in
-// use, by the transport's idle timeout). Callers hold rt.mu.
+// removeMemberLocked forgets a member completely: ring arcs remap, its
+// counters leave /metrics with its record, its cached scrape series are
+// dropped (no ghost iorouter_replica_up series for departed members), its
+// breaker leaves the resilience set and its idle connections are closed (one
+// still in use, by the transport's idle timeout). Callers hold rt.mu.
 func (rt *Router) removeMemberLocked(name string) {
 	rs, ok := rt.replicas[name]
 	if !ok {
@@ -309,7 +308,6 @@ func (rt *Router) removeMemberLocked(name string) {
 			break
 		}
 	}
-	rt.metrics.remove(name)
 	rt.scrape.Remove(name)
 	rt.res.RemoveBreaker(rs.breaker)
 	closeIdle(rs.backend)
@@ -326,18 +324,17 @@ func (rt *Router) insertNameLocked(name string) {
 	rt.names[i] = name
 }
 
-// ringAddLocked / ringRemoveLocked are the only ring mutators: every flip
-// is one minimal remap and bumps the membership epoch clients see on
-// responses. Callers hold rt.mu.
+// ringAddLocked / ringRemoveLocked are the only ring mutators after boot:
+// every flip is one minimal remap and bumps the membership epoch clients
+// see on responses (and /metrics as iorouter_ring_remaps_total). Callers
+// hold rt.mu.
 func (rt *Router) ringAddLocked(name string) {
 	rt.ring.Add(name)
-	rt.metrics.remaps.Add(1)
 	rt.epoch.Add(1)
 }
 
 func (rt *Router) ringRemoveLocked(name string) {
 	rt.ring.Remove(name)
-	rt.metrics.remaps.Add(1)
 	rt.epoch.Add(1)
 }
 
@@ -391,7 +388,7 @@ func (rt *Router) noteHealthy(name string, rs *replicaState) {
 
 // --- snapshot persistence -------------------------------------------------
 
-// memberSnapshot is one dynamic member in the persisted snapshot.
+// memberSnapshot is one leased member in the persisted snapshot.
 type memberSnapshot struct {
 	Name         string            `json:"name"`
 	BaseURL      string            `json:"base_url"`
@@ -399,9 +396,9 @@ type memberSnapshot struct {
 	RegisteredAt time.Time         `json:"registered_at"`
 }
 
-// MembershipSnapshot is the persisted membership state. Only dynamic
-// (leased) members are recorded: static members come back from flags, and
-// draining members are already leaving.
+// MembershipSnapshot is the persisted membership state. Only leased members
+// are recorded: boot members come back from flags, and draining members are
+// already leaving.
 type MembershipSnapshot struct {
 	SavedAt time.Time        `json:"saved_at"`
 	Epoch   uint64           `json:"epoch"`
@@ -457,9 +454,9 @@ func writeSnapshot(path string, snap *MembershipSnapshot) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// LoadSnapshot reads a persisted membership snapshot. A missing file is
+// loadSnapshot reads a persisted membership snapshot. A missing file is
 // (nil, nil): a first boot, not an error.
-func LoadSnapshot(path string) (*MembershipSnapshot, error) {
+func loadSnapshot(path string) (*MembershipSnapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -474,18 +471,23 @@ func LoadSnapshot(path string) (*MembershipSnapshot, error) {
 	return &snap, nil
 }
 
-// Restore re-registers snapshot members into a freshly built router.
-// Restored members are quarantined — state joining, off the ring — until
-// their first successful health probe, and carry a fresh lease, so a
-// stale entry (a replica that died while the router was down) expires
-// away instead of taking arcs it cannot serve. Returns how many members
-// were restored.
-func (rt *Router) Restore(snap *MembershipSnapshot) int {
-	if snap == nil || len(snap.Members) == 0 || rt.backend == nil {
-		return 0
+// restore re-registers the members of the snapshot at rt.statePath; NewRouter
+// runs it before anything else sees the router. Restored members are
+// quarantined — state joining, off the ring — until their first successful
+// health probe, and carry a fresh lease, so a stale entry (a replica that
+// died while the router was down) expires away instead of taking arcs it
+// cannot serve. A boot member keeps its place over an entry of its name. A
+// corrupt snapshot must not keep the fleet down: it is logged, and
+// re-registrations rebuild membership.
+func (rt *Router) restore() {
+	snap, err := loadSnapshot(rt.statePath)
+	if err != nil {
+		rt.logger.Warn("fleet membership snapshot unreadable; starting empty", "path", rt.statePath, "err", err)
+		return
 	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
+	if snap == nil || rt.backend == nil {
+		return
+	}
 	n := 0
 	for _, m := range snap.Members {
 		if m.Name == "" {
@@ -507,8 +509,7 @@ func (rt *Router) Restore(snap *MembershipSnapshot) int {
 		n++
 	}
 	if n > 0 {
-		rt.logger.Info("fleet membership restored from snapshot", "members", n, "saved_at", snap.SavedAt)
+		rt.logger.Info("fleet membership restored from snapshot", "path", rt.statePath, "members", n, "saved_at", snap.SavedAt)
 		rt.saveSnapshotLocked()
 	}
-	return n
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"iotaxo/internal/obs"
 	"iotaxo/internal/serve"
 )
 
@@ -164,16 +165,12 @@ func TestMembershipE2E(t *testing.T) {
 	// membership from the snapshot. Only m3 is still leased (m1 expired,
 	// m2 drained), it comes back quarantined, and the first probe admits
 	// it — no re-registration round trip needed.
-	snap, err := LoadSnapshot(statePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap == nil || len(snap.Members) != 1 || snap.Members[0].Name != "m3" {
+	if snap := readSnapshot(t, statePath); snap == nil || len(snap.Members) != 1 || snap.Members[0].Name != "m3" {
 		t.Fatalf("snapshot after churn = %+v, want just m3", snap)
 	}
 	rt2 := newMembershipRouter(t, clk, fl, RouterConfig{StatePath: statePath})
-	if n := rt2.Restore(snap); n != 1 {
-		t.Fatalf("Restore = %d", n)
+	if n := rt2.memlog.Count(obs.MemberEventSnapshotRestore); n != 1 {
+		t.Fatalf("restart restored %d members, want 1", n)
 	}
 	if rv, ok := memberView(t, rt2, "m3"); !ok || rv.State != MemberJoining || rv.InRing {
 		t.Fatalf("restored member = %+v, want joining off-ring", rv)

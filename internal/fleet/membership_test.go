@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -70,9 +71,10 @@ func (f *stubFleet) factory(name, baseURL string) (Predictor, error) {
 	return f.get(name), nil
 }
 
-// newMembershipRouter builds a zero-replica router with a fake clock, a
-// stub backend factory, and a 3s lease unless cfg sets one.
-func newMembershipRouter(t *testing.T, clk *memClock, fl *stubFleet, cfg RouterConfig) *Router {
+// newMembershipRouter builds a router over the boot replicas reps (often
+// none) with a fake clock, a stub backend factory, and a 3s lease unless
+// cfg sets one.
+func newMembershipRouter(t *testing.T, clk *memClock, fl *stubFleet, cfg RouterConfig, reps ...Predictor) *Router {
 	t.Helper()
 	cfg.Now = clk.now
 	if cfg.Backend == nil {
@@ -81,7 +83,7 @@ func newMembershipRouter(t *testing.T, clk *memClock, fl *stubFleet, cfg RouterC
 	if cfg.LeaseTTL == 0 {
 		cfg.LeaseTTL = 3 * time.Second
 	}
-	return newTestRouter(t, cfg)
+	return newTestRouter(t, cfg, reps...)
 }
 
 func memberView(t *testing.T, rt *Router, name string) (ReplicaView, bool) {
@@ -150,7 +152,7 @@ func TestRegisterJoinAdmit(t *testing.T) {
 	if out.MembershipEpoch != rt.Epoch() {
 		t.Fatalf("response epoch %d, want %d", out.MembershipEpoch, rt.Epoch())
 	}
-	if got := rt.MembershipEvents().Count(obs.MemberEventAdmit); got != 1 {
+	if got := rt.memlog.Count(obs.MemberEventAdmit); got != 1 {
 		t.Fatalf("admit events = %d", got)
 	}
 }
@@ -189,7 +191,7 @@ func TestRegisterValidation(t *testing.T) {
 	if v.Replicas[0].Capabilities["gen"] != "2" {
 		t.Fatalf("re-register did not refresh capabilities: %+v", v.Replicas[0])
 	}
-	if got := rt.MembershipEvents().Count(obs.MemberEventReRegister); got != 1 {
+	if got := rt.memlog.Count(obs.MemberEventReRegister); got != 1 {
 		t.Fatalf("re_register events = %d", got)
 	}
 }
@@ -232,7 +234,7 @@ func TestHeartbeatRenewsAndLeaseExpiryEjects(t *testing.T) {
 	if _, ok := memberView(t, rt, "r2"); ok {
 		t.Fatal("silent member survived its lease")
 	}
-	if got := rt.MembershipEvents().Count(obs.MemberEventLeaseExpired); got != 1 {
+	if got := rt.memlog.Count(obs.MemberEventLeaseExpired); got != 1 {
 		t.Fatalf("lease_expired events = %d", got)
 	}
 	// The expired member's heartbeat now 404s — the agent's re-register
@@ -253,7 +255,7 @@ func TestHeartbeatRenewsAndLeaseExpiryEjects(t *testing.T) {
 		t.Fatalf("survivor missing from scrape exposition:\n%s", buf.String())
 	}
 	buf.Reset()
-	if err := obs.WriteFamilies(&buf, rt.metrics.collect(nil)); err != nil {
+	if err := obs.WriteFamilies(&buf, rt.collect(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), `replica="r2"`) {
@@ -289,7 +291,7 @@ func TestFlapDamping(t *testing.T) {
 	if resp.State != MemberDamped {
 		t.Fatalf("flapping member registered as %q, want damped", resp.State)
 	}
-	if got := rt.MembershipEvents().Count(obs.MemberEventFlapDamped); got == 0 {
+	if got := rt.memlog.Count(obs.MemberEventFlapDamped); got == 0 {
 		t.Fatal("no flap_damped event recorded")
 	}
 	clk.advance(5 * time.Second) // heartbeat-covered, hold not yet elapsed
@@ -310,7 +312,7 @@ func TestFlapDamping(t *testing.T) {
 	if rv, _ := memberView(t, rt, "flappy"); rv.State != MemberActive || !rv.InRing {
 		t.Fatalf("post-hold view = %+v, want active on-ring", rv)
 	}
-	if got := rt.MembershipEvents().Count(obs.MemberEventReadmit); got != 1 {
+	if got := rt.memlog.Count(obs.MemberEventReadmit); got != 1 {
 		t.Fatalf("readmit events = %d", got)
 	}
 
@@ -350,7 +352,7 @@ func TestBreakerEjectionCountsAsFlap(t *testing.T) {
 	if rv.Flaps == 0 {
 		t.Fatal("breaker ejection did not record a flap")
 	}
-	if got := rt.MembershipEvents().Count(obs.MemberEventEject); got == 0 {
+	if got := rt.memlog.Count(obs.MemberEventEject); got == 0 {
 		t.Fatal("no eject event recorded")
 	}
 }
@@ -444,7 +446,7 @@ func TestDeregisterCoordinatedDrain(t *testing.T) {
 	if _, err := rt.Deregister(context.Background(), "r1"); !errors.Is(err, ErrUnknownMember) {
 		t.Fatalf("deregister after removal: %v", err)
 	}
-	if got := rt.MembershipEvents().Count(obs.MemberEventDeregister); got != 1 {
+	if got := rt.memlog.Count(obs.MemberEventDeregister); got != 1 {
 		t.Fatalf("deregister events = %d", got)
 	}
 }
@@ -463,7 +465,19 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-func TestSnapshotPersistAndRestore(t *testing.T) {
+// readSnapshot decodes the membership snapshot a router wrote at path.
+func readSnapshot(t *testing.T, path string) *MembershipSnapshot {
+	t.Helper()
+	snap, err := loadSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// TestSnapshotRestart restarts a router on its own StatePath: NewRouter
+// restores the snapshot's members, quarantined until each proves itself.
+func TestSnapshotRestart(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "membership.json")
 	clk := newMemClock()
@@ -481,11 +495,7 @@ func TestSnapshotPersistAndRestore(t *testing.T) {
 	if _, err := rt.Deregister(context.Background(), "r3"); err != nil {
 		t.Fatal(err)
 	}
-
-	snap, err := LoadSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := readSnapshot(t, path)
 	if snap == nil || len(snap.Members) != 2 {
 		t.Fatalf("snapshot = %+v, want 2 members", snap)
 	}
@@ -498,19 +508,17 @@ func TestSnapshotPersistAndRestore(t *testing.T) {
 		}
 	}
 
-	// "Restart" the router: a fresh instance rebuilds membership from the
-	// snapshot, quarantined until each member proves itself.
 	rt2 := newMembershipRouter(t, clk, fl, RouterConfig{StatePath: path})
-	if n := rt2.Restore(snap); n != 2 {
-		t.Fatalf("Restore = %d, want 2", n)
+	if got := rt2.memlog.Count(obs.MemberEventSnapshotRestore); got != 2 {
+		t.Fatalf("snapshot_restore events = %d, want 2", got)
 	}
-	if got := rt2.MembershipEvents().Count(obs.MemberEventSnapshotRestore); got != 2 {
-		t.Fatalf("snapshot_restore events = %d", got)
+	if _, ok := memberView(t, rt2, "r3"); ok {
+		t.Fatal("restart resurrected the drained member")
 	}
 	for _, name := range []string{"r1", "r2"} {
 		rv, ok := memberView(t, rt2, name)
-		if !ok || rv.State != MemberJoining || rv.InRing {
-			t.Fatalf("restored %s view = %+v, want joining off-ring", name, rv)
+		if !ok || rv.State != MemberJoining || rv.InRing || !rv.Leased || rv.Capabilities["service"] != "ioserve" {
+			t.Fatalf("restored %s view = %+v, want joining off-ring with its lease and capabilities", name, rv)
 		}
 	}
 
@@ -533,31 +541,58 @@ func TestSnapshotPersistAndRestore(t *testing.T) {
 		t.Fatalf("healthy = %d after stale member expired", v.Healthy)
 	}
 
-	// Restoring on top of existing members dedups; restoring nil is a
-	// no-op.
-	if n := rt2.Restore(snap); n != 1 { // r2 expired, so only r2 is re-restorable
-		t.Fatalf("re-Restore = %d, want 1 (the expired member)", n)
+	// A third start with r1 as a boot member: the boot member keeps its
+	// place over the snapshot entry of its name, and only r4 is restored.
+	if _, err := rt2.Register(RegisterRequest{Name: "r4", BaseURL: "http://r4"}); err != nil {
+		t.Fatal(err)
 	}
-	if n := rt2.Restore(nil); n != 0 {
-		t.Fatalf("Restore(nil) = %d", n)
+	if snap := readSnapshot(t, path); len(snap.Members) != 2 {
+		t.Fatalf("snapshot = %+v, want r1 and r4", snap)
+	}
+	rt3 := newMembershipRouter(t, clk, fl, RouterConfig{StatePath: path}, newStub("r1"))
+	if got := rt3.memlog.Count(obs.MemberEventSnapshotRestore); got != 1 {
+		t.Fatalf("snapshot_restore events = %d, want 1 (r4)", got)
+	}
+	if rv, _ := memberView(t, rt3, "r1"); rv.State != MemberActive || !rv.InRing || rv.Leased {
+		t.Fatalf("boot member under a snapshot entry = %+v, want active on the ring, unleased", rv)
+	}
+	if rv, _ := memberView(t, rt3, "r4"); rv.State != MemberJoining || rv.InRing {
+		t.Fatalf("restored r4 = %+v, want joining off-ring", rv)
+	}
+	if v := rt3.View(); v.Epoch != 0 || len(v.Replicas) != 2 {
+		t.Fatalf("third start = %+v, want r1 and r4 at epoch 0", v)
 	}
 }
 
-func TestLoadSnapshotEdgeCases(t *testing.T) {
+// TestSnapshotRestartEdgeCases starts a router on an absent and on a
+// corrupt snapshot: both boot an empty fleet, and the corrupt one says so
+// in the log instead of trusting garbage.
+func TestSnapshotRestartEdgeCases(t *testing.T) {
 	dir := t.TempDir()
-	// Missing file: first boot, not an error.
-	snap, err := LoadSnapshot(filepath.Join(dir, "absent.json"))
-	if err != nil || snap != nil {
-		t.Fatalf("missing snapshot: %+v, %v", snap, err)
-	}
-	// Corrupt file: an explicit error, so cmd/iorouter can warn and start
-	// empty instead of trusting garbage.
 	bad := filepath.Join(dir, "bad.json")
 	if err := os.WriteFile(bad, []byte("{nope"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSnapshot(bad); err == nil {
-		t.Fatal("corrupt snapshot loaded")
+	for _, tc := range []struct {
+		name, path, warn string
+	}{
+		{"absent", filepath.Join(dir, "absent.json"), ""},
+		{"corrupt", bad, "fleet membership snapshot unreadable; starting empty"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var logs bytes.Buffer
+			rt := newMembershipRouter(t, newMemClock(), newStubFleet(), RouterConfig{StatePath: tc.path,
+				Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+			if v := rt.View(); len(v.Replicas) != 0 || v.Healthy != 0 {
+				t.Fatalf("fleet = %+v, want empty", v)
+			}
+			switch got := logs.String(); {
+			case tc.warn == "" && got != "":
+				t.Fatalf("first boot logged:\n%s", got)
+			case tc.warn != "" && !strings.Contains(got, `level=WARN msg="`+tc.warn+`"`):
+				t.Fatalf("log = %q, want the warning %q", got, tc.warn)
+			}
+		})
 	}
 }
 
@@ -700,7 +735,7 @@ func TestAgentLifecycle(t *testing.T) {
 		_, ok := memberView(t, rt, "r1")
 		return ok
 	}, "agent re-registration after 404 heartbeat")
-	if got := rt.MembershipEvents().Count(obs.MemberEventRegister); got < 2 {
+	if got := rt.memlog.Count(obs.MemberEventRegister); got < 2 {
 		t.Fatalf("register events = %d, want a second one from self-healing", got)
 	}
 
@@ -778,7 +813,7 @@ func TestAgentChaosFaults(t *testing.T) {
 	if _, ok := memberView(t, rt, "r2"); ok {
 		t.Fatal("member survived with every heartbeat dropped")
 	}
-	if got := rt.MembershipEvents().Count(obs.MemberEventLeaseExpired); got == 0 {
+	if got := rt.memlog.Count(obs.MemberEventLeaseExpired); got == 0 {
 		t.Fatal("no lease_expired event for the lossy member")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"net/http"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -83,14 +82,19 @@ type replicaState struct {
 	// (-1 when unknown or ungated).
 	gateInflight atomic.Int64
 
+	// Dispatch counters, rendered per member on /metrics.
+	requests atomic.Uint64 // sub-requests dispatched (failover retries included)
+	rows     atomic.Uint64 // rows dispatched
+	errors   atomic.Uint64 // sub-request failures (any kind)
+
 	mu       sync.Mutex
 	versions map[string]int // last polled active versions
 
 	// Membership fields, guarded by the router's mu (not rs.mu: state
 	// transitions are decided against ring and flap state).
 	state        string            // Member* lifecycle state
-	lease        *resilience.Lease // nil for static members (never expires)
-	baseURL      string            // dynamic members' advertised URL ("" for static)
+	lease        *resilience.Lease // nil for boot members (never expires)
+	baseURL      string            // registered members' advertised URL ("" for boot ones)
 	capabilities map[string]string // replica-announced metadata
 	registeredAt time.Time
 	dampedUntil  time.Time // earliest readmission while damped
@@ -142,18 +146,21 @@ type RouterConfig struct {
 	// 3s). A member that misses every beat for a full TTL is ejected.
 	LeaseTTL time.Duration
 	// StatePath, when set, persists membership snapshots (temp-file +
-	// rename) on every membership change so a restarted router rebuilds
-	// its ring without operator input.
+	// rename) on every membership change, and NewRouter restores the one it
+	// finds there, so a restarted router rebuilds its ring without operator
+	// input.
 	StatePath string
 }
 
-// NewRouter builds a router over the given static replicas — possibly
-// none: a zero-member router boots with an empty ring and fills it from
-// dynamic registrations (POST /v1/fleet/register). Replica names must be
-// unique. Static replicas start active and in the ring (the operator
-// configured them; membership then follows breaker state) and carry no
-// lease; dynamic members are quarantined behind a first successful health
-// probe and must heartbeat to stay.
+// NewRouter builds a router over the given boot replicas — possibly none:
+// a zero-member router boots with an empty ring and fills it from
+// registrations (POST /v1/fleet/register). Replica names must be unique.
+// Every member is one record from newMemberLocked; a boot member differs
+// only in starting active (the operator configured it; membership then
+// follows breaker state), with no lease, on the epoch-0 ring. Registered
+// members are quarantined behind a first successful health probe and must
+// heartbeat to stay. With StatePath set, the snapshot there is restored
+// too (see restore).
 func NewRouter(cfg RouterConfig, replicas ...Predictor) (*Router, error) {
 	logger := cfg.Logger
 	if logger == nil {
@@ -185,7 +192,6 @@ func NewRouter(cfg RouterConfig, replicas ...Predictor) (*Router, error) {
 		statePath:   cfg.StatePath,
 		ring:        NewRing(),
 		replicas:    make(map[string]*replicaState, len(replicas)),
-		metrics:     routerMetrics{perReplica: make(map[string]*replicaCounters, len(replicas))},
 		flaps:       make(map[string][]time.Time),
 		memlog:      obs.NewMembershipLog(membershipEvents),
 		idBase:      uint64(time.Now().UnixNano()) << 8,
@@ -194,6 +200,7 @@ func NewRouter(cfg RouterConfig, replicas ...Predictor) (*Router, error) {
 		doneCh:      make(chan struct{}),
 	}
 	rt.memlog.Now = cfg.Now
+	// Nothing else sees rt yet, so the *Locked helpers run without rt.mu.
 	for _, rep := range replicas {
 		name := rep.Name()
 		if name == "" {
@@ -202,19 +209,10 @@ func NewRouter(cfg RouterConfig, replicas ...Predictor) (*Router, error) {
 		if _, dup := rt.replicas[name]; dup {
 			return nil, fmt.Errorf("fleet: duplicate replica name %q", name)
 		}
-		rt.replicas[name] = &replicaState{
-			backend:      rep,
-			breaker:      rt.res.NewBreaker(name, rt.breakerCfg),
-			versions:     make(map[string]int),
-			state:        MemberActive,
-			registeredAt: rt.now(),
-		}
-		rt.replicas[name].gateInflight.Store(-1)
-		rt.names = append(rt.names, name)
-		rt.ring.Add(name)
-		rt.metrics.add(name)
+		rs := rt.newMemberLocked(name, rep, "", nil)
+		rs.state, rs.lease = MemberActive, nil
+		rt.ring.Add(name) // no flip: boot members are epoch 0
 	}
-	sort.Strings(rt.names)
 	rt.scrape = obs.NewFleetScrape(rt.names)
 	if cfg.TraceEvery > 0 {
 		rt.tracer = obs.NewRouterTracer(obs.Config{
@@ -223,9 +221,9 @@ func NewRouter(cfg RouterConfig, replicas ...Predictor) (*Router, error) {
 			SlowAfter:   cfg.TraceSlowAfter,
 		})
 	}
-	// Everyone starts on the ring (breakers are born closed); reconcile
-	// seeds the healthy gauge to match.
-	rt.reconcile()
+	if rt.statePath != "" {
+		rt.restore()
+	}
 	return rt, nil
 }
 
@@ -393,8 +391,6 @@ func (rt *Router) reconcile() {
 			rt.logger.Warn("fleet replica ejected from ring", "replica", name, "ring", rt.ring.String())
 		}
 	}
-	healthy := int64(rt.ring.Size())
-	rt.metrics.healthy.Store(healthy)
 }
 
 // ReplicaShare is one replica's slice of a routed response.
@@ -744,7 +740,8 @@ func (rt *Router) dispatch(ctx context.Context, owner string, sub *serve.Predict
 		}
 		nrows := int64(len(sub.Rows))
 		rs.inflight.Add(nrows)
-		rt.metrics.dispatched(name, len(sub.Rows))
+		rs.requests.Add(1)
+		rs.rows.Add(uint64(nrows))
 		hopStart := time.Now()
 		err := rs.backend.Predict(ctx, sub, out)
 		hop := obs.HopSpan{
@@ -771,7 +768,7 @@ func (rt *Router) dispatch(ctx context.Context, owner string, sub *serve.Predict
 		}
 		hop.Err = err.Error()
 		rec.add(hop)
-		rt.metrics.replicaError(name)
+		rs.errors.Add(1)
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			// The client's budget ran out, either before dispatch (fail-fast
 			// in Remote.Predict) or mid-flight, or the client went away. That
@@ -875,8 +872,8 @@ type ReplicaView struct {
 	RouterInflight int64          `json:"router_inflight"`
 	GateInflight   int64          `json:"gate_inflight"`
 	ActiveVersions map[string]int `json:"active_versions,omitempty"`
-	// Leased is false for static (operator-configured) members, which
-	// never expire; LeaseRemainingMs is the time left before a dynamic
+	// Leased is false for boot (operator-configured) members, which
+	// never expire; LeaseRemainingMs is the time left before a registered
 	// member would be ejected for silence.
 	Leased           bool              `json:"leased"`
 	LeaseRemainingMs int64             `json:"lease_remaining_ms,omitempty"`
@@ -930,9 +927,6 @@ func (rt *Router) View() FleetView {
 	v.Events = rt.memlog.Recent(viewEvents)
 	return v
 }
-
-// MembershipEvents exposes the membership-event log (handler metrics).
-func (rt *Router) MembershipEvents() *obs.MembershipLog { return rt.memlog }
 
 // Epoch returns the current membership epoch.
 func (rt *Router) Epoch() uint64 { return rt.epoch.Load() }

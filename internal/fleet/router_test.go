@@ -272,7 +272,7 @@ func TestRouterEjectionMinimalRemap(t *testing.T) {
 			t.Fatalf("victim still on the ring: %+v", view)
 		}
 	}
-	if rt.metrics.remaps.Load() == 0 {
+	if rt.Epoch() == 0 {
 		t.Fatal("ejection did not count a remap")
 	}
 

@@ -168,7 +168,7 @@ func TestRemoteClosesIdleOnStop(t *testing.T) {
 	}
 	// One request at a time, one hop a replica in each: a connection each.
 	var metrics bytes.Buffer
-	if err := obs.WriteFamilies(&metrics, rt.collectConns(nil)); err != nil {
+	if err := obs.WriteFamilies(&metrics, rt.collect(nil)); err != nil {
 		t.Fatal(err)
 	}
 	for i, tr := range trackers {

@@ -341,9 +341,6 @@ func (h *LatencyHist) appendTo(f *obs.PromFamily, kv ...string) {
 		obs.PromSample{Name: f.Name + "_count", Labels: labels, Value: float64(h.count.Load())})
 }
 
-// StageHist returns the latency histogram of one pipeline stage.
-func (m *Metrics) StageHist(st obs.Stage) *LatencyHist { return &m.stages[st] }
-
 // ObserveStages records one request's per-stage split. cache_lookup and
 // observe record on every request; the evaluation stages record whenever
 // the request had cache misses — including those whose slot wait rounded to

@@ -168,10 +168,10 @@ func TestObserveStages(t *testing.T) {
 	cached := obs.StageTimings{Rows: 4, CacheHits: 4}
 	cached.Ns[obs.StageCacheLookup] = 1000
 	m.ObserveStages(&cached)
-	if got := m.StageHist(obs.StageCacheLookup).Count(); got != 1 {
+	if got := m.stages[obs.StageCacheLookup].Count(); got != 1 {
 		t.Fatalf("cache_lookup count = %d, want 1", got)
 	}
-	if got := m.StageHist(obs.StageQueueWait).Count(); got != 0 {
+	if got := m.stages[obs.StageQueueWait].Count(); got != 0 {
 		t.Fatalf("queue_wait recorded for a fully cached request: %d", got)
 	}
 
@@ -179,15 +179,15 @@ func TestObserveStages(t *testing.T) {
 	missed.Ns[obs.StageQueueWait] = 0 // drained immediately: still observed
 	missed.Ns[obs.StageEvaluate] = 50_000
 	m.ObserveStages(&missed)
-	if got := m.StageHist(obs.StageQueueWait).Count(); got != 1 {
+	if got := m.stages[obs.StageQueueWait].Count(); got != 1 {
 		t.Fatalf("zero-duration queue wait not recorded: %d", got)
 	}
-	if got := m.StageHist(obs.StageGuard).Count(); got != 0 {
+	if got := m.stages[obs.StageGuard].Count(); got != 0 {
 		t.Fatalf("guard recorded without running: %d", got)
 	}
 	missed.Ns[obs.StageGuard] = 10_000
 	m.ObserveStages(&missed)
-	if got := m.StageHist(obs.StageGuard).Count(); got != 1 {
+	if got := m.stages[obs.StageGuard].Count(); got != 1 {
 		t.Fatalf("guard count = %d, want 1", got)
 	}
 }

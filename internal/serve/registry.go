@@ -215,10 +215,11 @@ type VersionInfo struct {
 //     never observe a torn version list or a partially-validated
 //     ModelVersion — it sees the registry entirely before or entirely
 //     after any mutation.
-//   - Writers (Add, AddOrReplace, Remove, Promote, Rollback) serialize on
-//     writeMu, validate fully *before* touching shared state, build a
-//     fresh snapshot by cloning (published maps and slices are never
-//     mutated in place), and publish with a single atomic store.
+//   - Writers (Add and the loaders through insert, Remove, Promote,
+//     Rollback) serialize on writeMu, validate fully *before* touching
+//     shared state, build a fresh snapshot by cloning (published maps and
+//     slices are never mutated in place), and publish with a single atomic
+//     store.
 //   - *ModelVersion bundles are immutable once registered. A reload never
 //     mutates a bundle; it loads a new one and swaps the pointer.
 type Registry struct {
@@ -302,19 +303,11 @@ func (r *Registry) Add(mv *ModelVersion) error {
 	return err
 }
 
-// AddOrReplace registers a bundle after validation, swapping out any
-// existing bundle with the same (system, version). Reports whether an
-// existing bundle was replaced.
-func (r *Registry) AddOrReplace(mv *ModelVersion) (bool, error) {
-	if err := mv.validate(); err != nil {
-		return false, err
-	}
-	return r.insert(mv, true)
-}
-
-// insert registers a bundle that is already validated: Add and AddOrReplace
-// validate first, and loadVersionDir has validated everything it returns,
-// so the two loaders call insert directly.
+// insert registers a bundle that is already validated: Add validates
+// first, and loadVersionDir has validated everything it returns, so the two
+// loaders call insert directly. With replace set, a bundle of the same
+// (system, version) is swapped out (Reloader.Poll's path); it reports
+// whether one was.
 func (r *Registry) insert(mv *ModelVersion, replace bool) (bool, error) {
 	r.writeMu.Lock()
 	defer r.writeMu.Unlock()

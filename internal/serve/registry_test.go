@@ -293,7 +293,7 @@ func TestRegistryShadowTargets(t *testing.T) {
 	}
 }
 
-func TestRegistryAddOrReplaceAndRemove(t *testing.T) {
+func TestRegistryReplaceAndRemove(t *testing.T) {
 	_, v1, v2 := fixture(t)
 	reg := NewRegistry()
 	if err := reg.Add(v1); err != nil {
@@ -301,7 +301,7 @@ func TestRegistryAddOrReplaceAndRemove(t *testing.T) {
 	}
 	// Replace v1 in place with a distinct bundle identity.
 	v1b := v1.derive()
-	replaced, err := reg.AddOrReplace(v1b)
+	replaced, err := reg.insert(v1b, true)
 	if err != nil || !replaced {
 		t.Fatalf("replace: %v %v", replaced, err)
 	}
@@ -309,8 +309,8 @@ func TestRegistryAddOrReplaceAndRemove(t *testing.T) {
 	if err != nil || got != v1b {
 		t.Fatalf("replacement not visible: %v %v", got, err)
 	}
-	if replaced, err := reg.AddOrReplace(v2); err != nil || replaced {
-		t.Fatalf("fresh AddOrReplace: %v %v", replaced, err)
+	if replaced, err := reg.insert(v2, true); err != nil || replaced {
+		t.Fatalf("fresh replacing insert: %v %v", replaced, err)
 	}
 	// Removing the active pinned version drops the pin.
 	if err := reg.Promote("theta", 2); err != nil {
