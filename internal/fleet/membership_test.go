@@ -475,9 +475,9 @@ func readSnapshot(t *testing.T, path string) *MembershipSnapshot {
 	return snap
 }
 
-// TestSnapshotRestart restarts a router on its own StatePath: NewRouter
+// TestSnapshotPersistAndRestore restarts a router on its own StatePath: NewRouter
 // restores the snapshot's members, quarantined until each proves itself.
-func TestSnapshotRestart(t *testing.T) {
+func TestSnapshotPersistAndRestore(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "membership.json")
 	clk := newMemClock()
@@ -564,10 +564,10 @@ func TestSnapshotRestart(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestartEdgeCases starts a router on an absent and on a
+// TestLoadSnapshotEdgeCases starts a router on an absent and on a
 // corrupt snapshot: both boot an empty fleet, and the corrupt one says so
 // in the log instead of trusting garbage.
-func TestSnapshotRestartEdgeCases(t *testing.T) {
+func TestLoadSnapshotEdgeCases(t *testing.T) {
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "bad.json")
 	if err := os.WriteFile(bad, []byte("{nope"), 0o644); err != nil {

@@ -293,7 +293,7 @@ func TestRegistryShadowTargets(t *testing.T) {
 	}
 }
 
-func TestRegistryReplaceAndRemove(t *testing.T) {
+func TestRegistryAddOrReplaceAndRemove(t *testing.T) {
 	_, v1, v2 := fixture(t)
 	reg := NewRegistry()
 	if err := reg.Add(v1); err != nil {
