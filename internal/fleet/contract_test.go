@@ -186,7 +186,6 @@ func iorouterContractBody(t *testing.T, dir string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.scrape.Now = contractNow
 	rt.metrics.requests.Add(30)
 	rt.metrics.errors.Add(1)
 	rt.metrics.failovers.Add(2)

@@ -98,6 +98,14 @@ func TestMemberLifecycle(t *testing.T) {
 			check("register", members...)
 			rt.ProbeOnce() // admits the registered and the restored member
 			check("admit", members...)
+			// The probe scraped every member; the age of that scrape is read
+			// on the router's clock.
+			clk.advance(2 * time.Second)
+			for _, name := range members {
+				if age := check("scrape age", members...)[name]["iorouter_replica_scrape_age_seconds"]; age != 2 {
+					t.Fatalf("%s scrape age %v s, want 2 on the fake clock", name, age)
+				}
+			}
 
 			// The counters are each member's own: rows match what its
 			// replica served, and a fault lands on the member that faulted.

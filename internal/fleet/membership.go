@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -340,16 +341,18 @@ func (rt *Router) ringRemoveLocked(name string) {
 
 // recordFlapLocked stamps one involuntary exit (lease expiry or breaker
 // ejection) into the member's flap history; flapCountLocked counts the
-// stamps still inside the window. Callers hold rt.mu.
+// stamps still inside the window. Every history loses its stamps that have
+// left the window, and a name with none left loses its entry, so names that
+// come and go do not pile up. Callers hold rt.mu.
 func (rt *Router) recordFlapLocked(name string) {
 	now := rt.now()
-	kept := rt.flaps[name][:0]
-	for _, t := range rt.flaps[name] {
-		if now.Sub(t) < flapWindow {
-			kept = append(kept, t)
+	stale := func(t time.Time) bool { return now.Sub(t) >= flapWindow }
+	for n, stamps := range rt.flaps {
+		if rt.flaps[n] = slices.DeleteFunc(stamps, stale); len(rt.flaps[n]) == 0 {
+			delete(rt.flaps, n)
 		}
 	}
-	rt.flaps[name] = append(kept, now)
+	rt.flaps[name] = append(rt.flaps[name], now)
 }
 
 func (rt *Router) flapCountLocked(name string) int {

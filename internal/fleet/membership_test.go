@@ -817,3 +817,25 @@ func TestAgentChaosFaults(t *testing.T) {
 		t.Fatal("no lease_expired event for the lossy member")
 	}
 }
+
+// TestFlapHistoryIsPruned: a router whose members churn through fresh names
+// keeps no flap history for a name whose stamps have all left the window.
+// A thousand names flap once each; past the window, one more flap leaves
+// only its own name's history.
+func TestFlapHistoryIsPruned(t *testing.T) {
+	clk := newMemClock()
+	rt := newMembershipRouter(t, clk, newStubFleet(), RouterConfig{})
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	for i := range 1000 {
+		rt.recordFlapLocked(fmt.Sprintf("pod-%d", i))
+	}
+	if len(rt.flaps) != 1000 {
+		t.Fatalf("%d flap histories for 1000 names inside the window", len(rt.flaps))
+	}
+	clk.advance(flapWindow)
+	rt.recordFlapLocked("pod-new")
+	if len(rt.flaps) != 1 || rt.flapCountLocked("pod-new") != 1 {
+		t.Fatalf("%d flap histories after the window passed, want only pod-new's", len(rt.flaps))
+	}
+}

@@ -42,7 +42,8 @@ type Router struct {
 	names    []string // sorted member names (mutates under mu as members come and go)
 	// flaps is each member's involuntary-exit history (lease expiries and
 	// breaker ejections inside flapWindow); it outlives the member entry so
-	// a register/expire cycle accumulates toward the damping threshold.
+	// a register/expire cycle accumulates toward the damping threshold, and
+	// goes once every stamp in it has left the window.
 	flaps map[string][]time.Time
 
 	// epoch counts ring membership flips; responses carry it so clients
@@ -214,6 +215,7 @@ func NewRouter(cfg RouterConfig, replicas ...Predictor) (*Router, error) {
 		rt.ring.Add(name) // no flip: boot members are epoch 0
 	}
 	rt.scrape = obs.NewFleetScrape(rt.names)
+	rt.scrape.Now = cfg.Now
 	if cfg.TraceEvery > 0 {
 		rt.tracer = obs.NewRouterTracer(obs.Config{
 			SampleEvery: cfg.TraceEvery,

@@ -3,8 +3,10 @@ package gbt
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,9 +45,8 @@ func reseal(data []byte) []byte {
 
 // checkAccepted is what must hold of anything ReadBinary accepts: it
 // re-encodes to the same bytes (one model, one encoding), predicts finite
-// values on finite rows, and compiles to a Flat that agrees with the tree
-// walk bit for bit — unless it really has more than 255 distinct thresholds
-// on a feature, the one model Compile refuses.
+// values on finite rows, and its coded walk agrees with the raw-threshold
+// walk bit for bit.
 func checkAccepted(t *testing.T, data []byte, m *Model) {
 	t.Helper()
 	if again := binaryOf(t, m); !bytes.Equal(again, data) {
@@ -65,14 +66,7 @@ func checkAccepted(t *testing.T, data []byte, m *Model) {
 			t.Fatalf("row %d: accepted model predicts %v on a finite row", i, want[i])
 		}
 	}
-	fl, err := m.Compile()
-	if err != nil {
-		if _, n := mostThresholds(m); n <= 255 {
-			t.Fatalf("compile refused a model with at most %d thresholds a feature: %v", n, err)
-		}
-		return
-	}
-	flat := fl.PredictAll(rows)
+	flat := m.Compile().PredictAll(rows)
 	for i := range rows {
 		if math.Float64bits(want[i]) != math.Float64bits(flat[i]) {
 			t.Fatalf("row %d: tree walk %v, flat %v", i, want[i], flat[i])
@@ -163,18 +157,24 @@ func craft(t testing.TB, h binHeader, body []byte) []byte {
 }
 
 // TestReadBinaryChecksSizesBeforeAllocating: a header may declare four
-// billion nodes or features; the file does not hold them, and the decoder
-// must find that out from the lengths alone.
+// billion nodes or features, or 255 thresholds on every feature; the file
+// does not hold them, and the decoder must find that out from the lengths
+// alone.
 func TestReadBinaryChecksSizesBeforeAllocating(t *testing.T) {
 	m := smallModel(t)
+	nf := m.NumFeatures()
 	h := m.header()
-	body := make([]byte, 8*m.nFeature+nodeBytes)
+	body := make([]byte, 8*nf+nodeBytes)
 	cases := map[string]binHeader{}
+	h.EdgeLens = make([]uint16, nf)
 	h.TreeLens = []uint32{math.MaxUint32, math.MaxUint32, 1}
 	cases["nodes"] = h
-	h.TreeLens, h.NFeature = []uint32{1}, math.MaxInt64/8
+	h.TreeLens = []uint32{1}
+	h.EdgeLens = slices.Repeat([]uint16{255}, nf)
+	cases["thresholds"] = h
+	h.NFeature = math.MaxInt64 / 8
 	cases["features"] = h
-	h.NFeature = len(body)/8 + 1
+	h.NFeature, h.EdgeLens = len(body)/8+1, make([]uint16, len(body)/8+1)
 	cases["one feature too many"] = h
 	h.NFeature = -1
 	cases["negative features"] = h
@@ -193,10 +193,10 @@ func TestReadBinaryChecksSizesBeforeAllocating(t *testing.T) {
 	}
 }
 
-// TestReadBinaryAllocs pins the decoder's shape by count: the header, the gain
-// vector, one node block, the tree table and the Model — no per-tree
-// allocation, so ten times the trees costs only what encoding/json spends
-// growing the header's tree_lens.
+// TestReadBinaryAllocs pins the decoder's shape by count: the header, the
+// Model and a fixed set of arrays — no per-tree allocation, so ten times
+// the trees costs only what encoding/json spends growing the header's
+// tree_lens.
 func TestReadBinaryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -226,17 +226,26 @@ func TestReadBinaryAllocs(t *testing.T) {
 	}
 }
 
-// TestReadBinaryReachesBuild: what build refuses reaches it through a file,
-// with the same located error (TestBuildRejectsHostileModels has the whole
-// list); and a header that is not the one encoding of its fields — a key the
-// header no longer has, such as the retired "gain", or a space — is refused.
+// TestReadBinaryReachesBuild: what the structural checks refuse reaches
+// them through a file, with the same located error (TestBuildRejectsHostileModels
+// has the whole list); a version-1 artifact is refused as a legacy one; and
+// a header that is not the one encoding of its fields — a key the header no
+// longer has, such as the retired "gain", or a space — is refused.
 func TestReadBinaryReachesBuild(t *testing.T) {
 	m := smallModel(t)
 	good := binaryOf(t, m)
-	gainEnd := len(good) - 4 - nodeBytes*(len(m.trees[0].nodes)+len(m.trees[1].nodes)+len(m.trees[2].nodes))
-	node0 := good[gainEnd : gainEnd+nodeBytes]
-	if int32(binary.LittleEndian.Uint32(node0)) < 0 {
+	f := &m.flat
+	if f.feature[0] < 0 {
 		t.Fatal("fixture's first node is a leaf")
+	}
+	nodesAt := len(good) - 4 - nodeBytes*len(f.feature)
+	gainEnd := nodesAt
+	for _, e := range f.edges {
+		gainEnd -= 8 * len(e)
+	}
+	cutAt := gainEnd + 8*int(f.cut[0]) // node 0's threshold
+	for _, e := range f.edges[:f.feature[0]] {
+		cutAt += 8 * len(e)
 	}
 	poke := func(at int, v uint64, width int) []byte {
 		bad := append([]byte(nil), good...)
@@ -252,17 +261,17 @@ func TestReadBinaryReachesBuild(t *testing.T) {
 		want string
 	}
 	cases := map[string]refusal{
-		"self-loop child":    {poke(gainEnd+4, 0, 4), "tree 0 node 0"},
-		"feature range":      {poke(gainEnd, uint64(m.nFeature), 4), "tree 0 node 0"},
-		"infinite threshold": {poke(gainEnd+12, math.Float64bits(math.Inf(1)), 8), "tree 0 node 0"},
-		"NaN unused value":   {poke(gainEnd+20, math.Float64bits(math.NaN()), 8), "tree 0 node 0"},
+		"self-loop child":    {poke(nodesAt+4, 0, 4), "tree 0 node 0"},
+		"feature range":      {poke(nodesAt, uint64(m.NumFeatures()), 4), "tree 0 node 0"},
+		"infinite threshold": {poke(cutAt, math.Float64bits(math.Inf(1)), 8), "threshold"},
+		"NaN unused value":   {poke(nodesAt+13, math.Float64bits(math.NaN()), 8), "tree 0 node 0"},
 		"negative gain":      {poke(gainEnd-8, math.Float64bits(-1), 8), "gain"},
 		"other magic":        {reseal(append([]byte("IOTAX_NN"), good[8:]...)), "artifact"},
 	}
 	h := m.header()
-	h.TreeLens = []uint32{1}
-	leaf := make([]byte, 8*m.nFeature+nodeBytes)
-	binary.LittleEndian.PutUint32(leaf[8*m.nFeature:], math.MaxUint32) // feature -1
+	h.TreeLens, h.EdgeLens = []uint32{1}, make([]uint16, m.NumFeatures())
+	leaf := make([]byte, 8*m.NumFeatures()+nodeBytes)
+	binary.LittleEndian.PutUint32(leaf[8*m.NumFeatures():], math.MaxUint32) // feature -1
 	if _, err := ReadBinary(craft(t, h, leaf)); err != nil {
 		t.Fatalf("hand-made single-leaf artifact refused: %v", err)
 	}
@@ -278,11 +287,22 @@ func TestReadBinaryReachesBuild(t *testing.T) {
 	}
 	cases["retired gain key"] = refusal{rewrite(`"tree_lens"`, `"gain":null,"tree_lens"`), "canonical"}
 	cases["non-canonical header"] = refusal{rewrite(`"version":`, `"version": `), "canonical"}
+	// JSON has no non-finite number: a bias past float64's range is refused
+	// as it is decoded.
+	cases["infinite bias"] = refusal{rewrite(`"n_feature"`, `"bias":1e999,"n_feature"`), "decoding header"}
 	for name, c := range cases {
 		_, err := ReadBinary(c.data)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want an error naming %q", name, err, c.want)
 		}
+	}
+	// A version-1 header (no edge_lens) over its gain and one 28-byte leaf.
+	h1 := h
+	h1.Version, h1.EdgeLens = 1, nil
+	v1 := make([]byte, 8*m.NumFeatures()+28)
+	binary.LittleEndian.PutUint32(v1[8*m.NumFeatures():], math.MaxUint32)
+	if _, err := ReadBinary(craft(t, h1, v1)); !errors.Is(err, ErrLegacyFormat) {
+		t.Errorf("version-1 artifact: got %v, want ErrLegacyFormat", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package gbt
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -163,7 +164,7 @@ func TestPredictStagesValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range out[0] {
-		if out[0][i] != m.bias {
+		if out[0][i] != m.flat.bias {
 			t.Error("stage 0 is not the bias")
 		}
 	}
@@ -228,7 +229,7 @@ func TestFlatMatchesModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fl := compile(t, m)
+		fl := m.Compile()
 		if fl.NumTrees() != m.NumTrees() || fl.NumFeatures() != m.NumFeatures() {
 			t.Fatalf("trial %d: shape mismatch", trial)
 		}
@@ -264,18 +265,16 @@ func TestFlatDegenerateSingleLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := compile(t, m)
+	fl := m.Compile()
 	bitEqual(t, "single-leaf preds", m.PredictAll(rows), fl.PredictAll(rows))
-	for _, tr := range m.trees {
-		if len(tr.nodes) != 1 || tr.nodes[0].feature >= 0 {
-			t.Fatal("expected degenerate single-leaf trees")
-		}
+	if len(fl.feature) != len(fl.roots) || slices.Max(fl.feature) >= 0 {
+		t.Fatal("expected degenerate single-leaf trees")
 	}
 }
 
-// TestFlatRoundTripSerialized: a model that went through its artifact
-// (losing its training-time bin codes) must still compile to a bit-identical
-// Flat — the registry's load path.
+// TestFlatRoundTripSerialized: a model that went through its artifact must
+// still predict bit-identically through its Flat — the registry's load
+// path.
 func TestFlatRoundTripSerialized(t *testing.T) {
 	rows, y := synth(900, 0.1, 45)
 	p := TunedBase()
@@ -289,7 +288,7 @@ func TestFlatRoundTripSerialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := compile(t, loaded)
+	fl := loaded.Compile()
 	bitEqual(t, "serialized flat preds", m.PredictAll(rows), fl.PredictAll(rows))
 }
 
@@ -303,7 +302,7 @@ func TestFlatNaNRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := compile(t, m)
+	fl := m.Compile()
 	row := append([]float64(nil), rows[0]...)
 	row[1] = math.NaN()
 	batch := [][]float64{row, rows[1], row}
@@ -320,7 +319,7 @@ func TestFlatPredictAllIntoValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := compile(t, m)
+	fl := m.Compile()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("short output accepted")

@@ -8,31 +8,32 @@ import (
 	"sync"
 )
 
-// Flat is a compiled, cache-friendly view of a trained Model, built for the
-// serving hot path. The pointer-per-tree layout of Model is what training
-// wants (trees grow independently), but at inference it scatters node reads
-// across one small allocation per tree; Flat packs every tree's nodes into
-// contiguous struct-of-arrays storage and walks them by index, so a batch
-// walk streams a few flat arrays instead of chasing pointers.
+// Flat is the one node layout of a finished Model and its serving engine.
+// Training grows each tree as its own node slice (trees grow independently),
+// and pack lays the finished ensemble out once in contiguous
+// struct-of-arrays storage, which is also what model.gbt.bin holds (see
+// binHeader): a batch walk streams a few flat arrays instead of chasing
+// pointers, and a load decodes those arrays without compiling anything.
 //
-// On top of the packed layout, Compile builds a serve-time quantization of
-// the model's own split thresholds: per feature, the sorted distinct
-// thresholds used anywhere in the ensemble (at most 255 of them, so a uint8
-// code suffices; Compile refuses a model with more). A batch is then encoded
-// once — one binary search per feature per row — and every tree traversal
-// compares uint8 codes instead of float64s. Because code(edges, v) <= cut
-// exactly when v <= edges[cut] (the same lower-bound identity binned.go
-// relies on), the quantized walk lands in the identical leaf, making
-// predictions bit-identical to Model.Predict / Model.PredictAll: same
-// leaves, same float64 leaf values, same accumulation order (bias, then
-// trees ascending).
+// Every split threshold is kept once, in a per-feature table: edges[f] is
+// the sorted distinct thresholds used on feature f anywhere in the ensemble
+// (at most 255 of them, so a uint8 code suffices), and a split node holds
+// its threshold's index cut into that table. The Model's walks compare the
+// raw row against edges[f][cut]; Flat's walks encode a batch once — one
+// binary search per feature per row — and every tree traversal compares
+// uint8 codes instead of float64s. Because code(edges, v) <= cut exactly
+// when v <= edges[cut] (the same lower-bound identity binned.go relies on),
+// the quantized walk lands in the identical leaf, making predictions
+// bit-identical to Model.Predict / Model.PredictAll: same leaves, same
+// float64 leaf values, same accumulation order (bias, then trees
+// ascending).
 //
-// Every walk is bounded: each link must point past the node it leaves, and
-// no walk takes more steps than the deepest tree has levels. A link that
-// breaks either rule (only corrupt arrays have one) panics with
+// Every coded walk is bounded: each link must point past the node it
+// leaves, and no walk takes more steps than the deepest tree has levels. A
+// link that breaks either rule (only corrupt arrays have one) panics with
 // ErrWalkBound instead of spinning or landing on an earlier node.
 //
-// A Flat is immutable after Compile and safe for concurrent use.
+// A Flat is immutable and safe for concurrent use.
 type Flat struct {
 	bias     float64
 	lr       float64
@@ -41,31 +42,37 @@ type Flat struct {
 	depth int32
 	// roots[t] is tree t's root index into the node arrays below.
 	roots []int32
-	// feature[i] < 0 marks a leaf.
+	// feature[i] < 0 marks a leaf (always -1).
 	feature []int32
 	// leaf[i] is the value of a leaf node (0 at internal nodes).
 	leaf []float64
-	// left / right are absolute child indices.
+	// left / right are absolute child indices (0 at leaves).
 	left, right []int32
 	// cut[i] is an internal node's split threshold as its index in
-	// edges[feature[i]].
+	// edges[feature[i]] (0 at leaves).
 	cut []uint8
 	// edges[f] is feature f's sorted distinct split thresholds.
 	edges [][]float64
 }
 
-// ErrTooManyThresholds is Compile's refusal of a model whose cuts on some
-// feature do not fit the walk's uint8 codes (possible only for hand-built
-// or hostile models: NumBins <= 256 gives a trained one at most 255).
+// ErrTooManyThresholds refuses a model whose cuts on some feature do not
+// fit the walk's uint8 codes: pack refuses to lay out such trees and
+// ReadBinary such an artifact (possible only for hand-built or hostile
+// models: NumBins <= 256 gives a trained one at most 255).
 var ErrTooManyThresholds = errors.New("gbt: too many distinct split thresholds for the flat walk")
 
 // ErrWalkBound is what a walk's panic wraps when it meets a link pointing
-// backward or deeper than the model's depth: the compiled arrays are
-// corrupt.
+// backward or deeper than the model's depth: the arrays are corrupt.
 var ErrWalkBound = errors.New("gbt: flat walk left its bound")
 
-// Compile flattens the model into its packed serving representation. It
-// refuses a model with more than 255 distinct thresholds on a feature.
+// Compile returns the model's flat engine. The model is stored in that
+// layout, so there is nothing left to compile: every caller shares one Flat.
+func (m *Model) Compile() *Flat { return &m.flat }
+
+// pack lays finished trees out as a Model's Flat. It refuses trees with
+// more than 255 distinct thresholds on a feature or deeper than
+// p.MaxDepth, which training never grows; the trees must have strictly
+// forward links and in-range features, as training builds them.
 //
 // The threshold tables take linear passes: a counting pass buckets the
 // internal nodes by feature; per feature, a small open-addressing table
@@ -73,43 +80,43 @@ var ErrWalkBound = errors.New("gbt: flat walk left its bound")
 // 255) are sorted, and each node's cut is rewritten from its threshold's
 // first-seen number to its rank, with no per-node search. Every edges[f] is
 // a slice of one exactly-sized array.
-func (m *Model) Compile() (*Flat, error) {
+func pack(p Params, bias float64, nFeature int, gain []float64, trees []tree) (*Model, error) {
 	total, widest := 0, 0
-	for i := range m.trees {
-		total += len(m.trees[i].nodes)
-		widest = max(widest, len(m.trees[i].nodes))
+	for i := range trees {
+		total += len(trees[i].nodes)
+		widest = max(widest, len(trees[i].nodes))
 	}
-	f := &Flat{
-		bias:     m.bias,
-		lr:       m.params.LearningRate,
-		nFeature: m.nFeature,
-		roots:    make([]int32, len(m.trees)),
+	m := &Model{params: p, gain: gain, flat: Flat{
+		bias:     bias,
+		lr:       p.LearningRate,
+		nFeature: nFeature,
+		roots:    make([]int32, len(trees)),
 		feature:  make([]int32, total),
 		leaf:     make([]float64, total),
 		left:     make([]int32, total),
 		right:    make([]int32, total),
 		cut:      make([]uint8, total),
-		edges:    make([][]float64, m.nFeature),
-	}
-	// level[i] is the depth of the tree's node i. Links point forward (build
-	// enforces it), so every parent of a node, and there may be several,
-	// precedes it.
+		edges:    make([][]float64, nFeature),
+	}}
+	f := &m.flat
+	// level[i] is the depth of the tree's node i. Links point forward, so
+	// every parent of a node, and there may be several, precedes it.
 	level := make([]int32, widest)
 	// Feature ft's split thresholds go to thr[start[ft]:start[ft+1]], their
 	// nodes' flat indices to the same places of at.
-	start := make([]int32, m.nFeature+1)
+	start := make([]int32, nFeature+1)
 	base := int32(0)
-	for t := range m.trees {
+	for t := range trees {
 		f.roots[t] = base
 		clear(level)
-		nodes := m.trees[t].nodes
+		nodes := trees[t].nodes
 		for i := range nodes {
 			n := &nodes[i]
-			f.feature[base] = n.feature
 			if n.feature < 0 {
-				f.leaf[base] = n.value
+				f.feature[base], f.leaf[base] = -1, n.value
 				f.depth = max(f.depth, level[i])
 			} else {
+				f.feature[base] = n.feature
 				f.leaf[base] = n.threshold // until it is bucketed below
 				f.left[base] = f.roots[t] + n.left
 				f.right[base] = f.roots[t] + n.right
@@ -120,10 +127,13 @@ func (m *Model) Compile() (*Flat, error) {
 			base++
 		}
 	}
-	for ft := range m.nFeature {
+	if int(f.depth) > p.MaxDepth {
+		return nil, fmt.Errorf("gbt: trees %d deep for MaxDepth %d", f.depth, p.MaxDepth)
+	}
+	for ft := range nFeature {
 		start[ft+1] += start[ft]
 	}
-	thr, at := make([]float64, start[m.nFeature]), make([]int32, start[m.nFeature])
+	thr, at := make([]float64, start[nFeature]), make([]int32, start[nFeature])
 	next := slices.Clone(start)
 	for i, ft := range f.feature {
 		if ft >= 0 {
@@ -136,7 +146,7 @@ func (m *Model) Compile() (*Flat, error) {
 	var tab numbering
 	var rank [255]uint8 // a first-seen number's sorted position
 	packed := 0
-	for ft := range m.nFeature {
+	for ft := range nFeature {
 		lo, hi := start[ft], start[ft+1]
 		clear(tab.slots[:])
 		n := uint8(0)
@@ -175,10 +185,10 @@ func (m *Model) Compile() (*Flat, error) {
 	for ft, e := range f.edges {
 		f.edges[ft], backing = backing[:len(e):len(e)], backing[len(e):]
 	}
-	return f, nil
+	return m, nil
 }
 
-// numbering is Compile's table of one feature's distinct thresholds: first
+// numbering is pack's table of one feature's distinct thresholds: first
 // lists them in first-seen order, and slots is an open-addressing hash
 // table over them, sized well above the 255 it may hold so that probe runs
 // stay short.
@@ -256,7 +266,7 @@ func (f *Flat) PredictAllInto(rows [][]float64, out []float64) {
 
 // predictBlock accumulates all trees over rows [lo,hi) into out, chunked so
 // each tree's nodes stay hot across the chunk (the same blocking as
-// Model.predictBlock).
+// Model.PredictAll).
 func (f *Flat) predictBlock(rows [][]float64, out []float64, lo, hi int) {
 	nf := f.nFeature
 	bufp := codesPool.Get().(*[]uint8)

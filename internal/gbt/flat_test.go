@@ -10,40 +10,40 @@ import (
 	"testing"
 )
 
-// compile is Compile for a model the test expects to compile.
-func compile(t testing.TB, m *Model) *Flat {
+// handBuilt is a model's trees before pack lays them out: how a test builds
+// a model no training run would.
+type handBuilt struct {
+	p     Params
+	bias  float64
+	gain  []float64 // one entry a feature
+	trees []tree
+}
+
+// pack lays h out, its NumTrees set to its tree count.
+func (h handBuilt) pack() (*Model, error) {
+	h.p.NumTrees = len(h.trees)
+	return pack(h.p, h.bias, len(h.gain), h.gain, h.trees)
+}
+
+// model is pack for trees the test expects to lay out.
+func (h handBuilt) model(t testing.TB) *Model {
 	t.Helper()
-	fl, err := m.Compile()
+	m, err := h.pack()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fl
+	return m
 }
 
-// mostThresholds returns the feature with the most distinct split
-// thresholds in m, and their count.
-func mostThresholds(m *Model) (feature, count int) {
-	seen := make([]map[float64]bool, m.nFeature)
-	for _, tr := range m.trees {
-		for _, n := range tr.nodes {
-			if n.feature < 0 {
-				continue
-			}
-			if seen[n.feature] == nil {
-				seen[n.feature] = map[float64]bool{}
-			}
-			seen[n.feature][n.threshold] = true
-			if c := len(seen[n.feature]); c > count {
-				feature, count = int(n.feature), c
-			}
-		}
-	}
-	return feature, count
+// artifact is h packed and written: a hand-built model's model.gbt.bin.
+func (h handBuilt) artifact(t testing.TB) []byte {
+	t.Helper()
+	return binaryOf(t, h.model(t))
 }
 
 // stumps hand-builds a two-feature model of n one-split trees, tree k
 // splitting feature 0 at k: n distinct thresholds on feature 0.
-func stumps(n int) *Model {
+func stumps(n int) handBuilt {
 	ths := make([]float64, n)
 	for k := range ths {
 		ths[k] = float64(k)
@@ -53,54 +53,65 @@ func stumps(n int) *Model {
 
 // stumpsAt hand-builds a model of one-split trees over at least two
 // features: one tree for each threshold in ths[f], splitting feature f.
-func stumpsAt(ths ...[]float64) *Model {
-	p := DefaultParams()
-	m := &Model{params: p, bias: 0.5, nFeature: max(2, len(ths)), gain: make([]float64, max(2, len(ths)))}
+func stumpsAt(ths ...[]float64) handBuilt {
+	h := handBuilt{p: DefaultParams(), bias: 0.5, gain: make([]float64, max(2, len(ths)))}
 	for f, fths := range ths {
-		m.gain[f] = 1
+		h.gain[f] = 1
 		for _, v := range fths {
-			k := float64(len(m.trees))
-			m.trees = append(m.trees, tree{nodes: []node{
+			k := float64(len(h.trees))
+			h.trees = append(h.trees, tree{nodes: []node{
 				{feature: int32(f), threshold: v, left: 1, right: 2},
 				{feature: -1, value: 1 / (k + 3)},
 				{feature: -1, value: -1 / (k + 7)},
 			}})
 		}
 	}
-	m.params.NumTrees = len(m.trees)
-	return m
+	return h
 }
 
-// checkCodes pins the threshold tables Compile built for m: every edges[f]
-// is strictly ascending and holds exactly feature f's distinct thresholds,
-// and every internal node's cut indexes its own threshold.
-func checkCodes(t testing.TB, label string, m *Model, fl *Flat) {
+// checkCodes pins the threshold tables of m: every edges[f] is strictly
+// ascending and each of its entries is cut at by some split, and every
+// internal node's cut is inside its feature's table. Given the trees m was
+// packed from, every edges[f] holds exactly feature f's distinct
+// thresholds and every node's cut indexes its own threshold.
+func checkCodes(t testing.TB, label string, m *Model, trees []tree) {
 	t.Helper()
-	distinct := make([]map[float64]bool, m.nFeature)
-	at := 0
-	for _, tr := range m.trees {
-		for _, n := range tr.nodes {
-			if n.feature >= 0 {
-				if distinct[n.feature] == nil {
-					distinct[n.feature] = map[float64]bool{}
-				}
-				distinct[n.feature][n.threshold] = true
-				e := fl.edges[n.feature]
-				if c := int(fl.cut[at]); c >= len(e) || e[c] != n.threshold {
-					t.Fatalf("%s: node %d splits feature %d at %v, but its cut %d is outside or off its %d edges", label, at, n.feature, n.threshold, c, len(e))
-				}
-			}
-			at++
+	fl := m.Compile()
+	cutAt := make([]map[uint8]bool, fl.nFeature)
+	for i, ft := range fl.feature {
+		if ft < 0 {
+			continue
 		}
+		if int(fl.cut[i]) >= len(fl.edges[ft]) {
+			t.Fatalf("%s: node %d cuts feature %d at %d of %d edges", label, i, ft, fl.cut[i], len(fl.edges[ft]))
+		}
+		if cutAt[ft] == nil {
+			cutAt[ft] = map[uint8]bool{}
+		}
+		cutAt[ft][fl.cut[i]] = true
 	}
 	for f, e := range fl.edges {
-		if len(e) != len(distinct[f]) {
-			t.Fatalf("%s: feature %d has %d edges for %d distinct thresholds", label, f, len(e), len(distinct[f]))
+		if len(e) != len(cutAt[f]) {
+			t.Fatalf("%s: feature %d has %d edges, %d of them cut at", label, f, len(e), len(cutAt[f]))
 		}
 		for i := 1; i < len(e); i++ {
 			if !(e[i-1] < e[i]) {
 				t.Fatalf("%s: feature %d edges %d and %d are %v, %v: not strictly ascending", label, f, i-1, i, e[i-1], e[i])
 			}
+		}
+	}
+	if trees == nil {
+		return
+	}
+	at := 0
+	for _, tr := range trees {
+		for _, n := range tr.nodes {
+			if n.feature >= 0 {
+				if e := fl.edges[n.feature]; e[fl.cut[at]] != n.threshold {
+					t.Fatalf("%s: node %d splits feature %d at %v, but its cut %d is %v", label, at, n.feature, n.threshold, fl.cut[at], e[fl.cut[at]])
+				}
+			}
+			at++
 		}
 	}
 }
@@ -117,9 +128,10 @@ func ulpChain(v, dir float64, n int) []float64 {
 // TestFlatCompileCodes checks the tables themselves, not just the
 // predictions they give, on a trained model and on hand-built ones whose
 // thresholds repeat across trees, mix -0 and +0, sit one ulp apart, or all
-// hash to the same slot of Compile's numbering table. Each must also predict
-// bit-identically to the tree walk on rows at and one ulp either side of
-// every threshold, on training rows and on non-finite rows.
+// hash to the same slot of pack's numbering table. Each must also predict
+// bit-identically to the raw-threshold walk on rows at and one ulp either
+// side of every threshold, on training rows and on non-finite rows, and
+// survive its artifact unchanged.
 func TestFlatCompileCodes(t *testing.T) {
 	rows, y := synthWide(600, 12, 3)
 	p := TunedBase()
@@ -144,54 +156,58 @@ func TestFlatCompileCodes(t *testing.T) {
 	}
 	reversed := slices.Clone(collide)
 	slices.Reverse(reversed)
-	cases := []struct {
-		name string
-		m    *Model
-	}{
-		{"trained", trained},
-		{"255 stumps", stumps(255)},
-		{"repeats and signed zeros", stumpsAt(
+	type codesCase struct {
+		name  string
+		m     *Model
+		trees []tree // what m was packed from; nil when trained
+	}
+	cases := []codesCase{{"trained", trained, nil}}
+	for name, h := range map[string]handBuilt{
+		"255 stumps": stumps(255),
+		"repeats and signed zeros": stumpsAt(
 			[]float64{0, negZero, 1, 0, negZero, 1, -1, 0},
 			[]float64{negZero, negZero, 0.5, 0.5, 0},
 			[]float64{3, 3, 3, -3, 3},
-		)},
-		{"one-ulp chains", stumpsAt(
+		),
+		"one-ulp chains": stumpsAt(
 			append(append(ulpChain(1, 2, 100), ulpChain(0, 1, 50)...), ulpChain(negZero, -1, 50)...),
 			append(ulpChain(-1e300, math.Inf(-1), 120), ulpChain(-1e300, math.Inf(-1), 120)...),
-		)},
-		{"one home slot", stumpsAt(collide, reversed)},
+		),
+		"one home slot": stumpsAt(collide, reversed),
+	} {
+		cases = append(cases, codesCase{name, h.model(t), h.trees})
 	}
 	for _, c := range cases {
-		fl := compile(t, c.m)
-		checkCodes(t, c.name, c.m, fl)
-
+		m := c.m
+		checkCodes(t, c.name, m, c.trees)
 		var probe [][]float64
-		for _, tr := range c.m.trees {
-			for _, n := range tr.nodes {
-				for _, v := range []float64{n.threshold, math.Nextafter(n.threshold, math.Inf(-1)), math.Nextafter(n.threshold, math.Inf(1))} {
-					row := make([]float64, c.m.nFeature)
-					for f := range row {
-						row[f] = v
-					}
-					probe = append(probe, row)
+		for _, e := range m.flat.edges {
+			for _, th := range e {
+				for _, v := range []float64{th, math.Nextafter(th, math.Inf(-1)), math.Nextafter(th, math.Inf(1))} {
+					probe = append(probe, slices.Repeat([]float64{v}, m.NumFeatures()))
 				}
 			}
 		}
 		probe = append(probe, rows[:50]...)
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-			probe = append(probe, slices.Repeat([]float64{v}, c.m.nFeature))
+			probe = append(probe, slices.Repeat([]float64{v}, m.NumFeatures()))
 		}
 		for i := range probe {
-			probe[i] = probe[i][:c.m.nFeature:c.m.nFeature]
+			probe[i] = probe[i][:m.NumFeatures():m.NumFeatures()]
 		}
-		bitEqual(t, c.name, c.m.PredictAll(probe), fl.PredictAll(probe))
+		bitEqual(t, c.name, m.PredictAll(probe), m.Compile().PredictAll(probe))
+		back, err := ReadBinary(binaryOf(t, m))
+		if err != nil {
+			t.Fatalf("%s: artifact refused: %v", c.name, err)
+		}
+		bitEqual(t, c.name+" loaded", m.PredictAll(probe), back.Compile().PredictAll(probe))
 	}
 }
 
 // TestFlatCompileThresholdLimit: 255 distinct thresholds on a feature fit
-// the walk's uint8 codes and compile to a bit-identical Flat; 256 or more
-// are refused with an error naming the feature and the full count, however
-// far past the limit it is and however often the thresholds repeat.
+// the walk's uint8 codes and pack to a bit-identical Flat; 256 or more are
+// refused with an error naming the feature and the full count, however far
+// past the limit it is and however often the thresholds repeat.
 func TestFlatCompileThresholdLimit(t *testing.T) {
 	var rows [][]float64
 	for v := -1.0; v <= 256; v += 0.5 {
@@ -199,11 +215,10 @@ func TestFlatCompileThresholdLimit(t *testing.T) {
 	}
 	rows = append(rows, []float64{math.NaN(), 0}, []float64{math.Inf(1), 0}, []float64{math.Inf(-1), 0})
 
-	m := stumps(255)
-	fl := compile(t, m)
-	bitEqual(t, "255 thresholds", m.PredictAll(rows), fl.PredictAll(rows))
+	m := stumps(255).model(t)
+	bitEqual(t, "255 thresholds", m.PredictAll(rows), m.Compile().PredictAll(rows))
 
-	_, err := stumps(256).Compile()
+	_, err := stumps(256).pack()
 	if !errors.Is(err, ErrTooManyThresholds) || !strings.Contains(err.Error(), "feature 0 has 256") {
 		t.Fatalf("256 thresholds on feature 0: got %v, want ErrTooManyThresholds naming the feature and count", err)
 	}
@@ -211,31 +226,39 @@ func TestFlatCompileThresholdLimit(t *testing.T) {
 	for k := range twice {
 		twice[k] = float64(min(k, 599-k))
 	}
-	for name, m := range map[string]*Model{"300 thresholds": stumps(300), "300 thresholds, each twice": stumpsAt(twice)} {
-		if _, err := m.Compile(); !errors.Is(err, ErrTooManyThresholds) || !strings.Contains(err.Error(), "feature 0 has 300,") {
+	for name, h := range map[string]handBuilt{"300 thresholds": stumps(300), "300 thresholds, each twice": stumpsAt(twice)} {
+		if _, err := h.pack(); !errors.Is(err, ErrTooManyThresholds) || !strings.Contains(err.Error(), "feature 0 has 300,") {
 			t.Fatalf("%s on feature 0: got %v, want ErrTooManyThresholds naming the feature and count", name, err)
 		}
 	}
 }
 
-// TestFlatCompileSharedChildren: build accepts any forward links, so a node
-// may have several parents. A chain of 64 splits whose two links both lead
-// to the next node has 2^64 root-to-leaf paths; Compile must still measure
-// its depth in one pass and walk it like the tree walk does.
+// TestFlatCompileSharedChildren: ReadBinary accepts any forward links, so a
+// node may have several parents. A chain of 60 splits whose two links both
+// lead to the next node has 2^60 root-to-leaf paths; pack and ReadBinary
+// must still measure its depth in one pass, the walks must agree on it, and
+// a MaxDepth below it must be refused.
 func TestFlatCompileSharedChildren(t *testing.T) {
-	p := DefaultParams()
-	p.NumTrees = 1
+	h := handBuilt{p: DefaultParams(), gain: []float64{1, 1}}
+	h.p.MaxDepth = 60
 	var nodes []node
-	for i := int32(0); i < 64; i++ {
+	for i := int32(0); i < 60; i++ {
 		nodes = append(nodes, node{feature: i % 2, threshold: float64(i % 3), left: i + 1, right: i + 1})
 	}
-	m := &Model{params: p, nFeature: 2, gain: []float64{1, 1}, trees: []tree{{nodes: append(nodes, node{feature: -1, value: 2})}}}
-	fl := compile(t, m)
-	if fl.depth != 64 {
-		t.Fatalf("depth %d, want 64", fl.depth)
+	h.trees = []tree{{nodes: append(nodes, node{feature: -1, value: 2})}}
+	m, err := ReadBinary(h.artifact(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.flat.depth != 60 || h.model(t).flat.depth != 60 {
+		t.Fatalf("depth %d loaded, %d packed, want 60", m.flat.depth, h.model(t).flat.depth)
 	}
 	rows := [][]float64{{0, 0}, {5, -5}, {math.NaN(), 1}}
-	bitEqual(t, "shared children", m.PredictAll(rows), fl.PredictAll(rows))
+	bitEqual(t, "shared children", m.PredictAll(rows), m.Compile().PredictAll(rows))
+	h.p.MaxDepth = 59
+	if _, err := h.pack(); err == nil || !strings.Contains(err.Error(), "60 deep") {
+		t.Fatalf("60-deep trees under MaxDepth 59: got %v", err)
+	}
 }
 
 // linkModel hand-builds two trees over two features, each of whose links
@@ -243,11 +266,9 @@ func TestFlatCompileSharedChildren(t *testing.T) {
 //
 //	tree 0 (nodes 0-6): 0: f0<=0 ? 1 : 2; 1: f1<=0 ? 3 : 4; 2: f1<=1 ? 5 : 6
 //	tree 1 (nodes 7-11): 7: f1<=0.5 ? 8 : 9; 9: f0<=-1 ? 10 : 11
-func linkModel() *Model {
-	p := DefaultParams()
-	p.NumTrees = 2
+func linkModel() handBuilt {
 	leaf := func(v float64) node { return node{feature: -1, value: v} }
-	return &Model{params: p, bias: 0.25, nFeature: 2, gain: []float64{1, 1}, trees: []tree{
+	return handBuilt{p: DefaultParams(), bias: 0.25, gain: []float64{1, 1}, trees: []tree{
 		{nodes: []node{
 			{feature: 0, threshold: 0, left: 1, right: 2},
 			{feature: 1, threshold: 0, left: 3, right: 4},
@@ -287,7 +308,7 @@ func TestFlatWalkBoundsEveryCorruptLink(t *testing.T) {
 	defer runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
 	runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
 
-	fl := compile(t, linkModel())
+	fl := linkModel().model(t).Compile()
 	// takes[i][side] is a row whose walk follows node i's left (0) or
 	// right (1) link.
 	takes := map[int32]*[2][]float64{}
@@ -352,9 +373,9 @@ func TestFlatWalkBoundsEveryCorruptLink(t *testing.T) {
 	check("deeper link", &c, takes[2][1])
 }
 
-// BenchmarkFlatCompile times Compile on a model of the bootstrap's shape:
-// 80 trees of depth 7 over 101 features, binned 64 ways.
-func BenchmarkFlatCompile(b *testing.B) {
+// BenchmarkReadBinary times a model load on a model of the bootstrap's
+// shape: 80 trees of depth 7 over 101 features, binned 64 ways.
+func BenchmarkReadBinary(b *testing.B) {
 	rows, y := synthWide(4000, 101, 7)
 	p := TunedBase()
 	p.NumTrees, p.MaxDepth, p.NumBins = 80, 7, 64
@@ -362,10 +383,12 @@ func BenchmarkFlatCompile(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	data := binaryOf(b, m)
+	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		if _, err := m.Compile(); err != nil {
+		if _, err := ReadBinary(data); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,15 +2,18 @@ package gbt
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
-// FuzzFlatCompile hardens the flat compilation round trip: any model the
-// validating decoder accepts — however degenerate or hostile its structure
-// — must compile to a Flat whose predictions are bit-identical to the
-// pointer walk, batched and single-row, including on non-finite inputs,
-// through threshold tables that checkCodes accepts. The one model Compile
-// may refuse has more than 255 distinct thresholds on a feature.
+// FuzzFlatCompile hardens the coded walk: for any model the validating
+// decoder accepts — however degenerate or hostile its structure — the
+// Flat's predictions are bit-identical to the raw-threshold walk over the
+// same arrays, batched and single-row, including on non-finite inputs,
+// through threshold tables that checkCodes accepts.
 // Each input is decoded with its checksum recomputed, so the fuzzer explores
 // tree structure rather than checksum mismatches. Checked-in seeds live in
 // testdata/fuzz/FuzzFlatCompile.
@@ -36,17 +39,11 @@ func FuzzFlatCompile(f *testing.F) {
 		if err != nil {
 			return
 		}
-		fl, err := m.Compile()
-		if err != nil {
-			if _, n := mostThresholds(m); n <= 255 {
-				t.Fatalf("compile refused a model with at most %d thresholds a feature: %v", n, err)
-			}
-			return
-		}
+		fl := m.Compile()
 		if fl.NumTrees() != m.NumTrees() || fl.NumFeatures() != m.NumFeatures() {
 			t.Fatal("compiled shape diverges from the source model")
 		}
-		checkCodes(t, "fuzzed model", m, fl)
+		checkCodes(t, "fuzzed model", m, nil)
 		probe, _ := synth(140, 0.2, uint64(probeSeed))
 		batch := make([][]float64, len(probe))
 		for i := range probe {
@@ -75,4 +72,39 @@ func FuzzFlatCompile(f *testing.F) {
 			}
 		}
 	})
+}
+
+// corpusBytes returns the first argument of a checked-in fuzz seed, a
+// []byte.
+func corpusBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arg, ok := strings.CutPrefix(strings.Split(string(raw), "\n")[1], "[]byte(")
+	s, err := strconv.Unquote(strings.TrimSuffix(arg, ")"))
+	if !ok || err != nil {
+		t.Fatalf("%s: its first argument is not a []byte: %v", path, err)
+	}
+	return []byte(s)
+}
+
+// TestFuzzSeedsReachAcceptPath: the checked-in seeds named for a valid model
+// are ones: they decode, so the fuzzers start from the accept path.
+func TestFuzzSeedsReachAcceptPath(t *testing.T) {
+	for _, seed := range []string{
+		"FuzzReadBinary/seed_valid_single_leaf",
+		"FuzzReadBinary/seed_split_tree",
+		"FuzzFlatCompile/seed_single_leaf",
+		"FuzzFlatCompile/seed_split_tree",
+		"FuzzFlatCompile/seed_repeats_zeros_ulps",
+	} {
+		data := corpusBytes(t, filepath.Join("testdata/fuzz", seed))
+		m, err := ReadBinary(data)
+		if err != nil {
+			t.Fatalf("%s: %v", seed, err)
+		}
+		checkAccepted(t, data, m)
+	}
 }

@@ -8,7 +8,8 @@
 // per-node gradient histograms are accumulated per feature (in parallel for
 // wide datasets) and the best bin boundary becomes the split. Split
 // thresholds are stored as raw feature values, so prediction needs no
-// binning state.
+// binning state; a finished model holds its trees only in the flat layout
+// (flat.go) that serves them and that model.gbt.bin stores.
 package gbt
 
 import (
@@ -94,14 +95,13 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// node is one tree node in the flattened representation.
+// node is one tree node while training grows it; pack lays the finished
+// trees out as the model's Flat.
 type node struct {
 	// feature < 0 marks a leaf; value holds the leaf weight.
 	feature int32
-	// bin is the split threshold in bin-code space (codes <= bin go left).
-	// Only populated by training — it lets boosting predict out-of-sample
-	// rows on uint8 bin codes — and is not serialized; models loaded from
-	// a file predict on raw thresholds only.
+	// bin is the split threshold in bin-code space (codes <= bin go left):
+	// it lets boosting predict out-of-sample rows on uint8 bin codes.
 	bin       int32
 	threshold float64
 	left      int32
@@ -109,30 +109,14 @@ type node struct {
 	value     float64
 }
 
-// tree is a regression tree.
+// tree is a regression tree being boosted.
 type tree struct {
 	nodes []node
 }
 
-// predict walks the tree for one row.
-func (t *tree) predict(row []float64) float64 {
-	i := int32(0)
-	for {
-		n := &t.nodes[i]
-		if n.feature < 0 {
-			return n.value
-		}
-		if row[n.feature] <= n.threshold {
-			i = n.left
-		} else {
-			i = n.right
-		}
-	}
-}
-
 // predictCoded walks the tree for one row of bin codes (rc[f] is the code
 // of feature f). Because code(edges, v) <= bin exactly when v <= edges[bin],
-// this lands in the same leaf as predict on the raw row.
+// this lands in the same leaf as a raw-threshold walk.
 func (t *tree) predictCoded(rc []uint8) float64 {
 	i := int32(0)
 	for {
@@ -148,36 +132,50 @@ func (t *tree) predictCoded(rc []uint8) float64 {
 	}
 }
 
-// Model is a trained gradient-boosted ensemble.
+// Model is a trained gradient-boosted ensemble. Its trees are held only in
+// the flat layout they are served and stored in.
 type Model struct {
-	params   Params
-	bias     float64
-	trees    []tree
-	nFeature int
+	params Params
 	// gain[f] accumulates the split gain attributed to feature f.
 	gain []float64
+	flat Flat
 }
 
 // Params returns the hyperparameters the model was trained with.
 func (m *Model) Params() Params { return m.params }
 
 // NumTrees returns the number of fitted trees.
-func (m *Model) NumTrees() int { return len(m.trees) }
+func (m *Model) NumTrees() int { return len(m.flat.roots) }
 
 // NumFeatures returns the feature-row width the model was trained on, so
 // callers (e.g. a serving registry) can validate inputs before Predict.
-func (m *Model) NumFeatures() int { return m.nFeature }
+func (m *Model) NumFeatures() int { return m.flat.nFeature }
 
 // Predict returns the prediction for one feature row.
 func (m *Model) Predict(row []float64) float64 {
-	if len(row) != m.nFeature {
-		panic(fmt.Sprintf("gbt: predict row has %d features, model trained on %d", len(row), m.nFeature))
+	f := &m.flat
+	if len(row) != f.nFeature {
+		panic(fmt.Sprintf("gbt: predict row has %d features, model trained on %d", len(row), f.nFeature))
 	}
-	s := m.bias
-	for i := range m.trees {
-		s += m.params.LearningRate * m.trees[i].predict(row)
+	s := f.bias
+	for _, root := range f.roots {
+		s += f.lr * f.leafFor(root, row)
 	}
 	return s
+}
+
+// leafFor walks the tree at root for one row on raw thresholds, the walk
+// the coded one is checked against, and returns the leaf's value.
+func (f *Flat) leafFor(root int32, row []float64) float64 {
+	i := root
+	for ft := f.feature[i]; ft >= 0; ft = f.feature[i] {
+		if row[ft] <= f.edges[ft][f.cut[i]] {
+			i = f.left[i]
+		} else {
+			i = f.right[i]
+		}
+	}
+	return f.leaf[i]
 }
 
 // FeatureImportance returns the total split gain per feature, normalized
@@ -241,16 +239,17 @@ func FitBinned(p Params, bd *Binned, y []float64) (*Model, []float64, error) {
 		return nil, nil, err
 	}
 	n, nf := bd.nRows, bd.nCols
-	m := &Model{params: p, nFeature: nf, gain: make([]float64, nf)}
-	m.bias = mean(y)
+	gain := make([]float64, nf)
+	bias := mean(y)
 
 	pred := make([]float64, n)
 	for i := range pred {
-		pred[i] = m.bias
+		pred[i] = bias
 	}
 	resid := make([]float64, n)
 	r := rng.New(p.Seed)
-	builder := newTreeBuilder(bd, p, m.gain)
+	builder := newTreeBuilder(bd, p, gain)
+	trees := make([]tree, 0, p.NumTrees)
 
 	fullRows := p.Subsample >= 1
 	idx := make([]int32, n)
@@ -268,7 +267,7 @@ func FitBinned(p Params, bd *Binned, y []float64) (*Model, []float64, error) {
 		rowsIdx := sampleRows(idx, p.Subsample, r)
 		cols := sampleCols(&colBuf, nf, p.ColSample, r)
 		tr, leaves := builder.build(rowsIdx, cols, resid, fullRows)
-		m.trees = append(m.trees, tr)
+		trees = append(trees, tr)
 		// Update predictions over ALL rows (not just the subsample):
 		// in-sample rows straight from the leaf partition of the index
 		// buffer, out-of-sample rows by walking the tree on bin codes.
@@ -292,6 +291,10 @@ func FitBinned(p Params, bd *Binned, y []float64) (*Model, []float64, error) {
 				}
 			}
 		}
+	}
+	m, err := pack(p, bias, nf, gain, trees)
+	if err != nil {
+		return nil, nil, err
 	}
 	return m, pred, nil
 }

@@ -21,26 +21,27 @@ const predictChunk = 128
 
 // PredictAll predicts every row.
 func (m *Model) PredictAll(rows [][]float64) []float64 {
+	f := &m.flat
 	out := make([]float64, len(rows))
 	if len(rows) == 0 {
 		return out
 	}
 	for i, r := range rows {
-		if len(r) != m.nFeature {
-			panic(fmt.Sprintf("gbt: predict row has %d features, model trained on %d", len(r), m.nFeature))
+		if len(r) != f.nFeature {
+			panic(fmt.Sprintf("gbt: predict row has %d features, model trained on %d", len(r), f.nFeature))
 		}
-		out[i] = m.bias
+		out[i] = f.bias
 	}
 	parallelChunks(len(rows), predictChunk, func(lo, hi int) {
-		m.predictBlock(rows, out, lo, hi)
+		f.predictBlockRaw(rows, out, lo, hi)
 	})
 	return out
 }
 
-// predictBlock accumulates all trees over rows [lo,hi) into out, walking
-// chunk-by-chunk with the tree loop outermost within each chunk.
-func (m *Model) predictBlock(rows [][]float64, out []float64, lo, hi int) {
-	lr := m.params.LearningRate
+// predictBlockRaw accumulates all trees over rows [lo,hi) into out on raw
+// thresholds, walking chunk-by-chunk with the tree loop outermost within
+// each chunk.
+func (f *Flat) predictBlockRaw(rows [][]float64, out []float64, lo, hi int) {
 	for clo := lo; clo < hi; clo += predictChunk {
 		chi := clo + predictChunk
 		if chi > hi {
@@ -48,10 +49,9 @@ func (m *Model) predictBlock(rows [][]float64, out []float64, lo, hi int) {
 		}
 		chunk := rows[clo:chi]
 		acc := out[clo:chi]
-		for t := range m.trees {
-			tr := &m.trees[t]
+		for _, root := range f.roots {
 			for i, r := range chunk {
-				acc[i] += lr * tr.predict(r)
+				acc[i] += f.lr * f.leafFor(root, r)
 			}
 		}
 	}
@@ -68,8 +68,9 @@ func (m *Model) PredictStages(rows [][]float64, stages []int) ([][]float64, erro
 	if !sort.IntsAreSorted(stages) {
 		return nil, fmt.Errorf("gbt: stages %v not ascending", stages)
 	}
-	if len(stages) > 0 && (stages[0] < 0 || stages[len(stages)-1] > len(m.trees)) {
-		return nil, fmt.Errorf("gbt: stages %v out of [0,%d]", stages, len(m.trees))
+	f := &m.flat
+	if len(stages) > 0 && (stages[0] < 0 || stages[len(stages)-1] > len(f.roots)) {
+		return nil, fmt.Errorf("gbt: stages %v out of [0,%d]", stages, len(f.roots))
 	}
 	out := make([][]float64, len(stages))
 	for s := range out {
@@ -79,11 +80,10 @@ func (m *Model) PredictStages(rows [][]float64, stages []int) ([][]float64, erro
 		return out, nil
 	}
 	for _, r := range rows {
-		if len(r) != m.nFeature {
-			panic(fmt.Sprintf("gbt: predict row has %d features, model trained on %d", len(r), m.nFeature))
+		if len(r) != f.nFeature {
+			panic(fmt.Sprintf("gbt: predict row has %d features, model trained on %d", len(r), f.nFeature))
 		}
 	}
-	lr := m.params.LearningRate
 	parallelChunks(len(rows), predictChunk, func(lo, hi int) {
 		acc := make([]float64, predictChunk)
 		for clo := lo; clo < hi; clo += predictChunk {
@@ -94,17 +94,16 @@ func (m *Model) PredictStages(rows [][]float64, stages []int) ([][]float64, erro
 			chunk := rows[clo:chi]
 			a := acc[:len(chunk)]
 			for i := range a {
-				a[i] = m.bias
+				a[i] = f.bias
 			}
 			next := 0
 			for next < len(stages) && stages[next] == 0 {
 				copy(out[next][clo:chi], a)
 				next++
 			}
-			for t := 0; t < len(m.trees) && next < len(stages); t++ {
-				tr := &m.trees[t]
+			for t := 0; t < len(f.roots) && next < len(stages); t++ {
 				for i, r := range chunk {
-					a[i] += lr * tr.predict(r)
+					a[i] += f.lr * f.leafFor(f.roots[t], r)
 				}
 				for next < len(stages) && stages[next] == t+1 {
 					copy(out[next][clo:chi], a)

@@ -132,7 +132,7 @@ func BumpVersion(root, system string) (int, error) {
 	if highest == 0 {
 		return 0, fmt.Errorf("serve: bump found no versions under %s", sysDir)
 	}
-	mv, err := loadVersionDir(filepath.Join(sysDir, fmt.Sprintf("v%d", highest)), system)
+	mv, err := loadVersionDir(filepath.Join(sysDir, fmt.Sprintf("v%d", highest)), system, new([2][]byte))
 	if err != nil {
 		return 0, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -40,7 +41,7 @@ func TestSavedBundleLoadsBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		dir := filepath.Join(root, mv.System, fmt.Sprintf("v%d", mv.Version))
-		back, err := loadVersionDir(dir, mv.System)
+		back, err := loadVersionDir(dir, mv.System, new([2][]byte))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,6 +81,55 @@ func TestSavedBundleLoadsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestLoadKeepsNoReadBuffer: a load reads the manifest and model into one
+// buffer and the reference and members into another. Overwriting both after
+// the load leaves everything the bundle holds and predicts bit-identical to
+// a load through fresh buffers, so no decoder kept a slice of either.
+func TestLoadKeepsNoReadBuffer(t *testing.T) {
+	frame, _, v2 := fixture(t)
+	root := t.TempDir()
+	if err := SaveVersion(root, v2); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(root, "theta", "v2")
+	bufs := new([2][]byte)
+	mv, err := loadVersionDir(dir, "theta", bufs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bufs[0]) == 0 || len(bufs[1]) == 0 {
+		t.Fatalf("buffers of %d and %d bytes: the load did not read through them", len(bufs[0]), len(bufs[1]))
+	}
+	for _, b := range bufs {
+		for i := range b[:cap(b)] {
+			b[:cap(b)][i] = 0xa5
+		}
+	}
+	fresh, err := loadVersionDir(dir, "theta", new([2][]byte))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSameReference(t, mv.Reference, fresh.Reference)
+	if !reflect.DeepEqual(mv.Scaler, fresh.Scaler) || !reflect.DeepEqual(mv.Columns, fresh.Columns) {
+		t.Fatal("scaler or columns changed with the buffers")
+	}
+	rows := frame.Rows()
+	scaled := make([][]float64, len(rows))
+	for i, row := range rows {
+		scaled[i] = make([]float64, len(row))
+		if err := mv.Scaler.TransformRow(row, scaled[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, want := mv.Flat().PredictAll(rows), fresh.Flat().PredictAll(rows)
+	gotEU, wantEU := mv.Ensemble.PredictBatch(scaled), fresh.Ensemble.PredictBatch(scaled)
+	for i := range rows {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) || gotEU[i] != wantEU[i] {
+			t.Fatalf("row %d: %v and %+v after the buffers were overwritten, %v and %+v loaded fresh", i, got[i], gotEU[i], want[i], wantEU[i])
+		}
+	}
+}
+
 // checkSameReference: equal histograms, cut for cut by bit pattern.
 func checkSameReference(t *testing.T, got, want []FeatureHist) {
 	t.Helper()
@@ -106,7 +156,7 @@ func TestReferenceFileAtTheRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(root, "theta", "v1")
-	good, err := readManifest(dir)
+	good, err := readManifest(dir, new([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +171,7 @@ func TestReferenceFileAtTheRegistry(t *testing.T) {
 		bad := good
 		bad.ReferenceFile = &artifactRef{Name: c.ref}
 		sealManifest(t, dir, bad)
-		if _, err := loadVersionDir(dir, "theta"); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := loadVersionDir(dir, "theta", new([2][]byte)); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want an error naming %q", name, err, c.want)
 		}
 	}
@@ -129,7 +179,7 @@ func TestReferenceFileAtTheRegistry(t *testing.T) {
 	if _, err := BumpVersion(root, "theta"); err != nil {
 		t.Fatal(err)
 	}
-	bumped, err := loadVersionDir(filepath.Join(root, "theta", "v2"), "theta")
+	bumped, err := loadVersionDir(filepath.Join(root, "theta", "v2"), "theta", new([2][]byte))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +192,7 @@ func TestReferenceFileAtTheRegistry(t *testing.T) {
 func TestHandWrittenBundlesLoad(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "v1")
 	writeBundle(t, dir, fuzzManifest(), map[string][]byte{gbtModelName: fuzzModel(t)})
-	mv, err := loadVersionDir(dir, "theta")
+	mv, err := loadVersionDir(dir, "theta", new([2][]byte))
 	if err != nil {
 		t.Fatalf("hand-written bundle refused: %v", err)
 	}
@@ -163,20 +213,16 @@ func TestHandWrittenBundlesLoad(t *testing.T) {
 }
 
 // TestUnquantizableBundleIsRefused: a gbt artifact with 256 distinct
-// thresholds on one feature decodes, but the flat walk cannot code its
-// cuts, so loadVersionDir and Registry.Add both refuse it with gbt's error.
+// thresholds on one feature cannot be coded by the flat walk, so
+// gbt.ReadBinary refuses it, and loadVersionDir with it, with gbt's error.
 // Its 255-threshold twin loads.
 func TestUnquantizableBundleIsRefused(t *testing.T) {
 	for _, n := range []int{255, 256} {
 		dir := filepath.Join(t.TempDir(), "v1")
 		writeBundle(t, dir, fuzzManifest(), map[string][]byte{gbtModelName: stumpsModel(t, n)})
-		_, loadErr := loadVersionDir(dir, "theta")
-		model, err := gbt.ReadBinary(stumpsModel(t, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		addErr := NewRegistry().Add(&ModelVersion{System: "theta", Version: 1, Columns: []string{"a", "b"}, Model: model})
-		for name, err := range map[string]error{"loadVersionDir": loadErr, "Registry.Add": addErr} {
+		_, loadErr := loadVersionDir(dir, "theta", new([2][]byte))
+		_, readErr := gbt.ReadBinary(stumpsModel(t, n))
+		for name, err := range map[string]error{"loadVersionDir": loadErr, "gbt.ReadBinary": readErr} {
 			if n == 255 && err != nil {
 				t.Errorf("%s refused 255 thresholds: %v", name, err)
 			}
@@ -190,10 +236,10 @@ func TestUnquantizableBundleIsRefused(t *testing.T) {
 // TestLoadErrorPrecedence: loadVersionDir decodes the model on the calling
 // goroutine and the guard's artifacts on a second one, yet a bundle with two
 // bad artifacts is refused for the one a serial load reaches first — the
-// model, then the reference, then the members in order — and a bad member
-// before a model the flat walk cannot code. The refusal is exactly the one
-// the bundle gives with only that artifact bad. CI runs it under -race,
-// twenty times.
+// model, then the reference, then the members in order. A model the flat
+// walk cannot code is a model decode error, so it comes before a bad
+// member. The refusal is exactly the one the bundle gives with only that
+// artifact bad. CI runs it under -race, twenty times.
 func TestLoadErrorPrecedence(t *testing.T) {
 	_, _, v2 := fixture(t)
 	staged := t.TempDir()
@@ -223,7 +269,7 @@ func TestLoadErrorPrecedence(t *testing.T) {
 			}
 		}
 		repin(t, dir, nil)
-		mv, err := loadVersionDir(dir, "theta")
+		mv, err := loadVersionDir(dir, "theta", new([2][]byte))
 		if err == nil || mv != nil {
 			t.Fatalf("%d bad artifacts accepted", len(bad))
 		}
@@ -233,12 +279,12 @@ func TestLoadErrorPrecedence(t *testing.T) {
 		"corrupt model and member":     {gbtModelName, member(1)},
 		"corrupt reference and member": {referenceName, member(0)},
 		"corrupt members 0 and 2":      {member(0), member(2)},
-		"bad member, unquantizable":    {member(2), gbtModelName},
+		"bad member, unquantizable":    {gbtModelName, member(2)},
 	} {
 		t.Run(name, func(t *testing.T) {
 			bad := map[string][]byte{c.first: flipped(c.first), c.second: flipped(c.second)}
-			if c.second == gbtModelName {
-				bad[c.second] = unquantizable
+			if name == "bad member, unquantizable" {
+				bad[gbtModelName] = unquantizable
 			}
 			root := t.TempDir()
 			want := load(root, map[string][]byte{c.first: bad[c.first]})
@@ -256,10 +302,30 @@ func TestLoadErrorPrecedence(t *testing.T) {
 // sealed — JSON text beside binary artifacts, or beside JSON models with its
 // histograms inline — is refused at startup and by a reload poll, with an
 // error that says how to get a loadable bundle, and the registry keeps
-// serving what it had.
+// serving what it had. So is a sealed bundle whose model is a version-1
+// gbt artifact, from before the model was stored in its flat layout.
 func TestLegacyBundlesAreRefused(t *testing.T) {
 	model := fuzzModel(t)
+	// fuzzModel as version 1 wrote it: a header without edge_lens, the gain,
+	// and its leaf as a 28-byte node (feature -1, links, threshold, value).
+	b, err := modelfile.Begin("IOTAXGBT", json.RawMessage(`{"version":1,"params":{"NumTrees":1,"MaxDepth":1,"LearningRate":0.1,`+
+		`"Subsample":1,"ColSample":1,"MinChildWeight":1,"Lambda":1,"NumBins":2,"Seed":1},"bias":0.5,"n_feature":2,"tree_lens":[1]}`), 16+28)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = binary.LittleEndian.AppendUint32(modelfile.AppendFloat64s(b, []float64{0, 0}), math.MaxUint32)
+	v1Model := modelfile.Seal(modelfile.AppendFloat64s(append(b, make([]byte, 16)...), []float64{0.25}))
+	staged := t.TempDir()
+	if err := os.WriteFile(filepath.Join(staged, gbtModelName), v1Model, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	v2 := fuzzManifest()
+	v2.Version = 2
 	for name, files := range map[string]map[string]string{
+		"sealed manifest, version-1 model": {
+			manifestName: string(sealedManifest(t, staged, v2)),
+			gbtModelName: string(v1Model),
+		},
 		"JSON manifest, binary model": {
 			manifestName: `{"system":"theta","version":2,"columns":["a","b"],"model":"model.gbt.bin","guard":{"eu_threshold":0.5}}`,
 			gbtModelName: string(model),
@@ -287,7 +353,7 @@ func TestLegacyBundlesAreRefused(t *testing.T) {
 			_, loadErr := LoadRegistry(root)
 			_, pollErr := rel.Poll()
 			for _, err := range []error{loadErr, pollErr} {
-				if err == nil || !strings.Contains(err.Error(), "predates the sealed bundle format") || !strings.Contains(err.Error(), "SaveVersion") {
+				if err == nil || !strings.Contains(err.Error(), "predates this build's bundle format") || !strings.Contains(err.Error(), "SaveVersion") {
 					t.Errorf("legacy bundle: got %v, want the re-save advice", err)
 				}
 			}
@@ -436,7 +502,7 @@ func TestManifestDetectsEveryFlipAndTruncation(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		mv, err := loadVersionDir(dir, "theta")
+		mv, err := loadVersionDir(dir, "theta", new([2][]byte))
 		if err == nil || mv != nil {
 			return fmt.Errorf("accepted")
 		}
@@ -459,7 +525,7 @@ func TestManifestDetectsEveryFlipAndTruncation(t *testing.T) {
 	if err := os.WriteFile(path, good, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadVersionDir(dir, "theta"); err != nil {
+	if _, err := loadVersionDir(dir, "theta", new([2][]byte)); err != nil {
 		t.Fatalf("the untouched manifest is refused: %v", err)
 	}
 }
@@ -483,7 +549,7 @@ func BenchmarkLoadVersionDir(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := loadVersionDir(dir, mv.System); err != nil {
+			if _, err := loadVersionDir(dir, mv.System, new([2][]byte)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -89,3 +89,20 @@ func oodRow(row []float64) []float64 {
 	}
 	return out
 }
+
+// derive returns a field-wise copy of mv with a fresh cache number — how a
+// test builds a variant bundle (ModelVersion itself must not be copied by
+// value: it embeds an atomic).
+func (mv *ModelVersion) derive() *ModelVersion {
+	return &ModelVersion{
+		System:    mv.System,
+		Version:   mv.Version,
+		Columns:   mv.Columns,
+		Model:     mv.Model,
+		Ensemble:  mv.Ensemble,
+		Scaler:    mv.Scaler,
+		Guard:     mv.Guard,
+		TrainedOn: mv.TrainedOn,
+		Reference: mv.Reference,
+	}
+}

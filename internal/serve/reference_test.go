@@ -134,7 +134,7 @@ func TestReferenceCountOverflowIsRefused(t *testing.T) {
 	load := func(counts ...uint64) (*ModelVersion, error) {
 		ref := []FeatureHist{{Name: "a", Cuts: []float64{1}, Counts: counts}}
 		writeBundle(t, dir, m, map[string][]byte{gbtModelName: fuzzModel(t), referenceName: referenceBinary(t, ref)})
-		return loadVersionDir(dir, "theta")
+		return loadVersionDir(dir, "theta", new([2][]byte))
 	}
 	if _, err := load(math.MaxUint64, 2); err == nil || !strings.Contains(err.Error(), "overflow") {
 		t.Errorf("got %v, want the overflow refused", err)

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -104,57 +105,19 @@ type ModelVersion struct {
 	// required for drift monitoring, see internal/drift).
 	Reference []FeatureHist
 
-	// flat caches the compiled inference engine for Model (flatErr: why it
-	// has none). It is built at most once per bundle, by validate or Flat(),
-	// and shared by every request the bundle serves. Guarded by flatOnce, so
-	// ModelVersion must not be copied by value — all users hold pointers.
-	flatOnce sync.Once
-	flat     *gbt.Flat
-	flatErr  error
-
 	// cacheID is the number the duplicate cache knows this bundle by (see
-	// bundleID in cache.go); 0 until first cached under.
+	// bundleID in cache.go); 0 until first cached under. It is atomic, so
+	// ModelVersion must not be copied by value — all users hold pointers.
 	cacheID atomic.Uint64
 }
 
-// Flat returns the bundle's compiled inference engine, building it on
-// first use. Predictions are bit-identical to Model.PredictAll (pinned by
-// the gbt equivalence suite), so the serving path always walks the
-// flattened representation. It panics with the compile error, which only a
-// bundle that skipped validate can reach.
-func (mv *ModelVersion) Flat() *gbt.Flat {
-	if err := mv.compile(); err != nil {
-		panic(err)
-	}
-	return mv.flat
-}
+// Flat returns the bundle's inference engine: the model's own flat layout,
+// which is what its artifact stores, so there is nothing to compile.
+// Predictions are bit-identical to Model.PredictAll (pinned by the gbt
+// equivalence suite).
+func (mv *ModelVersion) Flat() *gbt.Flat { return mv.Model.Compile() }
 
-// compile builds the flat engine once and returns Compile's refusal, if any.
-func (mv *ModelVersion) compile() error {
-	mv.flatOnce.Do(func() { mv.flat, mv.flatErr = mv.Model.Compile() })
-	return mv.flatErr
-}
-
-// derive returns a field-wise copy of mv with a fresh compilation slot —
-// the sanctioned way to build a variant bundle (ModelVersion itself must
-// not be copied by value: it embeds the compile-once guard).
-func (mv *ModelVersion) derive() *ModelVersion {
-	return &ModelVersion{
-		System:    mv.System,
-		Version:   mv.Version,
-		Columns:   mv.Columns,
-		Model:     mv.Model,
-		Ensemble:  mv.Ensemble,
-		Scaler:    mv.Scaler,
-		Guard:     mv.Guard,
-		TrainedOn: mv.TrainedOn,
-		Reference: mv.Reference,
-	}
-}
-
-// validate cross-checks the bundle's internal consistency, then compiles
-// its flat engine: registration and the load paths hand on a bundle whose
-// first request pays no compilation.
+// validate cross-checks the bundle's internal consistency.
 func (mv *ModelVersion) validate() error {
 	if mv.System == "" {
 		return fmt.Errorf("serve: model version has no system name")
@@ -182,9 +145,6 @@ func (mv *ModelVersion) validate() error {
 		}
 	}
 	if err := validateReference(mv.Reference, mv.Columns); err != nil {
-		return fmt.Errorf("serve: model %s v%d: %w", mv.System, mv.Version, err)
-	}
-	if err := mv.compile(); err != nil {
 		return fmt.Errorf("serve: model %s v%d: %w", mv.System, mv.Version, err)
 	}
 	return nil
@@ -597,10 +557,11 @@ func walkVersionDirs(root string, unlisted func(system string, err error) error,
 // is an error — a serving fleet must not come up with a partial model set.
 func LoadRegistry(root string) (*Registry, error) {
 	reg := NewRegistry()
+	var bufs [2][]byte // every version's loads reuse them
 	err := walkVersionDirs(root, func(system string, err error) error {
 		return fmt.Errorf("serve: reading %s: %w", filepath.Join(root, system), err)
 	}, func(system string, _ int, dir string) error {
-		mv, err := loadVersionDir(dir, system)
+		mv, err := loadVersionDir(dir, system, &bufs)
 		if err != nil {
 			return err
 		}
@@ -616,9 +577,13 @@ func LoadRegistry(root string) (*Registry, error) {
 	return reg, nil
 }
 
-// loadVersionDir loads one bundle directory.
-func loadVersionDir(dir, wantSystem string) (*ModelVersion, error) {
-	m, err := readManifest(dir)
+// loadVersionDir loads one bundle directory, reading through bufs, one
+// read buffer per loading goroutine: bufs[0] holds the manifest and then the
+// model on the calling goroutine, bufs[1] the reference and then each member
+// on the guard's. Every decoder copies what it keeps, so the bundle holds no
+// slice of either, and the next load may reuse them.
+func loadVersionDir(dir, wantSystem string, bufs *[2][]byte) (*ModelVersion, error) {
+	m, err := readManifest(dir, &bufs[0])
 	if err != nil {
 		return nil, err
 	}
@@ -640,13 +605,13 @@ func loadVersionDir(dir, wantSystem string) (*ModelVersion, error) {
 		TrainedOn: m.TrainedOn,
 	}
 	// The guard's artifacts decode on a second goroutine while this one
-	// decodes the model and compiles its flat engine (validate reports a
-	// compile refusal in its place). Errors keep the serial order: the
-	// model's first, then the reference, each member and the scaler.
+	// decodes the model. Errors keep the serial order: the model's first,
+	// then the reference, each member and the scaler.
 	guardErr := make(chan error, 1)
-	go func() { guardErr <- loadGuardArtifacts(dir, m, mv) }()
-	if mv.Model, err = readArtifact(dir, m.Model, gbt.ReadBinary); err == nil {
-		_ = mv.compile()
+	go func() { guardErr <- loadGuardArtifacts(dir, m, mv, &bufs[1]) }()
+	mv.Model, err = readArtifact(dir, m.Model, &bufs[0], gbt.ReadBinary)
+	if errors.Is(err, gbt.ErrLegacyFormat) {
+		err = fmt.Errorf("%w: %s", err, resave)
 	}
 	if gerr := <-guardErr; err == nil {
 		err = gerr
@@ -664,10 +629,11 @@ func loadVersionDir(dir, wantSystem string) (*ModelVersion, error) {
 }
 
 // loadGuardArtifacts decodes what m names besides the model into mv: the
-// reference, the ensemble members and the scaler, in that order.
-func loadGuardArtifacts(dir string, m manifest, mv *ModelVersion) (err error) {
+// reference, the ensemble members and the scaler, in that order, reading
+// each file into buf.
+func loadGuardArtifacts(dir string, m manifest, mv *ModelVersion, buf *[]byte) (err error) {
 	if m.ReferenceFile != nil {
-		if mv.Reference, err = readArtifact(dir, *m.ReferenceFile, readReference); err != nil {
+		if mv.Reference, err = readArtifact(dir, *m.ReferenceFile, buf, readReference); err != nil {
 			return err
 		}
 	}
@@ -676,7 +642,7 @@ func loadGuardArtifacts(dir string, m manifest, mv *ModelVersion) (err error) {
 	}
 	ens := &uq.Ensemble{}
 	for _, ref := range m.Ensemble {
-		member, err := readArtifact(dir, ref, nn.ReadBinary)
+		member, err := readArtifact(dir, ref, buf, nn.ReadBinary)
 		if err != nil {
 			return err
 		}
@@ -689,16 +655,21 @@ func loadGuardArtifacts(dir string, m manifest, mv *ModelVersion) (err error) {
 	return nil
 }
 
-// readManifest opens dir's manifest: the checksum first, then a canonical
-// header, then a body holding exactly the scaler the header implies.
-func readManifest(dir string) (m manifest, err error) {
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+// resave is the advice a bundle written in a format this build no longer
+// reads is refused with.
+const resave = "the bundle predates this build's bundle format; re-save it with SaveVersion (ioserve -bootstrap writes a fresh registry)"
+
+// readManifest opens dir's manifest, read into buf: the checksum first,
+// then a canonical header, then a body holding exactly the scaler the
+// header implies.
+func readManifest(dir string, buf *[]byte) (m manifest, err error) {
+	raw, err := readFileInto(filepath.Join(dir, manifestName), buf)
 	if err != nil {
 		return m, fmt.Errorf("serve: reading manifest in %s: %w", dir, err)
 	}
 	body, err := modelfile.Open(manifestMagic, raw, &m)
 	if err != nil && !bytes.HasPrefix(raw, []byte(manifestMagic)) {
-		err = fmt.Errorf("%w: the bundle predates the sealed bundle format; re-save it with SaveVersion (ioserve -bootstrap writes a fresh registry)", err)
+		err = fmt.Errorf("%w: %s", err, resave)
 	}
 	if err != nil {
 		return m, fmt.Errorf("serve: manifest in %s: %w", dir, err)
@@ -715,16 +686,32 @@ func readManifest(dir string) (m manifest, err error) {
 	return m, nil
 }
 
-// readArtifact reads the bundle file ref names whole — its size is known, so
-// in one allocation — refuses it unless its checksum trailer is the one the
-// manifest pins, and decodes it. Manifests are untrusted, so the name is
-// confined to the version directory: "../../etc/x" must not escape it.
-func readArtifact[M any](dir string, ref artifactRef, decode func([]byte) (M, error)) (m M, err error) {
+// readFileInto reads the file at path whole into *buf, grown to the file's
+// size when short, and returns those bytes.
+func readFileInto(path string, buf *[]byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err == nil {
+		*buf = slices.Grow((*buf)[:0], int(st.Size()))[:st.Size()]
+		_, err = io.ReadFull(f, *buf)
+	}
+	return *buf, err
+}
+
+// readArtifact reads the bundle file ref names whole into buf, refuses it
+// unless its checksum trailer is the one the manifest pins, and decodes it.
+// Manifests are untrusted, so the name is confined to the version
+// directory: "../../etc/x" must not escape it.
+func readArtifact[M any](dir string, ref artifactRef, buf *[]byte, decode func([]byte) (M, error)) (m M, err error) {
 	if ref.Name == "" || !filepath.IsLocal(ref.Name) {
 		return m, fmt.Errorf("serve: manifest in %s references non-local artifact path %q", dir, ref.Name)
 	}
 	path := filepath.Join(dir, ref.Name)
-	raw, err := os.ReadFile(path)
+	raw, err := readFileInto(path, buf)
 	if err != nil {
 		return m, fmt.Errorf("serve: reading artifact: %w", err)
 	}

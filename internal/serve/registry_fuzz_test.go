@@ -4,33 +4,66 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"iotaxo/internal/modelfile"
 )
 
-// fuzzModelHeader is the header of a minimal valid gbt artifact: one
-// single-leaf tree over two features.
-const fuzzModelHeader = `{"version":1,"params":{"NumTrees":1,"MaxDepth":1,"LearningRate":0.1,` +
-	`"Subsample":1,"ColSample":1,"MinChildWeight":1,"Lambda":1,"NumBins":2,"Seed":1},` +
-	`"bias":0.5,"n_feature":2,"tree_lens":[1]}`
+// gbtNode is one node of a hand-laid-out gbt artifact: feature (-1 for a
+// leaf), tree-local child links, cut into its feature's thresholds, and a
+// leaf's value.
+type gbtNode struct {
+	feature     int32
+	left, right uint32
+	cut         uint8
+	leaf        float64
+}
 
-// fuzzModel is that artifact: gain 0, 0 and a leaf of 0.25, so it predicts
-// 0.5 + 0.1·0.25 on any row.
-func fuzzModel(t testing.TB) []byte {
+// gbtArtifact lays a model out and writes it as gbt.WriteBinary would: the
+// header's params and bias are those of a one-tree, two-bin model with
+// learning rate 0.1 and bias 0.5, n_feature is len(edges), the gain is all
+// zeros and edges[f] are feature f's thresholds. It writes any layout,
+// including ones ReadBinary refuses.
+func gbtArtifact(t testing.TB, edges [][]float64, trees ...[]gbtNode) []byte {
 	t.Helper()
-	b, err := modelfile.Begin("IOTAXGBT", json.RawMessage(fuzzModelHeader), 2*8+28)
+	treeLens, edgeLens := make([]string, len(trees)), make([]string, len(edges))
+	size := 8 * len(edges)
+	for i, tr := range trees {
+		treeLens[i], size = fmt.Sprint(len(tr)), size+21*len(tr)
+	}
+	for f, e := range edges {
+		edgeLens[f], size = fmt.Sprint(len(e)), size+8*len(e)
+	}
+	header := fmt.Sprintf(`{"version":2,"params":{"NumTrees":%d,"MaxDepth":1,"LearningRate":0.1,`+
+		`"Subsample":1,"ColSample":1,"MinChildWeight":1,"Lambda":1,"NumBins":2,"Seed":1},`+
+		`"bias":0.5,"n_feature":%d,"tree_lens":[%s],"edge_lens":[%s]}`,
+		len(trees), len(edges), strings.Join(treeLens, ","), strings.Join(edgeLens, ","))
+	b, err := modelfile.Begin("IOTAXGBT", json.RawMessage(header), size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b = modelfile.AppendFloat64s(b, []float64{0, 0})
-	b = binary.LittleEndian.AppendUint32(b, math.MaxUint32) // feature -1: a leaf
-	b = append(b, make([]byte, 4+4+8)...)                   // left, right, threshold
-	return modelfile.Seal(modelfile.AppendFloat64s(b, []float64{0.25}))
+	b = modelfile.AppendFloat64s(b, make([]float64, len(edges)))
+	for _, e := range edges {
+		b = modelfile.AppendFloat64s(b, e)
+	}
+	le := binary.LittleEndian
+	for _, tr := range trees {
+		for _, n := range tr {
+			b = append(le.AppendUint32(le.AppendUint32(le.AppendUint32(b, uint32(n.feature)), n.left), n.right), n.cut)
+			b = modelfile.AppendFloat64s(b, []float64{n.leaf})
+		}
+	}
+	return modelfile.Seal(b)
+}
+
+// fuzzModel is a minimal valid gbt artifact: one single-leaf tree of 0.25
+// over two features, so it predicts 0.5 + 0.1·0.25 on any row.
+func fuzzModel(t testing.TB) []byte {
+	return gbtArtifact(t, make([][]float64, 2), []gbtNode{{feature: -1, leaf: 0.25}})
 }
 
 // stumpsModel is a gbt artifact over fuzzManifest's two columns with n
@@ -40,26 +73,13 @@ func stumpsModel(t testing.TB, n int) []byte { return stumpsOver(t, n, 2) }
 
 // stumpsOver is stumpsModel over a schema of features columns.
 func stumpsOver(t testing.TB, n, features int) []byte {
-	t.Helper()
-	lens := strings.TrimSuffix(strings.Repeat("3,", n), ",")
-	header := strings.NewReplacer(`"NumTrees":1`, fmt.Sprintf(`"NumTrees":%d`, n),
-		`"n_feature":2`, fmt.Sprintf(`"n_feature":%d`, features), `"tree_lens":[1]`, `"tree_lens":[`+lens+`]`).Replace(fuzzModelHeader)
-	b, err := modelfile.Begin("IOTAXGBT", json.RawMessage(header), 8*features+3*28*n)
-	if err != nil {
-		t.Fatal(err)
+	edges := make([][]float64, features)
+	trees := make([][]gbtNode, n)
+	for k := range n {
+		edges[0] = append(edges[0], float64(k))
+		trees[k] = []gbtNode{{left: 1, right: 2, cut: uint8(k)}, {feature: -1, leaf: 0.25}, {feature: -1, leaf: -0.25}}
 	}
-	b = modelfile.AppendFloat64s(b, make([]float64, features))
-	le := binary.LittleEndian
-	for k := 0; k < n; k++ {
-		b = le.AppendUint32(le.AppendUint32(le.AppendUint32(b, 0), 1), 2) // column 0, children 1 and 2
-		b = modelfile.AppendFloat64s(b, []float64{float64(k), 0})
-		for _, v := range []float64{0.25, -0.25} {
-			b = le.AppendUint32(b, math.MaxUint32) // a leaf
-			b = append(b, make([]byte, 4+4)...)
-			b = modelfile.AppendFloat64s(b, []float64{0, v})
-		}
-	}
-	return modelfile.Seal(b)
+	return gbtArtifact(t, edges, trees...)
 }
 
 // fuzzManifest matches fuzzModel: two columns, no ensemble.
@@ -101,7 +121,7 @@ func sealManifest(t testing.TB, dir string, m manifest) {
 // its checksum, or one re-pinned to an artifact a test has edited.
 func repin(t testing.TB, dir string, edit func(m *manifest)) {
 	t.Helper()
-	m, err := readManifest(dir)
+	m, err := readManifest(dir, new([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +247,7 @@ func FuzzLoadVersionDir(f *testing.F) {
 			if err := os.WriteFile(filepath.Join(dir, manifestName), manifestRaw, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			mv, err := loadVersionDir(dir, "theta")
+			mv, err := loadVersionDir(dir, "theta", new([2][]byte))
 			if err != nil {
 				if mv != nil {
 					t.Fatal("loadVersionDir returned a bundle alongside an error")
@@ -254,4 +274,35 @@ func FuzzLoadVersionDir(f *testing.F) {
 		}
 		try(repinned(manifestRaw, dir))
 	})
+}
+
+// TestFuzzSeedsReachAcceptPath: the checked-in FuzzLoadVersionDir seeds
+// named for a valid bundle are ones, laid out as the fuzz target lays them
+// out, so the fuzzer starts from the accept path.
+func TestFuzzSeedsReachAcceptPath(t *testing.T) {
+	refBin := referenceBinary(t, []FeatureHist{{Name: "a", Cuts: []float64{1}, Counts: []uint64{3, 4}}})
+	for _, seed := range []string{"seed_valid", "seed_valid_binary"} {
+		raw, err := os.ReadFile(filepath.Join("testdata/fuzz/FuzzLoadVersionDir", seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(raw), "\n")
+		var args [2][]byte
+		for i := range args {
+			arg, _ := strings.CutPrefix(lines[1+i], "[]byte(")
+			s, err := strconv.Unquote(strings.TrimSuffix(arg, ")"))
+			if err != nil {
+				t.Fatalf("%s: argument %d: %v", seed, i, err)
+			}
+			args[i] = []byte(s)
+		}
+		dir := filepath.Join(t.TempDir(), "v1")
+		writeBundle(t, dir, fuzzManifest(), map[string][]byte{gbtModelName: args[1], referenceName: refBin})
+		if err := os.WriteFile(filepath.Join(dir, manifestName), args[0], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadVersionDir(dir, "theta", new([2][]byte)); err != nil {
+			t.Errorf("%s: %v", seed, err)
+		}
+	}
 }

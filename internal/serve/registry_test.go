@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -129,7 +130,16 @@ func TestLoadRegistryRejectsTamperedModel(t *testing.T) {
 	// model and re-pin the manifest: the hardened decoder must still refuse
 	// it, and the registry must refuse to come up partially.
 	hlen := int(binary.LittleEndian.Uint32(good[8:]))
-	left := 12 + hlen + 8*len(v1.Columns) + 4
+	var h struct {
+		EdgeLens []int `json:"edge_lens"`
+	}
+	if err := json.Unmarshal(good[12:12+hlen], &h); err != nil {
+		t.Fatal(err)
+	}
+	left := 12 + hlen + 8*len(v1.Columns) + 4 // past the gain and node 0's feature
+	for _, n := range h.EdgeLens {
+		left += 8 * n // and every threshold
+	}
 	if binary.LittleEndian.Uint32(good[left:]) != 1 {
 		t.Fatal("fixture's first node has no left child 1")
 	}

@@ -205,6 +205,7 @@ func (r *Reloader) Poll() (ReloadStats, error) {
 	r.breaker.Success()
 
 	var errs []error
+	var bufs [2][]byte // every load of the poll reuses them
 	bumped := make(map[string]bool)
 	for key, ent := range scan {
 		if k, ok := r.known[key]; ok && k.fingerprint == ent.fingerprint {
@@ -213,7 +214,7 @@ func (r *Reloader) Poll() (ReloadStats, error) {
 		// A bundle that loads is one manifest's — every artifact matched its
 		// pin — so a publisher rewriting the directory mid-load cannot get a
 		// mix registered; the next poll's fingerprint picks up where it went.
-		mv, err := loadVersionDir(ent.dir, ent.system)
+		mv, err := loadVersionDir(ent.dir, ent.system, &bufs)
 		if err != nil {
 			stats.Failed++
 			errs = append(errs, err)
