@@ -17,8 +17,8 @@
 //	               window into a training frame, hands it to serve.Build
 //	               (the bootstrap's own builder, here sweeping a small
 //	               warm-started GBT grid and measuring the noise floor on
-//	               the window), and publishes the new version through the
-//	               manifest temp-file+rename protocol so the live Reloader
+//	               the window), and publishes the new version as one
+//	               renamed bundle file so the live Reloader
 //	               swaps it in with zero downtime; the incumbent is pinned
 //	               first, so the candidate stages as a shadow-evaluated
 //	               canary rather than serving untested (retrain.go)

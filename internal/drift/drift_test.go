@@ -340,9 +340,9 @@ func TestE2EDriftRetrainPromote(t *testing.T) {
 	}
 
 	// The retrain's publish carries its reference the way SaveVersion writes
-	// it: the artifact on disk, the histograms on the reloaded bundle.
-	if _, err := os.Stat(filepath.Join(h.dir, "theta", "v2", "reference.bin")); err != nil {
-		t.Errorf("published candidate has no reference artifact: %v", err)
+	// it: the bundle on disk, the histograms on the reloaded bundle.
+	if _, err := os.Stat(filepath.Join(h.dir, "theta", "v2", "bundle.bin")); err != nil {
+		t.Errorf("published candidate has no bundle: %v", err)
 	}
 	if mv, err := h.svc.Registry().Get("theta", 2); err != nil || len(mv.Reference) != len(mv.Columns) {
 		t.Errorf("reloaded candidate carries no reference histograms: %v", err)

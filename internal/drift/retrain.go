@@ -24,9 +24,9 @@ import (
 //     threshold and reference histograms, and measures the noise floor
 //     (litmus test 4) on the same window;
 //  3. the incumbent is pinned (so the candidate cannot serve untested),
-//     and the bundle is published with serve.SaveVersion — artifacts
-//     first, manifest last via temp-file+rename — for the live Reloader
-//     to pick up; with no on-disk root it is registered directly.
+//     and the bundle is published with serve.SaveVersion — one file,
+//     renamed into place — for the live Reloader to pick up; with no
+//     on-disk root it is registered directly.
 //
 // A window whose rows carry no start times, or too few concurrent
 // duplicates, cannot measure the floor: the candidate then keeps the

@@ -1,8 +1,8 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sort"
 )
@@ -17,7 +17,7 @@ import (
 
 // vnodesPerMember is the number of ring points per replica. 128 points
 // bounds per-replica share skew to a few percent at small fleet sizes
-// (see TestRingBalance) while keeping Add/Remove at ~128 sorted inserts.
+// (see TestRingBalance).
 const vnodesPerMember = 128
 
 type ringPoint struct {
@@ -36,15 +36,30 @@ type Ring struct {
 // NewRing builds an empty ring.
 func NewRing() *Ring { return &Ring{} }
 
-// vnodeHash places virtual node i of a member on the ring. Raw FNV-1a
+// comparePoints orders the ring by hash, then by name: insertion order does
+// not matter.
+func comparePoints(a, b ringPoint) int {
+	if a.hash != b.hash {
+		return cmp.Compare(a.hash, b.hash)
+	}
+	return cmp.Compare(a.member, b.member)
+}
+
+// vnodeHash places virtual node i of a member on the ring: FNV-1a over the
+// name, '#' and i's low two bytes, computed without allocating. Raw FNV-1a
 // over short near-identical inputs clusters badly (adjacent vnode indices
 // land near each other and arcs skew 10x), so the sum goes through a
 // murmur3-style finalizer for full avalanche.
 func vnodeHash(member string, i int) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(member))
-	h.Write([]byte{'#', byte(i), byte(i >> 8)})
-	return mix64(h.Sum64())
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for k := 0; k < len(member); k++ {
+		h = (h ^ uint64(member[k])) * prime
+	}
+	for _, c := range [3]byte{'#', byte(i), byte(i >> 8)} {
+		h = (h ^ uint64(c)) * prime
+	}
+	return mix64(h)
 }
 
 // mix64 is the murmur3 64-bit finalizer: every input bit flips every
@@ -58,25 +73,29 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Add inserts a member's virtual nodes. Adding an existing member is a
-// no-op.
+// Add inserts a member's virtual nodes: it sorts only those and merges them
+// in. Adding an existing member is a no-op.
 func (r *Ring) Add(member string) {
 	at, ok := r.index(member)
 	if ok {
 		return
 	}
 	r.members = slices.Insert(r.members, at, member)
-	for i := 0; i < vnodesPerMember; i++ {
-		r.points = append(r.points, ringPoint{hash: vnodeHash(member, i), member: member})
+	var added [vnodesPerMember]ringPoint
+	for i := range added {
+		added[i] = ringPoint{hash: vnodeHash(member, i), member: member}
 	}
-	sort.Slice(r.points, func(a, b int) bool {
-		if r.points[a].hash != r.points[b].hash {
-			return r.points[a].hash < r.points[b].hash
+	slices.SortFunc(added[:], comparePoints)
+	// Merge from the back, so that no point is overwritten before it moves.
+	i, j := len(r.points)-1, len(added)-1
+	r.points = slices.Grow(r.points, len(added))[:len(r.points)+len(added)]
+	for k := len(r.points) - 1; j >= 0; k-- {
+		if i >= 0 && comparePoints(r.points[i], added[j]) > 0 {
+			r.points[k], i = r.points[i], i-1
+		} else {
+			r.points[k], j = added[j], j-1
 		}
-		// Tie-break by name so two members colliding on a hash point order
-		// deterministically regardless of insertion order.
-		return r.points[a].member < r.points[b].member
-	})
+	}
 }
 
 // Remove ejects a member's virtual nodes. Keys it owned fall to each
@@ -87,13 +106,7 @@ func (r *Ring) Remove(member string) {
 		return
 	}
 	r.members = slices.Delete(r.members, at, at+1)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.member != member {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
+	r.points = slices.DeleteFunc(r.points, func(p ringPoint) bool { return p.member == member })
 }
 
 // Owner returns the member owning key: the first ring point at or

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"fmt"
+	"hash/fnv"
+	"slices"
 	"sort"
 	"testing"
 
@@ -17,6 +19,27 @@ func syntheticHashes(n int, seed uint64) []uint64 {
 		keys[i] = r.Uint64()
 	}
 	return keys
+}
+
+// scratchPoints is the ring of members as it was first built: every point
+// hashed through hash/fnv, then the whole ring sorted by (hash, member).
+func scratchPoints(members []string) []ringPoint {
+	var points []ringPoint
+	for _, m := range members {
+		for i := 0; i < vnodesPerMember; i++ {
+			h := fnv.New64a()
+			h.Write([]byte(m))
+			h.Write([]byte{'#', byte(i), byte(i >> 8)})
+			points = append(points, ringPoint{hash: mix64(h.Sum64()), member: m})
+		}
+	}
+	sort.Slice(points, func(a, b int) bool {
+		if points[a].hash != points[b].hash {
+			return points[a].hash < points[b].hash
+		}
+		return points[a].member < points[b].member
+	})
+	return points
 }
 
 func ringOf(members ...string) *Ring {
@@ -105,6 +128,23 @@ func TestRingOrderIndependence(t *testing.T) {
 	}
 }
 
+// TestRingAddAllocatesNothing: vnodeHash allocates nothing for a name of
+// any length, and an Add into a ring with room for its points allocates
+// nothing either. The ring is rebuilt under the router's membership lock.
+func TestRingAddAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	name := "https://replica-with-a-rather-long-name.fleet.example.internal:8443"
+	if n := testing.AllocsPerRun(100, func() { vnodeHash(name, 7) }); n != 0 {
+		t.Errorf("vnodeHash allocates %v objects", n)
+	}
+	ring := ringOf("r0", "r1", "r2")
+	if n := testing.AllocsPerRun(20, func() { ring.Add(name); ring.Remove(name) }); n != 0 {
+		t.Errorf("Add and Remove allocate %v objects", n)
+	}
+}
+
 func TestRingEmptyAndSingle(t *testing.T) {
 	ring := NewRing()
 	if got := ring.Owner(123); got != "" {
@@ -130,7 +170,8 @@ func TestRingEmptyAndSingle(t *testing.T) {
 // FuzzRing drives random membership churn from the fuzz input and checks
 // the ring's two core invariants after every operation: ownership depends
 // only on the current member set (order independence), and removing a
-// member remaps only that member's keys.
+// member remaps only that member's keys. After every operation the points
+// are also exactly, in order, those of the ring sorted from scratch.
 func FuzzRing(f *testing.F) {
 	f.Add([]byte{0x09, 0x0a, 0x0b, 0x01})
 	f.Add([]byte{0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d, 0x0e, 0x0f, 0x02, 0x05})
@@ -175,6 +216,9 @@ func FuzzRing(f *testing.F) {
 			}
 			if ring.Size() != len(live) {
 				t.Fatalf("size %d, want %d", ring.Size(), len(live))
+			}
+			if want := scratchPoints(ring.Members()); !slices.Equal(ring.points, want) {
+				t.Fatalf("after %x the ring's %d points differ from the %d of a ring sorted from scratch", b, len(ring.points), len(want))
 			}
 		}
 		// Order independence: a fresh ring built from the surviving set

@@ -235,10 +235,11 @@ func (in *Injector) CorruptRegistry(root string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	// Garbage that is valid UTF-8 but not a valid manifest; the nonce keeps
-	// the fingerprint changing across strikes.
-	body := fmt.Sprintf("{chaos corruption %d", nonce)
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(body), 0o644); err != nil {
+	// Garbage where the version's one file belongs; the nonce ends it, so
+	// the fingerprint (size, mtime, the last four bytes) changes across
+	// strikes.
+	body := fmt.Sprintf("chaos corruption %d", nonce)
+	if err := os.WriteFile(filepath.Join(dir, "bundle.bin"), []byte(body), 0o644); err != nil {
 		return "", err
 	}
 	return dir, nil

@@ -93,7 +93,7 @@ func TestCorruptRegistry(t *testing.T) {
 	if filepath.Base(dir) != corruptVersion || filepath.Dir(dir) != filepath.Join(root, "theta") {
 		t.Fatalf("corrupted %s", dir)
 	}
-	first, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	first, err := os.ReadFile(filepath.Join(dir, "bundle.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestCorruptRegistry(t *testing.T) {
 	if _, err := inj.CorruptRegistry(root); err != nil {
 		t.Fatal(err)
 	}
-	second, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	second, err := os.ReadFile(filepath.Join(dir, "bundle.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}

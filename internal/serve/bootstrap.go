@@ -106,12 +106,10 @@ func Bootstrap(cfg BootstrapConfig, dir string) (*Registry, error) {
 
 // BumpVersion republishes a system's highest on-disk version as v(N+1) and
 // returns the new version number. The bundle is loaded and saved again;
-// every artifact has one encoding, so the new directory's artifacts are
-// byte-identical and only the manifest's version changes — the cheap way to
-// mint a "new" model version for reload demos and the version-churn load
-// scenario (`ioload -churn`) without retraining. SaveVersion writes the
-// manifest last, so a concurrent reload poll never sees a publishable
-// half-written directory.
+// every section has one encoding, so the new bundle differs from the old
+// only in its header's version — the cheap way to mint a "new" model version
+// for reload demos and the version-churn load scenario (`ioload -churn`)
+// without retraining.
 func BumpVersion(root, system string) (int, error) {
 	sysDir := filepath.Join(root, system)
 	highest := 0
@@ -132,7 +130,7 @@ func BumpVersion(root, system string) (int, error) {
 	if highest == 0 {
 		return 0, fmt.Errorf("serve: bump found no versions under %s", sysDir)
 	}
-	mv, err := loadVersionDir(filepath.Join(sysDir, fmt.Sprintf("v%d", highest)), system, new([2][]byte))
+	mv, err := loadVersionDir(filepath.Join(sysDir, fmt.Sprintf("v%d", highest)), system, highest, new([]byte))
 	if err != nil {
 		return 0, err
 	}

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,8 +23,7 @@ import (
 // TestSavedBundleLoadsBitIdentical: a bundle saved by SaveVersion loads to
 // models that agree bit for bit with the trained ones — tree walk, flat
 // engine and ensemble — on every fixture row, to the same scaler, guard and
-// reference histograms, and with an empty manifest body when it has no
-// ensemble.
+// reference histograms, and with no scaler when it has no ensemble.
 func TestSavedBundleLoadsBitIdentical(t *testing.T) {
 	frame, v1, v2 := fixture(t)
 	cfg := fixtureCfg()
@@ -41,13 +41,13 @@ func TestSavedBundleLoadsBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		dir := filepath.Join(root, mv.System, fmt.Sprintf("v%d", mv.Version))
-		back, err := loadVersionDir(dir, mv.System, new([2][]byte))
+		back, err := loadVersionDir(dir, mv.System, mv.Version, new([]byte))
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkSameReference(t, back.Reference, mv.Reference)
 		if back.Guard != mv.Guard || back.TrainedOn != mv.TrainedOn || !reflect.DeepEqual(back.Columns, mv.Columns) {
-			t.Fatalf("v%d: manifest fields changed: %+v", mv.Version, back.Guard)
+			t.Fatalf("v%d: header fields changed: %+v", mv.Version, back.Guard)
 		}
 		flat := back.Flat().PredictAll(rows)
 		for i, row := range rows {
@@ -81,10 +81,47 @@ func TestSavedBundleLoadsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestLoadKeepsNoReadBuffer: a load reads the manifest and model into one
-// buffer and the reference and members into another. Overwriting both after
-// the load leaves everything the bundle holds and predicts bit-identical to
-// a load through fresh buffers, so no decoder kept a slice of either.
+// TestSaveVersionWritesOneFile: a saved version is its bundle.bin and
+// nothing else; files beside it — notes, a manifest.json, a staging
+// leftover, a directory — are neither read nor fingerprinted.
+func TestSaveVersionWritesOneFile(t *testing.T) {
+	_, v1, _ := fixture(t)
+	root := t.TempDir()
+	if err := SaveVersion(root, v1); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(root, "theta", "v1")
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 || ents[0].Name() != bundleName {
+		t.Fatalf("SaveVersion left %v (%v), want only %s", ents, err, bundleName)
+	}
+	fp, err := dirFingerprint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string]string{"NOTES": "retrained by hand", legacyManifestName: "{not a manifest", "." + bundleName + "-123": "half a bundle"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, "old"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := dirFingerprint(dir); err != nil || again != fp {
+		t.Errorf("fingerprint %q (%v) with files beside the bundle, %q without", again, err, fp)
+	}
+	reg, err := LoadRegistry(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mv, err := reg.Get("theta", 1); err != nil || mv.Guard != v1.Guard {
+		t.Fatalf("v1 beside unrelated files: %v", err)
+	}
+}
+
+// TestLoadKeepsNoReadBuffer: a load reads the bundle into one buffer.
+// Overwriting it after the load leaves everything the bundle holds and
+// predicts bit-identical to a load through a fresh buffer, so no decoder
+// kept a slice of it.
 func TestLoadKeepsNoReadBuffer(t *testing.T) {
 	frame, _, v2 := fixture(t)
 	root := t.TempDir()
@@ -92,20 +129,19 @@ func TestLoadKeepsNoReadBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(root, "theta", "v2")
-	bufs := new([2][]byte)
-	mv, err := loadVersionDir(dir, "theta", bufs)
+	buf := new([]byte)
+	mv, err := loadVersionDir(dir, "theta", 2, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bufs[0]) == 0 || len(bufs[1]) == 0 {
-		t.Fatalf("buffers of %d and %d bytes: the load did not read through them", len(bufs[0]), len(bufs[1]))
+	if len(*buf) == 0 {
+		t.Fatal("the load did not read through the buffer")
 	}
-	for _, b := range bufs {
-		for i := range b[:cap(b)] {
-			b[:cap(b)][i] = 0xa5
-		}
+	b := (*buf)[:cap(*buf)]
+	for i := range b {
+		b[i] = 0xa5
 	}
-	fresh, err := loadVersionDir(dir, "theta", new([2][]byte))
+	fresh, err := loadVersionDir(dir, "theta", 2, new([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,82 +181,69 @@ func checkSameReference(t *testing.T, got, want []FeatureHist) {
 	}
 }
 
-// TestReferenceFileAtTheRegistry pins the manifest's side of reference.bin:
-// the name is confined to the version directory like any artifact's, a
-// missing file is an error, and BumpVersion carries the reference into the
-// version it mints.
+// TestReferenceFileAtTheRegistry pins the bundle's side of the reference
+// histograms: the section is optional — a bundle without one loads with
+// none — and BumpVersion carries it into the version it mints.
 func TestReferenceFileAtTheRegistry(t *testing.T) {
 	_, v1, _ := fixture(t)
 	root := t.TempDir()
 	if err := SaveVersion(root, v1); err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(root, "theta", "v1")
-	good, err := readManifest(dir, new([]byte))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if good.ReferenceFile == nil || good.ReferenceFile.Name != referenceName {
-		t.Fatalf("manifest does not name %s", referenceName)
-	}
-	for name, c := range map[string]struct{ ref, want string }{
-		"escaping path": {"../x", "non-local"},
-		"absolute path": {"/etc/passwd", "non-local"},
-		"missing file":  {"gone.bin", "reading artifact"},
-	} {
-		bad := good
-		bad.ReferenceFile = &artifactRef{Name: c.ref}
-		sealManifest(t, dir, bad)
-		if _, err := loadVersionDir(dir, "theta", new([2][]byte)); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: got %v, want an error naming %q", name, err, c.want)
-		}
-	}
-	sealManifest(t, dir, good)
 	if _, err := BumpVersion(root, "theta"); err != nil {
 		t.Fatal(err)
 	}
-	bumped, err := loadVersionDir(filepath.Join(root, "theta", "v2"), "theta", new([2][]byte))
+	bumped, err := loadVersionDir(filepath.Join(root, "theta", "v2"), "theta", 2, new([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkSameReference(t, bumped.Reference, v1.Reference)
+	dir := filepath.Join(root, "theta", "v1")
+	rewriteBundle(t, dir, func(m *manifest) { m.reference = nil })
+	bare, err := loadVersionDir(dir, "theta", 1, new([]byte))
+	if err != nil || bare.Reference != nil {
+		t.Fatalf("bundle without a reference section: %v, %d histograms", err, len(bare.Reference))
+	}
 }
 
-// TestHandWrittenBundlesLoad pins the bundle the reload, reference and fuzz
-// tests write by hand: it loads and predicts what its single leaf says, and
-// it is byte for byte the bundle SaveVersion writes for what it loaded to.
+// TestHandWrittenBundlesLoad pins the bundles the reload, reference and fuzz
+// tests write by hand: they load, the bare one predicts what its single
+// leaf says, and each is byte for byte the bundle SaveVersion writes for
+// what it loaded to.
 func TestHandWrittenBundlesLoad(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "v1")
-	writeBundle(t, dir, fuzzManifest(), map[string][]byte{gbtModelName: fuzzModel(t)})
-	mv, err := loadVersionDir(dir, "theta", new([2][]byte))
-	if err != nil {
-		t.Fatalf("hand-written bundle refused: %v", err)
-	}
-	if got, want := mv.Flat().Predict([]float64{1, 2}), 0.5+0.1*0.25; got != want {
-		t.Fatalf("single-leaf model predicts %v, want %v", got, want)
-	}
-	root := t.TempDir()
-	if err := SaveVersion(root, mv); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{manifestName, gbtModelName} {
-		hand, _ := os.ReadFile(filepath.Join(dir, name))
-		saved, err := os.ReadFile(filepath.Join(root, "theta", "v1", name))
+	for name, m := range map[string]manifest{"bare": fuzzBundle(t), "guarded": guardedBundle(t)} {
+		dir := filepath.Join(t.TempDir(), "v1")
+		writeBundle(t, dir, m)
+		mv, err := loadVersionDir(dir, "theta", 1, new([]byte))
+		if err != nil {
+			t.Fatalf("%s: hand-written bundle refused: %v", name, err)
+		}
+		if got, want := mv.Flat().Predict([]float64{1, 2}), 0.5+0.1*0.25; got != want {
+			t.Fatalf("%s: single-leaf model predicts %v, want %v", name, got, want)
+		}
+		root := t.TempDir()
+		if err := SaveVersion(root, mv); err != nil {
+			t.Fatal(err)
+		}
+		hand, _ := os.ReadFile(filepath.Join(dir, bundleName))
+		saved, err := os.ReadFile(filepath.Join(root, "theta", "v1", bundleName))
 		if err != nil || !bytes.Equal(hand, saved) {
 			t.Errorf("%s: SaveVersion wrote %d bytes, the hand-written bundle has %d (%v)", name, len(saved), len(hand), err)
 		}
 	}
 }
 
-// TestUnquantizableBundleIsRefused: a gbt artifact with 256 distinct
+// TestUnquantizableBundleIsRefused: a gbt section with 256 distinct
 // thresholds on one feature cannot be coded by the flat walk, so
 // gbt.ReadBinary refuses it, and loadVersionDir with it, with gbt's error.
 // Its 255-threshold twin loads.
 func TestUnquantizableBundleIsRefused(t *testing.T) {
 	for _, n := range []int{255, 256} {
 		dir := filepath.Join(t.TempDir(), "v1")
-		writeBundle(t, dir, fuzzManifest(), map[string][]byte{gbtModelName: stumpsModel(t, n)})
-		_, loadErr := loadVersionDir(dir, "theta", new([2][]byte))
+		m := fuzzBundle(t)
+		m.model = stumpsModel(t, n)
+		writeBundle(t, dir, m)
+		_, loadErr := loadVersionDir(dir, "theta", 1, new([]byte))
 		_, readErr := gbt.ReadBinary(stumpsModel(t, n))
 		for name, err := range map[string]error{"loadVersionDir": loadErr, "gbt.ReadBinary": readErr} {
 			if n == 255 && err != nil {
@@ -234,80 +257,91 @@ func TestUnquantizableBundleIsRefused(t *testing.T) {
 }
 
 // TestLoadErrorPrecedence: loadVersionDir decodes the model on the calling
-// goroutine and the guard's artifacts on a second one, yet a bundle with two
-// bad artifacts is refused for the one a serial load reaches first — the
-// model, then the reference, then the members in order. A model the flat
-// walk cannot code is a model decode error, so it comes before a bad
-// member. The refusal is exactly the one the bundle gives with only that
-// artifact bad. CI runs it under -race, twenty times.
+// goroutine and the reference, members and scaler on a second one, yet a
+// bundle with two bad parts is refused for the one a serial load reaches
+// first — the container, the model, the reference, the members in order,
+// the scaler. A model the flat walk cannot code is a model decode error, so
+// it comes before a bad member. The refusal is exactly the one the bundle
+// gives with only that part bad. CI runs it under -race, twenty times.
 func TestLoadErrorPrecedence(t *testing.T) {
 	_, _, v2 := fixture(t)
 	staged := t.TempDir()
 	if err := SaveVersion(staged, v2); err != nil {
 		t.Fatal(err)
 	}
-	flipped := func(name string) []byte {
-		b, err := os.ReadFile(filepath.Join(staged, "theta", "v2", name))
-		if err != nil {
-			t.Fatal(err)
-		}
+	raw, err := os.ReadFile(filepath.Join(staged, "theta", "v2", bundleName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := func(b []byte) []byte {
+		b = bytes.Clone(b)
 		b[len(b)/2] ^= 0x10
 		return b
 	}
-	member := func(i int) string { return fmt.Sprintf(memberPattern, i) }
 	unquantizable := stumpsOver(t, 256, len(v2.Columns))
-	// load saves v2 under root afresh, writes bad over it, re-pins it and
-	// loads it.
-	load := func(root string, bad map[string][]byte) error {
-		if err := SaveVersion(root, v2); err != nil {
+	spoil := map[string]func(m *manifest){
+		// The scaler is one float64 too long, so the sections start early
+		// and bytes are left after the last.
+		"container":     func(m *manifest) { m.mean, m.std = append(m.mean, 0), append(m.std, 1) },
+		"model":         func(m *manifest) { m.model = flipped(m.model) },
+		"reference":     func(m *manifest) { m.reference = flipped(m.reference) },
+		"unquantizable": func(m *manifest) { m.model = unquantizable },
+		"scaler":        func(m *manifest) { m.std = append([]float64{0}, m.std[1:]...) },
+	}
+	for i := range v2.Ensemble.Members {
+		spoil[fmt.Sprintf("member %d", i)] = func(m *manifest) {
+			m.members = slices.Clone(m.members)
+			m.members[i] = flipped(m.members[i])
+		}
+	}
+	// load writes v2's bundle into dir with parts spoiled under a resealed
+	// container, and loads it.
+	load := func(dir string, parts ...string) error {
+		m, err := openBundle(raw)
+		if err != nil {
 			t.Fatal(err)
 		}
-		dir := filepath.Join(root, "theta", "v2")
-		for name, data := range bad {
-			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		for _, part := range parts {
+			spoil[part](&m)
 		}
-		repin(t, dir, nil)
-		mv, err := loadVersionDir(dir, "theta", new([2][]byte))
+		writeBundle(t, dir, m)
+		mv, err := loadVersionDir(dir, "theta", 2, new([]byte))
 		if err == nil || mv != nil {
-			t.Fatalf("%d bad artifacts accepted", len(bad))
+			t.Fatalf("%v spoiled and accepted", parts)
 		}
 		return err
 	}
 	for name, c := range map[string]struct{ first, second string }{
-		"corrupt model and member":     {gbtModelName, member(1)},
-		"corrupt reference and member": {referenceName, member(0)},
-		"corrupt members 0 and 2":      {member(0), member(2)},
-		"bad member, unquantizable":    {gbtModelName, member(2)},
+		"bad container and model":      {"container", "model"},
+		"corrupt model and member":     {"model", "member 1"},
+		"corrupt reference and member": {"reference", "member 0"},
+		"corrupt members 0 and 2":      {"member 0", "member 2"},
+		"bad member, unquantizable":    {"unquantizable", "member 2"},
+		"corrupt member, bad scaler":   {"member 1", "scaler"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			bad := map[string][]byte{c.first: flipped(c.first), c.second: flipped(c.second)}
-			if name == "bad member, unquantizable" {
-				bad[gbtModelName] = unquantizable
-			}
-			root := t.TempDir()
-			want := load(root, map[string][]byte{c.first: bad[c.first]})
-			if alone := load(root, map[string][]byte{c.second: bad[c.second]}); alone.Error() == want.Error() {
+			dir := filepath.Join(t.TempDir(), "v2")
+			want := load(dir, c.first)
+			if alone := load(dir, c.second); alone.Error() == want.Error() {
 				t.Fatalf("%s and %s are refused alike: %v", c.first, c.second, alone)
 			}
-			if got := load(root, bad); got.Error() != want.Error() {
+			if got := load(dir, c.first, c.second); got.Error() != want.Error() {
 				t.Fatalf("refused with %v, want the serial load's %v", got, want)
 			}
 		})
 	}
 }
 
-// TestLegacyBundlesAreRefused: a manifest as it was written before it was
-// sealed — JSON text beside binary artifacts, or beside JSON models with its
-// histograms inline — is refused at startup and by a reload poll, with an
-// error that says how to get a loadable bundle, and the registry keeps
-// serving what it had. So is a sealed bundle whose model is a version-1
-// gbt artifact, from before the model was stored in its flat layout.
+// TestLegacyBundlesAreRefused: a version directory written before a bundle
+// was one file — a manifest.json, sealed or JSON text, beside binary or JSON
+// models — holds no bundle.bin, and is refused at startup and by a reload
+// poll with an error that says how to get a loadable bundle, while the
+// registry keeps serving what it had.
 func TestLegacyBundlesAreRefused(t *testing.T) {
 	model := fuzzModel(t)
-	// fuzzModel as version 1 wrote it: a header without edge_lens, the gain,
-	// and its leaf as a 28-byte node (feature -1, links, threshold, value).
+	// fuzzModel as version 1 of the gbt artifact wrote it: a header without
+	// edge_lens, the gain, and its leaf as a 28-byte node (feature -1,
+	// links, threshold, value).
 	b, err := modelfile.Begin("IOTAXGBT", json.RawMessage(`{"version":1,"params":{"NumTrees":1,"MaxDepth":1,"LearningRate":0.1,`+
 		`"Subsample":1,"ColSample":1,"MinChildWeight":1,"Lambda":1,"NumBins":2,"Seed":1},"bias":0.5,"n_feature":2,"tree_lens":[1]}`), 16+28)
 	if err != nil {
@@ -315,23 +349,22 @@ func TestLegacyBundlesAreRefused(t *testing.T) {
 	}
 	b = binary.LittleEndian.AppendUint32(modelfile.AppendFloat64s(b, []float64{0, 0}), math.MaxUint32)
 	v1Model := modelfile.Seal(modelfile.AppendFloat64s(append(b, make([]byte, 16)...), []float64{0.25}))
-	staged := t.TempDir()
-	if err := os.WriteFile(filepath.Join(staged, gbtModelName), v1Model, 0o644); err != nil {
+	sealedManifest, err := modelfile.Begin("IOTAXMAN", json.RawMessage(`{"system":"theta","version":2,"columns":["a","b"],`+
+		`"model":{"name":"model.gbt.bin","crc32c":0},"guard":{"eu_threshold":0.5,"noise_sigma_log":0,"noise_floor_pct":0}}`), 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := fuzzManifest()
-	v2.Version = 2
 	for name, files := range map[string]map[string]string{
 		"sealed manifest, version-1 model": {
-			manifestName: string(sealedManifest(t, staged, v2)),
-			gbtModelName: string(v1Model),
+			legacyManifestName: string(modelfile.Seal(sealedManifest)),
+			"model.gbt.bin":    string(v1Model),
 		},
 		"JSON manifest, binary model": {
-			manifestName: `{"system":"theta","version":2,"columns":["a","b"],"model":"model.gbt.bin","guard":{"eu_threshold":0.5}}`,
-			gbtModelName: string(model),
+			legacyManifestName: `{"system":"theta","version":2,"columns":["a","b"],"model":"model.gbt.bin","guard":{"eu_threshold":0.5}}`,
+			"model.gbt.bin":    string(model),
 		},
 		"JSON models, inline histograms": {
-			manifestName: `{"system":"theta","version":2,"columns":["a","b"],"model":"model.gbt.json","guard":{"eu_threshold":0.5},` +
+			legacyManifestName: `{"system":"theta","version":2,"columns":["a","b"],"model":"model.gbt.json","guard":{"eu_threshold":0.5},` +
 				`"reference":[{"name":"a","cuts":[1],"counts":[3,4]}]}`,
 			"model.gbt.json": `{"version":1,"params":{"NumTrees":1,"MaxDepth":1,"LearningRate":0.1,"Subsample":1,"ColSample":1,` +
 				`"MinChildWeight":1,"Lambda":1,"NumBins":2,"Seed":1},"bias":0.5,"n_feature":2,"gain":[0,0],"trees":[[{"f":-1,"v":0.25}]]}`,
@@ -339,7 +372,7 @@ func TestLegacyBundlesAreRefused(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			root := t.TempDir()
-			writeBundle(t, filepath.Join(root, "theta", "v1"), fuzzManifest(), map[string][]byte{gbtModelName: model})
+			writeBundle(t, filepath.Join(root, "theta", "v1"), fuzzBundle(t))
 			svc, rel := diskService(t, root, Options{})
 			legacy := filepath.Join(root, "theta", "v2")
 			if err := os.MkdirAll(legacy, 0o755); err != nil {
@@ -364,7 +397,7 @@ func TestLegacyBundlesAreRefused(t *testing.T) {
 	}
 }
 
-// binaryCorruptions of one sealed file, each of which must be detected.
+// binaryCorruptions of one sealed artifact, each of which must be detected.
 // sizeField, when set, is where its header declares a size: the number after
 // it becomes four billion, under a valid checksum.
 func binaryCorruptions(t *testing.T, good []byte, sizeField string) map[string][]byte {
@@ -393,12 +426,16 @@ func binaryCorruptions(t *testing.T, good []byte, sizeField string) map[string][
 	return out
 }
 
-// TestCorruptBinaryBundleIsRefused: a bundle with a flipped bit, a truncation
-// or a declared length the file does not hold — in any artifact or in the
-// manifest — or with an artifact spliced in from another version stops
-// LoadRegistry at startup, and on a live reload is skipped while the old
-// version keeps serving; repairing it is picked up by the next poll. An
-// oversized length is re-pinned in the manifest, so it reaches the decoder.
+// TestCorruptBinaryBundleIsRefused: a bundle with a flipped bit, a
+// truncation or a declared length the bytes do not hold — in the container
+// or in any section — or with a section spliced in from another version
+// stops LoadRegistry at startup, and on a live reload is skipped while the
+// old version keeps serving; repairing it is picked up by the next poll.
+// Each case is named for the file that held its part when a bundle was six
+// files, manifest.json standing for the container itself. A section's
+// corruption is resealed into the container, so that the section's own
+// checks are what refuse it; the container's are the manifest.json rows and
+// the splice, which is not resealed.
 func TestCorruptBinaryBundleIsRefused(t *testing.T) {
 	frame, v1, v2 := fixture(t)
 	staged := t.TempDir()
@@ -407,22 +444,44 @@ func TestCorruptBinaryBundleIsRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	type corruption struct{ file, name string }
-	bad := map[corruption][]byte{}
-	for file, sizeField := range map[string]string{gbtModelName: `"tree_lens":[`, fmt.Sprintf(memberPattern, 1): `"in":`, referenceName: `"bins":[`, manifestName: ""} {
-		good, err := os.ReadFile(filepath.Join(staged, "theta", "v2", file))
+	read := func(version string) ([]byte, manifest) {
+		raw, err := os.ReadFile(filepath.Join(staged, "theta", version, bundleName))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, data := range binaryCorruptions(t, good, sizeField) {
-			bad[corruption{file, name}] = data
+		m, err := openBundle(raw)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return raw, m
 	}
-	spliced, err := os.ReadFile(filepath.Join(staged, "theta", "v1", gbtModelName))
-	if err != nil {
-		t.Fatal(err)
+	good, m := read("v2")
+	type corruption struct{ file, name string }
+	bad := map[corruption][]byte{}
+	for name, data := range binaryCorruptions(t, good, "") {
+		bad[corruption{legacyManifestName, name}] = data
 	}
-	bad[corruption{gbtModelName, "spliced"}] = spliced
+	header := string(good[12 : 12+binary.LittleEndian.Uint32(good[8:])])
+	for file, c := range map[string]struct {
+		sizeField string
+		section   *[]byte
+	}{
+		"model.gbt.bin":   {`"tree_lens":[`, &m.model},
+		"member_1.nn.bin": {`"in":`, &m.members[1]},
+		"reference.bin":   {`"bins":[`, &m.reference},
+	} {
+		section := *c.section
+		for name, data := range binaryCorruptions(t, section, c.sizeField) {
+			*c.section = data
+			bad[corruption{file, name}] = sealed(t, m)
+		}
+		// An empty section is a missing one: the header still declares it.
+		bad[corruption{file, "empty"}] = withHeader(bad[corruption{file, "empty"}], header)
+		*c.section = section
+	}
+	_, from := read("v1")
+	at := bytes.Index(good, m.model)
+	bad[corruption{"model.gbt.bin", "spliced"}] = append(append(good[:at:at], from.model...), good[at+len(m.model):]...)
 	for c, data := range bad {
 		t.Run(c.file+"/"+c.name, func(t *testing.T) {
 			root := t.TempDir()
@@ -430,31 +489,19 @@ func TestCorruptBinaryBundleIsRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			svc, rel := diskService(t, root, Options{})
-			if err := SaveVersion(root, v2); err != nil {
-				t.Fatal(err)
-			}
-			dir := filepath.Join(root, "theta", "v2")
-			path := filepath.Join(dir, c.file)
-			good, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			goodManifest, err := os.ReadFile(filepath.Join(dir, manifestName))
-			if err != nil {
+			path := filepath.Join(root, "theta", "v2", bundleName)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 				t.Fatal(err)
 			}
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if c.name == "oversized length" {
-				repin(t, dir, nil)
-			}
 			if _, err := LoadRegistry(root); err == nil {
 				t.Fatal("startup load accepted the corrupt bundle")
 			} else if c.name == "oversized length" && !strings.Contains(err.Error(), "declares") {
 				t.Errorf("oversized length refused for another reason: %v", err)
-			} else if c.name == "spliced" && !strings.Contains(err.Error(), "manifest pins") {
-				t.Errorf("spliced artifact refused for another reason: %v", err)
+			} else if c.name == "spliced" && !strings.Contains(err.Error(), "checksum mismatch") {
+				t.Errorf("spliced section refused for another reason: %v", err)
 			}
 			if _, err := rel.Poll(); err == nil {
 				t.Fatal("reload poll loaded the corrupt bundle")
@@ -467,10 +514,8 @@ func TestCorruptBinaryBundleIsRefused(t *testing.T) {
 				t.Fatalf("v1 stopped serving after the corrupt publish: %v", err)
 			}
 			// Repairing the bundle is picked up by the next poll.
-			for p, body := range map[string][]byte{path: good, filepath.Join(dir, manifestName): goodManifest} {
-				if err := os.WriteFile(p, body, 0o644); err != nil {
-					t.Fatal(err)
-				}
+			if err := os.WriteFile(path, good, 0o644); err != nil {
+				t.Fatal(err)
 			}
 			if _, err := rel.Poll(); err != nil {
 				t.Fatal(err)
@@ -482,57 +527,82 @@ func TestCorruptBinaryBundleIsRefused(t *testing.T) {
 	}
 }
 
-// TestManifestDetectsEveryFlipAndTruncation is the corruption table's row for
-// the manifest, which carries the guard calibration and the scaler: no
-// flipped bit anywhere in the fixture's manifest and no truncation of it is
-// loaded by loadVersionDir.
-func TestManifestDetectsEveryFlipAndTruncation(t *testing.T) {
-	_, v1, _ := fixture(t)
-	root := t.TempDir()
-	if err := SaveVersion(root, v1); err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(root, "theta", "v1")
-	path := filepath.Join(dir, manifestName)
-	good, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	load := func(data []byte) error {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		mv, err := loadVersionDir(dir, "theta", new([2][]byte))
-		if err == nil || mv != nil {
-			return fmt.Errorf("accepted")
-		}
-		return nil
+// TestBundleDetectsEveryFlipAndTruncation: no flipped bit anywhere in a
+// bundle with every part — header, columns, scaler, model, reference and
+// two members — and no truncation of it is loaded. The container's
+// checksum refuses them before a byte is believed.
+func TestBundleDetectsEveryFlipAndTruncation(t *testing.T) {
+	good := sealed(t, guardedBundle(t))
+	if _, err := decodeBundle(good, "theta", 1); err != nil {
+		t.Fatalf("the untouched bundle is refused: %v", err)
 	}
 	for n := 0; n < len(good); n++ {
-		if load(good[:n]) != nil {
-			t.Fatalf("manifest truncated to %d of %d bytes accepted", n, len(good))
+		if mv, err := decodeBundle(good[:n], "theta", 1); err == nil || mv != nil {
+			t.Fatalf("bundle truncated to %d of %d bytes accepted", n, len(good))
 		}
 	}
 	for i := range good {
 		for bit := 0; bit < 8; bit++ {
-			bad := append([]byte(nil), good...)
+			bad := bytes.Clone(good)
 			bad[i] ^= 1 << bit
-			if load(bad) != nil {
-				t.Fatalf("bit %d of manifest byte %d flipped: accepted", bit, i)
+			if mv, err := decodeBundle(bad, "theta", 1); err == nil || mv != nil {
+				t.Fatalf("bit %d of byte %d flipped: accepted", bit, i)
 			}
 		}
 	}
-	if err := os.WriteFile(path, good, 0o644); err != nil {
+}
+
+// TestBundleSectionLengthsMustAddUp: under a valid checksum, a header whose
+// lengths run past the body — however large, or negative — or leave bytes
+// after the last section, a column count the body cannot hold, or a
+// scaler_log without an ensemble is refused before any section is decoded.
+func TestBundleSectionLengthsMustAddUp(t *testing.T) {
+	good := sealed(t, guardedBundle(t))
+	m, err := openBundle(good)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadVersionDir(dir, "theta", new([2][]byte)); err != nil {
-		t.Fatalf("the untouched manifest is refused: %v", err)
+	header := func(model, reference int, members string) string {
+		return fmt.Sprintf(`{"system":"theta","version":1,"scaler_log":true,"guard":{"eu_threshold":0.5,"noise_sigma_log":0,"noise_floor_pct":0},`+
+			`"model_bytes":%d,"reference_bytes":%d,"member_bytes":%s}`, model, reference, members)
+	}
+	model, ref := len(m.model), len(m.reference)
+	members := fmt.Sprintf("[%d,%d]", len(m.members[0]), len(m.members[1]))
+	if _, err := decodeBundle(withHeader(good, header(model, ref, members)), "theta", 1); err != nil {
+		t.Fatalf("the header rewritten as it was is refused: %v", err)
+	}
+	bare := fuzzBundle(t)
+	bare.ScalerLog = true
+	for name, c := range map[string]struct {
+		data []byte
+		want string
+	}{
+		"model past the body":         {withHeader(good, header(1<<62, ref, members)), "model section of 4611686018427387904 bytes"},
+		"negative model":              {withHeader(good, header(-1, ref, members)), "model section of -1 bytes"},
+		"members past the body":       {withHeader(good, header(model, ref, "[9223372036854775807,1]")), "member 0 section of"},
+		"members overflowing the sum": {withHeader(good, header(model, ref, fmt.Sprintf("[%d,9223372036854775807]", len(m.members[0])))), "member 1 section of"},
+		"a byte short of the body":    {withHeader(good, header(model-1, ref, members)), "1 body bytes after the last section"},
+		"bytes after the sections":    {withHeader(good, header(model, ref, fmt.Sprintf("[%d]", len(m.members[0])))), "body bytes after the last section"},
+		"more columns than bytes":     {withColumnCount(good, 1<<30), "columns with"},
+		"scaler_log without ensemble": {sealed(t, bare), "scaler_log set"},
+	} {
+		if mv, err := decodeBundle(c.data, "theta", 1); err == nil || mv != nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error naming %q", name, err, c.want)
+		}
 	}
 }
 
+// withColumnCount is the sealed bundle raw with its column count set to n
+// and the checksum recomputed.
+func withColumnCount(raw []byte, n uint32) []byte {
+	b := bytes.Clone(raw[:len(raw)-4])
+	binary.LittleEndian.PutUint32(b[12+binary.LittleEndian.Uint32(raw[8:]):], n)
+	return modelfile.Seal(b)
+}
+
 // BenchmarkLoadVersionDir is the layer number behind the README's bundle
-// load rows: one loadVersionDir (manifest, model, three ensemble members,
-// reference, validation, flat compilation). "binary" loads the test
+// load rows: one loadVersionDir (read, container checksum, model, three
+// ensemble members, reference, scaler, validation). "binary" loads the test
 // fixture's v2 (24 trees of depth 5); "bootstrap" loads a bundle of
 // DefaultBootstrap's shape (80 trees of depth 7 over 4 000 Theta jobs, the
 // bundle bench/ serves), so that it is at the scale of the ledger's
@@ -549,7 +619,7 @@ func BenchmarkLoadVersionDir(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := loadVersionDir(dir, mv.System, new([2][]byte)); err != nil {
+			if _, err := loadVersionDir(dir, mv.System, mv.Version, new([]byte)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -179,12 +179,13 @@ type cacheSlot struct {
 	prev, next int32  // LRU neighbours by slot index, -1 at the ends; next also threads the free list
 	width      int32  // features in the row
 	sys        int32  // index into the shard's systems table
-	// The Result, with its Guard flattened to a fixed-width record.
-	predLog, pred float64
-	eu, au        float64
-	first         int32 // the row's first chunk, -1 when it has none
-	chain         int32 // 1 + the next slot in this key's bucket, 0 at the end
-	guarded, ood  bool  // the label is errorSource(ood)
+	// The Result, with its Guard flattened to a fixed-width record; Pred is
+	// 10^predLog, which Get recomputes.
+	predLog      float64
+	eu, au       float64
+	first        int32 // the row's first chunk, -1 when it has none
+	chain        int32 // 1 + the next slot in this key's bucket, 0 at the end
+	guarded, ood bool  // the label is errorSource(ood)
 }
 
 // cacheShard is an independently locked LRU.
@@ -502,7 +503,7 @@ func (c *Cache) Get(key uint64, row []float64, mv *ModelVersion) (Result, bool) 
 	s.unlink(i)
 	s.pushFront(i)
 	e := &s.slots[i]
-	res := Result{PredLog: e.predLog, Pred: e.pred}
+	res := Result{PredLog: e.predLog, Pred: math.Pow(10, e.predLog)}
 	if e.guarded {
 		res.Guard = Guard{EU: e.eu, AU: e.au, OoD: e.ood, ErrorSource: errorSource(e.ood)}
 	}
@@ -511,7 +512,8 @@ func (c *Cache) Get(key uint64, row []float64, mv *ModelVersion) (Result, bool) 
 
 // Put inserts or refreshes a result, evicting the shard's least recently
 // used entry when full. The row is copied, so the request's row block is
-// not retained.
+// not retained. res.Pred is not: a hit answers 10^PredLog, which is what
+// evaluate computed it as.
 func (c *Cache) Put(key uint64, row []float64, mv *ModelVersion, res Result) {
 	if c == nil {
 		return
@@ -540,7 +542,7 @@ func (c *Cache) Put(key uint64, row []float64, mv *ModelVersion, res Result) {
 	e := &s.slots[i]
 	s.storeRow(e, row)
 	e.bundle, e.sys = bundle, int32(sys)
-	e.predLog, e.pred = res.PredLog, res.Pred
+	e.predLog = res.PredLog
 	g := res.Guard
 	e.eu, e.au, e.guarded, e.ood = g.EU, g.AU, g.ErrorSource != "", g.OoD
 }

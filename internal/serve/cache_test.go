@@ -207,8 +207,8 @@ func TestCacheSlotIsPointerFree(t *testing.T) {
 	walk("cacheSlot", reflect.TypeOf(cacheSlot{}))
 	walk("bucket", reflect.TypeOf(cacheShard{}.buckets).Elem())
 	walk("slab element", reflect.TypeOf(rowSlab{}.b).Elem())
-	if size := reflect.TypeOf(cacheSlot{}).Size(); size != 80 {
-		t.Errorf("cacheSlot is %d bytes, want 80: a field is no longer packed into padding", size)
+	if size := reflect.TypeOf(cacheSlot{}).Size(); size != 72 {
+		t.Errorf("cacheSlot is %d bytes, want 72: a field is no longer packed into padding", size)
 	}
 }
 
@@ -387,7 +387,7 @@ func TestCacheSurvivesFlippedChunks(t *testing.T) {
 	for n := 7; len(entries) < 8; n += len(diffRowWidths) { // 138-wide rows
 		row := diffRow(n)
 		if key := HashKey("theta", 1, row); key&(cacheShards-1) == 0 {
-			res := Result{PredLog: float64(n), Pred: -float64(n)}
+			res := Result{PredLog: float64(n), Pred: math.Pow(10, float64(n))}
 			c.Put(key, row, cacheBundleA, res)
 			entries = append(entries, entry{key, row, res})
 		}
@@ -454,7 +454,7 @@ func TestCacheSurvivesFlippedIndex(t *testing.T) {
 	for n := 0; len(entries) < 2*perShard; n++ {
 		row := []float64{float64(n), 1}
 		if key := HashKey("theta", 1, row); key&(cacheShards-1) == 0 {
-			entries = append(entries, entry{key, row, Result{PredLog: float64(n), Pred: -float64(n)}})
+			entries = append(entries, entry{key, row, Result{PredLog: float64(n), Pred: math.Pow(10, float64(n))}})
 		}
 	}
 	first, second := entries[:perShard], entries[perShard:]
@@ -711,7 +711,7 @@ func TestCacheConcurrentHitsAreNeverTorn(t *testing.T) {
 	valueOf := func(n, b int) Result {
 		v := float64(n*len(bundles) + b)
 		ood := (n+b)&1 != 0
-		return Result{PredLog: v, Pred: -v, Guard: Guard{EU: v + 0.5, AU: v + 0.25, OoD: ood, ErrorSource: errorSource(ood)}}
+		return Result{PredLog: v, Pred: math.Pow(10, v), Guard: Guard{EU: v + 0.5, AU: v + 0.25, OoD: ood, ErrorSource: errorSource(ood)}}
 	}
 	c := NewCache(2 * cacheShards)
 	var wg sync.WaitGroup

@@ -36,7 +36,7 @@ func errorSource(ood bool) string {
 }
 
 // GuardConfig is the per-model-version guardrail calibration, computed at
-// training time and persisted in the registry manifest.
+// training time and persisted in the bundle's header.
 type GuardConfig struct {
 	// EUThreshold is the epistemic-uncertainty (standard deviation) cutoff
 	// above which a job is flagged OoD — the operating point

@@ -20,8 +20,8 @@ import (
 //
 // Each feature gets quantile-spaced cut points (so the reference mass is
 // roughly uniform across bins, the shape PSI is calibrated for) and the
-// training-set counts per bin. The histograms ride in the bundle as
-// reference.bin, which the manifest names and pins, so they survive the
+// training-set counts per bin. The histograms ride in the bundle as its
+// reference section, so they survive the
 // SaveVersion/LoadRegistry round trip and live reloads, and a bundle loaded
 // from disk can be monitored without access to its training data.
 
@@ -129,7 +129,7 @@ func validateReference(ref []FeatureHist, columns []string) error {
 	return nil
 }
 
-// refHeader is reference.bin's header. The body is, per histogram in order,
+// refHeader is the reference section's header. The body is, per histogram in order,
 // its bins-1 cuts as float64 bit patterns, then its bins counts as uint64.
 type refHeader struct {
 	Names []string `json:"names"`

@@ -129,12 +129,11 @@ func TestReferenceValidation(t *testing.T) {
 // total.
 func TestReferenceCountOverflowIsRefused(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "v1")
-	m := fuzzManifest()
-	m.ReferenceFile = &artifactRef{Name: referenceName}
 	load := func(counts ...uint64) (*ModelVersion, error) {
-		ref := []FeatureHist{{Name: "a", Cuts: []float64{1}, Counts: counts}}
-		writeBundle(t, dir, m, map[string][]byte{gbtModelName: fuzzModel(t), referenceName: referenceBinary(t, ref)})
-		return loadVersionDir(dir, "theta", new([2][]byte))
+		m := fuzzBundle(t)
+		m.reference = referenceBinary(t, []FeatureHist{{Name: "a", Cuts: []float64{1}, Counts: counts}})
+		writeBundle(t, dir, m)
+		return loadVersionDir(dir, "theta", 1, new([]byte))
 	}
 	if _, err := load(math.MaxUint64, 2); err == nil || !strings.Contains(err.Error(), "overflow") {
 		t.Errorf("got %v, want the overflow refused", err)
@@ -216,7 +215,7 @@ func TestReferenceBinaryRoundTrip(t *testing.T) {
 }
 
 // TestReadReferenceDetectsEveryFlipAndTruncation is the corruption table's
-// row for reference.bin, as TestReadBinaryDetectsEveryFlipAndTruncation is
+// row for the reference section, as TestReadBinaryDetectsEveryFlipAndTruncation is
 // for a model: no single flipped bit and no truncated file is accepted, and
 // with the checksum recomputed over the flip the file is refused or is the
 // one encoding of a valid reference.

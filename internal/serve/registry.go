@@ -2,10 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -25,63 +27,48 @@ import (
 // Model registry: versioned, per-system model bundles loaded from a
 // directory tree. Each bundle pairs the production GBT model with the deep
 // ensemble that guards it, the feature schema it expects, the scaler the
-// ensemble's networks need, and the guardrail calibration. On-disk layout:
-//
-//	<root>/<system>/v<version>/manifest.json
-//	<root>/<system>/v<version>/model.gbt.bin
-//	<root>/<system>/v<version>/member_<i>.nn.bin
-//	<root>/<system>/v<version>/reference.bin
-//
-// Every file is a sealed internal/modelfile artifact: its own arrays as bit
-// patterns under a CRC-32C, nothing derived. The manifest keeps its JSON
-// name but is sealed too; it names each artifact and pins its checksum, so
-// a file from another version, or one rewritten since the manifest was, is
-// refused before it is decoded. Everything under <root> is treated as
-// untrusted input: checksums and declared sizes are checked first, then the
-// validating build inside gbt and nn, and the manifest's schema is
-// cross-checked against the loaded artifacts.
+// ensemble's networks need, and the guardrail calibration. A version is one
+// file, <root>/<system>/v<version>/bundle.bin: a sealed internal/modelfile
+// container whose header is a manifest's fields and whose body is the column
+// names (a uint32 count, then each a uint32 length and its bytes), the
+// scaler's mean then std (with an ensemble only), and the sections: the
+// model, the reference histograms (optional) and each ensemble member, each
+// exactly the artifact its package writes. The container's checksum covers
+// every byte and is checked before any is believed; SaveVersion publishes
+// the file with one rename, so a load reads one whole bundle, old or new.
 
 // ErrUnknownModel is returned when a requested system or version is not
 // registered; the HTTP layer maps it to 404.
 var ErrUnknownModel = errors.New("serve: unknown model")
 
-// Names inside a version directory, and the magics of its own artifacts.
 const (
-	manifestName  = "manifest.json"
-	manifestMagic = "IOTAXMAN"
-	gbtModelName  = "model.gbt.bin"
-	referenceName = "reference.bin"
-	refMagic      = "IOTAXREF"
-	memberPattern = "member_%d.nn.bin"
+	bundleName  = "bundle.bin"
+	bundleMagic = "IOTAXBUN"
+	refMagic    = "IOTAXREF"
+	// legacyManifestName published a version that was six files.
+	legacyManifestName = "manifest.json"
 )
 
-// artifactRef names one file of a bundle and pins its CRC-32C, which is the
-// file's own 4-byte trailer.
-type artifactRef struct {
-	Name  string `json:"name"`
-	CRC32 uint32 `json:"crc32c"`
-}
-
-// manifest is the version directory's self-description, sealed like every
-// file it names. The header holds the fields below; the body is the scaler's
-// mean then its std, len(Columns) float64 each, for a bundle with an
-// ensemble (whose networks need the scaler), and empty for one without.
+// manifest is a bundle's container header together with the body it
+// describes.
 type manifest struct {
-	System   string        `json:"system"`
-	Version  int           `json:"version"`
-	Columns  []string      `json:"columns"`
-	Model    artifactRef   `json:"model"`
-	Ensemble []artifactRef `json:"ensemble,omitempty"`
-	// ReferenceFile names the training-time per-feature histograms the
-	// drift detectors compare live traffic against (reference.go); optional
-	// — bundles without it serve normally but cannot be drift-monitored.
-	ReferenceFile *artifactRef `json:"reference_file,omitempty"`
-	ScalerLog     bool         `json:"scaler_log,omitempty"`
-	Guard         GuardConfig  `json:"guard"`
+	System    string      `json:"system"`
+	Version   int         `json:"version"`
+	ScalerLog bool        `json:"scaler_log,omitempty"`
+	Guard     GuardConfig `json:"guard"`
 	// TrainedOn records the training-set size (informational).
 	TrainedOn int `json:"trained_on,omitempty"`
+	// The sections' lengths. A bundle without a reference section cannot be
+	// drift-monitored; one without members has no scaler.
+	ModelBytes     int   `json:"model_bytes"`
+	ReferenceBytes int   `json:"reference_bytes,omitempty"`
+	MemberBytes    []int `json:"member_bytes,omitempty"`
 
-	mean, std []float64 // the body
+	// The body. The sections alias the bytes the bundle was opened from.
+	columns          []string
+	mean, std        []float64
+	model, reference []byte
+	members          [][]byte
 }
 
 // ModelVersion is one loaded bundle.
@@ -514,10 +501,10 @@ func (s *registrySnap) systemNames() []string {
 var versionDirPattern = regexp.MustCompile(`^v([0-9]+)$`)
 
 // walkVersionDirs calls visit for every published version directory under
-// a registry root — <root>/<system>/v<N> holding a manifest — in name
-// order; directories without a manifest are skipped silently, so a root can
-// hold unrelated files. A system directory that cannot be listed goes to
-// unlisted instead. The walk stops at the first error either returns.
+// a registry root — <root>/<system>/v<N> holding a bundle.bin, or a legacy
+// manifest.json that loadVersionDir refuses — in name order, skipping
+// anything else. A system directory that cannot be listed goes to unlisted
+// instead. The walk stops at the first error either returns.
 func walkVersionDirs(root string, unlisted func(system string, err error) error, visit func(system string, version int, dir string) error) error {
 	entries, err := os.ReadDir(root)
 	if err != nil {
@@ -540,7 +527,7 @@ func walkVersionDirs(root string, unlisted func(system string, err error) error,
 				continue
 			}
 			dir := filepath.Join(root, sys.Name(), vd.Name())
-			if _, err := os.Stat(filepath.Join(dir, manifestName)); errors.Is(err, os.ErrNotExist) {
+			if !exists(filepath.Join(dir, bundleName)) && !exists(filepath.Join(dir, legacyManifestName)) {
 				continue
 			}
 			version, _ := strconv.Atoi(sub[1])
@@ -552,16 +539,23 @@ func walkVersionDirs(root string, unlisted func(system string, err error) error,
 	return nil
 }
 
+// exists is false only for a path that is certainly not there: one that
+// cannot be stat'ed for another reason is left for its reader to report.
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return !errors.Is(err, fs.ErrNotExist)
+}
+
 // LoadRegistry loads every version directory walkVersionDirs finds under
-// root. A system directory it cannot list or a manifest that fails to load
-// is an error — a serving fleet must not come up with a partial model set.
+// root. A system directory it cannot list or a bundle that fails to load is
+// an error — a serving fleet must not come up with a partial model set.
 func LoadRegistry(root string) (*Registry, error) {
 	reg := NewRegistry()
-	var bufs [2][]byte // every version's loads reuse them
+	var buf []byte // every version's load reuses it
 	err := walkVersionDirs(root, func(system string, err error) error {
 		return fmt.Errorf("serve: reading %s: %w", filepath.Join(root, system), err)
-	}, func(system string, _ int, dir string) error {
-		mv, err := loadVersionDir(dir, system, &bufs)
+	}, func(system string, version int, dir string) error {
+		mv, err := loadVersionDir(dir, system, version, &buf)
 		if err != nil {
 			return err
 		}
@@ -577,113 +571,159 @@ func LoadRegistry(root string) (*Registry, error) {
 	return reg, nil
 }
 
-// loadVersionDir loads one bundle directory, reading through bufs, one
-// read buffer per loading goroutine: bufs[0] holds the manifest and then the
-// model on the calling goroutine, bufs[1] the reference and then each member
-// on the guard's. Every decoder copies what it keeps, so the bundle holds no
-// slice of either, and the next load may reuse them.
-func loadVersionDir(dir, wantSystem string, bufs *[2][]byte) (*ModelVersion, error) {
-	m, err := readManifest(dir, &bufs[0])
-	if err != nil {
-		return nil, err
-	}
-	if m.System != wantSystem {
-		return nil, fmt.Errorf("serve: manifest in %s names system %q, directory says %q", dir, m.System, wantSystem)
-	}
-	wantVersion := 0
-	if sub := versionDirPattern.FindStringSubmatch(filepath.Base(dir)); sub != nil {
-		wantVersion, _ = strconv.Atoi(sub[1])
-	}
-	if wantVersion != 0 && m.Version != wantVersion {
-		return nil, fmt.Errorf("serve: manifest in %s claims version %d", dir, m.Version)
-	}
-	mv := &ModelVersion{
-		System:    m.System,
-		Version:   m.Version,
-		Columns:   m.Columns,
-		Guard:     m.Guard,
-		TrainedOn: m.TrainedOn,
-	}
-	// The guard's artifacts decode on a second goroutine while this one
-	// decodes the model. Errors keep the serial order: the model's first,
-	// then the reference, each member and the scaler.
-	guardErr := make(chan error, 1)
-	go func() { guardErr <- loadGuardArtifacts(dir, m, mv, &bufs[1]) }()
-	mv.Model, err = readArtifact(dir, m.Model, &bufs[0], gbt.ReadBinary)
-	if errors.Is(err, gbt.ErrLegacyFormat) {
-		err = fmt.Errorf("%w: %s", err, resave)
-	}
-	if gerr := <-guardErr; err == nil {
-		err = gerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Validate here, not just at registration: loadVersionDir is the trust
-	// boundary for on-disk input (including live-reloaded directories), so
-	// it must never hand back a bundle the registry would refuse.
-	if err := mv.validate(); err != nil {
-		return nil, fmt.Errorf("serve: manifest in %s: %w", dir, err)
-	}
-	return mv, nil
-}
-
-// loadGuardArtifacts decodes what m names besides the model into mv: the
-// reference, the ensemble members and the scaler, in that order, reading
-// each file into buf.
-func loadGuardArtifacts(dir string, m manifest, mv *ModelVersion, buf *[]byte) (err error) {
-	if m.ReferenceFile != nil {
-		if mv.Reference, err = readArtifact(dir, *m.ReferenceFile, buf, readReference); err != nil {
-			return err
-		}
-	}
-	if len(m.Ensemble) == 0 {
-		return nil
-	}
-	ens := &uq.Ensemble{}
-	for _, ref := range m.Ensemble {
-		member, err := readArtifact(dir, ref, buf, nn.ReadBinary)
-		if err != nil {
-			return err
-		}
-		ens.Members = append(ens.Members, member)
-	}
-	mv.Ensemble = ens
-	if mv.Scaler, err = dataset.NewScaler(m.ScalerLog, m.mean, m.std); err != nil {
-		return fmt.Errorf("serve: manifest in %s: %w", dir, err)
-	}
-	return nil
-}
-
 // resave is the advice a bundle written in a format this build no longer
 // reads is refused with.
 const resave = "the bundle predates this build's bundle format; re-save it with SaveVersion (ioserve -bootstrap writes a fresh registry)"
 
-// readManifest opens dir's manifest, read into buf: the checksum first,
-// then a canonical header, then a body holding exactly the scaler the
-// header implies.
-func readManifest(dir string, buf *[]byte) (m manifest, err error) {
-	raw, err := readFileInto(filepath.Join(dir, manifestName), buf)
-	if err != nil {
-		return m, fmt.Errorf("serve: reading manifest in %s: %w", dir, err)
-	}
-	body, err := modelfile.Open(manifestMagic, raw, &m)
-	if err != nil && !bytes.HasPrefix(raw, []byte(manifestMagic)) {
-		err = fmt.Errorf("%w: %s", err, resave)
+// loadVersionDir loads the bundle in dir, which is system's version, read
+// whole into *buf. Every decoder copies what it keeps, so the bundle holds
+// no slice of the buffer, and the next load may reuse it.
+func loadVersionDir(dir, system string, version int, buf *[]byte) (*ModelVersion, error) {
+	path := filepath.Join(dir, bundleName)
+	raw, err := readFileInto(path, buf)
+	if errors.Is(err, fs.ErrNotExist) && exists(filepath.Join(dir, legacyManifestName)) {
+		return nil, fmt.Errorf("serve: %s holds a %s and no %s: %s", dir, legacyManifestName, bundleName, resave)
 	}
 	if err != nil {
-		return m, fmt.Errorf("serve: manifest in %s: %w", dir, err)
+		return nil, fmt.Errorf("serve: reading bundle: %w", err)
 	}
-	n := 0
-	if len(m.Ensemble) > 0 {
-		n = len(m.Columns)
+	mv, err := decodeBundle(raw, system, version)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %s: %w", path, err)
 	}
-	if len(body) != 16*n || (m.ScalerLog && n == 0) {
-		return m, fmt.Errorf("serve: manifest in %s: %d body bytes and scaler_log %v for %d ensemble members over %d columns", dir, len(body), m.ScalerLog, len(m.Ensemble), len(m.Columns))
+	return mv, nil
+}
+
+// decodeBundle opens a bundle read from the directory of system's version.
+// The model decodes on the calling goroutine while the reference, members
+// and scaler decode on a second one, yet errors keep the serial order:
+// container, model, reference, each member, scaler. What it returns has
+// passed validate: the loader is the trust boundary for on-disk input, so it
+// never hands back a bundle the registry would refuse.
+func decodeBundle(raw []byte, system string, version int) (*ModelVersion, error) {
+	m, err := openBundle(raw)
+	if err != nil {
+		return nil, err
 	}
-	m.mean, m.std = make([]float64, n), make([]float64, n)
-	modelfile.Float64s(m.std, modelfile.Float64s(m.mean, body))
-	return m, nil
+	if m.System != system || m.Version != version {
+		return nil, fmt.Errorf("bundle claims %q v%d in the directory of %q v%d", m.System, m.Version, system, version)
+	}
+	mv := &ModelVersion{
+		System:    m.System,
+		Version:   m.Version,
+		Columns:   m.columns,
+		Guard:     m.Guard,
+		TrainedOn: m.TrainedOn,
+	}
+	guardErr := make(chan error, 1)
+	go func() { guardErr <- decodeGuard(&m, mv) }()
+	if mv.Model, err = gbt.ReadBinary(m.model); err != nil {
+		err = fmt.Errorf("model section: %w", err)
+	}
+	if err = cmp.Or(err, <-guardErr); err == nil {
+		err = mv.validate()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return mv, nil
+}
+
+// decodeGuard decodes m's sections besides the model into mv: the
+// reference, the ensemble members and the scaler, in that order.
+func decodeGuard(m *manifest, mv *ModelVersion) (err error) {
+	if m.reference != nil {
+		if mv.Reference, err = readReference(m.reference); err != nil {
+			return fmt.Errorf("reference section: %w", err)
+		}
+	}
+	if len(m.members) == 0 {
+		return nil
+	}
+	ens := &uq.Ensemble{Members: make([]*nn.Model, len(m.members))}
+	for i, section := range m.members {
+		if ens.Members[i], err = nn.ReadBinary(section); err != nil {
+			return fmt.Errorf("member %d section: %w", i, err)
+		}
+	}
+	mv.Ensemble = ens
+	mv.Scaler, err = dataset.NewScaler(m.ScalerLog, m.mean, m.std)
+	return err
+}
+
+// openBundle checks raw's container — its checksum first, then a canonical
+// header — and splits the body: every length it declares must fit in the
+// bytes still unread, and together they must account for all of them.
+func openBundle(raw []byte) (m manifest, err error) {
+	body, err := modelfile.Open(bundleMagic, raw, &m)
+	// take cuts the next n bytes off body, and nothing once err is set.
+	take := func(what string, n int) []byte {
+		if err == nil && (n < 0 || n > len(body)) {
+			err = fmt.Errorf("%s of %d bytes with %d left", what, n, len(body))
+		}
+		if err != nil {
+			return nil
+		}
+		b := body[:n:n]
+		body = body[n:]
+		return b
+	}
+	u32 := func(what string) int {
+		if b := take(what, 4); b != nil {
+			return int(binary.LittleEndian.Uint32(b))
+		}
+		return 0
+	}
+	// Each column name is at least its 4-byte length.
+	if n := u32("column count"); err == nil && n > len(body)/4 {
+		err = fmt.Errorf("%d columns with %d bytes left", n, len(body))
+	} else {
+		m.columns = make([]string, n)
+	}
+	for i := range m.columns {
+		m.columns[i] = string(take("column name", u32("column name length")))
+	}
+	if len(m.MemberBytes) > 0 {
+		m.mean, m.std = make([]float64, len(m.columns)), make([]float64, len(m.columns))
+		if b := take("scaler", 16*len(m.columns)); b != nil {
+			modelfile.Float64s(m.std, modelfile.Float64s(m.mean, b))
+		}
+	} else if m.ScalerLog && err == nil {
+		err = errors.New("scaler_log set for a bundle without an ensemble")
+	}
+	m.model = take("model section", m.ModelBytes)
+	if m.ReferenceBytes != 0 {
+		m.reference = take("reference section", m.ReferenceBytes)
+	}
+	for i := 0; i < len(m.MemberBytes) && err == nil; i++ {
+		m.members = append(m.members, take(fmt.Sprintf("member %d section", i), m.MemberBytes[i]))
+	}
+	if err == nil && len(body) != 0 {
+		err = fmt.Errorf("%d body bytes after the last section", len(body))
+	}
+	return m, err
+}
+
+// sealBundle encodes m's body under a header whose lengths it sets from the
+// sections.
+func sealBundle(m manifest) ([]byte, error) {
+	m.ModelBytes, m.ReferenceBytes, m.MemberBytes = len(m.model), len(m.reference), nil
+	for _, section := range m.members {
+		m.MemberBytes = append(m.MemberBytes, len(section))
+	}
+	b, err := modelfile.Begin(bundleMagic, m, 0)
+	if err != nil {
+		return nil, err
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.columns)))
+	for _, c := range m.columns {
+		b = append(binary.LittleEndian.AppendUint32(b, uint32(len(c))), c...)
+	}
+	b = modelfile.AppendFloat64s(modelfile.AppendFloat64s(b, m.mean), m.std)
+	for _, section := range append([][]byte{m.model, m.reference}, m.members...) {
+		b = append(b, section...)
+	}
+	return modelfile.Seal(b), nil
 }
 
 // readFileInto reads the file at path whole into *buf, grown to the file's
@@ -702,112 +742,65 @@ func readFileInto(path string, buf *[]byte) ([]byte, error) {
 	return *buf, err
 }
 
-// readArtifact reads the bundle file ref names whole into buf, refuses it
-// unless its checksum trailer is the one the manifest pins, and decodes it.
-// Manifests are untrusted, so the name is confined to the version
-// directory: "../../etc/x" must not escape it.
-func readArtifact[M any](dir string, ref artifactRef, buf *[]byte, decode func([]byte) (M, error)) (m M, err error) {
-	if ref.Name == "" || !filepath.IsLocal(ref.Name) {
-		return m, fmt.Errorf("serve: manifest in %s references non-local artifact path %q", dir, ref.Name)
-	}
-	path := filepath.Join(dir, ref.Name)
-	raw, err := readFileInto(path, buf)
-	if err != nil {
-		return m, fmt.Errorf("serve: reading artifact: %w", err)
-	}
-	if len(raw) < 4 || binary.LittleEndian.Uint32(raw[len(raw)-4:]) != ref.CRC32 {
-		return m, fmt.Errorf("serve: %s is not the artifact the manifest pins (crc32c %08x)", path, ref.CRC32)
-	}
-	if m, err = decode(raw); err != nil {
-		return m, fmt.Errorf("serve: loading %s: %w", path, err)
-	}
-	return m, nil
-}
-
-// SaveVersion writes a bundle into the registry layout under root, creating
-// <root>/<system>/v<version>/ and its manifest and artifacts. The manifest
-// is written last: LoadRegistry and the reloader skip directories without a
-// manifest, so its appearance is what publishes the version — a concurrent
-// reload poll never loads a half-written directory. A version rewritten in
-// place is never loaded half old, half new either: until the new manifest
-// lands, the old one's checksum pins refuse the new artifacts.
+// SaveVersion writes a bundle into the registry layout under root as
+// <root>/<system>/v<version>/bundle.bin.
 func SaveVersion(root string, mv *ModelVersion) error {
 	if err := mv.validate(); err != nil {
 		return err
+	}
+	m := manifest{
+		System:    mv.System,
+		Version:   mv.Version,
+		Guard:     mv.Guard,
+		TrainedOn: mv.TrainedOn,
+		columns:   mv.Columns,
+	}
+	var err error
+	section := func(write func(io.Writer) error) []byte {
+		var b bytes.Buffer
+		err = cmp.Or(err, write(&b))
+		return b.Bytes()
+	}
+	m.model = section(mv.Model.WriteBinary)
+	if len(mv.Reference) > 0 {
+		m.reference = section(func(w io.Writer) error { return writeReference(w, mv.Reference) })
+	}
+	if mv.Ensemble != nil {
+		for _, member := range mv.Ensemble.Members {
+			m.members = append(m.members, section(member.WriteBinary))
+		}
+		m.ScalerLog, m.mean, m.std = mv.Scaler.Log, mv.Scaler.Mean, mv.Scaler.Std
+	}
+	var b []byte
+	if err == nil {
+		b, err = sealBundle(m)
+	}
+	if err != nil {
+		return fmt.Errorf("serve: encoding bundle: %w", err)
 	}
 	dir := filepath.Join(root, mv.System, fmt.Sprintf("v%d", mv.Version))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("serve: creating %s: %w", dir, err)
 	}
-	m := manifest{
-		System:    mv.System,
-		Version:   mv.Version,
-		Columns:   mv.Columns,
-		Guard:     mv.Guard,
-		TrainedOn: mv.TrainedOn,
-	}
-	var err error
-	if m.Model, err = writeArtifact(dir, gbtModelName, mv.Model.WriteBinary); err != nil {
-		return err
-	}
-	if mv.Ensemble != nil {
-		for i, member := range mv.Ensemble.Members {
-			ref, err := writeArtifact(dir, fmt.Sprintf(memberPattern, i), member.WriteBinary)
-			if err != nil {
-				return err
-			}
-			m.Ensemble = append(m.Ensemble, ref)
-		}
-		m.ScalerLog, m.mean, m.std = mv.Scaler.Log, mv.Scaler.Mean, mv.Scaler.Std
-	}
-	if len(mv.Reference) > 0 {
-		ref, err := writeArtifact(dir, referenceName, func(w io.Writer) error { return writeReference(w, mv.Reference) })
-		if err != nil {
-			return err
-		}
-		m.ReferenceFile = &ref
-	}
-	return writeManifest(dir, m)
+	return writeBundleFile(dir, b)
 }
 
-// writeArtifact writes one sealed bundle file and returns the manifest's
-// reference to it, pinned to the checksum it was sealed with.
-func writeArtifact(dir, name string, write func(io.Writer) error) (artifactRef, error) {
-	var buf bytes.Buffer
-	if err := write(&buf); err != nil {
-		return artifactRef{}, fmt.Errorf("serve: encoding %s: %w", name, err)
-	}
-	b := buf.Bytes()
-	return artifactRef{Name: name, CRC32: binary.LittleEndian.Uint32(b[len(b)-4:])}, writeBundleFile(dir, name, b)
-}
-
-// writeManifest seals m and publishes it as dir's manifest, the last file of
-// a version.
-func writeManifest(dir string, m manifest) error {
-	b, err := modelfile.Begin(manifestMagic, m, 16*len(m.mean))
+// writeBundleFile publishes data as dir's bundle.bin: staged under a
+// dot-prefixed name that no loader opens and renamed, so a poll racing a
+// publisher reads the old bundle or the new one whole.
+func writeBundleFile(dir string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, "."+bundleName+"-*")
 	if err != nil {
-		return fmt.Errorf("serve: encoding manifest: %w", err)
-	}
-	b = modelfile.AppendFloat64s(modelfile.AppendFloat64s(b, m.mean), m.std)
-	return writeBundleFile(dir, manifestName, modelfile.Seal(b))
-}
-
-// writeBundleFile is how every file of a bundle reaches its directory: staged
-// under a dot-prefixed name (no loader opens one, dirFingerprint skips them)
-// and renamed, so a poll racing a publisher reads it whole or not at all.
-func writeBundleFile(dir, name string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, "."+name+"-*")
-	if err != nil {
-		return fmt.Errorf("serve: staging %s in %s: %w", name, dir, err)
+		return fmt.Errorf("serve: staging %s in %s: %w", bundleName, dir, err)
 	}
 	_, err = tmp.Write(data)
 	err = errors.Join(err, tmp.Chmod(0o644), tmp.Close())
 	if err == nil {
-		err = os.Rename(tmp.Name(), filepath.Join(dir, name))
+		err = os.Rename(tmp.Name(), filepath.Join(dir, bundleName))
 	}
 	if err != nil {
 		_ = os.Remove(tmp.Name()) // best effort: err is the one to report
-		return fmt.Errorf("serve: writing %s in %s: %w", name, dir, err)
+		return fmt.Errorf("serve: writing %s in %s: %w", bundleName, dir, err)
 	}
 	return nil
 }

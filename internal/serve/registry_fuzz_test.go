@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"iotaxo/internal/modelfile"
+	"iotaxo/internal/nn"
 )
 
 // gbtNode is one node of a hand-laid-out gbt artifact: feature (-1 for a
@@ -82,172 +83,168 @@ func stumpsOver(t testing.TB, n, features int) []byte {
 	return gbtArtifact(t, edges, trees...)
 }
 
-// fuzzManifest matches fuzzModel: two columns, no ensemble.
-func fuzzManifest() manifest {
-	return manifest{System: "theta", Version: 1, Columns: []string{"a", "b"},
-		Model: artifactRef{Name: gbtModelName}, Guard: GuardConfig{EUThreshold: 0.5}}
-}
-
-// pinArtifacts pins each artifact m names to the checksum trailer of the
-// file of that name in dir, where there is one.
-func pinArtifacts(dir string, m *manifest) {
-	refs := []*artifactRef{&m.Model, m.ReferenceFile}
-	for i := range m.Ensemble {
-		refs = append(refs, &m.Ensemble[i])
-	}
-	for _, ref := range refs {
-		if ref == nil || !filepath.IsLocal(ref.Name) {
-			continue
-		}
-		if raw, err := os.ReadFile(filepath.Join(dir, ref.Name)); err == nil && len(raw) >= 4 {
-			ref.CRC32 = binary.LittleEndian.Uint32(raw[len(raw)-4:])
-		}
-	}
-}
-
-// sealManifest publishes m as dir's manifest, its artifacts pinned to the
-// files in dir: how a test writes a bundle by hand, or re-pins one whose
-// artifact it has edited.
-func sealManifest(t testing.TB, dir string, m manifest) {
+// nnArtifact is a hand-laid-out ensemble member over fuzzBundle's two
+// columns, as nn.WriteBinary writes one: one hidden unit, a mean head,
+// weights and biases of scale, so two members of different scales disagree.
+func nnArtifact(t testing.TB, scale float64) []byte {
 	t.Helper()
-	pinArtifacts(dir, &m)
-	if err := writeManifest(dir, m); err != nil {
-		t.Fatal(err)
+	type layer struct {
+		In  int `json:"in"`
+		Out int `json:"out"`
 	}
-}
-
-// repin re-seals dir's manifest with edit applied (nil for none), its pins
-// taken from the artifacts now in dir: a hostile manifest that still passes
-// its checksum, or one re-pinned to an artifact a test has edited.
-func repin(t testing.TB, dir string, edit func(m *manifest)) {
-	t.Helper()
-	m, err := readManifest(dir, new([]byte))
+	header := struct {
+		Version int       `json:"version"`
+		Params  nn.Params `json:"params"`
+		NIn     int       `json:"n_in"`
+		YMean   float64   `json:"y_mean"`
+		YStd    float64   `json:"y_std"`
+		Layers  []layer   `json:"layers"`
+	}{1, nn.Params{Hidden: []int{1}, LearningRate: 0.001, Epochs: 1, BatchSize: 1, Seed: 1}, 2, 0, 1, []layer{{2, 1}, {1, 1}}}
+	weights := []float64{scale, -scale, 0.5 * scale, scale, 0}
+	b, err := modelfile.Begin("IOTAX_NN", header, 8*len(weights))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if edit != nil {
-		edit(&m)
-	}
-	sealManifest(t, dir, m)
+	return modelfile.Seal(modelfile.AppendFloat64s(b, weights))
 }
 
-// writeBundle writes files into dir and then m, sealed over them.
-func writeBundle(t testing.TB, dir string, m manifest, files map[string][]byte) {
+// fuzzBundle is a minimal valid bundle: fuzzModel over two columns, no
+// reference, no ensemble.
+func fuzzBundle(t testing.TB) manifest {
+	return manifest{System: "theta", Version: 1, Guard: GuardConfig{EUThreshold: 0.5},
+		columns: []string{"a", "b"}, model: fuzzModel(t)}
+}
+
+// guardedBundle is fuzzBundle with every optional part: a reference
+// histogram, a two-member ensemble and its scaler.
+func guardedBundle(t testing.TB) manifest {
+	m := fuzzBundle(t)
+	m.reference = referenceBinary(t, []FeatureHist{{Name: "a", Cuts: []float64{1}, Counts: []uint64{3, 4}}})
+	m.members = [][]byte{nnArtifact(t, 1), nnArtifact(t, 2)}
+	m.ScalerLog, m.mean, m.std = true, []float64{0, 1}, []float64{1, 2}
+	return m
+}
+
+// sealed is m as the bytes of a bundle file.
+func sealed(t testing.TB, m manifest) []byte {
+	t.Helper()
+	b, err := sealBundle(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// writeBundle writes m sealed as dir's bundle.bin: how a test writes a
+// bundle by hand.
+func writeBundle(t testing.TB, dir string, m manifest) {
 	t.Helper()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for name, body := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), body, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sealManifest(t, dir, m)
-}
-
-// sealedManifest is m as the bytes of a manifest file, pinned to the files
-// in dir.
-func sealedManifest(t testing.TB, dir string, m manifest) []byte {
-	t.Helper()
-	out := t.TempDir()
-	pinArtifacts(dir, &m)
-	if err := writeManifest(out, m); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, bundleName), sealed(t, m), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(filepath.Join(out, manifestName))
+}
+
+// rewriteBundle reseals dir's bundle with edit applied: a hostile bundle
+// that still passes its container checksum.
+func rewriteBundle(t testing.TB, dir string, edit func(m *manifest)) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, bundleName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return raw
+	m, err := openBundle(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(&m)
+	writeBundle(t, dir, m)
 }
 
-// repinned is the manifest file raw with its artifact pins taken from the
-// files in dir and its checksum recomputed, so a fuzzed manifest reaches the
-// checks behind both. A header that does not decode as a manifest is only
-// resealed; one that does is re-encoded canonically under raw's magic.
-func repinned(raw []byte, dir string) []byte {
+// withHeader is the sealed bundle raw with its container header replaced by
+// header, the body kept and the checksum recomputed.
+func withHeader(raw []byte, header string) []byte {
+	hlen := int(binary.LittleEndian.Uint32(raw[8:]))
+	b := binary.LittleEndian.AppendUint32([]byte(bundleMagic), uint32(len(header)))
+	b = append(append(b, header...), raw[12+hlen:len(raw)-4]...)
+	return modelfile.Seal(b)
+}
+
+// resealedBundle is raw with its checksums recomputed, so a fuzzed bundle
+// reaches the checks behind them: each section's, where the container
+// opens once resealed, and the container's.
+func resealedBundle(raw []byte) []byte {
 	if len(raw) < 4 {
 		return raw
 	}
-	var m manifest
-	if len(raw) < 16 || uint64(binary.LittleEndian.Uint32(raw[8:])) > uint64(len(raw)-16) {
-		return resealed(raw)
-	}
-	hlen := int(binary.LittleEndian.Uint32(raw[8:]))
-	if json.Unmarshal(raw[12:12+hlen], &m) != nil {
-		return resealed(raw)
-	}
-	pinArtifacts(dir, &m)
-	b, err := modelfile.Begin(string(raw[:8]), m, 0)
+	m, err := openBundle(resealed(raw))
 	if err != nil {
 		return resealed(raw)
 	}
-	return modelfile.Seal(append(b, raw[12+hlen:len(raw)-4]...))
+	for _, section := range append([][]byte{m.model, m.reference}, m.members...) {
+		if len(section) >= 4 {
+			copy(section, resealed(section))
+		}
+	}
+	if b, err := sealBundle(m); err == nil {
+		return b
+	}
+	return resealed(raw)
 }
 
 // FuzzLoadVersionDir hardens the registry's trust boundary: version
 // directories arrive from disk (startup load and live reload), so a
-// truncated or hostile manifest/model pair must produce an error — never a
-// panic, and never a bundle that fails validation. Each input is tried as
-// given and resealed: the model's checksum, the manifest's pins and its
-// checksum recomputed, as FuzzReadBinary does, so the fuzzer reaches the
-// checks behind them. Checked-in seeds live in
-// testdata/fuzz/FuzzLoadVersionDir.
+// truncated or hostile bundle.bin must produce an error — never a panic,
+// and never a bundle that fails validation. Each input is tried as given and
+// resealed — the sections' checksums and the container's recomputed, as
+// FuzzReadBinary does — so the fuzzer reaches the checks behind them. The
+// seeds are small hand-laid-out bundles, so that a new input is minimized
+// in milliseconds; checked-in seeds live in testdata/fuzz/FuzzLoadVersionDir.
 func FuzzLoadVersionDir(f *testing.F) {
-	mod := fuzzModel(f)
-	refBin := referenceBinary(f, []FeatureHist{{Name: "a", Cuts: []float64{1}, Counts: []uint64{3, 4}}})
-	files := f.TempDir()
-	for name, body := range map[string][]byte{gbtModelName: mod, referenceName: refBin} {
-		if err := os.WriteFile(filepath.Join(files, name), body, 0o644); err != nil {
-			f.Fatal(err)
-		}
-	}
 	seal := func(edit func(m *manifest)) []byte {
-		m := fuzzManifest()
+		m := fuzzBundle(f)
 		edit(&m)
-		return sealedManifest(f, files, m)
+		return sealed(f, m)
 	}
-	man := seal(func(*manifest) {})
-	f.Add(man, mod)
-	f.Add(man[:len(man)/2], mod) // truncated manifest
-	f.Add(man, mod[:len(mod)/2]) // truncated model
-	f.Add(seal(func(m *manifest) { m.Model.Name = "../../etc/passwd" }), mod)
-	f.Add(seal(func(m *manifest) { m.System = "cori" }), mod)
-	f.Add(seal(func(m *manifest) { m.Version = 7 }), mod)
-	f.Add(seal(func(m *manifest) { m.Columns = []string{"a"} }), mod)
+	valid := seal(func(*manifest) {})
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2]) // truncated bundle
+	f.Add(seal(func(m *manifest) { m.model = m.model[:len(m.model)/2] }))
+	// The header a six-file manifest had: named, pinned artifacts.
+	f.Add(withHeader(valid, `{"system":"theta","version":1,"model":{"name":"../../etc/passwd","crc32c":0},"guard":{}}`))
+	f.Add(seal(func(m *manifest) { m.System = "cori" }))
+	f.Add(seal(func(m *manifest) { m.Version = 7 }))
+	f.Add(seal(func(m *manifest) { m.columns = []string{"a"} }))
 	f.Add(seal(func(m *manifest) {
-		m.Ensemble = []artifactRef{{Name: "member_0.nn.bin"}}
+		m.members = [][]byte{[]byte("not a network")}
 		m.mean, m.std = []float64{0, 0}, []float64{1, 1}
-	}), mod)
-	f.Add([]byte(`{not json`), []byte(`{not json`))
-	// The manifest as it was written before it was sealed.
-	f.Add([]byte(`{"system":"theta","version":1,"columns":["a","b"],"model":"model.gbt.bin","guard":{}}`), mod)
-	flipped := append([]byte(nil), man...)
+	}))
+	f.Add([]byte(`{not json`))
+	// A manifest as it was written before it was sealed.
+	f.Add([]byte(`{"system":"theta","version":1,"columns":["a","b"],"model":"model.gbt.bin","guard":{}}`))
+	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 1
-	f.Add(flipped, mod)
-	f.Add(seal(func(m *manifest) { m.ReferenceFile = &artifactRef{Name: referenceName} }), mod)
-	f.Add(seal(func(m *manifest) { m.ReferenceFile = &artifactRef{Name: "gone.bin"} }), mod)
-	f.Add(seal(func(m *manifest) { m.ScalerLog = true }), mod) // a scaler with no ensemble
-	f.Add(man, refBin)                                         // another artifact under the model's name
-	f.Add(man, stumpsModel(f, 256))                            // more thresholds than the flat walk codes
+	f.Add(flipped)
+	f.Add(seal(func(m *manifest) { m.reference = guardedBundle(f).reference }))
+	f.Add(seal(func(m *manifest) { m.ScalerLog = true })) // a scaler with no ensemble
+	f.Add(seal(func(m *manifest) { m.model = guardedBundle(f).reference }))
+	// Section lengths past the body.
+	f.Add(withHeader(valid, `{"system":"theta","version":1,"guard":{"eu_threshold":0.5,"noise_sigma_log":0,"noise_floor_pct":0},"model_bytes":4611686018427387904}`))
+	f.Add(sealed(f, guardedBundle(f)))
 
-	f.Fuzz(func(t *testing.T, manifestRaw, model []byte) {
-		dir := filepath.Join(t.TempDir(), "v1")
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		// The model under its name, and a reference artifact for a manifest
-		// to name.
-		for name, body := range map[string][]byte{gbtModelName: model, referenceName: refBin} {
-			if err := os.WriteFile(filepath.Join(dir, name), body, 0o644); err != nil {
+	dir := filepath.Join(f.TempDir(), "v1")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		f.Fatal(err)
+	}
+	var buf []byte // every load reuses it, as LoadRegistry's do
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		try := func(raw []byte) {
+			if err := os.WriteFile(filepath.Join(dir, bundleName), raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
-		}
-		try := func(manifestRaw []byte) {
-			if err := os.WriteFile(filepath.Join(dir, manifestName), manifestRaw, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			mv, err := loadVersionDir(dir, "theta", new([2][]byte))
+			mv, err := loadVersionDir(dir, "theta", 1, &buf)
 			if err != nil {
 				if mv != nil {
 					t.Fatal("loadVersionDir returned a bundle alongside an error")
@@ -266,42 +263,26 @@ func FuzzLoadVersionDir(f *testing.F) {
 				t.Fatalf("accepted bundle rejected by registry: %v", err)
 			}
 		}
-		try(manifestRaw)
-		if len(model) >= 4 {
-			if err := os.WriteFile(filepath.Join(dir, gbtModelName), resealed(model), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		try(repinned(manifestRaw, dir))
+		try(raw)
+		try(resealedBundle(raw))
 	})
 }
 
 // TestFuzzSeedsReachAcceptPath: the checked-in FuzzLoadVersionDir seeds
-// named for a valid bundle are ones, laid out as the fuzz target lays them
-// out, so the fuzzer starts from the accept path.
+// named for a valid bundle are ones, so the fuzzer starts from the accept
+// path.
 func TestFuzzSeedsReachAcceptPath(t *testing.T) {
-	refBin := referenceBinary(t, []FeatureHist{{Name: "a", Cuts: []float64{1}, Counts: []uint64{3, 4}}})
 	for _, seed := range []string{"seed_valid", "seed_valid_binary"} {
 		raw, err := os.ReadFile(filepath.Join("testdata/fuzz/FuzzLoadVersionDir", seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		lines := strings.Split(string(raw), "\n")
-		var args [2][]byte
-		for i := range args {
-			arg, _ := strings.CutPrefix(lines[1+i], "[]byte(")
-			s, err := strconv.Unquote(strings.TrimSuffix(arg, ")"))
-			if err != nil {
-				t.Fatalf("%s: argument %d: %v", seed, i, err)
-			}
-			args[i] = []byte(s)
+		arg, _ := strings.CutPrefix(strings.Split(string(raw), "\n")[1], "[]byte(")
+		s, err := strconv.Unquote(strings.TrimSuffix(arg, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", seed, err)
 		}
-		dir := filepath.Join(t.TempDir(), "v1")
-		writeBundle(t, dir, fuzzManifest(), map[string][]byte{gbtModelName: args[1], referenceName: refBin})
-		if err := os.WriteFile(filepath.Join(dir, manifestName), args[0], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := loadVersionDir(dir, "theta", new([2][]byte)); err != nil {
+		if _, err := decodeBundle([]byte(s), "theta", 1); err != nil {
 			t.Errorf("%s: %v", seed, err)
 		}
 	}

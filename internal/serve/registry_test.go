@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -111,7 +112,7 @@ func TestLoadRegistryRejectsTamperedModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	vdir := filepath.Join(dir, "theta", "v1")
-	path := filepath.Join(vdir, gbtModelName)
+	path := filepath.Join(vdir, bundleName)
 	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -127,28 +128,30 @@ func TestLoadRegistryRejectsTamperedModel(t *testing.T) {
 		t.Errorf("registry loaded a tampered model: %v", err)
 	}
 	// Corrupt the first node's left child into a self-loop, then reseal the
-	// model and re-pin the manifest: the hardened decoder must still refuse
+	// model section and the bundle: the hardened decoder must still refuse
 	// it, and the registry must refuse to come up partially.
-	hlen := int(binary.LittleEndian.Uint32(good[8:]))
-	var h struct {
-		EdgeLens []int `json:"edge_lens"`
-	}
-	if err := json.Unmarshal(good[12:12+hlen], &h); err != nil {
+	if err := os.WriteFile(path, good, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	left := 12 + hlen + 8*len(v1.Columns) + 4 // past the gain and node 0's feature
-	for _, n := range h.EdgeLens {
-		left += 8 * n // and every threshold
-	}
-	if binary.LittleEndian.Uint32(good[left:]) != 1 {
-		t.Fatal("fixture's first node has no left child 1")
-	}
-	raw = append([]byte(nil), good...)
-	binary.LittleEndian.PutUint32(raw[left:], 0)
-	if err := os.WriteFile(path, resealed(raw), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	repin(t, vdir, nil)
+	rewriteBundle(t, vdir, func(m *manifest) {
+		model := bytes.Clone(m.model)
+		hlen := int(binary.LittleEndian.Uint32(model[8:]))
+		var h struct {
+			EdgeLens []int `json:"edge_lens"`
+		}
+		if err := json.Unmarshal(model[12:12+hlen], &h); err != nil {
+			t.Fatal(err)
+		}
+		left := 12 + hlen + 8*len(v1.Columns) + 4 // past the gain and node 0's feature
+		for _, n := range h.EdgeLens {
+			left += 8 * n // and every threshold
+		}
+		if binary.LittleEndian.Uint32(model[left:]) != 1 {
+			t.Fatal("fixture's first node has no left child 1")
+		}
+		binary.LittleEndian.PutUint32(model[left:], 0)
+		m.model = resealed(model)
+	})
 	if _, err := LoadRegistry(dir); err == nil || !strings.Contains(err.Error(), "must point forward") {
 		t.Errorf("registry loaded a self-looping model: %v", err)
 	}
@@ -160,24 +163,13 @@ func TestLoadRegistryRejectsManifestMismatch(t *testing.T) {
 	if err := SaveVersion(dir, v1); err != nil {
 		t.Fatal(err)
 	}
-	repin(t, filepath.Join(dir, "theta", "v1"), func(m *manifest) { m.Version = 3 })
-	if _, err := LoadRegistry(dir); err == nil || !strings.Contains(err.Error(), "claims version 3") {
-		t.Errorf("registry accepted manifest/directory version mismatch: %v", err)
+	rewriteBundle(t, filepath.Join(dir, "theta", "v1"), func(m *manifest) { m.Version = 3 })
+	if _, err := LoadRegistry(dir); err == nil || !strings.Contains(err.Error(), `claims "theta" v3`) {
+		t.Errorf("registry accepted bundle/directory version mismatch: %v", err)
 	}
-}
-
-func TestLoadRegistryRejectsEscapingArtifactPath(t *testing.T) {
-	_, v1, _ := fixture(t)
-	dir := t.TempDir()
-	if err := SaveVersion(dir, v1); err != nil {
-		t.Fatal(err)
-	}
-	// A hostile manifest must not be able to read outside its version
-	// directory.
-	repin(t, filepath.Join(dir, "theta", "v1"), func(m *manifest) { m.Model.Name = "../../../../etc/passwd" })
-	_, err := LoadRegistry(dir)
-	if err == nil || !strings.Contains(err.Error(), "non-local artifact path") {
-		t.Errorf("escaping artifact path not rejected: %v", err)
+	rewriteBundle(t, filepath.Join(dir, "theta", "v1"), func(m *manifest) { m.Version, m.System = 1, "cori" })
+	if _, err := LoadRegistry(dir); err == nil || !strings.Contains(err.Error(), `claims "cori" v1`) {
+		t.Errorf("registry accepted bundle/directory system mismatch: %v", err)
 	}
 }
 

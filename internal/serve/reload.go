@@ -1,14 +1,11 @@
 package serve
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -18,8 +15,8 @@ import (
 // Live registry reload. The paper's deployment story only works if a
 // retrained model version can replace a degrading one without restarting
 // the service, so the Reloader watches the registry root by polling: each
-// poll fingerprints every <system>/v<N> directory (manifest content hash
-// plus per-file size/mtime), loads new or changed directories through the
+// poll fingerprints every <system>/v<N> directory (its bundle.bin's size,
+// mtime and checksum trailer), loads new or changed directories through the
 // same validating loadVersionDir path as startup, and applies the diff to
 // the Registry — whose copy-on-write snapshot makes each change one atomic
 // pointer swap for readers. Systems whose version set changed get their
@@ -205,16 +202,16 @@ func (r *Reloader) Poll() (ReloadStats, error) {
 	r.breaker.Success()
 
 	var errs []error
-	var bufs [2][]byte // every load of the poll reuses them
+	var buf []byte // every load of the poll reuses it
 	bumped := make(map[string]bool)
 	for key, ent := range scan {
 		if k, ok := r.known[key]; ok && k.fingerprint == ent.fingerprint {
 			continue
 		}
-		// A bundle that loads is one manifest's — every artifact matched its
-		// pin — so a publisher rewriting the directory mid-load cannot get a
-		// mix registered; the next poll's fingerprint picks up where it went.
-		mv, err := loadVersionDir(ent.dir, ent.system, &bufs)
+		// A bundle is one file, renamed into place whole, so a publisher
+		// rewriting the directory mid-load cannot get a mix registered; the
+		// next poll's fingerprint picks up where it went.
+		mv, err := loadVersionDir(ent.dir, ent.system, ent.version, &buf)
 		if err != nil {
 			stats.Failed++
 			errs = append(errs, err)
@@ -279,7 +276,7 @@ func (r *Reloader) Poll() (ReloadStats, error) {
 	return stats, nil
 }
 
-// scan fingerprints every manifest-bearing version directory under root.
+// scan fingerprints every published version directory under root.
 // Directories that exist but cannot be fingerprinted this poll (a
 // publisher racing the scan) are reported in unreadable rather than
 // silently omitted, so Poll can distinguish "gone" from "mid-write".
@@ -309,38 +306,28 @@ func (r *Reloader) scan() (map[string]scanEntry, map[string]bool, error) {
 	return out, unreadable, err
 }
 
-// dirFingerprint identifies a version directory's contents: the manifest's
-// bytes (hashed — it is small and its rewrite is what publishes a change)
-// plus each regular file's name, size, and mtime (artifacts are large, so
-// stat metadata stands in for content).
+// dirFingerprint identifies a version directory's contents by its bundle's
+// size, mtime and 4-byte checksum trailer; a legacy directory, which
+// loadVersionDir refuses, by its manifest.json's. Files beside the bundle,
+// such as the dot-prefixed ones writeBundleFile stages, do not count.
 func dirFingerprint(dir string) (string, error) {
-	entries, err := os.ReadDir(dir)
+	f, err := os.Open(filepath.Join(dir, bundleName))
+	if errors.Is(err, fs.ErrNotExist) {
+		f, err = os.Open(filepath.Join(dir, legacyManifestName))
+	}
 	if err != nil {
 		return "", err
 	}
-	h := sha256.New()
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		// Dotfiles are excluded: writeBundleFile stages every file under a
-		// dot-prefixed temporary name, and hashing a transient file would make
-		// an unchanged directory look modified one poll later (spurious
-		// reload + cache invalidation).
-		if !e.IsDir() && !strings.HasPrefix(e.Name(), ".") {
-			names = append(names, e.Name())
-		}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return "", err
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		info, err := os.Stat(filepath.Join(dir, name))
-		if err != nil {
+	var trailer [4]byte
+	if st.Size() >= int64(len(trailer)) {
+		if _, err := f.ReadAt(trailer[:], st.Size()-int64(len(trailer))); err != nil {
 			return "", err
 		}
-		fmt.Fprintf(h, "%s|%d|%d\n", name, info.Size(), info.ModTime().UnixNano())
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		return "", err
-	}
-	h.Write(raw)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return fmt.Sprintf("%s|%d|%d|%x", st.Name(), st.Size(), st.ModTime().UnixNano(), trailer), nil
 }

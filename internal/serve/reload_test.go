@@ -5,8 +5,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,14 +22,14 @@ func removeVersionDir(t *testing.T, root, system string, version int) {
 	}
 }
 
-// writeCorruptVersionDir publishes a version directory whose manifest is
-// sealed and pins its model, but whose model artifact is garbage: the load
-// fails on the model, not on the manifest.
+// writeCorruptVersionDir publishes a version directory whose bundle's
+// container is sealed, but whose model section is garbage: the load fails on
+// the model, not on the container.
 func writeCorruptVersionDir(t *testing.T, root, system string, version int) {
 	t.Helper()
-	m := fuzzManifest()
-	m.System, m.Version = system, version
-	writeBundle(t, filepath.Join(root, system, "v"+strconv.Itoa(version)), m, map[string][]byte{gbtModelName: []byte("{not a model")})
+	m := fuzzBundle(t)
+	m.System, m.Version, m.model = system, version, []byte("{not a model")
+	writeBundle(t, filepath.Join(root, system, "v"+strconv.Itoa(version)), m)
 }
 
 // diskService loads a SaveVersion'd registry from dir into a fresh service
@@ -136,10 +136,10 @@ func TestReloaderAddReplaceRemove(t *testing.T) {
 }
 
 // TestInPlaceRewriteNeverServesAMixedBundle: SaveVersion rewrites a version
-// in place artifacts first, manifest last. A poll between the two finds the
-// new model under the old manifest; the manifest's checksum pin refuses that
-// mix and the old bundle keeps serving, and once the manifest lands the next
-// poll swaps the whole new bundle in.
+// in place with one rename, so polls racing a run of rewrites each find the
+// old bundle or the new one whole — none fails, and whatever version 1
+// serves is v1 in every part or the rewrite in every part — and the last
+// rewrite is what serves once they stop. CI runs it under -race.
 func TestInPlaceRewriteNeverServesAMixedBundle(t *testing.T) {
 	frame, v1, v2 := fixture(t)
 	dir := t.TempDir()
@@ -147,34 +147,60 @@ func TestInPlaceRewriteNeverServesAMixedBundle(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc, rel := diskService(t, dir, Options{})
-	old, err := svc.Registry().Get("theta", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rewrite := v2.derive()
 	rewrite.Version = 1
-	vdir := filepath.Join(dir, "theta", "v1")
-	if _, err := writeArtifact(vdir, gbtModelName, rewrite.Model.WriteBinary); err != nil {
+	row := frame.Row(0)
+	scaled := make([]float64, len(row))
+	if err := v1.Scaler.TransformRow(row, scaled); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rel.Poll(); err == nil || !strings.Contains(err.Error(), "manifest pins") {
-		t.Fatalf("poll between the model and the manifest: %v, want the pin to refuse the mix", err)
+	// is reports whether mv is want in every part a load decodes.
+	is := func(mv, want *ModelVersion) bool {
+		return mv.Model.Predict(row) == want.Model.Predict(row) && mv.Guard == want.Guard &&
+			mv.Ensemble.Predict(scaled) == want.Ensemble.Predict(scaled) && reflect.DeepEqual(mv.Reference, want.Reference)
 	}
-	row := [][]float64{frame.Row(0)}
-	if res, mv, err := svc.Predict(context.Background(), "theta", 1, row); err != nil || mv != old ||
-		res[0].Log10Throughput != v1.Model.Predict(row[0]) {
-		t.Fatalf("after the refused poll: %v, bundle replaced %v", err, mv != old)
+	const rewrites = 20
+	done := make(chan error, 1)
+	go func() {
+		for i := range rewrites {
+			mv := rewrite
+			if i%2 == 1 {
+				mv = v1
+			}
+			if err := SaveVersion(dir, mv); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	serving := func() *ModelVersion {
+		t.Helper()
+		res, mv, err := svc.Predict(context.Background(), "theta", 1, [][]float64{row})
+		if err != nil || res[0].Log10Throughput != mv.Model.Predict(row) {
+			t.Fatalf("predict: %v", err)
+		}
+		if !is(mv, v1) && !is(mv, rewrite) {
+			t.Fatal("version 1 serves a mix of the old bundle and the rewrite")
+		}
+		return mv
 	}
-	if err := SaveVersion(dir, rewrite); err != nil {
-		t.Fatal(err)
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		if _, err := rel.Poll(); err != nil {
+			t.Fatalf("poll racing a rewrite: %v", err)
+		}
+		serving()
 	}
-	stats, err := rel.Poll()
-	if err != nil || stats.Replaced != 1 {
-		t.Fatalf("poll after the manifest landed: %+v %v", stats, err)
-	}
-	res, mv, err := svc.Predict(context.Background(), "theta", 1, row)
-	if err != nil || mv == old || res[0].Log10Throughput != v2.Model.Predict(row[0]) || mv.Guard != v2.Guard {
-		t.Fatalf("the rewritten bundle is not serving whole: %v", err)
+	if mv := serving(); !is(mv, v1) {
+		t.Fatal("the last rewrite, v1, is not what serves")
 	}
 }
 
@@ -199,11 +225,11 @@ func TestReloaderBumpVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The bumped bundle is byte-identical except the version: the binary
-	// artifacts are copied as they are and load under the reloader.
+	// The bumped bundle differs only in its header's version: the sections
+	// are copied as they are and load under the reloader.
 	for _, v := range []string{"v1", "v2"} {
-		if _, err := os.Stat(filepath.Join(dir, "theta", v, "model.gbt.bin")); err != nil {
-			t.Fatalf("no binary model in %s: %v", v, err)
+		if ents, err := os.ReadDir(filepath.Join(dir, "theta", v)); err != nil || len(ents) != 1 || ents[0].Name() != bundleName {
+			t.Fatalf("%s holds %v (%v), want only its bundle", v, ents, err)
 		}
 	}
 	frame, _, _ := fixture(t)
