@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"sort"
+	"strings"
 
 	"iotaxo/internal/dataset"
 	"iotaxo/internal/stats"
@@ -48,6 +49,11 @@ func EstimateDuplicateFloor(f *dataset.Frame) (DuplicateFloor, error) {
 	if err != nil {
 		return DuplicateFloor{}, err
 	}
+	return duplicateFloor(f, sets), nil
+}
+
+// duplicateFloor is litmus test 1 over f's duplicate sets.
+func duplicateFloor(f *dataset.Frame, sets []dataset.DupSet) DuplicateFloor {
 	out := DuplicateFloor{TotalJobs: f.Len(), PerApp: map[string]AppFloor{}}
 	var allDevs []float64
 	perApp := map[string]*AppFloor{}
@@ -61,8 +67,9 @@ func EstimateDuplicateFloor(f *dataset.Frame) (DuplicateFloor, error) {
 		}
 		app.Sets++
 		app.Jobs += s.Len()
-		devs := setDeviations(f, s.Rows)
+		devs, bessel := deviations(f, s.Rows)
 		for _, d := range devs {
+			d *= bessel
 			allDevs = append(allDevs, math.Abs(d))
 			app.SignedDevs = append(app.SignedDevs, d)
 		}
@@ -81,23 +88,22 @@ func EstimateDuplicateFloor(f *dataset.Frame) (DuplicateFloor, error) {
 		app.FloorPct = stats.PctFromLog(app.MedianAbsLog)
 		out.PerApp[name] = *app
 	}
-	return out, nil
+	return out
 }
 
 // duplicateSets extracts duplicate sets using the application features
 // (the Darshan-visible families), matching the paper's definition.
 func duplicateSets(f *dataset.Frame) ([]dataset.DupSet, error) {
-	appCols := appFeatureColumns(f)
-	return dataset.DuplicateSets(f, appCols)
+	return dataset.DuplicateSets(f, prefixedColumns(f, AppFeaturePrefixes...))
 }
 
-// appFeatureColumns lists the frame's application-feature columns; nil if
-// none match (then all columns are used).
-func appFeatureColumns(f *dataset.Frame) []string {
+// prefixedColumns lists f's columns that start with one of the prefixes;
+// nil if none does (then duplicate sets compare all columns).
+func prefixedColumns(f *dataset.Frame, prefixes ...string) []string {
 	var cols []string
 	for _, c := range f.Columns() {
-		for _, p := range AppFeaturePrefixes {
-			if len(c) >= len(p) && c[:len(p)] == p {
+		for _, p := range prefixes {
+			if strings.HasPrefix(c, p) {
 				cols = append(cols, c)
 				break
 			}
@@ -106,21 +112,19 @@ func appFeatureColumns(f *dataset.Frame) []string {
 	return cols
 }
 
-// setDeviations returns the signed log10 deviations of each member from
-// the set's mean, scaled by sqrt(n/(n-1)) (Bessel's correction applied to
-// deviations so the small-set bias of the sample mean is removed).
-func setDeviations(f *dataset.Frame, rows []int) []float64 {
-	logs := make([]float64, len(rows))
+// deviations returns the log10 deviations of the rows' throughputs from
+// their mean, and the Bessel factor sqrt(n/(n-1)) that removes the small-set
+// bias of the sample mean from deviations scaled by it.
+func deviations(f *dataset.Frame, rows []int) ([]float64, float64) {
+	devs := make([]float64, len(rows))
 	for i, ri := range rows {
-		logs[i] = math.Log10(f.Y()[ri])
+		devs[i] = math.Log10(f.Y()[ri])
 	}
-	mean := stats.Mean(logs)
-	bessel := math.Sqrt(float64(len(rows)) / float64(len(rows)-1))
-	devs := make([]float64, len(logs))
-	for i, l := range logs {
-		devs[i] = (l - mean) * bessel
+	mean := stats.Mean(devs)
+	for i := range devs {
+		devs[i] -= mean
 	}
-	return devs
+	return devs, math.Sqrt(float64(len(rows)) / float64(len(rows)-1))
 }
 
 // DupPair is one pair of duplicate jobs: the time gap between their starts

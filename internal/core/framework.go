@@ -148,12 +148,6 @@ func RunFramework(name string, f *dataset.Frame, cfg FrameworkConfig) (*Framewor
 	}
 	res.Baseline = Evaluate(baseModel, split.Test)
 
-	// Step 2.1: application-modeling litmus test (duplicate floor).
-	res.Floor, err = EstimateDuplicateFloor(f)
-	if err != nil {
-		return nil, fmt.Errorf("core: duplicate floor: %w", err)
-	}
-
 	// Step 2.2: hyperparameter search toward the floor.
 	tunedModel, tunedParams, err := tuneGBT(cfg, split, tt)
 	if err != nil {
@@ -163,14 +157,14 @@ func RunFramework(name string, f *dataset.Frame, cfg FrameworkConfig) (*Framewor
 	res.Tuned = Evaluate(tunedModel, split.Test)
 
 	// Step 3.1: global-system litmus test (golden model with start time).
-	goldenModel, goldenSplit, err := trainEnriched(f, cfg, tt, cfg.TimeColumn)
+	goldenModel, goldenSplit, err := trainEnriched(f, appFrame, cfg, tt, cfg.TimeColumn)
 	if err != nil {
 		return nil, fmt.Errorf("core: golden model: %w", err)
 	}
 	res.Golden = Evaluate(goldenModel, goldenSplit.Test)
 
 	// Step 3.2: add I/O subsystem logs when the system collects them.
-	if hasPrefix(f, "lmt_") {
+	if prefixedColumns(f, "lmt_") != nil {
 		lmtModel, lmtSplit, err := trainWithPrefixes(f, cfg, tt, "posix_", "mpiio_", "lmt_")
 		if err != nil {
 			return nil, fmt.Errorf("core: LMT model: %w", err)
@@ -181,11 +175,14 @@ func RunFramework(name string, f *dataset.Frame, cfg FrameworkConfig) (*Framewor
 
 	// Steps 4-5: OoD attribution via a deep ensemble from a NAS run, then
 	// contention + noise from concurrent duplicates, with the ensemble's
-	// frame-wide OoD flags excluded.
-	res.OoD, res.Noise, err = runOoDStep(cfg, f, appFrame, split, goldenModel, goldenSplit)
+	// frame-wide OoD flags excluded. The one duplicate-set pass of that
+	// calibration window also gives step 2.1's floor.
+	var cal Calibration
+	res.OoD, cal, err = runOoDStep(cfg, f, appFrame, split, res.Golden.AbsLogErrors)
 	if err != nil {
 		return nil, fmt.Errorf("core: OoD step: %w", err)
 	}
+	res.Floor, res.Noise = cal.Floor, cal.Noise
 
 	res.Breakdown = buildBreakdown(res)
 	return res, nil
@@ -247,13 +244,9 @@ func tuneGBT(cfg FrameworkConfig, split dataset.Split, tt dataset.TargetTransfor
 	return m, params, err
 }
 
-// trainEnriched trains a tuned model on application features plus one
-// extra column from the full frame.
-func trainEnriched(f *dataset.Frame, cfg FrameworkConfig, tt dataset.TargetTransform, extraCol string) (*gbt.Model, dataset.Split, error) {
-	appFrame, err := f.SelectPrefix(AppFeaturePrefixes...)
-	if err != nil {
-		return nil, dataset.Split{}, err
-	}
+// trainEnriched trains a tuned model on f's application features (appFrame)
+// plus one extra column from f.
+func trainEnriched(f, appFrame *dataset.Frame, cfg FrameworkConfig, tt dataset.TargetTransform, extraCol string) (*gbt.Model, dataset.Split, error) {
 	col, err := f.Column(extraCol)
 	if err != nil {
 		return nil, dataset.Split{}, err
@@ -285,55 +278,22 @@ func trainTunedOn(frame *dataset.Frame, cfg FrameworkConfig, tt dataset.TargetTr
 	return m, split, err
 }
 
-// Calibration is what litmus tests 3 and 4 hand a guard: the EU threshold,
-// the frame rows above it, and the noise floor measured without those rows.
-type Calibration struct {
-	Threshold float64
-	Flags     []bool
-	Noise     NoiseEstimate
-}
-
-// Calibrate is the one calibration of an ensemble guard, for RunFramework's
-// steps 4-5 and for a serving bundle alike. preds are the ensemble's
-// predictions on the calibration rows and absErrs the model's absolute log10
-// errors on them; a threshold <= 0 is picked from them by
-// uq.StableThreshold. framePreds are the ensemble's predictions on every row
-// of f: those above the threshold are flagged OoD and left out of
-// EstimateNoise. Past the length check, a returned error is EstimateNoise's
-// and Threshold and Flags are set regardless.
-func Calibrate(f *dataset.Frame, preds []uq.Prediction, absErrs []float64, threshold float64, framePreds []uq.Prediction, tolSec float64) (Calibration, error) {
-	if len(preds) != len(absErrs) {
-		return Calibration{}, fmt.Errorf("core: %d predictions vs %d errors", len(preds), len(absErrs))
-	}
-	if threshold <= 0 {
-		threshold = uq.StableThreshold(preds, absErrs)
-	}
-	c := Calibration{Threshold: threshold, Flags: uq.ClassifyOoD(framePreds, threshold)}
-	var err error
-	c.Noise, err = EstimateNoise(f, c.Flags, tolSec)
-	return c, err
-}
-
 // runOoDStep runs the NAS, builds the deep ensemble, calibrates it on the
 // test split, classifies the WHOLE frame (the noise litmus must exclude OoD
-// jobs everywhere), and attributes OoD error on the test split. The golden
-// model supplies the per-job errors being attributed; goldenSplit's random
+// jobs everywhere), and attributes OoD error on the test split. absErrs are
+// the golden model's per-job errors on its test split, whose random
 // permutation matches split's because both use the framework seed.
-func runOoDStep(cfg FrameworkConfig, f, appFrame *dataset.Frame, split dataset.Split, golden *gbt.Model, goldenSplit dataset.Split) (OoDReport, NoiseEstimate, error) {
+func runOoDStep(cfg FrameworkConfig, f, appFrame *dataset.Frame, split dataset.Split, absErrs []float64) (OoDReport, Calibration, error) {
 	tt := dataset.TargetTransform{}
 	scaler := dataset.FitScaler(split.Train, true)
-	trainRows, err := scaler.Transform(split.Train)
-	if err != nil {
-		return OoDReport{}, NoiseEstimate{}, err
+	var scaled [4][][]float64
+	for i, fr := range []*dataset.Frame{split.Train, split.Val, split.Test, appFrame} {
+		var err error
+		if scaled[i], err = scaler.Transform(fr); err != nil {
+			return OoDReport{}, Calibration{}, err
+		}
 	}
-	valRows, err := scaler.Transform(split.Val)
-	if err != nil {
-		return OoDReport{}, NoiseEstimate{}, err
-	}
-	testRows, err := scaler.Transform(split.Test)
-	if err != nil {
-		return OoDReport{}, NoiseEstimate{}, err
-	}
+	trainRows, valRows, testRows, allRows := scaled[0], scaled[1], scaled[2], scaled[3]
 	trainY := tt.ForwardAll(split.Train.Y())
 	valY := split.Val.Y()
 
@@ -357,7 +317,7 @@ func runOoDStep(cfg FrameworkConfig, f, appFrame *dataset.Frame, split dataset.S
 	}
 	results, _, err := hpo.Evolve(evCfg, hpo.SampleNN, hpo.MutateNN, evalNN)
 	if err != nil {
-		return OoDReport{}, NoiseEstimate{}, err
+		return OoDReport{}, Calibration{}, err
 	}
 
 	top := hpo.TopK(results, cfg.EnsembleSize)
@@ -369,32 +329,18 @@ func runOoDStep(cfg FrameworkConfig, f, appFrame *dataset.Frame, split dataset.S
 	}
 	ens, err := uq.TrainEnsemble(paramSets, trainRows, trainY, cfg.Workers)
 	if err != nil {
-		return OoDReport{}, NoiseEstimate{}, err
+		return OoDReport{}, Calibration{}, err
 	}
 
 	preds := ens.PredictAll(testRows)
-	absErrs := Evaluate(golden, goldenSplit.Test).AbsLogErrors
-	allRows, err := scaler.Transform(appFrame)
-	if err != nil {
-		return OoDReport{}, NoiseEstimate{}, err
-	}
 	cal, err := Calibrate(f, preds, absErrs, cfg.EUThreshold, ens.PredictAll(allRows), cfg.NoiseTolSec)
 	if err != nil {
-		return OoDReport{}, NoiseEstimate{}, fmt.Errorf("noise estimate: %w", err)
+		return OoDReport{}, Calibration{}, fmt.Errorf("noise estimate: %w", err)
 	}
 	truth := make([]bool, split.Test.Len())
 	for i := range truth {
 		truth[i] = split.Test.Meta(i).OoD
 	}
 	rep, err := AttributeOoD(preds, absErrs, cal.Threshold, truth)
-	return rep, cal.Noise, err
-}
-
-func hasPrefix(f *dataset.Frame, prefix string) bool {
-	for _, c := range f.Columns() {
-		if len(c) >= len(prefix) && c[:len(prefix)] == prefix {
-			return true
-		}
-	}
-	return false
+	return rep, cal, err
 }

@@ -55,18 +55,22 @@ type NoiseEstimate struct {
 // the litmus test requires OoD removal so novel jobs don't inflate the
 // noise estimate). oodFlags may be nil when no OoD screening is available.
 func EstimateNoise(f *dataset.Frame, oodFlags []bool, tolSec float64) (NoiseEstimate, error) {
-	if oodFlags != nil && len(oodFlags) != f.Len() {
-		return NoiseEstimate{}, fmt.Errorf("core: oodFlags length %d != frame %d", len(oodFlags), f.Len())
+	if err := misaligned(f, "oodFlags", oodFlags); err != nil {
+		return NoiseEstimate{}, err
 	}
 	sets, err := duplicateSets(f)
 	if err != nil {
 		return NoiseEstimate{}, err
 	}
+	return noiseEstimate(f, sets, oodFlags, tolSec)
+}
+
+// noiseEstimate is litmus test 4 over f's duplicate sets.
+func noiseEstimate(f *dataset.Frame, sets []dataset.DupSet, oodFlags []bool, tolSec float64) (NoiseEstimate, error) {
 	var est NoiseEstimate
 	var devs []float64      // Bessel-corrected signed deviations
 	var naiveDevs []float64 // uncorrected
 	var ssCorr, ssNaive float64
-	var nDev int
 	two, six := 0, 0
 	for _, s := range sets {
 		groups := groupByStart(f, s.Rows, oodFlags, tolSec)
@@ -82,19 +86,12 @@ func EstimateNoise(f *dataset.Frame, oodFlags []bool, tolSec float64) (NoiseEsti
 			if len(g) <= 6 {
 				six++
 			}
-			logs := make([]float64, len(g))
-			for i, ri := range g {
-				logs[i] = math.Log10(f.Y()[ri])
-			}
-			mean := stats.Mean(logs)
-			bessel := math.Sqrt(float64(len(g)) / float64(len(g)-1))
-			for _, l := range logs {
-				d := l - mean
+			gdevs, bessel := deviations(f, g)
+			for _, d := range gdevs {
 				devs = append(devs, d*bessel)
 				naiveDevs = append(naiveDevs, d)
 				ssCorr += d * d * bessel * bessel
 				ssNaive += d * d
-				nDev++
 			}
 		}
 	}
@@ -103,8 +100,8 @@ func EstimateNoise(f *dataset.Frame, oodFlags []bool, tolSec float64) (NoiseEsti
 	}
 	est.TwoJobSetFrac = float64(two) / float64(est.Sets)
 	est.AtMostSixFrac = float64(six) / float64(est.Sets)
-	est.SigmaLog = math.Sqrt(ssCorr / float64(nDev))
-	est.NaiveSigmaLog = math.Sqrt(ssNaive / float64(nDev))
+	est.SigmaLog = math.Sqrt(ssCorr / float64(len(devs)))
+	est.NaiveSigmaLog = math.Sqrt(ssNaive / float64(len(devs)))
 	est.Bound68Pct = stats.PctFromLog(est.SigmaLog)
 	est.Bound95Pct = stats.PctFromLog(1.959963984540054 * est.SigmaLog)
 	abs := make([]float64, len(devs))

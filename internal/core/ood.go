@@ -47,33 +47,9 @@ func AttributeOoD(preds []uq.Prediction, absErrs []float64, threshold float64, t
 	if truthOoD != nil && len(truthOoD) != len(preds) {
 		return OoDReport{}, fmt.Errorf("core: truth flags length mismatch")
 	}
-	rep := OoDReport{Threshold: threshold}
-	if rep.Threshold <= 0 {
-		rep.Threshold = uq.StableThreshold(preds, absErrs)
-	}
-	rep.Flags = uq.ClassifyOoD(preds, rep.Threshold)
-
-	var oodErr, totalErr float64
-	var oodN int
-	for i, e := range absErrs {
-		totalErr += e
-		if rep.Flags[i] {
-			oodErr += e
-			oodN++
-		}
-	}
-	rep.NumOoD = oodN
-	rep.FracOoD = float64(oodN) / float64(len(preds))
-	if totalErr > 0 {
-		rep.ErrShare = oodErr / totalErr
-	}
-	if oodN > 0 && oodN < len(preds) {
-		meanOoD := oodErr / float64(oodN)
-		meanRest := (totalErr - oodErr) / float64(len(preds)-oodN)
-		if meanRest > 0 {
-			rep.ErrRatio = meanOoD / meanRest
-		}
-	}
+	threshold, flags := flagOoD(preds, absErrs, threshold, preds)
+	rep := errorShare(absErrs, flags)
+	rep.Threshold = threshold
 	if truthOoD != nil {
 		var tp, fp, fn float64
 		for i, flagged := range rep.Flags {
@@ -94,6 +70,42 @@ func AttributeOoD(preds []uq.Prediction, absErrs []float64, threshold float64, t
 		}
 	}
 	return rep, nil
+}
+
+// flagOoD is litmus test 3's threshold-and-flag rule: a threshold <= 0 is
+// picked by uq.StableThreshold from the calibration predictions and their
+// absolute errors, and the rows predicted with an EU above it are flagged.
+func flagOoD(preds []uq.Prediction, absErrs []float64, threshold float64, rows []uq.Prediction) (float64, []bool) {
+	if threshold <= 0 {
+		threshold = uq.StableThreshold(preds, absErrs)
+	}
+	return threshold, uq.ClassifyOoD(rows, threshold)
+}
+
+// errorShare counts the flagged rows and the share of the rows' total
+// absolute log error they carry.
+func errorShare(absErrs []float64, flags []bool) OoDReport {
+	rep := OoDReport{Flags: flags}
+	var oodErr, totalErr float64
+	for i, e := range absErrs {
+		totalErr += e
+		if flags[i] {
+			oodErr += e
+			rep.NumOoD++
+		}
+	}
+	rep.FracOoD = float64(rep.NumOoD) / float64(len(absErrs))
+	if totalErr > 0 {
+		rep.ErrShare = oodErr / totalErr
+	}
+	if rep.NumOoD > 0 && rep.NumOoD < len(absErrs) {
+		meanOoD := oodErr / float64(rep.NumOoD)
+		meanRest := (totalErr - oodErr) / float64(len(absErrs)-rep.NumOoD)
+		if meanRest > 0 {
+			rep.ErrRatio = meanOoD / meanRest
+		}
+	}
+	return rep
 }
 
 // UncertaintySummary aggregates the AU/EU landscape of a test set for the

@@ -91,6 +91,8 @@ type (
 	OoDReport = core.OoDReport
 	// ErrorReport scores a model under the paper's Eq. 6 metric.
 	ErrorReport = core.ErrorReport
+	// Window is every litmus estimate over one window of jobs.
+	Window = core.Window
 )
 
 // ThetaLike returns the configuration of a machine modeled on ALCF Theta's
@@ -138,6 +140,14 @@ func EstimateDuplicateFloor(f *Frame) (DuplicateFloor, error) {
 // tolerance in seconds.
 func EstimateNoise(f *Frame, oodFlags []bool, tolSec float64) (NoiseEstimate, error) {
 	return core.EstimateNoise(f, oodFlags, tolSec)
+}
+
+// EstimateWindow runs litmus tests 1, 3 and 4 over one window of jobs from
+// a single duplicate-set pass: the duplicate floor, the noise with the OoD
+// rows left out and, given log10 predictions, the served error and its OoD
+// share. predLog and oodFlags are aligned with f's rows; either may be nil.
+func EstimateWindow(f *Frame, predLog []float64, oodFlags []bool, tolSec float64) (Window, error) {
+	return core.EstimateWindow(f, predLog, oodFlags, tolSec)
 }
 
 // Evaluate scores a model on a frame under the paper's error metric.
