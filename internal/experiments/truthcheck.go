@@ -71,17 +71,13 @@ func TruthCheck(f *dataset.Frame, sc Scale) (*TruthCheckResult, error) {
 	res.OoDTruthFrac = float64(ood) / float64(f.Len())
 
 	// Litmus-test estimates.
-	floor, err := core.EstimateDuplicateFloor(f)
+	w, err := core.EstimateWindow(f, nil, nil, 1)
 	if err != nil {
 		return nil, err
 	}
-	res.FloorEstimated = floor.FloorPct
-	noise, err := core.EstimateNoise(f, nil, 1)
-	if err != nil {
-		return nil, err
-	}
-	res.NoiseEstimated = noise.FloorPct
-	res.SigmaEstimated = noise.SigmaLog
+	res.FloorEstimated = w.Floor.FloorPct
+	res.NoiseEstimated = w.Noise.FloorPct
+	res.SigmaEstimated = w.Noise.SigmaLog
 
 	// System-modeling estimate via the golden-model protocol.
 	app, err := appFrame(f)

@@ -27,13 +27,20 @@ func LatencyBucket(ns int64) int {
 	return len(LatencyBuckets)
 }
 
-// LatencyBound walks per-bucket counts (indexed like LatencyBucket)
-// cumulatively and returns the bound of the first bucket whose running
-// total reaches target; the +Inf bucket reports the ladder's top bound.
-func LatencyBound(counts []uint64, target uint64) int64 {
+// quantileBound is the one quantile rule over LatencyBuckets-ladder counts
+// (indexed like LatencyBucket) that sum to total: the bound of the first
+// bucket whose running total reaches the nearest rank ⌈q·total⌉ (at least
+// 1), the ladder's top bound for the +Inf bucket, 0 when total is 0. The
+// rank is integer arithmetic on q in ten-thousandths, so it is exact where
+// q·total is not in floating point.
+func quantileBound(counts []uint64, total uint64, q float64) int64 {
+	if total == 0 {
+		return 0
+	}
+	rank := max((total*uint64(math.Round(q*10_000))+9_999)/10_000, 1)
 	var cum uint64
 	for i, ub := range LatencyBuckets {
-		if cum += counts[i]; cum >= target {
+		if cum += counts[i]; cum >= rank {
 			return ub
 		}
 	}
@@ -90,7 +97,7 @@ func (m *MovingP99) Observe(ns int64) {
 	if total == 0 {
 		return
 	}
-	m.p99.Store(LatencyBound(counts[:], total-total/100)) // ceil(0.99 * total) within one observation
+	m.p99.Store(quantileBound(counts[:], total, 0.99))
 }
 
 // Value reports the current p99 bound in nanoseconds (MaxInt64 until the

@@ -279,7 +279,7 @@ func (s *SLO) statusLocked(o *sloObjective, now time.Time) SLOStatus {
 
 	if o.spec.Quantile > 0 {
 		st.TargetNs = o.spec.targetNs
-		st.ObservedQuantileNs = histQuantile(hist, slowN, o.spec.Quantile)
+		st.ObservedQuantileNs = quantileBound(hist[:], slowN, o.spec.Quantile)
 	} else {
 		st.TargetAvailability = o.spec.Availability
 		if slowN > 0 {
@@ -316,16 +316,6 @@ func burnRate(n, bad uint64, budget float64) float64 {
 		return 0
 	}
 	return (float64(bad) / float64(n)) / budget
-}
-
-// histQuantile returns the q-quantile bucket bound in nanoseconds from a
-// LatencyBuckets-ladder histogram, 0 when the histogram is empty. Values in
-// the overflow bucket report the ladder's top bound.
-func histQuantile(hist [len(LatencyBuckets) + 1]uint64, total uint64, q float64) int64 {
-	if total == 0 {
-		return 0
-	}
-	return LatencyBound(hist[:], max(uint64(q*float64(total)), 1))
 }
 
 // Handler serves GET /v1/slo: {"objectives":[...]}.

@@ -234,3 +234,45 @@ func TestSLOMiddleware(t *testing.T) {
 		t.Fatal("nil SLO middleware returned nil")
 	}
 }
+
+// TestQuantileBoundIsNearestRank: the rank is ⌈q·n⌉ exactly, at the counts
+// where ⌊q·n⌋ and a floating-point product both miss it by one.
+func TestQuantileBoundIsNearestRank(t *testing.T) {
+	fast, slow := LatencyBuckets[0], LatencyBuckets[1]
+	for _, n := range []uint64{1, 99, 100, 101, 150, 12_345} {
+		for _, pct := range []uint64{50, 90, 99} {
+			rank := (n*pct + 99) / 100
+			q := float64(pct) / 100
+			// The rank-th observation is the first slow one, then the last fast one.
+			if got := quantileBound([]uint64{rank - 1, n - rank + 1}, n, q); got != slow {
+				t.Errorf("n=%d q=%v, %d fast: %d, want the slow bound %d", n, q, rank-1, got, slow)
+			}
+			if got := quantileBound([]uint64{rank, n - rank}, n, q); got != fast {
+				t.Errorf("n=%d q=%v, %d fast: %d, want the fast bound %d", n, q, rank, got, fast)
+			}
+		}
+	}
+	if got := quantileBound(make([]uint64, len(LatencyBuckets)+1), 0, 0.99); got != 0 {
+		t.Errorf("empty counts: %d, want 0", got)
+	}
+}
+
+// TestSLOObservedQuantileAt150: 148 fast requests and 2 slow ones put the
+// nearest-rank p99 (the 149th) on the slow bucket.
+func TestSLOObservedQuantileAt150(t *testing.T) {
+	specs, _ := ParseSLO("predict:p99=50ms")
+	s := NewSLO(specs)
+	now := time.Unix(100_000, 0)
+	s.Now = func() time.Time { return now }
+	for i := 0; i < 150; i++ {
+		d := time.Millisecond
+		if i%75 == 74 {
+			d = 100 * time.Millisecond
+		}
+		s.Observe("predict", 200, d)
+	}
+	st := s.Status()[0]
+	if st.Requests != 150 || st.ObservedQuantileNs != (100*time.Millisecond).Nanoseconds() {
+		t.Fatalf("%d requests, observed p99 %d ns; want 150 and the 100 ms bound", st.Requests, st.ObservedQuantileNs)
+	}
+}

@@ -81,6 +81,41 @@ func TestGateLatencyTrigger(t *testing.T) {
 	g.Release(-1)
 }
 
+// TestGateShedsOnFixedLatencies pins the latency trigger's decisions on a
+// fixed sequence of 150-observation windows: the moving p99 is the bound of
+// the nearest-rank (149th) latency, so two slow requests in a window shed
+// under pressure and one does not.
+func TestGateShedsOnFixedLatencies(t *testing.T) {
+	g := NewGate(GateConfig{MaxInflight: 4, P99Threshold: 50 * time.Millisecond, P99Window: 150})
+	for _, w := range []struct {
+		slow int
+		shed bool
+	}{{2, true}, {1, false}, {0, false}, {3, true}, {1, false}} {
+		for i := 0; i < 150; i++ {
+			took := time.Millisecond
+			if i < w.slow {
+				took = 100 * time.Millisecond
+			}
+			if ok, reason := g.Admit(ClassPredict); !ok {
+				t.Fatalf("window with %d slow: observation %d shed (%s) with nothing inflight", w.slow, i, reason)
+			}
+			g.Release(took)
+		}
+		// Two held requests put the gate above its pressure floor of 2.
+		g.Admit(ClassPredict)
+		g.Admit(ClassPredict)
+		ok, reason := g.Admit(ClassPredict)
+		if ok == w.shed || (w.shed && reason != ShedLatency) {
+			t.Fatalf("window with %d slow of 150: admitted %v (%q), want shed %v", w.slow, ok, reason, w.shed)
+		}
+		if ok {
+			g.Release(-1)
+		}
+		g.Release(-1)
+		g.Release(-1)
+	}
+}
+
 func TestGateRetryAfterHeader(t *testing.T) {
 	if h := NewGate(GateConfig{RetryAfter: 3 * time.Second}).RetryAfterHeader(); h != "3" {
 		t.Fatalf("RetryAfterHeader = %q", h)
