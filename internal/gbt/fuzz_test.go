@@ -18,10 +18,22 @@ import (
 // through threshold tables that checkCodes accepts.
 // Each input is decoded with its checksum recomputed, so the fuzzer explores
 // tree structure rather than checksum mismatches. Its bases are small, so
-// that the fuzzer minimizes a new input in milliseconds: small checked-in
-// seeds live in testdata/fuzz/FuzzFlatCompile, and the large cases (trained
-// models and testdata/flatcompile) run in TestFlatCompileCases.
+// that the fuzzer minimizes a new input in milliseconds: one- and two-tree
+// stumps trained on smallModel's data, smallModel itself, and the small
+// checked-in seeds in testdata/fuzz/FuzzFlatCompile. The large cases (deeper
+// trained models and testdata/flatcompile) run in TestFlatCompileCases.
 func FuzzFlatCompile(f *testing.F) {
+	rows, y := synth(80, 0.05, 17)
+	for _, trees := range []int{1, 2} {
+		p := DefaultParams()
+		p.NumTrees = trees
+		p.MaxDepth = 2
+		m, err := Train(p, rows, y)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(binaryOf(f, m), int64(3))
+	}
 	f.Add(binaryOf(f, smallModel(f)), int64(7))
 	f.Fuzz(checkFlatWalk)
 }
