@@ -45,19 +45,34 @@ type AppFloor struct {
 // its set's mean log throughput with Bessel's correction, and report the
 // median absolute deviation.
 func EstimateDuplicateFloor(f *dataset.Frame) (DuplicateFloor, error) {
-	sets, err := duplicateSets(f)
+	d, err := FindDuplicates(f)
 	if err != nil {
 		return DuplicateFloor{}, err
 	}
-	return duplicateFloor(f, sets), nil
+	return d.Floor(), nil
 }
 
-// duplicateFloor is litmus test 1 over f's duplicate sets.
-func duplicateFloor(f *dataset.Frame, sets []dataset.DupSet) DuplicateFloor {
+// Duplicates is a frame's duplicate sets, found in one pass for every
+// estimate and view that reads them.
+type Duplicates struct {
+	f    *dataset.Frame
+	sets []dataset.DupSet
+}
+
+// FindDuplicates finds f's duplicate sets using the application features
+// (the Darshan-visible families), matching the paper's definition.
+func FindDuplicates(f *dataset.Frame) (Duplicates, error) {
+	sets, err := dataset.DuplicateSets(f, prefixedColumns(f, AppFeaturePrefixes...))
+	return Duplicates{f: f, sets: sets}, err
+}
+
+// Floor is litmus test 1 over the duplicate sets.
+func (d Duplicates) Floor() DuplicateFloor {
+	f := d.f
 	out := DuplicateFloor{TotalJobs: f.Len(), PerApp: map[string]AppFloor{}}
 	var allDevs []float64
 	perApp := map[string]*AppFloor{}
-	for _, s := range sets {
+	for _, s := range d.sets {
 		out.Sets++
 		out.DuplicateJobs += s.Len()
 		app := perApp[s.App]
@@ -89,12 +104,6 @@ func duplicateFloor(f *dataset.Frame, sets []dataset.DupSet) DuplicateFloor {
 		out.PerApp[name] = *app
 	}
 	return out
-}
-
-// duplicateSets extracts duplicate sets using the application features
-// (the Darshan-visible families), matching the paper's definition.
-func duplicateSets(f *dataset.Frame) ([]dataset.DupSet, error) {
-	return dataset.DuplicateSets(f, prefixedColumns(f, AppFeaturePrefixes...))
 }
 
 // prefixedColumns lists f's columns that start with one of the prefixes;
@@ -142,16 +151,22 @@ type DupPair struct {
 // remaining pairs are represented by weight.
 const maxPairsPerSet = 64
 
-// DuplicatePairs enumerates weighted duplicate pairs for the ∆t analyses
-// (Fig 1c, Fig 6). Pairs within a set are weighted 1/numPairs so that
-// every duplicate set has equal total weight.
+// DuplicatePairs enumerates f's weighted duplicate pairs (see Pairs).
 func DuplicatePairs(f *dataset.Frame) ([]DupPair, error) {
-	sets, err := duplicateSets(f)
+	d, err := FindDuplicates(f)
 	if err != nil {
 		return nil, err
 	}
+	return d.Pairs(), nil
+}
+
+// Pairs enumerates weighted duplicate pairs for the ∆t analyses (Fig 1c,
+// Fig 6). Pairs within a set are weighted 1/numPairs so that every
+// duplicate set has equal total weight.
+func (d Duplicates) Pairs() []DupPair {
+	f := d.f
 	var out []DupPair
-	for _, s := range sets {
+	for _, s := range d.sets {
 		rows := s.Rows
 		// Deterministically subsample huge sets: stride over members so at
 		// most maxPairsPerSet survive.
@@ -180,5 +195,5 @@ func DuplicatePairs(f *dataset.Frame) ([]DupPair, error) {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].DeltaT < out[j].DeltaT })
-	return out, nil
+	return out
 }

@@ -58,21 +58,25 @@ func EstimateNoise(f *dataset.Frame, oodFlags []bool, tolSec float64) (NoiseEsti
 	if err := misaligned(f, "oodFlags", oodFlags); err != nil {
 		return NoiseEstimate{}, err
 	}
-	sets, err := duplicateSets(f)
+	d, err := FindDuplicates(f)
 	if err != nil {
 		return NoiseEstimate{}, err
 	}
-	return noiseEstimate(f, sets, oodFlags, tolSec)
+	return d.Noise(oodFlags, tolSec)
 }
 
-// noiseEstimate is litmus test 4 over f's duplicate sets.
-func noiseEstimate(f *dataset.Frame, sets []dataset.DupSet, oodFlags []bool, tolSec float64) (NoiseEstimate, error) {
+// Noise is litmus test 4 over the duplicate sets (see EstimateNoise).
+func (d Duplicates) Noise(oodFlags []bool, tolSec float64) (NoiseEstimate, error) {
+	f := d.f
+	if err := misaligned(f, "oodFlags", oodFlags); err != nil {
+		return NoiseEstimate{}, err
+	}
 	var est NoiseEstimate
 	var devs []float64      // Bessel-corrected signed deviations
 	var naiveDevs []float64 // uncorrected
 	var ssCorr, ssNaive float64
 	two, six := 0, 0
-	for _, s := range sets {
+	for _, s := range d.sets {
 		groups := groupByStart(f, s.Rows, oodFlags, tolSec)
 		for _, g := range groups {
 			if len(g) < 2 {

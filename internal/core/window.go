@@ -35,18 +35,18 @@ func EstimateWindow(f *dataset.Frame, predLog []float64, ood []bool, tolSec floa
 	if err := misaligned(f, "oodFlags", ood); err != nil {
 		return Window{}, err
 	}
-	sets, err := duplicateSets(f)
+	d, err := FindDuplicates(f)
 	if err != nil {
 		return Window{}, err
 	}
-	w := Window{Floor: duplicateFloor(f, sets)}
+	w := Window{Floor: d.Floor()}
 	if predLog != nil {
 		w.Served = EvaluatePredictions(predLog, f.Y())
 		if ood != nil {
 			w.OoDShare = errorShare(w.Served.AbsLogErrors, ood).ErrShare
 		}
 	}
-	w.Noise, err = noiseEstimate(f, sets, ood, tolSec)
+	w.Noise, err = d.Noise(ood, tolSec)
 	return w, err
 }
 

@@ -23,18 +23,19 @@ type Fig6Result struct {
 	TSigma      float64
 }
 
-// Fig6 bins duplicate pairs by time gap and fits the ∆t=0 distribution.
+// Fig6 bins duplicate pairs by time gap and fits the ∆t=0 distribution,
+// both from one pass over the duplicate sets.
 func Fig6(f *dataset.Frame) (*Fig6Result, error) {
-	pairs, err := core.DuplicatePairs(f)
+	d, err := core.FindDuplicates(f)
 	if err != nil {
 		return nil, err
 	}
-	noise, err := core.EstimateNoise(f, nil, 1)
+	noise, err := d.Noise(nil, 1)
 	if err != nil {
 		return nil, err
 	}
 	return &Fig6Result{
-		Bins:        core.DeltaTBins(pairs),
+		Bins:        core.DeltaTBins(d.Pairs()),
 		Noise:       noise,
 		TFitNu:      noise.TFit.Nu,
 		NormalSigma: noise.NormalFit.Sigma,

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,9 +12,11 @@ import (
 
 	"iotaxo/internal/resilience"
 	"iotaxo/internal/serve"
+	"iotaxo/internal/uq"
 )
 
-// infReplica is a stub whose every prediction is +Inf bytes/s.
+// infReplica is a stub whose every prediction is +Inf bytes/s: a finite
+// log10 too large for a float64 once raised.
 type infReplica struct{ *stubReplica }
 
 func (s infReplica) Predict(ctx context.Context, req *serve.PredictRequest, out *serve.PredictResponse) error {
@@ -23,7 +24,7 @@ func (s infReplica) Predict(ctx context.Context, req *serve.PredictRequest, out 
 		return err
 	}
 	for i := range out.Predictions {
-		out.Predictions[i].Throughput = math.Inf(1)
+		out.Predictions[i].Log10Throughput = 400
 	}
 	return nil
 }
@@ -50,6 +51,31 @@ func TestNonFiniteRoutedResponseIsA500(t *testing.T) {
 	if line := logged.String(); !strings.Contains(line, "routed response not encodable") ||
 		!strings.Contains(line, "system=theta") || !strings.Contains(line, "version=7") {
 		t.Errorf("logged %q, want the failing reply's system and version", line)
+	}
+}
+
+// The routed reply is appended by hand. Its oracle is encoding/json on the
+// same Response, whose predictions marshal through serve's encoder (held to
+// encoding/json by serve's FuzzEncodePredictReply): a missing or empty
+// split, trace IDs or none, the epoch, and names JSON must escape.
+func TestRoutedReplyEncodesAsEncodingJSON(t *testing.T) {
+	guarded := serve.GuardConfig{EUThreshold: 0.1}.Diagnose(uq.Prediction{EU: 0.04, AU: 0.01})
+	preds := []serve.PredictionResult{{Log10Throughput: 9.5}, {Log10Throughput: -0.25, CacheHit: true, Guard: guarded}}
+	for _, out := range []*Response{
+		{},
+		{PredictResponse: serve.PredictResponse{System: "theta", Version: 2, Count: 2, Predictions: preds, TraceID: "00ab"}, MembershipEpoch: 7},
+		{PredictResponse: serve.PredictResponse{System: "<b>&", Predictions: preds[:0]}, Replicas: []ReplicaShare{}},
+		{PredictResponse: serve.PredictResponse{System: "theta", Predictions: preds, ServerTimings: &serve.ServerTimings{TotalNs: 5}},
+			Replicas: []ReplicaShare{{Replica: "r0", Rows: 1, Version: 2}, {Replica: "r<1>&\u2028", Rows: 1, Version: 3, TraceIDs: []string{"01", "02"}},
+				{Replica: "r2", TraceIDs: []string{}}}},
+	} {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(out); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := out.AppendJSON(nil); err != nil || string(got) != want.String() {
+			t.Errorf("appended %s (%v)\nencoding/json %s", got, err, want.String())
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -77,6 +78,38 @@ func TestRemoteForwardsRemainingBudget(t *testing.T) {
 	ms := gotBudget.Load()
 	if ms <= 0 || ms > 29900 {
 		t.Fatalf("forwarded budget %dms does not subtract the 100ms of elapsed router time from 30000ms", ms)
+	}
+}
+
+// deadlineReplica reports the deadline of each Predict's context, the zero
+// time when it has none.
+type deadlineReplica struct {
+	*stubReplica
+	got chan time.Time
+}
+
+func (d deadlineReplica) Predict(ctx context.Context, req *serve.PredictRequest, out *serve.PredictResponse) error {
+	dl, _ := ctx.Deadline()
+	d.got <- dl
+	return d.stubReplica.Predict(ctx, req, out)
+}
+
+// An X-Request-Timeout-Ms too large for a time.Duration still bounds the
+// routed request: clamped, not wrapped negative, which left it with none.
+func TestRouterClampsAnOverflowingDeadlineHeader(t *testing.T) {
+	rep := deadlineReplica{newStub("replica-0"), make(chan time.Time, 1)}
+	h := Handler(newTestRouter(t, RouterConfig{}, rep))
+	for _, ms := range []string{"9223372036855", "9223372036854775807"} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(`{"system":"theta","row":[1]}`))
+		req.Header.Set(serve.DeadlineHeader, ms)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s ms: status %d: %s", ms, rec.Code, rec.Body)
+		}
+		if dl := <-rep.got; dl.Before(time.Now().AddDate(100, 0, 0)) {
+			t.Errorf("%s ms: the replica's context has deadline %v, want the largest a Duration holds", ms, dl)
+		}
 	}
 }
 

@@ -234,7 +234,7 @@ func handleRoute(rt *Router, w http.ResponseWriter, r *http.Request) {
 	// storage, taken back once it is written and logged.
 	out := responsePool.Get().(*Response)
 	defer out.release()
-	err := serve.HandlePredictRequest(w, r, 0, func(ctx context.Context, req *serve.PredictRequest, _ *serve.PredictResponse) (any, error) {
+	err := serve.HandlePredictRequest(w, r, 0, func(ctx context.Context, req *serve.PredictRequest, _ *serve.PredictResponse) (serve.JSONAppender, error) {
 		if err := rt.route(ctx, req, out); err != nil {
 			be, ok := err.(*BackendError)
 			if !ok {
@@ -262,6 +262,39 @@ func handleRoute(rt *Router, w http.ResponseWriter, r *http.Request) {
 }
 
 var responsePool = sync.Pool{New: func() any { return new(Response) }}
+
+// AppendJSON appends out as encoding/json encodes a Response: the replica
+// contract's fields, then the split (see serve.JSONAppender).
+func (out *Response) AppendJSON(dst []byte) ([]byte, error) {
+	dst, err := out.AppendJSONFields(dst)
+	if len(out.Replicas) > 0 {
+		dst = append(dst, `,"replicas":[`...)
+		for i, sh := range out.Replicas {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = serve.AppendJSONString(append(dst, `{"replica":`...), sh.Replica)
+			dst = strconv.AppendInt(append(dst, `,"rows":`...), int64(sh.Rows), 10)
+			dst = strconv.AppendInt(append(dst, `,"version":`...), int64(sh.Version), 10)
+			if len(sh.TraceIDs) > 0 {
+				dst = append(dst, `,"trace_ids":[`...)
+				for k, id := range sh.TraceIDs {
+					if k > 0 {
+						dst = append(dst, ',')
+					}
+					dst = serve.AppendJSONString(dst, id)
+				}
+				dst = append(dst, ']')
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	if out.MembershipEpoch != 0 {
+		dst = strconv.AppendUint(append(dst, `,"membership_epoch":`...), out.MembershipEpoch, 10)
+	}
+	return append(dst, "}\n"...), err
+}
 
 // release returns a routed reply's storage to the pool, unless its
 // predictions outgrew maxScratchRows. route overwrites all of it.

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"iotaxo/internal/serve"
+	"iotaxo/internal/uq"
 )
 
 // selfDescribing is the predict request whose every value is k (four digits),
@@ -377,8 +378,7 @@ func TestRemotePredictAllocs(t *testing.T) {
 	canned := &serve.PredictResponse{System: "theta", Version: 1, Count: rows, Predictions: make([]serve.PredictionResult, rows),
 		ServerTimings: &serve.ServerTimings{TotalNs: 1}}
 	for i := range canned.Predictions {
-		canned.Predictions[i] = serve.PredictionResult{Log10Throughput: 9.5, Throughput: 3162277660.1683793,
-			Guard: serve.Guard{EU: 0.1, AU: 0.2, ErrorSource: serve.SourceModeling}}
+		canned.Predictions[i] = serve.PredictionResult{Log10Throughput: 9.5, Guard: serve.GuardConfig{}.Diagnose(uq.Prediction{EU: 0.01, AU: 0.04})}
 	}
 	// Encoded once by the production writer and replayed, header and body.
 	canned200 := httptest.NewRecorder()
@@ -403,7 +403,7 @@ func TestRemotePredictAllocs(t *testing.T) {
 	resp := new(serve.PredictResponse)
 	hop := func() {
 		err := rem.Predict(ctx, req, resp)
-		if err != nil || len(resp.Predictions) != rows || resp.Predictions[rows-1].Guard.ErrorSource != serve.SourceModeling {
+		if err != nil || len(resp.Predictions) != rows || resp.Predictions[rows-1].Guard.ErrorSource() != serve.SourceModeling {
 			t.Fatalf("predict: %v", err)
 		}
 	}

@@ -179,13 +179,12 @@ type cacheSlot struct {
 	prev, next int32  // LRU neighbours by slot index, -1 at the ends; next also threads the free list
 	width      int32  // features in the row
 	sys        int32  // index into the shard's systems table
-	// The Result, with its Guard flattened to a fixed-width record; Pred is
-	// 10^predLog, which Get recomputes.
+	// The Result, with its Guard flattened to a fixed-width record.
 	predLog      float64
 	eu, au       float64
 	first        int32 // the row's first chunk, -1 when it has none
 	chain        int32 // 1 + the next slot in this key's bucket, 0 at the end
-	guarded, ood bool  // the label is errorSource(ood)
+	guarded, ood bool  // the Guard's set and OoD
 }
 
 // cacheShard is an independently locked LRU.
@@ -486,8 +485,8 @@ func (s *cacheShard) claim() int32 {
 // Get returns the cached result for (key, row) under bundle mv and marks
 // it most recent. Entries produced by a different bundle (a since-replaced
 // version) never hit. The result comes back by value, copied under the
-// shard lock, so nothing a caller holds aliases cache storage; its Guard's
-// ErrorSource is empty when the entry has none.
+// shard lock, so nothing a caller holds aliases cache storage; its Guard is
+// zero when the entry has none.
 func (c *Cache) Get(key uint64, row []float64, mv *ModelVersion) (Result, bool) {
 	if c == nil {
 		return Result{}, false
@@ -503,17 +502,16 @@ func (c *Cache) Get(key uint64, row []float64, mv *ModelVersion) (Result, bool) 
 	s.unlink(i)
 	s.pushFront(i)
 	e := &s.slots[i]
-	res := Result{PredLog: e.predLog, Pred: math.Pow(10, e.predLog)}
+	res := Result{PredLog: e.predLog}
 	if e.guarded {
-		res.Guard = Guard{EU: e.eu, AU: e.au, OoD: e.ood, ErrorSource: errorSource(e.ood)}
+		res.Guard = Guard{EU: e.eu, AU: e.au, OoD: e.ood, set: true}
 	}
 	return res, true
 }
 
 // Put inserts or refreshes a result, evicting the shard's least recently
 // used entry when full. The row is copied, so the request's row block is
-// not retained. res.Pred is not: a hit answers 10^PredLog, which is what
-// evaluate computed it as.
+// not retained.
 func (c *Cache) Put(key uint64, row []float64, mv *ModelVersion, res Result) {
 	if c == nil {
 		return
@@ -544,7 +542,7 @@ func (c *Cache) Put(key uint64, row []float64, mv *ModelVersion, res Result) {
 	e.bundle, e.sys = bundle, int32(sys)
 	e.predLog = res.PredLog
 	g := res.Guard
-	e.eu, e.au, e.guarded, e.ood = g.EU, g.AU, g.ErrorSource != "", g.OoD
+	e.eu, e.au, e.guarded, e.ood = g.EU, g.AU, g.set, g.OoD
 }
 
 // InvalidateSystem drops every resident entry belonging to a system,

@@ -278,10 +278,10 @@ func runCacheOps(t *testing.T, ops []byte) {
 		case kind < 112:
 			// The stored result is a function of the step, so an entry that
 			// outlives a refresh, or answers for the wrong row, shows.
-			res := Result{PredLog: float64(step), Pred: math.Pow(10, float64(step))}
+			res := Result{PredLog: float64(step)}
 			if step%5 != 0 {
 				ood := step&1 != 0
-				res.Guard = Guard{EU: float64(step) / 8, AU: float64(n) / 4, OoD: ood, ErrorSource: errorSource(ood)}
+				res.Guard = Guard{EU: float64(step) / 8, AU: float64(n) / 4, OoD: ood, set: true}
 			}
 			row, key, mv := entries[n].row, entries[n].keys[b]&mask, diffBundles[b]
 			c.Put(key, row, mv, res)

@@ -190,25 +190,73 @@ func TestNilCacheIsSafe(t *testing.T) {
 // mapping the collector never scans, reached through metaArray's unsafe.Slice,
 // so a pointer stored in either would be one the collector cannot see.
 func TestCacheSlotIsPointerFree(t *testing.T) {
-	var walk func(path string, ty reflect.Type)
-	walk = func(path string, ty reflect.Type) {
-		switch ty.Kind() {
-		case reflect.Struct:
-			for i := 0; i < ty.NumField(); i++ {
-				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
-			}
-		case reflect.Array:
-			walk(path+"[]", ty.Elem())
-		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String,
-			reflect.Map, reflect.Interface, reflect.Chan, reflect.Func:
-			t.Errorf("%s is a %s: the collector would scan every resident entry for it", path, ty.Kind())
-		}
-	}
-	walk("cacheSlot", reflect.TypeOf(cacheSlot{}))
-	walk("bucket", reflect.TypeOf(cacheShard{}.buckets).Elem())
-	walk("slab element", reflect.TypeOf(rowSlab{}.b).Elem())
+	pointerFree(t, "cacheSlot", reflect.TypeOf(cacheSlot{}))
+	pointerFree(t, "bucket", reflect.TypeOf(cacheShard{}.buckets).Elem())
+	pointerFree(t, "slab element", reflect.TypeOf(rowSlab{}.b).Elem())
 	if size := reflect.TypeOf(cacheSlot{}).Size(); size != 72 {
 		t.Errorf("cacheSlot is %d bytes, want 72: a field is no longer packed into padding", size)
+	}
+}
+
+// pointerFree fails t for every field of ty the collector would scan.
+func pointerFree(t *testing.T, path string, ty reflect.Type) {
+	switch ty.Kind() {
+	case reflect.Struct:
+		for i := 0; i < ty.NumField(); i++ {
+			pointerFree(t, path+"."+ty.Field(i).Name, ty.Field(i).Type)
+		}
+	case reflect.Array:
+		pointerFree(t, path+"[]", ty.Elem())
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String,
+		reflect.Map, reflect.Interface, reflect.Chan, reflect.Func:
+		t.Errorf("%s is a %s: the collector would scan every element for it", path, ty.Kind())
+	}
+}
+
+// The served record holds what a prediction is: log10 throughput, the
+// guard's EU, AU, flag and presence, and the cache hit. Bytes/s and the
+// label are derived on the wire, so a request's result block is 40 B a row
+// and holds nothing the collector scans.
+func TestPredictionRecordIsPointerFree(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		size uintptr
+	}{{PredictionResult{}, 40}, {Guard{}, 24}, {Result{}, 32}} {
+		ty := reflect.TypeOf(c.v)
+		pointerFree(t, ty.Name(), ty)
+		if ty.Size() != c.size {
+			t.Errorf("%s is %d bytes, want %d", ty.Name(), ty.Size(), c.size)
+		}
+	}
+}
+
+// A 16-row Predict allocates its result block and nothing else: 16 × 40 B.
+func TestPredictResultBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	frame, _, _ := fixture(t)
+	svc := NewService(fixtureRegistry(t), Options{})
+	t.Cleanup(svc.Close)
+	rows := frame.Rows()[:16]
+	predict := func() {
+		if _, _, err := svc.Predict(context.Background(), "theta", 0, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	predict()
+	const runs = 100
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		predict()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if allocs != 1 || bytes > 16*40 {
+		t.Errorf("a 16-row Predict allocates %.2f times, %.0f B a call: want once, at most %d B", allocs, bytes, 16*40)
 	}
 }
 
@@ -387,7 +435,7 @@ func TestCacheSurvivesFlippedChunks(t *testing.T) {
 	for n := 7; len(entries) < 8; n += len(diffRowWidths) { // 138-wide rows
 		row := diffRow(n)
 		if key := HashKey("theta", 1, row); key&(cacheShards-1) == 0 {
-			res := Result{PredLog: float64(n), Pred: math.Pow(10, float64(n))}
+			res := Result{PredLog: float64(n)}
 			c.Put(key, row, cacheBundleA, res)
 			entries = append(entries, entry{key, row, res})
 		}
@@ -454,7 +502,7 @@ func TestCacheSurvivesFlippedIndex(t *testing.T) {
 	for n := 0; len(entries) < 2*perShard; n++ {
 		row := []float64{float64(n), 1}
 		if key := HashKey("theta", 1, row); key&(cacheShards-1) == 0 {
-			entries = append(entries, entry{key, row, Result{PredLog: float64(n), Pred: math.Pow(10, float64(n))}})
+			entries = append(entries, entry{key, row, Result{PredLog: float64(n)}})
 		}
 	}
 	first, second := entries[:perShard], entries[perShard:]
@@ -537,7 +585,7 @@ func TestCacheDoesNotPinRetiredBundle(t *testing.T) {
 		mv := &ModelVersion{System: "theta", Version: 1, Columns: make([]string, 1<<10)}
 		runtime.SetFinalizer(mv, func(*ModelVersion) { close(collected) })
 		row := []float64{1, 2}
-		c.Put(HashKey("theta", 1, row), row, mv, Result{PredLog: 1, Guard: Guard{ErrorSource: SourceModeling}})
+		c.Put(HashKey("theta", 1, row), row, mv, Result{PredLog: 1, Guard: Guard{set: true}})
 	}()
 	if c.Len() != 1 {
 		t.Fatalf("cache holds %d entries, want 1", c.Len())
@@ -556,7 +604,7 @@ func TestCacheDoesNotPinRetiredBundle(t *testing.T) {
 }
 
 // Every Source* constant guard.go declares must survive Put -> Get: the cache
-// stores only the ood flag, so a new error class that errorSource cannot
+// stores only the ood flag, so a new error class that Guard.ErrorSource cannot
 // spell fails here, not in production as a relabelled diagnosis.
 func TestCacheCarriesEveryErrorSource(t *testing.T) {
 	file, err := parser.ParseFile(token.NewFileSet(), "guard.go", nil, 0)
@@ -585,10 +633,10 @@ func TestCacheCarriesEveryErrorSource(t *testing.T) {
 	for i, src := range sources {
 		row := []float64{float64(i)}
 		key := HashKey("theta", 1, row)
-		want := Guard{EU: float64(i) + 0.5, AU: 0.25, OoD: src == SourceGeneralization, ErrorSource: src}
-		c.Put(key, row, cacheBundleA, Result{PredLog: 9, Pred: 1e9, Guard: want})
-		if res, ok := c.Get(key, row, cacheBundleA); !ok || res != (Result{PredLog: 9, Pred: 1e9, Guard: want}) {
-			t.Errorf("%s: Get = %+v %v, want the Guard as Put", src, res, ok)
+		want := Guard{EU: float64(i) + 0.5, AU: 0.25, OoD: src == SourceGeneralization, set: true}
+		c.Put(key, row, cacheBundleA, Result{PredLog: 9, Guard: want})
+		if res, ok := c.Get(key, row, cacheBundleA); !ok || res != (Result{PredLog: 9, Guard: want}) || res.Guard.ErrorSource() != src {
+			t.Errorf("%s: Get = %+v %v, want the Guard as Put, labelled %s", src, res, ok, src)
 		}
 	}
 }
@@ -596,7 +644,7 @@ func TestCacheCarriesEveryErrorSource(t *testing.T) {
 func TestCacheSteadyStateAllocs(t *testing.T) {
 	c := NewCache(64 * cacheShards)
 	row := make([]float64, 16)
-	res := Result{PredLog: 9, Pred: 1e9, Guard: Guard{EU: 0.1, AU: 0.2, ErrorSource: SourceModeling}}
+	res := Result{PredLog: 9, Guard: Guard{EU: 0.1, AU: 0.2, set: true}}
 	n := 0
 	put := func() {
 		n++
@@ -611,7 +659,7 @@ func TestCacheSteadyStateAllocs(t *testing.T) {
 	}
 	key := HashKey("theta", 1, row)
 	if allocs := testing.AllocsPerRun(1000, func() {
-		if res, ok := c.Get(key, row, cacheBundleA); !ok || res.Guard.ErrorSource != SourceModeling {
+		if res, ok := c.Get(key, row, cacheBundleA); !ok || res.Guard.ErrorSource() != SourceModeling {
 			t.Fatal("resident entry missed")
 		}
 	}); allocs != 0 {
@@ -637,7 +685,7 @@ func TestNewCacheAllocatesNoStorage(t *testing.T) {
 	put := func() {
 		n++
 		row[0] = float64(n)
-		c.Put(HashKey("theta", 1, row), row, cacheBundleA, Result{PredLog: 9, Pred: 1e9})
+		c.Put(HashKey("theta", 1, row), row, cacheBundleA, Result{PredLog: 9})
 	}
 	for n < 2<<16 { // twice the capacity: every shard is full and evicting
 		put()
@@ -711,7 +759,7 @@ func TestCacheConcurrentHitsAreNeverTorn(t *testing.T) {
 	valueOf := func(n, b int) Result {
 		v := float64(n*len(bundles) + b)
 		ood := (n+b)&1 != 0
-		return Result{PredLog: v, Pred: math.Pow(10, v), Guard: Guard{EU: v + 0.5, AU: v + 0.25, OoD: ood, ErrorSource: errorSource(ood)}}
+		return Result{PredLog: v, Guard: Guard{EU: v + 0.5, AU: v + 0.25, OoD: ood, set: true}}
 	}
 	c := NewCache(2 * cacheShards)
 	var wg sync.WaitGroup

@@ -19,18 +19,25 @@ import (
 //
 // Requests are read into a pooled byte buffer and parsed straight into a
 // pooled flat []float64 block with the row headers sliced from it; replies
-// are encoded by encoding/json into the call's own buffer and written with
-// one Write. The hand-written paths are the decoders and the hop's request
-// encoder. The decoders accept only input they decode exactly as
-// encoding/json would: the four exact keys once each, escape-free ASCII
-// strings, plain number literals, and for a reply the shape encoding/json
-// emits. Anything else — unknown, duplicate or case-folded keys, string
-// escapes, null, a non-number token, reordered or spaced reply keys — is
-// handed, from the same buffered bytes, to the encoding/json sequence the
-// handlers ran before this codec existed, so statuses, error texts and edge
-// semantics are that sequence's. One observable difference: the body is read
+// are appended by hand into the call's own buffer and written with one
+// Write. Every path is hand-written and held to encoding/json. The encoders
+// (the predict reply, the hop's request) write the bytes encoding/json
+// writes for the same value, trailing newline and errors included. The
+// decoders accept only input they decode exactly as encoding/json would: the
+// four exact keys once each, escape-free ASCII strings, plain number
+// literals, and for a reply the shape encoding/json emits. Anything else —
+// unknown, duplicate or case-folded keys, string escapes, null, a
+// non-number token, reordered or spaced reply keys — is handed, from the
+// same buffered bytes, to the encoding/json sequence the handlers ran before
+// this codec existed, so statuses, error texts and edge semantics are that
+// sequence's. One observable difference: the body is read
 // to its end (or the bound) before parsing, where the streaming decoder
 // stopped at the value's closing brace.
+//
+// A reply's throughput_bytes_per_sec and error_source are derived on the way
+// out (PredictionResult.Throughput, Guard.ErrorSource) and checked, not kept,
+// on the way in, so a router passes on what a replica's log10_throughput and
+// ood imply.
 
 // maxPooledCall is the most storage (bytes) a call may take back to the pool;
 // a larger one is dropped: one 16 MiB request must not pin 16 MiB per P.
@@ -62,7 +69,7 @@ type predictCall struct {
 // reply's own: a value JSON cannot carry, answered 500 here, for the caller
 // to count; whatever the caller logs of the reply it reads inside serve.
 func HandlePredictRequest(w http.ResponseWriter, r *http.Request, defaultDeadline time.Duration,
-	serve func(ctx context.Context, req *PredictRequest, out *PredictResponse) (any, error)) error {
+	serve func(ctx context.Context, req *PredictRequest, out *PredictResponse) (JSONAppender, error)) error {
 	c := callPool.Get().(*predictCall)
 	defer c.release()
 	// net/http already cuts a body at a declared length; only an unknown or
@@ -96,7 +103,9 @@ func HandlePredictRequest(w http.ResponseWriter, r *http.Request, defaultDeadlin
 			WriteError(w, http.StatusBadRequest, fmt.Sprintf("%s must be a positive integer of milliseconds", DeadlineHeader))
 			return nil
 		}
-		if d := time.Duration(ms) * time.Millisecond; defaultDeadline == 0 || d < defaultDeadline {
+		// Clamped before it is converted: a product past MaxInt64 would
+		// wrap, negative or short.
+		if d := time.Duration(min(ms, maxDeadlineMs)) * time.Millisecond; defaultDeadline == 0 || d < defaultDeadline {
 			defaultDeadline = d
 		}
 	}
@@ -109,8 +118,12 @@ func HandlePredictRequest(w http.ResponseWriter, r *http.Request, defaultDeadlin
 	if err != nil {
 		return nil
 	}
-	return writeReply(w, &c.out, http.StatusOK, reply)
+	c.out.b, err = reply.AppendJSON(c.out.b[:0])
+	return flushReply(w, &c.out, http.StatusOK, err)
 }
+
+// maxDeadlineMs is the longest X-Request-Timeout-Ms a time.Duration holds.
+const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
 
 // release returns the call to the pool, row block and reply storage
 // included: nothing that read the rows outlives serve (the cache and the
@@ -118,7 +131,7 @@ func HandlePredictRequest(w http.ResponseWriter, r *http.Request, defaultDeadlin
 // written, and ServeRequest overwrites all of it.
 func (c *predictCall) release() {
 	c.req = PredictRequest{}
-	if cap(c.buf)+c.out.Cap()+8*cap(c.block)+24*cap(c.rows)+int(unsafe.Sizeof(PredictionResult{}))*cap(c.reply.Predictions) <= maxPooledCall {
+	if cap(c.buf)+cap(c.out.b)+8*cap(c.block)+24*cap(c.rows)+int(unsafe.Sizeof(PredictionResult{}))*cap(c.reply.Predictions) <= maxPooledCall {
 		callPool.Put(c)
 	}
 }
@@ -379,9 +392,9 @@ func appendFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-// appendJSONString appends s quoted as encoding/json quotes it. Anything it
+// AppendJSONString appends s quoted as encoding/json quotes it. Anything it
 // would escape (HTML-unsafe bytes included) or validate goes through it.
-func appendJSONString(dst []byte, s string) []byte {
+func AppendJSONString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			q, _ := json.Marshal(s) // a string always marshals
@@ -406,10 +419,10 @@ func (t *ServerTimings) fields() [len(timingKeys)]*int64 {
 // encoding/json emits for a PredictResponse, and a reply that names the
 // system out already holds shares that string rather than holding a copy of
 // it; any other shape — an older or newer replica, whitespace, reordered
-// keys — is encoding/json's to decode. Either way each guard's label is the
-// one its ood flag implies, so a label that contradicts the flag beside it
-// is never passed on, and a guard object the reply carries is kept even when
-// every field of it is zero.
+// keys — is encoding/json's to decode. Either way throughput_bytes_per_sec
+// and error_source are checked for their type and dropped, so a label that
+// contradicts the ood flag beside it is never passed on, and a guard object
+// the reply carries is kept even when every field of it is zero.
 func DecodePredictReply(data []byte, out *PredictResponse) error {
 	if decodeResponse(data, out) {
 		return nil
@@ -423,24 +436,31 @@ func DecodePredictReply(data []byte, out *PredictResponse) error {
 		out.Predictions = make([]PredictionResult, len(reply.Predictions))
 	}
 	for i, pr := range reply.Predictions {
-		out.Predictions[i] = pr.PredictionResult
-		if pr.Guard != nil {
-			out.Predictions[i].Guard = *pr.Guard
-			out.Predictions[i].Guard.ErrorSource = errorSource(pr.Guard.OoD)
+		out.Predictions[i] = PredictionResult{Log10Throughput: pr.Log10Throughput, CacheHit: pr.CacheHit}
+		if g := pr.Guard; g != nil {
+			out.Predictions[i].Guard = Guard{EU: g.EU, AU: g.AU, OoD: g.OoD, set: true}
 		}
 	}
 	return nil
 }
 
 // replyJSON is a PredictResponse as the encoding/json fallback decodes it:
-// each guard through a pointer, so that one the reply carries is told from
-// one it leaves out even when all its fields are zero. The outer fields
-// shadow the embedded ones of the same JSON name.
+// every wire field typed as the encoder writes it, and each guard through a
+// pointer, so that one the reply carries is told from one it leaves out even
+// when all its fields are zero. The outer fields shadow the embedded ones of
+// the same JSON name.
 type replyJSON struct {
 	PredictResponse
 	Predictions []struct {
-		PredictionResult
-		Guard *Guard `json:"guard"`
+		Log10Throughput float64 `json:"log10_throughput"`
+		Throughput      float64 `json:"throughput_bytes_per_sec"`
+		Guard           *struct {
+			EU          float64 `json:"eu"`
+			AU          float64 `json:"au"`
+			OoD         bool    `json:"ood"`
+			ErrorSource string  `json:"error_source"`
+		} `json:"guard"`
+		CacheHit bool `json:"cache_hit"`
 	} `json:"predictions"`
 }
 
@@ -481,7 +501,7 @@ func decodeResponse(data []byte, out *PredictResponse) bool {
 		p.want(`{"log10_throughput":`)
 		pr.Log10Throughput = p.float()
 		p.want(`,"throughput_bytes_per_sec":`)
-		pr.Throughput = p.float()
+		p.float()
 		if p.hasLit(`,"guard":{"eu":`) {
 			g := &pr.Guard
 			g.EU = p.float()
@@ -494,7 +514,7 @@ func decodeResponse(data []byte, out *PredictResponse) bool {
 			} else {
 				p.want(`,"error_source":"` + SourceModeling + `"}`)
 			}
-			g.ErrorSource = errorSource(g.OoD)
+			g.set = true
 		}
 		p.want(`,"cache_hit":`)
 		pr.CacheHit = p.boolean()
@@ -529,7 +549,7 @@ func decodeResponse(data []byte, out *PredictResponse) bool {
 // router to replica. A non-finite feature value is an error, as it is to
 // json.Marshal.
 func AppendPredictRequest(dst []byte, req *PredictRequest) ([]byte, error) {
-	dst = appendJSONString(append(dst, `{"system":`...), req.System)
+	dst = AppendJSONString(append(dst, `{"system":`...), req.System)
 	if req.Version != 0 {
 		dst = strconv.AppendInt(append(dst, `,"version":`...), int64(req.Version), 10)
 	}
@@ -571,6 +591,96 @@ func appendRow(dst []byte, row []float64) ([]byte, error) {
 	return append(dst, ']'), nil
 }
 
+// JSONAppender is a predict reply that encodes itself: AppendJSON appends what
+// an encoding/json Encoder writes for the reply, trailing newline included,
+// or returns the error it returns.
+type JSONAppender interface {
+	AppendJSON(dst []byte) ([]byte, error)
+}
+
+// AppendJSON appends r as encoding/json encodes a PredictResponse whose
+// predictions hold Throughput and ErrorSource as fields.
+func (r *PredictResponse) AppendJSON(dst []byte) ([]byte, error) {
+	dst, err := r.AppendJSONFields(dst)
+	return append(dst, "}\n"...), err
+}
+
+// AppendJSONFields is AppendJSON without the closing brace and newline: what
+// a reply that embeds a PredictResponse (fleet.Response) goes on from.
+func (r *PredictResponse) AppendJSONFields(dst []byte) ([]byte, error) {
+	var err error
+	dst = AppendJSONString(append(dst, `{"system":`...), r.System)
+	dst = strconv.AppendInt(append(dst, `,"version":`...), int64(r.Version), 10)
+	dst = strconv.AppendInt(append(dst, `,"count":`...), int64(r.Count), 10)
+	if r.Predictions == nil {
+		dst = append(dst, `,"predictions":null`...)
+	} else {
+		dst = append(dst, `,"predictions":[`...)
+		for i := range r.Predictions {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = r.Predictions[i].appendJSON(dst, &err)
+		}
+		dst = append(dst, ']')
+	}
+	if r.TraceID != "" {
+		dst = AppendJSONString(append(dst, `,"trace_id":`...), r.TraceID)
+	}
+	if r.ServerTimings != nil {
+		for i, ns := range r.ServerTimings.fields() {
+			dst = strconv.AppendInt(append(dst, timingKeys[i]...), *ns, 10)
+		}
+		dst = append(dst, '}')
+	}
+	return dst, err
+}
+
+// MarshalJSON encodes p as a reply carries it.
+func (p PredictionResult) MarshalJSON() ([]byte, error) {
+	var err error
+	b := p.appendJSON(nil, &err)
+	return b, err
+}
+
+// MarshalJSON encodes g as a reply carries it.
+func (g Guard) MarshalJSON() ([]byte, error) {
+	var err error
+	b := g.appendJSON(nil, &err)
+	return b, err
+}
+
+// appendJSON appends p; the first number JSON cannot carry goes in *err.
+// A zero guard is left out (the omitzero rule).
+func (p PredictionResult) appendJSON(dst []byte, err *error) []byte {
+	dst = appendNumber(append(dst, `{"log10_throughput":`...), p.Log10Throughput, err)
+	dst = appendNumber(append(dst, `,"throughput_bytes_per_sec":`...), p.Throughput(), err)
+	if p.Guard != (Guard{}) {
+		dst = p.Guard.appendJSON(append(dst, `,"guard":`...), err)
+	}
+	return append(strconv.AppendBool(append(dst, `,"cache_hit":`...), p.CacheHit), '}')
+}
+
+func (g Guard) appendJSON(dst []byte, err *error) []byte {
+	dst = appendNumber(append(dst, `{"eu":`...), g.EU, err)
+	dst = appendNumber(append(dst, `,"au":`...), g.AU, err)
+	dst = strconv.AppendBool(append(dst, `,"ood":`...), g.OoD)
+	return append(AppendJSONString(append(dst, `,"error_source":`...), g.ErrorSource()), '}')
+}
+
+// appendNumber appends f as encoding/json renders a float64. A non-finite f
+// is left out and, unless *err already holds one, sets *err to the error
+// encoding/json returns for it.
+func appendNumber(dst []byte, f float64, err *error) []byte {
+	if finite(f) {
+		return appendFloat(dst, f)
+	}
+	if *err == nil {
+		*err = &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	return dst
+}
+
 // jsonContentType is every JSON response's Content-Type value: header values
 // are read, never written, by net/http.
 var jsonContentType = []string{"application/json"}
@@ -585,8 +695,14 @@ type errorBody struct {
 // header is written, so a pooled call can own the value slice as it owns
 // the bytes.
 type replyBuf struct {
-	bytes.Buffer
+	b      []byte
 	length [1]string
+}
+
+// Write appends p: an encoding/json Encoder writes each value with one Write.
+func (r *replyBuf) Write(p []byte) (int, error) {
+	r.b = append(r.b, p...)
+	return len(p), nil
 }
 
 // WriteJSON writes v as the JSON reply with status (see writeReply). A value
@@ -601,22 +717,28 @@ func WriteError(w http.ResponseWriter, status int, msg string) {
 	WriteJSON(w, status, errorBody{msg})
 }
 
-// writeReply is every JSON reply's one writer: encode v into buf, then write it
-// with its length. A value JSON cannot carry (NaN, ±Inf) is therefore found
-// before any header goes out, and is answered 500 with the uniform error body
-// instead of a 200 cut short; that error is returned.
+// writeReply is every JSON reply but a predict reply's writer: encode v into
+// buf by encoding/json, then flushReply.
 func writeReply(w http.ResponseWriter, buf *replyBuf, status int, v any) error {
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	buf.b = buf.b[:0]
+	return flushReply(w, buf, status, json.NewEncoder(buf).Encode(v))
+}
+
+// flushReply writes the reply encoded into buf with its length, or, when
+// encoding it failed with err, answers 500 with the uniform error body. A
+// value JSON cannot carry (NaN, ±Inf) is therefore found before any header
+// goes out, instead of cutting a 200 short; that error is returned.
+func flushReply(w http.ResponseWriter, buf *replyBuf, status int, err error) error {
+	if err != nil {
 		err = fmt.Errorf("serve: reply is not encodable (JSON cannot carry a non-finite number): %w", err)
 		_ = writeReply(w, buf, http.StatusInternalServerError, errorBody{err.Error()}) // a string always encodes
 		return err
 	}
 	h := w.Header()
 	h["Content-Type"] = jsonContentType
-	buf.length[0] = strconv.Itoa(buf.Len())
+	buf.length[0] = strconv.Itoa(len(buf.b))
 	h["Content-Length"] = buf.length[:]
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes()) // a client that went away is the only failure
+	_, _ = w.Write(buf.b) // a client that went away is the only failure
 	return nil
 }

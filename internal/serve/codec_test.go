@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"math"
@@ -60,12 +62,8 @@ func sameResponse(a, b *PredictResponse) bool {
 	}
 	for i := range a.Predictions {
 		x, y := a.Predictions[i], b.Predictions[i]
-		if x.CacheHit != y.CacheHit ||
-			!sameFloats([]float64{x.Log10Throughput, x.Throughput}, []float64{y.Log10Throughput, y.Throughput}) {
-			return false
-		}
-		if g, h := x.Guard, y.Guard; g.OoD != h.OoD || g.ErrorSource != h.ErrorSource ||
-			!sameFloats([]float64{g.EU, g.AU}, []float64{h.EU, h.AU}) {
+		if x.CacheHit != y.CacheHit || x.Guard.OoD != y.Guard.OoD || x.Guard.set != y.Guard.set ||
+			!sameFloats([]float64{x.Log10Throughput, x.Guard.EU, x.Guard.AU}, []float64{y.Log10Throughput, y.Guard.EU, y.Guard.AU}) {
 			return false
 		}
 	}
@@ -158,7 +156,7 @@ func FuzzDecodePredictRequest(f *testing.F) {
 		rec := httptest.NewRecorder()
 		accepted := false
 		HandlePredictRequest(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(data)), 0,
-			func(_ context.Context, req *PredictRequest, _ *PredictResponse) (any, error) {
+			func(_ context.Context, req *PredictRequest, out *PredictResponse) (JSONAppender, error) {
 				accepted = true
 				if !sameRequest(req, &want) {
 					t.Fatalf("decoded %+v, encoding/json %+v: %q", req, want, data)
@@ -169,7 +167,7 @@ func FuzzDecodePredictRequest(f *testing.F) {
 				if (err == nil) != (gotErr == nil) || err == nil && !bytes.Equal(gotHop, wantHop) {
 					t.Fatalf("hop request %q (%v), json.Marshal %q (%v)", gotHop, gotErr, wantHop, err)
 				}
-				return nil, nil
+				return out, nil
 			})
 		if accepted != (wantErr == nil) {
 			t.Fatalf("accepted=%v, encoding/json error %v: %q", accepted, wantErr, data)
@@ -213,7 +211,7 @@ func FuzzDecodePredictResponse(f *testing.F) {
 		// A reply decoded into storage that held another must come out as
 		// one decoded into nothing.
 		used := PredictResponse{System: "cori", TraceID: "ab", Predictions: make([]PredictionResult, 3, 64), ServerTimings: &ServerTimings{TotalNs: 9}}
-		used.Predictions[0].Guard.ErrorSource = SourceGeneralization
+		used.Predictions[0].Guard = Guard{OoD: true, set: true}
 		for _, got := range []*PredictResponse{new(PredictResponse), &used} {
 			err := DecodePredictReply(data, got)
 			if (err == nil) != (wantErr == nil) {
@@ -234,8 +232,8 @@ func FuzzDecodePredictResponse(f *testing.F) {
 // ran before the codec, a streaming Decode (which, unlike json.Unmarshal,
 // does not look past the value) into the reply type of the time, whose
 // guards were pointers, so that a guard object the reply carries is one
-// even when all its fields are zero. Each guard's label is the one its ood
-// flag implies.
+// even when all its fields are zero. Throughput and the label are decoded
+// and dropped: the decoders keep what they are derived from.
 func decodeReplyJSON(data []byte) (PredictResponse, error) {
 	var old struct {
 		System      string `json:"system"`
@@ -244,8 +242,13 @@ func decodeReplyJSON(data []byte) (PredictResponse, error) {
 		Predictions []struct {
 			Log10Throughput float64 `json:"log10_throughput"`
 			Throughput      float64 `json:"throughput_bytes_per_sec"`
-			Guard           *Guard  `json:"guard,omitempty"`
-			CacheHit        bool    `json:"cache_hit"`
+			Guard           *struct {
+				EU          float64 `json:"eu"`
+				AU          float64 `json:"au"`
+				OoD         bool    `json:"ood"`
+				ErrorSource string  `json:"error_source"`
+			} `json:"guard,omitempty"`
+			CacheHit bool `json:"cache_hit"`
 		} `json:"predictions"`
 		TraceID       string         `json:"trace_id,omitempty"`
 		ServerTimings *ServerTimings `json:"server_timings,omitempty"`
@@ -258,13 +261,128 @@ func decodeReplyJSON(data []byte) (PredictResponse, error) {
 		resp.Predictions = make([]PredictionResult, len(old.Predictions))
 	}
 	for i, pr := range old.Predictions {
-		resp.Predictions[i] = PredictionResult{Log10Throughput: pr.Log10Throughput, Throughput: pr.Throughput, CacheHit: pr.CacheHit}
-		if pr.Guard != nil {
-			resp.Predictions[i].Guard = *pr.Guard
-			resp.Predictions[i].Guard.ErrorSource = errorSource(pr.Guard.OoD)
+		resp.Predictions[i] = PredictionResult{Log10Throughput: pr.Log10Throughput, CacheHit: pr.CacheHit}
+		if g := pr.Guard; g != nil {
+			resp.Predictions[i].Guard = Guard{EU: g.EU, AU: g.AU, OoD: g.OoD, set: true}
 		}
 	}
 	return resp, nil
+}
+
+// replyMirror is PredictResponse as it was laid out while Throughput and the
+// guard's label were stored: the oracle of the reply encoder, which
+// encoding/json renders.
+type replyMirror struct {
+	System        string         `json:"system"`
+	Version       int            `json:"version"`
+	Count         int            `json:"count"`
+	Predictions   []mirrorResult `json:"predictions"`
+	TraceID       string         `json:"trace_id,omitempty"`
+	ServerTimings *ServerTimings `json:"server_timings,omitempty"`
+}
+
+type mirrorResult struct {
+	Log10Throughput float64 `json:"log10_throughput"`
+	Throughput      float64 `json:"throughput_bytes_per_sec"`
+	Guard           struct {
+		EU          float64 `json:"eu"`
+		AU          float64 `json:"au"`
+		OoD         bool    `json:"ood"`
+		ErrorSource string  `json:"error_source"`
+	} `json:"guard,omitzero"`
+	CacheHit bool `json:"cache_hit"`
+}
+
+// seedPred is one prediction of a FuzzEncodePredictReply seed.
+type seedPred struct {
+	log10, eu, au float64
+	flags         byte // bit 0: guard set, bit 1: OoD, bit 2: cache hit
+}
+
+// replyBytes lays predictions out as FuzzEncodePredictReply reads them: a
+// header byte (bit 0: server timings), then per prediction the bits of
+// log10, EU and AU and the flag byte. No bytes at all is nil predictions.
+func replyBytes(timed bool, preds ...seedPred) []byte {
+	b := []byte{0}
+	if timed {
+		b[0] = 1
+	}
+	for _, p := range preds {
+		for _, f := range []float64{p.log10, p.eu, p.au} {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+		}
+		b = append(b, p.flags)
+	}
+	return b
+}
+
+// The predict reply encoder against encoding/json on replyMirror: the same
+// status, body and Content-Length through the one writer, a 500 with the
+// same error text for a number JSON cannot carry; and MarshalJSON on each
+// prediction as encoding/json on its mirror.
+func FuzzEncodePredictReply(f *testing.F) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, s := range []struct {
+		system, trace string
+		preds         []byte
+	}{
+		{"theta", "", nil},
+		{"theta", "", replyBytes(false)},
+		{"theta", "00ff", replyBytes(true, seedPred{9.5, 0, 0, 0}, seedPred{9.5, 0.1, 0.2, 1}, seedPred{8.25, 2, 0.3, 7})},
+		{"theta", "", replyBytes(false, seedPred{0, 0, 0, 1}, seedPred{0, 0, 0, 0})},                                   // all-zero guard, absent guard
+		{"theta", "", replyBytes(false, seedPred{-6, 1e-6, 9.999999999999999e-7, 1}, seedPred{-7, -1e-7, 1e-5, 3})},    // the 1e-6 switch
+		{"theta", "", replyBytes(false, seedPred{21, 1e21, 9.999999999999999e20, 1}, seedPred{20.99, -1e21, 1e22, 1})}, // the 1e21 switch
+		{"theta", "", replyBytes(false, seedPred{math.Copysign(0, -1), math.Copysign(0, -1), math.Copysign(0, -1), 0})},
+		{"theta", "", replyBytes(false, seedPred{math.Copysign(0, -1), math.Copysign(0, -1), 0, 1})},
+		{"theta", "", replyBytes(false, seedPred{nan, 0, 0, 0})},
+		{"theta", "", replyBytes(false, seedPred{inf, 0, 0, 0})},
+		{"theta", "", replyBytes(false, seedPred{-inf, 0, 0, 0})},
+		{"theta", "", replyBytes(false, seedPred{400, 0, 0, 0})}, // +Inf bytes/s
+		{"theta", "", replyBytes(false, seedPred{1, 0.5, 0.1, 1}, seedPred{1, nan, -inf, 3})},
+		{"theta", "", replyBytes(false, seedPred{1, 0, -inf, 0})}, // a non-zero guard that is not set
+		{"<script>&amp;", "a\u2028\"b", replyBytes(true, seedPred{1, 0.5, 0.1, 1})},
+		{"th\xffé\x00", "", replyBytes(false, seedPred{1, 0, 0, 4})},
+	} {
+		f.Add(s.system, s.trace, 3, len(s.preds)/25, int64(12345), s.preds)
+	}
+	f.Fuzz(func(t *testing.T, system, trace string, version, count int, ns int64, preds []byte) {
+		resp := PredictResponse{System: system, Version: version, Count: count, TraceID: trace}
+		mirror := replyMirror{System: system, Version: version, Count: count, TraceID: trace}
+		if len(preds) > 0 {
+			if preds[0]&1 != 0 {
+				resp.ServerTimings = &ServerTimings{ns, ns >> 1, ns >> 2, ns >> 3, -ns, ns >> 5, ns >> 6, ns >> 7}
+				mirror.ServerTimings = resp.ServerTimings
+			}
+			resp.Predictions, mirror.Predictions = []PredictionResult{}, []mirrorResult{}
+		}
+		for b := preds[min(1, len(preds)):]; len(b) >= 25; b = b[25:] {
+			float := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])) }
+			p := PredictionResult{Log10Throughput: float(0), CacheHit: b[24]&4 != 0,
+				Guard: Guard{EU: float(1), AU: float(2), OoD: b[24]&2 != 0, set: b[24]&1 != 0}}
+			m := mirrorResult{Log10Throughput: p.Log10Throughput, Throughput: p.Throughput(), CacheHit: p.CacheHit}
+			m.Guard.EU, m.Guard.AU, m.Guard.OoD, m.Guard.ErrorSource = p.Guard.EU, p.Guard.AU, p.Guard.OoD, p.Guard.ErrorSource()
+			resp.Predictions, mirror.Predictions = append(resp.Predictions, p), append(mirror.Predictions, m)
+		}
+
+		want := httptest.NewRecorder()
+		wantErr := writeReply(want, new(replyBuf), http.StatusOK, &mirror)
+		got := httptest.NewRecorder()
+		var buf replyBuf
+		var err error
+		buf.b, err = resp.AppendJSON(nil)
+		gotErr := flushReply(got, &buf, http.StatusOK, err)
+		if got.Code != want.Code || got.Body.String() != want.Body.String() ||
+			got.Header().Get("Content-Length") != want.Header().Get("Content-Length") || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("appended %d %q (%v)\nencoding/json %d %q (%v)", got.Code, got.Body, gotErr, want.Code, want.Body, wantErr)
+		}
+		for i := range resp.Predictions {
+			got, err := json.Marshal(resp.Predictions[i])
+			want, wantErr := json.Marshal(mirror.Predictions[i])
+			if (err == nil) != (wantErr == nil) || !bytes.Equal(got, want) {
+				t.Fatalf("MarshalJSON %s (%v), encoding/json %s (%v)", got, err, want, wantErr)
+			}
+		}
+	})
 }
 
 // A guard object whose every field is zero is still a guard: the fallback
@@ -282,7 +400,7 @@ func TestFallbackKeepsAnAllZeroGuard(t *testing.T) {
 		if err := DecodePredictReply([]byte(reply), &got); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if g := got.Predictions[0].Guard; g != (Guard{ErrorSource: SourceModeling}) {
+		if g := got.Predictions[0].Guard; g != (Guard{set: true}) || g.ErrorSource() != SourceModeling {
 			t.Errorf("%s: guard %+v, want a zero guard labelled %q", name, g, SourceModeling)
 		}
 		if enc, _ := json.Marshal(got.Predictions[0]); !strings.Contains(string(enc), `"guard":`) {
@@ -294,7 +412,7 @@ func TestFallbackKeepsAnAllZeroGuard(t *testing.T) {
 func TestAppendJSONStringMatchesMarshal(t *testing.T) {
 	for _, s := range []string{"", "theta", `missing "system"`, "a\\b", "<script>&amp;", "tab\tnl\ncr\rbs\bff\fnul\x00esc\x1bdel\x7f", "é  ", "\xff\xfe"} {
 		want, _ := json.Marshal(s)
-		if got := appendJSONString(nil, s); string(got) != string(want) {
+		if got := AppendJSONString(nil, s); string(got) != string(want) {
 			t.Errorf("%q: got %s, json.Marshal %s", s, got, want)
 		}
 	}
@@ -322,10 +440,10 @@ func TestNonFinitePredictionIsA500(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range []PredictionResult{
-		{Log10Throughput: math.NaN(), Throughput: 1},
-		{Log10Throughput: 400, Throughput: math.Inf(1)},
-		{Log10Throughput: 1, Throughput: 10, Guard: Guard{EU: math.Inf(-1)}},
-		{Log10Throughput: 1, Throughput: 10, Guard: Guard{AU: math.NaN()}},
+		{Log10Throughput: math.NaN()},
+		{Log10Throughput: 400}, // +Inf bytes/s
+		{Log10Throughput: 1, Guard: Guard{EU: math.Inf(-1), set: true}},
+		{Log10Throughput: 1, Guard: Guard{AU: math.NaN(), set: true}},
 	} {
 		svc.SetObserver(poisonObserver{bad})
 		logged.Reset()
@@ -360,9 +478,9 @@ func TestOversizeBodyKeepsEncodingJSONSemantics(t *testing.T) {
 			r.ContentLength = -1
 		}
 		HandlePredictRequest(rec, r, 0,
-			func(_ context.Context, req *PredictRequest, _ *PredictResponse) (any, error) {
+			func(_ context.Context, req *PredictRequest, out *PredictResponse) (JSONAppender, error) {
 				got = &PredictRequest{System: req.System, Version: req.Version, Row: append([]float64(nil), req.Row...)}
-				return nil, nil
+				return out, nil
 			})
 		return got, rec
 	}
@@ -414,8 +532,7 @@ func TestCodecSteadyStateReusesItsBuffers(t *testing.T) {
 	}
 	resp := &PredictResponse{System: "theta", Version: 2, Count: 4, TraceID: "00ff", ServerTimings: &ServerTimings{TotalNs: 1}}
 	for i := 0; i < 4; i++ {
-		resp.Predictions = append(resp.Predictions, PredictionResult{Log10Throughput: 9.25, Throughput: 1778279410.0389228,
-			Guard: Guard{EU: 0.08, AU: 0.3, ErrorSource: errorSource(false)}})
+		resp.Predictions = append(resp.Predictions, PredictionResult{Log10Throughput: 9.25, Guard: Guard{EU: 0.08, AU: 0.3, set: true}})
 	}
 	w := discardWriter{http.Header{}}
 	r := httptest.NewRequest(http.MethodPost, "/v1/predict", nil)
@@ -423,7 +540,7 @@ func TestCodecSteadyStateReusesItsBuffers(t *testing.T) {
 	r.Body, r.ContentLength = rewindBody{rd}, int64(len(body))
 	allocs := testing.AllocsPerRun(100, func() {
 		rd.Reset(body)
-		err := HandlePredictRequest(w, r, 0, func(_ context.Context, req *PredictRequest, _ *PredictResponse) (any, error) {
+		err := HandlePredictRequest(w, r, 0, func(_ context.Context, req *PredictRequest, _ *PredictResponse) (JSONAppender, error) {
 			if len(req.Rows) != 4 {
 				t.Fatalf("decoded %d rows, want 4", len(req.Rows))
 			}
@@ -484,19 +601,19 @@ func TestHandlerReplyTakesTheHopFastPath(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
-	var fast, want PredictResponse
+	var fast PredictResponse
 	if !decodeResponse(rec.Body.Bytes(), &fast) {
 		t.Fatalf("the hop's fast path refused ioserve's reply: %s", rec.Body.String())
 	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &want); err != nil || !sameResponse(&fast, &want) {
+	if want, err := decodeReplyJSON(rec.Body.Bytes()); err != nil || !sameResponse(&fast, &want) {
 		t.Fatalf("fast path decoded %+v, encoding/json %+v (%v)", fast, want, err)
 	}
 	if fast.Count != 16 || len(fast.Predictions) != 16 || fast.TraceID == "" || fast.ServerTimings == nil {
 		t.Fatalf("want a traced, timed 16-row reply, got %d rows, trace %q, timings %v", len(fast.Predictions), fast.TraceID, fast.ServerTimings)
 	}
 	for i, p := range fast.Predictions {
-		if p.Guard.ErrorSource != errorSource(p.Guard.OoD) {
-			t.Fatalf("prediction %d is not fully guarded: %+v", i, p.Guard)
+		if !p.Guard.set {
+			t.Fatalf("prediction %d is not guarded: %+v", i, p.Guard)
 		}
 	}
 }

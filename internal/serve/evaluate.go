@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -28,11 +27,10 @@ var ErrBatcherClosed = errors.New("serve: batcher closed")
 // server fault, not a client one).
 var ErrEvalPanic = errors.New("serve: evaluation panicked")
 
-// Result is one model evaluation in log10 and linear space, with its
-// guardrail annotation (ErrorSource empty when the bundle has no ensemble).
+// Result is one model evaluation in log10 space, with its guardrail
+// annotation (zero when the bundle has no ensemble).
 type Result struct {
 	PredLog float64
-	Pred    float64
 	Guard   Guard
 }
 
@@ -177,7 +175,7 @@ func evaluateInto(mv *ModelVersion, rows [][]float64, s *evalScratch) ([]Result,
 	}
 	results := s.results[:n]
 	for i, p := range predLogs {
-		results[i] = Result{PredLog: p, Pred: math.Pow(10, p)}
+		results[i] = Result{PredLog: p}
 	}
 	s.guardNs = 0
 	if mv.Ensemble != nil {

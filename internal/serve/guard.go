@@ -15,7 +15,7 @@ import (
 // or trusts a prediction below the noise floor is misreading the model.
 
 // Error-source labels attached to responses: a function of the ood flag
-// beside them (errorSource).
+// beside them (Guard.ErrorSource).
 const (
 	// SourceGeneralization: the job sits outside the training
 	// distribution (high EU); the prediction is extrapolation.
@@ -26,14 +26,6 @@ const (
 	// GuardConfig bounds over a window of jobs, not per prediction.
 	SourceModeling = "app/system-modeling"
 )
-
-// errorSource is the label an ood flag implies.
-func errorSource(ood bool) string {
-	if ood {
-		return SourceGeneralization
-	}
-	return SourceModeling
-}
 
 // GuardConfig is the per-model-version guardrail calibration, computed at
 // training time and persisted in the bundle's header.
@@ -61,14 +53,26 @@ type Guard struct {
 	// OoD is true when EU exceeds the calibrated threshold: the model is
 	// extrapolating and the prediction should not be trusted blindly.
 	OoD bool `json:"ood"`
-	// ErrorSource names the dominant taxonomy class for this prediction.
-	ErrorSource string `json:"error_source"`
+	// set tells a diagnosed guard, even one whose fields are all zero, from
+	// none (a bundle without an ensemble).
+	set bool
+}
+
+// ErrorSource names the dominant taxonomy class for this prediction, the
+// one its ood flag implies; "" when there is no guard.
+func (g Guard) ErrorSource() string {
+	switch {
+	case !g.set:
+		return ""
+	case g.OoD:
+		return SourceGeneralization
+	}
+	return SourceModeling
 }
 
 // Diagnose classifies one ensemble prediction under the calibration.
 func (c GuardConfig) Diagnose(p uq.Prediction) Guard {
-	g := Guard{EU: math.Sqrt(p.EU), AU: math.Sqrt(p.AU)}
+	g := Guard{EU: math.Sqrt(p.EU), AU: math.Sqrt(p.AU), set: true}
 	g.OoD = c.EUThreshold > 0 && g.EU > c.EUThreshold
-	g.ErrorSource = errorSource(g.OoD)
 	return g
 }

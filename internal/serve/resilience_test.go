@@ -258,6 +258,32 @@ func TestServerDeadline(t *testing.T) {
 	}
 }
 
+// An X-Request-Timeout-Ms too large for a time.Duration is clamped, not
+// wrapped, so it is never tighter than the server's default deadline, which
+// still bounds the request. Unclamped, 9223372036855 ms wrapped to
+// −2 562 047 h, won the tighter-of check and left the request with no
+// deadline at all.
+func TestOverflowingDeadlineHeaderKeepsTheDefault(t *testing.T) {
+	inj := chaos.NewInjector(chaos.Config{Latency: 50 * time.Millisecond, LatencyProb: 1}, 1)
+	svc := NewService(fixtureRegistry(t), Options{Chaos: inj})
+	t.Cleanup(svc.Close)
+	h := NewHandler(svc, HandlerConfig{DefaultDeadline: 5 * time.Millisecond})
+	frame, _, _ := fixture(t)
+	raw, err := json.Marshal(PredictRequest{System: "theta", Row: frame.Row(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ms := range []string{"9223372036855", "9223372036854775807"} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(string(raw)))
+		req.Header.Set(DeadlineHeader, ms)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusGatewayTimeout {
+			t.Errorf("%s ms against a 5 ms default, 50 ms evaluations: status %d, want 504", ms, rec.Code)
+		}
+	}
+}
+
 // TestReloaderBreaker pins the breaker's failure taxonomy: a corrupt
 // version dir is the skip-and-keep-serving policy (poll errors, breaker
 // stays closed), a wholesale scan failure is an outage signal (breaker

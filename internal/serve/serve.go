@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -85,18 +86,20 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// PredictionResult is one served prediction.
+// PredictionResult is one served prediction. On the wire (codec.go) it also
+// carries Throughput and its guard's ErrorSource, both derived.
 type PredictionResult struct {
 	// Log10Throughput is the model output (the space models regress in).
 	Log10Throughput float64 `json:"log10_throughput"`
-	// Throughput is the same prediction in bytes/s.
-	Throughput float64 `json:"throughput_bytes_per_sec"`
 	// Guard is the taxonomy guardrail annotation; zero, and absent from the
-	// wire, when the bundle has no ensemble (Diagnose always sets a label).
+	// wire, when the bundle has no ensemble.
 	Guard Guard `json:"guard,omitzero"`
 	// CacheHit reports whether the duplicate cache answered this row.
 	CacheHit bool `json:"cache_hit"`
 }
+
+// Throughput is the prediction in bytes/s.
+func (p PredictionResult) Throughput() float64 { return math.Pow(10, p.Log10Throughput) }
 
 // Observer receives every successfully served request. It is called
 // synchronously on the predict path after the response is assembled, so
@@ -361,7 +364,6 @@ func (s *Service) predict(ctx context.Context, system string, version int, rows 
 	setResult := func(i int, res Result, cacheHit bool) {
 		results[i] = PredictionResult{
 			Log10Throughput: res.PredLog,
-			Throughput:      res.Pred,
 			Guard:           res.Guard,
 			CacheHit:        cacheHit,
 		}

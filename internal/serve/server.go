@@ -342,7 +342,7 @@ func handlePredict(svc *Service, cfg *HandlerConfig, w http.ResponseWriter, r *h
 	// returns: what the log below names is read out of it before that.
 	var system, traceHex string
 	var version int
-	err := HandlePredictRequest(w, r, cfg.DefaultDeadline, func(ctx context.Context, req *PredictRequest, out *PredictResponse) (any, error) {
+	err := HandlePredictRequest(w, r, cfg.DefaultDeadline, func(ctx context.Context, req *PredictRequest, out *PredictResponse) (JSONAppender, error) {
 		// An upstream X-Trace-Id (the fleet router's hop identity) becomes the
 		// parent of whatever trace this replica retains, so one router-side ID
 		// finds the replica-side traces of every sub-request it fanned out.

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -33,7 +34,11 @@ func postPredict(t *testing.T, url string, body any) (*http.Response, PredictRes
 	defer resp.Body.Close()
 	var pr PredictResponse
 	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+		data, err := io.ReadAll(resp.Body)
+		if err == nil {
+			err = DecodePredictReply(data, &pr)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -56,14 +61,14 @@ func TestServerPredictBatch(t *testing.T) {
 		if p.Log10Throughput != want {
 			t.Errorf("row %d: %v != %v", i, p.Log10Throughput, want)
 		}
-		if p.Throughput <= 0 {
+		if p.Throughput() <= 0 {
 			t.Errorf("row %d: non-positive linear throughput", i)
 		}
 		// Acceptance: every response row carries the guardrail fields.
 		if p.Guard == (Guard{}) {
 			t.Fatalf("row %d: no guard annotation", i)
 		}
-		if p.Guard.EU < 0 || p.Guard.ErrorSource == "" {
+		if p.Guard.EU < 0 || p.Guard.ErrorSource() == "" {
 			t.Errorf("row %d: incomplete guard %+v", i, p.Guard)
 		}
 	}
@@ -149,8 +154,8 @@ func TestServerOoDGuardrail(t *testing.T) {
 	for _, p := range pr.Predictions {
 		if p.Guard.OoD {
 			flagged++
-			if p.Guard.ErrorSource != SourceGeneralization {
-				t.Errorf("OoD row diagnosed as %q", p.Guard.ErrorSource)
+			if p.Guard.ErrorSource() != SourceGeneralization {
+				t.Errorf("OoD row diagnosed as %q", p.Guard.ErrorSource())
 			}
 		}
 	}

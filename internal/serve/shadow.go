@@ -212,7 +212,7 @@ func (s *Shadow) run(job shadowJob) {
 	targetOoD := r.Guard.OoD
 	stat.observe(
 		math.Abs(r.PredLog-job.primLog),
-		math.Abs(r.Pred-math.Pow(10, job.primLog)),
+		math.Abs(math.Pow(10, r.PredLog)-math.Pow(10, job.primLog)),
 		targetOoD == job.primOoD,
 		targetOoD,
 		uint64(lat.Nanoseconds()),
