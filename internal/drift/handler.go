@@ -1,9 +1,7 @@
 package drift
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 
 	"iotaxo/internal/serve"
@@ -60,15 +58,8 @@ func (c *Controller) Handler(adminToken string) http.Handler {
 		serve.WriteJSON(w, http.StatusOK, c.Status())
 	})
 	mux.HandleFunc("/v1/drift/retrain", serve.RequireAdmin(adminToken, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			serve.WriteError(w, http.StatusMethodNotAllowed, "POST only")
-			return
-		}
 		var req retrainRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+		if !serve.DecodePost(w, r, 1<<16, &req) {
 			return
 		}
 		if req.System == "" {
@@ -86,15 +77,8 @@ func (c *Controller) Handler(adminToken string) http.Handler {
 		serve.WriteJSON(w, http.StatusAccepted, map[string]any{"system": req.System, "status": "retraining"})
 	}))
 	mux.HandleFunc("/v1/feedback", serve.RequireAdmin(adminToken, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			serve.WriteError(w, http.StatusMethodNotAllowed, "POST only")
-			return
-		}
 		var req FeedbackRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxFeedbackBody))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+		if !serve.DecodePost(w, r, maxFeedbackBody, &req) {
 			return
 		}
 		if req.System == "" {

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -71,7 +70,7 @@ func NewHandler(rt *Router, cfg HandlerConfig) http.Handler {
 	// admin surface.
 	mux.HandleFunc("/v1/fleet/register", serve.RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
 		var req RegisterRequest
-		if !decodeMembership(w, r, &req) {
+		if !serve.DecodePost(w, r, maxMembershipBody, &req) {
 			return
 		}
 		resp, err := rt.Register(req)
@@ -83,7 +82,7 @@ func NewHandler(rt *Router, cfg HandlerConfig) http.Handler {
 	}))
 	mux.HandleFunc("/v1/fleet/heartbeat", serve.RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
 		var req HeartbeatRequest
-		if !decodeMembership(w, r, &req) {
+		if !serve.DecodePost(w, r, maxMembershipBody, &req) {
 			return
 		}
 		resp, err := rt.Heartbeat(req.Name)
@@ -95,7 +94,7 @@ func NewHandler(rt *Router, cfg HandlerConfig) http.Handler {
 	}))
 	mux.HandleFunc("/v1/fleet/deregister", serve.RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
 		var req DeregisterRequest
-		if !decodeMembership(w, r, &req) {
+		if !serve.DecodePost(w, r, maxMembershipBody, &req) {
 			return
 		}
 		resp, err := rt.Deregister(r.Context(), req.Name)
@@ -267,27 +266,22 @@ var responsePool = sync.Pool{New: func() any { return new(Response) }}
 // contract's fields, then the split (see serve.JSONAppender).
 func (out *Response) AppendJSON(dst []byte) ([]byte, error) {
 	dst, err := out.AppendJSONFields(dst)
-	if len(out.Replicas) > 0 {
-		dst = append(dst, `,"replicas":[`...)
-		for i, sh := range out.Replicas {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = serve.AppendJSONString(append(dst, `{"replica":`...), sh.Replica)
-			dst = strconv.AppendInt(append(dst, `,"rows":`...), int64(sh.Rows), 10)
-			dst = strconv.AppendInt(append(dst, `,"version":`...), int64(sh.Version), 10)
-			if len(sh.TraceIDs) > 0 {
-				dst = append(dst, `,"trace_ids":[`...)
-				for k, id := range sh.TraceIDs {
-					if k > 0 {
-						dst = append(dst, ',')
-					}
-					dst = serve.AppendJSONString(dst, id)
-				}
-				dst = append(dst, ']')
-			}
-			dst = append(dst, '}')
+	sep := `,"replicas":[`
+	for _, sh := range out.Replicas {
+		dst = serve.AppendJSONString(append(append(dst, sep...), `{"replica":`...), sh.Replica)
+		dst = strconv.AppendInt(append(dst, `,"rows":`...), int64(sh.Rows), 10)
+		dst = strconv.AppendInt(append(dst, `,"version":`...), int64(sh.Version), 10)
+		idSep := `,"trace_ids":[`
+		for _, id := range sh.TraceIDs {
+			dst = serve.AppendJSONString(append(dst, idSep...), id)
+			idSep = ","
 		}
+		if len(sh.TraceIDs) > 0 {
+			dst = append(dst, ']')
+		}
+		dst, sep = append(dst, '}'), ","
+	}
+	if len(out.Replicas) > 0 {
 		dst = append(dst, ']')
 	}
 	if out.MembershipEpoch != 0 {
@@ -306,22 +300,6 @@ func (out *Response) release() {
 
 // maxMembershipBody bounds a registration-plane request body.
 const maxMembershipBody = 1 << 20
-
-// decodeMembership decodes one registration-plane POST body into req,
-// answering the error itself (false) when the method or body is bad.
-func decodeMembership(w http.ResponseWriter, r *http.Request, req any) bool {
-	if r.Method != http.MethodPost {
-		serve.WriteError(w, http.StatusMethodNotAllowed, "POST only")
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMembershipBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
-		return false
-	}
-	return true
-}
 
 // writeMembershipError maps membership errors to statuses: unknown member
 // is 404 (the agent's re-register signal), BackendError carries its own.

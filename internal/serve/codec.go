@@ -436,31 +436,29 @@ func DecodePredictReply(data []byte, out *PredictResponse) error {
 		out.Predictions = make([]PredictionResult, len(reply.Predictions))
 	}
 	for i, pr := range reply.Predictions {
-		out.Predictions[i] = PredictionResult{Log10Throughput: pr.Log10Throughput, CacheHit: pr.CacheHit}
-		if g := pr.Guard; g != nil {
-			out.Predictions[i].Guard = Guard{EU: g.EU, AU: g.AU, OoD: g.OoD, set: true}
+		out.Predictions[i] = pr.PredictionResult
+		if pr.Guard != nil {
+			out.Predictions[i].Guard = pr.Guard.Guard
+			out.Predictions[i].Guard.set = true
 		}
 	}
 	return nil
 }
 
 // replyJSON is a PredictResponse as the encoding/json fallback decodes it:
-// every wire field typed as the encoder writes it, and each guard through a
-// pointer, so that one the reply carries is told from one it leaves out even
-// when all its fields are zero. The outer fields shadow the embedded ones of
-// the same JSON name.
+// the derived fields typed as the encoder writes them, and each guard
+// through a pointer, so that one the reply carries is told from one it
+// leaves out even when all its fields are zero. The outer fields shadow the
+// embedded ones (and methods) of the same name.
 type replyJSON struct {
 	PredictResponse
 	Predictions []struct {
-		Log10Throughput float64 `json:"log10_throughput"`
-		Throughput      float64 `json:"throughput_bytes_per_sec"`
-		Guard           *struct {
-			EU          float64 `json:"eu"`
-			AU          float64 `json:"au"`
-			OoD         bool    `json:"ood"`
-			ErrorSource string  `json:"error_source"`
+		PredictionResult
+		Throughput float64 `json:"throughput_bytes_per_sec"`
+		Guard      *struct {
+			Guard
+			ErrorSource string `json:"error_source"`
 		} `json:"guard"`
-		CacheHit bool `json:"cache_hit"`
 	} `json:"predictions"`
 }
 
@@ -508,13 +506,10 @@ func decodeResponse(data []byte, out *PredictResponse) bool {
 			p.want(`,"au":`)
 			g.AU = p.float()
 			p.want(`,"ood":`)
-			// One literal per label: building one per row would allocate.
-			if g.OoD = p.boolean(); g.OoD {
-				p.want(`,"error_source":"` + SourceGeneralization + `"}`)
-			} else {
-				p.want(`,"error_source":"` + SourceModeling + `"}`)
-			}
-			g.set = true
+			g.OoD, g.set = p.boolean(), true
+			p.want(`,"error_source":"`) // the label the flag implies, and no other
+			p.want(g.ErrorSource())
+			p.want(`"}`)
 		}
 		p.want(`,"cache_hit":`)
 		pr.CacheHit = p.boolean()
@@ -637,16 +632,15 @@ func (r *PredictResponse) AppendJSONFields(dst []byte) ([]byte, error) {
 }
 
 // MarshalJSON encodes p as a reply carries it.
-func (p PredictionResult) MarshalJSON() ([]byte, error) {
-	var err error
-	b := p.appendJSON(nil, &err)
-	return b, err
-}
+func (p PredictionResult) MarshalJSON() ([]byte, error) { return marshal(p.appendJSON) }
 
 // MarshalJSON encodes g as a reply carries it.
-func (g Guard) MarshalJSON() ([]byte, error) {
+func (g Guard) MarshalJSON() ([]byte, error) { return marshal(g.appendJSON) }
+
+// marshal runs one of the reply's appenders into a slice of its own.
+func marshal(appendJSON func([]byte, *error) []byte) ([]byte, error) {
 	var err error
-	b := g.appendJSON(nil, &err)
+	b := appendJSON(nil, &err)
 	return b, err
 }
 
@@ -715,6 +709,24 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 // WriteError writes the uniform error reply.
 func WriteError(w http.ResponseWriter, status int, msg string) {
 	WriteJSON(w, status, errorBody{msg})
+}
+
+// DecodePost decodes a POST body of at most limit bytes into v, refusing
+// unknown fields. It answers anything else itself — 405 for another method,
+// 400 for a body that does not decode — and reports whether v holds the
+// request.
+func DecodePost(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	if r.Method != http.MethodPost {
+		WriteError(w, http.StatusMethodNotAllowed, "POST only")
+		return false
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+		return false
+	}
+	return true
 }
 
 // writeReply is every JSON reply but a predict reply's writer: encode v into

@@ -362,11 +362,7 @@ func (s *Service) predict(ctx context.Context, system string, version int, rows 
 	// Every row's result is set below, so what dst held does not matter.
 	results := slices.Grow(dst[:0], len(rows))[:len(rows)]
 	setResult := func(i int, res Result, cacheHit bool) {
-		results[i] = PredictionResult{
-			Log10Throughput: res.PredLog,
-			Guard:           res.Guard,
-			CacheHit:        cacheHit,
-		}
+		results[i] = PredictionResult{Log10Throughput: res.PredLog, Guard: res.Guard, CacheHit: cacheHit}
 	}
 	type miss struct {
 		i   int

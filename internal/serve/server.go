@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"crypto/subtle"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -492,15 +491,8 @@ func (e badRequestError) Error() string { return string(e) }
 // handleVersionAction decodes an admin action, applies it, and answers
 // with the system's refreshed lifecycle view.
 func handleVersionAction(svc *Service, w http.ResponseWriter, r *http.Request, apply func(versionActionRequest) (int, error)) {
-	if r.Method != http.MethodPost {
-		WriteError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var req versionActionRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+	if !DecodePost(w, r, 1<<16, &req) {
 		return
 	}
 	if req.System == "" {
