@@ -63,11 +63,11 @@ func TestRoutedReplyEncodesAsEncodingJSON(t *testing.T) {
 	preds := []serve.PredictionResult{{Log10Throughput: 9.5}, {Log10Throughput: -0.25, CacheHit: true, Guard: guarded}}
 	for _, out := range []*Response{
 		{},
-		{PredictResponse: serve.PredictResponse{System: "theta", Version: 2, Count: 2, Predictions: preds, TraceID: "00ab"}, MembershipEpoch: 7},
+		{PredictResponse: serve.PredictResponse{System: "theta", Version: 2, Count: 2, Predictions: preds, TraceID: "00ab"}, MembershipEpoch: 1},
 		{PredictResponse: serve.PredictResponse{System: "<b>&", Predictions: preds[:0]}, Replicas: []ReplicaShare{}},
 		{PredictResponse: serve.PredictResponse{System: "theta", Predictions: preds, ServerTimings: &serve.ServerTimings{TotalNs: 5}},
 			Replicas: []ReplicaShare{{Replica: "r0", Rows: 1, Version: 2}, {Replica: "r<1>&\u2028", Rows: 1, Version: 3, TraceIDs: []string{"01", "02"}},
-				{Replica: "r2", TraceIDs: []string{}}}},
+				{Replica: "r&2", TraceIDs: []string{}}}},
 	} {
 		var want bytes.Buffer
 		if err := json.NewEncoder(&want).Encode(out); err != nil {

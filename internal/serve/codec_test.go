@@ -240,15 +240,10 @@ func decodeReplyJSON(data []byte) (PredictResponse, error) {
 		Version     int    `json:"version"`
 		Count       int    `json:"count"`
 		Predictions []struct {
-			Log10Throughput float64 `json:"log10_throughput"`
-			Throughput      float64 `json:"throughput_bytes_per_sec"`
-			Guard           *struct {
-				EU          float64 `json:"eu"`
-				AU          float64 `json:"au"`
-				OoD         bool    `json:"ood"`
-				ErrorSource string  `json:"error_source"`
-			} `json:"guard,omitempty"`
-			CacheHit bool `json:"cache_hit"`
+			Log10Throughput float64      `json:"log10_throughput"`
+			Throughput      float64      `json:"throughput_bytes_per_sec"`
+			Guard           *mirrorGuard `json:"guard,omitempty"`
+			CacheHit        bool         `json:"cache_hit"`
 		} `json:"predictions"`
 		TraceID       string         `json:"trace_id,omitempty"`
 		ServerTimings *ServerTimings `json:"server_timings,omitempty"`
@@ -282,15 +277,17 @@ type replyMirror struct {
 }
 
 type mirrorResult struct {
-	Log10Throughput float64 `json:"log10_throughput"`
-	Throughput      float64 `json:"throughput_bytes_per_sec"`
-	Guard           struct {
-		EU          float64 `json:"eu"`
-		AU          float64 `json:"au"`
-		OoD         bool    `json:"ood"`
-		ErrorSource string  `json:"error_source"`
-	} `json:"guard,omitzero"`
-	CacheHit bool `json:"cache_hit"`
+	Log10Throughput float64     `json:"log10_throughput"`
+	Throughput      float64     `json:"throughput_bytes_per_sec"`
+	Guard           mirrorGuard `json:"guard,omitzero"`
+	CacheHit        bool        `json:"cache_hit"`
+}
+
+type mirrorGuard struct {
+	EU          float64 `json:"eu"`
+	AU          float64 `json:"au"`
+	OoD         bool    `json:"ood"`
+	ErrorSource string  `json:"error_source"`
 }
 
 // seedPred is one prediction of a FuzzEncodePredictReply seed.
@@ -342,6 +339,7 @@ func FuzzEncodePredictReply(f *testing.F) {
 		{"theta", "", replyBytes(false, seedPred{1, 0, -inf, 0})}, // a non-zero guard that is not set
 		{"<script>&amp;", "a\u2028\"b", replyBytes(true, seedPred{1, 0.5, 0.1, 1})},
 		{"th\xffé\x00", "", replyBytes(false, seedPred{1, 0, 0, 4})},
+		{"AT&T", "x>y", replyBytes(false)},
 	} {
 		f.Add(s.system, s.trace, 3, len(s.preds)/25, int64(12345), s.preds)
 	}
@@ -359,8 +357,8 @@ func FuzzEncodePredictReply(f *testing.F) {
 			float := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])) }
 			p := PredictionResult{Log10Throughput: float(0), CacheHit: b[24]&4 != 0,
 				Guard: Guard{EU: float(1), AU: float(2), OoD: b[24]&2 != 0, set: b[24]&1 != 0}}
-			m := mirrorResult{Log10Throughput: p.Log10Throughput, Throughput: p.Throughput(), CacheHit: p.CacheHit}
-			m.Guard.EU, m.Guard.AU, m.Guard.OoD, m.Guard.ErrorSource = p.Guard.EU, p.Guard.AU, p.Guard.OoD, p.Guard.ErrorSource()
+			m := mirrorResult{Log10Throughput: p.Log10Throughput, Throughput: p.Throughput(), CacheHit: p.CacheHit,
+				Guard: mirrorGuard{p.Guard.EU, p.Guard.AU, p.Guard.OoD, p.Guard.ErrorSource()}}
 			resp.Predictions, mirror.Predictions = append(resp.Predictions, p), append(mirror.Predictions, m)
 		}
 
