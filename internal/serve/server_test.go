@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -34,11 +33,7 @@ func postPredict(t *testing.T, url string, body any) (*http.Response, PredictRes
 	defer resp.Body.Close()
 	var pr PredictResponse
 	if resp.StatusCode == http.StatusOK {
-		data, err := io.ReadAll(resp.Body)
-		if err == nil {
-			err = DecodePredictReply(data, &pr)
-		}
-		if err != nil {
+		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
 			t.Fatal(err)
 		}
 	}
