@@ -437,19 +437,28 @@ func DecodePredictReply(data []byte, out *PredictResponse) error {
 	}
 	for i, pr := range reply.Predictions {
 		out.Predictions[i] = pr.PredictionResult
+		if pr.Guard != nil {
+			out.Predictions[i].Guard = pr.Guard.Guard
+			out.Predictions[i].Guard.set = true
+		}
 	}
 	return nil
 }
 
-// replyJSON is a PredictResponse as the encoding/json fallback decodes it,
-// throughput_bytes_per_sec typed as the encoder writes it (each guard's
-// error_source is Guard.UnmarshalJSON's to check). The outer fields shadow
-// the embedded ones (and methods) of the same name.
+// replyJSON is a PredictResponse as the encoding/json fallback decodes it:
+// the derived fields typed as the encoder writes them, and each guard
+// through a pointer, so that one the reply carries is told from one it
+// leaves out even when all its fields are zero. The outer fields shadow the
+// embedded ones (and methods) of the same name.
 type replyJSON struct {
 	PredictResponse
 	Predictions []struct {
 		PredictionResult
 		Throughput float64 `json:"throughput_bytes_per_sec"`
+		Guard      *struct {
+			Guard
+			ErrorSource string `json:"error_source"`
+		} `json:"guard"`
 	} `json:"predictions"`
 }
 
@@ -627,26 +636,6 @@ func (p PredictionResult) MarshalJSON() ([]byte, error) { return marshal(p.appen
 
 // MarshalJSON encodes g as a reply carries it.
 func (g Guard) MarshalJSON() ([]byte, error) { return marshal(g.appendJSON) }
-
-// UnmarshalJSON decodes a guard object as a reply carries it: a guard even
-// when every field is zero, its error_source checked for its type and
-// dropped. null leaves g as it is, as encoding/json leaves a struct.
-func (g *Guard) UnmarshalJSON(b []byte) error {
-	if string(b) == "null" {
-		return nil
-	}
-	var w struct {
-		EU          float64 `json:"eu"`
-		AU          float64 `json:"au"`
-		OoD         bool    `json:"ood"`
-		ErrorSource string  `json:"error_source"`
-	}
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
-	}
-	*g = Guard{EU: w.EU, AU: w.AU, OoD: w.OoD, set: true}
-	return nil
-}
 
 // marshal runs one of the reply's appenders into a slice of its own.
 func marshal(appendJSON func([]byte, *error) []byte) ([]byte, error) {

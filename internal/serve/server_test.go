@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -33,7 +34,11 @@ func postPredict(t *testing.T, url string, body any) (*http.Response, PredictRes
 	defer resp.Body.Close()
 	var pr PredictResponse
 	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+		data, err := io.ReadAll(resp.Body)
+		if err == nil {
+			err = DecodePredictReply(data, &pr)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
