@@ -54,6 +54,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -708,6 +709,32 @@ func (t *versionTracker) String() string {
 	return buf.String()
 }
 
+// decodeReply reads a predict reply in the superset shape: a fleet router's
+// reply is an ioserve PredictResponse plus the per-replica split and the
+// membership epoch, which a plain ioserve leaves out. The predictions go
+// through serve.DecodePredictReply, which alone keeps a guard's presence
+// (plain encoding/json would read an all-zero guard as none and its
+// ErrorSource as ""); the split is read beside them.
+func decodeReply(r io.Reader) (fleet.Response, error) {
+	var pr fleet.Response
+	body, err := io.ReadAll(r)
+	if err != nil {
+		return pr, err
+	}
+	if err := serve.DecodePredictReply(body, &pr.PredictResponse); err != nil {
+		return pr, err
+	}
+	var split struct {
+		Replicas        []fleet.ReplicaShare `json:"replicas"`
+		MembershipEpoch uint64               `json:"membership_epoch"`
+	}
+	if err := json.Unmarshal(body, &split); err != nil {
+		return pr, err
+	}
+	pr.Replicas, pr.MembershipEpoch = split.Replicas, split.MembershipEpoch
+	return pr, nil
+}
+
 // httpTarget adapts the /v1/predict endpoint to a load-generator target.
 // Transient failures — 429 sheds, 5xx, transport errors — are retried up to
 // `retries` times with capped jittered backoff, honoring the server's
@@ -754,11 +781,8 @@ func httpTarget(addr, sysName string, version int, tracker *versionTracker, timi
 			}
 			return nil, retryable, after, fmt.Errorf("server returned %d: %s", resp.StatusCode, e.Error)
 		}
-		// Decode the superset shape: a fleet router's response is an
-		// ioserve PredictResponse plus the per-replica split; against a
-		// plain ioserve the replicas field is simply absent.
-		var pr fleet.Response
-		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+		pr, err := decodeReply(resp.Body)
+		if err != nil {
 			return nil, false, 0, err
 		}
 		elapsed := time.Since(start)
@@ -852,8 +876,7 @@ func runDriftScenario(addr, sysName, token string, requests, batch int, rate flo
 		if err != nil {
 			return err
 		}
-		var pr serve.PredictResponse
-		decErr := json.NewDecoder(resp.Body).Decode(&pr)
+		pr, decErr := decodeReply(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			return fmt.Errorf("predict returned %d", resp.StatusCode)

@@ -1,0 +1,54 @@
+package main
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+
+	"iotaxo/internal/fleet"
+	"iotaxo/internal/serve"
+)
+
+// A guard whose fields are all zero is still a guard: the reply carries it,
+// so ioload must count it as one and read its label. The router's split and
+// membership epoch come through beside the predictions, and the decoded
+// reply encodes back to the bytes it was read from.
+func TestDecodeReplyKeepsGuardPresence(t *testing.T) {
+	routed := `{"system":"theta","version":2,"count":2,"predictions":[` +
+		`{"log10_throughput":8,"throughput_bytes_per_sec":100000000,"guard":{"eu":0,"au":0,"ood":false,"error_source":"` + serve.SourceModeling + `"},"cache_hit":true},` +
+		`{"log10_throughput":7,"throughput_bytes_per_sec":10000000,"cache_hit":false}],` +
+		`"trace_id":"5","replicas":[{"replica":"r0","rows":2,"version":2}],"membership_epoch":3}` + "\n"
+	pr, err := decodeReply(strings.NewReader(routed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pr.Predictions) != 2 {
+		t.Fatalf("%d predictions, want 2", len(pr.Predictions))
+	}
+	if got := pr.Predictions[0].Guard.ErrorSource(); got != serve.SourceModeling {
+		t.Errorf("the all-zero guard reads error source %q, want %q", got, serve.SourceModeling)
+	}
+	if got := pr.Predictions[1].Guard.ErrorSource(); got != "" {
+		t.Errorf("a prediction without a guard reads error source %q, want none", got)
+	}
+	if want := []fleet.ReplicaShare{{Replica: "r0", Rows: 2, Version: 2}}; !reflect.DeepEqual(pr.Replicas, want) || pr.MembershipEpoch != 3 {
+		t.Errorf("split %+v at epoch %d, want r0 with 2 rows of v2 at epoch 3", pr.Replicas, pr.MembershipEpoch)
+	}
+	back, err := pr.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(back) != routed {
+		t.Errorf("the decoded reply encodes as\n%s\nwant\n%s", back, routed)
+	}
+
+	// A plain ioserve reply has no split.
+	plain := routed[:strings.Index(routed, `,"replicas"`)] + "}\n"
+	pr, err = decodeReply(strings.NewReader(plain))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr.Replicas != nil || pr.MembershipEpoch != 0 || pr.Predictions[0].Guard.ErrorSource() != serve.SourceModeling {
+		t.Errorf("plain reply decoded to split %+v, epoch %d, guard %q", pr.Replicas, pr.MembershipEpoch, pr.Predictions[0].Guard.ErrorSource())
+	}
+}

@@ -18,11 +18,17 @@ import (
 // few thousand sets). At serving time that skew means a cache keyed on the
 // feature vector converts the workload's duplicate mass directly into hits
 // that skip model evaluation. The cache is sharded to keep lock contention
-// off the hot path and LRU-evicting per shard so resident entries track the
-// currently-recurring duplicate sets.
+// off the hot path. The same finding says most rows never come back, so each
+// shard is a segmented LRU: a row is stored on a probation list of at most an
+// eighth of the shard's slots and moves to a protected list of the rest when
+// it first hits, and evictions take probation's least recently used entry.
+// One-off rows then neither displace the recurring duplicate sets nor map
+// more storage than probation holds, and a protected row that stops hitting
+// is moved back to probation as newer ones arrive, so the protected list
+// tracks the currently-recurring sets.
 //
 // A shard is a few flat arrays with no pointers in them: fixed-width slots
-// linked into an exact LRU by index, a bucket table that chains them by key
+// linked into the two lists by index, a bucket table that chains them by key
 // through one link in each slot, and the rows in byte slabs. All of it is
 // mapped outside the Go heap — every shard's slots and buckets in one mapping
 // a cache, made at full capacity, whose pages are touched only as entries
@@ -59,6 +65,9 @@ const (
 	// mapping as entries arrive: a cache that is built and never filled
 	// costs no storage.
 	cacheSlabChunks = 256
+	// probationShare is the part of a shard's slots, as a divisor, that the
+	// probation list may hold; the protected list holds the rest.
+	probationShare = 8
 )
 
 // cacheRowBytes is what the process holds in mapped slabs at this moment: the
@@ -176,7 +185,7 @@ func (mv *ModelVersion) bundleID() uint64 {
 type cacheSlot struct {
 	key        uint64
 	bundle     uint64 // producing bundle's bundleID; 0 marks a free slot
-	prev, next int32  // LRU neighbours by slot index, -1 at the ends; next also threads the free list
+	prev, next int32  // neighbours on the slot's list by index, -1 at the ends; next also threads the free list
 	width      int32  // features in the row
 	sys        int32  // index into the shard's systems table
 	// The Result, with its Guard flattened to a fixed-width record.
@@ -185,22 +194,32 @@ type cacheSlot struct {
 	first        int32 // the row's first chunk, -1 when it has none
 	chain        int32 // 1 + the next slot in this key's bucket, 0 at the end
 	guarded, ood bool  // the Guard's set and OoD
+	hot          bool  // the entry is on the protected list
 }
 
-// cacheShard is an independently locked LRU.
+// slotList is one of a shard's two recency lists: its most and least
+// recently used slots, -1 when empty, and how many slots it holds.
+type slotList struct {
+	head, tail, n int32
+}
+
+// cacheShard is an independently locked segmented LRU.
 type cacheShard struct {
 	mu sync.Mutex
 	// slots is the shard's capacity in slots, of which used have been
-	// handed out and resident hold entries. buckets is a power-of-two table
-	// of chains, each word 1 + the chain's first slot, 0 when empty; a key's
-	// bucket is the top bits of its Fibonacci product, shift says how many.
-	slots          []cacheSlot
-	buckets        []int32
-	shift          uint8
-	used, resident int32
-	// head and tail are the most and least recently used slots, free the
-	// head of the list of slots InvalidateSystem emptied; -1 when none.
-	head, tail, free int32
+	// handed out. buckets is a power-of-two table of chains, each word 1 +
+	// the chain's first slot, 0 when empty; a key's bucket is the top bits
+	// of its Fibonacci product, shift says how many.
+	slots   []cacheSlot
+	buckets []int32
+	shift   uint8
+	used    int32
+	// probation holds the entries that have not hit since they were stored
+	// or were moved back from a full protected list, protected those that
+	// have hit; free heads the list of slots InvalidateSystem emptied, -1
+	// when none.
+	probation, protected slotList
+	free                 int32
 	// (*slabs)[k] holds chunks [k*cacheSlabChunks, (k+1)*cacheSlabChunks),
 	// of which chunks have been handed out so far; spare heads the list of
 	// those dropped rows gave back, -1 when empty.
@@ -210,13 +229,14 @@ type cacheShard struct {
 	enc           []byte     // the stored form of the row being put or looked up, encoded once
 }
 
-// Cache is a sharded LRU keyed by HashKey.
+// Cache is a sharded segmented LRU keyed by HashKey.
 type Cache struct {
 	shards [cacheShards]cacheShard
 }
 
 // NewCache builds a cache holding at most capacity entries (rounded up to a
-// multiple of the shard count). Returns nil for capacity <= 0, and a nil
+// multiple of the shard count), at most an eighth of them entries that have
+// not hit since they were stored. Returns nil for capacity <= 0, and a nil
 // *Cache is safe to use — it never hits.
 func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
@@ -237,7 +257,8 @@ func NewCache(capacity int) *Cache {
 		s.slots = slots[i*perShard : (i+1)*perShard : (i+1)*perShard]
 		s.buckets = index[i*buckets : (i+1)*buckets : (i+1)*buckets]
 		s.shift = uint8(64 - log2)
-		s.head, s.tail, s.free, s.spare = -1, -1, -1, -1
+		s.probation, s.protected = slotList{-1, -1, 0}, slotList{-1, -1, 0}
+		s.free, s.spare = -1, -1
 		s.slabs = &rows.slabs[i]
 	}
 	// No Close: every access to a slot or slab is under a shard lock whose
@@ -427,31 +448,46 @@ func (s *cacheShard) unindex(i int32) {
 	}
 }
 
-// unlink takes slot i out of the LRU order.
+// probationCap is how many entries the probation list may hold.
+func (s *cacheShard) probationCap() int32 {
+	return max(1, int32(len(s.slots))/probationShare)
+}
+
+// list returns the list an entry is on, by its hot flag.
+func (s *cacheShard) list(e *cacheSlot) *slotList {
+	if e.hot {
+		return &s.protected
+	}
+	return &s.probation
+}
+
+// unlink takes slot i out of its list.
 func (s *cacheShard) unlink(i int32) {
-	e := &s.slots[i]
+	e, l := &s.slots[i], s.list(&s.slots[i])
 	if e.prev >= 0 {
 		s.slots[e.prev].next = e.next
 	} else {
-		s.head = e.next
+		l.head = e.next
 	}
 	if e.next >= 0 {
 		s.slots[e.next].prev = e.prev
 	} else {
-		s.tail = e.prev
+		l.tail = e.prev
 	}
+	l.n--
 }
 
-// pushFront makes the unlinked slot i the most recently used.
+// pushFront makes the unlinked slot i the most recently used of its list.
 func (s *cacheShard) pushFront(i int32) {
-	e := &s.slots[i]
-	e.prev, e.next = -1, s.head
-	if s.head >= 0 {
-		s.slots[s.head].prev = i
+	e, l := &s.slots[i], s.list(&s.slots[i])
+	e.prev, e.next = -1, l.head
+	if l.head >= 0 {
+		s.slots[l.head].prev = i
 	} else {
-		s.tail = i
+		l.tail = i
 	}
-	s.head = i
+	l.head = i
+	l.n++
 }
 
 // drop removes the entry in slot i and puts the slot on the free list.
@@ -462,17 +498,17 @@ func (s *cacheShard) drop(i int32) {
 	s.freeRow(e)
 	e.bundle, e.next = 0, s.free
 	s.free = i
-	s.resident--
 }
 
-// claim returns an unlinked slot for a new entry: one on the free list, the
-// next never-used one or, with the shard full, the least recently used
-// entry's.
+// claim returns an unlinked slot for a new entry. A full probation list gives
+// up its least recently used entry before a never-used slot or chunk is
+// taken, so the storage a shard maps grows only with the entries that hit.
+// It is the only eviction: protected holds at most the slots probation does
+// not, so a shard with probation short of full has a slot free or unused.
 func (s *cacheShard) claim() int32 {
-	if s.free < 0 && int(s.used) == len(s.slots) {
-		s.drop(s.tail)
+	if s.probation.n >= s.probationCap() {
+		s.drop(s.probation.tail)
 	}
-	s.resident++
 	if i := s.free; i >= 0 {
 		s.free = s.slots[i].next
 		return i
@@ -482,11 +518,11 @@ func (s *cacheShard) claim() int32 {
 	return s.used - 1
 }
 
-// Get returns the cached result for (key, row) under bundle mv and marks
-// it most recent. Entries produced by a different bundle (a since-replaced
-// version) never hit. The result comes back by value, copied under the
-// shard lock, so nothing a caller holds aliases cache storage; its Guard is
-// zero when the entry has none.
+// Get returns the cached result for (key, row) under bundle mv and makes it
+// the most recently used protected entry. Entries produced by a different
+// bundle (a since-replaced version) never hit. The result comes back by
+// value, copied under the shard lock, so nothing a caller holds aliases cache
+// storage; its Guard is zero when the entry has none.
 func (c *Cache) Get(key uint64, row []float64, mv *ModelVersion) (Result, bool) {
 	if c == nil {
 		return Result{}, false
@@ -500,8 +536,17 @@ func (c *Cache) Get(key uint64, row []float64, mv *ModelVersion) (Result, bool) 
 		return Result{}, false
 	}
 	s.unlink(i)
-	s.pushFront(i)
 	e := &s.slots[i]
+	e.hot = true
+	s.pushFront(i)
+	if s.protected.n > int32(len(s.slots))-s.probationCap() {
+		// A full protected list moves its least recently used entry to the
+		// head of probation, which the promotion has just made room on.
+		j := s.protected.tail
+		s.unlink(j)
+		s.slots[j].hot = false
+		s.pushFront(j)
+	}
 	res := Result{PredLog: e.predLog}
 	if e.guarded {
 		res.Guard = Guard{EU: e.eu, AU: e.au, OoD: e.ood, set: true}
@@ -509,8 +554,8 @@ func (c *Cache) Get(key uint64, row []float64, mv *ModelVersion) (Result, bool) 
 	return res, true
 }
 
-// Put inserts or refreshes a result, evicting the shard's least recently
-// used entry when full. The row is copied, so the request's row block is
+// Put inserts a result on probation or refreshes one on the list it is on,
+// evicting as claim says. The row is copied, so the request's row block is
 // not retained.
 func (c *Cache) Put(key uint64, row []float64, mv *ModelVersion, res Result) {
 	if c == nil {
@@ -525,7 +570,7 @@ func (c *Cache) Put(key uint64, row []float64, mv *ModelVersion, res Result) {
 		s.unlink(i)
 	} else {
 		i = s.claim()
-		s.slots[i].key = key
+		s.slots[i].key, s.slots[i].hot = key, false
 		s.index(i)
 	}
 	s.pushFront(i)
@@ -580,7 +625,7 @@ func (c *Cache) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += int(s.resident)
+		n += int(s.probation.n + s.protected.n)
 		s.mu.Unlock()
 	}
 	return n

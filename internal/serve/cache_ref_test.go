@@ -1,20 +1,28 @@
 package serve
 
 import (
-	"container/list"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 )
 
-// The cache as it was before it was rebuilt on flat arrays — a
-// map[uint64]*list.Element over container/list with a heap-copied row, a
-// private Guard copy and the bundle pointer per entry — kept as the oracle
-// that runCacheOps, at the bottom of this file, drives the live Cache
-// against: same hit/miss sequence, same values, same eviction order, same
-// drop counts.
+// A reference model of the cache's policy, kept as the oracle that
+// runCacheOps, at the bottom of this file, drives the live Cache against:
+// same hit/miss sequence, same values, same eviction order, same drop
+// counts. It shares nothing with cache.go but the shard count and the key:
+// each shard is a map from key to entry and two slices of entries in
+// recency order, with a heap-copied row and the bundle pointer per entry.
+//
+// The policy is a segmented LRU. A stored entry goes on probation, which
+// holds at most max(1, perShard/8) entries; its first hit moves it to
+// protected, which holds at most the rest, and a hit that overfills protected
+// moves protected's least recently used entry to the most recent end of
+// probation. A new entry evicts the least recently used probation entry once
+// probation is full. A refreshed entry stays on its list.
 
 // refEntry is one resident prediction.
 type refEntry struct {
@@ -27,34 +35,43 @@ type refEntry struct {
 	// window before InvalidateSystem reclaims them.
 	mv  *ModelVersion
 	res Result
+	hot bool // on protected
 }
 
-// refShard is an independently locked LRU.
+// refShard is an independently locked segmented LRU.
 type refShard struct {
-	mu    sync.Mutex
-	cap   int
-	items map[uint64]*list.Element
-	order *list.List // front = most recent
+	mu         sync.Mutex
+	cap, bound int
+	// promote moves an entry to protected on its first hit; without it, and
+	// with bound = cap, the shard is one plain LRU list.
+	promote bool
+	items   map[uint64]*refEntry
+	// probation and protected are ordered least recently used first.
+	probation, protected []*refEntry
 }
 
-// refCache is a sharded LRU keyed by HashKey.
+// refCache is a sharded segmented LRU keyed by HashKey.
 type refCache struct {
 	shards [cacheShards]refShard
 }
 
 // newRefCache builds a cache holding at most capacity entries (rounded up to a
-// multiple of the shard count). Returns nil for capacity <= 0, and a nil
-// *Cache is safe to use — it never hits.
-func newRefCache(capacity int) *refCache {
+// multiple of the shard count), under the segmented policy or, with plainLRU,
+// as one LRU list a shard. Returns nil for capacity <= 0, and a nil *refCache
+// is safe to use — it never hits.
+func newRefCache(capacity int, plainLRU bool) *refCache {
 	if capacity <= 0 {
 		return nil
 	}
 	perShard := (capacity + cacheShards - 1) / cacheShards
 	c := &refCache{}
 	for i := range c.shards {
-		c.shards[i].cap = perShard
-		c.shards[i].items = make(map[uint64]*list.Element, perShard)
-		c.shards[i].order = list.New()
+		s := &c.shards[i]
+		s.cap, s.bound, s.promote = perShard, max(1, perShard/8), true
+		if plainLRU {
+			s.bound, s.promote = perShard, false
+		}
+		s.items = make(map[uint64]*refEntry, perShard)
 	}
 	return c
 }
@@ -63,9 +80,29 @@ func (c *refCache) shard(key uint64) *refShard {
 	return &c.shards[key&(cacheShards-1)]
 }
 
-// Get returns the cached result for (key, row) under bundle mv and marks
-// it most recent. Entries produced by a different bundle pointer (a since-
-// replaced version) never hit.
+// sameRow reports whether a and b hold the same values bit for bit.
+func sameRow(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// list returns the slice e is on.
+func (s *refShard) list(e *refEntry) *[]*refEntry {
+	if e.hot {
+		return &s.protected
+	}
+	return &s.probation
+}
+
+// remove takes e off its list.
+func (s *refShard) remove(e *refEntry) {
+	l := s.list(e)
+	i := slices.Index(*l, e)
+	*l = slices.Delete(*l, i, i+1)
+}
+
+// Get returns the cached result for (key, row) under bundle mv and makes it
+// the most recently used protected entry. Entries produced by a different
+// bundle pointer (a since-replaced version) never hit.
 func (c *refCache) Get(key uint64, row []float64, mv *ModelVersion) (Result, bool) {
 	if c == nil {
 		return Result{}, false
@@ -73,20 +110,24 @@ func (c *refCache) Get(key uint64, row []float64, mv *ModelVersion) (Result, boo
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.items[key]
-	if !ok {
+	e, ok := s.items[key]
+	if !ok || e.mv != mv || !sameRow(e.row, row) {
 		return Result{}, false
 	}
-	e := el.Value.(*refEntry)
-	if e.mv != mv || !rowsEqual(e.row, row) {
-		return Result{}, false
+	s.remove(e)
+	e.hot = e.hot || s.promote
+	l := s.list(e)
+	*l = append(*l, e)
+	if len(s.protected) > s.cap-s.bound {
+		old := s.protected[0]
+		s.protected = s.protected[1:]
+		old.hot = false
+		s.probation = append(s.probation, old)
 	}
-	s.order.MoveToFront(el)
 	return e.res, true
 }
 
-// Put inserts or refreshes a result, evicting the shard's least recently
-// used entry when full.
+// Put inserts a result on probation or refreshes one on the list it is on.
 func (c *refCache) Put(key uint64, row []float64, mv *ModelVersion, res Result) {
 	if c == nil {
 		return
@@ -94,39 +135,31 @@ func (c *refCache) Put(key uint64, row []float64, mv *ModelVersion, res Result) 
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		e := el.Value.(*refEntry)
+	e, ok := s.items[key]
+	if ok {
+		s.remove(e)
 		// Replace the row as well: on a hash collision the resident entry
 		// may describe a different feature vector, and a refreshed result
 		// must stay paired with the row that produced it.
-		if !rowsEqual(e.row, row) {
-			e.row = append(e.row[:0], row...)
+		e.row = append(e.row[:0], row...)
+	} else {
+		if len(s.probation) >= s.bound {
+			delete(s.items, s.probation[0].key)
+			s.probation = slices.Delete(s.probation, 0, 1)
 		}
-		e.mv = mv
-		e.res = res
-		s.order.MoveToFront(el)
-		return
-	}
-	if s.order.Len() >= s.cap {
-		oldest := s.order.Back()
-		if oldest != nil {
-			s.order.Remove(oldest)
-			delete(s.items, oldest.Value.(*refEntry).key)
+		if len(s.probation)+len(s.protected) >= s.cap {
+			panic("a full shard with room on probation")
 		}
+		e = &refEntry{key: key, row: append([]float64(nil), row...)}
+		s.items[key] = e
 	}
-	s.items[key] = s.order.PushFront(&refEntry{
-		key: key,
-		row: append([]float64(nil), row...),
-		mv:  mv,
-		res: res,
-	})
+	e.mv, e.res = mv, res
+	l := s.list(e)
+	*l = append(*l, e)
 }
 
 // InvalidateSystem drops every resident entry belonging to a system,
-// returning the number removed. The reloader calls this when a system's
-// version set changes: pointer-scoped entries already cannot serve stale
-// results, so this is about promptly reclaiming memory from retired
-// bundles (and making "stale entries are gone" directly observable).
+// returning the number removed.
 func (c *refCache) InvalidateSystem(system string) int {
 	if c == nil {
 		return 0
@@ -135,15 +168,15 @@ func (c *refCache) InvalidateSystem(system string) int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for el := s.order.Front(); el != nil; {
-			next := el.Next()
-			e := el.Value.(*refEntry)
-			if e.mv.System == system {
-				s.order.Remove(el)
+		for _, l := range []*[]*refEntry{&s.probation, &s.protected} {
+			*l = slices.DeleteFunc(*l, func(e *refEntry) bool {
+				if e.mv.System != system {
+					return false
+				}
 				delete(s.items, e.key)
 				dropped++
-			}
-			el = next
+				return true
+			})
 		}
 		s.mu.Unlock()
 	}
@@ -159,7 +192,7 @@ func (c *refCache) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += s.order.Len()
+		n += len(s.probation) + len(s.protected)
 		s.mu.Unlock()
 	}
 	return n
@@ -180,7 +213,7 @@ var (
 		{System: "theta", Version: 2}, {System: "cori", Version: 1},
 	}
 	diffSystems   = [...]string{"theta", "cori", "mira"} // mira is never cached
-	diffCapacity  = [...]int{cacheShards, 3 * cacheShards, 40 * cacheShards, 300 * cacheShards}
+	diffCapacity  = [...]int{cacheShards, 3 * cacheShards, 40 * cacheShards, 300 * cacheShards, 16 * cacheShards}
 	diffUniverse  = [...]int{24, 300, 6000}
 	diffKeyMask   = [...]uint64{^uint64(0), 0xff, 0x1f} // fewer bits: forced collisions
 	diffRowWidths = [...]int{2, 0, 5, 3, 64, 65, 101, 138}
@@ -251,7 +284,7 @@ func runCacheOps(t *testing.T, ops []byte) {
 	capacity := diffCapacity[int(ops[0])%len(diffCapacity)]
 	universe := diffUniverse[int(ops[1])%len(diffUniverse)]
 	mask := diffKeyMask[int(ops[2])%len(diffKeyMask)]
-	c, ref := NewCache(capacity), newRefCache(capacity)
+	c, ref := NewCache(capacity), newRefCache(capacity, false)
 
 	entries := diffEntries()
 	get := func(step, n, b int) {
@@ -344,6 +377,7 @@ var diffScenarios = []struct {
 	{"one entry per shard, colliding keys", [3]byte{0, 1, 2}, 4000, nil},
 	{"small shards, colliding keys", [3]byte{1, 1, 1}, 6000, nil},
 	{"no eviction", [3]byte{2, 1, 0}, 6000, nil},
+	{"two probation slots a shard", [3]byte{4, 1, 0}, 6000, nil},
 	{"wider row after the shards fill", [3]byte{1, 1, 0}, 4000, narrowUntil(2000)},
 	{"several slabs, wider row late", [3]byte{3, 2, 0}, 40000, narrowUntil(30000)},
 	{"zero-heavy wide rows", [3]byte{2, 2, 0}, 6000, wideOnly},
@@ -365,4 +399,109 @@ func FuzzCacheOps(f *testing.F) {
 		f.Add(diffOps(1, sc.header, 64, sc.pick))
 	}
 	f.Fuzz(runCacheOps)
+}
+
+// The trade the segmented policy makes, against a plain LRU of the same
+// capacity, on three seeded streams of the default capacity C. Each row is
+// looked up and, on a miss, stored, as Service.Predict does. The live Cache
+// runs the segmented policy, and its hit count must equal the reference
+// model's; the plain LRU is the reference model with one list a shard.
+//   - http-dup: 80 % of rows replayed from a 4 096-row hot set, the rest
+//     new, the shape of the ledger's http-dup workload;
+//   - flood: three rounds of the hot set read twice, then 2C new rows;
+//   - shift: 3C/2 rows that each come back at once, then the http-dup shape
+//     on a new hot set. The rows that hit first fill protected, and must
+//     leave it through probation for the new hot set to be kept;
+//   - far reuse: every row comes back once, after C/8 to C new rows. This
+//     is the stream the segmented policy loses: a row's first repeat comes
+//     after probation has evicted it.
+func TestHitRatioAgainstPlainLRU(t *testing.T) {
+	if raceEnabled {
+		t.Skip("one goroutine, 3.3 million lookups: race instrumentation makes it 40 s and can find nothing")
+	}
+	const capacity, hot = 1 << 16, 4096
+	rng := rand.New(rand.NewPCG(48, 8))
+	next := hot // the next new row
+	fresh := func() int { next++; return next - 1 }
+	var streams [4][]int
+	dup := func(stream []int, from int) []int {
+		for range 2 * capacity {
+			if rng.Float64() < 0.8 {
+				stream = append(stream, from+rng.IntN(hot))
+			} else {
+				stream = append(stream, fresh())
+			}
+		}
+		return stream
+	}
+	streams[0] = dup(nil, 0)
+	for range 3 {
+		for range 2 {
+			for _, n := range rng.Perm(hot) {
+				streams[1] = append(streams[1], n)
+			}
+		}
+		for range 2 * capacity {
+			streams[1] = append(streams[1], fresh())
+		}
+	}
+	for range 3 * capacity / 2 {
+		n := fresh()
+		streams[2] = append(streams[2], n, n)
+	}
+	next += hot
+	streams[2] = dup(streams[2], next-hot)
+	repeats := map[int][]int{} // new-row count -> rows that come back then
+	for k := 0; k < 2*capacity; k++ {
+		n := fresh()
+		streams[3] = append(streams[3], n)
+		gap := capacity/8 + rng.IntN(capacity-capacity/8)
+		repeats[k+gap] = append(repeats[k+gap], n)
+		streams[3] = append(streams[3], repeats[k]...)
+		delete(repeats, k)
+	}
+
+	mv := cacheBundleA
+	type store interface {
+		Get(uint64, []float64, *ModelVersion) (Result, bool)
+		Put(uint64, []float64, *ModelVersion, Result)
+	}
+	ratio := func(c store, stream []int) float64 {
+		hits := 0
+		row := make([]float64, 2)
+		for _, n := range stream {
+			row[0], row[1] = float64(n), 1
+			key := HashKey(mv.System, mv.Version, row)
+			if _, ok := c.Get(key, row, mv); ok {
+				hits++
+			} else {
+				c.Put(key, row, mv, Result{PredLog: float64(n)})
+			}
+		}
+		return float64(hits) / float64(len(stream))
+	}
+	names := [...]string{"http-dup", "flood", "shift", "far reuse"}
+	var lru, seg [len(streams)]float64
+	table := fmt.Sprintf("hit ratio at capacity %d\n%-10s %7s %9s %9s\n", capacity, "stream", "rows", "plain LRU", "segmented")
+	for i, stream := range streams {
+		lru[i] = ratio(newRefCache(capacity, true), stream)
+		seg[i] = ratio(newRefCache(capacity, false), stream)
+		if live := ratio(NewCache(capacity), stream); live != seg[i] {
+			t.Errorf("%s: the Cache hits %.6f of rows, its reference model %.6f", names[i], live, seg[i])
+		}
+		table += fmt.Sprintf("%-10s %7d %9.4f %9.4f\n", names[i], len(stream), lru[i], seg[i])
+	}
+	t.Log(table)
+	if math.Abs(seg[0]-lru[0]) > 0.005 {
+		t.Errorf("http-dup: the segmented policy hits %.4f of rows, a plain LRU %.4f", seg[0], lru[0])
+	}
+	if seg[1] <= lru[1] {
+		t.Errorf("flood: the segmented policy hits %.4f of rows, no more than a plain LRU's %.4f", seg[1], lru[1])
+	}
+	if seg[2] < lru[2]-0.005 {
+		t.Errorf("shift: the segmented policy hits %.4f of rows, a plain LRU %.4f", seg[2], lru[2])
+	}
+	if seg[3] >= lru[3] {
+		t.Errorf("far reuse: the segmented policy hits %.4f of rows, no fewer than a plain LRU's %.4f", seg[3], lru[3])
+	}
 }

@@ -143,30 +143,87 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheRecencyOrder(t *testing.T) {
-	// With room for 2 per shard, touching the older entry keeps it alive.
-	c := NewCache(2 * cacheShards)
-	shard := func(k uint64) uint64 { return k & (cacheShards - 1) }
+	// Room for 16 a shard: 2 on probation, 14 protected. Fourteen entries
+	// hit and fill protected; touching the oldest makes the second oldest
+	// protected's least recently used. The next entry to hit moves that one
+	// back to probation, where two newer entries push it out.
+	c := NewCache(16 * cacheShards)
 	var rows [][]float64
 	var keys []uint64
-	for i := 0; len(rows) < 3; i++ {
+	for i := 0; len(rows) < 17; i++ {
 		row := []float64{float64(i), 42}
-		key := HashKey("theta", 1, row)
-		if len(rows) == 0 || shard(key) == shard(keys[0]) {
+		if key := HashKey("theta", 1, row); key&(cacheShards-1) == 0 {
 			rows = append(rows, row)
 			keys = append(keys, key)
 		}
 	}
-	c.Put(keys[0], rows[0], cacheBundleA, Result{PredLog: 1})
-	c.Put(keys[1], rows[1], cacheBundleA, Result{PredLog: 2})
-	if _, ok := c.Get(keys[0], rows[0], cacheBundleA); !ok { // refresh 0; 1 is now LRU
-		t.Fatal("warm entry missing")
+	hit := func(n int) bool {
+		_, ok := c.Get(keys[n], rows[n], cacheBundleA)
+		return ok
 	}
-	c.Put(keys[2], rows[2], cacheBundleA, Result{PredLog: 3})
-	if _, ok := c.Get(keys[0], rows[0], cacheBundleA); !ok {
-		t.Error("recently used entry evicted")
+	put := func(n int) { c.Put(keys[n], rows[n], cacheBundleA, Result{PredLog: float64(n)}) }
+	for n := range 15 {
+		if n == 14 && !hit(0) { // 1 is now protected's least recently used
+			t.Fatal("protected entry 0 missing")
+		}
+		put(n)
+		if !hit(n) { // for 14, this moves 1 to probation
+			t.Fatalf("entry %d missing right after its Put", n)
+		}
 	}
-	if _, ok := c.Get(keys[1], rows[1], cacheBundleA); ok {
-		t.Error("least recently used entry survived")
+	put(15)
+	put(16)
+	if hit(1) {
+		t.Error("the least recently used protected entry survived its move to probation and two Puts")
+	}
+	for _, n := range []int{0, 14, 16, 15} {
+		if !hit(n) {
+			t.Errorf("entry %d was evicted in place of the probation tail", n)
+		}
+	}
+	if n := c.Len(); n != 16 {
+		t.Errorf("the cache holds %d entries, want a full shard of 16", n)
+	}
+}
+
+// probationLen is how many entries a cache of capacity holds after a flood
+// of rows that never hit: an eighth of each shard's slots, at least one.
+func probationLen(capacity int) int {
+	return cacheShards * max(1, (capacity+cacheShards-1)/cacheShards/8)
+}
+
+// A hot set that has hit once is protected: a flood of twice the capacity in
+// rows that never come back evicts none of it, and leaves exactly the hot set
+// and a full probation list resident. A plain LRU keeps none of the hot set.
+func TestCacheHotSetSurvivesFlood(t *testing.T) {
+	const capacity, hot = 1 << 16, 4096
+	c := NewCache(capacity)
+	row := make([]float64, 2)
+	key := func(n int) uint64 {
+		row[0], row[1] = float64(n), 1
+		return HashKey("theta", 1, row)
+	}
+	for n := range hot {
+		k := key(n)
+		c.Put(k, row, cacheBundleA, Result{PredLog: float64(n)})
+		if _, ok := c.Get(k, row, cacheBundleA); !ok {
+			t.Fatalf("hot row %d missing right after its Put", n)
+		}
+	}
+	for n := hot; n < hot+2*capacity; n++ {
+		c.Put(key(n), row, cacheBundleA, Result{PredLog: float64(n)})
+	}
+	if got, want := c.Len(), hot+probationLen(capacity); got != want {
+		t.Errorf("%d entries after the flood, want the %d hot rows and a full probation list, %d", got, hot, want)
+	}
+	missed := 0
+	for n := range hot {
+		if res, ok := c.Get(key(n), row, cacheBundleA); !ok || res.PredLog != float64(n) {
+			missed++
+		}
+	}
+	if missed != 0 {
+		t.Errorf("%d of %d hot rows missed on replay after a flood of %d one-off rows", missed, hot, 2*capacity)
 	}
 }
 
@@ -277,9 +334,10 @@ func needMappedRows(t *testing.T) {
 	unmapRows(b)
 }
 
-// filledCache returns a cache of capacity entries, every shard full, of rows
-// of width features.
-func filledCache(t *testing.T, capacity, width int) *Cache {
+// floodedCache returns a cache of capacity entries after twice that many
+// rows of width features, none of which hit: every shard's probation list
+// full and nothing protected.
+func floodedCache(t *testing.T, capacity, width int) *Cache {
 	t.Helper()
 	c := NewCache(capacity)
 	rng := rand.New(rand.NewPCG(uint64(capacity), uint64(width)))
@@ -288,8 +346,8 @@ func filledCache(t *testing.T, capacity, width int) *Cache {
 		row[0], row[width-1] = rng.Float64(), float64(n)
 		c.Put(HashKey("theta", 1, row), row, cacheBundleA, Result{PredLog: float64(n)})
 	}
-	if c.Len() != capacity {
-		t.Fatalf("cache holds %d entries after %d inserts, want %d", c.Len(), 2*capacity, capacity)
+	if got, want := c.Len(), probationLen(capacity); got != want {
+		t.Fatalf("cache holds %d entries after %d inserts, want a full probation list, %d", got, 2*capacity, want)
 	}
 	return c
 }
@@ -303,10 +361,10 @@ func thetaRow(frame *dataset.Frame, n int, dst []float64) []float64 {
 }
 
 // The point of mapping the cache, and of storing its rows zero-suppressed:
-// the default cache, full of the fixture's real Theta rows, costs the Go heap
-// next to nothing a resident row, its slots and buckets take no more than 96
-// mapped bytes a row, and its chunk slabs no more than 640, where the 101
-// values at full width take 808.
+// the default cache, full of the fixture's real Theta rows that have each hit
+// once, costs the Go heap next to nothing a resident row, its slots and
+// buckets take no more than 96 mapped bytes a row, and its chunk slabs no
+// more than 640, where the 101 values at full width take 808.
 func TestCacheRowsAreOffHeap(t *testing.T) {
 	needMappedRows(t)
 	frame, _, _ := fixture(t)
@@ -319,7 +377,11 @@ func TestCacheRowsAreOffHeap(t *testing.T) {
 	values, zeros := 0, 0
 	for n := 0; n < 2*capacity; n++ {
 		row = thetaRow(frame, n, row)
-		c.Put(HashKey("theta", 1, row), row, cacheBundleA, Result{PredLog: float64(n)})
+		key := HashKey("theta", 1, row)
+		c.Put(key, row, cacheBundleA, Result{PredLog: float64(n)})
+		if _, ok := c.Get(key, row, cacheBundleA); !ok {
+			t.Fatalf("row %d missing right after its Put", n)
+		}
 		for _, v := range row {
 			values++
 			if v == 0 {
@@ -330,7 +392,7 @@ func TestCacheRowsAreOffHeap(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	if c.Len() != capacity {
-		t.Fatalf("cache holds %d entries after %d inserts, want %d", c.Len(), 2*capacity, capacity)
+		t.Fatalf("cache holds %d entries after %d inserts that each hit, want %d", c.Len(), 2*capacity, capacity)
 	}
 	mapped, meta := 0, 0
 	for i := range c.shards {
@@ -353,6 +415,43 @@ func TestCacheRowsAreOffHeap(t *testing.T) {
 	runtime.KeepAlive(c)
 }
 
+// Rows that never hit do not grow the mappings: after a flood of twice the
+// default capacity in the fixture's Theta rows, none of which comes back,
+// ioserve_cache_row_bytes holds no more than the slabs a full probation list
+// of the widest stored rows takes, where a plain LRU would map the chunks of
+// every one of the 65 536 rows.
+func TestCacheFloodMapsOnlyProbation(t *testing.T) {
+	needMappedRows(t)
+	frame, _, _ := fixture(t)
+	const capacity = 65536
+	// What earlier tests dropped is released first, so that the gauge moves
+	// only by what happens here.
+	if !awaitCleanup() || !awaitCleanup() {
+		t.Fatal("no cleanup ran in 10 s")
+	}
+	base := cacheRowBytes.Load()
+	c := NewCache(capacity)
+	var row []float64
+	chunks := 0 // the most chunks one row takes
+	for n := 0; n < 2*capacity; n++ {
+		row = thetaRow(frame, n, row)
+		chunks = max(chunks, (len(appendStored(nil, row))/8+chunkWords-1)/chunkWords)
+		c.Put(HashKey("theta", 1, row), row, cacheBundleA, Result{PredLog: float64(n)})
+	}
+	if got, want := c.Len(), probationLen(capacity); got != want {
+		t.Fatalf("cache holds %d entries after a flood, want a full probation list, %d", got, want)
+	}
+	perShard := probationLen(capacity) / cacheShards * chunks
+	slabs := cacheShards * ((perShard + cacheSlabChunks - 1) / cacheSlabChunks)
+	held, limit := cacheRowBytes.Load()-base, int64(slabs*cacheSlabChunks*cacheChunkBytes)
+	t.Logf("%d mapped row bytes after a flood of %d rows; a full probation list of %d-chunk rows is %d slabs, %d bytes",
+		held, 2*capacity, chunks, slabs, limit)
+	if held > limit {
+		t.Errorf("a flood of one-off rows left %d bytes mapped, want at most %d", held, limit)
+	}
+	runtime.KeepAlive(c)
+}
+
 // Mappings are not the collector's to free. A full cache maps exactly the
 // slabs its chunks need, and a cache nothing refers to any more gives them
 // and its slot and bucket mapping back: no Close, and no bytes left behind.
@@ -363,15 +462,16 @@ func TestCacheReleasesMappings(t *testing.T) {
 	if !awaitCleanup() || !awaitCleanup() {
 		t.Fatal("no cleanup ran in 10 s")
 	}
-	// filledCache's rows have at most two non-zero values, so each takes one
-	// chunk: two slabs a shard, the second part used.
-	const perShard = cacheSlabChunks + 44
+	// floodedCache's rows have at most two non-zero values, so each takes one
+	// chunk, and a shard's probation list holds an eighth of its slots: two
+	// slabs a shard, the second part used.
+	const perShard = 8 * (cacheSlabChunks + 44)
 	base := cacheRowBytes.Load()
 	var metas [][2]uintptr // each cache's slot and bucket mapping: first and last byte
 	func() {
-		five, three := filledCache(t, cacheShards*perShard, 5), filledCache(t, cacheShards*perShard, 3)
+		five, three := floodedCache(t, cacheShards*perShard, 5), floodedCache(t, cacheShards*perShard, 3)
 		if got, want := cacheRowBytes.Load()-base, int64(2*cacheShards*2*cacheSlabChunks*cacheChunkBytes); got != want {
-			t.Fatalf("two full caches hold %d mapped bytes, want %d", got, want)
+			t.Fatalf("two flooded caches hold %d mapped bytes, want %d", got, want)
 		}
 		for _, c := range []*Cache{five, three} {
 			last := c.shards[cacheShards-1].buckets
@@ -429,7 +529,8 @@ func inMapping(t *testing.T, r [2]uintptr) (in, ok bool) {
 // bit of one stored row's chunks is flipped in turn: a Get must then miss or
 // return exactly what was stored, for that row and every other in its shard,
 // and never panic. A flip in a word of the row must miss, and one outside
-// what the row uses must not.
+// what the row uses must not. Each row hits once as it is stored, so that all
+// eight stay resident in a shard of eight slots.
 func TestCacheSurvivesFlippedChunks(t *testing.T) {
 	type entry struct {
 		key uint64
@@ -443,6 +544,9 @@ func TestCacheSurvivesFlippedChunks(t *testing.T) {
 		if key := HashKey("theta", 1, row); key&(cacheShards-1) == 0 {
 			res := Result{PredLog: float64(n)}
 			c.Put(key, row, cacheBundleA, res)
+			if _, ok := c.Get(key, row, cacheBundleA); !ok {
+				t.Fatalf("row %d missing right after its Put", n)
+			}
 			entries = append(entries, entry{key, row, res})
 		}
 	}
@@ -496,7 +600,9 @@ func TestCacheSurvivesFlippedChunks(t *testing.T) {
 // resident row must then miss or return exactly what was stored for it; so
 // must it after a second round of Puts has evicted every first entry through
 // the corrupt chains, and InvalidateSystem must still empty the cache, also
-// once the emptied slots have been filled again.
+// once the emptied slots have been filled again. Every Put is followed by a
+// Get, so that what hits is protected and the shard fills past its one
+// probation slot.
 func TestCacheSurvivesFlippedIndex(t *testing.T) {
 	const perShard = 8
 	type entry struct {
@@ -516,6 +622,9 @@ func TestCacheSurvivesFlippedIndex(t *testing.T) {
 		c := NewCache(perShard * cacheShards)
 		for _, e := range first {
 			c.Put(e.key, e.row, cacheBundleA, e.res)
+			if _, ok := c.Get(e.key, e.row, cacheBundleA); !ok {
+				t.Fatalf("row %v missing right after its Put", e.row)
+			}
 		}
 		s := &c.shards[0]
 		var words []*int32
@@ -539,6 +648,12 @@ func TestCacheSurvivesFlippedIndex(t *testing.T) {
 			}
 		}
 	}
+	put := func(c *Cache, es []entry, flip string) {
+		for _, e := range es {
+			c.Put(e.key, e.row, cacheBundleA, e.res)
+			check(c, []entry{e}, flip)
+		}
+	}
 	c, words := build()
 	chained := 0
 	for _, w := range words[len(c.shards[0].buckets):] {
@@ -555,9 +670,7 @@ func TestCacheSurvivesFlippedIndex(t *testing.T) {
 			c, words := build()
 			*words[w] ^= 1 << bit
 			check(c, first, flip)
-			for _, e := range second {
-				c.Put(e.key, e.row, cacheBundleA, e.res)
-			}
+			put(c, second, flip)
 			check(c, second, flip)
 			check(c, first, flip)
 			if n := c.Len(); n > perShard {
@@ -570,9 +683,7 @@ func TestCacheSurvivesFlippedIndex(t *testing.T) {
 				if n := c.Len(); n != 0 {
 					t.Fatalf("%s: %d entries survive InvalidateSystem", flip, n)
 				}
-				for _, e := range second {
-					c.Put(e.key, e.row, cacheBundleA, e.res)
-				}
+				put(c, second, flip)
 				check(c, second, flip)
 			}
 		}
@@ -657,7 +768,7 @@ func TestCacheSteadyStateAllocs(t *testing.T) {
 		row[3] = float64(n)
 		c.Put(HashKey("theta", 1, row), row, cacheBundleA, res)
 	}
-	for n < 4*64*cacheShards { // well past capacity: every shard is evicting
+	for n < 4*64*cacheShards { // well past capacity: every probation list is evicting
 		put()
 	}
 	if allocs := testing.AllocsPerRun(1000, put); allocs != 0 {
@@ -693,11 +804,11 @@ func TestNewCacheAllocatesNoStorage(t *testing.T) {
 		row[0] = float64(n)
 		c.Put(HashKey("theta", 1, row), row, cacheBundleA, Result{PredLog: 9})
 	}
-	for n < 2<<16 { // twice the capacity: every shard is full and evicting
+	for n < 2<<16 { // twice the capacity: every probation list is full and evicting
 		put()
 	}
-	if c.Len() != 1<<16 {
-		t.Fatalf("cache holds %d entries after %d inserts, want %d", c.Len(), n, 1<<16)
+	if got, want := c.Len(), probationLen(1<<16); got != want {
+		t.Fatalf("cache holds %d entries after %d inserts, want a full probation list, %d", got, n, want)
 	}
 	if allocs := testing.AllocsPerRun(1000, put); allocs != 0 {
 		t.Errorf("Put into a cache that grew to full allocates %.0f times, want 0", allocs)
@@ -813,7 +924,8 @@ func TestCacheConcurrentHitsAreNeverTorn(t *testing.T) {
 }
 
 // fullThetaCache returns a default-sized cache, full and evicting, of the
-// fixture's Theta rows, and the number of the next row thetaRow makes.
+// fixture's Theta rows that have each hit once, and the number of the next
+// row thetaRow makes.
 func fullThetaCache(b *testing.B) (*Cache, *dataset.Frame, int) {
 	frame, _, _ := fixture(b)
 	const capacity = 65536
@@ -822,7 +934,9 @@ func fullThetaCache(b *testing.B) (*Cache, *dataset.Frame, int) {
 	n := 0
 	for ; n < 2*capacity; n++ {
 		row = thetaRow(frame, n, row)
-		c.Put(HashKey("theta", 1, row), row, cacheBundleA, Result{PredLog: float64(n)})
+		key := HashKey("theta", 1, row)
+		c.Put(key, row, cacheBundleA, Result{PredLog: float64(n)})
+		c.Get(key, row, cacheBundleA)
 	}
 	return c, frame, n
 }

@@ -8,7 +8,8 @@
 //	registry  — versioned, per-system bundles of GBT model + deep
 //	            ensemble + scaler + guardrail calibration, loaded from a
 //	            directory of sealed, checksum-pinned artifacts (registry.go)
-//	cache     — a sharded LRU keyed on the feature-vector hash, held in
+//	cache     — a sharded segmented LRU keyed on the feature-vector
+//	            hash (rows that have not hit kept to an eighth), held in
 //	            flat pointer-free arrays so a full cache is neither
 //	            scanned by the collector nor allocated into; the paper's
 //	            duplicate-dominance finding (Sec. VI: ~24% of jobs are
@@ -55,8 +56,9 @@ type Options struct {
 	// (default 2). A request waits for one of these slots, then evaluates
 	// on its own goroutine (evaluate.go).
 	Workers int
-	// CacheSize is the duplicate cache capacity in entries; <= 0
-	// disables caching.
+	// CacheSize is the duplicate cache capacity in entries, of which at
+	// most an eighth may be rows that have not hit since they were stored;
+	// <= 0 disables caching.
 	CacheSize int
 	// ShadowFraction mirrors this deterministic slice of active-version
 	// rows to the adjacent registry versions for online comparison
