@@ -711,27 +711,31 @@ func (t *versionTracker) String() string {
 
 // decodeReply reads a predict reply in the superset shape: a fleet router's
 // reply is an ioserve PredictResponse plus the per-replica split and the
-// membership epoch, which a plain ioserve leaves out. The predictions go
-// through serve.DecodePredictReply, which alone keeps a guard's presence
-// (plain encoding/json would read an all-zero guard as none and its
-// ErrorSource as ""); the split is read beside them.
+// membership epoch, which a plain ioserve leaves out. A plain reply goes
+// through serve.DecodePredictReply's fast path; one that carries either
+// field, which that path refuses, is one encoding/json pass into
+// serve.ReplyJSON and the split beside it. Either way a guard the reply
+// carries stays present (plain encoding/json would read an all-zero guard as
+// none and its ErrorSource as "").
 func decodeReply(r io.Reader) (fleet.Response, error) {
 	var pr fleet.Response
 	body, err := io.ReadAll(r)
 	if err != nil {
 		return pr, err
 	}
-	if err := serve.DecodePredictReply(body, &pr.PredictResponse); err != nil {
-		return pr, err
+	if !bytes.Contains(body, []byte(`"replicas"`)) && !bytes.Contains(body, []byte(`"membership_epoch"`)) {
+		return pr, serve.DecodePredictReply(body, &pr.PredictResponse)
 	}
-	var split struct {
+	var routed struct {
+		serve.ReplyJSON
 		Replicas        []fleet.ReplicaShare `json:"replicas"`
 		MembershipEpoch uint64               `json:"membership_epoch"`
 	}
-	if err := json.Unmarshal(body, &split); err != nil {
+	if err := json.Unmarshal(body, &routed); err != nil {
 		return pr, err
 	}
-	pr.Replicas, pr.MembershipEpoch = split.Replicas, split.MembershipEpoch
+	routed.Into(&pr.PredictResponse)
+	pr.Replicas, pr.MembershipEpoch = routed.Replicas, routed.MembershipEpoch
 	return pr, nil
 }
 

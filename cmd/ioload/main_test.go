@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -50,5 +51,48 @@ func TestDecodeReplyKeepsGuardPresence(t *testing.T) {
 	}
 	if pr.Replicas != nil || pr.MembershipEpoch != 0 || pr.Predictions[0].Guard.ErrorSource() != serve.SourceModeling {
 		t.Errorf("plain reply decoded to split %+v, epoch %d, guard %q", pr.Replicas, pr.MembershipEpoch, pr.Predictions[0].Guard.ErrorSource())
+	}
+}
+
+// A routed reply is one encoding/json pass. It must decode exactly as the
+// reply did when it took three (the codec's fast path, which refuses it, its
+// encoding/json fallback, and the split on its own): guards present, the
+// all-zero one included, and the split's trace IDs and epoch, also when the
+// router leaves either out.
+func TestDecodeRoutedReplyAsThreePasses(t *testing.T) {
+	head := `{"system":"theta","version":2,"count":3,"predictions":[` +
+		`{"log10_throughput":8,"throughput_bytes_per_sec":100000000,"guard":{"eu":0,"au":0,"ood":false,"error_source":"` + serve.SourceModeling + `"},"cache_hit":true},` +
+		`{"log10_throughput":7.5,"throughput_bytes_per_sec":31622776.601683792,"guard":{"eu":0.25,"au":0.125,"ood":true,"error_source":"` + serve.SourceGeneralization + `"},"cache_hit":false},` +
+		`{"log10_throughput":7,"throughput_bytes_per_sec":10000000,"cache_hit":false}],` +
+		`"trace_id":"9f"`
+	replicas := `,"replicas":[{"replica":"r0","rows":2,"version":2,"trace_ids":["a1","a2"]},{"replica":"r1","rows":1,"version":2}]`
+	for _, reply := range []string{
+		head + replicas + `,"membership_epoch":7}`,
+		head + replicas + "}\n",
+		head + `,"membership_epoch":7}`,
+		head + "}",
+	} {
+		var want fleet.Response
+		if err := serve.DecodePredictReply([]byte(reply), &want.PredictResponse); err != nil {
+			t.Fatal(err)
+		}
+		var split struct {
+			Replicas        []fleet.ReplicaShare `json:"replicas"`
+			MembershipEpoch uint64               `json:"membership_epoch"`
+		}
+		if err := json.Unmarshal([]byte(reply), &split); err != nil {
+			t.Fatal(err)
+		}
+		want.Replicas, want.MembershipEpoch = split.Replicas, split.MembershipEpoch
+		got, err := decodeReply(strings.NewReader(reply))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s\ndecodes to %+v\nwant %+v", reply, got, want)
+		}
+		if got.Predictions[0].Guard.ErrorSource() != serve.SourceModeling || got.Predictions[2].Guard.ErrorSource() != "" {
+			t.Errorf("%s: guards read %q and %q", reply, got.Predictions[0].Guard.ErrorSource(), got.Predictions[2].Guard.ErrorSource())
+		}
 	}
 }

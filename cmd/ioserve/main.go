@@ -157,7 +157,7 @@ func main() {
 	flag.IntVar(&cfg.jobs, "jobs", 4000, "jobs per bootstrapped system")
 	flag.IntVar(&cfg.versions, "versions", 2, "bootstrapped versions per system")
 	flag.IntVar(&cfg.workers, "workers", 2, "how many requests evaluate their cache misses at once")
-	flag.IntVar(&cfg.cacheSize, "cache", 1<<16, "duplicate cache capacity in entries, at most an eighth of them rows that have not hit (0 disables)")
+	flag.IntVar(&cfg.cacheSize, "cache", 1<<16, "duplicate cache capacity in entries, at most an eighth of them rows that have not hit, a 64th until evicted rows come back (0 disables)")
 	flag.Uint64Var(&cfg.seed, "seed", 1, "bootstrap seed")
 	flag.DurationVar(&cfg.reloadInterval, "reload-interval", 0,
 		"poll -models for new/changed/removed versions and swap them live (0 disables)")

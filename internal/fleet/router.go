@@ -129,9 +129,6 @@ type RouterConfig struct {
 	TraceEvery int
 	// TraceBuffer is the retained router-trace ring capacity (default 256).
 	TraceBuffer int
-	// TraceSlowAfter pins the slow-trace keep threshold (tests; 0 keeps
-	// the adaptive moving-p99 threshold).
-	TraceSlowAfter time.Duration
 	// Logger defaults to a discard logger.
 	Logger *slog.Logger
 
@@ -220,7 +217,6 @@ func NewRouter(cfg RouterConfig, replicas ...Predictor) (*Router, error) {
 		rt.tracer = obs.NewRouterTracer(obs.Config{
 			SampleEvery: cfg.TraceEvery,
 			RingSize:    cfg.TraceBuffer,
-			SlowAfter:   cfg.TraceSlowAfter,
 		})
 	}
 	if rt.statePath != "" {

@@ -19,23 +19,27 @@ import (
 // feature vector converts the workload's duplicate mass directly into hits
 // that skip model evaluation. The cache is sharded to keep lock contention
 // off the hot path. The same finding says most rows never come back, so each
-// shard is a segmented LRU: a row is stored on a probation list of at most an
-// eighth of the shard's slots and moves to a protected list of the rest when
-// it first hits, and evictions take probation's least recently used entry.
-// One-off rows then neither displace the recurring duplicate sets nor map
-// more storage than probation holds, and a protected row that stops hitting
-// is moved back to probation as newer ones arrive, so the protected list
-// tracks the currently-recurring sets.
+// shard is a segmented LRU: a row is stored on a probation list and moves to a
+// protected list of seven eighths of the shard's slots when it first hits, and
+// evictions take probation's least recently used entry. One-off rows then
+// neither displace the recurring duplicate sets nor map more storage than
+// probation holds, and a protected row that stops hitting is moved back to
+// probation as newer ones arrive, so the protected list tracks the
+// currently-recurring sets. Probation starts at a 64th of the slots and
+// widens on evidence, as 2Q's ghost queue does: the keys it evicts are kept
+// in a small ghost table, and each new row found there — a row that came back
+// after probation dropped it — widens it by a 32nd, up to an eighth. It never
+// narrows: the slabs a wider list mapped stay mapped while the cache lives.
 //
 // A shard is a few flat arrays with no pointers in them: fixed-width slots
-// linked into the two lists by index, a bucket table that chains them by key
-// through one link in each slot, and the rows in byte slabs. All of it is
-// mapped outside the Go heap — every shard's slots and buckets in one mapping
-// a cache, made at full capacity, whose pages are touched only as entries
-// arrive. A full cache therefore costs the collector nothing to scan and
-// nothing towards the heap goal, an insert into it allocates nothing, and an
-// entry cannot keep anything else alive — in particular not the bundle that
-// produced it, which a slot names by number.
+// linked into the two lists by index, the ghost table, a bucket table that
+// chains the slots by key through one link in each, and the rows in byte
+// slabs. All of it is mapped outside the Go heap — every shard's slots,
+// ghosts and buckets in one mapping a cache, made at full capacity, whose
+// pages are touched only as entries arrive. A full cache therefore costs the
+// collector nothing to scan and nothing towards the heap goal, an insert into
+// it allocates nothing, and an entry cannot keep anything else alive — in
+// particular not the bundle that produced it, which a slot names by number.
 //
 // A row is stored zero-suppressed: ceil(width/64) bitmap words, bit j set
 // when feature j's bit pattern is not all zeros, then the non-zero bit
@@ -66,8 +70,12 @@ const (
 	// costs no storage.
 	cacheSlabChunks = 256
 	// probationShare is the part of a shard's slots, as a divisor, that the
-	// probation list may hold; the protected list holds the rest.
+	// probation list may widen to; the protected list holds the rest.
+	// probationStart is the part it starts at, and ghostShare both the part
+	// a returning row widens it by and the size of the ghost table.
 	probationShare = 8
+	probationStart = 64
+	ghostShare     = 32
 )
 
 // cacheRowBytes is what the process holds in mapped slabs at this moment: the
@@ -99,8 +107,9 @@ func (sl rowSlab) release() {
 }
 
 // cacheRows is a cache's mapped storage: one slab list a shard, and meta,
-// the mapping that holds every shard's slots and buckets (nil when they are
-// heap arrays; it is not row storage, so cacheRowBytes does not count it).
+// the mapping that holds every shard's slots, ghosts and buckets (nil when
+// they are heap arrays; it is not row storage, so cacheRowBytes does not
+// count it).
 // It is allocated apart from the Cache because the cleanup that unmaps it
 // once the Cache is unreachable holds it, and must not hold the Cache.
 type cacheRows struct {
@@ -123,10 +132,10 @@ func (rows *cacheRows) release() {
 // them; with meta nil — no mapping could be had — a plain heap array. This is
 // the module's one conversion through unsafe.Pointer, and it is safe because
 // a T holds no pointer the collector would have to find
-// (TestCacheSlotIsPointerFree walks both types that come through here), a T
-// at the front of a mapping or after whole cacheSlots is aligned, and the
-// cleanup unmaps meta only once the Cache, under whose shard locks every
-// access is made, is unreachable.
+// (TestCacheSlotIsPointerFree walks the types that come through here), a T
+// at the front of a mapping or after whole cacheSlots and ghosts is aligned,
+// and the cleanup unmaps meta only once the Cache, under whose shard locks
+// every access is made, is unreachable.
 func metaArray[T any](meta []byte, n int) ([]T, []byte) {
 	if meta == nil {
 		return make([]T, n), nil
@@ -215,11 +224,14 @@ type cacheShard struct {
 	shift   uint8
 	used    int32
 	// probation holds the entries that have not hit since they were stored
-	// or were moved back from a full protected list, protected those that
-	// have hit; free heads the list of slots InvalidateSystem emptied, -1
-	// when none.
+	// or were moved back from a full protected list, at most window of them,
+	// protected those that have hit; free heads the list of slots
+	// InvalidateSystem emptied, -1 when none.
 	probation, protected slotList
-	free                 int32
+	window, free         int32
+	// ghosts is a direct-mapped table of the keys probation evicted, each
+	// with the shard's key bits set so that none reads as an empty word.
+	ghosts []uint64
 	// (*slabs)[k] holds chunks [k*cacheSlabChunks, (k+1)*cacheSlabChunks),
 	// of which chunks have been handed out so far; spare heads the list of
 	// those dropped rows gave back, -1 when empty.
@@ -236,28 +248,31 @@ type Cache struct {
 
 // NewCache builds a cache holding at most capacity entries (rounded up to a
 // multiple of the shard count), at most an eighth of them entries that have
-// not hit since they were stored. Returns nil for capacity <= 0, and a nil
-// *Cache is safe to use — it never hits.
+// not hit since they were stored, and at first a 64th. Returns nil for
+// capacity <= 0, and a nil *Cache is safe to use — it never hits.
 func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		return nil
 	}
 	perShard := (capacity + cacheShards - 1) / cacheShards
 	log2 := bits.Len(uint(perShard - 1))
-	buckets := 1 << log2
+	buckets, ghosts := 1<<log2, max(1, perShard/ghostShare)
 	c, rows := &Cache{}, new(cacheRows)
-	meta, err := mapRows(cacheShards * (perShard*int(unsafe.Sizeof(cacheSlot{})) + buckets*4))
+	meta, err := mapRows(cacheShards * (perShard*int(unsafe.Sizeof(cacheSlot{})) + ghosts*8 + buckets*4))
 	if err == nil {
 		rows.meta = meta
 	}
 	slots, rest := metaArray[cacheSlot](rows.meta, cacheShards*perShard)
+	ghost, rest := metaArray[uint64](rest, cacheShards*ghosts)
 	index, _ := metaArray[int32](rest, cacheShards*buckets)
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.slots = slots[i*perShard : (i+1)*perShard : (i+1)*perShard]
+		s.ghosts = ghost[i*ghosts : (i+1)*ghosts : (i+1)*ghosts]
 		s.buckets = index[i*buckets : (i+1)*buckets : (i+1)*buckets]
 		s.shift = uint8(64 - log2)
 		s.probation, s.protected = slotList{-1, -1, 0}, slotList{-1, -1, 0}
+		s.window = int32(max(1, perShard/probationStart))
 		s.free, s.spare = -1, -1
 		s.slabs = &rows.slabs[i]
 	}
@@ -448,9 +463,17 @@ func (s *cacheShard) unindex(i int32) {
 	}
 }
 
-// probationCap is how many entries the probation list may hold.
+// probationCap is how many entries the probation list may widen to, and
+// the protected list leaves room for.
 func (s *cacheShard) probationCap() int32 {
 	return max(1, int32(len(s.slots))/probationShare)
+}
+
+// ghost returns the ghost-table word for key, and what the word holds once
+// probation has evicted key: key with every shard bit set, which no two of
+// the shard's keys share and none makes zero.
+func (s *cacheShard) ghost(key uint64) (*uint64, uint64) {
+	return &s.ghosts[key/cacheShards%uint64(len(s.ghosts))], key | (cacheShards - 1)
 }
 
 // list returns the list an entry is on, by its hot flag.
@@ -500,14 +523,22 @@ func (s *cacheShard) drop(i int32) {
 	s.free = i
 }
 
-// claim returns an unlinked slot for a new entry. A full probation list gives
-// up its least recently used entry before a never-used slot or chunk is
-// taken, so the storage a shard maps grows only with the entries that hit.
-// It is the only eviction: protected holds at most the slots probation does
-// not, so a shard with probation short of full has a slot free or unused.
-func (s *cacheShard) claim() int32 {
-	if s.probation.n >= s.probationCap() {
-		s.drop(s.probation.tail)
+// claim returns an unlinked slot for a new entry with key. A key probation
+// evicted before widens it first. A full probation list gives up its least
+// recently used entry, into the ghost table, before a never-used slot or
+// chunk is taken, so the storage a shard maps grows only with the entries
+// that hit or come back. It is the only eviction: protected holds at most the
+// slots probation can widen to, so a shard with probation short of full has a
+// slot free or unused.
+func (s *cacheShard) claim(key uint64) int32 {
+	if g, word := s.ghost(key); *g == word {
+		*g = 0
+		s.window = min(s.window+max(1, int32(len(s.slots))/ghostShare), s.probationCap())
+	}
+	if j := s.probation.tail; s.probation.n >= s.window {
+		g, word := s.ghost(s.slots[j].key)
+		*g = word
+		s.drop(j)
 	}
 	if i := s.free; i >= 0 {
 		s.free = s.slots[i].next
@@ -569,7 +600,7 @@ func (c *Cache) Put(key uint64, row []float64, mv *ModelVersion, res Result) {
 	if i >= 0 {
 		s.unlink(i)
 	} else {
-		i = s.claim()
+		i = s.claim(key)
 		s.slots[i].key, s.slots[i].hot = key, false
 		s.index(i)
 	}

@@ -17,12 +17,16 @@ import (
 // each shard is a map from key to entry and two slices of entries in
 // recency order, with a heap-copied row and the bundle pointer per entry.
 //
-// The policy is a segmented LRU. A stored entry goes on probation, which
-// holds at most max(1, perShard/8) entries; its first hit moves it to
-// protected, which holds at most the rest, and a hit that overfills protected
-// moves protected's least recently used entry to the most recent end of
-// probation. A new entry evicts the least recently used probation entry once
-// probation is full. A refreshed entry stays on its list.
+// The policy is a segmented LRU. A stored entry goes on probation; its first
+// hit moves it to protected, which holds at most perShard - max(1,
+// perShard/8) entries, and a hit that overfills protected moves protected's
+// least recently used entry to the most recent end of probation. A new entry
+// evicts the least recently used probation entry once probation holds its
+// bound. The bound starts at max(1, perShard/64). The key of every entry
+// probation evicts is written to ghost word key/16 mod max(1, perShard/32) of
+// its shard, and a new entry whose key is in its word empties the word and
+// widens the bound by max(1, perShard/32), up to max(1, perShard/8), before
+// anything is evicted for it. A refreshed entry stays on its list.
 
 // refEntry is one resident prediction.
 type refEntry struct {
@@ -38,17 +42,36 @@ type refEntry struct {
 	hot bool // on protected
 }
 
+// refGhost is one word of a shard's ghost table: the key probation last
+// evicted into it, if set.
+type refGhost struct {
+	key uint64
+	set bool
+}
+
 // refShard is an independently locked segmented LRU.
 type refShard struct {
-	mu         sync.Mutex
-	cap, bound int
+	mu sync.Mutex
+	// bound is probation's, which a returning key widens by step up to
+	// widest; protected holds at most cap - widest.
+	cap, bound, step, widest int
 	// promote moves an entry to protected on its first hit; without it, and
-	// with bound = cap, the shard is one plain LRU list.
+	// with bound = widest = cap, the shard is one plain LRU list.
 	promote bool
 	items   map[uint64]*refEntry
 	// probation and protected are ordered least recently used first.
 	probation, protected []*refEntry
+	ghosts               []refGhost
 }
+
+// refPolicy picks how a refCache bounds probation.
+type refPolicy int
+
+const (
+	refAdaptive  refPolicy = iota // the Cache's: narrow at first, widened by keys that come back
+	refSegmented                  // probation at its widest from the start
+	refPlainLRU                   // one LRU list a shard
+)
 
 // refCache is a sharded segmented LRU keyed by HashKey.
 type refCache struct {
@@ -56,10 +79,9 @@ type refCache struct {
 }
 
 // newRefCache builds a cache holding at most capacity entries (rounded up to a
-// multiple of the shard count), under the segmented policy or, with plainLRU,
-// as one LRU list a shard. Returns nil for capacity <= 0, and a nil *refCache
-// is safe to use — it never hits.
-func newRefCache(capacity int, plainLRU bool) *refCache {
+// multiple of the shard count) under policy. Returns nil for capacity <= 0,
+// and a nil *refCache is safe to use — it never hits.
+func newRefCache(capacity int, policy refPolicy) *refCache {
 	if capacity <= 0 {
 		return nil
 	}
@@ -67,11 +89,16 @@ func newRefCache(capacity int, plainLRU bool) *refCache {
 	c := &refCache{}
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.cap, s.bound, s.promote = perShard, max(1, perShard/8), true
-		if plainLRU {
-			s.bound, s.promote = perShard, false
+		s.cap, s.promote = perShard, true
+		s.bound, s.step, s.widest = max(1, perShard/64), max(1, perShard/32), max(1, perShard/8)
+		switch policy {
+		case refSegmented:
+			s.bound = s.widest
+		case refPlainLRU:
+			s.bound, s.widest, s.promote = perShard, perShard, false
 		}
 		s.items = make(map[uint64]*refEntry, perShard)
+		s.ghosts = make([]refGhost, max(1, perShard/32))
 	}
 	return c
 }
@@ -91,6 +118,11 @@ func (s *refShard) list(e *refEntry) *[]*refEntry {
 		return &s.protected
 	}
 	return &s.probation
+}
+
+// ghost returns key's word in the shard's ghost table.
+func (s *refShard) ghost(key uint64) *refGhost {
+	return &s.ghosts[key/cacheShards%uint64(len(s.ghosts))]
 }
 
 // remove takes e off its list.
@@ -118,7 +150,7 @@ func (c *refCache) Get(key uint64, row []float64, mv *ModelVersion) (Result, boo
 	e.hot = e.hot || s.promote
 	l := s.list(e)
 	*l = append(*l, e)
-	if len(s.protected) > s.cap-s.bound {
+	if len(s.protected) > s.cap-s.widest {
 		old := s.protected[0]
 		s.protected = s.protected[1:]
 		old.hot = false
@@ -143,9 +175,15 @@ func (c *refCache) Put(key uint64, row []float64, mv *ModelVersion, res Result) 
 		// must stay paired with the row that produced it.
 		e.row = append(e.row[:0], row...)
 	} else {
+		if g := s.ghost(key); g.set && g.key == key {
+			*g = refGhost{}
+			s.bound = min(s.bound+s.step, s.widest)
+		}
 		if len(s.probation) >= s.bound {
-			delete(s.items, s.probation[0].key)
+			old := s.probation[0]
+			delete(s.items, old.key)
 			s.probation = slices.Delete(s.probation, 0, 1)
+			*s.ghost(old.key) = refGhost{old.key, true}
 		}
 		if len(s.probation)+len(s.protected) >= s.cap {
 			panic("a full shard with room on probation")
@@ -284,7 +322,7 @@ func runCacheOps(t *testing.T, ops []byte) {
 	capacity := diffCapacity[int(ops[0])%len(diffCapacity)]
 	universe := diffUniverse[int(ops[1])%len(diffUniverse)]
 	mask := diffKeyMask[int(ops[2])%len(diffKeyMask)]
-	c, ref := NewCache(capacity), newRefCache(capacity, false)
+	c, ref := NewCache(capacity), newRefCache(capacity, refAdaptive)
 
 	entries := diffEntries()
 	get := func(step, n, b int) {
@@ -402,10 +440,11 @@ func FuzzCacheOps(f *testing.F) {
 }
 
 // The trade the segmented policy makes, against a plain LRU of the same
-// capacity, on three seeded streams of the default capacity C. Each row is
+// capacity, on four seeded streams of the default capacity C. Each row is
 // looked up and, on a miss, stored, as Service.Predict does. The live Cache
-// runs the segmented policy, and its hit count must equal the reference
-// model's; the plain LRU is the reference model with one list a shard.
+// runs the adaptive policy, and its hit count must equal the reference
+// model's; the plain LRU is the reference model with one list a shard, and
+// the table's middle column the model with probation fixed at its widest.
 //   - http-dup: 80 % of rows replayed from a 4 096-row hot set, the rest
 //     new, the shape of the ledger's http-dup workload;
 //   - flood: three rounds of the hot set read twice, then 2C new rows;
@@ -414,7 +453,7 @@ func FuzzCacheOps(f *testing.F) {
 //     leave it through probation for the new hot set to be kept;
 //   - far reuse: every row comes back once, after C/8 to C new rows. This
 //     is the stream the segmented policy loses: a row's first repeat comes
-//     after probation has evicted it.
+//     after probation has evicted it, and after the ghost table has too.
 func TestHitRatioAgainstPlainLRU(t *testing.T) {
 	if raceEnabled {
 		t.Skip("one goroutine, 3.3 million lookups: race instrumentation makes it 40 s and can find nothing")
@@ -482,14 +521,16 @@ func TestHitRatioAgainstPlainLRU(t *testing.T) {
 	}
 	names := [...]string{"http-dup", "flood", "shift", "far reuse"}
 	var lru, seg [len(streams)]float64
-	table := fmt.Sprintf("hit ratio at capacity %d\n%-10s %7s %9s %9s\n", capacity, "stream", "rows", "plain LRU", "segmented")
+	table := fmt.Sprintf("hit ratio at capacity %d\n%-10s %7s %9s %9s %9s\n", capacity, "stream", "rows", "plain LRU", "fixed 1/8", "adaptive")
 	for i, stream := range streams {
-		lru[i] = ratio(newRefCache(capacity, true), stream)
-		seg[i] = ratio(newRefCache(capacity, false), stream)
-		if live := ratio(NewCache(capacity), stream); live != seg[i] {
+		lru[i] = ratio(newRefCache(capacity, refPlainLRU), stream)
+		fixed := ratio(newRefCache(capacity, refSegmented), stream)
+		c := NewCache(capacity)
+		seg[i] = ratio(newRefCache(capacity, refAdaptive), stream)
+		if live := ratio(c, stream); live != seg[i] {
 			t.Errorf("%s: the Cache hits %.6f of rows, its reference model %.6f", names[i], live, seg[i])
 		}
-		table += fmt.Sprintf("%-10s %7d %9.4f %9.4f\n", names[i], len(stream), lru[i], seg[i])
+		table += fmt.Sprintf("%-10s %7d %9.4f %9.4f %9.4f  %5d rows resident\n", names[i], len(stream), lru[i], fixed, seg[i], c.Len())
 	}
 	t.Log(table)
 	if math.Abs(seg[0]-lru[0]) > 0.005 {

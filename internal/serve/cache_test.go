@@ -143,10 +143,11 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheRecencyOrder(t *testing.T) {
-	// Room for 16 a shard: 2 on probation, 14 protected. Fourteen entries
-	// hit and fill protected; touching the oldest makes the second oldest
-	// protected's least recently used. The next entry to hit moves that one
-	// back to probation, where two newer entries push it out.
+	// Room for 16 a shard: 14 protected, and probation starts at 1. Fourteen
+	// entries hit and fill protected; touching the oldest makes the second
+	// oldest protected's least recently used. The next entry to hit moves
+	// that one back to probation, where the next new entry pushes it out, and
+	// is pushed out by the one after.
 	c := NewCache(16 * cacheShards)
 	var rows [][]float64
 	var keys []uint64
@@ -174,22 +175,68 @@ func TestCacheRecencyOrder(t *testing.T) {
 	put(15)
 	put(16)
 	if hit(1) {
-		t.Error("the least recently used protected entry survived its move to probation and two Puts")
+		t.Error("the least recently used protected entry survived its move to probation and a Put")
 	}
-	for _, n := range []int{0, 14, 16, 15} {
+	if hit(15) {
+		t.Error("a new entry survived the next Put into a one-slot probation list")
+	}
+	for _, n := range []int{0, 14, 16} {
 		if !hit(n) {
 			t.Errorf("entry %d was evicted in place of the probation tail", n)
 		}
 	}
-	if n := c.Len(); n != 16 {
-		t.Errorf("the cache holds %d entries, want a full shard of 16", n)
+	if n := c.Len(); n != 15 {
+		t.Errorf("the cache holds %d entries, want 14 protected and 1 on probation", n)
 	}
 }
 
 // probationLen is how many entries a cache of capacity holds after a flood
-// of rows that never hit: an eighth of each shard's slots, at least one.
+// of rows that never hit: probation's starting bound in every shard, a 64th
+// of its slots, at least one.
 func probationLen(capacity int) int {
-	return cacheShards * max(1, (capacity+cacheShards-1)/cacheShards/8)
+	return cacheShards * max(1, (capacity+cacheShards-1)/cacheShards/64)
+}
+
+// Probation widens only for a row that comes back after it was evicted, by a
+// 32nd of the shard's slots each time, and no further than an eighth. A shard
+// of 256 slots starts at 4 and widens by 8 up to 32.
+func TestCacheProbationWidensOnReturningRows(t *testing.T) {
+	c := NewCache(256 * cacheShards)
+	s := &c.shards[0]
+	rows := map[uint64][]float64{} // shard 0's rows by key
+	fresh := func() uint64 {
+		for n := len(rows); ; n++ {
+			row := []float64{float64(n), 7}
+			if key := HashKey("theta", 1, row); key&(cacheShards-1) == 0 && rows[key] == nil {
+				rows[key] = row
+				return key
+			}
+		}
+	}
+	put := func(key uint64) { c.Put(key, rows[key], cacheBundleA, Result{PredLog: rows[key][0]}) }
+	if s.window != 4 {
+		t.Fatalf("probation starts at %d, want 4", s.window)
+	}
+	for _, want := range []int32{12, 20, 28, 32, 32} {
+		for s.probation.n < s.window {
+			put(fresh())
+		}
+		before, evicted := s.window, s.slots[s.probation.tail].key
+		put(fresh())
+		if s.find(evicted) >= 0 {
+			t.Fatal("a Put into a full probation list kept its least recently used entry")
+		}
+		if s.window != before {
+			t.Fatalf("a row never seen widened probation from %d to %d", before, s.window)
+		}
+		put(evicted)
+		if s.window != want {
+			t.Errorf("a row put again after probation evicted it widened probation from %d to %d, want %d", before, s.window, want)
+		}
+		if s.probation.n != min(before+1, want) {
+			t.Errorf("probation holds %d entries after the row came back, want %d", s.probation.n, min(before+1, want))
+		}
+	}
 }
 
 // A hot set that has hit once is protected: a flood of twice the capacity in
@@ -248,6 +295,7 @@ func TestNilCacheIsSafe(t *testing.T) {
 // so a pointer stored in either would be one the collector cannot see.
 func TestCacheSlotIsPointerFree(t *testing.T) {
 	pointerFree(t, "cacheSlot", reflect.TypeOf(cacheSlot{}))
+	pointerFree(t, "ghost", reflect.TypeOf(cacheShard{}.ghosts).Elem())
 	pointerFree(t, "bucket", reflect.TypeOf(cacheShard{}.buckets).Elem())
 	pointerFree(t, "slab element", reflect.TypeOf(rowSlab{}.b).Elem())
 	if size := reflect.TypeOf(cacheSlot{}).Size(); size != 72 {
@@ -335,8 +383,8 @@ func needMappedRows(t *testing.T) {
 }
 
 // floodedCache returns a cache of capacity entries after twice that many
-// rows of width features, none of which hit: every shard's probation list
-// full and nothing protected.
+// rows of width features, none of which hit or comes back: every shard's
+// probation list full at its starting bound and nothing protected.
 func floodedCache(t *testing.T, capacity, width int) *Cache {
 	t.Helper()
 	c := NewCache(capacity)
@@ -362,9 +410,11 @@ func thetaRow(frame *dataset.Frame, n int, dst []float64) []float64 {
 
 // The point of mapping the cache, and of storing its rows zero-suppressed:
 // the default cache, full of the fixture's real Theta rows that have each hit
-// once, costs the Go heap next to nothing a resident row, its slots and
-// buckets take no more than 96 mapped bytes a row, and its chunk slabs no
-// more than 640, where the 101 values at full width take 808.
+// once, costs the Go heap next to nothing a resident row, its slots, ghosts
+// and buckets take no more than 96 mapped bytes a row, and its chunk slabs no
+// more than 640, where the 101 values at full width take 808. No row comes
+// back, so probation stays at its starting bound beside a full protected
+// list.
 func TestCacheRowsAreOffHeap(t *testing.T) {
 	needMappedRows(t)
 	frame, _, _ := fixture(t)
@@ -391,35 +441,37 @@ func TestCacheRowsAreOffHeap(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	if c.Len() != capacity {
-		t.Fatalf("cache holds %d entries after %d inserts that each hit, want %d", c.Len(), 2*capacity, capacity)
+	resident := capacity - capacity/8 + probationLen(capacity)
+	if c.Len() != resident {
+		t.Fatalf("cache holds %d entries after %d inserts that each hit, want a full protected list and a narrow probation list, %d", c.Len(), 2*capacity, resident)
 	}
 	mapped, meta := 0, 0
 	for i := range c.shards {
 		s := &c.shards[i]
 		mapped += len(*s.slabs) * cacheSlabChunks * cacheChunkBytes
-		meta += len(s.slots)*int(reflect.TypeOf(cacheSlot{}).Size()) + 4*len(s.buckets)
+		meta += len(s.slots)*int(reflect.TypeOf(cacheSlot{}).Size()) + 8*len(s.ghosts) + 4*len(s.buckets)
 	}
-	perRow := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / capacity
-	t.Logf("%.1f heap bytes a resident row, %.0f mapped in slots and buckets, %.0f in chunks; %d-feature rows, %.1f %% of values zero",
-		perRow, float64(meta)/capacity, float64(mapped)/capacity, len(row), 100*float64(zeros)/float64(values))
+	perRow := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(resident)
+	t.Logf("%.1f heap bytes a resident row, %.0f mapped in slots, ghosts and buckets, %.0f in chunks; %d-feature rows, %.1f %% of values zero",
+		perRow, float64(meta)/float64(resident), float64(mapped)/float64(resident), len(row), 100*float64(zeros)/float64(values))
 	if perRow >= 16 {
 		t.Errorf("a resident row costs %.1f bytes of Go heap, want < 16", perRow)
 	}
-	if perMeta := float64(meta) / capacity; perMeta > 96 {
-		t.Errorf("a resident row costs %.0f mapped bytes of slot and buckets, want <= 96", perMeta)
+	if perMeta := float64(meta) / float64(resident); perMeta > 96 {
+		t.Errorf("a resident row costs %.0f mapped bytes of slot, ghosts and buckets, want <= 96", perMeta)
 	}
-	if perMapped := float64(mapped) / capacity; perMapped > 640 {
+	if perMapped := float64(mapped) / float64(resident); perMapped > 640 {
 		t.Errorf("a resident row costs %.0f mapped bytes, want <= 640 (at full width it is %d)", perMapped, 8*len(row))
 	}
 	runtime.KeepAlive(c)
 }
 
 // Rows that never hit do not grow the mappings: after a flood of twice the
-// default capacity in the fixture's Theta rows, none of which comes back,
-// ioserve_cache_row_bytes holds no more than the slabs a full probation list
-// of the widest stored rows takes, where a plain LRU would map the chunks of
-// every one of the 65 536 rows.
+// default capacity in the fixture's Theta rows, none of which comes back, no
+// shard's probation list has widened, and ioserve_cache_row_bytes holds no
+// more than the slabs a probation list at its starting bound of the widest
+// stored rows takes, where a plain LRU would map the chunks of every one of
+// the 65 536 rows.
 func TestCacheFloodMapsOnlyProbation(t *testing.T) {
 	needMappedRows(t)
 	frame, _, _ := fixture(t)
@@ -440,6 +492,11 @@ func TestCacheFloodMapsOnlyProbation(t *testing.T) {
 	}
 	if got, want := c.Len(), probationLen(capacity); got != want {
 		t.Fatalf("cache holds %d entries after a flood, want a full probation list, %d", got, want)
+	}
+	for i := range c.shards {
+		if w := c.shards[i].window; int(w) != probationLen(capacity)/cacheShards {
+			t.Errorf("shard %d: one-off rows widened probation to %d", i, w)
+		}
 	}
 	perShard := probationLen(capacity) / cacheShards * chunks
 	slabs := cacheShards * ((perShard + cacheSlabChunks - 1) / cacheSlabChunks)
@@ -463,9 +520,9 @@ func TestCacheReleasesMappings(t *testing.T) {
 		t.Fatal("no cleanup ran in 10 s")
 	}
 	// floodedCache's rows have at most two non-zero values, so each takes one
-	// chunk, and a shard's probation list holds an eighth of its slots: two
+	// chunk, and a shard's probation list holds a 64th of its slots: two
 	// slabs a shard, the second part used.
-	const perShard = 8 * (cacheSlabChunks + 44)
+	const perShard = 64 * (cacheSlabChunks + 44)
 	base := cacheRowBytes.Load()
 	var metas [][2]uintptr // each cache's slot and bucket mapping: first and last byte
 	func() {
@@ -851,14 +908,27 @@ func TestPredictAllocsWithCache(t *testing.T) {
 		fresh()
 		predict()
 	}
+	// Rows that shared a shard's one probation slot evicted each other; they
+	// stay once they come back, widening it, or hit and are protected.
+	m := svc.Metrics()
+	for try := 0; ; try++ {
+		hits := m.CacheHits.Load()
+		if predict(); m.CacheHits.Load()-hits == 16 {
+			break
+		}
+		if try == 16 {
+			t.Fatal("a 16-row request still misses after 16 repeats")
+		}
+	}
+	hits := m.CacheHits.Load()
 	if allocs := testing.AllocsPerRun(100, predict); allocs != 1 {
 		t.Errorf("a fully cached 16-row Predict allocates %.0f times, want 1", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { fresh(); predict() }); allocs != 1 {
 		t.Errorf("a 16-miss Predict on a full cache allocates %.0f times, want 1", allocs)
 	}
-	if m := svc.Metrics(); m.CacheHits.Load() != 101*16 {
-		t.Errorf("%d cache hits, want the %d rows of the cached runs only", m.CacheHits.Load(), 101*16)
+	if got := m.CacheHits.Load() - hits; got != 101*16 {
+		t.Errorf("%d cache hits, want the %d rows of the cached runs only", got, 101*16)
 	}
 }
 

@@ -427,30 +427,21 @@ func DecodePredictReply(data []byte, out *PredictResponse) error {
 	if decodeResponse(data, out) {
 		return nil
 	}
-	var reply replyJSON
+	var reply ReplyJSON
 	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&reply); err != nil {
 		return err
 	}
-	*out = reply.PredictResponse // its own predictions are shadowed, so nil
-	if reply.Predictions != nil {
-		out.Predictions = make([]PredictionResult, len(reply.Predictions))
-	}
-	for i, pr := range reply.Predictions {
-		out.Predictions[i] = pr.PredictionResult
-		if pr.Guard != nil {
-			out.Predictions[i].Guard = pr.Guard.Guard
-			out.Predictions[i].Guard.set = true
-		}
-	}
+	reply.Into(out)
 	return nil
 }
 
-// replyJSON is a PredictResponse as the encoding/json fallback decodes it:
-// the derived fields typed as the encoder writes them, and each guard
-// through a pointer, so that one the reply carries is told from one it
+// ReplyJSON is a PredictResponse as encoding/json decodes it, for
+// DecodePredictReply's fallback and for a caller that embeds it beside fields
+// of its own: the derived fields typed as the encoder writes them, and each
+// guard through a pointer, so that one the reply carries is told from one it
 // leaves out even when all its fields are zero. The outer fields shadow the
 // embedded ones (and methods) of the same name.
-type replyJSON struct {
+type ReplyJSON struct {
 	PredictResponse
 	Predictions []struct {
 		PredictionResult
@@ -460,6 +451,22 @@ type replyJSON struct {
 			ErrorSource string `json:"error_source"`
 		} `json:"guard"`
 	} `json:"predictions"`
+}
+
+// Into stores the decoded reply in out, each guard the reply carried marked
+// present.
+func (r *ReplyJSON) Into(out *PredictResponse) {
+	*out = r.PredictResponse // its own predictions are shadowed, so nil
+	if r.Predictions != nil {
+		out.Predictions = make([]PredictionResult, len(r.Predictions))
+	}
+	for i, pr := range r.Predictions {
+		out.Predictions[i] = pr.PredictionResult
+		if pr.Guard != nil {
+			out.Predictions[i].Guard = pr.Guard.Guard
+			out.Predictions[i].Guard.set = true
+		}
+	}
 }
 
 // decodeResponse is the reply fast path into out, whose Predictions block

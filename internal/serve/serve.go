@@ -9,7 +9,8 @@
 //	            ensemble + scaler + guardrail calibration, loaded from a
 //	            directory of sealed, checksum-pinned artifacts (registry.go)
 //	cache     — a sharded segmented LRU keyed on the feature-vector
-//	            hash (rows that have not hit kept to an eighth), held in
+//	            hash (rows that have not hit kept to a 64th, widened to
+//	            an eighth as evicted rows come back), held in
 //	            flat pointer-free arrays so a full cache is neither
 //	            scanned by the collector nor allocated into; the paper's
 //	            duplicate-dominance finding (Sec. VI: ~24% of jobs are
@@ -57,17 +58,17 @@ type Options struct {
 	// on its own goroutine (evaluate.go).
 	Workers int
 	// CacheSize is the duplicate cache capacity in entries, of which at
-	// most an eighth may be rows that have not hit since they were stored;
-	// <= 0 disables caching.
+	// most an eighth may be rows that have not hit since they were stored,
+	// and a 64th until rows the cache evicted come back; <= 0 disables
+	// caching.
 	CacheSize int
 	// ShadowFraction mirrors this deterministic slice of active-version
 	// rows to the adjacent registry versions for online comparison
 	// (shadow.go); <= 0 disables mirroring.
 	ShadowFraction float64
-	// ShadowWorkers / ShadowQueue size the mirror worker pool and its
-	// queue (defaults 1 and 256).
+	// ShadowWorkers sizes the mirror worker pool (default 1); its queue
+	// holds 256 jobs.
 	ShadowWorkers int
-	ShadowQueue   int
 	// TraceEvery enables request tracing: 1-in-N head sampling into the
 	// retained-trace ring on top of the always-keep tail policy (errors,
 	// OoD-flagged requests, slower-than-moving-p99 requests). <= 0 disables
@@ -76,9 +77,6 @@ type Options struct {
 	TraceEvery int
 	// TraceBuffer is the retained-trace ring capacity (default 256).
 	TraceBuffer int
-	// TraceSlowAfter pins the slow-trace keep threshold instead of the
-	// moving p99 estimate (mainly tests; 0 keeps the adaptive threshold).
-	TraceSlowAfter time.Duration
 	// Chaos wires the fault-injection harness into evaluation
 	// (internal/resilience/chaos, the ioserve -chaos flag). Nil — the
 	// production default — injects nothing.
@@ -160,7 +158,7 @@ func NewService(reg *Registry, opt Options) *Service {
 		slots:   make(chan struct{}, opt.Workers),
 		closed:  make(chan struct{}),
 		chaos:   opt.Chaos,
-		shadow:  NewShadow(reg, opt.ShadowFraction, opt.ShadowWorkers, opt.ShadowQueue, m),
+		shadow:  NewShadow(reg, opt.ShadowFraction, opt.ShadowWorkers, 0, m),
 		metrics: m,
 		logger:  opt.Logger,
 	}
@@ -174,7 +172,6 @@ func NewService(reg *Registry, opt Options) *Service {
 		s.tracer = obs.NewTracer(obs.Config{
 			SampleEvery: opt.TraceEvery,
 			RingSize:    opt.TraceBuffer,
-			SlowAfter:   opt.TraceSlowAfter,
 		})
 		m.RegisterCollector(s.tracer.Collect)
 	}
