@@ -36,10 +36,10 @@
 // metrics scrape makes the per-replica active versions visible at
 // GET /v1/fleet and the merged fleet series at the router's /metrics.
 //
-// Trace propagation: the router stamps its own trace ID on the X-Trace-Id
-// header of every sub-request; replicas record it as the parent of any
-// trace they retain, so one router-side ID links the replica-side span
-// trees of all the shards that served a request.
+// Trace propagation: the router's trace ID is every sub-request's
+// TraceParent (on the X-Trace-Id header to a Remote replica); replicas record
+// it as the parent of any trace they retain, so one router-side ID links the
+// replica-side span trees of all the shards that served a request.
 package fleet
 
 import (

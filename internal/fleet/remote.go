@@ -28,16 +28,17 @@ import (
 )
 
 // Remote is the HTTP replica backend: one ioserve process addressed over
-// the existing serving surface. The router's trace ID travels on
+// the existing serving surface. A predict's TraceParent travels on
 // X-Trace-Id (the replica records it as its trace parent) and the
 // remaining context deadline on X-Request-Timeout-Ms (the replica drops
 // expired requests itself instead of computing answers nobody will read).
 //
 // Every call is one HTTP/1.1 exchange on a keep-alive connection of the
-// Remote's own pool: the request written whole, then the reply's head read
-// by readHead, which keeps net/http's ReadResponse rules for the status,
-// framing, closing and Retry-After it reads and builds nothing else, and
-// the body by its framing. No redirect is followed.
+// Remote's own pool, each with a goroutine that ends the exchange when the
+// caller's context does: the request written whole, then the reply's head
+// read by readHead, which keeps net/http's ReadResponse rules for the
+// status, framing, closing and Retry-After it reads and builds nothing
+// else, and the body by its framing. No redirect is followed.
 type Remote struct {
 	name    string
 	baseURL string
@@ -147,13 +148,13 @@ const maxPooledHop = 1 << 20
 
 var hopPool = sync.Pool{New: func() any { return new(hopBody) }}
 
-// appendHead appends the request line and the headers every call sends, in
-// the order net/http's client wrote them: Host, User-Agent, Content-Length
-// (a body of n bytes; none when n < 0), Authorization. The caller appends
-// the rest, in key order, and the blank line.
+// appendHead appends the request line and the headers every call sends, as
+// net/http's client writes them when User-Agent is empty: Host,
+// Content-Length (a body of n bytes; none when n < 0), Authorization. The
+// caller appends the rest, in key order, and the blank line.
 func (r *Remote) appendHead(b []byte, method, path string, n int) []byte {
 	b = append(append(append(append(append(b, method...), ' '), r.prefix...), path...), " HTTP/1.1\r\nHost: "...)
-	b = append(append(b, r.host...), "\r\nUser-Agent: Go-http-client/1.1\r\n"...)
+	b = append(append(b, r.host...), "\r\n"...)
 	if n >= 0 {
 		b = append(strconv.AppendInt(append(b, "Content-Length: "...), int64(n), 10), "\r\n"...)
 	}
@@ -190,7 +191,7 @@ func (r *Remote) Predict(ctx context.Context, req *serve.PredictRequest, out *se
 	if bounded {
 		b = append(strconv.AppendInt(append(b, serve.DeadlineHeader+": "...), budgetMs, 10), "\r\n"...)
 	}
-	if id := obs.TraceParent(ctx); id != 0 {
+	if id := req.TraceParent; id != 0 {
 		const padded = serve.TraceHeader + ": 0000000000000000" // obs.FormatTraceID's 16 digits
 		b = append(b, padded[:len(padded)-(bits.Len64(id)+3)/4]...)
 		b = append(strconv.AppendUint(b, id, 16), "\r\n"...)
@@ -214,10 +215,29 @@ func (r *Remote) Predict(ctx context.Context, req *serve.PredictRequest, out *se
 // whether the replica has answered anything at all.
 type hopConn struct {
 	net.Conn
-	in     io.LimitedReader // over Conn
-	br     *bufio.Reader    // over in
-	abort  func()           // ends the exchange under way: a past deadline
-	idleAt time.Time        // when it was last pooled
+	in     io.LimitedReader     // over Conn
+	br     *bufio.Reader        // over in
+	watch  chan context.Context // to watchCancel: a call's context, then any value back; nil ends it
+	idleAt time.Time            // when it was last pooled
+}
+
+// watchCancel, started at dial, is c's watcher: it moves c's deadline into
+// the past if the context of the call holding c ends before it is taken back.
+func (c *hopConn) watchCancel() {
+	for ctx := <-c.watch; ctx != nil; ctx = <-c.watch {
+		select {
+		case <-ctx.Done():
+			c.SetDeadline(time.Unix(1, 0))
+			<-c.watch
+		case <-c.watch:
+		}
+	}
+}
+
+// Close closes c and returns once its watcher has ended; no call may hold c.
+func (c *hopConn) Close() error {
+	defer func() { c.watch <- nil }()
+	return c.Conn.Close()
 }
 
 // roundTrip sends h.req, a call to path, on a pooled connection or a new one
@@ -242,10 +262,11 @@ func (r *Remote) roundTrip(ctx context.Context, h *hopBody, path string, limit i
 		} else {
 			h.dialled++
 		}
-		c.SetDeadline(deadline) // before the AfterFunc, which must win
-		stop := context.AfterFunc(ctx, c.abort)
+		c.SetDeadline(deadline) // before the watch, which must win
+		c.watch <- ctx
 		keep, err := c.exchange(h, limit)
-		if stop() && keep {
+		c.watch <- ctx // taken back; a context that has ended may have ended the exchange
+		if keep && ctx.Err() == nil {
 			r.put(c)
 		} else {
 			c.Close()
@@ -486,8 +507,9 @@ func (r *Remote) conn(ctx context.Context, deadline time.Time, fresh bool) (*hop
 	if r.tlsConf != nil {
 		nc = tls.Client(nc, r.tlsConf)
 	}
-	c := &hopConn{Conn: nc, in: io.LimitedReader{R: nc}, abort: func() { nc.SetDeadline(time.Unix(1, 0)) }}
+	c := &hopConn{Conn: nc, in: io.LimitedReader{R: nc}, watch: make(chan context.Context)}
 	c.br = bufio.NewReader(&c.in)
+	go c.watchCancel()
 	return c, false, nil
 }
 

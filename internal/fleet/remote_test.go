@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"iotaxo/internal/serve"
 	"iotaxo/internal/uq"
@@ -367,22 +368,8 @@ func TestRemotePredictAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
-	const rows = 16
-	req := &serve.PredictRequest{System: "theta", Rows: make([][]float64, rows)}
-	for i := range req.Rows {
-		req.Rows[i] = make([]float64, 101)
-		for j := range req.Rows[i] {
-			req.Rows[i][j] = float64(i*1000+j) * 1.0625
-		}
-	}
-	canned := &serve.PredictResponse{System: "theta", Version: 1, Count: rows, Predictions: make([]serve.PredictionResult, rows),
-		ServerTimings: &serve.ServerTimings{TotalNs: 1}}
-	for i := range canned.Predictions {
-		canned.Predictions[i] = serve.PredictionResult{Log10Throughput: 9.5, Guard: serve.GuardConfig{}.Diagnose(uq.Prediction{EU: 0.01, AU: 0.04})}
-	}
-	// Encoded once by the production writer and replayed, header and body.
-	canned200 := httptest.NewRecorder()
-	serve.WriteJSON(canned200, http.StatusOK, canned)
+	req, canned200 := cannedHop()
+	rows := len(req.Rows)
 	reply := canned200.Body.Bytes()
 	sink := make([]byte, 64<<10)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -418,13 +405,143 @@ func TestRemotePredictAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	size := float64(after.TotalAlloc-before.TotalAlloc) / runs
 	t.Logf("a hop of %d rows allocates %.0f objects and %.0f bytes, the server's included", rows, objects, size)
-	// Measured: 27 objects and 2.7 KB. The decoded reply is none (it reuses
-	// resp's blocks), the hop's reading of the reply none either
-	// (TestReplyReadAllocatesNothing), and the server's ReadRequest and its
-	// request and response state most of the rest. The bounds leave room for a
-	// pool refill after a collection and for stack growth, which the byte count
+	// Measured: 24 objects and 2.5 KB, all of them the server's ReadRequest
+	// and its request and response state: the hop itself allocates nothing
+	// (TestRemotePredictAllocatesNothing). The bounds leave room for a pool
+	// refill after a collection and for stack growth, which the byte count
 	// includes.
-	if objects > 32 || size > 3840 {
-		t.Errorf("a hop allocates %.0f objects and %.0f bytes, want at most 32 and 3840", objects, size)
+	if objects > 29 || size > 3640 {
+		t.Errorf("a hop allocates %.0f objects and %.0f bytes, want at most 29 and 3640", objects, size)
 	}
+}
+
+// cannedHop is a 16-row predict request and a replica's 200 to it, encoded
+// once by the production writer, header and body, for a test to replay.
+func cannedHop() (*serve.PredictRequest, *httptest.ResponseRecorder) {
+	const rows = 16
+	req := &serve.PredictRequest{System: "theta", Rows: make([][]float64, rows)}
+	for i := range req.Rows {
+		req.Rows[i] = make([]float64, 101)
+		for j := range req.Rows[i] {
+			req.Rows[i][j] = float64(i*1000+j) * 1.0625
+		}
+	}
+	resp := &serve.PredictResponse{System: "theta", Version: 1, Count: rows, Predictions: make([]serve.PredictionResult, rows),
+		ServerTimings: &serve.ServerTimings{TotalNs: 1}}
+	for i := range resp.Predictions {
+		resp.Predictions[i] = serve.PredictionResult{Log10Throughput: 9.5, Guard: serve.GuardConfig{}.Diagnose(uq.Prediction{EU: 0.01, AU: 0.04})}
+	}
+	rec := httptest.NewRecorder()
+	serve.WriteJSON(rec, http.StatusOK, resp)
+	return req, rec
+}
+
+// rawReply is rec's reply as a replica writes it on the wire.
+func rawReply(rec *httptest.ResponseRecorder) []byte {
+	head := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n", rec.Header().Get("Content-Type"), rec.Body.Len())
+	return append([]byte(head), rec.Body.Bytes()...)
+}
+
+// TestRemotePredictAllocatesNothing: a warm hop on a pooled connection, under
+// a deadline and with a trace parent, allocates nothing, its request, reply
+// and cancel watch included, against a replica that answers canned bytes
+// without net/http.
+func TestRemotePredictAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	stub := newRawReplica(t)
+	stub.keepAlive.Store(true)
+	req, rec := cannedHop()
+	req.TraceParent = 0xab
+	reply := rawReply(rec)
+	stub.reply.Store(&reply)
+	rem := NewRemote("r0", "http://"+stub.lis.Addr().String(), RemoteConfig{})
+	defer rem.CloseIdleConnections()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	resp := new(serve.PredictResponse)
+	hop := func() {
+		if err := rem.Predict(ctx, req, resp); err != nil || len(resp.Predictions) != len(req.Rows) {
+			t.Fatalf("predict: %v, %d predictions", err, len(resp.Predictions))
+		}
+	}
+	hop()
+	if got := testing.AllocsPerRun(200, hop); got != 0 {
+		t.Errorf("a warm hop allocates %.0f times, want 0", got)
+	}
+	if d := rem.dialled.Load(); d != 1 {
+		t.Errorf("the hops dialled %d connections, want 1", d)
+	}
+}
+
+// TestRemoteWatcherEndsWithItsConn: each connection's cancel watcher is one
+// goroutine, which a completed hop leaves pooled with its connection, and
+// which a cancelled hop, whose connection is closed and never pooled, and
+// CloseIdleConnections end before they return. Watchers are counted by the
+// goroutine that dialled them, this test's: runtime.NumGoroutine also moves
+// as goroutines of the tests before it end.
+func TestRemoteWatcherEndsWithItsConn(t *testing.T) {
+	stub := newRawReplica(t)
+	stub.keepAlive.Store(true)
+	req, rec := cannedHop()
+	reply := rawReply(rec)
+	stub.reply.Store(&reply)
+	rem := NewRemote("r0", "http://"+stub.lis.Addr().String(), RemoteConfig{})
+	defer rem.CloseIdleConnections()
+	buf := make([]byte, 1<<20)
+	self := bytes.Fields(buf[:runtime.Stack(buf, false)])[1] // "goroutine <id> [running]:"
+	dialledHere := append(append([]byte("in goroutine "), self...), '\n')
+	watchers := func(when string, want int) {
+		t.Helper()
+		// A watcher that has taken its last value may not have returned yet:
+		// yield to it, never wait on a clock.
+		var got int
+		for i := 0; i < 1000; i++ {
+			got = 0
+			for g := range bytes.SplitSeq(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
+				if bytes.Contains(g, []byte("(*hopConn).watchCancel")) && bytes.Contains(g, dialledHere) {
+					got++
+				}
+			}
+			if got <= want {
+				break
+			}
+			runtime.Gosched()
+		}
+		if got != want {
+			t.Fatalf("%s: %d watchers, want %d\n%s", when, got, want, buf[:runtime.Stack(buf, true)])
+		}
+	}
+
+	if _, err := predict(context.Background(), rem, req); err != nil {
+		t.Fatal(err)
+	}
+	watchers("a completed hop pooled its connection", 1)
+
+	// The replica reads the next request and never answers it; the caller
+	// gives up once it has.
+	hang := []byte{}
+	stub.reply.Store(&hang)
+	<-stub.got
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-stub.got
+		cancel()
+	}()
+	if _, err := predict(ctx, rem, req); !errors.Is(err, context.Canceled) {
+		t.Fatalf("a cancelled hop: %v, want context.Canceled", err)
+	}
+	if n := idleConns(rem); n != 0 {
+		t.Fatalf("a cancelled hop pooled its connection: %d idle", n)
+	}
+	watchers("a cancelled hop closed its connection", 0)
+
+	stub.reply.Store(&reply)
+	if _, err := predict(context.Background(), rem, req); err != nil {
+		t.Fatal(err)
+	}
+	watchers("a second completed hop", 1)
+	rem.CloseIdleConnections()
+	watchers("CloseIdleConnections", 0)
 }

@@ -142,10 +142,10 @@ func TestRouteAllocs(t *testing.T) {
 		}
 	}
 	route()
-	// The response, its predictions, its shares and its trace ID; the trace
-	// parent on the context (the value node and the boxed ID); a closure for
-	// each of the two groups that do not run on the caller's goroutine.
-	const want = 8
+	// The response, its predictions, its shares and its trace ID; a closure
+	// for each of the two groups that do not run on the caller's goroutine.
+	// The trace parent rides each sub-request, which is route scratch.
+	const want = 6
 	if got := testing.AllocsPerRun(200, route); got != want {
 		t.Fatalf("Route allocates %.0f times a 16-row request over three replicas, want %d", got, want)
 	}
@@ -205,12 +205,12 @@ func TestRoutedPredictAllocs(t *testing.T) {
 		}
 	}
 	routed()
-	// The routed reply's trace ID, the trace parent on the context (the value
-	// node and the boxed ID), a closure for each of the two groups that do
-	// not run on the caller's goroutine, and the Content-Length digits. The
-	// replicas serve into the route scratch and allocate nothing; the routed
-	// reply, its blocks, its X-Trace-Id header value and the call are pooled.
-	const want = 6
+	// The routed reply's trace ID, a closure for each of the two groups that
+	// do not run on the caller's goroutine, and the Content-Length digits.
+	// The replicas serve into the route scratch and allocate nothing; the
+	// routed reply, its blocks, its X-Trace-Id header value and the call are
+	// pooled, and the trace parent rides each sub-request.
+	const want = 4
 	if got := testing.AllocsPerRun(200, routed); got != want {
 		t.Fatalf("a warm routed 16-row request allocates %.0f times, want %d", got, want)
 	}

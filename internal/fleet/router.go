@@ -455,6 +455,7 @@ type routeScratch struct {
 	subs    []serve.PredictRequest
 	replies []serve.PredictResponse // group g's reply, decoded or served into its reused blocks
 	results []groupResult
+	fid     uint64 // the request's fleet trace ID, every sub-request's trace parent
 	wg      sync.WaitGroup
 }
 
@@ -535,12 +536,9 @@ func (rt *Router) route(ctx context.Context, req *serve.PredictRequest, out *Res
 	if len(rows) == 0 {
 		return &BackendError{Status: http.StatusBadRequest, Msg: "no rows to predict"}
 	}
-	// The fleet trace ID rides the context: Local replicas read it as
-	// their trace parent directly, Remote ones send it on X-Trace-Id.
-	// (A new variable: the fan-out goroutines capture it, and one that is
-	// assigned twice would be captured by reference, on the heap.)
-	fid := rt.traceID()
-	rctx := obs.WithTraceParent(ctx, fid)
+	sc := scratchPool.Get().(*routeScratch)
+	defer sc.release()
+	sc.fid = rt.traceID()
 
 	// The router-side trace (nil when tracing is off): validation above is
 	// the admit stage, then score / fanout / reassemble are stamped as the
@@ -548,7 +546,7 @@ func (rt *Router) route(ctx context.Context, req *serve.PredictRequest, out *Res
 	var ft *obs.FleetTrace
 	var rec *hopRecorder
 	if rt.tracer != nil {
-		ft = &obs.FleetTrace{ID: fid, System: req.System, Start: start, Rows: len(rows)}
+		ft = &obs.FleetTrace{ID: sc.fid, System: req.System, Start: start, Rows: len(rows)}
 		ft.StageNs[obs.RouterStageAdmit] = time.Since(start).Nanoseconds()
 		rec = &hopRecorder{}
 	}
@@ -564,8 +562,6 @@ func (rt *Router) route(ctx context.Context, req *serve.PredictRequest, out *Res
 		rt.tracer.Finish(ft)
 	}
 
-	sc := scratchPool.Get().(*routeScratch)
-	defer sc.release()
 	scoreStart := time.Now()
 	groups, epoch, err := rt.groupByOwner(sc, req.System, rows)
 	if ft != nil {
@@ -586,10 +582,10 @@ func (rt *Router) route(ctx context.Context, req *serve.PredictRequest, out *Res
 	for gi := range groups[:last] {
 		go func() {
 			defer sc.wg.Done()
-			rt.dispatchGroup(rctx, req, sc, gi, rec)
+			rt.dispatchGroup(ctx, req, sc, gi, rec)
 		}()
 	}
-	rt.dispatchGroup(rctx, req, sc, last, rec)
+	rt.dispatchGroup(ctx, req, sc, last, rec)
 	sc.wg.Wait()
 	if ft != nil {
 		ft.StageNs[obs.RouterStageFanout] = time.Since(fanoutStart).Nanoseconds()
@@ -601,7 +597,7 @@ func (rt *Router) route(ctx context.Context, req *serve.PredictRequest, out *Res
 		System:      req.System,
 		Count:       len(rows),
 		Predictions: sized(out.Predictions, len(rows)),
-		TraceID:     obs.FormatTraceID(fid),
+		TraceID:     obs.FormatTraceID(sc.fid),
 	}
 	out.Replicas, out.MembershipEpoch = slices.Grow(out.Replicas[:0], len(groups)), epoch
 	for gi, res := range sc.results {
@@ -708,11 +704,11 @@ func (rt *Router) groupByOwner(sc *routeScratch, system string, rows [][]float64
 	return groups, epoch, nil
 }
 
-// dispatchGroup sends owner group gi of req on its way and files what came
-// back in the scratch.
+// dispatchGroup sends owner group gi of req on its way, under the request's
+// fleet trace ID, and files what came back in the scratch.
 func (rt *Router) dispatchGroup(ctx context.Context, req *serve.PredictRequest, sc *routeScratch, gi int, rec *hopRecorder) {
 	sub := &sc.subs[gi]
-	*sub = serve.PredictRequest{System: req.System, Version: req.Version, Rows: sc.groups[gi].rows}
+	*sub = serve.PredictRequest{System: req.System, Version: req.Version, Rows: sc.groups[gi].rows, TraceParent: sc.fid}
 	name, err := rt.dispatch(ctx, sc.groups[gi].owner, sub, &sc.replies[gi], rec)
 	sc.results[gi] = groupResult{replica: name, err: err}
 }

@@ -75,7 +75,7 @@ func (s *stubReplica) Predict(ctx context.Context, req *serve.PredictRequest, ou
 		rows = [][]float64{req.Row}
 	}
 	s.rows += len(rows)
-	s.lastParent = obs.TraceParent(ctx)
+	s.lastParent = req.TraceParent
 	*out = serve.PredictResponse{System: req.System, Version: s.version, Count: len(rows), Predictions: out.Predictions[:0]}
 	for _, row := range rows {
 		// Echo the first feature back, so reassembly-order tests can match

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -476,6 +477,10 @@ type rawReplica struct {
 	reply atomic.Pointer[[]byte]
 	// got receives each request's bytes once the replica has closed its side.
 	got chan []byte
+	// keepAlive, read as a connection is accepted, has the replica answer
+	// every request on it with reply until the caller closes it, and record
+	// nothing: serveAll.
+	keepAlive atomic.Bool
 }
 
 func newRawReplica(t testing.TB) *rawReplica {
@@ -491,6 +496,10 @@ func newRawReplica(t testing.TB) *rawReplica {
 			c, err := lis.Accept()
 			if err != nil {
 				return
+			}
+			if s.keepAlive.Load() {
+				s.serveAll(c)
+				continue
 			}
 			var seen bytes.Buffer
 			if req, err := http.ReadRequest(bufio.NewReader(io.TeeReader(c, &seen))); err == nil {
@@ -509,20 +518,58 @@ func newRawReplica(t testing.TB) *rawReplica {
 	return s
 }
 
+// serveAll answers each request on c with reply until c ends, and allocates
+// nothing once c's reader is made. Each request read sends nil on got if it
+// has room.
+func (s *rawReplica) serveAll(c net.Conn) {
+	defer c.Close()
+	br := bufio.NewReader(c)
+	for {
+		n := 0
+		for {
+			line, err := br.ReadSlice('\n')
+			if err != nil {
+				return
+			}
+			if len(line) <= 2 {
+				break
+			}
+			if v, ok := bytes.CutPrefix(line, []byte("Content-Length: ")); ok {
+				n, _ = strconv.Atoi(string(bytes.TrimSpace(v)))
+			}
+		}
+		if _, err := br.Discard(n); err != nil {
+			return
+		}
+		select {
+		case s.got <- nil:
+		default:
+		}
+		if _, err := c.Write(*s.reply.Load()); err != nil {
+			return
+		}
+	}
+}
+
 // TestRemoteWritesWhatNetHTTPWrote: every call's request is, byte for byte,
-// what net/http's client writes for it, so replicas see what they always did.
+// what net/http's client writes for it with an empty User-Agent, which it
+// leaves out. A request's TraceParent is its X-Trace-Id, and one of 0 sends
+// none.
 func TestRemoteWritesWhatNetHTTPWrote(t *testing.T) {
 	stub := newRawReplica(t)
 	ok := []byte("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}")
 	stub.reply.Store(&ok)
 	addr := stub.lis.Addr().String()
 	rem := NewRemote("r0", "http://fleet:s3cret@"+addr+"/base", RemoteConfig{AdminToken: "t0k"})
+	defer rem.CloseIdleConnections()
 	req := distinctRows(3)
 	body, err := serve.AppendPredictRequest(nil, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(obs.WithTraceParent(context.Background(), 0xab), time.Minute)
+	traced := *req
+	traced.TraceParent = 0xab
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	calls := []struct {
 		call   func()
@@ -530,8 +577,9 @@ func TestRemoteWritesWhatNetHTTPWrote(t *testing.T) {
 		path   string
 		header http.Header
 	}{
-		{func() { predict(ctx, rem, req) }, http.MethodPost, "/v1/predict",
+		{func() { predict(ctx, rem, &traced) }, http.MethodPost, "/v1/predict",
 			http.Header{"Content-Type": {"application/json"}, serve.TraceHeader: {"00000000000000ab"}}},
+		{func() { predict(ctx, rem, req) }, http.MethodPost, "/v1/predict", http.Header{"Content-Type": {"application/json"}}},
 		{func() { rem.Health(ctx) }, http.MethodGet, "/healthz", http.Header{}},
 		{func() { rem.FetchTrace(ctx, 0xcd) }, http.MethodGet, "/v1/trace/00000000000000cd", http.Header{"X-Admin-Token": {"t0k"}}},
 	}
@@ -552,6 +600,7 @@ func TestRemoteWritesWhatNetHTTPWrote(t *testing.T) {
 			c.header.Set(serve.DeadlineHeader, parsed.Header.Get(serve.DeadlineHeader)) // a clock reading
 		}
 		wreq.Header = c.header
+		wreq.Header.Set("User-Agent", "")
 		wreq.SetBasicAuth("fleet", "s3cret")
 		if err := wreq.Write(&want); err != nil {
 			t.Fatal(err)

@@ -1,24 +1,10 @@
 package obs
 
 import (
-	"context"
 	"strings"
 	"testing"
 	"time"
 )
-
-func TestWithTraceParentZeroIsNoOp(t *testing.T) {
-	ctx := context.Background()
-	if got := WithTraceParent(ctx, 0); got != ctx {
-		t.Fatal("WithTraceParent(ctx, 0) wrapped the context")
-	}
-	if id := TraceParent(WithTraceParent(ctx, 0)); id != 0 {
-		t.Fatalf("TraceParent after id-0 = %d", id)
-	}
-	if id := TraceParent(WithTraceParent(ctx, 42)); id != 42 {
-		t.Fatalf("TraceParent = %d, want 42", id)
-	}
-}
 
 func newFleetTrace(id uint64) *FleetTrace {
 	ft := &FleetTrace{

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"strconv"
 	"time"
 )
@@ -115,26 +114,6 @@ func FormatTraceID(id uint64) string {
 // ParseTraceID parses FormatTraceID output.
 func ParseTraceID(s string) (uint64, error) {
 	return strconv.ParseUint(s, 16, 64)
-}
-
-// traceParentKey carries an upstream trace ID through a request context —
-// the fleet router's hop identity, read back when a replica-side trace is
-// retained.
-type traceParentKey struct{}
-
-// WithTraceParent records an upstream trace ID on the context. id 0 is a
-// no-op (no upstream hop).
-func WithTraceParent(ctx context.Context, id uint64) context.Context {
-	if id == 0 {
-		return ctx
-	}
-	return context.WithValue(ctx, traceParentKey{}, id)
-}
-
-// TraceParent returns the upstream trace ID carried by ctx, or 0.
-func TraceParent(ctx context.Context) uint64 {
-	id, _ := ctx.Value(traceParentKey{}).(uint64)
-	return id
 }
 
 // TraceSummary is the list view of one retained trace (GET /v1/trace).

@@ -41,7 +41,7 @@ func sameFloats(a, b []float64) bool {
 // sameRequest is reflect.DeepEqual with floats compared by bits, so -0 is
 // not 0.
 func sameRequest(a, b *PredictRequest) bool {
-	if a.System != b.System || a.Version != b.Version || !sameFloats(a.Row, b.Row) ||
+	if a.System != b.System || a.Version != b.Version || a.TraceParent != b.TraceParent || !sameFloats(a.Row, b.Row) ||
 		(a.Rows == nil) != (b.Rows == nil) || len(a.Rows) != len(b.Rows) {
 		return false
 	}
@@ -102,6 +102,8 @@ var requestSeeds = []string{
 	`[1]`,
 	`"theta"`,
 	`{"system":"theta","row":[1],"extra":1}`,
+	`{"system":"theta","row":[1],"TraceParent":7}`,
+	`{"system":"theta","row":[1],"trace_parent":7}`,
 	`{"System":"theta","ROW":[1]}`,
 	`{"system":"a","system":"b","row":[1],"row":[2,3]}`,
 	`{"system":"theta","row":[1]}`,
@@ -579,6 +581,29 @@ func TestUntracedHandlerIgnoresTraceParent(t *testing.T) {
 	r.Header.Set(TraceHeader, "00000000000000ab")
 	if with := testing.AllocsPerRun(100, serve); with != without {
 		t.Errorf("an untraced predict allocated %.1f times with an upstream trace ID, %.1f without: want the same", with, without)
+	}
+}
+
+// A request's trace parent comes from its X-Trace-Id header only: a body
+// that names it is refused as an unknown field by both decoders, which leave
+// TraceParent 0, and the hop's encoder never writes it.
+func TestTraceParentIsNotOnTheWire(t *testing.T) {
+	for _, body := range []string{
+		`{"system":"theta","row":[1],"TraceParent":7}`,
+		`{"system":"theta","row":[1],"trace_parent":7}`,
+	} {
+		c := new(predictCall)
+		if c.decodeRequest([]byte(body)) || c.req.TraceParent != 0 {
+			t.Errorf("fast path decoded %q with TraceParent %d", body, c.req.TraceParent)
+		}
+		var req PredictRequest
+		if err := decodeRequestJSON([]byte(body), nil, &req); err == nil || !strings.Contains(err.Error(), "unknown field") || req.TraceParent != 0 {
+			t.Errorf("encoding/json decoded %q with TraceParent %d (%v), want an unknown field", body, req.TraceParent, err)
+		}
+	}
+	b, err := AppendPredictRequest(nil, &PredictRequest{System: "theta", Row: []float64{1}, TraceParent: 7})
+	if want := `{"system":"theta","row":[1]}`; err != nil || string(b) != want {
+		t.Errorf("a request with a trace parent encodes as %s (%v), want %s", b, err, want)
 	}
 }
 

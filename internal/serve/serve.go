@@ -248,12 +248,12 @@ func (s *Service) Predict(ctx context.Context, system string, version int, rows 
 // to ship server-side timings and X-Trace-Id back to callers; embedders
 // that don't care call Predict.
 func (s *Service) PredictTraced(ctx context.Context, system string, version int, rows [][]float64) ([]PredictionResult, *ModelVersion, obs.StageTimings, uint64, error) {
-	return s.predictTraced(ctx, system, version, rows, nil)
+	return s.predictTraced(ctx, system, version, rows, nil, 0)
 }
 
 // predictTraced is PredictTraced building the results in dst's storage,
-// which grows only when it is short.
-func (s *Service) predictTraced(ctx context.Context, system string, version int, rows [][]float64, dst []PredictionResult) ([]PredictionResult, *ModelVersion, obs.StageTimings, uint64, error) {
+// which grows only when it is short, under the upstream trace parent.
+func (s *Service) predictTraced(ctx context.Context, system string, version int, rows [][]float64, dst []PredictionResult, parent uint64) ([]PredictionResult, *ModelVersion, obs.StageTimings, uint64, error) {
 	start := time.Now()
 	s.metrics.Requests.Add(1)
 	// tm lives on this frame: stage attribution costs no allocation, and
@@ -271,21 +271,21 @@ func (s *Service) predictTraced(ctx context.Context, system string, version int,
 		if mv != nil {
 			s.metrics.System(mv.System).Errors.Add(1)
 		}
-		id := s.finishTrace(ctx, system, mv, start, &tm, err)
+		id := s.finishTrace(parent, system, mv, start, &tm, err)
 		return nil, nil, tm, id, err
 	}
 	s.metrics.LatencyNs.Add(uint64(tm.TotalNs))
 	s.metrics.Latency.Observe(time.Duration(tm.TotalNs))
 	s.metrics.ObserveStages(&tm)
-	id := s.finishTrace(ctx, system, mv, start, &tm, nil)
+	id := s.finishTrace(parent, system, mv, start, &tm, nil)
 	return results, mv, tm, id, nil
 }
 
 // finishTrace runs the request through tail-sampling: no-op (returns 0)
 // when tracing is off, otherwise fills a pooled Trace from tm and lets the
-// tracer decide retention. An upstream trace ID on ctx (a router hop) is
-// recorded as the retained trace's parent.
-func (s *Service) finishTrace(ctx context.Context, system string, mv *ModelVersion, start time.Time, tm *obs.StageTimings, err error) uint64 {
+// tracer decide retention. parent, the upstream trace ID of a router hop
+// (0 for none), is recorded as the retained trace's parent.
+func (s *Service) finishTrace(parent uint64, system string, mv *ModelVersion, start time.Time, tm *obs.StageTimings, err error) uint64 {
 	if s.tracer == nil {
 		return 0
 	}
@@ -294,7 +294,7 @@ func (s *Service) finishTrace(ctx context.Context, system string, mv *ModelVersi
 		sys, ver = mv.System, mv.Version
 	}
 	t := s.tracer.Start(sys, ver, start)
-	t.Parent = obs.TraceParent(ctx)
+	t.Parent = parent
 	t.Timings = *tm
 	if err != nil {
 		t.Err = err.Error()

@@ -40,7 +40,7 @@ import (
 // of 20 features; far above what one evaluation should carry).
 const maxRequestBody = 16 << 20
 
-// PredictRequest is the POST /v1/predict body.
+// PredictRequest is the POST /v1/predict body and its trace parent.
 type PredictRequest struct {
 	// System selects the model family (e.g. "theta"); required.
 	System string `json:"system"`
@@ -50,6 +50,9 @@ type PredictRequest struct {
 	// one must be set.
 	Row  []float64   `json:"row,omitempty"`
 	Rows [][]float64 `json:"rows,omitempty"`
+	// TraceParent is the fleet router's trace ID (0: none), on the wire the
+	// X-Trace-Id header; ServeRequest records it as its trace's parent.
+	TraceParent uint64 `json:"-"`
 }
 
 // PredictResponse is the POST /v1/predict reply.
@@ -210,7 +213,7 @@ func (s *Service) ServeRequest(ctx context.Context, req *PredictRequest, out *Pr
 	if len(rows) == 0 {
 		return "", errBadRequest("no rows to predict")
 	}
-	results, mv, tm, traceID, err := s.predictTraced(ctx, req.System, req.Version, rows, out.Predictions)
+	results, mv, tm, traceID, err := s.predictTraced(ctx, req.System, req.Version, rows, out.Predictions, req.TraceParent)
 	out.row[0] = nil
 	traceHex := ""
 	if traceID != 0 {
@@ -348,7 +351,7 @@ func handlePredict(svc *Service, cfg *HandlerConfig, w http.ResponseWriter, r *h
 		// Without a tracer nothing is retained and nothing reads it.
 		if h := r.Header.Get(TraceHeader); h != "" && svc.Tracer() != nil {
 			if id, err := obs.ParseTraceID(h); err == nil {
-				ctx = obs.WithTraceParent(ctx, id)
+				req.TraceParent = id
 			}
 		}
 		var err error
