@@ -124,7 +124,6 @@ type config struct {
 	seed           uint64
 	reloadInterval time.Duration
 	shadowFraction float64
-	shadowWorkers  int
 	adminToken     string
 	driftInterval  time.Duration
 	psiThreshold   float64
@@ -163,7 +162,6 @@ func main() {
 		"poll -models for new/changed/removed versions and swap them live (0 disables)")
 	flag.Float64Var(&cfg.shadowFraction, "shadow-fraction", 0,
 		"fraction of active-version rows mirrored to adjacent versions for online comparison (0 disables)")
-	flag.IntVar(&cfg.shadowWorkers, "shadow-workers", 1, "shadow mirror worker pool size")
 	flag.StringVar(&cfg.adminToken, "admin-token", os.Getenv("IOSERVE_ADMIN_TOKEN"),
 		"bearer token required on mutating admin endpoints (default $IOSERVE_ADMIN_TOKEN; empty leaves them open)")
 	flag.DurationVar(&cfg.driftInterval, "drift-interval", 0,
@@ -271,7 +269,6 @@ func run(cfg config) error {
 		Workers:        cfg.workers,
 		CacheSize:      cfg.cacheSize,
 		ShadowFraction: cfg.shadowFraction,
-		ShadowWorkers:  cfg.shadowWorkers,
 		TraceEvery:     traceEvery(cfg.traceSample),
 		TraceBuffer:    cfg.traceBuffer,
 		Logger:         logger,
@@ -398,7 +395,7 @@ func run(cfg config) error {
 		}
 		smux := http.NewServeMux()
 		smux.Handle("/", obs.SLOMiddleware(slo, classify, handler))
-		smux.Handle("/v1/slo", slo.Handler())
+		smux.HandleFunc("/v1/slo", serve.GetJSON(func(*http.Request) any { return map[string]any{"objectives": slo.Status()} }))
 		handler = smux
 		for _, s := range specs {
 			logger.Info("SLO objective on", "objective", s.String())

@@ -1,7 +1,7 @@
 package drift
 
 import (
-	"errors"
+	"context"
 	"net/http"
 
 	"iotaxo/internal/serve"
@@ -50,51 +50,20 @@ type retrainRequest struct {
 // mutating drift controls ("" leaves them open).
 func (c *Controller) Handler(adminToken string) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/drift", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			serve.WriteError(w, http.StatusMethodNotAllowed, "GET only")
-			return
-		}
-		serve.WriteJSON(w, http.StatusOK, c.Status())
-	})
-	mux.HandleFunc("/v1/drift/retrain", serve.RequireAdmin(adminToken, func(w http.ResponseWriter, r *http.Request) {
-		var req retrainRequest
-		if !serve.DecodePost(w, r, 1<<16, &req) {
-			return
-		}
-		if req.System == "" {
-			serve.WriteError(w, http.StatusBadRequest, "missing \"system\"")
-			return
-		}
-		if err := c.ForceRetrain(req.System); err != nil {
-			status := http.StatusConflict
-			if errors.Is(err, serve.ErrUnknownModel) {
-				status = http.StatusNotFound
+	mux.HandleFunc("/v1/drift", serve.GetJSON(func(*http.Request) any { return c.Status() }))
+	mux.HandleFunc("/v1/drift/retrain", serve.RequireAdmin(adminToken, serve.PostJSON(1<<16, http.StatusAccepted,
+		func(_ context.Context, req *retrainRequest) (any, error) {
+			if req.System == "" {
+				return nil, serve.BadRequest("missing \"system\"")
 			}
-			serve.WriteError(w, status, err.Error())
-			return
-		}
-		serve.WriteJSON(w, http.StatusAccepted, map[string]any{"system": req.System, "status": "retraining"})
-	}))
-	mux.HandleFunc("/v1/feedback", serve.RequireAdmin(adminToken, func(w http.ResponseWriter, r *http.Request) {
-		var req FeedbackRequest
-		if !serve.DecodePost(w, r, maxFeedbackBody, &req) {
-			return
-		}
-		if req.System == "" {
-			serve.WriteError(w, http.StatusBadRequest, "missing \"system\"")
-			return
-		}
-		res, err := c.Feedback(r.Context(), req)
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, serve.ErrUnknownModel) {
-				status = http.StatusNotFound
+			return map[string]any{"system": req.System, "status": "retraining"}, c.ForceRetrain(req.System)
+		}, serve.ActionError(http.StatusConflict))))
+	mux.HandleFunc("/v1/feedback", serve.RequireAdmin(adminToken, serve.PostJSON(maxFeedbackBody, http.StatusOK,
+		func(ctx context.Context, req *FeedbackRequest) (any, error) {
+			if req.System == "" {
+				return nil, serve.BadRequest("missing \"system\"")
 			}
-			serve.WriteError(w, status, err.Error())
-			return
-		}
-		serve.WriteJSON(w, http.StatusOK, res)
-	}))
+			return c.Feedback(ctx, *req)
+		}, serve.ActionError(http.StatusBadRequest))))
 	return mux
 }

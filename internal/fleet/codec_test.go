@@ -91,7 +91,7 @@ func TestRemoteBoundsTheReplicaReply(t *testing.T) {
 		}
 	}))
 	t.Cleanup(ts.Close)
-	rem := NewRemote("runaway", ts.URL, RemoteConfig{})
+	rem := newTestRemote(t, "runaway", ts.URL, RemoteConfig{})
 	req := &serve.PredictRequest{System: "theta", Row: []float64{1}}
 	_, err := predict(context.Background(), rem, req)
 	be, ok := err.(*BackendError)

@@ -578,7 +578,7 @@ func TestRemoteKeepsEscapedSystemName(t *testing.T) {
 	ts := httptest.NewServer(serve.NewHandler(svc, serve.HandlerConfig{}))
 	t.Cleanup(ts.Close)
 
-	rt := newTestRouter(t, RouterConfig{}, NewRemote("r0", ts.URL, RemoteConfig{}))
+	rt := newTestRouter(t, RouterConfig{}, newTestRemote(t, "r0", ts.URL, RemoteConfig{}))
 	rt.ProbeOnce()
 	if got := rt.View().Replicas[0].ActiveVersions; len(got) != 1 || got[name] != 1 {
 		t.Fatalf("fleet view active_versions = %v, want %q at version 1", got, name)
@@ -601,7 +601,7 @@ func TestGatedLocalExposesWhatGatedRemoteDoes(t *testing.T) {
 	svc.Metrics().RegisterCollector(set.Collect)
 	ts := httptest.NewServer(serve.NewHandler(svc, serve.HandlerConfig{Gate: gate, Resilience: set}))
 	t.Cleanup(ts.Close)
-	remote := NewRemote("remote", ts.URL, RemoteConfig{})
+	remote := newTestRemote(t, "remote", ts.URL, RemoteConfig{})
 
 	type view struct {
 		scraped, merged string

@@ -66,7 +66,7 @@ func TestRemoteForwardsRemainingBudget(t *testing.T) {
 		})
 	}))
 	t.Cleanup(ts.Close)
-	rem := NewRemote("replica-http", ts.URL, RemoteConfig{})
+	rem := newTestRemote(t, "replica-http", ts.URL, RemoteConfig{})
 
 	// Client budget 30s, 100ms of it burned by router work before dispatch.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -121,7 +121,7 @@ func TestRemoteFailsFastOnExhaustedBudget(t *testing.T) {
 		t.Error("replica received a request with an exhausted budget")
 	}))
 	t.Cleanup(ts.Close)
-	rem := NewRemote("replica-http", ts.URL, RemoteConfig{})
+	rem := newTestRemote(t, "replica-http", ts.URL, RemoteConfig{})
 
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()

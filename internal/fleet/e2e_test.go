@@ -371,7 +371,7 @@ func TestRemoteBackend(t *testing.T) {
 	ts := httptest.NewServer(serve.NewHandler(svc, serve.HandlerConfig{Gate: gate, Resilience: set}))
 	t.Cleanup(ts.Close)
 
-	rem := NewRemote("replica-http", ts.URL, RemoteConfig{})
+	rem := newTestRemote(t, "replica-http", ts.URL, RemoteConfig{})
 	if rem.Name() != "replica-http" {
 		t.Fatal("name mangled")
 	}

@@ -3,10 +3,8 @@ package fleet
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -58,65 +56,40 @@ func NewHandler(rt *Router, cfg HandlerConfig) http.Handler {
 		handleRoute(rt, w, r)
 	})
 	mux.Handle("/v1/predict", obs.SLOMiddleware(cfg.SLO, func(r *http.Request) string { return "predict" }, predict))
-	mux.HandleFunc("/v1/fleet", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			serve.WriteError(w, http.StatusMethodNotAllowed, "GET only")
-			return
-		}
-		serve.WriteJSON(w, http.StatusOK, rt.View())
-	})
+	mux.HandleFunc("/v1/fleet", serve.GetJSON(func(*http.Request) any { return rt.View() }))
 	// The registration plane. Admin-gated: membership changes are control
 	// actions, and the agent sends the same token it uses for its own
 	// admin surface.
-	mux.HandleFunc("/v1/fleet/register", serve.RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
-		var req RegisterRequest
-		if !serve.DecodePost(w, r, maxMembershipBody, &req) {
-			return
+	mux.HandleFunc("/v1/fleet/register", serve.RequireAdmin(cfg.AdminToken, serve.PostJSON(maxMembershipBody, http.StatusOK,
+		func(_ context.Context, req *RegisterRequest) (any, error) { return rt.Register(*req) }, writeMembershipError)))
+	mux.HandleFunc("/v1/fleet/heartbeat", serve.RequireAdmin(cfg.AdminToken, serve.PostJSON(maxMembershipBody, http.StatusOK,
+		func(_ context.Context, req *HeartbeatRequest) (any, error) { return rt.Heartbeat(req.Name) }, writeMembershipError)))
+	mux.HandleFunc("/v1/fleet/deregister", serve.RequireAdmin(cfg.AdminToken, serve.PostJSON(maxMembershipBody, http.StatusOK,
+		func(ctx context.Context, req *DeregisterRequest) (any, error) { return rt.Deregister(ctx, req.Name) }, writeMembershipError)))
+	serve.MountTraces(mux, cfg.AdminToken, rt.tracer != nil, "iorouter", func(limit int) (int64, any) {
+		traces := rt.tracer.Recent(limit)
+		summaries := make([]FleetTraceSummary, len(traces))
+		for i, t := range traces {
+			summaries[i] = FleetTraceSummary{
+				TraceID: obs.FormatTraceID(t.ID),
+				System:  t.System,
+				Start:   t.Start,
+				TotalNs: t.TotalNs,
+				Rows:    t.Rows,
+				Hops:    len(t.Hops),
+				Kept:    t.Keep,
+				Error:   t.Err,
+			}
 		}
-		resp, err := rt.Register(req)
-		if err != nil {
-			writeMembershipError(w, err)
-			return
-		}
-		serve.WriteJSON(w, http.StatusOK, resp)
-	}))
-	mux.HandleFunc("/v1/fleet/heartbeat", serve.RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
-		var req HeartbeatRequest
-		if !serve.DecodePost(w, r, maxMembershipBody, &req) {
-			return
-		}
-		resp, err := rt.Heartbeat(req.Name)
-		if err != nil {
-			writeMembershipError(w, err)
-			return
-		}
-		serve.WriteJSON(w, http.StatusOK, resp)
-	}))
-	mux.HandleFunc("/v1/fleet/deregister", serve.RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
-		var req DeregisterRequest
-		if !serve.DecodePost(w, r, maxMembershipBody, &req) {
-			return
-		}
-		resp, err := rt.Deregister(r.Context(), req.Name)
-		if err != nil {
-			writeMembershipError(w, err)
-			return
-		}
-		serve.WriteJSON(w, http.StatusOK, resp)
-	}))
-	mux.HandleFunc("/v1/trace", serve.RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
-		handleFleetTraceList(rt, w, r)
-	}))
-	mux.HandleFunc("/v1/trace/", serve.RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
-		handleFleetTraceGet(rt, w, r)
-	}))
-	mux.HandleFunc("/v1/slo", func(w http.ResponseWriter, r *http.Request) {
-		if cfg.SLO == nil {
+		return rt.tracer.SlowThresholdNs(), summaries
+	}, rt.StitchTrace)
+	if cfg.SLO != nil {
+		mux.HandleFunc("/v1/slo", serve.GetJSON(func(*http.Request) any { return map[string]any{"objectives": cfg.SLO.Status()} }))
+	} else {
+		mux.HandleFunc("/v1/slo", func(w http.ResponseWriter, r *http.Request) {
 			serve.WriteError(w, http.StatusConflict, "SLO tracking disabled (start iorouter with -slo)")
-			return
-		}
-		cfg.SLO.Handler().ServeHTTP(w, r)
-	})
+		})
+	}
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		view := rt.View()
 		status := http.StatusOK
@@ -153,73 +126,6 @@ type FleetTraceSummary struct {
 	Hops    int       `json:"hops"`
 	Kept    string    `json:"kept_because"`
 	Error   string    `json:"error,omitempty"`
-}
-
-// handleFleetTraceList serves GET /v1/trace: retained routed traces,
-// newest first, capped by ?limit=.
-func handleFleetTraceList(rt *Router, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		serve.WriteError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	if rt.tracer == nil {
-		serve.WriteError(w, http.StatusConflict, "tracing disabled (start iorouter with -trace-sample)")
-		return
-	}
-	limit := 0
-	if s := r.URL.Query().Get("limit"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			serve.WriteError(w, http.StatusBadRequest, "limit must be a non-negative integer")
-			return
-		}
-		limit = n
-	}
-	traces := rt.tracer.Recent(limit)
-	summaries := make([]FleetTraceSummary, len(traces))
-	for i, t := range traces {
-		summaries[i] = FleetTraceSummary{
-			TraceID: obs.FormatTraceID(t.ID),
-			System:  t.System,
-			Start:   t.Start,
-			TotalNs: t.TotalNs,
-			Rows:    t.Rows,
-			Hops:    len(t.Hops),
-			Kept:    t.Keep,
-			Error:   t.Err,
-		}
-	}
-	serve.WriteJSON(w, http.StatusOK, map[string]any{
-		"slow_threshold_ns": rt.tracer.SlowThresholdNs(),
-		"traces":            summaries,
-	})
-}
-
-// handleFleetTraceGet serves GET /v1/trace/{id}: one stitched
-// cross-process span tree. Replica-side trees are fetched live; a hop
-// whose replica no longer holds its trace shows an explicit missing
-// marker instead of failing the stitch.
-func handleFleetTraceGet(rt *Router, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		serve.WriteError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	if rt.tracer == nil {
-		serve.WriteError(w, http.StatusConflict, "tracing disabled (start iorouter with -trace-sample)")
-		return
-	}
-	idHex := strings.TrimPrefix(r.URL.Path, "/v1/trace/")
-	id, err := obs.ParseTraceID(idHex)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad trace id %q", idHex))
-		return
-	}
-	st, ok := rt.StitchTrace(r.Context(), id)
-	if !ok {
-		serve.WriteError(w, http.StatusNotFound, fmt.Sprintf("trace %s not retained (evicted or never kept)", idHex))
-		return
-	}
-	serve.WriteJSON(w, http.StatusOK, st)
 }
 
 func handleRoute(rt *Router, w http.ResponseWriter, r *http.Request) {

@@ -21,6 +21,14 @@ import (
 	"iotaxo/internal/uq"
 )
 
+// newTestRemote is NewRemote with its pooled connections, and the cancel
+// watcher each one parks, closed when the test ends.
+func newTestRemote(t testing.TB, name, base string, cfg RemoteConfig) *Remote {
+	rem := NewRemote(name, base, cfg)
+	t.Cleanup(rem.CloseIdleConnections)
+	return rem
+}
+
 // selfDescribing is the predict request whose every value is k (four digits),
 // so that any stretch of its encoding says which request it belongs to.
 func selfDescribing(k, rows, width int) *serve.PredictRequest {
@@ -177,7 +185,7 @@ func TestRemoteHopBodyNeverRecycledMidWrite(t *testing.T) {
 	const hops, requests = 8, 500
 	t.Run("transport", func(t *testing.T) {
 		stub := newEarlyShedder(t)
-		rem := NewRemote("shedder", "http://"+stub.lis.Addr().String(), RemoteConfig{})
+		rem := newTestRemote(t, "shedder", "http://"+stub.lis.Addr().String(), RemoteConfig{})
 		hammer(t, rem, hops, requests, 32, 64) // 2048 values, ~10 KB a body
 		for _, err := range stub.close() {
 			t.Error(err)
@@ -227,7 +235,7 @@ func TestRemoteRetriesOnStaleConn(t *testing.T) {
 	ts.Listener = lis
 	ts.Start()
 	defer ts.Close()
-	rem := NewRemote("r0", ts.URL, RemoteConfig{})
+	rem := newTestRemote(t, "r0", ts.URL, RemoteConfig{})
 	rt := newTestRouter(t, RouterConfig{}, rem)
 
 	route := func(k int) {
@@ -292,7 +300,7 @@ func TestRemoteDropsAStalePoolAtOnce(t *testing.T) {
 	ts.Listener = lis
 	ts.Start()
 	defer ts.Close()
-	rem := NewRemote("r0", ts.URL, RemoteConfig{})
+	rem := newTestRemote(t, "r0", ts.URL, RemoteConfig{})
 	rt := newTestRouter(t, RouterConfig{}, rem)
 	route := func(k int) error {
 		resp, err := rt.Route(context.Background(), selfDescribing(k, 8, 32))
@@ -340,7 +348,7 @@ func TestRemoteDropsAStalePoolAtOnce(t *testing.T) {
 // not parse fails every call, with the error parsing it per call gave.
 func TestRemoteMalformedBaseURL(t *testing.T) {
 	const base = "http://bad host:80"
-	rem := NewRemote("bad", base, RemoteConfig{})
+	rem := newTestRemote(t, "bad", base, RemoteConfig{})
 	ctx := context.Background()
 	_, wantPredict := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/predict", nil)
 	_, wantHealth := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
@@ -382,8 +390,7 @@ func TestRemotePredictAllocs(t *testing.T) {
 		w.Write(reply)
 	}))
 	defer ts.Close()
-	rem := NewRemote("r0", ts.URL, RemoteConfig{})
-	defer rem.CloseIdleConnections()
+	rem := newTestRemote(t, "r0", ts.URL, RemoteConfig{})
 	ctx := context.Background()
 
 	// The reply is decoded into storage the router's scratch would reuse.
@@ -456,8 +463,7 @@ func TestRemotePredictAllocatesNothing(t *testing.T) {
 	req.TraceParent = 0xab
 	reply := rawReply(rec)
 	stub.reply.Store(&reply)
-	rem := NewRemote("r0", "http://"+stub.lis.Addr().String(), RemoteConfig{})
-	defer rem.CloseIdleConnections()
+	rem := newTestRemote(t, "r0", "http://"+stub.lis.Addr().String(), RemoteConfig{})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	resp := new(serve.PredictResponse)

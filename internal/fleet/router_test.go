@@ -673,6 +673,14 @@ func TestHandlerSLO(t *testing.T) {
 			t.Fatalf("objective %+v after one good request", o)
 		}
 	}
+	post, err := http.Post(ts2.URL+"/v1/slo", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post.Body.Close()
+	if post.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("POST /v1/slo = %d, want 405", post.StatusCode)
+	}
 
 	_, text := fetchText(t, ts2.URL+"/metrics")
 	for _, want := range []string{

@@ -121,8 +121,7 @@ func distinctRows(n int) *serve.PredictRequest {
 func TestRemoteReusesConnectionsUnderFanIn(t *testing.T) {
 	const callers, hops = 32, 200
 	ts, tracker := newTrackedReplica(t)
-	rem := NewRemote("r0", ts.URL, RemoteConfig{})
-	defer rem.CloseIdleConnections()
+	rem := newTestRemote(t, "r0", ts.URL, RemoteConfig{})
 	var wg sync.WaitGroup
 	for c := 0; c < callers; c++ {
 		wg.Add(1)
@@ -208,8 +207,7 @@ func TestRemoteDoesNotFollowRedirects(t *testing.T) {
 		http.Redirect(w, r, other.URL+r.URL.Path, http.StatusTemporaryRedirect)
 	}))
 	defer ts.Close()
-	rem := NewRemote("r0", ts.URL, RemoteConfig{})
-	defer rem.CloseIdleConnections()
+	rem := newTestRemote(t, "r0", ts.URL, RemoteConfig{})
 	_, err := predict(context.Background(), rem, distinctRows(2))
 	if be, ok := err.(*BackendError); !ok || be.Status != http.StatusTemporaryRedirect {
 		t.Errorf("predict: %v, want the replica's 307", err)
@@ -233,8 +231,7 @@ func TestRemoteSendsBaseURLCredentials(t *testing.T) {
 		pass.Store(p)
 	}))
 	defer ts.Close()
-	rem := NewRemote("r0", "http://fleet:s3cret@"+ts.Listener.Addr().String(), RemoteConfig{})
-	defer rem.CloseIdleConnections()
+	rem := newTestRemote(t, "r0", "http://fleet:s3cret@"+ts.Listener.Addr().String(), RemoteConfig{})
 	if err := rem.Health(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +263,7 @@ func TestHungReplicaIsAReplicaFault(t *testing.T) {
 			}))
 			t.Cleanup(ts.Close)
 			t.Cleanup(func() { close(release) }) // first: Close waits for the handlers
-			hung := NewRemote("hung", ts.URL, RemoteConfig{})
+			hung := newTestRemote(t, "hung", ts.URL, RemoteConfig{})
 			rt := newTestRouter(t, RouterConfig{}, hung, newStub("spare"))
 			req := &serve.PredictRequest{System: "theta"}
 			for i := 0; req.Row == nil; i++ {
@@ -333,13 +330,12 @@ func TestRemoteOverTLS(t *testing.T) {
 		}
 	}))
 	defer ts.Close()
-	untrusted := NewRemote("r0", ts.URL, RemoteConfig{})
+	untrusted := newTestRemote(t, "r0", ts.URL, RemoteConfig{})
 	if _, err := predict(context.Background(), untrusted, distinctRows(2)); err == nil {
 		t.Fatal("a replica whose certificate no trusted root signed was reached")
 	}
-	rem := NewRemote("r0", ts.URL, RemoteConfig{})
+	rem := newTestRemote(t, "r0", ts.URL, RemoteConfig{})
 	rem.tlsConf.RootCAs = ts.Client().Transport.(*http.Transport).TLSClientConfig.RootCAs
-	defer rem.CloseIdleConnections()
 	for i := 0; i < 3; i++ {
 		if resp, err := predict(context.Background(), rem, distinctRows(2)); err != nil || resp.Count != 2 {
 			t.Fatalf("hop %d: %v", i, err)
@@ -367,7 +363,7 @@ func TestRemoteCallerCancelEndsTheHop(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() { close(release) }) // first: Close waits for the handlers
-	hung := NewRemote("hung", ts.URL, RemoteConfig{})
+	hung := newTestRemote(t, "hung", ts.URL, RemoteConfig{})
 	rt := newTestRouter(t, RouterConfig{}, hung, newStub("spare"))
 	req := ownedRow(rt, "hung")
 	cancelled := func() context.Context {
@@ -404,7 +400,7 @@ func TestRemoteShedBeforeTheBodyIsA429(t *testing.T) {
 		serve.WriteError(w, http.StatusTooManyRequests, "overloaded (test): retry later")
 	}))
 	defer ts.Close()
-	rem := NewRemote("r0", ts.URL, RemoteConfig{})
+	rem := newTestRemote(t, "r0", ts.URL, RemoteConfig{})
 	req := selfDescribing(4444, 1024, 800) // 5 bytes a value
 	_, err := predict(context.Background(), rem, req)
 	if be, ok := err.(*BackendError); !ok || be.Status != http.StatusTooManyRequests || be.RetryAfter != "1" {
@@ -435,7 +431,7 @@ func TestRemoteNeverPoolsAnUnfinishedConn(t *testing.T) {
 			ts.Config.ConnState = tracker.hook
 			ts.Start()
 			defer ts.Close()
-			rem := NewRemote("r0", ts.URL, RemoteConfig{})
+			rem := newTestRemote(t, "r0", ts.URL, RemoteConfig{})
 			for i := 0; i < 2; i++ {
 				predict(context.Background(), rem, distinctRows(2))
 			}
@@ -560,8 +556,7 @@ func TestRemoteWritesWhatNetHTTPWrote(t *testing.T) {
 	ok := []byte("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}")
 	stub.reply.Store(&ok)
 	addr := stub.lis.Addr().String()
-	rem := NewRemote("r0", "http://fleet:s3cret@"+addr+"/base", RemoteConfig{AdminToken: "t0k"})
-	defer rem.CloseIdleConnections()
+	rem := newTestRemote(t, "r0", "http://fleet:s3cret@"+addr+"/base", RemoteConfig{AdminToken: "t0k"})
 	req := distinctRows(3)
 	body, err := serve.AppendPredictRequest(nil, req)
 	if err != nil {
@@ -625,7 +620,7 @@ func TestRemoteReadsFramedReplies(t *testing.T) {
 	} {
 		b := []byte(reply)
 		stub.reply.Store(&b)
-		resp, err := predict(context.Background(), NewRemote("r0", "http://"+stub.lis.Addr().String(), RemoteConfig{}), distinctRows(1))
+		resp, err := predict(context.Background(), newTestRemote(t, "r0", "http://"+stub.lis.Addr().String(), RemoteConfig{}), distinctRows(1))
 		<-stub.got
 		switch {
 		case name == "1xx first" && (err == nil || !strings.Contains(err.Error(), `status "100 Continue"`)):
@@ -651,8 +646,7 @@ func FuzzRemoteReply(f *testing.F) {
 	stub := newRawReplica(f)
 	f.Fuzz(func(t *testing.T, reply []byte) {
 		stub.reply.Store(&reply)
-		rem := NewRemote("r0", "http://"+stub.lis.Addr().String(), RemoteConfig{})
-		defer rem.CloseIdleConnections()
+		rem := newTestRemote(t, "r0", "http://"+stub.lis.Addr().String(), RemoteConfig{})
 		resp, err := predict(context.Background(), rem, distinctRows(1))
 		if (resp == nil) == (err == nil) {
 			t.Fatalf("a hop returned %v and %v", resp, err)

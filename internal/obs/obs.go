@@ -26,9 +26,10 @@
 //	logging      — slog construction for the binaries plus a discard
 //	               default so library code can log unconditionally (obs.go)
 //
-// internal/serve threads StageTimings through its predict path and mounts
-// the trace admin endpoints; cmd/ioserve wires the profiling plane
-// (net/http/pprof behind -pprof-addr) and the structured logs.
+// internal/serve threads StageTimings through its predict path. obs serves
+// no HTTP view itself: serve and fleet mount the trace and SLO endpoints
+// over Tracer, RouterTracer and SLO.Status through serve's reply writers;
+// cmd/ioserve wires pprof (-pprof-addr) and the structured logs.
 package obs
 
 import (

@@ -138,12 +138,14 @@ func ParsePromText(body []byte) ([]PromFamily, error) {
 			if len(fields) < 4 {
 				continue
 			}
+			if (fields[1] == "HELP" || fields[1] == "TYPE") && !validName(fields[2]) {
+				return nil, fmt.Errorf("obs: bad metric name in %q", line)
+			}
 			switch fields[1] {
 			case "HELP":
 				family(fields[2]).Help = fields[3]
 			case "TYPE":
-				f := family(fields[2])
-				f.Type = fields[3]
+				family(fields[2]).Type = fields[3]
 				owner[fields[2]] = fields[2]
 				if fields[3] == "histogram" || fields[3] == "summary" {
 					owner[fields[2]+"_bucket"] = fields[2]
@@ -190,10 +192,21 @@ func splitSample(line string) (name, labels, value string, err error) {
 		labels = ""
 		value = strings.TrimSpace(line[sp+1:])
 	}
-	if name == "" || value == "" {
+	if !validName(name) || value == "" {
 		return "", "", "", fmt.Errorf("obs: malformed sample line %q", line)
 	}
 	return name, labels, value, nil
+}
+
+// validName reports whether name is a metric name, [a-zA-Z_:][a-zA-Z0-9_:]*:
+// anything else would not render back as the series it was read from.
+func validName(name string) bool {
+	for i, c := range name {
+		if !(c == '_' || c == ':' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || i > 0 && '0' <= c && c <= '9') {
+			return false
+		}
+	}
+	return name != ""
 }
 
 // LabelValue extracts the unescaped value of one key from a rendered

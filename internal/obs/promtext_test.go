@@ -77,6 +77,8 @@ func TestParsePromTextMalformed(t *testing.T) {
 	for _, body := range []string{
 		"ioserve_requests_total notanumber\n",
 		`broken{le="0.1" 3` + "\n",
+		`a b{x="1"} 0` + "\n",
+		`a=b{x="1"} 0` + "\n",
 	} {
 		if _, err := ParsePromText([]byte(body)); err == nil {
 			t.Errorf("ParsePromText(%q) did not error", body)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -316,19 +315,6 @@ func burnRate(n, bad uint64, budget float64) float64 {
 		return 0
 	}
 	return (float64(bad) / float64(n)) / budget
-}
-
-// Handler serves GET /v1/slo: {"objectives":[...]}.
-func (s *SLO) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			http.Error(w, `{"error":"method not allowed"}`, http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"objectives": s.Status()})
-	})
 }
 
 // Collect appends the objectives as {prefix}_slo_* series.

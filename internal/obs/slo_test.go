@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -160,31 +159,10 @@ func TestSLOLatencyObjective(t *testing.T) {
 	}
 }
 
-func TestSLOHandlerAndMetrics(t *testing.T) {
+func TestSLOMetrics(t *testing.T) {
 	specs, _ := ParseSLO("predict:p99=5ms,avail=99.9")
 	s := NewSLO(specs)
 	s.Observe("predict", 200, time.Millisecond)
-
-	rr := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/slo", nil))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("GET /v1/slo = %d", rr.Code)
-	}
-	var body struct {
-		Objectives []SLOStatus `json:"objectives"`
-	}
-	if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
-		t.Fatal(err)
-	}
-	if len(body.Objectives) != 2 {
-		t.Fatalf("objectives = %+v", body.Objectives)
-	}
-
-	rr = httptest.NewRecorder()
-	s.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/slo", nil))
-	if rr.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /v1/slo = %d", rr.Code)
-	}
 
 	out := render(t, s.Collect("iorouter", nil))
 	for _, want := range []string{

@@ -6,46 +6,38 @@ import (
 	"time"
 )
 
-// Backoff computes capped jittered exponential delays. The zero value is
-// usable (100ms base, 10s cap, doubling, full jitter disabled at 0 —
-// Jitter is the fraction of the computed delay randomized, so 0.5 on a 1s
-// delay yields 0.5s..1s).
+// Backoff computes capped jittered exponential delays: each attempt
+// doubles the delay, and each delay is randomized down by up to half, so
+// 1s yields 0.5s..1s. The zero value is usable (100ms base, 10s cap).
 type Backoff struct {
 	// Base is the first delay (<= 0 defaults to 100ms).
 	Base time.Duration
 	// Max caps the delay (<= 0 defaults to 10s).
 	Max time.Duration
-	// Factor is the per-attempt multiplier (< 2 defaults to 2).
-	Factor float64
-	// Jitter in [0,1] randomizes each delay down by up to that fraction,
-	// de-synchronizing retry storms (<= 0 defaults to 0.5).
-	Jitter float64
 	// Rand overrides the jitter source (tests); nil uses math/rand.
 	Rand func() float64
 }
 
+// backoffFactor is the per-attempt multiplier; backoffJitter the fraction
+// of each delay randomized away, de-synchronizing retry storms.
+const (
+	backoffFactor = 2
+	backoffJitter = 0.5
+)
+
 // Delay returns the wait before retry number attempt (1-based; attempt <=
 // 1 returns the jittered base).
 func (b Backoff) Delay(attempt int) time.Duration {
-	base, max, factor, jitter := b.Base, b.Max, b.Factor, b.Jitter
+	base, max := b.Base, b.Max
 	if base <= 0 {
 		base = 100 * time.Millisecond
 	}
 	if max <= 0 {
 		max = 10 * time.Second
 	}
-	if factor < 2 {
-		factor = 2
-	}
-	if jitter <= 0 {
-		jitter = 0.5
-	}
-	if jitter > 1 {
-		jitter = 1
-	}
 	d := float64(base)
 	for i := 1; i < attempt; i++ {
-		d *= factor
+		d *= backoffFactor
 		if d >= float64(max) {
 			d = float64(max)
 			break
@@ -58,7 +50,7 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	if rnd == nil {
 		rnd = rand.Float64
 	}
-	d -= d * jitter * rnd()
+	d -= d * backoffJitter * rnd()
 	if d < 1 {
 		d = 1
 	}

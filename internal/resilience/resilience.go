@@ -2,7 +2,8 @@
 // bounded admission gate with load shedding in front of evaluation,
 // circuit breakers and jittered backoff for the control plane (reloader,
 // drift retraining), and the glue that exposes all of it on /metrics and
-// the /v1/resilience admin endpoint.
+// as the Status value serve mounts at GET /v1/resilience; it serves no
+// HTTP view itself.
 //
 // The package sits between obs (it reuses the moving-p99 latency ladder)
 // and serve/drift (which thread a Gate and Breakers through their hot and
@@ -11,7 +12,6 @@
 package resilience
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -139,22 +139,6 @@ func stateGaugeValue(state string) int {
 	default:
 		return 0
 	}
-}
-
-// Handler returns the GET /v1/resilience admin handler: the set's status
-// as JSON (mount behind the admin-token middleware).
-func (s *Set) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			http.Error(w, `{"error":"method not allowed"}`, http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(s.Status())
-	})
 }
 
 // AdmitHandler wraps next with admission control under the given priority

@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -187,7 +186,7 @@ func TestBreakerNilSafe(t *testing.T) {
 }
 
 func TestBackoffDelayGrowsAndCaps(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Max: time.Second, Jitter: 0.5, Rand: func() float64 { return 0 }}
+	b := Backoff{Base: 100 * time.Millisecond, Max: time.Second, Rand: func() float64 { return 0 }}
 	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
 		800 * time.Millisecond, time.Second, time.Second}
 	for i, w := range want {
@@ -198,7 +197,7 @@ func TestBackoffDelayGrowsAndCaps(t *testing.T) {
 }
 
 func TestBackoffJitterOnlyShortens(t *testing.T) {
-	b := Backoff{Base: time.Second, Max: time.Second, Jitter: 0.5, Rand: func() float64 { return 1 }}
+	b := Backoff{Base: time.Second, Max: time.Second, Rand: func() float64 { return 1 }}
 	if d := b.Delay(1); d != 500*time.Millisecond {
 		t.Fatalf("full jitter draw: %v, want 500ms", d)
 	}
@@ -268,29 +267,6 @@ func TestSetMetricsAndStatus(t *testing.T) {
 	st := s.Status()
 	if st.Admission == nil || len(st.Breakers) != 2 || st.Breakers[1].State != StateOpen {
 		t.Fatalf("status %+v", st)
-	}
-}
-
-func TestSetHandler(t *testing.T) {
-	s := NewSet()
-	s.SetGate(NewGate(GateConfig{MaxInflight: 1}))
-	s.NewBreaker("reload", BreakerConfig{})
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/resilience", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
-	}
-	var st Status
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Admission == nil || st.Admission.MaxInflight != 1 || len(st.Breakers) != 1 {
-		t.Fatalf("decoded status %+v", st)
-	}
-	rec = httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/resilience", nil))
-	if rec.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("POST status %d", rec.Code)
 	}
 }
 

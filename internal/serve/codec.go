@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -719,9 +720,9 @@ func WriteError(w http.ResponseWriter, status int, msg string) {
 }
 
 // DecodePost decodes a POST body of at most limit bytes into v, refusing
-// unknown fields. It answers anything else itself — 405 for another method,
-// 400 for a body that does not decode — and reports whether v holds the
-// request.
+// unknown fields and anything after the one JSON value. It answers anything
+// else itself — 405 for another method, 400 for a body that does not decode
+// — and reports whether v holds the request.
 func DecodePost(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	if r.Method != http.MethodPost {
 		WriteError(w, http.StatusMethodNotAllowed, "POST only")
@@ -729,7 +730,11 @@ func DecodePost(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if _, after := dec.Token(); err == nil && after != io.EOF {
+		err = errors.New("data after the JSON value") // what json.Unmarshal refuses too
+	}
+	if err != nil {
 		WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return false
 	}

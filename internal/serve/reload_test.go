@@ -452,7 +452,7 @@ func TestRegistryGetNeverObservesPartialVersion(t *testing.T) {
 // the sampled fraction tracks the configured one.
 func TestShadowSamplingDeterministic(t *testing.T) {
 	m := &Metrics{}
-	s := NewShadow(NewRegistry(), 0.3, 1, 16, m)
+	s := NewShadow(NewRegistry(), 0.3, m)
 	defer s.Close()
 	frame, _, _ := fixture(t)
 	in := 0
@@ -472,10 +472,10 @@ func TestShadowSamplingDeterministic(t *testing.T) {
 	if frac < 0.15 || frac > 0.45 {
 		t.Errorf("sampled fraction %.2f far from configured 0.30", frac)
 	}
-	if NewShadow(NewRegistry(), 0, 1, 1, m) != nil {
+	if NewShadow(NewRegistry(), 0, m) != nil {
 		t.Error("zero fraction built a shadow")
 	}
-	full := NewShadow(NewRegistry(), 1.0, 1, 16, m)
+	full := NewShadow(NewRegistry(), 1.0, m)
 	defer full.Close()
 	for i := 0; i < 32; i++ {
 		if !full.sampled(HashKey("theta", 0, frame.Row(i))) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -380,6 +381,15 @@ func TestResilienceEndpoint(t *testing.T) {
 	}
 	if st.Admission == nil || st.Admission.MaxInflight != 8 || len(st.Breakers) != 1 {
 		t.Fatalf("status %+v", st)
+	}
+	post, err := http.Post(ts.URL+"/v1/resilience", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(post.Body)
+	post.Body.Close()
+	if post.StatusCode != http.StatusMethodNotAllowed || string(body) != "{\"error\":\"GET only\"}\n" {
+		t.Fatalf("POST /v1/resilience = %d %q, want 405 {\"error\":\"GET only\"}", post.StatusCode, body)
 	}
 
 	// Without a configured resilience layer the endpoint reports 409, like

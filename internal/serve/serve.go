@@ -66,9 +66,6 @@ type Options struct {
 	// rows to the adjacent registry versions for online comparison
 	// (shadow.go); <= 0 disables mirroring.
 	ShadowFraction float64
-	// ShadowWorkers sizes the mirror worker pool (default 1); its queue
-	// holds 256 jobs.
-	ShadowWorkers int
 	// TraceEvery enables request tracing: 1-in-N head sampling into the
 	// retained-trace ring on top of the always-keep tail policy (errors,
 	// OoD-flagged requests, slower-than-moving-p99 requests). <= 0 disables
@@ -158,7 +155,7 @@ func NewService(reg *Registry, opt Options) *Service {
 		slots:   make(chan struct{}, opt.Workers),
 		closed:  make(chan struct{}),
 		chaos:   opt.Chaos,
-		shadow:  NewShadow(reg, opt.ShadowFraction, opt.ShadowWorkers, 0, m),
+		shadow:  NewShadow(reg, opt.ShadowFraction, m),
 		metrics: m,
 		logger:  opt.Logger,
 	}

@@ -200,18 +200,18 @@ func StatusForError(err error) int {
 // is exactly the one an operator wants to look up).
 func (s *Service) ServeRequest(ctx context.Context, req *PredictRequest, out *PredictResponse) (string, error) {
 	if req.System == "" {
-		return "", errBadRequest("missing \"system\"")
+		return "", BadRequest("missing \"system\"")
 	}
 	rows := req.Rows
 	if req.Row != nil {
 		if rows != nil {
-			return "", errBadRequest("set \"row\" or \"rows\", not both")
+			return "", BadRequest("set \"row\" or \"rows\", not both")
 		}
 		out.row[0] = req.Row
 		rows = out.row[:]
 	}
 	if len(rows) == 0 {
-		return "", errBadRequest("no rows to predict")
+		return "", BadRequest("no rows to predict")
 	}
 	results, mv, tm, traceID, err := s.predictTraced(ctx, req.System, req.Version, rows, out.Predictions, req.TraceParent)
 	out.row[0] = nil
@@ -237,42 +237,23 @@ func NewHandler(svc *Service, cfg HandlerConfig) http.Handler {
 		handlePredict(svc, &cfg, w, r)
 	})
 	if cfg.Resilience != nil {
-		mux.Handle("/v1/resilience", RequireAdmin(cfg.AdminToken, cfg.Resilience.Handler().ServeHTTP))
+		mux.HandleFunc("/v1/resilience", RequireAdmin(cfg.AdminToken, GetJSON(func(*http.Request) any { return cfg.Resilience.Status() })))
 	} else {
 		mux.HandleFunc("/v1/resilience", func(w http.ResponseWriter, r *http.Request) {
 			WriteError(w, http.StatusConflict, "resilience layer not configured (start ioserve with -admission-max-inflight or -reload-interval)")
 		})
 	}
-	mux.HandleFunc("/v1/models", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			WriteError(w, http.StatusMethodNotAllowed, "GET only")
-			return
+	mux.HandleFunc("/v1/models", GetJSON(func(*http.Request) any { return map[string]any{"models": svc.Registry().List()} }))
+	mux.HandleFunc("/v1/versions", GetJSON(func(*http.Request) any { return map[string]any{"systems": systemVersions(svc)} }))
+	mux.HandleFunc("/v1/versions/promote", RequireAdmin(cfg.AdminToken, versionAction(svc, func(req *versionActionRequest) (int, error) {
+		if req.Version <= 0 {
+			return 0, BadRequest("missing \"version\"")
 		}
-		WriteJSON(w, http.StatusOK, map[string]any{"models": svc.Registry().List()})
-	})
-	mux.HandleFunc("/v1/versions", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			WriteError(w, http.StatusMethodNotAllowed, "GET only")
-			return
-		}
-		WriteJSON(w, http.StatusOK, map[string]any{"systems": systemVersions(svc)})
-	})
-	mux.HandleFunc("/v1/versions/promote", RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
-		handleVersionAction(svc, w, r, func(req versionActionRequest) (int, error) {
-			if req.Version <= 0 {
-				return 0, errBadRequest("missing \"version\"")
-			}
-			if err := svc.Registry().Promote(req.System, req.Version); err != nil {
-				return 0, err
-			}
-			return req.Version, nil
-		})
-	}))
-	mux.HandleFunc("/v1/versions/rollback", RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
-		handleVersionAction(svc, w, r, func(req versionActionRequest) (int, error) {
-			return svc.Registry().Rollback(req.System)
-		})
-	}))
+		return req.Version, svc.Registry().Promote(req.System, req.Version)
+	})))
+	mux.HandleFunc("/v1/versions/rollback", RequireAdmin(cfg.AdminToken, versionAction(svc, func(req *versionActionRequest) (int, error) {
+		return svc.Registry().Rollback(req.System)
+	})))
 	mux.HandleFunc("/v1/versions/reload", RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			WriteError(w, http.StatusMethodNotAllowed, "POST only")
@@ -299,12 +280,18 @@ func NewHandler(svc *Service, cfg HandlerConfig) http.Handler {
 		}
 		WriteJSON(w, status, body)
 	}))
-	mux.HandleFunc("/v1/trace", RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
-		handleTraceList(svc, w, r)
-	}))
-	mux.HandleFunc("/v1/trace/", RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
-		handleTraceGet(svc, w, r)
-	}))
+	tr := svc.Tracer()
+	MountTraces(mux, cfg.AdminToken, tr != nil, "ioserve", func(limit int) (int64, any) {
+		traces := tr.Recent(limit)
+		summaries := make([]obs.TraceSummary, len(traces))
+		for i := range traces {
+			summaries[i] = traces[i].Summary()
+		}
+		return tr.SlowThresholdNs(), summaries
+	}, func(_ context.Context, id uint64) (obs.TraceDetail, bool) {
+		t, ok := tr.Get(id)
+		return t.Detail(), ok
+	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, map[string]any{
 			"status":   "ok",
@@ -383,62 +370,102 @@ func handlePredict(svc *Service, cfg *HandlerConfig, w http.ResponseWriter, r *h
 	}
 }
 
-// handleTraceList serves GET /v1/trace: the retained traces, newest first,
-// capped by ?limit=.
-func handleTraceList(svc *Service, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		WriteError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	tr := svc.Tracer()
-	if tr == nil {
-		WriteError(w, http.StatusConflict, "tracing disabled (start ioserve with -trace-sample)")
-		return
-	}
-	limit := 0
-	if s := r.URL.Query().Get("limit"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			WriteError(w, http.StatusBadRequest, "limit must be a non-negative integer")
-			return
-		}
-		limit = n
-	}
-	traces := tr.Recent(limit)
-	summaries := make([]obs.TraceSummary, len(traces))
-	for i := range traces {
-		summaries[i] = traces[i].Summary()
-	}
-	WriteJSON(w, http.StatusOK, map[string]any{
-		"slow_threshold_ns": tr.SlowThresholdNs(),
-		"traces":            summaries,
-	})
+// GetJSON is a JSON view's handler: a GET is answered 200 with what view
+// returns, any other method 405.
+func GetJSON(view func(*http.Request) any) http.HandlerFunc {
+	return getOnly(func(w http.ResponseWriter, r *http.Request) { WriteJSON(w, http.StatusOK, view(r)) })
 }
 
-// handleTraceGet serves GET /v1/trace/{id}: one trace's span tree.
-func handleTraceGet(svc *Service, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		WriteError(w, http.StatusMethodNotAllowed, "GET only")
-		return
+func getOnly(next http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			WriteError(w, http.StatusMethodNotAllowed, "GET only")
+			return
+		}
+		next(w, r)
 	}
-	tr := svc.Tracer()
-	if tr == nil {
-		WriteError(w, http.StatusConflict, "tracing disabled (start ioserve with -trace-sample)")
-		return
-	}
-	idHex := strings.TrimPrefix(r.URL.Path, "/v1/trace/")
-	id, err := obs.ParseTraceID(idHex)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad trace id %q", idHex))
-		return
-	}
-	t, ok := tr.Get(id)
-	if !ok {
-		WriteError(w, http.StatusNotFound, fmt.Sprintf("trace %s not retained (evicted or never kept)", idHex))
-		return
-	}
-	WriteJSON(w, http.StatusOK, t.Detail())
 }
+
+// MountTraces mounts GET /v1/trace (list: the slow threshold and at most
+// limit retained traces, newest first; 0 is all) and GET /v1/trace/{id}
+// (get: one trace, false when not retained) behind the admin token. Both
+// answer 409 naming bin's -trace-sample flag when on is false.
+func MountTraces[D any](mux *http.ServeMux, token string, on bool, bin string,
+	list func(limit int) (slowThresholdNs int64, traces any), get func(context.Context, uint64) (D, bool)) {
+	traced := func(next http.HandlerFunc) http.HandlerFunc {
+		return RequireAdmin(token, getOnly(func(w http.ResponseWriter, r *http.Request) {
+			if !on {
+				WriteError(w, http.StatusConflict, "tracing disabled (start "+bin+" with -trace-sample)")
+				return
+			}
+			next(w, r)
+		}))
+	}
+	mux.HandleFunc("/v1/trace", traced(func(w http.ResponseWriter, r *http.Request) {
+		limit := 0
+		if s := r.URL.Query().Get("limit"); s != "" {
+			n, err := strconv.Atoi(s)
+			if err != nil || n < 0 {
+				WriteError(w, http.StatusBadRequest, "limit must be a non-negative integer")
+				return
+			}
+			limit = n
+		}
+		slow, traces := list(limit)
+		WriteJSON(w, http.StatusOK, map[string]any{"slow_threshold_ns": slow, "traces": traces})
+	}))
+	mux.HandleFunc("/v1/trace/", traced(func(w http.ResponseWriter, r *http.Request) {
+		idHex := strings.TrimPrefix(r.URL.Path, "/v1/trace/")
+		id, err := obs.ParseTraceID(idHex)
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad trace id %q", idHex))
+			return
+		}
+		detail, ok := get(r.Context(), id)
+		if !ok {
+			WriteError(w, http.StatusNotFound, fmt.Sprintf("trace %s not retained (evicted or never kept)", idHex))
+			return
+		}
+		WriteJSON(w, http.StatusOK, detail)
+	}))
+}
+
+// PostJSON is an admin action's handler: DecodePost a body of at most limit
+// bytes into a new T, act on it, and answer what act returns with status,
+// or act's error through fail.
+func PostJSON[T any](limit int64, status int, act func(context.Context, *T) (any, error), fail func(http.ResponseWriter, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req T
+		if !DecodePost(w, r, limit, &req) {
+			return
+		}
+		reply, err := act(r.Context(), &req)
+		if err != nil {
+			fail(w, err)
+			return
+		}
+		WriteJSON(w, status, reply)
+	}
+}
+
+// ActionError answers a model action's error: 400 for a BadRequest, 404 for
+// an unknown model, status for anything else.
+func ActionError(status int) func(http.ResponseWriter, error) {
+	return func(w http.ResponseWriter, err error) {
+		code := status
+		if errors.Is(err, ErrUnknownModel) {
+			code = http.StatusNotFound
+		} else if errors.As(err, new(BadRequest)) {
+			code = http.StatusBadRequest
+		}
+		WriteError(w, code, err.Error())
+	}
+}
+
+// BadRequest is a client error, answered 400 (ActionError, StatusForError).
+type BadRequest string
+
+func (e BadRequest) Error() string { return string(e) }
 
 // SystemVersions is one system's lifecycle view at GET /v1/versions.
 type SystemVersions struct {
@@ -484,43 +511,23 @@ type versionActionRequest struct {
 	Version int    `json:"version,omitempty"`
 }
 
-// badRequestError marks client errors that must map to 400 rather than the
-// registry's 404.
-type badRequestError string
-
-func errBadRequest(msg string) error    { return badRequestError(msg) }
-func (e badRequestError) Error() string { return string(e) }
-
-// handleVersionAction decodes an admin action, applies it, and answers
-// with the system's refreshed lifecycle view.
-func handleVersionAction(svc *Service, w http.ResponseWriter, r *http.Request, apply func(versionActionRequest) (int, error)) {
-	var req versionActionRequest
-	if !DecodePost(w, r, 1<<16, &req) {
-		return
-	}
-	if req.System == "" {
-		WriteError(w, http.StatusBadRequest, "missing \"system\"")
-		return
-	}
-	active, err := apply(req)
-	if err != nil {
-		status := http.StatusConflict
-		var bad badRequestError
-		switch {
-		case errors.Is(err, ErrUnknownModel):
-			status = http.StatusNotFound
-		case errors.As(err, &bad):
-			status = http.StatusBadRequest
+// versionAction is promote's and rollback's handler: apply the action to
+// the request's system and answer the system's refreshed lifecycle view.
+func versionAction(svc *Service, apply func(*versionActionRequest) (int, error)) http.HandlerFunc {
+	return PostJSON(1<<16, http.StatusOK, func(_ context.Context, req *versionActionRequest) (any, error) {
+		if req.System == "" {
+			return nil, BadRequest("missing \"system\"")
 		}
-		WriteError(w, status, err.Error())
-		return
-	}
-	for _, sv := range systemVersions(svc) {
-		if sv.System == req.System {
-			WriteJSON(w, http.StatusOK, sv)
-			return
+		active, err := apply(req)
+		if err != nil {
+			return nil, err
 		}
-	}
-	// Unreachable unless the system vanished between apply and listing.
-	WriteJSON(w, http.StatusOK, map[string]any{"system": req.System, "active": active})
+		for _, sv := range systemVersions(svc) {
+			if sv.System == req.System {
+				return sv, nil
+			}
+		}
+		// Unreachable unless the system vanished between apply and listing.
+		return map[string]any{"system": req.System, "active": active}, nil
+	}, ActionError(http.StatusConflict))
 }

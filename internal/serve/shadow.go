@@ -18,8 +18,8 @@ import (
 // expose is how differently the candidate behaves on live traffic, which
 // is exactly the drift signal needed before a promote or after a rollback.
 //
-// Mirrored work runs on its own small worker pool, off the predict latency
-// path; when the queue is full, rows are shed (and counted) rather than
+// Mirrored work runs on its own worker goroutine, off the predict latency
+// path; when its queue is full, rows are shed (and counted) rather than
 // backpressuring the serving path.
 
 // shadowRole labels for ShadowKey.Role.
@@ -40,7 +40,6 @@ type shadowJob struct {
 // Shadow mirrors sampled rows to comparison versions. A nil *Shadow is
 // inert, so the zero configuration costs nothing.
 type Shadow struct {
-	fraction  float64
 	threshold uint64 // sampling cutoff on 24 bits
 	reg       *Registry
 	metrics   *Metrics
@@ -50,38 +49,30 @@ type Shadow struct {
 	closeOnce sync.Once
 }
 
+// shadowQueue bounds the mirrored rows (each a copy) waiting for the
+// mirror's one worker: a row that finds the queue full is shed, so a
+// burst costs at most this many copies and never slows the predict path.
+const shadowQueue = 256
+
 // NewShadow builds a mirror over reg evaluating fraction of active-version
-// rows with the given worker count and queue depth (defaults 1 and 256).
-// Returns nil when fraction <= 0.
-func NewShadow(reg *Registry, fraction float64, workers, queue int, m *Metrics) *Shadow {
+// rows on one worker. Returns nil when fraction <= 0.
+func NewShadow(reg *Registry, fraction float64, m *Metrics) *Shadow {
 	if fraction <= 0 {
 		return nil
 	}
-	if fraction > 1 {
-		fraction = 1
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	if queue <= 0 {
-		queue = 256
-	}
 	s := &Shadow{
-		fraction:  fraction,
-		threshold: uint64(math.Ceil(fraction * (1 << 24))),
+		threshold: uint64(math.Ceil(min(fraction, 1) * (1 << 24))),
 		reg:       reg,
 		metrics:   m,
-		jobs:      make(chan shadowJob, queue),
+		jobs:      make(chan shadowJob, shadowQueue),
 		stop:      make(chan struct{}),
 	}
-	for w := 0; w < workers; w++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
+	s.wg.Add(1)
+	go s.worker()
 	return s
 }
 
-// Close stops the workers; queued jobs are abandoned.
+// Close stops the worker; queued jobs are abandoned.
 func (s *Shadow) Close() {
 	if s == nil {
 		return
