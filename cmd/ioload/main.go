@@ -47,7 +47,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -59,7 +58,6 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -475,29 +473,23 @@ func sumMetric(client *http.Client, addr, name string) (float64, error) {
 	if resp.StatusCode != http.StatusOK {
 		return 0, fmt.Errorf("GET /metrics: status %d", resp.StatusCode)
 	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return 0, err
+	}
+	fams, err := obs.ParsePromText(body)
+	if err != nil {
+		return 0, fmt.Errorf("parsing /metrics: %w", err)
+	}
 	var sum float64
 	found := false
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, name) {
-			continue
+	for _, f := range fams {
+		for _, sample := range f.Samples {
+			if sample.Name == name {
+				sum += sample.Value
+				found = true
+			}
 		}
-		rest := line[len(name):]
-		if !strings.HasPrefix(rest, "{") && !strings.HasPrefix(rest, " ") {
-			continue // a longer metric name sharing the prefix
-		}
-		fields := strings.Fields(line)
-		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-		if err != nil {
-			return 0, fmt.Errorf("parsing %s sample %q: %w", name, line, err)
-		}
-		sum += v
-		found = true
-	}
-	if err := sc.Err(); err != nil {
-		return 0, err
 	}
 	if !found {
 		return 0, fmt.Errorf("metric %s not present on /metrics (server too old, or admission control off?)", name)
@@ -845,7 +837,7 @@ func runDriftScenario(addr, sysName, token string, requests, batch int, rate flo
 	tracker := &versionTracker{seen: make(map[int]int)}
 	lats := &latencyRecorder{}
 
-	initialMax, err := maxRegisteredVersion(client, addr, sysName)
+	_, initialMax, err := readVersions(client, addr, sysName)
 	if err != nil {
 		return fmt.Errorf("drift scenario: reading initial versions: %w", err)
 	}
@@ -954,7 +946,7 @@ func runDriftScenario(addr, sysName, token string, requests, batch int, rate flo
 			continue
 		}
 		lastPoll = time.Now()
-		active, err := activeVersion(client, addr, sysName)
+		active, _, err := readVersions(client, addr, sysName)
 		if err != nil {
 			continue
 		}
@@ -969,45 +961,25 @@ func runDriftScenario(addr, sysName, token string, requests, batch int, rate flo
 	}
 }
 
-// activeVersion reads the serving default from GET /v1/versions.
-func activeVersion(client *http.Client, addr, sysName string) (int, error) {
+// readVersions reads the system's serving default and highest registered
+// version from one GET /v1/versions.
+func readVersions(client *http.Client, addr, sysName string) (active, highest int, err error) {
 	var listing struct {
 		Systems []serve.SystemVersions `json:"systems"`
 	}
 	if err := getJSON(client, addr+"/v1/versions", &listing); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	for _, s := range listing.Systems {
-		if s.System == sysName {
-			return s.Active, nil
-		}
-	}
-	return 0, fmt.Errorf("system %q not in /v1/versions", sysName)
-}
-
-// maxRegisteredVersion reads the highest registered version.
-func maxRegisteredVersion(client *http.Client, addr, sysName string) (int, error) {
-	var listing struct {
-		Systems []serve.SystemVersions `json:"systems"`
-	}
-	if err := getJSON(client, addr+"/v1/versions", &listing); err != nil {
-		return 0, err
-	}
-	max := 0
 	for _, s := range listing.Systems {
 		if s.System != sysName {
 			continue
 		}
 		for _, v := range s.Versions {
-			if v.Version > max {
-				max = v.Version
-			}
+			highest = max(highest, v.Version)
 		}
+		return s.Active, highest, nil
 	}
-	if max == 0 {
-		return 0, fmt.Errorf("system %q not in /v1/versions", sysName)
-	}
-	return max, nil
+	return 0, 0, fmt.Errorf("system %q not in /v1/versions", sysName)
 }
 
 // reportDriftStatus prints the server's drift decisions for the system.

@@ -2,11 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 
 	"iotaxo/internal/fleet"
+	"iotaxo/internal/obs"
 	"iotaxo/internal/serve"
 )
 
@@ -94,5 +97,29 @@ func TestDecodeRoutedReplyAsThreePasses(t *testing.T) {
 		if got.Predictions[0].Guard.ErrorSource() != serve.SourceModeling || got.Predictions[2].Guard.ErrorSource() != "" {
 			t.Errorf("%s: guards read %q and %q", reply, got.Predictions[0].Guard.ErrorSource(), got.Predictions[2].Guard.ErrorSource())
 		}
+	}
+}
+
+// sumMetric sums one family's samples across its label sets from a rendered
+// exposition, and not those of a longer name that shares its prefix.
+func TestSumMetricReadsOneFamily(t *testing.T) {
+	const name = "ioserve_admission_shed_total"
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		obs.WriteFamilies(w, []obs.PromFamily{
+			{Name: name, Help: "Shed requests.", Type: "counter", Samples: []obs.PromSample{
+				{Name: name, Labels: obs.Labels("reason", "inflight"), Value: 2},
+				{Name: name, Labels: obs.Labels("reason", "p99"), Value: 3},
+			}},
+			{Name: name + "_by_class", Help: "A longer name.", Type: "counter", Samples: []obs.PromSample{
+				{Name: name + "_by_class", Value: 100},
+			}},
+		})
+	}))
+	defer srv.Close()
+	if got, err := sumMetric(srv.Client(), srv.URL, name); err != nil || got != 5 {
+		t.Errorf("sum %v (%v), want 5", got, err)
+	}
+	if _, err := sumMetric(srv.Client(), srv.URL, "ioserve_absent_total"); err == nil {
+		t.Error("an absent metric summed without an error")
 	}
 }

@@ -65,9 +65,9 @@
 // network time made explicit. The health prober doubles as a
 // single-cadence /metrics scraper: replica counters and histograms are
 // merged into this router's /metrics under per-replica up/staleness
-// gauges. -slo tracks objectives ('class:p99=25ms,avail=99.9;...') with
-// multi-window burn rates at GET /v1/slo. -pprof-addr serves
-// net/http/pprof on its own listener (keep it loopback-only).
+// gauges. -slo tracks the predict class with multi-window burn rates at
+// GET /v1/slo. The flags iorouter shares with ioserve, and the listen,
+// pprof and SIGINT/SIGTERM drain sequence, are cmd/internal/proc's.
 //
 // Replicas should share one registry tree (same -models directory, e.g.
 // on a shared filesystem) with -reload-interval set, so drift publishes
@@ -79,70 +79,29 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"iotaxo/cmd/internal/proc"
 	"iotaxo/internal/fleet"
-	"iotaxo/internal/obs"
 )
 
-// config carries the parsed flags.
+// config carries the parsed flags: the process shell's and iorouter's own.
 type config struct {
-	addr             string
+	*proc.Shell
 	replicas         string
 	healthInterval   time.Duration
 	probeTimeout     time.Duration
 	breakerThreshold int
 	breakerCooldown  time.Duration
-	adminToken       string
-	traceSample      float64
-	traceBuffer      int
-	sloSpec          string
-	pprofAddr        string
-	shutdownGrace    time.Duration
-	logFormat        string
-	logLevel         string
 
 	statePath string
 	leaseTTL  time.Duration
 }
 
 func main() {
-	var cfg config
-	flag.StringVar(&cfg.addr, "addr", ":8070", "listen address")
-	flag.StringVar(&cfg.replicas, "replicas", "",
-		"comma-separated static replica base URLs, e.g. http://10.0.0.7:8080,http://10.0.0.8:8080 (optional: replicas can self-register via POST /v1/fleet/register instead)")
-	flag.DurationVar(&cfg.healthInterval, "health-interval", time.Second,
-		"replica health/stats probe period")
-	flag.DurationVar(&cfg.probeTimeout, "probe-timeout", 2*time.Second,
-		"per-probe timeout")
-	flag.IntVar(&cfg.breakerThreshold, "breaker-threshold", 3,
-		"consecutive failures (probes or sub-requests) that eject a replica from the ring")
-	flag.DurationVar(&cfg.breakerCooldown, "breaker-cooldown", 5*time.Second,
-		"how long an ejected replica stays out before a half-open probe may readmit it")
-	flag.StringVar(&cfg.adminToken, "admin-token", os.Getenv("IOSERVE_ADMIN_TOKEN"),
-		"bearer token gating this router's trace endpoints and sent to the replicas' admin-gated trace views (default $IOSERVE_ADMIN_TOKEN; empty leaves both open)")
-	flag.Float64Var(&cfg.traceSample, "trace-sample", 0,
-		"fraction of routed requests head-sampled into the trace ring; errors and slow requests are always kept (0 disables router tracing and /v1/trace)")
-	flag.IntVar(&cfg.traceBuffer, "trace-buffer", 256, "retained router-trace ring capacity")
-	flag.StringVar(&cfg.sloSpec, "slo", "",
-		"SLO objectives as 'class:p99=25ms,avail=99.9[;class:...]'; enables /v1/slo and iorouter_slo_* series (empty disables)")
-	flag.StringVar(&cfg.pprofAddr, "pprof-addr", "",
-		"serve net/http/pprof on this address (e.g. localhost:6061; empty disables)")
-	flag.DurationVar(&cfg.shutdownGrace, "shutdown-grace", 10*time.Second,
-		"drain window for in-flight requests after SIGINT/SIGTERM")
-	flag.StringVar(&cfg.logFormat, "log-format", "text", "log output format: text or json")
-	flag.StringVar(&cfg.logLevel, "log-level", "info", "log verbosity: debug, info, warn, or error")
-	flag.StringVar(&cfg.statePath, "fleet-state", "",
-		"path for persisted membership snapshots; a restarted router rebuilds its ring from it, quarantining entries behind a health probe (empty disables persistence)")
-	flag.DurationVar(&cfg.leaseTTL, "lease-ttl", 3*time.Second,
-		"heartbeat lease granted to self-registered replicas; a member silent for a full TTL is ejected")
+	cfg := newConfig(flag.CommandLine)
 	flag.Parse()
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "iorouter:", err)
@@ -150,20 +109,28 @@ func main() {
 	}
 }
 
-// traceEvery converts the -trace-sample fraction to the tracer's 1-in-N
-// head-sampling period (0 = disabled), mirroring ioserve's flag.
-func traceEvery(sample float64) int {
-	if sample <= 0 {
-		return 0
-	}
-	if sample >= 1 {
-		return 1
-	}
-	return int(math.Round(1 / sample))
+// newConfig registers iorouter's flags on fs.
+func newConfig(fs *flag.FlagSet) *config {
+	cfg := &config{Shell: proc.Register(fs, ":8070")}
+	fs.StringVar(&cfg.replicas, "replicas", "",
+		"comma-separated static replica base URLs, e.g. http://10.0.0.7:8080,http://10.0.0.8:8080 (optional: replicas can self-register via POST /v1/fleet/register instead)")
+	fs.DurationVar(&cfg.healthInterval, "health-interval", time.Second,
+		"replica health/stats probe period")
+	fs.DurationVar(&cfg.probeTimeout, "probe-timeout", 2*time.Second,
+		"per-probe timeout")
+	fs.IntVar(&cfg.breakerThreshold, "breaker-threshold", 3,
+		"consecutive failures (probes or sub-requests) that eject a replica from the ring")
+	fs.DurationVar(&cfg.breakerCooldown, "breaker-cooldown", 5*time.Second,
+		"how long an ejected replica stays out before a half-open probe may readmit it")
+	fs.StringVar(&cfg.statePath, "fleet-state", "",
+		"path for persisted membership snapshots; a restarted router rebuilds its ring from it, quarantining entries behind a health probe (empty disables persistence)")
+	fs.DurationVar(&cfg.leaseTTL, "lease-ttl", 3*time.Second,
+		"heartbeat lease granted to self-registered replicas; a member silent for a full TTL is ejected")
+	return cfg
 }
 
-func run(cfg config) error {
-	logger, err := obs.NewLogger(os.Stderr, cfg.logFormat, cfg.logLevel)
+func run(cfg *config) error {
+	slo, err := cfg.Setup()
 	if err != nil {
 		return err
 	}
@@ -174,7 +141,7 @@ func run(cfg config) error {
 		if !strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
 			return nil, fmt.Errorf("replica %q: want an http(s) base URL, got %q", name, baseURL)
 		}
-		return fleet.NewRemote(name, u, fleet.RemoteConfig{AdminToken: cfg.adminToken}), nil
+		return fleet.NewRemote(name, u, fleet.RemoteConfig{AdminToken: cfg.AdminToken}), nil
 	}
 	var backends []fleet.Predictor
 	if strings.TrimSpace(cfg.replicas) != "" {
@@ -192,25 +159,14 @@ func run(cfg config) error {
 			backends = append(backends, b)
 		}
 	}
-	var slo *obs.SLO
-	if cfg.sloSpec != "" {
-		specs, err := obs.ParseSLO(cfg.sloSpec)
-		if err != nil {
-			return err
-		}
-		slo = obs.NewSLO(specs)
-		for _, s := range specs {
-			logger.Info("SLO objective on", "objective", s.String())
-		}
-	}
 	rt, err := fleet.NewRouter(fleet.RouterConfig{
 		HealthInterval:   cfg.healthInterval,
 		ProbeTimeout:     cfg.probeTimeout,
 		BreakerThreshold: cfg.breakerThreshold,
 		BreakerCooldown:  cfg.breakerCooldown,
-		TraceEvery:       traceEvery(cfg.traceSample),
-		TraceBuffer:      cfg.traceBuffer,
-		Logger:           logger,
+		TraceEvery:       cfg.TraceEvery(),
+		TraceBuffer:      cfg.TraceBuffer,
+		Logger:           cfg.Logger,
 		LeaseTTL:         cfg.leaseTTL,
 		StatePath:        cfg.statePath,
 		Backend:          backend,
@@ -220,66 +176,9 @@ func run(cfg config) error {
 	}
 	rt.Start()
 	defer rt.Stop()
-	logger.Info("fleet routing on",
+	cfg.Logger.Info("fleet routing on",
 		"static_replicas", len(backends),
 		"health_interval", cfg.healthInterval, "lease_ttl", cfg.leaseTTL,
 		"breaker_threshold", cfg.breakerThreshold, "breaker_cooldown", cfg.breakerCooldown)
-	if cfg.traceSample > 0 {
-		logger.Info("router tracing on",
-			"head_sample_every", traceEvery(cfg.traceSample), "ring", cfg.traceBuffer)
-	}
-
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	var psrv *http.Server
-	if cfg.pprofAddr != "" {
-		// pprof gets its own mux on its own listener so profiling exposure
-		// is an explicit, separately firewallable choice — never a route
-		// that leaks onto the routing port. Mirrors ioserve's -pprof-addr.
-		pmux := http.NewServeMux()
-		pmux.HandleFunc("/debug/pprof/", pprof.Index)
-		pmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		pmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		pmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		pmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		psrv = &http.Server{Addr: cfg.pprofAddr, Handler: pmux, ReadHeaderTimeout: 5 * time.Second}
-		go func() {
-			logger.Info("pprof listening", "addr", cfg.pprofAddr)
-			if err := psrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				logger.Error("pprof server failed", "err", err)
-			}
-		}()
-	}
-	logger.Info("listening", "addr", cfg.addr)
-	server := &http.Server{
-		Addr:              cfg.addr,
-		Handler:           fleet.NewHandler(rt, fleet.HandlerConfig{AdminToken: cfg.adminToken, SLO: slo}),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	serveErr := make(chan error, 1)
-	go func() {
-		if err := server.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			serveErr <- err
-		}
-	}()
-	select {
-	case err := <-serveErr:
-		return err
-	case <-ctx.Done():
-	}
-	stopSignals()
-	logger.Info("shutting down", "grace", cfg.shutdownGrace)
-	sctx, cancel := context.WithTimeout(context.Background(), cfg.shutdownGrace)
-	defer cancel()
-	if psrv != nil {
-		_ = psrv.Shutdown(sctx)
-	}
-	if err := server.Shutdown(sctx); err != nil {
-		return fmt.Errorf("graceful shutdown: %w", err)
-	}
-	logger.Info("shutdown complete")
-	return nil
+	return cfg.Serve(context.Background(), fleet.NewHandler(rt, fleet.HandlerConfig{AdminToken: cfg.AdminToken, SLO: slo}), nil, nil)
 }

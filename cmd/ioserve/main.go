@@ -52,12 +52,8 @@
 // per-stage latency split lands in the /metrics stage histograms, and
 // tail-sampling retains errors, OoD-flagged requests, requests slower than
 // the moving p99, plus the given head-sampled fraction in a ring served at
-// GET /v1/trace. -slo tracks objectives ('predict:p99=25ms,avail=99.9')
-// against served traffic with multi-window burn rates at GET /v1/slo and
-// ioserve_slo_* series. -pprof-addr serves net/http/pprof on its own
-// listener (keep it loopback-only). Logs are structured (log/slog);
-// -log-format json emits one JSON object per line, -log-level tunes
-// verbosity.
+// GET /v1/trace. -slo tracks the predict and control classes with
+// multi-window burn rates at GET /v1/slo and ioserve_slo_* series.
 //
 // Resilience: -admission-max-inflight bounds concurrent predict work and
 // sheds the excess with 429 + Retry-After (control traffic — feedback,
@@ -68,9 +64,7 @@
 // and answered 504. The reloader and the drift retrain chain run behind
 // circuit breakers with jittered backoff, visible at GET /v1/resilience.
 // -chaos injects faults (latency, errors, panics, registry corruption,
-// plus hbloss=/partition= membership faults) for resilience testing;
-// SIGINT/SIGTERM drains in-flight requests for -shutdown-grace before
-// exiting.
+// plus hbloss=/partition= membership faults) for resilience testing.
 //
 // Fleet membership: -router self-registers this replica with an iorouter
 // and keeps a heartbeat lease renewed (jittered; -heartbeat-interval
@@ -82,8 +76,10 @@
 // drain — zero lost requests; if the router is unreachable the replica
 // exits anyway and its lease expires.
 //
-// -admin-token (or IOSERVE_ADMIN_TOKEN) gates every [admin] endpoint with
-// a bearer token; unset leaves them open (development mode).
+// The flags ioserve shares with iorouter (-addr, -admin-token, which gates
+// every [admin] endpoint, -trace-sample, -trace-buffer, -slo, -pprof-addr,
+// -shutdown-grace, -log-format, -log-level) and the listen, pprof and
+// SIGINT/SIGTERM drain sequence are the process shell's, cmd/internal/proc.
 //
 // Every prediction carries the paper's taxonomy guardrail: the deep
 // ensemble's epistemic uncertainty with an OoD flag (Sec. VIII) and a
@@ -95,15 +91,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
+	"log/slog"
+	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"iotaxo/cmd/internal/proc"
 	"iotaxo/internal/drift"
 	"iotaxo/internal/fleet"
 	"iotaxo/internal/obs"
@@ -112,9 +107,9 @@ import (
 	"iotaxo/internal/serve"
 )
 
-// config carries the parsed flags.
+// config carries the parsed flags: the process shell's and ioserve's own.
 type config struct {
-	addr           string
+	*proc.Shell
 	models         string
 	bootstrap      bool
 	jobs           int
@@ -124,23 +119,15 @@ type config struct {
 	seed           uint64
 	reloadInterval time.Duration
 	shadowFraction float64
-	adminToken     string
 	driftInterval  time.Duration
 	psiThreshold   float64
 	autoPromote    bool
 	autoRollback   bool
 	retrainWindow  int
-	traceSample    float64
-	traceBuffer    int
-	sloSpec        string
-	pprofAddr      string
-	logFormat      string
-	logLevel       string
 
 	admissionMax    int
 	admissionP99    time.Duration
 	defaultDeadline time.Duration
-	shutdownGrace   time.Duration
 	chaosSpec       string
 
 	routerURL         string
@@ -149,56 +136,7 @@ type config struct {
 }
 
 func main() {
-	var cfg config
-	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
-	flag.StringVar(&cfg.models, "models", "", "model registry directory")
-	flag.BoolVar(&cfg.bootstrap, "bootstrap", false, "train demo bundles into -models before serving")
-	flag.IntVar(&cfg.jobs, "jobs", 4000, "jobs per bootstrapped system")
-	flag.IntVar(&cfg.versions, "versions", 2, "bootstrapped versions per system")
-	flag.IntVar(&cfg.workers, "workers", 2, "how many requests evaluate their cache misses at once")
-	flag.IntVar(&cfg.cacheSize, "cache", 1<<16, "duplicate cache capacity in entries, at most an eighth of them rows that have not hit, a 64th until evicted rows come back (0 disables)")
-	flag.Uint64Var(&cfg.seed, "seed", 1, "bootstrap seed")
-	flag.DurationVar(&cfg.reloadInterval, "reload-interval", 0,
-		"poll -models for new/changed/removed versions and swap them live (0 disables)")
-	flag.Float64Var(&cfg.shadowFraction, "shadow-fraction", 0,
-		"fraction of active-version rows mirrored to adjacent versions for online comparison (0 disables)")
-	flag.StringVar(&cfg.adminToken, "admin-token", os.Getenv("IOSERVE_ADMIN_TOKEN"),
-		"bearer token required on mutating admin endpoints (default $IOSERVE_ADMIN_TOKEN; empty leaves them open)")
-	flag.DurationVar(&cfg.driftInterval, "drift-interval", 0,
-		"drift-detection window period; enables the closed-loop control plane (0 disables)")
-	flag.Float64Var(&cfg.psiThreshold, "drift-psi-threshold", 0.2,
-		"per-feature PSI above which a window counts toward a drift signal")
-	flag.BoolVar(&cfg.autoPromote, "auto-promote", false,
-		"let the policy engine promote a retrained candidate after k clean windows")
-	flag.BoolVar(&cfg.autoRollback, "auto-rollback", false,
-		"let the policy engine roll back a regressing version after k bad windows")
-	flag.IntVar(&cfg.retrainWindow, "retrain-window", 4096,
-		"feedback rows buffered per system for automated retraining")
-	flag.Float64Var(&cfg.traceSample, "trace-sample", 0,
-		"fraction of requests head-sampled into the trace ring; errors, OoD, and slow requests are always kept (0 disables tracing)")
-	flag.IntVar(&cfg.traceBuffer, "trace-buffer", 256, "retained-trace ring capacity")
-	flag.StringVar(&cfg.sloSpec, "slo", "",
-		"SLO objectives as 'class:p99=25ms,avail=99.9[;class:...]' over classes predict and control; enables /v1/slo and ioserve_slo_* series (empty disables)")
-	flag.StringVar(&cfg.pprofAddr, "pprof-addr", "",
-		"serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
-	flag.StringVar(&cfg.logFormat, "log-format", "text", "log output format: text or json")
-	flag.StringVar(&cfg.logLevel, "log-level", "info", "log verbosity: debug, info, warn, or error")
-	flag.IntVar(&cfg.admissionMax, "admission-max-inflight", 0,
-		"admission-control soft cap on concurrent predict requests; above it predict traffic is shed with 429 (0 disables admission control)")
-	flag.DurationVar(&cfg.admissionP99, "admission-p99", 0,
-		"shed predict traffic when the moving p99 of admitted requests exceeds this while the gate is above half its soft cap (0 disables the latency trigger)")
-	flag.DurationVar(&cfg.defaultDeadline, "default-deadline", 0,
-		"per-request deadline applied to predict requests; clients may lower it with the "+serve.DeadlineHeader+" header (0 disables)")
-	flag.DurationVar(&cfg.shutdownGrace, "shutdown-grace", 10*time.Second,
-		"drain window for in-flight requests after SIGINT/SIGTERM before the listener is torn down")
-	flag.StringVar(&cfg.chaosSpec, "chaos", "",
-		`fault-injection spec, e.g. "latency=5ms:0.2,error=0.05,panic=0.01,corrupt=0.1,hbloss=0.3,partition=0.1" (empty disables; never set in production)`)
-	flag.StringVar(&cfg.routerURL, "router", "",
-		"iorouter base URL to self-register with (dynamic fleet membership; empty disables)")
-	flag.StringVar(&cfg.advertiseURL, "advertise", "",
-		"base URL the router should dial back for this replica (default derives http://127.0.0.1 from -addr)")
-	flag.DurationVar(&cfg.heartbeatInterval, "heartbeat-interval", 0,
-		"membership heartbeat cadence (0 takes the router's grant: lease TTL / 3)")
+	cfg := newConfig(flag.CommandLine)
 	flag.Parse()
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "ioserve:", err)
@@ -206,27 +144,53 @@ func main() {
 	}
 }
 
-// traceEvery converts the -trace-sample fraction to the tracer's 1-in-N
-// head-sampling period (0 = disabled).
-func traceEvery(sample float64) int {
-	if sample <= 0 {
-		return 0
-	}
-	if sample >= 1 {
-		return 1
-	}
-	return int(math.Round(1 / sample))
+// newConfig registers ioserve's flags on fs.
+func newConfig(fs *flag.FlagSet) *config {
+	cfg := &config{Shell: proc.Register(fs, ":8080")}
+	fs.StringVar(&cfg.models, "models", "", "model registry directory")
+	fs.BoolVar(&cfg.bootstrap, "bootstrap", false, "train demo bundles into -models before serving")
+	fs.IntVar(&cfg.jobs, "jobs", 4000, "jobs per bootstrapped system")
+	fs.IntVar(&cfg.versions, "versions", 2, "bootstrapped versions per system")
+	fs.IntVar(&cfg.workers, "workers", 2, "how many requests evaluate their cache misses at once")
+	fs.IntVar(&cfg.cacheSize, "cache", 1<<16, "duplicate cache capacity in entries, at most an eighth of them rows that have not hit, a 64th until evicted rows come back (0 disables)")
+	fs.Uint64Var(&cfg.seed, "seed", 1, "bootstrap seed")
+	fs.DurationVar(&cfg.reloadInterval, "reload-interval", 0,
+		"poll -models for new/changed/removed versions and swap them live (0 disables)")
+	fs.Float64Var(&cfg.shadowFraction, "shadow-fraction", 0,
+		"fraction of active-version rows mirrored to adjacent versions for online comparison (0 disables)")
+	fs.DurationVar(&cfg.driftInterval, "drift-interval", 0,
+		"drift-detection window period; enables the closed-loop control plane (0 disables)")
+	fs.Float64Var(&cfg.psiThreshold, "drift-psi-threshold", 0.2,
+		"per-feature PSI above which a window counts toward a drift signal")
+	fs.BoolVar(&cfg.autoPromote, "auto-promote", false,
+		"let the policy engine promote a retrained candidate after k clean windows")
+	fs.BoolVar(&cfg.autoRollback, "auto-rollback", false,
+		"let the policy engine roll back a regressing version after k bad windows")
+	fs.IntVar(&cfg.retrainWindow, "retrain-window", 4096,
+		"feedback rows buffered per system for automated retraining")
+	fs.IntVar(&cfg.admissionMax, "admission-max-inflight", 0,
+		"admission-control soft cap on concurrent predict requests; above it predict traffic is shed with 429 (0 disables admission control)")
+	fs.DurationVar(&cfg.admissionP99, "admission-p99", 0,
+		"shed predict traffic when the moving p99 of admitted requests exceeds this while the gate is above half its soft cap (0 disables the latency trigger)")
+	fs.DurationVar(&cfg.defaultDeadline, "default-deadline", 0,
+		"per-request deadline applied to predict requests; clients may lower it with the "+serve.DeadlineHeader+" header (0 disables)")
+	fs.StringVar(&cfg.chaosSpec, "chaos", "",
+		`fault-injection spec, e.g. "latency=5ms:0.2,error=0.05,panic=0.01,corrupt=0.1,hbloss=0.3,partition=0.1" (empty disables; never set in production)`)
+	fs.StringVar(&cfg.routerURL, "router", "",
+		"iorouter base URL to self-register with (dynamic fleet membership; empty disables)")
+	fs.StringVar(&cfg.advertiseURL, "advertise", "",
+		"base URL the router should dial back for this replica (default derives http://127.0.0.1 from -addr)")
+	fs.DurationVar(&cfg.heartbeatInterval, "heartbeat-interval", 0,
+		"membership heartbeat cadence (0 takes the router's grant: lease TTL / 3)")
+	return cfg
 }
 
-func run(cfg config) error {
-	logger, err := obs.NewLogger(os.Stderr, cfg.logFormat, cfg.logLevel)
+func run(cfg *config) error {
+	slo, err := cfg.Setup()
 	if err != nil {
 		return err
 	}
-	// The signal context drives graceful shutdown: first SIGINT/SIGTERM
-	// starts the drain, a second one kills the process the default way.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
+	logger := cfg.Logger
 
 	var inj *chaos.Injector
 	if cfg.chaosSpec != "" {
@@ -269,8 +233,8 @@ func run(cfg config) error {
 		Workers:        cfg.workers,
 		CacheSize:      cfg.cacheSize,
 		ShadowFraction: cfg.shadowFraction,
-		TraceEvery:     traceEvery(cfg.traceSample),
-		TraceBuffer:    cfg.traceBuffer,
+		TraceEvery:     cfg.TraceEvery(),
+		TraceBuffer:    cfg.TraceBuffer,
 		Logger:         logger,
 		Chaos:          inj,
 	})
@@ -304,44 +268,11 @@ func run(cfg config) error {
 		rel.Start()
 		logger.Info("registry reloading on", "dir", cfg.models, "interval", cfg.reloadInterval)
 	}
-	if inj != nil && cfg.models != "" {
-		// Registry-corruption chaos: periodically roll the corrupt dice and,
-		// on a hit, drop a bogus version directory into the watched registry
-		// for the reloader's skip-and-backoff path to chew on.
-		go func() {
-			tick := time.NewTicker(time.Second)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					if !inj.CorruptTick() {
-						continue
-					}
-					if dir, err := inj.CorruptRegistry(cfg.models); err != nil {
-						logger.Warn("chaos registry corruption failed", "err", err)
-					} else {
-						logger.Warn("chaos corrupted registry", "dir", dir)
-					}
-				}
-			}
-		}()
-	}
 	if cfg.shadowFraction > 0 {
 		logger.Info("shadow mirroring on", "fraction", cfg.shadowFraction)
 	}
-	if cfg.traceSample > 0 {
-		logger.Info("request tracing on",
-			"head_sample_every", traceEvery(cfg.traceSample), "ring", cfg.traceBuffer)
-	}
 
-	handler := serve.NewHandler(svc, serve.HandlerConfig{
-		AdminToken:      cfg.adminToken,
-		Gate:            gate,
-		Resilience:      res,
-		DefaultDeadline: cfg.defaultDeadline,
-	})
+	var ctl *drift.Controller
 	if cfg.driftInterval > 0 {
 		dcfg := drift.Config{
 			Root:          cfg.models,
@@ -357,108 +288,42 @@ func run(cfg config) error {
 			// With mirroring on, demand shadow evidence before verdicts.
 			dcfg.MinMirrored = 16
 		}
-		ctl := drift.New(svc, dcfg)
+		ctl = drift.New(svc, dcfg)
 		ctl.Start()
 		defer ctl.Close()
-		mux := http.NewServeMux()
-		mux.Handle("/", handler)
-		// Drift admin and feedback are control-class traffic: the gate sheds
-		// them only at the hard limit, so feedback keeps flowing while
-		// predict load is being shed.
-		driftHandler := resilience.AdmitHandler(gate, resilience.ClassControl, ctl.Handler(cfg.adminToken))
-		mux.Handle("/v1/drift", driftHandler)
-		mux.Handle("/v1/drift/", driftHandler)
-		mux.Handle("/v1/feedback", driftHandler)
-		handler = mux
 		logger.Info("drift control plane on",
 			"window", cfg.driftInterval, "psi", cfg.psiThreshold,
 			"auto_promote", cfg.autoPromote, "auto_rollback", cfg.autoRollback)
 	}
-	if cfg.sloSpec != "" {
-		specs, err := obs.ParseSLO(cfg.sloSpec)
-		if err != nil {
-			return err
-		}
-		slo := obs.NewSLO(specs)
-		svc.Metrics().RegisterCollector(func(dst []obs.PromFamily) []obs.PromFamily { return slo.Collect("ioserve", dst) })
-		// The middleware wraps the whole surface (drift mux included) so
-		// predict and control outcomes both land in the objectives; /v1/slo
-		// itself sits outside the wrap.
-		classify := func(r *http.Request) string {
-			switch {
-			case r.URL.Path == "/v1/predict":
-				return "predict"
-			case r.URL.Path == "/v1/feedback" || strings.HasPrefix(r.URL.Path, "/v1/drift"):
-				return "control"
-			}
-			return ""
-		}
-		smux := http.NewServeMux()
-		smux.Handle("/", obs.SLOMiddleware(slo, classify, handler))
-		smux.HandleFunc("/v1/slo", serve.GetJSON(func(*http.Request) any { return map[string]any{"objectives": slo.Status()} }))
-		handler = smux
-		for _, s := range specs {
-			logger.Info("SLO objective on", "objective", s.String())
-		}
-	}
-	if cfg.adminToken != "" {
+	handler := newHandler(svc, serve.HandlerConfig{
+		AdminToken:      cfg.AdminToken,
+		Gate:            gate,
+		Resilience:      res,
+		DefaultDeadline: cfg.defaultDeadline,
+	}, ctl, slo)
+	if cfg.AdminToken != "" {
 		logger.Info("admin endpoints require a bearer token")
-	}
-	var psrv *http.Server
-	if cfg.pprofAddr != "" {
-		// pprof gets its own mux on its own listener so profiling exposure
-		// is an explicit, separately firewallable choice — never a route
-		// that leaks onto the serving port.
-		pmux := http.NewServeMux()
-		pmux.HandleFunc("/debug/pprof/", pprof.Index)
-		pmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		pmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		pmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		pmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		psrv = &http.Server{Addr: cfg.pprofAddr, Handler: pmux, ReadHeaderTimeout: 5 * time.Second}
-		go func() {
-			logger.Info("pprof listening", "addr", cfg.pprofAddr)
-			if err := psrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				logger.Error("pprof server failed", "err", err)
-			}
-		}()
 	}
 	if cfg.defaultDeadline > 0 {
 		logger.Info("request deadline on", "default", cfg.defaultDeadline, "header", serve.DeadlineHeader)
 	}
-
 	for _, info := range reg.List() {
 		logger.Info("model loaded",
 			"system", info.System, "version", info.Version, "features", info.Features,
 			"trees", info.Trees, "ensemble", info.EnsembleSize,
 			"eu_threshold", info.Guard.EUThreshold, "active", info.Active)
 	}
-	logger.Info("listening", "addr", cfg.addr)
-	server := &http.Server{
-		Addr:              cfg.addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	serveErr := make(chan error, 1)
-	go func() {
-		if err := server.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			serveErr <- err
-		}
-	}()
 
-	// Dynamic fleet membership: announce to the router, heartbeat the
-	// lease, and on shutdown run the coordinated drain before the local
-	// HTTP drain.
+	// Dynamic fleet membership: announce to the router once the listener is
+	// bound, heartbeat the lease, and on shutdown run the coordinated drain
+	// before the local HTTP drain.
 	var agent *fleet.Agent
 	if cfg.routerURL != "" {
 		advertise := cfg.advertiseURL
 		if advertise == "" {
-			advertise = deriveAdvertise(cfg.addr)
+			advertise = deriveAdvertise(cfg.Addr)
 			if advertise == "" {
-				return fmt.Errorf("-advertise is required with -router when -addr (%q) has no usable host", cfg.addr)
+				return fmt.Errorf("-advertise is required with -router when -addr (%q) has no usable host", cfg.Addr)
 			}
 		}
 		// The router names remote replicas by host:port of the base URL.
@@ -475,7 +340,7 @@ func run(cfg config) error {
 				"service": "ioserve",
 				"systems": strings.Join(systems, ","),
 			},
-			AdminToken: cfg.adminToken,
+			AdminToken: cfg.AdminToken,
 			Heartbeat:  cfg.heartbeatInterval,
 			Logger:     logger,
 			Chaos:      inj,
@@ -483,43 +348,89 @@ func run(cfg config) error {
 		if err != nil {
 			return err
 		}
-		go agent.Run(ctx)
 		logger.Info("fleet membership on", "router", cfg.routerURL, "advertise", advertise, "name", name)
 	}
-
-	select {
-	case err := <-serveErr:
-		return err
-	case <-ctx.Done():
+	started := func(ctx context.Context, _ net.Addr) {
+		if agent != nil {
+			go agent.Run(ctx)
+		}
+		if inj != nil && cfg.models != "" {
+			go corruptRegistry(ctx, inj, cfg.models, logger)
+		}
 	}
-	stopSignals()
-	logger.Info("shutting down", "grace", cfg.shutdownGrace)
-	sctx, cancel := context.WithTimeout(context.Background(), cfg.shutdownGrace)
-	defer cancel()
+	var drain func(context.Context)
 	if agent != nil {
 		// Coordinated drain, step 1: deregister and wait for the router to
 		// confirm the arc handoff — after this no new rows arrive, so the
-		// local HTTP drain below only finishes stragglers. If the router is
+		// local HTTP drain only finishes stragglers. If the router is
 		// unreachable the lease expires and ejects us the hard way; exiting
-		// anyway is safe.
-		if resp, err := agent.Drain(sctx); err != nil {
-			logger.Warn("fleet drain handshake failed; relying on lease expiry", "err", err)
-		} else {
-			logger.Info("fleet drain confirmed", "drained", resp.Drained, "pending_rows", resp.PendingRows)
+		// anyway is safe. The deferred Close calls then stop the drift loop
+		// and the reloader and wait out any running evaluation.
+		drain = func(ctx context.Context) {
+			if resp, err := agent.Drain(ctx); err != nil {
+				logger.Warn("fleet drain handshake failed; relying on lease expiry", "err", err)
+			} else {
+				logger.Info("fleet drain confirmed", "drained", resp.Drained, "pending_rows", resp.PendingRows)
+			}
 		}
 	}
-	// Step 2 (or the whole drain when not fleet-registered): stop
-	// accepting, let in-flight requests finish within the grace window,
-	// then the deferred Close calls stop the drift loop and the reloader and
-	// wait out any running evaluation.
-	if psrv != nil {
-		_ = psrv.Shutdown(sctx)
+	return cfg.Serve(context.Background(), handler, started, drain)
+}
+
+// newHandler mounts ioserve's surface: serve's handler, the drift control
+// plane's endpoints when ctl is non-nil, and /v1/slo. The SLO middleware
+// wraps all of it but /v1/slo itself, so predict and control outcomes both
+// land in the objectives, and the SLO series join svc's /metrics.
+func newHandler(svc *serve.Service, hcfg serve.HandlerConfig, ctl *drift.Controller, slo *obs.SLO) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/", serve.NewHandler(svc, hcfg))
+	if ctl != nil {
+		// Drift admin and feedback are control-class traffic: the gate sheds
+		// them only at the hard limit, so feedback keeps flowing while
+		// predict load is being shed.
+		driftHandler := resilience.AdmitHandler(hcfg.Gate, ctl.Handler(hcfg.AdminToken))
+		mux.Handle("/v1/drift", driftHandler)
+		mux.Handle("/v1/drift/", driftHandler)
+		mux.Handle("/v1/feedback", driftHandler)
 	}
-	if err := server.Shutdown(sctx); err != nil {
-		return fmt.Errorf("graceful shutdown: %w", err)
+	svc.Metrics().RegisterCollector(func(dst []obs.PromFamily) []obs.PromFamily { return slo.Collect("ioserve", dst) })
+	classify := func(r *http.Request) string {
+		switch {
+		case r.URL.Path == "/v1/predict":
+			return "predict"
+		case r.URL.Path == "/v1/feedback" || strings.HasPrefix(r.URL.Path, "/v1/drift"):
+			return "control"
+		}
+		return ""
 	}
-	logger.Info("shutdown complete")
-	return nil
+	smux := http.NewServeMux()
+	smux.Handle("/", obs.SLOMiddleware(slo, classify, mux))
+	serve.MountSLO(smux, slo, "ioserve")
+	return smux
+}
+
+// corruptRegistry is registry-corruption chaos: once a second it rolls the
+// corrupt dice and, on a hit, drops a bogus version directory into the
+// watched registry for the reloader's skip-and-backoff path to chew on,
+// until ctx ends.
+func corruptRegistry(ctx context.Context, inj *chaos.Injector, dir string, logger *slog.Logger) {
+	tick := time.NewTicker(time.Second)
+	defer tick.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-tick.C:
+			if !inj.CorruptTick() {
+				continue
+			}
+			if bad, err := inj.CorruptRegistry(dir); err != nil {
+				logger.Warn("chaos registry corruption failed", "err", err)
+			} else {
+				logger.Warn("chaos corrupted registry", "dir", bad)
+			}
+		}
+	}
 }
 
 // deriveAdvertise guesses a loopback advertise URL from -addr for

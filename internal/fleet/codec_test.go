@@ -107,3 +107,43 @@ func TestRemoteBoundsTheReplicaReply(t *testing.T) {
 		t.Errorf("breaker %q after a runaway reply, want open", state)
 	}
 }
+
+// A predict body is exactly one JSON value: ioserve and the router refuse
+// anything but white space after it with the same 400, and still take the
+// value alone and the value with trailing white space.
+func TestPredictRefusesDataAfterTheValue(t *testing.T) {
+	dir, pool := e2eFixture(t)
+	reg, err := serve.LoadRegistry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := serve.NewService(reg, serve.Options{CacheSize: 1 << 12})
+	t.Cleanup(svc.Close)
+	handlers := map[string]http.Handler{
+		"ioserve":  serve.NewHandler(svc, serve.HandlerConfig{}),
+		"iorouter": NewHandler(newTestRouter(t, RouterConfig{}, NewLocal("r0", svc, nil)), HandlerConfig{}),
+	}
+	value, err := json.Marshal(serve.PredictRequest{System: "theta", Row: pool[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const refused = `{"error":"decoding request: data after the JSON value"}` + "\n"
+	for _, tc := range []struct {
+		after string
+		code  int
+	}{
+		{"", http.StatusOK},
+		{" \n\t\r", http.StatusOK},
+		{" 0", http.StatusBadRequest},
+		{"garbage", http.StatusBadRequest},
+		{"}", http.StatusBadRequest},
+	} {
+		for name, h := range handlers {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(string(value)+tc.after)))
+			if rec.Code != tc.code || tc.code == http.StatusBadRequest && rec.Body.String() != refused {
+				t.Errorf("%s: value + %q answered %d %q, want %d", name, tc.after, rec.Code, rec.Body.String(), tc.code)
+			}
+		}
+	}
+}

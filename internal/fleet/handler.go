@@ -83,13 +83,7 @@ func NewHandler(rt *Router, cfg HandlerConfig) http.Handler {
 		}
 		return rt.tracer.SlowThresholdNs(), summaries
 	}, rt.StitchTrace)
-	if cfg.SLO != nil {
-		mux.HandleFunc("/v1/slo", serve.GetJSON(func(*http.Request) any { return map[string]any{"objectives": cfg.SLO.Status()} }))
-	} else {
-		mux.HandleFunc("/v1/slo", func(w http.ResponseWriter, r *http.Request) {
-			serve.WriteError(w, http.StatusConflict, "SLO tracking disabled (start iorouter with -slo)")
-		})
-	}
+	serve.MountSLO(mux, cfg.SLO, "iorouter")
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		view := rt.View()
 		status := http.StatusOK

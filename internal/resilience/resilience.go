@@ -16,7 +16,6 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"time"
 
 	"iotaxo/internal/obs"
 )
@@ -141,17 +140,15 @@ func stateGaugeValue(state string) int {
 	}
 }
 
-// AdmitHandler wraps next with admission control under the given priority
-// class: shed requests get 429 + Retry-After without reaching next. A nil
-// gate passes everything through untouched. Control-class latencies are
-// not fed to the gate's p99 (the latency trigger watches predict traffic
-// only).
-func AdmitHandler(g *Gate, class Class, next http.Handler) http.Handler {
+// AdmitHandler wraps next with control-class admission: shed requests get
+// 429 + Retry-After without reaching next; a nil gate passes everything. The
+// gate's p99 watches predict traffic, which the predict handler admits.
+func AdmitHandler(g *Gate, next http.Handler) http.Handler {
 	if g == nil {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ok, reason := g.Admit(class)
+		ok, reason := g.Admit(ClassControl)
 		if !ok {
 			w.Header().Set("Retry-After", g.RetryAfterHeader())
 			w.Header().Set("Content-Type", "application/json")
@@ -159,14 +156,7 @@ func AdmitHandler(g *Gate, class Class, next http.Handler) http.Handler {
 			fmt.Fprintf(w, "{\"error\":\"overloaded (%s): retry later\"}\n", reason)
 			return
 		}
-		start := time.Now()
-		defer func() {
-			took := time.Since(start)
-			if class != ClassPredict {
-				took = -1
-			}
-			g.Release(took)
-		}()
+		defer g.Release(-1)
 		next.ServeHTTP(w, r)
 	})
 }

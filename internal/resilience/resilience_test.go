@@ -273,7 +273,7 @@ func TestSetMetricsAndStatus(t *testing.T) {
 func TestAdmitHandler(t *testing.T) {
 	g := NewGate(GateConfig{MaxInflight: 1, HardLimit: 1, RetryAfter: 2 * time.Second})
 	next := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusOK) })
-	h := AdmitHandler(g, ClassControl, next)
+	h := AdmitHandler(g, next)
 
 	// Fill the gate so the wrapped request sheds.
 	if ok, _ := g.Admit(ClassControl); !ok {
@@ -303,7 +303,7 @@ func TestAdmitHandler(t *testing.T) {
 
 	// A nil gate is a pass-through.
 	rec = httptest.NewRecorder()
-	AdmitHandler(nil, ClassPredict, next).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+	AdmitHandler(nil, next).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("nil-gate status %d", rec.Code)
 	}

@@ -171,9 +171,20 @@ func decodeRequestJSON(data []byte, readErr error, req *PredictRequest) error {
 	if readErr != nil {
 		src = io.MultiReader(src, errReader{readErr})
 	}
-	dec := json.NewDecoder(src)
+	return decodeOne(json.NewDecoder(src), req)
+}
+
+// decodeOne decodes exactly one JSON value from dec into v, refusing unknown
+// fields and any data after the value, as json.Unmarshal does; white space
+// up to a read error ends the body as EOF does.
+func decodeOne(dec *json.Decoder, v any) error {
 	dec.DisallowUnknownFields()
-	return dec.Decode(req)
+	err := dec.Decode(v)
+	var syntax *json.SyntaxError
+	if _, after := dec.Token(); err == nil && (after == nil || errors.As(after, &syntax)) {
+		err = errors.New("data after the JSON value")
+	}
+	return err
 }
 
 // cursor walks JSON text. Its token methods take only the plain forms the
@@ -342,7 +353,8 @@ func (c *predictCall) decodeRequest(data []byte) bool {
 		seen[k] = true
 		p.space()
 	}
-	if p.bad {
+	p.space() // anything but white space after the value is the fallback's
+	if p.bad || p.i != len(p.b) {
 		return false
 	}
 	// The block may have moved while it grew, so the headers are cut from
@@ -728,13 +740,7 @@ func DecodePost(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if _, after := dec.Token(); err == nil && after != io.EOF {
-		err = errors.New("data after the JSON value") // what json.Unmarshal refuses too
-	}
-	if err != nil {
+	if err := decodeOne(json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)), v); err != nil {
 		WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return false
 	}

@@ -87,6 +87,9 @@ var requestSeeds = []string{
 	" \t\r\n{ \"system\" : \"theta\" , \"rows\" : [ [ 1 , 2 ] , [ 3 ] ] } \n",
 	`{"system":"theta","row":[1]} trailing bytes {`,
 	`{"system":"theta","row":[1]}{"system":"cori"}`,
+	`{"system":"theta","row":[1]} 0`,
+	`{"system":"theta","row":[1]}garbage`,
+	`{"system":"theta","row":[1]}}`,
 	`{"system":"theta","row":null}`,
 	`{"system":"theta","rows":null}`,
 	`{"system":"theta","rows":[null,[1]]}`,

@@ -236,13 +236,8 @@ func NewHandler(svc *Service, cfg HandlerConfig) http.Handler {
 	mux.HandleFunc("/v1/predict", func(w http.ResponseWriter, r *http.Request) {
 		handlePredict(svc, &cfg, w, r)
 	})
-	if cfg.Resilience != nil {
-		mux.HandleFunc("/v1/resilience", RequireAdmin(cfg.AdminToken, GetJSON(func(*http.Request) any { return cfg.Resilience.Status() })))
-	} else {
-		mux.HandleFunc("/v1/resilience", func(w http.ResponseWriter, r *http.Request) {
-			WriteError(w, http.StatusConflict, "resilience layer not configured (start ioserve with -admission-max-inflight or -reload-interval)")
-		})
-	}
+	mux.HandleFunc("/v1/resilience", conflictUnless(cfg.Resilience != nil, "resilience layer not configured (start ioserve with -admission-max-inflight or -reload-interval)",
+		RequireAdmin(cfg.AdminToken, GetJSON(func(*http.Request) any { return cfg.Resilience.Status() }))))
 	mux.HandleFunc("/v1/models", GetJSON(func(*http.Request) any { return map[string]any{"models": svc.Registry().List()} }))
 	mux.HandleFunc("/v1/versions", GetJSON(func(*http.Request) any { return map[string]any{"systems": systemVersions(svc)} }))
 	mux.HandleFunc("/v1/versions/promote", RequireAdmin(cfg.AdminToken, versionAction(svc, func(req *versionActionRequest) (int, error) {
@@ -386,6 +381,25 @@ func getOnly(next http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// MountSLO mounts GET /v1/slo: each objective's compliance, burn rates and
+// alert state, or 409 naming bin's -slo flag when slo is nil.
+func MountSLO(mux *http.ServeMux, slo *obs.SLO, bin string) {
+	mux.HandleFunc("/v1/slo", conflictUnless(slo != nil, "SLO tracking disabled (start "+bin+" with -slo)",
+		GetJSON(func(*http.Request) any { return map[string]any{"objectives": slo.Status()} })))
+}
+
+// conflictUnless answers 409 with msg when on is false: the endpoint's
+// subsystem is off. Otherwise next answers.
+func conflictUnless(on bool, msg string, next http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !on {
+			WriteError(w, http.StatusConflict, msg)
+			return
+		}
+		next(w, r)
+	}
+}
+
 // MountTraces mounts GET /v1/trace (list: the slow threshold and at most
 // limit retained traces, newest first; 0 is all) and GET /v1/trace/{id}
 // (get: one trace, false when not retained) behind the admin token. Both
@@ -393,13 +407,7 @@ func getOnly(next http.HandlerFunc) http.HandlerFunc {
 func MountTraces[D any](mux *http.ServeMux, token string, on bool, bin string,
 	list func(limit int) (slowThresholdNs int64, traces any), get func(context.Context, uint64) (D, bool)) {
 	traced := func(next http.HandlerFunc) http.HandlerFunc {
-		return RequireAdmin(token, getOnly(func(w http.ResponseWriter, r *http.Request) {
-			if !on {
-				WriteError(w, http.StatusConflict, "tracing disabled (start "+bin+" with -trace-sample)")
-				return
-			}
-			next(w, r)
-		}))
+		return RequireAdmin(token, getOnly(conflictUnless(on, "tracing disabled (start "+bin+" with -trace-sample)", next)))
 	}
 	mux.HandleFunc("/v1/trace", traced(func(w http.ResponseWriter, r *http.Request) {
 		limit := 0
