@@ -98,7 +98,7 @@ func (s *Shell) TraceEvery() int {
 // non-nil, runs once the listener is bound, with a context that ends when
 // shutdown begins. Shutdown runs drain, when non-nil, then stops pprof and
 // lets in-flight requests finish, all within -shutdown-grace.
-func (s *Shell) Serve(ctx context.Context, h http.Handler, started func(context.Context, net.Addr), drain func(context.Context)) error {
+func (s *Shell) Serve(ctx context.Context, h http.Handler, started, drain func(context.Context)) error {
 	ctx, stopSignals := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	ln, err := net.Listen("tcp", s.Addr)
@@ -136,7 +136,7 @@ func (s *Shell) Serve(ctx context.Context, h http.Handler, started func(context.
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- server.Serve(ln) }()
 	if started != nil {
-		started(ctx, ln.Addr())
+		started(ctx)
 	}
 	select {
 	case err := <-serveErr:

@@ -43,8 +43,15 @@ func TestRegisterKeepsTheProcessFlags(t *testing.T) {
 // hook's context already ended, then lets the in-flight request finish, and
 // only then returns nil, having logged "shutdown complete".
 func TestServeDrainsInOrder(t *testing.T) {
+	// A port the kernel just handed out is free for Serve to bind.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
 	var logged bytes.Buffer
-	s := &Shell{Addr: "127.0.0.1:0", ShutdownGrace: 5 * time.Second, Logger: slog.New(slog.NewTextHandler(&logged, nil))}
+	s := &Shell{Addr: addr, ShutdownGrace: 5 * time.Second, Logger: slog.New(slog.NewTextHandler(&logged, nil))}
 	var (
 		mu    sync.Mutex
 		order []string
@@ -63,10 +70,10 @@ func TestServeDrainsInOrder(t *testing.T) {
 	})
 	reply := make(chan error, 1)
 	var startedCtx context.Context
-	started := func(ctx context.Context, addr net.Addr) {
+	started := func(ctx context.Context) {
 		startedCtx = ctx
 		go func() {
-			resp, err := http.Get("http://" + addr.String())
+			resp, err := http.Get("http://" + addr)
 			if err == nil {
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {

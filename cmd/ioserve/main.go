@@ -92,7 +92,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -350,7 +349,7 @@ func run(cfg *config) error {
 		}
 		logger.Info("fleet membership on", "router", cfg.routerURL, "advertise", advertise, "name", name)
 	}
-	started := func(ctx context.Context, _ net.Addr) {
+	started := func(ctx context.Context) {
 		if agent != nil {
 			go agent.Run(ctx)
 		}
@@ -377,36 +376,33 @@ func run(cfg *config) error {
 	return cfg.Serve(context.Background(), handler, started, drain)
 }
 
-// newHandler mounts ioserve's surface: serve's handler, the drift control
-// plane's endpoints when ctl is non-nil, and /v1/slo. The SLO middleware
-// wraps all of it but /v1/slo itself, so predict and control outcomes both
-// land in the objectives, and the SLO series join svc's /metrics.
+// newHandler mounts ioserve's surface on one mux: serve's handler, the drift
+// control plane's endpoints when ctl is non-nil, and /v1/slo. Predict and
+// the drift endpoints pass through the SLO middleware under their classes
+// (predict; control for /v1/feedback and /v1/drift*), and the SLO series
+// join svc's /metrics.
 func newHandler(svc *serve.Service, hcfg serve.HandlerConfig, ctl *drift.Controller, slo *obs.SLO) http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/", serve.NewHandler(svc, hcfg))
+	predict := func(r *http.Request) string {
+		if r.URL.Path == "/v1/predict" {
+			return "predict"
+		}
+		return ""
+	}
+	mux.Handle("/", obs.SLOMiddleware(slo, predict, serve.NewHandler(svc, hcfg)))
 	if ctl != nil {
 		// Drift admin and feedback are control-class traffic: the gate sheds
 		// them only at the hard limit, so feedback keeps flowing while
 		// predict load is being shed.
-		driftHandler := resilience.AdmitHandler(hcfg.Gate, ctl.Handler(hcfg.AdminToken))
+		control := func(*http.Request) string { return "control" }
+		driftHandler := obs.SLOMiddleware(slo, control, resilience.AdmitHandler(hcfg.Gate, ctl.Handler(hcfg.AdminToken)))
 		mux.Handle("/v1/drift", driftHandler)
 		mux.Handle("/v1/drift/", driftHandler)
 		mux.Handle("/v1/feedback", driftHandler)
 	}
+	serve.MountSLO(mux, slo, "ioserve")
 	svc.Metrics().RegisterCollector(func(dst []obs.PromFamily) []obs.PromFamily { return slo.Collect("ioserve", dst) })
-	classify := func(r *http.Request) string {
-		switch {
-		case r.URL.Path == "/v1/predict":
-			return "predict"
-		case r.URL.Path == "/v1/feedback" || strings.HasPrefix(r.URL.Path, "/v1/drift"):
-			return "control"
-		}
-		return ""
-	}
-	smux := http.NewServeMux()
-	smux.Handle("/", obs.SLOMiddleware(slo, classify, mux))
-	serve.MountSLO(smux, slo, "ioserve")
-	return smux
+	return mux
 }
 
 // corruptRegistry is registry-corruption chaos: once a second it rolls the

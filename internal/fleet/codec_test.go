@@ -137,6 +137,10 @@ func TestPredictRefusesDataAfterTheValue(t *testing.T) {
 		{" 0", http.StatusBadRequest},
 		{"garbage", http.StatusBadRequest},
 		{"}", http.StatusBadRequest},
+		{"t", http.StatusBadRequest},
+		{`"`, http.StatusBadRequest},
+		{" -", http.StatusBadRequest},
+		{"1e", http.StatusBadRequest},
 	} {
 		for name, h := range handlers {
 			rec := httptest.NewRecorder()

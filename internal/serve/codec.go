@@ -175,14 +175,16 @@ func decodeRequestJSON(data []byte, readErr error, req *PredictRequest) error {
 }
 
 // decodeOne decodes exactly one JSON value from dec into v, refusing unknown
-// fields and any data after the value, as json.Unmarshal does; white space
-// up to a read error ends the body as EOF does.
+// fields and any data after the value, as json.Unmarshal does: after it,
+// only EOF, or a read error after nothing but white space, ends the body.
 func decodeOne(dec *json.Decoder, v any) error {
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
-	var syntax *json.SyntaxError
-	if _, after := dec.Token(); err == nil && (after == nil || errors.As(after, &syntax)) {
-		err = errors.New("data after the JSON value")
+	if _, after := dec.Token(); err == nil && after != io.EOF {
+		// What Token could not take (`{...}t`, a read error) is still buffered.
+		if rest, _ := io.ReadAll(dec.Buffered()); after == nil || len(bytes.TrimLeft(rest, " \t\r\n")) > 0 {
+			err = errors.New("data after the JSON value")
+		}
 	}
 	return err
 }

@@ -90,6 +90,10 @@ var requestSeeds = []string{
 	`{"system":"theta","row":[1]} 0`,
 	`{"system":"theta","row":[1]}garbage`,
 	`{"system":"theta","row":[1]}}`,
+	`{"system":"theta","row":[1]}t`,
+	`{"system":"theta","row":[1]}"x`,
+	`{"system":"theta","row":[1]} -`,
+	`{"system":"theta","row":[1]}1e`,
 	`{"system":"theta","row":null}`,
 	`{"system":"theta","rows":null}`,
 	`{"system":"theta","rows":[null,[1]]}`,
@@ -140,6 +144,13 @@ func FuzzDecodePredictRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var want PredictRequest
 		wantErr := decodeRequestJSON(data, nil, &want)
+		// The oracle is held to encoding/json itself: what it takes,
+		// json.Unmarshal takes too (it alone also takes unknown fields).
+		if wantErr == nil {
+			if err := json.Unmarshal(data, new(PredictRequest)); err != nil {
+				t.Fatalf("decodeRequestJSON accepted what json.Unmarshal rejects (%v): %q", err, data)
+			}
+		}
 
 		// The fast path alone: whatever it accepts, it decodes as the
 		// oracle does. A call that has served before must behave like a
@@ -471,7 +482,7 @@ func TestNonFinitePredictionIsA500(t *testing.T) {
 
 // A body that overflows the bound is refused the way the streaming decoder
 // refused it, whether its length was declared or not, and one that
-// completes its value first is still served.
+// completes its value first is still served if only white space follows.
 func TestOversizeBodyKeepsEncodingJSONSemantics(t *testing.T) {
 	post := func(body []byte, chunked bool) (*PredictRequest, *httptest.ResponseRecorder) {
 		rec := httptest.NewRecorder()
@@ -500,6 +511,15 @@ func TestOversizeBodyKeepsEncodingJSONSemantics(t *testing.T) {
 	}
 	if !sameRequest(got, &PredictRequest{System: "theta", Row: []float64{1}}) {
 		t.Fatalf("decoded %+v", got)
+	}
+	// Data after the value is refused even when the bound, not EOF, ends
+	// it: here a string that is still open when the body is cut.
+	open := append([]byte(`{"system":"theta","row":[1]}"`), bytes.Repeat([]byte("a"), maxRequestBody)...)
+	for _, chunked := range []bool{false, true} {
+		if got, rec := post(open, chunked); got != nil || rec.Code != http.StatusBadRequest ||
+			rec.Body.String() != `{"error":"decoding request: data after the JSON value"}`+"\n" {
+			t.Fatalf("value, then data cut by the bound (chunked %v): accepted=%v %d %s", chunked, got != nil, rec.Code, rec.Body.String())
+		}
 	}
 	// The 16 MiB buffer that call grew must not have gone back to the pool.
 	if c := callPool.Get().(*predictCall); cap(c.buf) > maxPooledCall {

@@ -196,6 +196,22 @@ func TestAdminReplyDeclaresItsLength(t *testing.T) {
 	}
 }
 
+// An admin action takes exactly one JSON value: data after it is refused,
+// whether it is a whole token or a value EOF cuts short.
+func TestAdminActionRefusesDataAfterTheValue(t *testing.T) {
+	svc := NewService(fixtureRegistry(t), Options{})
+	t.Cleanup(svc.Close)
+	h := Handler(svc)
+	const refused = `{"error":"decoding request: data after the JSON value"}` + "\n"
+	for _, after := range []string{" 0", "}", "t", `"x`, "-", "1e"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/versions/promote", strings.NewReader(`{"system":"theta","version":1}`+after)))
+		if rec.Code != http.StatusBadRequest || rec.Body.String() != refused {
+			t.Errorf("promote + %q: %d %q, want 400 %q", after, rec.Code, rec.Body.String(), refused)
+		}
+	}
+}
+
 func TestServerModelsHealthMetrics(t *testing.T) {
 	ts, svc := newTestServer(t, 64)
 	frame, _, _ := fixture(t)
