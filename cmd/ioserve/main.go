@@ -377,19 +377,14 @@ func run(cfg *config) error {
 }
 
 // newHandler mounts ioserve's surface on one mux: serve's handler, the drift
-// control plane's endpoints when ctl is non-nil, and /v1/slo. Predict and
-// the drift endpoints pass through the SLO middleware under their classes
-// (predict; control for /v1/feedback and /v1/drift*), and the SLO series
-// join svc's /metrics.
+// control plane's endpoints when ctl is non-nil, and /v1/slo. slo observes
+// predict calls, posted and framed alike, in serve's predict core, and the
+// drift endpoints through the SLO middleware as class control (/v1/feedback
+// and /v1/drift*); the SLO series join svc's /metrics.
 func newHandler(svc *serve.Service, hcfg serve.HandlerConfig, ctl *drift.Controller, slo *obs.SLO) http.Handler {
 	mux := http.NewServeMux()
-	predict := func(r *http.Request) string {
-		if r.URL.Path == "/v1/predict" {
-			return "predict"
-		}
-		return ""
-	}
-	mux.Handle("/", obs.SLOMiddleware(slo, predict, serve.NewHandler(svc, hcfg)))
+	hcfg.SLO = slo
+	mux.Handle("/", serve.NewHandler(svc, hcfg))
 	if ctl != nil {
 		// Drift admin and feedback are control-class traffic: the gate sheds
 		// them only at the hard limit, so feedback keeps flowing while

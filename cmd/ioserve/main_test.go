@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -30,8 +33,9 @@ func TestSharedFlagsAreTheShells(t *testing.T) {
 	})
 }
 
-// /v1/slo answers 409 without -slo. With it, predict and feedback requests
-// are counted under their classes in ioserve_slo_requests_total.
+// /v1/slo answers 409 without -slo. With it, predict requests, posted and
+// framed, and feedback requests are counted under their classes in
+// ioserve_slo_requests_total.
 func TestSLOSurface(t *testing.T) {
 	reg, err := serve.Bootstrap(serve.BootstrapConfig{
 		Systems: []string{"theta"}, Jobs: 700, Versions: 1, Trees: 24, Depth: 5, EnsembleSize: 3, Epochs: 4, Seed: 11,
@@ -74,6 +78,31 @@ func TestSLOSurface(t *testing.T) {
 	if rec := do(h, http.MethodPost, "/v1/feedback", feedback); rec.Code/100 != 2 {
 		t.Fatalf("feedback: %d %s", rec.Code, rec.Body)
 	}
+	// A framed predict, a router's hop, counts as class predict too.
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: x\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", serve.HopPath, serve.HopProtocol)
+	frame, err := serve.AppendHopRequest(nil, &serve.PredictRequest{System: "theta", Row: row}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.Write(frame)
+	br := bufio.NewReader(conn)
+	if resp, err := http.ReadResponse(br, nil); err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("hop upgrade: %v, %+v", err, resp)
+	}
+	head := make([]byte, serve.HopReplyHead)
+	if _, err := io.ReadFull(br, head); err != nil {
+		t.Fatal(err)
+	}
+	if status, _, _ := serve.ParseHopReply(head); status != http.StatusOK {
+		t.Fatalf("framed predict: %d", status)
+	}
 	if rec := do(h, http.MethodGet, "/v1/slo", nil); rec.Code != http.StatusOK {
 		t.Errorf("/v1/slo with -slo: %d %s", rec.Code, rec.Body)
 	}
@@ -91,7 +120,7 @@ func TestSLOSurface(t *testing.T) {
 	}
 	want := map[string]float64{}
 	for _, spec := range specs {
-		want[obs.Labels("class", spec.Class, "objective", spec.String())] = 1
+		want[obs.Labels("class", spec.Class, "objective", spec.String())] = map[string]float64{"predict": 2, "control": 1}[spec.Class]
 	}
 	if fmt.Sprint(counted) != fmt.Sprint(want) {
 		t.Errorf("ioserve_slo_requests_total %v, want %v", counted, want)

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -79,17 +80,19 @@ func TestRoutedReplyEncodesAsEncodingJSON(t *testing.T) {
 	}
 }
 
-// A replica that streams without end is cut off at the reply bound, and the
-// cut counts against it like any other fault.
+// A replica that streams a reply past the bound is cut off at its frame's
+// head, and the cut counts against it like any other fault.
 func TestRemoteBoundsTheReplicaReply(t *testing.T) {
 	chunk := []byte(`{"system":"theta","version":1,"count":1,"predictions":[` + strings.Repeat(`{"log10_throughput":1,"throughput_bytes_per_sec":10,"cache_hit":false},`, 1<<10))
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewServer(hopReplica(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(maxReplicaReply+1))
+		w.(http.Flusher).Flush()
 		for {
 			if _, err := w.Write(chunk); err != nil {
 				return // the router hung up
 			}
 		}
-	}))
+	}, nil))
 	t.Cleanup(ts.Close)
 	rem := newTestRemote(t, "runaway", ts.URL, RemoteConfig{})
 	req := &serve.PredictRequest{System: "theta", Row: []float64{1}}

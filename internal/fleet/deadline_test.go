@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -43,9 +44,43 @@ func TestRemainingBudgetMs(t *testing.T) {
 	if ms, _ := remainingBudgetMs(ctx, base.Add(60*time.Millisecond)); ms >= 0 {
 		t.Fatalf("budget past deadline = %d, want < 0", ms)
 	}
-	// No deadline: no header.
+	// Under a millisecond left: rounded up to one, not down to none.
+	if ms, _ := remainingBudgetMs(ctx, base.Add(49100*time.Microsecond)); ms != 1 {
+		t.Fatalf("budget with 900µs left = %d, want 1", ms)
+	}
+	// No deadline: no budget.
 	if _, ok := remainingBudgetMs(context.Background(), base); ok {
 		t.Fatal("deadline-free context reported a budget")
+	}
+}
+
+// TestRemoteSendsASubMillisecondBudget: a routed request with under a
+// millisecond left still reaches the replica, with a budget of 1 ms; only
+// one whose deadline has passed fails before dispatch.
+func TestRemoteSendsASubMillisecondBudget(t *testing.T) {
+	budgets := make(chan string, 2)
+	ts := httptest.NewServer(hopReplica(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		budgets <- r.Header.Get(serve.DeadlineHeader)
+		answerEmptyPredictions(w, body)
+	}, nil))
+	t.Cleanup(ts.Close)
+	rem := newTestRemote(t, "r0", ts.URL, RemoteConfig{})
+	req := &serve.PredictRequest{System: "theta", Rows: [][]float64{{1}}}
+	if _, err := predict(context.Background(), rem, req); err != nil { // a pooled, upgraded connection
+		t.Fatal(err)
+	}
+	if got := <-budgets; got != "" {
+		t.Fatalf("a deadline-free hop sent a budget of %q ms", got)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 900*time.Microsecond)
+	defer cancel()
+	_, err := predict(ctx, rem, req)
+	if err != nil && strings.Contains(err.Error(), "before dispatch") {
+		t.Fatalf("a hop with 900µs left: %v, want it sent", err)
+	}
+	if got := <-budgets; got != "1" {
+		t.Errorf("the replica saw a budget of %q ms, want 1", got)
 	}
 }
 
@@ -54,7 +89,7 @@ func TestRemainingBudgetMs(t *testing.T) {
 // before dispatch, not the client's original budget.
 func TestRemoteForwardsRemainingBudget(t *testing.T) {
 	var gotBudget atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewServer(hopReplica(func(w http.ResponseWriter, r *http.Request) {
 		ms, err := strconv.ParseInt(r.Header.Get(serve.DeadlineHeader), 10, 64)
 		if err != nil {
 			t.Errorf("bad %s header: %v", serve.DeadlineHeader, err)
@@ -64,7 +99,7 @@ func TestRemoteForwardsRemainingBudget(t *testing.T) {
 			System: "theta", Count: 1,
 			Predictions: make([]serve.PredictionResult, 1),
 		})
-	}))
+	}, nil))
 	t.Cleanup(ts.Close)
 	rem := newTestRemote(t, "replica-http", ts.URL, RemoteConfig{})
 
@@ -117,9 +152,9 @@ func TestRouterClampsAnOverflowingDeadlineHeader(t *testing.T) {
 // passed must not reach the replica at all, and the error must carry
 // context.DeadlineExceeded so the router skips breaker penalty/failover.
 func TestRemoteFailsFastOnExhaustedBudget(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewServer(hopReplica(func(w http.ResponseWriter, r *http.Request) {
 		t.Error("replica received a request with an exhausted budget")
-	}))
+	}, nil))
 	t.Cleanup(ts.Close)
 	rem := newTestRemote(t, "replica-http", ts.URL, RemoteConfig{})
 

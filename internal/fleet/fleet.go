@@ -37,9 +37,10 @@
 // GET /v1/fleet and the merged fleet series at the router's /metrics.
 //
 // Trace propagation: the router's trace ID is every sub-request's
-// TraceParent (on the X-Trace-Id header to a Remote replica); replicas record
-// it as the parent of any trace they retain, so one router-side ID links the
-// replica-side span trees of all the shards that served a request.
+// TraceParent (in the head of a Remote replica's request frame, beside the
+// remaining budget: serve/hop.go); replicas record it as the parent of any
+// trace they retain, so one router-side ID links the replica-side span trees
+// of all the shards that served a request.
 package fleet
 
 import (

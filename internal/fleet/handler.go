@@ -128,27 +128,21 @@ func handleRoute(rt *Router, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The client's deadline bounds the whole fan-out; Remote backends
-	// forward the remaining budget on X-Request-Timeout-Ms so replicas
+	// forward the remaining budget in each hop frame's head so replicas
 	// drop expired requests themselves. The reply is built in pooled
 	// storage, taken back once it is written and logged.
 	out := responsePool.Get().(*Response)
 	defer out.release()
-	err := serve.HandlePredictRequest(w, r, 0, func(ctx context.Context, req *serve.PredictRequest, _ *serve.PredictResponse) (serve.JSONAppender, error) {
+	err := serve.HandlePredictRequest(w, r, 0, func(ctx context.Context, req *serve.PredictRequest, _ *serve.PredictResponse, a *serve.Answer) (serve.JSONAppender, error) {
 		if err := rt.route(ctx, req, out); err != nil {
 			be, ok := err.(*BackendError)
 			if !ok {
 				be = &BackendError{Status: http.StatusServiceUnavailable, Msg: err.Error()}
 			}
-			if be.RetryAfter != "" {
-				w.Header().Set("Retry-After", be.RetryAfter)
-			}
-			serve.WriteError(w, be.Status, be.Msg)
+			a.Status, a.RetryAfter, a.Msg = be.Status, be.RetryAfter, be.Msg
 			return nil, err
 		}
-		if out.TraceID != "" {
-			out.traceHdr[0] = out.TraceID
-			w.Header()[serve.TraceHeader] = out.traceHdr[:]
-		}
+		a.TraceID = out.TraceID
 		return out, nil
 	})
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httputil"
@@ -27,18 +27,18 @@ import (
 	"iotaxo/internal/serve"
 )
 
-// Remote is the HTTP replica backend: one ioserve process addressed over
-// the existing serving surface. A predict's TraceParent travels on
-// X-Trace-Id (the replica records it as its trace parent) and the
-// remaining context deadline on X-Request-Timeout-Ms (the replica drops
-// expired requests itself instead of computing answers nobody will read).
-//
-// Every call is one HTTP/1.1 exchange on a keep-alive connection of the
-// Remote's own pool, each with a goroutine that ends the exchange when the
-// caller's context does: the request written whole, then the reply's head
-// read by readHead, which keeps net/http's ReadResponse rules for the
-// status, framing, closing and Retry-After it reads and builds nothing
-// else, and the body by its framing. No redirect is followed.
+// Remote is the replica backend of one ioserve process reached over the
+// network. Predict hops go over connections upgraded once at GET /v1/hop
+// (serve/hop.go): each call is one request frame, whose head carries the
+// remaining context deadline as a budget (the replica drops expired requests
+// itself instead of computing answers nobody will read) and the TraceParent
+// (the replica records it as its trace parent), and one reply frame. Health,
+// Metrics and FetchTrace are plain HTTP/1.1 GETs on keep-alive connections
+// of their own: the request written whole, the reply's head read by
+// readHead, which keeps net/http's ReadResponse rules for the status,
+// framing, closing and Retry-After it reads and builds nothing else, and the
+// body by its framing. No redirect is followed. Every call has a goroutine
+// that ends it when the caller's context does.
 type Remote struct {
 	name    string
 	baseURL string
@@ -61,10 +61,17 @@ type Remote struct {
 	tlsConf                  *tls.Config
 	parseErr                 error
 
+	// upgrade is the request that opens a hop connection.
+	upgrade []byte
+	// hops pools the upgraded predict connections, gets the plain ones.
+	hops, gets connPool
+}
+
+// connPool is a Remote's pool of idle connections of one kind.
+type connPool struct {
 	mu sync.Mutex
-	// idle is the pool, last in first out, so idle[0] has waited longest;
-	// pruner closes what has waited idleBound, and is armed whenever idle is
-	// not empty.
+	// idle is last in first out, so idle[0] has waited longest; pruner closes
+	// what has waited idleBound, and is armed whenever idle is not empty.
 	idle   []*hopConn
 	pruner *time.Timer
 }
@@ -96,8 +103,10 @@ var errHopTimeout = errors.New("no answer within the hop's own bound")
 // replica backend.
 func NewRemote(name, baseURL string, cfg RemoteConfig) *Remote {
 	r := &Remote{name: name, baseURL: baseURL, hopBound: hopTimeout, idleBound: idleTimeout, adminToken: cfg.AdminToken}
-	r.pruner = time.AfterFunc(idleTimeout, func() { r.closeIdle(time.Now().Add(-r.idleBound)) })
-	r.pruner.Stop()
+	for _, p := range []*connPool{&r.hops, &r.gets} {
+		p.pruner = time.AfterFunc(idleTimeout, func() { r.closeIdle(p, time.Now().Add(-r.idleBound)) })
+		p.pruner.Stop()
+	}
 	base, err := url.Parse(baseURL)
 	if err == nil && (base.Scheme != "http" && base.Scheme != "https" || base.Hostname() == "") {
 		err = errors.New("not an http:// or https:// URL with a host")
@@ -117,6 +126,7 @@ func NewRemote(name, baseURL string, cfg RemoteConfig) *Remote {
 		pass, _ := u.Password()
 		r.auth = "Basic " + base64.StdEncoding.EncodeToString([]byte(u.Username()+":"+pass))
 	}
+	r.upgrade = append(r.appendHead(nil, http.MethodGet, serve.HopPath, -1), "Connection: Upgrade\r\nUpgrade: "+serve.HopProtocol+"\r\n\r\n"...)
 	return r
 }
 
@@ -129,15 +139,16 @@ func (r *Remote) Name() string { return r.name }
 // (theta 101 features, cori 138) an order of magnitude of room.
 const maxReplicaReply = 4 * maxRouterBody
 
-// hopBody is the storage of one call: the encoded predict request, the whole
-// request as it goes on the wire, and the reply's body. A call returns only
-// once its write has ended, so a predict hop's is pooled.
+// hopBody is the storage of one call: the request as it goes on the wire (a
+// predict's frame; a GET's request line and headers), the reply's head and
+// body. A call returns only once its write has ended, so a predict hop's is
+// pooled.
 type hopBody struct {
-	body  []byte // the predict request's JSON
-	req   []byte // request line, headers and body
+	req   []byte // the request frame, or request line and headers
+	head  [serve.HopReplyHead]byte
 	reply []byte // the reply's body; the decoder copies out of it
 	// While reply is read: bound over the body, and framed over the
-	// connection, at the body's Content-Length.
+	// connection, at the body's length.
 	bound, framed io.LimitedReader
 	// The connections the call was handed: fresh from a dial, or pooled.
 	dialled, reused uint64
@@ -164,14 +175,14 @@ func (r *Remote) appendHead(b []byte, method, path string, n int) []byte {
 	return b
 }
 
-// Predict implements Predictor over POST /v1/predict, both directions
-// through the shared wire codec (serve/codec.go), the reply decoded into out.
+// Predict implements Predictor over a hop frame, both directions through the
+// shared wire codec (serve/codec.go), the reply decoded into out.
 func (r *Remote) Predict(ctx context.Context, req *serve.PredictRequest, out *serve.PredictResponse) error {
 	// The client's deadline minus the router time already spent is the
-	// replica's whole budget. An exhausted budget fails fast here — sending
-	// the request would only have the replica compute an answer nobody can
-	// read, and the wrapped DeadlineExceeded keeps the router from counting
-	// the client's expired budget against this replica's breaker.
+	// replica's whole budget. A budget already spent fails fast here —
+	// sending the request would only have the replica compute an answer
+	// nobody can read, and the wrapped DeadlineExceeded keeps the router from
+	// counting the client's expired budget against this replica's breaker.
 	budgetMs, bounded := remainingBudgetMs(ctx, time.Now())
 	if bounded && budgetMs <= 0 {
 		return fmt.Errorf("fleet: replica %s: request budget exhausted before dispatch: %w",
@@ -179,25 +190,16 @@ func (r *Remote) Predict(ctx context.Context, req *serve.PredictRequest, out *se
 	}
 	h := hopPool.Get().(*hopBody)
 	defer func() {
-		if cap(h.body)+cap(h.req)+cap(h.reply) <= maxPooledHop {
+		if cap(h.req)+cap(h.reply) <= maxPooledHop {
 			hopPool.Put(h)
 		}
 	}()
 	var err error
-	if h.body, err = serve.AppendPredictRequest(h.body[:0], req); err != nil {
+	if h.req, err = serve.AppendHopRequest(h.req[:0], req, uint32(min(budgetMs, math.MaxUint32))); err != nil {
 		return fmt.Errorf("fleet: encoding request for %s: %w", r.name, err)
 	}
-	b := append(r.appendHead(h.req[:0], http.MethodPost, "/v1/predict", len(h.body)), "Content-Type: application/json\r\n"...)
-	if bounded {
-		b = append(strconv.AppendInt(append(b, serve.DeadlineHeader+": "...), budgetMs, 10), "\r\n"...)
-	}
-	if id := req.TraceParent; id != 0 {
-		const padded = serve.TraceHeader + ": 0000000000000000" // obs.FormatTraceID's 16 digits
-		b = append(b, padded[:len(padded)-(bits.Len64(id)+3)/4]...)
-		b = append(strconv.AppendUint(b, id, 16), "\r\n"...)
-	}
-	h.req, h.dialled, h.reused = append(append(b, "\r\n"...), h.body...), 0, 0
-	err = r.roundTrip(ctx, h, "/v1/predict", maxReplicaReply)
+	h.dialled, h.reused = 0, 0
+	err = r.roundTrip(ctx, h, &r.hops, serve.HopPath, maxReplicaReply)
 	r.dialled.Add(h.dialled)
 	r.reused.Add(h.reused)
 	if err != nil {
@@ -219,6 +221,8 @@ type hopConn struct {
 	br     *bufio.Reader        // over in
 	watch  chan context.Context // to watchCancel: a call's context, then any value back; nil ends it
 	idleAt time.Time            // when it was last pooled
+	// upgraded is set once the replica has answered the hop upgrade.
+	upgraded bool
 }
 
 // watchCancel, started at dial, is c's watcher: it moves c's deadline into
@@ -240,11 +244,11 @@ func (c *hopConn) Close() error {
 	return c.Conn.Close()
 }
 
-// roundTrip sends h.req, a call to path, on a pooled connection or a new one
+// roundTrip sends h.req, a call to path, on a connection of p, pooled or new,
 // and reads the reply into h.reply: the body of a 200, or a *BackendError for
 // any other status (and for a body of more than limit bytes). It ends at the
 // caller's deadline or hopBound, whichever comes first, or when ctx is done.
-func (r *Remote) roundTrip(ctx context.Context, h *hopBody, path string, limit int64) error {
+func (r *Remote) roundTrip(ctx context.Context, h *hopBody, p *connPool, path string, limit int64) error {
 	if r.parseErr != nil {
 		return &url.Error{Op: "parse", URL: r.baseURL + path, Err: r.parseErr}
 	}
@@ -253,7 +257,7 @@ func (r *Remote) roundTrip(ctx context.Context, h *hopBody, path string, limit i
 		deadline, own = dl, false
 	}
 	for fresh := false; ; fresh = true {
-		c, reused, err := r.conn(ctx, deadline, fresh)
+		c, reused, err := r.conn(ctx, p, deadline, fresh)
 		if err != nil {
 			return fmt.Errorf("fleet: replica %s %s: %w", r.name, path, hopError(ctx, own, err))
 		}
@@ -264,25 +268,110 @@ func (r *Remote) roundTrip(ctx context.Context, h *hopBody, path string, limit i
 		}
 		c.SetDeadline(deadline) // before the watch, which must win
 		c.watch <- ctx
-		keep, err := c.exchange(h, limit)
+		var keep bool
+		if p == &r.hops {
+			keep, err = c.exchangeFrame(r.upgrade, h, limit)
+		} else {
+			keep, err = c.exchange(h, limit)
+		}
 		c.watch <- ctx // taken back; a context that has ended may have ended the exchange
 		if keep && ctx.Err() == nil {
-			r.put(c)
+			r.put(p, c)
 		} else {
 			c.Close()
 		}
 		if _, answered := err.(*BackendError); err == nil || answered {
 			return err
 		}
-		// A keep-alive connection the replica closed while it sat idle
-		// answers nothing, and those that have sat longer are as likely gone
-		// (a restarted replica closed them all): they are closed, and the
-		// request goes once more, on a new connection.
+		// A connection the replica closed while it sat idle answers nothing,
+		// and those that have sat longer are as likely gone (a restarted
+		// replica closed them all): they are closed, and the request goes once
+		// more, on a new connection.
 		if !reused || c.in.N != limit+maxReplyHeader || ctx.Err() != nil || !time.Now().Before(deadline) {
 			return fmt.Errorf("fleet: replica %s %s: %w", r.name, path, hopError(ctx, own, err))
 		}
-		r.closeIdle(c.idleAt)
+		r.closeIdle(p, c.idleAt)
 	}
+}
+
+// exchangeFrame writes the request frame h.req on c, after the upgrade request
+// when c is new, and reads the reply frame, its body into h.reply (at most
+// limit bytes of a 200's; a longer body is a *BackendError, as is any other
+// status). keep says whether c is ready for another call: the write whole and
+// nothing left to read.
+func (c *hopConn) exchangeFrame(upgrade []byte, h *hopBody, limit int64) (keep bool, err error) {
+	c.in.N = limit + maxReplyHeader
+	if !c.upgraded {
+		// The first frame follows the upgrade at once: the replica reads it
+		// once it has answered 101.
+		if _, err := c.Write(upgrade); err != nil {
+			return false, err
+		}
+	}
+	_, werr := c.Write(h.req)
+	// A replica that sheds may answer, and close, before it has read the
+	// whole frame: its answer stands, not the write that then broke.
+	if !c.upgraded {
+		if err := readUpgrade(c.br); err != nil {
+			return false, cmp.Or(werr, err)
+		}
+		c.upgraded = true
+	}
+	if _, err := io.ReadFull(c.br, h.head[:]); err != nil {
+		return false, cmp.Or(werr, err)
+	}
+	status, retryAfter, n := serve.ParseHopReply(h.head[:])
+	switch {
+	case status < 200 || status > 599:
+		return false, fmt.Errorf("replica answered with status %d", status)
+	case int64(n) > limit:
+		// 5xx, so it counts against the replica's breaker like any fault.
+		return false, &BackendError{Status: http.StatusBadGateway, Msg: fmt.Sprintf("reply exceeds %d bytes", limit)}
+	}
+	h.framed = io.LimitedReader{R: c.br, N: int64(n)}
+	h.reply, err = serve.ReadBody(h.reply[:0], &h.framed, int64(n))
+	if h.framed.R = nil; err == nil && h.framed.N > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return false, fmt.Errorf("reading the reply body: %w", err)
+	}
+	keep = werr == nil && c.br.Buffered() == 0
+	if status != http.StatusOK {
+		ra := ""
+		if retryAfter != 0 {
+			ra = strconv.FormatUint(uint64(retryAfter), 10)
+		}
+		return keep, backendError(status, ra, h.reply[:min(len(h.reply), 4<<10)])
+	}
+	return keep, nil
+}
+
+// readUpgrade reads the replica's answer to the hop upgrade off br: a 101
+// that names the hop protocol, or an error.
+func readUpgrade(br *bufio.Reader) error {
+	line, err := headLine(br)
+	if err != nil {
+		return err
+	}
+	if !bytes.HasPrefix(line, []byte("HTTP/1.1 101 ")) {
+		return fmt.Errorf("replica refused the hop upgrade: %q", line)
+	}
+	upgraded := false
+	for {
+		if line, err = headLine(br); err != nil {
+			return err
+		}
+		if len(line) == 0 {
+			break
+		}
+		key, v, _ := bytes.Cut(line, []byte(":"))
+		upgraded = upgraded || equalFold(key, "Upgrade") && equalFold(bytes.TrimSpace(v), serve.HopProtocol)
+	}
+	if !upgraded {
+		return errors.New("replica switched to a protocol other than " + serve.HopProtocol)
+	}
+	return nil
 }
 
 // exchange writes h.req on c and reads the reply, its body into h.reply (at
@@ -488,17 +577,17 @@ func hopError(ctx context.Context, own bool, err error) error {
 	return fmt.Errorf("%w (%v)", context.DeadlineExceeded, err)
 }
 
-// conn is the most recently pooled connection, or if there is none or fresh
+// conn is p's most recently pooled connection, or if there is none or fresh
 // is set, a new one dialled by deadline.
-func (r *Remote) conn(ctx context.Context, deadline time.Time, fresh bool) (*hopConn, bool, error) {
-	r.mu.Lock()
-	if n := len(r.idle); n > 0 && !fresh {
-		c := r.idle[n-1]
-		r.idle = slices.Delete(r.idle, n-1, n)
-		r.mu.Unlock()
+func (r *Remote) conn(ctx context.Context, p *connPool, deadline time.Time, fresh bool) (*hopConn, bool, error) {
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 && !fresh {
+		c := p.idle[n-1]
+		p.idle = slices.Delete(p.idle, n-1, n)
+		p.mu.Unlock()
 		return c, true, nil
 	}
-	r.mu.Unlock()
+	p.mu.Unlock()
 	d := net.Dialer{Deadline: deadline}
 	nc, err := d.DialContext(ctx, "tcp", r.addr)
 	if err != nil {
@@ -513,31 +602,31 @@ func (r *Remote) conn(ctx context.Context, deadline time.Time, fresh bool) (*hop
 	return c, false, nil
 }
 
-// put pools c for the next call.
-func (r *Remote) put(c *hopConn) {
+// put pools c in p for the next call.
+func (r *Remote) put(p *connPool, c *hopConn) {
 	c.idleAt = time.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.idle) == 0 {
-		r.pruner.Reset(r.idleBound)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.idle) == 0 {
+		p.pruner.Reset(r.idleBound)
 	}
-	r.idle = append(r.idle, c)
+	p.idle = append(p.idle, c)
 }
 
-// closeIdle closes the pooled connections that have been idle since cutoff or
-// before, and arms pruner for the next to get to idleBound.
-func (r *Remote) closeIdle(cutoff time.Time) {
-	r.mu.Lock()
+// closeIdle closes p's connections that have been idle since cutoff or
+// before, and arms p's pruner for the next to get to idleBound.
+func (r *Remote) closeIdle(p *connPool, cutoff time.Time) {
+	p.mu.Lock()
 	n := 0
-	for n < len(r.idle) && !r.idle[n].idleAt.After(cutoff) {
+	for n < len(p.idle) && !p.idle[n].idleAt.After(cutoff) {
 		n++
 	}
-	expired := slices.Clone(r.idle[:n])
-	r.idle = slices.Delete(r.idle, 0, n)
-	if len(r.idle) > 0 {
-		r.pruner.Reset(time.Until(r.idle[0].idleAt.Add(r.idleBound)))
+	expired := slices.Clone(p.idle[:n])
+	p.idle = slices.Delete(p.idle, 0, n)
+	if len(p.idle) > 0 {
+		p.pruner.Reset(time.Until(p.idle[0].idleAt.Add(r.idleBound)))
 	}
-	r.mu.Unlock()
+	p.mu.Unlock()
 	for _, c := range expired {
 		c.Close()
 	}
@@ -545,7 +634,11 @@ func (r *Remote) closeIdle(cutoff time.Time) {
 
 // CloseIdleConnections closes the replica connections no call is using; the
 // router calls it when the replica leaves the fleet and when it stops.
-func (r *Remote) CloseIdleConnections() { r.closeIdle(time.Now()) }
+func (r *Remote) CloseIdleConnections() {
+	now := time.Now()
+	r.closeIdle(&r.hops, now)
+	r.closeIdle(&r.gets, now)
+}
 
 // backendError converts a non-200 replica reply, preserving the status and
 // any Retry-After advice.
@@ -580,7 +673,9 @@ func remainingBudgetMs(ctx context.Context, now time.Time) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return dl.Sub(now).Milliseconds(), true
+	// Rounded up: a budget of under a millisecond is one, not none, and only
+	// a deadline that has passed is at most 0.
+	return int64((dl.Sub(now) + time.Millisecond - 1) / time.Millisecond), true
 }
 
 // maxMetricsBody bounds one replica metrics scrape.
@@ -625,6 +720,6 @@ func (r *Remote) get(ctx context.Context, path string, admin bool, limit int64) 
 		h.req = append(append(append(h.req, "X-Admin-Token: "...), r.adminToken...), "\r\n"...)
 	}
 	h.req = append(h.req, "\r\n"...)
-	err := r.roundTrip(ctx, h, path, limit)
+	err := r.roundTrip(ctx, h, &r.gets, path, limit)
 	return h.reply, err
 }

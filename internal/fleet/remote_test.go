@@ -92,10 +92,10 @@ func (l *errorLog) all() []error {
 	return l.errs
 }
 
-// earlyShedder is a raw-TCP replica that sheds the way net/http's own server
-// does when a handler answers without reading a large body: 429 with
-// Connection: close the moment it has the headers. Only then does it read the
-// body, a few hundred bytes at a time, checking it as far as it arrives.
+// earlyShedder is a raw-TCP replica that sheds the moment it has the hop
+// upgrade: 101 and a 429 frame before it reads the request frame. Only then
+// does it read the frame's body, a few hundred bytes at a time, checking it
+// as far as it arrives, and close the connection.
 type earlyShedder struct {
 	lis    net.Listener
 	conns  sync.WaitGroup
@@ -127,20 +127,26 @@ func newEarlyShedder(t *testing.T) *earlyShedder {
 func (s *earlyShedder) serve(c net.Conn) {
 	defer s.conns.Done()
 	defer c.Close()
-	const reply = `{"error":"overloaded (test): retry later"}`
-	req, err := http.ReadRequest(bufio.NewReader(c))
-	if err != nil {
-		s.add(fmt.Errorf("reading a request's headers: %w", err))
+	br := bufio.NewReader(c)
+	if _, err := http.ReadRequest(br); err != nil {
+		s.add(fmt.Errorf("reading the upgrade: %w", err))
 		return
 	}
-	if _, err := fmt.Fprintf(c, "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\nRetry-After: 1\r\nConnection: close\r\nContent-Length: %d\r\n\r\n%s", len(reply), reply); err != nil {
+	if _, err := c.Write(frameOf(http.StatusTooManyRequests, 1, `{"error":"overloaded (test): retry later"}`, false)); err != nil {
 		return
 	}
+	var head [serve.HopRequestHead]byte
+	if _, err := io.ReadFull(br, head[:]); err != nil {
+		s.add(fmt.Errorf("reading a frame's head: %w", err))
+		return
+	}
+	n, _, _ := serve.ParseHopRequest(head[:])
+	frame := io.LimitReader(br, int64(n))
 	var body []byte
 	piece := make([]byte, 300)
 	for {
 		runtime.Gosched() // a slow reader: let the client's side run between pieces
-		n, err := req.Body.Read(piece)
+		n, err := frame.Read(piece)
 		if body = append(body, piece[:n]...); err != nil {
 			s.add(checkSelfDescribing(body, err != io.EOF))
 			break
@@ -226,11 +232,11 @@ func (l *closingListener) conns() []net.Conn {
 // whole.
 func TestRemoteRetriesOnStaleConn(t *testing.T) {
 	var bodies [][]byte
-	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewUnstartedServer(hopReplica(func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
 		bodies = append(bodies, body) // one request at a time
 		answerEmptyPredictions(w, body)
-	}))
+	}, nil))
 	lis := &closingListener{Listener: ts.Listener}
 	ts.Listener = lis
 	ts.Start()
@@ -288,14 +294,14 @@ func TestRemoteDropsAStalePoolAtOnce(t *testing.T) {
 	var arrived atomic.Int32
 	var together sync.WaitGroup
 	together.Add(pooled)
-	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewUnstartedServer(hopReplica(func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
 		if arrived.Add(1) <= pooled { // held until all are in, so each has its own connection
 			together.Done()
 			together.Wait()
 		}
 		answerEmptyPredictions(w, body)
-	}))
+	}, nil))
 	lis := &closingListener{Listener: ts.Listener}
 	ts.Listener = lis
 	ts.Start()
@@ -350,7 +356,7 @@ func TestRemoteMalformedBaseURL(t *testing.T) {
 	const base = "http://bad host:80"
 	rem := newTestRemote(t, "bad", base, RemoteConfig{})
 	ctx := context.Background()
-	_, wantPredict := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/predict", nil)
+	_, wantPredict := http.NewRequestWithContext(ctx, http.MethodGet, base+serve.HopPath, nil)
 	_, wantHealth := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
 	_, wantMetrics := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
 	_, wantTrace := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/trace/00000000000000ff", nil)
@@ -369,40 +375,40 @@ func TestRemoteMalformedBaseURL(t *testing.T) {
 	}
 }
 
-// TestRemotePredictAllocs bounds what a 16-row hop allocates, this test's
-// server included, so that a hop that starts copying its body or building
+// TestRemotePredictAllocs bounds what a warm 16-row hop allocates, its
+// replica (serve's handler over a Service whose cache holds the rows)
+// included, so that a hop or a frame that starts copying its body or building
 // contexts again fails here and not in a benchmark.
 func TestRemotePredictAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
-	req, canned200 := cannedHop()
-	rows := len(req.Rows)
-	reply := canned200.Body.Bytes()
-	sink := make([]byte, 64<<10)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		for n, err := 1, error(nil); n > 0 && err == nil; {
-			n, err = r.Body.Read(sink)
-		}
-		for k, v := range canned200.Header() {
-			w.Header()[k] = v
-		}
-		w.Write(reply)
-	}))
-	defer ts.Close()
+	dir, pool := e2eFixture(t)
+	reg, err := serve.LoadRegistry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := serve.NewService(reg, serve.Options{CacheSize: 1 << 10})
+	t.Cleanup(svc.Close)
+	ts := httptest.NewServer(serve.NewHandler(svc, serve.HandlerConfig{}))
+	t.Cleanup(ts.Close)
 	rem := newTestRemote(t, "r0", ts.URL, RemoteConfig{})
+	req := &serve.PredictRequest{System: "theta", Rows: pool[:16]}
+	rows := len(req.Rows)
 	ctx := context.Background()
 
 	// The reply is decoded into storage the router's scratch would reuse.
 	resp := new(serve.PredictResponse)
 	hop := func() {
 		err := rem.Predict(ctx, req, resp)
-		if err != nil || len(resp.Predictions) != rows || resp.Predictions[rows-1].Guard.ErrorSource() != serve.SourceModeling {
+		if err != nil || len(resp.Predictions) != rows || !resp.Predictions[rows-1].CacheHit {
 			t.Fatalf("predict: %v", err)
 		}
 	}
 	const runs = 200
-	hop()
+	if err := rem.Predict(ctx, req, resp); err != nil {
+		t.Fatal(err)
+	}
 	objects := testing.AllocsPerRun(runs, hop)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -411,20 +417,22 @@ func TestRemotePredictAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	size := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	t.Logf("a hop of %d rows allocates %.0f objects and %.0f bytes, the server's included", rows, objects, size)
-	// Measured: 24 objects and 2.5 KB, all of them the server's ReadRequest
-	// and its request and response state: the hop itself allocates nothing
-	// (TestRemotePredictAllocatesNothing). The bounds leave room for a pool
-	// refill after a collection and for stack growth, which the byte count
-	// includes.
-	if objects > 29 || size > 3640 {
-		t.Errorf("a hop allocates %.0f objects and %.0f bytes, want at most 29 and 3640", objects, size)
+	t.Logf("a hop of %d rows allocates %.1f objects and %.0f bytes, the replica's included", rows, objects, size)
+	// Measured: 0 objects and about 240 bytes, where the hop as a POST to
+	// net/http's server took 24 objects and 2.5 KB. The byte bound leaves
+	// room for a pool refill after a collection and for stack growth, which
+	// the byte count includes.
+	if objects != 0 || size > 1024 {
+		t.Errorf("a hop allocates %.1f objects and %.0f bytes, want 0 and at most 1024", objects, size)
+	}
+	if d := rem.dialled.Load(); d != 1 {
+		t.Errorf("the hops dialled %d connections, want 1", d)
 	}
 }
 
-// cannedHop is a 16-row predict request and a replica's 200 to it, encoded
-// once by the production writer, header and body, for a test to replay.
-func cannedHop() (*serve.PredictRequest, *httptest.ResponseRecorder) {
+// cannedHop is a 16-row predict request and a replica's 200 to it as a reply
+// frame, encoded once by the production writer, for a test to replay.
+func cannedHop() (*serve.PredictRequest, []byte) {
 	const rows = 16
 	req := &serve.PredictRequest{System: "theta", Rows: make([][]float64, rows)}
 	for i := range req.Rows {
@@ -440,28 +448,20 @@ func cannedHop() (*serve.PredictRequest, *httptest.ResponseRecorder) {
 	}
 	rec := httptest.NewRecorder()
 	serve.WriteJSON(rec, http.StatusOK, resp)
-	return req, rec
-}
-
-// rawReply is rec's reply as a replica writes it on the wire.
-func rawReply(rec *httptest.ResponseRecorder) []byte {
-	head := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n", rec.Header().Get("Content-Type"), rec.Body.Len())
-	return append([]byte(head), rec.Body.Bytes()...)
+	return req, frameOf(http.StatusOK, 0, rec.Body.String(), true)
 }
 
 // TestRemotePredictAllocatesNothing: a warm hop on a pooled connection, under
-// a deadline and with a trace parent, allocates nothing, its request, reply
-// and cancel watch included, against a replica that answers canned bytes
-// without net/http.
+// a deadline and with a trace parent, allocates nothing, its frame, reply and
+// cancel watch included, against a replica that answers canned frames.
 func TestRemotePredictAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
 	stub := newRawReplica(t)
 	stub.keepAlive.Store(true)
-	req, rec := cannedHop()
+	req, reply := cannedHop()
 	req.TraceParent = 0xab
-	reply := rawReply(rec)
 	stub.reply.Store(&reply)
 	rem := newTestRemote(t, "r0", "http://"+stub.lis.Addr().String(), RemoteConfig{})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -490,8 +490,7 @@ func TestRemotePredictAllocatesNothing(t *testing.T) {
 func TestRemoteWatcherEndsWithItsConn(t *testing.T) {
 	stub := newRawReplica(t)
 	stub.keepAlive.Store(true)
-	req, rec := cannedHop()
-	reply := rawReply(rec)
+	req, reply := cannedHop()
 	stub.reply.Store(&reply)
 	rem := NewRemote("r0", "http://"+stub.lis.Addr().String(), RemoteConfig{})
 	defer rem.CloseIdleConnections()

@@ -415,10 +415,6 @@ type Response struct {
 	// per-replica skew per era instead of smearing rows across joins and
 	// drains.
 	MembershipEpoch uint64 `json:"membership_epoch,omitempty"`
-	// traceHdr is the reply's X-Trace-Id header value, owned by the pooled
-	// reply: net/http copies handler header values when the header is
-	// written, before the reply is released.
-	traceHdr [1]string
 }
 
 // traceID mints one fleet-level trace ID per routed request.

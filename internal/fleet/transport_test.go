@@ -44,11 +44,23 @@ func (c *connTracker) hook(_ net.Conn, st http.ConnState) {
 		c.opened++
 		c.open++
 	case http.StateClosed:
-		if c.open--; c.open == 0 {
-			select {
-			case c.drained <- struct{}{}:
-			default:
-			}
+		c.closed()
+	}
+}
+
+// hijackedClosed counts a hop connection closed: net/http tracks a
+// connection no further once it is hijacked.
+func (c *connTracker) hijackedClosed() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.closed()
+}
+
+func (c *connTracker) closed() {
+	if c.open--; c.open == 0 {
+		select {
+		case c.drained <- struct{}{}:
+		default:
 		}
 	}
 }
@@ -89,15 +101,109 @@ func answerEmptyPredictions(w http.ResponseWriter, body []byte) {
 	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
+// hopReplica adapts h, a handler of POST /v1/predict and of the GETs, into a
+// replica that answers predicts on the hop, as serve's handler does. Each
+// request frame is handed to h as a POST of its body, with the frame's budget
+// and trace parent as X-Request-Timeout-Ms and X-Trace-Id, and h's answer goes
+// back as the reply frame: once h returns, or at once when h flushes, with
+// the body length h declared as its Content-Length. A reply whose body is not
+// that length, or whose header says Connection: close, closes the connection
+// once the request's body is read. ended, when non-nil, runs as a hop
+// connection ends.
+func hopReplica(h http.HandlerFunc, ended func()) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != serve.HopPath {
+			h(w, r)
+			return
+		}
+		nc, rw, err := http.NewResponseController(w).Hijack()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		if ended != nil {
+			defer ended()
+		}
+		defer nc.Close()
+		io.WriteString(nc, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+serve.HopProtocol+"\r\n\r\n")
+		for {
+			var head [serve.HopRequestHead]byte
+			if _, err := io.ReadFull(rw, head[:]); err != nil {
+				return
+			}
+			n, budgetMs, parent := serve.ParseHopRequest(head[:])
+			body := &io.LimitedReader{R: rw, N: int64(n)}
+			req := httptest.NewRequest(http.MethodPost, "/v1/predict", body)
+			req.ContentLength, req.TLS, req.ProtoMajor, req.ProtoMinor = int64(n), r.TLS, r.ProtoMajor, r.ProtoMinor
+			if budgetMs > 0 {
+				req.Header.Set(serve.DeadlineHeader, strconv.FormatUint(uint64(budgetMs), 10))
+			}
+			if parent != 0 {
+				req.Header.Set(serve.TraceHeader, obs.FormatTraceID(parent))
+			}
+			fw := &frameWriter{conn: nc, header: http.Header{}}
+			h(fw, req)
+			fw.Flush()
+			if _, err := io.Copy(io.Discard, body); err != nil || fw.wrote != fw.length || fw.header.Get("Connection") == "close" {
+				return
+			}
+		}
+	}
+}
+
+// frameWriter is the ResponseWriter hopReplica hands a frame's handler.
+type frameWriter struct {
+	conn   net.Conn
+	header http.Header
+	status int
+	body   bytes.Buffer
+	sent   bool // the head is out, and with it what body was written
+	// length is the body length the head declares, wrote what went out.
+	length, wrote int
+}
+
+func (f *frameWriter) Header() http.Header { return f.header }
+
+func (f *frameWriter) WriteHeader(code int) {
+	if f.status == 0 {
+		f.status = code
+	}
+}
+
+func (f *frameWriter) Write(p []byte) (int, error) {
+	f.WriteHeader(http.StatusOK)
+	if !f.sent {
+		return f.body.Write(p)
+	}
+	f.wrote += len(p)
+	return f.conn.Write(p)
+}
+
+// Flush sends the head, and the body written so far, unless it is out.
+func (f *frameWriter) Flush() {
+	if f.sent {
+		return
+	}
+	f.WriteHeader(http.StatusOK)
+	f.sent, f.length, f.wrote = true, f.body.Len(), f.body.Len()
+	if cl := f.header.Get("Content-Length"); cl != "" {
+		f.length, _ = strconv.Atoi(cl)
+	}
+	retryAfter, _ := strconv.Atoi(f.header.Get("Retry-After"))
+	head := make([]byte, serve.HopReplyHead)
+	serve.PutHopReply(head, f.status, uint32(retryAfter), uint32(f.length))
+	f.conn.Write(append(head, f.body.Bytes()...))
+}
+
 // newTrackedReplica starts a replica that answers every predict with one
-// empty prediction a row and tracks its connections.
+// empty prediction a row and tracks its connections, the hop's among them.
 func newTrackedReplica(t *testing.T) (*httptest.Server, *connTracker) {
 	t.Helper()
 	tracker := &connTracker{drained: make(chan struct{}, 1)}
-	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewUnstartedServer(hopReplica(func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
 		answerEmptyPredictions(w, body)
-	}))
+	}, tracker.hijackedClosed))
 	ts.Config.ConnState = tracker.hook
 	ts.Start()
 	t.Cleanup(ts.Close)
@@ -194,8 +300,9 @@ func TestRemoteClosesIdleOnStop(t *testing.T) {
 	trackers[1].waitClosed(t, "after Stop")
 }
 
-// TestRemoteDoesNotFollowRedirects: a hop is one round trip to the replica it
-// was addressed to. A redirect is that replica's answer, and not a 200.
+// TestRemoteDoesNotFollowRedirects: a call is one round trip to the replica it
+// was addressed to. A redirect is that replica's answer, and not a 200; to
+// the hop upgrade, it is a refusal.
 func TestRemoteDoesNotFollowRedirects(t *testing.T) {
 	var elsewhere atomic.Int32
 	other := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -208,9 +315,8 @@ func TestRemoteDoesNotFollowRedirects(t *testing.T) {
 	}))
 	defer ts.Close()
 	rem := newTestRemote(t, "r0", ts.URL, RemoteConfig{})
-	_, err := predict(context.Background(), rem, distinctRows(2))
-	if be, ok := err.(*BackendError); !ok || be.Status != http.StatusTemporaryRedirect {
-		t.Errorf("predict: %v, want the replica's 307", err)
+	if _, err := predict(context.Background(), rem, distinctRows(2)); err == nil || !strings.Contains(err.Error(), "307") {
+		t.Errorf("predict: %v, want the replica's 307 as a refused upgrade", err)
 	}
 	if err := rem.Health(context.Background()); err == nil {
 		t.Error("health: a redirect passed for a healthy replica")
@@ -257,10 +363,10 @@ func TestHungReplicaIsAReplicaFault(t *testing.T) {
 	for name, stall := range stalls {
 		t.Run(name, func(t *testing.T) {
 			release := make(chan struct{})
-			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			ts := httptest.NewServer(hopReplica(func(w http.ResponseWriter, r *http.Request) {
 				stall(w)
 				<-release
-			}))
+			}, nil))
 			t.Cleanup(ts.Close)
 			t.Cleanup(func() { close(release) }) // first: Close waits for the handlers
 			hung := newTestRemote(t, "hung", ts.URL, RemoteConfig{})
@@ -298,11 +404,11 @@ func TestHungReplicaIsAReplicaFault(t *testing.T) {
 	}
 }
 
-// idleConns is how many connections rem has pooled.
+// idleConns is how many predict connections rem has pooled.
 func idleConns(rem *Remote) int {
-	rem.mu.Lock()
-	defer rem.mu.Unlock()
-	return len(rem.idle)
+	rem.hops.mu.Lock()
+	defer rem.hops.mu.Unlock()
+	return len(rem.hops.idle)
 }
 
 // ownedRow is a one-row request that the ring of rt sends to name.
@@ -321,14 +427,14 @@ func ownedRow(rt *Router, name string) *serve.PredictRequest {
 // connections are pooled as plain ones are.
 func TestRemoteOverTLS(t *testing.T) {
 	var plain atomic.Int32
-	ts := httptest.NewTLSServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewTLSServer(hopReplica(func(w http.ResponseWriter, r *http.Request) {
 		if r.TLS == nil || r.TLS.NegotiatedProtocol != "http/1.1" || r.ProtoMajor != 1 {
 			plain.Add(1)
 		}
 		if body, _ := io.ReadAll(r.Body); r.URL.Path == "/v1/predict" {
 			answerEmptyPredictions(w, body)
 		}
-	}))
+	}, nil))
 	defer ts.Close()
 	untrusted := newTestRemote(t, "r0", ts.URL, RemoteConfig{})
 	if _, err := predict(context.Background(), untrusted, distinctRows(2)); err == nil {
@@ -357,10 +463,10 @@ func TestRemoteOverTLS(t *testing.T) {
 // through the router that is the client's doing, not a replica fault.
 func TestRemoteCallerCancelEndsTheHop(t *testing.T) {
 	entered, release := make(chan struct{}, 2), make(chan struct{})
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewServer(hopReplica(func(w http.ResponseWriter, r *http.Request) {
 		entered <- struct{}{}
 		<-release
-	}))
+	}, nil))
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() { close(release) }) // first: Close waits for the handlers
 	hung := newTestRemote(t, "hung", ts.URL, RemoteConfig{})
@@ -391,14 +497,15 @@ func TestRemoteCallerCancelEndsTheHop(t *testing.T) {
 	}
 }
 
-// TestRemoteShedBeforeTheBodyIsA429: a replica that answers 429 without
-// reading a 4 MB body, and closes, breaks the hop's write; its answer
-// stands, and it is a shed, not a fault.
+// TestRemoteShedBeforeTheBodyIsA429: a replica that answers 429 before it
+// has read a 4 MB frame, and then closes, has its answer stand while the
+// hop's write is still going; it is a shed, not a fault.
 func TestRemoteShedBeforeTheBodyIsA429(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewServer(hopReplica(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1")
+		w.Header().Set("Connection", "close")
 		serve.WriteError(w, http.StatusTooManyRequests, "overloaded (test): retry later")
-	}))
+	}, nil))
 	defer ts.Close()
 	rem := newTestRemote(t, "r0", ts.URL, RemoteConfig{})
 	req := selfDescribing(4444, 1024, 800) // 5 bytes a value
@@ -409,25 +516,39 @@ func TestRemoteShedBeforeTheBodyIsA429(t *testing.T) {
 }
 
 // TestRemoteNeverPoolsAnUnfinishedConn: a connection is pooled only when its
-// reply was read to the end and the replica did not say it would close.
+// reply frame was read to the end and nothing followed it; one whose upgrade
+// the replica refused, saying it would close, is never pooled.
 func TestRemoteNeverPoolsAnUnfinishedConn(t *testing.T) {
-	replies := map[string]func(http.ResponseWriter, []byte){
-		"Connection: close": func(w http.ResponseWriter, body []byte) {
-			w.Header().Set("Connection", "close")
-			answerEmptyPredictions(w, body)
-		},
-		"short body": func(w http.ResponseWriter, body []byte) {
-			w.Header().Set("Content-Length", "4096")
-			io.WriteString(w, `{"system":"theta","predictions":[`)
-		},
-	}
-	for name, reply := range replies {
-		t.Run(name, func(t *testing.T) {
-			tracker := &connTracker{drained: make(chan struct{}, 1)}
-			ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	// frames is a replica that answers each request frame with reply.
+	frames := func(reply func(http.ResponseWriter, []byte)) func(func()) http.HandlerFunc {
+		return func(ended func()) http.HandlerFunc {
+			return hopReplica(func(w http.ResponseWriter, r *http.Request) {
 				body, _ := io.ReadAll(r.Body)
 				reply(w, body)
-			}))
+			}, ended)
+		}
+	}
+	replicas := map[string]func(ended func()) http.HandlerFunc{
+		// As a closing Service answers the upgrade.
+		"Connection: close": func(func()) http.HandlerFunc {
+			return func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Connection", "close")
+				serve.WriteError(w, http.StatusServiceUnavailable, "closing (test)")
+			}
+		},
+		"bytes after the reply": frames(func(w http.ResponseWriter, body []byte) {
+			w.Header().Set("Content-Length", "10")
+			io.WriteString(w, oneRowReply)
+		}),
+		"short body": frames(func(w http.ResponseWriter, body []byte) {
+			w.Header().Set("Content-Length", "4096")
+			io.WriteString(w, `{"system":"theta","predictions":[`)
+		}),
+	}
+	for name, replica := range replicas {
+		t.Run(name, func(t *testing.T) {
+			tracker := &connTracker{drained: make(chan struct{}, 1)}
+			ts := httptest.NewUnstartedServer(replica(tracker.hijackedClosed))
 			ts.Config.ConnState = tracker.hook
 			ts.Start()
 			defer ts.Close()
@@ -466,16 +587,18 @@ func TestRemoteClosesIdleConnsPastTheirBound(t *testing.T) {
 	}
 }
 
-// rawReplica is a TCP replica that reads one request a connection, records
-// its bytes, writes reply as its whole answer and resets the connection.
+// rawReplica is a TCP replica that reads one call a connection — an HTTP
+// request, and after a hop upgrade the request frame that follows it —
+// records its bytes, writes reply as its whole answer and resets the
+// connection.
 type rawReplica struct {
 	lis   net.Listener
 	reply atomic.Pointer[[]byte]
-	// got receives each request's bytes once the replica has closed its side.
+	// got receives each call's bytes once the replica has closed its side.
 	got chan []byte
 	// keepAlive, read as a connection is accepted, has the replica answer
-	// every request on it with reply until the caller closes it, and record
-	// nothing: serveAll.
+	// the hop upgrade with a 101 and then every frame on it with reply until
+	// the caller closes it, recording nothing: serveAll.
 	keepAlive atomic.Bool
 }
 
@@ -498,8 +621,12 @@ func newRawReplica(t testing.TB) *rawReplica {
 				continue
 			}
 			var seen bytes.Buffer
-			if req, err := http.ReadRequest(bufio.NewReader(io.TeeReader(c, &seen))); err == nil {
+			br := bufio.NewReader(io.TeeReader(c, &seen))
+			if req, err := http.ReadRequest(br); err == nil {
 				io.Copy(io.Discard, req.Body)
+				if strings.HasSuffix(req.URL.Path, serve.HopPath) {
+					readFrame(br)
+				}
 			}
 			c.Write(*s.reply.Load())
 			c.(*net.TCPConn).SetLinger(0) // a reset, not TIME_WAIT: a fuzz run dials ~10⁵ times
@@ -514,27 +641,40 @@ func newRawReplica(t testing.TB) *rawReplica {
 	return s
 }
 
-// serveAll answers each request on c with reply until c ends, and allocates
-// nothing once c's reader is made. Each request read sends nil on got if it
-// has room.
+// readFrame reads one request frame off br and returns its body length.
+func readFrame(br *bufio.Reader) (int, error) {
+	head, err := br.Peek(serve.HopRequestHead)
+	if err != nil {
+		return 0, err
+	}
+	n, _, _ := serve.ParseHopRequest(head)
+	_, err = br.Discard(serve.HopRequestHead + int(n))
+	return int(n), err
+}
+
+// switching is a replica's 101 to the hop upgrade.
+const switching = "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + serve.HopProtocol + "\r\n\r\n"
+
+// serveAll answers the upgrade on c, then each frame with reply until c
+// ends, and allocates nothing once c's reader is made. Each frame read sends
+// nil on got if it has room.
 func (s *rawReplica) serveAll(c net.Conn) {
 	defer c.Close()
 	br := bufio.NewReader(c)
 	for {
-		n := 0
-		for {
-			line, err := br.ReadSlice('\n')
-			if err != nil {
-				return
-			}
-			if len(line) <= 2 {
-				break
-			}
-			if v, ok := bytes.CutPrefix(line, []byte("Content-Length: ")); ok {
-				n, _ = strconv.Atoi(string(bytes.TrimSpace(v)))
-			}
+		line, err := br.ReadSlice('\n')
+		if err != nil {
+			return
 		}
-		if _, err := br.Discard(n); err != nil {
+		if len(line) <= 2 {
+			break
+		}
+	}
+	if _, err := io.WriteString(c, switching); err != nil {
+		return
+	}
+	for {
+		if _, err := readFrame(br); err != nil {
 			return
 		}
 		select {
@@ -547,10 +687,11 @@ func (s *rawReplica) serveAll(c net.Conn) {
 	}
 }
 
-// TestRemoteWritesWhatNetHTTPWrote: every call's request is, byte for byte,
-// what net/http's client writes for it with an empty User-Agent, which it
-// leaves out. A request's TraceParent is its X-Trace-Id, and one of 0 sends
-// none.
+// TestRemoteWritesWhatNetHTTPWrote: every GET is, byte for byte, what
+// net/http's client writes for it with an empty User-Agent, which it leaves
+// out, and so is the upgrade that opens a hop connection; the frame after it
+// is AppendHopRequest's, with the remaining budget and the TraceParent in its
+// head.
 func TestRemoteWritesWhatNetHTTPWrote(t *testing.T) {
 	stub := newRawReplica(t)
 	ok := []byte("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}")
@@ -558,41 +699,29 @@ func TestRemoteWritesWhatNetHTTPWrote(t *testing.T) {
 	addr := stub.lis.Addr().String()
 	rem := newTestRemote(t, "r0", "http://fleet:s3cret@"+addr+"/base", RemoteConfig{AdminToken: "t0k"})
 	req := distinctRows(3)
-	body, err := serve.AppendPredictRequest(nil, req)
-	if err != nil {
-		t.Fatal(err)
-	}
 	traced := *req
 	traced.TraceParent = 0xab
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
+	upgrade := http.Header{"Connection": {"Upgrade"}, "Upgrade": {serve.HopProtocol}}
 	calls := []struct {
 		call   func()
-		method string
 		path   string
 		header http.Header
+		frame  *serve.PredictRequest
 	}{
-		{func() { predict(ctx, rem, &traced) }, http.MethodPost, "/v1/predict",
-			http.Header{"Content-Type": {"application/json"}, serve.TraceHeader: {"00000000000000ab"}}},
-		{func() { predict(ctx, rem, req) }, http.MethodPost, "/v1/predict", http.Header{"Content-Type": {"application/json"}}},
-		{func() { rem.Health(ctx) }, http.MethodGet, "/healthz", http.Header{}},
-		{func() { rem.FetchTrace(ctx, 0xcd) }, http.MethodGet, "/v1/trace/00000000000000cd", http.Header{"X-Admin-Token": {"t0k"}}},
+		{func() { predict(ctx, rem, &traced) }, serve.HopPath, upgrade, &traced},
+		{func() { predict(context.Background(), rem, req) }, serve.HopPath, upgrade, req},
+		{func() { rem.Health(ctx) }, "/healthz", http.Header{}, nil},
+		{func() { rem.FetchTrace(ctx, 0xcd) }, "/v1/trace/00000000000000cd", http.Header{"X-Admin-Token": {"t0k"}}, nil},
 	}
 	for _, c := range calls {
 		c.call()
 		got := <-stub.got
 		var want bytes.Buffer
-		wreq, err := http.NewRequest(c.method, "http://"+addr+"/base"+c.path, nil)
+		wreq, err := http.NewRequest(http.MethodGet, "http://"+addr+"/base"+c.path, nil)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if c.method == http.MethodPost {
-			wreq, _ = http.NewRequest(c.method, wreq.URL.String(), bytes.NewReader(body))
-			parsed, err := http.ReadRequest(bufio.NewReader(bytes.NewReader(got)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.header.Set(serve.DeadlineHeader, parsed.Header.Get(serve.DeadlineHeader)) // a clock reading
 		}
 		wreq.Header = c.header
 		wreq.Header.Set("User-Agent", "")
@@ -600,8 +729,22 @@ func TestRemoteWritesWhatNetHTTPWrote(t *testing.T) {
 		if err := wreq.Write(&want); err != nil {
 			t.Fatal(err)
 		}
+		if c.frame != nil {
+			var budgetMs uint32
+			if frame, ok := bytes.CutPrefix(got, want.Bytes()); ok && len(frame) >= serve.HopRequestHead {
+				_, budgetMs, _ = serve.ParseHopRequest(frame) // a clock reading
+			}
+			if _, deadline := ctx.Deadline(); c.frame == req && budgetMs != 0 || c.frame == &traced && !(deadline && budgetMs > 0) {
+				t.Errorf("%s sent a budget of %d ms", c.path, budgetMs)
+			}
+			frame, err := serve.AppendHopRequest(nil, c.frame, budgetMs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Write(frame)
+		}
 		if !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("%s %s sent\n%q\nnet/http writes\n%q", c.method, c.path, got, want.Bytes())
+			t.Errorf("%s sent\n%q\nwant\n%q", c.path, got, want.Bytes())
 		}
 	}
 }
@@ -609,40 +752,55 @@ func TestRemoteWritesWhatNetHTTPWrote(t *testing.T) {
 // oneRowReply is a replica's answer to distinctRows(1).
 const oneRowReply = `{"system":"theta","version":1,"count":1,"predictions":[{"log10_throughput":1,"throughput_bytes_per_sec":10,"cache_hit":false}]}`
 
-// TestRemoteReadsFramedReplies: a chunked body is read whole, as net/http's
-// client did. An informational answer ahead of the reply, which a hop never
-// asks for (it sends no Expect) and ioserve never sends, is an error.
+// TestRemoteReadsFramedReplies: a GET's chunked body is read whole, as
+// net/http's client did. An informational answer ahead of the reply, which a
+// call never asks for (it sends no Expect) and ioserve never sends, is an
+// error.
 func TestRemoteReadsFramedReplies(t *testing.T) {
 	stub := newRawReplica(t)
+	const ok = `{"status":"ok"}`
 	for name, reply := range map[string]string{
-		"1xx first": fmt.Sprintf("HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s", len(oneRowReply), oneRowReply),
-		"chunked":   fmt.Sprintf("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n9\r\n%s\r\n%x\r\n%s\r\n0\r\n\r\n", oneRowReply[:9], len(oneRowReply)-9, oneRowReply[9:]),
+		"1xx first": fmt.Sprintf("HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s", len(ok), ok),
+		"chunked":   fmt.Sprintf("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n9\r\n%s\r\n%x\r\n%s\r\n0\r\n\r\n", ok[:9], len(ok)-9, ok[9:]),
 	} {
 		b := []byte(reply)
 		stub.reply.Store(&b)
-		resp, err := predict(context.Background(), newTestRemote(t, "r0", "http://"+stub.lis.Addr().String(), RemoteConfig{}), distinctRows(1))
+		rem := newTestRemote(t, "r0", "http://"+stub.lis.Addr().String(), RemoteConfig{})
+		body, err := rem.get(context.Background(), "/healthz", false, 4<<10)
 		<-stub.got
 		switch {
 		case name == "1xx first" && (err == nil || !strings.Contains(err.Error(), `status "100 Continue"`)):
-			t.Errorf("%s: %v, %+v; want an error naming the status", name, err, resp)
-		case name == "chunked" && (err != nil || resp.Count != 1 || len(resp.Predictions) != 1):
-			t.Errorf("%s: %v, %+v; want the one-row reply", name, err, resp)
+			t.Errorf("%s: %v, %q; want an error naming the status", name, err, body)
+		case name == "chunked" && (err != nil || string(body) != ok):
+			t.Errorf("%s: %v, %q; want the whole body", name, err, body)
 		}
 	}
 }
 
-// FuzzRemoteReply: whatever a replica answers, a hop returns either a decoded
-// reply or an error, never panics, and never pools a connection that has
-// bytes left to read.
+// frameOf is body as a replica's reply frame, after the 101 that opens the
+// connection when upgraded is unset.
+func frameOf(status int, retryAfter uint32, body string, upgraded bool) []byte {
+	var b []byte
+	if !upgraded {
+		b = []byte(switching)
+	}
+	head := make([]byte, serve.HopReplyHead)
+	serve.PutHopReply(head, status, retryAfter, uint32(len(body)))
+	return append(append(b, head...), body...)
+}
+
+// FuzzRemoteReply: whatever a replica answers a hop connection's first call,
+// the hop returns either a decoded reply or an error, never panics, and never
+// pools a connection that has bytes left to read.
 func FuzzRemoteReply(f *testing.F) {
 	const ok = oneRowReply
-	f.Add([]byte(fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(ok), ok)))
-	f.Add([]byte(fmt.Sprintf("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n0\r\n\r\n", len(ok), ok)))
-	f.Add([]byte(fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s", len(ok)-9, ok)))
-	f.Add([]byte(fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s", len(ok)+9, ok)))
-	f.Add([]byte("HTTP/1.1 2OO OK\r\nContent-Length: 0\r\n\r\n"))
-	f.Add([]byte(fmt.Sprintf("HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s", len(ok), ok)))
-	f.Add([]byte("HTTP/1.1 429 Too Many Requests\r\nRetry-After: 1\r\nContent-Length: 13\r\n\r\n{\"error\":\"x\"}"))
+	f.Add(frameOf(http.StatusOK, 0, ok, false))
+	f.Add(frameOf(http.StatusOK, 0, ok[:len(ok)-9], false))
+	f.Add(append(frameOf(http.StatusOK, 0, ok, false), "more"...))
+	f.Add(frameOf(http.StatusTooManyRequests, 1, `{"error":"x"}`, false))
+	f.Add(frameOf(99, 0, "", false))
+	f.Add([]byte("HTTP/1.1 101 Switching Protocols\r\nUpgrade: h2c\r\n\r\n"))
+	f.Add([]byte("HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"))
 	stub := newRawReplica(f)
 	f.Fuzz(func(t *testing.T, reply []byte) {
 		stub.reply.Store(&reply)
@@ -655,9 +813,9 @@ func FuzzRemoteReply(f *testing.F) {
 			return // the replica was never reached
 		}
 		<-stub.got // the replica has closed: what a pooled connection holds is all it will get
-		rem.mu.Lock()
-		idle := slices.Clone(rem.idle)
-		rem.mu.Unlock()
+		rem.hops.mu.Lock()
+		idle := slices.Clone(rem.hops.idle)
+		rem.hops.mu.Unlock()
 		for _, c := range idle {
 			c.SetReadDeadline(time.Now().Add(10 * time.Second))
 			if n, err := c.br.Read(make([]byte, 1)); n != 0 || err == nil {

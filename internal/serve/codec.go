@@ -46,67 +46,117 @@ const maxPooledCall = 1 << 20
 
 var callPool = sync.Pool{New: func() any { return new(predictCall) }}
 
-// predictCall is the pooled storage behind one POST /v1/predict.
+// predictCall is the pooled storage behind one predict call, posted or
+// framed, and its answer.
 type predictCall struct {
-	req   PredictRequest
-	buf   []byte          // the request's bytes
-	reply PredictResponse // the reply a replica serves into, results block and timings included
-	out   replyBuf        // the reply's bytes
-	block []float64       // every row's values, back to back
-	rows  [][]float64     // headers into block
+	req     PredictRequest
+	buf     []byte          // the request's bytes
+	readErr error           // what ended the read of buf, if anything did
+	reply   PredictResponse // the reply a replica serves into, results block and timings included
+	out     replyBuf        // the answer's bytes: head bytes for the envelope's own use, then the body
+	head    int             // how many bytes of out.b the envelope keeps ahead of the body
+	ans     Answer
+	block   []float64   // every row's values, back to back
+	rows    [][]float64 // headers into block
 	// system is the last system name decoded, reused while requests name
 	// the same one.
 	system string
+	// traceHdr is the X-Trace-Id header value: net/http copies a handler's
+	// header values when the header is written, before the call is released.
+	traceHdr [1]string
 }
 
-// HandlePredictRequest is the envelope of POST /v1/predict for ioserve and
-// iorouter alike: bound and read the body, decode it, apply the tighter of
-// defaultDeadline and the client's X-Request-Timeout-Ms, call serve, write
-// the value it returns as the 200, and settle the pooled storage. A bad
-// request is answered 400 here. serve returns its reply, or the error of
-// ServeRequest / Route having written that error's reply itself; req and its
-// rows are on loan until it returns, and out, the call's own reply storage
-// for ServeRequest to fill, until this returns. The error returned is the
-// reply's own: a value JSON cannot carry, answered 500 here, for the caller
-// to count; whatever the caller logs of the reply it reads inside serve.
-func HandlePredictRequest(w http.ResponseWriter, r *http.Request, defaultDeadline time.Duration,
-	serve func(ctx context.Context, req *PredictRequest, out *PredictResponse) (JSONAppender, error)) error {
-	c := callPool.Get().(*predictCall)
+// Answer is what a predict call answers besides its reply: the trace ID the
+// server retained (the X-Trace-Id header), and when the call fails, the
+// status, Retry-After and message its error is answered with.
+type Answer struct {
+	TraceID    string
+	Status     int
+	RetryAfter string
+	Msg        string
+}
+
+// ServeFunc is the call a predict envelope makes once the request is
+// decoded and its deadline set: it returns the reply to encode, or fails with
+// the error it has put in a. req and its rows are on loan until it returns,
+// and out, the call's own reply storage for ServeRequest to fill, until the
+// envelope has written the answer.
+type ServeFunc func(ctx context.Context, req *PredictRequest, out *PredictResponse, a *Answer) (JSONAppender, error)
+
+// HandlePredictRequest is the envelope of iorouter's POST /v1/predict: read
+// the body to the bound and answer what serveCall makes of it, under the
+// tighter of defaultDeadline and the client's X-Request-Timeout-Ms. The error
+// returned is the reply's own: a value JSON cannot carry, answered 500 here,
+// for the caller to count; whatever the caller logs of the reply it reads
+// inside serve.
+func HandlePredictRequest(w http.ResponseWriter, r *http.Request, defaultDeadline time.Duration, serve ServeFunc) error {
+	c := getCall(0)
 	defer c.release()
-	// net/http already cuts a body at a declared length; only an unknown or
-	// oversized one needs the bound.
+	c.readHTTP(w, r)
+	err := c.serveCall(r.Context(), defaultDeadline, headerBudget(r), serve)
+	c.writeHTTP(w)
+	return err
+}
+
+// getCall is a pooled call whose envelope keeps head bytes ahead of the body.
+func getCall(head int) *predictCall {
+	c := callPool.Get().(*predictCall)
+	c.head, c.out.b = head, append(c.out.b[:0], make([]byte, head)...)
+	return c
+}
+
+// readHTTP reads r's body into c.buf: net/http already cuts a body at a
+// declared length, so only an unknown or oversized one needs the bound.
+func (c *predictCall) readHTTP(w http.ResponseWriter, r *http.Request) {
 	body := r.Body
 	if r.ContentLength < 0 || r.ContentLength > maxRequestBody {
 		body = http.MaxBytesReader(w, body, maxRequestBody)
 	}
-	var readErr error
-	c.buf, readErr = ReadBody(c.buf[:0], body, r.ContentLength)
-	if readErr == nil {
+	c.buf, c.readErr = ReadBody(c.buf[:0], body, r.ContentLength)
+	if c.readErr == nil {
 		// Read to its end and closed, the body leaves net/http nothing to
 		// discard after the handler.
 		r.Body.Close()
 	}
-	if readErr != nil || !c.decodeRequest(c.buf) {
+}
+
+// headerBudget is r's X-Request-Timeout-Ms as serveCall takes a budget: -1
+// when there is none, 0 when it is no positive integer.
+func headerBudget(r *http.Request) int64 {
+	h := r.Header.Get(DeadlineHeader)
+	if h == "" {
+		return -1
+	}
+	if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 {
+		return ms
+	}
+	return 0
+}
+
+// serveCall is the predict call both envelopes make, once c.buf holds the
+// body (c.readErr what ended its read): decode it, a bad request answered
+// 400; bound ctx by the tighter of defaultDeadline and budgetMs (negative:
+// none; 0: not a positive integer, answered 400) — the wait for an evaluation
+// slot included, so an expired request is dropped before evaluation, not
+// after; call serve; and encode what it returns. The answer is left in c for
+// the envelope to write. The error returned is the reply's encoding error,
+// answered 500.
+func (c *predictCall) serveCall(ctx context.Context, defaultDeadline time.Duration, budgetMs int64, serve ServeFunc) error {
+	if c.readErr != nil || !c.decodeRequest(c.buf) {
 		c.req = PredictRequest{}
-		if err := decodeRequestJSON(c.buf, readErr, &c.req); err != nil {
-			WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+		if err := decodeRequestJSON(c.buf, c.readErr, &c.req); err != nil {
+			c.fail(http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 			return nil
 		}
 	}
-	// Deadline propagation: the tighter of the server default and the
-	// client's header bounds the whole predict call — the wait for an
-	// evaluation slot included, so an expired request is dropped before
-	// evaluation, not after.
-	ctx := r.Context()
-	if h := r.Header.Get(DeadlineHeader); h != "" {
-		ms, err := strconv.ParseInt(h, 10, 64)
-		if err != nil || ms <= 0 {
-			WriteError(w, http.StatusBadRequest, fmt.Sprintf("%s must be a positive integer of milliseconds", DeadlineHeader))
-			return nil
-		}
+	switch {
+	case budgetMs == 0:
+		c.fail(http.StatusBadRequest, fmt.Sprintf("%s must be a positive integer of milliseconds", DeadlineHeader))
+		return nil
+	case budgetMs > 0:
 		// Clamped before it is converted: a product past MaxInt64 would
 		// wrap, negative or short.
-		if d := time.Duration(min(ms, maxDeadlineMs)) * time.Millisecond; defaultDeadline == 0 || d < defaultDeadline {
+		if d := time.Duration(min(budgetMs, maxDeadlineMs)) * time.Millisecond; defaultDeadline == 0 || d < defaultDeadline {
 			defaultDeadline = d
 		}
 	}
@@ -115,12 +165,50 @@ func HandlePredictRequest(w http.ResponseWriter, r *http.Request, defaultDeadlin
 		ctx, cancel = context.WithTimeout(ctx, defaultDeadline)
 		defer cancel()
 	}
-	reply, err := serve(ctx, &c.req, &c.reply)
+	reply, err := serve(ctx, &c.req, &c.reply, &c.ans)
 	if err != nil {
+		c.fail(c.ans.Status, c.ans.Msg)
 		return nil
 	}
-	c.out.b, err = reply.AppendJSON(c.out.b[:0])
-	return flushReply(w, &c.out, http.StatusOK, err)
+	return c.encode(reply)
+}
+
+// encode makes reply c's answer, a 200, or when it does not encode, a 500
+// with the uniform error body: a value JSON cannot carry (NaN, ±Inf) is found
+// before any header goes out, instead of cutting a 200 short. That error is
+// returned.
+func (c *predictCall) encode(reply JSONAppender) (err error) {
+	c.ans.Status = http.StatusOK
+	if c.out.b, err = reply.AppendJSON(c.out.b[:c.head]); err != nil {
+		err = notEncodable(err)
+		c.fail(http.StatusInternalServerError, err.Error())
+	}
+	return err
+}
+
+// notEncodable is the error of a reply that did not encode.
+func notEncodable(err error) error {
+	return fmt.Errorf("serve: reply is not encodable (JSON cannot carry a non-finite number): %w", err)
+}
+
+// fail makes c's answer the uniform error body with status.
+func (c *predictCall) fail(status int, msg string) {
+	c.ans.Status = status
+	c.out.b = c.out.b[:c.head]
+	_ = json.NewEncoder(&c.out).Encode(errorBody{msg}) // a string always encodes
+}
+
+// writeHTTP writes c's answer as an HTTP reply.
+func (c *predictCall) writeHTTP(w http.ResponseWriter) {
+	h := w.Header()
+	if c.ans.RetryAfter != "" {
+		h.Set("Retry-After", c.ans.RetryAfter)
+	}
+	if c.ans.TraceID != "" {
+		c.traceHdr[0] = c.ans.TraceID
+		h[TraceHeader] = c.traceHdr[:]
+	}
+	flushReply(w, &c.out, c.ans.Status)
 }
 
 // maxDeadlineMs is the longest X-Request-Timeout-Ms a time.Duration holds.
@@ -131,7 +219,7 @@ const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
 // shadow mirror copy them, observers only read), the reply has been
 // written, and ServeRequest overwrites all of it.
 func (c *predictCall) release() {
-	c.req = PredictRequest{}
+	c.req, c.readErr, c.ans = PredictRequest{}, nil, Answer{}
 	if cap(c.buf)+cap(c.out.b)+8*cap(c.block)+24*cap(c.rows)+int(unsafe.Sizeof(PredictionResult{}))*cap(c.reply.Predictions) <= maxPooledCall {
 		callPool.Put(c)
 	}
@@ -750,27 +838,26 @@ func DecodePost(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 }
 
 // writeReply is every JSON reply but a predict reply's writer: encode v into
-// buf by encoding/json, then flushReply.
+// buf by encoding/json and flush it, or, when v does not encode, answer 500
+// with the uniform error body. That error is returned.
 func writeReply(w http.ResponseWriter, buf *replyBuf, status int, v any) error {
 	buf.b = buf.b[:0]
-	return flushReply(w, buf, status, json.NewEncoder(buf).Encode(v))
-}
-
-// flushReply writes the reply encoded into buf with its length, or, when
-// encoding it failed with err, answers 500 with the uniform error body. A
-// value JSON cannot carry (NaN, ±Inf) is therefore found before any header
-// goes out, instead of cutting a 200 short; that error is returned.
-func flushReply(w http.ResponseWriter, buf *replyBuf, status int, err error) error {
+	err := json.NewEncoder(buf).Encode(v)
 	if err != nil {
-		err = fmt.Errorf("serve: reply is not encodable (JSON cannot carry a non-finite number): %w", err)
+		err = notEncodable(err)
 		_ = writeReply(w, buf, http.StatusInternalServerError, errorBody{err.Error()}) // a string always encodes
 		return err
 	}
+	flushReply(w, buf, status)
+	return nil
+}
+
+// flushReply writes the reply encoded into buf with its length.
+func flushReply(w http.ResponseWriter, buf *replyBuf, status int) {
 	h := w.Header()
 	h["Content-Type"] = jsonContentType
 	buf.length[0] = strconv.Itoa(len(buf.b))
 	h["Content-Length"] = buf.length[:]
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.b) // a client that went away is the only failure
-	return nil
 }

@@ -172,7 +172,7 @@ func FuzzDecodePredictRequest(f *testing.F) {
 		rec := httptest.NewRecorder()
 		accepted := false
 		HandlePredictRequest(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(data)), 0,
-			func(_ context.Context, req *PredictRequest, out *PredictResponse) (JSONAppender, error) {
+			func(_ context.Context, req *PredictRequest, out *PredictResponse, _ *Answer) (JSONAppender, error) {
 				accepted = true
 				if !sameRequest(req, &want) {
 					t.Fatalf("decoded %+v, encoding/json %+v: %q", req, want, data)
@@ -381,10 +381,9 @@ func FuzzEncodePredictReply(f *testing.F) {
 		want := httptest.NewRecorder()
 		wantErr := writeReply(want, new(replyBuf), http.StatusOK, &mirror)
 		got := httptest.NewRecorder()
-		var buf replyBuf
-		var err error
-		buf.b, err = resp.AppendJSON(nil)
-		gotErr := flushReply(got, &buf, http.StatusOK, err)
+		c := new(predictCall)
+		gotErr := c.encode(&resp)
+		c.writeHTTP(got)
 		if got.Code != want.Code || got.Body.String() != want.Body.String() ||
 			got.Header().Get("Content-Length") != want.Header().Get("Content-Length") || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("appended %d %q (%v)\nencoding/json %d %q (%v)", got.Code, got.Body, gotErr, want.Code, want.Body, wantErr)
@@ -492,7 +491,7 @@ func TestOversizeBodyKeepsEncodingJSONSemantics(t *testing.T) {
 			r.ContentLength = -1
 		}
 		HandlePredictRequest(rec, r, 0,
-			func(_ context.Context, req *PredictRequest, out *PredictResponse) (JSONAppender, error) {
+			func(_ context.Context, req *PredictRequest, out *PredictResponse, _ *Answer) (JSONAppender, error) {
 				got = &PredictRequest{System: req.System, Version: req.Version, Row: append([]float64(nil), req.Row...)}
 				return out, nil
 			})
@@ -563,7 +562,7 @@ func TestCodecSteadyStateReusesItsBuffers(t *testing.T) {
 	r.Body, r.ContentLength = rewindBody{rd}, int64(len(body))
 	allocs := testing.AllocsPerRun(100, func() {
 		rd.Reset(body)
-		err := HandlePredictRequest(w, r, 0, func(_ context.Context, req *PredictRequest, _ *PredictResponse) (JSONAppender, error) {
+		err := HandlePredictRequest(w, r, 0, func(_ context.Context, req *PredictRequest, _ *PredictResponse, _ *Answer) (JSONAppender, error) {
 			if len(req.Rows) != 4 {
 				t.Fatalf("decoded %d rows, want 4", len(req.Rows))
 			}

@@ -141,6 +141,8 @@ type Service struct {
 	reloader atomic.Pointer[Reloader]
 	// observer is attached by SetObserver (nil when nothing watches).
 	observer atomic.Pointer[observerBox]
+	// hops are the upgraded router connections (hop.go), drained by Close.
+	hops hopSet
 }
 
 // NewService wires a service over a loaded registry.
@@ -158,6 +160,7 @@ func NewService(reg *Registry, opt Options) *Service {
 		shadow:  NewShadow(reg, opt.ShadowFraction, m),
 		metrics: m,
 		logger:  opt.Logger,
+		hops:    hopSet{frameBound: hopFrameTimeout, idleBound: hopIdleTimeout},
 	}
 	if s.logger == nil {
 		s.logger = obs.NopLogger()
@@ -188,10 +191,12 @@ func (s *Service) collectVersions(dst []obs.PromFamily) []obs.PromFamily {
 	return append(dst, f)
 }
 
-// Close stops the reloader (if attached) and the shadow mirror, and waits
-// for running evaluations to end. Requests that still have misses to
-// evaluate then get ErrBatcherClosed.
+// Close answers the frames in flight on hop connections and closes them all,
+// stops the reloader (if attached) and the shadow mirror, and waits for
+// running evaluations to end. Requests that still have misses to evaluate
+// then get ErrBatcherClosed.
 func (s *Service) Close() {
+	s.hops.close()
 	s.reloader.Load().Close()
 	s.shadow.Close()
 	close(s.closed)

@@ -18,6 +18,8 @@ import (
 // HTTP layer. Endpoints:
 //
 //	POST /v1/predict            — single row ("row") or batch ("rows")
+//	GET  /v1/hop                — upgrade to the router's framed predict
+//	                              hop (hop.go)
 //	GET  /v1/models             — registry listing
 //	GET  /v1/versions           — per-system lifecycle view: versions,
 //	                              active/latest markers, shadow deltas
@@ -50,8 +52,9 @@ type PredictRequest struct {
 	// one must be set.
 	Row  []float64   `json:"row,omitempty"`
 	Rows [][]float64 `json:"rows,omitempty"`
-	// TraceParent is the fleet router's trace ID (0: none), on the wire the
-	// X-Trace-Id header; ServeRequest records it as its trace's parent.
+	// TraceParent is the fleet router's trace ID (0: none), on the wire in
+	// the hop frame's head (or a posted request's X-Trace-Id header);
+	// ServeRequest records it as its trace's parent.
 	TraceParent uint64 `json:"-"`
 }
 
@@ -125,6 +128,9 @@ type HandlerConfig struct {
 	// (the -default-deadline flag). 0 means no server-imposed deadline;
 	// clients can always tighten via the DeadlineHeader.
 	DefaultDeadline time.Duration
+	// SLO, when non-nil, observes every predict call, posted or framed, as
+	// class "predict".
+	SLO *obs.SLO
 }
 
 // AdminAuthorized reports whether a request may perform admin actions
@@ -159,10 +165,10 @@ func RequireAdmin(token string, next http.HandlerFunc) http.HandlerFunc {
 // Handler wraps a Service as an http.Handler with open admin endpoints.
 func Handler(svc *Service) http.Handler { return NewHandler(svc, HandlerConfig{}) }
 
-// TraceHeader is the response (and router-hop request) header carrying the
-// trace ID. Inbound, a fleet router stamps its own trace ID here so the
-// replica's retained trace records it as the parent; outbound, it names
-// the trace the server retained for this request.
+// TraceHeader is the response header carrying the trace ID the server
+// retained for a request. Inbound, an upstream trace ID here becomes the
+// parent of the trace this server retains (a fleet router sends its own in
+// the hop frame's head instead).
 const TraceHeader = "X-Trace-Id"
 
 // StatusForError maps a predict error to its HTTP status. Shared by the
@@ -233,9 +239,9 @@ func (s *Service) ServeRequest(ctx context.Context, req *PredictRequest, out *Pr
 // NewHandler wraps a Service as an http.Handler under the given config.
 func NewHandler(svc *Service, cfg HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/predict", func(w http.ResponseWriter, r *http.Request) {
-		handlePredict(svc, &cfg, w, r)
-	})
+	p := &predictor{svc: svc, cfg: &cfg}
+	mux.HandleFunc("/v1/predict", p.handlePredict)
+	mux.HandleFunc(HopPath, p.handleHop)
 	mux.HandleFunc("/v1/resilience", conflictUnless(cfg.Resilience != nil, "resilience layer not configured (start ioserve with -admission-max-inflight or -reload-interval)",
 		RequireAdmin(cfg.AdminToken, GetJSON(func(*http.Request) any { return cfg.Resilience.Status() }))))
 	mux.HandleFunc("/v1/models", GetJSON(func(*http.Request) any { return map[string]any{"models": svc.Registry().List()} }))
@@ -302,66 +308,78 @@ func NewHandler(svc *Service, cfg HandlerConfig) http.Handler {
 	return mux
 }
 
-func handlePredict(svc *Service, cfg *HandlerConfig, w http.ResponseWriter, r *http.Request) {
+// predictor is ioserve's one predict core: POST /v1/predict and the hop's
+// frames both call predict, so a routed row is answered as a posted one is.
+type predictor struct {
+	svc *Service
+	cfg *HandlerConfig
+}
+
+func (p *predictor) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	// Admission runs before the body is read: a shed request must cost the
-	// server as close to nothing as possible, or shedding can't shed load.
-	if cfg.Gate != nil {
-		ok, reason := cfg.Gate.Admit(resilience.ClassPredict)
+	// An upstream X-Trace-Id (a router's hop identity) becomes the parent of
+	// whatever trace this replica retains, so one router-side ID finds the
+	// replica-side traces of every sub-request it fanned out. Without a
+	// tracer nothing is retained and nothing reads it.
+	var parent uint64
+	if h := r.Header.Get(TraceHeader); h != "" && p.svc.tracer != nil {
+		parent, _ = obs.ParseTraceID(h)
+	}
+	c := getCall(0)
+	defer c.release()
+	p.predict(r.Context(), c, headerBudget(r), parent, func(c *predictCall) { c.readHTTP(w, r) })
+	c.writeHTTP(w)
+}
+
+// predict answers one predict call into c, for its envelope to write. In
+// order: admission, a shed answered 429 with Retry-After before the body is
+// read (read, when the envelope has not read it already) or decoded — a shed
+// request must cost the server as close to nothing as possible, or shedding
+// can't shed load; then serveCall under the tighter of the default deadline
+// and budgetMs, with the trace parent, ServeRequest and its error's status;
+// the 5xx logs, the error count and the SLO's predict class.
+func (p *predictor) predict(ctx context.Context, c *predictCall, budgetMs int64, parent uint64, read func(*predictCall)) {
+	svc, start := p.svc, time.Now()
+	defer func() { p.cfg.SLO.Observe("predict", c.ans.Status, time.Since(start)) }()
+	if gate := p.cfg.Gate; gate != nil {
+		ok, reason := gate.Admit(resilience.ClassPredict)
 		if !ok {
-			w.Header().Set("Retry-After", cfg.Gate.RetryAfterHeader())
+			c.ans.RetryAfter = gate.RetryAfterHeader()
 			if id := svc.TraceShed("", string(reason)); id != 0 {
-				w.Header().Set("X-Trace-Id", obs.FormatTraceID(id))
+				c.ans.TraceID = obs.FormatTraceID(id)
 			}
-			WriteError(w, http.StatusTooManyRequests, fmt.Sprintf("overloaded (%s): retry later", reason))
+			c.fail(http.StatusTooManyRequests, fmt.Sprintf("overloaded (%s): retry later", reason))
 			return
 		}
-		admitStart := time.Now()
-		defer func() { cfg.Gate.Release(time.Since(admitStart)) }()
+		defer func() { gate.Release(time.Since(start)) }()
 	}
-	// The reply is the call's storage, released when HandlePredictRequest
-	// returns: what the log below names is read out of it before that.
-	var system, traceHex string
-	var version int
-	err := HandlePredictRequest(w, r, cfg.DefaultDeadline, func(ctx context.Context, req *PredictRequest, out *PredictResponse) (JSONAppender, error) {
-		// An upstream X-Trace-Id (the fleet router's hop identity) becomes the
-		// parent of whatever trace this replica retains, so one router-side ID
-		// finds the replica-side traces of every sub-request it fanned out.
-		// Without a tracer nothing is retained and nothing reads it.
-		if h := r.Header.Get(TraceHeader); h != "" && svc.Tracer() != nil {
-			if id, err := obs.ParseTraceID(h); err == nil {
-				req.TraceParent = id
-			}
-		}
-		var err error
-		traceHex, err = svc.ServeRequest(ctx, req, out)
-		if traceHex != "" {
-			// Set on success and error alike: a failed request's retained trace
-			// is exactly the one an operator wants to look up.
-			w.Header().Set(TraceHeader, traceHex)
-		}
+	if read != nil {
+		read(c)
+	}
+	err := c.serveCall(ctx, p.cfg.DefaultDeadline, budgetMs, func(ctx context.Context, req *PredictRequest, out *PredictResponse, a *Answer) (JSONAppender, error) {
+		req.TraceParent = parent
+		traceHex, err := svc.ServeRequest(ctx, req, out)
+		// Set on success and error alike: a failed request's retained trace
+		// is exactly the one an operator wants to look up.
+		a.TraceID = traceHex
 		if err != nil {
-			status := StatusForError(err)
-			if status >= 500 {
-				svc.Logger().Error("predict failed",
-					"system", req.System,
-					"status", status, "trace_id", traceHex, "err", err)
+			a.Status, a.Msg = StatusForError(err), err.Error()
+			if a.Status >= 500 {
+				svc.logger.Error("predict failed", "system", req.System, "status", a.Status, "trace_id", traceHex, "err", err)
 			}
-			WriteError(w, status, err.Error())
 			return nil, err
 		}
-		system, version = out.System, out.Version
 		return out, nil
 	})
 	if err != nil {
-		// The envelope answered 500: a reply JSON cannot carry (a non-finite
-		// prediction) is counted and logged.
+		// Answered 500: a reply JSON cannot carry (a non-finite prediction)
+		// is counted and logged.
 		svc.metrics.Errors.Add(1)
 		svc.logger.Error("predict response not encodable",
-			"system", system, "version", version, "trace_id", traceHex, "err", err)
+			"system", c.reply.System, "version", c.reply.Version, "trace_id", c.ans.TraceID, "err", err)
 	}
 }
 
